@@ -5,8 +5,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# test also vets and tests benchmark/, a module of its own that the root
+# module's ./... does not reach.
 test:
 	$(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the orchestrator benchmark suite (bench_test.go at the
 # repo root) and writes machine-readable results to BENCH_core.json via

@@ -38,6 +38,7 @@ func (o *Orchestrator) Hybrid(ctx context.Context, prompt string) (Result, error
 	}
 	qv := cfg.Encoder.Encode(prompt)
 	sc := o.newScorer(qv)
+	defer sc.release()
 	o.emit(Event{Type: EventStart, Strategy: StrategyHybrid})
 
 	// Phase 1: one even screening chunk per model — half of an even

@@ -40,6 +40,7 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 	}
 	qv := cfg.Encoder.Encode(prompt)
 	sc := o.newScorer(qv)
+	defer sc.release()
 	o.emit(Event{Type: EventStart, Strategy: StrategyMAB})
 
 	// Concurrent initialization: grant each arm its first chunk up

@@ -51,6 +51,7 @@ func (o *Orchestrator) OUA(ctx context.Context, prompt string) (Result, error) {
 	}
 	qv := cfg.Encoder.Encode(prompt)
 	sc := o.newScorer(qv)
+	defer sc.release()
 	o.emit(Event{Type: EventStart, Strategy: StrategyOUA})
 
 	totalTokens := 0

@@ -48,6 +48,9 @@ type scorer struct {
 	members map[*candidate]bool
 	// inPass is reusable scratch for the membership sync.
 	inPass map[*candidate]bool
+	// accs are the accumulators this scorer handed to candidates, given
+	// back to the encoder by release when the query ends.
+	accs []*embedding.Accumulator
 }
 
 func newScorer(enc embedding.Encoder, qv embedding.Vector, alpha, beta float64) *scorer {
@@ -134,7 +137,9 @@ func (s *scorer) refresh(c *candidate) bool {
 		s.subVec(c.emb)
 	}
 	if c.acc == nil {
-		c.acc, _ = embedding.NewAccumulator(s.enc)
+		if c.acc, _ = embedding.NewAccumulator(s.enc); c.acc != nil {
+			s.accs = append(s.accs, c.acc)
+		}
 	}
 	if c.acc != nil {
 		c.acc.Add(c.response[c.encoded:])
@@ -150,6 +155,16 @@ func (s *scorer) refresh(c *candidate) bool {
 	s.addVec(c.emb)
 	s.members[c] = true
 	return true
+}
+
+// release returns the candidates' accumulators to the encoder's pool.
+// Each strategy defers it next to its session sweep, so it runs on every
+// exit path of a query and nothing is scored afterwards.
+func (s *scorer) release() {
+	for _, acc := range s.accs {
+		acc.Release()
+	}
+	s.accs = nil
 }
 
 func (s *scorer) addVec(v embedding.Vector) {

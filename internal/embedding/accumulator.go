@@ -2,6 +2,7 @@ package embedding
 
 import (
 	"math"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -38,6 +39,8 @@ import (
 // An Accumulator is NOT safe for concurrent use; each candidate owns one.
 type Accumulator struct {
 	cfg Config
+	// pool is where Release returns the accumulator: its encoder's.
+	pool *sync.Pool
 
 	// tf holds the committed term frequency per feature hash.
 	tf map[uint64]float64
@@ -90,13 +93,27 @@ func NewAccumulator(enc Encoder) (*Accumulator, bool) {
 	return inc.NewAccumulator(), true
 }
 
-// NewAccumulator implements Incremental.
+// NewAccumulator implements Incremental. It hands out a released
+// accumulator when the encoder has one, a fresh one otherwise.
 func (e *hashEncoder) NewAccumulator() *Accumulator {
+	if acc, _ := e.accs.Get().(*Accumulator); acc != nil {
+		return acc
+	}
 	return &Accumulator{
 		cfg:  e.cfg,
+		pool: &e.accs,
 		tf:   make(map[uint64]float64, 64),
 		sums: make([]float64, e.cfg.Dim),
 	}
+}
+
+// Release resets the accumulator and gives it back to its encoder for a
+// later NewAccumulator (or Encode) to reuse. Optional — an accumulator
+// that is simply dropped is collected as usual — but the caller must not
+// touch a released accumulator again.
+func (a *Accumulator) Release() {
+	a.Reset()
+	a.pool.Put(a)
 }
 
 // Reset clears the accumulator for reuse on a new text.

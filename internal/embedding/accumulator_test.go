@@ -3,7 +3,10 @@ package embedding
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -105,6 +108,52 @@ func TestEncodeMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReleasedAccumulatorsReuseExactly checks pooled accumulators leak
+// nothing from one text into the next: from several goroutines at once,
+// every Encode — and every chunked accumulation on an accumulator that
+// NewAccumulator recycled — is bit-identical to a never-used
+// accumulator's vector, whatever was encoded before (texts ending
+// mid-word and mid-rune included, which leave a pending word and a
+// carried byte behind).
+func TestReleasedAccumulatorsReuseExactly(t *testing.T) {
+	enc := Default().(*hashEncoder)
+	texts := []string{
+		"not visible from space", "", "trailing partial wor", "naïve café déjà-vu", "ends mid-rune \xc3",
+		"the the the", strings.Repeat("a long answer about bats and echolocation ", 40), "日本語のテキスト", "x",
+	}
+	want := make([]Vector, len(texts))
+	for i, s := range texts {
+		acc := (&hashEncoder{cfg: enc.cfg}).NewAccumulator() // its own, empty pool
+		acc.Add(s)
+		want[i] = acc.Vector()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				i := (n*7 + g) % len(texts)
+				if got := enc.Encode(texts[i]); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("Encode(%q) after reuse differs from a fresh accumulator", texts[i])
+					return
+				}
+				acc := enc.NewAccumulator()
+				half := len(texts[i]) / 2
+				acc.Add(texts[i][:half])
+				acc.Add(texts[i][half:])
+				got := acc.Vector()
+				acc.Release()
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("recycled accumulator over %q differs from a fresh one", texts[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // randomSplit cuts s into chunks at r-chosen byte offsets — deliberately

@@ -59,6 +59,10 @@ type Config struct {
 // hashEncoder is the feature-hashing implementation of Encoder.
 type hashEncoder struct {
 	cfg Config
+	// accs recycles released accumulators (a Dim-wide float64 array and a
+	// feature map each), which Encode would otherwise build and drop on
+	// every query, cache probe, retrieval and memory write.
+	accs sync.Pool
 }
 
 // New returns a deterministic hashing encoder for cfg.
@@ -110,7 +114,9 @@ func fnv1a64(seed uint64, s string) uint64 {
 func (e *hashEncoder) Encode(text string) Vector {
 	acc := e.NewAccumulator()
 	acc.Add(text)
-	return acc.Vector()
+	v := acc.Vector()
+	acc.Release()
+	return v
 }
 
 // featureScale keeps sublinear TF positive for damped (<1) frequencies.

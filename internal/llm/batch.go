@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"llmms/internal/tokenizer"
 )
 
 // DefaultMaxBatchTokens is the per-step token budget of a model's batch
@@ -84,19 +82,16 @@ func (e *Engine) BatchStats(model string) (BatchStats, bool) {
 // continuous batch schedulers (the -batch flag on both binaries).
 func (e *Engine) BatchingEnabled() bool { return !e.batchOff }
 
-// batchSeq is one generation owned by a batch scheduler: the planned
-// tokens plus a decode position the scheduler advances one token per
-// step. The out channel's buffer holds the entire remaining plan, so
-// every send is non-blocking by construction.
+// batchSeq is one generation owned by a batch scheduler: its plan plus a
+// decode position the scheduler advances one token per step. The out
+// channel's buffer holds the entire remaining plan, so every send is
+// non-blocking by construction.
 type batchSeq struct {
-	ctx    context.Context
-	out    chan Chunk
-	tokens []tokenizer.Token
-	// cursor is where this call's generation started (continuation
-	// offset); pos is the next token to decode; end is one past the
-	// last planned token.
-	cursor, end, pos int
-	reason           DoneReason
+	ctx  context.Context
+	out  chan Chunk
+	plan genPlan
+	// pos is the next token to decode, from plan.cursor up to plan.end.
+	pos int
 	// prefill is the token count re-ingested at admission (prompt plus
 	// continued-from context), charged against the step budget once.
 	prefill   int
@@ -234,11 +229,8 @@ func batchEfficiency(k int) float64 { return 2 - 1/float64(k) }
 // match the unbatched path exactly for every done reason. Must be
 // called without holding s.mu (e.finish takes e.mu).
 func (s *batchScheduler) terminal(q *batchSeq, reason DoneReason) {
-	emitted := q.pos - q.cursor
-	s.e.finish(s.model, emitted, s.profile)
-	q.out <- Chunk{Done: true, DoneReason: reason,
-		Context: contextState(q.tokens[:q.pos]), EvalCount: emitted,
-		TotalTokens: q.pos}
+	s.e.finish(s.model, q.pos-q.plan.cursor, s.profile)
+	q.out <- q.plan.terminal(reason, q.pos)
 	close(q.out)
 }
 
@@ -306,7 +298,7 @@ func (s *batchScheduler) loop() {
 			s.pending = s.pending[1:]
 			admitted = append(admitted, q)
 			prefillTokens += q.prefill
-			if q.pos >= q.end {
+			if q.pos >= q.plan.end {
 				finished = append(finished, q)
 				continue
 			}
@@ -360,13 +352,12 @@ func (s *batchScheduler) loop() {
 		var completed []*batchSeq
 		s.mu.Lock()
 		for _, q := range stepped {
-			t := q.tokens[q.pos]
-			q.out <- Chunk{Text: s.e.tok.DecodeOne(t), Tokens: []int{int(t)}}
+			q.out <- q.plan.token(s.e.tok, q.pos)
 			q.pos++
 		}
 		keep = s.active[:0]
 		for _, q := range s.active {
-			if q.pos >= q.end {
+			if q.pos >= q.plan.end {
 				completed = append(completed, q)
 			} else {
 				keep = append(keep, q)
@@ -386,10 +377,10 @@ func (s *batchScheduler) loop() {
 			h.Step(s.model, occupancy, len(stepped), stepDur)
 		}
 		for _, q := range finished {
-			s.terminal(q, q.reason)
+			s.terminal(q, q.plan.reason)
 		}
 		for _, q := range completed {
-			s.terminal(q, q.reason)
+			s.terminal(q, q.plan.reason)
 		}
 	}
 }

@@ -64,78 +64,174 @@ type StreamingBackend interface {
 	OpenStream(ctx context.Context, req ChunkRequest) (ChunkStream, error)
 }
 
-// streamPiece is one backend delivery: decoded text plus the ids of the
-// tokens it contains (one id per token, in generation order).
-type streamPiece struct {
-	text string
-	ids  []int
+// TokenBatch gathers consecutive token chunks of one generation into
+// flat storage: Text is the concatenated bytes, IDs one id per token and
+// Ends the offset in Text at which each token ends. It is how both the
+// daemon's line writer and the engine-backed stream take tokens off a
+// generation channel — one blocking receive, then whatever else is
+// already decoded — so a consumer slower than the producer pays its
+// per-delivery cost (a flush, a lock, a wake-up) once per batch, and a
+// consumer that keeps up sees batches of one. The storage is reused
+// across Fills.
+type TokenBatch struct {
+	Text []byte
+	IDs  []int
+	Ends []int
+}
+
+// Fill empties the batch, blocks for the next chunk on ch, then keeps
+// taking chunks that are already there without blocking. It stops at the
+// generation's terminal chunk, which it returns (final.Done is true).
+// more is false once the generation is over: the terminal chunk arrived
+// or, if final.Done is false, ch closed without one.
+func (b *TokenBatch) Fill(ch <-chan Chunk) (final Chunk, more bool) {
+	b.Text, b.IDs, b.Ends = b.Text[:0], b.IDs[:0], b.Ends[:0]
+	c, ok := <-ch
+	for {
+		if !ok {
+			return Chunk{}, false
+		}
+		if c.Done {
+			return c, false
+		}
+		// Engine chunks carry exactly one token each. One that did not
+		// leaves IDs and Ends unequal, which StreamBuffer.Push rejects.
+		b.Text = append(b.Text, c.Text...)
+		b.IDs = append(b.IDs, c.Tokens...)
+		b.Ends = append(b.Ends, len(b.Text))
+		select {
+		case c, ok = <-ch:
+		default:
+			return Chunk{}, true
+		}
+	}
 }
 
 // StreamBuffer is the client-side token buffer shared by ChunkStream
-// implementations: a producer goroutine Pushes pieces as the backend
-// delivers them (then Finish or Fail exactly once), while the consumer
-// Drains per-round slices. It handles token-boundary slicing and the
-// per-slice Context/EvalCount/Done synthesis so both the engine-backed
-// and the HTTP-backed stream share one set of semantics.
+// implementations: a producer goroutine Pushes token batches as the
+// backend delivers them (then Finish or Fail exactly once), while the
+// consumer Drains per-round slices. Tokens are stored flat — text bytes,
+// one id and one end offset per token — so a round is sliced on token
+// boundaries and its Text, EvalCount and Context are the same however
+// the producer happened to batch its deliveries.
 //
 // All methods are safe for concurrent use by one producer and one
 // consumer.
 type StreamBuffer struct {
-	mu     sync.Mutex
-	notify chan struct{} // closed and replaced on every state change
+	mu sync.Mutex
+	// wake nudges the blocked Drain. The producer sends only once the
+	// stream can satisfy the waiter (want tokens buffered) or has turned
+	// terminal; a stale nudge costs one re-check.
+	wake    chan struct{}
+	waiting bool
+	want    int // tokens the blocked Drain asked for; <= 0 waits for the end
 
-	base     []int // continuation state the stream was opened from
-	pieces   []streamPiece
-	buffered int   // token count across pieces
-	drained  []int // base + ids of every token handed to the consumer
+	// ids is the continuation state the stream was opened from followed
+	// by the id of every token pushed; it only ever grows, so drained
+	// slices hand out capped sub-slices of it as Context without copying.
+	ids  []int
+	base int // len of the opened-from continuation state
+	// text holds every pushed token's bytes; ends[i] is the offset in
+	// text at which pushed token i ends. head counts the tokens already
+	// handed to the consumer.
+	text []byte
+	ends []int
+	head int
 
 	final  *Chunk // terminal metadata, set by Finish
-	err    error  // set by Fail (or Close)
+	err    error  // set by Fail or a rejected Push
 	closed bool
 }
 
 // NewStreamBuffer returns a buffer for a stream resumed from cont (nil
 // starts fresh). cont is cloned; the caller may reuse its slice.
 func NewStreamBuffer(cont []int) *StreamBuffer {
-	b := &StreamBuffer{notify: make(chan struct{})}
-	b.base = append([]int(nil), cont...)
-	b.drained = append([]int(nil), cont...)
-	return b
+	return &StreamBuffer{
+		wake: make(chan struct{}, 1),
+		ids:  append([]int(nil), cont...),
+		base: len(cont),
+	}
 }
 
-// signal wakes every Drain waiter. Callers hold b.mu.
-func (b *StreamBuffer) signal() {
-	close(b.notify)
-	b.notify = make(chan struct{})
-}
-
-// Push appends one delivered piece. Pieces must carry one id per token;
-// a non-empty piece without ids fails the stream with
-// ErrStreamUnsupported, because without ids the buffer cannot synthesize
-// the per-slice continuation state that makes mid-stream fallback
-// lossless — and it fails BEFORE buffering the piece, so the consumer
-// has not been handed any text the fallback would duplicate.
-func (b *StreamBuffer) Push(text string, ids []int) {
-	if text == "" && len(ids) == 0 {
+// signalLocked wakes the blocked Drain when its wait can end: the stream
+// turned terminal, or holds the tokens the waiter asked for. Callers
+// hold b.mu.
+func (b *StreamBuffer) signalLocked() {
+	if !b.waiting {
 		return
+	}
+	terminal := b.final != nil || b.err != nil || b.closed
+	if !terminal && (b.want <= 0 || len(b.ends)-b.head < b.want) {
+		return
+	}
+	b.waiting = false
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Push appends a batch of delivered tokens: text is their concatenated
+// bytes, ids one id per token, and ends the offset in text at which each
+// token ends (empty for a single token, which spans all of text). A batch
+// that cannot be attributed token by token fails the stream BEFORE any
+// of it is buffered, so the consumer is never handed text whose
+// continuation state a fallback could not reproduce: text without ids
+// fails with ErrStreamUnsupported, offsets that do not partition text
+// with a plain error. The failure is also returned, so the producer can
+// stop reading. text, ids and ends are copied.
+func (b *StreamBuffer) Push(text []byte, ids, ends []int) error {
+	if len(text) == 0 && len(ids) == 0 {
+		return nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.final != nil || b.err != nil {
-		return
+		return b.err
 	}
-	if len(ids) == 0 {
-		b.err = fmt.Errorf("llm: stream piece carries no token ids: %w", ErrStreamUnsupported)
-		b.signal()
-		return
+	if err := checkBatch(text, ids, ends); err != nil {
+		b.err = err
+		b.signalLocked()
+		return err
 	}
-	b.pieces = append(b.pieces, streamPiece{text: text, ids: ids})
-	b.buffered += len(ids)
-	b.signal()
+	off := len(b.text)
+	b.text = append(b.text, text...)
+	b.ids = append(b.ids, ids...)
+	if len(ends) == 0 {
+		b.ends = append(b.ends, len(b.text))
+	}
+	for _, e := range ends {
+		b.ends = append(b.ends, off+e)
+	}
+	b.signalLocked()
+	return nil
+}
+
+// checkBatch reports why a pushed batch cannot be sliced on token
+// boundaries, or nil when ends partitions text into len(ids) tokens.
+func checkBatch(text []byte, ids, ends []int) error {
+	switch {
+	case len(ids) == 0:
+		return fmt.Errorf("llm: stream batch carries no token ids: %w", ErrStreamUnsupported)
+	case len(ends) == 0 && len(ids) == 1:
+		return nil
+	case len(ends) != len(ids):
+		return fmt.Errorf("llm: stream batch has %d token ids but %d token ends", len(ids), len(ends))
+	case ends[len(ends)-1] != len(text):
+		return fmt.Errorf("llm: stream batch token ends stop at %d of %d text bytes", ends[len(ends)-1], len(text))
+	}
+	prev := 0
+	for _, e := range ends {
+		if e < prev {
+			return fmt.Errorf("llm: stream batch token ends decrease (%d after %d)", e, prev)
+		}
+		prev = e
+	}
+	return nil
 }
 
 // Finish records the stream's terminal chunk (Done metadata). Buffered
-// pieces remain drainable; the terminal slice is synthesized once they
+// tokens remain drainable; the terminal slice is synthesized once they
 // are exhausted.
 func (b *StreamBuffer) Finish(final Chunk) {
 	b.mu.Lock()
@@ -145,10 +241,10 @@ func (b *StreamBuffer) Finish(final Chunk) {
 	}
 	f := final
 	b.final = &f
-	b.signal()
+	b.signalLocked()
 }
 
-// Fail records a mid-stream error. Already-buffered pieces remain
+// Fail records a mid-stream error. Already-buffered tokens remain
 // drainable (they carry valid continuation state); the error surfaces
 // once the buffer is empty.
 func (b *StreamBuffer) Fail(err error) {
@@ -161,7 +257,7 @@ func (b *StreamBuffer) Fail(err error) {
 		return
 	}
 	b.err = err
-	b.signal()
+	b.signalLocked()
 }
 
 // Close marks the buffer closed: subsequent Drains return
@@ -170,14 +266,14 @@ func (b *StreamBuffer) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.closed = true
-	b.signal()
+	b.signalLocked()
 }
 
 // Buffered reports the generated-but-undrained token count.
 func (b *StreamBuffer) Buffered() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.buffered
+	return len(b.ends) - b.head
 }
 
 // Drain blocks until maxTokens tokens are buffered (or the stream
@@ -188,76 +284,62 @@ func (b *StreamBuffer) Buffered() int {
 // terminal chunk and drains everything.
 func (b *StreamBuffer) Drain(ctx context.Context, maxTokens int) (Chunk, error) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	for {
+		buffered := len(b.ends) - b.head
 		switch {
 		case b.closed:
-			b.mu.Unlock()
 			return Chunk{}, ErrStreamClosed
-		case b.final != nil || (maxTokens > 0 && b.buffered >= maxTokens):
-			c := b.sliceLocked(maxTokens)
-			b.mu.Unlock()
-			return c, nil
+		case b.final != nil || (maxTokens > 0 && buffered >= maxTokens):
+			return b.sliceLocked(maxTokens), nil
 		case b.err != nil:
-			if b.buffered > 0 {
-				c := b.sliceLocked(maxTokens)
-				b.mu.Unlock()
-				return c, nil
+			if buffered > 0 {
+				return b.sliceLocked(maxTokens), nil
 			}
-			err := b.err
-			b.mu.Unlock()
-			return Chunk{}, err
+			return Chunk{}, b.err
 		case ctx.Err() != nil:
-			if b.buffered > 0 {
-				c := b.sliceLocked(maxTokens)
-				b.mu.Unlock()
-				return c, nil
+			if buffered > 0 {
+				return b.sliceLocked(maxTokens), nil
 			}
-			err := ctx.Err()
-			b.mu.Unlock()
-			return Chunk{}, err
+			return Chunk{}, ctx.Err()
 		}
-		ch := b.notify
+		b.waiting, b.want = true, maxTokens
 		b.mu.Unlock()
 		select {
-		case <-ch:
+		case <-b.wake:
 		case <-ctx.Done():
 		}
 		b.mu.Lock()
+		b.waiting = false
 	}
 }
 
-// sliceLocked pops up to maxTokens tokens' worth of whole pieces and
-// synthesizes the round chunk. Callers hold b.mu.
+// sliceLocked hands out the next maxTokens buffered tokens (all of them
+// when maxTokens <= 0 or fewer are buffered) and synthesizes the round
+// chunk. Callers hold b.mu.
 func (b *StreamBuffer) sliceLocked(maxTokens int) Chunk {
-	var text string
-	taken := 0
-	for len(b.pieces) > 0 {
-		p := b.pieces[0]
-		if maxTokens > 0 && taken+len(p.ids) > maxTokens && taken > 0 {
-			break
-		}
-		// A single piece larger than the whole budget is still taken
-		// (tokens cannot be split below delivery granularity), but only
-		// as the first piece of a slice, so overshoot is bounded by one
-		// piece.
-		if maxTokens > 0 && taken+len(p.ids) > maxTokens && len(p.ids) > maxTokens {
-			// fallthrough: take it anyway
-		}
-		text += p.text
-		taken += len(p.ids)
-		b.drained = append(b.drained, p.ids...)
-		b.pieces = b.pieces[1:]
-		if maxTokens > 0 && taken >= maxTokens {
-			break
-		}
+	taken := len(b.ends) - b.head
+	if maxTokens > 0 && taken > maxTokens {
+		taken = maxTokens
 	}
-	b.buffered -= taken
-	if len(b.pieces) == 0 && b.final != nil {
+	from := 0
+	if b.head > 0 {
+		from = b.ends[b.head-1]
+	}
+	b.head += taken
+	var text string
+	if taken > 0 {
+		text = string(b.text[from:b.ends[b.head-1]])
+	}
+	// Capped so an append by the caller reallocates, never writing into
+	// the ids the producer is still extending.
+	drained := b.ids[: b.base+b.head : b.base+b.head]
+	if b.head == len(b.ends) && b.final != nil {
 		f := *b.final
 		f.Text = text
 		f.EvalCount = taken
 		if len(f.Context) == 0 {
-			f.Context = append([]int(nil), b.drained...)
+			f.Context = drained
 		}
 		if f.TotalTokens == 0 {
 			f.TotalTokens = len(f.Context)
@@ -268,16 +350,15 @@ func (b *StreamBuffer) sliceLocked(maxTokens int) Chunk {
 		Text:        text,
 		EvalCount:   taken,
 		DoneReason:  DoneLength,
-		Context:     append([]int(nil), b.drained...),
-		TotalTokens: len(b.drained),
+		Context:     drained,
+		TotalTokens: len(drained),
 	}
 }
 
 // engineStream adapts the Engine's generation channel to the
-// ChunkStream contract through a StreamBuffer. The pump goroutine drains
-// the channel as fast as the engine produces, so the buffer — not the
-// channel's small capacity — bounds how far generation runs ahead of the
-// orchestrator's rounds.
+// ChunkStream contract through a StreamBuffer. The pump goroutine moves
+// whatever the engine has decoded into the buffer one batch at a time,
+// so generation runs ahead of the orchestrator's rounds.
 type engineStream struct {
 	buf    *StreamBuffer
 	cancel context.CancelFunc
@@ -303,17 +384,22 @@ func (e *Engine) OpenStream(ctx context.Context, req ChunkRequest) (ChunkStream,
 	s := &engineStream{buf: NewStreamBuffer(req.Cont), cancel: cancel}
 	s.onDone = func() { e.streams.Add(-1) }
 	go func() {
-		for c := range ch {
-			if c.Done {
-				s.buf.Finish(c)
-				continue // let the producer close the channel
+		defer s.settle()
+		var batch TokenBatch
+		for more := true; more; {
+			var final Chunk
+			final, more = batch.Fill(ch)
+			if s.buf.Push(batch.Text, batch.IDs, batch.Ends) != nil {
+				cancel()
+				return
 			}
-			s.buf.Push(c.Text, c.Tokens)
+			if final.Done {
+				s.buf.Finish(final)
+			}
 		}
 		// Defensive: a channel that closes without a Done chunk is an
 		// engine bug; surface it rather than hanging the consumer.
 		s.buf.Fail(io.ErrUnexpectedEOF)
-		s.settle()
 	}()
 	return s, nil
 }

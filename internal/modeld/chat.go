@@ -94,44 +94,22 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if !stream {
-		var text string
-		var last llm.Chunk
-		for c := range chunks {
-			text += c.Text
-			if c.Done {
-				last = c
-			}
-		}
-		writeJSON(w, http.StatusOK, ChatResponse{
+	reply := func(last llm.Chunk, text string) ChatResponse {
+		return ChatResponse{
 			Model: req.Model, CreatedAt: now(),
 			Message: ChatMessage{Role: "assistant", Content: text},
 			Done:    true, DoneReason: string(last.DoneReason), EvalCount: last.EvalCount,
-		})
+		}
+	}
+	if !stream {
+		text, last := llm.Collect(chunks)
+		writeJSON(w, http.StatusOK, reply(last, text))
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for c := range chunks {
-		resp := ChatResponse{
-			Model: req.Model, CreatedAt: now(),
-			Message: ChatMessage{Role: "assistant", Content: c.Text},
-			Done:    c.Done,
-		}
-		if c.Done {
-			resp.DoneReason = string(c.DoneReason)
-			resp.EvalCount = c.EvalCount
-		}
-		if err := enc.Encode(resp); err != nil {
-			return // client went away
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	lw := newLineWriter(w, req.Model, true, false)
+	defer lw.release()
+	lw.stream(chunks, func(final llm.Chunk, tail string) any { return reply(final, tail) })
 }
 
 // Chat runs a non-streaming chat call through the daemon, returning the

@@ -317,10 +317,18 @@ func (c *Client) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (chunk
 	defer func() { c.observeChunk(req.Model, start, err) }()
 	wire := GenerateRequest{Model: req.Model, Prompt: req.Prompt, Context: req.Cont}
 	wire.Options.NumPredict = req.MaxTokens
+	// Ask for the token extension too: its response_raw keeps a chunk
+	// that ends (or a line cut) mid-character byte-exact, so the chunked
+	// path returns the same bytes as a stream session and the engine.
+	wire.Options.StreamTokens = true
 	var text strings.Builder
 	var out llm.Chunk
 	err = c.Generate(ctx, wire, func(gr GenerateResponse) error {
-		text.WriteString(gr.Response)
+		if gr.ResponseRaw != nil {
+			text.Write(gr.ResponseRaw)
+		} else {
+			text.WriteString(gr.Response)
+		}
 		if gr.Done {
 			out.Done = true
 			out.DoneReason = llm.DoneReason(gr.DoneReason)
@@ -436,33 +444,40 @@ func (c *Client) pumpStream(resp *http.Response, buf *llm.StreamBuffer, model st
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(*scanBuf, maxScanLine)
 	finished := false
+	tl := tokenLinePool.Get().(*tokenLine)
+	defer tokenLinePool.Put(tl)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var gr GenerateResponse
-		if err := json.Unmarshal(line, &gr); err != nil {
-			buf.Fail(fmt.Errorf("modeld: bad stream line: %w", err))
-			sp.End(err)
-			c.observe("generate_stream", start, err)
-			return
-		}
-		if gr.Done {
-			if len(gr.Spans) > 0 {
-				sp.Adopt(gr.Spans)
+		if !tl.decode(line) {
+			// Not a plain token line: the done line, or JSON only the
+			// reflective decoder reads (or rejects).
+			var gr GenerateResponse
+			if err := json.Unmarshal(line, &gr); err != nil {
+				buf.Fail(fmt.Errorf("modeld: bad stream line: %w", err))
+				sp.End(err)
+				c.observe("generate_stream", start, err)
+				return
 			}
-			buf.Finish(llm.Chunk{
-				Done: true, DoneReason: llm.DoneReason(gr.DoneReason),
-				Context: gr.Context, EvalCount: gr.EvalCount, TotalTokens: len(gr.Context),
-			})
-			finished = true
+			if gr.Done {
+				if len(gr.Spans) > 0 {
+					sp.Adopt(gr.Spans)
+				}
+				buf.Finish(llm.Chunk{
+					Done: true, DoneReason: llm.DoneReason(gr.DoneReason),
+					Context: gr.Context, EvalCount: gr.EvalCount, TotalTokens: len(gr.Context),
+				})
+				finished = true
+				continue
+			}
+			tl.fromResponse(&gr)
+		}
+		if len(tl.text) == 0 && len(tl.ids) == 0 {
 			continue
 		}
-		if gr.Response == "" && len(gr.Tokens) == 0 {
-			continue
-		}
-		if len(gr.Tokens) == 0 {
+		if len(tl.ids) == 0 {
 			// The daemon ignored stream_tokens (e.g. a stock Ollama):
 			// without per-line ids the buffer cannot synthesize resume
 			// state, so refuse the session before any text leaks out.
@@ -471,7 +486,13 @@ func (c *Client) pumpStream(resp *http.Response, buf *llm.StreamBuffer, model st
 			c.observe("generate_stream", start, nil)
 			return
 		}
-		buf.Push(gr.Response, gr.Tokens)
+		// Push rejects a line whose token_ends do not partition its text
+		// before buffering any of it, failing the stream.
+		if err := buf.Push(tl.text, tl.ids, tl.ends); err != nil {
+			sp.End(err)
+			c.observe("generate_stream", start, err)
+			return
+		}
 	}
 	switch {
 	case finished:

@@ -32,6 +32,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"llmms/internal/llm"
 	"llmms/internal/telemetry"
@@ -52,12 +53,13 @@ type GenerateRequest struct {
 		NumPredict int `json:"num_predict,omitempty"`
 		// StreamTokens is an LLM-MS extension: when true, every
 		// streamed NDJSON line echoes the ids of the tokens it carries
-		// (GenerateResponse.Tokens), so a client holding the stream
-		// open across orchestration rounds can synthesize per-slice
-		// continuation state without waiting for the final line. A
-		// daemon that does not understand the option simply omits the
-		// field, which the client detects and treats as
-		// stream-unsupported.
+		// (GenerateResponse.Tokens, with TokenEnds and ResponseRaw
+		// making the line sliceable and byte-exact; see wire.go), so a
+		// client holding the stream open across orchestration rounds
+		// can synthesize per-slice continuation state without waiting
+		// for the final line. A daemon that does not understand the
+		// option simply omits the fields, which the client detects and
+		// treats as stream-unsupported.
 		StreamTokens bool `json:"stream_tokens,omitempty"`
 	} `json:"options,omitempty"`
 }
@@ -75,6 +77,14 @@ type GenerateResponse struct {
 	// Tokens carries the ids of this line's tokens when the request set
 	// Options.StreamTokens (LLM-MS extension; see GenerateRequest).
 	Tokens []int `json:"tokens,omitempty"`
+	// TokenEnds, on a StreamTokens line of more than one token, is the
+	// byte offset in the line's text at which each token ends.
+	TokenEnds []int `json:"token_ends,omitempty"`
+	// ResponseRaw (base64 on the wire) is the line's exact text on a
+	// StreamTokens line whose bytes are not valid UTF-8 — a multi-byte
+	// character split across tokens and cut by the line — where Response
+	// can only carry U+FFFD. TokenEnds refer to it when it is present.
+	ResponseRaw []byte `json:"response_raw,omitempty"`
 	// Spans carries the daemon-side span records of this generation on
 	// the final (Done) line when the request arrived with a traceparent
 	// header (LLM-MS extension). The client grafts them into its local
@@ -345,15 +355,9 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		gen.SetAttr("batch_occupancy", strconv.Itoa(st.Active+st.Pending))
 	}
 
-	if !stream {
-		var text string
-		var last llm.Chunk
-		for c := range chunks {
-			text += c.Text
-			if c.Done {
-				last = c
-			}
-		}
+	// finish closes the spans over the terminal chunk and builds the done
+	// line (or the whole stream=false reply) around it.
+	finish := func(last llm.Chunk, text string) GenerateResponse {
 		s.genTok.Add(float64(last.EvalCount), req.Model)
 		gen.SetAttr("tokens", strconv.Itoa(last.EvalCount))
 		gen.End(nil)
@@ -367,42 +371,25 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			out.Spans = root.Records()
 		}
 		s.logGenerate(root, req.Model, last.EvalCount, start)
+		return out
+	}
+
+	if !stream {
+		text, last := llm.Collect(chunks)
+		out := finish(last, text)
+		if req.Options.StreamTokens && !utf8.ValidString(text) {
+			out.ResponseRaw = []byte(text)
+		}
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	lines := 0
-	for c := range chunks {
-		resp := GenerateResponse{Model: req.Model, CreatedAt: now(), Response: c.Text, Done: c.Done}
-		if req.Options.StreamTokens {
-			resp.Tokens = c.Tokens
-		}
-		if c.Done {
-			resp.DoneReason = string(c.DoneReason)
-			resp.Context = c.Context
-			resp.EvalCount = c.EvalCount
-			s.genTok.Add(float64(c.EvalCount), req.Model)
-			gen.SetAttr("tokens", strconv.Itoa(c.EvalCount))
-			gen.SetAttr("lines", strconv.Itoa(lines))
-			gen.End(nil)
-			root.End(nil)
-			if tp != "" {
-				resp.Spans = root.Records()
-			}
-			s.logGenerate(root, req.Model, c.EvalCount, start)
-		}
-		lines++
-		if err := enc.Encode(resp); err != nil {
-			return // client went away
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	lw := newLineWriter(w, req.Model, false, req.Options.StreamTokens)
+	defer lw.release()
+	lw.stream(chunks, func(final llm.Chunk, tail string) any {
+		gen.SetAttr("lines", strconv.Itoa(lw.lines))
+		return finish(final, tail)
+	})
 }
 
 // logGenerate emits the per-generation debug line, stamped with the

@@ -47,9 +47,8 @@ func (o MemoryGraphOptions) withDefaults() MemoryGraphOptions {
 }
 
 type memNode struct {
-	ex    Exchange
-	vec   embedding.Vector
-	edges map[*memNode]float64
+	ex  Exchange
+	vec embedding.Vector
 }
 
 // MemoryGraph implements the paper's §9.5 "Contextual Memory Graphs"
@@ -70,33 +69,26 @@ func NewMemoryGraph(opts MemoryGraphOptions) *MemoryGraph {
 	return &MemoryGraph{opts: opts.withDefaults()}
 }
 
-// Add inserts an exchange, linking it to every existing exchange whose
-// question is similar beyond the edge threshold.
+// Add inserts an exchange, evicting the oldest at the cap. It only
+// embeds and stores: the graph's edges — every pair of stored exchanges
+// whose questions are similar beyond the edge threshold — are a function
+// of the stored vectors, so Recall derives the few it follows instead of
+// Add maintaining all of them on every query's path.
 func (g *MemoryGraph) Add(ex Exchange) {
 	if ex.Question == "" {
 		return
 	}
-	n := &memNode{
-		ex:    ex,
-		vec:   g.opts.Encoder.Encode(ex.Question),
-		edges: make(map[*memNode]float64),
-	}
+	n := &memNode{ex: ex, vec: g.opts.Encoder.Encode(ex.Question)}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, other := range g.nodes {
-		if sim := embedding.Cosine(n.vec, other.vec); sim >= g.opts.EdgeThreshold {
-			n.edges[other] = sim
-			other.edges[n] = sim
-		}
+	if len(g.nodes) < g.opts.MaxNodes {
+		g.nodes = append(g.nodes, n)
+		return
 	}
-	g.nodes = append(g.nodes, n)
-	if len(g.nodes) > g.opts.MaxNodes {
-		evicted := g.nodes[0]
-		g.nodes = g.nodes[1:]
-		for other := range evicted.edges {
-			delete(other.edges, evicted)
-		}
-	}
+	// Shift in place: reslicing past the evicted node would keep it (and
+	// everything evicted before it) reachable from the backing array.
+	copy(g.nodes, g.nodes[1:])
+	g.nodes[len(g.nodes)-1] = n
 }
 
 // Len returns the number of stored exchanges.
@@ -153,7 +145,14 @@ func (g *MemoryGraph) Recall(query string, k int) []Recalled {
 		if cur, ok := best[s]; !ok || direct[s] > cur.Score {
 			best[s] = Recalled{Exchange: s.ex, Score: direct[s]}
 		}
-		for nb, edgeSim := range s.edges {
+		for _, nb := range g.nodes {
+			if nb == s {
+				continue
+			}
+			edgeSim := embedding.Cosine(s.vec, nb.vec)
+			if edgeSim < g.opts.EdgeThreshold {
+				continue // no edge between the two
+			}
 			score := direct[s] * edgeSim * hopDamping
 			if cur, ok := best[nb]; !ok || score > cur.Score {
 				// Direct relevance wins over a path when it is higher.

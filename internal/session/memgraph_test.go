@@ -2,9 +2,14 @@ package session
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
+
+	"llmms/internal/embedding"
 )
 
 func ex(session, q, a string, minute int) Exchange {
@@ -76,6 +81,130 @@ func TestMemoryGraphEviction(t *testing.T) {
 	for _, h := range hits {
 		if h.Exchange.Time.Minute() < 2 {
 			t.Fatalf("evicted exchange recalled: %+v", h)
+		}
+	}
+}
+
+// eagerGraph is the reference MemoryGraph.Recall is checked against: it
+// maintains every edge explicitly as exchanges are added and evicted —
+// the representation Recall's lazily derived edges must be equivalent to.
+type eagerGraph struct {
+	opts  MemoryGraphOptions
+	nodes []*eagerNode
+}
+
+type eagerNode struct {
+	ex    Exchange
+	vec   embedding.Vector
+	edges map[*eagerNode]float64
+}
+
+func (g *eagerGraph) add(ex Exchange) {
+	n := &eagerNode{ex: ex, vec: g.opts.Encoder.Encode(ex.Question), edges: map[*eagerNode]float64{}}
+	for _, other := range g.nodes {
+		if sim := embedding.Cosine(n.vec, other.vec); sim >= g.opts.EdgeThreshold {
+			n.edges[other] = sim
+			other.edges[n] = sim
+		}
+	}
+	g.nodes = append(g.nodes, n)
+	if len(g.nodes) > g.opts.MaxNodes {
+		evicted := g.nodes[0]
+		g.nodes = g.nodes[1:]
+		for other := range evicted.edges {
+			delete(other.edges, evicted)
+		}
+	}
+}
+
+func (g *eagerGraph) recall(query string, k int) []Recalled {
+	qv := g.opts.Encoder.Encode(query)
+	direct := make(map[*eagerNode]float64, len(g.nodes))
+	for _, n := range g.nodes {
+		direct[n] = embedding.Cosine(qv, n.vec)
+	}
+	seeds := append([]*eagerNode(nil), g.nodes...)
+	sort.SliceStable(seeds, func(i, j int) bool { return direct[seeds[i]] > direct[seeds[j]] })
+	if len(seeds) > k {
+		seeds = seeds[:k]
+	}
+	best := make(map[*eagerNode]Recalled)
+	for _, s := range seeds {
+		if cur, ok := best[s]; !ok || direct[s] > cur.Score {
+			best[s] = Recalled{Exchange: s.ex, Score: direct[s]}
+		}
+		for nb, edgeSim := range s.edges {
+			score := direct[s] * edgeSim * 0.8
+			if cur, ok := best[nb]; !ok || score > cur.Score {
+				if direct[nb] >= score {
+					best[nb] = Recalled{Exchange: nb.ex, Score: direct[nb]}
+				} else {
+					best[nb] = Recalled{Exchange: nb.ex, Score: score, ViaNeighbor: true}
+				}
+			}
+		}
+	}
+	out := make([]Recalled, 0, len(best))
+	for _, r := range best {
+		out = append(out, r)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Exchange.Time.Before(out[j].Exchange.Time)
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// TestMemoryGraphMatchesEagerReference adds 600 exchanges to graphs that
+// evict (at 64 and at 200 nodes) and checks along the way that the
+// size holds at the cap, that Recall returns exactly what the eager-edge
+// reference returns, and that an evicted exchange is never recalled —
+// directly or through a neighbor that once linked to it.
+func TestMemoryGraphMatchesEagerReference(t *testing.T) {
+	topics := []string{"GPU memory", "disk latency", "network throughput", "scheduler fairness", "cache eviction"}
+	queries := []string{
+		"how is subsystem 4 performing?", "tell me about GPU memory on the server",
+		"question 17 about subsystem 8 cache eviction performance?", "what about pizza?",
+	}
+	// A narrow encoder: the reference computes a cosine per stored node on
+	// every add, which is most of this test's time under -race.
+	enc, err := embedding.New(embedding.Config{Name: "memgraph-test", Dim: 48, Seed: 7, CharNGram: 3, WordBigrams: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxNodes := range []int{64, 200} {
+		opts := MemoryGraphOptions{MaxNodes: maxNodes, Encoder: enc}.withDefaults()
+		g, ref := NewMemoryGraph(opts), &eagerGraph{opts: opts}
+		for i := 0; i < 600; i++ {
+			e := ex("s"+strconv.Itoa(i%7),
+				fmt.Sprintf("question %d about subsystem %d %s performance?", i, i%9, topics[i%len(topics)]),
+				strconv.Itoa(i), i) // the answer records the insertion index; times are distinct
+			g.Add(e)
+			ref.add(e)
+			if want := min(i+1, opts.MaxNodes); g.Len() != want {
+				t.Fatalf("max %d: len after %d adds = %d, want %d", opts.MaxNodes, i+1, g.Len(), want)
+			}
+			if i%97 != 0 && i != 599 {
+				continue
+			}
+			for _, q := range append(queries, e.Question, fmt.Sprintf("question %d about subsystem %d %s performance?", i/2, (i/2)%9, topics[(i/2)%len(topics)])) {
+				for _, k := range []int{1, 5} {
+					got, want := g.Recall(q, k), ref.recall(q, k)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("max %d, after %d adds, Recall(%q, %d):\n got %+v\nwant %+v", opts.MaxNodes, i+1, q, k, got, want)
+					}
+					for _, h := range got {
+						if idx, _ := strconv.Atoi(h.Exchange.Answer); idx <= i-opts.MaxNodes {
+							t.Fatalf("max %d, after %d adds: evicted exchange %d recalled: %+v", opts.MaxNodes, i+1, idx, h)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -62,6 +62,9 @@ type Tokenizer struct {
 	merged map[pair]Token
 	// bytesOf maps every token id to the bytes it expands to.
 	bytesOf map[Token][]byte
+	// texts holds the same expansion as a string, indexed by token id, so
+	// decoding one token on the generation path allocates nothing.
+	texts []string
 	// vocabSize is the total number of token ids (bytes + special + merges).
 	vocabSize int
 }
@@ -82,6 +85,10 @@ func New() *Tokenizer {
 	t.bytesOf[PAD] = nil
 	t.bytesOf[UNK] = nil
 	t.vocabSize = firstMergeID
+	t.texts = make([]string, firstMergeID)
+	for i := 0; i < byteVocabSize; i++ {
+		t.texts[i] = string([]byte{byte(i)})
+	}
 	return t
 }
 
@@ -151,6 +158,7 @@ func Train(corpus string, opts TrainOptions) *Tokenizer {
 		t.merged[best] = id
 		joined := append(append([]byte{}, t.bytesOf[best.a]...), t.bytesOf[best.b]...)
 		t.bytesOf[id] = joined
+		t.texts = append(t.texts, string(joined))
 		for i := range seqs {
 			seqs[i].seq = applyMerge(seqs[i].seq, best, id)
 		}
@@ -281,8 +289,14 @@ func (t *Tokenizer) Decode(tokens []Token) string {
 	return sb.String()
 }
 
-// DecodeOne returns the text of a single token.
-func (t *Tokenizer) DecodeOne(tok Token) string { return string(t.bytesOf[tok]) }
+// DecodeOne returns the text of a single token; ids outside the
+// vocabulary decode to the empty string, like special tokens.
+func (t *Tokenizer) DecodeOne(tok Token) string {
+	if tok < 0 || int(tok) >= len(t.texts) {
+		return ""
+	}
+	return t.texts[tok]
+}
 
 // Count returns the number of tokens Encode would produce for text. It is
 // the unit in which all LLM-MS budgets are denominated.
@@ -307,6 +321,14 @@ func (t *Tokenizer) Validate() error {
 		want := string(t.bytesOf[p.a]) + string(t.bytesOf[p.b])
 		if got := string(t.bytesOf[id]); got != want {
 			return fmt.Errorf("tokenizer: merge %d expands to %q, want %q", id, got, want)
+		}
+	}
+	if len(t.texts) != t.vocabSize {
+		return fmt.Errorf("tokenizer: %d token texts for a vocabulary of %d", len(t.texts), t.vocabSize)
+	}
+	for id, text := range t.texts {
+		if want := string(t.bytesOf[Token(id)]); text != want {
+			return fmt.Errorf("tokenizer: token %d decodes to %q, want %q", id, text, want)
 		}
 	}
 	return nil

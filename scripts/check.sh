@@ -21,6 +21,11 @@ go vet ./...
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
+# benchmark/ is a module of its own (BENCHMARK.json's harness); the root
+# module's ./... never compiles it, so vet and test it here.
+echo "== benchmark: go vet ./... && go test ./..."
+(cd benchmark && go vet ./... && go test ./...)
+
 # One-iteration smoke of the scoring fast-path and serving-layer
 # benchmarks: proves the benchmark code itself still compiles and runs
 # (a broken benchmark otherwise only surfaces when someone runs make
