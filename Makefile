@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-score bench-serve bench-fanout bench-fleet bench-trace bench-batch bench-memdb bench-route check
+.PHONY: build test bench bench-score bench-fanout bench-fleet bench-batch bench-memdb bench-route check
 
 build:
 	$(GO) build ./...
@@ -16,12 +16,6 @@ test:
 # cmd/benchjson; the raw text table still prints to the terminal.
 bench:
 	./scripts/bench.sh BENCH_core.json
-
-# bench-serve runs the serving-layer load benchmark (cache, coalescing,
-# admission control under a mixed repeat-rate workload) and writes
-# p50/p99/qps per variant to BENCH_serve.json.
-bench-serve:
-	./scripts/bench_serve.sh BENCH_serve.json
 
 # bench-score runs the scoring fast-path microbenchmarks (incremental
 # embedding, sum-vector inter-similarity, full scoring pass) and writes
@@ -40,12 +34,6 @@ bench-fanout:
 # writes BENCH_fleet.json; see DESIGN.md "Model fleet".
 bench-fleet:
 	./scripts/bench_fleet.sh BENCH_fleet.json
-
-# bench-trace runs the tracing-overhead benchmark (span collection on
-# vs off over the uncached serving path) and writes BENCH_trace.json;
-# see DESIGN.md "Distributed tracing & logging".
-bench-trace:
-	./scripts/bench_trace.sh BENCH_trace.json
 
 # bench-memdb runs the memory-substrate benchmarks (concurrent mixed
 # insert/query throughput sharded vs single-lock at 1/4/16 goroutines,

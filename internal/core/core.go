@@ -111,6 +111,14 @@ type Config struct {
 	// arrivals, score updates, prunes, the final selection) synchronously.
 	// Used by the application layer to stream progress to clients.
 	OnEvent func(Event)
+	// BeforeWait, when non-nil, is invoked on the orchestrating goroutine
+	// immediately before it blocks on generation: at the top of a fan-out
+	// round, before a bandit's sequential pull, before Single's one call.
+	// Every event emitted so far precedes it and none follows until the
+	// wait is over, so an application that buffers OnEvent output flushes
+	// here — nothing it holds can be made stale by waiting, and nothing is
+	// held while the orchestrator waits.
+	BeforeWait func()
 	// Recorder, when non-nil, also receives every orchestration event,
 	// after OnEvent — the metrics/tracing tap (see the Recorder type).
 	Recorder Recorder
@@ -354,6 +362,7 @@ func (o *Orchestrator) Single(ctx context.Context, model, prompt string) (Result
 		return Result{}, fmt.Errorf("core: model %q is not configured", model)
 	}
 	o.emit(Event{Type: EventStart, Strategy: StrategySingle, Model: model})
+	o.beforeWait()
 	callStart := time.Now()
 	chunk, attempts, err := generateWithRetry(ctx, o.backend,
 		llm.ChunkRequest{Model: model, Prompt: prompt, MaxTokens: o.cfg.MaxTokens}, o.cfg.Retry)
@@ -395,6 +404,14 @@ func (o *Orchestrator) emit(ev Event) {
 		o.cfg.Recorder.RecordEvent(ev)
 	}
 	o.logEvent(ev)
+}
+
+// beforeWait announces that the orchestrating goroutine is about to block
+// on generation (Config.BeforeWait).
+func (o *Orchestrator) beforeWait() {
+	if o.cfg.BeforeWait != nil {
+		o.cfg.BeforeWait()
+	}
 }
 
 // logEvent maps the noteworthy orchestration events onto the

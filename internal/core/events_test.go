@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
+
+	"llmms/internal/llm"
 )
 
 // TestEventElapsedJSON pins the wire shape of Event.Elapsed: integer
@@ -64,6 +68,64 @@ func TestEventJSONKeysStable(t *testing.T) {
 	for _, k := range want {
 		if _, ok := m[k]; !ok {
 			t.Errorf("missing key %q in %s", k, data)
+		}
+	}
+}
+
+// waitLogBackend notes the start of every generation call in a log shared
+// with the orchestrator's event and wait hooks.
+type waitLogBackend struct {
+	Backend
+	note func(byte)
+}
+
+func (b waitLogBackend) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (llm.Chunk, error) {
+	b.note('c')
+	return b.Backend.GenerateChunk(ctx, req)
+}
+
+// TestBeforeWaitAnnouncesEveryGenerationWait pins the contract an event
+// buffer relies on (Config.BeforeWait): every generation call of every
+// strategy starts with the wait announced and nothing emitted since, and
+// a wait is announced only when a call follows.
+func TestBeforeWaitAnnouncesEveryGenerationWait(t *testing.T) {
+	for _, strategy := range []Strategy{StrategyOUA, StrategyMAB, StrategyHybrid, StrategySingle} {
+		var mu sync.Mutex
+		var log []byte
+		note := func(b byte) {
+			mu.Lock()
+			log = append(log, b)
+			mu.Unlock()
+		}
+		cfg := DefaultConfig("good", "okay", "bad")
+		cfg.MaxTokens = 96
+		cfg.OnEvent = func(Event) { note('e') }
+		cfg.BeforeWait = func() { note('w') }
+		o := mustNew(t, waitLogBackend{threeModels(), note}, cfg)
+		if _, err := o.Run(context.Background(), strategy, testPrompt); err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		waits := 0
+		for i, b := range log {
+			switch b {
+			case 'c':
+				// Calls of one fan-out share a wait; skip back over them.
+				j := i
+				for j > 0 && log[j-1] == 'c' {
+					j--
+				}
+				if j == 0 || log[j-1] != 'w' {
+					t.Fatalf("%s: generation call at %d without its wait announced just before: %s", strategy, i, log)
+				}
+			case 'w':
+				waits++
+				if i+1 == len(log) || log[i+1] != 'c' {
+					t.Fatalf("%s: wait announced at %d with no generation call behind it: %s", strategy, i, log)
+				}
+			}
+		}
+		if waits == 0 {
+			t.Fatalf("%s: no wait announced: %s", strategy, log)
 		}
 	}
 }

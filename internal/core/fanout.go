@@ -166,12 +166,15 @@ type fanResult struct {
 // completed or failed their retry budget. Workers write only their own
 // result slot; the caller consumes results in job order, so candidate
 // state and event order stay deterministic regardless of which model
-// answered first.
+// answered first. The wait is announced first (Config.BeforeWait): every
+// event of the previous round has been emitted by now and none follows
+// until the slowest job returns.
 func (o *Orchestrator) fanOut(ctx context.Context, prompt string, jobs []fanJob) []fanResult {
 	results := make([]fanResult, len(jobs))
 	if len(jobs) == 0 {
 		return results
 	}
+	o.beforeWait()
 	var sem chan struct{}
 	if o.cfg.MaxConcurrent > 0 && o.cfg.MaxConcurrent < len(jobs) {
 		sem = make(chan struct{}, o.cfg.MaxConcurrent)

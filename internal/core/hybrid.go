@@ -127,6 +127,7 @@ func (o *Orchestrator) Hybrid(ctx context.Context, prompt string) (Result, error
 		totalPulls++
 		o.emit(Event{Type: EventRound, Strategy: StrategyHybrid, Round: totalPulls, Model: arm.model,
 			Elapsed: time.Since(start)})
+		o.beforeWait()
 		r := o.pull(ctx, arm, prompt, take, cfg.MaxTokens-used)
 		o.emitStreamEvents(StrategyHybrid, totalPulls, arm, r)
 		if r.err != nil {

@@ -129,6 +129,7 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 		o.emit(Event{Type: EventRound, Strategy: StrategyMAB, Round: totalPulls, Model: arm.model,
 			Elapsed: time.Since(start)})
 
+		o.beforeWait()
 		r := o.pull(ctx, arm, prompt, take, cfg.MaxTokens-used)
 		o.emitStreamEvents(StrategyMAB, totalPulls, arm, r)
 		if r.err != nil {

@@ -9,10 +9,10 @@ import (
 // accumulate before it stops admitting new followers.
 const DefaultFlightBuffer = 1 << 20 // 1 MiB
 
-// Frame is one recorded streaming frame: an SSE event name and its
-// already-marshaled JSON payload. Frames are replayed verbatim, which is
-// what makes a follower's stream event-for-event identical to its
-// leader's.
+// Frame is one recorded streaming frame: an SSE event name and the
+// leader's already-rendered bytes for it, which this package never looks
+// inside. Frames are replayed verbatim, which is what makes a follower's
+// stream event-for-event identical to its leader's.
 type Frame struct {
 	Event string
 	Data  []byte
@@ -101,6 +101,15 @@ func (f *Flight) Followers() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.followers
+}
+
+// Published reports how many frames the flight holds for replay. A
+// follower that has consumed that many has caught up with its leader and
+// is about to wait for the next one.
+func (f *Flight) Published() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.frames)
 }
 
 // Publish appends one frame to the broadcast buffer and wakes every

@@ -79,6 +79,38 @@ func TestFlightMidJoinSeesFullHistory(t *testing.T) {
 	}
 }
 
+// TestFlightPublishedMarksCaughtUp: a follower that counts what it has
+// consumed against Published knows when it is about to wait for its
+// leader — after the whole buffered history, not after each frame of it.
+func TestFlightPublishedMarksCaughtUp(t *testing.T) {
+	g := NewGroup(0)
+	leader, _ := g.Join("k")
+	leader.Publish(Frame{Event: "a", Data: []byte("1")})
+	leader.Publish(Frame{Event: "b", Data: []byte("2")})
+	f, _ := g.Join("k")
+	caughtUp := make(chan int, 4) // one send per frame at most, four frames at most
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		consumed := 0
+		f.Replay(context.Background(), func(Frame) error {
+			if consumed++; consumed >= f.Published() {
+				caughtUp <- consumed
+			}
+			return nil
+		})
+	}()
+	if got := <-caughtUp; got != 2 {
+		t.Fatalf("caught up after %d frames of a history of 2", got)
+	}
+	leader.Publish(Frame{Event: "c", Data: []byte("3")})
+	if got := <-caughtUp; got != 3 {
+		t.Fatalf("caught up after %d frames, want 3", got)
+	}
+	leader.Finish(nil)
+	<-done
+}
+
 func TestFlightJoinAfterFinishStartsFresh(t *testing.T) {
 	g := NewGroup(0)
 	leader, _ := g.Join("k")

@@ -210,8 +210,10 @@ func (s *Server) restoreState() error {
 		if err != nil {
 			return err
 		}
-		n := s.cache.WarmStart(ws, s.cacheFingerprint(), decodeCachedAnswer)
-		s.logger.Info("answer cache warmed", "entries", n, "snapshot_entries", len(ws.Entries))
+		fp := s.cacheFingerprint()
+		n := s.cache.WarmStart(ws, fp, decodeCachedAnswer)
+		s.logger.Info("answer cache warmed", "entries", n, "snapshot_entries", len(ws.Entries),
+			"fingerprint_match", ws.Fingerprint == fp)
 	}
 	return nil
 }
@@ -280,22 +282,26 @@ func (s *Server) Close() error {
 // produced under. A warm-start snapshot whose fingerprint differs —
 // other strategy, model set, budget, weights, RAG parameters, or
 // document-set revision — is discarded at boot, the restart analogue of
-// the flush-on-settings-change rule.
+// the flush-on-settings-change rule. The leading version names the entry
+// encoding (cachedAnswerJSON): v1 held one JSON payload per frame, v2
+// holds the rendered stream, and a snapshot of another version is
+// ignored whole rather than half-read.
 func (s *Server) cacheFingerprint() string {
 	s.mu.Lock()
 	st := s.settings
 	rev := s.ragRev
 	s.mu.Unlock()
-	return fmt.Sprintf("v1|%s|%s|%d|%g|%g|%d|rag%d",
+	return fmt.Sprintf("v2|%s|%s|%d|%g|%g|%d|rag%d",
 		st.Strategy, strings.Join(st.EnabledModels, ","), st.MaxTokens,
 		st.Alpha, st.Beta, st.RAGTopK, rev)
 }
 
-// cachedAnswerJSON is the persisted form of a cachedAnswer. Frames and
-// core.Result are plain data, so the round trip is lossless.
+// cachedAnswerJSON is the persisted form of a cachedAnswer. The stream is
+// bytes and core.Result is plain data, so the round trip is lossless.
 type cachedAnswerJSON struct {
-	Frames []qcache.Frame `json:"frames"`
-	Result core.Result    `json:"result"`
+	Stream     []byte      `json:"stream"`
+	FrameCount int         `json:"frame_count"`
+	Result     core.Result `json:"result"`
 }
 
 func encodeCachedAnswer(v any) ([]byte, error) {
@@ -303,13 +309,19 @@ func encodeCachedAnswer(v any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("server: unexpected cache value %T", v)
 	}
-	return json.Marshal(cachedAnswerJSON{Frames: ca.frames, Result: ca.result})
+	return json.Marshal(cachedAnswerJSON{Stream: ca.stream, FrameCount: ca.frames, Result: ca.result})
 }
 
+// decodeCachedAnswer rejects an entry it could only replay as an empty
+// answer: any JSON object decodes into the struct, so an entry of another
+// shape shows as a missing stream or a result without a model.
 func decodeCachedAnswer(raw []byte) (any, error) {
 	var cj cachedAnswerJSON
 	if err := json.Unmarshal(raw, &cj); err != nil {
 		return nil, err
 	}
-	return &cachedAnswer{frames: cj.Frames, result: cj.Result}, nil
+	if len(cj.Stream) == 0 || cj.FrameCount <= 0 || cj.Result.Model == "" {
+		return nil, errors.New("server: cache entry has no recorded stream or no result model")
+	}
+	return &cachedAnswer{stream: cj.Stream, frames: cj.FrameCount, result: cj.Result}, nil
 }

@@ -1,11 +1,17 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"llmms/internal/core"
 	"llmms/internal/llm"
+	"llmms/internal/qcache"
 	"llmms/internal/truthfulqa"
 )
 
@@ -49,8 +55,9 @@ func TestRestartRecoversStateAndServesWarmHit(t *testing.T) {
 	}
 
 	q := map[string]any{"query": "What is the capital of France?"}
-	if r, _ := postQuery(t, ts1.URL, q); r.Header.Get("X-Cache") != "MISS" {
-		t.Fatalf("first query X-Cache = %q, want MISS", r.Header.Get("X-Cache"))
+	r1, body1 := postQuery(t, ts1.URL, q)
+	if r1.Header.Get("X-Cache") != "MISS" {
+		t.Fatalf("first query X-Cache = %q, want MISS", r1.Header.Get("X-Cache"))
 	}
 	var sess struct {
 		ID string `json:"id"`
@@ -70,6 +77,9 @@ func TestRestartRecoversStateAndServesWarmHit(t *testing.T) {
 	if got := r.Header.Get("X-Cache"); got != "HIT" {
 		t.Fatalf("first repeat after restart X-Cache = %q, want HIT (body %s)", got, body)
 	}
+	// The snapshot round trip loses nothing: the replay is the stream the
+	// first server recorded.
+	checkReplayOf(t, body1, r, body)
 	// Every acknowledged RAG chunk is back and the registry rebuilt.
 	if got := s2.docs.Count(); got != up.Chunks {
 		t.Fatalf("recovered %d chunks, want %d", got, up.Chunks)
@@ -123,6 +133,62 @@ func TestWarmStartRejectedAcrossSettingsChange(t *testing.T) {
 	defer s2.Close()
 	if got := s2.cache.Len(); got != 0 {
 		t.Fatalf("cache warmed %d entries across a settings change, want 0", got)
+	}
+}
+
+// TestWarmStartIgnoresOlderSnapshotFormat: a qcache.json written before
+// the entry held one rendered stream (fingerprint v1, one JSON payload per
+// frame) is ignored whole — a cold start — and never half-read into an
+// entry that replays an empty answer as a HIT.
+func TestWarmStartIgnoresOlderSnapshotFormat(t *testing.T) {
+	old := `{"frames":[{"Event":"start","Data":"eyJ0eXBlIjoic3RhcnQifQ=="}],` +
+		`"result":{"strategy":"oua","answer":"Paris.","model":"llama3:8b","tokens_used":3,"rounds":1,"early_exit":false,"outcomes":[],"elapsed_ns":1}}`
+	ws := qcache.WarmState{
+		Fingerprint: "v1|oua|llama3:8b,mistral:7b,qwen2:7b|2048|0.7|0.3|3|rag0",
+		Entries: []qcache.WarmEntry{{
+			Query: qcache.Normalize("What is the capital of France?"), Scope: "oua|llama3:8b,mistral:7b,qwen2:7b|2048|0.7|0.3|-",
+			Expires: time.Now().Add(time.Hour), Value: json.RawMessage(old),
+		}},
+	}
+	dataDir := t.TempDir()
+	if err := ws.WriteFile(filepath.Join(dataDir, qcacheFile)); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newDurableServer(t, dataDir)
+	defer s.Close()
+	if got, want := strings.TrimPrefix(s.cacheFingerprint(), "v2"), strings.TrimPrefix(ws.Fingerprint, "v1"); got != want {
+		t.Fatalf("the snapshot must differ from a current one in its version only: %q vs %q", got, want)
+	}
+	if got := s.cache.Len(); got != 0 {
+		t.Fatalf("restored %d entries from an older-format snapshot, want 0", got)
+	}
+	if r, _ := postQuery(t, ts.URL, map[string]any{"query": "What is the capital of France?"}); r.Header.Get("X-Cache") != "MISS" {
+		t.Fatalf("first query over an older-format snapshot X-Cache = %q, want MISS", r.Header.Get("X-Cache"))
+	}
+
+	// The decoder is the second line: an entry of another shape is not an
+	// answer, whatever the file's fingerprint says.
+	for _, raw := range []string{
+		old,
+		`{}`,
+		`{"stream":"","frame_count":1,"result":{"model":"llama3:8b"}}`,
+		`{"stream":"ZXZlbnQ6IHN0YXJ0Cg==","frame_count":1,"result":{"answer":"no model"}}`,
+	} {
+		if v, err := decodeCachedAnswer([]byte(raw)); err == nil {
+			t.Fatalf("decoded %s into %+v, want it rejected", raw, v)
+		}
+	}
+	ca := &cachedAnswer{stream: []byte("event: start\ndata: {}\n\n"), frames: 1, result: core.Result{Model: "llama3:8b", Answer: "Paris."}}
+	raw, err := encodeCachedAnswer(ca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := decodeCachedAnswer(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.(*cachedAnswer); !bytes.Equal(got.stream, ca.stream) || got.frames != 1 || got.result.Answer != "Paris." {
+		t.Fatalf("round trip = %+v", got)
 	}
 }
 

@@ -27,6 +27,11 @@ import (
 // back through the variance gate: there is no signal to route on.)
 var routeFamilies = []string{"Geography", "Chemistry", "Arithmetic"}
 
+// perModelLatency is the simulated transport+decode delay per generation
+// call, roughly a small local model's chunk latency. It is what makes
+// admitted concurrency, and so the fan-out width, show in qps.
+const perModelLatency = 2 * time.Millisecond
+
 // benchmarkRoute drives the full HTTP stack with family-clustered
 // traffic over a fixed-latency backend and a MaxInflight gate, with
 // predictive routing configured by the caller. It reports avg_width

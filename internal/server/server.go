@@ -70,6 +70,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -206,7 +207,8 @@ type Options struct {
 	// DisableTracing turns off distributed span collection entirely:
 	// /api/query stops opening root spans, traces store no span trees,
 	// and no traceparent headers reach the daemons. Tracing is on by
-	// default — BENCH_trace.json documents its overhead.
+	// default; the benchmark's telemetry.spans_per_query ×
+	// telemetry.span_us is its overhead.
 	DisableTracing bool
 	// SlowQueryThreshold is the elapsed time past which a completed
 	// query logs at warn ("slow query") with its span statistics. Zero
@@ -826,70 +828,36 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancelStream := context.WithCancel(base)
 	defer cancelStream()
+	// A dead client abandons the orchestration only when no follower is
+	// waiting on it — a coalesced flight keeps running for the healthy
+	// duplicates (and the answer is still cacheable).
+	abandon := func() {
+		if flight == nil || flight.Followers() == 0 {
+			cancelStream()
+		}
+	}
 	if flight != nil {
-		stopWatch := context.AfterFunc(r.Context(), func() {
-			if flight.Followers() == 0 {
-				cancelStream()
-			}
-		})
+		stopWatch := context.AfterFunc(r.Context(), abandon)
 		defer stopWatch()
 	}
-	flusher, canStream := w.(http.Flusher)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Session-ID", sessID)
-	w.Header().Set("X-Query-ID", queryID)
+	xcache := ""
 	if s.cache != nil || s.flights != nil || s.gate != nil {
-		w.Header().Set("X-Cache", "MISS")
+		xcache = "MISS"
 	}
-	w.WriteHeader(http.StatusOK)
-
-	s.tel.SSEStreams.Inc()
-	defer func() {
-		// A stream whose client context ended mid-query was dropped: the
-		// browser navigated away or the connection broke before "result".
-		if r.Context().Err() != nil {
-			s.tel.SSEDropped.Inc()
-		}
-	}()
+	sw := newSSEWriter(w, s.tel, sessID, queryID, xcache)
+	defer sw.close(r.Context())
+	// Followers and the cache consume the frames even when the leader's
+	// own client is gone. The result frame is excluded from both: it
+	// carries the leader's session/query identity, so the cache and the
+	// coalesced path each rebuild it per requester.
 	cacheable := servable && s.cache != nil
-	var recorded []qcache.Frame
-	streamDead := false
-	writeEvent := func(event string, v any) {
-		data, err := json.Marshal(v)
-		if err != nil {
-			s.tel.SSEEncodeErrors.Inc()
-			return
-		}
-		// Followers and the cache consume the frame even when the
-		// leader's own client is gone. The result frame is excluded from
-		// both: it carries the leader's session/query identity, so the
-		// cache and the coalesced path each rebuild it per requester.
-		if flight != nil && event != "result" {
-			flight.Publish(qcache.Frame{Event: event, Data: data})
-		}
-		if cacheable && event != "result" {
-			recorded = append(recorded, qcache.Frame{Event: event, Data: data})
-		}
-		if streamDead {
-			return
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-			s.tel.SSEEncodeErrors.Inc()
-			streamDead = true
-			// Abandon the orchestration only when no follower is waiting
-			// on it — a coalesced flight keeps running for the healthy
-			// duplicates (and the answer is still cacheable).
-			if flight == nil || flight.Followers() == 0 {
-				cancelStream()
-			}
-			return
-		}
-		s.tel.SSEFrames.Inc()
-		if canStream {
-			flusher.Flush()
+	sw.record = cacheable || flight != nil
+	if flight != nil {
+		sw.tee = func(event string, frame []byte) {
+			flight.Publish(qcache.Frame{Event: event, Data: bytes.Clone(frame)})
 		}
 	}
+	sw.onDead = abandon
 
 	obs := s.tel.StartQuery(queryID, string(strategy), req.Query)
 	octx, orch := telemetry.StartSpan(ctx, "orchestrate")
@@ -906,7 +874,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		cfg.PriorWeight = pred.PriorWeight
 	}
 	cfg.DisableStreaming = s.noStreaming
-	cfg.OnEvent = func(ev core.Event) { writeEvent(string(ev.Type), ev) }
+	cfg.OnEvent = sw.event
+	cfg.BeforeWait = sw.flush
 	cfg.Recorder = obs
 	if root != nil {
 		cfg.Logger = s.logger.With("query_id", queryID, "trace_id", root.TraceID())
@@ -918,7 +887,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		orch.End(err)
 		root.End(err)
 		s.logQuery(obs.Finish(err))
-		writeEvent("error", errBody("invalid_config", "%v", err))
+		sw.fail("invalid_config", err.Error())
 		return
 	}
 
@@ -931,7 +900,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrAllModelsFailed) {
 			code = "all_models_failed"
 		}
-		writeEvent("error", errBody(code, "%v", err))
+		sw.fail(code, err.Error())
 		return
 	}
 	// Feed the arena: every orchestrated query is a round of pairwise
@@ -950,9 +919,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		SessionID: sessID, Question: req.Query, Answer: res.Answer,
 		Model: res.Model, Time: time.Now(),
 	})
-	writeEvent("result", map[string]any{"session_id": sessID, "query_id": queryID, "result": res})
+	var ca *cachedAnswer
 	if cacheable {
-		s.cache.Put(key, &cachedAnswer{frames: recorded, result: res})
+		// Taken before the result frame, which is this requester's own.
+		stream, frames := sw.recorded()
+		ca = &cachedAnswer{stream: stream, frames: frames, result: res}
+	}
+	sw.result(res)
+	if ca != nil {
+		s.cache.Put(key, ca)
 	}
 	finishFlight(flightOutcome{result: &res})
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -55,11 +54,13 @@ type ServingOptions struct {
 // so a one-second backoff is the shortest honest hint.
 const retryAfterSeconds = "1"
 
-// cachedAnswer is the cache entry value: the leader's recorded
-// orchestration frames (everything except the final result frame, which
-// is rebuilt per requester) plus the final result.
+// cachedAnswer is the cache entry value: the leader's recorded stream —
+// every frame up to, not including, the final result frame, exactly as
+// its sseWriter rendered them, in one piece so a hit replays it in one
+// write — plus the final result, whose frame is rebuilt per requester.
 type cachedAnswer struct {
-	frames []qcache.Frame
+	stream []byte
+	frames int // frames in stream
 	result core.Result
 }
 
@@ -123,11 +124,12 @@ func (s *Server) appendExchange(sessID, query string, res core.Result) {
 	}
 }
 
-// serveCached answers a query from a cache entry: the recorded
-// orchestration frames are replayed verbatim, then a fresh result frame
-// is built so the requester keeps its own session and query identity.
-// Cached replays do not feed the arena or the memory graph (they carry
-// no new orchestration evidence) and produce no trace.
+// serveCached answers a query from a cache entry: the recorded stream is
+// replayed verbatim, then a fresh result frame is built so the requester
+// keeps its own session and query identity, and the two leave in one
+// write — a replay's only wait is its end. Cached replays do not feed the
+// arena or the memory graph (they carry no new orchestration evidence)
+// and produce no trace.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ca *cachedAnswer, kind qcache.HitKind, sessID, query string) {
 	tier, label := "exact", "HIT"
 	if kind == qcache.Semantic {
@@ -135,102 +137,47 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ca *cachedA
 	}
 	s.tel.CacheHits.Inc(tier)
 
-	queryID := telemetry.NewQueryID()
-	flusher, canStream := w.(http.Flusher)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Session-ID", sessID)
-	w.Header().Set("X-Query-ID", queryID)
-	w.Header().Set("X-Cache", label)
-	w.WriteHeader(http.StatusOK)
-	s.tel.SSEStreams.Inc()
-	defer func() {
-		if r.Context().Err() != nil {
-			s.tel.SSEDropped.Inc()
-		}
-	}()
-
-	writeFrame := func(event string, data []byte) bool {
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-			s.tel.SSEEncodeErrors.Inc()
-			return false
-		}
-		s.tel.SSEFrames.Inc()
-		if canStream {
-			flusher.Flush()
-		}
-		return true
+	sw := newSSEWriter(w, s.tel, sessID, telemetry.NewQueryID(), label)
+	defer sw.close(r.Context())
+	sw.replay(ca.stream, ca.frames)
+	if sw.result(ca.result) {
+		s.appendExchange(sessID, query, ca.result)
 	}
-	for _, fr := range ca.frames {
-		if !writeFrame(fr.Event, fr.Data) {
-			return
-		}
-	}
-	data, err := json.Marshal(map[string]any{"session_id": sessID, "query_id": queryID, "result": ca.result})
-	if err != nil {
-		s.tel.SSEEncodeErrors.Inc()
-		return
-	}
-	if !writeFrame("result", data) {
-		return
-	}
-	s.appendExchange(sessID, query, ca.result)
 }
 
 // followFlight serves a coalesced follower: the leader's orchestration
-// frames are replayed verbatim as they arrive — event-for-event
-// identical to the leader's stream — then a fresh "result" frame is
+// frames are replayed verbatim as they arrive — byte-for-byte the
+// leader's stream, flushed whenever the follower has caught up with the
+// leader and is about to wait for it — then a fresh "result" frame is
 // built from the shared outcome so the follower keeps its own session
 // and query identity (mirroring serveCached), and the shared answer is
 // appended to the follower's own session. When the leader failed before
 // streaming anything, its HTTP error response is reproduced instead.
 func (s *Server) followFlight(w http.ResponseWriter, r *http.Request, f *qcache.Flight, sessID, query string) {
-	queryID := telemetry.NewQueryID()
-	flusher, canStream := w.(http.Flusher)
-	headersSent := false
-	writeFrame := func(fr qcache.Frame) error {
-		if !headersSent {
-			w.Header().Set("Content-Type", "text/event-stream")
-			w.Header().Set("Cache-Control", "no-cache")
-			w.Header().Set("X-Session-ID", sessID)
-			w.Header().Set("X-Query-ID", queryID)
-			w.Header().Set("X-Cache", "COALESCED")
-			w.WriteHeader(http.StatusOK)
-			headersSent = true
-			s.tel.SSEStreams.Inc()
+	sw := newSSEWriter(w, s.tel, sessID, telemetry.NewQueryID(), "COALESCED")
+	defer sw.close(r.Context())
+	consumed := 0
+	v, completed := f.Replay(r.Context(), func(fr qcache.Frame) error {
+		sw.replay(fr.Data, 1)
+		if consumed++; consumed >= f.Published() {
+			sw.flush()
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", fr.Event, fr.Data); err != nil {
-			s.tel.SSEEncodeErrors.Inc()
-			return err
-		}
-		s.tel.SSEFrames.Inc()
-		if canStream {
-			flusher.Flush()
+		if sw.dead {
+			return errClientGone
 		}
 		return nil
-	}
-
-	v, completed := f.Replay(r.Context(), writeFrame)
-	if headersSent && r.Context().Err() != nil {
-		s.tel.SSEDropped.Inc()
-	}
+	})
 	if !completed {
 		return // follower's client left, or its write failed mid-replay
 	}
 	out, _ := v.(flightOutcome)
 	if out.result != nil {
-		data, err := json.Marshal(map[string]any{"session_id": sessID, "query_id": queryID, "result": *out.result})
-		if err != nil {
-			s.tel.SSEEncodeErrors.Inc()
-			return
+		if sw.result(*out.result) {
+			s.appendExchange(sessID, query, *out.result)
 		}
-		if writeFrame(qcache.Frame{Event: "result", Data: data}) != nil {
-			return
-		}
-		s.appendExchange(sessID, query, *out.result)
 		return
 	}
-	if headersSent {
+	if sw.opened {
 		return // the leader's error frame was already replayed
 	}
 	// The leader never streamed (shed by admission, retrieval failure):

@@ -44,6 +44,42 @@ func postQuery(t *testing.T, url string, body map[string]any) (*http.Response, s
 	return resp, string(data)
 }
 
+// splitResult cuts a complete /api/query body into the orchestration
+// stream and the ids of the result frame that ends it.
+func splitResult(t *testing.T, body string) (stream, sessionID, queryID string) {
+	t.Helper()
+	i := strings.LastIndex(body, "event: result\ndata: ")
+	if i < 0 {
+		t.Fatalf("stream has no result frame:\n%s", body)
+	}
+	var res struct {
+		SessionID string `json:"session_id"`
+		QueryID   string `json:"query_id"`
+	}
+	if err := json.Unmarshal([]byte(strings.TrimPrefix(body[i:], "event: result\ndata: ")), &res); err != nil {
+		t.Fatal(err)
+	}
+	return body[:i], res.SessionID, res.QueryID
+}
+
+// checkReplayOf requires a replayed stream (cache hit or coalesced
+// follower) to be its leader's byte for byte up to the result frame,
+// which carries the requester's own ids, the ones in its headers.
+func checkReplayOf(t *testing.T, leaderBody string, resp *http.Response, body string) {
+	t.Helper()
+	want, leaderSess, leaderQuery := splitResult(t, leaderBody)
+	got, sess, query := splitResult(t, body)
+	if got != want {
+		t.Fatalf("%s stream differs from the leader's\n got %q\nwant %q", resp.Header.Get("X-Cache"), got, want)
+	}
+	if sess != resp.Header.Get("X-Session-ID") || query != resp.Header.Get("X-Query-ID") {
+		t.Fatalf("result frame ids %q/%q, headers %q/%q", sess, query, resp.Header.Get("X-Session-ID"), resp.Header.Get("X-Query-ID"))
+	}
+	if sess == leaderSess || query == leaderQuery {
+		t.Fatalf("result frame carries the leader's ids %q/%q", leaderSess, leaderQuery)
+	}
+}
+
 // blockingBackend parks every GenerateChunk call until released, so
 // tests can hold a query in flight deterministically.
 type blockingBackend struct {
@@ -96,6 +132,7 @@ func TestQueryCacheExactHit(t *testing.T) {
 			t.Fatalf("frame %d (%s) data differs", i, f1[i].Event)
 		}
 	}
+	checkReplayOf(t, body1, resp2, body2)
 	// A whitespace/case reformatting still hits the exact tier.
 	resp3, _ := postQuery(t, ts.URL, map[string]any{"query": "  what is THE capital   of france? "})
 	if got := resp3.Header.Get("X-Cache"); got != "HIT" {
@@ -108,11 +145,12 @@ func TestQueryCacheSemanticHit(t *testing.T) {
 	// the production 0.97 default, so the test lowers the bar — the point
 	// is the tier's mechanics, not the encoder's quality.
 	s, ts := newServingServer(t, ServingOptions{CacheTTL: time.Minute, SemanticThreshold: 0.3}, nil)
-	postQuery(t, ts.URL, map[string]any{"query": "What is the capital of France?"})
+	_, leaderBody := postQuery(t, ts.URL, map[string]any{"query": "What is the capital of France?"})
 	resp, body := postQuery(t, ts.URL, map[string]any{"query": "What is the capital city of France?"})
 	if got := resp.Header.Get("X-Cache"); got != "SEMANTIC" {
 		t.Fatalf("rephrased query X-Cache = %q, want SEMANTIC", got)
 	}
+	checkReplayOf(t, leaderBody, resp, body)
 	if s.tel.CacheHits.Value("semantic") != 1 {
 		t.Fatalf("cache_hits{semantic} = %v, want 1", s.tel.CacheHits.Value("semantic"))
 	}
@@ -284,6 +322,7 @@ func TestQueryCoalescedFollowerReplay(t *testing.T) {
 	if !bytes.Equal(lres.Result, fres.Result) {
 		t.Fatal("follower result payload differs from the leader's")
 	}
+	checkReplayOf(t, lo.body, fo.resp, fo.body)
 }
 
 // TestQueryLeaderDisconnectKeepsFollower covers the fault-tolerance half

@@ -1,0 +1,424 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"math"
+	"net/http"
+	"strconv"
+	"sync"
+	"time"
+	"unicode/utf8"
+
+	"llmms/internal/core"
+	"llmms/internal/telemetry"
+)
+
+// This file is the one SSE egress of /api/query (DESIGN.md "Serving
+// layer"): the only code that knows the frame format
+//
+//	event: <type>\ndata: <json>\n\n
+//
+// and the only code that flushes. An orchestrating leader, a cache
+// replay and a coalesced follower all write through an sseWriter, under
+// one rule: render what is ready into a buffer, hand it to the client
+// only when the producer is about to wait. The wait points are the
+// producer's own — core.Config.BeforeWait for a leader, the end of the
+// recording for a cache hit, having caught up with the leader for a
+// follower — so no frame is held while anyone waits, and a round's frames
+// cost one write instead of one each.
+
+// maxPendingSSE bounds the bytes an sseWriter holds back between flushes:
+// a frame that takes the pending bytes past it is handed to the
+// ResponseWriter at once (which may buffer or send as it sees fit).
+const maxPendingSSE = 32 << 10
+
+// maxPooledSSE is the largest buffer returned to the pool; a larger one
+// (a long recorded stream) is left to the collector instead of pinned.
+const maxPooledSSE = 64 << 10
+
+var ssePool = sync.Pool{New: func() any { return &sseWriter{buf: make([]byte, 0, 8<<10)} }}
+
+// sseWriter renders and writes one /api/query stream. It is used by the
+// request's own goroutine only.
+type sseWriter struct {
+	w       http.ResponseWriter
+	flusher http.Flusher // nil when w cannot stream
+	tel     *telemetry.Telemetry
+	sessID  string
+	queryID string
+	xcache  string // X-Cache header value, "" for none
+
+	// buf holds rendered frames; buf[sent:] is not yet handed to w and
+	// carries pending frames. A writer that records keeps the bytes it
+	// has sent, so buf is the whole stream; otherwise a write empties it.
+	buf     []byte
+	sent    int
+	pending int
+	// unflushed says w was handed bytes since its last Flush.
+	unflushed bool
+
+	// record keeps every frame in buf and keeps rendering after the
+	// client is gone, for a leader whose frames also feed a cache entry
+	// or followers. frames counts the frames rendered so far.
+	record bool
+	frames int
+	// tee, when set, receives each rendered frame except "result" (the
+	// leader's flight followers). The bytes are valid only for the call.
+	tee func(event string, frame []byte)
+
+	// opened says the response is committed to an event stream, which
+	// the first frame does.
+	opened bool
+	// dead latches the first failed write: nothing more is written, and
+	// onDead (when set) has been told once.
+	dead   bool
+	onDead func()
+}
+
+// errClientGone reports a stream whose client stopped accepting writes.
+var errClientGone = errors.New("server: sse client gone")
+
+// newSSEWriter prepares a stream for one requester. Nothing touches w
+// before the first frame, so a caller that never renders one may still
+// answer with a plain HTTP response.
+func newSSEWriter(w http.ResponseWriter, tel *telemetry.Telemetry, sessID, queryID, xcache string) *sseWriter {
+	sw := ssePool.Get().(*sseWriter)
+	*sw = sseWriter{w: w, tel: tel, sessID: sessID, queryID: queryID, xcache: xcache, buf: sw.buf[:0]}
+	sw.flusher, _ = w.(http.Flusher)
+	return sw
+}
+
+// close ends the stream's accounting and recycles the writer. ctx is the
+// request's: a stream whose client context ended was dropped — the
+// browser navigated away or the connection broke before "result".
+func (sw *sseWriter) close(ctx context.Context) {
+	if sw.opened && ctx.Err() != nil {
+		sw.tel.SSEDropped.Inc()
+	}
+	if cap(sw.buf) <= maxPooledSSE {
+		*sw = sseWriter{buf: sw.buf[:0]}
+		ssePool.Put(sw)
+	}
+}
+
+// open commits the response to an event stream, with the headers every
+// /api/query stream carries.
+func (sw *sseWriter) open() {
+	h := sw.w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("X-Session-ID", sw.sessID)
+	h.Set("X-Query-ID", sw.queryID)
+	if sw.xcache != "" {
+		h.Set("X-Cache", sw.xcache)
+	}
+	sw.w.WriteHeader(http.StatusOK)
+	sw.opened = true
+	sw.tel.SSEStreams.Inc()
+}
+
+// skip reports that a frame has no consumer: the client is gone and
+// nothing records.
+func (sw *sseWriter) skip() bool { return sw.dead && !sw.record }
+
+// begin starts a frame and returns where it starts in buf.
+func (sw *sseWriter) begin(event string) int {
+	start := len(sw.buf)
+	sw.buf = append(sw.buf, "event: "...)
+	sw.buf = append(sw.buf, event...)
+	sw.buf = append(sw.buf, "\ndata: "...)
+	return start
+}
+
+// end completes the frame begun at start.
+func (sw *sseWriter) end(event string, start int) {
+	sw.buf = append(sw.buf, "\n\n"...)
+	if sw.tee != nil && event != "result" {
+		sw.tee(event, sw.buf[start:])
+	}
+	sw.queued(1)
+}
+
+// queued accounts for n frames just appended to buf and keeps the
+// pending bytes bounded.
+func (sw *sseWriter) queued(n int) {
+	if !sw.opened {
+		sw.open()
+	}
+	sw.frames += n
+	if sw.dead {
+		return
+	}
+	sw.pending += n
+	if len(sw.buf)-sw.sent > maxPendingSSE {
+		sw.write()
+	}
+}
+
+// event renders one orchestration event. A value encoding/json would
+// refuse (a NaN score) drops the frame, counted, and the stream goes on.
+func (sw *sseWriter) event(ev core.Event) {
+	if sw.skip() {
+		return
+	}
+	start := sw.begin(string(ev.Type))
+	var ok bool
+	if sw.buf, ok = appendEventJSON(sw.buf, &ev); !ok {
+		sw.buf = sw.buf[:start]
+		sw.tel.SSEEncodeErrors.Inc()
+		return
+	}
+	sw.end(string(ev.Type), start)
+}
+
+// replay queues n frames some leader's writer already rendered.
+func (sw *sseWriter) replay(frames []byte, n int) {
+	if sw.skip() {
+		return
+	}
+	sw.buf = append(sw.buf, frames...)
+	sw.queued(n)
+}
+
+// recorded returns a copy of the stream so far and its frame count — the
+// cache entry of a recording leader, taken before its result frame.
+func (sw *sseWriter) recorded() ([]byte, int) {
+	return bytes.Clone(sw.buf), sw.frames
+}
+
+// result ends the stream with the requester's own "result" frame — its
+// session and query ids around the shared answer — and flushes. It
+// reports whether the client got it. A result that does not encode ends
+// the stream with an "error" frame instead, so every opened stream gets
+// exactly one terminal frame.
+func (sw *sseWriter) result(res core.Result) bool {
+	data, err := json.Marshal(res)
+	if err != nil {
+		sw.tel.SSEEncodeErrors.Inc()
+		// Not the orchestration's frame: each follower is handed the same
+		// result and ends its own stream over it.
+		sw.tee = nil
+		sw.fail("encode_failed", "encode result: "+err.Error())
+		return false
+	}
+	if !sw.skip() {
+		// Keys in sorted order: the frame was a marshaled map.
+		start := sw.begin("result")
+		sw.buf = append(sw.buf, `{"query_id":`...)
+		sw.buf = appendJSONString(sw.buf, sw.queryID)
+		sw.buf = append(sw.buf, `,"result":`...)
+		sw.buf = append(sw.buf, data...)
+		sw.buf = append(sw.buf, `,"session_id":`...)
+		sw.buf = appendJSONString(sw.buf, sw.sessID)
+		sw.buf = append(sw.buf, '}')
+		sw.end("result", start)
+	}
+	sw.flush()
+	return !sw.dead
+}
+
+// fail ends the stream with an "error" frame carrying the uniform error
+// envelope, and flushes.
+func (sw *sseWriter) fail(code, message string) {
+	if !sw.skip() {
+		start := sw.begin("error")
+		sw.buf = append(sw.buf, `{"error":{"code":`...)
+		sw.buf = appendJSONString(sw.buf, code)
+		sw.buf = append(sw.buf, `,"message":`...)
+		sw.buf = appendJSONString(sw.buf, message)
+		sw.buf = append(sw.buf, "}}"...)
+		sw.end("error", start)
+	}
+	sw.flush()
+}
+
+// write hands the pending frames to the ResponseWriter. Frames count as
+// written once it has accepted their bytes; a refusal means the client is
+// gone and ends the stream.
+func (sw *sseWriter) write() {
+	if sw.pending == 0 {
+		return
+	}
+	_, err := sw.w.Write(sw.buf[sw.sent:])
+	if sw.record {
+		sw.sent = len(sw.buf)
+	} else {
+		sw.buf, sw.sent = sw.buf[:0], 0
+	}
+	if err != nil {
+		sw.dead = true
+		sw.pending = 0
+		sw.tel.SSEEncodeErrors.Inc()
+		if sw.onDead != nil {
+			sw.onDead()
+		}
+		return
+	}
+	sw.tel.SSEFrames.Add(float64(sw.pending))
+	sw.pending = 0
+	sw.unflushed = true
+}
+
+// flush sends everything rendered so far to the client. Callers flush
+// when their producer is about to wait, and after a terminal frame.
+func (sw *sseWriter) flush() {
+	sw.write()
+	if sw.dead || !sw.unflushed {
+		return
+	}
+	sw.unflushed = false
+	sw.tel.SSEFlushes.Inc()
+	if sw.flusher != nil {
+		sw.flusher.Flush()
+	}
+}
+
+// appendEventJSON appends ev exactly as encoding/json marshals a
+// core.Event — field order, omitempty, string escaping, float and time
+// formatting — without reflection or boxing. It reports false where
+// json.Marshal would return an error (a NaN or infinite float, a time
+// RFC 3339 cannot carry). FuzzEventFrame holds the two together.
+func appendEventJSON(b []byte, ev *core.Event) ([]byte, bool) {
+	if !finite(ev.Score) || !finite(ev.QuerySim) || !finite(ev.InterSim) {
+		return b, false
+	}
+	b = append(b, `{"type":`...)
+	b = appendJSONString(b, string(ev.Type))
+	b = append(b, `,"strategy":`...)
+	b = appendJSONString(b, string(ev.Strategy))
+	b = append(b, `,"time":`...)
+	b, ok := appendJSONTime(b, ev.Time)
+	b = appendJSONInt(b, `,"round":`, int64(ev.Round))
+	b = appendJSONText(b, `,"model":`, ev.Model)
+	b = appendJSONText(b, `,"text":`, ev.Text)
+	b = appendJSONInt(b, `,"tokens":`, int64(ev.Tokens))
+	b = appendJSONFloat(b, `,"score":`, ev.Score)
+	b = appendJSONFloat(b, `,"query_sim":`, ev.QuerySim)
+	b = appendJSONFloat(b, `,"inter_sim":`, ev.InterSim)
+	b = appendJSONText(b, `,"reason":`, ev.Reason)
+	b = appendJSONInt(b, `,"attempts":`, int64(ev.Attempts))
+	b = appendJSONInt(b, `,"prefetched":`, int64(ev.Prefetched))
+	b = appendJSONInt(b, `,"elapsed_ns":`, int64(ev.Elapsed))
+	return append(b, '}'), ok
+}
+
+// appendJSONInt appends an omitempty integer field.
+func appendJSONInt(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendJSONText appends an omitempty string field.
+func appendJSONText(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return appendJSONString(append(b, key...), v)
+}
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+// appendJSONFloat appends an omitempty finite float field in
+// encoding/json's format: ES6 number-to-string, so %e only below 1e-6 and
+// from 1e21, with a one-digit exponent unpadded. Negative zero is zero
+// and omitted.
+func appendJSONFloat(b []byte, key string, f float64) []byte {
+	if f == 0 {
+		return b
+	}
+	b = append(b, key...)
+	format := byte('f')
+	if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONTime appends t as time.Time.MarshalJSON does: quoted RFC 3339
+// with nanoseconds, refusing what RFC 3339 cannot express (a year outside
+// [0,9999], a zone offset of 24 hours or more).
+func appendJSONTime(b []byte, t time.Time) ([]byte, bool) {
+	b = append(b, '"')
+	n0 := len(b)
+	b = t.AppendFormat(b, time.RFC3339Nano)
+	ok := b[n0+len("9999")] == '-' // a year of exactly four digits
+	if ok && b[len(b)-1] != 'Z' {
+		zone := b[len(b)-len("+07:00"):]
+		ok = (zone[0] < '0' || zone[0] > '9') && 10*(zone[1]-'0')+(zone[2]-'0') < 24
+	}
+	return append(b, '"'), ok
+}
+
+// jsonSafe marks the ASCII bytes encoding/json copies into a string
+// unescaped with HTML escaping on, as json.Marshal has it.
+var jsonSafe = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string exactly as json.Marshal
+// does: control bytes, quotes, backslash and <, >, & escaped, U+2028 and
+// U+2029 escaped, invalid UTF-8 replaced by \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if jsonSafe[c] {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}

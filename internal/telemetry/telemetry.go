@@ -40,8 +40,9 @@ const DefaultMaxQueryBytes = 2048
 //	llmms_http_request_duration_seconds{route}       per-route latency histogram
 //	llmms_sse_streams_started_total                  /api/query streams opened
 //	llmms_sse_streams_dropped_total                  streams the client abandoned
-//	llmms_sse_frames_written_total                   SSE frames written
-//	llmms_sse_encode_errors_total                    SSE frames lost to marshal/write errors
+//	llmms_sse_frames_written_total                   SSE frames the ResponseWriter accepted (replays count the frames they carry)
+//	llmms_sse_flushes_total                          SSE writer flushes (frames ÷ flushes = frames per write)
+//	llmms_sse_encode_errors_total                    SSE frames refused by the encoder, plus streams lost to a failed write
 //	llmms_cache_hits_total{tier}                     answer cache hits (tier: exact|semantic)
 //	llmms_cache_misses_total                         answer cache lookups that missed
 //	llmms_cache_lookup_duration_seconds              answer cache lookup latency
@@ -83,6 +84,7 @@ type Telemetry struct {
 	SSEStreams      Counter
 	SSEDropped      Counter
 	SSEFrames       Counter
+	SSEFlushes      Counter
 	SSEEncodeErrors Counter
 
 	StreamPrefetch  Counter
@@ -182,9 +184,11 @@ func New(opts Options) *Telemetry {
 		SSEDropped: reg.Counter("llmms_sse_streams_dropped_total",
 			"SSE streams whose client disconnected before completion."),
 		SSEFrames: reg.Counter("llmms_sse_frames_written_total",
-			"SSE frames written across all streams."),
+			"SSE frames accepted by the response writer across all streams; a cache or coalesced replay counts the frames it carries."),
+		SSEFlushes: reg.Counter("llmms_sse_flushes_total",
+			"Times an SSE stream flushed its pending frames to the client; frames written divided by flushes is the coalescing factor."),
 		SSEEncodeErrors: reg.Counter("llmms_sse_encode_errors_total",
-			"SSE frames lost to JSON marshal failures or writes to dead clients."),
+			"SSE frames the encoder refused (NaN, unencodable result) plus streams abandoned on a failed write."),
 
 		CacheHits: reg.Counter("llmms_cache_hits_total",
 			"Answer cache hits by tier (exact or semantic).", "tier"),

@@ -26,14 +26,14 @@ go test -race -shuffle=on ./...
 echo "== benchmark: go vet ./... && go test ./..."
 (cd benchmark && go vet ./... && go test ./...)
 
-# One-iteration smoke of the scoring fast-path and serving-layer
-# benchmarks: proves the benchmark code itself still compiles and runs
-# (a broken benchmark otherwise only surfaces when someone runs make
-# bench-score / bench-serve).
+# One-iteration smoke of the remaining Go micro-benchmarks: proves the
+# benchmark code itself still compiles and runs (a broken benchmark
+# otherwise only surfaces when someone runs make bench-score /
+# bench-batch).
 echo "== bench smoke (-benchtime=1x)"
 go test -run='^$' -bench='ScoreAll|EncodeIncremental|InterSim|FanoutPipelined' -benchtime=1x \
 	./internal/core/ ./internal/embedding/ >/dev/null
-go test -run='^$' -bench='ServeMix|ServeTrace|ServeBatch|ServeRoute' -benchtime=1x ./internal/server/ >/dev/null
+go test -run='^$' -bench='ServeBatch|ServeRoute' -benchtime=1x ./internal/server/ >/dev/null
 go test -run='^$' -bench='Fleet' -benchtime=1x ./internal/fleet/ >/dev/null
 go test -run='^$' -bench='BatchDecode' -benchtime=1x ./internal/llm/ >/dev/null
 go test -run='^$' -bench='MemDB|WarmStartHitRate' -benchtime=1x \
