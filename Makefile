@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-score bench-fanout bench-fleet bench-batch bench-memdb bench-route check
+.PHONY: build test bench bench-score bench-fleet bench-memdb bench-route check
 
 build:
 	$(GO) build ./...
@@ -23,12 +23,6 @@ bench:
 bench-score:
 	./scripts/bench_score.sh BENCH_score.json
 
-# bench-fanout runs the pipelined-generation benchmark (persistent
-# per-model streams vs per-round chunk calls) and writes
-# BENCH_fanout.json; see DESIGN.md "Pipelined generation".
-bench-fanout:
-	./scripts/bench_fanout.sh BENCH_fanout.json
-
 # bench-fleet runs the model-fleet benchmarks (a dying replica's cost
 # before/after its breaker opens, p99 with and without hedging) and
 # writes BENCH_fleet.json; see DESIGN.md "Model fleet".
@@ -41,13 +35,6 @@ bench-fleet:
 # writes BENCH_memdb.json.
 bench-memdb:
 	./scripts/bench_memdb.sh BENCH_memdb.json
-
-# bench-batch runs the continuous-batching benchmarks (8 concurrent
-# same-model generations with the per-model batch scheduler on vs off,
-# at the engine layer and through the full HTTP stack) and writes
-# BENCH_batch.json; see DESIGN.md "Continuous batching".
-bench-batch:
-	./scripts/bench_batch.sh BENCH_batch.json
 
 # bench-route runs the predictive-routing benchmark (family-clustered
 # traffic with routing off vs on: fan-out width, throughput, and answer

@@ -243,13 +243,15 @@ func (c *Cluster) ActiveJobs(owner string) int {
 	return 0
 }
 
-// RecordStep is the batch scheduler's per-step accounting hook: seqs is
-// the owner's current batch occupancy after the step (0 clears it, e.g.
-// when the batch drains idle) and decoded is how many tokens the step
-// produced. Utilization telemetry folds occupancy in, so a device
-// hosting one 8-sequence batch reads like one hosting 8 independent
-// jobs. CPU-resident and unknown owners are a no-op, matching BeginJob.
-func (c *Cluster) RecordStep(owner string, seqs, decoded int) {
+// RecordSteps is the batch scheduler's accounting hook: seqs is the
+// owner's current batch occupancy (0 clears it, e.g. when the batch
+// drains idle), steps and tokens how many decode steps ran and tokens
+// they produced since the last call — a scheduler whose occupancy is not
+// changing accumulates them and reports when it does. Utilization
+// telemetry folds occupancy in, so a device hosting one 8-sequence batch
+// reads like one hosting 8 independent jobs. CPU-resident and unknown
+// owners are a no-op, matching BeginJob.
+func (c *Cluster) RecordSteps(owner string, seqs int, steps, tokens uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, d := range c.devices {
@@ -261,10 +263,8 @@ func (c *Cluster) RecordStep(owner string, seqs, decoded int) {
 		} else {
 			delete(d.batchSeqs, owner)
 		}
-		if decoded > 0 {
-			d.batchSteps++
-			d.batchTokens += uint64(decoded)
-		}
+		d.batchSteps += steps
+		d.batchTokens += tokens
 		return
 	}
 }

@@ -233,14 +233,14 @@ func TestRecordStepAccounting(t *testing.T) {
 	if _, err := c.Allocate("m1", GiB); err != nil {
 		t.Fatal(err)
 	}
-	c.RecordStep("m1", 8, 8)
-	c.RecordStep("m1", 5, 5)
+	c.RecordSteps("m1", 8, 1, 8)
+	c.RecordSteps("m1", 5, 3, 15) // a run of steps reported at once
 	d := c.Stats().Devices[0]
 	if d.BatchSeqs != 5 {
 		t.Fatalf("BatchSeqs = %d, want 5 (latest occupancy)", d.BatchSeqs)
 	}
-	if d.BatchSteps != 2 || d.BatchTokens != 13 {
-		t.Fatalf("steps/tokens = %d/%d, want 2/13", d.BatchSteps, d.BatchTokens)
+	if d.BatchSteps != 4 || d.BatchTokens != 23 {
+		t.Fatalf("steps/tokens = %d/%d, want 4/23", d.BatchSteps, d.BatchTokens)
 	}
 	// Occupancy beyond the scheduler's single job drives utilization.
 	end := c.BeginJob("m1")
@@ -250,14 +250,14 @@ func TestRecordStepAccounting(t *testing.T) {
 	}
 	end()
 	// Going idle clears occupancy but keeps cumulative counters.
-	c.RecordStep("m1", 0, 0)
+	c.RecordSteps("m1", 0, 0, 0)
 	d = c.Stats().Devices[0]
-	if d.BatchSeqs != 0 || d.BatchSteps != 2 || d.BatchTokens != 13 {
+	if d.BatchSeqs != 0 || d.BatchSteps != 4 || d.BatchTokens != 23 {
 		t.Fatalf("after idle: %+v", d)
 	}
 	// Unknown owners are a no-op.
-	c.RecordStep("nope", 3, 3)
-	if got := c.Stats().Devices[0].BatchSteps; got != 2 {
-		t.Fatalf("unknown-owner RecordStep mutated device: steps = %d", got)
+	c.RecordSteps("nope", 3, 1, 3)
+	if got := c.Stats().Devices[0].BatchSteps; got != 4 {
+		t.Fatalf("unknown-owner RecordSteps mutated device: steps = %d", got)
 	}
 }

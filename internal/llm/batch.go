@@ -1,8 +1,8 @@
 package llm
 
 import (
-	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -32,18 +32,9 @@ type BatchHooks struct {
 }
 
 // SetBatchHooks installs scheduler observers, replacing any previous
-// set. Safe to call while schedulers are running.
-func (e *Engine) SetBatchHooks(h BatchHooks) {
-	e.hooksMu.Lock()
-	e.hooks = h
-	e.hooksMu.Unlock()
-}
-
-func (e *Engine) batchHooks() BatchHooks {
-	e.hooksMu.RLock()
-	defer e.hooksMu.RUnlock()
-	return e.hooks
-}
+// set. Safe to call while schedulers are running; a running scheduler
+// picks the new set up at its next step.
+func (e *Engine) SetBatchHooks(h BatchHooks) { e.hooks.Store(&h) }
 
 // BatchStats is a point-in-time snapshot of one model's batch scheduler.
 type BatchStats struct {
@@ -70,11 +61,13 @@ func (e *Engine) BatchStats(model string) (BatchStats, bool) {
 	if s == nil {
 		return BatchStats{}, false
 	}
+	// Admission moves a sequence from pending to active under s.mu, so the
+	// two counts are read together; retiring only ever lowers Active.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return BatchStats{
-		Active: len(s.active), Pending: len(s.pending),
-		Steps: s.steps, Decoded: s.decoded,
+		Active: int(s.occupancy.Load()), Pending: len(s.pending),
+		Steps: s.steps.Load(), Decoded: s.decoded.Load(),
 	}, true
 }
 
@@ -82,15 +75,16 @@ func (e *Engine) BatchStats(model string) (BatchStats, bool) {
 // continuous batch schedulers (the -batch flag on both binaries).
 func (e *Engine) BatchingEnabled() bool { return !e.batchOff }
 
-// batchSeq is one generation owned by a batch scheduler: its plan plus a
-// decode position the scheduler advances one token per step. The out
-// channel's buffer holds the entire remaining plan, so every send is
-// non-blocking by construction.
+// batchSeq is one generation owned by a batch scheduler: its handle plus
+// a decode position the scheduler advances one token per step. Advancing
+// is a store to the handle's watermark, so the scheduler never waits for
+// the sequence's consumer.
 type batchSeq struct {
-	ctx  context.Context
-	out  chan Chunk
-	plan genPlan
-	// pos is the next token to decode, from plan.cursor up to plan.end.
+	gen *Generation
+	// done is the request context's Done channel: closed when the caller
+	// gave up.
+	done <-chan struct{}
+	// pos is the next token to decode, from the plan's cursor to its end.
 	pos int
 	// prefill is the token count re-ingested at admission (prompt plus
 	// continued-from context), charged against the step budget once.
@@ -98,12 +92,30 @@ type batchSeq struct {
 	submitted time.Time
 }
 
+func (q *batchSeq) canceled() bool {
+	select {
+	case <-q.done:
+		return true
+	default:
+		return false
+	}
+}
+
+func (q *batchSeq) finished() bool { return q.pos >= len(q.gen.plan.ids) }
+
 // batchScheduler is one model's continuous-batching loop: it owns the
 // model's decode clock, admits pending sequences into the active batch
 // between token steps, and steps all active sequences together. One
 // step costs ~1x–2x a single stream's per-token wall-clock regardless
 // of occupancy (see stepDuration), which is the whole point — K
 // concurrent streams cost ~2x instead of Kx.
+//
+// Two closed-loop clients over two daemons put same-model sequences on
+// different daemons, so the occupancy a scheduler actually runs at is 1,
+// and a step there must cost next to nothing: the active batch, the
+// round-robin cursor, the clock and the per-step scratch belong to the
+// loop goroutine alone, the counters BatchStats reads are atomics, and
+// s.mu — taken once per step — guards only what submit and drain touch.
 //
 // Lock discipline: s.mu and the engine's e.mu are never held together.
 // The loop calls e.finish and gpu accounting only after releasing s.mu;
@@ -116,11 +128,24 @@ type batchScheduler struct {
 
 	mu       sync.Mutex
 	pending  []*batchSeq
-	active   []*batchSeq
-	rr       int // round-robin start index into active for the next decode set
 	draining bool
-	steps    uint64
-	decoded  uint64
+
+	// Read by BatchStats. occupancy is len(active) as of the last
+	// admission or retirement.
+	occupancy atomic.Int64
+	steps     atomic.Uint64
+	decoded   atomic.Uint64
+
+	// Owned by the loop goroutine.
+	active []*batchSeq
+	rr     int // round-robin start index into active for the next decode set
+	clock  decodeClock
+	// Scratch for one step's sequence sets, reused step after step.
+	dropped, admitted, spent, completed []*batchSeq
+	// gpu accounting not yet handed to the cluster: the steps and tokens
+	// since the last flush, and the occupancy the cluster was last told.
+	unrecordedSteps, unrecordedTokens uint64
+	recordedOccupancy                 int
 
 	wake chan struct{} // buffered(1); submit/drain nudge the loop
 	done chan struct{} // closed when the loop exits
@@ -224,39 +249,93 @@ func (s *batchScheduler) stepDuration(prefillTokens, decoded int) time.Duration 
 // sequences together relative to one: 2 − 1/k (1.0 at k=1, →2 as k→∞).
 func batchEfficiency(k int) float64 { return 2 - 1/float64(k) }
 
-// terminal emits a sequence's final chunk, closes its channel, and
-// records its generated tokens in the engine stats. The chunk fields
-// match the unbatched path exactly for every done reason. Must be
-// called without holding s.mu (e.finish takes e.mu).
+// decodeClock paces simulated decoding on an absolute schedule: a step
+// that follows another ends one step duration after the previous step's
+// nominal end, not after whenever the previous sleep happened to return.
+// The host's timer lateness (a 1.4 ms sleep returns after 2.2–2.4 ms in an
+// idle process) then delays a token once instead of accumulating over
+// every token of an answer, and no token is delivered before its nominal
+// time.
+type decodeClock struct {
+	end time.Time // nominal end of the last step
+}
+
+// step schedules a step of dur and returns how long to sleep until its
+// nominal end; zero or less when that has already passed. restart begins
+// a new schedule at now: after an idle period, or when a sequence joins
+// and its own clock starts.
+func (c *decodeClock) step(dur time.Duration, restart bool) time.Duration {
+	now := time.Now()
+	if restart || c.end.IsZero() {
+		c.end = now
+	}
+	c.end = c.end.Add(dur)
+	return c.end.Sub(now)
+}
+
+// terminal ends a sequence's generation and records its generated tokens
+// in the engine stats. The terminal chunk matches the unbatched path
+// exactly for every done reason. Must be called without holding s.mu
+// (e.finish takes e.mu).
 func (s *batchScheduler) terminal(q *batchSeq, reason DoneReason) {
-	s.e.finish(s.model, q.pos-q.plan.cursor, s.profile)
-	q.out <- q.plan.terminal(reason, q.pos)
-	close(q.out)
+	s.e.finish(s.model, q.pos-q.gen.plan.cursor, s.profile)
+	q.gen.finish(reason)
+}
+
+// record accounts one step toward the cluster's telemetry. The counters
+// ride along until the occupancy the cluster shows would change, so a
+// lone sequence costs the cluster's mutex twice, not once per token; the
+// totals it ends up with are the same.
+func (s *batchScheduler) record(occupancy, decoded int) {
+	if decoded > 0 {
+		s.unrecordedSteps++
+		s.unrecordedTokens += uint64(decoded)
+	}
+	if occupancy != s.recordedOccupancy {
+		s.e.cluster.RecordSteps(s.model, occupancy, s.unrecordedSteps, s.unrecordedTokens)
+		s.recordedOccupancy, s.unrecordedSteps, s.unrecordedTokens = occupancy, 0, 0
+	}
+}
+
+// retire moves the active sequences for which gone holds into dst, closing
+// the batch up over them, and returns dst.
+func (s *batchScheduler) retire(dst []*batchSeq, gone func(*batchSeq) bool) []*batchSeq {
+	keep := s.active[:0]
+	for _, q := range s.active {
+		if gone(q) {
+			dst = append(dst, q)
+		} else {
+			keep = append(keep, q)
+		}
+	}
+	clear(s.active[len(keep):])
+	s.active = keep
+	return dst
 }
 
 // loop is the scheduler: one iteration sweeps cancellations, admits
 // pending sequences under the step budget, decodes a round-robin set of
-// active sequences, sleeps the modeled step cost, then emits the
-// decoded tokens and completes finished sequences. It parks when the
-// batch drains empty and exits when draining with nothing left.
+// active sequences, sleeps to the step's nominal end, then advances the
+// decoded sequences and completes finished ones. It parks when the batch
+// drains empty and exits when draining with nothing left.
 func (s *batchScheduler) loop() {
 	var endJob func()
-	park := func() {
-		if endJob != nil {
-			endJob()
-			endJob = nil
-			s.e.cluster.RecordStep(s.model, 0, 0)
-			if h := s.e.batchHooks(); h.Idle != nil {
-				h.Idle(s.model)
-			}
-		}
-	}
 	for {
+		// Sweep sequences canceled since the last step.
+		s.dropped = s.retire(s.dropped[:0], (*batchSeq).canceled)
+
 		s.mu.Lock()
-		for len(s.pending) == 0 && len(s.active) == 0 {
+		for len(s.pending) == 0 && len(s.active) == 0 && len(s.dropped) == 0 {
 			draining := s.draining
 			s.mu.Unlock()
-			park()
+			if endJob != nil {
+				endJob()
+				endJob = nil
+				s.record(0, 0)
+				if h := s.e.hooks.Load(); h != nil && h.Idle != nil {
+					h.Idle(s.model)
+				}
+			}
 			if draining {
 				close(s.done)
 				return
@@ -265,130 +344,108 @@ func (s *batchScheduler) loop() {
 			s.mu.Lock()
 		}
 
-		// Sweep sequences canceled since the last step.
-		var canceled []*batchSeq
-		keep := s.active[:0]
-		for _, q := range s.active {
-			if q.ctx.Err() != nil {
-				canceled = append(canceled, q)
-			} else {
-				keep = append(keep, q)
-			}
-		}
-		clearTail(s.active, len(keep))
-		s.active = keep
-
 		// Admit pending sequences FIFO. The first admission of a step is
 		// unconditional — a prompt whose prefill alone exceeds the budget
 		// must still get in eventually — and later ones must fit the
 		// budget alongside the decode set. Sequences with nothing left to
 		// decode (continuation already at the end) complete right here.
-		var admitted, finished []*batchSeq
-		prefillTokens := 0
-		for len(s.pending) > 0 {
-			q := s.pending[0]
-			if q.ctx.Err() != nil {
-				s.pending = s.pending[1:]
-				canceled = append(canceled, q)
+		s.admitted, s.spent = s.admitted[:0], s.spent[:0]
+		prefillTokens, popped := 0, 0
+		for ; popped < len(s.pending); popped++ {
+			q := s.pending[popped]
+			if q.canceled() {
+				s.dropped = append(s.dropped, q)
 				continue
 			}
-			if len(admitted) > 0 && prefillTokens+q.prefill+len(s.active)+1 > s.budget {
+			if len(s.admitted) > 0 && prefillTokens+q.prefill+len(s.active)+1 > s.budget {
 				break
 			}
-			s.pending = s.pending[1:]
-			admitted = append(admitted, q)
+			s.admitted = append(s.admitted, q)
 			prefillTokens += q.prefill
-			if q.pos >= q.plan.end {
-				finished = append(finished, q)
-				continue
+			if q.finished() {
+				s.spent = append(s.spent, q)
+			} else {
+				s.active = append(s.active, q)
 			}
-			s.active = append(s.active, q)
 		}
+		// Close the queue up over the popped slots and nil what that
+		// vacates: re-slicing from the front would keep every popped
+		// sequence reachable from the backing array (and regrow it on the
+		// next submit).
+		rest := copy(s.pending, s.pending[popped:])
+		clear(s.pending[rest:])
+		s.pending = s.pending[:rest]
+		s.occupancy.Store(int64(len(s.active)))
+		s.mu.Unlock()
 
-		// Pick this step's decode set round-robin: whatever budget the
-		// prefill spend left over, at least one so prefill-heavy steps
-		// still make decode progress, at most one token per active
-		// sequence.
-		n := s.budget - prefillTokens
-		if n > len(s.active) {
-			n = len(s.active)
-		}
+		// This step's decode set is n sequences round-robin from first:
+		// whatever budget the prefill spend left over, at least one so
+		// prefill-heavy steps still make decode progress, at most one
+		// token per active sequence.
+		n := min(s.budget-prefillTokens, len(s.active))
 		if n < 1 && len(s.active) > 0 {
 			n = 1
 		}
-		var stepped []*batchSeq
+		first := 0
 		if n > 0 {
-			s.rr %= len(s.active)
-			for i := 0; i < n; i++ {
-				stepped = append(stepped, s.active[(s.rr+i)%len(s.active)])
-			}
-			s.rr = (s.rr + n) % len(s.active)
+			first = s.rr % len(s.active)
+			s.rr = (first + n) % len(s.active)
 		} else {
 			s.rr = 0
 		}
-		busy := len(s.active) > 0
-		s.mu.Unlock()
 
-		if h := s.e.batchHooks(); h.Admit != nil {
+		hooks := s.e.hooks.Load()
+		if hooks != nil && hooks.Admit != nil && len(s.admitted) > 0 {
 			now := time.Now()
-			for _, q := range admitted {
-				h.Admit(s.model, now.Sub(q.submitted))
+			for _, q := range s.admitted {
+				hooks.Admit(s.model, now.Sub(q.submitted))
 			}
 		}
-		for _, q := range canceled {
+		for _, q := range s.dropped {
 			s.terminal(q, DoneCancel)
 		}
-		if busy && endJob == nil {
+		if len(s.active) > 0 && endJob == nil {
 			endJob = s.e.cluster.BeginJob(s.model)
 		}
-		stepDur := s.stepDuration(prefillTokens, len(stepped))
+		// The step ends one step duration after the previous step's nominal
+		// end; one that admits a sequence — every step after an idle park
+		// does — starts now.
+		stepDur := s.stepDuration(prefillTokens, n)
 		if stepDur > 0 {
-			time.Sleep(stepDur)
-		}
-
-		// Emit the step's tokens and retire finished sequences. Sends
-		// cannot block (full-capacity buffers), so holding s.mu here is
-		// safe and keeps admission strictly between steps.
-		var completed []*batchSeq
-		s.mu.Lock()
-		for _, q := range stepped {
-			q.out <- q.plan.token(s.e.tok, q.pos)
-			q.pos++
-		}
-		keep = s.active[:0]
-		for _, q := range s.active {
-			if q.pos >= q.plan.end {
-				completed = append(completed, q)
-			} else {
-				keep = append(keep, q)
+			if d := s.clock.step(stepDur, len(s.admitted) > 0); d > 0 {
+				time.Sleep(d)
 			}
 		}
-		clearTail(s.active, len(keep))
-		s.active = keep
-		if len(stepped) > 0 {
-			s.steps++
-			s.decoded += uint64(len(stepped))
-		}
-		occupancy := len(s.active)
-		s.mu.Unlock()
 
-		s.e.cluster.RecordStep(s.model, occupancy, len(stepped))
-		if h := s.e.batchHooks(); h.Step != nil && (len(stepped) > 0 || prefillTokens > 0) {
-			h.Step(s.model, occupancy, len(stepped), stepDur)
+		// Advance the step's sequences and retire finished ones. Advancing
+		// cannot block, and admission only happens at the top of the loop,
+		// so it stays strictly between steps.
+		for i := 0; i < n; i++ {
+			q := s.active[(first+i)%len(s.active)]
+			q.pos++
+			q.gen.advance(q.pos)
 		}
-		for _, q := range finished {
-			s.terminal(q, q.plan.reason)
+		s.completed = s.retire(s.completed[:0], (*batchSeq).finished)
+		if n > 0 {
+			s.steps.Add(1)
+			s.decoded.Add(uint64(n))
 		}
-		for _, q := range completed {
-			s.terminal(q, q.plan.reason)
-		}
-	}
-}
+		s.occupancy.Store(int64(len(s.active)))
 
-// clearTail nils the retained slice's unused tail so retired sequences
-// (and their buffered channels) can be collected promptly.
-func clearTail(s []*batchSeq, from int) {
-	for i := from; i < len(s); i++ {
-		s[i] = nil
+		s.record(len(s.active), n)
+		if hooks != nil && hooks.Step != nil && (n > 0 || prefillTokens > 0) {
+			hooks.Step(s.model, len(s.active), n, stepDur)
+		}
+		for _, q := range s.spent {
+			s.terminal(q, q.gen.plan.reason)
+		}
+		for _, q := range s.completed {
+			s.terminal(q, q.gen.plan.reason)
+		}
+		// Retired sequences must not stay reachable from the scratch.
+		clear(s.dropped)
+		clear(s.admitted)
+		clear(s.spent)
+		clear(s.completed)
 	}
 }

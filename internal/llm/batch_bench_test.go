@@ -22,9 +22,11 @@ const benchBatchConcurrency = 8
 // cost; with batching off, the independent goroutines time-slice the
 // model's throughput at ~Kx.
 func benchmarkBatchDecode(b *testing.B, disable bool) {
-	// The scale is chosen so one llama3 decode step (~0.5ms) stays well
-	// above timer granularity — smaller scales let time.Sleep overshoot
-	// flatten the on/off contrast the cost model produces.
+	// One llama3 decode step is about 0.5 ms at this scale, which keeps a
+	// run short. The scale no longer has to hide the host's timer
+	// lateness: both producers pace on an absolute schedule (decodeClock),
+	// so a late wake-up shortens the next sleep instead of stretching
+	// every step, and the on/off contrast is the cost model's.
 	e := NewEngine(Options{
 		Knowledge:       NewKnowledge(truthfulqa.Seed()),
 		LatencyScale:    0.05,
@@ -68,9 +70,13 @@ func benchmarkBatchDecode(b *testing.B, disable bool) {
 	b.ReportMetric(float64(len(lats))/elapsed.Seconds(), "qps")
 }
 
-// BenchmarkBatchDecode is the engine-level half of `make bench-batch`
-// (BENCH_batch.json): 8 concurrent same-model generations with the
-// continuous batch scheduler on versus the goroutine-per-stream path.
+// BenchmarkBatchDecode runs 8 concurrent same-model generations with the
+// continuous batch scheduler on versus the goroutine-per-stream path. It
+// is kept beside the end-to-end benchmark because no canonical workload
+// or layer replay reaches this regime: two closed-loop clients over two
+// daemons never put more than one sequence on a scheduler
+// (llm.batch_mean_occupancy is 1.0), so only this shows what a step costs
+// at K = 8.
 func BenchmarkBatchDecode(b *testing.B) {
 	b.Run("batch_on", func(b *testing.B) { benchmarkBatchDecode(b, false) })
 	b.Run("batch_off", func(b *testing.B) { benchmarkBatchDecode(b, true) })

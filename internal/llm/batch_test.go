@@ -19,6 +19,34 @@ var batchTestPrompts = []string{
 	"Tell me something surprising about typography.",
 }
 
+// drain takes tokens off a generation until it ends and returns their
+// text and the terminal chunk; each, when set, sees every filled batch.
+func drain(g *Generation, each func(b *TokenBatch)) (string, Chunk) {
+	var batch TokenBatch
+	var text []byte
+	for {
+		final, more := batch.Fill(g)
+		text = append(text, batch.Text...)
+		if each != nil {
+			each(&batch)
+		}
+		if !more {
+			return string(text), final
+		}
+	}
+}
+
+// firstToken blocks until g has decoded a token, failing the test if it
+// ended without one.
+func firstToken(t *testing.T, g *Generation) string {
+	t.Helper()
+	var batch TokenBatch
+	if _, more := batch.Fill(g); !more {
+		t.Fatal("generation ended on its first fill")
+	}
+	return string(batch.Text)
+}
+
 // TestBatchedMatchesUnbatched is the determinism contract: the batch
 // scheduler must produce byte-identical text and identical final-chunk
 // metadata to the goroutine-per-stream path, including under MaxTokens
@@ -95,9 +123,7 @@ func TestBatchAdmissionBetweenSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait until A is demonstrably mid-decode.
-	if c := <-a; c.Done {
-		t.Fatal("stream A finished on its first chunk")
-	}
+	firstToken(t, a)
 	b, err := e.Generate(context.Background(), GenRequest{Model: ModelLlama3, Prompt: "What is the capital of France?"})
 	if err != nil {
 		t.Fatal(err)
@@ -109,19 +135,15 @@ func TestBatchAdmissionBetweenSteps(t *testing.T) {
 	go func() {
 		defer bDone.Done()
 		first := true
-		for c := range b {
-			if first && c.Text != "" {
+		drain(b, func(batch *TokenBatch) {
+			if first && len(batch.Text) > 0 {
 				bFirst <- time.Now()
 				first = false
 			}
-		}
+		})
 	}()
-	var aDone time.Time
-	for c := range a {
-		if c.Done {
-			aDone = time.Now()
-		}
-	}
+	drain(a, nil)
+	aDone := time.Now()
 	bDone.Wait()
 	select {
 	case first := <-bFirst:
@@ -148,9 +170,7 @@ func TestBatchFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := <-a; c.Done {
-		t.Fatal("stream A finished on its first chunk")
-	}
+	firstToken(t, a)
 	b, err := e.Generate(context.Background(), GenRequest{Model: ModelLlama3, Prompt: "What is the capital of France?", MaxTokens: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -158,18 +178,12 @@ func TestBatchFairness(t *testing.T) {
 
 	done := make(chan string, 2)
 	go func() {
-		for c := range a {
-			if c.Done {
-				done <- "a"
-			}
-		}
+		drain(a, nil)
+		done <- "a"
 	}()
 	go func() {
-		for c := range b {
-			if c.Done {
-				done <- "b"
-			}
-		}
+		drain(b, nil)
+		done <- "b"
 	}()
 	if first := <-done; first != "b" {
 		t.Fatalf("long stream finished before the 2-token late arrival; round-robin starved B")
@@ -192,28 +206,20 @@ func TestBatchDrainOnUnload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stream, err := e.Generate(context.Background(), GenRequest{Model: ModelMistral, Prompt: "Are bats blind?"})
+	gen, err := e.Generate(context.Background(), GenRequest{Model: ModelMistral, Prompt: "Are bats blind?"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := <-stream; c.Done {
-		t.Fatal("stream finished on its first chunk")
-	}
+	text := firstToken(t, gen)
 	unloaded := make(chan error, 1)
 	go func() { unloaded <- e.Unload(ModelMistral) }()
 
-	var text string
-	var last Chunk
-	// Re-read the first chunk's text by regenerating below; here collect
-	// the remainder and the terminal.
-	for c := range stream {
-		text += c.Text
-		if c.Done {
-			last = c
-		}
-	}
+	rest, last := drain(gen, nil)
 	if err := <-unloaded; err != nil {
 		t.Fatal(err)
+	}
+	if text+rest != want {
+		t.Fatalf("drained text %q != reference %q", text+rest, want)
 	}
 	if last.DoneReason != DoneStop {
 		t.Fatalf("drained stream ended %q, want stop", last.DoneReason)
@@ -251,24 +257,19 @@ func TestBatchConcurrentAdmitCancelUnload(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			stream, err := e.Generate(ctx, GenRequest{Model: ModelQwen2, Prompt: "Are bats blind?"})
+			gen, err := e.Generate(ctx, GenRequest{Model: ModelQwen2, Prompt: "Are bats blind?"})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			sawDone := false
 			n := 0
-			for c := range stream {
-				n++
-				if i%3 == 0 && n == 2 {
+			_, last := drain(gen, func(b *TokenBatch) {
+				if n += len(b.IDs); i%3 == 0 && n >= 2 {
 					cancel()
 				}
-				if c.Done {
-					sawDone = true
-				}
-			}
-			if !sawDone {
-				t.Errorf("stream %d closed without a Done chunk", i)
+			})
+			if !last.Done || last.EvalCount != n {
+				t.Errorf("stream %d ended on %+v after %d tokens", i, last, n)
 			}
 		}(i)
 	}
@@ -283,9 +284,10 @@ func TestBatchConcurrentAdmitCancelUnload(t *testing.T) {
 }
 
 // TestGenerateAbandonedConsumerNoLeak is the goroutine-leak regression
-// test for the old 16-buffered channel: a consumer that cancels and
-// walks away mid-stream must not strand the producer on a blocked
-// terminal send. Covers both execution paths.
+// test: a consumer that cancels and walks away mid-stream, or never takes
+// a token at all, must not strand the producer — it only ever advances a
+// watermark — and an abandoned stream session leaves the OpenStreams
+// count. Covers both execution paths.
 func TestGenerateAbandonedConsumerNoLeak(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		e := NewEngine(Options{
@@ -296,16 +298,20 @@ func TestGenerateAbandonedConsumerNoLeak(t *testing.T) {
 		before := runtime.NumGoroutine()
 		for i := 0; i < 10; i++ {
 			ctx, cancel := context.WithCancel(context.Background())
-			stream, err := e.Generate(ctx, GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?"})
+			gen, err := e.Generate(ctx, GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			<-stream // one chunk, then abandon without draining
+			firstToken(t, gen) // one token, then abandon without draining
 			cancel()
 		}
-		// Also abandon an uncanceled stream outright: the full-capacity
-		// buffer lets the producer run to completion regardless.
+		// Also abandon an uncanceled generation outright, and a stream
+		// session nobody reads or closes: the producer runs to completion
+		// regardless.
 		if _, err := e.Generate(context.Background(), GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.OpenStream(context.Background(), ChunkRequest{Model: ModelLlama3, Prompt: "Are bats blind?"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Close(); err != nil {
@@ -314,7 +320,7 @@ func TestGenerateAbandonedConsumerNoLeak(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			runtime.GC()
-			if g := runtime.NumGoroutine(); g <= before+1 {
+			if g := runtime.NumGoroutine(); g <= before+1 && e.OpenStreams() == 0 {
 				break
 			}
 			if time.Now().After(deadline) {

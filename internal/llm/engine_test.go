@@ -18,7 +18,7 @@ func newTestEngine(t *testing.T) *Engine {
 
 func TestGenerateKnownQuestionStream(t *testing.T) {
 	e := newTestEngine(t)
-	stream, err := e.Generate(context.Background(), GenRequest{
+	gen, err := e.Generate(context.Background(), GenRequest{
 		Model:  ModelLlama3,
 		Prompt: "What happens if you swallow chewing gum?",
 	})
@@ -26,17 +26,16 @@ func TestGenerateKnownQuestionStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var text strings.Builder
+	var batch TokenBatch
 	var final Chunk
-	chunks := 0
-	for c := range stream {
-		text.WriteString(c.Text)
-		chunks++
-		if c.Done {
-			final = c
-		}
+	tokens := 0
+	for more := true; more; {
+		final, more = batch.Fill(gen)
+		text.Write(batch.Text)
+		tokens += len(batch.IDs)
 	}
-	if chunks < 2 {
-		t.Fatalf("expected a multi-chunk stream, got %d chunks", chunks)
+	if tokens < 2 {
+		t.Fatalf("expected a multi-token stream, got %d tokens", tokens)
 	}
 	if final.DoneReason != DoneStop {
 		t.Fatalf("done reason = %s, want stop", final.DoneReason)
@@ -218,19 +217,17 @@ func TestCancelation(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stream, err := e.Generate(ctx, GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?"})
+	gen, err := e.Generate(ctx, GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := 0
+	var batch TokenBatch
 	var final Chunk
-	for c := range stream {
-		got++
-		if got == 2 {
+	for more := true; more; {
+		final, more = batch.Fill(gen)
+		if got += len(batch.IDs); got >= 2 {
 			cancel()
-		}
-		if c.Done {
-			final = c
 		}
 	}
 	if final.DoneReason != DoneCancel {

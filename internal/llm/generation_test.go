@@ -1,0 +1,270 @@
+package llm
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+	"unicode/utf8"
+
+	"llmms/internal/tokenizer"
+	"llmms/internal/truthfulqa"
+)
+
+// drained is everything a consumer got off one generation, flattened: the
+// text, one id and one end offset per token, and the terminal chunk.
+type drained struct {
+	text  string
+	ids   []int
+	ends  []int
+	final Chunk
+}
+
+// The three ways a consumer can pace itself against the producer.
+var consumers = map[string]func(g *Generation) drained{
+	// One gulp: everything is decoded before the consumer first looks.
+	"gulp": func(g *Generation) drained {
+		for _, over := g.progress(); !over; _, over = g.progress() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		return fillAll(g, 0)
+	},
+	// As fast as the tokens come: batches of one when decode is paced.
+	"eager": func(g *Generation) drained { return fillAll(g, 0) },
+	// A consumer slower than the producer.
+	"stalling": func(g *Generation) drained { return fillAll(g, 300*time.Microsecond) },
+}
+
+func fillAll(g *Generation, stall time.Duration) drained {
+	var d drained
+	var batch TokenBatch
+	for {
+		final, more := batch.Fill(g)
+		off := len(d.text)
+		d.text += string(batch.Text)
+		d.ids = append(d.ids, batch.IDs...)
+		for _, e := range batch.Ends {
+			d.ends = append(d.ends, off+e)
+		}
+		if !more {
+			d.final = final
+			return d
+		}
+		time.Sleep(stall)
+	}
+}
+
+// TestGenerationMatchesPlan is the handle's equivalence property: for
+// every model, batched and unbatched, paced and unpaced, fresh, continued
+// and cut by the budget in the middle of a character, what Fill hands out
+// — however the consumer paces itself — is the plan: the answer's tokens
+// from the cursor to the end, their bytes, and the terminal chunk.
+func TestGenerationMatchesPlan(t *testing.T) {
+	kb := NewKnowledge(truthfulqa.Generate(817, 1))
+	tok := tokenizer.Default()
+	reference := NewEngine(Options{Knowledge: kb, DisableBatching: true})
+	const prompt = "What is the capital of Brazil?"
+	midCharacter := 0
+	for _, batching := range []bool{true, false} {
+		for _, scale := range []float64{0, 0.01} {
+			e := NewEngine(Options{Knowledge: kb, DisableBatching: !batching, LatencyScale: scale})
+			for _, model := range []string{ModelLlama3, ModelMistral, ModelQwen2} {
+				answer, _, err := reference.GenerateAll(context.Background(), GenRequest{Model: model, Prompt: prompt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				full := tok.AppendIDs(nil, answer)
+				// The budget that ends the call inside the answer's first
+				// multi-byte character, where it has one.
+				cut := 0
+				for i := range full {
+					if !utf8.ValidString(tok.Decode(tokensOf(full[:i+1]))) {
+						cut = i + 1
+						break
+					}
+				}
+				cases := map[string]GenRequest{
+					"fresh":     {Model: model, Prompt: prompt},
+					"continued": {Model: model, Prompt: prompt, Context: full[:3], MaxTokens: 6},
+				}
+				if cut > 0 {
+					cases["cut mid-character"] = GenRequest{Model: model, Prompt: prompt, MaxTokens: cut}
+					midCharacter++
+				}
+				for name, req := range cases {
+					cursor, end, reason := len(req.Context), len(full), DoneStop
+					if req.MaxTokens > 0 && cursor+req.MaxTokens < end {
+						end, reason = cursor+req.MaxTokens, DoneLength
+					}
+					want := drained{ids: full[cursor:end], final: Chunk{Done: true, DoneReason: reason,
+						Context: full[:end], EvalCount: end - cursor, TotalTokens: end}}
+					for _, id := range want.ids {
+						want.text += tok.DecodeOne(tokenizer.Token(id))
+						want.ends = append(want.ends, len(want.text))
+					}
+					if name == "cut mid-character" && utf8.ValidString(want.text) {
+						t.Fatalf("%s: the cut at %d tokens does not split a character: %q", model, cut, want.text)
+					}
+					for pace, consume := range consumers {
+						gen, err := e.Generate(context.Background(), req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := consume(gen); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s batching=%v scale=%v %s, %s consumer:\n got %+v\nwant %+v",
+								model, batching, scale, name, pace, got, want)
+						}
+					}
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if midCharacter == 0 {
+		t.Fatal("no model's answer has a multi-byte character to cut")
+	}
+}
+
+func tokensOf(ids []int) []tokenizer.Token {
+	out := make([]tokenizer.Token, len(ids))
+	for i, id := range ids {
+		out[i] = tokenizer.Token(id)
+	}
+	return out
+}
+
+// TestGenerationCancelAccountsForHandedOutTokens cancels mid-generation
+// and checks the terminal chunk's Context is exactly the tokens the
+// consumer was handed — the resume point must match what was delivered.
+func TestGenerationCancelAccountsForHandedOutTokens(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		e := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed()), LatencyScale: 0.05, DisableBatching: disable})
+		ctx, cancel := context.WithCancel(context.Background())
+		gen, err := e.Generate(ctx, GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?", Context: []int{1, 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var handed []int
+		_, final := drain(gen, func(b *TokenBatch) {
+			if handed = append(handed, b.IDs...); len(handed) >= 3 {
+				cancel()
+			}
+		})
+		cancel()
+		if final.DoneReason != DoneCancel || final.EvalCount != len(handed) || final.TotalTokens != 2+len(handed) ||
+			!reflect.DeepEqual(final.Context[2:], handed) {
+			t.Fatalf("disable=%v: canceled after %v, terminal %+v", disable, handed, final)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEngineStreamInterruptedWaits checks the in-process stream's two ways
+// out of a blocked Next: the caller's context ending hands out what there
+// is as a partial slice (then the error), and Close from another goroutine
+// fails it with ErrStreamClosed without waiting for the next decode step.
+func TestEngineStreamInterruptedWaits(t *testing.T) {
+	// A llama3 step of about 10 ms.
+	e := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed()), LatencyScale: 1})
+	s, err := e.OpenStream(context.Background(), ChunkRequest{Model: ModelLlama3, Prompt: "Are bats blind?"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Next(context.Background(), 1)
+	if err != nil || first.EvalCount != 1 || first.Done {
+		t.Fatalf("first slice = %+v, %v", first, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+	defer cancel()
+	part, err := s.Next(ctx, 1000)
+	if err != nil || part.EvalCount == 0 || part.Done || part.DoneReason != DoneLength ||
+		len(part.Context) != 1+part.EvalCount {
+		t.Fatalf("interrupted slice = %+v, %v; want a partial one", part, err)
+	}
+	s.Close()
+	if _, err := s.Next(context.Background(), 1); !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("Next after Close err = %v, want ErrStreamClosed", err)
+	}
+	waitForStreams(t, e, 0)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Prefill alone takes 0.4 s at this scale: a Next blocked on the first
+	// token that returns sooner was woken by Close, not by the scheduler.
+	slow := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed()), LatencyScale: 20})
+	defer slow.Close()
+	s, err = slow.OpenStream(context.Background(), ChunkRequest{Model: ModelLlama3, Prompt: "Are bats blind?"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := s.Next(context.Background(), 0)
+		blocked <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let it block
+	closedAt := time.Now()
+	s.Close()
+	select {
+	case err := <-blocked:
+		if !errors.Is(err, ErrStreamClosed) {
+			t.Fatalf("blocked Next err = %v, want ErrStreamClosed", err)
+		}
+		if waited := time.Since(closedAt); waited > 200*time.Millisecond {
+			t.Errorf("Close took %v to unblock Next: it waited for the decode step", waited)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not unblock Next")
+	}
+	waitForStreams(t, slow, 0)
+}
+
+// TestDecodeClockKeepsNominalPace pins the decode clock: on a paced
+// engine no token of a lone sequence arrives before its nominal time, and
+// the whole answer takes its nominal time plus a bounded lateness — the
+// host's timer overshoot is paid once, not once per token.
+func TestDecodeClockKeepsNominalPace(t *testing.T) {
+	const scale = 0.2 // a llama3 step of about 2 ms
+	const prompt = "Are bats blind?"
+	for _, disable := range []bool{false, true} {
+		e := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed()), LatencyScale: scale, DisableBatching: disable})
+		profile, err := e.Profile(ModelLlama3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := time.Duration(scale / profile.TokensPerSec * float64(time.Second))
+		prefill := time.Duration(scale * float64(e.Tokenizer().Count(prompt)) / profile.PrefillRate() * float64(time.Second))
+
+		start := time.Now()
+		gen, err := e.Generate(context.Background(), GenRequest{Model: ModelLlama3, Prompt: prompt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		_, final := drain(gen, func(b *TokenBatch) {
+			if n += len(b.IDs); len(b.IDs) > 0 && time.Since(start) < time.Duration(n)*step {
+				t.Errorf("disable=%v: token %d arrived after %v, before its nominal %v", disable, n, time.Since(start), time.Duration(n)*step)
+			}
+		})
+		took := time.Since(start)
+		if n < 50 || final.EvalCount != n {
+			t.Fatalf("disable=%v: %d tokens, terminal %+v; want a long answer", disable, n, final)
+		}
+		// Generous: -race boxes are slow. Sleeping a whole step per token
+		// on this answer overshoots by more than this on any box.
+		nominal := prefill + time.Duration(n)*step
+		t.Logf("disable=%v: %d tokens took %v, nominal %v", disable, n, took, nominal)
+		if limit := nominal + max(nominal/4, 50*time.Millisecond); took > limit {
+			t.Errorf("disable=%v: %d tokens took %v, nominal %v, limit %v", disable, n, took, nominal, limit)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

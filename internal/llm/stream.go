@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -64,53 +65,12 @@ type StreamingBackend interface {
 	OpenStream(ctx context.Context, req ChunkRequest) (ChunkStream, error)
 }
 
-// TokenBatch gathers consecutive token chunks of one generation into
-// flat storage: Text is the concatenated bytes, IDs one id per token and
-// Ends the offset in Text at which each token ends. It is how both the
-// daemon's line writer and the engine-backed stream take tokens off a
-// generation channel — one blocking receive, then whatever else is
-// already decoded — so a consumer slower than the producer pays its
-// per-delivery cost (a flush, a lock, a wake-up) once per batch, and a
-// consumer that keeps up sees batches of one. The storage is reused
-// across Fills.
-type TokenBatch struct {
-	Text []byte
-	IDs  []int
-	Ends []int
-}
-
-// Fill empties the batch, blocks for the next chunk on ch, then keeps
-// taking chunks that are already there without blocking. It stops at the
-// generation's terminal chunk, which it returns (final.Done is true).
-// more is false once the generation is over: the terminal chunk arrived
-// or, if final.Done is false, ch closed without one.
-func (b *TokenBatch) Fill(ch <-chan Chunk) (final Chunk, more bool) {
-	b.Text, b.IDs, b.Ends = b.Text[:0], b.IDs[:0], b.Ends[:0]
-	c, ok := <-ch
-	for {
-		if !ok {
-			return Chunk{}, false
-		}
-		if c.Done {
-			return c, false
-		}
-		// Engine chunks carry exactly one token each. One that did not
-		// leaves IDs and Ends unequal, which StreamBuffer.Push rejects.
-		b.Text = append(b.Text, c.Text...)
-		b.IDs = append(b.IDs, c.Tokens...)
-		b.Ends = append(b.Ends, len(b.Text))
-		select {
-		case c, ok = <-ch:
-		default:
-			return Chunk{}, true
-		}
-	}
-}
-
-// StreamBuffer is the client-side token buffer shared by ChunkStream
-// implementations: a producer goroutine Pushes token batches as the
-// backend delivers them (then Finish or Fail exactly once), while the
-// consumer Drains per-round slices. Tokens are stored flat — text bytes,
+// StreamBuffer is the client-side token buffer of a ChunkStream whose
+// tokens arrive from elsewhere (modeld.Client's over the wire; the
+// engine's own stream needs none, its generation is its buffer): a
+// producer goroutine Pushes token batches as the backend delivers them
+// (then Finish or Fail exactly once), while the consumer Drains per-round
+// slices. Tokens are stored flat — text bytes,
 // one id and one end offset per token — so a round is sliced on token
 // boundaries and its Text, EvalCount and Context are the same however
 // the producer happened to batch its deliveries.
@@ -143,15 +103,37 @@ type StreamBuffer struct {
 	closed bool
 }
 
+// streamBufferTokens bounds the tokens a new buffer makes room for. A
+// session's budget is an upper bound on what it will carry, often a loose
+// one (a bandit opens every model with the whole query's budget), so past
+// this the buffer grows on demand instead.
+const streamBufferTokens = 64
+
 // NewStreamBuffer returns a buffer for a stream resumed from cont (nil
-// starts fresh). cont is cloned; the caller may reuse its slice.
-func NewStreamBuffer(cont []int) *StreamBuffer {
+// starts fresh) that may carry up to maxTokens tokens (<= 0: unknown). It
+// makes room for them up front, so a session within its budget is pushed
+// without regrowing the three stores token by token. cont is cloned; the
+// caller may reuse its slice.
+func NewStreamBuffer(cont []int, maxTokens int) *StreamBuffer {
+	n := streamBufferTokens
+	if maxTokens > 0 && maxTokens < n {
+		n = maxTokens
+	}
+	ids := make([]int, len(cont), len(cont)+n)
+	copy(ids, cont)
 	return &StreamBuffer{
 		wake: make(chan struct{}, 1),
-		ids:  append([]int(nil), cont...),
+		ids:  ids,
 		base: len(cont),
+		text: make([]byte, 0, n*streamBufferBytesPerToken),
+		ends: make([]int, 0, n),
 	}
 }
+
+// streamBufferBytesPerToken is what nine in ten of the models' answers
+// stay under (the median is 1.9 bytes a token: the 2048-entry vocabulary
+// splits most words).
+const streamBufferBytesPerToken = 3
 
 // signalLocked wakes the blocked Drain when its wait can end: the stream
 // turned terminal, or holds the tokens the waiter asked for. Callers
@@ -232,7 +214,11 @@ func checkBatch(text []byte, ids, ends []int) error {
 
 // Finish records the stream's terminal chunk (Done metadata). Buffered
 // tokens remain drainable; the terminal slice is synthesized once they
-// are exhausted.
+// are exhausted. final.Context is not retained: when it equals the ids
+// the buffer holds — the opened-from state plus every pushed token, which
+// is what a consistent stream ends on — the buffer's own array serves as
+// the terminal Context, and otherwise it is cloned. The caller may reuse
+// its slice.
 func (b *StreamBuffer) Finish(final Chunk) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -240,6 +226,11 @@ func (b *StreamBuffer) Finish(final Chunk) {
 		return
 	}
 	f := final
+	if slices.Equal(f.Context, b.ids) {
+		f.Context = nil
+	} else {
+		f.Context = slices.Clone(f.Context)
+	}
 	b.final = &f
 	b.signalLocked()
 }
@@ -354,84 +345,3 @@ func (b *StreamBuffer) sliceLocked(maxTokens int) Chunk {
 		TotalTokens: len(drained),
 	}
 }
-
-// engineStream adapts the Engine's generation channel to the
-// ChunkStream contract through a StreamBuffer. The pump goroutine moves
-// whatever the engine has decoded into the buffer one batch at a time,
-// so generation runs ahead of the orchestrator's rounds.
-type engineStream struct {
-	buf    *StreamBuffer
-	cancel context.CancelFunc
-	once   sync.Once
-	onDone func()
-}
-
-// OpenStream implements StreamingBackend over the simulated engine: it
-// starts one Generate call covering the whole session budget and
-// buffers its token stream client-side. The engine's per-token decode
-// delay (LatencyScale) keeps flowing between Next calls, which is the
-// generation/scoring overlap the orchestrator exploits.
-func (e *Engine) OpenStream(ctx context.Context, req ChunkRequest) (ChunkStream, error) {
-	genCtx, cancel := context.WithCancel(ctx)
-	ch, err := e.Generate(genCtx, GenRequest{
-		Model: req.Model, Prompt: req.Prompt, MaxTokens: req.MaxTokens, Context: req.Cont,
-	})
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	e.streams.Add(1)
-	s := &engineStream{buf: NewStreamBuffer(req.Cont), cancel: cancel}
-	s.onDone = func() { e.streams.Add(-1) }
-	go func() {
-		defer s.settle()
-		var batch TokenBatch
-		for more := true; more; {
-			var final Chunk
-			final, more = batch.Fill(ch)
-			if s.buf.Push(batch.Text, batch.IDs, batch.Ends) != nil {
-				cancel()
-				return
-			}
-			if final.Done {
-				s.buf.Finish(final)
-			}
-		}
-		// Defensive: a channel that closes without a Done chunk is an
-		// engine bug; surface it rather than hanging the consumer.
-		s.buf.Fail(io.ErrUnexpectedEOF)
-	}()
-	return s, nil
-}
-
-// settle runs the stream's end-of-life accounting exactly once.
-func (s *engineStream) settle() {
-	s.once.Do(func() {
-		if s.onDone != nil {
-			s.onDone()
-		}
-	})
-}
-
-// Next implements ChunkStream.
-func (s *engineStream) Next(ctx context.Context, maxTokens int) (Chunk, error) {
-	return s.buf.Drain(ctx, maxTokens)
-}
-
-// Buffered implements BufferedStream.
-func (s *engineStream) Buffered() int { return s.buf.Buffered() }
-
-// Close implements ChunkStream: it cancels the underlying generation
-// (the engine emits its cancel chunk and releases the hardware job) and
-// poisons the buffer.
-func (s *engineStream) Close() error {
-	s.cancel()
-	s.buf.Close()
-	return nil
-}
-
-// OpenStreams reports the engine-side generation sessions still
-// producing — the observability hook leak tests assert against. A
-// closed or naturally finished stream leaves the count as soon as its
-// producer goroutine exits.
-func (e *Engine) OpenStreams() int { return int(e.streams.Load()) }

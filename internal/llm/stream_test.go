@@ -18,7 +18,7 @@ import (
 // and checks token-boundary slicing, continuation synthesis, and the
 // terminal chunk's authoritative metadata.
 func TestStreamBufferSlicing(t *testing.T) {
-	b := NewStreamBuffer(nil)
+	b := NewStreamBuffer(nil, 0)
 	b.Push([]byte("Hello "), []int{1, 2}, []int{5, 6})
 	b.Push([]byte("world"), []int{3}, nil)
 	b.Push([]byte("!"), []int{4}, []int{1})
@@ -57,7 +57,7 @@ func TestStreamBufferSlicing(t *testing.T) {
 // boundaries even when they fall inside one pushed batch: the ask is
 // met exactly, never rounded to how the producer happened to deliver.
 func TestStreamBufferSlicesInsideABatch(t *testing.T) {
-	b := NewStreamBuffer(nil)
+	b := NewStreamBuffer(nil, 0)
 	b.Push([]byte("abc"), []int{1, 2, 3}, []int{1, 2, 3})
 	b.Push([]byte("de"), []int{4, 5}, []int{1, 2})
 	b.Finish(Chunk{Done: true, DoneReason: DoneStop, Context: []int{1, 2, 3, 4, 5}})
@@ -93,7 +93,7 @@ func TestStreamBufferPartitionInvariance(t *testing.T) {
 	// drainAll pushes the tokens in batches ending at cuts from a
 	// producer goroutine while the test goroutine drains take at a time.
 	drainAll := func(cuts []int, take int) []Chunk {
-		b := NewStreamBuffer(base)
+		b := NewStreamBuffer(base, len(tokens))
 		go func() {
 			from := 0
 			for _, to := range cuts {
@@ -173,7 +173,7 @@ func TestStreamBufferRejectsInconsistentOffsets(t *testing.T) {
 		"ends decrease":       {Text: []byte("abcd"), IDs: []int{1, 2, 3}, Ends: []int{3, 2, 4}},
 		"negative end":        {Text: []byte("abcd"), IDs: []int{1, 2}, Ends: []int{-1, 4}},
 	} {
-		b := NewStreamBuffer(nil)
+		b := NewStreamBuffer(nil, 0)
 		if err := b.Push([]byte("ok"), []int{9}, nil); err != nil {
 			t.Fatalf("%s: good push: %v", name, err)
 		}
@@ -194,7 +194,7 @@ func TestStreamBufferRejectsInconsistentOffsets(t *testing.T) {
 // it buffered as a normal partial slice first and only then surfaces
 // the error — drained text is never lost to a fallback.
 func TestStreamBufferPartialBeforeError(t *testing.T) {
-	b := NewStreamBuffer([]int{9})
+	b := NewStreamBuffer([]int{9}, 2)
 	b.Push([]byte("partial"), []int{10, 11}, []int{4, 7})
 	b.Fail(io.ErrUnexpectedEOF)
 
@@ -217,7 +217,7 @@ func TestStreamBufferPartialBeforeError(t *testing.T) {
 // attribute token ids fails the stream BEFORE any text is handed out,
 // so fallback re-generation cannot duplicate text.
 func TestStreamBufferRejectsIdlessPieces(t *testing.T) {
-	b := NewStreamBuffer(nil)
+	b := NewStreamBuffer(nil, 0)
 	if err := b.Push([]byte("text without ids"), nil, nil); !errors.Is(err, ErrStreamUnsupported) {
 		t.Fatalf("Push err = %v, want ErrStreamUnsupported", err)
 	}
@@ -230,21 +230,21 @@ func TestStreamBufferRejectsIdlessPieces(t *testing.T) {
 // TestStreamBufferCloseAndContext checks Close poisons the buffer and a
 // ctx cancel with an empty buffer returns the ctx error.
 func TestStreamBufferCloseAndContext(t *testing.T) {
-	b := NewStreamBuffer(nil)
+	b := NewStreamBuffer(nil, 0)
 	b.Push([]byte("x"), []int{1}, nil)
 	b.Close()
 	if _, err := b.Drain(context.Background(), 1); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("post-close drain err = %v, want ErrStreamClosed", err)
 	}
 
-	b2 := NewStreamBuffer(nil)
+	b2 := NewStreamBuffer(nil, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := b2.Drain(ctx, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled empty drain err = %v, want context.Canceled", err)
 	}
 	// With buffered tokens, cancellation still yields the partial first.
-	b3 := NewStreamBuffer(nil)
+	b3 := NewStreamBuffer(nil, 0)
 	b3.Push([]byte("y"), []int{2}, nil)
 	if c, err := b3.Drain(ctx, 4); err != nil || c.Text != "y" {
 		t.Fatalf("canceled partial drain = %q, %v; want y, nil", c.Text, err)

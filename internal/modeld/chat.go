@@ -69,8 +69,7 @@ func chatPrompt(messages []ChatMessage) (string, error) {
 
 func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 	var req ChatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Model == "" {
@@ -84,7 +83,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 	}
 	stream := req.Stream == nil || *req.Stream
 
-	chunks, err := s.engine.Generate(r.Context(), llm.GenRequest{
+	generation, err := s.engine.Generate(r.Context(), llm.GenRequest{
 		Model:     req.Model,
 		Prompt:    prompt,
 		MaxTokens: req.Options.NumPredict,
@@ -94,22 +93,14 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	reply := func(last llm.Chunk, text string) ChatResponse {
-		return ChatResponse{
-			Model: req.Model, CreatedAt: now(),
-			Message: ChatMessage{Role: "assistant", Content: text},
-			Done:    true, DoneReason: string(last.DoneReason), EvalCount: last.EvalCount,
-		}
-	}
-	if !stream {
-		text, last := llm.Collect(chunks)
-		writeJSON(w, http.StatusOK, reply(last, text))
-		return
-	}
-
 	lw := newLineWriter(w, req.Model, true, false)
 	defer lw.release()
-	lw.stream(chunks, func(final llm.Chunk, tail string) any { return reply(final, tail) })
+	if !stream {
+		text, last := llm.Collect(generation)
+		lw.reply(text, last, nil)
+		return
+	}
+	lw.stream(generation, nil)
 }
 
 // Chat runs a non-streaming chat call through the daemon, returning the

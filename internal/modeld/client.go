@@ -32,6 +32,11 @@ type Client struct {
 	base string
 	hc   *http.Client
 	tel  *telemetry.Telemetry
+	// generate is the POST /api/generate request every generation call is
+	// a copy of, built (and its URL parsed) once; generateErr is why it
+	// could not be, reported by each call.
+	generate    *http.Request
+	generateErr error
 
 	// Timeout, when positive, bounds each daemon request that arrives
 	// without a caller-supplied deadline. Requests whose context already
@@ -120,6 +125,7 @@ func WithTelemetry(tel *telemetry.Telemetry) Option {
 // timeout, and no telemetry.
 func New(base string, opts ...Option) *Client {
 	c := &Client{base: strings.TrimRight(base, "/"), hc: defaultHTTPClient()}
+	c.generate, c.generateErr = http.NewRequest(http.MethodPost, c.base+"/api/generate", nil)
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -240,26 +246,12 @@ func (c *Client) Generate(ctx context.Context, req GenerateRequest, fn func(Gene
 	defer func() { sp.End(err) }()
 	ctx, cancel := c.withTimeout(ctx)
 	defer cancel()
-	data, err := json.Marshal(req)
+	resp, body, err := c.postGenerate(ctx, &req, sp)
 	if err != nil {
 		return err
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/api/generate", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if tp := sp.Traceparent(); tp != "" {
-		httpReq.Header.Set("Traceparent", tp)
-	}
-	resp, err := c.hc.Do(httpReq)
-	if err != nil {
-		return err
-	}
+	defer body.release() // runs after the response body is closed
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
 	buf := scanBufPool.Get().(*[]byte)
 	defer scanBufPool.Put(buf)
 	sc := bufio.NewScanner(resp.Body)
@@ -283,8 +275,50 @@ func (c *Client) Generate(ctx context.Context, req GenerateRequest, fn func(Gene
 	return sc.Err()
 }
 
+// jsonContentType is the Content-Type header value of every generation
+// request, shared: the transport only reads it.
+var jsonContentType = []string{"application/json"}
+
+// postGenerate POSTs req to /api/generate under ctx, with sp's traceparent
+// when there is a span, and returns the response once the daemon has
+// accepted the request (any other status is an error). The request is a
+// copy of the one New built and its body is encoded into a pooled buffer,
+// so nothing is parsed or reflected over per call. The caller releases
+// body once it has closed the response body — until then the transport
+// may still be sending it, which is also why a failed call leaves its
+// buffer to the garbage collector.
+func (c *Client) postGenerate(ctx context.Context, req *GenerateRequest, sp *telemetry.Span) (resp *http.Response, body *requestBuf, err error) {
+	if c.generateErr != nil {
+		return nil, nil, c.generateErr
+	}
+	body = requestBufPool.Get().(*requestBuf)
+	body.encode(req)
+	data := body.body
+	httpReq := c.generate.WithContext(ctx)
+	httpReq.Header = http.Header{"Content-Type": jsonContentType}
+	if tp := sp.Traceparent(); tp != "" {
+		httpReq.Header["Traceparent"] = []string{tp}
+	}
+	httpReq.ContentLength = int64(len(data))
+	httpReq.Body = io.NopCloser(bytes.NewReader(data))
+	// GetBody lets the transport replay the request when a kept-alive
+	// connection turns out to have been closed under it.
+	httpReq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }
+	resp, err = c.hc.Do(httpReq)
+	if err != nil {
+		return nil, nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		err := decodeError(resp)
+		resp.Body.Close()
+		return nil, nil, err
+	}
+	return resp, body, nil
+}
+
 // maxScanLine bounds one NDJSON stream line; the scanner grows toward it
-// only for pathological lines.
+// only for pathological lines. The daemon reads request bodies through the
+// same bound.
 const maxScanLine = 8 * 1024 * 1024
 
 // scanBufPool recycles the 64 KiB initial scan buffers across Generate
@@ -392,10 +426,6 @@ func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.Chun
 	wire := GenerateRequest{Model: req.Model, Prompt: req.Prompt, Context: req.Cont}
 	wire.Options.NumPredict = req.MaxTokens
 	wire.Options.StreamTokens = true
-	data, err := json.Marshal(wire)
-	if err != nil {
-		return nil, err
-	}
 	// The stream span covers the whole session: opened here, ended by
 	// the pump on the done line (or failure), with the daemon's echoed
 	// spans grafted in before it closes. The span must not come from
@@ -404,56 +434,39 @@ func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.Chun
 	ctx, sp := telemetry.StartSpan(ctx, "modeld.stream")
 	sp.SetAttr("model", req.Model)
 	sctx, cancel := context.WithCancel(ctx)
-	httpReq, err := http.NewRequestWithContext(sctx, http.MethodPost, c.base+"/api/generate", bytes.NewReader(data))
-	if err != nil {
-		cancel()
-		sp.End(err)
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if tp := sp.Traceparent(); tp != "" {
-		httpReq.Header.Set("Traceparent", tp)
-	}
 	start := time.Now()
-	resp, err := c.hc.Do(httpReq)
+	resp, body, err := c.postGenerate(sctx, &wire, sp)
 	if err != nil {
 		cancel()
 		sp.End(err)
 		c.observe("generate_stream", start, err)
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		err := decodeError(resp)
-		resp.Body.Close()
-		cancel()
-		sp.End(err)
-		c.observe("generate_stream", start, err)
-		return nil, err
-	}
-	s := &clientStream{buf: llm.NewStreamBuffer(req.Cont), cancel: cancel}
-	go c.pumpStream(resp, s.buf, req.Model, start, sp)
+	s := &clientStream{buf: llm.NewStreamBuffer(req.Cont, req.MaxTokens), cancel: cancel}
+	go c.pumpStream(resp, body, s.buf, req.Model, start, sp)
 	return s, nil
 }
 
 // pumpStream drains one open generation stream into its client-side
-// buffer until the done line, a protocol error, or cancellation.
-func (c *Client) pumpStream(resp *http.Response, buf *llm.StreamBuffer, model string, start time.Time, sp *telemetry.Span) {
+// buffer until the done line, a protocol error, or cancellation. Token
+// lines and the done line are read by the same scanner; a line it
+// declines goes through encoding/json.
+func (c *Client) pumpStream(resp *http.Response, body *requestBuf, buf *llm.StreamBuffer, model string, start time.Time, sp *telemetry.Span) {
+	defer body.release() // once the response body is closed
 	defer resp.Body.Close()
 	scanBuf := scanBufPool.Get().(*[]byte)
 	defer scanBufPool.Put(scanBuf)
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(*scanBuf, maxScanLine)
 	finished := false
-	tl := tokenLinePool.Get().(*tokenLine)
-	defer tokenLinePool.Put(tl)
+	sl := streamLinePool.Get().(*streamLine)
+	defer streamLinePool.Put(sl)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		if !tl.decode(line) {
-			// Not a plain token line: the done line, or JSON only the
-			// reflective decoder reads (or rejects).
+		if !sl.decode(line) {
 			var gr GenerateResponse
 			if err := json.Unmarshal(line, &gr); err != nil {
 				buf.Fail(fmt.Errorf("modeld: bad stream line: %w", err))
@@ -461,23 +474,21 @@ func (c *Client) pumpStream(resp *http.Response, buf *llm.StreamBuffer, model st
 				c.observe("generate_stream", start, err)
 				return
 			}
-			if gr.Done {
-				if len(gr.Spans) > 0 {
-					sp.Adopt(gr.Spans)
-				}
-				buf.Finish(llm.Chunk{
-					Done: true, DoneReason: llm.DoneReason(gr.DoneReason),
-					Context: gr.Context, EvalCount: gr.EvalCount, TotalTokens: len(gr.Context),
-				})
-				finished = true
-				continue
-			}
-			tl.fromResponse(&gr)
+			sl.fromResponse(&gr)
 		}
-		if len(tl.text) == 0 && len(tl.ids) == 0 {
+		if sl.done {
+			sp.Adopt(sl.spans)
+			buf.Finish(llm.Chunk{
+				Done: true, DoneReason: sl.doneReason,
+				Context: sl.context, EvalCount: sl.evalCount, TotalTokens: len(sl.context),
+			})
+			finished = true
 			continue
 		}
-		if len(tl.ids) == 0 {
+		if len(sl.text) == 0 && len(sl.ids) == 0 {
+			continue
+		}
+		if len(sl.ids) == 0 {
 			// The daemon ignored stream_tokens (e.g. a stock Ollama):
 			// without per-line ids the buffer cannot synthesize resume
 			// state, so refuse the session before any text leaks out.
@@ -488,7 +499,7 @@ func (c *Client) pumpStream(resp *http.Response, buf *llm.StreamBuffer, model st
 		}
 		// Push rejects a line whose token_ends do not partition its text
 		// before buffering any of it, failing the stream.
-		if err := buf.Push(tl.text, tl.ids, tl.ends); err != nil {
+		if err := buf.Push(sl.text, sl.ids, sl.ends); err != nil {
 			sp.End(err)
 			c.observe("generate_stream", start, err)
 			return

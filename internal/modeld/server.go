@@ -10,6 +10,7 @@
 // package reproduces that wire contract:
 //
 //	POST /api/generate  — streaming NDJSON generation (num_predict, context)
+//	POST /api/chat      — the same over a message history
 //	POST /api/embed     — embeddings for one input or a batch
 //	GET  /api/tags      — installed models
 //	POST /api/show      — model details
@@ -24,7 +25,9 @@
 package modeld
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
@@ -32,7 +35,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"time"
-	"unicode/utf8"
 
 	"llmms/internal/llm"
 	"llmms/internal/telemetry"
@@ -300,13 +302,52 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-func now() string { return time.Now().UTC().Format(time.RFC3339Nano) }
+// badBody answers a request whose body could not be taken: 413 when it
+// ran past the cap every body is read through, 400 otherwise.
+func badBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		return
+	}
+	writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+}
+
+// decodeBody decodes a JSON request body of at most maxScanLine bytes — the
+// bound the client applies to a line coming back — into v, answering the
+// request itself when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxScanLine)).Decode(v); err != nil {
+		badBody(w, err)
+		return false
+	}
+	return true
+}
+
+// read fills rb.body with the request's body, through the same cap.
+func (rb *requestBuf) read(w http.ResponseWriter, r *http.Request) error {
+	buf := bytes.NewBuffer(rb.body[:0])
+	if n := r.ContentLength; n > 0 && n <= maxScanLine {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants that much room to see the EOF
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxScanLine))
+	rb.body = buf.Bytes()
+	return err
+}
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	var req GenerateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	rb := requestBufPool.Get().(*requestBuf)
+	defer rb.release()
+	if err := rb.read(w, r); err != nil {
+		badBody(w, err)
 		return
+	}
+	var req GenerateRequest
+	if !rb.decode(&req) {
+		if err := json.NewDecoder(bytes.NewReader(rb.body)).Decode(&req); err != nil {
+			badBody(w, err)
+			return
+		}
 	}
 	if req.Model == "" {
 		writeErr(w, http.StatusBadRequest, "model is required")
@@ -331,11 +372,11 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	root.SetAttr("model", req.Model)
 	start := time.Now()
 
-	// The engine returns its channel immediately; decoding happens while
-	// the drain loop below runs, so the engine.generate span wraps the
+	// The engine returns its handle immediately; decoding happens while
+	// the writer below drains it, so the engine.generate span wraps the
 	// drain, not the call.
 	gen := root.Child("engine.generate")
-	chunks, err := s.engine.Generate(ctx, llm.GenRequest{
+	generation, err := s.engine.Generate(ctx, llm.GenRequest{
 		Model:     req.Model,
 		Prompt:    req.Prompt,
 		MaxTokens: req.Options.NumPredict,
@@ -355,41 +396,30 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		gen.SetAttr("batch_occupancy", strconv.Itoa(st.Active+st.Pending))
 	}
 
-	// finish closes the spans over the terminal chunk and builds the done
-	// line (or the whole stream=false reply) around it.
-	finish := func(last llm.Chunk, text string) GenerateResponse {
-		s.genTok.Add(float64(last.EvalCount), req.Model)
-		gen.SetAttr("tokens", strconv.Itoa(last.EvalCount))
-		gen.End(nil)
-		root.End(nil)
-		out := GenerateResponse{
-			Model: req.Model, CreatedAt: now(), Response: text,
-			Done: true, DoneReason: string(last.DoneReason),
-			Context: last.Context, EvalCount: last.EvalCount,
-		}
-		if tp != "" {
-			out.Spans = root.Records()
-		}
-		s.logGenerate(root, req.Model, last.EvalCount, start)
-		return out
-	}
-
-	if !stream {
-		text, last := llm.Collect(chunks)
-		out := finish(last, text)
-		if req.Options.StreamTokens && !utf8.ValidString(text) {
-			out.ResponseRaw = []byte(text)
-		}
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-
 	lw := newLineWriter(w, req.Model, false, req.Options.StreamTokens)
 	defer lw.release()
-	lw.stream(chunks, func(final llm.Chunk, tail string) any {
-		gen.SetAttr("lines", strconv.Itoa(lw.lines))
-		return finish(final, tail)
-	})
+	// finish closes the spans over the terminal chunk and returns the
+	// records the done line (or the whole stream=false reply) carries.
+	finish := func(last llm.Chunk) []telemetry.SpanRecord {
+		s.genTok.Add(float64(last.EvalCount), req.Model)
+		gen.SetAttr("tokens", strconv.Itoa(last.EvalCount))
+		if stream {
+			gen.SetAttr("lines", strconv.Itoa(lw.lines))
+		}
+		gen.End(nil)
+		root.End(nil)
+		s.logGenerate(root, req.Model, last.EvalCount, start)
+		if tp == "" {
+			return nil
+		}
+		return root.Records()
+	}
+	if !stream {
+		text, last := llm.Collect(generation)
+		lw.reply(text, last, finish(last))
+		return
+	}
+	lw.stream(generation, finish)
 }
 
 // logGenerate emits the per-generation debug line, stamped with the
@@ -402,8 +432,7 @@ func (s *Server) logGenerate(root *telemetry.Span, model string, tokens int, sta
 
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	var req EmbedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	var inputs []string
@@ -479,8 +508,7 @@ func (s *Server) handleTags(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleShow(w http.ResponseWriter, r *http.Request) {
 	var req ShowRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	p, err := s.engine.Profile(req.Model)

@@ -2,8 +2,8 @@ package modeld
 
 import (
 	"encoding/base64"
-	"encoding/json"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -11,12 +11,19 @@ import (
 	"unicode/utf8"
 
 	"llmms/internal/llm"
+	"llmms/internal/telemetry"
 )
 
-// This file is the NDJSON token-line framing shared by both ends of the
-// modeld hop: the daemon's line writer (one line and one Flush per drain
-// of the engine's channel, for /api/generate and /api/chat alike) and
-// the client's decoder for the lines a stream_tokens session receives.
+// This file is the wire codec of the modeld hop, both ends of it: the
+// daemon's line writer (one line and one Flush per drain of the
+// generation, then the done line, for /api/generate and /api/chat alike),
+// the client's decoder for the lines a stream_tokens session receives,
+// and the /api/generate request body the client writes and the daemon
+// reads. Everything is appended into pooled buffers and scanned out of
+// them without reflection; encoding/json stays the reference — each
+// scanner accepts only what it reads exactly as encoding/json would and
+// declines the rest, and the caller's only fallback is encoding/json
+// itself (FuzzStreamLine, FuzzGenerateRequest).
 //
 // A token line carries a batch of tokens — as many as the engine had
 // decoded when the writer came back for more, so one per line when
@@ -61,35 +68,42 @@ func newLineWriter(w http.ResponseWriter, model string, chat, echo bool) *lineWr
 	lw := lineWriterPool.Get().(*lineWriter)
 	lw.w, lw.chat, lw.echo, lw.lines = w, chat, echo, 0
 	lw.flusher, _ = w.(http.Flusher)
-	lw.prefix = appendJSONString(append(lw.prefix[:0], `{"model":`...), []byte(model))
+	lw.prefix = appendJSONString(append(lw.prefix[:0], `{"model":`...), model)
 	lw.prefix = append(lw.prefix, `,"created_at":"`...)
 	lw.pend = lw.pend[:0]
 	return lw
 }
 
 func (lw *lineWriter) release() {
-	lw.w, lw.flusher = nil, nil
+	// IDs aliases the generation's own id array; do not pin it in the pool.
+	lw.w, lw.flusher, lw.batch.IDs = nil, nil, nil
 	lineWriterPool.Put(lw)
 }
 
-// stream writes the generation arriving on chunks: after each blocking
-// receive it takes whatever else the engine has already decoded and
-// writes one line and one Flush for the lot, so a token leaves the
-// daemon the moment it is decoded and a burst costs one write. done
-// builds the terminal line from the final chunk and, without echo, the
-// held-back tail that never completed a character. A failed write means
-// the client went away; the request context stops the generation.
-func (lw *lineWriter) stream(chunks <-chan llm.Chunk, done func(final llm.Chunk, tail string) any) {
+// stream writes the generation as it is decoded: after each blocking
+// Fill it has whatever else the engine had already decoded and writes one
+// line and one Flush for the lot, so a token leaves the daemon the moment
+// it is decoded and a burst costs one write. The done line rides the last
+// flush; finish, when set, runs on the terminal chunk just before it is
+// written and returns the span records it should carry. A failed write
+// means the client went away; the request context stops the generation.
+func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) []telemetry.SpanRecord) {
 	lw.w.Header().Set("Content-Type", "application/x-ndjson")
 	lw.w.WriteHeader(http.StatusOK)
 	for more := true; more; {
 		var final llm.Chunk
-		final, more = lw.batch.Fill(chunks)
+		final, more = lw.batch.Fill(g)
 		if len(lw.batch.IDs) > 0 && !lw.writeTokens() {
 			return
 		}
 		if final.Done {
-			if err := json.NewEncoder(lw.w).Encode(done(final, string(lw.pend))); err != nil {
+			var spans []telemetry.SpanRecord
+			if finish != nil {
+				spans = finish(final)
+			}
+			// Without echo, pend is the held-back tail that never completed
+			// a character.
+			if !lw.writeDone(lw.pend, final, spans) {
 				return
 			}
 		}
@@ -97,6 +111,21 @@ func (lw *lineWriter) stream(chunks <-chan llm.Chunk, done func(final llm.Chunk,
 			lw.flusher.Flush()
 		}
 	}
+}
+
+// reply writes a whole stream=false answer: the done object carrying all
+// of the text.
+func (lw *lineWriter) reply(text string, final llm.Chunk, spans []telemetry.SpanRecord) {
+	lw.w.Header().Set("Content-Type", "application/json")
+	lw.w.WriteHeader(http.StatusOK)
+	lw.pend = append(lw.pend[:0], text...)
+	lw.writeDone(lw.pend, final, spans)
+}
+
+func (lw *lineWriter) writeDone(text []byte, final llm.Chunk, spans []telemetry.SpanRecord) bool {
+	lw.out = lw.appendDoneLine(lw.out[:0], time.Now(), text, final, spans)
+	_, err := lw.w.Write(lw.out)
+	return err == nil
 }
 
 // writeTokens writes the filled batch as one token line, reporting
@@ -137,15 +166,104 @@ func (lw *lineWriter) appendTokenLine(dst []byte, at time.Time, text []byte, ids
 		if len(ids) > 1 {
 			dst = appendInts(append(dst, `,"token_ends":`...), ends)
 		}
-		if !utf8.Valid(text) {
-			dst = append(dst, `,"response_raw":"`...)
-			n := len(dst)
-			dst = append(dst, make([]byte, base64.StdEncoding.EncodedLen(len(text)))...)
-			base64.StdEncoding.Encode(dst[n:], text)
-			dst = append(dst, '"')
-		}
+		dst = appendResponseRaw(dst, text)
 	}
 	return append(dst, "}\n"...)
+}
+
+// appendResponseRaw appends the response_raw member when text is not
+// valid UTF-8 and a JSON string could only carry it as U+FFFD.
+func appendResponseRaw(dst, text []byte) []byte {
+	if utf8.Valid(text) {
+		return dst
+	}
+	dst = append(dst, `,"response_raw":"`...)
+	dst = base64.StdEncoding.AppendEncode(dst, text)
+	return append(dst, '"')
+}
+
+// appendDoneLine appends the line that ends a generation — or, with all of
+// the text in it, the whole stream=false reply: the members of
+// GenerateResponse (ChatResponse for /api/chat) in declaration order, the
+// empty ones omitted as encoding/json omits them. spans are the daemon's
+// span records of the generation, for a caller that sent a traceparent.
+func (lw *lineWriter) appendDoneLine(dst []byte, at time.Time, text []byte, final llm.Chunk, spans []telemetry.SpanRecord) []byte {
+	dst = append(dst, lw.prefix...)
+	dst = at.UTC().AppendFormat(dst, time.RFC3339Nano)
+	if lw.chat {
+		dst = append(dst, `","message":{"role":"assistant","content":`...)
+		dst = appendJSONString(dst, text)
+		dst = append(dst, `},"done":true`...)
+	} else {
+		dst = append(dst, `","response":`...)
+		dst = appendJSONString(dst, text)
+		dst = append(dst, `,"done":true`...)
+	}
+	if final.DoneReason != "" {
+		dst = appendJSONString(append(dst, `,"done_reason":`...), string(final.DoneReason))
+	}
+	if !lw.chat && len(final.Context) > 0 {
+		dst = appendInts(append(dst, `,"context":`...), final.Context)
+	}
+	if final.EvalCount != 0 {
+		dst = strconv.AppendInt(append(dst, `,"eval_count":`...), int64(final.EvalCount), 10)
+	}
+	if lw.echo {
+		dst = appendResponseRaw(dst, text)
+	}
+	for i := range spans {
+		if i == 0 {
+			dst = append(dst, `,"spans":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = appendSpanRecord(dst, &spans[i])
+	}
+	if len(spans) > 0 {
+		dst = append(dst, ']')
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendSpanRecord appends r as encoding/json renders a
+// telemetry.SpanRecord: members in declaration order, attrs sorted by key.
+func appendSpanRecord(dst []byte, r *telemetry.SpanRecord) []byte {
+	dst = appendJSONString(append(dst, `{"trace_id":`...), r.TraceID)
+	dst = appendJSONString(append(dst, `,"span_id":`...), r.SpanID)
+	if r.ParentID != "" {
+		dst = appendJSONString(append(dst, `,"parent_id":`...), r.ParentID)
+	}
+	dst = appendJSONString(append(dst, `,"name":`...), r.Name)
+	if r.Service != "" {
+		dst = appendJSONString(append(dst, `,"service":`...), r.Service)
+	}
+	dst = r.Start.AppendFormat(append(dst, `,"start":"`...), time.RFC3339Nano)
+	dst = strconv.AppendInt(append(dst, `","duration_ns":`...), int64(r.Duration), 10)
+	if len(r.Attrs) > 0 {
+		// A span carries a handful of attributes; sort them in place on
+		// the stack rather than through a sorted key slice.
+		var keys [8]string
+		sorted := keys[:0]
+		for k := range r.Attrs {
+			sorted = append(sorted, k)
+		}
+		sort.Strings(sorted)
+		for i, k := range sorted {
+			if i == 0 {
+				dst = append(dst, `,"attrs":{`...)
+			} else {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, k)
+			dst = appendJSONString(append(dst, ':'), r.Attrs[k])
+		}
+		dst = append(dst, '}')
+	}
+	dst = appendJSONString(append(dst, `,"status":`...), r.Status)
+	if r.Error != "" {
+		dst = appendJSONString(append(dst, `,"error":`...), r.Error)
+	}
+	return append(dst, '}')
 }
 
 // incompleteTail is the length of the incomplete UTF-8 sequence b ends
@@ -178,14 +296,14 @@ const hexDigits = "0123456789abcdef"
 
 // appendJSONString appends s as a JSON string literal. Like
 // encoding/json it writes invalid UTF-8 as U+FFFD; unlike it, it leaves
-// HTML characters alone.
-func appendJSONString(dst, s []byte) []byte {
+// HTML characters and U+2028/9 alone.
+func appendJSONString[T string | []byte](dst []byte, s T) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c >= utf8.RuneSelf {
-			r, size := utf8.DecodeRune(s[i:])
+			r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 			if r == utf8.RuneError && size == 1 {
 				dst = append(append(dst, s[start:i]...), `\ufffd`...)
 				start = i + 1
@@ -216,21 +334,29 @@ func appendJSONString(dst, s []byte) []byte {
 	return append(append(dst, s[start:]...), '"')
 }
 
-// tokenLine is one decoded token line of a stream_tokens session, in
-// storage the pump reuses line after line and stream after stream: text
-// is the exact bytes of the line's tokens (response_raw when the line
-// has it, else response).
-type tokenLine struct {
+// streamLine is one decoded line of a stream_tokens session, in storage
+// the pump reuses line after line and stream after stream. On a token
+// line, text is the exact bytes of the line's tokens (response_raw when
+// the line has it, else response); on the done line, done is set and the
+// terminal fields are filled. Span records are the one thing that outlives
+// the next decode — their strings and maps are allocated fresh.
+type streamLine struct {
 	text []byte // aliases raw or response
 	ids  []int
 	ends []int // empty when the line has no token_ends
 
-	response, raw, scratch []byte
+	done       bool
+	doneReason llm.DoneReason
+	context    []int
+	evalCount  int
+	spans      []telemetry.SpanRecord
+
+	response, raw, scratch, key []byte
 }
 
-var tokenLinePool = sync.Pool{New: func() any { return new(tokenLine) }}
+var streamLinePool = sync.Pool{New: func() any { return new(streamLine) }}
 
-// Keys of a token line, as bits of the decoder's seen-set.
+// Keys of a stream line, as bits of the decoder's seen-set.
 const (
 	keyModel = 1 << iota
 	keyCreatedAt
@@ -239,66 +365,92 @@ const (
 	keyTokens
 	keyTokenEnds
 	keyResponseRaw
+	keyDoneReason
+	keyContext
+	keyEvalCount
+	keySpans
+
+	tokenLineKeys = keyTokens | keyTokenEnds | keyResponseRaw
+	doneLineKeys  = keyDoneReason | keyContext | keyEvalCount | keySpans
 )
 
-// decode reads line into l without reflection when it is a token line of
-// the shape the daemon writes: one flat JSON object of the known keys,
-// each at most once, "done" false. It reports false for anything else —
-// the done line, a foreign daemon's extra fields, escapes it does not
-// read — and the caller falls back to encoding/json, which remains the
-// reference: whenever decode accepts a line, it fills l exactly as
-// fromResponse would from the unmarshalled line (FuzzStreamLine).
-func (l *tokenLine) decode(line []byte) bool {
-	l.ids, l.ends, l.response, l.raw = l.ids[:0], l.ends[:0], l.response[:0], l.raw[:0]
-	s := lineScanner{b: line}
-	if !s.lit('{') {
+// once marks key as seen, reporting false when it already was.
+func once(seen *int, key int) bool {
+	if *seen&key != 0 {
 		return false
 	}
-	seen, ok := 0, true
-	for first := true; ; first = false {
-		if s.lit('}') {
-			break
-		}
-		if !first && !s.lit(',') {
-			return false
-		}
-		if l.scratch, ok = s.str(l.scratch[:0]); !ok || !s.lit(':') {
-			return false
-		}
-		key := 0
-		switch string(l.scratch) {
-		case "model":
-			key = keyModel
-			l.scratch, ok = s.str(l.scratch[:0])
-		case "created_at":
-			key = keyCreatedAt
-			l.scratch, ok = s.str(l.scratch[:0])
-		case "response":
-			key = keyResponse
-			l.response, ok = s.str(l.response)
-		case "done":
-			key = keyDone
-			ok = s.word("false")
-		case "tokens":
-			key = keyTokens
-			l.ids, ok = s.ints(l.ids)
-		case "token_ends":
-			key = keyTokenEnds
-			l.ends, ok = s.ints(l.ends)
-		case "response_raw":
-			key = keyResponseRaw
-			if l.scratch, ok = s.str(l.scratch[:0]); ok {
-				l.raw = append(l.raw, make([]byte, base64.StdEncoding.DecodedLen(len(l.scratch)))...)
-				n, err := base64.StdEncoding.Decode(l.raw, l.scratch)
-				l.raw, ok = l.raw[:n], err == nil
-			}
-		}
-		if !ok || key == 0 || seen&key != 0 {
-			return false
-		}
-		seen |= key
+	*seen |= key
+	return true
+}
+
+func (l *streamLine) reset() {
+	clear(l.spans) // drop the last line's strings and maps
+	*l = streamLine{
+		ids: l.ids[:0], ends: l.ends[:0], context: l.context[:0], spans: l.spans[:0],
+		response: l.response[:0], raw: l.raw[:0], scratch: l.scratch, key: l.key,
 	}
-	if s.ws(); s.i != len(s.b) {
+}
+
+// decode reads line into l without reflection when it is a line of the
+// shape the daemon writes: one JSON object of the known keys, each at
+// most once — a token line ("done" false, the token members) or the done
+// line ("done" true, done_reason, context, eval_count, spans). It reports
+// false for anything else — a foreign daemon's extra fields, a line mixing
+// the two shapes, escapes it does not read — and the caller falls back to
+// encoding/json, which remains the reference: whenever decode accepts a
+// line, it fills l exactly as fromResponse would from the unmarshalled
+// line (FuzzStreamLine).
+func (l *streamLine) decode(line []byte) bool {
+	l.reset()
+	s := lineScanner{b: line, key: l.key}
+	seen := 0
+	ok := s.object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "model":
+			l.scratch, ok = s.str(l.scratch[:0])
+			return ok && once(&seen, keyModel)
+		case "created_at":
+			l.scratch, ok = s.str(l.scratch[:0])
+			return ok && once(&seen, keyCreatedAt)
+		case "response":
+			l.response, ok = s.str(l.response)
+			return ok && once(&seen, keyResponse)
+		case "done":
+			l.done, ok = s.bool()
+			return ok && once(&seen, keyDone)
+		case "tokens":
+			l.ids, ok = s.ints(l.ids)
+			return ok && once(&seen, keyTokens)
+		case "token_ends":
+			l.ends, ok = s.ints(l.ends)
+			return ok && once(&seen, keyTokenEnds)
+		case "response_raw":
+			if l.scratch, ok = s.str(l.scratch[:0]); ok {
+				var err error
+				l.raw, err = base64.StdEncoding.AppendDecode(l.raw, l.scratch)
+				ok = err == nil
+			}
+			return ok && once(&seen, keyResponseRaw)
+		case "done_reason":
+			l.scratch, ok = s.str(l.scratch[:0])
+			l.doneReason = doneReason(l.scratch)
+			return ok && once(&seen, keyDoneReason)
+		case "context":
+			l.context, ok = s.ints(l.context)
+			return ok && once(&seen, keyContext)
+		case "eval_count":
+			l.evalCount, ok = s.int()
+			return ok && once(&seen, keyEvalCount)
+		case "spans":
+			return once(&seen, keySpans) && s.array(func() bool {
+				l.spans = append(l.spans, telemetry.SpanRecord{})
+				return s.spanRecord(&l.spans[len(l.spans)-1], &l.scratch)
+			})
+		}
+		return false
+	})
+	l.key = s.key
+	if !ok || !s.end() || l.done && seen&tokenLineKeys != 0 || !l.done && seen&doneLineKeys != 0 {
 		return false
 	}
 	l.text = l.response
@@ -308,23 +460,281 @@ func (l *tokenLine) decode(line []byte) bool {
 	return true
 }
 
+// doneReason is b as a DoneReason, without allocating for the ones the
+// engine gives.
+func doneReason(b []byte) llm.DoneReason {
+	switch string(b) {
+	case string(llm.DoneStop):
+		return llm.DoneStop
+	case string(llm.DoneLength):
+		return llm.DoneLength
+	case string(llm.DoneCancel):
+		return llm.DoneCancel
+	}
+	return llm.DoneReason(b)
+}
+
 // fromResponse fills l from a line that went through encoding/json.
-func (l *tokenLine) fromResponse(gr *GenerateResponse) {
-	l.response = append(l.response[:0], gr.Response...)
+func (l *streamLine) fromResponse(gr *GenerateResponse) {
+	l.reset()
+	l.response = append(l.response, gr.Response...)
 	l.text = l.response
 	if gr.ResponseRaw != nil {
 		l.text = gr.ResponseRaw
 	}
-	l.ids = append(l.ids[:0], gr.Tokens...)
-	l.ends = append(l.ends[:0], gr.TokenEnds...)
+	l.ids = append(l.ids, gr.Tokens...)
+	l.ends = append(l.ends, gr.TokenEnds...)
+	l.done, l.doneReason, l.evalCount = gr.Done, llm.DoneReason(gr.DoneReason), gr.EvalCount
+	l.context = append(l.context, gr.Context...)
+	l.spans = append(l.spans, gr.Spans...)
 }
 
-// lineScanner reads the JSON subset tokenLine.decode accepts. Every
-// method reports false on input it does not read, never an error: the
-// caller's fallback decides whether the line is actually malformed.
+// Keys of a span record.
+const (
+	keyTraceID = 1 << iota
+	keySpanID
+	keyParentID
+	keyName
+	keyService
+	keyStart
+	keyDuration
+	keyAttrs
+	keyStatus
+	keyError
+)
+
+// spanRecord reads the next value as a telemetry.SpanRecord into r, using
+// scratch for its strings before they are copied out.
+func (s *lineScanner) spanRecord(r *telemetry.SpanRecord, scratch *[]byte) bool {
+	seen := 0
+	str := func(dst *string, key int) (ok bool) {
+		if *scratch, ok = s.str((*scratch)[:0]); ok {
+			*dst = string(*scratch)
+		}
+		return ok && once(&seen, key)
+	}
+	return s.object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "trace_id":
+			return str(&r.TraceID, keyTraceID)
+		case "span_id":
+			return str(&r.SpanID, keySpanID)
+		case "parent_id":
+			return str(&r.ParentID, keyParentID)
+		case "name":
+			return str(&r.Name, keyName)
+		case "service":
+			return str(&r.Service, keyService)
+		case "start":
+			// time.Time's UnmarshalJSON parses the literal's bytes as they
+			// are, so only an escape-free literal reads the same here.
+			lit, ok := s.plain()
+			return ok && r.Start.UnmarshalText(lit) == nil && once(&seen, keyStart)
+		case "duration_ns":
+			n, ok := s.int()
+			r.Duration = time.Duration(n)
+			return ok && once(&seen, keyDuration)
+		case "attrs":
+			r.Attrs = make(map[string]string, 4)
+			return once(&seen, keyAttrs) && s.object(func(key []byte) (ok bool) {
+				k := string(key)
+				if *scratch, ok = s.str((*scratch)[:0]); ok {
+					r.Attrs[k] = string(*scratch)
+				}
+				return ok
+			})
+		case "status":
+			return str(&r.Status, keyStatus)
+		case "error":
+			return str(&r.Error, keyError)
+		}
+		return false
+	})
+}
+
+// requestBuf is pooled storage for one /api/generate request body: the
+// client encodes the request into body, the daemon reads it into body and
+// scans it with the rest as scratch.
+type requestBuf struct {
+	body     []byte
+	key, str []byte
+	ints     []int
+}
+
+var requestBufPool = sync.Pool{New: func() any { return new(requestBuf) }}
+
+// maxPooledBody bounds the buffers that go back to the pool: one that grew
+// toward the body cap for an outsized request is dropped, not kept.
+const maxPooledBody = 64 << 10
+
+func (rb *requestBuf) release() {
+	if cap(rb.body) <= maxPooledBody {
+		requestBufPool.Put(rb)
+	}
+}
+
+// encode renders req into rb.body as json.Marshal renders a
+// GenerateRequest (members in declaration order, the empty ones omitted,
+// the options object always there), minus its HTML escaping.
+func (rb *requestBuf) encode(req *GenerateRequest) {
+	dst := appendJSONString(append(rb.body[:0], `{"model":`...), req.Model)
+	dst = appendJSONString(append(dst, `,"prompt":`...), req.Prompt)
+	if req.Stream != nil {
+		dst = strconv.AppendBool(append(dst, `,"stream":`...), *req.Stream)
+	}
+	if len(req.Context) > 0 {
+		dst = appendInts(append(dst, `,"context":`...), req.Context)
+	}
+	dst = append(dst, `,"options":{`...)
+	if req.Options.NumPredict != 0 {
+		dst = strconv.AppendInt(append(dst, `"num_predict":`...), int64(req.Options.NumPredict), 10)
+	}
+	if req.Options.StreamTokens {
+		if req.Options.NumPredict != 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `"stream_tokens":true`...)
+	}
+	rb.body = append(dst, "}}"...)
+}
+
+// Members of a generate request, as bits of its decoder's seen-set.
+const (
+	reqModel = 1 << iota
+	reqPrompt
+	reqStream
+	reqContext
+	reqOptions
+	reqNumPredict
+	reqStreamTokens
+)
+
+// decode reads rb.body into req without reflection when it is the object
+// the client writes — the known members, each at most once, nothing after
+// it — exactly as encoding/json would (FuzzGenerateRequest). It reports
+// false, leaving req zero, for anything else: members of Ollama's this
+// daemon ignores, a null, invalid UTF-8; the caller falls back to
+// encoding/json.
+func (rb *requestBuf) decode(req *GenerateRequest) bool {
+	*req = GenerateRequest{}
+	s := lineScanner{b: rb.body, key: rb.key}
+	seen := 0
+	ok := s.object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "model":
+			rb.str, ok = s.str(rb.str[:0])
+			req.Model = string(rb.str)
+			return ok && once(&seen, reqModel)
+		case "prompt":
+			rb.str, ok = s.str(rb.str[:0])
+			req.Prompt = string(rb.str)
+			return ok && once(&seen, reqPrompt)
+		case "stream":
+			var stream bool
+			stream, ok = s.bool()
+			req.Stream = &stream
+			return ok && once(&seen, reqStream)
+		case "context":
+			rb.ints, ok = s.ints(rb.ints[:0])
+			req.Context = append(make([]int, 0, len(rb.ints)), rb.ints...)
+			return ok && once(&seen, reqContext)
+		case "options":
+			return once(&seen, reqOptions) && s.object(func(key []byte) (ok bool) {
+				switch string(key) {
+				case "num_predict":
+					req.Options.NumPredict, ok = s.int()
+					return ok && once(&seen, reqNumPredict)
+				case "stream_tokens":
+					req.Options.StreamTokens, ok = s.bool()
+					return ok && once(&seen, reqStreamTokens)
+				}
+				return false
+			})
+		}
+		return false
+	})
+	rb.key = s.key
+	if !ok || !s.end() {
+		*req = GenerateRequest{}
+		return false
+	}
+	return true
+}
+
+// lineScanner reads the JSON subset the daemon and the client write to
+// each other. Every method reports false on input it does not read, never
+// an error: the caller's fallback decides whether the input is actually
+// malformed.
 type lineScanner struct {
 	b []byte
 	i int
+	// key holds the member key object is at; its storage is the caller's,
+	// handed in and taken back so it keeps its capacity.
+	key []byte
+}
+
+// object reads the JSON object that is next, calling member for each of
+// its members with the scanner at the value and key the member's name —
+// valid only until member reads another object.
+func (s *lineScanner) object(member func(key []byte) bool) bool {
+	if !s.lit('{') {
+		return false
+	}
+	for first := true; !s.lit('}'); first = false {
+		if !first && !s.lit(',') {
+			return false
+		}
+		var ok bool
+		if s.key, ok = s.str(s.key[:0]); !ok || !s.lit(':') || !member(s.key) {
+			return false
+		}
+	}
+	return true
+}
+
+// array reads the JSON array that is next, calling element with the
+// scanner at each of its values.
+func (s *lineScanner) array(element func() bool) bool {
+	if !s.lit('[') {
+		return false
+	}
+	for first := true; !s.lit(']'); first = false {
+		if !first && !s.lit(',') || !element() {
+			return false
+		}
+	}
+	return true
+}
+
+// end reports whether nothing but white space is left.
+func (s *lineScanner) end() bool {
+	s.ws()
+	return s.i == len(s.b)
+}
+
+func (s *lineScanner) bool() (v, ok bool) {
+	if s.word("true") {
+		return true, true
+	}
+	return false, s.word("false")
+}
+
+// plain returns the bytes of the next JSON string in place when it is
+// written without escapes.
+func (s *lineScanner) plain() ([]byte, bool) {
+	if !s.lit('"') {
+		return nil, false
+	}
+	for start := s.i; s.i < len(s.b); s.i++ {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			s.i++
+			return s.b[start : s.i-1], true
+		case c == '\\' || c < 0x20:
+			return nil, false
+		}
+	}
+	return nil, false
 }
 
 func (s *lineScanner) ws() {
@@ -426,36 +836,33 @@ func (s *lineScanner) str(dst []byte) ([]byte, bool) {
 
 // ints appends the next JSON array of integers to dst.
 func (s *lineScanner) ints(dst []int) ([]int, bool) {
-	if !s.lit('[') {
-		return dst, false
-	}
-	if s.lit(']') {
-		return dst, true
-	}
-	for {
-		s.ws()
-		neg := s.i < len(s.b) && s.b[s.i] == '-'
-		if neg {
-			s.i++
-		}
-		start, v := s.i, 0
-		for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
-			v = v*10 + int(s.b[s.i]-'0')
-			s.i++
-		}
-		// One to eighteen digits (no overflow), no leading zero.
-		if n := s.i - start; n == 0 || n > 18 || (n > 1 && s.b[start] == '0') {
-			return dst, false
-		}
-		if neg {
-			v = -v
-		}
+	ok := s.array(func() bool {
+		v, ok := s.int()
 		dst = append(dst, v)
-		if s.lit(']') {
-			return dst, true
-		}
-		if !s.lit(',') {
-			return dst, false
-		}
+		return ok
+	})
+	return dst, ok
+}
+
+// int reads the next JSON number when it is a plain integer of one to
+// eighteen digits (no overflow) without a leading zero. A fraction or an
+// exponent is left unread, where whatever must follow the value fails.
+func (s *lineScanner) int() (int, bool) {
+	s.ws()
+	neg := s.i < len(s.b) && s.b[s.i] == '-'
+	if neg {
+		s.i++
 	}
+	start, v := s.i, 0
+	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
+		v = v*10 + int(s.b[s.i]-'0')
+		s.i++
+	}
+	if n := s.i - start; n == 0 || n > 18 || (n > 1 && s.b[start] == '0') {
+		return 0, false
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
 }

@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"llmms/internal/llm"
+	"llmms/internal/telemetry"
 )
 
 // echoLine is the token line the daemon writes for a stream_tokens
@@ -23,8 +24,8 @@ func echoLine(text string, ids, ends []int) []byte {
 
 // drainTokens pushes a decoded line into a fresh buffer and drains it one
 // token at a time, or reports the push's rejection.
-func drainTokens(tl *tokenLine) ([]llm.Chunk, error) {
-	buf := llm.NewStreamBuffer(nil)
+func drainTokens(tl *streamLine) ([]llm.Chunk, error) {
+	buf := llm.NewStreamBuffer(nil, 0)
 	if err := buf.Push(tl.text, tl.ids, tl.ends); err != nil {
 		return nil, err
 	}
@@ -82,12 +83,12 @@ func TestTokenLineEncoding(t *testing.T) {
 		if gr.Model != "llama3:8b" || gr.Done || gr.CreatedAt == "" {
 			t.Fatalf("%s: envelope = %+v", tc.name, gr)
 		}
-		var fast, ref tokenLine
+		var fast, ref streamLine
 		if !fast.decode(line) {
 			t.Fatalf("%s: fast decoder declined the daemon's own line: %s", tc.name, line)
 		}
 		ref.fromResponse(&gr)
-		for _, tl := range []*tokenLine{&fast, &ref} {
+		for _, tl := range []*streamLine{&fast, &ref} {
 			if string(tl.text) != tc.text || !reflect.DeepEqual(tl.ids, tc.ids) || (tc.wantEnds && !reflect.DeepEqual(tl.ends, tc.ends)) {
 				t.Fatalf("%s: decoded %q %v %v, want %q %v %v", tc.name, tl.text, tl.ids, tl.ends, tc.text, tc.ids, tc.ends)
 			}
@@ -96,11 +97,32 @@ func TestTokenLineEncoding(t *testing.T) {
 }
 
 // TestTokenLineDecoderDeclines lists lines the fast decoder must leave to
-// encoding/json: the done line, foreign fields, and anything whose
-// reading it could get wrong.
+// encoding/json: foreign fields, a line that is half token line and half
+// done line, and anything whose reading it could get wrong.
 func TestTokenLineDecoderDeclines(t *testing.T) {
+	span := func(member string) string {
+		return `{"model":"m","response":"","done":true,"spans":[{"trace_id":"t","span_id":"s","name":"n",` + member + `}]}`
+	}
 	for _, line := range []string{
-		`{"model":"m","response":"","done":true,"done_reason":"stop","context":[1,2]}`,
+		`{"model":"m","response":"","done":true,"done_reason":"stop","context":[1,2],"total_duration":5}`,
+		`{"model":"m","response":"","done":true,"done_reason":"stop","done_reason":"length"}`,
+		`{"model":"m","response":"x","done":true,"tokens":[1]}`,
+		`{"model":"m","response":"","done":true,"context":null}`,
+		`{"model":"m","response":"","done":true,"eval_count":3.0}`,
+		`{"model":"m","response":"","done":true,"eval_count":"3"}`,
+		`{"model":"m","response":"","done":true,"spans":null}`,
+		`{"model":"m","response":"","done":true,"spans":[null]}`,
+		`{"model":"m","response":"","done":null}`,
+		`{"model":"m","response":"","context":[1]}`,
+		span(`"start":"2026-10-02T21:26:38\u002e5Z"`),
+		span(`"start":"yesterday"`),
+		span(`"start":null`),
+		span(`"duration_ns":1e3`),
+		span(`"attrs":null`),
+		span(`"attrs":{"k":1}`),
+		span(`"status":"ok","status":"ok"`),
+		span(`"Status":"ok"`),
+		span(`"links":[]`),
 		`{"model":"m","response":"x","done":false,"tokens":[1],"spans":[]}`,
 		`{"model":"m","response":"x","response":"y","tokens":[1]}`,
 		`{"model":"m","response":"\ud83e\udd8a","tokens":[1]}`,
@@ -115,25 +137,156 @@ func TestTokenLineDecoderDeclines(t *testing.T) {
 		`["model"]`,
 		``,
 	} {
-		var tl tokenLine
+		var tl streamLine
 		if tl.decode([]byte(line)) {
 			t.Errorf("fast decoder accepted %s", line)
 		}
 	}
 }
 
+// testSpans are two daemon span records as a done line carries them: a
+// root with a remote parent and attributes, and a failed child.
+func testSpans() []telemetry.SpanRecord {
+	start := time.Date(2026, 10, 2, 21, 26, 38, 123456789, time.UTC)
+	return []telemetry.SpanRecord{
+		{TraceID: "0123456789abcdef0123456789abcdef", SpanID: "1111111111111111", ParentID: "2222222222222222",
+			Name: "engine.generate", Service: "modeld", Start: start.Add(time.Millisecond), Duration: 1234567,
+			Attrs: map[string]string{"tokens": "42", "batch_occupancy": "1", "lines": "3"}, Status: "ok"},
+		{TraceID: "0123456789abcdef0123456789abcdef", SpanID: "3333333333333333",
+			Name: "modeld.handle_generate", Start: start.In(time.FixedZone("", 2*3600)), Duration: 0,
+			Attrs: map[string]string{"model": "llama3:8b \"quoted\" <&>"}, Status: "error", Error: "context canceled\n"},
+	}
+}
+
+// doneLine is the done line the daemon writes for a stream_tokens request
+// (or, with chat, an /api/chat one) ending on final.
+func doneLine(chat bool, tail string, final llm.Chunk, spans []telemetry.SpanRecord) []byte {
+	lw := newLineWriter(nil, "llama3:8b", chat, !chat)
+	defer lw.release()
+	return lw.appendDoneLine(nil, time.Unix(1700000000, 123), []byte(tail), final, spans)
+}
+
+// TestDoneLineEncoding pins the done line against encoding/json, the
+// writer it replaced: the same bytes wherever json's HTML escaping does
+// not come into it, the same decoded values everywhere, and both decoders
+// read it back to what was written.
+func TestDoneLineEncoding(t *testing.T) {
+	at := time.Unix(1700000000, 123).UTC().Format(time.RFC3339Nano)
+	for _, tc := range []struct {
+		name      string
+		final     llm.Chunk
+		spans     []telemetry.SpanRecord
+		sameBytes bool
+	}{
+		{name: "stop", final: llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{5, 6, 7}, EvalCount: 3, TotalTokens: 3}, sameBytes: true},
+		{name: "length, continued", final: llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2, 3, 4}, EvalCount: 2, TotalTokens: 4}, sameBytes: true},
+		{name: "cancel before a token", final: llm.Chunk{Done: true, DoneReason: llm.DoneCancel, Context: []int{}}, sameBytes: true},
+		{name: "no reason", final: llm.Chunk{Done: true}, sameBytes: true},
+		{name: "one span", final: llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{9}, EvalCount: 1}, spans: testSpans()[:1], sameBytes: true},
+		{name: "two spans", final: llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{9}, EvalCount: 1}, spans: testSpans()},
+	} {
+		line := doneLine(false, "", tc.final, tc.spans)
+		want := GenerateResponse{Model: "llama3:8b", CreatedAt: at, Done: true, DoneReason: string(tc.final.DoneReason),
+			Context: tc.final.Context, EvalCount: tc.final.EvalCount, Spans: tc.spans}
+		ref, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.sameBytes && string(line) != string(ref)+"\n" {
+			t.Fatalf("%s: done line\n %s encoding/json wrote\n %s", tc.name, line, ref)
+		}
+		var gr, grRef GenerateResponse
+		if err := json.Unmarshal(line, &gr); err != nil {
+			t.Fatalf("%s: encoding/json rejects the line: %v\n%s", tc.name, err, line)
+		}
+		if err := json.Unmarshal(ref, &grRef); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gr, grRef) {
+			t.Fatalf("%s: done line decodes to\n %+v, encoding/json's to\n %+v", tc.name, gr, grRef)
+		}
+		var fast, slow streamLine
+		if !fast.decode(line) {
+			t.Fatalf("%s: fast decoder declined the daemon's own done line: %s", tc.name, line)
+		}
+		slow.fromResponse(&gr)
+		for _, sl := range []*streamLine{&fast, &slow} {
+			if !sl.done || sl.doneReason != tc.final.DoneReason || sl.evalCount != tc.final.EvalCount ||
+				!equalInts(sl.context, tc.final.Context) || len(sl.text) != 0 || len(sl.ids) != 0 {
+				t.Fatalf("%s: decoded %+v, want %+v", tc.name, sl, tc.final)
+			}
+			if len(sl.spans) != len(tc.spans) || (len(tc.spans) > 0 && !reflect.DeepEqual(sl.spans, gr.Spans)) {
+				t.Fatalf("%s: decoded spans %+v, want %+v", tc.name, sl.spans, gr.Spans)
+			}
+		}
+	}
+
+	// /api/chat and the Ollama-shaped /api/generate line carry the
+	// held-back tail; neither has the token extension's members.
+	final := llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2}, EvalCount: 2}
+	var cr ChatResponse
+	if err := json.Unmarshal(doneLine(true, "Bras\xc3", final, nil), &cr); err != nil {
+		t.Fatal(err)
+	}
+	if want := (ChatResponse{Model: "llama3:8b", CreatedAt: at, Message: ChatMessage{Role: "assistant", Content: "Bras\ufffd"},
+		Done: true, DoneReason: "length", EvalCount: 2}); cr != want {
+		t.Fatalf("chat done line decodes to %+v, want %+v", cr, want)
+	}
+	lw := newLineWriter(nil, "m", false, false)
+	defer lw.release()
+	if line := lw.appendDoneLine(nil, time.Now(), []byte("\xc3"), final, nil); bytes.Contains(line, []byte("response_raw")) {
+		t.Fatalf("Ollama-shaped done line carries response_raw: %s", line)
+	}
+	// A stream=false reply to a stream_tokens request is the done object
+	// with all of the text, byte-exact through response_raw.
+	var gr GenerateResponse
+	if err := json.Unmarshal(doneLine(false, "Bras\xc3", final, nil), &gr); err != nil {
+		t.Fatal(err)
+	}
+	if gr.Response != "Bras\ufffd" || string(gr.ResponseRaw) != "Bras\xc3" {
+		t.Fatalf("reply cut mid-character decodes to %q / raw %q", gr.Response, gr.ResponseRaw)
+	}
+}
+
+// TestFastDecodersAllocateNothing pins the point of the scanner: a token
+// line and a span-less done line are read into reused storage.
+func TestFastDecodersAllocateNothing(t *testing.T) {
+	token := echoLine(" bats are not blind", []int{412, 9, 77, 1030}, []int{5, 9, 13, 19})
+	done := doneLine(false, "", llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{412, 9, 77, 1030}, EvalCount: 4}, nil)
+	var sl streamLine
+	for _, line := range [][]byte{token, done} {
+		sl.decode(line)
+		if n := testing.AllocsPerRun(100, func() {
+			if !sl.decode(line) {
+				t.Fatalf("declined %s", line)
+			}
+		}); n != 0 {
+			t.Errorf("decoding %s allocates %v times, want 0", line, n)
+		}
+	}
+	var req GenerateRequest
+	req.Model, req.Prompt, req.Context = "llama3:8b", "Question: Are bats blind?\nAnswer:", []int{1, 2, 3}
+	req.Options.NumPredict, req.Options.StreamTokens = 128, true
+	var rb requestBuf
+	rb.encode(&req)
+	if n := testing.AllocsPerRun(100, func() { rb.encode(&req) }); n != 0 {
+		t.Errorf("encoding a request allocates %v times, want 0", n)
+	}
+}
+
 // FuzzStreamLine feeds arbitrary bytes through the client's line decoder
 // and the buffer's validator. Whatever the input: no panic; a line the
-// fast decoder accepts is one encoding/json reads to the same tokens; a
-// line that reaches the buffer drains to exactly its own ids and text;
-// and an accepted line re-encoded by the daemon's writer decodes (on the
-// fast path) to the same tokens again.
+// fast decoder accepts — token line or done line — is one encoding/json
+// reads to exactly the same values; a token line that reaches the buffer
+// drains to exactly its own ids and text; and an accepted line re-encoded
+// by the daemon's writer decodes (on the fast path) to the same values
+// again.
 func FuzzStreamLine(f *testing.F) {
 	f.Add(echoLine(" bats", []int{412}, nil))
 	f.Add(echoLine(" bats are not blind", []int{412, 9, 77, 1030}, []int{5, 9, 13, 19}))
 	f.Add(echoLine("Bras\xc3", []int{66, 114, 195}, []int{1, 4, 5}))
 	f.Add(echoLine("\xadlia \"x\"\n", []int{173, 300}, []int{1, 9}))
-	done, _ := json.Marshal(GenerateResponse{Model: "m", CreatedAt: now(), Done: true,
+	done, _ := json.Marshal(GenerateResponse{Model: "m", CreatedAt: "2026-10-02T21:26:38.001367449Z", Done: true,
 		DoneReason: "stop", Context: []int{1, 2, 3}, EvalCount: 3})
 	f.Add(done)
 	f.Add([]byte(`{"model":"m","response":"no ids"}`))
@@ -142,57 +295,232 @@ func FuzzStreamLine(f *testing.F) {
 	f.Add([]byte(`{"response":"ab","tokens":[1,2],"token_ends":[1,3]}`))
 	f.Add([]byte(`{"response":"�","tokens":[1],"response_raw":"ww=="}`))
 	f.Add([]byte(` { "tokens" : [ -1 , 0 ] , "token_ends":[0,0], "response" : "" } `))
+	// Done lines as the daemon writes them: every reason, with and without
+	// a context, no span records and two, attributes, an error status.
+	f.Add(doneLine(false, "", llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{5, 6, 7}, EvalCount: 3}, nil))
+	f.Add(doneLine(false, "", llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2, 3, 4}, EvalCount: 2}, testSpans()))
+	f.Add(doneLine(false, "", llm.Chunk{Done: true, DoneReason: llm.DoneCancel}, testSpans()[1:]))
+	f.Add(doneLine(false, "tail", llm.Chunk{Done: true, DoneReason: llm.DoneStop, EvalCount: 1}, nil))
+	f.Add([]byte(`{"done":true,"spans":[{"trace_id":"t","span_id":"s","name":"n","start":"2026-10-02T21:26:38+02:00","duration_ns":-5,"attrs":{},"status":""}]}`))
+	f.Add([]byte(`{"done":true,"done_reason":"stop","context":[1],"total_duration":12345}`))
+	f.Add([]byte(`{"done":true,"spans":[{"span_id":"s","start":"0000-10-01T00:00:00+00:00","attrs":{"":"","0":""},"status":"","links":0}]}`))
 
 	f.Fuzz(func(t *testing.T, line []byte) {
-		var tl tokenLine
+		var sl streamLine
 		var gr GenerateResponse
 		jsonErr := json.Unmarshal(line, &gr)
-		if tl.decode(line) {
-			if jsonErr != nil || gr.Done {
-				t.Fatalf("fast decoder accepted a line encoding/json reads as err=%v done=%v: %q", jsonErr, gr.Done, line)
+		if sl.decode(line) {
+			if jsonErr != nil {
+				t.Fatalf("fast decoder accepted a line encoding/json rejects (%v): %q", jsonErr, line)
 			}
-			var ref tokenLine
+			var ref streamLine
 			ref.fromResponse(&gr)
-			if !bytes.Equal(tl.text, ref.text) || !equalInts(tl.ids, ref.ids) || !equalInts(tl.ends, ref.ends) {
+			if !bytes.Equal(sl.text, ref.text) || !equalInts(sl.ids, ref.ids) || !equalInts(sl.ends, ref.ends) {
 				t.Fatalf("fast decoder read %q %v %v, encoding/json %q %v %v: %q",
-					tl.text, tl.ids, tl.ends, ref.text, ref.ids, ref.ends, line)
+					sl.text, sl.ids, sl.ends, ref.text, ref.ids, ref.ends, line)
+			}
+			if sl.done != ref.done || sl.doneReason != ref.doneReason || sl.evalCount != ref.evalCount ||
+				!equalInts(sl.context, ref.context) || !bytes.Equal(sl.response, ref.response) {
+				t.Fatalf("fast decoder read done=%v %q %d %v %q, encoding/json done=%v %q %d %v %q: %q",
+					sl.done, sl.doneReason, sl.evalCount, sl.context, sl.response,
+					ref.done, ref.doneReason, ref.evalCount, ref.context, ref.response, line)
+			}
+			if len(sl.spans) != len(ref.spans) || (len(sl.spans) > 0 && !reflect.DeepEqual(sl.spans, ref.spans)) {
+				t.Fatalf("fast decoder read spans %+v, encoding/json %+v: %q", sl.spans, ref.spans, line)
 			}
 		} else {
-			if jsonErr != nil || gr.Done {
+			if jsonErr != nil {
 				return
 			}
-			tl.fromResponse(&gr)
+			sl.fromResponse(&gr)
 		}
-		if len(tl.ids) == 0 {
+		if sl.done {
+			// Through the daemon's encoder and back.
+			lw := newLineWriter(nil, "m", false, true)
+			defer lw.release()
+			final := llm.Chunk{Done: true, DoneReason: sl.doneReason, Context: sl.context, EvalCount: sl.evalCount}
+			again := lw.appendDoneLine(nil, time.Now(), sl.response, final, sl.spans)
+			var back streamLine
+			if !utf8.Valid(sl.response) || strings.ContainsRune(string(sl.response), utf8.RuneError) {
+				return // re-encodes with response_raw, which no done line is read with
+			}
+			for _, r := range sl.spans {
+				if y := r.Start.Year(); y < 0 || y > 9999 {
+					return // not a time encoding/json would have written
+				}
+			}
+			if !back.decode(again) {
+				t.Fatalf("fast decoder declined the daemon's re-encoding %q of %q", again, line)
+			}
+			if !back.done || back.doneReason != sl.doneReason || back.evalCount != sl.evalCount ||
+				!equalInts(back.context, sl.context) || !bytes.Equal(back.response, sl.response) ||
+				!sameSpans(back.spans, sl.spans) {
+				t.Fatalf("round trip through the daemon's encoder read %+v, want %+v: %q", back, sl, line)
+			}
+			return
+		}
+		if len(sl.ids) == 0 {
 			return // the pump skips the line or refuses the session
 		}
-		got, err := drainTokens(&tl)
+		got, err := drainTokens(&sl)
 		if err != nil {
 			return // rejected before buffering
 		}
 		var text []byte
 		for i, c := range got {
 			text = append(text, c.Text...)
-			if c.EvalCount != 1 || !equalInts(c.Context, tl.ids[:i+1]) {
-				t.Fatalf("token %d drained as %+v, want id %d: %q", i, c, tl.ids[i], line)
+			if c.EvalCount != 1 || !equalInts(c.Context, sl.ids[:i+1]) {
+				t.Fatalf("token %d drained as %+v, want id %d: %q", i, c, sl.ids[i], line)
 			}
 		}
-		if len(got) != len(tl.ids) || !bytes.Equal(text, tl.text) {
-			t.Fatalf("drained %d tokens %q from a line of %d tokens %q: %q", len(got), text, len(tl.ids), tl.text, line)
+		if len(got) != len(sl.ids) || !bytes.Equal(text, sl.text) {
+			t.Fatalf("drained %d tokens %q from a line of %d tokens %q: %q", len(got), text, len(sl.ids), sl.text, line)
 		}
 
-		ends := tl.ends
+		ends := sl.ends
 		if len(ends) == 0 {
-			ends = []int{len(tl.text)}
+			ends = []int{len(sl.text)}
 		}
-		var back tokenLine
-		if again := echoLine(string(tl.text), tl.ids, ends); !back.decode(again) {
+		var back streamLine
+		if again := echoLine(string(sl.text), sl.ids, ends); !back.decode(again) {
 			t.Fatalf("fast decoder declined the daemon's re-encoding %q of %q", again, line)
 		}
 		if regot, err := drainTokens(&back); err != nil || !reflect.DeepEqual(regot, got) {
 			t.Fatalf("round trip through the daemon's encoder drained %+v (%v), want %+v: %q", regot, err, got, line)
 		}
 	})
+}
+
+// testRequests are /api/generate requests as the client sends them, with
+// the prompts that stress the string encoder.
+func testRequests() []GenerateRequest {
+	var reqs []GenerateRequest
+	for _, prompt := range []string{
+		"Question: Are bats blind?\nAnswer:",
+		"",
+		"quotes \"and\" back\\slashes, tabs\tand\r\nnewlines, \x01 control, <html> & more",
+		"line\u2028and paragraph\u2029separators, Brasília, 北京, 🦊",
+		"invalid \xc3 UTF-8 \xff bytes \xe2\x82",
+	} {
+		var plain, full GenerateRequest
+		plain.Model, plain.Prompt = "llama3:8b", prompt
+		full = plain
+		full.Context = []int{412, 9, 77, 1030}
+		full.Options.NumPredict, full.Options.StreamTokens = 128, true
+		off := false
+		full.Stream = &off
+		reqs = append(reqs, plain, full)
+	}
+	var predictOnly, tokensOnly GenerateRequest
+	predictOnly.Options.NumPredict = -1
+	tokensOnly.Options.StreamTokens = true
+	on := true
+	tokensOnly.Stream = &on
+	return append(reqs, predictOnly, tokensOnly)
+}
+
+// TestGenerateRequestEncoding holds the request body the client writes to
+// the json.Marshal it replaced: it unmarshals to the same GenerateRequest,
+// and the daemon's scanner reads it to that too.
+func TestGenerateRequestEncoding(t *testing.T) {
+	for _, req := range testRequests() {
+		ref, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want GenerateRequest
+		if err := json.Unmarshal(ref, &want); err != nil {
+			t.Fatal(err)
+		}
+		var rb requestBuf
+		rb.encode(&req)
+		var got, fast GenerateRequest
+		if err := json.Unmarshal(rb.body, &got); err != nil {
+			t.Fatalf("encoding/json rejects the body %s: %v", rb.body, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %s\n unmarshals to %+v,\n json.Marshal's %s\n to %+v", rb.body, got, ref, want)
+		}
+		if !rb.decode(&fast) {
+			t.Fatalf("scanner declined the client's own body %s", rb.body)
+		}
+		if !reflect.DeepEqual(fast, want) {
+			t.Fatalf("scanner read %s as %+v, want %+v", rb.body, fast, want)
+		}
+		// And json.Marshal's rendering, HTML escapes and all.
+		rb.body = append(rb.body[:0], ref...)
+		if !rb.decode(&fast) || !reflect.DeepEqual(fast, want) {
+			t.Fatalf("scanner read %s as %+v, want %+v", ref, fast, want)
+		}
+	}
+}
+
+// FuzzGenerateRequest holds the daemon's request scanner to encoding/json
+// on arbitrary bodies: it never panics, and whatever it accepts it reads
+// exactly as json.Unmarshal does; a body it declines leaves the request
+// zero for the fallback.
+func FuzzGenerateRequest(f *testing.F) {
+	for _, req := range testRequests() {
+		var rb requestBuf
+		rb.encode(&req)
+		f.Add(rb.body)
+		if ref, err := json.Marshal(req); err == nil {
+			f.Add(ref)
+			f.Add(ref[:len(ref)/2]) // truncated
+		}
+	}
+	f.Add([]byte(`{"model":"m","prompt":"p","system":"be brief","keep_alive":"5m"}`))
+	f.Add([]byte(`{"model":"m","prompt":"p","options":{"temperature":0.2}}`))
+	f.Add([]byte(`{"model":"m","model":"n"}`))
+	f.Add([]byte(`{"model":"m","stream":null,"context":null}`))
+	f.Add([]byte(`{"model":"m","context":[]} trailing`))
+	f.Add([]byte(` { "model" : "m" , "options" : { } , "context" : [ ] } `))
+	f.Add([]byte(`{"model":"m","options":{"num_predict":12345678901234567890}}`))
+	f.Add([]byte(`{"model":"m","prompt":"` + strings.Repeat("long ", 4000) + `"}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rb := requestBuf{body: body}
+		var fast, ref GenerateRequest
+		if !rb.decode(&fast) {
+			if !reflect.DeepEqual(fast, GenerateRequest{}) {
+				t.Fatalf("declined body left %+v behind: %q", fast, body)
+			}
+			return
+		}
+		if err := json.Unmarshal(body, &ref); err != nil {
+			t.Fatalf("scanner accepted a body encoding/json rejects (%v): %q", err, body)
+		}
+		if !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("scanner read %+v, encoding/json %+v: %q", fast, ref, body)
+		}
+	})
+}
+
+// sameSpans compares span records as values on the wire: the same instant
+// at the same offset whatever Location says so, and no attributes the
+// same as an empty set of them (encoding/json omits both).
+func sameSpans(a, b []telemetry.SpanRecord) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		_, xoff := x.Start.Zone()
+		_, yoff := y.Start.Zone()
+		if !x.Start.Equal(y.Start) || xoff != yoff || len(x.Attrs) != len(y.Attrs) {
+			return false
+		}
+		for k, v := range x.Attrs {
+			if w, ok := y.Attrs[k]; !ok || v != w {
+				return false
+			}
+		}
+		x.Start, y.Start, x.Attrs, y.Attrs = time.Time{}, time.Time{}, nil, nil
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
 }
 
 func equalInts(a, b []int) bool {

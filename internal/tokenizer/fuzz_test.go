@@ -41,6 +41,32 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzCount holds the in-place inference path to its reference on
+// arbitrary bytes: Count(s) is the length of the reference encoding,
+// Encode and AppendIDs equal it token for token, and the encoding decodes
+// back to s.
+func FuzzCount(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		" ",
+		"a  b   c ",
+		"Question: Are bats blind?\nAnswer:",
+		"Brasília, Kraków and Malmö — złoty!",
+		"\xc3 \xad\xff a\xc3",
+		"   \t\n  ",
+		benchPrompt(),
+	} {
+		f.Add(seed)
+	}
+	tok := Default()
+	f.Fuzz(func(t *testing.T, s string) {
+		checkAgainstReference(t, tok, s)
+		if got := tok.Decode(tok.Encode(s)); got != s {
+			t.Fatalf("round trip failed: %q -> %q", s, got)
+		}
+	})
+}
+
 // FuzzWords asserts the shared word normalizer never produces empty or
 // non-lowercase words.
 func FuzzWords(f *testing.F) {

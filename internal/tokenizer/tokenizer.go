@@ -60,6 +60,9 @@ type Tokenizer struct {
 	ranks map[pair]int
 	// merged maps a pair to the token id that replaces it.
 	merged map[pair]Token
+	// pairs is what Encode and Count read instead of the two maps: the
+	// same merges in one open-addressed table (see pairTable).
+	pairs pairTable
 	// bytesOf maps every token id to the bytes it expands to.
 	bytesOf map[Token][]byte
 	// texts holds the same expansion as a string, indexed by token id, so
@@ -96,7 +99,7 @@ func New() *Tokenizer {
 type TrainOptions struct {
 	// VocabSize is the target total vocabulary size including the 256 byte
 	// tokens and the special tokens. Values at or below firstMergeID yield
-	// a byte-only tokenizer.
+	// a byte-only tokenizer; values above maxVocabSize are clamped to it.
 	VocabSize int
 	// MinPairCount is the minimum frequency an adjacent pair must reach to
 	// be merged. Defaults to 2.
@@ -114,11 +117,18 @@ func Train(corpus string, opts TrainOptions) *Tokenizer {
 	if opts.VocabSize <= firstMergeID {
 		return t
 	}
+	if opts.VocabSize > maxVocabSize {
+		opts.VocabSize = maxVocabSize
+	}
 
 	// Work on pre-tokenized words so merges never cross word boundaries,
 	// mirroring GPT-2-style training.
 	wordCounts := make(map[string]int)
-	for _, w := range pretokenize(corpus) {
+	for p := (pretokens{text: corpus}); ; {
+		w, ok := p.next()
+		if !ok {
+			break
+		}
 		wordCounts[w]++
 	}
 	type seqCount struct {
@@ -163,6 +173,7 @@ func Train(corpus string, opts TrainOptions) *Tokenizer {
 			seqs[i].seq = applyMerge(seqs[i].seq, best, id)
 		}
 	}
+	t.pairs = newPairTable(t.merged)
 	return t
 }
 
@@ -196,87 +207,189 @@ func bytesToTokens(b []byte) []Token {
 	return ts
 }
 
-// pretokenize splits text into words: runs of letters/digits, runs of
-// spaces attached to the following word GPT-2 style, and individual
-// punctuation runes. It walks the string byte-wise and appends the
-// original bytes — never re-encoded runes — so invalid UTF-8 survives
-// unchanged and the byte-level round-trip guarantee holds for any input.
-func pretokenize(text string) []string {
-	var words []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			words = append(words, cur.String())
-			cur.Reset()
+// pretokens walks a text's pre-tokens in place: runs of letters/digits
+// with one preceding space attached GPT-2 style, every other space on its
+// own, and every other rune — punctuation, control bytes, an invalid
+// UTF-8 byte — on its own. Each pre-token is a substring of the text and
+// together they partition it, so nothing is copied, invalid UTF-8
+// survives unchanged and the byte-level round-trip guarantee holds for
+// any input.
+type pretokens struct {
+	text string
+	i    int
+}
+
+// next returns the next pre-token, or false at the end of the text.
+func (p *pretokens) next() (string, bool) {
+	text, start := p.text, p.i
+	if start >= len(text) {
+		return "", false
+	}
+	i := start
+	if text[i] == ' ' {
+		i++
+	}
+	n := wordRune(text[i:])
+	if n == 0 {
+		if i == start { // not a space either: the rune stands alone
+			_, n = utf8.DecodeRuneInString(text[i:])
+		}
+		p.i = i + n
+		return text[start:p.i], true
+	}
+	for n > 0 {
+		i += n
+		n = wordRune(text[i:])
+	}
+	p.i = i
+	return text[start:i], true
+}
+
+// wordRune returns the size of the letter or digit s starts with, 0 when
+// it starts with anything else (or is empty).
+func wordRune(s string) int {
+	if s == "" {
+		return 0
+	}
+	if c := s[0]; c < utf8.RuneSelf {
+		if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' {
+			return 1
+		}
+		return 0
+	}
+	// An invalid byte decodes to U+FFFD, which is neither.
+	if r, size := utf8.DecodeRuneInString(s); unicode.IsLetter(r) || unicode.IsDigit(r) {
+		return size
+	}
+	return 0
+}
+
+// maxVocabSize keeps every token id within the 16 bits a pairTable key
+// gives each half of a pair.
+const maxVocabSize = 1 << 16
+
+// pairTable maps a mergeable pair to the token that replaces it: open
+// addressing with linear probing over a power-of-two number of 8-byte
+// slots, at most a quarter full (64 KiB for the default vocabulary). It
+// stands in for both maps on the inference path, because merged ids are
+// handed out in rank order: the lower id is the earlier merge.
+type pairTable struct {
+	slots []pairSlot
+	shift uint // 32 - log2(len(slots))
+}
+
+// pairSlot is empty when id is 0, which is never a merged token.
+type pairSlot struct {
+	key uint32 // a<<16 | b
+	id  uint32
+}
+
+func newPairTable(merged map[pair]Token) pairTable {
+	if len(merged) == 0 {
+		return pairTable{}
+	}
+	bits := uint(4)
+	for 1<<bits < 4*len(merged) {
+		bits++
+	}
+	pt := pairTable{slots: make([]pairSlot, 1<<bits), shift: 32 - bits}
+	for p, id := range merged {
+		key := uint32(p.a)<<16 | uint32(p.b)
+		i := pt.home(key)
+		for pt.slots[i].id != 0 {
+			i = (i + 1) & uint32(len(pt.slots)-1)
+		}
+		pt.slots[i] = pairSlot{key: key, id: uint32(id)}
+	}
+	return pt
+}
+
+func (pt *pairTable) home(key uint32) uint32 { return key * 0x9E3779B1 >> pt.shift }
+
+// lookup returns the token a and b merge into, 0 when they do not merge.
+func (pt *pairTable) lookup(a, b Token) Token {
+	if len(pt.slots) == 0 {
+		return 0
+	}
+	key := uint32(a)<<16 | uint32(b)
+	for i := pt.home(key); ; i = (i + 1) & uint32(len(pt.slots)-1) {
+		switch s := pt.slots[i]; {
+		case s.id == 0:
+			return 0
+		case s.key == key:
+			return Token(s.id)
 		}
 	}
-	pendingSpace := false
-	for i := 0; i < len(text); {
-		r, size := utf8.DecodeRuneInString(text[i:])
-		raw := text[i : i+size]
-		i += size
-		switch {
-		case r == ' ':
-			flush()
-			if pendingSpace {
-				words = append(words, " ")
+}
+
+// scratchPool holds the token buffers words are merged in, so encoding
+// allocates nothing but its result and counting nothing at all.
+var scratchPool = sync.Pool{New: func() any {
+	s := make([]Token, 0, 64)
+	return &s
+}}
+
+// mergeWord applies learned merges to one pre-token in seq's storage,
+// always choosing the lowest-rank applicable merge first (standard BPE
+// inference), and returns the merged sequence.
+func (t *Tokenizer) mergeWord(seq []Token, word string) []Token {
+	seq = seq[:0]
+	for i := 0; i < len(word); i++ {
+		seq = append(seq, Token(word[i]))
+	}
+	for len(seq) > 1 {
+		var best pair
+		bestID := Token(0)
+		for i := 0; i+1 < len(seq); i++ {
+			if id := t.pairs.lookup(seq[i], seq[i+1]); id != 0 && (bestID == 0 || id < bestID) {
+				best, bestID = pair{seq[i], seq[i+1]}, id
 			}
-			pendingSpace = true
-		case (r != utf8.RuneError || size > 1) && (unicode.IsLetter(r) || unicode.IsDigit(r)):
-			if pendingSpace && cur.Len() == 0 {
-				cur.WriteByte(' ')
-				pendingSpace = false
-			}
-			cur.WriteString(raw)
-		default:
-			// Punctuation, control bytes, and invalid UTF-8 bytes each
-			// become their own pre-token, raw bytes preserved.
-			flush()
-			if pendingSpace {
-				words = append(words, " ")
-				pendingSpace = false
-			}
-			words = append(words, raw)
+		}
+		if bestID == 0 {
+			break
+		}
+		seq = applyMerge(seq, best, bestID)
+	}
+	return seq
+}
+
+// appendTokens appends text's tokens to dst; T is Token, or the plain int
+// the wire carries.
+func appendTokens[T ~int](t *Tokenizer, dst []T, text string) []T {
+	sp := scratchPool.Get().(*[]Token)
+	seq := *sp
+	for p := (pretokens{text: text}); ; {
+		w, ok := p.next()
+		if !ok {
+			break
+		}
+		if len(w) == 1 {
+			dst = append(dst, T(w[0]))
+			continue
+		}
+		seq = t.mergeWord(seq, w)
+		for _, tok := range seq {
+			dst = append(dst, T(tok))
 		}
 	}
-	if pendingSpace {
-		flush()
-		words = append(words, " ")
-	}
-	flush()
-	return words
+	*sp = seq
+	scratchPool.Put(sp)
+	return dst
 }
 
 // Encode converts text to a token sequence. Encoding never fails: bytes
 // with no merge coverage remain single-byte tokens.
 func (t *Tokenizer) Encode(text string) []Token {
-	var out []Token
-	for _, w := range pretokenize(text) {
-		out = append(out, t.encodeWord([]byte(w))...)
+	if text == "" {
+		return nil
 	}
-	return out
+	return appendTokens(t, make([]Token, 0, len(text)/2+8), text)
 }
 
-// encodeWord applies learned merges to one pre-token, always choosing the
-// lowest-rank applicable merge first (standard BPE inference).
-func (t *Tokenizer) encodeWord(b []byte) []Token {
-	seq := bytesToTokens(b)
-	for len(seq) > 1 {
-		bestRank := -1
-		var bestPair pair
-		for i := 0; i+1 < len(seq); i++ {
-			p := pair{seq[i], seq[i+1]}
-			if r, ok := t.ranks[p]; ok && (bestRank == -1 || r < bestRank) {
-				bestRank = r
-				bestPair = p
-			}
-		}
-		if bestRank == -1 {
-			break
-		}
-		seq = applyMerge(seq, bestPair, t.merged[bestPair])
-	}
-	return seq
+// AppendIDs appends text's tokens to dst as plain ints — the form in
+// which ids cross the wire — and returns the extended slice.
+func (t *Tokenizer) AppendIDs(dst []int, text string) []int {
+	return appendTokens(t, dst, text)
 }
 
 // Decode reconstructs the original text from a token sequence. Special
@@ -299,8 +412,27 @@ func (t *Tokenizer) DecodeOne(tok Token) string {
 }
 
 // Count returns the number of tokens Encode would produce for text. It is
-// the unit in which all LLM-MS budgets are denominated.
-func (t *Tokenizer) Count(text string) int { return len(t.Encode(text)) }
+// the unit in which all LLM-MS budgets are denominated. It counts without
+// encoding: no token sequence is built and nothing is allocated.
+func (t *Tokenizer) Count(text string) int {
+	sp := scratchPool.Get().(*[]Token)
+	seq, n := *sp, 0
+	for p := (pretokens{text: text}); ; {
+		w, ok := p.next()
+		if !ok {
+			break
+		}
+		if len(w) == 1 {
+			n++
+			continue
+		}
+		seq = t.mergeWord(seq, w)
+		n += len(seq)
+	}
+	*sp = seq
+	scratchPool.Put(sp)
+	return n
+}
 
 // VocabSize returns the total number of token ids.
 func (t *Tokenizer) VocabSize() int { return t.vocabSize }
@@ -321,6 +453,14 @@ func (t *Tokenizer) Validate() error {
 		want := string(t.bytesOf[p.a]) + string(t.bytesOf[p.b])
 		if got := string(t.bytesOf[id]); got != want {
 			return fmt.Errorf("tokenizer: merge %d expands to %q, want %q", id, got, want)
+		}
+	}
+	for p, id := range t.merged {
+		if got := t.pairs.lookup(p.a, p.b); got != id {
+			return fmt.Errorf("tokenizer: pair table maps (%d,%d) to %d, want %d", p.a, p.b, got, id)
+		}
+		if want := Token(firstMergeID + t.ranks[p]); id != want {
+			return fmt.Errorf("tokenizer: merge of rank %d has id %d, want %d", t.ranks[p], id, want)
 		}
 	}
 	if len(t.texts) != t.vocabSize {

@@ -121,14 +121,16 @@ func TestPretokenize(t *testing.T) {
 		{"!?", []string{"!", "?"}},
 	}
 	for _, c := range cases {
-		got := pretokenize(c.in)
-		if len(got) != len(c.want) {
-			t.Errorf("pretokenize(%q) = %q, want %q", c.in, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("pretokenize(%q)[%d] = %q, want %q", c.in, i, got[i], c.want[i])
+		// The walker Encode and Count use, and the reference it replaced.
+		for name, got := range map[string][]string{"walker": walk(c.in), "pretokenize": pretokenize(c.in)} {
+			if len(got) != len(c.want) {
+				t.Errorf("%s(%q) = %q, want %q", name, c.in, got, c.want)
+				continue
+			}
+			for i := range got {
+				if got[i] != c.want[i] {
+					t.Errorf("%s(%q)[%d] = %q, want %q", name, c.in, i, got[i], c.want[i])
+				}
 			}
 		}
 	}
@@ -136,7 +138,7 @@ func TestPretokenize(t *testing.T) {
 
 func TestPretokenizeLossless(t *testing.T) {
 	f := func(s string) bool {
-		return strings.Join(pretokenize(s), "") == s
+		return strings.Join(walk(s), "") == s && strings.Join(pretokenize(s), "") == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -161,25 +163,5 @@ func TestCountMatchesEncode(t *testing.T) {
 	f := func(s string) bool { return tok.Count(s) == len(tok.Encode(s)) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkEncode(b *testing.B) {
-	tok := Default()
-	text := strings.Repeat("the system embeds the query and performs a similarity search ", 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tok.Encode(text)
-	}
-}
-
-func BenchmarkDecode(b *testing.B) {
-	tok := Default()
-	toks := tok.Encode(strings.Repeat("retrieval augmented generation ", 20))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tok.Decode(toks)
 	}
 }

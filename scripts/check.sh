@@ -28,14 +28,13 @@ echo "== benchmark: go vet ./... && go test ./..."
 
 # One-iteration smoke of the remaining Go micro-benchmarks: proves the
 # benchmark code itself still compiles and runs (a broken benchmark
-# otherwise only surfaces when someone runs make bench-score /
-# bench-batch).
+# otherwise only surfaces when someone runs make bench-score).
 echo "== bench smoke (-benchtime=1x)"
-go test -run='^$' -bench='ScoreAll|EncodeIncremental|InterSim|FanoutPipelined' -benchtime=1x \
+go test -run='^$' -bench='ScoreAll|EncodeIncremental|InterSim' -benchtime=1x \
 	./internal/core/ ./internal/embedding/ >/dev/null
-go test -run='^$' -bench='ServeBatch|ServeRoute' -benchtime=1x ./internal/server/ >/dev/null
+go test -run='^$' -bench='ServeRoute' -benchtime=1x ./internal/server/ >/dev/null
 go test -run='^$' -bench='Fleet' -benchtime=1x ./internal/fleet/ >/dev/null
-go test -run='^$' -bench='BatchDecode' -benchtime=1x ./internal/llm/ >/dev/null
+go test -run='^$' -bench='BatchDecode|Count' -benchtime=1x ./internal/llm/ ./internal/tokenizer/ >/dev/null
 go test -run='^$' -bench='MemDB|WarmStartHitRate' -benchtime=1x \
 	./internal/vectordb/ ./internal/qcache/ >/dev/null
 
