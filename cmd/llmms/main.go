@@ -5,24 +5,19 @@
 // Usage:
 //
 //	llmms [-addr :8080] [-questions 400] [-latency 0.02]
-//	      [-batch] [-max-batch-tokens 256]
 //	      [-trace-capacity 256] [-trace-sample 1.0] [-pprof]
 //	      [-cache-ttl 5m] [-cache-capacity 256] [-semantic-threshold 0.97]
-//	      [-max-inflight 0] [-fleet 0] [-hedge-p95 0]
-//	      [-router-topk 0] [-router-min-obs 3] [-router-min-sim 0.5]
-//	      [-router-epsilon 0.1]
-//	      [-data-dir path] [-wal-sync batch] [-vectordb-shards 0]
+//	      [-max-inflight 0] [-fleet 0] [-hedge-p95 0] [-router-topk 0]
+//	      [-data-dir path] [-wal-sync batch]
 //	      [-log-level info] [-log-format text] [-slow-query 2s] [-version]
 //
 // -questions sizes the engine's knowledge base (the simulated models can
 // answer that many benchmark questions); -latency scales the simulated
 // per-token decode delay so streaming is visibly incremental (0 disables
-// sleeping entirely). -batch (default on) routes generations through
-// the engine's per-model continuous batch scheduler so concurrent
-// queries on one model decode together at ~1x–2x a single stream's
-// step cost instead of time-slicing at ~Kx; -max-batch-tokens bounds
-// the scheduler's per-step token budget (see DESIGN.md "Continuous
-// batching"). -trace-capacity bounds the in-memory ring of
+// sleeping entirely). Generations go through the engine's per-model
+// continuous batch scheduler, so concurrent queries on one model decode
+// together at ~1x–2x a single stream's step cost (see DESIGN.md
+// "Continuous batching"). -trace-capacity bounds the in-memory ring of
 // completed query traces served by /api/traces; -pprof mounts
 // net/http/pprof under /debug/pprof/ (off by default). Prometheus-style
 // metrics are always exposed on GET /metrics.
@@ -50,18 +45,15 @@
 // confidently clustered multi-model queries to the predicted top K
 // models — the narrowed width is what admission control charges, so
 // -max-inflight capacity stretches further (0 keeps the full fan-out).
-// -router-min-obs, -router-min-sim, and -router-epsilon tune the
-// confidence gates and the exploration probe cadence; GET /api/router
-// reports the live cluster index. With -data-dir the cluster index is
-// durable.
+// GET /api/router reports the live cluster index. With -data-dir the
+// cluster index is durable.
 //
 // The persistence flags (see DESIGN.md "Memory substrate"): -data-dir
 // roots the durable memory substrate — RAG chunks and sessions live in a
 // WAL-backed sharded vector database that recovers acknowledged writes
 // after a crash, and the answer cache warm-starts from its snapshot on
 // boot (empty disables persistence). -wal-sync picks the WAL durability
-// policy (batch group-commit, always, none) and -vectordb-shards the
-// lock-shard count per collection (0 = GOMAXPROCS).
+// policy (batch group-commit, always, none).
 //
 // The observability flags: -log-level and -log-format control the
 // structured (log/slog) logger shared by the server, orchestrator, and
@@ -101,9 +93,6 @@ func main() {
 	cacheCap := flag.Int("cache-capacity", qcache.DefaultCapacity, "answer cache entry bound")
 	semThreshold := flag.Float64("semantic-threshold", qcache.DefaultSemanticThreshold, "cosine similarity for semantic cache hits (>1 disables the tier)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent orchestration weight bound, 429 past the wait queue (0 = unlimited)")
-	streamSessions := flag.Bool("stream-sessions", true, "pipelined generation: one persistent stream per model per query, sliced per round (false = per-round chunk calls)")
-	batch := flag.Bool("batch", true, "continuous batching: one scheduler per model steps all in-flight generations together (false = goroutine per stream)")
-	maxBatchTokens := flag.Int("max-batch-tokens", llm.DefaultMaxBatchTokens, "per-step token budget of each model's batch scheduler (prefill + one decode token per sequence)")
 	fleetSize := flag.Int("fleet", 0, "replicas per model behind the fleet layer: breakers, health probes, least-loaded routing (0 = no fleet)")
 	hedgeP95 := flag.Float64("hedge-p95", 0, "hedge a chunk call on a second replica once it exceeds this multiple of the model's p95 latency (0 = no hedging; needs -fleet ≥ 2)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -111,12 +100,8 @@ func main() {
 	traceSample := flag.Float64("trace-sample", 1, "retention probability for ordinary traces; errors and slow-tail traces are always kept")
 	slowQuery := flag.Duration("slow-query", server.DefaultSlowQueryThreshold, "log a warning when a query's span tree exceeds this duration (negative disables)")
 	routerTopK := flag.Int("router-topk", 0, "predictive routing: fan confidently clustered queries out to only the top-k models (0 = full fan-out always)")
-	routerMinObs := flag.Int("router-min-obs", 0, "queries a routing cluster needs before it may narrow the fan-out (0 = default 3)")
-	routerMinSim := flag.Float64("router-min-sim", 0, "centroid cosine similarity below which a query falls back to the full pool (0 = default 0.5)")
-	routerEpsilon := flag.Float64("router-epsilon", 0, "ε-probe cadence: every ⌈1/ε⌉-th routed decision per cluster re-tries one excluded model (0 = default 0.1, negative disables)")
 	dataDir := flag.String("data-dir", "", "persist state under this directory: vector database with WAL crash recovery, sessions, answer-cache warm start, routing clusters (empty = in-memory only)")
 	walSync := flag.String("wal-sync", "batch", "WAL durability: batch (group commit), always (fsync per write), none")
-	vdbShards := flag.Int("vectordb-shards", 0, "lock shards per vector collection (0 = GOMAXPROCS)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -138,10 +123,8 @@ func main() {
 		log.Fatalf("llmms: %v", err)
 	}
 	engine := llm.NewEngine(llm.Options{
-		Knowledge:       llm.NewKnowledge(ds),
-		LatencyScale:    *latency,
-		DisableBatching: !*batch,
-		MaxBatchTokens:  *maxBatchTokens,
+		Knowledge:    llm.NewKnowledge(ds),
+		LatencyScale: *latency,
 	})
 	// Drain the per-model batch schedulers on shutdown so in-flight
 	// generations finish before the process exits.
@@ -163,12 +146,10 @@ func main() {
 		Fleet:              pool,
 		Telemetry:          tel,
 		EnablePprof:        *enablePprof,
-		DisableStreaming:   !*streamSessions,
 		Logger:             logger,
 		SlowQueryThreshold: *slowQuery,
 		DataDir:            *dataDir,
 		WALSync:            syncPolicy,
-		VectorDBShards:     *vdbShards,
 		Serving: server.ServingOptions{
 			CacheTTL:          *cacheTTL,
 			CacheCapacity:     *cacheCap,
@@ -176,12 +157,7 @@ func main() {
 			Coalesce:          *cacheTTL > 0,
 			MaxInflight:       *maxInflight,
 		},
-		Routing: server.RoutingOptions{
-			TopK:            *routerTopK,
-			MinObservations: *routerMinObs,
-			MinSimilarity:   *routerMinSim,
-			Epsilon:         *routerEpsilon,
-		},
+		Routing: server.RoutingOptions{TopK: *routerTopK},
 	})
 	if err != nil {
 		log.Fatalf("llmms: %v", err)

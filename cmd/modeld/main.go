@@ -8,7 +8,6 @@
 // Usage:
 //
 //	modeld [-addr :11434] [-questions 400] [-latency 0.02]
-//	       [-batch] [-max-batch-tokens 256]
 //	       [-data-dir path] [-wal-sync batch]
 //	       [-log-level info] [-log-format text] [-pprof] [-version]
 //
@@ -24,12 +23,10 @@
 // recomputation after it (empty = no cache); -wal-sync picks the WAL
 // durability policy (batch, always, none).
 //
-// -batch (default on) routes every generation through the engine's
-// per-model continuous batch scheduler: concurrent requests on one
-// model decode together at ~1x–2x a single stream's step cost instead
-// of time-slicing at ~Kx. -max-batch-tokens bounds the per-step token
-// budget. On SIGINT the daemon stops accepting requests and drains the
-// schedulers so in-flight generations finish.
+// Every generation goes through the engine's per-model continuous batch
+// scheduler: concurrent requests on one model decode together at ~1x–2x a
+// single stream's step cost. On SIGINT the daemon stops accepting requests
+// and drains the schedulers so in-flight generations finish.
 package main
 
 import (
@@ -53,8 +50,6 @@ func main() {
 	addr := flag.String("addr", ":11434", "listen address (Ollama's default port)")
 	questions := flag.Int("questions", 400, "knowledge base size")
 	latency := flag.Float64("latency", 0.02, "simulated decode latency scale (0 = no delay)")
-	batch := flag.Bool("batch", true, "continuous batching: one scheduler per model steps all in-flight generations together (false = goroutine per stream)")
-	maxBatchTokens := flag.Int("max-batch-tokens", llm.DefaultMaxBatchTokens, "per-step token budget of each model's batch scheduler (prefill + one decode token per sequence)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -73,10 +68,8 @@ func main() {
 	}
 
 	engine := llm.NewEngine(llm.Options{
-		Knowledge:       llm.NewKnowledge(truthfulqa.Generate(*questions, 1)),
-		LatencyScale:    *latency,
-		DisableBatching: !*batch,
-		MaxBatchTokens:  *maxBatchTokens,
+		Knowledge:    llm.NewKnowledge(truthfulqa.Generate(*questions, 1)),
+		LatencyScale: *latency,
 	})
 	opts := []modeld.ServerOption{
 		modeld.WithLogger(logger),

@@ -8,9 +8,9 @@
 //     orchestrator drives them through the HTTP client — exactly how the
 //     paper's computation layer talks to Ollama 0.4.5.
 //
-//  2. Cognitive routing with semantic task indexing: queries are tagged
-//     with an intent; the task index learns which models win per intent
-//     and narrows the candidate pool once it is confident.
+//  2. Cognitive routing with semantic task indexing: router.Predictor
+//     clusters queries in embedding space, learns which models win per
+//     cluster and narrows the candidate pool once it is confident.
 //
 //  3. Natural-language configuration: a plain instruction reshapes the
 //     orchestrator configuration before routing starts.
@@ -67,40 +67,39 @@ func main() {
 	}
 	fmt.Printf("  model pool is now %v, λ_max=%d\n\n", base.Models, base.MaxTokens)
 
-	// 3. Route queries through the task index, over HTTP.
-	r, err := router.New(client, base, router.Options{
-		Strategy:        directives.StrategyOr(core.StrategyOUA),
-		MinObservations: 2,
-		RouteWidth:      1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 3. Route queries through the cluster index, over HTTP: predict the
+	// fan-out, orchestrate over it, feed the outcome back.
+	strategy := directives.StrategyOr(core.StrategyOUA)
+	predictor := router.NewPredictor(router.PredictorOptions{TopK: 1, MinObservations: 2})
 	// Draw real benchmark questions: several arithmetic ones to warm the
-	// index, one misconception question to show the cold-intent fallback.
+	// index, one misconception question to show the cold-cluster fallback.
 	var queries []string
-	for _, it := range dataset.ByCategory("Arithmetic").Head(4) {
+	for _, it := range dataset.ByCategory("Arithmetic").Head(6) {
 		queries = append(queries, it.Question)
 	}
 	queries = append(queries[:2], append([]string{"Are bats blind?"}, queries[2:]...)...)
 	for _, q := range queries {
-		res, dec, err := r.Route(context.Background(), q)
+		pred := predictor.Predict(q, base.Models)
+		cfg := base
+		cfg.Models, cfg.Priors, cfg.PriorWeight = pred.Models, pred.Priors, pred.PriorWeight
+		orch, err := core.New(client, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mode := "full orchestration"
-		if dec.Routed {
-			mode = fmt.Sprintf("routed to %v", dec.Models)
+		res, err := orch.Run(context.Background(), strategy, q)
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("Q: %-28s [%s, %s]\n", q, dec.Intent, mode)
+		predictor.Observe(q, res)
+		fmt.Printf("Q: %-28s [%s → %v]\n", q, pred.Outcome, pred.Models)
 		fmt.Printf("A (%s, %d tokens): %s\n\n", res.Model, res.TokensUsed, res.Answer)
 	}
 
-	fmt.Println("task index learned:")
-	for intent, byModel := range r.Index().Snapshot() {
-		fmt.Printf("  %-12s", intent)
-		for model, cell := range byModel {
-			fmt.Printf(" %s(n=%.0f, r̄=%.2f)", model, cell[0], cell[1])
+	fmt.Println("cluster index learned:")
+	for _, c := range predictor.Status().Index {
+		fmt.Printf("  cluster %d (%d queries)", c.ID, c.Queries)
+		for _, m := range c.Models {
+			fmt.Printf(" %s(n=%.1f, r̄=%.2f)", m.Model, m.Observations, m.Mean)
 		}
 		fmt.Println()
 	}

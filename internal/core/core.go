@@ -149,12 +149,6 @@ type Config struct {
 	// model, which is the paper's "stream partial outputs concurrently";
 	// a positive value caps the workers for backends that throttle.
 	MaxConcurrent int
-	// DisableStreaming forces the per-round GenerateChunk path even when
-	// the backend implements llm.StreamingBackend. The default (false)
-	// opens one persistent generation stream per (model, query) and
-	// slices per-round chunks off a client-side buffer, so round r+1's
-	// tokens decode while round r is being scored (see stream.go).
-	DisableStreaming bool
 	// Logger, when non-nil, receives structured orchestration logs:
 	// model failures and stream fallbacks at warn, prunes/early exits
 	// and the winning selection at debug. The caller stamps it with
@@ -488,9 +482,8 @@ type candidate struct {
 	priorSum   float64
 	priorPulls float64
 
-	// sess is the candidate's persistent generation session (stream.go),
-	// attached when the backend supports streaming; nil keeps the plain
-	// per-round GenerateChunk path.
+	// sess is the candidate's generation session (stream.go), attached by
+	// every multi-model strategy before its first round.
 	sess *genSession
 }
 

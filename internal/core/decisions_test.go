@@ -1,0 +1,151 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"strings"
+	"testing"
+
+	"llmms/internal/llm"
+	"llmms/internal/truthfulqa"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/decisions.golden from this run")
+
+const decisionsGolden = "testdata/decisions.golden"
+
+// TestDecisionLog pins every decision the multi-model strategies take to a
+// log recorded before the strategies were refactored: one line per case
+// with the winner, the budget spent, the rounds, the early exit, every
+// model's (tokens, pulls, pruned, done reason, response) and a hash of the
+// event sequence. Production runs the way it ships — the in-process engine
+// behind stream sessions — and the rows no seeded question reaches (priors,
+// a dead model, a model that dies mid-query, a stream that breaks
+// mid-answer, a chunk-only backend) are scripted. A refactor of the strategies that moves one byte of this file
+// changed a decision; regenerate it (go test -run TestDecisionLog -update)
+// only for a change that means to.
+func TestDecisionLog(t *testing.T) {
+	data := truthfulqa.Generate(400, 1)
+	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(data)})
+	defer engine.Close()
+	var prompts []string
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(data))[:24] {
+		prompts = append(prompts, "Question: "+data[i].Question+"\nAnswer:")
+	}
+	pools := [][]string{
+		{llm.ModelLlama3, llm.ModelMistral},
+		{llm.ModelLlama3, llm.ModelMistral, llm.ModelQwen2},
+	}
+	strategies := []Strategy{StrategyOUA, StrategyMAB, StrategyHybrid}
+
+	var log bytes.Buffer
+	record := func(name string, b Backend, cfg Config, strat Strategy, prompt string) {
+		t.Helper()
+		events := sha256.New()
+		cfg.OnEvent = func(ev Event) {
+			// Time, Elapsed and Prefetched depend on the clock, and a
+			// score_pass event carries nothing else.
+			if ev.Type == EventScorePass {
+				return
+			}
+			fmt.Fprintf(events, "%s|%d|%s|%d|%s|%s|%.9f|%.9f|%.9f\n", ev.Type, ev.Round, ev.Model,
+				ev.Tokens, ev.Reason, ev.Text, round9(ev.Score), round9(ev.QuerySim), round9(ev.InterSim))
+		}
+		res, err := mustNew(t, b, cfg).Run(context.Background(), strat, prompt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fmt.Fprintf(&log, "%s winner=%s tokens=%d rounds=%d early=%v", name, res.Model, res.TokensUsed, res.Rounds, res.EarlyExit)
+		for _, m := range cfg.Models {
+			o, _ := res.Outcome(m)
+			text := sha256.Sum256([]byte(o.Response))
+			fmt.Fprintf(&log, " [%s t=%d p=%d pruned=%v failed=%v done=%q text=%x]", m, o.Tokens, o.Pulls,
+				o.Pruned, o.Failed, o.DoneReason, text[:8])
+		}
+		fmt.Fprintf(&log, " events=%x\n", events.Sum(nil)[:16])
+	}
+
+	for _, strat := range strategies {
+		for _, budget := range []int{32, 128, 2048} {
+			for _, pool := range pools {
+				for q, prompt := range prompts {
+					cfg := DefaultConfig(pool...)
+					cfg.MaxTokens = budget
+					record(fmt.Sprintf("%s/%d/%d/q%02d", strat, budget, len(pool), q), engine, cfg, strat, prompt)
+				}
+			}
+		}
+	}
+
+	// The rows no seeded question reaches, on the three-model pool at 128
+	// tokens over the first four questions.
+	pool := pools[1]
+	base := func() Config {
+		cfg := DefaultConfig(pool...)
+		cfg.MaxTokens = 128
+		cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: -1}
+		return cfg
+	}
+	for _, strat := range strategies {
+		for q, prompt := range prompts[:4] {
+			if strat != StrategyOUA {
+				cfg := base()
+				cfg.Priors = map[string]float64{llm.ModelLlama3: 0.2, llm.ModelMistral: 0.9, llm.ModelQwen2: 0.5}
+				record(fmt.Sprintf("%s/priors/q%02d", strat, q), engine, cfg, strat, prompt)
+			}
+
+			dead := NewFaultBackend(engine)
+			dead.EnableStreams()
+			dead.FailStreamOpen(llm.ModelMistral, errBoom)
+			dead.FailAlways(llm.ModelMistral, errBoom)
+			record(fmt.Sprintf("%s/dead/q%02d", strat, q), dead, base(), strat, prompt)
+
+			// Dies on its second pull: the first chunk call succeeds, the
+			// next one fails both attempts.
+			late := NewFaultBackend(engine)
+			late.FailCall(llm.ModelLlama3, 2, errBoom)
+			late.FailCall(llm.ModelLlama3, 3, errBoom)
+			record(fmt.Sprintf("%s/late/q%02d", strat, q), late, base(), strat, prompt)
+
+			broken := NewFaultBackend(engine)
+			broken.EnableStreams()
+			broken.BreakStreamAfter(llm.ModelLlama3, 10)
+			record(fmt.Sprintf("%s/broken/q%02d", strat, q), broken, base(), strat, prompt)
+
+			record(fmt.Sprintf("%s/chunkonly/q%02d", strat, q), chunkOnlyWrapper{inner: engine}, base(), strat, prompt)
+		}
+	}
+
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(decisionsGolden, log.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(decisionsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(log.Bytes(), want) {
+		return
+	}
+	got, old := strings.Split(log.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) && i < len(old); i++ {
+		if got[i] != old[i] {
+			t.Fatalf("decision log line %d changed:\n got %s\nwant %s", i+1, got[i], old[i])
+		}
+	}
+	t.Fatalf("decision log has %d lines, golden %d", len(got), len(old))
+}
+
+// round9 rounds to 1e-9, folding -0 into 0.
+func round9(x float64) float64 { return math.Round(x*1e9)/1e9 + 0 }

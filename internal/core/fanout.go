@@ -137,7 +137,8 @@ type fanJob struct {
 	take int
 	// hint is the session-wide budget a lazily opened stream should
 	// cover — the most tokens this candidate could still receive this
-	// query. Ignored on the per-round path and once a stream is open.
+	// query. Ignored once a stream is open, and by a session serving
+	// per-round calls.
 	hint int
 }
 
@@ -161,7 +162,7 @@ type fanResult struct {
 	prefetched  int    // tokens already buffered when the drain started
 }
 
-// fanOut issues every job's GenerateChunk concurrently (bounded by
+// fanOut pulls every job's chunk concurrently (bounded by
 // Config.MaxConcurrent when positive) and blocks until all have
 // completed or failed their retry budget. Workers write only their own
 // result slot; the caller consumes results in job order, so candidate
@@ -169,7 +170,7 @@ type fanResult struct {
 // answered first. The wait is announced first (Config.BeforeWait): every
 // event of the previous round has been emitted by now and none follows
 // until the slowest job returns.
-func (o *Orchestrator) fanOut(ctx context.Context, prompt string, jobs []fanJob) []fanResult {
+func (o *Orchestrator) fanOut(ctx context.Context, jobs []fanJob) []fanResult {
 	results := make([]fanResult, len(jobs))
 	if len(jobs) == 0 {
 		return results
@@ -188,33 +189,60 @@ func (o *Orchestrator) fanOut(ctx context.Context, prompt string, jobs []fanJob)
 				sem <- struct{}{}
 				defer func() { <-sem }()
 			}
-			results[i] = o.pull(ctx, j.cand, prompt, j.take, j.hint)
+			results[i] = o.pull(ctx, j.cand, j.take, j.hint)
 		}(i, j)
 	}
 	wg.Wait()
 	return results
 }
 
-// pull issues one candidate's chunk call — through its persistent
-// generation session when one is attached (stream.go), via the plain
-// retried per-round path otherwise. It is the single generation entry
-// point for fan-out workers and the bandits' sequential pulls. A
-// candidate's session is touched by one pull at a time; pull never
-// mutates any other candidate state and never emits events, so it is
-// safe on fan-out workers.
-func (o *Orchestrator) pull(ctx context.Context, c *candidate, prompt string, take, hint int) fanResult {
+// pull takes one candidate's next chunk off its generation session
+// (stream.go) — the single generation entry point for fan-out workers and
+// the bandit's sequential pulls. A candidate's session is touched by one
+// pull at a time; pull never mutates any other candidate state and never
+// emits events, so it is safe on fan-out workers.
+func (o *Orchestrator) pull(ctx context.Context, c *candidate, take, hint int) fanResult {
 	callStart := time.Now()
-	var r fanResult
-	if c.sess != nil {
-		r = c.sess.next(ctx, c.cont, take, hint)
-	} else {
-		chunk, attempts, err := generateWithRetry(ctx, o.backend, llm.ChunkRequest{
-			Model: c.model, Prompt: prompt, MaxTokens: take, Cont: c.cont,
-		}, o.cfg.Retry)
-		r = fanResult{chunk: chunk, attempts: attempts, err: err}
-	}
+	r := c.sess.next(ctx, c.cont, take, hint)
 	r.elapsed = time.Since(callStart)
 	return r
+}
+
+// absorb applies one pull's result to its candidate — the one place a
+// chunk becomes candidate state, for every round of every multi-model
+// strategy. It announces the session's transitions, then either retires a
+// model whose retry budget is exhausted (the caller sees c.failed) or
+// appends the chunk: text, continuation state, tokens, pull count, done
+// reason, and the chunk event. It returns the tokens the chunk added, and
+// an error only when the query must end: the caller's context is over, or
+// the backend reported a cancel. Runs on the orchestrating goroutine.
+func (o *Orchestrator) absorb(ctx context.Context, strategy Strategy, round int, c *candidate, r fanResult) (int, error) {
+	o.emitStreamEvents(strategy, round, c, r)
+	if r.err != nil {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		o.failCandidate(strategy, round, c, r.attempts, r.err)
+		return 0, nil
+	}
+	chunk := r.chunk
+	c.response += chunk.Text
+	c.cont = chunk.Context
+	c.tokens += chunk.EvalCount
+	c.pulls++
+	c.reason = chunk.DoneReason
+	switch chunk.DoneReason {
+	case llm.DoneStop:
+		c.done = true
+	case llm.DoneCancel:
+		return 0, cancelErr(ctx)
+	}
+	if chunk.EvalCount > 0 {
+		o.emit(Event{Type: EventChunk, Strategy: strategy, Round: round,
+			Model: c.model, Text: chunk.Text, Tokens: chunk.EvalCount,
+			Elapsed: r.elapsed, Attempts: r.attempts, Prefetched: r.prefetched})
+	}
+	return chunk.EvalCount, nil
 }
 
 // failCandidate retires a model whose retry budget is exhausted: it is

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"llmms/internal/llm"
 )
 
 // MAB runs the Multi-Armed Bandit algorithm (Algorithm 2). Each model is
@@ -67,7 +65,7 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 		remaining -= take
 		jobs = append(jobs, fanJob{cand: c, take: take, hint: cfg.MaxTokens})
 	}
-	results := o.fanOut(ctx, prompt, jobs)
+	results := o.fanOut(ctx, jobs)
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -76,29 +74,11 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 		totalPulls++
 		o.emit(Event{Type: EventRound, Strategy: StrategyMAB, Round: totalPulls, Model: arm.model,
 			Elapsed: time.Since(start)})
-		o.emitStreamEvents(StrategyMAB, totalPulls, arm, r)
-		if r.err != nil {
-			o.failCandidate(StrategyMAB, totalPulls, arm, r.attempts, r.err)
-			continue
+		n, err := o.absorb(ctx, StrategyMAB, totalPulls, arm, r)
+		if err != nil {
+			return Result{}, err
 		}
-		chunk := r.chunk
-		arm.response += chunk.Text
-		arm.cont = chunk.Context
-		arm.tokens += chunk.EvalCount
-		arm.pulls++
-		arm.reason = chunk.DoneReason
-		used += chunk.EvalCount
-		switch chunk.DoneReason {
-		case llm.DoneStop:
-			arm.done = true
-		case llm.DoneCancel:
-			return Result{}, cancelErr(ctx)
-		}
-		if chunk.EvalCount > 0 {
-			o.emit(Event{Type: EventChunk, Strategy: StrategyMAB, Round: totalPulls,
-				Model: arm.model, Text: chunk.Text, Tokens: chunk.EvalCount,
-				Elapsed: r.elapsed, Attempts: r.attempts, Prefetched: r.prefetched})
-		}
+		used += n
 	}
 	o.emitRoundStall(StrategyMAB, totalPulls, results)
 	if allFailed(cands) {
@@ -115,102 +95,107 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 			Model: arm.model, Score: arm.score, QuerySim: arm.querySim, InterSim: arm.interSim})
 	}
 
+	// A finished arm whose mean reward already dominates every possible
+	// rival bound cannot be overtaken — further pulls would only spend
+	// budget on losers — so MAB lets a locked leader end the loop.
+	return o.refine(ctx, StrategyMAB, cands, sc, start, used, &totalPulls, true, func(best *candidate) string {
+		return fmt.Sprintf("highest final reward %.3f over %d pulls", best.score, best.pulls)
+	})
+}
+
+// refine is the UCB1 loop (Algorithm 2 lines 3–16) over arms that already
+// hold their first chunk and its reward: MAB runs it after its
+// initialization round, Hybrid after its screening round. Each pull grants
+// the next Config.MABChunk tokens to the unpruned, unfinished arm with the
+// highest index, rewards it with its new score, and the loop ends when the
+// budget is spent, every arm has settled, or — with lockLeader — a finished
+// leader can no longer be overtaken. The arm with the highest final score
+// wins; reason words the winner event. Nothing is score-pruned in MAB, so
+// "unpruned" there means "not failed". used is the budget already spent;
+// *pulls is the round counter, advanced in place so the caller's deferred
+// session sweep reports the round the query ended in.
+func (o *Orchestrator) refine(ctx context.Context, strategy Strategy, cands []*candidate, sc *scorer, start time.Time,
+	used int, pulls *int, lockLeader bool, reason func(best *candidate) string) (Result, error) {
+	cfg := o.cfg
 	for used < cfg.MaxTokens {
 		gamma := cfg.Gamma0 * (1 - float64(used)/float64(cfg.MaxTokens))
-		arm := o.selectArm(cands, gamma, totalPulls)
+		arm := selectArm(cands, gamma, *pulls)
 		if arm == nil {
-			break // every arm has finished its answer or failed
+			break // every arm has finished its answer or been pruned
 		}
-		take := cfg.MABChunk
-		if rem := cfg.MaxTokens - used; take > rem {
-			take = rem
-		}
-		totalPulls++
-		o.emit(Event{Type: EventRound, Strategy: StrategyMAB, Round: totalPulls, Model: arm.model,
+		take := min(cfg.MABChunk, cfg.MaxTokens-used)
+		*pulls++
+		o.emit(Event{Type: EventRound, Strategy: strategy, Round: *pulls, Model: arm.model,
 			Elapsed: time.Since(start)})
 
 		o.beforeWait()
-		r := o.pull(ctx, arm, prompt, take, cfg.MaxTokens-used)
-		o.emitStreamEvents(StrategyMAB, totalPulls, arm, r)
-		if r.err != nil {
-			if ctx.Err() != nil {
-				return Result{}, ctx.Err()
-			}
-			o.failCandidate(StrategyMAB, totalPulls, arm, r.attempts, r.err)
+		r := o.pull(ctx, arm, take, cfg.MaxTokens-used)
+		n, err := o.absorb(ctx, strategy, *pulls, arm, r)
+		if err != nil {
+			return Result{}, err
+		}
+		if arm.failed {
 			if allFailed(cands) {
-				return Result{}, allModelsFailedError(StrategyMAB, cands)
+				return Result{}, allModelsFailedError(strategy, cands)
 			}
 			continue
 		}
-		chunk := r.chunk
-		arm.response += chunk.Text
-		arm.cont = chunk.Context
-		arm.tokens += chunk.EvalCount
-		arm.pulls++
-		arm.reason = chunk.DoneReason
-		used += chunk.EvalCount
-		switch chunk.DoneReason {
-		case llm.DoneStop:
-			arm.done = true
-		case llm.DoneCancel:
-			return Result{}, cancelErr(ctx)
-		}
-		if chunk.EvalCount > 0 {
-			o.emit(Event{Type: EventChunk, Strategy: StrategyMAB, Round: totalPulls,
-				Model: arm.model, Text: chunk.Text, Tokens: chunk.EvalCount,
-				Elapsed: r.elapsed, Attempts: r.attempts, Prefetched: r.prefetched})
-		}
+		used += n
 		if r.streamed {
-			o.emit(Event{Type: EventRoundStall, Strategy: StrategyMAB, Round: totalPulls,
-				Elapsed: r.elapsed})
+			o.emit(Event{Type: EventRoundStall, Strategy: strategy, Round: *pulls, Elapsed: r.elapsed})
 		}
 
 		// Reward the pull (line 9): relevance plus consensus, computed on
 		// the arm's whole accumulated response so far.
-		o.scorePass(sc, StrategyMAB, totalPulls, surviving(cands))
+		o.scorePass(sc, strategy, *pulls, activeCandidates(cands))
 		arm.rewardSum += arm.score
-		o.emit(Event{Type: EventScore, Strategy: StrategyMAB, Round: totalPulls,
+		o.emit(Event{Type: EventScore, Strategy: strategy, Round: *pulls,
 			Model: arm.model, Score: arm.score, QuerySim: arm.querySim, InterSim: arm.interSim})
 
 		// Termination condition (line 12): the budget loop header handles
 		// exhaustion; stop early when every arm has completed its answer.
-		if allDone(cands) {
-			break
-		}
-		// A finished arm whose mean reward already dominates every
-		// possible rival bound cannot be overtaken — further pulls would
-		// only spend budget on losers.
-		if leaderLocked(cands, gamma, totalPulls) {
+		if allDone(cands) || lockLeader && leaderLocked(cands, gamma, *pulls) {
 			break
 		}
 	}
 
-	final := surviving(cands)
+	final := activeCandidates(cands)
 	if len(final) == 0 {
-		return Result{}, allModelsFailedError(StrategyMAB, cands)
+		// Every unfailed model was score-pruned or failed later; fall back
+		// to the best surviving candidate so the query still gets an
+		// answer — or error when none is left.
+		if final = surviving(cands); len(final) == 0 {
+			return Result{}, allModelsFailedError(strategy, cands)
+		}
 	}
-	o.scorePass(sc, StrategyMAB, totalPulls, final)
-	best := argmaxFinalReward(final)
+	// The winner (line 16) is the arm whose response has the highest
+	// reward at termination — the current α·sim(query, response) +
+	// β·avgInterModelSim of each accumulated response. Selecting on the
+	// final state rather than the pull history avoids two pathologies: a
+	// historical mean underrates arms that improved as their answer
+	// completed, and a cumulative sum overrates verbose arms that simply
+	// needed more pulls.
+	o.scorePass(sc, strategy, *pulls, final)
+	best := argmaxScore(final)
 	elapsed := time.Since(start)
-	o.emit(Event{Type: EventWinner, Strategy: StrategyMAB, Model: best.model,
-		Text: best.response, Tokens: used, Score: best.score, Elapsed: elapsed,
-		Reason: fmt.Sprintf("highest final reward %.3f over %d pulls", best.score, best.pulls)})
+	o.emit(Event{Type: EventWinner, Strategy: strategy, Model: best.model,
+		Text: best.response, Tokens: used, Score: best.score, Elapsed: elapsed, Reason: reason(best)})
 	return Result{
-		Strategy: StrategyMAB, Answer: best.response, Model: best.model,
-		TokensUsed: used, Rounds: totalPulls,
+		Strategy: strategy, Answer: best.response, Model: best.model,
+		TokensUsed: used, Rounds: *pulls,
 		Outcomes: outcomes(cands), Elapsed: elapsed,
 	}, nil
 }
 
-// selectArm returns the unfinished, unfailed arm with the highest UCB1
+// selectArm returns the unfinished, unpruned arm with the highest UCB1
 // index. An arm that has never been pulled has an infinite index, so
 // every arm is tried once before any exploitation (standard UCB1
-// initialization). Returns nil when every arm has finished or failed.
-func (o *Orchestrator) selectArm(cands []*candidate, gamma float64, totalPulls int) *candidate {
+// initialization). Returns nil when every arm has finished or been pruned.
+func selectArm(cands []*candidate, gamma float64, totalPulls int) *candidate {
 	var best *candidate
 	bestIdx := math.Inf(-1)
 	for _, c := range cands {
-		if c.done || c.failed {
+		if c.done || c.pruned {
 			continue
 		}
 		idx := ucb1(c, gamma, totalPulls)
@@ -248,10 +233,10 @@ func meanReward(c *candidate) float64 {
 }
 
 // allDone reports whether every arm has settled — finished its answer or
-// been retired by failure.
+// been pruned (a failed arm is pruned).
 func allDone(cands []*candidate) bool {
 	for _, c := range cands {
-		if !c.done && !c.failed {
+		if !c.done && !c.pruned {
 			return false
 		}
 	}
@@ -287,22 +272,4 @@ func leaderLocked(cands []*candidate, gamma float64, totalPulls int) bool {
 		}
 	}
 	return true
-}
-
-// argmaxFinalReward selects the final winner (Algorithm 2 line 16): the
-// arm whose response has the highest reward at termination, i.e. the
-// current value of r = α·sim(query, response) + β·avgInterModelSim for
-// each arm's accumulated response. Selecting on the final state rather
-// than the pull history avoids two pathologies: a historical mean
-// underrates arms that improved as their answer completed, and a
-// cumulative sum overrates verbose arms that simply needed more pulls.
-// Ties break on name for determinism.
-func argmaxFinalReward(cands []*candidate) *candidate {
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if better(c, best) {
-			best = c
-		}
-	}
-	return best
 }

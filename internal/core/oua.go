@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"llmms/internal/llm"
 )
 
 // OUA runs the Overperformers–Underperformers Algorithm (Algorithm 1).
@@ -56,9 +54,8 @@ func (o *Orchestrator) OUA(ctx context.Context, prompt string) (Result, error) {
 
 	totalTokens := 0
 	round := 0
-	// Pipelined generation: with a streaming backend each candidate holds
-	// one open generation session; the sweep closes whatever is still
-	// open when the query ends, however it ends.
+	// Each candidate holds one generation session; the sweep closes
+	// whatever stream is still open when the query ends, however it ends.
 	o.attachSessions(cands, prompt)
 	defer func() { o.closeAllSessions(StrategyOUA, round, cands, "query_end") }()
 	for {
@@ -82,39 +79,24 @@ func (o *Orchestrator) OUA(ctx context.Context, prompt string) (Result, error) {
 			}
 			jobs = append(jobs, fanJob{cand: c, take: take, hint: c.remaining})
 		}
-		results := o.fanOut(ctx, prompt, jobs)
+		results := o.fanOut(ctx, jobs)
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
 		progressed := false
 		for i, r := range results {
 			c := jobs[i].cand
-			o.emitStreamEvents(StrategyOUA, round, c, r)
-			if r.err != nil {
-				o.failCandidate(StrategyOUA, round, c, r.attempts, r.err)
+			n, err := o.absorb(ctx, StrategyOUA, round, c, r)
+			if err != nil {
+				return Result{}, err
+			}
+			if c.failed {
 				redistribute(c, cands)
 				continue
 			}
-			chunk := r.chunk
-			c.response += chunk.Text
-			c.cont = chunk.Context
-			c.tokens += chunk.EvalCount
-			c.remaining -= chunk.EvalCount
-			c.pulls++
-			c.reason = chunk.DoneReason
-			totalTokens += chunk.EvalCount
-			switch chunk.DoneReason {
-			case llm.DoneStop:
-				c.done = true
-			case llm.DoneCancel:
-				return Result{}, cancelErr(ctx)
-			}
-			if chunk.EvalCount > 0 {
-				progressed = true
-				o.emit(Event{Type: EventChunk, Strategy: StrategyOUA, Round: round,
-					Model: c.model, Text: chunk.Text, Tokens: chunk.EvalCount,
-					Elapsed: r.elapsed, Attempts: r.attempts, Prefetched: r.prefetched})
-			}
+			c.remaining -= n
+			totalTokens += n
+			progressed = progressed || n > 0
 		}
 		o.emitRoundStall(StrategyOUA, round, results)
 		if allFailed(cands) {

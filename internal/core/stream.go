@@ -9,22 +9,25 @@ import (
 )
 
 // This file implements pipelined generation (DESIGN.md "Pipelined
-// generation"): when the backend implements llm.StreamingBackend, each
-// candidate gets a genSession that opens ONE generation stream per
-// (model, query) and slices per-round chunks off the stream's
-// client-side buffer. The backend keeps decoding between rounds, so
-// round r+1's tokens are (partially) generated while round r is being
-// scored, and the per-round prompt re-ingest of the chunked path is
-// paid once per query instead of once per round.
+// generation"): every candidate has a genSession, which opens ONE
+// generation stream per (model, query) and slices per-round chunks off the
+// stream's client-side buffer. The backend keeps decoding between rounds,
+// so round r+1's tokens are (partially) generated while round r is being
+// scored, and the per-round prompt re-ingest of a chunk call is paid once
+// per query instead of once per round. A backend that cannot stream (a
+// stock Ollama, a chunk-only wrapper) gets sessions born in the state a
+// broken stream leaves behind: every round is one retried GenerateChunk
+// call. Which of the two a query runs on is decided by what the backend
+// can do (llm.AsStreaming), never by configuration.
 //
 // Invariants, matching the fan-out contract (fanout.go):
 //
 //   - Determinism: a drained slice is token-for-token what the
 //     per-round GenerateChunk call would have returned (same take caps,
 //     same DoneReason ladder), so winner, answer, and token accounting
-//     are identical with streaming on or off. Sessions never emit
-//     events; transitions are reported through fanResult flags and
-//     announced by the orchestrating goroutine in job order.
+//     are identical on a streaming and on a chunk-only backend. Sessions
+//     never emit events; transitions are reported through fanResult
+//     flags and announced by the orchestrating goroutine in job order.
 //   - Graceful degradation: a stream that fails to open or breaks
 //     mid-query marks the session broken and the SAME call transparently
 //     falls back to the retried per-round path, resuming from the last
@@ -54,6 +57,7 @@ type genSession struct {
 	stream llm.ChunkStream
 	// broken latches a stream failure: the session stops re-trying the
 	// stream path and serves every remaining call via per-round chunks.
+	// A session over a backend that cannot stream starts out broken.
 	broken bool
 }
 
@@ -133,26 +137,20 @@ func (s *genSession) next(ctx context.Context, cont []int, take, hint int) fanRe
 	return r
 }
 
-// attachSessions gives every candidate a generation session when the
-// backend can stream and streaming is enabled. With no session attached
-// the strategies run the per-round path unchanged.
+// attachSessions gives every candidate its generation session. When the
+// backend cannot stream the sessions start out broken, which is the state
+// that serves every round by a per-round call.
 func (o *Orchestrator) attachSessions(cands []*candidate, prompt string) {
-	if o.cfg.DisableStreaming {
-		return
-	}
-	sb, ok := llm.AsStreaming(o.backend)
-	if !ok {
-		return
-	}
+	sb, streams := llm.AsStreaming(o.backend)
 	for _, c := range cands {
-		c.sess = &genSession{backend: sb, o: o, model: c.model, prompt: prompt}
+		c.sess = &genSession{backend: sb, o: o, model: c.model, prompt: prompt, broken: !streams}
 	}
 }
 
 // closeStream closes the candidate's open stream, if any, reporting
 // whether one was actually closed. Runs on the orchestrating goroutine.
 func (c *candidate) closeStream() bool {
-	if c.sess == nil || c.sess.stream == nil {
+	if c.sess.stream == nil {
 		return false
 	}
 	c.sess.stream.Close()

@@ -18,18 +18,20 @@ func engineModels() []string {
 	return []string{llm.ModelLlama3, llm.ModelMistral, llm.ModelQwen2}
 }
 
-// runBoth runs the same query with streaming on and off against freshly
-// built orchestrators and returns (streamed, chunked) results.
+// runBoth runs the same query against freshly built orchestrators over
+// mkBackend() as it is and behind a chunk-only wrapper, which strips the
+// streaming capability, and returns (streamed, chunked) results.
 func runBoth(t *testing.T, strat Strategy, mkBackend func() Backend, cfg Config) (Result, Result) {
 	t.Helper()
 	var out [2]Result
-	for i, disable := range []bool{false, true} {
-		c := cfg
-		c.DisableStreaming = disable
-		o := mustNew(t, mkBackend(), c)
-		res, err := o.Run(context.Background(), strat, enginePrompt)
+	for i, chunkOnly := range []bool{false, true} {
+		b := mkBackend()
+		if chunkOnly {
+			b = chunkOnlyWrapper{inner: b}
+		}
+		res, err := mustNew(t, b, cfg).Run(context.Background(), strat, enginePrompt)
 		if err != nil {
-			t.Fatalf("%s (DisableStreaming=%v): %v", strat, disable, err)
+			t.Fatalf("%s (chunk-only=%v): %v", strat, chunkOnly, err)
 		}
 		out[i] = res
 	}
@@ -39,7 +41,7 @@ func runBoth(t *testing.T, strat Strategy, mkBackend func() Backend, cfg Config)
 // TestStreamingDeterminism checks the tentpole's core invariant: the
 // pipelined path must be an execution-strategy change only. For every
 // multi-model strategy, winner, answer, token accounting, and per-model
-// responses are identical with streaming on or off.
+// responses are identical on a streaming and on a chunk-only backend.
 func TestStreamingDeterminism(t *testing.T) {
 	cfg := DefaultConfig(engineModels()...)
 	cfg.MaxTokens = 512
@@ -311,45 +313,43 @@ func TestRetryBackoffAbortsOnCancel(t *testing.T) {
 	}
 }
 
-// chunkOnlyWrapper decorates the chunk path and nothing else — the
-// wrapper shape that used to strip streaming from the stack before the
-// backend contract collapsed into llm.Backend + llm.AsStreaming.
+// chunkOnlyWrapper decorates the chunk path and nothing else: it neither
+// streams nor unwraps, so llm.AsStreaming stops at it — the shape of a
+// backend that can only serve per-round calls.
 type chunkOnlyWrapper struct{ inner Backend }
 
 func (w chunkOnlyWrapper) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (llm.Chunk, error) {
 	return w.inner.GenerateChunk(ctx, req)
 }
 
-// TestWrappedBackendStillStreams is the API-redesign regression test: a
-// chunk-only wrapper composed with llm.WrapPreserving must not downgrade
-// orchestration to the per-round path. The query streams (stream_open
-// events fire), and the result is identical to the unwrapped engine's.
+// passThroughWrapper is a chunk-only wrapper that declares pass-through
+// (llm.Wrapper), so capability probes continue into what it wraps.
+type passThroughWrapper struct{ chunkOnlyWrapper }
+
+func (w passThroughWrapper) Unwrap() llm.Backend { return w.inner }
+
+// TestWrappedBackendStillStreams is the capability-resolution regression
+// test: a wrapper that decorates only the chunk path but declares
+// pass-through (llm.Wrapper) must not downgrade orchestration to per-round
+// calls. The query streams (stream_open events fire), and the result is
+// identical to the unwrapped engine's.
 func TestWrappedBackendStillStreams(t *testing.T) {
 	engine := llm.NewEngine(llm.Options{})
-	wrapped := llm.WrapPreserving(chunkOnlyWrapper{inner: engine}, engine)
-
 	cfg := DefaultConfig(engineModels()...)
 	cfg.MaxTokens = 512
 	tap := &streamEventTap{}
 	tap.install(&cfg)
-	o := mustNew(t, wrapped, cfg)
-	res, err := o.OUA(context.Background(), enginePrompt)
+	res, err := mustNew(t, passThroughWrapper{chunkOnlyWrapper{inner: engine}}, cfg).OUA(context.Background(), enginePrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap.mu.Lock()
-	opens := len(tap.opens)
-	tap.mu.Unlock()
-	if opens == 0 {
-		t.Fatal("wrapped backend never opened a stream: WrapPreserving failed to preserve the capability")
+	if len(tap.opens) == 0 {
+		t.Fatal("wrapped backend never opened a stream: the capability was not resolved through Unwrap")
 	}
 	waitEngineStreams(t, engine)
 
-	// Same query against the bare engine: winner and answer must match —
-	// the wrapper is a pass-through, and streaming resolution must not
-	// change what the orchestrator computes.
-	ref, err := mustNew(t, llm.NewEngine(llm.Options{}), DefaultConfig(engineModels()...)).
-		OUA(context.Background(), enginePrompt)
+	cfg.OnEvent = nil
+	ref, err := mustNew(t, llm.NewEngine(llm.Options{}), cfg).OUA(context.Background(), enginePrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +363,8 @@ func TestWrappedBackendStillStreams(t *testing.T) {
 // wrapper chain, and the capability must resolve through it.
 func TestFaultBackendStreamsThroughUnwrapChain(t *testing.T) {
 	engine := llm.NewEngine(llm.Options{})
-	// Inner chain: a preserving composite over a chunk-only wrapper.
-	inner := llm.WrapPreserving(chunkOnlyWrapper{inner: engine}, engine)
+	// Inner chain: a pass-through wrapper over the engine.
+	inner := passThroughWrapper{chunkOnlyWrapper{inner: engine}}
 	fb := NewFaultBackend(inner)
 	fb.EnableStreams()
 	sb, ok := llm.AsStreaming(Backend(fb))

@@ -453,16 +453,21 @@ func TestHedgeCancelsLoser(t *testing.T) {
 	if got := tel.FleetHedges.Value("m", "won"); got != 1 {
 		t.Fatalf("hedges won = %v, want 1", got)
 	}
+	// The losing attempt closes cancelled inside the backend call and
+	// settles its in-flight slot only once that call has returned, so wait
+	// for the settle: nothing left in flight beyond the synthetic load
+	// pinned on the fast replica above.
+	for deadline := time.Now().Add(2 * time.Second); replicaState(t, p, "m", "slow").Inflight != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("slow replica inflight = %d after hedge, want 0", replicaState(t, p, "m", "slow").Inflight)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// Cancellation is neutral: the slow replica keeps a closed breaker
 	// and zero consecutive failures.
 	rs := replicaState(t, p, "m", "slow")
 	if rs.State != "serving" || rs.ConsecutiveFailures != 0 {
 		t.Fatalf("loser penalized for losing: %+v", rs)
-	}
-	// Both attempts settled: nothing left in flight beyond the synthetic
-	// load pinned on the fast replica above.
-	if got := replicaState(t, p, "m", "slow").Inflight; got != 0 {
-		t.Fatalf("slow replica inflight = %d after hedge, want 0", got)
 	}
 	if got := replicaState(t, p, "m", "fast").Inflight; got != 3 {
 		t.Fatalf("fast replica inflight = %d after hedge, want the 3 synthetic", got)

@@ -53,7 +53,6 @@ type device struct {
 	used        uint64
 	allocations map[string]uint64 // owner -> bytes
 	activeJobs  int
-	jobsByOwner map[string]int // owner -> active jobs
 	batchSeqs   map[string]int // owner -> current batch occupancy
 	batchSteps  uint64
 	batchTokens uint64
@@ -110,7 +109,6 @@ func NewCluster(specs ...DeviceSpec) *Cluster {
 		c.devices = append(c.devices, &device{
 			spec:        s,
 			allocations: make(map[string]uint64),
-			jobsByOwner: make(map[string]int),
 			batchSeqs:   make(map[string]int),
 			temperature: c.ambient,
 		})
@@ -200,7 +198,6 @@ func (c *Cluster) BeginJob(owner string) func() {
 	for _, d := range c.devices {
 		if _, ok := d.allocations[owner]; ok {
 			d.activeJobs++
-			d.jobsByOwner[owner]++
 			d.temperature += 4
 			if d.temperature > 90 {
 				d.temperature = 90
@@ -214,33 +211,11 @@ func (c *Cluster) BeginJob(owner string) func() {
 					if dd.activeJobs > 0 {
 						dd.activeJobs--
 					}
-					if dd.jobsByOwner[owner] > 1 {
-						dd.jobsByOwner[owner]--
-					} else {
-						delete(dd.jobsByOwner, owner)
-					}
 				})
 			}
 		}
 	}
 	return func() {}
-}
-
-// ActiveJobs reports how many inference jobs owner currently has running
-// on its device. The simulated engine uses it as the shared-throughput
-// contention factor for independent (unbatched) decode streams: K
-// concurrent jobs on one model time-slice the device, so each runs at
-// ~1/K of the model's single-stream speed. CPU-resident and unknown
-// owners report zero.
-func (c *Cluster) ActiveJobs(owner string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, d := range c.devices {
-		if _, ok := d.allocations[owner]; ok {
-			return d.jobsByOwner[owner]
-		}
-	}
-	return 0
 }
 
 // RecordSteps is the batch scheduler's accounting hook: seqs is the

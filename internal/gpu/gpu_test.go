@@ -185,49 +185,6 @@ func TestConcurrentAllocateRelease(t *testing.T) {
 	}
 }
 
-func TestActiveJobsPerOwner(t *testing.T) {
-	c := NewCluster(TeslaV100)
-	if _, err := c.Allocate("m1", GiB); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Allocate("m2", GiB); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.ActiveJobs("m1"); got != 0 {
-		t.Fatalf("idle ActiveJobs = %d, want 0", got)
-	}
-	end1a := c.BeginJob("m1")
-	end1b := c.BeginJob("m1")
-	end2 := c.BeginJob("m2")
-	if got := c.ActiveJobs("m1"); got != 2 {
-		t.Fatalf("ActiveJobs(m1) = %d, want 2", got)
-	}
-	if got := c.ActiveJobs("m2"); got != 1 {
-		t.Fatalf("ActiveJobs(m2) = %d, want 1", got)
-	}
-	end1a()
-	end1a() // double-end is a no-op
-	if got := c.ActiveJobs("m1"); got != 1 {
-		t.Fatalf("ActiveJobs(m1) after one end = %d, want 1", got)
-	}
-	end1b()
-	end2()
-	if got := c.ActiveJobs("m1"); got != 0 {
-		t.Fatalf("ActiveJobs(m1) after all ends = %d, want 0", got)
-	}
-	// CPU-resident and unknown owners report zero.
-	cpu := NewCluster()
-	if _, err := cpu.Allocate("cpu-model", GiB); err != nil {
-		t.Fatal(err)
-	}
-	if got := cpu.ActiveJobs("cpu-model"); got != 0 {
-		t.Fatalf("cpu ActiveJobs = %d, want 0", got)
-	}
-	if got := c.ActiveJobs("nope"); got != 0 {
-		t.Fatalf("unknown ActiveJobs = %d, want 0", got)
-	}
-}
-
 func TestRecordStepAccounting(t *testing.T) {
 	c := NewCluster(TeslaV100)
 	if _, err := c.Allocate("m1", GiB); err != nil {

@@ -19,10 +19,8 @@ import "context"
 //   - Streaming is an optional capability probed with AsStreaming,
 //     which follows Unwrap chains so pass-through wrappers cannot strip
 //     it by accident.
-//   - Wrappers that do not decorate streams either implement Wrapper
-//     (declaring pass-through) or are composed with WrapPreserving,
-//     which grafts the inner backend's streaming capability onto the
-//     wrapped value by construction.
+//   - Wrappers that do not decorate streams implement Wrapper
+//     (declaring pass-through).
 
 // Backend produces partial generations — the paper's getChunk(LLM_i, p,
 // λ) primitive. Engine, modeld.Client, fleet.Pool, and core.FaultBackend
@@ -65,55 +63,3 @@ func AsStreaming(b Backend) (StreamingBackend, bool) {
 	}
 	return nil, false
 }
-
-// WrapPreserving composes a decorating backend over an inner one while
-// preserving the inner's streaming capability by construction: the
-// result generates through outer, and — when outer does not itself
-// decorate streams but the inner chain can stream — opens streams
-// through the inner streaming backend. Use it whenever a wrapper only
-// cares about the chunk path, so wrapping can never silently downgrade
-// the stack to per-round generation.
-//
-//	backend := llm.WrapPreserving(myChunkOnlyWrapper{engine}, engine)
-//
-// If outer already implements StreamingBackend (or Wrapper), it is
-// returned unchanged — it has made its own streaming decision.
-func WrapPreserving(outer, inner Backend) Backend {
-	if outer == nil {
-		return inner
-	}
-	if _, ok := outer.(StreamingBackend); ok {
-		return outer
-	}
-	if _, ok := outer.(Wrapper); ok {
-		return outer
-	}
-	if _, ok := AsStreaming(inner); !ok {
-		return outer
-	}
-	return preservingBackend{outer: outer, inner: inner}
-}
-
-// preservingBackend is WrapPreserving's composite: chunks through the
-// wrapper, streams through the inner chain.
-type preservingBackend struct {
-	outer Backend
-	inner Backend
-}
-
-// GenerateChunk implements Backend through the wrapper.
-func (p preservingBackend) GenerateChunk(ctx context.Context, req ChunkRequest) (Chunk, error) {
-	return p.outer.GenerateChunk(ctx, req)
-}
-
-// OpenStream implements StreamingBackend through the inner chain.
-func (p preservingBackend) OpenStream(ctx context.Context, req ChunkRequest) (ChunkStream, error) {
-	sb, ok := AsStreaming(p.inner)
-	if !ok {
-		return nil, ErrStreamUnsupported
-	}
-	return sb.OpenStream(ctx, req)
-}
-
-// Unwrap exposes the inner chain for further capability probes.
-func (p preservingBackend) Unwrap() Backend { return p.inner }

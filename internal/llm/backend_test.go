@@ -2,7 +2,6 @@ package llm
 
 import (
 	"context"
-	"errors"
 	"testing"
 )
 
@@ -55,69 +54,5 @@ func TestAsStreamingFollowsUnwrapChain(t *testing.T) {
 func TestAsStreamingNil(t *testing.T) {
 	if _, ok := AsStreaming(nil); ok {
 		t.Fatal("nil backend cannot stream")
-	}
-}
-
-func TestWrapPreservingGraftsStreaming(t *testing.T) {
-	e := NewEngine(Options{})
-	wrapped := WrapPreserving(chunkOnly{inner: e}, e)
-	sb, ok := AsStreaming(wrapped)
-	if !ok {
-		t.Fatal("WrapPreserving must preserve the inner backend's streaming capability")
-	}
-	st, err := sb.OpenStream(context.Background(), ChunkRequest{
-		Model: ModelLlama3, Prompt: "Question: hi?\nAnswer:", MaxTokens: 8,
-	})
-	if err != nil {
-		t.Fatalf("OpenStream on preserved composite: %v", err)
-	}
-	st.Close()
-	// The chunk path still goes through the wrapper.
-	if _, err := wrapped.GenerateChunk(context.Background(), ChunkRequest{
-		Model: ModelLlama3, Prompt: "Question: hi?\nAnswer:", MaxTokens: 8,
-	}); err != nil {
-		t.Fatalf("GenerateChunk on preserved composite: %v", err)
-	}
-}
-
-func TestWrapPreservingLeavesStreamingWrapperAlone(t *testing.T) {
-	e := NewEngine(Options{})
-	// The engine itself streams; wrapping it over anything must return it
-	// unchanged — it made its own streaming decision.
-	if got := WrapPreserving(e, NewEngine(Options{})); got != Backend(e) {
-		t.Fatal("a streaming outer backend must be returned unchanged")
-	}
-	// Same for a Wrapper: its Unwrap chain is its declaration.
-	p := passThrough{chunkOnly{inner: e}}
-	if got := WrapPreserving(p, e); got != Backend(p) {
-		t.Fatal("a Wrapper outer backend must be returned unchanged")
-	}
-}
-
-func TestWrapPreservingNonStreamingInner(t *testing.T) {
-	inner := chunkOnly{inner: NewEngine(Options{})}
-	outer := chunkOnly{inner: inner}
-	if got := WrapPreserving(outer, inner); got != Backend(outer) {
-		t.Fatal("nothing to preserve: outer must be returned unchanged")
-	}
-	if _, ok := AsStreaming(WrapPreserving(outer, inner)); ok {
-		t.Fatal("streaming must not appear out of thin air")
-	}
-}
-
-func TestWrapPreservingNilOuter(t *testing.T) {
-	e := NewEngine(Options{})
-	if got := WrapPreserving(nil, e); got != Backend(e) {
-		t.Fatal("nil outer should collapse to inner")
-	}
-}
-
-func TestPreservingCompositeSurfacesUnsupported(t *testing.T) {
-	// Force the composite shape, then break the inner chain's capability:
-	// OpenStream must report ErrStreamUnsupported, the quiet routing
-	// signal back to per-round generation.
-	c := preservingBackend{outer: chunkOnly{inner: NewEngine(Options{})}, inner: chunkOnly{}}
-	if _, err := c.OpenStream(context.Background(), ChunkRequest{Model: ModelLlama3}); !errors.Is(err, ErrStreamUnsupported) {
-		t.Fatalf("want ErrStreamUnsupported, got %v", err)
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// DefaultMaxBatchTokens is the per-step token budget of a model's batch
-// scheduler when Options.MaxBatchTokens is zero: prefill tokens charged
-// at admission plus one decode token per stepped sequence must fit.
-const DefaultMaxBatchTokens = 256
+// maxBatchTokens is the per-step token budget of a model's batch
+// scheduler: prefill tokens charged at admission plus one decode token per
+// stepped sequence must fit.
+const maxBatchTokens = 256
 
 // BatchHooks observe the per-model batch schedulers. The engine calls
 // them from scheduler loops without holding any engine lock; they must
@@ -49,8 +49,8 @@ type BatchStats struct {
 }
 
 // BatchStats reports the named model's scheduler snapshot. ok is false
-// when the model has no scheduler (unknown model, batching disabled, or
-// nothing generated since the last Unload).
+// when the model has no scheduler (unknown model, or nothing generated
+// since the last Unload).
 func (e *Engine) BatchStats(model string) (BatchStats, bool) {
 	e.mu.Lock()
 	var s *batchScheduler
@@ -70,10 +70,6 @@ func (e *Engine) BatchStats(model string) (BatchStats, bool) {
 		Steps: s.steps.Load(), Decoded: s.decoded.Load(),
 	}, true
 }
-
-// BatchingEnabled reports whether generations route through the
-// continuous batch schedulers (the -batch flag on both binaries).
-func (e *Engine) BatchingEnabled() bool { return !e.batchOff }
 
 // batchSeq is one generation owned by a batch scheduler: its handle plus
 // a decode position the scheduler advances one token per step. Advancing
@@ -274,9 +270,8 @@ func (c *decodeClock) step(dur time.Duration, restart bool) time.Duration {
 }
 
 // terminal ends a sequence's generation and records its generated tokens
-// in the engine stats. The terminal chunk matches the unbatched path
-// exactly for every done reason. Must be called without holding s.mu
-// (e.finish takes e.mu).
+// in the engine stats. Must be called without holding s.mu (e.finish takes
+// e.mu).
 func (s *batchScheduler) terminal(q *batchSeq, reason DoneReason) {
 	s.e.finish(s.model, q.pos-q.gen.plan.cursor, s.profile)
 	q.gen.finish(reason)

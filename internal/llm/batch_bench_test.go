@@ -17,20 +17,17 @@ const benchBatchConcurrency = 8
 
 // benchmarkBatchDecode drives waves of concurrent same-model
 // generations through one engine and reports per-request decode
-// wall-clock (p50_ms) and aggregate qps. With batching on, the
-// scheduler steps all requests together at ~2x one stream's per-token
-// cost; with batching off, the independent goroutines time-slice the
-// model's throughput at ~Kx.
-func benchmarkBatchDecode(b *testing.B, disable bool) {
+// wall-clock (p50_ms) and aggregate qps: the scheduler steps all requests
+// together at ~2x one stream's per-token cost.
+func benchmarkBatchDecode(b *testing.B) {
 	// One llama3 decode step is about 0.5 ms at this scale, which keeps a
-	// run short. The scale no longer has to hide the host's timer
-	// lateness: both producers pace on an absolute schedule (decodeClock),
+	// run short. The scale does not have to hide the host's timer
+	// lateness: the scheduler paces on an absolute schedule (decodeClock),
 	// so a late wake-up shortens the next sleep instead of stretching
-	// every step, and the on/off contrast is the cost model's.
+	// every step.
 	e := NewEngine(Options{
-		Knowledge:       NewKnowledge(truthfulqa.Seed()),
-		LatencyScale:    0.05,
-		DisableBatching: disable,
+		Knowledge:    NewKnowledge(truthfulqa.Seed()),
+		LatencyScale: 0.05,
 	})
 	defer e.Close()
 	req := GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?", MaxTokens: 24}
@@ -70,14 +67,12 @@ func benchmarkBatchDecode(b *testing.B, disable bool) {
 	b.ReportMetric(float64(len(lats))/elapsed.Seconds(), "qps")
 }
 
-// BenchmarkBatchDecode runs 8 concurrent same-model generations with the
-// continuous batch scheduler on versus the goroutine-per-stream path. It
-// is kept beside the end-to-end benchmark because no canonical workload
-// or layer replay reaches this regime: two closed-loop clients over two
-// daemons never put more than one sequence on a scheduler
-// (llm.batch_mean_occupancy is 1.0), so only this shows what a step costs
-// at K = 8.
+// BenchmarkBatchDecode runs 8 concurrent same-model generations through
+// the continuous batch scheduler. It is kept beside the end-to-end
+// benchmark because no canonical workload or layer replay reaches this
+// regime: two closed-loop clients over two daemons never put more than one
+// sequence on a scheduler (llm.batch_mean_occupancy is 1.0), so only this
+// shows what a step costs at K = 8.
 func BenchmarkBatchDecode(b *testing.B) {
-	b.Run("batch_on", func(b *testing.B) { benchmarkBatchDecode(b, false) })
-	b.Run("batch_off", func(b *testing.B) { benchmarkBatchDecode(b, true) })
+	b.Run("batch_on", benchmarkBatchDecode)
 }

@@ -3,6 +3,7 @@ package llm
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -47,63 +48,42 @@ func firstToken(t *testing.T, g *Generation) string {
 	return string(batch.Text)
 }
 
-// TestBatchedMatchesUnbatched is the determinism contract: the batch
-// scheduler must produce byte-identical text and identical final-chunk
-// metadata to the goroutine-per-stream path, including under MaxTokens
-// clamps and continuation.
-func TestBatchedMatchesUnbatched(t *testing.T) {
-	kb := NewKnowledge(truthfulqa.Generate(200, 1))
-	batched := NewEngine(Options{Knowledge: kb})
-	unbatched := NewEngine(Options{Knowledge: kb, DisableBatching: true})
-	defer batched.Close()
-
+// TestCappedContinuationMatchesPlan checks chunked continuation through
+// the scheduler: a capped call ends on "length" with the plan's first
+// tokens, and the call resumed from its Context hands out exactly the rest
+// of the plan.
+func TestCappedContinuationMatchesPlan(t *testing.T) {
+	e := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Generate(200, 1))})
+	defer e.Close()
 	for _, model := range []string{ModelLlama3, ModelMistral, ModelQwen2} {
 		for _, prompt := range batchTestPrompts {
 			req := GenRequest{Model: model, Prompt: prompt}
-			bText, bLast, err := batched.GenerateAll(context.Background(), req)
+			_, plan, err := e.planGeneration(req)
 			if err != nil {
-				t.Fatalf("%s batched: %v", model, err)
+				t.Fatal(err)
 			}
-			uText, uLast, err := unbatched.GenerateAll(context.Background(), req)
+			want := e.tok.Decode(tokensOf(plan.ids))
+
+			req.MaxTokens = 5
+			head, last, err := e.GenerateAll(context.Background(), req)
 			if err != nil {
-				t.Fatalf("%s unbatched: %v", model, err)
+				t.Fatal(err)
 			}
-			if bText != uText {
-				t.Fatalf("%s %q: batched text %q != unbatched %q", model, prompt, bText, uText)
+			if last.DoneReason != DoneLength || last.EvalCount != 5 || !slices.Equal(last.Context, plan.ids[:5]) {
+				t.Fatalf("%s %q: capped call ended on %+v", model, prompt, last)
 			}
-			if bLast.DoneReason != uLast.DoneReason || bLast.EvalCount != uLast.EvalCount ||
-				bLast.TotalTokens != uLast.TotalTokens || len(bLast.Context) != len(uLast.Context) {
-				t.Fatalf("%s %q: final chunks differ: %+v vs %+v", model, prompt, bLast, uLast)
+			req.Context, req.MaxTokens = last.Context, 0
+			tail, last, err := e.GenerateAll(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if head+tail != want {
+				t.Fatalf("%s %q: capped %q + continued %q != plan %q", model, prompt, head, tail, want)
+			}
+			if last.DoneReason != DoneStop || last.TotalTokens != len(plan.ids) || last.EvalCount != len(plan.ids)-5 {
+				t.Fatalf("%s %q: continuation ended on %+v, plan has %d tokens", model, prompt, last, len(plan.ids))
 			}
 		}
-	}
-
-	// Chunked continuation: two capped calls resume identically.
-	req := GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?", MaxTokens: 5}
-	bText, bLast, err := batched.GenerateAll(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uText, uLast, err := unbatched.GenerateAll(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bText != uText || bLast.DoneReason != DoneLength {
-		t.Fatalf("capped: %q (%s) vs %q (%s)", bText, bLast.DoneReason, uText, uLast.DoneReason)
-	}
-	req.Context = bLast.Context
-	req.MaxTokens = 0
-	bText2, _, err := batched.GenerateAll(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Context = uLast.Context
-	uText2, _, err := unbatched.GenerateAll(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bText2 != uText2 {
-		t.Fatalf("continuation: batched %q != unbatched %q", bText2, uText2)
 	}
 }
 
@@ -160,10 +140,10 @@ func TestBatchAdmissionBetweenSteps(t *testing.T) {
 // early stream is still decoding, instead of starving behind it.
 func TestBatchFairness(t *testing.T) {
 	e := NewEngine(Options{
-		Knowledge:      NewKnowledge(truthfulqa.Seed()),
-		LatencyScale:   0.02,
-		MaxBatchTokens: 1,
+		Knowledge:    NewKnowledge(truthfulqa.Seed()),
+		LatencyScale: 0.02,
 	})
+	e.maxBatch = 1
 	defer e.Close()
 
 	a, err := e.Generate(context.Background(), GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?"})
@@ -232,7 +212,7 @@ func TestBatchDrainOnUnload(t *testing.T) {
 	}
 
 	// The model reloads with a fresh scheduler and still matches the
-	// unbatched reference.
+	// reference.
 	got, _, err := e.GenerateAll(context.Background(), GenRequest{Model: ModelMistral, Prompt: "Are bats blind?"})
 	if err != nil {
 		t.Fatal(err)
@@ -287,47 +267,44 @@ func TestBatchConcurrentAdmitCancelUnload(t *testing.T) {
 // test: a consumer that cancels and walks away mid-stream, or never takes
 // a token at all, must not strand the producer — it only ever advances a
 // watermark — and an abandoned stream session leaves the OpenStreams
-// count. Covers both execution paths.
+// count.
 func TestGenerateAbandonedConsumerNoLeak(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		e := NewEngine(Options{
-			Knowledge:       NewKnowledge(truthfulqa.Seed()),
-			LatencyScale:    0.01,
-			DisableBatching: disable,
-		})
-		before := runtime.NumGoroutine()
-		for i := 0; i < 10; i++ {
-			ctx, cancel := context.WithCancel(context.Background())
-			gen, err := e.Generate(ctx, GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			firstToken(t, gen) // one token, then abandon without draining
-			cancel()
-		}
-		// Also abandon an uncanceled generation outright, and a stream
-		// session nobody reads or closes: the producer runs to completion
-		// regardless.
-		if _, err := e.Generate(context.Background(), GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?"}); err != nil {
+	e := NewEngine(Options{
+		Knowledge:    NewKnowledge(truthfulqa.Seed()),
+		LatencyScale: 0.01,
+	})
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		gen, err := e.Generate(ctx, GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?"})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.OpenStream(context.Background(), ChunkRequest{Model: ModelLlama3, Prompt: "Are bats blind?"}); err != nil {
-			t.Fatal(err)
+		firstToken(t, gen) // one token, then abandon without draining
+		cancel()
+	}
+	// Also abandon an uncanceled generation outright, and a stream
+	// session nobody reads or closes: the producer runs to completion
+	// regardless.
+	if _, err := e.Generate(context.Background(), GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.OpenStream(context.Background(), ChunkRequest{Model: ModelLlama3, Prompt: "Are bats blind?"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if g := runtime.NumGoroutine(); g <= before+1 && e.OpenStreams() == 0 {
+			break
 		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			runtime.GC()
-			if g := runtime.NumGoroutine(); g <= before+1 && e.OpenStreams() == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("disable=%v: goroutines leaked: %d before, %d after", disable, before, runtime.NumGoroutine())
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -356,20 +333,6 @@ func TestBatchStats(t *testing.T) {
 	}
 	if text == "" {
 		t.Fatal("empty generation")
-	}
-	if !e.BatchingEnabled() {
-		t.Fatal("BatchingEnabled false on default options")
-	}
-
-	off := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed()), DisableBatching: true})
-	if off.BatchingEnabled() {
-		t.Fatal("BatchingEnabled true with DisableBatching")
-	}
-	if _, _, err := off.GenerateAll(context.Background(), GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := off.BatchStats(ModelLlama3); ok {
-		t.Fatal("BatchStats reported a scheduler with batching disabled")
 	}
 }
 

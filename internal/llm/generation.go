@@ -12,11 +12,11 @@ import (
 // Generation is one generation in progress, as Engine.Generate returns
 // it. A planned generation is its own buffer — plan.ids already holds the
 // whole answer — so decoding is a watermark the producer (the model's
-// batch scheduler, or the -batch=false goroutine) advances over it, and
-// consuming is reading the ids below the watermark. The producer never
-// waits for the consumer: it stores the watermark and moves on, whether
-// the consumer is slow or gone, and nudges the wake channel only when the
-// consumer has declared what it is blocked for.
+// batch scheduler) advances over it, and consuming is reading the ids
+// below the watermark. The producer never waits for the consumer: it
+// stores the watermark and moves on, whether the consumer is slow or
+// gone, and nudges the wake channel only when the consumer has declared
+// what it is blocked for.
 //
 // A generation has one consumer, which takes tokens with TokenBatch.Fill
 // or Collect (the engine's own streams read it directly).
@@ -241,23 +241,29 @@ func (s *engineStream) Next(ctx context.Context, maxTokens int) (Chunk, error) {
 	}
 }
 
-// slice hands out tokens [from, to) as one round's chunk; last marks the
-// slice that reaches the generation's end.
-func (s *engineStream) slice(from, to int, last bool) Chunk {
+// slice hands out tokens [from, to) as one round's chunk; over says the
+// generation has ended and the slice takes all it decoded. A slice that
+// reaches the plan's end is the last one whether or not the producer has
+// yet marked the generation over — nothing can follow it, and it ends for
+// the plan's reason — so whether a round sees its model finish never
+// depends on which side of that store the read fell.
+func (s *engineStream) slice(from, to int, over bool) Chunk {
 	g := s.gen
 	g.taken.Store(int64(to))
-	if last {
-		c := g.terminal(to)
-		c.Text, c.EvalCount = g.text(from, to), to-from
-		return c
-	}
-	return Chunk{
+	c := Chunk{
 		Text:        g.text(from, to),
 		EvalCount:   to - from,
 		DoneReason:  DoneLength,
 		Context:     g.plan.ids[:to:to],
 		TotalTokens: to,
 	}
+	switch {
+	case to == len(g.plan.ids):
+		c.Done, c.DoneReason = true, g.plan.reason
+	case over:
+		c.Done, c.DoneReason = true, g.reason
+	}
+	return c
 }
 
 // Buffered implements BufferedStream.

@@ -56,71 +56,69 @@ func fillAll(g *Generation, stall time.Duration) drained {
 }
 
 // TestGenerationMatchesPlan is the handle's equivalence property: for
-// every model, batched and unbatched, paced and unpaced, fresh, continued
-// and cut by the budget in the middle of a character, what Fill hands out
-// — however the consumer paces itself — is the plan: the answer's tokens
-// from the cursor to the end, their bytes, and the terminal chunk.
+// every model, paced and unpaced, fresh, continued and cut by the budget
+// in the middle of a character, what Fill hands out — however the consumer
+// paces itself — is the plan: the answer's tokens from the cursor to the
+// end, their bytes, and the terminal chunk. The plan is computed before
+// the scheduler runs, so it is the reference the scheduler is held to.
 func TestGenerationMatchesPlan(t *testing.T) {
 	kb := NewKnowledge(truthfulqa.Generate(817, 1))
 	tok := tokenizer.Default()
-	reference := NewEngine(Options{Knowledge: kb, DisableBatching: true})
 	const prompt = "What is the capital of Brazil?"
 	midCharacter := 0
-	for _, batching := range []bool{true, false} {
-		for _, scale := range []float64{0, 0.01} {
-			e := NewEngine(Options{Knowledge: kb, DisableBatching: !batching, LatencyScale: scale})
-			for _, model := range []string{ModelLlama3, ModelMistral, ModelQwen2} {
-				answer, _, err := reference.GenerateAll(context.Background(), GenRequest{Model: model, Prompt: prompt})
-				if err != nil {
-					t.Fatal(err)
-				}
-				full := tok.AppendIDs(nil, answer)
-				// The budget that ends the call inside the answer's first
-				// multi-byte character, where it has one.
-				cut := 0
-				for i := range full {
-					if !utf8.ValidString(tok.Decode(tokensOf(full[:i+1]))) {
-						cut = i + 1
-						break
-					}
-				}
-				cases := map[string]GenRequest{
-					"fresh":     {Model: model, Prompt: prompt},
-					"continued": {Model: model, Prompt: prompt, Context: full[:3], MaxTokens: 6},
-				}
-				if cut > 0 {
-					cases["cut mid-character"] = GenRequest{Model: model, Prompt: prompt, MaxTokens: cut}
-					midCharacter++
-				}
-				for name, req := range cases {
-					cursor, end, reason := len(req.Context), len(full), DoneStop
-					if req.MaxTokens > 0 && cursor+req.MaxTokens < end {
-						end, reason = cursor+req.MaxTokens, DoneLength
-					}
-					want := drained{ids: full[cursor:end], final: Chunk{Done: true, DoneReason: reason,
-						Context: full[:end], EvalCount: end - cursor, TotalTokens: end}}
-					for _, id := range want.ids {
-						want.text += tok.DecodeOne(tokenizer.Token(id))
-						want.ends = append(want.ends, len(want.text))
-					}
-					if name == "cut mid-character" && utf8.ValidString(want.text) {
-						t.Fatalf("%s: the cut at %d tokens does not split a character: %q", model, cut, want.text)
-					}
-					for pace, consume := range consumers {
-						gen, err := e.Generate(context.Background(), req)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := consume(gen); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s batching=%v scale=%v %s, %s consumer:\n got %+v\nwant %+v",
-								model, batching, scale, name, pace, got, want)
-						}
-					}
-				}
-			}
-			if err := e.Close(); err != nil {
+	for _, scale := range []float64{0, 0.01} {
+		e := NewEngine(Options{Knowledge: kb, LatencyScale: scale})
+		for _, model := range []string{ModelLlama3, ModelMistral, ModelQwen2} {
+			_, plan, err := e.planGeneration(GenRequest{Model: model, Prompt: prompt})
+			if err != nil {
 				t.Fatal(err)
 			}
+			full := plan.ids
+			// The budget that ends the call inside the answer's first
+			// multi-byte character, where it has one.
+			cut := 0
+			for i := range full {
+				if !utf8.ValidString(tok.Decode(tokensOf(full[:i+1]))) {
+					cut = i + 1
+					break
+				}
+			}
+			cases := map[string]GenRequest{
+				"fresh":     {Model: model, Prompt: prompt},
+				"continued": {Model: model, Prompt: prompt, Context: full[:3], MaxTokens: 6},
+			}
+			if cut > 0 {
+				cases["cut mid-character"] = GenRequest{Model: model, Prompt: prompt, MaxTokens: cut}
+				midCharacter++
+			}
+			for name, req := range cases {
+				cursor, end, reason := len(req.Context), len(full), DoneStop
+				if req.MaxTokens > 0 && cursor+req.MaxTokens < end {
+					end, reason = cursor+req.MaxTokens, DoneLength
+				}
+				want := drained{ids: full[cursor:end], final: Chunk{Done: true, DoneReason: reason,
+					Context: full[:end], EvalCount: end - cursor, TotalTokens: end}}
+				for _, id := range want.ids {
+					want.text += tok.DecodeOne(tokenizer.Token(id))
+					want.ends = append(want.ends, len(want.text))
+				}
+				if name == "cut mid-character" && utf8.ValidString(want.text) {
+					t.Fatalf("%s: the cut at %d tokens does not split a character: %q", model, cut, want.text)
+				}
+				for pace, consume := range consumers {
+					gen, err := e.Generate(context.Background(), req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := consume(gen); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s scale=%v %s, %s consumer:\n got %+v\nwant %+v",
+							model, scale, name, pace, got, want)
+					}
+				}
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if midCharacter == 0 {
@@ -140,27 +138,25 @@ func tokensOf(ids []int) []tokenizer.Token {
 // and checks the terminal chunk's Context is exactly the tokens the
 // consumer was handed — the resume point must match what was delivered.
 func TestGenerationCancelAccountsForHandedOutTokens(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		e := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed()), LatencyScale: 0.05, DisableBatching: disable})
-		ctx, cancel := context.WithCancel(context.Background())
-		gen, err := e.Generate(ctx, GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?", Context: []int{1, 2}})
-		if err != nil {
-			t.Fatal(err)
+	e := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed()), LatencyScale: 0.05})
+	ctx, cancel := context.WithCancel(context.Background())
+	gen, err := e.Generate(ctx, GenRequest{Model: ModelLlama3, Prompt: "Are bats blind?", Context: []int{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handed []int
+	_, final := drain(gen, func(b *TokenBatch) {
+		if handed = append(handed, b.IDs...); len(handed) >= 3 {
+			cancel()
 		}
-		var handed []int
-		_, final := drain(gen, func(b *TokenBatch) {
-			if handed = append(handed, b.IDs...); len(handed) >= 3 {
-				cancel()
-			}
-		})
-		cancel()
-		if final.DoneReason != DoneCancel || final.EvalCount != len(handed) || final.TotalTokens != 2+len(handed) ||
-			!reflect.DeepEqual(final.Context[2:], handed) {
-			t.Fatalf("disable=%v: canceled after %v, terminal %+v", disable, handed, final)
-		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
+	})
+	cancel()
+	if final.DoneReason != DoneCancel || final.EvalCount != len(handed) || final.TotalTokens != 2+len(handed) ||
+		!reflect.DeepEqual(final.Context[2:], handed) {
+		t.Fatalf("canceled after %v, terminal %+v", handed, final)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -232,39 +228,54 @@ func TestEngineStreamInterruptedWaits(t *testing.T) {
 func TestDecodeClockKeepsNominalPace(t *testing.T) {
 	const scale = 0.2 // a llama3 step of about 2 ms
 	const prompt = "Are bats blind?"
-	for _, disable := range []bool{false, true} {
-		e := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed()), LatencyScale: scale, DisableBatching: disable})
-		profile, err := e.Profile(ModelLlama3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		step := time.Duration(scale / profile.TokensPerSec * float64(time.Second))
-		prefill := time.Duration(scale * float64(e.Tokenizer().Count(prompt)) / profile.PrefillRate() * float64(time.Second))
+	e := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed()), LatencyScale: scale})
+	profile, err := e.Profile(ModelLlama3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := time.Duration(scale / profile.TokensPerSec * float64(time.Second))
+	prefill := time.Duration(scale * float64(e.Tokenizer().Count(prompt)) / profile.PrefillRate() * float64(time.Second))
 
-		start := time.Now()
-		gen, err := e.Generate(context.Background(), GenRequest{Model: ModelLlama3, Prompt: prompt})
-		if err != nil {
-			t.Fatal(err)
+	start := time.Now()
+	gen, err := e.Generate(context.Background(), GenRequest{Model: ModelLlama3, Prompt: prompt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	_, final := drain(gen, func(b *TokenBatch) {
+		if n += len(b.IDs); len(b.IDs) > 0 && time.Since(start) < time.Duration(n)*step {
+			t.Errorf("token %d arrived after %v, before its nominal %v", n, time.Since(start), time.Duration(n)*step)
 		}
-		n := 0
-		_, final := drain(gen, func(b *TokenBatch) {
-			if n += len(b.IDs); len(b.IDs) > 0 && time.Since(start) < time.Duration(n)*step {
-				t.Errorf("disable=%v: token %d arrived after %v, before its nominal %v", disable, n, time.Since(start), time.Duration(n)*step)
-			}
-		})
-		took := time.Since(start)
-		if n < 50 || final.EvalCount != n {
-			t.Fatalf("disable=%v: %d tokens, terminal %+v; want a long answer", disable, n, final)
-		}
-		// Generous: -race boxes are slow. Sleeping a whole step per token
-		// on this answer overshoots by more than this on any box.
-		nominal := prefill + time.Duration(n)*step
-		t.Logf("disable=%v: %d tokens took %v, nominal %v", disable, n, took, nominal)
-		if limit := nominal + max(nominal/4, 50*time.Millisecond); took > limit {
-			t.Errorf("disable=%v: %d tokens took %v, nominal %v, limit %v", disable, n, took, nominal, limit)
-		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
+	})
+	took := time.Since(start)
+	if n < 50 || final.EvalCount != n {
+		t.Fatalf("%d tokens, terminal %+v; want a long answer", n, final)
+	}
+	// Generous: -race boxes are slow. Sleeping a whole step per token
+	// on this answer overshoots by more than this on any box.
+	nominal := prefill + time.Duration(n)*step
+	t.Logf("%d tokens took %v, nominal %v", n, took, nominal)
+	if limit := nominal + max(nominal/4, 50*time.Millisecond); took > limit {
+		t.Errorf("%d tokens took %v, nominal %v, limit %v", n, took, nominal, limit)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineStreamEndsAtPlanEnd pins the slice that reaches the plan's
+// last token as the terminal one even when the producer has advanced the
+// watermark there but not yet marked the generation over: which round sees
+// a model finish must not depend on where between those two stores the
+// consumer's read fell.
+func TestEngineStreamEndsAtPlanEnd(t *testing.T) {
+	tok := tokenizer.Default()
+	ids := tok.AppendIDs(nil, "Bats are not blind.")
+	gen := newGeneration(tok, genPlan{ids: ids, reason: DoneStop}, nil)
+	gen.advance(len(ids)) // decoded to the end, finish not yet called
+	s := &engineStream{gen: gen, cancel: func() {}}
+	got, err := s.Next(context.Background(), len(ids))
+	if err != nil || !got.Done || got.DoneReason != DoneStop || got.EvalCount != len(ids) {
+		t.Fatalf("slice to the plan's end = %+v, %v; want the terminal chunk", got, err)
 	}
 }

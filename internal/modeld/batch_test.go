@@ -79,22 +79,17 @@ func TestPSBatchOccupancy(t *testing.T) {
 	}
 }
 
-// TestPSBatchAbsentWhenDisabled pins the -batch=false shape: no batch
-// object in /api/ps.
-func TestPSBatchAbsentWhenDisabled(t *testing.T) {
-	engine := llm.NewEngine(llm.Options{
-		Knowledge:       llm.NewKnowledge(truthfulqa.Seed()),
-		DisableBatching: true,
-	})
-	srv := httptest.NewServer(NewServer(engine))
-	defer srv.Close()
-	c := New(srv.URL, WithHTTPClient(srv.Client()))
-
-	if _, err := c.GenerateChunk(context.Background(), llm.ChunkRequest{
-		Model: llm.ModelLlama3, Prompt: "Are bats blind?",
-	}); err != nil {
+// TestPSBatchAbsentWithoutScheduler pins the shape of a model that is
+// loaded but has generated nothing yet: no batch object in /api/ps.
+func TestPSBatchAbsentWithoutScheduler(t *testing.T) {
+	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
+	defer engine.Close()
+	if err := engine.Load(llm.ModelLlama3); err != nil {
 		t.Fatal(err)
 	}
+	srv := httptest.NewServer(NewServer(engine))
+	defer srv.Close()
+
 	resp, err := srv.Client().Get(srv.URL + "/api/ps")
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +102,7 @@ func TestPSBatchAbsentWhenDisabled(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&ps); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range ps.Models {
-		if m.Batch != nil {
-			t.Fatalf("batching disabled but /api/ps carries batch info: %+v", m.Batch)
-		}
+	if len(ps.Models) != 1 || ps.Models[0].Batch != nil {
+		t.Fatalf("/api/ps = %+v, want the loaded model without batch info", ps.Models)
 	}
 }

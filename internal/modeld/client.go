@@ -77,11 +77,10 @@ func defaultHTTPClient() *http.Client {
 	return defaultClient
 }
 
-// Option configures a Client at construction; see New. Options replace
-// the old two-step construct-then-mutate shape (NewClient + Instrument):
-// a Client is now fully configured before its first request, so no
-// caller can observe a half-configured client and new knobs don't widen
-// the constructor signature.
+// Option configures a Client at construction; see New. A Client is fully
+// configured before its first request, so no caller can observe a
+// half-configured client and new knobs don't widen the constructor
+// signature.
 type Option func(*Client)
 
 // WithHTTPClient overrides the package's shared fan-out-tuned HTTP
@@ -129,27 +128,6 @@ func New(base string, opts ...Option) *Client {
 	for _, opt := range opts {
 		opt(c)
 	}
-	return c
-}
-
-// NewClient returns a client for a daemon at base. A nil httpClient
-// selects the package's shared fan-out-tuned client.
-//
-// Deprecated: use New with WithHTTPClient. NewClient remains as a thin
-// shim for external callers; everything in this repository constructs
-// through New.
-func NewClient(base string, httpClient *http.Client) *Client {
-	return New(base, WithHTTPClient(httpClient))
-}
-
-// Instrument attaches a telemetry bundle after construction and returns
-// the client for chaining.
-//
-// Deprecated: pass WithTelemetry to New instead, so the client never
-// exists half-configured. Instrument remains as a shim for external
-// callers and must not be called concurrently with requests.
-func (c *Client) Instrument(tel *telemetry.Telemetry) *Client {
-	c.tel = tel
 	return c
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"llmms/internal/bench"
 	"llmms/internal/core"
+	"llmms/internal/fleet"
 	"llmms/internal/llm"
 	"llmms/internal/modeld"
 	"llmms/internal/truthfulqa"
@@ -115,28 +116,35 @@ func TestEvaluationHarnessOverHTTP(t *testing.T) {
 
 // TestFederatedOrchestration spans two daemons: each model is served by
 // its own HTTP endpoint, and the orchestrator coordinates them through a
-// core.MultiBackend — the §9.5 federated-integration proposal.
+// fleet.Pool with one replica per model — the §9.5 federated-integration
+// proposal, with a generation session per model held open across daemon
+// boundaries.
 func TestFederatedOrchestration(t *testing.T) {
 	ds := truthfulqa.Seed()
 	// Two independent engines, each hosting the full profile set but
 	// reachable on different endpoints.
-	_, siteA := wireStack(t, ds)
-	_, siteB := wireStack(t, ds)
+	engineA, siteA := wireStack(t, ds)
+	engineB, siteB := wireStack(t, ds)
 
-	mb := core.NewMultiBackend(nil)
-	if err := mb.Register(llm.ModelLlama3, siteA); err != nil {
+	pool, err := fleet.New(fleet.Config{Replicas: map[string][]fleet.Replica{
+		llm.ModelLlama3:  {{ID: "site-a", Backend: siteA}},
+		llm.ModelMistral: {{ID: "site-b", Backend: siteB}},
+		llm.ModelQwen2:   {{ID: "site-b", Backend: siteB}},
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mb.Register(llm.ModelMistral, siteB); err != nil {
-		t.Fatal(err)
-	}
-	if err := mb.Register(llm.ModelQwen2, siteB); err != nil {
-		t.Fatal(err)
-	}
+	defer pool.Close()
 
 	cfg := core.DefaultConfig(llm.ModelLlama3, llm.ModelMistral, llm.ModelQwen2)
 	cfg.MaxTokens = 200
-	orch, err := core.New(mb, cfg)
+	streamed := map[string]bool{}
+	cfg.OnEvent = func(ev core.Event) {
+		if ev.Type == core.EventStreamOpen {
+			streamed[ev.Model] = true
+		}
+	}
+	orch, err := core.New(pool, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +155,22 @@ func TestFederatedOrchestration(t *testing.T) {
 	if res.Answer == "" || res.TokensUsed == 0 {
 		t.Fatalf("federated result = %+v", res)
 	}
-	// All three models contributed (UCB1 pulls every arm at least once).
+	// All three models contributed (UCB1 pulls every arm at least once),
+	// each over a stream session on its own daemon.
 	for _, out := range res.Outcomes {
 		if out.Pulls == 0 {
 			t.Fatalf("model %s never pulled across daemons: %+v", out.Model, res.Outcomes)
+		}
+		if !streamed[out.Model] {
+			t.Fatalf("model %s never opened a stream: federation stripped the sessions", out.Model)
+		}
+	}
+	// Each daemon served only the models routed to it.
+	for model, wrongSite := range map[string]*llm.Engine{
+		llm.ModelLlama3: engineB, llm.ModelMistral: engineA, llm.ModelQwen2: engineA,
+	} {
+		if st, err := wrongSite.Stats(model); err != nil || st.Requests != 0 {
+			t.Fatalf("%s crossed daemon boundaries: %+v, %v", model, st, err)
 		}
 	}
 }

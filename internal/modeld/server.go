@@ -390,8 +390,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Occupancy the moment this request joined the model's batch
-	// (active plus queued, including this one); absent when batching is
-	// disabled.
+	// (active plus queued, including this one).
 	if st, ok := s.engine.BatchStats(req.Model); ok {
 		gen.SetAttr("batch_occupancy", strconv.Itoa(st.Active+st.Pending))
 	}

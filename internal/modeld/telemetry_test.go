@@ -18,9 +18,9 @@ import (
 // live daemon and checks the request counters, latency histograms, and
 // per-model chunk latency land in the shared telemetry bundle.
 func TestClientInstrumentation(t *testing.T) {
-	c, engine := newTestDaemon(t)
+	plain, engine := newTestDaemon(t)
 	tel := telemetry.New(telemetry.Options{})
-	c.Instrument(tel) // deprecated shim, pinned working here
+	c := New(plain.base, WithHTTPClient(plain.hc), WithTelemetry(tel))
 	ctx := context.Background()
 	model := engine.Profiles()[0].Name
 

@@ -41,23 +41,10 @@ func TestDefaultClientSharedOnce(t *testing.T) {
 	}
 }
 
-// TestClientOptions covers the remaining construction options and the
-// deprecated shims external callers may still use.
+// TestClientOptions covers the remaining construction options.
 func TestClientOptions(t *testing.T) {
 	if c := New("http://127.0.0.1:1/", WithTimeout(3*time.Second)); c.Timeout != 3*time.Second {
 		t.Fatalf("WithTimeout not applied: %v", c.Timeout)
-	}
-	// Deprecated shims must keep their historical behavior.
-	own := &http.Client{}
-	c := NewClient("http://127.0.0.1:1", own)
-	if c.hc != own {
-		t.Fatal("NewClient shim must honor its httpClient argument")
-	}
-	if got := NewClient("http://127.0.0.1:1", nil); got.hc != defaultHTTPClient() {
-		t.Fatal("NewClient(base, nil) shim must select the shared default client")
-	}
-	if c.Instrument(nil) != c {
-		t.Fatal("Instrument shim must return the client for chaining")
 	}
 }
 
@@ -87,7 +74,7 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 		dials.Add(1)
 		return dialer.DialContext(ctx, network, addr)
 	}
-	client := NewClient(srv.URL, &http.Client{Transport: counting})
+	client := New(srv.URL, WithHTTPClient(&http.Client{Transport: counting}))
 
 	runWave := func() {
 		wave.Add(models)

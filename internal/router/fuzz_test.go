@@ -41,21 +41,3 @@ func FuzzParseDirectives(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDetectIntent asserts intent detection is total and returns a known
-// label for any input.
-func FuzzDetectIntent(f *testing.F) {
-	f.Add("What is 2 plus 2?")
-	f.Add("summarize everything")
-	f.Add("")
-	known := map[Intent]bool{
-		IntentMath: true, IntentSummarize: true, IntentCode: true,
-		IntentTranslate: true, IntentDefinition: true, IntentYesNo: true,
-		IntentFactLookup: true, IntentOpenEnded: true,
-	}
-	f.Fuzz(func(t *testing.T, q string) {
-		if got := DetectIntent(q); !known[got] {
-			t.Fatalf("unknown intent %q for %q", got, q)
-		}
-	})
-}

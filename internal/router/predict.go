@@ -1,3 +1,17 @@
+// Package router implements two of the paper's proposed extensions
+// (§9.5) on top of the core orchestrator:
+//
+//   - Cognitive routing with semantic task indexing (predict.go): the
+//     Predictor clusters queries in embedding space, records which models
+//     historically earn the highest reward per cluster, and once a cluster
+//     is confident routes new queries of that kind to the known-good model
+//     subset instead of the full pool; unknown or low-confidence queries
+//     fall back to full orchestration, whose outcomes feed the index.
+//
+//   - A natural-language configuration interface (nlconfig.go): plain
+//     instructions ("avoid slow models", "prioritize qwen", "keep
+//     responses under 200 tokens", "use the bandit") are parsed into
+//     configuration changes by a transparent keyword grammar.
 package router
 
 import (
@@ -16,11 +30,10 @@ import (
 
 // Query-aware predictive routing (DESIGN.md "Predictive routing").
 //
-// The lexical TaskIndex above shortcuts only queries whose intent a
-// keyword grammar recognizes. The Predictor generalizes it into
-// embedding space, the way SelectLLM routes with a query-aware
-// classifier and ORI routes across a heterogeneous fleet by vector
-// similarity: every completed query is embedded and assigned to an
+// The Predictor keeps the paper's "small index of which models are best
+// at each task" in embedding space, the way SelectLLM routes with a
+// query-aware classifier and ORI routes across a heterogeneous fleet by
+// vector similarity: every completed query is embedded and assigned to an
 // online cluster (leader-style online k-means: nearest centroid if the
 // cosine similarity clears a threshold, a fresh cluster otherwise), and
 // each cluster accumulates decayed per-model reward statistics from

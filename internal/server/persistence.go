@@ -78,11 +78,10 @@ func openSubstrate(opts Options, tel *telemetry.Telemetry, tracer *telemetry.Tra
 		SetShardDocs:    vm.SetShardDocs,
 		ObserveRecovery: vm.ObserveRecovery,
 	}
-	docsCfg := vectordb.CollectionConfig{Shards: opts.VectorDBShards}
 	if opts.DataDir == "" {
 		db := vectordb.New()
 		db.SetHooks(hooks)
-		col, err := db.CreateCollection("documents", docsCfg)
+		col, err := db.CreateCollection("documents", vectordb.CollectionConfig{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -94,15 +93,14 @@ func openSubstrate(opts Options, tel *telemetry.Telemetry, tracer *telemetry.Tra
 	_, span := tracer.StartRoot(context.Background(), "vectordb.recover")
 	span.SetAttr("dir", dir)
 	db, err := vectordb.Open(dir, vectordb.OpenOptions{
-		Sync:          opts.WALSync,
-		DefaultShards: opts.VectorDBShards,
-		Hooks:         hooks,
+		Sync:  opts.WALSync,
+		Hooks: hooks,
 	})
 	span.End(err)
 	if err != nil {
 		return nil, nil, err
 	}
-	col, err := db.GetOrCreateCollection("documents", docsCfg)
+	col, err := db.GetOrCreateCollection("documents", vectordb.CollectionConfig{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -29,13 +29,6 @@ type RoutingOptions struct {
 	// fan out to only the predicted top-k models (the -router-topk flag
 	// on cmd/llmms). Zero disables predictive routing.
 	TopK int
-	// MinObservations is how many queries a cluster needs before it may
-	// narrow the fan-out (non-positive takes the predictor default, 3).
-	MinObservations int
-	// MinSimilarity is the centroid cosine similarity below which a
-	// query falls back to the full pool (non-positive takes the
-	// predictor default, 0.5).
-	MinSimilarity float64
 	// Epsilon sets the ε-probe cadence: every ⌈1/ε⌉-th routed decision
 	// of a cluster includes one excluded model (zero takes the
 	// predictor default 0.1; negative disables probing).
@@ -52,11 +45,9 @@ func newPredictor(opts Options) *router.Predictor {
 		return nil
 	}
 	return router.NewPredictor(router.PredictorOptions{
-		TopK:            opts.Routing.TopK,
-		MinObservations: opts.Routing.MinObservations,
-		MinSimilarity:   opts.Routing.MinSimilarity,
-		Epsilon:         opts.Routing.Epsilon,
-		MaxClusters:     opts.Routing.MaxClusters,
+		TopK:        opts.Routing.TopK,
+		Epsilon:     opts.Routing.Epsilon,
+		MaxClusters: opts.Routing.MaxClusters,
 	})
 }
 

@@ -191,10 +191,6 @@ type Options struct {
 	// default: profiles expose internals and cost CPU, so production
 	// deployments opt in explicitly (the -pprof flag on cmd/llmms).
 	EnablePprof bool
-	// DisableStreaming forces per-round generation calls even when the
-	// backend can hold persistent generation streams (the -stream-sessions
-	// flag on cmd/llmms; see core.Config.DisableStreaming).
-	DisableStreaming bool
 	// ReadyChecks are the dependency probes behind GET /readyz, in
 	// addition to the built-in "models" check (model inventory
 	// non-empty). Each check gets a bounded context; a non-nil error
@@ -225,10 +221,6 @@ type Options struct {
 	// (group-committed fsync, default), "always", or "none" (the
 	// -wal-sync flag on cmd/llmms).
 	WALSync vectordb.SyncPolicy
-	// VectorDBShards overrides the per-collection shard count
-	// (non-positive means one shard per CPU; the -vectordb-shards flag
-	// on cmd/llmms).
-	VectorDBShards int
 }
 
 // DefaultSlowQueryThreshold is the slow-query log cutoff when
@@ -266,7 +258,6 @@ type Server struct {
 	slowQuery   time.Duration
 	readyChecks []ReadyCheck
 	pprofOn     bool
-	noStreaming bool
 	mux         *http.ServeMux
 
 	// Persistence (see persistence.go); dataDir empty means in-memory.
@@ -333,27 +324,26 @@ func NewServer(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("server: open memory substrate: %w", err)
 	}
 	s := &Server{
-		engine:      opts.Engine,
-		backend:     backend,
-		fleet:       opts.Fleet,
-		predictor:   newPredictor(opts),
-		tracer:      tracer,
-		logger:      logger,
-		slowQuery:   slowQuery,
-		sessions:    session.NewStore(opts.SessionOptions),
-		docs:        col,
-		ingestor:    rag.NewIngestor(col, rag.ChunkOptions{}),
-		feedback:    core.NewFeedbackStore(),
-		arena:       arena.New(arena.Options{}),
-		memory:      session.NewMemoryGraph(session.MemoryGraphOptions{}),
-		tel:         tel,
-		pprofOn:     opts.EnablePprof,
-		noStreaming: opts.DisableStreaming,
-		settings:    st,
-		docIDs:      make(map[string]docInfo),
-		mux:         http.NewServeMux(),
-		db:          db,
-		dataDir:     opts.DataDir,
+		engine:    opts.Engine,
+		backend:   backend,
+		fleet:     opts.Fleet,
+		predictor: newPredictor(opts),
+		tracer:    tracer,
+		logger:    logger,
+		slowQuery: slowQuery,
+		sessions:  session.NewStore(opts.SessionOptions),
+		docs:      col,
+		ingestor:  rag.NewIngestor(col, rag.ChunkOptions{}),
+		feedback:  core.NewFeedbackStore(),
+		arena:     arena.New(arena.Options{}),
+		memory:    session.NewMemoryGraph(session.MemoryGraphOptions{}),
+		tel:       tel,
+		pprofOn:   opts.EnablePprof,
+		settings:  st,
+		docIDs:    make(map[string]docInfo),
+		mux:       http.NewServeMux(),
+		db:        db,
+		dataDir:   opts.DataDir,
 	}
 	if sv := opts.Serving; sv.CacheTTL > 0 {
 		s.cache = qcache.New(qcache.Options{
@@ -873,7 +863,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		cfg.Priors = pred.Priors
 		cfg.PriorWeight = pred.PriorWeight
 	}
-	cfg.DisableStreaming = s.noStreaming
 	cfg.OnEvent = sw.event
 	cfg.BeforeWait = sw.flush
 	cfg.Recorder = obs

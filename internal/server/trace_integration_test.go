@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,14 @@ import (
 	"llmms/internal/telemetry"
 	"llmms/internal/truthfulqa"
 )
+
+// chunkOnlyBackend serves per-round calls and nothing else: it neither
+// streams nor unwraps, so the orchestrator's sessions never open a stream.
+type chunkOnlyBackend struct{ inner llm.Backend }
+
+func (b chunkOnlyBackend) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (llm.Chunk, error) {
+	return b.inner.GenerateChunk(ctx, req)
+}
 
 // TestQuerySpanTreeAcrossStack is the PR's acceptance scenario: one
 // /api/query against a fleet-backed server whose replicas call a real
@@ -42,12 +51,12 @@ func TestQuerySpanTreeAcrossStack(t *testing.T) {
 	s, err := NewServer(Options{
 		Engine: engine,
 		Fleet:  pool,
-		// Per-round generation keeps the daemon span graft synchronous:
-		// each round's done line (carrying the daemon spans) is consumed
-		// before the round returns, so the tree is complete when the
-		// trace is stored.
-		DisableStreaming: true,
-		Serving:          ServingOptions{CacheTTL: time.Minute, MaxInflight: 8},
+		// A chunk-only view of the pool: per-round generation keeps the
+		// daemon span graft synchronous — each round's done line (carrying
+		// the daemon spans) is consumed before the round returns, so the
+		// tree is complete when the trace is stored.
+		Backend: chunkOnlyBackend{inner: pool},
+		Serving: ServingOptions{CacheTTL: time.Minute, MaxInflight: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

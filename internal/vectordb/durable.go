@@ -38,10 +38,6 @@ type OpenOptions struct {
 	// CompactBytes is the WAL size that triggers snapshot+truncate
 	// compaction; defaults to 8 MiB. Negative disables compaction.
 	CompactBytes int64
-	// DefaultShards overrides DefaultShards() for collections created
-	// without an explicit CollectionConfig.Shards (the -vectordb-shards
-	// flag). Non-positive means DefaultShards().
-	DefaultShards int
 	// Hooks observes substrate activity (telemetry).
 	Hooks Hooks
 }
@@ -131,16 +127,12 @@ func (db *DB) recoverCollection(h *collectionHeader) (*Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vectordb: collection %q: %w", h.Name, err)
 	}
-	shards := h.Shards
-	if shards <= 0 {
-		shards = db.opts.DefaultShards
-	}
 	c := newCollection(h.Name, CollectionConfig{
 		Metric:  h.Metric,
 		Encoder: enc,
 		Index:   h.Index,
 		HNSW:    h.HNSW,
-		Shards:  shards,
+		Shards:  h.Shards,
 	})
 	c.hooks = db.hooks
 	h.Shards = len(c.shards) // pin the resolved count for the next boot

@@ -150,8 +150,7 @@ type CollectionConfig struct {
 	// HNSW tunes the graph index when Index == "hnsw".
 	HNSW HNSWConfig
 	// Shards is how many independently locked partitions the collection
-	// is split into by document-id hash. Non-positive means DefaultShards
-	// (or the owning database's OpenOptions.DefaultShards).
+	// is split into by document-id hash. Non-positive means DefaultShards.
 	Shards int
 }
 
@@ -641,9 +640,6 @@ func (db *DB) GetOrCreateCollection(name string, cfg CollectionConfig) (*Collect
 // createLocked builds a collection and, on a durable database, arms its
 // WAL and registers it in the on-disk manifest. Caller holds db.mu.
 func (db *DB) createLocked(name string, cfg CollectionConfig) (*Collection, error) {
-	if cfg.Shards <= 0 && db.opts.DefaultShards > 0 {
-		cfg.Shards = db.opts.DefaultShards
-	}
 	c := newCollection(name, cfg)
 	c.hooks = db.hooks
 	if db.dir != "" {

@@ -1,11 +1,8 @@
 #!/bin/sh
 # Runs the orchestrator benchmark suite (the paper-figure reproductions
-# in bench_test.go at the repo root) with memory profiling and writes
-# the results as machine-readable JSON, so benchmark history can be
-# diffed across commits. The raw `go test -bench` text goes to stderr.
+# in bench_test.go at the repo root) with memory profiling and prints
+# the `go test -bench` table.
 set -eu
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_core.json}"
-go test -bench=. -benchmem -run='^$' . | tee /dev/stderr | go run ./cmd/benchjson > "$out"
-echo "wrote $out"
+go test -bench=. -benchmem -run='^$' .

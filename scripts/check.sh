@@ -21,14 +21,23 @@ go vet ./...
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
+# Every internal package must be in the import closure of a binary: one
+# that only tests and examples reach is code the product does not run.
+echo "== reachability: go list ./internal/... within go list -deps ./cmd/..."
+unreached=$(go list ./internal/... | grep -Fxv "$(go list -deps ./cmd/...)" || true)
+if [ -n "$unreached" ]; then
+	echo "packages under internal/ that no cmd/ binary imports:" >&2
+	echo "$unreached" >&2
+	exit 1
+fi
+
 # benchmark/ is a module of its own (BENCHMARK.json's harness); the root
 # module's ./... never compiles it, so vet and test it here.
 echo "== benchmark: go vet ./... && go test ./..."
 (cd benchmark && go vet ./... && go test ./...)
 
 # One-iteration smoke of the remaining Go micro-benchmarks: proves the
-# benchmark code itself still compiles and runs (a broken benchmark
-# otherwise only surfaces when someone runs make bench-score).
+# benchmark code itself still compiles and runs.
 echo "== bench smoke (-benchtime=1x)"
 go test -run='^$' -bench='ScoreAll|EncodeIncremental|InterSim' -benchtime=1x \
 	./internal/core/ ./internal/embedding/ >/dev/null
