@@ -453,9 +453,10 @@ func (c *Client) pumpStream(resp *http.Response, body *requestBuf, buf *llm.Stre
 				return
 			}
 			sl.fromResponse(&gr)
+			sp.Adopt(gr.Spans)
 		}
 		if sl.done {
-			sp.Adopt(sl.spans)
+			sl.graftSpans(line, sp)
 			buf.Finish(llm.Chunk{
 				Done: true, DoneReason: sl.doneReason,
 				Context: sl.context, EvalCount: sl.evalCount, TotalTokens: len(sl.context),

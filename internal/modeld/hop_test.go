@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -112,6 +113,8 @@ func TestDoneLineOverTheHop(t *testing.T) {
 		}
 
 		ctx, root := telemetry.NewTracer("llmms").StartRoot(context.Background(), "query")
+		root.Hold()
+		defer root.Release()
 		st, err := client.OpenStream(ctx, llm.ChunkRequest{Model: model, Prompt: prompt, MaxTokens: budget})
 		if err != nil {
 			t.Fatal(err)
@@ -139,8 +142,7 @@ func TestDoneLineOverTheHop(t *testing.T) {
 		if !sl.decode(done) {
 			t.Fatalf("%s: the scanner declined the daemon's done line %s", model, done)
 		}
-		if !reflect.DeepEqual(sl.spans, gr.Spans) || !equalInts(sl.context, gr.Context) ||
-			sl.evalCount != gr.EvalCount || string(sl.doneReason) != gr.DoneReason {
+		if !equalInts(sl.context, gr.Context) || sl.evalCount != gr.EvalCount || string(sl.doneReason) != gr.DoneReason {
 			t.Fatalf("%s: scanner read %+v, encoding/json %+v", model, sl, gr)
 		}
 		if want := (llm.Chunk{Done: true, DoneReason: llm.DoneReason(gr.DoneReason), Context: gr.Context,
@@ -156,9 +158,54 @@ func TestDoneLineOverTheHop(t *testing.T) {
 		if !reflect.DeepEqual(adopted, gr.Spans) {
 			t.Fatalf("%s: client adopted %+v, encoding/json reads %+v off the done line", model, adopted, gr.Spans)
 		}
+		doneLineOverTheCap(t)
 		return
 	}
 	t.Fatal("no model answers with a multi-byte character")
+}
+
+// doneLineOverTheCap is the 600-span case: a daemon answers a traced
+// session with a done line carrying 600 records of the caller's trace. The
+// client keeps what fits under the trace's span cap, counts the rest, and
+// the session ends as it would have.
+func doneLineOverTheCap(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		tid, _, ok := telemetry.ParseTraceparent(r.Header.Get("Traceparent"))
+		if !ok {
+			t.Errorf("no traceparent on the session's request")
+		}
+		fmt.Fprintln(w, `{"model":"m","response":"ok go","done":false,"tokens":[7,8],"token_ends":[2,5]}`)
+		w.Write(bytes.ReplaceAll(manySpansLine(600), []byte(testTraceID), []byte(tid)))
+	}))
+	defer srv.Close()
+	ctx, root := telemetry.NewTracer("llmms").StartRoot(context.Background(), "query")
+	root.Hold()
+	defer root.Release()
+	st, err := New(srv.URL, WithHTTPClient(srv.Client())).OpenStream(ctx, llm.ChunkRequest{Model: "m", Prompt: "q", MaxTokens: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got, err := st.Next(ctx, 0); err != nil || got.Text != "ok go" || !got.Done || got.DoneReason != llm.DoneStop {
+		t.Fatalf("session = %+v, %v; want \"ok go\" and a stop", got, err)
+	}
+	root.End(nil)
+	var recs []telemetry.SpanRecord
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		// The pump ends the stream span a moment after the terminal chunk.
+		if recs = root.Records(); len(recs) == telemetry.MaxSpansPerTrace {
+			break
+		}
+	}
+	if len(recs) != telemetry.MaxSpansPerTrace {
+		t.Fatalf("trace holds %d spans, want the cap %d", len(recs), telemetry.MaxSpansPerTrace)
+	}
+	for _, r := range recs {
+		// 600 records, 510 slots beside the query and the stream span.
+		if r.Name == "query" && r.Attrs["dropped_spans"] != "90" {
+			t.Fatalf("root attrs %v, want dropped_spans 90", r.Attrs)
+		}
+	}
 }
 
 // TestDoneLineWithForeignKeyFallsBack checks a done line the scanner

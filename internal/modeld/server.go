@@ -358,17 +358,12 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// Join the caller's trace when a valid traceparent header arrived; a
 	// malformed or absent header gets a fresh daemon-local root instead.
 	// The finished daemon-side spans ride back on the final NDJSON line
-	// whenever the caller sent any traceparent at all — the client's
-	// Adopt discards records whose trace ID does not match its own, so
-	// echoing after a malformed header is harmless.
+	// whenever the caller sent any traceparent at all — the client grafts
+	// only records whose trace ID is its own, so echoing after a malformed
+	// header is harmless.
 	tp := r.Header.Get("Traceparent")
-	ctx := r.Context()
-	var root *telemetry.Span
-	if tid, sid, ok := telemetry.ParseTraceparent(tp); ok {
-		ctx, root = s.tracer.StartRootFrom(ctx, "modeld.handle_generate", tid, sid)
-	} else {
-		ctx, root = s.tracer.StartRoot(ctx, "modeld.handle_generate")
-	}
+	tid, sid, _ := telemetry.ParseTraceparent(tp)
+	ctx, root := s.tracer.StartRootFrom(r.Context(), "modeld.handle_generate", tid, sid)
 	root.SetAttr("model", req.Model)
 	start := time.Now()
 
@@ -376,6 +371,15 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// the writer below drains it, so the engine.generate span wraps the
 	// drain, not the call.
 	gen := root.Child("engine.generate")
+	// The hold covers every use of the two handles below; a client that
+	// goes away mid-stream skips finish, so the spans end here at the
+	// latest and the arena goes back to the pool either way.
+	root.Hold()
+	defer func() {
+		gen.End(ctx.Err())
+		root.End(ctx.Err())
+		root.Release()
+	}()
 	generation, err := s.engine.Generate(ctx, llm.GenRequest{
 		Model:     req.Model,
 		Prompt:    req.Prompt,
@@ -392,26 +396,29 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// Occupancy the moment this request joined the model's batch
 	// (active plus queued, including this one).
 	if st, ok := s.engine.BatchStats(req.Model); ok {
-		gen.SetAttr("batch_occupancy", strconv.Itoa(st.Active+st.Pending))
+		gen.SetInt("batch_occupancy", st.Active+st.Pending)
 	}
 
 	lw := newLineWriter(w, req.Model, false, req.Options.StreamTokens)
 	defer lw.release()
-	// finish closes the spans over the terminal chunk and returns the
-	// records the done line (or the whole stream=false reply) carries.
-	finish := func(last llm.Chunk) []telemetry.SpanRecord {
+	// finish closes the spans over the terminal chunk and returns the root
+	// of the arena the done line (or the whole stream=false reply) carries.
+	finish := func(last llm.Chunk) *telemetry.Span {
 		s.genTok.Add(float64(last.EvalCount), req.Model)
-		gen.SetAttr("tokens", strconv.Itoa(last.EvalCount))
+		gen.SetInt("tokens", last.EvalCount)
 		if stream {
-			gen.SetAttr("lines", strconv.Itoa(lw.lines))
+			gen.SetInt("lines", lw.lines)
 		}
 		gen.End(nil)
 		root.End(nil)
-		s.logGenerate(root, req.Model, last.EvalCount, start)
+		if s.log.Enabled(ctx, slog.LevelDebug) {
+			s.log.Debug("generate", "model", req.Model, "tokens", last.EvalCount,
+				"trace_id", root.TraceID(), "elapsed", time.Since(start))
+		}
 		if tp == "" {
 			return nil
 		}
-		return root.Records()
+		return root
 	}
 	if !stream {
 		text, last := llm.Collect(generation)
@@ -419,14 +426,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lw.stream(generation, finish)
-}
-
-// logGenerate emits the per-generation debug line, stamped with the
-// (possibly propagated) trace ID.
-func (s *Server) logGenerate(root *telemetry.Span, model string, tokens int, start time.Time) {
-	s.log.Debug("generate",
-		"model", model, "tokens", tokens,
-		"trace_id", root.TraceID(), "elapsed", time.Since(start))
 }
 
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {

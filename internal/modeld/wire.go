@@ -2,8 +2,8 @@ package modeld
 
 import (
 	"encoding/base64"
+	"encoding/hex"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -85,9 +85,10 @@ func (lw *lineWriter) release() {
 // line and one Flush for the lot, so a token leaves the daemon the moment
 // it is decoded and a burst costs one write. The done line rides the last
 // flush; finish, when set, runs on the terminal chunk just before it is
-// written and returns the span records it should carry. A failed write
-// means the client went away; the request context stops the generation.
-func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) []telemetry.SpanRecord) {
+// written and returns the root of the trace whose spans it should carry. A
+// failed write means the client went away; the request context stops the
+// generation.
+func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) *telemetry.Span) {
 	lw.w.Header().Set("Content-Type", "application/x-ndjson")
 	lw.w.WriteHeader(http.StatusOK)
 	for more := true; more; {
@@ -97,7 +98,7 @@ func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) []t
 			return
 		}
 		if final.Done {
-			var spans []telemetry.SpanRecord
+			var spans *telemetry.Span
 			if finish != nil {
 				spans = finish(final)
 			}
@@ -115,14 +116,14 @@ func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) []t
 
 // reply writes a whole stream=false answer: the done object carrying all
 // of the text.
-func (lw *lineWriter) reply(text string, final llm.Chunk, spans []telemetry.SpanRecord) {
+func (lw *lineWriter) reply(text string, final llm.Chunk, spans *telemetry.Span) {
 	lw.w.Header().Set("Content-Type", "application/json")
 	lw.w.WriteHeader(http.StatusOK)
 	lw.pend = append(lw.pend[:0], text...)
 	lw.writeDone(lw.pend, final, spans)
 }
 
-func (lw *lineWriter) writeDone(text []byte, final llm.Chunk, spans []telemetry.SpanRecord) bool {
+func (lw *lineWriter) writeDone(text []byte, final llm.Chunk, spans *telemetry.Span) bool {
 	lw.out = lw.appendDoneLine(lw.out[:0], time.Now(), text, final, spans)
 	_, err := lw.w.Write(lw.out)
 	return err == nil
@@ -185,9 +186,10 @@ func appendResponseRaw(dst, text []byte) []byte {
 // appendDoneLine appends the line that ends a generation — or, with all of
 // the text in it, the whole stream=false reply: the members of
 // GenerateResponse (ChatResponse for /api/chat) in declaration order, the
-// empty ones omitted as encoding/json omits them. spans are the daemon's
-// span records of the generation, for a caller that sent a traceparent.
-func (lw *lineWriter) appendDoneLine(dst []byte, at time.Time, text []byte, final llm.Chunk, spans []telemetry.SpanRecord) []byte {
+// empty ones omitted as encoding/json omits them. spans is the root of the
+// daemon's trace of the generation, for a caller that sent a traceparent:
+// its finished spans are written from the arena, in place.
+func (lw *lineWriter) appendDoneLine(dst []byte, at time.Time, text []byte, final llm.Chunk, spans *telemetry.Span) []byte {
 	dst = append(dst, lw.prefix...)
 	dst = at.UTC().AppendFormat(dst, time.RFC3339Nano)
 	if lw.chat {
@@ -211,57 +213,51 @@ func (lw *lineWriter) appendDoneLine(dst []byte, at time.Time, text []byte, fina
 	if lw.echo {
 		dst = appendResponseRaw(dst, text)
 	}
-	for i := range spans {
-		if i == 0 {
-			dst = append(dst, `,"spans":[`...)
-		} else {
-			dst = append(dst, ',')
-		}
-		dst = appendSpanRecord(dst, &spans[i])
-	}
-	if len(spans) > 0 {
+	sep := `,"spans":[`
+	spans.Walk(func(d telemetry.SpanData) {
+		dst = appendSpan(append(dst, sep...), &d)
+		sep = ","
+	})
+	if sep == "," {
 		dst = append(dst, ']')
 	}
 	return append(dst, "}\n"...)
 }
 
-// appendSpanRecord appends r as encoding/json renders a
-// telemetry.SpanRecord: members in declaration order, attrs sorted by key.
-func appendSpanRecord(dst []byte, r *telemetry.SpanRecord) []byte {
-	dst = appendJSONString(append(dst, `{"trace_id":`...), r.TraceID)
-	dst = appendJSONString(append(dst, `,"span_id":`...), r.SpanID)
-	if r.ParentID != "" {
-		dst = appendJSONString(append(dst, `,"parent_id":`...), r.ParentID)
+// appendSpan appends d as encoding/json renders a telemetry.SpanRecord:
+// members in declaration order, attrs (the arena keeps them sorted) by key,
+// numbers as the strings they read back as.
+func appendSpan(dst []byte, d *telemetry.SpanData) []byte {
+	dst = hex.AppendEncode(append(dst, `{"trace_id":"`...), d.TraceID[:])
+	dst = hex.AppendEncode(append(dst, `","span_id":"`...), d.SpanID[:])
+	if d.ParentID != ([8]byte{}) {
+		dst = hex.AppendEncode(append(dst, `","parent_id":"`...), d.ParentID[:])
 	}
-	dst = appendJSONString(append(dst, `,"name":`...), r.Name)
-	if r.Service != "" {
-		dst = appendJSONString(append(dst, `,"service":`...), r.Service)
+	dst = appendJSONString(append(dst, `","name":`...), d.Name)
+	if d.Service != "" {
+		dst = appendJSONString(append(dst, `,"service":`...), d.Service)
 	}
-	dst = r.Start.AppendFormat(append(dst, `,"start":"`...), time.RFC3339Nano)
-	dst = strconv.AppendInt(append(dst, `","duration_ns":`...), int64(r.Duration), 10)
-	if len(r.Attrs) > 0 {
-		// A span carries a handful of attributes; sort them in place on
-		// the stack rather than through a sorted key slice.
-		var keys [8]string
-		sorted := keys[:0]
-		for k := range r.Attrs {
-			sorted = append(sorted, k)
+	dst = d.Start.AppendFormat(append(dst, `,"start":"`...), time.RFC3339Nano)
+	dst = strconv.AppendInt(append(dst, `","duration_ns":`...), int64(d.Duration), 10)
+	for i := range d.Attrs {
+		if i == 0 {
+			dst = append(dst, `,"attrs":{`...)
+		} else {
+			dst = append(dst, ',')
 		}
-		sort.Strings(sorted)
-		for i, k := range sorted {
-			if i == 0 {
-				dst = append(dst, `,"attrs":{`...)
-			} else {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(dst, k)
-			dst = appendJSONString(append(dst, ':'), r.Attrs[k])
-		}
+		var num [24]byte
+		dst = appendJSONString(dst, d.Attrs[i].Key)
+		dst = appendJSONString(append(dst, ':'), d.Value(&d.Attrs[i], num[:0]))
+	}
+	if len(d.Attrs) > 0 {
 		dst = append(dst, '}')
 	}
-	dst = appendJSONString(append(dst, `,"status":`...), r.Status)
-	if r.Error != "" {
-		dst = appendJSONString(append(dst, `,"error":`...), r.Error)
+	if !d.Failed {
+		return append(dst, `,"status":"ok"}`...)
+	}
+	dst = append(dst, `,"status":"error"`...)
+	if len(d.Error) > 0 {
+		dst = appendJSONString(append(dst, `,"error":`...), d.Error)
 	}
 	return append(dst, '}')
 }
@@ -338,8 +334,9 @@ func appendJSONString[T string | []byte](dst []byte, s T) []byte {
 // the pump reuses line after line and stream after stream. On a token
 // line, text is the exact bytes of the line's tokens (response_raw when
 // the line has it, else response); on the done line, done is set and the
-// terminal fields are filled. Span records are the one thing that outlives
-// the next decode — their strings and maps are allocated fresh.
+// terminal fields are filled. The done line's span records are not kept
+// here: decode checks them and notes where they start, graftSpans reads them
+// straight into the caller's trace, one at a time through span.
 type streamLine struct {
 	text []byte // aliases raw or response
 	ids  []int
@@ -349,7 +346,8 @@ type streamLine struct {
 	doneReason llm.DoneReason
 	context    []int
 	evalCount  int
-	spans      []telemetry.SpanRecord
+	spansAt    int // offset of the spans array in the line, 0 without one
+	span       telemetry.SpanData
 
 	response, raw, scratch, key []byte
 }
@@ -384,9 +382,8 @@ func once(seen *int, key int) bool {
 }
 
 func (l *streamLine) reset() {
-	clear(l.spans) // drop the last line's strings and maps
 	*l = streamLine{
-		ids: l.ids[:0], ends: l.ends[:0], context: l.context[:0], spans: l.spans[:0],
+		ids: l.ids[:0], ends: l.ends[:0], context: l.context[:0], span: l.span,
 		response: l.response[:0], raw: l.raw[:0], scratch: l.scratch, key: l.key,
 	}
 }
@@ -442,10 +439,9 @@ func (l *streamLine) decode(line []byte) bool {
 			l.evalCount, ok = s.int()
 			return ok && once(&seen, keyEvalCount)
 		case "spans":
-			return once(&seen, keySpans) && s.array(func() bool {
-				l.spans = append(l.spans, telemetry.SpanRecord{})
-				return s.spanRecord(&l.spans[len(l.spans)-1], &l.scratch)
-			})
+			s.ws()
+			l.spansAt = s.i
+			return once(&seen, keySpans) && s.array(func() bool { return s.spanRecord(&l.span, &l.scratch) })
 		}
 		return false
 	})
@@ -486,7 +482,24 @@ func (l *streamLine) fromResponse(gr *GenerateResponse) {
 	l.ends = append(l.ends, gr.TokenEnds...)
 	l.done, l.doneReason, l.evalCount = gr.Done, llm.DoneReason(gr.DoneReason), gr.EvalCount
 	l.context = append(l.context, gr.Context...)
-	l.spans = append(l.spans, gr.Spans...)
+}
+
+// graftSpans reads the span records of a done line decode accepted into
+// sp's trace: one scan per record, into the same SpanData, so the trace's
+// span cap bounds what a line can make the client keep. A record that is
+// not of sp's trace, or whose IDs are not a tracer's, is checked and
+// dropped, as Adopt drops it.
+func (l *streamLine) graftSpans(line []byte, sp *telemetry.Span) {
+	if l.spansAt == 0 || sp == nil {
+		return
+	}
+	s := lineScanner{b: line, i: l.spansAt, key: l.key}
+	s.array(func() bool {
+		ok := s.spanRecord(&l.span, &l.scratch)
+		sp.Graft(&l.span)
+		return ok
+	})
+	l.key = s.key
 }
 
 // Keys of a span record.
@@ -503,53 +516,80 @@ const (
 	keyError
 )
 
-// spanRecord reads the next value as a telemetry.SpanRecord into r, using
-// scratch for its strings before they are copied out.
-func (s *lineScanner) spanRecord(r *telemetry.SpanRecord, scratch *[]byte) bool {
-	seen := 0
-	str := func(dst *string, key int) (ok bool) {
-		if *scratch, ok = s.str((*scratch)[:0]); ok {
-			*dst = string(*scratch)
+// spanWord is b as a string, without allocating when it is one of the
+// names, services and attribute keys the daemon's own spans are made of.
+func spanWord(b []byte) string {
+	for _, w := range [...]string{"modeld", "modeld.handle_generate", "engine.generate",
+		"model", "batch_occupancy", "tokens", "lines", "dropped_spans", "dropped_attrs"} {
+		if string(b) == w {
+			return w
+		}
+	}
+	return string(b)
+}
+
+// spanRecord reads the next value, a telemetry.SpanRecord as JSON, into d,
+// using scratch for its strings. An ID that is not a tracer's hex leaves
+// d without a span ID, which is a record Graft discards.
+func (s *lineScanner) spanRecord(d *telemetry.SpanData, scratch *[]byte) bool {
+	d.Reset()
+	seen, valid := 0, true
+	id := func(dst []byte, key int) bool {
+		// Hex has no escapes; a literal with one is left to encoding/json.
+		lit, ok := s.plain()
+		if len(lit) > 0 || key != keyParentID {
+			_, err := hex.Decode(dst, lit[:min(len(lit), 2*len(dst))])
+			valid = valid && err == nil && len(lit) == 2*len(dst)
 		}
 		return ok && once(&seen, key)
 	}
-	return s.object(func(key []byte) (ok bool) {
+	str := func(key int) (ok bool) {
+		*scratch, ok = s.str((*scratch)[:0])
+		return ok && once(&seen, key)
+	}
+	ok := s.object(func(key []byte) (ok bool) {
 		switch string(key) {
 		case "trace_id":
-			return str(&r.TraceID, keyTraceID)
+			return id(d.TraceID[:], keyTraceID)
 		case "span_id":
-			return str(&r.SpanID, keySpanID)
+			return id(d.SpanID[:], keySpanID)
 		case "parent_id":
-			return str(&r.ParentID, keyParentID)
+			return id(d.ParentID[:], keyParentID)
 		case "name":
-			return str(&r.Name, keyName)
+			ok = str(keyName)
+			d.Name = spanWord(*scratch)
 		case "service":
-			return str(&r.Service, keyService)
+			ok = str(keyService)
+			d.Service = spanWord(*scratch)
 		case "start":
 			// time.Time's UnmarshalJSON parses the literal's bytes as they
 			// are, so only an escape-free literal reads the same here.
-			lit, ok := s.plain()
-			return ok && r.Start.UnmarshalText(lit) == nil && once(&seen, keyStart)
+			lit, plain := s.plain()
+			ok = plain && d.Start.UnmarshalText(lit) == nil && once(&seen, keyStart)
 		case "duration_ns":
-			n, ok := s.int()
-			r.Duration = time.Duration(n)
-			return ok && once(&seen, keyDuration)
+			var n int
+			n, ok = s.int()
+			d.Duration, ok = time.Duration(n), ok && once(&seen, keyDuration)
 		case "attrs":
-			r.Attrs = make(map[string]string, 4)
-			return once(&seen, keyAttrs) && s.object(func(key []byte) (ok bool) {
-				k := string(key)
-				if *scratch, ok = s.str((*scratch)[:0]); ok {
-					r.Attrs[k] = string(*scratch)
-				}
+			ok = once(&seen, keyAttrs) && s.object(func(key []byte) (ok bool) {
+				k := spanWord(key)
+				*scratch, ok = s.str((*scratch)[:0])
+				d.AddAttr(k, *scratch)
 				return ok
 			})
 		case "status":
-			return str(&r.Status, keyStatus)
+			ok = str(keyStatus)
+			d.Failed = string(*scratch) == "error"
 		case "error":
-			return str(&r.Error, keyError)
+			ok = str(keyError)
+			d.Error = append(d.Error, *scratch...)
 		}
-		return false
+		return ok
 	})
+	if !valid {
+		d.SpanID = [8]byte{}
+	}
+	return ok
 }
 
 // requestBuf is pooled storage for one /api/generate request body: the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -158,12 +159,36 @@ func testSpans() []telemetry.SpanRecord {
 	}
 }
 
+// testTraceID is the trace testSpans belong to.
+const testTraceID = "0123456789abcdef0123456789abcdef"
+
+// traceOf returns the root of a trace of testTraceID whose finished spans
+// are recs and nothing else: the root itself stays open, so it is in no
+// walk and the arena is never recycled under the test.
+func traceOf(recs []telemetry.SpanRecord) *telemetry.Span {
+	_, root := telemetry.NewTracer("test").StartRootFrom(context.Background(), "test", testTraceID, "00000000000000ff")
+	root.Adopt(recs)
+	return root
+}
+
+// graftedFrom is what the scanner grafts off an accepted done line into a
+// trace of testTraceID.
+func graftedFrom(sl *streamLine, line []byte) []telemetry.SpanRecord {
+	root := traceOf(nil)
+	sl.graftSpans(line, root)
+	return root.Records()
+}
+
 // doneLine is the done line the daemon writes for a stream_tokens request
-// (or, with chat, an /api/chat one) ending on final.
+// (or, with chat, an /api/chat one) ending on final, carrying spans.
 func doneLine(chat bool, tail string, final llm.Chunk, spans []telemetry.SpanRecord) []byte {
 	lw := newLineWriter(nil, "llama3:8b", chat, !chat)
 	defer lw.release()
-	return lw.appendDoneLine(nil, time.Unix(1700000000, 123), []byte(tail), final, spans)
+	var root *telemetry.Span
+	if len(spans) > 0 {
+		root = traceOf(spans)
+	}
+	return lw.appendDoneLine(nil, time.Unix(1700000000, 123), []byte(tail), final, root)
 }
 
 // TestDoneLineEncoding pins the done line against encoding/json, the
@@ -215,9 +240,14 @@ func TestDoneLineEncoding(t *testing.T) {
 				!equalInts(sl.context, tc.final.Context) || len(sl.text) != 0 || len(sl.ids) != 0 {
 				t.Fatalf("%s: decoded %+v, want %+v", tc.name, sl, tc.final)
 			}
-			if len(sl.spans) != len(tc.spans) || (len(tc.spans) > 0 && !reflect.DeepEqual(sl.spans, gr.Spans)) {
-				t.Fatalf("%s: decoded spans %+v, want %+v", tc.name, sl.spans, gr.Spans)
-			}
+		}
+		// The spans go from the line straight into the caller's trace, and
+		// read back as what encoding/json reads off the same line.
+		if got := graftedFrom(&fast, line); len(got) != len(tc.spans) || (len(tc.spans) > 0 && !reflect.DeepEqual(got, gr.Spans)) {
+			t.Fatalf("%s: grafted spans %+v, want %+v", tc.name, got, gr.Spans)
+		}
+		if got := traceOf(gr.Spans).Records(); len(got) != len(tc.spans) || (len(tc.spans) > 0 && !reflect.DeepEqual(got, gr.Spans)) {
+			t.Fatalf("%s: adopted spans %+v, want %+v", tc.name, got, gr.Spans)
 		}
 	}
 
@@ -264,6 +294,42 @@ func TestFastDecodersAllocateNothing(t *testing.T) {
 			t.Errorf("decoding %s allocates %v times, want 0", line, n)
 		}
 	}
+	// A done line with the daemon's two spans, written from an arena and
+	// read into one: nothing is allocated at either end.
+	if !raceEnabled {
+		_, caller := telemetry.NewTracer("llmms").StartRoot(context.Background(), "query")
+		caller.Hold()
+		defer caller.Release()
+		tid, sid, _ := telemetry.ParseTraceparent(caller.Traceparent())
+		lw := newLineWriter(nil, "llama3:8b", false, true)
+		defer lw.release()
+		final := llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{412, 9, 77, 1030}, EvalCount: 4}
+		var line []byte
+		hop := func() {
+			_, root := telemetry.NewTracer("modeld").StartRootFrom(context.Background(), "modeld.handle_generate", tid, sid)
+			root.SetAttr("model", "llama3:8b")
+			gen := root.Child("engine.generate")
+			gen.SetInt("batch_occupancy", 1)
+			gen.SetInt("tokens", 4)
+			gen.SetInt("lines", 2)
+			gen.End(nil)
+			root.Hold()
+			root.End(nil)
+			line = lw.appendDoneLine(line[:0], time.Unix(1700000000, 123), nil, final, root)
+			root.Release()
+			stream := caller.Child("modeld.stream")
+			if !sl.decode(line) {
+				t.Fatalf("declined %s", line)
+			}
+			sl.graftSpans(line, stream)
+			stream.End(nil)
+		}
+		hop()
+		// 100 hops fit under the caller's span cap: 3 spans each.
+		if n := testing.AllocsPerRun(100, hop); n != 1 {
+			t.Errorf("a traced done line over the hop allocates %v times, want 1 (the daemon root's context)", n)
+		}
+	}
 	var req GenerateRequest
 	req.Model, req.Prompt, req.Context = "llama3:8b", "Question: Are bats blind?\nAnswer:", []int{1, 2, 3}
 	req.Options.NumPredict, req.Options.StreamTokens = 128, true
@@ -305,9 +371,12 @@ func FuzzStreamLine(f *testing.F) {
 	f.Add([]byte(`{"done":true,"done_reason":"stop","context":[1],"total_duration":12345}`))
 	f.Add([]byte(`{"done":true,"spans":[{"span_id":"s","start":"0000-10-01T00:00:00+00:00","attrs":{"":"","0":""},"status":"","links":0}]}`))
 
+	f.Add(manySpansLine(600))
+
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var sl streamLine
 		var gr GenerateResponse
+		var spans *telemetry.Span // the trace the line's spans went into
 		jsonErr := json.Unmarshal(line, &gr)
 		if sl.decode(line) {
 			if jsonErr != nil {
@@ -325,26 +394,32 @@ func FuzzStreamLine(f *testing.F) {
 					sl.done, sl.doneReason, sl.evalCount, sl.context, sl.response,
 					ref.done, ref.doneReason, ref.evalCount, ref.context, ref.response, line)
 			}
-			if len(sl.spans) != len(ref.spans) || (len(sl.spans) > 0 && !reflect.DeepEqual(sl.spans, ref.spans)) {
-				t.Fatalf("fast decoder read spans %+v, encoding/json %+v: %q", sl.spans, ref.spans, line)
+			// What the scanner grafts into the caller's trace is what Adopt
+			// makes of encoding/json's records: the records of that trace
+			// whose IDs are a tracer's, up to the span cap, the rest dropped.
+			spans = traceOf(nil)
+			sl.graftSpans(line, spans)
+			if got, want := spans.Records(), traceOf(gr.Spans).Records(); !sameSpans(got, want) {
+				t.Fatalf("fast decoder grafted spans %+v, encoding/json and Adopt %+v: %q", got, want, line)
 			}
 		} else {
 			if jsonErr != nil {
 				return
 			}
 			sl.fromResponse(&gr)
+			spans = traceOf(gr.Spans)
 		}
 		if sl.done {
 			// Through the daemon's encoder and back.
 			lw := newLineWriter(nil, "m", false, true)
 			defer lw.release()
 			final := llm.Chunk{Done: true, DoneReason: sl.doneReason, Context: sl.context, EvalCount: sl.evalCount}
-			again := lw.appendDoneLine(nil, time.Now(), sl.response, final, sl.spans)
+			again := lw.appendDoneLine(nil, time.Now(), sl.response, final, spans)
 			var back streamLine
 			if !utf8.Valid(sl.response) || strings.ContainsRune(string(sl.response), utf8.RuneError) {
 				return // re-encodes with response_raw, which no done line is read with
 			}
-			for _, r := range sl.spans {
+			for _, r := range spans.Records() {
 				if y := r.Start.Year(); y < 0 || y > 9999 {
 					return // not a time encoding/json would have written
 				}
@@ -354,7 +429,7 @@ func FuzzStreamLine(f *testing.F) {
 			}
 			if !back.done || back.doneReason != sl.doneReason || back.evalCount != sl.evalCount ||
 				!equalInts(back.context, sl.context) || !bytes.Equal(back.response, sl.response) ||
-				!sameSpans(back.spans, sl.spans) {
+				!sameSpans(graftedFrom(&back, again), spans.Records()) {
 				t.Fatalf("round trip through the daemon's encoder read %+v, want %+v: %q", back, sl, line)
 			}
 			return
@@ -389,6 +464,49 @@ func FuzzStreamLine(f *testing.F) {
 			t.Fatalf("round trip through the daemon's encoder drained %+v (%v), want %+v: %q", regot, err, got, line)
 		}
 	})
+}
+
+// manySpansLine is a done line carrying n span records of testTraceID —
+// more than a trace may hold, for n past telemetry.MaxSpansPerTrace.
+func manySpansLine(n int) []byte {
+	line := []byte(`{"model":"m","created_at":"2026-10-02T21:26:38Z","response":"","done":true,"done_reason":"stop","spans":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			line = append(line, ',')
+		}
+		line = fmt.Appendf(line, `{"trace_id":"%s","span_id":"%016x","name":"engine.generate","service":"modeld",`+
+			`"start":"2026-10-02T21:26:38Z","duration_ns":%d,"attrs":{"tokens":"%d"},"status":"ok"}`, testTraceID, i+1, i, i)
+	}
+	return append(line, "]}"...)
+}
+
+// TestDoneLineSpanCap: the span cap applies while the done line is
+// decoded, not after it was materialised — records past it are still
+// checked, are counted as dropped, and are not kept anywhere; a malformed
+// record past the cap still makes the scanner decline the line.
+func TestDoneLineSpanCap(t *testing.T) {
+	line := manySpansLine(600)
+	var sl streamLine
+	if !sl.decode(line) {
+		t.Fatal("the scanner declined a done line of 600 span records")
+	}
+	if cap(sl.span.Attrs) > 8 || cap(sl.span.Text) > 64 {
+		t.Fatalf("decoding kept %d attrs / %d bytes of text: the records were materialised", cap(sl.span.Attrs), cap(sl.span.Text))
+	}
+	root := traceOf(nil)
+	sl.graftSpans(line, root)
+	root.End(nil)
+	recs := root.Records()
+	if len(recs) != telemetry.MaxSpansPerTrace {
+		t.Fatalf("grafted %d records, want the cap %d", len(recs), telemetry.MaxSpansPerTrace)
+	}
+	if got := recs[len(recs)-1].Attrs["dropped_spans"]; got != "89" { // 600 − (512 − the root)
+		t.Fatalf("root reports dropped_spans %q, want 89", got)
+	}
+	bad := bytes.Replace(line, []byte(`"duration_ns":599,`), []byte(`"duration_ns":5.5,`), 1)
+	if bytes.Equal(bad, line) || sl.decode(bad) {
+		t.Fatal("the scanner accepted a line whose 600th record is malformed")
+	}
 }
 
 // testRequests are /api/generate requests as the client sends them, with

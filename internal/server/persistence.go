@@ -91,6 +91,8 @@ func openSubstrate(opts Options, tel *telemetry.Telemetry, tracer *telemetry.Tra
 	dir := filepath.Join(opts.DataDir, vectordbSubdir)
 	start := time.Now()
 	_, span := tracer.StartRoot(context.Background(), "vectordb.recover")
+	span.Hold() // past its End, until the boot trace below is stored
+	defer span.Release()
 	span.SetAttr("dir", dir)
 	db, err := vectordb.Open(dir, vectordb.OpenOptions{
 		Sync:  opts.WALSync,
@@ -110,20 +112,18 @@ func openSubstrate(opts Options, tel *telemetry.Telemetry, tracer *telemetry.Tra
 		"collections", len(db.ListCollections()),
 		"documents", col.Count(),
 		"elapsed", elapsed)
-	if span != nil {
-		// A synthetic boot trace makes recovery inspectable at
-		// /api/traces alongside query traces.
-		tel.Traces.Put(telemetry.QueryTrace{
-			ID:       telemetry.NewQueryID(),
-			TraceID:  span.TraceID(),
-			Strategy: "boot",
-			Query:    "vectordb.recover",
-			Start:    start,
-			Elapsed:  elapsed,
-			Outcome:  "ok",
-			Spans:    span.Records(),
-		})
-	}
+	// A synthetic boot trace makes recovery inspectable at /api/traces
+	// alongside query traces.
+	tel.Traces.Put(telemetry.QueryTrace{
+		ID:        telemetry.NewQueryID(),
+		TraceID:   span.TraceID(),
+		Strategy:  "boot",
+		Query:     "vectordb.recover",
+		Start:     start,
+		Elapsed:   elapsed,
+		Outcome:   "ok",
+		SpanCount: 1,
+	}, span)
 	return db, col, nil
 }
 

@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
-	"strings"
 
 	"llmms/internal/core"
 	"llmms/internal/router"
@@ -69,9 +67,9 @@ func (s *Server) predictRoute(ctx context.Context, query string, strategy core.S
 	_, span := telemetry.StartSpan(ctx, "route.predict")
 	pred := s.predictor.Predict(query, pool)
 	span.SetAttr("outcome", pred.Outcome)
-	span.SetAttr("cluster", fmt.Sprintf("%d", pred.Cluster))
-	span.SetAttr("similarity", fmt.Sprintf("%.3f", pred.Similarity))
-	span.SetAttr("models", strings.Join(pred.Models, ","))
+	span.SetInt("cluster", pred.Cluster)
+	span.SetFloat("similarity", pred.Similarity)
+	span.SetList("models", pred.Models)
 	span.End(nil)
 	s.tel.RouteDecisions.Inc(pred.Outcome)
 	s.tel.RouteWidth.Observe(float64(len(pred.Models)))

@@ -200,12 +200,6 @@ type Options struct {
 	// query-scoped line carries query_id and trace_id. Nil discards all
 	// output (the -log-level/-log-format flags on cmd/llmms build one).
 	Logger *slog.Logger
-	// DisableTracing turns off distributed span collection entirely:
-	// /api/query stops opening root spans, traces store no span trees,
-	// and no traceparent headers reach the daemons. Tracing is on by
-	// default; the benchmark's telemetry.spans_per_query ×
-	// telemetry.span_us is its overhead.
-	DisableTracing bool
 	// SlowQueryThreshold is the elapsed time past which a completed
 	// query logs at warn ("slow query") with its span statistics. Zero
 	// means DefaultSlowQueryThreshold; negative disables the slow log.
@@ -253,7 +247,7 @@ type Server struct {
 	gate        *qcache.Gate      // nil when admission is unbounded
 	fleet       *fleet.Pool       // nil without Options.Fleet
 	predictor   *router.Predictor // nil when predictive routing is disabled
-	tracer      *telemetry.Tracer // nil when tracing is disabled
+	tracer      *telemetry.Tracer
 	logger      *slog.Logger
 	slowQuery   time.Duration
 	readyChecks []ReadyCheck
@@ -311,10 +305,7 @@ func NewServer(opts Options) (*Server, error) {
 	if logger == nil {
 		logger = telemetry.NopLogger()
 	}
-	var tracer *telemetry.Tracer
-	if !opts.DisableTracing {
-		tracer = telemetry.NewTracer("llmms")
-	}
+	tracer := telemetry.NewTracer("llmms")
 	slowQuery := opts.SlowQueryThreshold
 	if slowQuery == 0 {
 		slowQuery = DefaultSlowQueryThreshold
@@ -553,19 +544,15 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			limit = n
 		}
 	}
-	out := s.tel.Traces.List(limit)
-	if out == nil {
-		out = []telemetry.TraceSummary{}
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, s.tel.Traces.List(limit))
 }
 
-// handleTrace returns one query's full trace: per-round wall clock,
-// per-chunk generation latency with attempt counts, score trajectory,
-// prunes, failures — and, when tracing is enabled, the distributed
-// span tree (trace_id + spans) covering cache lookup, gate wait,
-// orchestration rounds, fleet replica calls, and daemon-side spans
-// grafted back over the modeld wire protocol.
+// handleTrace returns one query's trace: its header and the distributed
+// span tree (trace_id + spans), rendered from the trace's arena now —
+// cache lookup, gate wait, the orchestration's rounds and chunks with
+// attempts, scores, prunes, failures and the winner as their attributes,
+// fleet replica calls, and daemon-side spans grafted back over the modeld
+// wire protocol.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tr, ok := s.tel.Traces.Get(id)
@@ -666,13 +653,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The query's root span opens before the serving-layer probe so the
 	// trace times cache lookup and admission wait, not just
 	// orchestration. Cache-hit and coalesced replays end the root and
-	// discard it (they store no trace today either); only the full
-	// orchestration path binds the span tree into a stored QueryTrace.
+	// nothing keeps it (they store no trace today either): the arena goes
+	// straight back to the pool. Only the full orchestration path offers
+	// the span tree to the trace store. The hold covers every use of root
+	// below, whichever exit the request takes.
 	rctx, root := s.tracer.StartRoot(r.Context(), "query")
+	root.Hold()
+	defer root.Release()
 	root.SetAttr("strategy", string(strategy))
-	if root != nil {
-		w.Header().Set("X-Trace-ID", root.TraceID())
-	}
+	traceID := root.TraceID()
+	w.Header().Set("X-Trace-ID", traceID)
 
 	// ---- Serving layer (DESIGN.md "Serving layer") ----
 	// The cache probe runs before retrieval and prompt assembly: a hit
@@ -743,7 +733,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// per candidate model, so the query weighs its model count.
 	if s.gate != nil {
 		_, gs := telemetry.StartSpan(rctx, "gate.wait")
-		gs.SetAttr("weight", strconv.Itoa(len(routed)))
+		gs.SetInt("weight", len(routed))
 		waitStart := time.Now()
 		err := s.gate.Acquire(r.Context(), len(routed))
 		s.tel.QueueWait.Observe(time.Since(waitStart).Seconds())
@@ -777,7 +767,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.UseRAG && s.docs.Count() > 0 {
 		_, rs := telemetry.StartSpan(rctx, "retrieve")
 		results, err := rag.Retrieve(s.docs, req.Query, st.RAGTopK, req.DocID)
-		rs.SetAttr("chunks", strconv.Itoa(len(results)))
+		rs.SetInt("chunks", len(results))
 		rs.End(err)
 		if err != nil {
 			root.End(err)
@@ -866,11 +856,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	cfg.OnEvent = sw.event
 	cfg.BeforeWait = sw.flush
 	cfg.Recorder = obs
-	if root != nil {
-		cfg.Logger = s.logger.With("query_id", queryID, "trace_id", root.TraceID())
-	} else {
-		cfg.Logger = s.logger.With("query_id", queryID)
-	}
+	cfg.Logger = s.logger.With("query_id", queryID, "trace_id", traceID)
 	oc, err := core.New(s.backend, cfg)
 	if err != nil {
 		orch.End(err)
@@ -935,8 +921,19 @@ func cacheTierLabel(kind qcache.HitKind) string {
 
 // logQuery emits the per-query structured log line: Info for normal
 // completions, Warn for failures and for queries whose span tree
-// exceeded the slow-query threshold.
+// exceeded the slow-query threshold. A logger that will drop the line is
+// not handed its attributes.
 func (s *Server) logQuery(tr telemetry.QueryTrace) {
+	level, msg := slog.LevelInfo, "query"
+	switch {
+	case tr.Outcome != "ok":
+		level, msg = slog.LevelWarn, "query failed"
+	case s.slowQuery > 0 && tr.Elapsed >= s.slowQuery:
+		level, msg = slog.LevelWarn, "slow query"
+	}
+	if !s.logger.Enabled(context.Background(), level) {
+		return
+	}
 	attrs := []any{
 		"query_id", tr.ID,
 		"trace_id", tr.TraceID,
@@ -945,16 +942,12 @@ func (s *Server) logQuery(tr telemetry.QueryTrace) {
 		"elapsed", tr.Elapsed,
 		"winner", tr.Winner,
 		"tokens", tr.TokensUsed,
-		"spans", len(tr.Spans),
+		"spans", tr.SpanCount,
 	}
-	switch {
-	case tr.Outcome != "ok":
-		s.logger.Warn("query failed", append(attrs, "err", tr.Error)...)
-	case s.slowQuery > 0 && tr.Elapsed >= s.slowQuery:
-		s.logger.Warn("slow query", attrs...)
-	default:
-		s.logger.Info("query", attrs...)
+	if tr.Outcome != "ok" {
+		attrs = append(attrs, "err", tr.Error)
 	}
+	s.logger.Log(context.Background(), level, msg, attrs...)
 }
 
 // uploadRequest is the JSON /api/upload payload (the browser reads the

@@ -122,23 +122,47 @@ func TestQueryTraceRetrievable(t *testing.T) {
 	if tr.Winner == "" || tr.Elapsed <= 0 {
 		t.Errorf("trace missing winner/elapsed: winner=%q elapsed=%v", tr.Winner, tr.Elapsed)
 	}
-	if len(tr.Rounds) == 0 || len(tr.Chunks) == 0 || len(tr.Scores) == 0 {
-		t.Fatalf("trace missing spans: rounds=%d chunks=%d scores=%d",
-			len(tr.Rounds), len(tr.Chunks), len(tr.Scores))
+	// Rounds and generation calls are spans, and what the orchestrator
+	// decided about them their attributes.
+	byID := map[string]telemetry.SpanRecord{}
+	for _, sp := range tr.Spans {
+		byID[sp.SpanID] = sp
 	}
-	for _, r := range tr.Rounds {
-		if r.Elapsed <= 0 {
-			t.Errorf("round %d has no wall clock: %+v", r.Round, r)
+	rounds, chunks, scores, winners := 0, 0, 0, 0
+	for _, sp := range tr.Spans {
+		switch sp.Name {
+		case "round":
+			rounds++
+			if sp.Duration <= 0 || sp.Attrs["round"] == "" || byID[sp.ParentID].Name != "orchestrate" {
+				t.Errorf("round span has no wall clock, number or place: %+v", sp)
+			}
+			if sp.Attrs["winner"] != "" {
+				winners++
+				if sp.Attrs["winner"] != tr.Winner || sp.Attrs["winner_reason"] == "" {
+					t.Errorf("winner attrs %v, header says %q", sp.Attrs, tr.Winner)
+				}
+			}
+		case "chunk":
+			chunks++
+			if sp.Attrs["model"] == "" || sp.Attrs["tokens"] == "" || sp.Attrs["tokens"] == "0" ||
+				sp.Attrs["round"] != byID[sp.ParentID].Attrs["round"] || byID[sp.ParentID].Name != "round" {
+				t.Errorf("malformed chunk span: %+v under %+v", sp, byID[sp.ParentID])
+			}
+			if sp.Attrs["score"] != "" {
+				scores++
+			}
 		}
 	}
-	for _, c := range tr.Chunks {
-		if c.Model == "" || c.Tokens <= 0 {
-			t.Errorf("malformed chunk span: %+v", c)
-		}
+	if rounds == 0 || rounds != tr.Rounds || chunks == 0 || scores == 0 || winners != 1 {
+		t.Fatalf("trace missing spans: rounds=%d (header %d) chunks=%d scored=%d winners=%d",
+			rounds, tr.Rounds, chunks, scores, winners)
+	}
+	if tr.SpanCount == 0 || tr.SpanCount > len(tr.Spans) || tr.DroppedSpans != 0 {
+		t.Errorf("span_count %d, dropped_spans %d, %d spans", tr.SpanCount, tr.DroppedSpans, len(tr.Spans))
 	}
 
 	// The listing shows it, newest first.
-	var list []telemetry.TraceSummary
+	var list []telemetry.QueryTrace
 	doJSON(t, http.MethodGet, ts.URL+"/api/traces", nil, &list)
 	if len(list) != 1 || list[0].ID != id {
 		t.Fatalf("trace listing = %+v", list)
@@ -236,7 +260,7 @@ func TestTraceStoreEvictionOverHTTP(t *testing.T) {
 		}
 		ids = append(ids, resp.Header.Get("X-Query-ID"))
 	}
-	var list []telemetry.TraceSummary
+	var list []telemetry.QueryTrace
 	doJSON(t, http.MethodGet, ts.URL+"/api/traces", nil, &list)
 	if len(list) != 2 {
 		t.Fatalf("listing kept %d traces, want 2", len(list))

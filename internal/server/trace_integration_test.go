@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -140,47 +144,99 @@ func TestQuerySpanTreeAcrossStack(t *testing.T) {
 	}
 }
 
-// TestTracingDisabled: with Options.DisableTracing the query path runs
-// entirely on nil no-op spans — no X-Trace-ID header, no span tree in
-// the stored trace, everything else unchanged.
-func TestTracingDisabled(t *testing.T) {
-	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
-	s, err := NewServer(Options{Engine: engine, DisableTracing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	payload, _ := json.Marshal(QueryRequest{
-		Query: truthfulqa.Seed()[0].Question, Strategy: "oua", MaxTokens: 128,
-	})
-	resp, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body bytes.Buffer
-	body.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status = %d\n%s", resp.StatusCode, body.String())
-	}
-	if got := resp.Header.Get("X-Trace-ID"); got != "" {
-		t.Fatalf("X-Trace-ID = %q with tracing disabled", got)
-	}
-	queryID := resp.Header.Get("X-Query-ID")
-	var tr telemetry.QueryTrace
-	if r := doJSON(t, http.MethodGet, ts.URL+"/api/traces/"+queryID, nil, &tr); r.StatusCode != http.StatusOK {
-		t.Fatalf("trace fetch status = %d", r.StatusCode)
-	}
-	if tr.TraceID != "" || len(tr.Spans) != 0 {
-		t.Fatalf("disabled tracing still produced trace %q with %d spans", tr.TraceID, len(tr.Spans))
-	}
-}
-
 func names(recs []telemetry.SpanRecord) []string {
 	out := make([]string, len(recs))
 	for i, r := range recs {
 		out[i] = r.Service + "/" + r.Name
 	}
 	return out
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/trace_*.golden from this run")
+
+// TestTraceDocumentGolden pins the /api/traces/{id} document — the header
+// fields, the span tree in the SpanRecord shape, and the attributes that
+// carry what the rounds/chunks/scores/failures/pruned arrays used to — for
+// one OUA and one MAB query on the deterministic in-process engine. IDs
+// and clock readings are normalised; everything else is byte for byte.
+func TestTraceDocumentGolden(t *testing.T) {
+	for _, strategy := range []string{"oua", "mab"} {
+		_, ts := newTestServer(t)
+		resp, _ := runQuery(t, ts.URL, map[string]any{"query": truthfulqa.Seed()[0].Question, "strategy": strategy, "max_tokens": 96})
+		var doc map[string]any
+		if r := doJSON(t, http.MethodGet, ts.URL+"/api/traces/"+resp.Header.Get("X-Query-ID"), nil, &doc); r.StatusCode != http.StatusOK {
+			t.Fatalf("%s: trace fetch status = %d", strategy, r.StatusCode)
+		}
+		if doc["id"] != resp.Header.Get("X-Query-ID") || doc["trace_id"] != resp.Header.Get("X-Trace-ID") {
+			t.Fatalf("%s: document is of %v/%v, the response of %v/%v", strategy, doc["id"], doc["trace_id"],
+				resp.Header.Get("X-Query-ID"), resp.Header.Get("X-Trace-ID"))
+		}
+		spanIDs := map[any]string{}
+		spans, _ := doc["spans"].([]any)
+		for i, sp := range spans {
+			spanIDs[sp.(map[string]any)["span_id"]] = fmt.Sprintf("span-%d", i+1)
+		}
+		for _, sp := range spans {
+			sp := sp.(map[string]any)
+			if sp["trace_id"] != doc["trace_id"] || sp["duration_ns"].(float64) < 0 {
+				t.Errorf("%s: span %v of trace %v lasting %v", strategy, sp["name"], sp["trace_id"], sp["duration_ns"])
+			}
+			sp["trace_id"], sp["span_id"], sp["start"], sp["duration_ns"] = "trace", spanIDs[sp["span_id"]], "start", "duration"
+			if p, ok := sp["parent_id"]; ok {
+				sp["parent_id"] = spanIDs[p]
+			}
+		}
+		doc["id"], doc["trace_id"], doc["start"], doc["elapsed_ns"] = "query", "trace", "start", "elapsed"
+		got, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, '\n')
+		path := filepath.Join("testdata", "trace_"+strategy+".golden")
+		if *updateGolden {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: /api/traces/{id} document differs from %s (run with -update to accept):\n%s", strategy, path, got)
+		}
+	}
+}
+
+// TestDroppedSpansAtReadTime: a stored trace pushed over the span cap
+// after its root ended — daemon records grafted by a stream pump that
+// outlived the query — reports the exact count, as the document's
+// dropped_spans and on the root's record, where the count used to be
+// frozen into the root at its End and the late drops went uncounted.
+func TestDroppedSpansAtReadTime(t *testing.T) {
+	s, ts := newTestServer(t)
+	_, root := s.tracer.StartRoot(context.Background(), "query")
+	root.Hold()
+	defer root.Release()
+	pump := root.Child("modeld.stream")
+	root.End(nil)
+	s.tel.Traces.Put(telemetry.QueryTrace{ID: "qlate", TraceID: root.TraceID(), Outcome: "ok", SpanCount: 1}, root)
+	recs := make([]telemetry.SpanRecord, 600)
+	for i := range recs {
+		recs[i] = telemetry.SpanRecord{TraceID: root.TraceID(), SpanID: fmt.Sprintf("%016x", i+1), Name: "engine.generate", Service: "modeld", Status: "ok"}
+	}
+	pump.Adopt(recs)
+	pump.End(nil)
+	var tr telemetry.QueryTrace
+	if r := doJSON(t, http.MethodGet, ts.URL+"/api/traces/qlate", nil, &tr); r.StatusCode != http.StatusOK {
+		t.Fatalf("trace fetch status = %d", r.StatusCode)
+	}
+	if tr.DroppedSpans != 90 || len(tr.Spans) != telemetry.MaxSpansPerTrace || tr.SpanCount != 1 {
+		t.Fatalf("document: dropped_spans %d, %d spans, span_count %d; want 90, %d, 1",
+			tr.DroppedSpans, len(tr.Spans), tr.SpanCount, telemetry.MaxSpansPerTrace)
+	}
+	if tr.Spans[0].Name != "query" || tr.Spans[0].Attrs["dropped_spans"] != "90" {
+		t.Fatalf("root record %+v, want dropped_spans 90", tr.Spans[0])
+	}
 }

@@ -3,17 +3,27 @@ package telemetry
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"sync"
 	"time"
 
 	"llmms/internal/core"
 )
 
-// QueryObserver builds one QueryTrace from a query's orchestration event
-// stream and feeds the bundle's metrics as the events arrive. It
-// implements core.Recorder: attach it as Config.Recorder, run the query,
-// then call Finish with the query's terminal error (nil on success) to
-// record the aggregate metrics and store the trace.
+// QueryObserver turns a query's orchestration event stream into its trace
+// and the bundle's metrics as the events arrive. It implements
+// core.Recorder: attach it as Config.Recorder, bind the query's spans,
+// run the query, then call Finish with the query's terminal error (nil on
+// success) to record the aggregate metrics and offer the trace to the
+// store. Every fact is written once, into the trace's arena, when it is
+// observed: a round is a "round" span under the orchestration span, a
+// generation call a "chunk" span under its round (orphans under the
+// orchestration span), and what the orchestrator decides about them is an
+// attribute of the span it concerns — "score" and "pruned" on the model's
+// latest chunk, "winner"/"winner_reason" and "failed"/"failed_reason" on
+// the round they happened in. core stays free of telemetry imports: the
+// events already carry the timings.
 //
 // A single orchestrated query emits events from one goroutine, but the
 // observer locks anyway so a misbehaving backend cannot corrupt it.
@@ -21,11 +31,20 @@ type QueryObserver struct {
 	tel *Telemetry
 
 	mu       sync.Mutex
-	start    time.Time
 	tr       QueryTrace
 	finished bool
-	root     *Span // bound by BindSpans; nil when tracing is off
-	orch     *Span // orchestration span; parent of synthesized rounds
+	root     *Span // bound by BindSpans, held until Finish
+	parent   *Span // the orchestration span: parent of the rounds
+	round    *Span // the open round, its number and its offset
+	roundNo  int
+	roundAt  time.Duration
+	failed   [2]string     // the round's failures so far: models, reasons
+	chunks   [8]modelChunk // each model's latest chunk span
+}
+
+type modelChunk struct {
+	model string
+	span  *Span
 }
 
 // StartQuery opens an observer for one query. strategy is the requested
@@ -35,12 +54,24 @@ func (t *Telemetry) StartQuery(id, strategy, query string) *QueryObserver {
 	if len(query) > t.maxQueryBytes {
 		query = query[:t.maxQueryBytes]
 	}
-	now := time.Now()
 	return &QueryObserver{
-		tel:   t,
-		start: now,
-		tr:    QueryTrace{ID: id, Strategy: strategy, Query: query, Start: now},
+		tel: t,
+		tr:  QueryTrace{ID: id, Strategy: strategy, Query: query, Start: time.Now()},
 	}
+}
+
+// BindSpans ties the query's distributed trace to this observer, which
+// holds it until Finish. orch is the span wrapping the orchestrator Run
+// call; round spans parent under it (or under root when nil). Without a
+// root the observer keeps the header and the metrics only.
+func (q *QueryObserver) BindSpans(root, orch *Span) {
+	root.Hold()
+	q.mu.Lock()
+	q.root, q.parent = root, orch
+	if orch == nil {
+		q.parent = root
+	}
+	q.mu.Unlock()
 }
 
 // RecordEvent implements core.Recorder.
@@ -53,27 +84,37 @@ func (q *QueryObserver) RecordEvent(ev core.Event) {
 	if ev.Strategy != "" {
 		q.tr.Strategy = string(ev.Strategy)
 	}
-	offset := ev.Time.Sub(q.start)
-	if offset < 0 {
-		offset = 0
+	offset := max(ev.Time.Sub(q.tr.Start), 0)
+	at := q.parent
+	if q.round != nil && ev.Round == q.roundNo {
+		at = q.round
 	}
 	switch ev.Type {
 	case core.EventRound:
 		q.closeRound(offset)
-		ro := ev.Elapsed // round events carry their offset from query start
-		if ro == 0 {
-			ro = offset
+		q.tr.Rounds++
+		q.failed = [2]string{}
+		q.roundNo, q.roundAt = ev.Round, ev.Elapsed // round events carry their offset from query start
+		if q.roundAt == 0 {
+			q.roundAt = offset
 		}
-		q.tr.Rounds = append(q.tr.Rounds, RoundSpan{Round: ev.Round, Model: ev.Model, Offset: ro})
+		q.round = q.parent.childAt("round", q.tr.Start.Add(q.roundAt))
+		q.round.SetInt("round", ev.Round)
+		if ev.Model != "" {
+			q.round.SetAttr("model", ev.Model)
+		}
 	case core.EventChunk:
-		begin := offset - ev.Elapsed
-		if begin < 0 {
-			begin = 0
+		// The span begins when the generation call did: event time minus
+		// the call's elapsed.
+		sp := at.childAt("chunk", q.tr.Start.Add(max(offset-ev.Elapsed, 0)))
+		sp.SetInt("round", ev.Round)
+		sp.SetAttr("model", ev.Model)
+		sp.SetInt("tokens", ev.Tokens)
+		if ev.Attempts > 1 {
+			sp.SetInt("attempts", ev.Attempts)
 		}
-		q.tr.Chunks = append(q.tr.Chunks, ChunkSpan{
-			Round: ev.Round, Model: ev.Model, Tokens: ev.Tokens,
-			Offset: begin, Elapsed: ev.Elapsed, Attempts: ev.Attempts,
-		})
+		sp.endAt(ev.Elapsed, nil)
+		*q.chunkOf(ev.Model) = modelChunk{ev.Model, sp}
 		q.tr.Retries += retriesOf(ev.Attempts)
 		q.tel.ChunkLatency.Observe(ev.Elapsed.Seconds(), ev.Model)
 		q.tel.Tokens.Add(float64(ev.Tokens), ev.Model)
@@ -84,7 +125,7 @@ func (q *QueryObserver) RecordEvent(ev core.Event) {
 			q.tel.StreamPrefetch.Add(float64(ev.Prefetched), ev.Model)
 		}
 	case core.EventScore:
-		q.tr.Scores = append(q.tr.Scores, ScorePoint{Round: ev.Round, Model: ev.Model, Score: ev.Score})
+		q.chunkOf(ev.Model).span.write(true, "score", attrFloat|math.Float64bits(ev.Score)>>2)
 	case core.EventScorePass:
 		q.tel.ScoreLatency.Observe(ev.Elapsed.Seconds(), string(ev.Strategy))
 	case core.EventStreamOpen:
@@ -96,12 +137,15 @@ func (q *QueryObserver) RecordEvent(ev core.Event) {
 	case core.EventRoundStall:
 		q.tel.RoundStall.Observe(ev.Elapsed.Seconds(), string(ev.Strategy))
 	case core.EventPrune:
-		q.tr.Pruned = append(q.tr.Pruned, ev.Model)
+		q.chunkOf(ev.Model).span.write(true, "pruned", attrText, ev.Reason)
 		q.tel.Prunes.Inc(string(ev.Strategy))
 	case core.EventModelFailed:
-		q.tr.Failures = append(q.tr.Failures, ModelFailure{
-			Model: ev.Model, Attempts: ev.Attempts, Reason: ev.Reason,
-		})
+		// Two models may fail in one OUA round, and neither failure may
+		// overwrite the other: the attributes accumulate.
+		q.failed[0] = strings.TrimPrefix(q.failed[0]+","+ev.Model, ",")
+		q.failed[1] = strings.TrimPrefix(q.failed[1]+","+ev.Reason, ",")
+		at.SetAttr("failed", q.failed[0])
+		at.SetAttr("failed_reason", q.failed[1])
 		q.tr.Retries += retriesOf(ev.Attempts)
 		q.tel.ModelFailures.Inc(ev.Model)
 		if r := retriesOf(ev.Attempts); r > 0 {
@@ -110,6 +154,13 @@ func (q *QueryObserver) RecordEvent(ev core.Event) {
 	case core.EventWinner:
 		q.tr.Winner = ev.Model
 		q.tr.TokensUsed = ev.Tokens
+		if q.round != nil {
+			at = q.round // the round the decision fell in
+		}
+		at.SetAttr("winner", ev.Model)
+		if ev.Reason != "" {
+			at.SetAttr("winner_reason", ev.Reason)
+		}
 		// Winner events carry the orchestrator's own total wall clock —
 		// more precise than measuring around Run, which would fold in
 		// server-side overhead.
@@ -126,73 +177,31 @@ func retriesOf(attempts int) int {
 	return 0
 }
 
-// BindSpans ties the query's distributed trace to this observer: at
-// Finish the trace gains the root's collected span records plus
-// per-round and per-chunk spans synthesized from the orchestration
-// event stream (core stays free of telemetry imports — the events
-// already carry the timings). orch is the span wrapping the
-// orchestrator Run call; synthesized round spans parent under it (or
-// under root when nil). Nil root makes this a no-op.
-func (q *QueryObserver) BindSpans(root, orch *Span) {
-	q.mu.Lock()
-	q.root = root
-	q.orch = orch
-	q.mu.Unlock()
+// chunkOf returns model's entry in the latest-chunk table, claiming a free
+// one for a model not seen yet. Past the table's eight models the last
+// entry is shared, and a score may then land on another model's chunk.
+func (q *QueryObserver) chunkOf(model string) *modelChunk {
+	i := 0
+	for i < len(q.chunks)-1 && q.chunks[i].span != nil && q.chunks[i].model != model {
+		i++
+	}
+	return &q.chunks[i]
 }
 
-// synthesizeSpansLocked converts the sealed Rounds/Chunks into span
-// records in the bound trace: root → orchestrate → round N → chunk.
-// Chunk spans attach to their round by round number; an orphan chunk
-// parents under the orchestration span.
-func (q *QueryObserver) synthesizeSpansLocked() {
-	parentID := q.root.SpanID()
-	if q.orch != nil {
-		parentID = q.orch.SpanID()
-	}
-	roundIDs := make(map[int]string, len(q.tr.Rounds))
-	for _, r := range q.tr.Rounds {
-		id := NewSpanID()
-		roundIDs[r.Round] = id
-		attrs := map[string]string{"round": itoa(r.Round)}
-		if r.Model != "" {
-			attrs["model"] = r.Model
-		}
-		q.root.AddRecord(SpanRecord{
-			SpanID: id, ParentID: parentID, Name: "round",
-			Start: q.start.Add(r.Offset), Duration: r.Elapsed, Attrs: attrs,
-		})
-	}
-	for _, c := range q.tr.Chunks {
-		p := roundIDs[c.Round]
-		if p == "" {
-			p = parentID
-		}
-		attrs := map[string]string{
-			"round": itoa(c.Round), "model": c.Model, "tokens": itoa(c.Tokens),
-		}
-		if c.Attempts > 1 {
-			attrs["attempts"] = itoa(c.Attempts)
-		}
-		q.root.AddRecord(SpanRecord{
-			ParentID: p, Name: "chunk",
-			Start: q.start.Add(c.Offset), Duration: c.Elapsed, Attrs: attrs,
-		})
-	}
-}
-
-// closeRound seals the open round span at the given end offset.
+// closeRound ends the open round span at the given offset.
 func (q *QueryObserver) closeRound(end time.Duration) {
-	if n := len(q.tr.Rounds); n > 0 && q.tr.Rounds[n-1].Elapsed == 0 {
-		if d := end - q.tr.Rounds[n-1].Offset; d > 0 {
-			q.tr.Rounds[n-1].Elapsed = d
-		}
+	if q.round != nil {
+		q.round.endAt(max(end-q.roundAt, 0), nil)
+		q.round = nil
 	}
 }
 
 // Finish seals the trace with the query's terminal error (nil on
-// success), records the query-level metrics, stores the trace, and
-// returns a copy. Safe to call once; later calls are no-ops returning
-// the sealed trace.
+// success), records the query-level metrics, offers the trace to the
+// store — which keeps it by holding the arena, or lets it go back to the
+// pool — and returns its header. The server has ended the orchestration
+// and root spans by now. Safe to call once; later calls are no-ops
+// returning the sealed header.
 func (q *QueryObserver) Finish(err error) QueryTrace {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -201,27 +210,20 @@ func (q *QueryObserver) Finish(err error) QueryTrace {
 	}
 	q.finished = true
 	if q.tr.Elapsed == 0 {
-		q.tr.Elapsed = time.Since(q.start)
+		q.tr.Elapsed = time.Since(q.tr.Start)
 	}
 	q.closeRound(q.tr.Elapsed)
 	q.tr.Outcome = outcomeLabel(err)
 	if err != nil {
 		q.tr.Error = err.Error()
 	}
-	if q.root != nil {
-		// Belt and braces: the server ends these before Finish, and End
-		// is idempotent, but a panic-shortened path must still seal the
-		// trace rather than lose it.
-		q.orch.End(err)
-		q.root.End(err)
-		q.tr.TraceID = q.root.TraceID()
-		q.synthesizeSpansLocked()
-		q.tr.Spans = q.root.Records()
-	}
+	q.tr.TraceID = q.root.TraceID()
+	q.tr.SpanCount, _ = q.root.counts()
 	q.tel.Queries.Inc(q.tr.Strategy, q.tr.Outcome)
 	q.tel.QueryLatency.Observe(q.tr.Elapsed.Seconds(), q.tr.Strategy)
-	q.tel.Traces.Put(q.tr)
+	q.tel.Traces.Put(q.tr, q.root)
 	q.tel.TracesStored.Set(float64(q.tel.Traces.Len()))
+	q.root.Release()
 	return q.tr
 }
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,11 +12,16 @@ import (
 )
 
 // feedQuery drives one synthetic two-round OUA query through an
-// observer: two models chunk in round 1, one is pruned, one retries,
-// one fails, and llama3 wins.
-func feedQuery(tel *Telemetry, id string) *QueryObserver {
+// observer bound to a root and an orchestration span: two models chunk in
+// round 1, one is pruned, one retries, two fail, and llama3 wins. The
+// caller holds the root.
+func feedQuery(tel *Telemetry, id string) (*QueryObserver, *Span) {
 	obs := tel.StartQuery(id, "oua", "why is the sky blue?")
-	base := obs.start
+	_, root := NewTracer("llmms").StartRoot(context.Background(), "query")
+	root.Hold()
+	orch := root.Child("orchestrate")
+	obs.BindSpans(root, orch)
+	base := obs.tr.Start
 	at := func(d time.Duration) time.Time { return base.Add(d) }
 
 	obs.RecordEvent(core.Event{Type: core.EventStart, Strategy: core.StrategyOUA, Time: at(0)})
@@ -29,63 +35,96 @@ func feedQuery(tel *Telemetry, id string) *QueryObserver {
 		Time: at(17 * time.Millisecond), Elapsed: 40 * time.Microsecond})
 	obs.RecordEvent(core.Event{Type: core.EventScore, Strategy: core.StrategyOUA, Round: 1,
 		Model: "llama3", Score: 0.9, Time: at(17 * time.Millisecond)})
+	obs.RecordEvent(core.Event{Type: core.EventScore, Strategy: core.StrategyOUA, Round: 1,
+		Model: "mistral", Score: 0.2, Time: at(17 * time.Millisecond)})
 	obs.RecordEvent(core.Event{Type: core.EventPrune, Strategy: core.StrategyOUA, Round: 1,
-		Model: "mistral", Score: 0.2, Reason: "trailing", Time: at(18 * time.Millisecond)})
+		Model: "mistral", Score: 0.2, Reason: "trailing by 0.700", Time: at(18 * time.Millisecond)})
 	obs.RecordEvent(core.Event{Type: core.EventRound, Strategy: core.StrategyOUA, Round: 2,
 		Time: at(20 * time.Millisecond), Elapsed: 20 * time.Millisecond})
 	obs.RecordEvent(core.Event{Type: core.EventModelFailed, Strategy: core.StrategyOUA, Round: 2,
 		Model: "qwen2", Attempts: 4, Reason: "backend down", Time: at(25 * time.Millisecond)})
-	obs.RecordEvent(core.Event{Type: core.EventWinner, Strategy: core.StrategyOUA,
-		Model: "llama3", Tokens: 18, Score: 0.9, Time: at(30 * time.Millisecond), Elapsed: 30 * time.Millisecond})
-	return obs
+	obs.RecordEvent(core.Event{Type: core.EventModelFailed, Strategy: core.StrategyOUA, Round: 2,
+		Model: "phi3", Attempts: 1, Reason: "no such model", Time: at(26 * time.Millisecond)})
+	obs.RecordEvent(core.Event{Type: core.EventScore, Strategy: core.StrategyOUA, Round: 2,
+		Model: "llama3", Score: 0.95, Time: at(27 * time.Millisecond)})
+	obs.RecordEvent(core.Event{Type: core.EventWinner, Strategy: core.StrategyOUA, Reason: "budget settled",
+		Model: "llama3", Tokens: 18, Score: 0.95, Time: at(30 * time.Millisecond), Elapsed: 30 * time.Millisecond})
+	orch.End(nil)
+	root.End(nil)
+	return obs, root
 }
 
 func TestObserverBuildsTrace(t *testing.T) {
 	tel := New(Options{})
-	obs := feedQuery(tel, "q1")
+	obs, root := feedQuery(tel, "q1")
+	defer root.Release()
 	tr := obs.Finish(nil)
 
-	if tr.ID != "q1" || tr.Strategy != "oua" || tr.Outcome != "ok" {
+	if tr.ID != "q1" || tr.Strategy != "oua" || tr.Outcome != "ok" || tr.TraceID != root.TraceID() {
 		t.Fatalf("trace header wrong: %+v", tr)
 	}
 	if tr.Winner != "llama3" || tr.TokensUsed != 18 {
 		t.Errorf("winner fields wrong: winner=%q tokens=%d", tr.Winner, tr.TokensUsed)
 	}
-	if len(tr.Rounds) != 2 {
-		t.Fatalf("rounds = %d, want 2", len(tr.Rounds))
-	}
-	// Round 1 opened at 1ms and round 2 at 20ms, so round 1's wall clock
-	// is the 19ms between them; round 2 is sealed by Finish.
-	if tr.Rounds[0].Offset != time.Millisecond || tr.Rounds[0].Elapsed != 19*time.Millisecond {
-		t.Errorf("round 1 span wrong: %+v", tr.Rounds[0])
-	}
-	if tr.Rounds[1].Elapsed <= 0 {
-		t.Errorf("final round not sealed: %+v", tr.Rounds[1])
-	}
-	if len(tr.Chunks) != 2 {
-		t.Fatalf("chunks = %d, want 2", len(tr.Chunks))
-	}
-	c := tr.Chunks[0]
-	if c.Model != "llama3" || c.Tokens != 10 || c.Elapsed != 10*time.Millisecond || c.Attempts != 1 {
-		t.Errorf("chunk span wrong: %+v", c)
-	}
-	// Chunk offset is the call start: event time minus call elapsed.
-	if c.Offset != time.Millisecond {
-		t.Errorf("chunk offset = %v, want 1ms", c.Offset)
-	}
-	if len(tr.Scores) != 1 || tr.Scores[0].Score != 0.9 {
-		t.Errorf("score trajectory wrong: %+v", tr.Scores)
-	}
-	if len(tr.Pruned) != 1 || tr.Pruned[0] != "mistral" {
-		t.Errorf("pruned wrong: %+v", tr.Pruned)
-	}
-	if len(tr.Failures) != 1 || tr.Failures[0].Model != "qwen2" || tr.Failures[0].Attempts != 4 {
-		t.Errorf("failures wrong: %+v", tr.Failures)
-	}
 	// Retries: mistral chunk took 3 attempts (2 retries), qwen2 failed
 	// after 4 attempts (3 retries).
-	if tr.Retries != 5 {
-		t.Errorf("retries = %d, want 5", tr.Retries)
+	if tr.Rounds != 2 || tr.Retries != 5 || tr.SpanCount != 6 {
+		t.Errorf("rounds %d retries %d spans %d, want 2, 5 and 6", tr.Rounds, tr.Retries, tr.SpanCount)
+	}
+
+	// Every fact is a span or an attribute of one, written as it happened.
+	recs := root.Records()
+	byID := map[string]SpanRecord{}
+	var rounds, chunks []SpanRecord
+	for _, r := range recs {
+		byID[r.SpanID] = r
+		switch r.Name {
+		case "round":
+			rounds = append(rounds, r)
+		case "chunk":
+			chunks = append(chunks, r)
+		}
+		if r.TraceID != tr.TraceID || r.Service != "llmms" || r.Status != "ok" {
+			t.Errorf("span %q: trace %q service %q status %q", r.Name, r.TraceID, r.Service, r.Status)
+		}
+	}
+	if len(recs) != 6 || len(rounds) != 2 || len(chunks) != 2 {
+		t.Fatalf("%d records, %d rounds, %d chunks; want 6, 2, 2", len(recs), len(rounds), len(chunks))
+	}
+	// Round 1 opened at 1ms and round 2 at 20ms, so round 1's wall clock
+	// is the 19ms between them; round 2 is sealed by Finish at the
+	// winner's 30ms.
+	base := obs.tr.Start
+	r1, r2 := rounds[0], rounds[1]
+	if !r1.Start.Equal(base.Add(time.Millisecond)) || r1.Duration != 19*time.Millisecond || byID[r1.ParentID].Name != "orchestrate" {
+		t.Errorf("round 1 span wrong: %+v under %q", r1, byID[r1.ParentID].Name)
+	}
+	if !r2.Start.Equal(base.Add(20*time.Millisecond)) || r2.Duration != 10*time.Millisecond {
+		t.Errorf("final round not sealed at the query's end: %+v", r2)
+	}
+	if !reflect.DeepEqual(r1.Attrs, map[string]string{"round": "1"}) {
+		t.Errorf("round 1 attrs %v", r1.Attrs)
+	}
+	// Two models failed in round 2: neither failure overwrote the other.
+	// The winner is an attribute of the round the decision fell in.
+	if want := map[string]string{"round": "2", "failed": "qwen2,phi3",
+		"failed_reason": "backend down,no such model",
+		"winner":        "llama3", "winner_reason": "budget settled"}; !reflect.DeepEqual(r2.Attrs, want) {
+		t.Errorf("round 2 attrs %v, want %v", r2.Attrs, want)
+	}
+	// Chunk spans begin when the call did (event time minus elapsed), sit
+	// under their round, and carry the model's score as of its last
+	// scoring pass and the prune that retired it.
+	c1, c2 := chunks[0], chunks[1]
+	if c1.ParentID != r1.SpanID || !c1.Start.Equal(base.Add(time.Millisecond)) || c1.Duration != 10*time.Millisecond {
+		t.Errorf("chunk 1 span wrong: %+v", c1)
+	}
+	if want := map[string]string{"round": "1", "model": "llama3", "tokens": "10", "score": "0.950"}; !reflect.DeepEqual(c1.Attrs, want) {
+		t.Errorf("chunk 1 attrs %v, want %v", c1.Attrs, want)
+	}
+	if want := map[string]string{"round": "1", "model": "mistral", "tokens": "8", "attempts": "3", "score": "0.200",
+		"pruned": "trailing by 0.700"}; !reflect.DeepEqual(c2.Attrs, want) || c2.ParentID != r1.SpanID {
+		t.Errorf("chunk 2 attrs %v, want %v", c2.Attrs, want)
 	}
 
 	// The same run fed the aggregate metrics.
@@ -119,8 +158,35 @@ func TestObserverBuildsTrace(t *testing.T) {
 	if got := tel.TracesStored.Value(); got != 1 {
 		t.Errorf("traces gauge = %v, want 1", got)
 	}
-	if _, ok := tel.Traces.Get("q1"); !ok {
-		t.Error("finished trace not stored")
+	// The store holds the arena, not a copy: the same spans read back.
+	stored, ok := tel.Traces.Get("q1")
+	if !ok || !reflect.DeepEqual(stored.Spans, recs) || stored.Rounds != 2 {
+		t.Errorf("stored trace (found %v) has %d spans, want the arena's %d", ok, len(stored.Spans), len(recs))
+	}
+}
+
+// TestObserverOrphansAndSingle: a chunk with no open round of its number —
+// the single-model strategy emits no round events — parents under the
+// orchestration span, and so does its winner.
+func TestObserverOrphansAndSingle(t *testing.T) {
+	tel := New(Options{})
+	obs := tel.StartQuery("q", "single", "x")
+	_, root := NewTracer("llmms").StartRoot(context.Background(), "query")
+	root.Hold()
+	defer root.Release()
+	orch := root.Child("orchestrate")
+	obs.BindSpans(root, orch)
+	now := time.Now()
+	obs.RecordEvent(core.Event{Type: core.EventChunk, Strategy: core.StrategySingle, Model: "m", Tokens: 5, Time: now, Elapsed: time.Millisecond})
+	obs.RecordEvent(core.Event{Type: core.EventWinner, Strategy: core.StrategySingle, Model: "m", Tokens: 5, Time: now, Elapsed: time.Millisecond})
+	orch.End(nil)
+	root.End(nil)
+	if tr := obs.Finish(nil); tr.Rounds != 0 || tr.SpanCount != 3 {
+		t.Fatalf("header %+v, want no rounds and 3 spans", tr)
+	}
+	recs := root.Records() // in end order: chunk, orchestrate, query
+	if recs[0].Name != "chunk" || recs[0].ParentID != recs[1].SpanID || !reflect.DeepEqual(recs[1].Attrs, map[string]string{"winner": "m"}) {
+		t.Fatalf("chunk %+v not under the orchestration span %+v with the winner", recs[0], recs[1])
 	}
 }
 
@@ -155,8 +221,9 @@ func TestObserverFinishIdempotent(t *testing.T) {
 	obs := tel.StartQuery("q", "oua", "x")
 	obs.Finish(nil)
 	obs.RecordEvent(core.Event{Type: core.EventChunk, Model: "m", Tokens: 5, Time: time.Now()})
+	obs.RecordEvent(core.Event{Type: core.EventRound, Round: 1, Time: time.Now()})
 	tr := obs.Finish(errors.New("late"))
-	if tr.Outcome != "ok" || len(tr.Chunks) != 0 {
+	if tr.Outcome != "ok" || tr.Rounds != 0 {
 		t.Errorf("post-finish activity mutated the trace: %+v", tr)
 	}
 	if got := tel.Queries.Value("oua", "ok"); got != 1 {

@@ -225,16 +225,19 @@ func (f *family) get(vals []string) *series {
 	if len(vals) != len(f.labels) {
 		panic(fmt.Sprintf("telemetry: %s wants %d label values, got %d", f.name, len(f.labels), len(vals)))
 	}
-	key := strings.Join(vals, labelSep)
+	// The key is built on the stack and looked up without becoming a
+	// string: recording into a series that exists allocates nothing.
+	var buf [96]byte
+	key := joinLabels(buf[:0], vals)
 	f.mu.RLock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return s
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok := f.series[key]; ok {
+	if s, ok := f.series[string(key)]; ok {
 		return s
 	}
 	if f.maxSeries > 0 && len(f.series) >= f.maxSeries {
@@ -244,8 +247,8 @@ func (f *family) get(vals []string) *series {
 		for i := range vals {
 			vals[i] = OverflowLabel
 		}
-		key = strings.Join(vals, labelSep)
-		if s, ok := f.series[key]; ok {
+		key = joinLabels(nil, vals)
+		if s, ok := f.series[string(key)]; ok {
 			return s
 		}
 	}
@@ -253,8 +256,18 @@ func (f *family) get(vals []string) *series {
 	if f.typ == typeHistogram {
 		s.bucketN = make([]atomic.Uint64, len(f.bucketsUB)+1)
 	}
-	f.series[key] = s
+	f.series[string(key)] = s
 	return s
+}
+
+func joinLabels(dst []byte, vals []string) []byte {
+	for i, v := range vals {
+		if i > 0 {
+			dst = append(dst, labelSep...)
+		}
+		dst = append(dst, v...)
+	}
+	return dst
 }
 
 // Counter is a handle on a counter family. The zero value is inert: all

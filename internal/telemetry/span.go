@@ -5,6 +5,8 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -18,26 +20,45 @@ import (
 //
 // Design notes:
 //
-//   - Spans of one trace share a single append-only buffer owned by the
-//     root; Span.End appends the finished record, so a trace's records
-//     are in end order, and the tree is reconstructed from ParentID.
-//   - Every constructor returns a usable value even when tracing is
-//     off: a nil *Span is a valid no-op receiver for every method, so
-//     call sites never branch on "is tracing enabled".
+//   - A span is a slot in its trace's arena: fixed-size blocks that never
+//     move, so the *Span a context carries stays valid while the arena
+//     grows. A slot is written in place by whoever observes the fact
+//     (Child takes it, SetAttr/SetInt/SetFloat fill its inline attributes,
+//     End stamps duration and status) and read in place by whoever needs
+//     it (Walk); nothing is copied or converted on a query's path. IDs are
+//     binary and become hex only where bytes leave the process.
+//   - Arenas are pooled. A trace stays out of the pool while a span of it
+//     is open or someone holds it (Hold/Release: an entry point for its
+//     request's extent, the query observer until Finish, the trace store
+//     while the trace is in the ring, a reader while it renders); whoever
+//     ends the last open span or drops the last hold returns it. A handle
+//     is good while its span is open or its trace is held, and not after:
+//     a goroutine that outlives its request keeps the arena alive through
+//     its own open span and never writes into a recycled one.
+//   - A nil *Span is a valid no-op receiver for every method, so call
+//     sites never branch on "is there a trace".
 //   - Cross-process spans: modeld.Client injects Traceparent() into
-//     request headers; the daemon parses it with ParseTraceparent,
-//     builds its own subtree under the caller's span ID, and ships the
-//     finished records back on the NDJSON done line, where the client
-//     grafts them into the local buffer with Adopt.
+//     request headers; the daemon parses it with ParseTraceparent, builds
+//     its own subtree under the caller's span ID and writes its arena onto
+//     the NDJSON done line, which the client decodes straight into the
+//     calling span's arena (Graft).
 
-// MaxSpansPerTrace bounds one trace's record buffer. Past the cap,
-// finished spans are counted in SpanRecord attrs on the root
-// ("dropped_spans") instead of retained, so a runaway fan-out cannot
-// hold unbounded memory.
+// MaxSpansPerTrace bounds one trace's arena. A span that would start past
+// the cap is refused (a nil span, like its descendants) and counted; the
+// count is stamped on the trace's root as "dropped_spans" whenever the
+// trace is read, so a runaway fan-out cannot hold unbounded memory.
 const MaxSpansPerTrace = 512
 
-// SpanRecord is one finished span, JSON-shaped for /api/traces/{id} and
-// the modeld done-line extension.
+const (
+	blockSpans      = 10  // slots per block, 3 KiB: a query's 19–30 spans are 2–3 blocks
+	maxAttrs        = 8   // inline attributes per span; a key past them is counted ("dropped_attrs")
+	maxTextBytes    = 256 // one attribute value or error text is cut here
+	maxPooledBlocks = 6   // an arena that grew past this is dropped, not pooled
+)
+
+// SpanRecord is one finished span in its JSON shape: what /api/traces/{id}
+// serves and what the modeld done line carries. It is the read side only —
+// Records renders it from the arena; nothing on a query's path builds one.
 type SpanRecord struct {
 	TraceID  string            `json:"trace_id"`
 	SpanID   string            `json:"span_id"`
@@ -61,46 +82,119 @@ type Tracer struct {
 // NewTracer returns a tracer stamping every span with the service name.
 func NewTracer(service string) *Tracer { return &Tracer{service: service} }
 
-// spanBuf collects one trace's finished records. Shared by every span
-// of the trace and safe for concurrent End/Adopt from fan-out workers.
-type spanBuf struct {
-	mu      sync.Mutex
-	recs    []SpanRecord
-	dropped int
+// Attr is one typed attribute of a span; SpanData.Value reads its value.
+// val is the kind, in its top two bits, over the value, so that eight of
+// them fit a slot in 192 bytes.
+type Attr struct {
+	Key string
+	val uint64
 }
 
-func (b *spanBuf) add(recs ...SpanRecord) {
-	b.mu.Lock()
-	for _, r := range recs {
-		if len(b.recs) >= MaxSpansPerTrace {
-			b.dropped++
-			continue
-		}
-		b.recs = append(b.recs, r)
-	}
-	b.mu.Unlock()
-}
+const (
+	attrText  = iota << 62 // over where the value lies in the arena's text: offset<<30 | length
+	attrInt                // over the low 62 bits of the int
+	attrFloat              // over the float64's bits less the two lowest of its mantissa
+	attrKind  = 3 << 62
+)
 
-// Span is one in-flight stage of a trace. Create children with
-// StartSpan (context) or Child (explicit parent); finish with End.
-// All methods are safe on a nil receiver.
+const (
+	spanOpen uint8 = iota + 1
+	spanOK
+	spanError
+)
+
+// Span is one stage of a trace: a slot of the trace's arena. Create
+// children with StartSpan (context) or Child (explicit parent); finish
+// with End. All methods are safe on a nil receiver.
 type Span struct {
-	buf *spanBuf
-
-	mu    sync.Mutex
-	rec   SpanRecord
-	ended bool
-	root  bool
+	tr         *trace
+	id, parent [8]byte
+	name       string
+	service    string
+	start      time.Time
+	dur        time.Duration
+	errText    uint64 // where the error text lies, as in an attrText
+	state      uint8  // 0 until taken, then spanOpen → spanOK | spanError
+	nattr      uint8
+	num, next  uint16         // slot number from 1; the slot that ended after this one
+	attrs      [maxAttrs]Attr // sorted by key
 }
+
+// trace is one trace's arena. mu guards everything in it and in its slots.
+type trace struct {
+	mu           sync.Mutex
+	id           [16]byte
+	base         uint64 // span IDs are base | slot number
+	n            int    // slots taken
+	open         int    // spans started and not ended
+	holds        int
+	pooled       bool
+	head, tail   uint16 // the ended slots, by number, in the order they ended
+	dropped      int    // spans refused at the cap
+	droppedAttrs int
+	text         []byte // attribute values and error texts
+	blocks       []*[blockSpans]Span
+}
+
+var tracePool = sync.Pool{New: func() any { return new(trace) }}
+
+// unlock releases t.mu and, when End or Release just left the trace with
+// no open span and no hold, returns it to the pool. A pooled arena keeps
+// its contents until StartRoot draws it again.
+func (t *trace) unlock() {
+	free := t.open == 0 && t.holds == 0 && !t.pooled
+	t.pooled = t.pooled || free
+	keep := len(t.blocks) <= maxPooledBlocks
+	t.mu.Unlock()
+	if free && keep {
+		tracePool.Put(t)
+	}
+}
+
+// take reserves the next slot, or counts a drop at the cap.
+func (t *trace) take() *Span {
+	if t.n >= MaxSpansPerTrace {
+		t.dropped++
+		return nil
+	}
+	if t.n == len(t.blocks)*blockSpans {
+		t.blocks = append(t.blocks, new([blockSpans]Span))
+	}
+	t.n++
+	s := t.slot(uint16(t.n))
+	*s = Span{tr: t, num: uint16(t.n)}
+	binary.BigEndian.PutUint64(s.id[:], t.base|uint64(t.n))
+	return s
+}
+
+func (t *trace) slot(num uint16) *Span { return &t.blocks[(num-1)/blockSpans][(num-1)%blockSpans] }
+
+// ended links s behind the spans that ended before it: a trace reads back
+// in end order, and the tree is reconstructed from the parent links.
+func (t *trace) ended(s *Span) {
+	if t.tail == 0 {
+		t.head = s.num
+	} else {
+		t.slot(t.tail).next = s.num
+	}
+	t.tail = s.num
+}
+
+// addText stores a value in the arena's text and returns where.
+func addText[T string | []byte](t *trace, v T) uint64 {
+	v = v[:min(len(v), maxTextBytes)]
+	t.text = append(t.text, v...)
+	return uint64(len(t.text)-len(v))<<30 | uint64(len(v))
+}
+
+func textAt(text []byte, at uint64) []byte { return text[at&^attrKind>>30:][:at&(1<<30-1)] }
 
 // StartRoot opens a new trace: fresh trace ID, no parent. The returned
 // context carries the span for StartSpan call sites downstream. On a
-// nil tracer both returns are no-ops (ctx unchanged, nil span).
+// nil tracer both returns are no-ops (ctx unchanged, nil span). The trace
+// returns to the pool when its last span ends, unless someone holds it.
 func (t *Tracer) StartRoot(ctx context.Context, name string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
-	return t.startRoot(ctx, name, NewTraceID(), "")
+	return t.StartRootFrom(ctx, name, "", "")
 }
 
 // StartRootFrom opens this process's root span as a child of a remote
@@ -110,23 +204,39 @@ func (t *Tracer) StartRootFrom(ctx context.Context, name, traceID, parentID stri
 	if t == nil {
 		return ctx, nil
 	}
-	return t.startRoot(ctx, name, traceID, parentID)
+	s := t.startRoot(name, traceID, parentID)
+	return ContextWithSpan(ctx, s), s
 }
 
-func (t *Tracer) startRoot(ctx context.Context, name, traceID, parentID string) (context.Context, *Span) {
-	s := &Span{
-		buf:  &spanBuf{},
-		root: true,
-		rec: SpanRecord{
-			TraceID:  traceID,
-			SpanID:   NewSpanID(),
-			ParentID: parentID,
-			Name:     name,
-			Service:  t.service,
-			Start:    time.Now(),
-		},
+// startRoot draws an arena and takes its first slot. A fresh trace costs
+// the one crypto/rand read its trace ID and span-ID base come from; a
+// joined one derives its base from the caller's span ID, which is unique
+// to the request, so two daemons' spans of one trace do not collide.
+func (t *Tracer) startRoot(name, traceID, parentID string) *Span {
+	var id [16]byte
+	var parent [8]byte
+	var base uint64
+	if parseID(id[:], traceID) && parseID(parent[:], parentID) {
+		base = binary.BigEndian.Uint64(parent[:]) * 0x9e3779b97f4a7c15
+	} else {
+		var b [24]byte
+		if _, err := crand.Read(b[:]); err != nil {
+			binary.BigEndian.PutUint64(b[:], uint64(time.Now().UnixNano()))
+			binary.BigEndian.PutUint64(b[16:], idCounter.Add(1)<<16)
+		}
+		copy(id[:], b[:])
+		parent, base = [8]byte{}, binary.BigEndian.Uint64(b[16:])
 	}
-	return ContextWithSpan(ctx, s), s
+	now := time.Now()
+	tr := tracePool.Get().(*trace)
+	tr.mu.Lock()
+	tr.id, tr.base, tr.text, tr.pooled = id, base&^0xffff, tr.text[:0], false
+	tr.n, tr.open, tr.holds, tr.dropped, tr.droppedAttrs = 0, 1, 0, 0, 0
+	tr.head, tr.tail = 0, 0
+	s := tr.take()
+	s.parent, s.name, s.service, s.start, s.state = parent, name, t.service, now, spanOpen
+	tr.mu.Unlock()
+	return s
 }
 
 // spanKey is the context key carrying the current span.
@@ -159,157 +269,324 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return ContextWithSpan(ctx, child), child
 }
 
-// Child opens a child span sharing the receiver's trace and buffer.
-func (s *Span) Child(name string) *Span {
+// Child opens a child span in the receiver's trace.
+func (s *Span) Child(name string) *Span { return s.childAt(name, time.Now()) }
+
+// childAt is Child for a span whose start the caller observed.
+func (s *Span) childAt(name string, start time.Time) *Span {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	rec := SpanRecord{
-		TraceID:  s.rec.TraceID,
-		SpanID:   NewSpanID(),
-		ParentID: s.rec.SpanID,
-		Name:     name,
-		Service:  s.rec.Service,
-		Start:    time.Now(),
+	t := s.tr
+	t.mu.Lock()
+	c := t.take()
+	if c != nil {
+		c.parent, c.name, c.service, c.start, c.state = s.id, name, s.service, start, spanOpen
+		t.open++
 	}
-	s.mu.Unlock()
-	return &Span{buf: s.buf, rec: rec}
+	t.mu.Unlock()
+	return c
 }
 
-// SetAttr attaches one key/value to the span. Values must come from
-// bounded vocabularies or be short identifiers — never query text.
-func (s *Span) SetAttr(key, value string) {
+// Hold keeps the span's trace out of the pool until the matching Release,
+// whatever ends meanwhile. An entry point that mints a root defers one
+// pair over its request, so every handle the request made stays good for
+// as long as the request runs.
+func (s *Span) Hold() { s.hold(1) }
+
+// Release drops one Hold.
+func (s *Span) Release() { s.hold(-1) }
+
+func (s *Span) hold(d int) {
+	if s != nil {
+		s.tr.mu.Lock()
+		s.tr.holds += d
+		s.tr.unlock()
+	}
+}
+
+// SetAttr attaches one key/value to the span; a key set twice keeps the
+// later value. Values must come from bounded vocabularies or be short
+// identifiers — never query text.
+func (s *Span) SetAttr(key, value string) { s.write(false, key, attrText, value) }
+
+// SetInt attaches an integer; it reads back as its decimal digits.
+func (s *Span) SetInt(key string, v int) { s.write(false, key, attrInt|uint64(v)&^attrKind) }
+
+// SetFloat attaches a float; it reads back with three decimals.
+func (s *Span) SetFloat(key string, v float64) { s.write(false, key, attrFloat|math.Float64bits(v)>>2) }
+
+// SetList attaches short strings as one comma-separated value.
+func (s *Span) SetList(key string, vs []string) { s.write(false, key, attrText, vs...) }
+
+// write sets key on an open span to val — for attrText, to the texts
+// joined by commas. late also writes to an ended one: the query observer
+// learns a chunk's score after the chunk.
+func (s *Span) write(late bool, key string, val uint64, text ...string) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if !s.ended {
-		if s.rec.Attrs == nil {
-			s.rec.Attrs = make(map[string]string, 4)
-		}
-		s.rec.Attrs[key] = value
-	}
-	s.mu.Unlock()
-}
-
-// End finishes the span with its terminal error (nil on success) and
-// appends the record to the trace buffer. Later calls are no-ops.
-func (s *Span) End(err error) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
-	s.rec.Duration = time.Since(s.rec.Start)
-	if err != nil {
-		s.rec.Status = "error"
-		s.rec.Error = err.Error()
-	} else {
-		s.rec.Status = "ok"
-	}
-	rec := s.rec
-	if s.root {
-		s.buf.mu.Lock()
-		if d := s.buf.dropped; d > 0 {
-			if rec.Attrs == nil {
-				rec.Attrs = make(map[string]string, 1)
+	t := s.tr
+	t.mu.Lock()
+	if s.state == spanOpen || late && s.state > spanOpen {
+		if from := len(t.text); val == attrText {
+			for i, v := range text {
+				if i > 0 {
+					t.text = append(t.text, ',')
+				}
+				t.text = append(t.text, v...)
 			}
-			rec.Attrs["dropped_spans"] = itoa(d)
-			s.rec = rec
+			t.text = t.text[:min(len(t.text), from+maxTextBytes)]
+			val = uint64(from)<<30 | uint64(len(t.text)-from)
 		}
-		s.buf.mu.Unlock()
+		s.put(key, val)
 	}
-	s.mu.Unlock()
-	s.buf.add(rec)
+	t.mu.Unlock()
 }
 
-// itoa avoids strconv in the hot End path for the rare dropped case.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
+// put sets key on the slot, counting it instead when the slot is full. The
+// caller holds the trace's lock.
+func (s *Span) put(key string, val uint64) {
+	n, ok := putAttr(s.attrs[:], int(s.nattr), Attr{key, val})
+	if s.nattr = uint8(n); !ok {
+		s.tr.droppedAttrs++
 	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
-// TraceID returns the span's trace ID ("" on nil).
+// putAttr sets a among attrs[:n], which stay sorted by key — the order the
+// wire writes them in — and returns the new n, or false when a is a new key
+// and attrs is full.
+func putAttr(attrs []Attr, n int, a Attr) (int, bool) {
+	i := 0
+	for i < n && attrs[i].Key < a.Key {
+		i++
+	}
+	switch {
+	case i < n && attrs[i].Key == a.Key:
+	case n == len(attrs):
+		return n, false
+	default:
+		copy(attrs[i+1:n+1], attrs[i:n])
+		n++
+	}
+	attrs[i] = a
+	return n, true
+}
+
+// End finishes the span with its terminal error (nil on success),
+// stamping duration and status in place. Later calls are no-ops.
+func (s *Span) End(err error) {
+	if s != nil {
+		s.endAt(time.Since(s.start), err)
+	}
+}
+
+// endAt is End for a span whose duration the caller observed.
+func (s *Span) endAt(dur time.Duration, err error) {
+	if s == nil {
+		return
+	}
+	t := s.tr
+	t.mu.Lock()
+	if s.state == spanOpen {
+		s.dur, s.state = dur, spanOK
+		if err != nil {
+			s.state, s.errText = spanError, addText(t, err.Error())
+		}
+		t.open--
+		t.ended(s)
+	}
+	t.unlock()
+}
+
+// TraceID returns the span's trace ID as 32 hex characters ("" on nil).
 func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	return s.rec.TraceID
+	return hexID(s.tr.id[:])
 }
 
-// SpanID returns the span's own ID ("" on nil).
+// SpanID returns the span's own ID as 16 hex characters ("" on nil).
 func (s *Span) SpanID() string {
 	if s == nil {
 		return ""
 	}
-	return s.rec.SpanID
+	return hexID(s.id[:])
 }
 
-// Records returns a copy of the trace's finished records so far.
-// Call after End on the subtree of interest; spans still in flight are
-// absent. Nil-safe (returns nil).
-func (s *Span) Records() []SpanRecord {
-	if s == nil {
-		return nil
+// hexID renders an ID of at most 16 bytes, in one allocation.
+func hexID(id []byte) string {
+	var b [32]byte
+	return string(b[:hex.Encode(b[:], id)])
+}
+
+// SpanData is one finished span in the arena's own terms — binary IDs,
+// typed attributes sorted by key, their text in Text — the shape in which
+// a span crosses a package boundary without becoming a SpanRecord. Walk
+// lends one per ended slot, aliasing the arena; a wire decoder fills one
+// per record (Reset, the fields, AddAttr) and hands it to Graft.
+type SpanData struct {
+	TraceID          [16]byte
+	SpanID, ParentID [8]byte // a zero ParentID is no parent
+	Name, Service    string
+	Start            time.Time
+	Duration         time.Duration
+	Failed           bool   // status "error", Error its text
+	Error            []byte // read-only under Walk
+	Attrs            []Attr
+	Text             []byte
+}
+
+// Value returns a's value as the string a SpanRecord shows: the text
+// itself, aliasing d.Text, or a number rendered into buf the way call
+// sites used to format one (%d, %.3f).
+func (d *SpanData) Value(a *Attr, buf []byte) []byte {
+	switch a.val & attrKind {
+	case attrInt:
+		return strconv.AppendInt(buf, int64(a.val<<2)>>2, 10)
+	case attrFloat:
+		return strconv.AppendFloat(buf, math.Float64frombits(a.val<<2), 'f', 3, 64)
 	}
-	s.buf.mu.Lock()
-	out := make([]SpanRecord, len(s.buf.recs))
-	copy(out, s.buf.recs)
-	s.buf.mu.Unlock()
+	return textAt(d.Text, a.val)
+}
+
+// Reset empties d for the next record, keeping its buffers.
+func (d *SpanData) Reset() {
+	*d = SpanData{Error: d.Error[:0], Attrs: d.Attrs[:0], Text: d.Text[:0]}
+}
+
+// AddAttr appends a string attribute to a SpanData being filled.
+func (d *SpanData) AddAttr(key string, value []byte) {
+	d.Text = append(d.Text, value...)
+	d.Attrs = append(d.Attrs, Attr{key, uint64(len(d.Text)-len(value))<<30 | uint64(len(value))})
+}
+
+// Walk calls fn with every ended span of s's trace, in the order they
+// ended, under the trace's lock: fn reads the span in place and must
+// neither keep what d aliases nor touch the trace. Spans still in flight
+// are absent.
+func (s *Span) Walk(fn func(d SpanData)) {
+	if s == nil {
+		return
+	}
+	t := s.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	d := SpanData{TraceID: t.id, Text: t.text}
+	for num := t.head; num != 0; {
+		sp := t.slot(num)
+		num = sp.next
+		d.SpanID, d.ParentID, d.Name, d.Service = sp.id, sp.parent, sp.name, sp.service
+		d.Start, d.Duration, d.Attrs = sp.start, sp.dur, sp.attrs[:sp.nattr]
+		d.Failed, d.Error = sp.state == spanError, textAt(t.text, sp.errText)
+		if sp.num == 1 && t.dropped+t.droppedAttrs > 0 {
+			// Counted on the trace, shown on its root: among a copy of the
+			// root's attributes, with room for both whatever it holds.
+			var attrs [maxAttrs + 2]Attr
+			n := copy(attrs[:], d.Attrs)
+			if t.dropped > 0 {
+				n, _ = putAttr(attrs[:], n, Attr{"dropped_spans", attrInt | uint64(t.dropped)})
+			}
+			if t.droppedAttrs > 0 {
+				n, _ = putAttr(attrs[:], n, Attr{"dropped_attrs", attrInt | uint64(t.droppedAttrs)})
+			}
+			d.Attrs = attrs[:n]
+		}
+		fn(d)
+	}
+}
+
+// Records renders the trace's finished spans as SpanRecords: the read
+// side, for /api/traces/{id} and tests. Nil-safe (returns nil).
+func (s *Span) Records() []SpanRecord {
+	var out []SpanRecord
+	s.Walk(func(d SpanData) {
+		r := SpanRecord{
+			TraceID: hexID(d.TraceID[:]), SpanID: hexID(d.SpanID[:]),
+			Name: d.Name, Service: d.Service, Start: d.Start, Duration: d.Duration, Status: "ok",
+		}
+		if d.ParentID != ([8]byte{}) {
+			r.ParentID = hexID(d.ParentID[:])
+		}
+		if d.Failed {
+			r.Status, r.Error = "error", string(d.Error)
+		}
+		if len(d.Attrs) > 0 {
+			r.Attrs = make(map[string]string, len(d.Attrs))
+		}
+		for i := range d.Attrs {
+			r.Attrs[d.Attrs[i].Key] = string(d.Value(&d.Attrs[i], nil))
+		}
+		out = append(out, r)
+	})
 	return out
 }
 
-// Adopt grafts remotely-finished records (a daemon's subtree) into the
-// local trace buffer. Records from a different trace are discarded —
-// a daemon echoing stale spans cannot pollute an unrelated trace.
-func (s *Span) Adopt(recs []SpanRecord) {
-	if s == nil || len(recs) == 0 {
+// counts reports how many spans of the trace have ended and how many
+// were refused at the cap.
+func (s *Span) counts() (ended, dropped int) {
+	if s == nil {
+		return 0, 0
+	}
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	return s.tr.n - s.tr.open, s.tr.dropped
+}
+
+// Graft writes a remotely finished span — a record of a daemon's subtree,
+// decoded from the done line — into s's trace. A record of another trace
+// or without a span ID is discarded: a daemon echoing stale spans cannot
+// pollute an unrelated trace. The cap applies record by record.
+func (s *Span) Graft(d *SpanData) {
+	if s == nil || d.SpanID == ([8]byte{}) {
 		return
 	}
-	kept := recs[:0:0]
-	for _, r := range recs {
-		if r.TraceID == s.rec.TraceID && r.SpanID != "" {
-			kept = append(kept, r)
-		}
+	t := s.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if d.TraceID != t.id {
+		return
 	}
-	if len(kept) > 0 {
-		s.buf.add(kept...)
+	c := t.take()
+	if c == nil {
+		return
+	}
+	c.id, c.parent, c.name, c.service = d.SpanID, d.ParentID, d.Name, d.Service
+	c.start, c.dur, c.state = d.Start, d.Duration, spanOK
+	t.ended(c)
+	if d.Failed {
+		c.state, c.errText = spanError, addText(t, d.Error)
+	}
+	for i := range d.Attrs {
+		a := d.Attrs[i]
+		if a.val&attrKind == attrText {
+			a.val = addText(t, textAt(d.Text, a.val))
+		}
+		c.put(a.Key, a.val)
 	}
 }
 
-// AddRecord appends an already-shaped record to the trace buffer,
-// filling TraceID and Service from the span. Used by the query
-// observer to synthesize round/chunk spans from orchestration events
-// without core importing telemetry.
-func (s *Span) AddRecord(rec SpanRecord) {
-	if s == nil {
-		return
+// Adopt grafts records that went through encoding/json — the modeld
+// client's stream=false reply, and a done line its scanner declined —
+// into s's trace. A record whose IDs are not the hex a tracer writes is
+// discarded.
+func (s *Span) Adopt(recs []SpanRecord) {
+	var d SpanData
+	for i := range recs {
+		r := &recs[i]
+		d.Reset()
+		if !parseID(d.TraceID[:], r.TraceID) || !parseID(d.SpanID[:], r.SpanID) ||
+			r.ParentID != "" && !parseID(d.ParentID[:], r.ParentID) {
+			continue
+		}
+		d.Name, d.Service, d.Start, d.Duration = r.Name, r.Service, r.Start, r.Duration
+		d.Failed, d.Error = r.Status == "error", append(d.Error, r.Error...)
+		for k, v := range r.Attrs {
+			d.AddAttr(k, []byte(v))
+		}
+		s.Graft(&d)
 	}
-	rec.TraceID = s.rec.TraceID
-	if rec.Service == "" {
-		rec.Service = s.rec.Service
-	}
-	if rec.SpanID == "" {
-		rec.SpanID = NewSpanID()
-	}
-	if rec.Status == "" {
-		rec.Status = "ok"
-	}
-	s.buf.add(rec)
 }
 
 // --- W3C traceparent ---------------------------------------------------
@@ -321,7 +598,9 @@ func (s *Span) Traceparent() string {
 	if s == nil {
 		return ""
 	}
-	return "00-" + s.rec.TraceID + "-" + s.rec.SpanID + "-01"
+	b := hex.AppendEncode(append(make([]byte, 0, 55), "00-"...), s.tr.id[:])
+	b = hex.AppendEncode(append(b, '-'), s.id[:])
+	return string(append(b, "-01"...))
 }
 
 // ParseTraceparent validates a W3C traceparent header value and returns
@@ -329,57 +608,30 @@ func (s *Span) Traceparent() string {
 // wrong length, unknown version, non-hex, or all-zero IDs — in which
 // case the callee should fall back to a fresh root span.
 func ParseTraceparent(h string) (traceID, spanID string, ok bool) {
-	// 00-{32 hex}-{16 hex}-{2 hex} = 55 bytes.
-	if len(h) != 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
+	// 00-{32 hex}-{16 hex}-{2 hex} = 55 bytes; only version 00 is understood.
+	if len(h) != 55 || h[:3] != "00-" || h[35] != '-' || h[52] != '-' {
 		return "", "", false
 	}
-	if h[0] != '0' || h[1] != '0' { // only version 00 is understood
+	var id [16]byte
+	if _, err := hex.Decode(id[:1], []byte(h[53:])); err != nil || !parseID(id[:], h[3:35]) || !parseID(id[:8], h[36:52]) {
 		return "", "", false
 	}
-	traceID, spanID = h[3:35], h[36:52]
-	if !isHex(traceID) || !isHex(spanID) || !isHex(h[53:55]) {
-		return "", "", false
-	}
-	if allZero(traceID) || allZero(spanID) {
-		return "", "", false
-	}
-	return traceID, spanID, true
+	return h[3:35], h[36:52], true
 }
 
-func isHex(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
+// parseID decodes src into dst when it is the hex of a non-zero ID of
+// len(dst) bytes.
+func parseID(dst []byte, src string) bool {
+	if len(src) != 2*len(dst) {
+		return false
+	}
+	if _, err := hex.Decode(dst, []byte(src)); err != nil {
+		return false
+	}
+	for _, b := range dst {
+		if b != 0 {
+			return true
 		}
 	}
-	return true
-}
-
-func allZero(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] != '0' {
-			return false
-		}
-	}
-	return true
-}
-
-// NewTraceID returns a fresh 32-hex-character (128-bit) trace ID.
-func NewTraceID() string {
-	var b [16]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		binary.BigEndian.PutUint64(b[:8], uint64(time.Now().UnixNano()))
-		binary.BigEndian.PutUint64(b[8:], idCounter.Add(1))
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// NewSpanID returns a fresh 16-hex-character (64-bit) span ID.
-func NewSpanID() string {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		binary.BigEndian.PutUint64(b[:], uint64(time.Now().UnixNano())^idCounter.Add(1)<<32)
-	}
-	return hex.EncodeToString(b[:])
+	return false
 }

@@ -2,9 +2,17 @@ package telemetry
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"llmms/internal/core"
 )
 
 func TestSpanTreeConstruction(t *testing.T) {
@@ -232,15 +240,307 @@ func TestAdoptFiltersForeignSpans(t *testing.T) {
 }
 
 func TestNewIDsAreUniqueHex(t *testing.T) {
+	// One random read per trace: the trace ID and the base every span ID
+	// of the arena is derived from. Unique and non-zero all the same.
+	tr := NewTracer("test")
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		tid, sid := NewTraceID(), NewSpanID()
-		if len(tid) != 32 || len(sid) != 16 {
-			t.Fatalf("id lengths = %d/%d, want 32/16", len(tid), len(sid))
+		_, root := tr.StartRoot(context.Background(), "query")
+		root.Hold()
+		ids := []string{root.TraceID(), root.SpanID()}
+		for j := 0; j < 20; j++ {
+			ids = append(ids, root.Child("c").SpanID())
 		}
-		if seen[tid] || seen[sid] {
-			t.Fatal("duplicate ID generated")
+		root.Release()
+		if len(ids[0]) != 32 {
+			t.Fatalf("trace id %q: want 32 hex characters", ids[0])
 		}
-		seen[tid], seen[sid] = true, true
+		for _, id := range ids {
+			var b [16]byte
+			if !parseID(b[:len(id)/2], id) || (len(id) != 16 && len(id) != 32) {
+				t.Fatalf("id %q is not non-zero hex of an ID's length", id)
+			}
+			if seen[id] {
+				t.Fatalf("duplicate ID %q", id)
+			}
+			seen[id] = true
+		}
 	}
+}
+
+// TestJoinedTraceDerivesSpanIDs: a daemon's root joins the caller's trace
+// without a random read, so what keeps two requests' spans apart is the
+// caller's span ID each was made under.
+func TestJoinedTraceDerivesSpanIDs(t *testing.T) {
+	up, down := NewTracer("client"), NewTracer("modeld")
+	_, query := up.StartRoot(context.Background(), "query")
+	query.Hold()
+	defer query.Release()
+	seen := map[string]bool{query.SpanID(): true}
+	for i := 0; i < 50; i++ {
+		call := query.Child("modeld.stream")
+		tid, sid, ok := ParseTraceparent(call.Traceparent())
+		if !ok || seen[sid] {
+			t.Fatalf("call %d: traceparent %q (ok=%v) repeats or fails", i, call.Traceparent(), ok)
+		}
+		seen[sid] = true
+		_, root := down.StartRootFrom(context.Background(), "modeld.handle_generate", tid, sid)
+		root.Hold()
+		for _, id := range []string{root.SpanID(), root.Child("engine.generate").SpanID()} {
+			if seen[id] {
+				t.Fatalf("call %d: daemon span ID %s collides within the trace", i, id)
+			}
+			seen[id] = true
+		}
+		root.Release()
+	}
+}
+
+// TestDroppedSpansCountedAtReadTime: the drop count is a field of the
+// trace, stamped on the root whenever the trace is read — so spans refused
+// after the root ended (grafted daemon records, a late child) are counted
+// too, where the count used to be frozen into the root at its End.
+func TestDroppedSpansCountedAtReadTime(t *testing.T) {
+	tr := NewTracer("test")
+	_, root := tr.StartRoot(context.Background(), "query")
+	root.Hold()
+	defer root.Release()
+	for i := 0; i < MaxSpansPerTrace-11; i++ {
+		root.Child("c").End(nil)
+	}
+	root.End(nil)
+	if _, dropped := root.counts(); dropped != 0 {
+		t.Fatalf("dropped %d spans below the cap", dropped)
+	}
+	var recs []SpanRecord
+	for i := 0; i < 25; i++ { // 10 fit, 15 do not
+		recs = append(recs, SpanRecord{TraceID: root.TraceID(), SpanID: fmt.Sprintf("%016x", 0xabc000+i), Name: "remote", Status: "ok"})
+	}
+	root.Adopt(recs)
+	if c := root.Child("late"); c != nil { // 16
+		t.Fatal("a span started past the cap")
+	}
+	got := root.Records()
+	rootRec := got[MaxSpansPerTrace-11] // records read back in end order
+	if len(got) != MaxSpansPerTrace || rootRec.Name != "query" {
+		t.Fatalf("%d records, %q where the root ended; want the cap and the root", len(got), rootRec.Name)
+	}
+	if rootRec.Attrs["dropped_spans"] != "16" {
+		t.Fatalf("root attrs %v, want dropped_spans 16", rootRec.Attrs)
+	}
+	if _, dropped := root.counts(); dropped != 16 {
+		t.Fatalf("counts reports %d dropped, want 16", dropped)
+	}
+}
+
+// TestAttrsTypedBoundedAndSorted pins how attributes read back: numbers as
+// the strings call sites used to format, a key set twice keeps the later
+// value, a key past the inline capacity is counted on the root, an
+// over-long value is cut, and Walk lends them sorted by key.
+func TestAttrsTypedBoundedAndSorted(t *testing.T) {
+	tr := NewTracer("test")
+	_, root := tr.StartRoot(context.Background(), "query")
+	root.Hold()
+	defer root.Release()
+	sp := root.Child("route.predict")
+	sp.SetAttr("outcome", "probe")
+	sp.SetAttr("outcome", "topk")
+	sp.SetInt("cluster", -3)
+	sp.SetFloat("similarity", 0.81249)
+	sp.SetList("models", []string{"llama3:8b", "mistral:7b"})
+	sp.SetList("none", nil)
+	sp.SetAttr("long", strings.Repeat("x", 1000))
+	for _, k := range []string{"g", "h", "i", "j"} { // two fit
+		sp.SetInt(k, 1)
+	}
+	sp.End(nil)
+	sp.SetAttr("outcome", "late") // after End: ignored
+	root.End(nil)
+	var keys []string
+	root.Walk(func(d SpanData) {
+		if d.Name == "route.predict" {
+			for _, a := range d.Attrs {
+				keys = append(keys, a.Key)
+			}
+		}
+	})
+	if want := []string{"cluster", "g", "h", "long", "models", "none", "outcome", "similarity"}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("walked keys %v, want %v", keys, want)
+	}
+	recs := root.Records() // in end order: the child, then the root
+	got := recs[0].Attrs
+	want := map[string]string{"outcome": "topk", "cluster": "-3", "similarity": "0.812", "models": "llama3:8b,mistral:7b",
+		"none": "", "long": strings.Repeat("x", maxTextBytes), "g": "1", "h": "1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("attrs %v, want %v", got, want)
+	}
+	if recs[1].Attrs["dropped_attrs"] != "2" {
+		t.Fatalf("root attrs %v, want dropped_attrs 2", recs[1].Attrs)
+	}
+}
+
+// TestSpanAllocatesNothing pins the arena's point: in steady state a
+// trace's spans, attributes and ends are writes into a pooled arena. The
+// one thing a public entry point still allocates is the context node it
+// must return — a context cannot be pooled — so the machinery is measured
+// under startRoot and Child, and StartRoot/StartSpan are held to exactly
+// their context nodes.
+func TestSpanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its puts under the race detector")
+	}
+	tracer := NewTracer("test")
+	trace := func() {
+		root := tracer.startRoot("query", "", "")
+		root.SetAttr("strategy", "oua")
+		a := root.Child("cache.lookup")
+		a.SetAttr("tier", "miss")
+		a.End(nil)
+		b := root.Child("gate.wait")
+		b.SetInt("weight", 3)
+		b.End(nil)
+		c := b.Child("route.predict")
+		c.SetAttr("outcome", "topk")
+		c.SetFloat("similarity", 0.812)
+		c.SetList("models", []string{"llama3:8b", "mistral:7b"})
+		c.End(errBoom)
+		root.End(nil)
+	}
+	trace()
+	if n := testing.AllocsPerRun(200, trace); n != 0 {
+		t.Errorf("a root, 3 children, 6 attributes and their ends allocate %v times, want 0", n)
+	}
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(200, func() {
+		rctx, root := tracer.StartRoot(ctx, "query")
+		_, sp := StartSpan(rctx, "child")
+		sp.SetAttr("model", "m")
+		sp.End(nil)
+		root.End(nil)
+	}); n != 2 {
+		t.Errorf("the benchmark's replay (StartRoot, StartSpan, SetAttr, End, End) allocates %v times, want its 2 context nodes", n)
+	}
+
+	// A full observer cycle into a full ring: the observer itself and the
+	// header's trace ID string.
+	tel := New(Options{TraceCapacity: 4})
+	ids := []string{"q0", "q1", "q2", "q3", "q4", "q5", "q6", "q7"}
+	models := []string{"llama3:8b", "mistral:7b", "qwen2:7b"}
+	next := 0
+	cycle := func() {
+		root := tracer.startRoot("query", "", "")
+		root.Hold()
+		obs := tel.StartQuery(ids[next%len(ids)], "oua", "why is the sky blue?")
+		next++
+		orch := root.Child("orchestrate")
+		obs.BindSpans(root, orch)
+		now := time.Now()
+		for round := 1; round <= 6; round++ {
+			obs.RecordEvent(core.Event{Type: core.EventRound, Strategy: core.StrategyOUA, Round: round, Time: now, Elapsed: time.Duration(round)})
+			for _, m := range models {
+				obs.RecordEvent(core.Event{Type: core.EventChunk, Strategy: core.StrategyOUA, Round: round, Model: m, Tokens: 8, Time: now, Elapsed: time.Millisecond, Attempts: 1})
+			}
+			for _, m := range models {
+				obs.RecordEvent(core.Event{Type: core.EventScore, Strategy: core.StrategyOUA, Round: round, Model: m, Score: 0.5, Time: now})
+			}
+		}
+		obs.RecordEvent(core.Event{Type: core.EventPrune, Strategy: core.StrategyOUA, Round: 6, Model: models[2], Reason: "trailing by 0.200", Time: now})
+		obs.RecordEvent(core.Event{Type: core.EventWinner, Strategy: core.StrategyOUA, Model: models[0], Tokens: 144, Reason: "budget settled", Time: now, Elapsed: time.Millisecond})
+		orch.End(nil)
+		root.End(nil)
+		if tr := obs.Finish(nil); tr.SpanCount != 26 {
+			t.Fatalf("cycle finished %d spans, want 26", tr.SpanCount)
+		}
+		root.Release()
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(200, cycle); n > 2 {
+		t.Errorf("an observer cycle of 6 rounds x 3 chunks into a full ring allocates %v times, want at most 2", n)
+	}
+}
+
+var errBoom = errors.New("boom")
+
+// TestTraceRecycling runs 64 goroutines of seeded schedules over traces
+// that keep going back to the pool and coming out again: children,
+// attributes, ends, grafts, spans that end after every hold is gone (the
+// stream pump, the hedge loser), traces kept by a small ring and read back
+// while others evict them. Every span is named after the trace it was
+// started in, and whenever a trace is read — by its owner or out of the
+// ring — every span in it must carry that trace's name: a write into a
+// recycled arena would show up as a stranger. The race detector checks the
+// rest.
+func TestTraceRecycling(t *testing.T) {
+	tracer := NewTracer("test")
+	store := NewTraceStore(8)
+	check := func(name string, recs []SpanRecord) {
+		for _, r := range recs {
+			if r.Name != name || r.Attrs["trace"] != name {
+				t.Errorf("trace %s holds a span named %q with attrs %v", name, r.Name, r.Attrs)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var late sync.WaitGroup
+			for n := 0; n < 60; n++ {
+				name := fmt.Sprintf("g%d.%d", g, n)
+				_, root := tracer.StartRoot(context.Background(), name)
+				root.Hold()
+				root.SetAttr("trace", name)
+				spans := []*Span{root}
+				for op, ops := 0, rng.Intn(40); op < ops; op++ {
+					sp := spans[rng.Intn(len(spans))]
+					switch rng.Intn(6) {
+					case 0, 1:
+						c := sp.Child(name)
+						c.SetAttr("trace", name)
+						spans = append(spans, c)
+					case 2:
+						sp.SetInt("n", op)
+					case 3:
+						sp.End(nil)
+						sp.End(errBoom)
+					case 4:
+						root.Adopt([]SpanRecord{{TraceID: root.TraceID(), SpanID: fmt.Sprintf("%016x", 1+op), Name: name,
+							Attrs: map[string]string{"trace": name}, Status: "ok"}})
+					case 5:
+						// Outlives the request: ends after the last hold
+						// is gone, keeping the arena alive until it does.
+						c := sp.Child(name)
+						late.Add(1)
+						go func() {
+							defer late.Done()
+							c.SetAttr("trace", name)
+							runtime.Gosched()
+							c.Child(name).SetAttr("trace", name) // left in flight forever: this arena is never pooled
+							c.End(nil)
+						}()
+					}
+				}
+				for _, sp := range spans[1:] {
+					if rng.Intn(10) > 0 {
+						sp.End(nil)
+					}
+				}
+				root.End(nil)
+				check(name, root.Records())
+				if rng.Intn(3) == 0 {
+					store.Put(QueryTrace{ID: name, Outcome: "ok"}, root)
+				}
+				root.Release()
+				if tr, ok := store.Get(fmt.Sprintf("g%d.%d", rng.Intn(64), n)); ok {
+					check(tr.ID, tr.Spans)
+				}
+			}
+			late.Wait()
+		}(g)
+	}
+	wg.Wait()
 }

@@ -15,121 +15,47 @@ import (
 // when Options.TraceCapacity is zero.
 const DefaultTraceCapacity = 256
 
-// QueryTrace is the timing record of one completed orchestrated query —
-// the cross-query, durable counterpart of core.Trace's in-flight event
-// log. Every duration serializes as integer nanoseconds.
+// QueryTrace is one completed orchestrated query: its header — what
+// Finish returns, the log line reads and /api/traces lists — and, when
+// read back through Get, the span tree rendered from the trace's arena.
+// Every duration serializes as integer nanoseconds.
 type QueryTrace struct {
 	// ID is the generated query identifier (see NewQueryID), also
 	// returned to clients in the X-Query-ID header and result frame.
 	ID string `json:"id"`
 	// TraceID is the distributed trace this query belongs to (32 hex
-	// chars, shared with daemon-side spans via traceparent). Empty when
-	// tracing was disabled.
-	TraceID string `json:"trace_id,omitempty"`
-	// Strategy is the orchestration policy that served the query.
-	Strategy string `json:"strategy"`
-	// Query is the user's question, truncated to the store's limit.
-	Query string `json:"query"`
-	// Start is when orchestration began.
-	Start time.Time `json:"start"`
-	// Elapsed is the total orchestration wall clock.
-	Elapsed time.Duration `json:"elapsed_ns"`
-	// Outcome is "ok", "error", "all_models_failed", or "canceled".
-	Outcome string `json:"outcome"`
-	// Error is the terminal error of a failed query.
-	Error string `json:"error,omitempty"`
-	// Winner is the model whose answer was selected.
-	Winner string `json:"winner,omitempty"`
-	// TokensUsed is the total generation spend across all models.
-	TokensUsed int `json:"tokens_used"`
-	// Rounds are the per-round wall-clock spans.
-	Rounds []RoundSpan `json:"rounds,omitempty"`
-	// Chunks are the per-model generation call spans.
-	Chunks []ChunkSpan `json:"chunks,omitempty"`
-	// Scores is the score trajectory across rounds.
-	Scores []ScorePoint `json:"scores,omitempty"`
-	// Retries is the total retry attempts spent beyond first tries.
+	// chars, shared with daemon-side spans via traceparent).
+	TraceID  string `json:"trace_id,omitempty"`
+	Strategy string `json:"strategy"` // the policy that served the query
+	// Query is the user's question, truncated to the store's limit (and
+	// to summaryQueryLimit in a listing).
+	Query   string        `json:"query"`
+	Start   time.Time     `json:"start"`      // when orchestration began
+	Elapsed time.Duration `json:"elapsed_ns"` // total orchestration wall clock
+	// Outcome is "ok", "error", "all_models_failed", or "canceled"; Error
+	// the terminal error of a failed query.
+	Outcome    string `json:"outcome"`
+	Error      string `json:"error,omitempty"`
+	Winner     string `json:"winner,omitempty"` // the model whose answer was selected
+	TokensUsed int    `json:"tokens_used"`      // generation spend across all models
+	// Rounds counts the allocation rounds (OUA rounds, MAB/Hybrid pulls),
+	// each a "round" span; Retries the attempts spent beyond first tries.
+	Rounds  int `json:"rounds"`
 	Retries int `json:"retries"`
-	// Failures records models dropped after retry exhaustion.
-	Failures []ModelFailure `json:"failures,omitempty"`
-	// Pruned lists models removed by score-based pruning.
-	Pruned []string `json:"pruned,omitempty"`
-	// Spans is the full distributed span tree: server stages, fleet
-	// calls, modeld client requests, and grafted daemon-side spans, all
-	// sharing TraceID. Reconstruct the tree from ParentID links.
+	// SpanCount is how many spans had finished when the query did. A span
+	// that ends later — a stream the query abandoned — still joins Spans.
+	SpanCount int `json:"span_count"`
+	// DroppedSpans counts spans refused at MaxSpansPerTrace, as of the read.
+	DroppedSpans int `json:"dropped_spans,omitempty"`
+	// Spans is the distributed span tree as of the read: server stages,
+	// rounds and chunks with the orchestrator's decisions as attributes,
+	// fleet calls, modeld client requests, and grafted daemon-side spans,
+	// all sharing TraceID. Reconstruct the tree from ParentID links.
 	Spans []SpanRecord `json:"spans,omitempty"`
-}
-
-// RoundSpan times one allocation round (OUA round or MAB/Hybrid pull).
-type RoundSpan struct {
-	// Round counts from 1 (OUA rounds, or MAB/Hybrid pulls).
-	Round int `json:"round"`
-	// Model is set on MAB/Hybrid pulls, where a round targets one arm.
-	Model string `json:"model,omitempty"`
-	// Offset is when the round opened, relative to query start.
-	Offset time.Duration `json:"offset_ns"`
-	// Elapsed is the round's wall clock (to the next round, or to the
-	// end of the query for the final round).
-	Elapsed time.Duration `json:"elapsed_ns"`
-}
-
-// ChunkSpan times one model's generation call within a round.
-type ChunkSpan struct {
-	Round int `json:"round"`
-	// Model is the model that generated the chunk.
-	Model string `json:"model"`
-	// Tokens is the chunk's generated token count.
-	Tokens int `json:"tokens"`
-	// Offset is when the generation call began, relative to query start.
-	Offset time.Duration `json:"offset_ns"`
-	// Elapsed is the generation call's wall clock, retries included.
-	Elapsed time.Duration `json:"elapsed_ns"`
-	// Attempts is how many tries the chunk took (1 = no retries).
-	Attempts int `json:"attempts,omitempty"`
-}
-
-// ScorePoint is one model's combined score after one round.
-type ScorePoint struct {
-	Round int     `json:"round"`
-	Model string  `json:"model"`
-	Score float64 `json:"score"`
-}
-
-// ModelFailure records a model dropped after exhausting its retry budget.
-type ModelFailure struct {
-	Model    string `json:"model"`
-	Attempts int    `json:"attempts"`
-	Reason   string `json:"reason"`
-}
-
-// TraceSummary is the /api/traces listing row.
-type TraceSummary struct {
-	ID         string        `json:"id"`
-	Strategy   string        `json:"strategy"`
-	Query      string        `json:"query"`
-	Start      time.Time     `json:"start"`
-	Elapsed    time.Duration `json:"elapsed_ns"`
-	Outcome    string        `json:"outcome"`
-	Winner     string        `json:"winner,omitempty"`
-	TokensUsed int           `json:"tokens_used"`
-	Rounds     int           `json:"rounds"`
-	Retries    int           `json:"retries"`
 }
 
 // summaryQueryLimit truncates the query text in listing rows.
 const summaryQueryLimit = 120
-
-func (t QueryTrace) summary() TraceSummary {
-	q := t.Query
-	if len(q) > summaryQueryLimit {
-		q = q[:summaryQueryLimit] + "…"
-	}
-	return TraceSummary{
-		ID: t.ID, Strategy: t.Strategy, Query: q, Start: t.Start,
-		Elapsed: t.Elapsed, Outcome: t.Outcome, Winner: t.Winner,
-		TokensUsed: t.TokensUsed, Rounds: len(t.Rounds), Retries: t.Retries,
-	}
-}
 
 // TraceStore retains the most recent completed query traces in a
 // fixed-capacity ring buffer keyed by query ID: the (capacity+1)-th
@@ -141,10 +67,14 @@ func (t QueryTrace) summary() TraceSummary {
 // SampleRate (default 1, keep everything). Lowering the rate under
 // heavy traffic keeps the ring full of errors and slow tails instead
 // of thousands of identical fast successes.
+//
+// A stored trace is its header plus a hold on its arena: nothing is
+// copied in, the span tree is rendered when someone asks for it, and the
+// arena of an evicted trace goes back to the pool.
 type TraceStore struct {
 	mu       sync.RWMutex
 	capacity int
-	buf      []QueryTrace
+	buf      []storedTrace
 	head     int // next write position once full
 	count    int
 	byID     map[string]int
@@ -155,6 +85,11 @@ type TraceStore struct {
 	durHead    int
 	durCount   int
 	randf      func() float64 // test seam; nil means math/rand
+}
+
+type storedTrace struct {
+	QueryTrace
+	root *Span // held while stored; nil for a trace without spans
 }
 
 // slowWindow is how many recent query durations feed the slow-tail
@@ -197,11 +132,14 @@ func (s *TraceStore) SampledOut() uint64 {
 	return s.sampledOut
 }
 
-// Put stores a completed trace, evicting the oldest beyond capacity. A
-// trace with an already-stored ID replaces the stored copy in place.
-// Returns whether the trace was retained: an "ok" trace below the
-// slow-tail threshold may be sampled out when SampleRate < 1.
-func (s *TraceStore) Put(tr QueryTrace) bool {
+// Put offers a completed trace — its header and the root span of its
+// arena, nil when it has none — evicting the oldest beyond capacity. A
+// trace with an already-stored ID replaces the stored one in place. The
+// verdict comes first: an "ok" trace below the slow-tail threshold may be
+// sampled out when SampleRate < 1, and then nothing was done for it;
+// a trace that is kept is held, and the one it displaces released.
+// Returns whether the trace was retained.
+func (s *TraceStore) Put(tr QueryTrace, root *Span) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	keep := true
@@ -213,21 +151,23 @@ func (s *TraceStore) Put(tr QueryTrace) bool {
 		s.sampledOut++
 		return false
 	}
-	if idx, ok := s.byID[tr.ID]; ok {
-		s.buf[idx] = tr
-		return true
-	}
-	if s.count < s.capacity {
-		s.buf = append(s.buf, tr)
-		s.byID[tr.ID] = s.count
+	root.Hold()
+	idx, replace := s.byID[tr.ID]
+	switch {
+	case replace:
+	case s.count < s.capacity:
+		idx = s.count
+		s.buf = append(s.buf, storedTrace{})
 		s.count++
 		s.head = s.count % s.capacity
-		return true
+	default:
+		idx = s.head
+		delete(s.byID, s.buf[idx].ID)
+		s.head = (s.head + 1) % s.capacity
 	}
-	delete(s.byID, s.buf[s.head].ID)
-	s.buf[s.head] = tr
-	s.byID[tr.ID] = s.head
-	s.head = (s.head + 1) % s.capacity
+	s.buf[idx].root.Release()
+	s.buf[idx] = storedTrace{tr, root}
+	s.byID[tr.ID] = idx
 	return true
 }
 
@@ -263,30 +203,40 @@ func (s *TraceStore) rollLocked() float64 {
 	return mrand.Float64()
 }
 
-// Get returns the trace with the given ID, if it is still retained.
+// Get returns the trace with the given ID, if it is still retained, with
+// its spans rendered from the arena as it stands now.
 func (s *TraceStore) Get(id string) (QueryTrace, bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	idx, ok := s.byID[id]
 	if !ok {
+		s.mu.RUnlock()
 		return QueryTrace{}, false
 	}
-	return s.buf[idx], true
+	st := s.buf[idx]
+	st.root.Hold() // the ring's own hold could go the moment the lock does
+	s.mu.RUnlock()
+	defer st.root.Release()
+	_, st.DroppedSpans = st.root.counts()
+	st.Spans = st.root.Records()
+	return st.QueryTrace, true
 }
 
-// List returns up to limit summaries, newest first (limit <= 0 means
-// all retained traces).
-func (s *TraceStore) List(limit int) []TraceSummary {
+// List returns up to limit headers, newest first (limit <= 0 means all
+// retained traces), their query text cut to summaryQueryLimit.
+func (s *TraceStore) List(limit int) []QueryTrace {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := s.count
 	if limit > 0 && limit < n {
 		n = limit
 	}
-	out := make([]TraceSummary, 0, n)
+	out := make([]QueryTrace, 0, n)
 	for k := 0; k < n; k++ {
-		idx := ((s.head-1-k)%s.count + s.count) % s.count
-		out = append(out, s.buf[idx].summary())
+		tr := s.buf[((s.head-1-k)%s.count+s.count)%s.count].QueryTrace
+		if len(tr.Query) > summaryQueryLimit {
+			tr.Query = tr.Query[:summaryQueryLimit] + "…"
+		}
+		out = append(out, tr)
 	}
 	return out
 }

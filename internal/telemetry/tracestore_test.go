@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"strings"
@@ -11,21 +12,77 @@ import (
 
 func TestTraceStorePutGet(t *testing.T) {
 	s := NewTraceStore(4)
-	tr := QueryTrace{ID: "q1", Strategy: "oua", Winner: "llama3",
-		Rounds: []RoundSpan{{Round: 1, Offset: 0, Elapsed: time.Millisecond}},
-		Chunks: []ChunkSpan{{Round: 1, Model: "llama3", Tokens: 7, Elapsed: time.Millisecond}},
-	}
-	s.Put(tr)
+	_, root := NewTracer("llmms").StartRoot(context.Background(), "query")
+	round := root.Child("round")
+	round.SetInt("round", 1)
+	round.End(nil)
+	s.Put(QueryTrace{ID: "q1", Strategy: "oua", Winner: "llama3", Rounds: 1}, root)
+	root.End(nil) // the store's hold keeps the arena
 	got, ok := s.Get("q1")
 	if !ok {
 		t.Fatal("stored trace not found")
 	}
-	if got.Winner != "llama3" || len(got.Rounds) != 1 || got.Chunks[0].Tokens != 7 {
+	if got.Winner != "llama3" || got.Rounds != 1 || len(got.Spans) != 2 || got.Spans[0].Attrs["round"] != "1" {
 		t.Errorf("round-tripped trace mangled: %+v", got)
 	}
 	if _, ok := s.Get("nope"); ok {
 		t.Error("Get returned a trace for an unknown ID")
 	}
+}
+
+// TestTraceStoreHoldsAndReleasesArenas: a kept trace is held by the ring
+// and nobody else, the trace it evicts goes back to the pool, and a trace
+// the tail sampler turns away was never held.
+func TestTraceStoreHoldsAndReleasesArenas(t *testing.T) {
+	s := NewTraceStore(2)
+	tracer := NewTracer("llmms")
+	var roots []*Span
+	for i := 0; i < 3; i++ {
+		_, root := tracer.StartRoot(context.Background(), "query")
+		root.Hold()
+		root.End(nil)
+		s.Put(QueryTrace{ID: fmt.Sprintf("q%d", i), Outcome: "ok"}, root)
+		roots = append(roots, root)
+	}
+	holds := func(sp *Span) (int, bool) {
+		sp.tr.mu.Lock()
+		defer sp.tr.mu.Unlock()
+		return sp.tr.holds, sp.tr.pooled
+	}
+	for i, want := range []int{1, 2, 2} { // q0 evicted: only this test's hold is left
+		if h, pooled := holds(roots[i]); h != want || pooled {
+			t.Errorf("trace q%d: %d holds, pooled %v; want %d, false", i, h, pooled, want)
+		}
+	}
+	roots[0].Release()
+	if h, pooled := holds(roots[0]); h != 0 || !pooled {
+		t.Errorf("evicted trace: %d holds, pooled %v after the last release", h, pooled)
+	}
+	// Replacing q2 releases the arena it had.
+	_, again := tracer.StartRoot(context.Background(), "query")
+	s.Put(QueryTrace{ID: "q2", Outcome: "ok"}, again)
+	again.End(nil)
+	if h, _ := holds(roots[2]); h != 1 {
+		t.Errorf("replaced trace still has %d holds, want this test's 1", h)
+	}
+	roots[1].Release()
+	roots[2].Release()
+	// Sampled out: the verdict comes before anything is taken.
+	s.SetSampleRate(0)
+	s.randf = func() float64 { return 0.5 }
+	for i := 0; i < slowMinSamples; i++ {
+		s.Put(QueryTrace{ID: "warm", Outcome: "ok", Elapsed: time.Millisecond}, nil)
+	}
+	_, dropped := tracer.StartRoot(context.Background(), "query")
+	dropped.Hold()
+	dropped.End(nil)
+	if s.Put(QueryTrace{ID: "fast", Outcome: "ok", Elapsed: time.Microsecond}, dropped) {
+		t.Fatal("ordinary trace retained at sample rate 0")
+	}
+	if h, _ := holds(dropped); h != 1 {
+		t.Errorf("sampled-out trace has %d holds, want this test's 1", h)
+	}
+	dropped.Release()
 }
 
 // TestTraceStoreEvictionBound proves the store never exceeds its
@@ -35,7 +92,7 @@ func TestTraceStoreEvictionBound(t *testing.T) {
 	s := NewTraceStore(capacity)
 	const total = 3*capacity + 1
 	for i := 0; i < total; i++ {
-		s.Put(QueryTrace{ID: fmt.Sprintf("q%03d", i)})
+		s.Put(QueryTrace{ID: fmt.Sprintf("q%03d", i)}, nil)
 		if s.Len() > capacity {
 			t.Fatalf("store grew to %d > capacity %d after %d puts", s.Len(), capacity, i+1)
 		}
@@ -55,8 +112,8 @@ func TestTraceStoreEvictionBound(t *testing.T) {
 
 func TestTraceStoreSameIDReplaces(t *testing.T) {
 	s := NewTraceStore(4)
-	s.Put(QueryTrace{ID: "q1", Outcome: "error"})
-	s.Put(QueryTrace{ID: "q1", Outcome: "ok"})
+	s.Put(QueryTrace{ID: "q1", Outcome: "error"}, nil)
+	s.Put(QueryTrace{ID: "q1", Outcome: "ok"}, nil)
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d after duplicate-ID put, want 1", s.Len())
 	}
@@ -69,7 +126,7 @@ func TestTraceStoreSameIDReplaces(t *testing.T) {
 func TestTraceStoreListNewestFirst(t *testing.T) {
 	s := NewTraceStore(3)
 	for i := 1; i <= 5; i++ { // q1,q2 evicted
-		s.Put(QueryTrace{ID: fmt.Sprintf("q%d", i)})
+		s.Put(QueryTrace{ID: fmt.Sprintf("q%d", i)}, nil)
 	}
 	all := s.List(0)
 	if len(all) != 3 {
@@ -88,7 +145,7 @@ func TestTraceStoreListNewestFirst(t *testing.T) {
 func TestTraceSummaryTruncatesQuery(t *testing.T) {
 	s := NewTraceStore(2)
 	long := strings.Repeat("x", summaryQueryLimit+50)
-	s.Put(QueryTrace{ID: "q1", Query: long})
+	s.Put(QueryTrace{ID: "q1", Query: long}, nil)
 	row := s.List(0)[0]
 	if len(row.Query) >= len(long) {
 		t.Errorf("summary query not truncated (len %d)", len(row.Query))
@@ -108,7 +165,7 @@ func TestTraceStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := fmt.Sprintf("q%d-%d", w, i)
-				s.Put(QueryTrace{ID: id})
+				s.Put(QueryTrace{ID: id}, nil)
 				s.Get(id)
 				s.List(5)
 				s.Len()
@@ -149,7 +206,7 @@ func TestTraceStoreTailSampling(t *testing.T) {
 	// queries; until then everything counts as slow and is retained.
 	for i := 0; i < slowMinSamples; i++ {
 		tr := QueryTrace{ID: fmt.Sprintf("warm%d", i), Outcome: "ok", Elapsed: time.Millisecond}
-		if !s.Put(tr) {
+		if !s.Put(tr, nil) {
 			t.Fatalf("warmup trace %d dropped before the p99 estimate warmed up", i)
 		}
 	}
@@ -157,7 +214,7 @@ func TestTraceStoreTailSampling(t *testing.T) {
 	// Ordinary fast ok trace: sampled out at rate 0. Strictly faster
 	// than the window's uniform 1ms so it cannot tie the p99 (the slow
 	// test is d >= p99, so an equal duration would count as slow).
-	if s.Put(QueryTrace{ID: "fast", Outcome: "ok", Elapsed: time.Microsecond}) {
+	if s.Put(QueryTrace{ID: "fast", Outcome: "ok", Elapsed: time.Microsecond}, nil) {
 		t.Error("ordinary trace retained at sample rate 0")
 	}
 	if s.SampledOut() != 1 {
@@ -168,23 +225,23 @@ func TestTraceStoreTailSampling(t *testing.T) {
 	}
 
 	// Error outcome: always retained.
-	if !s.Put(QueryTrace{ID: "err", Outcome: "error", Elapsed: time.Microsecond}) {
+	if !s.Put(QueryTrace{ID: "err", Outcome: "error", Elapsed: time.Microsecond}, nil) {
 		t.Error("error trace dropped by sampling")
 	}
 
 	// Slow tail: at or above p99 of the (1ms-uniform) window.
-	if !s.Put(QueryTrace{ID: "slow", Outcome: "ok", Elapsed: 50 * time.Millisecond}) {
+	if !s.Put(QueryTrace{ID: "slow", Outcome: "ok", Elapsed: 50 * time.Millisecond}, nil) {
 		t.Error("slow-tail trace dropped by sampling")
 	}
 
 	// Partial rate: the deterministic roll of 0.5 keeps traces when the
 	// rate exceeds it and drops them when it does not.
 	s.SetSampleRate(0.75)
-	if !s.Put(QueryTrace{ID: "kept", Outcome: "ok", Elapsed: time.Microsecond}) {
+	if !s.Put(QueryTrace{ID: "kept", Outcome: "ok", Elapsed: time.Microsecond}, nil) {
 		t.Error("roll 0.5 < rate 0.75 should retain")
 	}
 	s.SetSampleRate(0.25)
-	if s.Put(QueryTrace{ID: "dropped", Outcome: "ok", Elapsed: time.Microsecond}) {
+	if s.Put(QueryTrace{ID: "dropped", Outcome: "ok", Elapsed: time.Microsecond}, nil) {
 		t.Error("roll 0.5 >= rate 0.25 should drop")
 	}
 }
@@ -194,7 +251,7 @@ func TestTraceStoreTailSampling(t *testing.T) {
 func TestTraceStoreDefaultKeepsEverything(t *testing.T) {
 	s := NewTraceStore(1024)
 	for i := 0; i < 100; i++ {
-		if !s.Put(QueryTrace{ID: fmt.Sprintf("q%d", i), Outcome: "ok", Elapsed: time.Millisecond}) {
+		if !s.Put(QueryTrace{ID: fmt.Sprintf("q%d", i), Outcome: "ok", Elapsed: time.Millisecond}, nil) {
 			t.Fatalf("trace %d dropped at default sample rate", i)
 		}
 	}
