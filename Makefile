@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench check
+.PHONY: build test bench check loc
 
 build:
 	$(GO) build ./...
@@ -22,3 +22,8 @@ bench:
 # every run doubles as a race hunt).
 check:
 	./scripts/check.sh
+
+# loc prints the size every CHANGES.md entry and ROADMAP claim quotes:
+# non-test Go lines outside benchmark/, per package and in total.
+loc:
+	./scripts/loc.sh

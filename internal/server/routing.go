@@ -1,13 +1,10 @@
 package server
 
 import (
-	"context"
 	"net/http"
 
-	"llmms/internal/core"
 	"llmms/internal/router"
 	"llmms/internal/session"
-	"llmms/internal/telemetry"
 )
 
 // Predictive routing (DESIGN.md "Predictive routing"): with
@@ -31,61 +28,11 @@ type RoutingOptions struct {
 	// of a cluster includes one excluded model (zero takes the
 	// predictor default 0.1; negative disables probing).
 	Epsilon float64
-	// MaxClusters caps the cluster index size (non-positive takes the
-	// predictor default, 512).
-	MaxClusters int
-}
-
-// newPredictor builds the routing predictor from options, or nil when
-// routing is disabled.
-func newPredictor(opts Options) *router.Predictor {
-	if opts.Routing.TopK <= 0 {
-		return nil
-	}
-	return router.NewPredictor(router.PredictorOptions{
-		TopK:        opts.Routing.TopK,
-		Epsilon:     opts.Routing.Epsilon,
-		MaxClusters: opts.Routing.MaxClusters,
-	})
 }
 
 // Router exposes the routing predictor (nil when routing is disabled);
 // tests and embedding apps use it to inspect or pre-train the index.
 func (s *Server) Router() *router.Predictor { return s.predictor }
-
-// predictRoute consults the cluster index for a query's fan-out subset.
-// It returns nil when routing is off or the query is single-model (the
-// pool is already one model — nothing to narrow). The decision is
-// traced (route.predict span), counted
-// (llmms_route_decisions_total{outcome}, llmms_route_width,
-// llmms_route_probes_total{model}), and echoed in the X-Route response
-// header as "<outcome>:<width>".
-func (s *Server) predictRoute(ctx context.Context, query string, strategy core.Strategy, pool []string) *router.Prediction {
-	if s.predictor == nil || strategy == core.StrategySingle {
-		return nil
-	}
-	_, span := telemetry.StartSpan(ctx, "route.predict")
-	pred := s.predictor.Predict(query, pool)
-	span.SetAttr("outcome", pred.Outcome)
-	span.SetInt("cluster", pred.Cluster)
-	span.SetFloat("similarity", pred.Similarity)
-	span.SetList("models", pred.Models)
-	span.End(nil)
-	s.tel.RouteDecisions.Inc(pred.Outcome)
-	s.tel.RouteWidth.Observe(float64(len(pred.Models)))
-	if pred.Probe != "" {
-		s.tel.RouteProbes.Inc(pred.Probe)
-	}
-	return &pred
-}
-
-// observeRoute feeds a completed orchestration back into the cluster
-// index (no-op when routing is off).
-func (s *Server) observeRoute(query string, res core.Result) {
-	if s.predictor != nil {
-		s.predictor.Observe(query, res)
-	}
-}
 
 // rateRoute forwards a user feedback rating to the cluster of the
 // session's last question, so feedback sharpens the routing index as

@@ -25,6 +25,7 @@ func newRoutingServer(t *testing.T, mutate func(*Options)) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchResources(t, s)
 	return s
 }
 

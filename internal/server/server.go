@@ -50,7 +50,7 @@
 // missing_field, invalid_strategy, unknown_session, unknown_document,
 // unknown_model, unknown_trace, invalid_settings, invalid_rating,
 // body_too_large, request_too_large, overloaded, ingest_failed,
-// retrieval_failed, ephemeral_context, invalid_config,
+// retrieval_failed, ephemeral_context, invalid_config, encode_failed,
 // all_models_failed, query_failed) and message is the human-readable
 // detail. The one exception is GET /readyz, whose 503 body is the
 // per-dependency check report itself. The /api/query stream also
@@ -70,7 +70,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -180,8 +179,6 @@ type Options struct {
 	Routing RoutingOptions
 	// Settings overrides DefaultSettings (zero value keeps the default).
 	Settings Settings
-	// SessionOptions tunes the session store.
-	SessionOptions session.Options
 	// Telemetry is the metrics registry and trace store the server
 	// instruments itself into. Nil constructs a fresh default bundle, so
 	// embedding apps that want to share one registry across components
@@ -318,11 +315,10 @@ func NewServer(opts Options) (*Server, error) {
 		engine:    opts.Engine,
 		backend:   backend,
 		fleet:     opts.Fleet,
-		predictor: newPredictor(opts),
 		tracer:    tracer,
 		logger:    logger,
 		slowQuery: slowQuery,
-		sessions:  session.NewStore(opts.SessionOptions),
+		sessions:  session.NewStore(session.Options{}),
 		docs:      col,
 		ingestor:  rag.NewIngestor(col, rag.ChunkOptions{}),
 		feedback:  core.NewFeedbackStore(),
@@ -343,8 +339,11 @@ func NewServer(opts Options) (*Server, error) {
 			SemanticThreshold: sv.SemanticThreshold,
 		})
 	}
+	if rt := opts.Routing; rt.TopK > 0 {
+		s.predictor = router.NewPredictor(router.PredictorOptions{TopK: rt.TopK, Epsilon: rt.Epsilon})
+	}
 	if opts.Serving.Coalesce {
-		s.flights = qcache.NewGroup(opts.Serving.CoalesceBuffer)
+		s.flights = qcache.NewGroup(0)
 	}
 	// NewGate returns nil for a non-positive bound, so the unlimited
 	// default stays a nil no-op gate.
@@ -469,12 +468,8 @@ type apiError struct {
 	Message string `json:"message"`
 }
 
-func errBody(code, format string, args ...any) map[string]apiError {
-	return map[string]apiError{"error": {Code: code, Message: fmt.Sprintf(format, args...)}}
-}
-
 func writeErr(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errBody(code, format, args...))
+	writeJSON(w, status, map[string]apiError{"error": {Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -563,393 +558,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tr)
 }
 
-// QueryRequest is the /api/query payload.
-type QueryRequest struct {
-	// Query is the user's question. Required.
-	Query string `json:"query"`
-	// SessionID continues an existing session; empty creates a fresh one.
-	SessionID string `json:"session_id,omitempty"`
-	// Strategy overrides the default ("oua", "mab", "hybrid", "single").
-	Strategy string `json:"strategy,omitempty"`
-	// Model overrides the single-model default.
-	Model string `json:"model,omitempty"`
-	// MaxTokens overrides λ_max for this query.
-	MaxTokens int `json:"max_tokens,omitempty"`
-	// UseRAG augments the prompt with retrieved document chunks.
-	UseRAG bool `json:"use_rag,omitempty"`
-	// DocID restricts retrieval to one uploaded document.
-	DocID string `json:"doc_id,omitempty"`
-	// EphemeralContext is document text that exists solely for this
-	// query-response cycle (§6.5's privacy posture): it is chunked,
-	// embedded, and retrieved against in a throwaway in-memory
-	// collection that is discarded when the response is delivered —
-	// nothing is retained server-side.
-	EphemeralContext string `json:"ephemeral_context,omitempty"`
-}
-
-// maxQueryBody caps the /api/query request body. Queries are a question
-// plus at most one ephemeral document; anything past a megabyte is a
-// mistake or an attack, and decoding it unbounded would let one request
-// balloon the heap.
-const maxQueryBody = 1 << 20
-
-// handleQuery runs one orchestrated query and streams core events as SSE
-// frames. The final frame is event "result" with the full core.Result.
-// When the serving layer is configured, the query may instead be
-// answered from the cache (X-Cache: HIT/SEMANTIC), by replaying an
-// identical in-flight leader (COALESCED), or shed with 429 when the
-// admission queue is full.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "request_too_large",
-				"request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "invalid_json", "invalid JSON: %v", err)
-		return
-	}
-	if strings.TrimSpace(req.Query) == "" {
-		writeErr(w, http.StatusBadRequest, "missing_field", "query is required")
-		return
-	}
-	st := s.Settings()
-	strategy := core.Strategy(st.Strategy)
-	if req.Strategy != "" {
-		var err error
-		strategy, err = core.ParseStrategy(req.Strategy)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid_strategy", "%v", err)
-			return
-		}
-	}
-	maxTokens := st.MaxTokens
-	if req.MaxTokens > 0 {
-		maxTokens = req.MaxTokens
-	}
-	model := st.Model
-	if req.Model != "" {
-		model = req.Model
-	}
-	models := st.EnabledModels
-	if strategy == core.StrategySingle {
-		models = []string{model}
-	}
-
-	// Resolve or create the session.
-	sessID := req.SessionID
-	if sessID == "" {
-		sessID = s.sessions.Create("").ID
-	}
-	summary, _, err := s.sessions.Context(sessID, 0)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "unknown_session", "%v", err)
-		return
-	}
-
-	// The query's root span opens before the serving-layer probe so the
-	// trace times cache lookup and admission wait, not just
-	// orchestration. Cache-hit and coalesced replays end the root and
-	// nothing keeps it (they store no trace today either): the arena goes
-	// straight back to the pool. Only the full orchestration path offers
-	// the span tree to the trace store. The hold covers every use of root
-	// below, whichever exit the request takes.
-	rctx, root := s.tracer.StartRoot(r.Context(), "query")
-	root.Hold()
-	defer root.Release()
-	root.SetAttr("strategy", string(strategy))
-	traceID := root.TraceID()
-	w.Header().Set("X-Trace-ID", traceID)
-
-	// ---- Serving layer (DESIGN.md "Serving layer") ----
-	// The cache probe runs before retrieval and prompt assembly: a hit
-	// skips every per-query cost, not just generation.
-	key, servable := s.servingKey(req, strategy, models, maxTokens, st, summary)
-	if servable && s.cache != nil {
-		_, cs := telemetry.StartSpan(rctx, "cache.lookup")
-		lookupStart := time.Now()
-		v, kind := s.cache.Get(key)
-		s.tel.CacheLookupLat.Observe(time.Since(lookupStart).Seconds())
-		cs.SetAttr("tier", cacheTierLabel(kind))
-		cs.End(nil)
-		if kind != qcache.Miss {
-			root.SetAttr("cache", cacheTierLabel(kind))
-			root.End(nil)
-			s.serveCached(w, r, v.(*cachedAnswer), kind, sessID, req.Query)
-			return
-		}
-		s.tel.CacheMisses.Inc()
-	}
-	var flight *qcache.Flight
-	if servable && s.flights != nil {
-		var role qcache.Role
-		flight, role = s.flights.Join(key.ID())
-		if role == qcache.RoleFollower {
-			s.tel.Coalesced.Inc()
-			root.SetAttr("coalesce_role", "follower")
-			root.End(nil)
-			s.followFlight(w, r, flight, sessID, req.Query)
-			return
-		}
-		if role == qcache.RoleBypass {
-			flight = nil
-		}
-		if flight != nil {
-			root.SetAttr("coalesce_role", "leader")
-		}
-	}
-	// From here on this request is a leader (or uncoalesced): every exit
-	// must finish the flight exactly once so followers are released.
-	flightDone := false
-	finishFlight := func(out flightOutcome) {
-		if flight != nil && !flightDone {
-			flightDone = true
-			flight.Finish(out)
-		}
-	}
-	defer finishFlight(flightOutcome{})
-
-	// Predictive routing: a confident cluster match narrows the fan-out
-	// to the predicted top-k models before admission, so the Gate
-	// acquires the narrowed width — the capacity the query actually
-	// uses — not the configured full width. Unconfident predictions
-	// fall back to the full pool (X-Route reports the outcome either
-	// way). The serving-layer key above is deliberately computed on the
-	// configured pool: cache keys must stay stable while routing state
-	// evolves.
-	routed := models
-	pred := s.predictRoute(rctx, req.Query, strategy, models)
-	if pred != nil {
-		w.Header().Set("X-Route", fmt.Sprintf("%s:%d", pred.Outcome, len(pred.Models)))
-		if pred.Routed {
-			routed = pred.Models
-		}
-	}
-
-	// Admission control: orchestration fans out one generation stream
-	// per candidate model, so the query weighs its model count.
-	if s.gate != nil {
-		_, gs := telemetry.StartSpan(rctx, "gate.wait")
-		gs.SetInt("weight", len(routed))
-		waitStart := time.Now()
-		err := s.gate.Acquire(r.Context(), len(routed))
-		s.tel.QueueWait.Observe(time.Since(waitStart).Seconds())
-		gs.End(err)
-		if err != nil {
-			root.End(err)
-			if errors.Is(err, qcache.ErrOverloaded) {
-				s.tel.Rejected.Inc()
-				body := errBody("overloaded", "server at orchestration capacity; retry shortly")
-				finishFlight(flightOutcome{status: http.StatusTooManyRequests, errBody: body, retryAfter: retryAfterSeconds})
-				w.Header().Set("Retry-After", retryAfterSeconds)
-				writeJSON(w, http.StatusTooManyRequests, body)
-				return
-			}
-			// The client gave up while queued; the condition the followers
-			// inherit is transient load, not a failed query, so release
-			// them with the retryable overloaded envelope and write
-			// nothing to the dead connection.
-			finishFlight(flightOutcome{
-				status:     http.StatusServiceUnavailable,
-				errBody:    errBody("overloaded", "coalesced leader canceled while queued; retry shortly"),
-				retryAfter: retryAfterSeconds,
-			})
-			return
-		}
-		defer s.gate.Release(len(routed))
-	}
-
-	// Build the contextual prompt.
-	var chunks []string
-	if req.UseRAG && s.docs.Count() > 0 {
-		_, rs := telemetry.StartSpan(rctx, "retrieve")
-		results, err := rag.Retrieve(s.docs, req.Query, st.RAGTopK, req.DocID)
-		rs.SetInt("chunks", len(results))
-		rs.End(err)
-		if err != nil {
-			root.End(err)
-			body := errBody("retrieval_failed", "retrieval: %v", err)
-			finishFlight(flightOutcome{status: http.StatusInternalServerError, errBody: body})
-			writeJSON(w, http.StatusInternalServerError, body)
-			return
-		}
-		for _, res := range results {
-			chunks = append(chunks, res.Text)
-		}
-	}
-	if strings.TrimSpace(req.EphemeralContext) != "" {
-		ephemeral, err := retrieveEphemeral(req.EphemeralContext, req.Query, st.RAGTopK)
-		if err != nil {
-			root.End(err)
-			writeErr(w, http.StatusUnprocessableEntity, "ephemeral_context", "ephemeral context: %v", err)
-			return
-		}
-		chunks = append(chunks, ephemeral...)
-	}
-	prompt := rag.BuildPrompt(rag.PromptParts{Summary: summary, Chunks: chunks, Question: req.Query})
-
-	queryID := telemetry.NewQueryID()
-	// The stream context is cancelable independently of the request: a
-	// write failure (dead client) cancels it so the orchestration stops
-	// instead of generating into a closed socket. A coalescing leader is
-	// additionally detached from its own connection — followers with
-	// healthy clients must not inherit a failure because the leader hung
-	// up — so its disconnect aborts the orchestration only when nobody
-	// is drafting behind it.
-	// rctx (not r.Context()) so the stream context carries the root
-	// span; WithoutCancel keeps context values, so a detached leader's
-	// spans still join the trace.
-	base := rctx
-	if flight != nil {
-		base = context.WithoutCancel(rctx)
-	}
-	ctx, cancelStream := context.WithCancel(base)
-	defer cancelStream()
-	// A dead client abandons the orchestration only when no follower is
-	// waiting on it — a coalesced flight keeps running for the healthy
-	// duplicates (and the answer is still cacheable).
-	abandon := func() {
-		if flight == nil || flight.Followers() == 0 {
-			cancelStream()
-		}
-	}
-	if flight != nil {
-		stopWatch := context.AfterFunc(r.Context(), abandon)
-		defer stopWatch()
-	}
-	xcache := ""
-	if s.cache != nil || s.flights != nil || s.gate != nil {
-		xcache = "MISS"
-	}
-	sw := newSSEWriter(w, s.tel, sessID, queryID, xcache)
-	defer sw.close(r.Context())
-	// Followers and the cache consume the frames even when the leader's
-	// own client is gone. The result frame is excluded from both: it
-	// carries the leader's session/query identity, so the cache and the
-	// coalesced path each rebuild it per requester.
-	cacheable := servable && s.cache != nil
-	sw.record = cacheable || flight != nil
-	if flight != nil {
-		sw.tee = func(event string, frame []byte) {
-			flight.Publish(qcache.Frame{Event: event, Data: bytes.Clone(frame)})
-		}
-	}
-	sw.onDead = abandon
-
-	obs := s.tel.StartQuery(queryID, string(strategy), req.Query)
-	octx, orch := telemetry.StartSpan(ctx, "orchestrate")
-	obs.BindSpans(root, orch)
-	cfg := core.DefaultConfig(routed...)
-	cfg.MaxTokens = maxTokens
-	cfg.Alpha = st.Alpha
-	cfg.Beta = st.Beta
-	cfg.Feedback = s.feedback
-	if pred != nil && pred.Routed {
-		// Warm-start the bandit from the cluster's reward history; the
-		// priors compensate for the exploration the narrowed pool skips.
-		cfg.Priors = pred.Priors
-		cfg.PriorWeight = pred.PriorWeight
-	}
-	cfg.OnEvent = sw.event
-	cfg.BeforeWait = sw.flush
-	cfg.Recorder = obs
-	cfg.Logger = s.logger.With("query_id", queryID, "trace_id", traceID)
-	oc, err := core.New(s.backend, cfg)
-	if err != nil {
-		orch.End(err)
-		root.End(err)
-		s.logQuery(obs.Finish(err))
-		sw.fail("invalid_config", err.Error())
-		return
-	}
-
-	res, err := oc.Run(octx, strategy, prompt)
-	orch.End(err)
-	root.End(err)
-	s.logQuery(obs.Finish(err))
-	if err != nil {
-		code := "query_failed"
-		if errors.Is(err, core.ErrAllModelsFailed) {
-			code = "all_models_failed"
-		}
-		sw.fail(code, err.Error())
-		return
-	}
-	// Feed the arena: every orchestrated query is a round of pairwise
-	// games between the candidates (§9.5 game-theoretic coordination).
-	s.arena.Observe(res)
-	// Train the routing index on the outcome (routed or not — fallback
-	// runs are exactly what builds a cluster toward confidence).
-	if pred != nil {
-		s.observeRoute(req.Query, res)
-	}
-
-	// Persist the exchange for session continuity and cross-session
-	// recall (§9.5 contextual memory graphs).
-	s.appendExchange(sessID, req.Query, res)
-	s.memory.Add(session.Exchange{
-		SessionID: sessID, Question: req.Query, Answer: res.Answer,
-		Model: res.Model, Time: time.Now(),
-	})
-	var ca *cachedAnswer
-	if cacheable {
-		// Taken before the result frame, which is this requester's own.
-		stream, frames := sw.recorded()
-		ca = &cachedAnswer{stream: stream, frames: frames, result: res}
-	}
-	sw.result(res)
-	if ca != nil {
-		s.cache.Put(key, ca)
-	}
-	finishFlight(flightOutcome{result: &res})
-}
-
-// cacheTierLabel maps a lookup result to its span/log label.
-func cacheTierLabel(kind qcache.HitKind) string {
-	switch kind {
-	case qcache.Exact:
-		return "exact"
-	case qcache.Semantic:
-		return "semantic"
-	default:
-		return "miss"
-	}
-}
-
-// logQuery emits the per-query structured log line: Info for normal
-// completions, Warn for failures and for queries whose span tree
-// exceeded the slow-query threshold. A logger that will drop the line is
-// not handed its attributes.
-func (s *Server) logQuery(tr telemetry.QueryTrace) {
-	level, msg := slog.LevelInfo, "query"
-	switch {
-	case tr.Outcome != "ok":
-		level, msg = slog.LevelWarn, "query failed"
-	case s.slowQuery > 0 && tr.Elapsed >= s.slowQuery:
-		level, msg = slog.LevelWarn, "slow query"
-	}
-	if !s.logger.Enabled(context.Background(), level) {
-		return
-	}
-	attrs := []any{
-		"query_id", tr.ID,
-		"trace_id", tr.TraceID,
-		"strategy", tr.Strategy,
-		"outcome", tr.Outcome,
-		"elapsed", tr.Elapsed,
-		"winner", tr.Winner,
-		"tokens", tr.TokensUsed,
-		"spans", tr.SpanCount,
-	}
-	if tr.Outcome != "ok" {
-		attrs = append(attrs, "err", tr.Error)
-	}
-	s.logger.Log(context.Background(), level, msg, attrs...)
-}
-
 // uploadRequest is the JSON /api/upload payload (the browser reads the
 // file client-side and posts its text, mirroring the paper's client-side
 // parsing note in §7.3).
@@ -984,7 +592,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	s.ragRev++
 	s.mu.Unlock()
 	// RAG-grounded cached answers may now be stale.
-	s.invalidateCache()
+	s.cache.Flush()
 	writeJSON(w, http.StatusCreated, map[string]any{"doc_id": docID, "chunks": n})
 }
 
@@ -1018,7 +626,7 @@ func (s *Server) handleDeleteDocument(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	removed := s.ingestor.DeleteDocument(id)
-	s.invalidateCache()
+	s.cache.Flush()
 	writeJSON(w, http.StatusOK, map[string]any{"deleted_chunks": removed})
 }
 
@@ -1097,7 +705,7 @@ func (s *Server) handlePutSettings(w http.ResponseWriter, r *http.Request) {
 	s.settings = st
 	s.mu.Unlock()
 	// Cached answers are keyed on the settings that produced them.
-	s.invalidateCache()
+	s.cache.Flush()
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -1138,7 +746,7 @@ func (s *Server) handleConfigure(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.settings = st
 	s.mu.Unlock()
-	s.invalidateCache()
+	s.cache.Flush()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"settings":   st,
 		"changes":    changeLog,
@@ -1240,31 +848,6 @@ func (s *Server) handleRecall(w http.ResponseWriter, r *http.Request) {
 		hits = []session.Recalled{}
 	}
 	writeJSON(w, http.StatusOK, hits)
-}
-
-// retrieveEphemeral chunks and embeds text in a throwaway collection,
-// retrieves the top-k chunks for the query, and lets the collection go
-// out of scope — the §6.5 "discarded immediately after response
-// delivery" contract, enforced structurally rather than by cleanup code.
-func retrieveEphemeral(text, query string, topK int) ([]string, error) {
-	db := vectordb.New()
-	col, err := db.CreateCollection("ephemeral", vectordb.CollectionConfig{})
-	if err != nil {
-		return nil, err
-	}
-	ingestor := rag.NewIngestor(col, rag.ChunkOptions{})
-	if _, err := ingestor.IngestText("ephemeral", "ephemeral", text); err != nil {
-		return nil, err
-	}
-	results, err := rag.Retrieve(col, query, topK, "")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(results))
-	for i, r := range results {
-		out[i] = r.Text
-	}
-	return out, nil
 }
 
 func (s *Server) handleGPU(w http.ResponseWriter, _ *http.Request) {

@@ -23,6 +23,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchResources(t, s)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -27,6 +27,7 @@ func newServingServer(t *testing.T, sv ServingOptions, backend core.Backend) (*S
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchResources(t, s)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -183,17 +183,18 @@ func (sw *sseWriter) replay(frames []byte, n int) {
 	sw.queued(n)
 }
 
-// recorded returns a copy of the stream so far and its frame count — the
-// cache entry of a recording leader, taken before its result frame.
-func (sw *sseWriter) recorded() ([]byte, int) {
-	return bytes.Clone(sw.buf), sw.frames
+// recorded returns the cache entry of a recording leader — a copy of the
+// stream so far, taken before its result frame, and the answer.
+func (sw *sseWriter) recorded(res core.Result) *cachedAnswer {
+	return &cachedAnswer{stream: bytes.Clone(sw.buf), frames: sw.frames, result: res}
 }
 
 // result ends the stream with the requester's own "result" frame — its
-// session and query ids around the shared answer — and flushes. It
-// reports whether the client got it. A result that does not encode ends
-// the stream with an "error" frame instead, so every opened stream gets
-// exactly one terminal frame.
+// session and query ids around the shared answer — handed to the
+// connection but not flushed: the caller flushes once it has recorded the
+// exchange. It reports whether the connection took the frame. A result
+// that does not encode ends the stream with an "error" frame instead, so
+// every opened stream gets exactly one terminal frame.
 func (sw *sseWriter) result(res core.Result) bool {
 	data, err := json.Marshal(res)
 	if err != nil {
@@ -216,7 +217,7 @@ func (sw *sseWriter) result(res core.Result) bool {
 		sw.buf = append(sw.buf, '}')
 		sw.end("result", start)
 	}
-	sw.flush()
+	sw.write()
 	return !sw.dead
 }
 

@@ -92,8 +92,8 @@ func Open(dir string, opts OpenOptions) (*DB, error) {
 }
 
 // readManifest loads <dir>/manifest.json, upgrading version-1 manifests
-// (plain Save output: no WAL names, no file counter) in memory. A
-// missing file is an empty database.
+// (an earlier release's plain snapshots: no WAL names, no file counter) in
+// memory. A missing file is an empty database.
 func readManifest(dir string) (manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, fs.ErrNotExist) {

@@ -33,7 +33,7 @@ func TestOpenWriteCloseReopen(t *testing.T) {
 	if got := c.Delete("d3", "d7", "missing"); got != 2 {
 		t.Fatalf("deleted %d, want 2", got)
 	}
-	if _, err := db.CreateCollection("other", CollectionConfig{Index: "hnsw"}); err != nil {
+	if _, err := db.CreateCollection("other", CollectionConfig{Metric: L2, Index: "hnsw"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -69,6 +69,14 @@ func TestOpenWriteCloseReopen(t *testing.T) {
 	if names := db2.ListCollections(); len(names) != 2 {
 		t.Fatalf("collections after reopen: %v", names)
 	}
+	// A collection's configuration comes back from the manifest.
+	other, err := db2.Collection("other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Metric() != L2 || other.cfg.Index != "hnsw" {
+		t.Fatalf("collection \"other\" mis-restored: metric %s, index %q", other.Metric(), other.cfg.Index)
+	}
 	// A clean Close cuts a snapshot and empties the log.
 	m, err := readManifest(dir)
 	if err != nil {
@@ -78,6 +86,73 @@ func TestOpenWriteCloseReopen(t *testing.T) {
 		if fi, ok := statFile(filepath.Join(dir, h.WAL)); ok && fi.Size() != 0 {
 			t.Fatalf("wal %s not truncated after Close: %d bytes", h.WAL, fi.Size())
 		}
+	}
+}
+
+// TestOpenUpgradesVersion1Manifest: a directory from before the WAL — a
+// version-1 manifest over plain snapshots, which nothing in the program
+// writes any more — still opens with its documents and configuration, and
+// is a durable database from then on.
+func TestOpenUpgradesVersion1Manifest(t *testing.T) {
+	dir := t.TempDir()
+	src, err := New().CreateCollection("facts", CollectionConfig{Metric: L2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Add(Document{ID: "a", Text: "the yen is the currency of japan"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSONAtomic(filepath.Join(dir, "col_0.json"), src.All()); err != nil {
+		t.Fatal(err)
+	}
+	v1 := manifest{Version: 1, Collections: []collectionHeader{{
+		Name: "facts", File: "col_0.json", Metric: L2, Index: src.cfg.Index, Encoder: src.cfg.Encoder.Name(), HNSW: src.cfg.HNSW,
+	}}}
+	if err := writeJSONAtomic(filepath.Join(dir, manifestName), v1); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := Open(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.Collection("facts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Count() != 1 || c.Metric() != L2 {
+		t.Fatalf("version-1 collection mis-restored: %d docs, metric %s", c.Count(), c.Metric())
+	}
+	if err := c.Add(Document{ID: "b", Text: "water boils at one hundred degrees celsius"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Version != 2 || m.NextFile != 1 || m.Collections[0].WAL == "" {
+		t.Fatalf("manifest after the upgrade: %+v", m)
+	}
+	db2, err := Open(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if c2, err := db2.Collection("facts"); err != nil || c2.Count() != 2 {
+		t.Fatalf("upgraded database lost a write across reopen: %v", err)
+	}
+}
+
+func TestOpenCorruptManifest(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, OpenOptions{}); err == nil {
+		t.Fatal("expected error for corrupt manifest")
 	}
 }
 

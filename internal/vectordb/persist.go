@@ -2,25 +2,21 @@ package vectordb
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
-	"path/filepath"
-
-	"llmms/internal/embedding"
 )
 
-// persistence file layout: <dir>/manifest.json names every collection and
-// its configuration; <dir>/col_<i>.json holds that collection's documents
-// (embeddings included). Indexes are rebuilt on load.
+// persistence file layout, Open's (durable.go) alone: <dir>/manifest.json
+// names every collection and its configuration; <dir>/col_<i>.json holds that
+// collection's documents (embeddings included). Indexes are rebuilt on load.
 
 const manifestName = "manifest.json"
 
 type manifest struct {
 	Version     int                `json:"version"`
 	Collections []collectionHeader `json:"collections"`
-	// NextFile numbers the next col_<i>.json/wal_<i>.log pair on durable
-	// databases (version 2), keeping file ids stable across collection
-	// deletes. Save's plain version-1 snapshots renumber instead.
+	// NextFile numbers the next col_<i>.json/wal_<i>.log pair, keeping
+	// file ids stable across collection deletes. A version-1 manifest has
+	// none; readManifest derives it.
 	NextFile int `json:"next_file,omitempty"`
 }
 
@@ -31,118 +27,9 @@ type collectionHeader struct {
 	Index   string     `json:"index"`
 	Encoder string     `json:"encoder"`
 	HNSW    HNSWConfig `json:"hnsw"`
-	// WAL and Shards are set on durable (version 2) databases only.
+	// WAL and Shards are absent from a version-1 manifest.
 	WAL    string `json:"wal,omitempty"`
 	Shards int    `json:"shards,omitempty"`
-}
-
-// Save writes the whole database under dir, creating it if needed. The
-// write is atomic per file (temp + rename) so a crashed save never leaves
-// a torn collection file.
-func (db *DB) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("vectordb: save: %w", err)
-	}
-	db.mu.RLock()
-	names := make([]string, 0, len(db.collections))
-	for n := range db.collections {
-		names = append(names, n)
-	}
-	cols := make([]*Collection, 0, len(names))
-	db.mu.RUnlock()
-
-	// ListCollections sorts; reuse for stable file numbering.
-	names = db.ListCollections()
-	for _, n := range names {
-		c, err := db.Collection(n)
-		if err != nil {
-			return err
-		}
-		cols = append(cols, c)
-	}
-
-	m := manifest{Version: 1}
-	for i, c := range cols {
-		file := fmt.Sprintf("col_%d.json", i)
-		m.Collections = append(m.Collections, collectionHeader{
-			Name:    c.name,
-			File:    file,
-			Metric:  c.cfg.Metric,
-			Index:   c.cfg.Index,
-			Encoder: c.cfg.Encoder.Name(),
-			HNSW:    c.cfg.HNSW,
-		})
-		if err := writeJSONAtomic(filepath.Join(dir, file), c.All()); err != nil {
-			return fmt.Errorf("vectordb: save collection %q: %w", c.name, err)
-		}
-	}
-	if err := writeJSONAtomic(filepath.Join(dir, manifestName), m); err != nil {
-		return fmt.Errorf("vectordb: save manifest: %w", err)
-	}
-	return nil
-}
-
-// Load reads a database previously written by Save into memory. If dir
-// holds a durable database (version-2 manifest with WALs), the log
-// tails are replayed too — read-only, nothing on disk changes; use Open
-// to resume writing. Encoders are resolved by name from the embedding
-// registry.
-func Load(dir string) (*DB, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("vectordb: load manifest: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("vectordb: parse manifest: %w", err)
-	}
-	db := New()
-	for _, h := range m.Collections {
-		enc, err := embedding.Lookup(h.Encoder)
-		if err != nil {
-			return nil, fmt.Errorf("vectordb: collection %q: %w", h.Name, err)
-		}
-		c, err := db.CreateCollection(h.Name, CollectionConfig{
-			Metric:  h.Metric,
-			Encoder: enc,
-			Index:   h.Index,
-			HNSW:    h.HNSW,
-			Shards:  h.Shards,
-		})
-		if err != nil {
-			return nil, err
-		}
-		docRaw, err := os.ReadFile(filepath.Join(dir, h.File))
-		if err != nil {
-			return nil, fmt.Errorf("vectordb: load collection %q: %w", h.Name, err)
-		}
-		var docs []Document
-		if err := json.Unmarshal(docRaw, &docs); err != nil {
-			return nil, fmt.Errorf("vectordb: parse collection %q: %w", h.Name, err)
-		}
-		if err := c.bulkLoad(docs); err != nil {
-			return nil, fmt.Errorf("vectordb: rebuild collection %q: %w", h.Name, err)
-		}
-		if h.WAL != "" {
-			var applyErr error
-			apply := func(rec walRecord) {
-				if applyErr == nil {
-					applyErr = c.applyWAL(rec)
-				}
-			}
-			walPath := filepath.Join(dir, h.WAL)
-			if _, err := scanWAL(walPath+".old", apply); err != nil {
-				return nil, fmt.Errorf("vectordb: replay %q: %w", h.Name, err)
-			}
-			if _, err := scanWAL(walPath, apply); err != nil {
-				return nil, fmt.Errorf("vectordb: replay %q: %w", h.Name, err)
-			}
-			if applyErr != nil {
-				return nil, fmt.Errorf("vectordb: replay %q: %w", h.Name, applyErr)
-			}
-		}
-	}
-	return db, nil
 }
 
 func writeJSONAtomic(path string, v any) error {

@@ -21,6 +21,11 @@ go vet ./...
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
+# Every way an /api/query request can end, over and over: the exits that
+# hold a slot, a queue place or a flight are races by construction.
+echo "== exit paths: go test -race -count=20 -run 'TestQueryEveryExit|TestQueryShedLeavesNoSession' ./internal/server"
+go test -race -count=20 -run 'TestQueryEveryExit|TestQueryShedLeavesNoSession' ./internal/server
+
 # Every internal package must be in the import closure of a binary: one
 # that only tests and examples reach is code the product does not run.
 echo "== reachability: go list ./internal/... within go list -deps ./cmd/..."
@@ -101,5 +106,8 @@ if ! curl -fsS "http://$addr/api/documents" | grep -q 'facts.txt'; then
 fi
 stop_llmms
 echo "   recovery smoke ok: X-Cache HIT after restart, document recovered"
+
+echo "== size (make loc)"
+./scripts/loc.sh
 
 echo "== ok"
