@@ -12,7 +12,10 @@ const DefaultFlightBuffer = 1 << 20 // 1 MiB
 // Frame is one recorded streaming frame: an SSE event name and the
 // leader's already-rendered bytes for it, which this package never looks
 // inside. Frames are replayed verbatim, which is what makes a follower's
-// stream event-for-event identical to its leader's.
+// stream event-for-event identical to its leader's. Publish keeps Data
+// without copying it: a publisher must never rewrite those bytes while a
+// follower can still read them, i.e. until the last follower's Replay has
+// returned.
 type Frame struct {
 	Event string
 	Data  []byte

@@ -1,10 +1,13 @@
 package router
 
 import (
+	"strings"
 	"testing"
 
 	"llmms/internal/core"
+	"llmms/internal/embedding"
 	"llmms/internal/llm"
+	"llmms/internal/vectordb"
 )
 
 // FuzzParseDirectives asserts the NL configuration parser is total and
@@ -38,6 +41,52 @@ func FuzzParseDirectives(f *testing.F) {
 		}
 		if applied.MaxTokens <= 0 {
 			t.Fatalf("Apply produced budget %d for %q", applied.MaxTokens, instruction)
+		}
+	})
+}
+
+// FuzzPredictorLoad holds Load to the index it restores: for any cluster
+// document, either Load refuses it, or Observe, Rate, Predict and Status on
+// what it restored do not panic. Seeds: a real document of a trained
+// cluster and the two shapes that crashed a server after boot.
+func FuzzPredictorLoad(f *testing.F) {
+	col, _ := routeCollection(f)
+	trained := NewPredictor(PredictorOptions{})
+	trained.SetPersistence(col, nil)
+	train(trained, geoQueries, geoScores)
+	if err := trained.Close(); err != nil {
+		f.Fatal(err)
+	}
+	for _, d := range col.All() {
+		f.Add(d.ID, d.Text)
+		if i := strings.LastIndex(d.Text, `,"routed"`); i > 0 {
+			// One element short: drop the sum's last value.
+			j := strings.LastIndex(d.Text[:i], ",")
+			f.Add(d.ID, d.Text[:j]+d.Text[i-1:])
+		}
+	}
+	f.Add("c0", `{"stats":{"a":null}}`)
+	f.Add("c3", `{"n":9,"sum":[],"routed":-1,"probe_idx":-1,"stats":{}}`)
+	res := scoredResult("llama3", geoScores)
+	f.Fuzz(func(t *testing.T, id, text string) {
+		col, _ := routeCollection(t)
+		if err := col.Upsert(vectordb.Document{ID: id, Text: text, Embedding: embedding.Vector{0}}); err != nil {
+			return
+		}
+		p := NewPredictor(PredictorOptions{TopK: 1, Epsilon: 0.5, MinObservations: 1})
+		p.SetPersistence(col, nil)
+		if _, err := p.Load(); err != nil {
+			return
+		}
+		for _, q := range geoQueries[:4] {
+			p.Predict(q, testPool)
+			p.Observe(q, res)
+			p.Rate(q, "qwen2", 1)
+			p.Predict(q, testPool)
+		}
+		p.Status()
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -16,12 +16,15 @@ package router
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"llmms/internal/core"
 	"llmms/internal/embedding"
@@ -55,6 +58,16 @@ import (
 // through the exclusions round-robin, so a model that improved keeps
 // getting fresh observations and can win its way back in (the
 // cluster-drift property test pins this).
+//
+// Persistence is write-behind: Observe, Rate and a routed Predict change
+// memory only and mark their cluster dirty; a flush at most routeFlushEvery
+// later writes every dirty cluster in one multi-document Upsert, off the
+// query path. The index is advisory state learned over many queries, so a
+// crash loses at most that window of it; Close flushes what is left.
+
+// routeFlushEvery is how long a cluster change may wait in memory before it
+// is written. Not an option: nothing needs to tune it.
+const routeFlushEvery = time.Second
 
 // Routing outcome labels, used for Prediction.Outcome and the
 // llmms_route_decisions_total{outcome} counter.
@@ -184,13 +197,16 @@ type cluster struct {
 	sum      []float64 // unnormalized centroid accumulator
 	centroid embedding.Vector
 	stats    map[string]*modelStats
-	routed   int // routed decisions served (drives the ε cadence)
-	probeIdx int // round-robin cursor over the excluded models
+	routed   int  // routed decisions served (drives the ε cadence)
+	probeIdx int  // round-robin cursor over the excluded models
+	dirty    bool // changed since the last flush
 }
 
-// clusterRecord is the persisted form of a cluster (vectordb document
-// text; the document embedding carries the normalized centroid).
+// clusterRecord is the persisted form of a cluster: the JSON text of a
+// vectordb document "c<id>" whose embedding is a one-element zero vector
+// (a key-value slot, never searched). Load derives the centroid from Sum.
 type clusterRecord struct {
+	id       int                    // the document id's number; not in the text
 	N        int                    `json:"n"`
 	Sum      []float64              `json:"sum"`
 	Routed   int                    `json:"routed"`
@@ -234,6 +250,12 @@ type Predictor struct {
 
 	col   *vectordb.Collection // nil keeps the index in memory only
 	onErr func(error)
+	dirty []*cluster  // clusters changed since the last flush
+	timer *time.Timer // the pending flush, armed by the first dirty mark
+
+	// flushMu orders flushes, so a cluster's record copied under mu is
+	// written before any later copy of it: the collection never goes back.
+	flushMu sync.Mutex
 }
 
 // NewPredictor builds an empty index.
@@ -244,10 +266,10 @@ func NewPredictor(opts PredictorOptions) *Predictor {
 // Options returns the effective (defaulted) options.
 func (p *Predictor) Options() PredictorOptions { return p.opts }
 
-// SetPersistence attaches a durable collection: every cluster mutation
-// is upserted as one document, and Load rebuilds the index from it.
-// onErr, when non-nil, receives persistence failures (the index itself
-// stays consistent in memory).
+// SetPersistence attaches a durable collection: each cluster is one
+// document, written behind the mutations that change it, and Load rebuilds
+// the index from it. onErr, when non-nil, receives the failures of timed
+// flushes (the index itself stays consistent in memory).
 func (p *Predictor) SetPersistence(col *vectordb.Collection, onErr func(error)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -256,58 +278,145 @@ func (p *Predictor) SetPersistence(col *vectordb.Collection, onErr func(error)) 
 }
 
 // Load rebuilds the index from the attached collection, returning the
-// number of clusters restored.
+// number of clusters restored. A document the index could not run on is
+// an error naming it, and leaves the index as it was.
 func (p *Predictor) Load() (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.col == nil {
 		return 0, nil
 	}
-	p.clusters = nil
-	p.nextID = 0
+	dim := p.opts.Encoder.Dim()
+	var clusters []*cluster
+	nextID := 0
 	for _, doc := range p.col.All() {
-		id, err := strconv.Atoi(strings.TrimPrefix(doc.ID, "c"))
+		c, err := decodeCluster(doc, dim)
 		if err != nil {
-			return 0, fmt.Errorf("router: bad cluster doc id %q", doc.ID)
+			return 0, err
 		}
-		var rec clusterRecord
-		if err := json.Unmarshal([]byte(doc.Text), &rec); err != nil {
-			return 0, fmt.Errorf("router: parse cluster %q: %w", doc.ID, err)
-		}
-		c := &cluster{
-			id: id, n: rec.N, sum: rec.Sum,
-			centroid: normalize(rec.Sum),
-			stats:    rec.Stats,
-			routed:   rec.Routed, probeIdx: rec.ProbeIdx,
-		}
-		if c.stats == nil {
-			c.stats = make(map[string]*modelStats)
-		}
-		p.clusters = append(p.clusters, c)
-		if id >= p.nextID {
-			p.nextID = id + 1
-		}
+		clusters = append(clusters, c)
+		nextID = max(nextID, c.id+1)
 	}
-	sort.Slice(p.clusters, func(i, j int) bool { return p.clusters[i].id < p.clusters[j].id })
-	return len(p.clusters), nil
+	sort.Slice(clusters, func(i, j int) bool { return clusters[i].id < clusters[j].id })
+	p.clusters, p.nextID, p.dirty = clusters, nextID, nil
+	return len(clusters), nil
 }
 
-// persistLocked upserts one cluster's document. Callers hold p.mu.
-func (p *Predictor) persistLocked(c *cluster) {
-	if p.col == nil {
+// decodeCluster rebuilds one cluster from its document. It rejects an id
+// other than "c<n>", text that is not a record, a sum of another
+// dimension than the encoder's (Observe would index past a shorter one),
+// a negative count and a null model entry (Status reads every entry).
+func decodeCluster(doc vectordb.Document, dim int) (*cluster, error) {
+	id, err := strconv.Atoi(strings.TrimPrefix(doc.ID, "c"))
+	if err != nil || id < 0 || doc.ID != "c"+strconv.Itoa(id) {
+		return nil, fmt.Errorf("router: bad cluster doc id %q", doc.ID)
+	}
+	var rec clusterRecord
+	if err := json.Unmarshal([]byte(doc.Text), &rec); err != nil {
+		return nil, fmt.Errorf("router: parse cluster %q: %w", doc.ID, err)
+	}
+	if len(rec.Sum) != dim {
+		return nil, fmt.Errorf("router: cluster %q: sum has %d dimensions, the encoder %d", doc.ID, len(rec.Sum), dim)
+	}
+	if rec.N < 0 || rec.Routed < 0 || rec.ProbeIdx < 0 {
+		return nil, fmt.Errorf("router: cluster %q: negative count", doc.ID)
+	}
+	for m, st := range rec.Stats {
+		if st == nil {
+			return nil, fmt.Errorf("router: cluster %q: model %q has no stats", doc.ID, m)
+		}
+	}
+	if rec.Stats == nil {
+		rec.Stats = make(map[string]*modelStats)
+	}
+	return &cluster{
+		id: id, n: rec.N, sum: rec.Sum,
+		centroid: normalize(make(embedding.Vector, dim), rec.Sum),
+		stats:    rec.Stats,
+		routed:   rec.Routed, probeIdx: rec.ProbeIdx,
+	}, nil
+}
+
+// markLocked notes that c changed since the last flush; the first mark
+// arms the flush. Callers hold p.mu.
+func (p *Predictor) markLocked(c *cluster) {
+	if p.col == nil || c.dirty {
 		return
 	}
-	rec := clusterRecord{N: c.n, Sum: c.sum, Routed: c.routed, ProbeIdx: c.probeIdx, Stats: c.stats}
-	data, err := json.Marshal(rec)
-	if err == nil {
-		err = p.col.Upsert(vectordb.Document{
-			ID:        "c" + strconv.Itoa(c.id),
-			Text:      string(data),
-			Embedding: append(embedding.Vector(nil), c.centroid...),
+	c.dirty = true
+	p.dirty = append(p.dirty, c)
+	if p.timer == nil {
+		onErr := p.onErr
+		p.timer = time.AfterFunc(routeFlushEvery, func() {
+			if err := p.flush(false); err != nil && onErr != nil {
+				onErr(err)
+			}
 		})
 	}
-	if err != nil && p.onErr != nil {
-		p.onErr(fmt.Errorf("router: persist cluster %d: %w", c.id, err))
+}
+
+// flush writes every cluster changed since the last flush as one
+// multi-document Upsert — one WAL record, so recovery sees a flush whole
+// or not at all. The records are copied under p.mu and encoded and written
+// outside it, so no query waits on either. detach (Close) also lets go of
+// the collection: nothing is written to it afterwards.
+func (p *Predictor) flush(detach bool) error {
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
+	p.mu.Lock()
+	if p.timer != nil {
+		p.timer.Stop()
+		p.timer = nil
+	}
+	col := p.col
+	recs := make([]clusterRecord, len(p.dirty))
+	for i, c := range p.dirty {
+		recs[i] = c.record()
+		c.dirty = false
+	}
+	p.dirty = p.dirty[:0]
+	if detach {
+		p.col, p.onErr = nil, nil
+	}
+	p.mu.Unlock()
+	if col == nil || len(recs) == 0 {
+		return nil
+	}
+	var errs []error
+	docs := make([]vectordb.Document, 0, len(recs))
+	for _, rec := range recs {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("router: encode cluster %d: %w", rec.id, err))
+			continue
+		}
+		docs = append(docs, vectordb.Document{
+			ID:        "c" + strconv.Itoa(rec.id),
+			Text:      string(data),
+			Embedding: embedding.Vector{0},
+		})
+	}
+	if err := col.Upsert(docs...); err != nil {
+		errs = append(errs, fmt.Errorf("router: persist %d clusters: %w", len(docs), err))
+	}
+	return errors.Join(errs...)
+}
+
+// Close stops the pending flush, writes what is still dirty and detaches
+// the collection; the index keeps working in memory. Server.Close calls it
+// before it closes the database.
+func (p *Predictor) Close() error { return p.flush(true) }
+
+// record copies what Load reads of c.
+func (c *cluster) record() clusterRecord {
+	stats := make(map[string]*modelStats, len(c.stats))
+	for m, st := range c.stats {
+		cp := *st
+		stats[m] = &cp
+	}
+	return clusterRecord{
+		id: c.id, N: c.n, Sum: slices.Clone(c.sum),
+		Routed: c.routed, ProbeIdx: c.probeIdx, Stats: stats,
 	}
 }
 
@@ -414,6 +523,7 @@ func (p *Predictor) Predict(query string, pool []string) Prediction {
 	// subset by the next excluded model (name-sorted round-robin), so
 	// the index keeps measuring what it excluded.
 	c.routed++
+	p.markLocked(c)
 	if p.opts.Epsilon > 0 {
 		cadence := int(math.Ceil(1 / p.opts.Epsilon))
 		if cadence > 0 && c.routed%cadence == 0 {
@@ -461,7 +571,7 @@ func (p *Predictor) Observe(query string, res core.Result) {
 		for i, v := range qv {
 			c.sum[i] += float64(v)
 		}
-		c.centroid = normalize(c.sum)
+		normalize(c.centroid, c.sum)
 	}
 	for _, out := range res.Outcomes {
 		if out.Failed || out.Tokens == 0 {
@@ -478,7 +588,7 @@ func (p *Predictor) Observe(query string, res core.Result) {
 		}
 		st.add(r, p.opts.Decay)
 	}
-	p.persistLocked(c)
+	p.markLocked(c)
 }
 
 // Rate feeds one end-user feedback rating (clamped to [-1, 1]) into the
@@ -508,7 +618,7 @@ func (p *Predictor) Rate(query, model string, rating float64) bool {
 		c.stats[model] = st
 	}
 	st.add(0.5+0.35*rating, p.opts.Decay)
-	p.persistLocked(c)
+	p.markLocked(c)
 	return true
 }
 
@@ -589,20 +699,23 @@ func toFloat64(v embedding.Vector) []float64 {
 	return out
 }
 
-func normalize(sum []float64) embedding.Vector {
+// normalize writes sum scaled to unit length into dst, which has sum's
+// length, and returns dst; a zero sum is the zero vector. Observe moves a
+// centroid in place: no query allocates one.
+func normalize(dst embedding.Vector, sum []float64) embedding.Vector {
 	var norm float64
 	for _, x := range sum {
 		norm += x * x
 	}
 	norm = math.Sqrt(norm)
-	out := make(embedding.Vector, len(sum))
 	if norm == 0 {
-		return out
+		clear(dst)
+		return dst
 	}
 	for i, x := range sum {
-		out[i] = float32(x / norm)
+		dst[i] = float32(x / norm)
 	}
-	return out
+	return dst
 }
 
 func isZero(v embedding.Vector) bool {

@@ -269,6 +269,9 @@ func TestPredictorPersistenceRoundTrip(t *testing.T) {
 	train(p, geoQueries, map[string]float64{"llama3": 0.9, "mistral": 0.3, "qwen2": 0.7})
 	train(p, chemQueries, map[string]float64{"llama3": 0.4, "mistral": 0.3, "qwen2": 0.9})
 	want := p.Predict(geoQueries[0], testPool)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	restored := NewPredictor(PredictorOptions{TopK: 2, Epsilon: -1})
 	restored.SetPersistence(col, func(err error) { t.Errorf("persist: %v", err) })

@@ -53,8 +53,9 @@ const sessionStateDoc = "state"
 const feedbackStateDoc = "state"
 
 // routeClustersCollection is the durable collection behind the
-// predictive-routing cluster index: one document per cluster, centroid
-// as the embedding, reward stats in the JSON text.
+// predictive-routing cluster index: one key-value-slot document per
+// cluster, its centroid sum and reward stats in the JSON text, written
+// behind the queries that change it (router.Predictor).
 const routeClustersCollection = "route_clusters"
 
 // serverState is the scalar state state.json carries across restarts.
@@ -239,9 +240,10 @@ func (s *Server) persistFeedback() {
 
 // Close persists the server's state and releases the substrate: the
 // session store snapshots into its durable collection, the answer cache
-// writes its warm-start file, and the database cuts final snapshots and
-// closes its WALs. Without a data directory it is a no-op. The server
-// must not serve requests afterwards.
+// writes its warm-start file, the routing index writes what it has not
+// flushed yet, and the database cuts final snapshots and closes its WALs.
+// Without a data directory it is a no-op. The server must not serve
+// requests afterwards.
 func (s *Server) Close() error {
 	if s.dataDir == "" {
 		return nil
@@ -271,6 +273,9 @@ func (s *Server) Close() error {
 	keep(err)
 	if err == nil {
 		keep(os.WriteFile(filepath.Join(s.dataDir, stateFile), data, 0o644))
+	}
+	if s.predictor != nil {
+		keep(s.predictor.Close())
 	}
 	keep(s.db.Close())
 	return firstErr

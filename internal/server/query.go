@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -388,8 +387,10 @@ func (s *Server) orchestrate(q *query, prompt string) {
 	cacheable := q.servable && s.cache != nil
 	sw.record = cacheable || flight != nil
 	if flight != nil {
+		// A recording writer never rewrites a byte it has rendered, so the
+		// followers read the frames where they are (see sseWriter.tee).
 		sw.tee = func(event string, frame []byte) {
-			flight.Publish(qcache.Frame{Event: event, Data: bytes.Clone(frame)})
+			flight.Publish(qcache.Frame{Event: event, Data: frame[:len(frame):len(frame)]})
 		}
 	}
 	sw.onDead = abandon
@@ -479,6 +480,11 @@ func (s *Server) finish(q *query) {
 	}
 	if q.flight != nil {
 		q.flight.Finish(q.out)
+		if q.sw != nil && q.flight.Followers() > 0 {
+			// Followers may still be replaying frames out of the writer's
+			// buffer, so it must not be reused; none can join after Finish.
+			q.sw.buf = nil
+		}
 	}
 	if q.admitted > 0 {
 		s.gate.Release(q.admitted)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -590,4 +591,70 @@ func TestQuerySSEWriteErrorStopsStream(t *testing.T) {
 	if got := s.tel.SSEFrames.Value(); got != 0 {
 		t.Fatalf("sse_frames_written_total = %v, want 0 on a dead client", got)
 	}
+}
+
+// stallWriter is a follower's connection that takes its first write and
+// then holds it until released, parking the follower mid-replay.
+type stallWriter struct {
+	header  http.Header
+	body    bytes.Buffer
+	once    sync.Once
+	stalled chan struct{} // closed on the first write
+	release chan struct{} // close to let writes through
+}
+
+func (w *stallWriter) Header() http.Header { return w.header }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.stalled) })
+	<-w.release
+	return w.body.Write(p)
+}
+
+// TestFlightFollowerOutlivesLeaderWriter: a flight publishes frames out of
+// its leader's writer buffer without copying them. A follower parked
+// mid-replay until after its leader has finished — while a hundred other
+// queries take writers from the pool — still gets the leader's stream
+// byte for byte, because a writer whose flight had followers is never
+// reused.
+func TestFlightFollowerOutlivesLeaderWriter(t *testing.T) {
+	backend := newBlockingBackend(llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())}))
+	s, ts := newServingServer(t, ServingOptions{Coalesce: true}, backend)
+	q := map[string]any{"query": "What is the capital of France?"}
+
+	leader := make(chan outcomePair, 1)
+	go func() {
+		resp, body := postQuery(t, ts.URL, q)
+		leader <- outcomePair{resp, body}
+	}()
+	<-backend.started // the leader has published its start frame and waits
+
+	fw := &stallWriter{header: http.Header{}, stalled: make(chan struct{}), release: make(chan struct{})}
+	followed := make(chan struct{})
+	go func() {
+		defer close(followed)
+		req := httptest.NewRequest("POST", "/api/query", strings.NewReader(`{"query":"What is the capital of France?"}`))
+		req.Header.Set("Content-Type", "application/json")
+		s.ServeHTTP(fw, req)
+	}()
+	select {
+	case <-fw.stalled: // caught up with the leader, flushing, parked
+	case <-time.After(5 * time.Second):
+		t.Fatal("the follower never wrote")
+	}
+
+	close(backend.release)
+	lo := <-leader
+	for i := 0; i < 100; i++ {
+		if resp, _ := postQuery(t, ts.URL, map[string]any{"query": fmt.Sprintf("Unrelated question number %d?", i)}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, resp.StatusCode)
+		}
+	}
+	close(fw.release)
+	<-followed
+
+	if got := fw.header.Get("X-Cache"); got != "COALESCED" {
+		t.Fatalf("follower X-Cache = %q, want COALESCED", got)
+	}
+	checkReplayOf(t, lo.body, &http.Response{Header: fw.header}, fw.body.String())
 }

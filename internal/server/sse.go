@@ -66,7 +66,11 @@ type sseWriter struct {
 	record bool
 	frames int
 	// tee, when set, receives each rendered frame except "result" (the
-	// leader's flight followers). The bytes are valid only for the call.
+	// leader's flight followers). It is only set on a recording writer,
+	// which never rewrites a frame it has teed — buf only grows past it,
+	// and a grown buf leaves the old array as it was — so a tee may keep
+	// the frame without copying it for as long as the writer is not
+	// reused (finish does not pool a writer whose flight had followers).
 	tee func(event string, frame []byte)
 
 	// opened says the response is committed to an event stream, which

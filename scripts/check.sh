@@ -22,9 +22,18 @@ echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
 # Every way an /api/query request can end, over and over: the exits that
-# hold a slot, a queue place or a flight are races by construction.
-echo "== exit paths: go test -race -count=20 -run 'TestQueryEveryExit|TestQueryShedLeavesNoSession' ./internal/server"
-go test -race -count=20 -run 'TestQueryEveryExit|TestQueryShedLeavesNoSession' ./internal/server
+# hold a slot, a queue place or a flight are races by construction — and a
+# follower may still be reading its leader's frames after the leader's exit.
+echo "== exit paths: go test -race -count=20 -run 'TestQueryEveryExit|TestQueryShedLeavesNoSession|TestFlightFollowerOutlivesLeaderWriter' ./internal/server"
+go test -race -count=20 -run 'TestQueryEveryExit|TestQueryShedLeavesNoSession|TestFlightFollowerOutlivesLeaderWriter' ./internal/server
+
+# The routing index writes behind the queries: every entry point against
+# flushes and Close, and a restart mid-probe-schedule, over and over; then
+# a short fuzz of the cluster documents Load restores from.
+echo "== route persistence: go test -race -count=20 -run 'TestPredictorConcurrentFlushAndClose|TestPredictorRestartKeepsProbeSchedule' ./internal/router"
+go test -race -count=20 -run 'TestPredictorConcurrentFlushAndClose|TestPredictorRestartKeepsProbeSchedule' ./internal/router
+echo "== fuzz smoke: FuzzPredictorLoad 10s"
+go test -run '^$' -fuzz '^FuzzPredictorLoad$' -fuzztime 10s ./internal/router >/dev/null
 
 # Every internal package must be in the import closure of a binary: one
 # that only tests and examples reach is code the product does not run.
