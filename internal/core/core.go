@@ -369,8 +369,11 @@ func (o *Orchestrator) Single(ctx context.Context, model, prompt string) (Result
 	}
 	o.emit(Event{Type: EventChunk, Strategy: StrategySingle, Model: model, Text: chunk.Text,
 		Tokens: chunk.EvalCount, Elapsed: time.Since(callStart), Attempts: attempts})
-	qv := o.cfg.Encoder.Encode(prompt)
-	sim := embedding.Cosine(qv, o.cfg.Encoder.Encode(chunk.Text))
+	qv, qacc := embedding.Borrow(o.cfg.Encoder, prompt)
+	rv, racc := embedding.Borrow(o.cfg.Encoder, chunk.Text)
+	sim := embedding.Cosine(qv, rv)
+	qacc.Release()
+	racc.Release()
 	out := ModelOutcome{
 		Model: model, Response: chunk.Text, Tokens: chunk.EvalCount,
 		Score: o.cfg.Alpha * sim, QuerySim: sim, Pulls: 1,
@@ -432,16 +435,6 @@ func (o *Orchestrator) logEvent(ev Event) {
 			"strategy", string(ev.Strategy), "model", ev.Model,
 			"tokens", ev.Tokens, "elapsed", ev.Elapsed)
 	}
-}
-
-// scoreAll computes the combined score for every candidate with a
-// non-empty response: α·cos(resp, prompt) + β·(average cosine to the
-// other candidates' responses). It is the one-shot form of the scoring
-// fast path (scorer.go): a fresh scorer runs a single pass, so all the
-// incremental machinery reduces to encode-everything-then-score while
-// staying the same code the per-round strategies exercise.
-func scoreAll(enc embedding.Encoder, qv embedding.Vector, alpha, beta float64, cands []*candidate) {
-	newScorer(enc, qv, alpha, beta).pass(cands)
 }
 
 // candidate is the in-flight state of one model during orchestration.

@@ -33,8 +33,7 @@ func (o *Orchestrator) Hybrid(ctx context.Context, prompt string) (Result, error
 	for i, m := range cfg.Models {
 		cands[i] = o.newCandidate(m)
 	}
-	qv := cfg.Encoder.Encode(prompt)
-	sc := o.newScorer(qv)
+	sc := o.newScorer(prompt)
 	defer sc.release()
 	o.emit(Event{Type: EventStart, Strategy: StrategyHybrid})
 

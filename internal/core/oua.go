@@ -47,8 +47,7 @@ func (o *Orchestrator) OUA(ctx context.Context, prompt string) (Result, error) {
 	for i, m := range cfg.Models {
 		cands[i] = &candidate{model: m, remaining: perModel}
 	}
-	qv := cfg.Encoder.Encode(prompt)
-	sc := o.newScorer(qv)
+	sc := o.newScorer(prompt)
 	defer sc.release()
 	o.emit(Event{Type: EventStart, Strategy: StrategyOUA})
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"llmms/internal/embedding"
@@ -15,8 +16,10 @@ import (
 //   - Embeddings are incremental: each candidate keeps an
 //     embedding.Accumulator, extended with only the text generated since
 //     the previous pass (boundary seams handled inside the accumulator),
-//     and materialized into the candidate's reused vector storage.
+//     and materialized in place into the accumulator's own vector (View).
 //     Encoders that are not Incremental fall back to full re-encoding.
+//     The scorer itself is pooled, and so are its accumulators, the
+//     prompt's included: release returns them all when the query ends.
 //
 //   - The inter-model agreement term uses the sum-vector identity: with
 //     S = Σ members' embeddings, the average similarity of candidate c
@@ -48,18 +51,16 @@ type scorer struct {
 	members map[*candidate]bool
 	// inPass is reusable scratch for the membership sync.
 	inPass map[*candidate]bool
-	// accs are the accumulators this scorer handed to candidates, given
+	// accs are the accumulators qv and every c.emb are views of, given
 	// back to the encoder by release when the query ends.
 	accs []*embedding.Accumulator
 }
 
-func newScorer(enc embedding.Encoder, qv embedding.Vector, alpha, beta float64) *scorer {
-	return &scorer{
-		enc: enc, qv: qv, alpha: alpha, beta: beta,
-		members: make(map[*candidate]bool),
-		inPass:  make(map[*candidate]bool),
-	}
-}
+// scorers recycles the per-query scoring workspace: the agreement sum,
+// the membership maps and the accumulator list.
+var scorers = sync.Pool{New: func() any {
+	return &scorer{members: make(map[*candidate]bool), inPass: make(map[*candidate]bool)}
+}}
 
 // pass brings every candidate's querySim, interSim, and score up to date
 // for the scoring set cands. Candidates with empty responses score zero;
@@ -143,7 +144,7 @@ func (s *scorer) refresh(c *candidate) bool {
 	}
 	if c.acc != nil {
 		c.acc.Add(c.response[c.encoded:])
-		c.emb = c.acc.VectorInto(c.emb)
+		c.emb = c.acc.View()
 	} else {
 		// Non-incremental encoder: full re-encode of the accumulated
 		// response (the pre-fast-path behavior).
@@ -157,18 +158,25 @@ func (s *scorer) refresh(c *candidate) bool {
 	return true
 }
 
-// release returns the candidates' accumulators to the encoder's pool.
-// Each strategy defers it next to its session sweep, so it runs on every
-// exit path of a query and nothing is scored afterwards.
+// release returns the prompt's and the candidates' accumulators to the
+// encoder's pool and the scorer to its own. Each strategy defers it next
+// to its session sweep, so it runs on every exit path of a query, after
+// the Result is built, and nothing is scored afterwards.
 func (s *scorer) release() {
 	for _, acc := range s.accs {
 		acc.Release()
 	}
-	s.accs = nil
+	clear(s.accs)
+	s.accs = s.accs[:0]
+	clear(s.members)
+	clear(s.inPass)
+	clear(s.sum)
+	s.enc, s.qv = nil, nil
+	scorers.Put(s)
 }
 
 func (s *scorer) addVec(v embedding.Vector) {
-	if s.sum == nil {
+	if len(s.sum) != len(v) {
 		s.sum = make([]float64, len(v))
 	}
 	for i, x := range v {
@@ -198,10 +206,15 @@ func dotSum(v embedding.Vector, sum []float64) float64 {
 	return s
 }
 
-// newScorer builds the per-query scorer for the orchestrator's encoder
-// and score weights.
-func (o *Orchestrator) newScorer(qv embedding.Vector) *scorer {
-	return newScorer(o.cfg.Encoder, qv, o.cfg.Alpha, o.cfg.Beta)
+// newScorer takes a recycled scorer for the orchestrator's encoder and
+// score weights, with the prompt's vector borrowed into its accumulators.
+func (o *Orchestrator) newScorer(prompt string) *scorer {
+	s := scorers.Get().(*scorer)
+	s.enc, s.alpha, s.beta = o.cfg.Encoder, o.cfg.Alpha, o.cfg.Beta
+	var acc *embedding.Accumulator
+	s.qv, acc = embedding.Borrow(s.enc, prompt)
+	s.accs = append(s.accs, acc) // nil for a non-Incremental encoder: Release is nil-safe
+	return s
 }
 
 // scorePass runs one timed scoring pass over cands, applies feedback

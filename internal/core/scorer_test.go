@@ -9,6 +9,27 @@ import (
 	"llmms/internal/embedding"
 )
 
+// newScorer builds an unpooled scorer over an encoded prompt vector: the
+// reference form of Orchestrator.newScorer, which recycles the workspace
+// and borrows the prompt's vector.
+func newScorer(enc embedding.Encoder, qv embedding.Vector, alpha, beta float64) *scorer {
+	return &scorer{
+		enc: enc, qv: qv, alpha: alpha, beta: beta,
+		members: make(map[*candidate]bool),
+		inPass:  make(map[*candidate]bool),
+	}
+}
+
+// scoreAll computes the combined score for every candidate with a
+// non-empty response: α·cos(resp, prompt) + β·(average cosine to the
+// other candidates' responses). It is the one-shot form of the scoring
+// fast path: a fresh scorer runs a single pass, so all the incremental
+// machinery reduces to encode-everything-then-score while staying the
+// same code the per-round strategies exercise.
+func scoreAll(enc embedding.Encoder, qv embedding.Vector, alpha, beta float64, cands []*candidate) {
+	newScorer(enc, qv, alpha, beta).pass(cands)
+}
+
 // pairwiseReference scores cands the pre-fast-path way — full pairwise
 // inter-similarity over unit embeddings — into parallel result slices,
 // without touching the candidates' cached state.

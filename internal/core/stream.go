@@ -95,8 +95,10 @@ func (s *genSession) next(ctx context.Context, cont []int, take, hint int) fanRe
 				r.prefetched = take
 			}
 		}
+		// A drain the buffer already covers returns without waiting, so only
+		// one that may wait takes the per-chunk deadline (and its timer).
 		drainCtx, cancel := ctx, context.CancelFunc(func() {})
-		if t := s.o.cfg.Retry.ChunkTimeout; t > 0 {
+		if t := s.o.cfg.Retry.ChunkTimeout; t > 0 && r.prefetched < take {
 			drainCtx, cancel = context.WithTimeout(ctx, t)
 		}
 		chunk, err := s.stream.Next(drainCtx, take)

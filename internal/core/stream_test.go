@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -383,4 +384,88 @@ func TestFaultBackendStreamsThroughUnwrapChain(t *testing.T) {
 			fb.StreamOpens(llm.ModelLlama3), fb.StreamCloses(llm.ModelLlama3))
 	}
 	waitEngineStreams(t, engine)
+}
+
+// unbufferedEngine serves the engine's streams without their Buffered
+// method, so every drain looks as if it may have to wait.
+type unbufferedEngine struct{ *llm.Engine }
+
+func (e unbufferedEngine) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.ChunkStream, error) {
+	st, err := e.Engine.OpenStream(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ llm.ChunkStream }{st}, nil
+}
+
+// TestChunkTimeoutOnlyArmsWaitingDrains: a drain the buffer already covers
+// takes no deadline, which must change nothing — on buffered and on
+// unbuffered streams, every strategy's result is the same with the
+// per-chunk timeout on and off.
+func TestChunkTimeoutOnlyArmsWaitingDrains(t *testing.T) {
+	backends := map[string]func() Backend{
+		"buffered":   func() Backend { return llm.NewEngine(llm.Options{}) },
+		"unbuffered": func() Backend { return unbufferedEngine{llm.NewEngine(llm.Options{})} },
+	}
+	for name, mk := range backends {
+		for _, strat := range []Strategy{StrategyOUA, StrategyMAB, StrategyHybrid} {
+			var res [2]Result
+			for i, timeout := range []time.Duration{-1, 30 * time.Second} {
+				cfg := DefaultConfig(engineModels()...)
+				cfg.MaxTokens = 512
+				cfg.Retry.ChunkTimeout = timeout
+				r, err := mustNew(t, mk(), cfg).Run(context.Background(), strat, enginePrompt)
+				if err != nil {
+					t.Fatalf("%s/%s timeout %v: %v", name, strat, timeout, err)
+				}
+				r.Elapsed = 0
+				res[i] = r
+			}
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Fatalf("%s/%s: result without a chunk timeout %+v differs from with one %+v", name, strat, res[0], res[1])
+			}
+		}
+	}
+}
+
+// stallBackend's streams never deliver a token; its per-round call
+// answers at once.
+type stallBackend struct{}
+
+func (stallBackend) GenerateChunk(context.Context, llm.ChunkRequest) (llm.Chunk, error) {
+	return llm.Chunk{Text: "late", EvalCount: 1, Done: true, DoneReason: llm.DoneStop}, nil
+}
+
+func (stallBackend) OpenStream(context.Context, llm.ChunkRequest) (llm.ChunkStream, error) {
+	return stallStream{}, nil
+}
+
+type stallStream struct{}
+
+func (stallStream) Next(ctx context.Context, _ int) (llm.Chunk, error) {
+	<-ctx.Done()
+	return llm.Chunk{}, ctx.Err()
+}
+func (stallStream) Close() error  { return nil }
+func (stallStream) Buffered() int { return 0 }
+
+// TestStalledStreamStillTimesOut: a drain that has to wait is still bound
+// by the per-chunk timeout, and the session falls back to the per-round
+// call.
+func TestStalledStreamStillTimesOut(t *testing.T) {
+	cfg := DefaultConfig("m")
+	cfg.Retry = RetryPolicy{MaxAttempts: 1, ChunkTimeout: 20 * time.Millisecond}
+	o := mustNew(t, stallBackend{}, cfg)
+	c := &candidate{model: "m"}
+	o.attachSessions([]*candidate{c}, testPrompt)
+	done := make(chan fanResult, 1)
+	go func() { done <- c.sess.next(context.Background(), nil, 8, 8) }()
+	select {
+	case r := <-done:
+		if !errors.Is(r.fallback, context.DeadlineExceeded) || r.closeReason != "error" || r.chunk.Text != "late" {
+			t.Fatalf("stalled drain = %+v, want a timed-out stream falling back to the per-round call", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a stalled drain never timed out")
+	}
 }

@@ -63,6 +63,8 @@ type Accumulator struct {
 	// caller does not supply a destination.
 	pending []pendingFeat
 	scratch []float64
+	// out is View's output, kept across Release for the next borrower.
+	out Vector
 }
 
 // pendingFeat is one provisional feature of the in-progress word, applied
@@ -107,11 +109,27 @@ func (e *hashEncoder) NewAccumulator() *Accumulator {
 	}
 }
 
+// Borrow is Encode for a vector that dies within its call: the vector,
+// bit-identical to Encode(text), is the View of a pooled accumulator and
+// valid until acc.Release, which the caller owes. For an encoder that is
+// not Incremental it is Encode's vector and acc is nil.
+func Borrow(enc Encoder, text string) (Vector, *Accumulator) {
+	acc, ok := NewAccumulator(enc)
+	if !ok {
+		return enc.Encode(text), nil
+	}
+	acc.Add(text)
+	return acc.View(), acc
+}
+
 // Release resets the accumulator and gives it back to its encoder for a
 // later NewAccumulator (or Encode) to reuse. Optional — an accumulator
 // that is simply dropped is collected as usual — but the caller must not
-// touch a released accumulator again.
+// touch a released accumulator, or a View of it, again. Nil is a no-op.
 func (a *Accumulator) Release() {
+	if a == nil {
+		return
+	}
 	a.Reset()
 	a.pool.Put(a)
 }
@@ -211,6 +229,14 @@ func gWeight(tf float64) float64 {
 // still extend the word. Zero-information input yields the zero vector.
 func (a *Accumulator) Vector() Vector {
 	return a.VectorInto(nil)
+}
+
+// View is Vector written into the accumulator's own storage: no
+// allocation once the accumulator has materialized before, but the
+// result is only valid until the next View or Release.
+func (a *Accumulator) View() Vector {
+	a.out = a.VectorInto(a.out)
+	return a.out
 }
 
 // VectorInto is Vector writing into dst when dst has the encoder's

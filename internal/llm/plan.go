@@ -107,15 +107,18 @@ func (e *Engine) planExtractive(p Profile, question, ctx string) string {
 	if len(sentences) == 0 {
 		return "The provided context is empty, so I cannot ground an answer in it."
 	}
-	qv := e.enc.Encode(question)
+	qv, qacc := embedding.Borrow(e.enc, question)
 	type ranked struct {
 		text string
 		sim  float64
 	}
 	rs := make([]ranked, len(sentences))
 	for i, s := range sentences {
-		rs[i] = ranked{text: s, sim: embedding.Cosine(qv, e.enc.Encode(s))}
+		sv, sacc := embedding.Borrow(e.enc, s)
+		rs[i] = ranked{text: s, sim: embedding.Cosine(qv, sv)}
+		sacc.Release()
 	}
+	qacc.Release()
 	sort.SliceStable(rs, func(i, j int) bool { return rs[i].sim > rs[j].sim })
 
 	key := normalizeQuestion(question)

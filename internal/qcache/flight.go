@@ -78,10 +78,17 @@ func (g *Group) Join(key string) (*Flight, Role) {
 		return f, RoleFollower
 	}
 	f := &Flight{g: g, key: key}
+	if hist, _ := histories.Get().(*[]Frame); hist != nil {
+		f.frames, f.hist = *hist, hist
+	}
 	f.cond = sync.NewCond(&f.mu)
 	g.flights[key] = f
 	return f, RoleLeader
 }
+
+// histories recycles the (emptied) frame arrays of flights that finished
+// without a follower — nearly every flight: coalescing is rare.
+var histories sync.Pool
 
 // Flight is one in-progress request shared between a leader and its
 // followers.
@@ -92,6 +99,7 @@ type Flight struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	frames    []Frame
+	hist      *[]Frame // the histories entry frames came from, if any
 	bytes     int
 	sealed    bool // history overflowed: no new followers may join
 	done      bool
@@ -145,7 +153,9 @@ func (f *Flight) Publish(fr Frame) {
 // Finish completes the flight: the result becomes visible to every
 // follower, the flight leaves the group (a later identical request
 // starts fresh), and the buffered history is released once the last
-// follower drains it.
+// follower drains it. A flight without followers cannot gain one now
+// (they join under g.mu, before the key is deleted), so its history is
+// cleared, not to pin the publisher's buffers, and pooled.
 func (f *Flight) Finish(result any) {
 	f.g.mu.Lock()
 	delete(f.g.flights, f.key)
@@ -154,6 +164,16 @@ func (f *Flight) Finish(result any) {
 	f.sealed = true
 	f.done = true
 	f.result = result
+	if f.followers == 0 && cap(f.frames) > 0 {
+		clear(f.frames)
+		hist := f.hist
+		if hist == nil {
+			hist = new([]Frame)
+		}
+		*hist = f.frames[:0]
+		f.frames, f.hist, f.bytes = nil, nil, 0
+		histories.Put(hist)
+	}
 	f.mu.Unlock()
 	f.cond.Broadcast()
 }

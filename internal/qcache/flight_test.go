@@ -247,3 +247,84 @@ func TestFlightConcurrentFollowers(t *testing.T) {
 		}
 	}
 }
+
+// TestFlightFollowerSurvivesHistoryRecycling: leader-only flights give
+// their history arrays back at Finish for the next leader, and a flight
+// with a follower must not. A follower attached before Finish and parked
+// mid-replay while 100 leader-only flights lead, publish and recycle
+// concurrently still replays its leader's frames byte for byte.
+func TestFlightFollowerSurvivesHistoryRecycling(t *testing.T) {
+	g := NewGroup(0)
+	leader, _ := g.Join("followed")
+	f, role := g.Join("followed")
+	if role != RoleFollower {
+		t.Fatalf("second Join role = %v, want RoleFollower", role)
+	}
+	var want []Frame
+	for i := 0; i < 20; i++ {
+		fr := Frame{Event: "chunk", Data: []byte(fmt.Sprintf(`{"n":%d}`, i))}
+		want = append(want, fr)
+		leader.Publish(fr)
+	}
+	parked, resume := make(chan struct{}), make(chan struct{})
+	var got []Frame
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.Replay(context.Background(), func(fr Frame) error {
+			if len(got) == 1 {
+				close(parked)
+				<-resume
+			}
+			got = append(got, Frame{Event: fr.Event, Data: append([]byte(nil), fr.Data...)})
+			return nil
+		})
+	}()
+	<-parked
+	leader.Finish("the result")
+
+	var wg sync.WaitGroup
+	for i := 0; i < 100; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			lo, role := g.Join(fmt.Sprintf("alone-%d", i))
+			if role != RoleLeader {
+				t.Errorf("leader-only flight %d: role %v", i, role)
+				return
+			}
+			for j := 0; j < 30; j++ {
+				lo.Publish(Frame{Event: "overwrite", Data: []byte("not the followed flight's bytes")})
+			}
+			lo.Finish(nil)
+		}(i)
+	}
+	wg.Wait()
+	close(resume)
+	<-done
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower replayed %d frames %v, want its leader's %d %v", len(got), got, len(want), want)
+	}
+}
+
+// TestFlightLeaderOnlyHistoryIsCleared: a leader-only flight drops its
+// frames at Finish, and the array it hands on holds no publisher's bytes.
+func TestFlightLeaderOnlyHistoryIsCleared(t *testing.T) {
+	g := NewGroup(0)
+	leader, _ := g.Join("k")
+	leader.Publish(Frame{Event: "chunk", Data: []byte("held")})
+	leader.Finish(nil)
+	if leader.frames != nil {
+		t.Fatalf("finished leader-only flight still holds %d frames", len(leader.frames))
+	}
+	next, _ := g.Join("k2")
+	if len(next.frames) != 0 {
+		t.Fatalf("a new leader starts with %d frames", len(next.frames))
+	}
+	for _, fr := range next.frames[:cap(next.frames)] {
+		if fr.Data != nil || fr.Event != "" {
+			t.Fatal("a recycled history still pins a publisher's frame")
+		}
+	}
+	next.Finish(nil)
+}

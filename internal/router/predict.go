@@ -446,7 +446,8 @@ func (p *Predictor) Predict(query string, pool []string) Prediction {
 		p.count(OutcomeFull)
 		return pred
 	}
-	qv := p.opts.Encoder.Encode(query)
+	qv, acc := embedding.Borrow(p.opts.Encoder, query)
+	defer acc.Release()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	c, sim := p.nearestLocked(qv)
@@ -550,7 +551,8 @@ func (p *Predictor) Predict(query string, pool []string) Prediction {
 // contributes its final score — plus a winner bonus for the selected
 // model — as a reward observation.
 func (p *Predictor) Observe(query string, res core.Result) {
-	qv := p.opts.Encoder.Encode(query)
+	qv, acc := embedding.Borrow(p.opts.Encoder, query)
+	defer acc.Release()
 	if isZero(qv) {
 		return
 	}
@@ -602,7 +604,8 @@ func (p *Predictor) Rate(query, model string, rating float64) bool {
 		return false
 	}
 	rating = math.Max(-1, math.Min(1, rating))
-	qv := p.opts.Encoder.Encode(query)
+	qv, acc := embedding.Borrow(p.opts.Encoder, query)
+	defer acc.Release()
 	if isZero(qv) {
 		return false
 	}

@@ -626,6 +626,34 @@ func TestRecallEndpoint(t *testing.T) {
 	}
 }
 
+// TestHugeRAGTopKStillAnswers: a settings write with rag_top_k = 2^40 is
+// valid, and the retrieving queries after it — over an ephemeral context
+// and over an uploaded document — answer with a result frame instead of
+// sizing their retrieval by k and taking the process down.
+func TestHugeRAGTopKStillAnswers(t *testing.T) {
+	_, ts := newTestServer(t)
+	var st Settings
+	doJSON(t, "GET", ts.URL+"/api/settings", nil, &st)
+	st.RAGTopK = 1 << 40
+	if resp := doJSON(t, "PUT", ts.URL+"/api/settings", st, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("put rag_top_k 2^40 = %d", resp.StatusCode)
+	}
+	if resp := doJSON(t, "POST", ts.URL+"/api/upload",
+		uploadRequest{Filename: "facts.txt", Content: "The capital of France is Paris. Bats are not blind."}, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload = %d", resp.StatusCode)
+	}
+	for _, body := range []map[string]any{
+		{"query": "What is the capital of France?", "max_tokens": 128, "ephemeral_context": "Paris is the capital of France."},
+		{"query": "What is the capital of France?", "max_tokens": 128, "use_rag": true},
+	} {
+		resp, stream := postQuery(t, ts.URL, body)
+		frames := sseFrames(t, stream)
+		if resp.StatusCode != http.StatusOK || len(frames) == 0 || frames[len(frames)-1].Event != "result" {
+			t.Fatalf("%v: status %d, stream does not end in a result frame:\n%s", body, resp.StatusCode, stream)
+		}
+	}
+}
+
 func TestSettingsValidateRejections(t *testing.T) {
 	base := DefaultSettings()
 	cases := []func(*Settings){

@@ -119,7 +119,8 @@ func (g *MemoryGraph) Recall(query string, k int) []Recalled {
 	if k <= 0 {
 		return nil
 	}
-	qv := g.opts.Encoder.Encode(query)
+	qv, acc := embedding.Borrow(g.opts.Encoder, query)
+	defer acc.Release()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if len(g.nodes) == 0 {

@@ -36,9 +36,15 @@ func Summarize(text string, maxTokens int, tok *tokenizer.Tokenizer) string {
 
 	enc := embedding.Default()
 	vecs := make([]embedding.Vector, len(sentences))
+	accs := make([]*embedding.Accumulator, len(sentences))
 	for i, s := range sentences {
-		vecs[i] = enc.Encode(s)
+		vecs[i], accs[i] = embedding.Borrow(enc, s)
 	}
+	defer func() {
+		for _, acc := range accs {
+			acc.Release()
+		}
+	}()
 	centroid := embedding.Centroid(vecs)
 
 	type scored struct {

@@ -482,12 +482,16 @@ func (c *Collection) Query(req QueryRequest) ([]Result, error) {
 	if req.TopK <= 0 {
 		req.TopK = 10
 	}
+	// Nothing below (results, HNSW's beam and visited set) is sized by more.
+	req.TopK = min(req.TopK, c.Count())
 	q := req.Embedding
 	if len(q) == 0 {
 		if req.Text == "" {
 			return nil, fmt.Errorf("vectordb: query needs Text or Embedding")
 		}
-		q = c.cfg.Encoder.Encode(req.Text)
+		var acc *embedding.Accumulator
+		q, acc = embedding.Borrow(c.cfg.Encoder, req.Text)
+		defer acc.Release()
 	} else if c.cfg.Metric == Cosine {
 		// The fast path needs a unit query too. Normalizing a copy is
 		// exact, not approximate: cosine similarity is invariant under

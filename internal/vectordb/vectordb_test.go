@@ -348,3 +348,30 @@ func TestDeleteWhere(t *testing.T) {
 		t.Fatal("expected error for invalid operator")
 	}
 }
+
+// TestQueryHugeTopKReturnsEveryDocument: k is clamped to the live
+// document count before anything is sized by it, so a k of 2^40 answers
+// with the whole collection instead of exhausting memory — on the flat
+// index, and on HNSW with a filter, whose beam doubles k.
+func TestQueryHugeTopKReturnsEveryDocument(t *testing.T) {
+	for _, index := range []string{"flat", "hnsw"} {
+		c := newTestCollection(t, CollectionConfig{Index: index})
+		if res, err := c.Query(QueryRequest{Text: "anything", TopK: 1 << 40}); err != nil || len(res) != 0 {
+			t.Fatalf("%s: empty collection = (%v, %v), want no results", index, res, err)
+		}
+		for i := 0; i < 12; i++ {
+			if err := c.Add(Document{ID: fmt.Sprintf("d%02d", i), Text: fmt.Sprintf("document number %d about bats", i),
+				Metadata: Metadata{"even": i%2 == 0}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := c.Query(QueryRequest{Text: "bats", TopK: 1 << 40})
+		if err != nil || len(res) != 12 {
+			t.Fatalf("%s: TopK 2^40 = %d results (%v), want all 12", index, len(res), err)
+		}
+		res, err = c.Query(QueryRequest{Text: "bats", TopK: 1 << 40, Where: Metadata{"even": true}})
+		if err != nil || len(res) != 6 {
+			t.Fatalf("%s: filtered TopK 2^40 = %d results (%v), want the 6 even documents", index, len(res), err)
+		}
+	}
+}

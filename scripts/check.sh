@@ -35,6 +35,14 @@ go test -race -count=20 -run 'TestPredictorConcurrentFlushAndClose|TestPredictor
 echo "== fuzz smoke: FuzzPredictorLoad 10s"
 go test -run '^$' -fuzz '^FuzzPredictorLoad$' -fuzztime 10s ./internal/router >/dev/null
 
+# Borrowed embeddings: pooled accumulators and scorers shared by concurrent
+# queries, and flight histories recycled while a follower still replays;
+# then a short fuzz of the borrow rule against Encode.
+echo "== borrowed vectors: go test -race -count=20 -run 'TestConcurrentRunsShareOneEncoder|TestFlightFollowerSurvivesHistoryRecycling' ./internal/core ./internal/qcache"
+go test -race -count=20 -run 'TestConcurrentRunsShareOneEncoder|TestFlightFollowerSurvivesHistoryRecycling' ./internal/core ./internal/qcache
+echo "== fuzz smoke: FuzzBorrow 10s"
+go test -run '^$' -fuzz '^FuzzBorrow$' -fuzztime 10s ./internal/embedding >/dev/null
+
 # Every internal package must be in the import closure of a binary: one
 # that only tests and examples reach is code the product does not run.
 echo "== reachability: go list ./internal/... within go list -deps ./cmd/..."
