@@ -1,10 +1,7 @@
 package modeld
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -104,7 +101,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 }
 
 // Chat runs a non-streaming chat call through the daemon, returning the
-// assistant message. For streaming, use ChatStream.
+// assistant message.
 func (c *Client) Chat(ctx context.Context, model string, messages []ChatMessage, maxTokens int) (ChatResponse, error) {
 	req := ChatRequest{Model: model, Messages: messages}
 	noStream := false
@@ -115,44 +112,4 @@ func (c *Client) Chat(ctx context.Context, model string, messages []ChatMessage,
 		return ChatResponse{}, err
 	}
 	return out, nil
-}
-
-// ChatStream runs a streaming chat call, invoking fn for every NDJSON
-// line including the final (Done) message.
-func (c *Client) ChatStream(ctx context.Context, req ChatRequest, fn func(ChatResponse) error) error {
-	streaming := true
-	req.Stream = &streaming
-	data, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/api/chat", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(httpReq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var cr ChatResponse
-		if err := json.Unmarshal(line, &cr); err != nil {
-			return fmt.Errorf("modeld: bad chat stream line: %w", err)
-		}
-		if err := fn(cr); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
 }

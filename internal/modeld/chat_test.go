@@ -53,17 +53,16 @@ func TestChatStreaming(t *testing.T) {
 	_, client := wireStack(t, truthfulqa.Seed())
 	var pieces []string
 	var final modeld.ChatResponse
-	err := client.ChatStream(context.Background(), modeld.ChatRequest{
+	err := modeld.ChatLines(client, modeld.ChatRequest{
 		Model: llm.ModelMistral,
 		Messages: []modeld.ChatMessage{
 			{Role: "user", Content: "Are bats blind?"},
 		},
-	}, func(resp modeld.ChatResponse) error {
+	}, func(resp modeld.ChatResponse) {
 		pieces = append(pieces, resp.Message.Content)
 		if resp.Done {
 			final = resp
 		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

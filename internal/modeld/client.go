@@ -27,7 +27,11 @@ var ErrTruncatedStream = errors.New("modeld: generation stream truncated before 
 
 // Client speaks the daemon protocol from Go. It satisfies the
 // orchestrator's Backend interface, so the core algorithms run unchanged
-// against a remote daemon.
+// against a remote daemon. It generates two ways, both over
+// /api/generate with the stream_tokens extension and both read by one
+// NDJSON reader (readStream): GenerateChunk, one request per chunk, and
+// OpenStream, one request per session. The other endpoints are one-shot
+// JSON calls (Chat, Embed, Tags, Show, PS, Version).
 type Client struct {
 	base string
 	hc   *http.Client
@@ -103,17 +107,18 @@ func WithTimeout(d time.Duration) Option {
 // WithTelemetry attaches a telemetry bundle: every daemon request is
 // then counted in modeld_client_requests_total{op,outcome} and timed in
 // modeld_client_request_duration_seconds{op}, with per-model chunk
-// latency (modeld_client_chunk_duration_seconds{model}) and truncated
-// streams (modeld_client_truncated_streams_total{model}) on the
-// GenerateChunk path. A nil bundle leaves the client uninstrumented.
+// latency (modeld_client_chunk_duration_seconds{model}) on the
+// GenerateChunk path and truncated streams
+// (modeld_client_truncated_streams_total{model}) on both generation
+// paths. A nil bundle leaves the client uninstrumented.
 //
 // Label cardinality is bounded by construction: op is one of a fixed
-// set of endpoint names (generate, chat, embed, tags, show, ps,
-// version), outcome is ok/error/canceled, and model is the configured
-// model name. Query text, prompts, and session IDs never become labels
-// — they are unbounded and would explode the series space (the
-// registry's series cap would collapse them into "_other", losing the
-// per-model signal too).
+// set of endpoint names (generate, generate_stream, chat, embed, tags,
+// show, ps, version), outcome is ok/error/canceled, and model is the
+// configured model name. Query text, prompts, and session IDs never
+// become labels — they are unbounded and would explode the series space
+// (the registry's series cap would collapse them into "_other", losing
+// the per-model signal too).
 func WithTelemetry(tel *telemetry.Telemetry) Option {
 	return func(c *Client) { c.tel = tel }
 }
@@ -136,16 +141,19 @@ func (c *Client) observe(op string, start time.Time, err error) {
 	if c.tel == nil {
 		return
 	}
-	outcome := "ok"
+	c.tel.ClientRequests.Inc(op, outcome(err))
+	c.tel.ClientLatency.Observe(time.Since(start).Seconds(), op)
+}
+
+// outcome is err as the bounded outcome label: ok, error or canceled.
+func outcome(err error) string {
 	switch {
 	case err == nil:
+		return "ok"
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		outcome = "canceled"
-	default:
-		outcome = "error"
+		return "canceled"
 	}
-	c.tel.ClientRequests.Inc(op, outcome)
-	c.tel.ClientLatency.Observe(time.Since(start).Seconds(), op)
+	return "error"
 }
 
 // withTimeout applies the client default deadline when the caller did
@@ -208,51 +216,6 @@ func decodeError(resp *http.Response) error {
 	return fmt.Errorf("modeld: %s", resp.Status)
 }
 
-// Generate streams a generation, invoking fn for every NDJSON line. The
-// final line has Done == true.
-//
-// When the context carries a span, the request is issued under a child
-// "modeld.generate" span whose traceparent rides the request header;
-// daemon-side spans echoed on the done line (see GenerateResponse.Spans)
-// are grafted into the local trace, so client and daemon timings land
-// in one tree.
-func (c *Client) Generate(ctx context.Context, req GenerateRequest, fn func(GenerateResponse) error) (err error) {
-	start := time.Now()
-	defer func() { c.observe("generate", start, err) }()
-	ctx, sp := telemetry.StartSpan(ctx, "modeld.generate")
-	sp.SetAttr("model", req.Model)
-	defer func() { sp.End(err) }()
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
-	resp, body, err := c.postGenerate(ctx, &req, sp)
-	if err != nil {
-		return err
-	}
-	defer body.release() // runs after the response body is closed
-	defer resp.Body.Close()
-	buf := scanBufPool.Get().(*[]byte)
-	defer scanBufPool.Put(buf)
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(*buf, maxScanLine)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var gr GenerateResponse
-		if err := json.Unmarshal(line, &gr); err != nil {
-			return fmt.Errorf("modeld: bad stream line: %w", err)
-		}
-		if gr.Done && len(gr.Spans) > 0 {
-			sp.Adopt(gr.Spans)
-		}
-		if err := fn(gr); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
-}
-
 // jsonContentType is the Content-Type header value of every generation
 // request, shared: the transport only reads it.
 var jsonContentType = []string{"application/json"}
@@ -299,20 +262,84 @@ func (c *Client) postGenerate(ctx context.Context, req *GenerateRequest, sp *tel
 // same bound.
 const maxScanLine = 8 * 1024 * 1024
 
-// scanBufPool recycles the 64 KiB initial scan buffers across Generate
-// calls — per-chunk streaming is the orchestrator's hottest client path
-// (Rounds × models buffers per query without pooling). Pointer-to-slice
-// per sync.Pool guidance, so Put does not allocate.
-var scanBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 64*1024)
-		return &b
-	},
+// readStream is the client's one NDJSON reader: it reads the body of an
+// /api/generate response a line at a time into pooled storage — the
+// scanner of wire.go first, encoding/json for a line it declines — and
+// hands each line to each, the done line with its span records already
+// grafted into sp. After the done line the body is only read to its end,
+// so the connection can be reused; then it is closed and the request's
+// body released. It reports how the body ended, once:
+// nil after a done line; a bad line or each's error at once; the read
+// error of a request whose context ended; otherwise ErrTruncatedStream —
+// bare when the body ended cleanly, wrapping the read error when it broke.
+func readStream(resp *http.Response, body *requestBuf, sp *telemetry.Span, each func(*streamLine) error) error {
+	defer body.release() // once the response body is closed
+	defer resp.Body.Close()
+	sl := streamLinePool.Get().(*streamLine)
+	defer streamLinePool.Put(sl)
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(sl.scan, maxScanLine)
+	done := false
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || done {
+			continue
+		}
+		if !sl.decode(line) {
+			var gr GenerateResponse
+			if err := json.Unmarshal(line, &gr); err != nil {
+				return fmt.Errorf("modeld: bad stream line: %w", err)
+			}
+			sl.fromResponse(&gr)
+			sp.Adopt(gr.Spans)
+		}
+		if sl.done {
+			sl.graftSpans(line, sp)
+			done = true
+		}
+		if err := each(sl); err != nil {
+			return err
+		}
+	}
+	switch err := sc.Err(); {
+	case done:
+		return nil
+	case err == nil:
+		return ErrTruncatedStream
+	case resp.Request.Context().Err() != nil:
+		return err // the caller gave up; the daemon did not
+	default:
+		return fmt.Errorf("%w: %w", ErrTruncatedStream, err)
+	}
+}
+
+// settle ends one generation request's span on err and counts the request
+// under op; a stream cut short also counts against model in
+// modeld_client_truncated_streams_total. A request the daemon answered in
+// full at the HTTP level counts as ok even when the answer fell short —
+// a body that ended cleanly without a done line (readStream's bare
+// ErrTruncatedStream), a daemon without the token extension — since what
+// it lacked has its own signal.
+func (c *Client) settle(op, model string, start time.Time, sp *telemetry.Span, err error) {
+	sp.End(err)
+	if errors.Is(err, ErrTruncatedStream) && c.tel != nil {
+		c.tel.ClientTruncated.Inc(model)
+	}
+	if err == ErrTruncatedStream || errors.Is(err, llm.ErrStreamUnsupported) {
+		err = nil
+	}
+	c.observe(op, start, err)
 }
 
 // GenerateChunk implements the orchestrator's getChunk(LLM, prompt, λ)
 // primitive over the wire: it requests up to req.MaxTokens more tokens,
 // resuming from req.Cont, and returns the aggregated chunk.
+//
+// When the context carries a span, the request is issued under a child
+// "modeld.generate" span whose traceparent rides the request header;
+// daemon-side spans echoed on the done line (see GenerateResponse.Spans)
+// are grafted into the local trace, so client and daemon timings land
+// in one tree.
 //
 // A stream that ends without a Done:true line (connection dropped,
 // daemon died mid-answer) returns the accumulated partial chunk together
@@ -333,57 +360,43 @@ func (c *Client) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (chunk
 	// that ends (or a line cut) mid-character byte-exact, so the chunked
 	// path returns the same bytes as a stream session and the engine.
 	wire.Options.StreamTokens = true
+	ctx, sp := telemetry.StartSpan(ctx, "modeld.generate")
+	sp.SetAttr("model", req.Model)
+	ctx, cancel := c.withTimeout(ctx)
+	defer cancel()
 	var text strings.Builder
-	var out llm.Chunk
-	err = c.Generate(ctx, wire, func(gr GenerateResponse) error {
-		if gr.ResponseRaw != nil {
-			text.Write(gr.ResponseRaw)
-		} else {
-			text.WriteString(gr.Response)
-		}
-		if gr.Done {
-			out.Done = true
-			out.DoneReason = llm.DoneReason(gr.DoneReason)
-			out.Context = gr.Context
-			out.EvalCount = gr.EvalCount
-			out.TotalTokens = len(gr.Context)
-		}
-		return nil
-	})
-	out.Text = text.String()
-	if err != nil {
-		return llm.Chunk{}, err
+	resp, body, err := c.postGenerate(ctx, &wire, sp)
+	if err == nil {
+		err = readStream(resp, body, sp, func(sl *streamLine) error {
+			text.Write(sl.text)
+			if sl.done {
+				// The line's storage is reused: the chunk keeps a copy.
+				chunk = llm.Chunk{Done: true, DoneReason: sl.doneReason, Context: append([]int(nil), sl.context...),
+					EvalCount: sl.evalCount, TotalTokens: len(sl.context)}
+			}
+			return nil
+		})
 	}
-	if !out.Done {
+	c.settle("generate", req.Model, start, sp, err)
+	switch {
+	case err == nil:
+		chunk.Text = text.String()
+		return chunk, nil
+	case errors.Is(err, ErrTruncatedStream):
 		// No final line arrived: report consistent partial state and an
 		// explicit error instead of a chunk that looks merely unfinished.
-		if c.tel != nil {
-			c.tel.ClientTruncated.Inc(req.Model)
-		}
-		out.DoneReason = ""
-		out.Context = req.Cont
-		out.EvalCount = 0
-		out.TotalTokens = len(req.Cont)
-		return out, fmt.Errorf("%w (got %d bytes of text)", ErrTruncatedStream, text.Len())
+		partial := llm.Chunk{Text: text.String(), Context: req.Cont, TotalTokens: len(req.Cont)}
+		return partial, fmt.Errorf("%w (got %d bytes of text)", err, text.Len())
 	}
-	return out, nil
+	return llm.Chunk{}, err
 }
 
 // observeChunk records one GenerateChunk call's latency under the
 // bounded outcome label set (ok, error, canceled).
 func (c *Client) observeChunk(model string, start time.Time, err error) {
-	if c.tel == nil {
-		return
+	if c.tel != nil {
+		c.tel.ClientChunkLat.Observe(time.Since(start).Seconds(), model, outcome(err))
 	}
-	outcome := "ok"
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		outcome = "canceled"
-	default:
-		outcome = "error"
-	}
-	c.tel.ClientChunkLat.Observe(time.Since(start).Seconds(), model, outcome)
 }
 
 // OpenStream implements llm.StreamingBackend over the wire: it POSTs
@@ -416,8 +429,7 @@ func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.Chun
 	resp, body, err := c.postGenerate(sctx, &wire, sp)
 	if err != nil {
 		cancel()
-		sp.End(err)
-		c.observe("generate_stream", start, err)
+		c.settle("generate_stream", req.Model, start, sp, err)
 		return nil, err
 	}
 	s := &clientStream{buf: llm.NewStreamBuffer(req.Cont, req.MaxTokens), cancel: cancel}
@@ -426,80 +438,33 @@ func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.Chun
 }
 
 // pumpStream drains one open generation stream into its client-side
-// buffer until the done line, a protocol error, or cancellation. Token
-// lines and the done line are read by the same scanner; a line it
-// declines goes through encoding/json.
+// buffer: token lines are pushed as they arrive, the done line finishes
+// the buffer, and however the body ended the buffer, the span and the
+// request's count are settled once.
 func (c *Client) pumpStream(resp *http.Response, body *requestBuf, buf *llm.StreamBuffer, model string, start time.Time, sp *telemetry.Span) {
-	defer body.release() // once the response body is closed
-	defer resp.Body.Close()
-	scanBuf := scanBufPool.Get().(*[]byte)
-	defer scanBufPool.Put(scanBuf)
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(*scanBuf, maxScanLine)
-	finished := false
-	sl := streamLinePool.Get().(*streamLine)
-	defer streamLinePool.Put(sl)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if !sl.decode(line) {
-			var gr GenerateResponse
-			if err := json.Unmarshal(line, &gr); err != nil {
-				buf.Fail(fmt.Errorf("modeld: bad stream line: %w", err))
-				sp.End(err)
-				c.observe("generate_stream", start, err)
-				return
-			}
-			sl.fromResponse(&gr)
-			sp.Adopt(gr.Spans)
-		}
-		if sl.done {
-			sl.graftSpans(line, sp)
+	err := readStream(resp, body, sp, func(sl *streamLine) error {
+		switch {
+		case sl.done:
 			buf.Finish(llm.Chunk{
 				Done: true, DoneReason: sl.doneReason,
 				Context: sl.context, EvalCount: sl.evalCount, TotalTokens: len(sl.context),
 			})
-			finished = true
-			continue
-		}
-		if len(sl.text) == 0 && len(sl.ids) == 0 {
-			continue
-		}
-		if len(sl.ids) == 0 {
+		case len(sl.ids) > 0:
+			// Push rejects a line whose token_ends do not partition its text
+			// before buffering any of it, failing the stream.
+			return buf.Push(sl.text, sl.ids, sl.ends)
+		case len(sl.text) > 0:
 			// The daemon ignored stream_tokens (e.g. a stock Ollama):
 			// without per-line ids the buffer cannot synthesize resume
 			// state, so refuse the session before any text leaks out.
-			buf.Fail(fmt.Errorf("modeld: daemon does not echo stream tokens: %w", llm.ErrStreamUnsupported))
-			sp.End(llm.ErrStreamUnsupported)
-			c.observe("generate_stream", start, nil)
-			return
+			return fmt.Errorf("modeld: daemon does not echo stream tokens: %w", llm.ErrStreamUnsupported)
 		}
-		// Push rejects a line whose token_ends do not partition its text
-		// before buffering any of it, failing the stream.
-		if err := buf.Push(sl.text, sl.ids, sl.ends); err != nil {
-			sp.End(err)
-			c.observe("generate_stream", start, err)
-			return
-		}
+		return nil
+	})
+	if err != nil {
+		buf.Fail(err)
 	}
-	switch {
-	case finished:
-		sp.End(nil)
-		c.observe("generate_stream", start, nil)
-	case sc.Err() != nil:
-		buf.Fail(fmt.Errorf("%w: %v", ErrTruncatedStream, sc.Err()))
-		sp.End(sc.Err())
-		c.observe("generate_stream", start, sc.Err())
-	default:
-		if c.tel != nil {
-			c.tel.ClientTruncated.Inc(model)
-		}
-		buf.Fail(ErrTruncatedStream)
-		sp.End(ErrTruncatedStream)
-		c.observe("generate_stream", start, ErrTruncatedStream)
-	}
+	c.settle("generate_stream", model, start, sp, err)
 }
 
 // clientStream adapts a pumped HTTP generation stream to llm.ChunkStream.

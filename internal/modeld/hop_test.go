@@ -231,10 +231,10 @@ func TestDoneLineWithForeignKeyFallsBack(t *testing.T) {
 	}
 }
 
-// TestRequestBodyOverTheHop captures the bodies the client's three
-// generation entry points send and holds them to the json.Marshal they
-// used to be: each unmarshals to the same GenerateRequest, whatever is in
-// the prompt.
+// TestRequestBodyOverTheHop captures the bodies the client's generation
+// entry points send — and generateLines, which posts through the same
+// encoder — and holds them to the json.Marshal they used to be: each
+// unmarshals to the same GenerateRequest, whatever is in the prompt.
 func TestRequestBodyOverTheHop(t *testing.T) {
 	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
 	defer engine.Close()
@@ -285,7 +285,7 @@ func TestRequestBodyOverTheHop(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("GenerateChunk")
-		if err := client.Generate(context.Background(), wire, func(GenerateResponse) error { return nil }); err != nil {
+		if err := generateLines(client, wire, func(GenerateResponse) {}); err != nil {
 			t.Fatal(err)
 		}
 		check("Generate")

@@ -6,12 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"llmms/internal/embedding"
 	"llmms/internal/llm"
+	"llmms/internal/telemetry"
 	"llmms/internal/truthfulqa"
 )
 
@@ -31,9 +33,9 @@ func TestGenerateStreaming(t *testing.T) {
 	c, engine := newTestDaemon(t)
 	var text strings.Builder
 	var final GenerateResponse
-	err := c.Generate(context.Background(), GenerateRequest{
+	err := generateLines(c, GenerateRequest{
 		Model: llm.ModelLlama3, Prompt: "Are bats blind?",
-	}, func(gr GenerateResponse) error {
+	}, func(gr GenerateResponse) {
 		if final.Done {
 			t.Errorf("line after the done line: %+v", gr)
 		}
@@ -44,7 +46,6 @@ func TestGenerateStreaming(t *testing.T) {
 		if gr.Done {
 			final = gr
 		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +67,8 @@ func TestGenerateNonStreaming(t *testing.T) {
 	stream := false
 	req := GenerateRequest{Model: llm.ModelMistral, Prompt: "What is the capital of France?", Stream: &stream}
 	var got []GenerateResponse
-	err := c.Generate(context.Background(), req, func(gr GenerateResponse) error {
+	err := generateLines(c, req, func(gr GenerateResponse) {
 		got = append(got, gr)
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +112,7 @@ func TestGenerateChunkContinuation(t *testing.T) {
 
 func TestGenerateUnknownModel(t *testing.T) {
 	c, _ := newTestDaemon(t)
-	err := c.Generate(context.Background(), GenerateRequest{Model: "nope", Prompt: "hi"},
-		func(GenerateResponse) error { return nil })
+	err := generateLines(c, GenerateRequest{Model: "nope", Prompt: "hi"}, func(GenerateResponse) {})
 	if err == nil || !strings.Contains(err.Error(), "unknown model") {
 		t.Fatalf("expected unknown-model error, got %v", err)
 	}
@@ -262,6 +261,54 @@ func TestGenerateChunkTruncatedStream(t *testing.T) {
 	}
 	if chunk.TotalTokens != len(cont) || chunk.EvalCount != 0 {
 		t.Fatalf("token accounting on truncation: %+v", chunk)
+	}
+}
+
+// TestGenerateDroppedConnection is the daemon dying mid-answer at the
+// transport: two chunked token lines, then the connection closes without
+// the chunked body's end. Both generation paths keep what arrived and
+// report the cut as ErrTruncatedStream — the chunk path with the
+// request's continuation state and the truncation counted, a stream
+// session by draining the buffered text first.
+func TestGenerateDroppedConnection(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(w, `{"model":"m","response":"partial ","done":false,"tokens":[11]}`+"\n")
+		io.WriteString(w, `{"model":"m","response":"answer","done":false,"tokens":[12]}`+"\n")
+		w.(http.Flusher).Flush()
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	}))
+	defer srv.Close()
+	tel := telemetry.New(telemetry.Options{})
+	c := New(srv.URL, WithHTTPClient(srv.Client()), WithTelemetry(tel))
+	req := llm.ChunkRequest{Model: "m", Prompt: "q", MaxTokens: 8, Cont: []int{7, 9}}
+
+	chunk, err := c.GenerateChunk(context.Background(), req)
+	if !errors.Is(err, ErrTruncatedStream) {
+		t.Fatalf("err = %v, want ErrTruncatedStream", err)
+	}
+	if chunk.Text != "partial answer" || chunk.Done || !reflect.DeepEqual(chunk.Context, req.Cont) || chunk.EvalCount != 0 {
+		t.Fatalf("chunk = %+v, want the partial text at the request's continuation state", chunk)
+	}
+	if got := tel.ClientTruncated.Value("m"); got != 1 {
+		t.Fatalf("truncated{m} = %v, want 1", got)
+	}
+
+	st, err := c.OpenStream(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got, err := st.Next(context.Background(), 8); err != nil || got.Text != "partial answer" || got.Done {
+		t.Fatalf("first slice = %+v, %v; want the buffered text", got, err)
+	}
+	if got, err := st.Next(context.Background(), 8); !errors.Is(err, ErrTruncatedStream) {
+		t.Fatalf("second slice = %+v, %v; want ErrTruncatedStream", got, err)
 	}
 }
 

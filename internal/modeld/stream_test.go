@@ -186,12 +186,11 @@ func TestOllamaShapedLinesKeepCharactersWhole(t *testing.T) {
 				}
 				checked++
 				var joined strings.Builder
-				err = client.Generate(context.Background(), GenerateRequest{Model: model, Prompt: q}, func(gr GenerateResponse) error {
+				err = generateLines(client, GenerateRequest{Model: model, Prompt: q}, func(gr GenerateResponse) {
 					if strings.ContainsRune(gr.Response, utf8.RuneError) || gr.ResponseRaw != nil || gr.Tokens != nil {
 						t.Errorf("%s %q: Ollama-shaped line %+v", model, q, gr)
 					}
 					joined.WriteString(gr.Response)
-					return nil
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -208,12 +207,11 @@ func TestOllamaShapedLinesKeepCharactersWhole(t *testing.T) {
 		// /api/chat shares the writer; one conversation is enough.
 		msgs := []ChatMessage{{Role: "user", Content: "What is the capital of Brazil?"}}
 		var joined strings.Builder
-		err := client.ChatStream(context.Background(), ChatRequest{Model: llm.ModelMistral, Messages: msgs}, func(cr ChatResponse) error {
+		err := chatLines(client, ChatRequest{Model: llm.ModelMistral, Messages: msgs}, func(cr ChatResponse) {
 			if strings.ContainsRune(cr.Message.Content, utf8.RuneError) {
 				t.Errorf("chat line carries U+FFFD: %+v", cr)
 			}
 			joined.WriteString(cr.Message.Content)
-			return nil
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"llmms/internal/llm"
@@ -64,35 +65,38 @@ func TestTraceRoundTripOverWire(t *testing.T) {
 }
 
 // TestMalformedTraceparentFreshRoot proves the daemon treats a
-// malformed traceparent as absent for joining purposes: it starts a
-// fresh root trace rather than propagating garbage, but still returns
-// its spans (the client's Adopt drops mismatched trace IDs, so a
+// malformed traceparent — garbage, or IDs in uppercase hex, which W3C
+// Trace Context does not allow — as absent for joining purposes: it
+// starts a fresh root trace rather than propagating garbage, but still
+// returns its spans (the client's Adopt drops mismatched trace IDs, so a
 // confused sender cannot pollute anyone's tree).
 func TestMalformedTraceparentFreshRoot(t *testing.T) {
 	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
 	srv := httptest.NewServer(modeld.NewServer(engine))
 	defer srv.Close()
 
-	spans := generateWithHeader(t, srv, "not-a-traceparent")
-	if len(spans) == 0 {
-		t.Fatal("daemon returned no spans despite a traceparent header")
-	}
-	fresh := spans[0].TraceID
-	if len(fresh) != 32 {
-		t.Fatalf("fresh root trace ID = %q, want 32 hex chars", fresh)
-	}
-	for _, sp := range spans {
-		if sp.TraceID != fresh {
-			t.Errorf("daemon spans disagree on trace ID: %q vs %q", sp.TraceID, fresh)
+	const tid = "0123456789abcdef0123456789abcdef"
+	const sid = "0123456789abcdef"
+	for _, header := range []string{"not-a-traceparent", "00-" + strings.ToUpper(tid) + "-" + strings.ToUpper(sid) + "-01"} {
+		spans := generateWithHeader(t, srv, header)
+		if len(spans) == 0 {
+			t.Fatalf("%s: daemon returned no spans despite a traceparent header", header)
 		}
-		if sp.Name == "modeld.handle_generate" && sp.ParentID != "" {
-			t.Errorf("fresh root has parent %q, want none", sp.ParentID)
+		fresh := spans[0].TraceID
+		if len(fresh) != 32 || fresh == tid {
+			t.Fatalf("%s: fresh root trace ID = %q, want 32 hex chars of a new trace", header, fresh)
+		}
+		for _, sp := range spans {
+			if sp.TraceID != fresh {
+				t.Errorf("%s: daemon spans disagree on trace ID: %q vs %q", header, sp.TraceID, fresh)
+			}
+			if sp.Name == "modeld.handle_generate" && sp.ParentID != "" {
+				t.Errorf("%s: fresh root has parent %q, want none", header, sp.ParentID)
+			}
 		}
 	}
 
 	// Sanity check the inverse: a well-formed header joins its trace.
-	const tid = "0123456789abcdef0123456789abcdef"
-	const sid = "0123456789abcdef"
 	joined := generateWithHeader(t, srv, "00-"+tid+"-"+sid+"-01")
 	for _, sp := range joined {
 		if sp.TraceID != tid {

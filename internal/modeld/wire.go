@@ -7,9 +7,9 @@ import (
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf16"
 	"unicode/utf8"
 
+	"llmms/internal/jsonwire"
 	"llmms/internal/llm"
 	"llmms/internal/telemetry"
 )
@@ -20,10 +20,11 @@ import (
 // the client's decoder for the lines a stream_tokens session receives,
 // and the /api/generate request body the client writes and the daemon
 // reads. Everything is appended into pooled buffers and scanned out of
-// them without reflection; encoding/json stays the reference — each
-// scanner accepts only what it reads exactly as encoding/json would and
-// declines the rest, and the caller's only fallback is encoding/json
-// itself (FuzzStreamLine, FuzzGenerateRequest).
+// them without reflection, through internal/jsonwire: every byte written
+// is the byte encoding/json writes, and each decoder accepts only what it
+// reads exactly as encoding/json would and declines the rest, the
+// caller's only fallback being encoding/json itself (FuzzStreamLine,
+// FuzzGenerateRequest).
 //
 // A token line carries a batch of tokens — as many as the engine had
 // decoded when the writer came back for more, so one per line when
@@ -68,7 +69,7 @@ func newLineWriter(w http.ResponseWriter, model string, chat, echo bool) *lineWr
 	lw := lineWriterPool.Get().(*lineWriter)
 	lw.w, lw.chat, lw.echo, lw.lines = w, chat, echo, 0
 	lw.flusher, _ = w.(http.Flusher)
-	lw.prefix = appendJSONString(append(lw.prefix[:0], `{"model":`...), model)
+	lw.prefix = jsonwire.AppendString(append(lw.prefix[:0], `{"model":`...), model)
 	lw.prefix = append(lw.prefix, `,"created_at":"`...)
 	lw.pend = lw.pend[:0]
 	return lw
@@ -149,23 +150,28 @@ func (lw *lineWriter) writeLine(text []byte, ids, ends []int) bool {
 	return err == nil
 }
 
+// appendHead appends the members every line opens with, in declaration
+// order: model, created_at, the text — the response, or on /api/chat the
+// assistant message's content — and done.
+func (lw *lineWriter) appendHead(dst []byte, at time.Time, text []byte, done bool) []byte {
+	dst = at.UTC().AppendFormat(append(dst, lw.prefix...), time.RFC3339Nano)
+	if lw.chat {
+		dst = jsonwire.AppendString(append(dst, `","message":{"role":"assistant","content":`...), text)
+		dst = append(dst, '}')
+	} else {
+		dst = jsonwire.AppendString(append(dst, `","response":`...), text)
+	}
+	return strconv.AppendBool(append(dst, `,"done":`...), done)
+}
+
 // appendTokenLine appends the NDJSON line for one batch of tokens. ids
 // and ends are written only on echo lines.
 func (lw *lineWriter) appendTokenLine(dst []byte, at time.Time, text []byte, ids, ends []int) []byte {
-	dst = append(dst, lw.prefix...)
-	dst = at.UTC().AppendFormat(dst, time.RFC3339Nano)
-	if lw.chat {
-		dst = append(dst, `","message":{"role":"assistant","content":`...)
-		dst = appendJSONString(dst, text)
-		return append(dst, "},\"done\":false}\n"...)
-	}
-	dst = append(dst, `","response":`...)
-	dst = appendJSONString(dst, text)
-	dst = append(dst, `,"done":false`...)
+	dst = lw.appendHead(dst, at, text, false)
 	if lw.echo {
-		dst = appendInts(append(dst, `,"tokens":`...), ids)
+		dst = jsonwire.AppendInts(append(dst, `,"tokens":`...), ids)
 		if len(ids) > 1 {
-			dst = appendInts(append(dst, `,"token_ends":`...), ends)
+			dst = jsonwire.AppendInts(append(dst, `,"token_ends":`...), ends)
 		}
 		dst = appendResponseRaw(dst, text)
 	}
@@ -190,26 +196,12 @@ func appendResponseRaw(dst, text []byte) []byte {
 // daemon's trace of the generation, for a caller that sent a traceparent:
 // its finished spans are written from the arena, in place.
 func (lw *lineWriter) appendDoneLine(dst []byte, at time.Time, text []byte, final llm.Chunk, spans *telemetry.Span) []byte {
-	dst = append(dst, lw.prefix...)
-	dst = at.UTC().AppendFormat(dst, time.RFC3339Nano)
-	if lw.chat {
-		dst = append(dst, `","message":{"role":"assistant","content":`...)
-		dst = appendJSONString(dst, text)
-		dst = append(dst, `},"done":true`...)
-	} else {
-		dst = append(dst, `","response":`...)
-		dst = appendJSONString(dst, text)
-		dst = append(dst, `,"done":true`...)
-	}
-	if final.DoneReason != "" {
-		dst = appendJSONString(append(dst, `,"done_reason":`...), string(final.DoneReason))
-	}
+	dst = lw.appendHead(dst, at, text, true)
+	dst = jsonwire.AppendText(dst, `,"done_reason":`, string(final.DoneReason))
 	if !lw.chat && len(final.Context) > 0 {
-		dst = appendInts(append(dst, `,"context":`...), final.Context)
+		dst = jsonwire.AppendInts(append(dst, `,"context":`...), final.Context)
 	}
-	if final.EvalCount != 0 {
-		dst = strconv.AppendInt(append(dst, `,"eval_count":`...), int64(final.EvalCount), 10)
-	}
+	dst = jsonwire.AppendInt(dst, `,"eval_count":`, int64(final.EvalCount))
 	if lw.echo {
 		dst = appendResponseRaw(dst, text)
 	}
@@ -233,10 +225,8 @@ func appendSpan(dst []byte, d *telemetry.SpanData) []byte {
 	if d.ParentID != ([8]byte{}) {
 		dst = hex.AppendEncode(append(dst, `","parent_id":"`...), d.ParentID[:])
 	}
-	dst = appendJSONString(append(dst, `","name":`...), d.Name)
-	if d.Service != "" {
-		dst = appendJSONString(append(dst, `,"service":`...), d.Service)
-	}
+	dst = jsonwire.AppendString(append(dst, `","name":`...), d.Name)
+	dst = jsonwire.AppendText(dst, `,"service":`, d.Service)
 	dst = d.Start.AppendFormat(append(dst, `,"start":"`...), time.RFC3339Nano)
 	dst = strconv.AppendInt(append(dst, `","duration_ns":`...), int64(d.Duration), 10)
 	for i := range d.Attrs {
@@ -246,8 +236,8 @@ func appendSpan(dst []byte, d *telemetry.SpanData) []byte {
 			dst = append(dst, ',')
 		}
 		var num [24]byte
-		dst = appendJSONString(dst, d.Attrs[i].Key)
-		dst = appendJSONString(append(dst, ':'), d.Value(&d.Attrs[i], num[:0]))
+		dst = jsonwire.AppendString(dst, d.Attrs[i].Key)
+		dst = jsonwire.AppendString(append(dst, ':'), d.Value(&d.Attrs[i], num[:0]))
 	}
 	if len(d.Attrs) > 0 {
 		dst = append(dst, '}')
@@ -255,10 +245,7 @@ func appendSpan(dst []byte, d *telemetry.SpanData) []byte {
 	if !d.Failed {
 		return append(dst, `,"status":"ok"}`...)
 	}
-	dst = append(dst, `,"status":"error"`...)
-	if len(d.Error) > 0 {
-		dst = appendJSONString(append(dst, `,"error":`...), d.Error)
-	}
+	dst = jsonwire.AppendText(append(dst, `,"status":"error"`...), `,"error":`, d.Error)
 	return append(dst, '}')
 }
 
@@ -275,59 +262,6 @@ func incompleteTail(b []byte) int {
 		}
 	}
 	return 0
-}
-
-func appendInts(dst []byte, vs []int) []byte {
-	dst = append(dst, '[')
-	for i, v := range vs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendInt(dst, int64(v), 10)
-	}
-	return append(dst, ']')
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal. Like
-// encoding/json it writes invalid UTF-8 as U+FFFD; unlike it, it leaves
-// HTML characters and U+2028/9 alone.
-func appendJSONString[T string | []byte](dst []byte, s T) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c >= utf8.RuneSelf {
-			r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
-			if r == utf8.RuneError && size == 1 {
-				dst = append(append(dst, s[start:i]...), `\ufffd`...)
-				start = i + 1
-			}
-			i += size
-			continue
-		}
-		if c >= 0x20 && c != '"' && c != '\\' {
-			i++
-			continue
-		}
-		dst = append(dst, s[start:i]...)
-		switch c {
-		case '"', '\\':
-			dst = append(dst, '\\', c)
-		case '\n':
-			dst = append(dst, '\\', 'n')
-		case '\r':
-			dst = append(dst, '\\', 'r')
-		case '\t':
-			dst = append(dst, '\\', 't')
-		default:
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		}
-		i++
-		start = i
-	}
-	return append(append(dst, s[start:]...), '"')
 }
 
 // streamLine is one decoded line of a stream_tokens session, in storage
@@ -350,9 +284,13 @@ type streamLine struct {
 	span       telemetry.SpanData
 
 	response, raw, scratch, key []byte
+	// scan is readStream's initial line buffer, pooled with the rest:
+	// per-chunk streaming is the orchestrator's hottest client path, Rounds
+	// × models reads per query.
+	scan []byte
 }
 
-var streamLinePool = sync.Pool{New: func() any { return new(streamLine) }}
+var streamLinePool = sync.Pool{New: func() any { return &streamLine{scan: make([]byte, 64<<10)} }}
 
 // Keys of a stream line, as bits of the decoder's seen-set.
 const (
@@ -384,7 +322,7 @@ func once(seen *int, key int) bool {
 func (l *streamLine) reset() {
 	*l = streamLine{
 		ids: l.ids[:0], ends: l.ends[:0], context: l.context[:0], span: l.span,
-		response: l.response[:0], raw: l.raw[:0], scratch: l.scratch, key: l.key,
+		response: l.response[:0], raw: l.raw[:0], scratch: l.scratch, key: l.key, scan: l.scan,
 	}
 }
 
@@ -399,54 +337,54 @@ func (l *streamLine) reset() {
 // line (FuzzStreamLine).
 func (l *streamLine) decode(line []byte) bool {
 	l.reset()
-	s := lineScanner{b: line, key: l.key}
+	s := jsonwire.Scanner{B: line, Key: l.key}
 	seen := 0
-	ok := s.object(func(key []byte) (ok bool) {
+	ok := s.Object(func(key []byte) (ok bool) {
 		switch string(key) {
 		case "model":
-			l.scratch, ok = s.str(l.scratch[:0])
+			l.scratch, ok = s.Str(l.scratch[:0])
 			return ok && once(&seen, keyModel)
 		case "created_at":
-			l.scratch, ok = s.str(l.scratch[:0])
+			l.scratch, ok = s.Str(l.scratch[:0])
 			return ok && once(&seen, keyCreatedAt)
 		case "response":
-			l.response, ok = s.str(l.response)
+			l.response, ok = s.Str(l.response)
 			return ok && once(&seen, keyResponse)
 		case "done":
-			l.done, ok = s.bool()
+			l.done, ok = s.Bool()
 			return ok && once(&seen, keyDone)
 		case "tokens":
-			l.ids, ok = s.ints(l.ids)
+			l.ids, ok = s.Ints(l.ids)
 			return ok && once(&seen, keyTokens)
 		case "token_ends":
-			l.ends, ok = s.ints(l.ends)
+			l.ends, ok = s.Ints(l.ends)
 			return ok && once(&seen, keyTokenEnds)
 		case "response_raw":
-			if l.scratch, ok = s.str(l.scratch[:0]); ok {
+			if l.scratch, ok = s.Str(l.scratch[:0]); ok {
 				var err error
 				l.raw, err = base64.StdEncoding.AppendDecode(l.raw, l.scratch)
 				ok = err == nil
 			}
 			return ok && once(&seen, keyResponseRaw)
 		case "done_reason":
-			l.scratch, ok = s.str(l.scratch[:0])
+			l.scratch, ok = s.Str(l.scratch[:0])
 			l.doneReason = doneReason(l.scratch)
 			return ok && once(&seen, keyDoneReason)
 		case "context":
-			l.context, ok = s.ints(l.context)
+			l.context, ok = s.Ints(l.context)
 			return ok && once(&seen, keyContext)
 		case "eval_count":
-			l.evalCount, ok = s.int()
+			l.evalCount, ok = s.Int()
 			return ok && once(&seen, keyEvalCount)
 		case "spans":
-			s.ws()
-			l.spansAt = s.i
-			return once(&seen, keySpans) && s.array(func() bool { return s.spanRecord(&l.span, &l.scratch) })
+			s.SkipSpace()
+			l.spansAt = s.I
+			return once(&seen, keySpans) && s.Array(func() bool { return spanRecord(&s, &l.span, &l.scratch) })
 		}
 		return false
 	})
-	l.key = s.key
-	if !ok || !s.end() || l.done && seen&tokenLineKeys != 0 || !l.done && seen&doneLineKeys != 0 {
+	l.key = s.Key
+	if !ok || !s.End() || l.done && seen&tokenLineKeys != 0 || !l.done && seen&doneLineKeys != 0 {
 		return false
 	}
 	l.text = l.response
@@ -493,13 +431,13 @@ func (l *streamLine) graftSpans(line []byte, sp *telemetry.Span) {
 	if l.spansAt == 0 || sp == nil {
 		return
 	}
-	s := lineScanner{b: line, i: l.spansAt, key: l.key}
-	s.array(func() bool {
-		ok := s.spanRecord(&l.span, &l.scratch)
+	s := jsonwire.Scanner{B: line, I: l.spansAt, Key: l.key}
+	s.Array(func() bool {
+		ok := spanRecord(&s, &l.span, &l.scratch)
 		sp.Graft(&l.span)
 		return ok
 	})
-	l.key = s.key
+	l.key = s.Key
 }
 
 // Keys of a span record.
@@ -528,15 +466,15 @@ func spanWord(b []byte) string {
 	return string(b)
 }
 
-// spanRecord reads the next value, a telemetry.SpanRecord as JSON, into d,
+// spanRecord reads s's next value, a telemetry.SpanRecord as JSON, into d,
 // using scratch for its strings. An ID that is not a tracer's hex leaves
 // d without a span ID, which is a record Graft discards.
-func (s *lineScanner) spanRecord(d *telemetry.SpanData, scratch *[]byte) bool {
+func spanRecord(s *jsonwire.Scanner, d *telemetry.SpanData, scratch *[]byte) bool {
 	d.Reset()
 	seen, valid := 0, true
 	id := func(dst []byte, key int) bool {
 		// Hex has no escapes; a literal with one is left to encoding/json.
-		lit, ok := s.plain()
+		lit, ok := s.Plain()
 		if len(lit) > 0 || key != keyParentID {
 			_, err := hex.Decode(dst, lit[:min(len(lit), 2*len(dst))])
 			valid = valid && err == nil && len(lit) == 2*len(dst)
@@ -544,10 +482,10 @@ func (s *lineScanner) spanRecord(d *telemetry.SpanData, scratch *[]byte) bool {
 		return ok && once(&seen, key)
 	}
 	str := func(key int) (ok bool) {
-		*scratch, ok = s.str((*scratch)[:0])
+		*scratch, ok = s.Str((*scratch)[:0])
 		return ok && once(&seen, key)
 	}
-	ok := s.object(func(key []byte) (ok bool) {
+	ok := s.Object(func(key []byte) (ok bool) {
 		switch string(key) {
 		case "trace_id":
 			return id(d.TraceID[:], keyTraceID)
@@ -564,16 +502,16 @@ func (s *lineScanner) spanRecord(d *telemetry.SpanData, scratch *[]byte) bool {
 		case "start":
 			// time.Time's UnmarshalJSON parses the literal's bytes as they
 			// are, so only an escape-free literal reads the same here.
-			lit, plain := s.plain()
+			lit, plain := s.Plain()
 			ok = plain && d.Start.UnmarshalText(lit) == nil && once(&seen, keyStart)
 		case "duration_ns":
 			var n int
-			n, ok = s.int()
+			n, ok = s.Int()
 			d.Duration, ok = time.Duration(n), ok && once(&seen, keyDuration)
 		case "attrs":
-			ok = once(&seen, keyAttrs) && s.object(func(key []byte) (ok bool) {
+			ok = once(&seen, keyAttrs) && s.Object(func(key []byte) (ok bool) {
 				k := spanWord(key)
-				*scratch, ok = s.str((*scratch)[:0])
+				*scratch, ok = s.Str((*scratch)[:0])
 				d.AddAttr(k, *scratch)
 				return ok
 			})
@@ -613,22 +551,19 @@ func (rb *requestBuf) release() {
 	}
 }
 
-// encode renders req into rb.body as json.Marshal renders a
-// GenerateRequest (members in declaration order, the empty ones omitted,
-// the options object always there), minus its HTML escaping.
+// encode renders req into rb.body byte for byte as json.Marshal renders a
+// GenerateRequest: members in declaration order, the empty ones omitted,
+// the options object always there.
 func (rb *requestBuf) encode(req *GenerateRequest) {
-	dst := appendJSONString(append(rb.body[:0], `{"model":`...), req.Model)
-	dst = appendJSONString(append(dst, `,"prompt":`...), req.Prompt)
+	dst := jsonwire.AppendString(append(rb.body[:0], `{"model":`...), req.Model)
+	dst = jsonwire.AppendString(append(dst, `,"prompt":`...), req.Prompt)
 	if req.Stream != nil {
 		dst = strconv.AppendBool(append(dst, `,"stream":`...), *req.Stream)
 	}
 	if len(req.Context) > 0 {
-		dst = appendInts(append(dst, `,"context":`...), req.Context)
+		dst = jsonwire.AppendInts(append(dst, `,"context":`...), req.Context)
 	}
-	dst = append(dst, `,"options":{`...)
-	if req.Options.NumPredict != 0 {
-		dst = strconv.AppendInt(append(dst, `"num_predict":`...), int64(req.Options.NumPredict), 10)
-	}
+	dst = jsonwire.AppendInt(append(dst, `,"options":{`...), `"num_predict":`, int64(req.Options.NumPredict))
 	if req.Options.StreamTokens {
 		if req.Options.NumPredict != 0 {
 			dst = append(dst, ',')
@@ -657,35 +592,35 @@ const (
 // encoding/json.
 func (rb *requestBuf) decode(req *GenerateRequest) bool {
 	*req = GenerateRequest{}
-	s := lineScanner{b: rb.body, key: rb.key}
+	s := jsonwire.Scanner{B: rb.body, Key: rb.key}
 	seen := 0
-	ok := s.object(func(key []byte) (ok bool) {
+	ok := s.Object(func(key []byte) (ok bool) {
 		switch string(key) {
 		case "model":
-			rb.str, ok = s.str(rb.str[:0])
+			rb.str, ok = s.Str(rb.str[:0])
 			req.Model = string(rb.str)
 			return ok && once(&seen, reqModel)
 		case "prompt":
-			rb.str, ok = s.str(rb.str[:0])
+			rb.str, ok = s.Str(rb.str[:0])
 			req.Prompt = string(rb.str)
 			return ok && once(&seen, reqPrompt)
 		case "stream":
 			var stream bool
-			stream, ok = s.bool()
+			stream, ok = s.Bool()
 			req.Stream = &stream
 			return ok && once(&seen, reqStream)
 		case "context":
-			rb.ints, ok = s.ints(rb.ints[:0])
+			rb.ints, ok = s.Ints(rb.ints[:0])
 			req.Context = append(make([]int, 0, len(rb.ints)), rb.ints...)
 			return ok && once(&seen, reqContext)
 		case "options":
-			return once(&seen, reqOptions) && s.object(func(key []byte) (ok bool) {
+			return once(&seen, reqOptions) && s.Object(func(key []byte) (ok bool) {
 				switch string(key) {
 				case "num_predict":
-					req.Options.NumPredict, ok = s.int()
+					req.Options.NumPredict, ok = s.Int()
 					return ok && once(&seen, reqNumPredict)
 				case "stream_tokens":
-					req.Options.StreamTokens, ok = s.bool()
+					req.Options.StreamTokens, ok = s.Bool()
 					return ok && once(&seen, reqStreamTokens)
 				}
 				return false
@@ -693,216 +628,10 @@ func (rb *requestBuf) decode(req *GenerateRequest) bool {
 		}
 		return false
 	})
-	rb.key = s.key
-	if !ok || !s.end() {
+	rb.key = s.Key
+	if !ok || !s.End() {
 		*req = GenerateRequest{}
 		return false
 	}
 	return true
-}
-
-// lineScanner reads the JSON subset the daemon and the client write to
-// each other. Every method reports false on input it does not read, never
-// an error: the caller's fallback decides whether the input is actually
-// malformed.
-type lineScanner struct {
-	b []byte
-	i int
-	// key holds the member key object is at; its storage is the caller's,
-	// handed in and taken back so it keeps its capacity.
-	key []byte
-}
-
-// object reads the JSON object that is next, calling member for each of
-// its members with the scanner at the value and key the member's name —
-// valid only until member reads another object.
-func (s *lineScanner) object(member func(key []byte) bool) bool {
-	if !s.lit('{') {
-		return false
-	}
-	for first := true; !s.lit('}'); first = false {
-		if !first && !s.lit(',') {
-			return false
-		}
-		var ok bool
-		if s.key, ok = s.str(s.key[:0]); !ok || !s.lit(':') || !member(s.key) {
-			return false
-		}
-	}
-	return true
-}
-
-// array reads the JSON array that is next, calling element with the
-// scanner at each of its values.
-func (s *lineScanner) array(element func() bool) bool {
-	if !s.lit('[') {
-		return false
-	}
-	for first := true; !s.lit(']'); first = false {
-		if !first && !s.lit(',') || !element() {
-			return false
-		}
-	}
-	return true
-}
-
-// end reports whether nothing but white space is left.
-func (s *lineScanner) end() bool {
-	s.ws()
-	return s.i == len(s.b)
-}
-
-func (s *lineScanner) bool() (v, ok bool) {
-	if s.word("true") {
-		return true, true
-	}
-	return false, s.word("false")
-}
-
-// plain returns the bytes of the next JSON string in place when it is
-// written without escapes.
-func (s *lineScanner) plain() ([]byte, bool) {
-	if !s.lit('"') {
-		return nil, false
-	}
-	for start := s.i; s.i < len(s.b); s.i++ {
-		switch c := s.b[s.i]; {
-		case c == '"':
-			s.i++
-			return s.b[start : s.i-1], true
-		case c == '\\' || c < 0x20:
-			return nil, false
-		}
-	}
-	return nil, false
-}
-
-func (s *lineScanner) ws() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\n', '\r':
-			s.i++
-		default:
-			return
-		}
-	}
-}
-
-// lit skips white space and consumes c if it is next.
-func (s *lineScanner) lit(c byte) bool {
-	s.ws()
-	if s.i < len(s.b) && s.b[s.i] == c {
-		s.i++
-		return true
-	}
-	return false
-}
-
-func (s *lineScanner) word(w string) bool {
-	s.ws()
-	if len(s.b)-s.i >= len(w) && string(s.b[s.i:s.i+len(w)]) == w {
-		s.i += len(w)
-		return true
-	}
-	return false
-}
-
-// str appends the next JSON string, unescaped, to dst. It declines
-// surrogate escapes and anything that is not valid UTF-8, where
-// encoding/json would substitute U+FFFD.
-func (s *lineScanner) str(dst []byte) ([]byte, bool) {
-	if !s.lit('"') {
-		return dst, false
-	}
-	from := len(dst)
-	for s.i < len(s.b) {
-		c := s.b[s.i]
-		s.i++
-		switch {
-		case c == '"':
-			return dst, utf8.Valid(dst[from:])
-		case c < 0x20:
-			return dst, false
-		case c != '\\':
-			dst = append(dst, c)
-			continue
-		}
-		if s.i >= len(s.b) {
-			return dst, false
-		}
-		c = s.b[s.i]
-		s.i++
-		switch c {
-		case '"', '\\', '/':
-			dst = append(dst, c)
-		case 'b':
-			dst = append(dst, '\b')
-		case 'f':
-			dst = append(dst, '\f')
-		case 'n':
-			dst = append(dst, '\n')
-		case 'r':
-			dst = append(dst, '\r')
-		case 't':
-			dst = append(dst, '\t')
-		case 'u':
-			if len(s.b)-s.i < 4 {
-				return dst, false
-			}
-			var r rune
-			for _, h := range s.b[s.i : s.i+4] {
-				switch {
-				case '0' <= h && h <= '9':
-					r = r<<4 | rune(h-'0')
-				case 'a' <= h && h <= 'f':
-					r = r<<4 | rune(h-'a'+10)
-				case 'A' <= h && h <= 'F':
-					r = r<<4 | rune(h-'A'+10)
-				default:
-					return dst, false
-				}
-			}
-			if utf16.IsSurrogate(r) {
-				return dst, false
-			}
-			s.i += 4
-			dst = utf8.AppendRune(dst, r)
-		default:
-			return dst, false
-		}
-	}
-	return dst, false
-}
-
-// ints appends the next JSON array of integers to dst.
-func (s *lineScanner) ints(dst []int) ([]int, bool) {
-	ok := s.array(func() bool {
-		v, ok := s.int()
-		dst = append(dst, v)
-		return ok
-	})
-	return dst, ok
-}
-
-// int reads the next JSON number when it is a plain integer of one to
-// eighteen digits (no overflow) without a leading zero. A fraction or an
-// exponent is left unread, where whatever must follow the value fails.
-func (s *lineScanner) int() (int, bool) {
-	s.ws()
-	neg := s.i < len(s.b) && s.b[s.i] == '-'
-	if neg {
-		s.i++
-	}
-	start, v := s.i, 0
-	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
-		v = v*10 + int(s.b[s.i]-'0')
-		s.i++
-	}
-	if n := s.i - start; n == 0 || n > 18 || (n > 1 && s.b[start] == '0') {
-		return 0, false
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
 }

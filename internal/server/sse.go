@@ -5,14 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
-	"strconv"
 	"sync"
-	"time"
-	"unicode/utf8"
 
 	"llmms/internal/core"
+	"llmms/internal/jsonwire"
 	"llmms/internal/telemetry"
 )
 
@@ -213,11 +210,11 @@ func (sw *sseWriter) result(res core.Result) bool {
 		// Keys in sorted order: the frame was a marshaled map.
 		start := sw.begin("result")
 		sw.buf = append(sw.buf, `{"query_id":`...)
-		sw.buf = appendJSONString(sw.buf, sw.queryID)
+		sw.buf = jsonwire.AppendString(sw.buf, sw.queryID)
 		sw.buf = append(sw.buf, `,"result":`...)
 		sw.buf = append(sw.buf, data...)
 		sw.buf = append(sw.buf, `,"session_id":`...)
-		sw.buf = appendJSONString(sw.buf, sw.sessID)
+		sw.buf = jsonwire.AppendString(sw.buf, sw.sessID)
 		sw.buf = append(sw.buf, '}')
 		sw.end("result", start)
 	}
@@ -231,9 +228,9 @@ func (sw *sseWriter) fail(code, message string) {
 	if !sw.skip() {
 		start := sw.begin("error")
 		sw.buf = append(sw.buf, `{"error":{"code":`...)
-		sw.buf = appendJSONString(sw.buf, code)
+		sw.buf = jsonwire.AppendString(sw.buf, code)
 		sw.buf = append(sw.buf, `,"message":`...)
-		sw.buf = appendJSONString(sw.buf, message)
+		sw.buf = jsonwire.AppendString(sw.buf, message)
 		sw.buf = append(sw.buf, "}}"...)
 		sw.end("error", start)
 	}
@@ -287,143 +284,25 @@ func (sw *sseWriter) flush() {
 // json.Marshal would return an error (a NaN or infinite float, a time
 // RFC 3339 cannot carry). FuzzEventFrame holds the two together.
 func appendEventJSON(b []byte, ev *core.Event) ([]byte, bool) {
-	if !finite(ev.Score) || !finite(ev.QuerySim) || !finite(ev.InterSim) {
+	if !jsonwire.Finite(ev.Score) || !jsonwire.Finite(ev.QuerySim) || !jsonwire.Finite(ev.InterSim) {
 		return b, false
 	}
 	b = append(b, `{"type":`...)
-	b = appendJSONString(b, string(ev.Type))
+	b = jsonwire.AppendString(b, string(ev.Type))
 	b = append(b, `,"strategy":`...)
-	b = appendJSONString(b, string(ev.Strategy))
+	b = jsonwire.AppendString(b, string(ev.Strategy))
 	b = append(b, `,"time":`...)
-	b, ok := appendJSONTime(b, ev.Time)
-	b = appendJSONInt(b, `,"round":`, int64(ev.Round))
-	b = appendJSONText(b, `,"model":`, ev.Model)
-	b = appendJSONText(b, `,"text":`, ev.Text)
-	b = appendJSONInt(b, `,"tokens":`, int64(ev.Tokens))
-	b = appendJSONFloat(b, `,"score":`, ev.Score)
-	b = appendJSONFloat(b, `,"query_sim":`, ev.QuerySim)
-	b = appendJSONFloat(b, `,"inter_sim":`, ev.InterSim)
-	b = appendJSONText(b, `,"reason":`, ev.Reason)
-	b = appendJSONInt(b, `,"attempts":`, int64(ev.Attempts))
-	b = appendJSONInt(b, `,"prefetched":`, int64(ev.Prefetched))
-	b = appendJSONInt(b, `,"elapsed_ns":`, int64(ev.Elapsed))
+	b, ok := jsonwire.AppendTime(b, ev.Time)
+	b = jsonwire.AppendInt(b, `,"round":`, int64(ev.Round))
+	b = jsonwire.AppendText(b, `,"model":`, ev.Model)
+	b = jsonwire.AppendText(b, `,"text":`, ev.Text)
+	b = jsonwire.AppendInt(b, `,"tokens":`, int64(ev.Tokens))
+	b = jsonwire.AppendFloat(b, `,"score":`, ev.Score)
+	b = jsonwire.AppendFloat(b, `,"query_sim":`, ev.QuerySim)
+	b = jsonwire.AppendFloat(b, `,"inter_sim":`, ev.InterSim)
+	b = jsonwire.AppendText(b, `,"reason":`, ev.Reason)
+	b = jsonwire.AppendInt(b, `,"attempts":`, int64(ev.Attempts))
+	b = jsonwire.AppendInt(b, `,"prefetched":`, int64(ev.Prefetched))
+	b = jsonwire.AppendInt(b, `,"elapsed_ns":`, int64(ev.Elapsed))
 	return append(b, '}'), ok
-}
-
-// appendJSONInt appends an omitempty integer field.
-func appendJSONInt(b []byte, key string, v int64) []byte {
-	if v == 0 {
-		return b
-	}
-	return strconv.AppendInt(append(b, key...), v, 10)
-}
-
-// appendJSONText appends an omitempty string field.
-func appendJSONText(b []byte, key, v string) []byte {
-	if v == "" {
-		return b
-	}
-	return appendJSONString(append(b, key...), v)
-}
-
-func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
-
-// appendJSONFloat appends an omitempty finite float field in
-// encoding/json's format: ES6 number-to-string, so %e only below 1e-6 and
-// from 1e21, with a one-digit exponent unpadded. Negative zero is zero
-// and omitted.
-func appendJSONFloat(b []byte, key string, f float64) []byte {
-	if f == 0 {
-		return b
-	}
-	b = append(b, key...)
-	format := byte('f')
-	if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// appendJSONTime appends t as time.Time.MarshalJSON does: quoted RFC 3339
-// with nanoseconds, refusing what RFC 3339 cannot express (a year outside
-// [0,9999], a zone offset of 24 hours or more).
-func appendJSONTime(b []byte, t time.Time) ([]byte, bool) {
-	b = append(b, '"')
-	n0 := len(b)
-	b = t.AppendFormat(b, time.RFC3339Nano)
-	ok := b[n0+len("9999")] == '-' // a year of exactly four digits
-	if ok && b[len(b)-1] != 'Z' {
-		zone := b[len(b)-len("+07:00"):]
-		ok = (zone[0] < '0' || zone[0] > '9') && 10*(zone[1]-'0')+(zone[2]-'0') < 24
-	}
-	return append(b, '"'), ok
-}
-
-// jsonSafe marks the ASCII bytes encoding/json copies into a string
-// unescaped with HTML escaping on, as json.Marshal has it.
-var jsonSafe = func() (t [utf8.RuneSelf]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-	}
-	return t
-}()
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string exactly as json.Marshal
-// does: control bytes, quotes, backslash and <, >, & escaped, U+2028 and
-// U+2029 escaped, invalid UTF-8 replaced by \ufffd.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if jsonSafe[c] {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-			start = i + size
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }

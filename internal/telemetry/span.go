@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -605,11 +606,12 @@ func (s *Span) Traceparent() string {
 
 // ParseTraceparent validates a W3C traceparent header value and returns
 // its trace and parent-span IDs. ok is false for anything malformed —
-// wrong length, unknown version, non-hex, or all-zero IDs — in which
-// case the callee should fall back to a fresh root span.
+// wrong length, unknown version, anything but lowercase hex (the spec's
+// HEXDIGLC), or all-zero IDs — in which case the callee should fall back
+// to a fresh root span.
 func ParseTraceparent(h string) (traceID, spanID string, ok bool) {
 	// 00-{32 hex}-{16 hex}-{2 hex} = 55 bytes; only version 00 is understood.
-	if len(h) != 55 || h[:3] != "00-" || h[35] != '-' || h[52] != '-' {
+	if len(h) != 55 || h[:3] != "00-" || h[35] != '-' || h[52] != '-' || strings.ContainsAny(h, "ABCDEF") {
 		return "", "", false
 	}
 	var id [16]byte

@@ -181,12 +181,79 @@ func TestParseTraceparentMalformed(t *testing.T) {
 		"00-0123456789abcdef0123456789abcdeZ-0123456789abcdef-01",  // non-hex
 		"00-0123456789abcdef0123456789abcdef_0123456789abcdef-01",  // bad separator
 		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01x", // too long
+		"00-0123456789abcdef0123456789ABCDEF-0123456789ABCDEF-01",  // uppercase hex
 	}
 	for _, h := range cases {
 		if _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) = ok, want reject", h)
 		}
 	}
+}
+
+// refTraceparent parses h by the letter of W3C Trace Context's grammar
+// for version 00, the one version understood here:
+//
+//	traceparent = version "-" trace-id "-" parent-id "-" trace-flags
+//	version     = 2HEXDIGLC   ; "00"
+//	trace-id    = 32HEXDIGLC  ; not all zeros
+//	parent-id   = 16HEXDIGLC  ; not all zeros
+//	trace-flags = 2HEXDIGLC
+func refTraceparent(h string) (traceID, parentID string, ok bool) {
+	fields := strings.Split(h, "-")
+	if len(fields) != 4 || fields[0] != "00" {
+		return "", "", false
+	}
+	for i, n := range []int{2, 32, 16, 2} {
+		if len(fields[i]) != n || strings.Trim(fields[i], "0123456789abcdef") != "" {
+			return "", "", false
+		}
+	}
+	if strings.Trim(fields[1], "0") == "" || strings.Trim(fields[2], "0") == "" {
+		return "", "", false
+	}
+	return fields[1], fields[2], true
+}
+
+// FuzzTraceparent holds ParseTraceparent to the spec-literal reader: it
+// accepts exactly what refTraceparent accepts, with the same IDs, and a
+// root started from an accepted header joins that trace under that
+// parent and renders the trace back in its own traceparent.
+func FuzzTraceparent(f *testing.F) {
+	_, root := NewTracer("test").StartRoot(context.Background(), "query")
+	f.Add(root.Traceparent())
+	root.End(nil)
+	for _, h := range []string{
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-00",
+		"00-0123456789abcdef0123456789ABCDEF-0123456789abcdef-01",
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-0A",
+		"01-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
+		"00-00000000000000000000000000000000-0123456789abcdef-01",
+		"00-0123456789abcdef0123456789abcdef-0000000000000000-01",
+		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01-",
+		"00-+123456789abcdef0123456789abcdef-0123456789abcdef-01",
+		"",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, ok := ParseTraceparent(h)
+		wantTID, wantSID, wantOK := refTraceparent(h)
+		if ok != wantOK || tid != wantTID || sid != wantSID {
+			t.Fatalf("ParseTraceparent(%q) = %q, %q, %v; the spec reads %q, %q, %v", h, tid, sid, ok, wantTID, wantSID, wantOK)
+		}
+		if !ok {
+			return
+		}
+		_, root := NewTracer("modeld").StartRootFrom(context.Background(), "modeld.handle_generate", tid, sid)
+		root.Hold()
+		defer root.Release()
+		back, _, ok := ParseTraceparent(root.Traceparent())
+		root.End(nil)
+		if recs := root.Records(); !ok || back != tid || root.TraceID() != tid || len(recs) != 1 || recs[0].ParentID != sid {
+			t.Fatalf("a root started from %q renders %q (trace %q, records %+v)", h, root.Traceparent(), root.TraceID(), recs)
+		}
+	})
 }
 
 func TestStartRootFromJoinsUpstream(t *testing.T) {

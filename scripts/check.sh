@@ -43,6 +43,17 @@ go test -race -count=20 -run 'TestConcurrentRunsShareOneEncoder|TestFlightFollow
 echo "== fuzz smoke: FuzzBorrow 10s"
 go test -run '^$' -fuzz '^FuzzBorrow$' -fuzztime 10s ./internal/embedding >/dev/null
 
+# The wire codecs against encoding/json, their reference: the string rule
+# of internal/jsonwire, the formats built on it at both ends of the modeld
+# hop and in the SSE egress, and the traceparent header against the spec.
+for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telemetry' \
+	'FuzzStreamLine ./internal/modeld' 'FuzzGenerateRequest ./internal/modeld' \
+	'FuzzEventFrame ./internal/server'; do
+	set -- $target
+	echo "== fuzz smoke: $1 10s"
+	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2" >/dev/null
+done
+
 # Every internal package must be in the import closure of a binary: one
 # that only tests and examples reach is code the product does not run.
 echo "== reachability: go list ./internal/... within go list -deps ./cmd/..."
