@@ -25,7 +25,8 @@ import (
 // failure of the query.
 var ErrStreamUnsupported = errors.New("llm: persistent generation streams unsupported")
 
-// ErrStreamClosed reports a Next call on a stream after Close.
+// ErrStreamClosed reports a Next call on a stream after Close, and a
+// StreamBuffer's refusal of tokens pushed after it.
 var ErrStreamClosed = errors.New("llm: generation stream closed")
 
 // ChunkStream is one model's open generation session for one query.
@@ -76,7 +77,9 @@ type StreamingBackend interface {
 // the producer happened to batch its deliveries.
 //
 // All methods are safe for concurrent use by one producer and one
-// consumer.
+// consumer. The text and offset stores come from a pool and go back to it
+// at Close: every use of them is under the mutex and refused once the
+// buffer is closed, so no late Push can write into a recycled store.
 type StreamBuffer struct {
 	mu sync.Mutex
 	// wake nudges the blocked Drain. The producer sends only once the
@@ -97,6 +100,8 @@ type StreamBuffer struct {
 	text []byte
 	ends []int
 	head int
+	// store is the pooled home of text and ends until Close.
+	store *streamStore
 
 	final  *Chunk // terminal metadata, set by Finish
 	err    error  // set by Fail or a rejected Push
@@ -108,6 +113,15 @@ type StreamBuffer struct {
 // one (a bandit opens every model with the whole query's budget), so past
 // this the buffer grows on demand instead.
 const streamBufferTokens = 64
+
+// streamStore is a buffer's text and offsets, recycled from session to
+// session; the ids are not, since drained Contexts alias them.
+type streamStore struct {
+	text []byte
+	ends []int
+}
+
+var streamStorePool = sync.Pool{New: func() any { return new(streamStore) }}
 
 // NewStreamBuffer returns a buffer for a stream resumed from cont (nil
 // starts fresh) that may carry up to maxTokens tokens (<= 0: unknown). It
@@ -121,12 +135,14 @@ func NewStreamBuffer(cont []int, maxTokens int) *StreamBuffer {
 	}
 	ids := make([]int, len(cont), len(cont)+n)
 	copy(ids, cont)
+	st := streamStorePool.Get().(*streamStore)
 	return &StreamBuffer{
-		wake: make(chan struct{}, 1),
-		ids:  ids,
-		base: len(cont),
-		text: make([]byte, 0, n*streamBufferBytesPerToken),
-		ends: make([]int, 0, n),
+		wake:  make(chan struct{}, 1),
+		ids:   ids,
+		base:  len(cont),
+		text:  slices.Grow(st.text[:0], n*streamBufferBytesPerToken),
+		ends:  slices.Grow(st.ends[:0], n),
+		store: st,
 	}
 }
 
@@ -161,14 +177,18 @@ func (b *StreamBuffer) signalLocked() {
 // continuation state a fallback could not reproduce: text without ids
 // fails with ErrStreamUnsupported, offsets that do not partition text
 // with a plain error. The failure is also returned, so the producer can
-// stop reading. text, ids and ends are copied.
+// stop reading. text, ids and ends are copied. After Close it refuses
+// with ErrStreamClosed.
 func (b *StreamBuffer) Push(text []byte, ids, ends []int) error {
 	if len(text) == 0 && len(ids) == 0 {
 		return nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.final != nil || b.err != nil {
+	switch {
+	case b.closed:
+		return ErrStreamClosed
+	case b.final != nil || b.err != nil:
 		return b.err
 	}
 	if err := checkBatch(text, ids, ends); err != nil {
@@ -218,12 +238,15 @@ func checkBatch(text []byte, ids, ends []int) error {
 // the buffer holds — the opened-from state plus every pushed token, which
 // is what a consistent stream ends on — the buffer's own array serves as
 // the terminal Context, and otherwise it is cloned. The caller may reuse
-// its slice.
-func (b *StreamBuffer) Finish(final Chunk) {
+// its slice. After Close it refuses with ErrStreamClosed.
+func (b *StreamBuffer) Finish(final Chunk) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.final != nil || b.err != nil {
-		return
+	switch {
+	case b.closed:
+		return ErrStreamClosed
+	case b.final != nil || b.err != nil:
+		return nil
 	}
 	f := final
 	if slices.Equal(f.Context, b.ids) {
@@ -233,6 +256,7 @@ func (b *StreamBuffer) Finish(final Chunk) {
 	}
 	b.final = &f
 	b.signalLocked()
+	return nil
 }
 
 // Fail records a mid-stream error. Already-buffered tokens remain
@@ -252,12 +276,22 @@ func (b *StreamBuffer) Fail(err error) {
 }
 
 // Close marks the buffer closed: subsequent Drains return
-// ErrStreamClosed without serving buffered text.
+// ErrStreamClosed without serving buffered text, and Push and Finish
+// refuse; the text and offset stores go back to the pool.
 func (b *StreamBuffer) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.closed {
+		return
+	}
 	b.closed = true
 	b.signalLocked()
+	st := b.store
+	st.text, st.ends = b.text[:0], b.ends[:0]
+	b.text, b.ends, b.head, b.store = nil, nil, 0, nil
+	if cap(st.ends) <= 4096 { // an outsized session's store is left to the GC
+		streamStorePool.Put(st)
+	}
 }
 
 // Buffered reports the generated-but-undrained token count.

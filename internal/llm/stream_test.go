@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,14 +228,21 @@ func TestStreamBufferRejectsIdlessPieces(t *testing.T) {
 	}
 }
 
-// TestStreamBufferCloseAndContext checks Close poisons the buffer and a
-// ctx cancel with an empty buffer returns the ctx error.
+// TestStreamBufferCloseAndContext checks Close poisons the buffer — a
+// closed buffer refuses tokens and the terminal chunk as well as drains —
+// and a ctx cancel with an empty buffer returns the ctx error.
 func TestStreamBufferCloseAndContext(t *testing.T) {
 	b := NewStreamBuffer(nil, 0)
 	b.Push([]byte("x"), []int{1}, nil)
 	b.Close()
 	if _, err := b.Drain(context.Background(), 1); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("post-close drain err = %v, want ErrStreamClosed", err)
+	}
+	if err := b.Push([]byte("y"), []int{2}, nil); !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("post-close push err = %v, want ErrStreamClosed", err)
+	}
+	if err := b.Finish(Chunk{Done: true, DoneReason: DoneStop}); !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("post-close finish err = %v, want ErrStreamClosed", err)
 	}
 
 	b2 := NewStreamBuffer(nil, 0)
@@ -249,6 +257,50 @@ func TestStreamBufferCloseAndContext(t *testing.T) {
 	if c, err := b3.Drain(ctx, 4); err != nil || c.Text != "y" {
 		t.Fatalf("canceled partial drain = %q, %v; want y, nil", c.Text, err)
 	}
+}
+
+// TestStreamBufferCloseRacesProducer closes buffers while their producer
+// is still pushing and finishing, many at once so the pooled stores pass
+// from one buffer to the next: under -race any touch of a store after it
+// went back to the pool is a report, and every slice a consumer drained
+// must still be the producer's text.
+func TestStreamBufferCloseRacesProducer(t *testing.T) {
+	const tokens = 40
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				b := NewStreamBuffer(nil, tokens)
+				go func() {
+					for k := 0; k < tokens; k++ {
+						if b.Push([]byte{'a' + byte(k%26)}, []int{k}, nil) != nil {
+							return
+						}
+					}
+					b.Finish(Chunk{Done: true, DoneReason: DoneStop})
+				}()
+				var got string
+				for n := 0; n < i%7; n++ {
+					c, err := b.Drain(context.Background(), 3)
+					if err != nil {
+						t.Errorf("drain: %v", err)
+						return
+					}
+					got += c.Text
+				}
+				b.Close()
+				for k := range got {
+					if got[k] != 'a'+byte(k%26) {
+						t.Errorf("drained %q: byte %d is not the producer's", got, k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestEngineStreamMatchesChunkedPath drains an engine stream in

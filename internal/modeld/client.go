@@ -76,6 +76,9 @@ func defaultHTTPClient() *http.Client {
 			IdleConnTimeout:       90 * time.Second,
 			TLSHandshakeTimeout:   10 * time.Second,
 			ExpectContinueTimeout: time.Second,
+			// The daemon never gzips NDJSON: asking it to is a header for
+			// both ends to write and parse, every request.
+			DisableCompression: true,
 		}}
 	})
 	return defaultClient
@@ -89,6 +92,8 @@ type Option func(*Client)
 
 // WithHTTPClient overrides the package's shared fan-out-tuned HTTP
 // client (see defaultHTTPClient) entirely. A nil hc keeps the default.
+// Generation (GenerateChunk, OpenStream) uses only hc.Transport, or
+// http.DefaultTransport: hc.Timeout, Jar and CheckRedirect do not apply.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) {
 		if hc != nil {
@@ -150,7 +155,8 @@ func outcome(err error) string {
 	switch {
 	case err == nil:
 		return "ok"
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded),
+		errors.Is(err, llm.ErrStreamClosed):
 		return "canceled"
 	}
 	return "error"
@@ -216,18 +222,24 @@ func decodeError(resp *http.Response) error {
 	return fmt.Errorf("modeld: %s", resp.Status)
 }
 
-// jsonContentType is the Content-Type header value of every generation
-// request, shared: the transport only reads it.
-var jsonContentType = []string{"application/json"}
+// Header values shared by every generation request and daemon reply, read
+// only; an empty User-Agent keeps the transport from sending its own.
+var (
+	jsonContentType   = []string{"application/json"}
+	ndjsonContentType = []string{"application/x-ndjson"}
+	noUserAgent       = []string{""}
+)
 
 // postGenerate POSTs req to /api/generate under ctx, with sp's traceparent
 // when there is a span, and returns the response once the daemon has
 // accepted the request (any other status is an error). The request is a
 // copy of the one New built and its body is encoded into a pooled buffer,
-// so nothing is parsed or reflected over per call. The caller releases
-// body once it has closed the response body — until then the transport
-// may still be sending it, which is also why a failed call leaves its
-// buffer to the garbage collector.
+// so nothing is parsed or reflected over per call; it goes straight to the
+// transport, since ctx and Timeout bound it and the daemon neither
+// redirects nor sets cookies. The caller releases body once it has closed
+// the response body — until then the transport may still be sending it,
+// which is also why a failed call leaves its buffer to the garbage
+// collector.
 func (c *Client) postGenerate(ctx context.Context, req *GenerateRequest, sp *telemetry.Span) (resp *http.Response, body *requestBuf, err error) {
 	if c.generateErr != nil {
 		return nil, nil, c.generateErr
@@ -236,7 +248,7 @@ func (c *Client) postGenerate(ctx context.Context, req *GenerateRequest, sp *tel
 	body.encode(req)
 	data := body.body
 	httpReq := c.generate.WithContext(ctx)
-	httpReq.Header = http.Header{"Content-Type": jsonContentType}
+	httpReq.Header = http.Header{"Content-Type": jsonContentType, "User-Agent": noUserAgent}
 	if tp := sp.Traceparent(); tp != "" {
 		httpReq.Header["Traceparent"] = []string{tp}
 	}
@@ -245,7 +257,11 @@ func (c *Client) postGenerate(ctx context.Context, req *GenerateRequest, sp *tel
 	// GetBody lets the transport replay the request when a kept-alive
 	// connection turns out to have been closed under it.
 	httpReq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }
-	resp, err = c.hc.Do(httpReq)
+	rt := c.hc.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	resp, err = rt.RoundTrip(httpReq)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -440,12 +456,13 @@ func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.Chun
 // pumpStream drains one open generation stream into its client-side
 // buffer: token lines are pushed as they arrive, the done line finishes
 // the buffer, and however the body ended the buffer, the span and the
-// request's count are settled once.
+// request's count are settled once. A buffer the consumer closed refuses
+// the next line, which ends the read and counts as canceled.
 func (c *Client) pumpStream(resp *http.Response, body *requestBuf, buf *llm.StreamBuffer, model string, start time.Time, sp *telemetry.Span) {
 	err := readStream(resp, body, sp, func(sl *streamLine) error {
 		switch {
 		case sl.done:
-			buf.Finish(llm.Chunk{
+			return buf.Finish(llm.Chunk{
 				Done: true, DoneReason: sl.doneReason,
 				Context: sl.context, EvalCount: sl.evalCount, TotalTokens: len(sl.context),
 			})

@@ -117,6 +117,29 @@ func TestClientCanceledOutcome(t *testing.T) {
 	}
 }
 
+// TestClientClosedStreamCountsCanceled checks a session whose consumer
+// closed it before the pump read its lines: the buffer refuses the next
+// line, the pump stops reading there, and the request counts as
+// canceled, not as an error or a success.
+func TestClientClosedStreamCountsCanceled(t *testing.T) {
+	tel := telemetry.New(telemetry.Options{})
+	c := New("http://127.0.0.1:1", WithTelemetry(tel))
+	req, _ := http.NewRequest(http.MethodPost, "http://127.0.0.1:1/api/generate", nil)
+	lines := string(echoLine("late", []int{7}, nil)) + `{"model":"m","created_at":"","response":"","done":true,"done_reason":"stop"}` + "\n"
+	resp := &http.Response{Body: io.NopCloser(strings.NewReader(lines)), Request: req}
+	buf := llm.NewStreamBuffer(nil, 8)
+	buf.Close()
+	c.pumpStream(resp, requestBufPool.Get().(*requestBuf), buf, "m", time.Now(), nil)
+	for _, outcome := range []string{"ok", "error"} {
+		if got := tel.ClientRequests.Value("generate_stream", outcome); got != 0 {
+			t.Errorf("requests{generate_stream,%s} = %v, want 0", outcome, got)
+		}
+	}
+	if got := tel.ClientRequests.Value("generate_stream", "canceled"); got != 1 {
+		t.Errorf("requests{generate_stream,canceled} = %v, want 1", got)
+	}
+}
+
 // TestDaemonMetricsEndpoint checks the daemon's own /metrics page
 // counts requests by route pattern and generated tokens by model.
 func TestDaemonMetricsEndpoint(t *testing.T) {

@@ -27,6 +27,9 @@ func TestDefaultClientSharedOnce(t *testing.T) {
 	if !ok {
 		t.Fatalf("default transport is %T, want *http.Transport", a.hc.Transport)
 	}
+	if !tr.DisableCompression {
+		t.Fatal("default transport must not ask the daemon for gzip")
+	}
 	if tr.MaxIdleConnsPerHost <= http.DefaultMaxIdleConnsPerHost {
 		t.Fatalf("MaxIdleConnsPerHost = %d, want more than net/http's default %d",
 			tr.MaxIdleConnsPerHost, http.DefaultMaxIdleConnsPerHost)

@@ -90,8 +90,7 @@ func (lw *lineWriter) release() {
 // failed write means the client went away; the request context stops the
 // generation.
 func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) *telemetry.Span) {
-	lw.w.Header().Set("Content-Type", "application/x-ndjson")
-	lw.w.WriteHeader(http.StatusOK)
+	lw.writeHeader(ndjsonContentType)
 	for more := true; more; {
 		var final llm.Chunk
 		final, more = lw.batch.Fill(g)
@@ -118,10 +117,16 @@ func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) *te
 // reply writes a whole stream=false answer: the done object carrying all
 // of the text.
 func (lw *lineWriter) reply(text string, final llm.Chunk, spans *telemetry.Span) {
-	lw.w.Header().Set("Content-Type", "application/json")
-	lw.w.WriteHeader(http.StatusOK)
+	lw.writeHeader(jsonContentType)
 	lw.pend = append(lw.pend[:0], text...)
 	lw.writeDone(lw.pend, final, spans)
+}
+
+// writeHeader answers 200 without a Date, which the client would only parse.
+func (lw *lineWriter) writeHeader(contentType []string) {
+	h := lw.w.Header()
+	h["Content-Type"], h["Date"] = contentType, nil
+	lw.w.WriteHeader(http.StatusOK)
 }
 
 func (lw *lineWriter) writeDone(text []byte, final llm.Chunk, spans *telemetry.Span) bool {

@@ -43,6 +43,12 @@ go test -race -count=20 -run 'TestConcurrentRunsShareOneEncoder|TestFlightFollow
 echo "== fuzz smoke: FuzzBorrow 10s"
 go test -run '^$' -fuzz '^FuzzBorrow$' -fuzztime 10s ./internal/embedding >/dev/null
 
+# Recycled stream stores: consumers close sessions while their producer
+# is still pushing and finishing, and the closed buffer's stores go back
+# to the pool for the next session.
+echo "== recycled stream stores: go test -race -count=20 -run 'TestStreamBufferCloseRacesProducer|TestClientClosedStreamCountsCanceled' ./internal/llm ./internal/modeld"
+go test -race -count=20 -run 'TestStreamBufferCloseRacesProducer|TestClientClosedStreamCountsCanceled' ./internal/llm ./internal/modeld
+
 # The wire codecs against encoding/json, their reference: the string rule
 # of internal/jsonwire, the formats built on it at both ends of the modeld
 # hop and in the SSE egress, and the traceparent header against the spec.
