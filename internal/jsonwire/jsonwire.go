@@ -121,9 +121,14 @@ func AppendFloat(dst []byte, key string, f float64) []byte {
 	if f == 0 {
 		return dst
 	}
-	dst = append(dst, key...)
+	return AppendNumber(append(dst, key...), f)
+}
+
+// AppendNumber appends a finite f as encoding/json writes a float64 —
+// zero included, negative zero as -0.
+func AppendNumber(dst []byte, f float64) []byte {
 	format := byte('f')
-	if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	dst = strconv.AppendFloat(dst, f, format, -1, 64)

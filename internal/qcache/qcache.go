@@ -8,12 +8,12 @@
 //     keyed on the normalized query plus an opaque scope string (strategy,
 //     model set, token budget, RAG fingerprint — everything non-semantic
 //     that changes the answer). The semantic tier embeds the normalized
-//     query with an embedding.Encoder and matches it against cached
-//     entries through a vectordb cosine collection (the unit-cosine fast
-//     path), returning a near-duplicate's answer when similarity clears a
-//     configurable threshold. This is the bounded-staleness trade the
-//     networked-LLM literature motivates: a semantically equivalent
-//     answer now instead of an identical answer after a full fan-out.
+//     query with an embedding.Encoder and scans its own scope's bucket of
+//     cached query vectors, returning a near-duplicate's answer when
+//     cosine similarity clears a configurable threshold. This is the
+//     bounded-staleness trade the networked-LLM literature motivates: a
+//     semantically equivalent answer now instead of an identical answer
+//     after a full fan-out.
 //
 //   - Group/Flight: singleflight-style coalescing for streaming
 //     responses. The first request for a key becomes the leader and
@@ -40,9 +40,9 @@ import (
 	"sync"
 	"time"
 	"unicode"
+	"unicode/utf8"
 
 	"llmms/internal/embedding"
-	"llmms/internal/vectordb"
 )
 
 // Defaults for Options fields left zero.
@@ -79,14 +79,46 @@ type Key struct {
 
 // ID returns the canonical identity string of the key: the normalized
 // query joined with the scope. It doubles as the coalescing key and the
-// semantic tier's document id.
+// exact tier's map key.
 func (k Key) ID() string { return Normalize(k.Query) + keySep + k.Scope }
 
-// Normalize canonicalizes a query for exact-tier matching: lowercase,
-// leading/trailing space trimmed, internal whitespace runs collapsed to
-// single spaces.
+// Normalize canonicalizes a query for exact-tier matching: lowercased as
+// strings.ToLower does it (invalid UTF-8 becomes U+FFFD), whitespace runs
+// collapsed to one space and trimmed. One scan sizes the result, a second
+// writes it: one allocation, none when q is normal already.
 func Normalize(q string) string {
-	return strings.ToLower(strings.Join(strings.FieldsFunc(q, unicode.IsSpace), " "))
+	n, same := normalForm(q, nil)
+	if same {
+		return q
+	}
+	var b strings.Builder
+	b.Grow(n)
+	normalForm(q, &b)
+	return b.String()
+}
+
+// normalForm writes q's normal form to b unless b is nil, and reports its
+// length and whether it is q: every piece matches q where it lands.
+func normalForm(q string, b *strings.Builder) (n int, same bool) {
+	same, gap := true, false
+	var buf [1 + utf8.UTFMax]byte
+	for _, r := range q {
+		if unicode.IsSpace(r) {
+			gap = n > 0
+			continue
+		}
+		p := buf[:0]
+		if gap {
+			p, gap = append(p, ' '), false
+		}
+		p = utf8.AppendRune(p, unicode.ToLower(r))
+		same = same && n+len(p) <= len(q) && q[n:n+len(p)] == string(p)
+		if b != nil {
+			b.Write(p)
+		}
+		n += len(p)
+	}
+	return n, same && n == len(q)
 }
 
 // HitKind classifies a cache lookup.
@@ -129,6 +161,21 @@ type entry struct {
 	value   any
 	expires time.Time
 	elem    *list.Element
+	row     int // the entry's row in its scope's bucket, under Cache.vmu
+}
+
+// bucket is the semantic tier of one scope: its entries' unit vectors in
+// one contiguous array, row i (dim wide) belonging to entries[i], so a
+// probe scans dense memory and compares nothing but vectors.
+type bucket struct {
+	vecs    embedding.Vector
+	entries []*entry
+}
+
+// candidate is an entry id and its cosine distance to a probe.
+type candidate struct {
+	id   string
+	dist float64
 }
 
 // Cache is the two-tier answer cache. All methods are safe for
@@ -139,11 +186,18 @@ type Cache struct {
 	ttl       time.Duration
 	threshold float64
 	clock     func() time.Time
+	enc       embedding.Encoder
+	dim       int
 
 	mu      sync.Mutex
 	entries map[string]*entry
 	lru     *list.List // front = most recently used
-	vectors *vectordb.Collection
+
+	// vmu guards the semantic tier: writers take it inside mu, a probe
+	// alone, so a probe never holds the lock an exact hit needs.
+	vmu     sync.RWMutex
+	buckets map[string]bucket // by scope; none is ever empty
+	spares  []bucket          // emptied arrays new buckets reuse
 }
 
 // New builds a Cache.
@@ -163,21 +217,16 @@ func New(opts Options) *Cache {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	col, err := vectordb.New().CreateCollection("qcache", vectordb.CollectionConfig{
-		Metric:  vectordb.Cosine,
-		Encoder: opts.Encoder,
-	})
-	if err != nil {
-		panic(err) // fresh DB, fixed name: unreachable
-	}
 	return &Cache{
 		capacity:  opts.Capacity,
 		ttl:       opts.TTL,
 		threshold: opts.SemanticThreshold,
 		clock:     opts.Clock,
+		enc:       opts.Encoder,
+		dim:       opts.Encoder.Dim(),
 		entries:   make(map[string]*entry),
 		lru:       list.New(),
-		vectors:   col,
+		buckets:   make(map[string]bucket),
 	}
 }
 
@@ -201,7 +250,8 @@ func (c *Cache) Get(key Key) (any, HitKind) {
 		return nil, Miss
 	}
 	now := c.clock()
-	id := key.ID()
+	nq := Normalize(key.Query)
+	id := nq + keySep + key.Scope
 
 	c.mu.Lock()
 	if e, ok := c.entries[id]; ok {
@@ -218,26 +268,17 @@ func (c *Cache) Get(key Key) (any, HitKind) {
 	if c.threshold > 1 {
 		return nil, Miss
 	}
-	// The semantic probe runs outside c.mu: the collection has its own
-	// lock, and a candidate surviving into the re-check below is
-	// re-validated against the entry map under c.mu.
-	res, err := c.vectors.Query(vectordb.QueryRequest{
-		Text: Normalize(key.Query),
-		TopK: 3,
-		// Equality shorthand: only entries with the identical scope
-		// (strategy, models, budget, RAG fingerprint) are comparable.
-		Where: vectordb.Metadata{"scope": key.Scope},
-	})
-	if err != nil {
-		return nil, Miss
-	}
+	// The probe runs outside c.mu; a candidate it returns may have been
+	// evicted since, so each is re-validated against the entry map.
+	var near [3]candidate
+	cands := c.nearest(key.Scope, nq, near[:0])
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, r := range res {
-		if r.Similarity < c.threshold {
-			break // results are ordered; nothing further clears the bar
+	for _, cand := range cands {
+		if 1-cand.dist < c.threshold {
+			break // candidates are ordered; nothing further clears the bar
 		}
-		e, ok := c.entries[r.ID]
+		e, ok := c.entries[cand.id]
 		if !ok {
 			continue // evicted between probe and re-check
 		}
@@ -251,35 +292,77 @@ func (c *Cache) Get(key Key) (any, HitKind) {
 	return nil, Miss
 }
 
+// nearest appends to top, up to its capacity, the entries of scope's
+// bucket closest to the embedding of nq, ordered by cosine distance
+// 1 − ⟨q, v⟩ (the unit vectors' cosine) and then by id.
+func (c *Cache) nearest(scope, nq string, top []candidate) []candidate {
+	q, acc := embedding.Borrow(c.enc, nq)
+	defer acc.Release()
+	c.vmu.RLock()
+	defer c.vmu.RUnlock()
+	b := c.buckets[scope]
+	for i, e := range b.entries {
+		cand := candidate{id: e.id, dist: 1 - embedding.Dot(q, b.vecs[i*c.dim:(i+1)*c.dim])}
+		if len(top) < cap(top) {
+			top = append(top, cand)
+		} else if closer(cand, top[len(top)-1]) {
+			top[len(top)-1] = cand // the farthest kept candidate drops out
+		}
+		for j := len(top) - 1; j > 0 && closer(top[j], top[j-1]); j-- {
+			top[j], top[j-1] = top[j-1], top[j]
+		}
+	}
+	return top
+}
+
+// closer orders candidates by distance, then id: ties resolve alike
+// whatever order the bucket holds them in.
+func closer(a, b candidate) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	return a.id < b.id
+}
+
 // Put stores (or refreshes) the answer for key, evicting the least
 // recently used entries at capacity.
 func (c *Cache) Put(key Key, value any) {
-	if c == nil {
-		return
+	if c != nil {
+		c.put(Normalize(key.Query), key.Scope, value, c.clock().Add(c.ttl), true)
 	}
-	nq := Normalize(key.Query)
-	id := nq + keySep + key.Scope
-	expires := c.clock().Add(c.ttl)
+}
 
+// put inserts an entry into both tiers, its vector as a new row of its
+// scope's bucket, and reports it did — unless the key is held: that entry
+// moves to the LRU front and, with refresh, takes value and deadline.
+func (c *Cache) put(nq, scope string, value any, expires time.Time, refresh bool) bool {
+	id := nq + keySep + scope
+	vec, acc := embedding.Borrow(c.enc, nq)
+	defer acc.Release()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[id]; ok {
-		e.value = value
-		e.expires = expires
+		if refresh {
+			e.value, e.expires = value, expires
+		}
 		c.lru.MoveToFront(e.elem)
-		return // the semantic document is already in place
+		return false
 	}
 	for len(c.entries) >= c.capacity {
 		c.removeLocked(c.lru.Back().Value.(*entry))
 	}
-	e := &entry{id: id, scope: key.Scope, value: value, expires: expires}
+	e := &entry{id: id, scope: scope, value: value, expires: expires}
 	e.elem = c.lru.PushFront(e)
 	c.entries[id] = e
-	_ = c.vectors.Upsert(vectordb.Document{
-		ID:       id,
-		Text:     nq,
-		Metadata: vectordb.Metadata{"scope": key.Scope},
-	})
+	c.vmu.Lock()
+	defer c.vmu.Unlock()
+	b, ok := c.buckets[scope]
+	if n := len(c.spares); !ok && n > 0 {
+		b, c.spares = c.spares[n-1], c.spares[:n-1]
+	}
+	e.row = len(b.entries)
+	c.buckets[scope] = bucket{vecs: append(b.vecs, vec...), entries: append(b.entries, e)}
+	return true
 }
 
 // Flush drops every entry — the coherence hammer the server swings on
@@ -291,18 +374,48 @@ func (c *Cache) Flush() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := make([]string, 0, len(c.entries))
-	for id := range c.entries {
-		ids = append(ids, id)
-	}
-	c.vectors.Delete(ids...)
 	c.entries = make(map[string]*entry)
 	c.lru.Init()
+	c.vmu.Lock()
+	for _, b := range c.buckets {
+		c.keepLocked(b)
+	}
+	clear(c.buckets)
+	c.vmu.Unlock()
 }
 
-// removeLocked evicts e from both tiers. Caller holds c.mu.
+// keepLocked keeps the arrays of a bucket that is going, up to
+// maxSpares of them, so scopes that come and go — every RAG revision is a
+// new one, and a query begun before it still puts under the old — do not
+// regrow their buckets from nothing. Caller holds c.vmu.
+func (c *Cache) keepLocked(b bucket) {
+	if len(c.spares) < maxSpares {
+		clear(b.entries)
+		c.spares = append(c.spares, bucket{vecs: b.vecs[:0], entries: b.entries[:0]})
+	}
+}
+
+// maxSpares bounds the bucket arrays a Cache keeps for reuse.
+const maxSpares = 4
+
+// removeLocked evicts e from both tiers, the last row of its bucket
+// moving into its row; an emptied bucket goes. Caller holds c.mu.
 func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.id)
 	c.lru.Remove(e.elem)
-	c.vectors.Delete(e.id)
+	c.vmu.Lock()
+	defer c.vmu.Unlock()
+	b := c.buckets[e.scope]
+	last := len(b.entries) - 1
+	if last == 0 {
+		c.keepLocked(b)
+		delete(c.buckets, e.scope)
+		return
+	}
+	moved := b.entries[last]
+	moved.row = e.row
+	b.entries[e.row] = moved
+	copy(b.vecs[e.row*c.dim:], b.vecs[last*c.dim:])
+	b.entries[last] = nil
+	c.buckets[e.scope] = bucket{vecs: b.vecs[:last*c.dim], entries: b.entries[:last]}
 }

@@ -8,15 +8,13 @@ import (
 	"os"
 	"strings"
 	"time"
-
-	"llmms/internal/vectordb"
 )
 
 // Warm start: the answer cache is the first thing a restarted server
 // could serve from, and the cheapest — so it persists. Snapshot captures
-// both tiers (the semantic tier's vector documents are derived from the
-// entries, so only entries are stored and the vectors are re-embedded on
-// load), and WarmStart reloads them with original expiry times intact.
+// both tiers (the semantic tier's vectors are derived from the entries,
+// so only entries are stored and the vectors are re-embedded on load),
+// and WarmStart reloads them with original expiry times intact.
 //
 // A snapshot carries the caller's settings fingerprint. WarmStart
 // refuses a snapshot whose fingerprint differs from the current one —
@@ -81,7 +79,7 @@ func (c *Cache) Snapshot(fingerprint string, encode func(any) ([]byte, error)) *
 }
 
 // WarmStart loads a snapshot into the cache: both tiers are rebuilt
-// (semantic documents re-embedded through the collection encoder) and
+// (each entry's query re-embedded into its scope's bucket) and
 // LRU order is preserved. Entries that have expired, fail to decode, or
 // would exceed capacity are dropped. A fingerprint mismatch loads
 // nothing — the snapshot was cut under different serving settings. It
@@ -103,27 +101,10 @@ func (c *Cache) WarmStart(st *WarmState, fingerprint string, decode func([]byte)
 		if err != nil {
 			continue
 		}
-		c.mu.Lock()
-		id := we.Query + keySep + we.Scope
-		if e, ok := c.entries[id]; ok {
-			// Live entry wins: it is newer than the snapshot.
-			c.lru.MoveToFront(e.elem)
-			c.mu.Unlock()
-			continue
+		// A live entry wins: it is newer than the snapshot.
+		if c.put(we.Query, we.Scope, value, we.Expires, false) {
+			restored++
 		}
-		for len(c.entries) >= c.capacity {
-			c.removeLocked(c.lru.Back().Value.(*entry))
-		}
-		e := &entry{id: id, scope: we.Scope, value: value, expires: we.Expires}
-		e.elem = c.lru.PushFront(e)
-		c.entries[id] = e
-		_ = c.vectors.Upsert(vectordb.Document{
-			ID:       id,
-			Text:     we.Query,
-			Metadata: vectordb.Metadata{"scope": we.Scope},
-		})
-		c.mu.Unlock()
-		restored++
 	}
 	return restored
 }

@@ -142,15 +142,37 @@ func TestWarmStartPreservesLRUOrder(t *testing.T) {
 		}
 	}
 	// Both tiers stay in lockstep through warm-start evictions.
-	if vc := fresh.vectors.Count(); vc != fresh.Len() {
-		t.Fatalf("vector tier holds %d docs, entries %d", vc, fresh.Len())
+	if vc := vectorRows(t, fresh); vc != fresh.Len() {
+		t.Fatalf("vector tier holds %d rows, entries %d", vc, fresh.Len())
 	}
+}
+
+// vectorRows counts the semantic tier's rows, holding every bucket to its
+// shape on the way: not empty, one dim-wide row per entry, and each entry
+// of the bucket's scope at the row it records.
+func vectorRows(t *testing.T, c *Cache) int {
+	t.Helper()
+	c.vmu.RLock()
+	defer c.vmu.RUnlock()
+	n := 0
+	for scope, b := range c.buckets {
+		if len(b.entries) == 0 || len(b.vecs) != len(b.entries)*c.dim {
+			t.Fatalf("scope %q: bucket of %d entries holds %d floats", scope, len(b.entries), len(b.vecs))
+		}
+		for i, e := range b.entries {
+			if e.row != i || e.scope != scope {
+				t.Fatalf("scope %q row %d holds entry %q of scope %q at row %d", scope, i, e.id, e.scope, e.row)
+			}
+		}
+		n += len(b.entries)
+	}
+	return n
 }
 
 // TestVectorTierTracksEvictions pins the two tiers to the same size:
 // every path that drops an exact-tier entry (LRU eviction, expiry,
-// flush) must delete the matching semantic-tier document, or the vector
-// collection grows without bound.
+// flush) must delete the matching semantic-tier row, or the index grows
+// without bound.
 func TestVectorTierTracksEvictions(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
@@ -161,8 +183,8 @@ func TestVectorTierTracksEvictions(t *testing.T) {
 	if c.Len() != 8 {
 		t.Fatalf("len %d, want capacity 8", c.Len())
 	}
-	if vc := c.vectors.Count(); vc != 8 {
-		t.Fatalf("vector tier holds %d docs after LRU eviction, want 8", vc)
+	if vc := vectorRows(t, c); vc != 8 {
+		t.Fatalf("vector tier holds %d rows after LRU eviction, want 8", vc)
 	}
 	// Expiry path: entries are dropped from both tiers on contact.
 	now = now.Add(2 * time.Minute)
@@ -174,8 +196,8 @@ func TestVectorTierTracksEvictions(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("len %d after expiry sweep, want 0", c.Len())
 	}
-	if vc := c.vectors.Count(); vc != 0 {
-		t.Fatalf("vector tier holds %d docs after expiry, want 0", vc)
+	if vc := vectorRows(t, c); vc != 0 {
+		t.Fatalf("vector tier holds %d rows after expiry, want 0", vc)
 	}
 	// Flush path.
 	now = now.Add(-2 * time.Minute)
@@ -183,7 +205,43 @@ func TestVectorTierTracksEvictions(t *testing.T) {
 		c.Put(Key{Query: fmt.Sprintf("distinct question %d", i), Scope: "s"}, i)
 	}
 	c.Flush()
-	if vc := c.vectors.Count(); vc != 0 {
-		t.Fatalf("vector tier holds %d docs after Flush, want 0", vc)
+	if vc := vectorRows(t, c); vc != 0 {
+		t.Fatalf("vector tier holds %d rows after Flush, want 0", vc)
+	}
+}
+
+// TestSemanticTierDropsEmptyBuckets bounds the index by the live scopes: a
+// scope whose last entry leaves — evicted, expired or flushed — keeps no
+// bucket behind.
+func TestSemanticTierDropsEmptyBuckets(t *testing.T) {
+	now := time.Now()
+	c := New(Options{Capacity: 4, TTL: time.Minute, Clock: func() time.Time { return now }})
+	buckets := func() int {
+		c.vmu.RLock()
+		defer c.vmu.RUnlock()
+		return len(c.buckets)
+	}
+	c.Put(Key{Query: "a lonely question", Scope: "lonely"}, 0)
+	for i := 0; i < 4; i++ {
+		c.Put(Key{Query: fmt.Sprintf("distinct question %d", i), Scope: "busy"}, i)
+	}
+	if n := buckets(); n != 1 || vectorRows(t, c) != 4 {
+		t.Fatalf("%d buckets after the lonely scope's entry was evicted, want the busy one only", n)
+	}
+	c.Put(Key{Query: "an expiring question", Scope: "brief"}, 0)
+	now = now.Add(2 * time.Minute)
+	c.Get(Key{Query: "an expiring question", Scope: "brief"})
+	if c.Len() != 3 || vectorRows(t, c) != 3 {
+		t.Fatalf("len %d after expiry", c.Len())
+	}
+	c.vmu.RLock()
+	_, kept := c.buckets["brief"]
+	c.vmu.RUnlock()
+	if kept {
+		t.Fatal("an expired scope's bucket was kept")
+	}
+	c.Flush()
+	if n := buckets(); n != 0 {
+		t.Fatalf("%d buckets after Flush, want 0", n)
 	}
 }

@@ -317,7 +317,8 @@ func encodeCachedAnswer(v any) ([]byte, error) {
 
 // decodeCachedAnswer rejects an entry it could only replay as an empty
 // answer: any JSON object decodes into the struct, so an entry of another
-// shape shows as a missing stream or a result without a model.
+// shape shows as a missing stream or a result without a model. The result's
+// JSON is derived, not stored: a decoded float is finite, so it encodes.
 func decodeCachedAnswer(raw []byte) (any, error) {
 	var cj cachedAnswerJSON
 	if err := json.Unmarshal(raw, &cj); err != nil {
@@ -326,5 +327,6 @@ func decodeCachedAnswer(raw []byte) (any, error) {
 	if len(cj.Stream) == 0 || cj.FrameCount <= 0 || cj.Result.Model == "" {
 		return nil, errors.New("server: cache entry has no recorded stream or no result model")
 	}
-	return &cachedAnswer{stream: cj.Stream, frames: cj.FrameCount, result: cj.Result}, nil
+	data, _ := appendResultJSON(nil, &cj.Result)
+	return &cachedAnswer{stream: cj.Stream, frames: cj.FrameCount, result: cj.Result, resultJSON: data}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -190,6 +191,51 @@ func TestWarmStartIgnoresOlderSnapshotFormat(t *testing.T) {
 	if got := v.(*cachedAnswer); !bytes.Equal(got.stream, ca.stream) || got.frames != 1 || got.result.Answer != "Paris." {
 		t.Fatalf("round trip = %+v", got)
 	}
+}
+
+// FuzzDecodeCachedAnswer: the warm-start entry decoder reads whatever the
+// snapshot file holds without panicking, and an entry it accepts is an
+// answer the cache can serve: encoded again and decoded, it is the same
+// value, and its result's JSON is appendResultJSON's bytes for its result.
+func FuzzDecodeCachedAnswer(f *testing.F) {
+	res := core.Result{Strategy: core.StrategyOUA, Answer: "Paris.", Model: "llama3:8b", TokensUsed: 96, Rounds: 3,
+		Outcomes: []core.ModelOutcome{{Model: "llama3:8b", Response: "Paris <b>&</b>", Tokens: 32, Score: 0.8, Pulls: 2, Done: true, DoneReason: "stop"},
+			{Model: "qwen2:7b", Failed: true, Error: "daemon down", Pruned: true}}, Elapsed: 1234}
+	for _, ca := range []*cachedAnswer{
+		{stream: []byte("event: start\ndata: {}\n\n"), frames: 1, result: res},
+		{stream: []byte("x"), frames: 7, result: core.Result{Model: "m", Outcomes: []core.ModelOutcome{}}},
+	} {
+		raw, err := encodeCachedAnswer(ca)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"stream":"eA==","frame_count":1,"result":{"model":"m","outcomes":null,"elapsed_ns":-1}}`))
+	f.Add([]byte(`{"stream":"eA==","frame_count":1,"result":{"model":"m","outcomes":[{"score":1e400}]}}`))
+	f.Add([]byte(`{"stream":"eA==","frame_count":1,"result":{"model":"\ud800","answer":"\u2028"}}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		v, err := decodeCachedAnswer(raw)
+		if err != nil {
+			return
+		}
+		ca := v.(*cachedAnswer)
+		if want, _ := appendResultJSON(nil, &ca.result); ca.resultJSON == nil || !bytes.Equal(ca.resultJSON, want) {
+			t.Fatalf("accepted entry carries result JSON %q, want %q", ca.resultJSON, want)
+		}
+		again, err := encodeCachedAnswer(ca)
+		if err != nil {
+			t.Fatalf("accepted entry does not encode again: %v", err)
+		}
+		v2, err := decodeCachedAnswer(again)
+		if err != nil {
+			t.Fatalf("re-encoded entry %s is refused: %v", again, err)
+		}
+		if !reflect.DeepEqual(v2, v) {
+			t.Fatalf("round trip changed the entry:\n%+v\n%+v", v2, v)
+		}
+	})
 }
 
 // TestCrashRestartKeepsAcknowledgedUploads simulates an unclean exit:

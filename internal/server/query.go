@@ -58,7 +58,8 @@ const maxQueryBody = 1 << 20
 // outcome is how a query ended, for everyone answered with it: the
 // requester and, when it led a flight, the followers behind it.
 type outcome struct {
-	result *core.Result // the answer; nil on every failure
+	result     *core.Result // the answer; nil on every failure
+	resultJSON []byte       // its JSON, encoded once; nil when it does not encode
 	// A failure's error envelope. status is the HTTP status where no
 	// stream had opened, zero where the error is a frame of the stream.
 	status        int
@@ -215,7 +216,7 @@ func (s *Server) fromCache(q *query) bool {
 	q.xcache = cacheHeader[kind]
 	ca := v.(*cachedAnswer)
 	s.openStream(q).replay(ca.stream, ca.frames)
-	q.out.result = &ca.result
+	q.out.result, q.out.resultJSON = &ca.result, ca.resultJSON
 	return true
 }
 
@@ -421,10 +422,11 @@ func (s *Server) orchestrate(q *query, prompt string) {
 		SessionID: q.sessID, Question: q.req.Query, Answer: res.Answer,
 		Model: res.Model, Time: time.Now(),
 	})
+	data := sw.encodeResult(&res)
 	if cacheable {
-		s.cache.Put(q.key, sw.recorded(res))
+		s.cache.Put(q.key, sw.recorded(res, data))
 	}
-	q.out.result = &res
+	q.out.result, q.out.resultJSON = &res, data
 }
 
 // config is the orchestrator's configuration for the query: its routed
@@ -449,9 +451,9 @@ func (s *Server) config(q *query) core.Config {
 // deliver ends the stream with the requester's own result frame around the
 // shared answer. The exchange is appended once the connection took the
 // frame and before it is flushed, so a session's next turn sees this one.
-func (s *Server) deliver(q *query, res core.Result) {
-	if s.openStream(q).result(res) {
-		s.appendExchange(q.sessID, q.req.Query, res)
+func (s *Server) deliver(q *query) {
+	if s.openStream(q).result(q.out.result, q.out.resultJSON) {
+		s.appendExchange(q.sessID, q.req.Query, *q.out.result)
 	}
 	q.sw.flush()
 }
@@ -468,7 +470,7 @@ func (s *Server) finish(q *query) {
 	}
 	switch out := q.out; {
 	case out.result != nil:
-		s.deliver(q, *out.result)
+		s.deliver(q)
 	case out.code == "" || q.gone: // nothing left to say, or nobody to say it to
 	case q.sw != nil:
 		q.sw.fail(out.code, out.message)

@@ -51,11 +51,13 @@ const retryAfterSeconds = "1"
 // cachedAnswer is the cache entry value: the leader's recorded stream —
 // every frame up to, not including, the final result frame, exactly as
 // its sseWriter rendered them, in one piece so a hit replays it in one
-// write — plus the final result, whose frame is rebuilt per requester.
+// write — plus the final result and its JSON, which each requester's
+// result frame wraps in its own ids.
 type cachedAnswer struct {
-	stream []byte
-	frames int // frames in stream
-	result core.Result
+	stream     []byte
+	frames     int // frames in stream
+	result     core.Result
+	resultJSON []byte // appendResultJSON of result; nil when it does not encode
 }
 
 // servingKey derives the cache/coalescing key for a query, reporting

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"llmms/internal/core"
@@ -185,24 +186,37 @@ func (sw *sseWriter) replay(frames []byte, n int) {
 }
 
 // recorded returns the cache entry of a recording leader — a copy of the
-// stream so far, taken before its result frame, and the answer.
-func (sw *sseWriter) recorded(res core.Result) *cachedAnswer {
-	return &cachedAnswer{stream: bytes.Clone(sw.buf), frames: sw.frames, result: res}
+// stream so far, taken before its result frame, and the encoded answer.
+func (sw *sseWriter) recorded(res core.Result, resultJSON []byte) *cachedAnswer {
+	return &cachedAnswer{stream: bytes.Clone(sw.buf), frames: sw.frames, result: res, resultJSON: resultJSON}
+}
+
+// encodeResult renders an answer once for every result frame that will
+// carry it: appendResultJSON's bytes, rendered in buf's spare capacity and
+// copied out exactly sized, or nil where encoding/json refuses res.
+func (sw *sseWriter) encodeResult(res *core.Result) []byte {
+	n := len(sw.buf)
+	b, ok := appendResultJSON(sw.buf, res)
+	sw.buf = b[:n]
+	if !ok {
+		return nil
+	}
+	return bytes.Clone(b[n:])
 }
 
 // result ends the stream with the requester's own "result" frame — its
-// session and query ids around the shared answer — handed to the
+// session and query ids around the shared answer's JSON — handed to the
 // connection but not flushed: the caller flushes once it has recorded the
 // exchange. It reports whether the connection took the frame. A result
-// that does not encode ends the stream with an "error" frame instead, so
-// every opened stream gets exactly one terminal frame.
-func (sw *sseWriter) result(res core.Result) bool {
-	data, err := json.Marshal(res)
-	if err != nil {
+// that does not encode (nil JSON) ends the stream with an "error" frame
+// instead, so every opened stream gets exactly one terminal frame.
+func (sw *sseWriter) result(res *core.Result, resultJSON []byte) bool {
+	if resultJSON == nil {
 		sw.tel.SSEEncodeErrors.Inc()
 		// Not the orchestration's frame: each follower is handed the same
 		// result and ends its own stream over it.
 		sw.tee = nil
+		_, err := json.Marshal(res) // the refusal, in encoding/json's words
 		sw.fail("encode_failed", "encode result: "+err.Error())
 		return false
 	}
@@ -212,7 +226,7 @@ func (sw *sseWriter) result(res core.Result) bool {
 		sw.buf = append(sw.buf, `{"query_id":`...)
 		sw.buf = jsonwire.AppendString(sw.buf, sw.queryID)
 		sw.buf = append(sw.buf, `,"result":`...)
-		sw.buf = append(sw.buf, data...)
+		sw.buf = append(sw.buf, resultJSON...)
 		sw.buf = append(sw.buf, `,"session_id":`...)
 		sw.buf = jsonwire.AppendString(sw.buf, sw.sessID)
 		sw.buf = append(sw.buf, '}')
@@ -305,4 +319,49 @@ func appendEventJSON(b []byte, ev *core.Event) ([]byte, bool) {
 	b = jsonwire.AppendInt(b, `,"prefetched":`, int64(ev.Prefetched))
 	b = jsonwire.AppendInt(b, `,"elapsed_ns":`, int64(ev.Elapsed))
 	return append(b, '}'), ok
+}
+
+// appendResultJSON appends res exactly as encoding/json marshals a
+// core.Result, reporting false where json.Marshal would return an error (a
+// NaN or infinite score). FuzzResultFrame holds the two together.
+func appendResultJSON(b []byte, res *core.Result) ([]byte, bool) {
+	b = jsonwire.AppendString(append(b, `{"strategy":`...), string(res.Strategy))
+	b = jsonwire.AppendString(append(b, `,"answer":`...), res.Answer)
+	b = jsonwire.AppendString(append(b, `,"model":`...), res.Model)
+	b = strconv.AppendInt(append(b, `,"tokens_used":`...), int64(res.TokensUsed), 10)
+	b = strconv.AppendInt(append(b, `,"rounds":`...), int64(res.Rounds), 10)
+	b = strconv.AppendBool(append(b, `,"early_exit":`...), res.EarlyExit)
+	b = append(b, `,"outcomes":`...)
+	if res.Outcomes == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range res.Outcomes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			o := &res.Outcomes[i]
+			if !jsonwire.Finite(o.Score) || !jsonwire.Finite(o.QuerySim) || !jsonwire.Finite(o.InterSim) {
+				return b, false
+			}
+			b = jsonwire.AppendString(append(b, `{"model":`...), o.Model)
+			b = jsonwire.AppendString(append(b, `,"response":`...), o.Response)
+			b = strconv.AppendInt(append(b, `,"tokens":`...), int64(o.Tokens), 10)
+			b = jsonwire.AppendNumber(append(b, `,"score":`...), o.Score)
+			b = jsonwire.AppendNumber(append(b, `,"query_sim":`...), o.QuerySim)
+			b = jsonwire.AppendNumber(append(b, `,"inter_sim":`...), o.InterSim)
+			b = strconv.AppendInt(append(b, `,"pulls":`...), int64(o.Pulls), 10)
+			b = strconv.AppendBool(append(b, `,"pruned":`...), o.Pruned)
+			b = strconv.AppendBool(append(b, `,"done":`...), o.Done)
+			b = jsonwire.AppendText(b, `,"done_reason":`, o.DoneReason)
+			if o.Failed {
+				b = append(b, `,"failed":true`...)
+			}
+			b = jsonwire.AppendText(b, `,"error":`, o.Error)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = strconv.AppendInt(append(b, `,"elapsed_ns":`...), int64(res.Elapsed), 10)
+	return append(b, '}'), true
 }

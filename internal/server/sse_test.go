@@ -485,6 +485,61 @@ func FuzzEventFrame(f *testing.F) {
 	})
 }
 
+// checkResultFrame holds the result encoder to encoding/json: same bytes,
+// or both refuse.
+func checkResultFrame(t *testing.T, res core.Result) {
+	t.Helper()
+	want, err := json.Marshal(res)
+	got, ok := appendResultJSON(nil, &res)
+	if ok != (err == nil) {
+		t.Fatalf("append encoder ok=%v, json.Marshal err=%v for %+v", ok, err, res)
+	}
+	if ok && !bytes.Equal(got, want) {
+		t.Fatalf("append encoder\n got %s\nwant %s", got, want)
+	}
+}
+
+// FuzzResultFrame: for any field values, nil/empty/one/two outcomes, the
+// result's bytes are exactly what json.Marshal(res) produces, and a NaN or
+// infinite score is refused exactly where json.Marshal refuses it.
+func FuzzResultFrame(f *testing.F) {
+	if n, m := reflect.TypeOf(core.Result{}).NumField(), reflect.TypeOf(core.ModelOutcome{}).NumField(); n != 8 || m != 12 {
+		f.Fatalf("core.Result has %d fields and core.ModelOutcome %d; appendResultJSON in sse.go encodes 8 and 12 — teach it the new ones", n, m)
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add("oua", "Paris.", "llama3:8b", 96, 3, true, int64(123456789), uint8(3), "mistral:7b", "Paris is the capital.", "stop", "", 32, 2, 0.8125, 0.75, 0.5, false, true, false)
+	f.Add("mab", "", "", 0, 0, false, int64(0), uint8(0), "", "", "", "", 0, 0, 0.0, 0.0, 0.0, false, false, false)
+	f.Add("single", "x", "m", -1, -2, false, int64(-5), uint8(1), "", "", "", "", 0, 0, 0.0, 0.0, 0.0, false, false, false)
+	f.Add("hybrid", "ctl \x00\x01\b\f\n\r\t\x1f\x7f <script>&amp;</script>", "a\"b\\c", 1, 1, false, int64(math.MaxInt64), uint8(2),
+		"bad \xff utf8 \xc3", "sep \u2028 \u2029 \u00e9 \U0001F600", "length", "daemon <down> & out", -3, 7, negZero, 1e-7, 1e21, true, false, true)
+	f.Add("oua", "a", "m", 1, 1, false, int64(1), uint8(2), "m", "r", "", "", 1, 1, 5e-324, -1.5e300, 9.999999e-7, false, false, false)
+	f.Add("oua", "a", "m", 1, 1, false, int64(1), uint8(2), "m", "r", "", "", 1, 1, math.NaN(), 0.5, 0.5, false, false, false)
+	f.Add("oua", "a", "m", 1, 1, false, int64(1), uint8(3), "m", "r", "", "", 1, 1, 0.5, math.Inf(1), 0.5, false, false, false)
+	f.Add("oua", "a", "m", 1, 1, false, int64(1), uint8(3), "m", "r", "", "", 1, 1, 0.5, 0.5, math.Inf(-1), false, false, false)
+	f.Fuzz(func(t *testing.T, strategy, answer, model string, tokensUsed, rounds int, early bool, elapsed int64, n uint8,
+		oModel, response, doneReason, errText string, tokens, pulls int, score, qsim, isim float64, pruned, done, failed bool) {
+		res := core.Result{
+			Strategy: core.Strategy(strategy), Answer: answer, Model: model, TokensUsed: tokensUsed,
+			Rounds: rounds, EarlyExit: early, Elapsed: time.Duration(elapsed),
+		}
+		o := core.ModelOutcome{
+			Model: oModel, Response: response, Tokens: tokens, Score: score, QuerySim: qsim, InterSim: isim,
+			Pulls: pulls, Pruned: pruned, Done: done, DoneReason: doneReason, Failed: failed, Error: errText,
+		}
+		switch n % 4 {
+		case 1:
+			res.Outcomes = []core.ModelOutcome{}
+		case 2:
+			res.Outcomes = []core.ModelOutcome{o}
+		case 3:
+			p := o
+			p.Model, p.Response, p.Score, p.Failed, p.Error = o.Response, o.Model, -o.QuerySim, !o.Failed, o.DoneReason
+			res.Outcomes = []core.ModelOutcome{p, o}
+		}
+		checkResultFrame(t, res)
+	})
+}
+
 // TestEventFrameEveryType walks the events the four strategies really
 // emit — with a stream that breaks and a model that fails, so every
 // core.EventType occurs — through both encoders, and through the writer
@@ -528,9 +583,11 @@ func TestEventFrameEveryType(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := oc.Run(context.Background(), strategy, "Question: What is the capital of France?\nAnswer:"); err != nil {
+		res, err := oc.Run(context.Background(), strategy, "Question: What is the capital of France?\nAnswer:")
+		if err != nil {
 			t.Fatalf("%s: %v", strategy, err)
 		}
+		checkResultFrame(t, res)
 		sw.flush()
 		if got := rec.Body.Bytes(); !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("%s: stream differs from Fprintf+json.Marshal framing\n got %q\nwant %q", strategy, got, want.Bytes())

@@ -49,12 +49,20 @@ go test -run '^$' -fuzz '^FuzzBorrow$' -fuzztime 10s ./internal/embedding >/dev/
 echo "== recycled stream stores: go test -race -count=20 -run 'TestStreamBufferCloseRacesProducer|TestClientClosedStreamCountsCanceled' ./internal/llm ./internal/modeld"
 go test -race -count=20 -run 'TestStreamBufferCloseRacesProducer|TestClientClosedStreamCountsCanceled' ./internal/llm ./internal/modeld
 
+# The semantic tier's own index: probes scan a bucket outside the entry
+# lock while Puts evict, refresh and Flush rewrite it, over and over.
+echo "== semantic probes: go test -race -count=20 -run 'TestSemanticProbeRacesEviction' ./internal/qcache"
+go test -race -count=20 -run 'TestSemanticProbeRacesEviction' ./internal/qcache
+
 # The wire codecs against encoding/json, their reference: the string rule
 # of internal/jsonwire, the formats built on it at both ends of the modeld
-# hop and in the SSE egress, and the traceparent header against the spec.
+# hop and in the SSE egress (events and the result), and the traceparent
+# header against the spec; then the cache key's normal form against its
+# three-pass reference, and the warm-start entry decoder.
 for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telemetry' \
 	'FuzzStreamLine ./internal/modeld' 'FuzzGenerateRequest ./internal/modeld' \
-	'FuzzEventFrame ./internal/server'; do
+	'FuzzEventFrame ./internal/server' 'FuzzResultFrame ./internal/server' \
+	'FuzzNormalize ./internal/qcache' 'FuzzDecodeCachedAnswer ./internal/server'; do
 	set -- $target
 	echo "== fuzz smoke: $1 10s"
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2" >/dev/null
