@@ -142,9 +142,9 @@ type Config struct {
 	// DefaultRetryPolicy.
 	Retry RetryPolicy
 	// MaxConcurrent bounds the in-flight GenerateChunk calls of one
-	// fan-out round. Zero (the default) runs one goroutine per active
-	// model, which is the paper's "stream partial outputs concurrently";
-	// a positive value caps the workers for backends that throttle.
+	// fan-out round. Zero (the default) overlaps every pull that may wait,
+	// which is the paper's "stream partial outputs concurrently"; a
+	// positive value caps the workers for backends that throttle.
 	MaxConcurrent int
 }
 

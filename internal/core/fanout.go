@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -162,38 +163,80 @@ type fanResult struct {
 	prefetched  int    // tokens already buffered when the drain started
 }
 
-// fanOut pulls every job's chunk concurrently (bounded by
-// Config.MaxConcurrent when positive) and blocks until all have
-// completed or failed their retry budget. Workers write only their own
-// result slot; the caller consumes results in job order, so candidate
-// state and event order stay deterministic regardless of which model
-// answered first. The wait is announced first (Config.BeforeWait): every
-// event of the previous round has been emitted by now and none follows
-// until the slowest job returns.
-func (o *Orchestrator) fanOut(ctx context.Context, jobs []fanJob) []fanResult {
-	results := make([]fanResult, len(jobs))
+// roundScratch is one Run's storage for a round's jobs, their results and
+// the candidates a pass scores, reused round after round so that a warm
+// round allocates nothing. It is the strategy's: Runs share the Orchestrator.
+type roundScratch struct {
+	jobs    []fanJob
+	results []fanResult
+	cands   []*candidate
+	wg      sync.WaitGroup
+}
+
+// unpruned lists the candidates not pruned, in the scratch's list.
+func (rs *roundScratch) unpruned(cands []*candidate) []*candidate {
+	rs.cands = slices.DeleteFunc(append(rs.cands[:0], cands...), func(c *candidate) bool { return c.pruned })
+	return rs.cands
+}
+
+// fanOutRound is fanOut, for which the differential test substitutes the
+// goroutine-per-job reference.
+var fanOutRound = (*Orchestrator).fanOut
+
+// fanOut pulls every one of rs.jobs' chunks (bounded by
+// Config.MaxConcurrent when positive) and blocks until all have completed
+// or failed their retry budget. Pulls the session's buffer already covers
+// do not wait, so they and the last pull that may wait run on this
+// goroutine; only the other pulls get one each. Each pull writes only its
+// own result slot and the caller consumes them in job order, so candidate
+// state and event order do not depend on which model answered first. The
+// wait is announced first (Config.BeforeWait) even when no pull waits.
+func (o *Orchestrator) fanOut(ctx context.Context, rs *roundScratch) []fanResult {
+	jobs := rs.jobs
+	results := slices.Grow(rs.results[:0], len(jobs))[:len(jobs)]
+	rs.results = results
 	if len(jobs) == 0 {
 		return results
 	}
 	o.beforeWait()
-	var sem chan struct{}
-	if o.cfg.MaxConcurrent > 0 && o.cfg.MaxConcurrent < len(jobs) {
-		sem = make(chan struct{}, o.cfg.MaxConcurrent)
+	if n := o.cfg.MaxConcurrent; n > 0 && n < len(jobs) {
+		sem := make(chan struct{}, n)
+		for i := range jobs {
+			rs.wg.Add(1)
+			go o.pullAsync(ctx, rs, i, sem)
+		}
+		rs.wg.Wait()
+		return results
 	}
-	var wg sync.WaitGroup
+	last := -1 // the latest pull that may wait, started once a later one shows up
 	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j fanJob) {
-			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
+		if j.cand.sess.covers(j.take) {
 			results[i] = o.pull(ctx, j.cand, j.take, j.hint)
-		}(i, j)
+			continue
+		}
+		if last >= 0 {
+			rs.wg.Add(1)
+			go o.pullAsync(ctx, rs, last, nil)
+		}
+		last = i
 	}
-	wg.Wait()
+	if last >= 0 {
+		j := jobs[last]
+		results[last] = o.pull(ctx, j.cand, j.take, j.hint)
+	}
+	rs.wg.Wait()
 	return results
+}
+
+// pullAsync runs rs.jobs[i]'s pull on its own goroutine, in a slot of sem if any.
+func (o *Orchestrator) pullAsync(ctx context.Context, rs *roundScratch, i int, sem chan struct{}) {
+	defer rs.wg.Done()
+	if sem != nil {
+		sem <- struct{}{}
+		defer func() { <-sem }()
+	}
+	j := rs.jobs[i]
+	rs.results[i] = o.pull(ctx, j.cand, j.take, j.hint)
 }
 
 // pull takes one candidate's next chunk off its generation session

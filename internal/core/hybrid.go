@@ -55,16 +55,16 @@ func (o *Orchestrator) Hybrid(ctx context.Context, prompt string) (Result, error
 	defer func() { o.closeAllSessions(StrategyHybrid, totalPulls, cands, "query_end") }()
 	sessionHint := cfg.MaxTokens - (n-1)*screenChunk
 	o.emit(Event{Type: EventRound, Strategy: StrategyHybrid, Round: 1, Elapsed: time.Since(start)})
-	jobs := make([]fanJob, n)
+	rs := roundScratch{jobs: make([]fanJob, n)}
 	for i, c := range cands {
-		jobs[i] = fanJob{cand: c, take: screenChunk, hint: sessionHint}
+		rs.jobs[i] = fanJob{cand: c, take: screenChunk, hint: sessionHint}
 	}
-	results := o.fanOut(ctx, jobs)
+	results := fanOutRound(o, ctx, &rs)
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	for i, r := range results {
-		tokens, err := o.absorb(ctx, StrategyHybrid, 1, jobs[i].cand, r)
+		tokens, err := o.absorb(ctx, StrategyHybrid, 1, rs.jobs[i].cand, r)
 		if err != nil {
 			return Result{}, err
 		}
@@ -74,7 +74,7 @@ func (o *Orchestrator) Hybrid(ctx context.Context, prompt string) (Result, error
 	if allFailed(cands) {
 		return Result{}, allModelsFailedError(StrategyHybrid, cands)
 	}
-	screened := surviving(cands)
+	screened := rs.unpruned(cands) // only failures have pruned so far
 	o.scorePass(sc, StrategyHybrid, 1, screened)
 	best := argmaxScore(screened)
 	for _, c := range screened {
@@ -93,7 +93,7 @@ func (o *Orchestrator) Hybrid(ctx context.Context, prompt string) (Result, error
 	// Phase 2: MAB's loop over the survivors with the remaining budget,
 	// without MAB's locked-leader stop — Hybrid spends the budget unless
 	// every survivor finishes.
-	return o.refine(ctx, StrategyHybrid, cands, sc, start, used, &totalPulls, false, func(winner *candidate) string {
+	return o.refine(ctx, StrategyHybrid, cands, sc, &rs, start, used, &totalPulls, false, func(winner *candidate) string {
 		return fmt.Sprintf("highest final reward %.3f after screening + %d pulls", winner.score, totalPulls-n)
 	})
 }

@@ -51,7 +51,7 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 	// unclaimed tail is cancelled at close.
 	o.attachSessions(cands, prompt)
 	defer func() { o.closeAllSessions(StrategyMAB, totalPulls, cands, "query_end") }()
-	var jobs []fanJob
+	rs := roundScratch{jobs: make([]fanJob, 0, len(cands))}
 	remaining := cfg.MaxTokens
 	for _, c := range cands {
 		take := cfg.MABChunk
@@ -62,14 +62,14 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 			break
 		}
 		remaining -= take
-		jobs = append(jobs, fanJob{cand: c, take: take, hint: cfg.MaxTokens})
+		rs.jobs = append(rs.jobs, fanJob{cand: c, take: take, hint: cfg.MaxTokens})
 	}
-	results := o.fanOut(ctx, jobs)
+	results := fanOutRound(o, ctx, &rs)
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	for i, r := range results {
-		arm := jobs[i].cand
+		arm := rs.jobs[i].cand
 		totalPulls++
 		o.emit(Event{Type: EventRound, Strategy: StrategyMAB, Round: totalPulls, Model: arm.model,
 			Elapsed: time.Since(start)})
@@ -84,7 +84,7 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 		return Result{}, allModelsFailedError(StrategyMAB, cands)
 	}
 	// Seed every initialized arm's reward with its first-chunk score.
-	o.scorePass(sc, StrategyMAB, totalPulls, surviving(cands))
+	o.scorePass(sc, StrategyMAB, totalPulls, rs.unpruned(cands))
 	for _, arm := range cands {
 		if arm.failed || arm.pulls == 0 {
 			continue
@@ -97,7 +97,7 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 	// A finished arm whose mean reward already dominates every possible
 	// rival bound cannot be overtaken — further pulls would only spend
 	// budget on losers — so MAB lets a locked leader end the loop.
-	return o.refine(ctx, StrategyMAB, cands, sc, start, used, &totalPulls, true, func(best *candidate) string {
+	return o.refine(ctx, StrategyMAB, cands, sc, &rs, start, used, &totalPulls, true, func(best *candidate) string {
 		return fmt.Sprintf("highest final reward %.3f over %d pulls", best.score, best.pulls)
 	})
 }
@@ -112,9 +112,10 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 // wins; reason words the winner event. Nothing is score-pruned in MAB, so
 // "unpruned" there means "not failed". used is the budget already spent;
 // *pulls is the round counter, advanced in place so the caller's deferred
-// session sweep reports the round the query ended in.
-func (o *Orchestrator) refine(ctx context.Context, strategy Strategy, cands []*candidate, sc *scorer, start time.Time,
-	used int, pulls *int, lockLeader bool, reason func(best *candidate) string) (Result, error) {
+// session sweep reports the round the query ended in. rs is the caller's
+// round scratch, whose candidate list the loop's scoring passes reuse.
+func (o *Orchestrator) refine(ctx context.Context, strategy Strategy, cands []*candidate, sc *scorer, rs *roundScratch,
+	start time.Time, used int, pulls *int, lockLeader bool, reason func(best *candidate) string) (Result, error) {
 	cfg := o.cfg
 	for used < cfg.MaxTokens {
 		gamma := cfg.Gamma0 * (1 - float64(used)/float64(cfg.MaxTokens))
@@ -146,7 +147,7 @@ func (o *Orchestrator) refine(ctx context.Context, strategy Strategy, cands []*c
 
 		// Reward the pull (line 9): relevance plus consensus, computed on
 		// the arm's whole accumulated response so far.
-		o.scorePass(sc, strategy, *pulls, activeCandidates(cands))
+		o.scorePass(sc, strategy, *pulls, rs.unpruned(cands))
 		arm.rewardSum += arm.score
 		o.emit(Event{Type: EventScore, Strategy: strategy, Round: *pulls,
 			Model: arm.model, Score: arm.score, QuerySim: arm.querySim, InterSim: arm.interSim})
@@ -158,7 +159,7 @@ func (o *Orchestrator) refine(ctx context.Context, strategy Strategy, cands []*c
 		}
 	}
 
-	final := activeCandidates(cands)
+	final := rs.unpruned(cands)
 	if len(final) == 0 {
 		// Every unfailed model was score-pruned or failed later; fall back
 		// to the best surviving candidate so the query still gets an

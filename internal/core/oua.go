@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -24,9 +25,9 @@ import (
 // The loop ends when every surviving model has finished or spent its
 // allowance; the highest-scoring response wins (line 25).
 //
-// Each round's chunk calls fan out concurrently (one goroutine per
-// active model, collected deterministically in model order), so a round
-// costs the slowest model's latency rather than the sum. A model whose
+// Each round's chunk calls fan out concurrently (fanOut: a goroutine per
+// pull that may wait, collected deterministically in model order), so a
+// round costs the slowest model's latency rather than the sum. A model whose
 // backend keeps failing past Config.Retry is pruned with an
 // EventModelFailed and its allowance redistributed; the query errors
 // only when every model has failed (ErrAllModelsFailed).
@@ -57,17 +58,18 @@ func (o *Orchestrator) OUA(ctx context.Context, prompt string) (Result, error) {
 	// whatever stream is still open when the query ends, however it ends.
 	o.attachSessions(cands, prompt)
 	defer func() { o.closeAllSessions(StrategyOUA, round, cands, "query_end") }()
+	var rs roundScratch
 	for {
 		round++
 		o.emit(Event{Type: EventRound, Strategy: StrategyOUA, Round: round, Elapsed: time.Since(start)})
 
 		// Generation pass: every active model with budget left and an
-		// unfinished answer receives its next chunk. The calls run
-		// concurrently — one goroutine per model — and the results are
-		// collected in model-index order, so the round costs the slowest
-		// model's latency while scoring, pruning, and event order stay
-		// identical to the sequential pass.
-		var jobs []fanJob
+		// unfinished answer receives its next chunk. The pulls that may
+		// wait run concurrently and the results are collected in
+		// model-index order, so the round costs the slowest model's latency
+		// while scoring, pruning, and event order stay identical to the
+		// sequential pass.
+		rs.jobs = slices.Grow(rs.jobs[:0], n)
 		for _, c := range cands {
 			if c.pruned || c.done || c.remaining <= 0 {
 				continue
@@ -76,15 +78,15 @@ func (o *Orchestrator) OUA(ctx context.Context, prompt string) (Result, error) {
 			if take > c.remaining {
 				take = c.remaining
 			}
-			jobs = append(jobs, fanJob{cand: c, take: take, hint: c.remaining})
+			rs.jobs = append(rs.jobs, fanJob{cand: c, take: take, hint: c.remaining})
 		}
-		results := o.fanOut(ctx, jobs)
+		results := fanOutRound(o, ctx, &rs)
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
 		progressed := false
 		for i, r := range results {
-			c := jobs[i].cand
+			c := rs.jobs[i].cand
 			n, err := o.absorb(ctx, StrategyOUA, round, c, r)
 			if err != nil {
 				return Result{}, err
@@ -104,7 +106,7 @@ func (o *Orchestrator) OUA(ctx context.Context, prompt string) (Result, error) {
 
 		// Scoring pass over all unpruned candidates (finished models keep
 		// competing on their final answers; line 10 iterates activeModels).
-		active := activeCandidates(cands)
+		active := rs.unpruned(cands)
 		if len(active) == 0 {
 			break
 		}
@@ -148,7 +150,7 @@ func (o *Orchestrator) OUA(ctx context.Context, prompt string) (Result, error) {
 		}
 	}
 
-	active := activeCandidates(cands)
+	active := rs.unpruned(cands)
 	if len(active) == 0 {
 		// Everything was pruned — fall back to the best surviving
 		// (non-failed) candidate so the query still gets an answer.
@@ -171,17 +173,6 @@ func (o *Orchestrator) finishOUA(cands []*candidate, best *candidate, tokens, ro
 		TokensUsed: tokens, Rounds: rounds, EarlyExit: early,
 		Outcomes: outcomes(cands), Elapsed: elapsed,
 	}
-}
-
-// activeCandidates returns the unpruned candidates.
-func activeCandidates(cands []*candidate) []*candidate {
-	var out []*candidate
-	for _, c := range cands {
-		if !c.pruned {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // allSettled reports whether every unpruned candidate has either finished

@@ -81,6 +81,7 @@ func TestScorerMatchesPairwise(t *testing.T) {
 			cands[i] = &candidate{model: fmt.Sprintf("m%d", i)}
 		}
 		sc := newScorer(enc, qv, 0.7, 0.3)
+		var rs roundScratch
 		rounds := 3 + rng.Intn(6)
 		for r := 0; r < rounds; r++ {
 			for _, c := range cands {
@@ -95,7 +96,7 @@ func TestScorerMatchesPairwise(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				cands[rng.Intn(n)].pruned = false
 			}
-			active := activeCandidates(cands)
+			active := rs.unpruned(cands)
 			if len(active) == 0 {
 				continue
 			}

@@ -90,11 +90,7 @@ func (s *genSession) next(ctx context.Context, cont []int, take, hint int) fanRe
 		}
 	}
 	if s.stream != nil {
-		if bs, ok := s.stream.(llm.BufferedStream); ok {
-			if r.prefetched = bs.Buffered(); r.prefetched > take {
-				r.prefetched = take
-			}
-		}
+		r.prefetched = min(s.buffered(), take)
 		// A drain the buffer already covers returns without waiting, so only
 		// one that may wait takes the per-chunk deadline (and its timer).
 		drainCtx, cancel := ctx, context.CancelFunc(func() {})
@@ -138,6 +134,17 @@ func (s *genSession) next(ctx context.Context, cont []int, take, hint int) fanRe
 	r.chunk, r.attempts, r.err = chunk, attempts, err
 	return r
 }
+
+// buffered is the open stream's undrained token count, 0 when it cannot tell.
+func (s *genSession) buffered() int {
+	if bs, ok := s.stream.(llm.BufferedStream); ok {
+		return bs.Buffered()
+	}
+	return 0
+}
+
+// covers reports whether next's drain of take tokens will not wait.
+func (s *genSession) covers(take int) bool { return s.stream != nil && s.buffered() >= take }
 
 // attachSessions gives every candidate its generation session. When the
 // backend cannot stream the sessions start out broken, which is the state

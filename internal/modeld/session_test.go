@@ -2,10 +2,14 @@ package modeld
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"llmms/internal/llm"
 	"llmms/internal/truthfulqa"
@@ -48,9 +52,118 @@ func TestGenerationSessionAllocs(t *testing.T) {
 		st.Close()
 	}
 	session() // dial and warm the pools
-	const bound = 113
+	const bound = 110
 	if n := testing.AllocsPerRun(50, session); n > bound {
 		t.Fatalf("one session allocates %.0f times, want at most %d", n, bound)
+	}
+}
+
+// writeCounter is a listener whose connections count their writes: the
+// write(2)s the server side of a connection makes.
+type writeCounter struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *writeCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countedConn{c, &l.writes}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// decodedFirst holds a response's header until the engine's batch has
+// drained, so the handler's first Fill finds the whole generation decoded.
+type decodedFirst struct {
+	http.ResponseWriter
+	idle <-chan struct{}
+}
+
+func (w decodedFirst) WriteHeader(code int) {
+	<-w.idle
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w decodedFirst) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestDecodedSessionCostsOneWrite: a generation session whose tokens are
+// all decoded before the first Fill costs the daemon one write(2) — the
+// header, the token line, the done line and the end of the chunked body
+// leave together, because the done line is not flushed on its own.
+func TestDecodedSessionCostsOneWrite(t *testing.T) {
+	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
+	t.Cleanup(func() { engine.Close() })
+	h := NewServer(engine)
+	idle := make(chan struct{}, 1)
+	// After NewServer, which installs the daemon's own hooks.
+	engine.SetBatchHooks(llm.BatchHooks{Idle: func(string) {
+		select {
+		case idle <- struct{}{}:
+		default:
+		}
+	}})
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select { // a wake-up left over from the last session
+		case <-idle:
+		default:
+		}
+		h.ServeHTTP(decodedFirst{w, idle}, r)
+	}))
+	counter := &writeCounter{Listener: srv.Listener}
+	srv.Listener = counter
+	settled := make(chan struct{}, 1)
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateIdle || s == http.StateClosed {
+			select {
+			case settled <- struct{}{}:
+			default:
+			}
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	c := New(srv.URL)
+	for i := 0; i < 3; i++ {
+		before := counter.writes.Load()
+		if got := drainSession(t, c, sessionReq, 0); len(got) != 1 || got[0].EvalCount == 0 {
+			t.Fatalf("session %d = %+v, want the whole answer in one slice", i, got)
+		}
+		select {
+		case <-settled: // the response is over, its end written
+		case <-time.After(5 * time.Second):
+			t.Fatal("the daemon never finished the response")
+		}
+		if n := counter.writes.Load() - before; n != 1 {
+			t.Fatalf("session %d cost the daemon %d write(2)s, want 1", i, n)
+		}
+	}
+}
+
+// TestLineWriterPoolBound: a writer that grew past maxPooledBody for a
+// long reply is not pooled, so whatever the pool hands out next is of
+// ordinary size.
+func TestLineWriterPoolBound(t *testing.T) {
+	rec := httptest.NewRecorder()
+	lw := newLineWriter(rec, "m", false, false)
+	lw.reply(strings.Repeat("x", maxPooledBody+1), llm.Chunk{Done: true, DoneReason: llm.DoneStop}, nil)
+	lw.release()
+	for i := 0; i < 8; i++ {
+		lw := lineWriterPool.Get().(*lineWriter)
+		if n := max(cap(lw.out), cap(lw.batch.Text), cap(lw.pend)); n > maxPooledBody {
+			t.Fatalf("the pool kept a writer with a %d-byte buffer", n)
+		}
+		defer lw.release()
 	}
 }
 

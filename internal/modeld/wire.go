@@ -16,7 +16,8 @@ import (
 
 // This file is the wire codec of the modeld hop, both ends of it: the
 // daemon's line writer (one line and one Flush per drain of the
-// generation, then the done line, for /api/generate and /api/chat alike),
+// generation, then the done line, which leaves with the end of the body,
+// for /api/generate and /api/chat alike),
 // the client's decoder for the lines a stream_tokens session receives,
 // and the /api/generate request body the client writes and the daemon
 // reads. Everything is appended into pooled buffers and scanned out of
@@ -78,35 +79,38 @@ func newLineWriter(w http.ResponseWriter, model string, chat, echo bool) *lineWr
 func (lw *lineWriter) release() {
 	// IDs aliases the generation's own id array; do not pin it in the pool.
 	lw.w, lw.flusher, lw.batch.IDs = nil, nil, nil
-	lineWriterPool.Put(lw)
+	// One that grew for an outsized reply is dropped, as requestBuf's is.
+	if max(cap(lw.out), cap(lw.batch.Text), cap(lw.pend)) <= maxPooledBody {
+		lineWriterPool.Put(lw)
+	}
 }
 
 // stream writes the generation as it is decoded: after each blocking
 // Fill it has whatever else the engine had already decoded and writes one
 // line and one Flush for the lot, so a token leaves the daemon the moment
-// it is decoded and a burst costs one write. The done line rides the last
-// flush; finish, when set, runs on the terminal chunk just before it is
+// it is decoded and a burst costs one write. The fill that reaches the end
+// writes its tokens and the done line and returns without a Flush: the
+// handler returns next, and net/http sends them with the body's end in one
+// write. finish, when set, runs on the terminal chunk just before it is
 // written and returns the root of the trace whose spans it should carry. A
 // failed write means the client went away; the request context stops the
 // generation.
 func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) *telemetry.Span) {
 	lw.writeHeader(ndjsonContentType)
-	for more := true; more; {
-		var final llm.Chunk
-		final, more = lw.batch.Fill(g)
+	for {
+		final, more := lw.batch.Fill(g)
 		if len(lw.batch.IDs) > 0 && !lw.writeTokens() {
 			return
 		}
-		if final.Done {
+		if !more {
 			var spans *telemetry.Span
 			if finish != nil {
 				spans = finish(final)
 			}
 			// Without echo, pend is the held-back tail that never completed
 			// a character.
-			if !lw.writeDone(lw.pend, final, spans) {
-				return
-			}
+			lw.writeDone(lw.pend, final, spans)
+			return
 		}
 		if lw.flusher != nil {
 			lw.flusher.Flush()
@@ -129,10 +133,10 @@ func (lw *lineWriter) writeHeader(contentType []string) {
 	lw.w.WriteHeader(http.StatusOK)
 }
 
-func (lw *lineWriter) writeDone(text []byte, final llm.Chunk, spans *telemetry.Span) bool {
+// writeDone writes the line that ends the response.
+func (lw *lineWriter) writeDone(text []byte, final llm.Chunk, spans *telemetry.Span) {
 	lw.out = lw.appendDoneLine(lw.out[:0], time.Now(), text, final, spans)
-	_, err := lw.w.Write(lw.out)
-	return err == nil
+	_, _ = lw.w.Write(lw.out) // a failed write leaves nothing more to do: the client went away
 }
 
 // writeTokens writes the filled batch as one token line, reporting

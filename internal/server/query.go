@@ -422,11 +422,10 @@ func (s *Server) orchestrate(q *query, prompt string) {
 		SessionID: q.sessID, Question: q.req.Query, Answer: res.Answer,
 		Model: res.Model, Time: time.Now(),
 	})
-	data := sw.encodeResult(&res)
+	q.out.result, q.out.resultJSON = &res, sw.encodeResult(&res)
 	if cacheable {
-		s.cache.Put(q.key, sw.recorded(res, data))
+		s.cache.Put(q.key, sw.recorded(res))
 	}
-	q.out.result, q.out.resultJSON = &res, data
 }
 
 // config is the orchestrator's configuration for the query: its routed
@@ -451,13 +450,12 @@ func (s *Server) config(q *query) core.Config {
 }
 
 // deliver ends the stream with the requester's own result frame around the
-// shared answer. The exchange is appended once the connection took the
-// frame and before it is flushed, so a session's next turn sees this one.
+// shared answer, and appends the exchange iff the connection took it; the
+// frame leaves with the end of the body, so a session's next turn sees it.
 func (s *Server) deliver(q *query) {
 	if s.openStream(q).result(q.out.result, q.out.resultJSON) {
 		s.appendExchange(q.sessID, q.req.Query, *q.out.result)
 	}
-	q.sw.flush()
 }
 
 // finish is the one unwind of handleQuery. In order: the root span ends
@@ -485,8 +483,9 @@ func (s *Server) finish(q *query) {
 	if q.flight != nil {
 		q.flight.Finish(q.out)
 		if q.sw != nil && q.flight.Followers() > 0 {
-			// Followers may still be replaying frames out of the writer's
-			// buffer, so it must not be reused; none can join after Finish.
+			// Followers may still be replaying frames and the answer out of
+			// the writer's buffer, so it must not be reused; none can join
+			// after Finish.
 			q.sw.buf = nil
 		}
 	}

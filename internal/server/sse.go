@@ -23,10 +23,10 @@ import (
 // replay and a coalesced follower all write through an sseWriter, under
 // one rule: render what is ready into a buffer, hand it to the client
 // only when the producer is about to wait. The wait points are the
-// producer's own — core.Config.BeforeWait for a leader, the end of the
-// recording for a cache hit, having caught up with the leader for a
-// follower — so no frame is held while anyone waits, and a round's frames
-// cost one write instead of one each.
+// producer's own — core.Config.BeforeWait for a leader, having caught up
+// with the leader for a follower — so no frame is held while anyone waits,
+// and a round's frames cost one write. A terminal frame is not flushed: it
+// leaves with the end of the body, so a cache hit is one write in all.
 
 // maxPendingSSE bounds the bytes an sseWriter holds back between flushes:
 // a frame that takes the pending bytes past it is handed to the
@@ -63,6 +63,10 @@ type sseWriter struct {
 	// or followers. frames counts the frames rendered so far.
 	record bool
 	frames int
+	// answer is the JSON encodeResult rendered at the end of buf, into the
+	// result frame that starts at resultAt; nil until then.
+	answer   []byte
+	resultAt int
 	// tee, when set, receives each rendered frame except "result" (the
 	// leader's flight followers). It is only set on a recording writer,
 	// which never rewrites a frame it has teed — buf only grows past it,
@@ -100,7 +104,8 @@ func (sw *sseWriter) close(ctx context.Context) {
 	if sw.opened && ctx.Err() != nil {
 		sw.tel.SSEDropped.Inc()
 	}
-	if cap(sw.buf) <= maxPooledSSE {
+	// Not without a buffer, one finish left to a flight's followers.
+	if c := cap(sw.buf); c > 0 && c <= maxPooledSSE {
 		*sw = sseWriter{buf: sw.buf[:0]}
 		ssePool.Put(sw)
 	}
@@ -185,31 +190,44 @@ func (sw *sseWriter) replay(frames []byte, n int) {
 	sw.queued(n)
 }
 
-// recorded returns the cache entry of a recording leader — a copy of the
-// stream so far, taken before its result frame, and the encoded answer.
-func (sw *sseWriter) recorded(res core.Result, resultJSON []byte) *cachedAnswer {
-	return &cachedAnswer{stream: bytes.Clone(sw.buf), frames: sw.frames, result: res, resultJSON: resultJSON}
+// recorded returns the cache entry of a recording leader: copies of the
+// stream before its result frame and of the answer encodeResult put there.
+func (sw *sseWriter) recorded(res core.Result) *cachedAnswer {
+	return &cachedAnswer{stream: bytes.Clone(sw.buf[:sw.resultAt]), frames: sw.frames, result: res,
+		resultJSON: bytes.Clone(sw.answer)}
 }
 
-// encodeResult renders an answer once for every result frame that will
-// carry it: appendResultJSON's bytes, rendered in buf's spare capacity and
-// copied out exactly sized, or nil where encoding/json refuses res.
+// encodeResult renders an answer once, straight into the requester's own
+// result frame, which result closes, and returns its JSON — storage the
+// writer owns, which the cache entry copies (recorded) and followers read
+// where it is, like the frames — or nil, taking the frame back, where
+// encoding/json refuses res.
 func (sw *sseWriter) encodeResult(res *core.Result) []byte {
+	sw.openResult()
 	n := len(sw.buf)
 	b, ok := appendResultJSON(sw.buf, res)
-	sw.buf = b[:n]
 	if !ok {
+		sw.buf = b[:sw.resultAt]
 		return nil
 	}
-	return bytes.Clone(b[n:])
+	sw.buf, sw.answer = b, b[n:len(b):len(b)]
+	return sw.answer
+}
+
+// openResult begins the requester's own result frame, up to its answer.
+// Keys in sorted order: the frame was a marshaled map.
+func (sw *sseWriter) openResult() {
+	sw.resultAt = sw.begin("result")
+	sw.buf = jsonwire.AppendString(append(sw.buf, `{"query_id":`...), sw.queryID)
+	sw.buf = append(sw.buf, `,"result":`...)
 }
 
 // result ends the stream with the requester's own "result" frame — its
 // session and query ids around the shared answer's JSON — handed to the
-// connection but not flushed: the caller flushes once it has recorded the
-// exchange. It reports whether the connection took the frame. A result
-// that does not encode (nil JSON) ends the stream with an "error" frame
-// instead, so every opened stream gets exactly one terminal frame.
+// connection unflushed: it leaves with the end of the body. It reports
+// whether the connection took the frame. A result that does not encode
+// (nil JSON) ends the stream with an "error" frame instead, so every
+// opened stream gets exactly one terminal frame.
 func (sw *sseWriter) result(res *core.Result, resultJSON []byte) bool {
 	if resultJSON == nil {
 		sw.tel.SSEEncodeErrors.Inc()
@@ -221,23 +239,20 @@ func (sw *sseWriter) result(res *core.Result, resultJSON []byte) bool {
 		return false
 	}
 	if !sw.skip() {
-		// Keys in sorted order: the frame was a marshaled map.
-		start := sw.begin("result")
-		sw.buf = append(sw.buf, `{"query_id":`...)
-		sw.buf = jsonwire.AppendString(sw.buf, sw.queryID)
-		sw.buf = append(sw.buf, `,"result":`...)
-		sw.buf = append(sw.buf, resultJSON...)
-		sw.buf = append(sw.buf, `,"session_id":`...)
-		sw.buf = jsonwire.AppendString(sw.buf, sw.sessID)
+		if sw.answer == nil {
+			sw.openResult()
+			sw.buf = append(sw.buf, resultJSON...)
+		}
+		sw.buf = jsonwire.AppendString(append(sw.buf, `,"session_id":`...), sw.sessID)
 		sw.buf = append(sw.buf, '}')
-		sw.end("result", start)
+		sw.end("result", sw.resultAt)
 	}
 	sw.write()
 	return !sw.dead
 }
 
 // fail ends the stream with an "error" frame carrying the uniform error
-// envelope, and flushes.
+// envelope, handed to the connection unflushed, like a result.
 func (sw *sseWriter) fail(code, message string) {
 	if !sw.skip() {
 		start := sw.begin("error")
@@ -248,7 +263,7 @@ func (sw *sseWriter) fail(code, message string) {
 		sw.buf = append(sw.buf, "}}"...)
 		sw.end("error", start)
 	}
-	sw.flush()
+	sw.write()
 }
 
 // write hands the pending frames to the ResponseWriter. Frames count as

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -294,8 +295,9 @@ func TestSSEFlushesBeforeEveryWait(t *testing.T) {
 }
 
 // TestSSEFlushBudget is the other half: a stream flushes when its
-// producer waits and once for the terminal frame, not per frame. The
-// waits of a query follow from the rounds its result reports.
+// producer waits, not per frame, and its terminal frame leaves with the
+// end of the body, unflushed. The waits of a query follow from the rounds
+// its result reports; a cache hit never waits.
 func TestSSEFlushBudget(t *testing.T) {
 	for _, strategy := range []string{"oua", "mab", "hybrid", "single"} {
 		t.Run(strategy, func(t *testing.T) {
@@ -316,25 +318,114 @@ func TestSSEFlushBudget(t *testing.T) {
 				waits -= len(res.Result.Outcomes) - 1
 			}
 			flushes := int(s.tel.SSEFlushes.Value())
-			if flushes < 2 || flushes > waits+1 {
-				t.Fatalf("%d flushes for %d frames over %d waits, want 2..%d", flushes, len(frames), waits, waits+1)
+			if flushes < 1 || flushes > waits {
+				t.Fatalf("%d flushes for %d frames over %d waits, want 1..%d", flushes, len(frames), waits, waits)
 			}
 			if got := int(s.tel.SSEFrames.Value()); got != len(frames) {
 				t.Fatalf("sse_frames_written_total = %d, client read %d frames", got, len(frames))
 			}
 
-			// A hit replays the recording and its result in one flush.
+			// A hit replays the recording and its result with the end of
+			// the body, without a flush.
 			resp, hit := postQuery(t, ts.URL, q)
 			if resp.Header.Get("X-Cache") != "HIT" {
 				t.Fatalf("repeat X-Cache = %q", resp.Header.Get("X-Cache"))
 			}
-			if got := int(s.tel.SSEFlushes.Value()) - flushes; got != 1 {
-				t.Fatalf("a cache hit flushed %d times, want 1", got)
+			if got := int(s.tel.SSEFlushes.Value()) - flushes; got != 0 {
+				t.Fatalf("a cache hit flushed %d times, want 0", got)
 			}
 			if got := int(s.tel.SSEFrames.Value()); got != len(frames)+len(sseFrames(t, hit)) {
 				t.Fatalf("sse_frames_written_total = %d after a hit of %d frames on top of %d", got, len(sseFrames(t, hit)), len(frames))
 			}
 		})
+	}
+}
+
+// writeCounter is a listener whose connections count their writes: the
+// write(2)s the server side of a connection makes.
+type writeCounter struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *writeCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countedConn{c, &l.writes}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestCacheHitCostsOneWrite: a cache hit's headers, replayed stream,
+// result frame and the end of its body leave in one write(2).
+func TestCacheHitCostsOneWrite(t *testing.T) {
+	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
+	s, err := NewServer(Options{Engine: engine, Serving: ServingOptions{CacheTTL: time.Minute}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watchResources(t, s)
+	ts := httptest.NewUnstartedServer(s)
+	counter := &writeCounter{Listener: ts.Listener}
+	ts.Listener = counter
+	settled := make(chan struct{}, 1)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateIdle || st == http.StateClosed {
+			select {
+			case settled <- struct{}{}:
+			default:
+			}
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	// A short answer, so that the whole response fits the connection's
+	// 4 KiB write buffer.
+	q := map[string]any{"query": "What is the capital of France?", "strategy": "single", "max_tokens": 32}
+	for _, want := range []string{"MISS", "HIT", "HIT"} {
+		before := counter.writes.Load()
+		resp, body := postQuery(t, ts.URL, q)
+		if got := resp.Header.Get("X-Cache"); got != want {
+			t.Fatalf("X-Cache = %q, want %s", got, want)
+		}
+		select {
+		case <-settled: // the response is over, its end written
+		case <-time.After(5 * time.Second):
+			t.Fatal("the server never finished the response")
+		}
+		if len(body) > 3<<10 {
+			t.Fatalf("a %d-byte body no longer fits one write; shorten the answer", len(body))
+		}
+		if n := counter.writes.Load() - before; want == "HIT" && n != 1 {
+			t.Fatalf("a cache hit cost the server %d write(2)s, want 1", n)
+		}
+	}
+}
+
+// TestWriterLeftToFollowersIsNotPooled: a coalescing leader whose
+// followers keep its buffer closes a writer without one, which is not
+// pooled, so every writer the pool hands out has room for a stream.
+func TestWriterLeftToFollowersIsNotPooled(t *testing.T) {
+	tel := telemetry.New(telemetry.Options{})
+	sw := newSSEWriter(httptest.NewRecorder(), tel, "s", "q", "")
+	sw.buf = nil // what finish does when the flight had followers
+	sw.close(context.Background())
+	for i := 0; i < 8; i++ {
+		sw := newSSEWriter(httptest.NewRecorder(), tel, "s", "q", "")
+		if cap(sw.buf) == 0 {
+			t.Fatal("the pool handed out a writer without a buffer")
+		}
+		defer sw.close(context.Background())
 	}
 }
 

@@ -35,6 +35,12 @@ go test -race -count=20 -run 'TestPredictorConcurrentFlushAndClose|TestPredictor
 echo "== fuzz smoke: FuzzPredictorLoad 10s"
 go test -run '^$' -fuzz '^FuzzPredictorLoad$' -fuzztime 10s ./internal/router >/dev/null
 
+# The fan-out round against its goroutine-per-job reference: pulls the
+# buffer covers run inline, the rest on goroutines, over and over; the
+# warm-round allocation check skips itself under -race.
+echo "== fan-out rounds: go test -race -count=20 -run 'TestFanOutMatchesReference|TestWarmBufferedRoundAllocatesNothing' ./internal/core"
+go test -race -count=20 -run 'TestFanOutMatchesReference|TestWarmBufferedRoundAllocatesNothing' ./internal/core
+
 # Borrowed embeddings: pooled accumulators and scorers shared by concurrent
 # queries, and flight histories recycled while a follower still replays;
 # then a short fuzz of the borrow rule against Encode.
