@@ -13,7 +13,8 @@
 //     cosine similarity clears a configurable threshold. This is the
 //     bounded-staleness trade the networked-LLM literature motivates: a
 //     semantically equivalent answer now instead of an identical answer
-//     after a full fan-out.
+//     after a full fan-out. A document write drops exactly the answers
+//     whose retrieval, recorded as their Grounding, it can change.
 //
 //   - Group/Flight: singleflight-style coalescing for streaming
 //     responses. The first request for a key becomes the leader and
@@ -36,8 +37,11 @@ package qcache
 
 import (
 	"container/list"
+	"math"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -160,9 +164,23 @@ type entry struct {
 	scope   string
 	value   any
 	expires time.Time
+	g       *Grounding // nil: the answer uses no documents
 	elem    *list.Element
 	row     int // the entry's row in its scope's bucket, under Cache.vmu
 }
+
+// Grounding is what an answer's retrieval of the top-k chunks, by cosine
+// distance 1 − ⟨q, v⟩ and then id, depended on. It is never modified once
+// stored.
+type Grounding struct {
+	Docs   []string         // the documents of the chunks
+	Kth    float64          // the k-th chunk's distance; +Inf when fewer than k came back
+	Filter string           // the one document admitted; "" admits all
+	Query  embedding.Vector // the unit vector searched with; may be nil when Kth is +Inf
+}
+
+// everyDoc grounds a restored answer, whose grounding is not persisted.
+var everyDoc = &Grounding{Kth: math.Inf(1)}
 
 // bucket is the semantic tier of one scope: its entries' unit vectors in
 // one contiguous array, row i (dim wide) belonging to entries[i], so a
@@ -191,7 +209,8 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
-	lru     *list.List // front = most recently used
+	lru     *list.List    // front = most recently used
+	gen     atomic.Uint64 // advanced under mu by Flush and every drop pass
 
 	// vmu guards the semantic tier: writers take it inside mu, a probe
 	// alone, so a probe never holds the lock an exact hit needs.
@@ -324,34 +343,53 @@ func closer(a, b candidate) bool {
 	return a.id < b.id
 }
 
-// Put stores (or refreshes) the answer for key, evicting the least
-// recently used entries at capacity.
+// Put stores (or refreshes) an answer that uses no documents, evicting the
+// least recently used entries at capacity. No document write drops it.
 func (c *Cache) Put(key Key, value any) {
 	if c != nil {
-		c.put(Normalize(key.Query), key.Scope, value, c.clock().Add(c.ttl), true)
+		c.put(Normalize(key.Query), key.Scope, value, c.clock().Add(c.ttl), nil, nil, true)
 	}
 }
 
-// put inserts an entry into both tiers, its vector as a new row of its
-// scope's bucket, and reports it did — unless the key is held: that entry
-// moves to the LRU front and, with refresh, takes value and deadline.
-func (c *Cache) put(nq, scope string, value any, expires time.Time, refresh bool) bool {
+// Gen is the invalidation generation a query reads before it retrieves.
+func (c *Cache) Gen() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.gen.Load()
+}
+
+// PutAt is Put for an answer grounded in documents by g, stored only if no
+// Flush or drop pass — which could not see it — has run since gen was
+// read. It reports whether the answer was stored.
+func (c *Cache) PutAt(key Key, value any, gen uint64, g *Grounding) bool {
+	return c != nil && c.put(Normalize(key.Query), key.Scope, value, c.clock().Add(c.ttl), g, &gen, true)
+}
+
+// put stores an entry in both tiers, its vector as a new row of its
+// scope's bucket, and reports it did — unless the generation moved past
+// *at, or the key is held: that entry moves to the LRU front and, with
+// refresh, takes value, deadline and grounding.
+func (c *Cache) put(nq, scope string, value any, expires time.Time, g *Grounding, at *uint64, refresh bool) bool {
 	id := nq + keySep + scope
 	vec, acc := embedding.Borrow(c.enc, nq)
 	defer acc.Release()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if at != nil && *at != c.gen.Load() {
+		return false
+	}
 	if e, ok := c.entries[id]; ok {
 		if refresh {
-			e.value, e.expires = value, expires
+			e.value, e.expires, e.g = value, expires, g
 		}
 		c.lru.MoveToFront(e.elem)
-		return false
+		return refresh
 	}
 	for len(c.entries) >= c.capacity {
 		c.removeLocked(c.lru.Back().Value.(*entry))
 	}
-	e := &entry{id: id, scope: scope, value: value, expires: expires}
+	e := &entry{id: id, scope: scope, value: value, expires: expires, g: g}
 	e.elem = c.lru.PushFront(e)
 	c.entries[id] = e
 	c.vmu.Lock()
@@ -365,15 +403,17 @@ func (c *Cache) put(nq, scope string, value any, expires time.Time, refresh bool
 	return true
 }
 
-// Flush drops every entry — the coherence hammer the server swings on
-// settings changes and document upload/delete, where any cached answer
-// might now be produced differently.
-func (c *Cache) Flush() {
+// Flush drops every entry and reports how many — the coherence hammer the
+// server swings on settings changes, where any cached answer might now be
+// produced differently.
+func (c *Cache) Flush() int {
 	if c == nil {
-		return
+		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen.Add(1)
+	n := len(c.entries)
 	c.entries = make(map[string]*entry)
 	c.lru.Init()
 	c.vmu.Lock()
@@ -382,12 +422,59 @@ func (c *Cache) Flush() {
 	}
 	clear(c.buckets)
 	c.vmu.Unlock()
+	return n
 }
 
-// keepLocked keeps the arrays of a bucket that is going, up to
-// maxSpares of them, so scopes that come and go — every RAG revision is a
-// new one, and a query begun before it still puts under the old — do not
-// regrow their buckets from nothing. Caller holds c.vmu.
+// DropUpload drops, once doc's chunks (embedded as vecs) are stored, every
+// entry one can enter — the filter admits doc, and it is as close as the
+// k-th or closer: a tie may sort first — and reports how many.
+func (c *Cache) DropUpload(doc string, vecs []embedding.Vector) int {
+	return c.drop(func(g *Grounding) bool {
+		return (g.Filter == "" || g.Filter == doc) && slices.ContainsFunc(vecs, func(v embedding.Vector) bool {
+			return 1-embedding.Dot(g.Query, v) <= g.Kth
+		})
+	})
+}
+
+// DropDoc drops, once doc's chunks are deleted, every entry grounded in
+// one of them, and reports how many.
+func (c *Cache) DropDoc(doc string) int {
+	return c.drop(func(g *Grounding) bool { return g == everyDoc || slices.Contains(g.Docs, doc) })
+}
+
+// drop is one pass: it advances the generation, so no answer retrieved
+// before the write is stored after it, then judges groundings without the
+// entry lock; one that took a new grounding meanwhile is fresh and stays.
+func (c *Cache) drop(stale func(*Grounding) bool) (n int) {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	c.gen.Add(1)
+	held := make(map[*entry]*Grounding)
+	for _, e := range c.entries {
+		if e.g != nil {
+			held[e] = e.g
+		}
+	}
+	c.mu.Unlock()
+	for e, g := range held {
+		if stale(g) {
+			c.mu.Lock()
+			if c.entries[e.id] == e && e.g == g {
+				c.removeLocked(e)
+				n++
+			}
+			c.mu.Unlock()
+		}
+	}
+	return n
+}
+
+// keepLocked keeps the arrays of a bucket that is going, up to maxSpares
+// of them, so the scopes that come and go — a settings change empties
+// every bucket, and a drop pass may empty one — do not regrow their
+// buckets from nothing. Caller holds c.vmu.
 func (c *Cache) keepLocked(b bucket) {
 	if len(c.spares) < maxSpares {
 		clear(b.entries)

@@ -33,6 +33,9 @@ type WarmEntry struct {
 	Expires time.Time `json:"expires"`
 	// Value is the codec-encoded answer.
 	Value json.RawMessage `json:"value"`
+	// Grounded marks an answer retrieved from documents. Its Grounding is
+	// not persisted, so once restored any document write drops it.
+	Grounded bool `json:"grounded,omitempty"`
 }
 
 // WarmState is a point-in-time snapshot of the cache.
@@ -69,10 +72,11 @@ func (c *Cache) Snapshot(fingerprint string, encode func(any) ([]byte, error)) *
 			continue
 		}
 		st.Entries = append(st.Entries, WarmEntry{
-			Query:   query,
-			Scope:   e.scope,
-			Expires: e.expires,
-			Value:   raw,
+			Query:    query,
+			Scope:    e.scope,
+			Expires:  e.expires,
+			Value:    raw,
+			Grounded: e.g != nil,
 		})
 	}
 	return st
@@ -101,8 +105,12 @@ func (c *Cache) WarmStart(st *WarmState, fingerprint string, decode func([]byte)
 		if err != nil {
 			continue
 		}
+		var g *Grounding
+		if we.Grounded {
+			g = everyDoc
+		}
 		// A live entry wins: it is newer than the snapshot.
-		if c.put(we.Query, we.Scope, value, we.Expires, false) {
+		if c.put(we.Query, we.Scope, value, we.Expires, g, nil, false) {
 			restored++
 		}
 	}

@@ -185,7 +185,7 @@ func (in *Ingestor) IngestText(docID, source, text string) (int, error) {
 	docs := make([]vectordb.Document, len(chunks))
 	for i, c := range chunks {
 		docs[i] = vectordb.Document{
-			ID:   fmt.Sprintf("%s#%d", docID, c.Index),
+			ID:   ChunkID(docID, c.Index),
 			Text: c.Text,
 			Metadata: vectordb.Metadata{
 				"doc_id": docID,
@@ -200,18 +200,15 @@ func (in *Ingestor) IngestText(docID, source, text string) (int, error) {
 	return len(chunks), nil
 }
 
-// DeleteDocument removes every chunk of a previously ingested document
-// and returns how many chunks were deleted.
+// ChunkID is the id of a document's i-th chunk in the collection.
+func ChunkID(docID string, i int) string { return fmt.Sprintf("%s#%d", docID, i) }
+
+// DeleteDocument removes every chunk of a previously ingested document,
+// found by its doc_id whatever ids a crash left, in one write (one WAL
+// record), and returns how many chunks were deleted.
 func (in *Ingestor) DeleteDocument(docID string) int {
-	// Chunk ids are sequential; probe until a miss.
-	removed := 0
-	for i := 0; ; i++ {
-		id := fmt.Sprintf("%s#%d", docID, i)
-		if in.col.Delete(id) == 0 {
-			break
-		}
-		removed++
-	}
+	// Only the WAL can fail, and like Collection.Delete this cannot say so.
+	removed, _ := in.col.DeleteWhere(vectordb.Metadata{"doc_id": docID})
 	return removed
 }
 

@@ -60,11 +60,16 @@ const routeClustersCollection = "route_clusters"
 
 // serverState is the scalar state state.json carries across restarts.
 type serverState struct {
-	// RagRev keeps cached-answer scopes ("rag:<rev>:...") comparable
+	// RagRev keeps the warm-start fingerprint ("…|rag<rev>") comparable
 	// across restarts: without it a restarted server would reset the
-	// revision counter and collide fresh keys with pre-upload answers.
+	// revision counter and take a snapshot cut before a later write.
 	RagRev int `json:"rag_rev"`
 }
+
+// docsConfig is the RAG chunk collection's: cosine over encoder output on
+// the flat index, whose exact search puts a chunk in the top k precisely
+// when the distance the answer cache's drop passes recompute sorts there.
+var docsConfig = vectordb.CollectionConfig{Metric: vectordb.Cosine, Index: "flat", Encoder: embedding.Default()}
 
 // openSubstrate builds the server's vector database: durable under
 // Options.DataDir (recovered inside a vectordb.recover span), in-memory
@@ -82,7 +87,7 @@ func openSubstrate(opts Options, tel *telemetry.Telemetry, tracer *telemetry.Tra
 	if opts.DataDir == "" {
 		db := vectordb.New()
 		db.SetHooks(hooks)
-		col, err := db.CreateCollection("documents", vectordb.CollectionConfig{})
+		col, err := db.CreateCollection("documents", docsConfig)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -103,7 +108,7 @@ func openSubstrate(opts Options, tel *telemetry.Telemetry, tracer *telemetry.Tra
 	if err != nil {
 		return nil, nil, err
 	}
-	col, err := db.GetOrCreateCollection("documents", vectordb.CollectionConfig{})
+	col, err := db.GetOrCreateCollection("documents", docsConfig)
 	if err != nil {
 		return nil, nil, err
 	}

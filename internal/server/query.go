@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -96,6 +97,11 @@ type query struct {
 	xcache string            // X-Cache value, "" for none
 	pred   router.Prediction // zero when route made none
 	routed []string          // the models orchestration fans out to
+
+	// Set by retrieve: the cache generation read before the corpus was, and
+	// the uploaded documents' chunks a RAG query retrieved.
+	gen       uint64
+	retrieved []vectordb.Result
 
 	out  outcome
 	err  error // what the root span ends with
@@ -229,7 +235,13 @@ func (s *Server) fromFlight(q *query) bool {
 	if !q.servable || s.flights == nil {
 		return false
 	}
-	f, role := s.flights.Join(q.key.ID())
+	key := q.key.ID()
+	if q.req.UseRAG {
+		// The flight key keeps the document revision the cache key drops: a
+		// request after a write never replays a leader that retrieved before.
+		key += "|rev" + strconv.Itoa(s.ragRevision())
+	}
+	f, role := s.flights.Join(key)
 	if role != qcache.RoleFollower {
 		if role == qcache.RoleLeader {
 			q.flight = f
@@ -328,6 +340,9 @@ func (s *Server) admit(q *query) bool {
 // chunks of the uploaded and the ephemeral documents, the question.
 func (s *Server) retrieve(q *query) (string, bool) {
 	var found []vectordb.Result
+	// Read before the corpus is: a write that lands from here on keeps a RAG
+	// answer out of the cache (qcache.Cache.PutAt).
+	q.gen = s.cache.Gen()
 	if q.req.UseRAG && s.docs.Count() > 0 {
 		_, span := telemetry.StartSpan(q.ctx, "retrieve")
 		results, err := rag.Retrieve(s.docs, q.req.Query, q.st.RAGTopK, q.req.DocID)
@@ -336,7 +351,7 @@ func (s *Server) retrieve(q *query) (string, bool) {
 		if err != nil {
 			return "", q.fail(err, http.StatusInternalServerError, "retrieval_failed", "retrieval: %v", err)
 		}
-		found = results
+		found, q.retrieved = results, results
 	}
 	if strings.TrimSpace(q.req.EphemeralContext) != "" {
 		results, err := retrieveEphemeral(q.req.EphemeralContext, q.req.Query, q.st.RAGTopK)
@@ -423,8 +438,12 @@ func (s *Server) orchestrate(q *query, prompt string) {
 		Model: res.Model, Time: time.Now(),
 	})
 	q.out.result, q.out.resultJSON = &res, sw.encodeResult(&res)
-	if cacheable {
+	switch {
+	case !cacheable:
+	case !q.req.UseRAG:
 		s.cache.Put(q.key, sw.recorded(res))
+	case !s.cache.PutAt(q.key, sw.recorded(res), q.gen, grounding(q)):
+		s.tel.CacheRefused.Inc()
 	}
 }
 

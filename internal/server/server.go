@@ -87,6 +87,7 @@ import (
 
 	"llmms/internal/arena"
 	"llmms/internal/core"
+	"llmms/internal/embedding"
 	"llmms/internal/fleet"
 	"llmms/internal/llm"
 	"llmms/internal/qcache"
@@ -582,7 +583,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing_field", "filename and content are required")
 		return
 	}
-	docID := fmt.Sprintf("doc-%d", time.Now().UnixNano())
+	// Random as query ids are: cache drops key on it, and clocks can repeat.
+	docID := "doc-" + telemetry.NewQueryID()[1:]
 	n, err := s.ingestor.IngestFile(docID, req.Filename, []byte(req.Content))
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, "ingest_failed", "ingest: %v", err)
@@ -592,8 +594,13 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	s.docIDs[docID] = docInfo{Name: req.Filename, Chunks: n}
 	s.ragRev++
 	s.mu.Unlock()
-	// RAG-grounded cached answers may now be stale.
-	s.cache.Flush()
+	var vecs []embedding.Vector
+	for i := 0; i < n; i++ {
+		for _, c := range s.docs.Get(rag.ChunkID(docID, i)) {
+			vecs = append(vecs, c.Embedding)
+		}
+	}
+	s.tel.CacheDropped.Add(float64(s.cache.DropUpload(docID, vecs)), "upload")
 	writeJSON(w, http.StatusCreated, map[string]any{"doc_id": docID, "chunks": n})
 }
 
@@ -627,7 +634,7 @@ func (s *Server) handleDeleteDocument(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	removed := s.ingestor.DeleteDocument(id)
-	s.cache.Flush()
+	s.tel.CacheDropped.Add(float64(s.cache.DropDoc(id)), "delete")
 	writeJSON(w, http.StatusOK, map[string]any{"deleted_chunks": removed})
 }
 
@@ -706,7 +713,7 @@ func (s *Server) handlePutSettings(w http.ResponseWriter, r *http.Request) {
 	s.settings = st
 	s.mu.Unlock()
 	// Cached answers are keyed on the settings that produced them.
-	s.cache.Flush()
+	s.tel.CacheDropped.Add(float64(s.cache.Flush()), "settings")
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -747,7 +754,7 @@ func (s *Server) handleConfigure(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.settings = st
 	s.mu.Unlock()
-	s.cache.Flush()
+	s.tel.CacheDropped.Add(float64(s.cache.Flush()), "settings")
 	writeJSON(w, http.StatusOK, map[string]any{
 		"settings":   st,
 		"changes":    changeLog,

@@ -2,6 +2,8 @@ package server
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -17,10 +19,10 @@ import (
 type ServingOptions struct {
 	// CacheTTL enables the two-tier answer cache when positive: exact
 	// hits on the normalized (query, strategy, models, budget, RAG
-	// fingerprint) key and semantic hits on near-duplicate queries are
-	// replayed without orchestrating. Entries expire after this TTL and
-	// the whole cache is flushed on settings changes and document
-	// upload/delete.
+	// parameters) key and semantic hits on near-duplicate queries are
+	// replayed without orchestrating. Entries expire after this TTL, the
+	// whole cache is flushed on settings changes, and a document upload or
+	// delete drops the RAG answers whose retrieval it changes.
 	CacheTTL time.Duration
 	// CacheCapacity bounds the cache entries (non-positive means
 	// qcache.DefaultCapacity).
@@ -73,15 +75,28 @@ func (s *Server) servingKey(q *query) (qcache.Key, bool) {
 	}
 	ragFP := "-"
 	if q.req.UseRAG {
-		// The revision counter ties RAG-grounded answers to the document
-		// set that produced them; upload/delete bumps it (and flushes the
-		// cache outright — the counter additionally keeps stale keys from
-		// ever colliding with fresh ones).
-		ragFP = fmt.Sprintf("rag:%d:%s:%d", s.ragRevision(), q.req.DocID, q.st.RAGTopK)
+		// No document revision: a write drops only the answers it makes stale.
+		ragFP = fmt.Sprintf("rag:%s:%d", q.req.DocID, q.st.RAGTopK)
 	}
 	scope := fmt.Sprintf("%s|%s|%d|%g|%g|%s",
 		q.strategy, strings.Join(q.models, ","), q.st.MaxTokens, q.st.Alpha, q.st.Beta, ragFP)
 	return qcache.Key{Query: q.req.Query, Scope: scope}, true
+}
+
+// grounding records what the query's document retrieval depended on, so
+// that a later write drops its cached answer exactly when it changes it.
+func grounding(q *query) *qcache.Grounding {
+	g := &qcache.Grounding{Kth: math.Inf(1), Filter: q.req.DocID}
+	for _, r := range q.retrieved {
+		if doc, _ := r.Metadata["doc_id"].(string); !slices.Contains(g.Docs, doc) {
+			g.Docs = append(g.Docs, doc)
+		}
+	}
+	if n := len(q.retrieved); n == q.st.RAGTopK {
+		// rag.Retrieve's borrowed vector of the question is Encode's, bit for bit.
+		g.Kth, g.Query = q.retrieved[n-1].Distance, docsConfig.Encoder.Encode(q.req.Query)
+	}
+	return g
 }
 
 // ragRevision returns the document-set revision (bumped on every upload

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,8 +17,10 @@ import (
 
 	"llmms/internal/core"
 	"llmms/internal/llm"
+	"llmms/internal/rag"
 	"llmms/internal/session"
 	"llmms/internal/truthfulqa"
+	"llmms/internal/vectordb"
 )
 
 // newServingServer builds a test server with the serving layer on.
@@ -179,35 +182,83 @@ func TestQueryCacheTTLExpiry(t *testing.T) {
 
 func TestQueryCacheInvalidatedByUploadAndSettings(t *testing.T) {
 	s, ts := newServingServer(t, ServingOptions{CacheTTL: time.Minute}, nil)
-	q := map[string]any{"query": "What is the capital of France?"}
-	postQuery(t, ts.URL, q)
-	if resp, _ := postQuery(t, ts.URL, q); resp.Header.Get("X-Cache") != "HIT" {
-		t.Fatal("warmup repeat was not a HIT")
+	upload := func(content string) string {
+		t.Helper()
+		var up struct {
+			DocID string `json:"doc_id"`
+		}
+		if resp := doJSON(t, "POST", ts.URL+"/api/upload", map[string]any{"filename": "facts.txt", "content": content}, &up); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload = %d", resp.StatusCode)
+		}
+		return up.DocID
 	}
+	remove := func(id string) {
+		t.Helper()
+		if resp := doJSON(t, "DELETE", ts.URL+"/api/documents/"+id, nil, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete = %d", resp.StatusCode)
+		}
+	}
+	const question = "What is the capital of France?"
+	retrieves := func(id string) bool {
+		t.Helper()
+		found, err := rag.Retrieve(s.docs, question, s.Settings().RAGTopK, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.ContainsFunc(found, func(r vectordb.Result) bool { return r.Metadata["doc_id"] == id })
+	}
+	first := upload("Paris is the capital of France.")
+	upload("The capital city of France is Paris.")
+	upload("France has Paris as its capital.")
+	queries := []struct {
+		name string
+		body map[string]any
+	}{
+		{"grounded", map[string]any{"query": question, "use_rag": true}},
+		{"filtered", map[string]any{"query": question, "use_rag": true, "doc_id": first}},
+		{"plain", map[string]any{"query": question}},
+	}
+	expect := func(when string, want map[string]string) {
+		t.Helper()
+		for _, q := range queries {
+			if resp, _ := postQuery(t, ts.URL, q.body); resp.Header.Get("X-Cache") != want[q.name] {
+				t.Fatalf("%s: the %s answer is a %s, want %s", when, q.name, resp.Header.Get("X-Cache"), want[q.name])
+			}
+		}
+	}
+	expect("first ask", map[string]string{"grounded": "MISS", "filtered": "MISS", "plain": "MISS"})
+	expect("repeat", map[string]string{"grounded": "HIT", "filtered": "HIT", "plain": "HIT"})
 
-	// Uploading a document flushes the cache: any answer might now be
-	// grounded differently.
-	up := doJSON(t, "POST", ts.URL+"/api/upload", map[string]any{
-		"filename": "facts.txt", "content": "Paris is the capital of France.",
-	}, nil)
-	if up.StatusCode != http.StatusCreated {
-		t.Fatalf("upload = %d", up.StatusCode)
+	// An upload no retrieval can reach drops nothing.
+	unrelated := upload("Goldfish remember things for months.")
+	if retrieves(unrelated) {
+		t.Fatal("fixture: the unrelated document reaches the top k")
 	}
-	if resp, _ := postQuery(t, ts.URL, q); resp.Header.Get("X-Cache") != "MISS" {
-		t.Fatal("cache survived a document upload")
-	}
+	expect("after an unreachable upload", map[string]string{"grounded": "HIT", "filtered": "HIT", "plain": "HIT"})
 
-	// Refill, then change settings: flushed again.
-	if resp, _ := postQuery(t, ts.URL, q); resp.Header.Get("X-Cache") != "HIT" {
-		t.Fatal("refill repeat was not a HIT")
+	// One that enters the unfiltered top k drops that answer alone.
+	related := upload("Paris, the capital of France, is in France.")
+	if !retrieves(related) {
+		t.Fatal("fixture: the related document misses the top k")
 	}
+	expect("after a reachable upload", map[string]string{"grounded": "MISS", "filtered": "HIT", "plain": "HIT"})
+
+	// A delete drops the answers that retrieved the document, and no other.
+	remove(unrelated)
+	expect("after deleting a document nothing retrieved", map[string]string{"grounded": "HIT", "filtered": "HIT", "plain": "HIT"})
+	remove(related)
+	expect("after deleting a retrieved document", map[string]string{"grounded": "MISS", "filtered": "HIT", "plain": "HIT"})
+
+	// A settings change flushes everything.
 	st := s.Settings()
 	st.MaxTokens = 1024
 	if resp := doJSON(t, "PUT", ts.URL+"/api/settings", st, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("settings update = %d", resp.StatusCode)
 	}
-	if resp, _ := postQuery(t, ts.URL, q); resp.Header.Get("X-Cache") != "MISS" {
-		t.Fatal("cache survived a settings change")
+	expect("after a settings change", map[string]string{"grounded": "MISS", "filtered": "MISS", "plain": "MISS"})
+	if s.tel.CacheDropped.Value("upload") != 1 || s.tel.CacheDropped.Value("delete") != 1 || s.tel.CacheDropped.Value("settings") != 3 {
+		t.Fatalf("invalidations upload %v, delete %v, settings %v; want 1, 1, 3",
+			s.tel.CacheDropped.Value("upload"), s.tel.CacheDropped.Value("delete"), s.tel.CacheDropped.Value("settings"))
 	}
 }
 

@@ -13,8 +13,10 @@
 package session
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -113,6 +115,7 @@ type Store struct {
 
 	mu       sync.Mutex
 	sessions map[string]*Session
+	byAge    []*Session // every session by (Updated, ID), oldest first
 	nextID   int
 }
 
@@ -137,25 +140,25 @@ func (s *Store) Create(title string) Session {
 		Created: now,
 		Updated: now,
 	}
-	s.evictLocked()
+	if len(s.sessions) >= s.opts.MaxSessions {
+		// At the cap the least recently updated session goes.
+		delete(s.sessions, s.byAge[0].ID)
+		s.byAge = slices.Delete(s.byAge, 0, 1)
+	}
 	s.sessions[sess.ID] = sess
+	s.byAge = slices.Insert(s.byAge, s.ageLocked(sess), sess)
 	return snapshot(sess)
 }
 
-// evictLocked removes the least recently updated session when at cap.
-func (s *Store) evictLocked() {
-	if len(s.sessions) < s.opts.MaxSessions {
-		return
-	}
-	var oldest *Session
-	for _, sess := range s.sessions {
-		if oldest == nil || sess.Updated.Before(oldest.Updated) {
-			oldest = sess
-		}
-	}
-	if oldest != nil {
-		delete(s.sessions, oldest.ID)
-	}
+// ageLocked returns where sess sorts in s.byAge — its index there, when
+// held with its current Updated; an update sorts last. Times compare by
+// wall clock: a restored session has no monotonic reading, and a mix of
+// both is no total order.
+func (s *Store) ageLocked(sess *Session) int {
+	i, _ := slices.BinarySearchFunc(s.byAge, sess, func(a, b *Session) int {
+		return cmp.Or(a.Updated.Round(0).Compare(b.Updated.Round(0)), strings.Compare(a.ID, b.ID))
+	})
+	return i
 }
 
 // Get returns a session snapshot.
@@ -173,16 +176,10 @@ func (s *Store) Get(id string) (Session, error) {
 func (s *Store) List() []Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		out = append(out, snapshot(sess))
+	out := make([]Session, 0, len(s.byAge))
+	for i := len(s.byAge) - 1; i >= 0; i-- {
+		out = append(out, snapshot(s.byAge[i]))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Updated.Equal(out[j].Updated) {
-			return out[i].Updated.After(out[j].Updated)
-		}
-		return out[i].ID > out[j].ID
-	})
 	return out
 }
 
@@ -190,10 +187,13 @@ func (s *Store) List() []Session {
 func (s *Store) Delete(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.sessions[id]; !ok {
+	sess, ok := s.sessions[id]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	delete(s.sessions, id)
+	i := s.ageLocked(sess)
+	s.byAge = slices.Delete(s.byAge, i, i+1)
 	return nil
 }
 
@@ -202,6 +202,7 @@ func (s *Store) Clear() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sessions = make(map[string]*Session)
+	s.byAge = nil
 }
 
 // Len returns the number of stored sessions.
@@ -231,7 +232,10 @@ func (s *Store) Append(id string, msg Message) (Session, error) {
 	msg.Time = now
 	sess.Messages = append(sess.Messages, msg)
 	sess.TurnCount++
+	i := s.ageLocked(sess)
+	s.byAge = slices.Delete(s.byAge, i, i+1)
 	sess.Updated = now
+	s.byAge = slices.Insert(s.byAge, s.ageLocked(sess), sess)
 	if sess.Title == "" && msg.Role == RoleUser {
 		sess.Title = truncateTitle(msg.Content)
 	}
@@ -332,6 +336,7 @@ func (s *Store) Restore(st State) int {
 		cp := sess
 		cp.Messages = append([]Message(nil), sess.Messages...)
 		s.sessions[cp.ID] = &cp
+		s.byAge = slices.Insert(s.byAge, s.ageLocked(&cp), &cp)
 		restored++
 	}
 	return restored

@@ -60,6 +60,13 @@ go test -race -count=20 -run 'TestStreamBufferCloseRacesProducer|TestClientClose
 echo "== semantic probes: go test -race -count=20 -run 'TestSemanticProbeRacesEviction' ./internal/qcache"
 go test -race -count=20 -run 'TestSemanticProbeRacesEviction' ./internal/qcache
 
+# Exact invalidation: drop passes judge entries outside the entry lock
+# while PutAt, Get and the semantic probe run; and the server held to the
+# flush-on-write rule it replaced, every cached RAG answer to a fresh
+# retrieval (document ids are random, so each run orders ties anew).
+echo "== cache invalidation: go test -race -count=20 -run 'TestDropPassRacesPutAndProbe|TestExactInvalidationMatchesFlushReference' ./internal/qcache ./internal/server"
+go test -race -count=20 -run 'TestDropPassRacesPutAndProbe|TestExactInvalidationMatchesFlushReference' ./internal/qcache ./internal/server
+
 # The wire codecs against encoding/json, their reference: the string rule
 # of internal/jsonwire, the formats built on it at both ends of the modeld
 # hop and in the SSE egress (events and the result), and the traceparent
