@@ -182,20 +182,6 @@ type Grounding struct {
 // everyDoc grounds a restored answer, whose grounding is not persisted.
 var everyDoc = &Grounding{Kth: math.Inf(1)}
 
-// bucket is the semantic tier of one scope: its entries' unit vectors in
-// one contiguous array, row i (dim wide) belonging to entries[i], so a
-// probe scans dense memory and compares nothing but vectors.
-type bucket struct {
-	vecs    embedding.Vector
-	entries []*entry
-}
-
-// candidate is an entry id and its cosine distance to a probe.
-type candidate struct {
-	id   string
-	dist float64
-}
-
 // Cache is the two-tier answer cache. All methods are safe for
 // concurrent use; a nil *Cache is inert (Get always misses, Put and
 // Flush are no-ops), so callers can wire it unconditionally.
@@ -205,7 +191,6 @@ type Cache struct {
 	threshold float64
 	clock     func() time.Time
 	enc       embedding.Encoder
-	dim       int
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -213,10 +198,12 @@ type Cache struct {
 	gen     atomic.Uint64 // advanced under mu by Flush and every drop pass
 
 	// vmu guards the semantic tier: writers take it inside mu, a probe
-	// alone, so a probe never holds the lock an exact hit needs.
+	// alone, so a probe never holds the lock an exact hit needs. A scope's
+	// bucket holds its entries' unit vectors under their ids; none is ever
+	// empty, and none is kept while the tier is off.
 	vmu     sync.RWMutex
-	buckets map[string]bucket // by scope; none is ever empty
-	spares  []bucket          // emptied arrays new buckets reuse
+	buckets map[string]*embedding.Rows[string]
+	spares  []*embedding.Rows[string] // emptied buckets new scopes reuse
 }
 
 // New builds a Cache.
@@ -242,10 +229,9 @@ func New(opts Options) *Cache {
 		threshold: opts.SemanticThreshold,
 		clock:     opts.Clock,
 		enc:       opts.Encoder,
-		dim:       opts.Encoder.Dim(),
 		entries:   make(map[string]*entry),
 		lru:       list.New(),
-		buckets:   make(map[string]bucket),
+		buckets:   make(map[string]*embedding.Rows[string]),
 	}
 }
 
@@ -287,17 +273,24 @@ func (c *Cache) Get(key Key) (any, HitKind) {
 	if c.threshold > 1 {
 		return nil, Miss
 	}
-	// The probe runs outside c.mu; a candidate it returns may have been
-	// evicted since, so each is re-validated against the entry map.
-	var near [3]candidate
-	cands := c.nearest(key.Scope, nq, near[:0])
+	// The probe runs outside c.mu; a hit it returns may have been evicted
+	// since, so each is re-validated against the entry map.
+	q, acc := embedding.Borrow(c.enc, nq)
+	var near [3]embedding.Hit[string]
+	c.vmu.RLock()
+	hits := near[:0]
+	if b := c.buckets[key.Scope]; b != nil {
+		hits = b.TopK(q, len(near), hits)
+	}
+	c.vmu.RUnlock()
+	acc.Release()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, cand := range cands {
-		if 1-cand.dist < c.threshold {
-			break // candidates are ordered; nothing further clears the bar
+	for _, h := range hits {
+		if h.Score < c.threshold {
+			break // hits are ordered; nothing further clears the bar
 		}
-		e, ok := c.entries[cand.id]
+		e, ok := c.entries[h.ID]
 		if !ok {
 			continue // evicted between probe and re-check
 		}
@@ -309,38 +302,6 @@ func (c *Cache) Get(key Key) (any, HitKind) {
 		return e.value, Semantic
 	}
 	return nil, Miss
-}
-
-// nearest appends to top, up to its capacity, the entries of scope's
-// bucket closest to the embedding of nq, ordered by cosine distance
-// 1 − ⟨q, v⟩ (the unit vectors' cosine) and then by id.
-func (c *Cache) nearest(scope, nq string, top []candidate) []candidate {
-	q, acc := embedding.Borrow(c.enc, nq)
-	defer acc.Release()
-	c.vmu.RLock()
-	defer c.vmu.RUnlock()
-	b := c.buckets[scope]
-	for i, e := range b.entries {
-		cand := candidate{id: e.id, dist: 1 - embedding.Dot(q, b.vecs[i*c.dim:(i+1)*c.dim])}
-		if len(top) < cap(top) {
-			top = append(top, cand)
-		} else if closer(cand, top[len(top)-1]) {
-			top[len(top)-1] = cand // the farthest kept candidate drops out
-		}
-		for j := len(top) - 1; j > 0 && closer(top[j], top[j-1]); j-- {
-			top[j], top[j-1] = top[j-1], top[j]
-		}
-	}
-	return top
-}
-
-// closer orders candidates by distance, then id: ties resolve alike
-// whatever order the bucket holds them in.
-func closer(a, b candidate) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.id < b.id
 }
 
 // Put stores (or refreshes) an answer that uses no documents, evicting the
@@ -366,14 +327,18 @@ func (c *Cache) PutAt(key Key, value any, gen uint64, g *Grounding) bool {
 	return c != nil && c.put(Normalize(key.Query), key.Scope, value, c.clock().Add(c.ttl), g, &gen, true)
 }
 
-// put stores an entry in both tiers, its vector as a new row of its
-// scope's bucket, and reports it did — unless the generation moved past
-// *at, or the key is held: that entry moves to the LRU front and, with
-// refresh, takes value, deadline and grounding.
+// put stores an entry — with the semantic tier on, its vector as a new row
+// of its scope's bucket too — and reports it did, unless the generation
+// moved past *at, or the key is held: that entry moves to the LRU front
+// and, with refresh, takes value, deadline and grounding.
 func (c *Cache) put(nq, scope string, value any, expires time.Time, g *Grounding, at *uint64, refresh bool) bool {
 	id := nq + keySep + scope
-	vec, acc := embedding.Borrow(c.enc, nq)
-	defer acc.Release()
+	var vec embedding.Vector
+	if c.threshold <= 1 {
+		var acc *embedding.Accumulator
+		vec, acc = embedding.Borrow(c.enc, nq)
+		defer acc.Release()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if at != nil && *at != c.gen.Load() {
@@ -392,14 +357,22 @@ func (c *Cache) put(nq, scope string, value any, expires time.Time, g *Grounding
 	e := &entry{id: id, scope: scope, value: value, expires: expires, g: g}
 	e.elem = c.lru.PushFront(e)
 	c.entries[id] = e
+	if c.threshold > 1 {
+		return true
+	}
 	c.vmu.Lock()
 	defer c.vmu.Unlock()
-	b, ok := c.buckets[scope]
-	if n := len(c.spares); !ok && n > 0 {
-		b, c.spares = c.spares[n-1], c.spares[:n-1]
+	b := c.buckets[scope]
+	if b == nil {
+		if n := len(c.spares); n > 0 {
+			b, c.spares = c.spares[n-1], c.spares[:n-1]
+		} else {
+			b = embedding.NewRows[string](c.enc.Dim(), 0)
+		}
+		c.buckets[scope] = b
 	}
-	e.row = len(b.entries)
-	c.buckets[scope] = bucket{vecs: append(b.vecs, vec...), entries: append(b.entries, e)}
+	e.row = b.Len()
+	b.Append(id, vec)
 	return true
 }
 
@@ -471,14 +444,14 @@ func (c *Cache) drop(stale func(*Grounding) bool) (n int) {
 	return n
 }
 
-// keepLocked keeps the arrays of a bucket that is going, up to maxSpares
-// of them, so the scopes that come and go — a settings change empties
-// every bucket, and a drop pass may empty one — do not regrow their
-// buckets from nothing. Caller holds c.vmu.
-func (c *Cache) keepLocked(b bucket) {
+// keepLocked keeps a bucket that is going, emptied, up to maxSpares of
+// them, so the scopes that come and go — a settings change empties every
+// bucket, and a drop pass may empty one — do not regrow their buckets from
+// nothing. Caller holds c.vmu.
+func (c *Cache) keepLocked(b *embedding.Rows[string]) {
 	if len(c.spares) < maxSpares {
-		clear(b.entries)
-		c.spares = append(c.spares, bucket{vecs: b.vecs[:0], entries: b.entries[:0]})
+		b.Reset()
+		c.spares = append(c.spares, b)
 	}
 }
 
@@ -490,19 +463,17 @@ const maxSpares = 4
 func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.id)
 	c.lru.Remove(e.elem)
+	if c.threshold > 1 {
+		return
+	}
 	c.vmu.Lock()
 	defer c.vmu.Unlock()
 	b := c.buckets[e.scope]
-	last := len(b.entries) - 1
-	if last == 0 {
+	if moved, ok := b.SwapRemove(e.row); ok {
+		c.entries[moved].row = e.row
+	}
+	if b.Len() == 0 {
 		c.keepLocked(b)
 		delete(c.buckets, e.scope)
-		return
 	}
-	moved := b.entries[last]
-	moved.row = e.row
-	b.entries[e.row] = moved
-	copy(b.vecs[e.row*c.dim:], b.vecs[last*c.dim:])
-	b.entries[last] = nil
-	c.buckets[e.scope] = bucket{vecs: b.vecs[:last*c.dim], entries: b.entries[:last]}
 }

@@ -3,9 +3,14 @@ package qcache
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"path/filepath"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"llmms/internal/embedding"
 )
 
 func jsonCodec() (func(any) ([]byte, error), func([]byte) (any, error)) {
@@ -148,23 +153,26 @@ func TestWarmStartPreservesLRUOrder(t *testing.T) {
 }
 
 // vectorRows counts the semantic tier's rows, holding every bucket to its
-// shape on the way: not empty, one dim-wide row per entry, and each entry
-// of the bucket's scope at the row it records.
+// shape on the way: not empty, and each row under the id of a live entry of
+// the bucket's scope that records that row.
 func vectorRows(t *testing.T, c *Cache) int {
 	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.vmu.RLock()
 	defer c.vmu.RUnlock()
 	n := 0
 	for scope, b := range c.buckets {
-		if len(b.entries) == 0 || len(b.vecs) != len(b.entries)*c.dim {
-			t.Fatalf("scope %q: bucket of %d entries holds %d floats", scope, len(b.entries), len(b.vecs))
+		if b.Len() == 0 {
+			t.Fatalf("scope %q: empty bucket kept", scope)
 		}
-		for i, e := range b.entries {
-			if e.row != i || e.scope != scope {
-				t.Fatalf("scope %q row %d holds entry %q of scope %q at row %d", scope, i, e.id, e.scope, e.row)
+		for i := 0; i < b.Len(); i++ {
+			e := c.entries[b.ID(i)]
+			if e == nil || e.row != i || e.scope != scope {
+				t.Fatalf("scope %q row %d holds %q, entry %+v", scope, i, b.ID(i), e)
 			}
 		}
-		n += len(b.entries)
+		n += b.Len()
 	}
 	return n
 }
@@ -243,5 +251,60 @@ func TestSemanticTierDropsEmptyBuckets(t *testing.T) {
 	c.Flush()
 	if n := buckets(); n != 0 {
 		t.Fatalf("%d buckets after Flush, want 0", n)
+	}
+}
+
+// countingEncoder counts Encode calls. It hides its inner encoder's
+// accumulators, so every Borrow through it is an Encode.
+type countingEncoder struct {
+	embedding.Encoder
+	n atomic.Int64
+}
+
+func (e *countingEncoder) Encode(text string) embedding.Vector {
+	e.n.Add(1)
+	return e.Encoder.Encode(text)
+}
+
+// TestDisabledSemanticTierHoldsNoRows: with the semantic tier off (a
+// threshold above 1), Put, PutAt and WarmStart embed nothing and keep no
+// row, and exact hits, eviction, the drop passes and Flush answer as they
+// do on a cache whose tier is on, asked only exact repeats.
+func TestDisabledSemanticTierHoldsNoRows(t *testing.T) {
+	now := time.Now()
+	clock := func() time.Time { return now }
+	run := func(c *Cache) []any {
+		var out []any
+		for i := 0; i < 6; i++ {
+			c.Put(Key{Query: fmt.Sprintf("Distinct question %d", i), Scope: "s"}, i)
+		}
+		c.PutAt(Key{Query: "grounded question", Scope: "rag"}, "g", c.Gen(), &Grounding{Docs: []string{"a"}, Kth: math.Inf(1)})
+		encode, decode := jsonCodec()
+		warm := New(Options{Clock: clock})
+		warm.Put(Key{Query: "a warm question", Scope: "w"}, "warm")
+		out = append(out, c.WarmStart(warm.Snapshot("fp", encode), "fp", decode))
+		for _, q := range []string{"distinct  question 5", "Distinct question 0", "distinct question 4", "grounded question", "a warm question"} {
+			for _, scope := range []string{"s", "rag", "w"} {
+				v, kind := c.Get(Key{Query: q, Scope: scope})
+				out = append(out, v, kind)
+			}
+		}
+		out = append(out, c.Len(), c.DropUpload("b", nil), c.DropDoc("a"), c.Len(), c.Flush(), c.Len())
+		return out
+	}
+	enc := &countingEncoder{Encoder: embedding.Default()}
+	off := New(Options{Capacity: 4, SemanticThreshold: 2, Encoder: enc, Clock: clock})
+	got := run(off)
+	want := run(New(Options{Capacity: 4, Clock: clock}))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tier off answers\n%v\nwant, as with the tier on,\n%v", got, want)
+	}
+	if n := enc.n.Load(); n != 0 {
+		t.Fatalf("a cache with the semantic tier off embedded %d times", n)
+	}
+	off.vmu.RLock()
+	defer off.vmu.RUnlock()
+	if len(off.buckets) != 0 || len(off.spares) != 0 {
+		t.Fatalf("a cache with the semantic tier off holds %d buckets and %d spares", len(off.buckets), len(off.spares))
 	}
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -47,8 +48,9 @@ func FuzzParseDirectives(f *testing.F) {
 
 // FuzzPredictorLoad holds Load to the index it restores: for any cluster
 // document, either Load refuses it, or Observe, Rate, Predict and Status on
-// what it restored do not panic. Seeds: a real document of a trained
-// cluster and the two shapes that crashed a server after boot.
+// what it restored do not panic, and Status encodes (GET /api/router).
+// Seeds: a real document of a trained cluster, the two shapes that crashed
+// a server after boot, and a weight under 1, whose mean no encoder takes.
 func FuzzPredictorLoad(f *testing.F) {
 	col, _ := routeCollection(f)
 	trained := NewPredictor(PredictorOptions{})
@@ -67,6 +69,8 @@ func FuzzPredictorLoad(f *testing.F) {
 	}
 	f.Add("c0", `{"stats":{"a":null}}`)
 	f.Add("c3", `{"n":9,"sum":[],"routed":-1,"probe_idx":-1,"stats":{}}`)
+	sum := "1" + strings.Repeat(",0", embedding.Default().Dim()-1)
+	f.Add("c0", `{"n":1,"sum":[`+sum+`],"stats":{"a":{"w":1e-320,"sum":1,"sumsq":1}}}`)
 	res := scoredResult("llama3", geoScores)
 	f.Fuzz(func(t *testing.T, id, text string) {
 		col, _ := routeCollection(t)
@@ -84,7 +88,9 @@ func FuzzPredictorLoad(f *testing.F) {
 			p.Rate(q, "qwen2", 1)
 			p.Predict(q, testPool)
 		}
-		p.Status()
+		if _, err := json.Marshal(p.Status()); err != nil {
+			t.Fatalf("Status of a loaded index does not encode: %v", err)
+		}
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -193,12 +193,12 @@ func (s *modelStats) stderr() float64 {
 	return math.Sqrt(variance / s.W)
 }
 
-// cluster is one online centroid with its reward history.
+// cluster is one online centroid with its reward history. The centroid,
+// sum scaled to unit length, is the cluster's row in Predictor.rows.
 type cluster struct {
 	id       int
 	n        int       // queries assigned (raw count)
 	sum      []float64 // unnormalized centroid accumulator
-	centroid embedding.Vector
 	stats    map[string]*modelStats
 	routed   int  // routed decisions served (drives the ε cadence)
 	probeIdx int  // round-robin cursor over the excluded models
@@ -248,6 +248,7 @@ type Predictor struct {
 
 	mu        sync.Mutex
 	clusters  []*cluster
+	rows      *embedding.Rows[int] // row i, under id i, is clusters[i]'s centroid
 	nextID    int
 	decisions map[string]uint64 // outcome label → count
 
@@ -263,7 +264,8 @@ type Predictor struct {
 
 // NewPredictor builds an empty index.
 func NewPredictor(opts PredictorOptions) *Predictor {
-	return &Predictor{opts: opts.withDefaults(), decisions: make(map[string]uint64)}
+	opts = opts.withDefaults()
+	return &Predictor{opts: opts, rows: embedding.NewRows[int](opts.Encoder.Dim(), 0), decisions: make(map[string]uint64)}
 }
 
 // Options returns the effective (defaulted) options.
@@ -301,14 +303,20 @@ func (p *Predictor) Load() (int, error) {
 		nextID = max(nextID, c.id+1)
 	}
 	sort.Slice(clusters, func(i, j int) bool { return clusters[i].id < clusters[j].id })
-	p.clusters, p.nextID, p.dirty = clusters, nextID, nil
+	rows, centroid := embedding.NewRows[int](dim, len(clusters)), make(embedding.Vector, dim)
+	for i, c := range clusters {
+		rows.Append(i, normalize(centroid, c.sum))
+	}
+	p.clusters, p.rows, p.nextID, p.dirty = clusters, rows, nextID, nil
 	return len(clusters), nil
 }
 
 // decodeCluster rebuilds one cluster from its document. It rejects an id
 // other than "c<n>", text that is not a record, a sum of another
 // dimension than the encoder's (Observe would index past a shorter one),
-// a negative count and a null model entry (Status reads every entry).
+// a negative count, a null model entry (Status reads every entry) and a
+// weight under 1, which no observation leaves (w ← w·decay + 1) and whose
+// mean and stderr Status could not encode.
 func decodeCluster(doc vectordb.Document, dim int) (*cluster, error) {
 	id, err := strconv.Atoi(strings.TrimPrefix(doc.ID, "c"))
 	if err != nil || id < 0 || doc.ID != "c"+strconv.Itoa(id) {
@@ -328,15 +336,16 @@ func decodeCluster(doc vectordb.Document, dim int) (*cluster, error) {
 		if st == nil {
 			return nil, fmt.Errorf("router: cluster %q: model %q has no stats", doc.ID, m)
 		}
+		if st.W < 1 {
+			return nil, fmt.Errorf("router: cluster %q: model %q has weight %g, under 1", doc.ID, m, st.W)
+		}
 	}
 	if rec.Stats == nil {
 		rec.Stats = make(map[string]*modelStats)
 	}
 	return &cluster{
-		id: id, n: rec.N, sum: rec.Sum,
-		centroid: normalize(make(embedding.Vector, dim), rec.Sum),
-		stats:    rec.Stats,
-		routed:   rec.Routed, probeIdx: rec.ProbeIdx,
+		id: id, n: rec.N, sum: rec.Sum, stats: rec.Stats,
+		routed: rec.Routed, probeIdx: rec.ProbeIdx,
 	}, nil
 }
 
@@ -423,19 +432,6 @@ func (c *cluster) record() clusterRecord {
 	}
 }
 
-// nearestLocked returns the cluster whose centroid is most similar to
-// qv (ties break on lower id), or nil when the index is empty.
-func (p *Predictor) nearestLocked(qv embedding.Vector) (*cluster, float64) {
-	var best *cluster
-	bestSim := math.Inf(-1)
-	for _, c := range p.clusters {
-		if sim := embedding.Dot(c.centroid, qv); sim > bestSim {
-			best, bestSim = c, sim
-		}
-	}
-	return best, bestSim
-}
-
 // Predict decides the fan-out subset for a query over the given pool.
 // It never errors: every uncertain case degrades to the full pool. The
 // decision is counted (Status) but only routed decisions advance the
@@ -453,15 +449,17 @@ func (p *Predictor) Predict(query string, pool []string) Prediction {
 	defer acc.Release()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c, sim := p.nearestLocked(qv)
-	if c == nil || isZero(qv) {
+	var top [1]embedding.Hit[int]
+	near := p.rows.TopK(qv, 1, top[:0])
+	if len(near) == 0 || isZero(qv) {
 		pred.Outcome = OutcomeFallbackCold
 		p.countLocked(OutcomeFallbackCold)
 		return pred
 	}
+	c := p.clusters[near[0].ID]
 	pred.Cluster = c.id
-	pred.Similarity = sim
-	if sim < p.opts.MinSimilarity {
+	pred.Similarity = near[0].Score
+	if pred.Similarity < p.opts.MinSimilarity {
 		pred.Outcome = OutcomeFallbackFar
 		p.countLocked(OutcomeFallbackFar)
 		return pred
@@ -561,22 +559,27 @@ func (p *Predictor) Observe(query string, res core.Result) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c, sim := p.nearestLocked(qv)
-	if c == nil || sim < p.opts.MinSimilarity {
+	var top [1]embedding.Hit[int]
+	near := p.rows.TopK(qv, 1, top[:0])
+	var c *cluster
+	if len(near) == 0 || near[0].Score < p.opts.MinSimilarity {
 		if len(p.clusters) >= p.opts.MaxClusters {
 			return
 		}
-		c = &cluster{id: p.nextID, n: 1, sum: toFloat64(qv),
-			centroid: append(embedding.Vector(nil), qv...),
-			stats:    make(map[string]*modelStats)}
+		c = &cluster{id: p.nextID, n: 1, sum: make([]float64, len(qv)), stats: make(map[string]*modelStats)}
+		for i, v := range qv {
+			c.sum[i] = float64(v)
+		}
 		p.nextID++
+		p.rows.Append(len(p.clusters), qv)
 		p.clusters = append(p.clusters, c)
 	} else {
+		c = p.clusters[near[0].ID]
 		c.n++
 		for i, v := range qv {
 			c.sum[i] += float64(v)
 		}
-		normalize(c.centroid, c.sum)
+		normalize(p.rows.Row(near[0].ID), c.sum)
 	}
 	for _, out := range res.Outcomes {
 		if out.Failed || out.Tokens == 0 {
@@ -615,10 +618,12 @@ func (p *Predictor) Rate(query, model string, rating float64) bool {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c, sim := p.nearestLocked(qv)
-	if c == nil || sim < p.opts.MinSimilarity {
+	var top [1]embedding.Hit[int]
+	near := p.rows.TopK(qv, 1, top[:0])
+	if len(near) == 0 || near[0].Score < p.opts.MinSimilarity {
 		return false
 	}
+	c := p.clusters[near[0].ID]
 	st := c.stats[model]
 	if st == nil {
 		st = &modelStats{}
@@ -698,17 +703,9 @@ func (p *Predictor) count(outcome string) {
 
 func (p *Predictor) countLocked(outcome string) { p.decisions[outcome]++ }
 
-func toFloat64(v embedding.Vector) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
-	}
-	return out
-}
-
 // normalize writes sum scaled to unit length into dst, which has sum's
 // length, and returns dst; a zero sum is the zero vector. Observe moves a
-// centroid in place: no query allocates one.
+// centroid's row in place: no query allocates one.
 func normalize(dst embedding.Vector, sum []float64) embedding.Vector {
 	var norm float64
 	for _, x := range sum {

@@ -1,11 +1,14 @@
 package router
 
 import (
+	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"llmms/internal/core"
+	"llmms/internal/embedding"
 	"llmms/internal/vectordb"
 )
 
@@ -288,5 +291,149 @@ func TestPredictorPersistenceRoundTrip(t *testing.T) {
 	}
 	if chem := restored.Predict(chemQueries[0], testPool); !reflect.DeepEqual(chem.Models, []string{"llama3", "qwen2"}) {
 		t.Fatalf("restored chem models = %v, want [llama3 qwen2]", chem.Models)
+	}
+}
+
+// nearestRef is the scan the routing index ran over a slice of
+// heap-allocated centroids before they became rows: the argmax of the dot
+// product with qv, ties going to the lower index; -1 when there are none.
+func nearestRef(centroids []embedding.Vector, qv embedding.Vector) (int, float64) {
+	best, bestSim := -1, math.Inf(-1)
+	for i, c := range centroids {
+		if sim := embedding.Dot(c, qv); sim > bestSim {
+			best, bestSim = i, sim
+		}
+	}
+	return best, bestSim
+}
+
+// refClusters is the index's clustering over nearestRef: a new cluster's
+// centroid is a copy of its first query's vector, and each later query
+// assigned to it renormalizes its sum.
+type refClusters struct {
+	opts      PredictorOptions
+	centroids []embedding.Vector
+	sums      [][]float64
+	n         []int
+	refused   int // queries that matched nothing with the index full
+}
+
+func (r *refClusters) observe(qv embedding.Vector) {
+	if isZero(qv) {
+		return
+	}
+	i, sim := nearestRef(r.centroids, qv)
+	if i >= 0 && sim >= r.opts.MinSimilarity {
+		r.n[i]++
+		for j, v := range qv {
+			r.sums[i][j] += float64(v)
+		}
+		normalize(r.centroids[i], r.sums[i])
+		return
+	}
+	if len(r.centroids) >= r.opts.MaxClusters {
+		r.refused++
+		return
+	}
+	sum := make([]float64, len(qv))
+	for j, v := range qv {
+		sum[j] = float64(v)
+	}
+	r.centroids = append(r.centroids, embedding.Clone(qv))
+	r.sums = append(r.sums, sum)
+	r.n = append(r.n, 1)
+}
+
+// TestPredictorMatchesNearestRef runs a seeded mix of Observe, Predict and
+// Rate over query families and one-off queries, past MaxClusters and
+// through a Close/Load round trip, against refClusters: every decision's
+// cluster and Similarity agree bit for bit with nearestRef, every rating
+// lands where it would, the centroid rows equal the reference's bits, and
+// Status ends with the reference's clusters.
+func TestPredictorMatchesNearestRef(t *testing.T) {
+	subjects := []string{"capital of", "chemical symbol for", "population of", "tallest mountain in",
+		"currency of", "boiling point of", "national anthem of", "largest city in"}
+	objects := []string{"France", "Japan", "gold", "iron", "water", "Kenya", "Peru", "Hamlet", "Brazil", "Egypt", "mercury", "Chile"}
+	words := []string{"bats", "blind", "goldfish", "memory", "lightning", "strike", "twice", "cracking", "knuckles",
+		"arthritis", "sugar", "children", "hyperactive", "wall", "visible", "space", "tongue", "map", "taste"}
+	rng := rand.New(rand.NewSource(34))
+	query := func() string {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			return "the of a" // stopwords only: the zero vector
+		case r < 8:
+			q := words[rng.Intn(len(words))]
+			for j := rng.Intn(4); j >= 0; j-- {
+				q += " " + words[rng.Intn(len(words))]
+			}
+			return q + "?"
+		default:
+			return "What is the " + subjects[rng.Intn(len(subjects))] + " " + objects[rng.Intn(len(objects))] + "?"
+		}
+	}
+
+	opts := PredictorOptions{TopK: 1, MaxClusters: 40, MinObservations: 1}.withDefaults()
+	col, _ := routeCollection(t)
+	p := restore(t, opts, col)
+	ref := &refClusters{opts: opts}
+	enc := opts.Encoder
+	for op := 0; op < 2400; op++ {
+		if op == 1200 {
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			p = restore(t, opts, col)
+			for i, sum := range ref.sums {
+				normalize(ref.centroids[i], sum) // Load derives each centroid from its sum
+			}
+		}
+		q := query()
+		qv := enc.Encode(q)
+		i, sim := nearestRef(ref.centroids, qv)
+		switch rng.Intn(3) {
+		case 0:
+			pred := p.Predict(q, testPool)
+			wantCluster, wantSim := i, sim
+			if i < 0 || isZero(qv) {
+				wantCluster, wantSim = -1, 0
+			}
+			if pred.Cluster != wantCluster || math.Float64bits(pred.Similarity) != math.Float64bits(wantSim) {
+				t.Fatalf("op %d: Predict(%q) = cluster %d similarity %v, nearestRef %d %v", op, q, pred.Cluster, pred.Similarity, wantCluster, wantSim)
+			}
+		case 1:
+			want := !isZero(qv) && i >= 0 && sim >= opts.MinSimilarity
+			if got := p.Rate(q, testPool[rng.Intn(len(testPool))], float64(rng.Intn(3)-1)); got != want {
+				t.Fatalf("op %d: Rate(%q) absorbed = %v, nearestRef says %v", op, q, got, want)
+			}
+		default:
+			p.Observe(q, scoredResult(testPool[rng.Intn(len(testPool))], geoScores))
+			ref.observe(qv)
+		}
+	}
+
+	if ref.refused == 0 || len(ref.centroids) != opts.MaxClusters {
+		t.Fatalf("the run never crossed MaxClusters: %d clusters, %d queries refused", len(ref.centroids), ref.refused)
+	}
+	p.mu.Lock()
+	for i, c := range ref.centroids {
+		if id := p.rows.ID(i); id != i || !reflect.DeepEqual(p.rows.Row(i), c) {
+			t.Errorf("row %d (id %d) differs from the reference centroid", i, id)
+		}
+	}
+	p.mu.Unlock()
+	st := p.Status()
+	if st.Clusters != len(ref.centroids) {
+		t.Fatalf("Status has %d clusters, the reference %d", st.Clusters, len(ref.centroids))
+	}
+	for i, cs := range st.Index {
+		if cs.ID != i || cs.Queries != ref.n[i] {
+			t.Fatalf("Status cluster %d: id %d, %d queries; the reference %d", i, cs.ID, cs.Queries, ref.n[i])
+		}
+	}
+	if _, err := json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

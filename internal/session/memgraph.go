@@ -1,7 +1,6 @@
 package session
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -46,27 +45,34 @@ func (o MemoryGraphOptions) withDefaults() MemoryGraphOptions {
 	return o
 }
 
-type memNode struct {
-	ex  Exchange
-	vec embedding.Vector
-}
-
 // MemoryGraph implements the paper's §9.5 "Contextual Memory Graphs"
 // proposal: rather than storing chat logs purely in order, past
 // exchanges become nodes in a similarity graph, and recall pulls in
 // relevant past conversations — directly similar ones plus their graph
 // neighbors — so models can give more personalized, consistent replies
 // across sessions. Safe for concurrent use.
+//
+// The nodes are a ring, allocated whole: exchange number s (counting from
+// 0 in insertion order) lives in slot s mod MaxNodes, its question's unit
+// vector in row s mod MaxNodes of one contiguous array under id s, so an
+// Add at the cap overwrites the oldest exchange in place.
 type MemoryGraph struct {
 	opts MemoryGraphOptions
 
-	mu    sync.Mutex
-	nodes []*memNode
+	mu   sync.Mutex
+	rows *embedding.Rows[int]
+	exs  []Exchange // exs[i] is row i's exchange
+	next int        // the sequence number of the next exchange
 }
 
 // NewMemoryGraph returns an empty graph.
 func NewMemoryGraph(opts MemoryGraphOptions) *MemoryGraph {
-	return &MemoryGraph{opts: opts.withDefaults()}
+	opts = opts.withDefaults()
+	return &MemoryGraph{
+		opts: opts,
+		rows: embedding.NewRows[int](opts.Encoder.Dim(), opts.MaxNodes),
+		exs:  make([]Exchange, 0, opts.MaxNodes),
+	}
 }
 
 // Add inserts an exchange, evicting the oldest at the cap. It only
@@ -78,24 +84,26 @@ func (g *MemoryGraph) Add(ex Exchange) {
 	if ex.Question == "" {
 		return
 	}
-	n := &memNode{ex: ex, vec: g.opts.Encoder.Encode(ex.Question)}
+	v, acc := embedding.Borrow(g.opts.Encoder, ex.Question)
+	defer acc.Release()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.nodes) < g.opts.MaxNodes {
-		g.nodes = append(g.nodes, n)
-		return
+	if g.rows.Len() < g.opts.MaxNodes {
+		g.rows.Append(g.next, v)
+		g.exs = append(g.exs, ex)
+	} else {
+		slot := g.next % g.opts.MaxNodes
+		g.rows.Set(slot, g.next, v)
+		g.exs[slot] = ex
 	}
-	// Shift in place: reslicing past the evicted node would keep it (and
-	// everything evicted before it) reachable from the backing array.
-	copy(g.nodes, g.nodes[1:])
-	g.nodes[len(g.nodes)-1] = n
+	g.next++
 }
 
 // Len returns the number of stored exchanges.
 func (g *MemoryGraph) Len() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.nodes)
+	return g.rows.Len()
 }
 
 // Recalled is one recall hit with its relevance score.
@@ -111,10 +119,10 @@ type Recalled struct {
 
 // Recall returns up to k past exchanges relevant to the query: the most
 // similar exchanges directly, expanded one hop along graph edges with a
-// damped score, deduplicated, best first. The one-hop expansion is what
-// distinguishes the graph from a plain vector lookup — an exchange that
-// never mentions the query's words is still recalled when it is linked
-// to one that does.
+// damped score, deduplicated, best first (ties to the older exchange).
+// The one-hop expansion is what distinguishes the graph from a plain
+// vector lookup — an exchange that never mentions the query's words is
+// still recalled when it is linked to one that does.
 func (g *MemoryGraph) Recall(query string, k int) []Recalled {
 	if k <= 0 {
 		return nil
@@ -123,60 +131,48 @@ func (g *MemoryGraph) Recall(query string, k int) []Recalled {
 	defer acc.Release()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.nodes) == 0 {
+	if g.rows.Len() == 0 {
 		return nil
 	}
+	k = min(k, g.rows.Len()) // nothing below is sized by more
 
-	// Direct scores.
-	direct := make(map[*memNode]float64, len(g.nodes))
-	for _, n := range g.nodes {
-		direct[n] = embedding.Cosine(qv, n.vec)
-	}
-	// Seeds: top-k by direct score.
-	seeds := append([]*memNode(nil), g.nodes...)
-	sort.SliceStable(seeds, func(i, j int) bool { return direct[seeds[i]] > direct[seeds[j]] })
-	if len(seeds) > k {
-		seeds = seeds[:k]
-	}
-
-	// Expand one hop: a neighbor inherits seedScore·edgeSim, damped.
+	// Expand one hop from each of the top-k seeds: a neighbor inherits
+	// seedScore·edgeSim, damped, unless its own relevance is higher.
 	const hopDamping = 0.8
-	best := make(map[*memNode]Recalled, len(seeds)*2)
+	best := make(map[int]Recalled, 2*k) // by row
+	seeds := g.rows.TopK(qv, k, make([]embedding.Hit[int], 0, k))
 	for _, s := range seeds {
-		if cur, ok := best[s]; !ok || direct[s] > cur.Score {
-			best[s] = Recalled{Exchange: s.ex, Score: direct[s]}
+		row := s.ID % g.opts.MaxNodes
+		if cur, ok := best[row]; !ok || s.Score > cur.Score {
+			best[row] = Recalled{Exchange: g.exs[row], Score: s.Score}
 		}
-		for _, nb := range g.nodes {
-			if nb == s {
+		sv := g.rows.Row(row)
+		for nb := 0; nb < g.rows.Len(); nb++ {
+			if nb == row {
 				continue
 			}
-			edgeSim := embedding.Cosine(s.vec, nb.vec)
+			edgeSim := embedding.Dot(sv, g.rows.Row(nb))
 			if edgeSim < g.opts.EdgeThreshold {
 				continue // no edge between the two
 			}
-			score := direct[s] * edgeSim * hopDamping
+			score := s.Score * edgeSim * hopDamping
 			if cur, ok := best[nb]; !ok || score > cur.Score {
-				// Direct relevance wins over a path when it is higher.
-				if direct[nb] >= score {
-					best[nb] = Recalled{Exchange: nb.ex, Score: direct[nb]}
+				if direct := embedding.Dot(qv, g.rows.Row(nb)); direct >= score {
+					best[nb] = Recalled{Exchange: g.exs[nb], Score: direct}
 				} else {
-					best[nb] = Recalled{Exchange: nb.ex, Score: score, ViaNeighbor: true}
+					best[nb] = Recalled{Exchange: g.exs[nb], Score: score, ViaNeighbor: true}
 				}
 			}
 		}
 	}
-	out := make([]Recalled, 0, len(best))
-	for _, r := range best {
-		out = append(out, r)
+	sel := embedding.NewSelector(k, seeds) // the seeds are spent
+	for row, r := range best {
+		sel.Offer(g.rows.ID(row), r.Score)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Exchange.Time.Before(out[j].Exchange.Time)
-	})
-	if len(out) > k {
-		out = out[:k]
+	hits := sel.Sorted()
+	out := make([]Recalled, len(hits))
+	for i, h := range hits {
+		out[i] = best[h.ID%g.opts.MaxNodes]
 	}
 	return out
 }

@@ -2,7 +2,7 @@ package session
 
 import (
 	"fmt"
-	"reflect"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -160,11 +160,28 @@ func (g *eagerGraph) recall(query string, k int) []Recalled {
 	return out
 }
 
-// TestMemoryGraphMatchesEagerReference adds 600 exchanges to graphs that
-// evict (at 64 and at 200 nodes) and checks along the way that the
-// size holds at the cap, that Recall returns exactly what the eager-edge
-// reference returns, and that an evicted exchange is never recalled —
-// directly or through a neighbor that once linked to it.
+// sameRecall reports whether got holds want's exchanges in want's order,
+// each with the same ViaNeighbor and a score within 1e-6: the graph scores
+// by the dot product of unit vectors, the reference by their cosine.
+func sameRecall(got, want []Recalled) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].Exchange != want[i].Exchange || got[i].ViaNeighbor != want[i].ViaNeighbor ||
+			math.Abs(got[i].Score-want[i].Score) > 1e-6 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMemoryGraphMatchesEagerReference adds 600 exchanges, every tenth
+// asking an earlier question again (a tie), to graphs that evict (at 64
+// and at 200 nodes) and checks along the way that the size holds at the
+// cap, that Recall returns what the eager-edge reference returns
+// (sameRecall), and that an evicted exchange is never recalled — directly
+// or through a neighbor that once linked to it.
 func TestMemoryGraphMatchesEagerReference(t *testing.T) {
 	topics := []string{"GPU memory", "disk latency", "network throughput", "scheduler fairness", "cache eviction"}
 	queries := []string{
@@ -181,21 +198,25 @@ func TestMemoryGraphMatchesEagerReference(t *testing.T) {
 		opts := MemoryGraphOptions{MaxNodes: maxNodes, Encoder: enc}.withDefaults()
 		g, ref := NewMemoryGraph(opts), &eagerGraph{opts: opts}
 		for i := 0; i < 600; i++ {
+			n := i
+			if i%10 == 9 {
+				n = i - 3
+			}
 			e := ex("s"+strconv.Itoa(i%7),
-				fmt.Sprintf("question %d about subsystem %d %s performance?", i, i%9, topics[i%len(topics)]),
+				fmt.Sprintf("question %d about subsystem %d %s performance?", n, n%9, topics[n%len(topics)]),
 				strconv.Itoa(i), i) // the answer records the insertion index; times are distinct
 			g.Add(e)
 			ref.add(e)
 			if want := min(i+1, opts.MaxNodes); g.Len() != want {
 				t.Fatalf("max %d: len after %d adds = %d, want %d", opts.MaxNodes, i+1, g.Len(), want)
 			}
-			if i%97 != 0 && i != 599 {
+			if i%97 != 0 && i%100 != 9 && i != 599 {
 				continue
 			}
 			for _, q := range append(queries, e.Question, fmt.Sprintf("question %d about subsystem %d %s performance?", i/2, (i/2)%9, topics[(i/2)%len(topics)])) {
-				for _, k := range []int{1, 5} {
+				for _, k := range []int{1, 2, 5} {
 					got, want := g.Recall(q, k), ref.recall(q, k)
-					if !reflect.DeepEqual(got, want) {
+					if !sameRecall(got, want) {
 						t.Fatalf("max %d, after %d adds, Recall(%q, %d):\n got %+v\nwant %+v", opts.MaxNodes, i+1, q, k, got, want)
 					}
 					for _, h := range got {
@@ -250,5 +271,31 @@ func BenchmarkMemoryGraphRecall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Recall("how is subsystem 4 performing?", 5)
+	}
+}
+
+// TestMemoryGraphAddAtCapacityAllocatesNothing: once the ring is full and
+// the encoder's pool is warm, an Add borrows the question's vector, copies
+// it over the oldest row and allocates nothing.
+func TestMemoryGraphAddAtCapacityAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	g := NewMemoryGraph(MemoryGraphOptions{MaxNodes: 8})
+	exs := make([]Exchange, 16)
+	for i := range exs {
+		exs[i] = ex("s", fmt.Sprintf("question %d about the cluster's disk latency?", i), "answer", i)
+		g.Add(exs[i])
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		g.Add(exs[i%len(exs)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Add into a full ring allocates %.1f times per call, want 0", allocs)
+	}
+	if g.Len() != 8 {
+		t.Fatalf("len = %d, want 8", g.Len())
 	}
 }

@@ -1,10 +1,6 @@
 package vectordb
 
-import (
-	"sort"
-
-	"llmms/internal/embedding"
-)
+import "llmms/internal/embedding"
 
 // flatIndex is the exact brute-force index: search scans every live
 // vector. It is the reference implementation HNSW recall is measured
@@ -13,10 +9,11 @@ import (
 //
 // Entries live in parallel slices (with swap-delete removal and an
 // id→position map) rather than a map, so the scan iterates contiguous
-// memory; selection goes through a bounded max-heap, so a query does
-// O(n log k) work and O(k) allocation instead of materializing and
+// memory; selection goes through embedding's bounded Selector, so a query
+// does O(n log k) work and O(k) allocation instead of materializing and
 // sorting every candidate. Iteration order does not affect results
-// because ties are broken on id.
+// because ties are broken on id. The scan itself is not embedding.Rows':
+// it serves three metrics, a filter and explicit vectors of any length.
 type flatIndex struct {
 	dist distFunc
 	ids  []string
@@ -54,77 +51,21 @@ func (f *flatIndex) remove(id string) {
 func (f *flatIndex) len() int           { return len(f.ids) }
 func (f *flatIndex) setDist(d distFunc) { f.dist = d }
 
+// search offers every allowed vector to a selector with score −distance
+// (negating is exact), so the kept candidates are the k nearest by
+// (distance, id).
 func (f *flatIndex) search(q embedding.Vector, k int, allow func(string) bool) []candidate {
-	t := topK{k: k}
+	sel := embedding.NewSelector(k, make([]embedding.Hit[string], 0, k))
 	for i, id := range f.ids {
 		if allow != nil && !allow(id) {
 			continue
 		}
-		t.offer(candidate{id: id, dist: f.dist(q, f.vecs[i])})
+		sel.Offer(id, -f.dist(q, f.vecs[i]))
 	}
-	return t.sorted()
-}
-
-// candWorse orders candidates for the selection heap: a is worse than b
-// when it is farther, with the id as tie-break so results are
-// deterministic regardless of scan order.
-func candWorse(a, b candidate) bool {
-	if a.dist != b.dist {
-		return a.dist > b.dist
+	hits := sel.Sorted()
+	out := make([]candidate, len(hits))
+	for i, h := range hits {
+		out[i] = candidate{id: h.ID, dist: -h.Score}
 	}
-	return a.id > b.id
-}
-
-// topK keeps the k best candidates seen so far in a max-heap (worst on
-// top), hand-rolled to avoid container/heap's interface dispatch on the
-// hottest loop in the database.
-type topK struct {
-	k int
-	h []candidate
-}
-
-func (t *topK) offer(c candidate) {
-	if t.k <= 0 {
-		return
-	}
-	if len(t.h) < t.k {
-		t.h = append(t.h, c)
-		i := len(t.h) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !candWorse(t.h[i], t.h[p]) {
-				break
-			}
-			t.h[i], t.h[p] = t.h[p], t.h[i]
-			i = p
-		}
-		return
-	}
-	if !candWorse(t.h[0], c) {
-		return // not better than the worst kept candidate
-	}
-	t.h[0] = c
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < len(t.h) && candWorse(t.h[l], t.h[worst]) {
-			worst = l
-		}
-		if r < len(t.h) && candWorse(t.h[r], t.h[worst]) {
-			worst = r
-		}
-		if worst == i {
-			break
-		}
-		t.h[i], t.h[worst] = t.h[worst], t.h[i]
-		i = worst
-	}
-}
-
-// sorted returns the kept candidates by ascending (distance, id).
-func (t *topK) sorted() []candidate {
-	out := t.h
-	sort.Slice(out, func(i, j int) bool { return candWorse(out[j], out[i]) })
 	return out
 }

@@ -2,6 +2,8 @@ package vectordb
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"llmms/internal/embedding"
@@ -372,6 +374,110 @@ func TestQueryHugeTopKReturnsEveryDocument(t *testing.T) {
 		res, err = c.Query(QueryRequest{Text: "bats", TopK: 1 << 40, Where: Metadata{"even": true}})
 		if err != nil || len(res) != 6 {
 			t.Fatalf("%s: filtered TopK 2^40 = %d results (%v), want the 6 even documents", index, len(res), err)
+		}
+	}
+}
+
+// TestQueryMatchesSortEverything holds Query to the plainest reading of a
+// top-k search: every live document that passes the filter, scored with
+// the distance its shard computes, sorted by (distance, id), cut at k. It
+// covers cosine on the unit fast path and downgraded, L2 and inner
+// product, with and without Where, tied duplicate embeddings under
+// distinct ids, and 1 and 4 shards; ids, distances and similarities agree
+// bit for bit.
+func TestQueryMatchesSortEverything(t *testing.T) {
+	enc := embedding.Default()
+	scaled := func(v embedding.Vector, by float32) embedding.Vector {
+		out := embedding.Clone(v)
+		for i := range out {
+			out[i] *= by
+		}
+		return out
+	}
+	dup := enc.Encode("bats are not blind but see well at dusk")
+	queries := []string{"topic 3 document words", "are bats blind", "bats are not blind but see well at dusk", "unrelated goldfish memory"}
+	for _, tc := range []struct {
+		name      string
+		metric    Distance
+		dupScale  float32 // the duplicates' embedding is dup scaled by this
+		downgrade bool    // store one non-unit embedding under cosine
+	}{
+		{"cosine", Cosine, 1, false},
+		{"cosine-downgraded", Cosine, 1, true},
+		{"l2", L2, 3, false},
+		{"ip", InnerProduct, 3, false},
+	} {
+		for _, shards := range []int{1, 4} {
+			c := newCollection(tc.name, CollectionConfig{Metric: tc.metric, Shards: shards})
+			for i := 0; i < 30; i++ {
+				if err := c.Add(Document{ID: fmt.Sprintf("d%02d", i), Text: fmt.Sprintf("document %d about topic %d and bats", i, i%5),
+					Metadata: Metadata{"even": i%2 == 0}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				if err := c.Add(Document{ID: fmt.Sprintf("dup%d", i), Text: "dup", Embedding: scaled(dup, tc.dupScale),
+					Metadata: Metadata{"even": i%2 == 0}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.downgrade {
+				if err := c.Add(Document{ID: "scaled", Text: "scaled", Embedding: scaled(enc.Encode("are bats blind at night"), 5)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			docs := c.All()
+			for qi, text := range queries {
+				req := QueryRequest{Text: text}
+				q := enc.Encode(text)
+				if qi%2 == 1 {
+					req = QueryRequest{Embedding: q}
+					if tc.metric == Cosine {
+						q = embedding.Clone(q)
+						embedding.NormalizeInPlace(q)
+					}
+				}
+				for _, where := range []Metadata{nil, {"even": true}} {
+					var want []Result
+					for _, d := range docs {
+						if where != nil && d.Metadata["even"] != true {
+							continue
+						}
+						dist := tc.metric.distance(q, d.Embedding)
+						if c.shards[c.shardIndex(d.ID)].unitCosine {
+							dist = unitCosineDistance(q, d.Embedding)
+						}
+						want = append(want, Result{ID: d.ID, Distance: dist, Similarity: tc.metric.similarity(dist)})
+					}
+					sort.Slice(want, func(i, j int) bool {
+						if want[i].Distance != want[j].Distance {
+							return want[i].Distance < want[j].Distance
+						}
+						return want[i].ID < want[j].ID
+					})
+					for _, k := range []int{1, 3, 7, len(docs) + 5} {
+						req.TopK, req.Where = k, where
+						got, err := c.Query(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						w := want[:min(k, len(want))]
+						if len(got) != len(w) {
+							t.Fatalf("%s/%d shards, %q where %v, k %d: %d results, want %d", tc.name, shards, text, where, k, len(got), len(w))
+						}
+						for i := range got {
+							if got[i].ID != w[i].ID || math.Float64bits(got[i].Distance) != math.Float64bits(w[i].Distance) ||
+								math.Float64bits(got[i].Similarity) != math.Float64bits(w[i].Similarity) {
+								t.Fatalf("%s/%d shards, %q where %v, k %d: result %d is %s at %v (%v), want %s at %v (%v)",
+									tc.name, shards, text, where, k, i, got[i].ID, got[i].Distance, got[i].Similarity, w[i].ID, w[i].Distance, w[i].Similarity)
+							}
+						}
+					}
+				}
+			}
+			if tc.downgrade && c.shards[c.shardIndex("scaled")].unitCosine {
+				t.Fatalf("%s/%d shards: the non-unit embedding left its shard on the fast path", tc.name, shards)
+			}
 		}
 	}
 }

@@ -73,11 +73,14 @@ go test -race -count=20 -run 'TestDropPassRacesPutAndProbe|TestExactInvalidation
 # of internal/jsonwire, the formats built on it at both ends of the modeld
 # hop and in the SSE egress (events and the result), and the traceparent
 # header against the spec; then the cache key's normal form against its
-# three-pass reference, and the warm-start entry decoder.
+# three-pass reference, the warm-start entry decoder, and the vector kernel
+# (embedding.Rows and its Selector) against a map model and a sort of every
+# candidate.
 for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telemetry' \
 	'FuzzStreamLine ./internal/modeld' 'FuzzGenerateRequest ./internal/modeld' \
 	'FuzzEventFrame ./internal/server' 'FuzzResultFrame ./internal/server' \
-	'FuzzNormalize ./internal/qcache' 'FuzzDecodeCachedAnswer ./internal/server'; do
+	'FuzzNormalize ./internal/qcache' 'FuzzDecodeCachedAnswer ./internal/server' \
+	'FuzzRows ./internal/embedding'; do
 	set -- $target
 	echo "== fuzz smoke: $1 10s"
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2" >/dev/null
