@@ -7,7 +7,7 @@
 //	llmms [-addr :8080] [-questions 400] [-latency 0.02]
 //	      [-trace-capacity 256] [-trace-sample 1.0] [-pprof]
 //	      [-cache-ttl 5m] [-cache-capacity 256] [-semantic-threshold 0.97]
-//	      [-max-inflight 0] [-fleet 0] [-hedge-p95 0] [-router-topk 0]
+//	      [-max-inflight 0] [-fleet 0] [-router-topk 0]
 //	      [-data-dir path] [-wal-sync batch]
 //	      [-log-level info] [-log-format text] [-slow-query 2s] [-version]
 //
@@ -30,14 +30,12 @@
 // (> 1 disables the semantic tier), and -max-inflight bounds concurrent
 // orchestration weight, shedding excess load with 429 (0 = unlimited).
 //
-// The fleet flags put the replicated model-fleet layer (see DESIGN.md
+// The fleet flag puts the replicated model-fleet layer (see DESIGN.md
 // "Model fleet") between orchestration and the engine: -fleet N runs N
 // health-checked replicas per model with per-replica circuit breakers
-// and least-loaded routing (0 disables the layer), and -hedge-p95 F
-// fires a backup request on a second replica once a call exceeds
-// F × the model's observed p95 latency (0 disables hedging). With the
-// fleet on, /readyz gains per-model "fleet:<model>" checks and
-// GET /api/fleet reports per-replica state.
+// and least-loaded routing (0 disables the layer). With the fleet on,
+// /readyz gains per-model "fleet:<model>" checks and GET /api/fleet
+// reports per-replica state.
 //
 // The routing flags enable query-aware predictive routing (see
 // DESIGN.md "Predictive routing"): -router-topk K learns per-cluster
@@ -94,7 +92,6 @@ func main() {
 	semThreshold := flag.Float64("semantic-threshold", qcache.DefaultSemanticThreshold, "cosine similarity for semantic cache hits (>1 disables the tier)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent orchestration weight bound, 429 past the wait queue (0 = unlimited)")
 	fleetSize := flag.Int("fleet", 0, "replicas per model behind the fleet layer: breakers, health probes, least-loaded routing (0 = no fleet)")
-	hedgeP95 := flag.Float64("hedge-p95", 0, "hedge a chunk call on a second replica once it exceeds this multiple of the model's p95 latency (0 = no hedging; needs -fleet ≥ 2)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	traceSample := flag.Float64("trace-sample", 1, "retention probability for ordinary traces; errors and slow-tail traces are always kept")
@@ -134,7 +131,7 @@ func main() {
 	telemetry.RegisterBuildInfo(tel.Registry, server.Version)
 	var pool *fleet.Pool
 	if *fleetSize > 0 {
-		pool, err = newFleet(engine, *fleetSize, *hedgeP95, tel, logger)
+		pool, err = newFleet(engine, *fleetSize, tel, logger)
 		if err != nil {
 			log.Fatalf("llmms: %v", err)
 		}
@@ -190,10 +187,10 @@ func loadDataset(path string, n int) (truthfulqa.Dataset, error) {
 // newFleet builds a pool of n replicas per engine model. The simulated
 // engine multiplexes every replica of a model (a real deployment would
 // hand each replica its own modeld.Client); the fleet layer on top —
-// breakers, probes, least-loaded routing, hedging — is exactly the
+// breakers, probes, least-loaded routing — is exactly the
 // production wiring. The probe is a one-token generation, the cheapest
 // request that proves the replica can serve.
-func newFleet(engine *llm.Engine, n int, hedgeP95 float64, tel *telemetry.Telemetry, logger *slog.Logger) (*fleet.Pool, error) {
+func newFleet(engine *llm.Engine, n int, tel *telemetry.Telemetry, logger *slog.Logger) (*fleet.Pool, error) {
 	replicas := make(map[string][]fleet.Replica)
 	for _, p := range engine.Profiles() {
 		set := make([]fleet.Replica, n)
@@ -203,10 +200,9 @@ func newFleet(engine *llm.Engine, n int, hedgeP95 float64, tel *telemetry.Teleme
 		replicas[p.Name] = set
 	}
 	return fleet.New(fleet.Config{
-		Replicas:    replicas,
-		HedgeFactor: hedgeP95,
-		Telemetry:   tel,
-		Logger:      logger,
+		Replicas:  replicas,
+		Telemetry: tel,
+		Logger:    logger,
 		Probe: func(ctx context.Context, model string, r fleet.Replica) error {
 			_, err := r.Backend.GenerateChunk(ctx, llm.ChunkRequest{
 				Model: model, Prompt: "Question: ping?\nAnswer:", MaxTokens: 1,

@@ -20,7 +20,8 @@
 //
 // A single-model baseline completes the evaluation triad. The package is
 // backend-agnostic: any type with the GenerateChunk method (the in-process
-// llm.Engine or the HTTP modeld.Client) can serve the models.
+// llm.Engine or the HTTP modeld.Client) can serve the models, through the
+// generation sessions llm.Sessions hands out.
 package core
 
 import (
@@ -42,10 +43,10 @@ import (
 // continuation state.
 //
 // Backend is an alias of llm.Backend — the repository's single backend
-// contract. Streaming is an optional capability of the SAME value,
-// resolved through llm.AsStreaming (never by direct type assertion), so
-// wrappers like FaultBackend or a fleet pool cannot strip it silently;
-// see internal/llm/backend.go.
+// contract. The orchestrator generates only through llm.Sessions, which
+// finds a backend's own streams through llm.AsStreaming (so wrappers like
+// FaultBackend or a fleet pool cannot strip them silently) and lifts a
+// backend without any onto GenerateChunk; see internal/llm/backend.go.
 type Backend = llm.Backend
 
 // Strategy names an orchestration policy.
@@ -113,7 +114,7 @@ type Config struct {
 	OnEvent func(Event)
 	// BeforeWait, when non-nil, is invoked on the orchestrating goroutine
 	// immediately before it blocks on generation: at the top of a fan-out
-	// round, before a bandit's sequential pull, before Single's one call.
+	// round, before a bandit's sequential pull, before Single's one drain.
 	// Every event emitted so far precedes it and none follows until the
 	// wait is over, so an application that buffers OnEvent output flushes
 	// here — nothing it holds can be made stale by waiting, and nothing is
@@ -133,15 +134,15 @@ type Config struct {
 	// PriorWeight is the pseudo-pull mass behind each entry of Priors.
 	// Non-positive takes the default 2.
 	PriorWeight float64
-	// Retry is the per-chunk fault-tolerance budget: every GenerateChunk
-	// call is retried with exponential backoff under a per-attempt
-	// timeout before its model is declared failed. The zero value takes
-	// DefaultRetryPolicy.
+	// Retry is the per-chunk fault-tolerance budget: a failed open or
+	// drain closes the model's stream and reopens it, with exponential
+	// backoff and a timeout on drains that may wait, before the model is
+	// declared failed. The zero value takes DefaultRetryPolicy.
 	Retry RetryPolicy
-	// MaxConcurrent bounds the in-flight GenerateChunk calls of one
-	// fan-out round. Zero (the default) overlaps every pull that may wait,
-	// which is the paper's "stream partial outputs concurrently"; a
-	// positive value caps the workers for backends that throttle.
+	// MaxConcurrent bounds the in-flight pulls of one fan-out round. Zero
+	// (the default) overlaps every pull that may wait, which is the
+	// paper's "stream partial outputs concurrently"; a positive value caps
+	// the workers for backends that throttle.
 	MaxConcurrent int
 }
 
@@ -344,35 +345,32 @@ func (o *Orchestrator) Single(ctx context.Context, model, prompt string) (Result
 		return Result{}, fmt.Errorf("core: model %q is not configured", model)
 	}
 	o.emit(Event{Type: EventStart, Strategy: StrategySingle, Model: model})
+	// One session, drained once for the whole budget.
+	c := &candidate{model: model}
+	cands := []*candidate{c}
+	o.attachSessions(cands, prompt)
+	defer o.closeAllSessions(StrategySingle, 0, cands, "query_end")
 	o.beforeWait()
-	callStart := time.Now()
-	chunk, attempts, err := generateWithRetry(ctx, o.backend,
-		llm.ChunkRequest{Model: model, Prompt: prompt, MaxTokens: o.cfg.MaxTokens}, o.cfg.Retry)
-	if err != nil {
+	if _, err := o.absorb(ctx, StrategySingle, 0, c, o.pull(ctx, c, o.cfg.MaxTokens, o.cfg.MaxTokens)); err != nil {
+		return Result{}, err
+	}
+	if c.failed {
 		// One model is the whole candidate pool: its failure is the
 		// everyone-failed case, not a degradable one.
-		o.emit(Event{Type: EventModelFailed, Strategy: StrategySingle, Model: model,
-			Attempts: attempts, Reason: err.Error()})
-		return Result{}, fmt.Errorf("core: single %s: %w", model, err)
+		return Result{}, fmt.Errorf("core: single %s: %w", model, c.failErr)
 	}
-	o.emit(Event{Type: EventChunk, Strategy: StrategySingle, Model: model, Text: chunk.Text,
-		Tokens: chunk.EvalCount, Elapsed: time.Since(callStart), Attempts: attempts})
 	qv, qacc := embedding.Borrow(o.cfg.Encoder, prompt)
-	rv, racc := embedding.Borrow(o.cfg.Encoder, chunk.Text)
-	sim := embedding.Cosine(qv, rv)
+	rv, racc := embedding.Borrow(o.cfg.Encoder, c.response)
+	c.querySim = embedding.Cosine(qv, rv)
+	c.score = o.cfg.Alpha * c.querySim
 	qacc.Release()
 	racc.Release()
-	out := ModelOutcome{
-		Model: model, Response: chunk.Text, Tokens: chunk.EvalCount,
-		Score: o.cfg.Alpha * sim, QuerySim: sim, Pulls: 1,
-		Done: chunk.DoneReason == llm.DoneStop, DoneReason: string(chunk.DoneReason),
-	}
 	res := Result{
-		Strategy: StrategySingle, Answer: chunk.Text, Model: model,
-		TokensUsed: chunk.EvalCount, Rounds: 1,
-		Outcomes: []ModelOutcome{out}, Elapsed: time.Since(start),
+		Strategy: StrategySingle, Answer: c.response, Model: model,
+		TokensUsed: c.tokens, Rounds: 1,
+		Outcomes: []ModelOutcome{c.outcome()}, Elapsed: time.Since(start),
 	}
-	o.emit(Event{Type: EventWinner, Strategy: StrategySingle, Model: model, Text: chunk.Text,
+	o.emit(Event{Type: EventWinner, Strategy: StrategySingle, Model: model, Text: c.response,
 		Tokens: res.TokensUsed, Elapsed: res.Elapsed})
 	return res, nil
 }

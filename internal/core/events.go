@@ -27,15 +27,16 @@ const (
 	// the llmms_score_duration_seconds latency budget histogram.
 	EventScorePass EventType = "score_pass"
 	// EventStreamOpen reports that a model's persistent generation stream
-	// was opened (once per session, lazily on the model's first drain).
+	// was opened: lazily on the model's first drain, and again when a
+	// later grant or the failure ladder reopens it.
 	EventStreamOpen EventType = "stream_open"
 	// EventStreamClose reports that a model's generation stream ended;
 	// Reason says why (done, pruned, early_exit, failed, query_end,
 	// error).
 	EventStreamClose EventType = "stream_close"
-	// EventStreamFallback reports that a model's stream broke mid-query
-	// and the session degraded to per-round chunk calls, resuming from
-	// the last good continuation state. Reason carries the stream error.
+	// EventStreamFallback reports that a model's stream failed to open or
+	// broke mid-query and was reopened from the last good continuation
+	// state. Reason carries the first error of the pull.
 	EventStreamFallback EventType = "stream_fallback"
 	// EventRoundStall reports how long a round's slowest streamed drain
 	// waited on generation (Elapsed). A pipelined query stalls near zero

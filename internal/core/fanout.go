@@ -22,7 +22,7 @@ import (
 //     round's job order (model index), and all candidate mutation and
 //     event emission happens on the orchestrating goroutine in that
 //     order. Workers only write their own slot.
-//   - Graceful degradation: a chunk call that still fails after the
+//   - Graceful degradation: a pull that still fails after the
 //     RetryPolicy budget marks its model failed-and-pruned (with an
 //     EventModelFailed) instead of aborting the query; the query errors
 //     only when every model has failed (ErrAllModelsFailed).
@@ -46,7 +46,9 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // RetryPolicy bounds how hard the orchestrator works to get one chunk
-// out of one model before declaring the model failed. Zero fields take
+// out of one model before declaring the model failed: an open or a drain
+// that fails closes the model's stream, and the next attempt reopens it
+// from the model's continuation state (stream.go). Zero fields take
 // the DefaultRetryPolicy values; negative BaseBackoff or ChunkTimeout
 // disables the backoff sleep or the per-attempt deadline respectively.
 type RetryPolicy struct {
@@ -57,8 +59,9 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the doubling.
 	MaxBackoff time.Duration
-	// ChunkTimeout is the per-attempt deadline. An attempt that exceeds
-	// it counts as a failure and is retried.
+	// ChunkTimeout is the deadline on a drain that may wait for tokens.
+	// A drain that exceeds it with nothing buffered counts as a failure
+	// and is retried.
 	ChunkTimeout time.Duration
 }
 
@@ -79,67 +82,13 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// errChunkTimeout marks an attempt that hit the per-attempt deadline
-// (the backend reported a cancel that the parent context did not cause).
-var errChunkTimeout = errors.New("core: chunk attempt timed out")
-
-// generateWithRetry is the single retry wrapper every strategy and every
-// backend goes through: it issues one GenerateChunk under the policy's
-// per-attempt timeout and retries transient failures with exponential
-// backoff. Parent-context cancellation is never retried and is returned
-// as the context's own error. The attempt count is returned for
-// EventModelFailed reporting.
-func generateWithRetry(ctx context.Context, b Backend, req llm.ChunkRequest, p RetryPolicy) (llm.Chunk, int, error) {
-	backoff := p.BaseBackoff
-	var lastErr error
-	attempts := 0
-	for attempts < p.MaxAttempts {
-		if err := ctx.Err(); err != nil {
-			return llm.Chunk{}, attempts, err
-		}
-		attempts++
-		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
-		if p.ChunkTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, p.ChunkTimeout)
-		}
-		chunk, err := b.GenerateChunk(attemptCtx, req)
-		cancel()
-		if err == nil && chunk.DoneReason == llm.DoneCancel && ctx.Err() == nil {
-			// The attempt deadline interrupted the stream mid-chunk: the
-			// backend reports a cancel the caller didn't ask for. Treat
-			// it as a timeout and retry the same chunk.
-			err = errChunkTimeout
-		}
-		if err == nil {
-			return chunk, attempts, nil
-		}
-		if ctx.Err() != nil {
-			return llm.Chunk{}, attempts, ctx.Err()
-		}
-		lastErr = err
-		if attempts < p.MaxAttempts && backoff > 0 {
-			select {
-			case <-ctx.Done():
-				return llm.Chunk{}, attempts, ctx.Err()
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			if p.MaxBackoff > 0 && backoff > p.MaxBackoff {
-				backoff = p.MaxBackoff
-			}
-		}
-	}
-	return llm.Chunk{}, attempts, fmt.Errorf("after %d attempts: %w", attempts, lastErr)
-}
-
 // fanJob is one model's slice of a fan-out round.
 type fanJob struct {
 	cand *candidate
 	take int
 	// hint is the session-wide budget a lazily opened stream should
 	// cover — the most tokens this candidate could still receive this
-	// query. Ignored once a stream is open, and by a session serving
-	// per-round calls.
+	// query. Ignored once a stream is open.
 	hint int
 }
 
@@ -148,18 +97,19 @@ type fanResult struct {
 	chunk    llm.Chunk
 	attempts int
 	err      error
-	// elapsed is the generation call's wall clock, retries included —
-	// measured on the worker so queueing behind MaxConcurrent is
-	// excluded once the call starts. On a streamed drain it is the time
-	// spent waiting for tokens not yet buffered (the round's stall).
+	// elapsed is the pull's wall clock, retries included — measured on
+	// the worker so queueing behind MaxConcurrent is excluded once the
+	// pull starts: the time spent waiting for tokens not yet buffered
+	// (the round's stall).
 	elapsed time.Duration
 
 	// Session transitions, reported back so the orchestrating goroutine
 	// can emit the corresponding events in job order (stream.go).
-	streamed    bool   // chunk came off the persistent stream
-	opened      bool   // this call opened the session's stream
-	closeReason string // non-empty when this call ended the stream
-	fallback    error  // stream error that degraded the session mid-query
+	streamed    bool   // the chunk came off a drain
+	opens       int    // streams this call opened
+	broke       int    // streams this call closed on a failure
+	closeReason string // non-empty when this call ended the stream naturally
+	fallback    error  // the first failure this call reopened after
 	prefetched  int    // tokens already buffered when the drain started
 }
 

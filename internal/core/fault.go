@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"sync"
@@ -36,9 +37,8 @@ type FaultBackend struct {
 
 	// Streaming schedule. Streams are opt-in (EnableStreams) so existing
 	// fault schedules keyed on GenerateChunk call numbers keep meaning
-	// what they say: an un-enabled FaultBackend reports
-	// llm.ErrStreamUnsupported and the orchestrator quietly stays on the
-	// per-round path.
+	// what they say: an un-enabled FaultBackend serves every session by
+	// chunk calls, one scheduled GenerateChunk per drain.
 	streamsOn    bool
 	openFail     map[string]error
 	breakAfter   map[string]int
@@ -121,8 +121,8 @@ func (f *FaultBackend) FailCall(key string, nth int, err error) {
 	f.failOn[key][nth] = err
 }
 
-// FailAlways makes every call for key return err — a permanently dead
-// daemon (or dead replica, with a ReplicaKey).
+// FailAlways makes every call and every stream open for key return err —
+// a permanently dead daemon (or dead replica, with a ReplicaKey).
 func (f *FaultBackend) FailAlways(key string, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -166,18 +166,19 @@ func (f *FaultBackend) EnableStreams() {
 	f.streamsOn = true
 }
 
-// FailStreamOpen makes every OpenStream for key return err — a backend
-// that cannot hold sessions but still serves per-round chunks.
+// FailStreamOpen makes key's next OpenStream return err — a transient
+// open failure, which the reopen ladder's next attempt gets past.
 func (f *FaultBackend) FailStreamOpen(key string, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.openFail[key] = err
 }
 
-// BreakStreamAfter makes key's streams fail after delivering n tokens:
-// the first Next calls drain normally up to the break point (partial
-// slices included), then the stream errors — the mid-answer connection
-// drop the fallback ladder must survive without losing text.
+// BreakStreamAfter makes key's next stream fail after delivering n
+// tokens: its first Next calls drain normally up to the break point
+// (partial slices included), then the stream errors — the mid-answer
+// connection drop the reopen ladder must survive without losing text.
+// The break is spent on that stream; the one reopened after it is whole.
 func (f *FaultBackend) BreakStreamAfter(key string, n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -200,9 +201,8 @@ func (f *FaultBackend) StreamCloses(key string) int {
 }
 
 // OpenStream implements llm.StreamingBackend with fault injection. When
-// streams are not enabled (or the inner backend cannot stream) it
-// reports llm.ErrStreamUnsupported, which the orchestrator treats as a
-// quiet routing signal back to GenerateChunk.
+// streams are not enabled the session is lifted (llm.Sessions) onto the
+// key's own GenerateChunk schedule, as a backend that cannot stream is.
 func (f *FaultBackend) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.ChunkStream, error) {
 	return f.openStreamKeyed(ctx, req, req.Model)
 }
@@ -212,18 +212,15 @@ func (f *FaultBackend) OpenStream(ctx context.Context, req llm.ChunkRequest) (ll
 // views.
 func (f *FaultBackend) openStreamKeyed(ctx context.Context, req llm.ChunkRequest, key string) (llm.ChunkStream, error) {
 	f.mu.Lock()
-	on := f.streamsOn
-	failErr := f.openFail[key]
-	d := f.latency[key]
-	brk, hasBrk := f.breakAfter[key]
+	on, d := f.streamsOn, f.latency[key]
+	failErr := cmp.Or(f.failAll[key], f.openFail[key])
+	if on {
+		delete(f.openFail, key)
+	}
 	f.mu.Unlock()
 
 	if !on {
-		return nil, llm.ErrStreamUnsupported
-	}
-	sb, ok := llm.AsStreaming(f.inner)
-	if !ok {
-		return nil, llm.ErrStreamUnsupported
+		return llm.Sessions(keyedChunks{f, key}).OpenStream(ctx, req)
 	}
 	if d > 0 {
 		select {
@@ -235,19 +232,28 @@ func (f *FaultBackend) openStreamKeyed(ctx context.Context, req llm.ChunkRequest
 	if failErr != nil {
 		return nil, failErr
 	}
-	inner, err := sb.OpenStream(ctx, req)
+	inner, err := llm.Sessions(f.inner).OpenStream(ctx, req)
 	if err != nil {
 		return nil, err
 	}
+	s := &faultStream{inner: inner, f: f, key: key}
 	f.mu.Lock()
 	f.streamOpens[key]++
+	s.breakAfter, s.breaks = f.breakAfter[key]
+	delete(f.breakAfter, key)
 	f.mu.Unlock()
-	s := &faultStream{inner: inner, f: f, key: key}
-	if hasBrk {
-		s.breakAfter = brk
-		s.breaks = true
-	}
 	return s, nil
+}
+
+// keyedChunks is the backend's GenerateChunk under one schedule key, and
+// nothing else: what a session is lifted from when streams are off.
+type keyedChunks struct {
+	f   *FaultBackend
+	key string
+}
+
+func (k keyedChunks) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (llm.Chunk, error) {
+	return k.f.generateKeyed(ctx, req, k.key)
 }
 
 // errStreamBroken is the scripted mid-stream failure BreakStreamAfter

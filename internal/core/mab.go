@@ -141,9 +141,7 @@ func (o *Orchestrator) refine(ctx context.Context, strategy Strategy, cands []*c
 			continue
 		}
 		used += n
-		if r.streamed {
-			o.emit(Event{Type: EventRoundStall, Strategy: strategy, Round: *pulls, Elapsed: r.elapsed})
-		}
+		o.emit(Event{Type: EventRoundStall, Strategy: strategy, Round: *pulls, Elapsed: r.elapsed})
 
 		// Reward the pull (line 9): relevance plus consensus, computed on
 		// the arm's whole accumulated response so far.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"llmms/internal/llm"
@@ -14,28 +15,26 @@ import (
 // stream's client-side buffer. The backend keeps decoding between rounds,
 // so round r+1's tokens are (partially) generated while round r is being
 // scored, and the per-round prompt re-ingest of a chunk call is paid once
-// per query instead of once per round. A backend that cannot stream (a
-// stock Ollama, a chunk-only wrapper) gets sessions born in the state a
-// broken stream leaves behind: every round is one retried GenerateChunk
-// call. Which of the two a query runs on is decided by what the backend
-// can do (llm.AsStreaming), never by configuration.
+// per query instead of once per round. Sessions are the only way the
+// orchestrator generates: llm.Sessions hands out the backend's own, or
+// lifts a backend that cannot stream (a stock Ollama, a chunk-only
+// wrapper) onto one GenerateChunk per drain.
 //
 // Invariants, matching the fan-out contract (fanout.go):
 //
-//   - Determinism: a drained slice is token-for-token what the
-//     per-round GenerateChunk call would have returned (same take caps,
-//     same DoneReason ladder), so winner, answer, and token accounting
-//     are identical on a streaming and on a chunk-only backend. Sessions
-//     never emit events; transitions are reported through fanResult
-//     flags and announced by the orchestrating goroutine in job order.
-//   - Graceful degradation: a stream that fails to open or breaks
-//     mid-query marks the session broken and the SAME call transparently
-//     falls back to the retried per-round path, resuming from the last
-//     good continuation state — text already drained is never lost,
-//     because the buffer hands out partial slices before surfacing the
-//     error. A backend that reports llm.ErrStreamUnsupported degrades
-//     quietly (no fallback event: nothing was wrong, the path simply
-//     does not exist).
+//   - Determinism: a drained slice is token-for-token what a
+//     GenerateChunk call of the same size would have returned (same take
+//     caps, same DoneReason ladder), so winner, answer, and token
+//     accounting are identical on a streaming and on a chunk-only
+//     backend. Sessions never emit events; transitions are reported
+//     through fanResult fields and announced by the orchestrating
+//     goroutine in job order.
+//   - One failure ladder: an open or a drain that fails closes the
+//     stream and reopens it from the candidate's continuation state,
+//     under RetryPolicy's attempts and doubling backoff — text already
+//     drained is never lost, because the buffer hands out partial slices
+//     before surfacing the error. A parent cancel is never retried; a
+//     cancel the parent did not cause counts as a timeout.
 //   - Hygiene: every opened stream is closed exactly once — on natural
 //     completion, prune, early exit, failure, or query end — so backend
 //     generation capacity is released as soon as a candidate stops
@@ -52,56 +51,34 @@ type genSession struct {
 	prompt  string
 
 	// stream is the open session, nil before the first drain, after a
-	// natural finish (a later budget grant reopens from cont), and after
-	// Close.
+	// natural finish or a failure (the next drain reopens from cont), and
+	// after Close.
 	stream llm.ChunkStream
-	// broken latches a stream failure: the session stops re-trying the
-	// stream path and serves every remaining call via per-round chunks.
-	// A session over a backend that cannot stream starts out broken.
-	broken bool
 }
 
-// next produces the candidate's chunk for one round: it drains up to
-// take tokens from the stream (lazily opening it with the session-wide
-// hint budget), or falls back to the retried per-round path when the
-// stream is unavailable or broke. cont is the candidate's current
-// continuation state — the resume point for opens and fallbacks.
+// errChunkTimeout marks a drain that a cancel the parent context did not
+// cause cut short: the per-chunk deadline.
+var errChunkTimeout = errors.New("core: chunk attempt timed out")
+
+// next produces the candidate's chunk for one round: it drains up to take
+// tokens from the stream, lazily opening it with the session-wide hint
+// budget, and climbs the failure ladder — close, back off, reopen from
+// cont, drain again — until a drain succeeds or RetryPolicy's attempts
+// are spent. cont is the candidate's current continuation state.
 func (s *genSession) next(ctx context.Context, cont []int, take, hint int) fanResult {
 	var r fanResult
-	if s.stream == nil && !s.broken {
-		if hint < take {
-			hint = take
+	p := s.o.cfg.Retry
+	backoff := p.BaseBackoff
+	for {
+		r.attempts++
+		chunk, err := s.drain(ctx, cont, take, hint, &r)
+		if err == nil && chunk.DoneReason == llm.DoneCancel && ctx.Err() == nil {
+			// The drain's deadline interrupted a chunk call: the backend
+			// reports a cancel the caller didn't ask for.
+			err = errChunkTimeout
 		}
-		st, err := s.backend.OpenStream(ctx, llm.ChunkRequest{
-			Model: s.model, Prompt: s.prompt, MaxTokens: hint, Cont: cont,
-		})
-		if err != nil {
-			s.broken = true
-			if ctx.Err() != nil {
-				r.err = ctx.Err()
-				return r
-			}
-			if !errors.Is(err, llm.ErrStreamUnsupported) {
-				r.fallback = err
-			}
-		} else {
-			s.stream = st
-			r.opened = true
-		}
-	}
-	if s.stream != nil {
-		r.prefetched = min(s.buffered(), take)
-		// A drain the buffer already covers returns without waiting, so only
-		// one that may wait takes the per-chunk deadline (and its timer).
-		drainCtx, cancel := ctx, context.CancelFunc(func() {})
-		if t := s.o.cfg.Retry.ChunkTimeout; t > 0 && r.prefetched < take {
-			drainCtx, cancel = context.WithTimeout(ctx, t)
-		}
-		chunk, err := s.stream.Next(drainCtx, take)
-		cancel()
 		if err == nil {
 			r.chunk = chunk
-			r.attempts = 1
 			r.streamed = true
 			if chunk.Done {
 				// Natural completion: release the backend session. A later
@@ -112,27 +89,59 @@ func (s *genSession) next(ctx context.Context, cont []int, take, hint int) fanRe
 			}
 			return r
 		}
-		// The stream broke (or a drain hit the per-chunk timeout with an
-		// empty buffer). Text drained so far is safe — the buffer serves
-		// partial slices before surfacing errors — so the per-round path
-		// resumes exactly where the stream left off.
-		s.stream.Close()
-		s.stream = nil
-		s.broken = true
-		r.closeReason = "error"
+		if s.stream != nil {
+			s.stream.Close()
+			s.stream = nil
+			r.broke++
+		}
 		if ctx.Err() != nil {
 			r.err = ctx.Err()
 			return r
 		}
-		if !errors.Is(err, llm.ErrStreamUnsupported) {
+		if r.fallback == nil {
 			r.fallback = err
 		}
+		if r.attempts >= p.MaxAttempts {
+			r.err = fmt.Errorf("after %d attempts: %w", r.attempts, err)
+			return r
+		}
+		if backoff > 0 {
+			select {
+			case <-ctx.Done():
+				r.err = ctx.Err()
+				return r
+			case <-time.After(backoff):
+			}
+			backoff *= 2
+			if p.MaxBackoff > 0 && backoff > p.MaxBackoff {
+				backoff = p.MaxBackoff
+			}
+		}
 	}
-	chunk, attempts, err := generateWithRetry(ctx, s.o.backend, llm.ChunkRequest{
-		Model: s.model, Prompt: s.prompt, MaxTokens: take, Cont: cont,
-	}, s.o.cfg.Retry)
-	r.chunk, r.attempts, r.err = chunk, attempts, err
-	return r
+}
+
+// drain is one attempt of next: open the stream if none is open, then
+// take up to take tokens off it. Only a drain the buffer does not already
+// cover may wait, so only it takes the per-chunk deadline (and its timer).
+func (s *genSession) drain(ctx context.Context, cont []int, take, hint int, r *fanResult) (llm.Chunk, error) {
+	if s.stream == nil {
+		st, err := s.backend.OpenStream(ctx, llm.ChunkRequest{
+			Model: s.model, Prompt: s.prompt, MaxTokens: max(hint, take), Cont: cont,
+		})
+		if err != nil {
+			return llm.Chunk{}, err
+		}
+		s.stream = st
+		r.opens++
+	}
+	r.prefetched = min(s.buffered(), take)
+	drainCtx, cancel := ctx, context.CancelFunc(func() {})
+	if t := s.o.cfg.Retry.ChunkTimeout; t > 0 && r.prefetched < take {
+		drainCtx, cancel = context.WithTimeout(ctx, t)
+	}
+	chunk, err := s.stream.Next(drainCtx, take)
+	cancel()
+	return chunk, err
 }
 
 // buffered is the open stream's undrained token count, 0 when it cannot tell.
@@ -146,13 +155,11 @@ func (s *genSession) buffered() int {
 // covers reports whether next's drain of take tokens will not wait.
 func (s *genSession) covers(take int) bool { return s.stream != nil && s.buffered() >= take }
 
-// attachSessions gives every candidate its generation session. When the
-// backend cannot stream the sessions start out broken, which is the state
-// that serves every round by a per-round call.
+// attachSessions gives every candidate its generation session.
 func (o *Orchestrator) attachSessions(cands []*candidate, prompt string) {
-	sb, streams := llm.AsStreaming(o.backend)
+	sb := llm.Sessions(o.backend)
 	for _, c := range cands {
-		c.sess = &genSession{backend: sb, o: o, model: c.model, prompt: prompt, broken: !streams}
+		c.sess = &genSession{backend: sb, o: o, model: c.model, prompt: prompt}
 	}
 }
 
@@ -185,26 +192,30 @@ func (o *Orchestrator) closeAllSessions(strategy Strategy, round int, cands []*c
 	}
 }
 
-// emitStreamEvents announces one fan result's session transitions —
-// open, close, fallback — on the orchestrating goroutine, in job order,
-// preserving the event-determinism invariant (workers never emit).
+// emitStreamEvents announces one fan result's session transitions — the
+// streams its failures closed, the reopen notice, its opens, its natural
+// close — on the orchestrating goroutine, in job order, preserving the
+// event-determinism invariant (workers never emit).
 func (o *Orchestrator) emitStreamEvents(strategy Strategy, round int, c *candidate, r fanResult) {
-	if r.opened {
+	for range r.broke {
+		o.emit(Event{Type: EventStreamClose, Strategy: strategy, Round: round,
+			Model: c.model, Reason: "error"})
+	}
+	if r.fallback != nil {
+		o.emit(Event{Type: EventStreamFallback, Strategy: strategy, Round: round,
+			Model: c.model, Reason: r.fallback.Error()})
+	}
+	for range r.opens {
 		o.emit(Event{Type: EventStreamOpen, Strategy: strategy, Round: round, Model: c.model})
 	}
 	if r.closeReason != "" {
 		o.emit(Event{Type: EventStreamClose, Strategy: strategy, Round: round,
 			Model: c.model, Reason: r.closeReason})
 	}
-	if r.fallback != nil {
-		o.emit(Event{Type: EventStreamFallback, Strategy: strategy, Round: round,
-			Model: c.model, Reason: r.fallback.Error()})
-	}
 }
 
-// emitRoundStall announces how long the round's slowest streamed drain
-// waited on generation. Rounds served entirely by the per-round path
-// record nothing — the metric measures the pipelined path's overlap.
+// emitRoundStall announces how long the round's slowest drain waited on
+// generation. A round whose every drain failed records nothing.
 func (o *Orchestrator) emitRoundStall(strategy Strategy, round int, results []fanResult) {
 	stall, streamed := time.Duration(0), false
 	for _, r := range results {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -91,21 +92,23 @@ func (s *streamEventTap) install(cfg *Config) {
 }
 
 // TestMidStreamBreakFallsBackLosslessly scripts a connection drop after
-// a few tokens and checks the query degrades to the per-round path
-// without losing the text drained before the break: the broken model's
-// response — and the whole result — match a run that never streamed.
+// a few tokens and checks the reopen ladder carries the query on without
+// losing the text drained before the break: the broken model's response —
+// and the whole result — match a run that never streamed.
 func TestMidStreamBreakFallsBackLosslessly(t *testing.T) {
 	cfg := DefaultConfig(engineModels()...)
 	cfg.MaxTokens = 512
 	tap := &streamEventTap{}
 	tap.install(&cfg)
-	var fb *FaultBackend
+	var broken []*FaultBackend
 	streamed, chunked := runBoth(t, StrategyOUA, func() Backend {
-		fb = NewFaultBackend(llm.NewEngine(llm.Options{}))
+		fb := NewFaultBackend(llm.NewEngine(llm.Options{}))
 		fb.EnableStreams()
 		fb.BreakStreamAfter(llm.ModelLlama3, 10)
+		broken = append(broken, fb)
 		return fb
 	}, cfg)
+	fb := broken[0] // the streamed run's
 	if streamed.Answer != chunked.Answer || streamed.Model != chunked.Model {
 		t.Fatalf("broken-stream winner (%s, %q) != reference (%s, %q)",
 			streamed.Model, streamed.Answer, chunked.Model, chunked.Answer)
@@ -127,38 +130,74 @@ func TestMidStreamBreakFallsBackLosslessly(t *testing.T) {
 	if !found {
 		t.Fatalf("no stream_fallback event for the broken model; fallbacks = %+v", tap.fallbacks)
 	}
-	// The broken model kept generating via per-round chunks after the
-	// break — the fallback ladder, not a prune.
+	// The broken model kept generating on a reopened stream after the
+	// break — the reopen ladder, not a prune.
 	if so.Failed || (so.Pruned && so.Response == "") {
 		t.Fatalf("broken stream escalated to model failure: %+v", so)
 	}
+	if fb.StreamOpens(llm.ModelLlama3) < 2 {
+		t.Fatalf("the broken stream was not reopened: %d opens", fb.StreamOpens(llm.ModelLlama3))
+	}
 }
 
-// TestStreamOpenFailureDegradesQuietly checks an OpenStream error routes
-// the model to the per-round path for the rest of the query (broken
-// latch) while still announcing the degradation.
+// TestStreamOpenFailureDegradesQuietly checks a transient OpenStream error
+// costs the model one attempt: the next one reopens, the model answers as
+// if nothing had happened, and the reopen is announced with its reason.
 func TestStreamOpenFailureDegradesQuietly(t *testing.T) {
 	cfg := DefaultConfig(engineModels()...)
 	cfg.MaxTokens = 256
+	cfg.Retry = fastRetry()
 	tap := &streamEventTap{}
 	tap.install(&cfg)
 	fb := NewFaultBackend(llm.NewEngine(llm.Options{}))
 	fb.EnableStreams()
 	fb.FailStreamOpen(llm.ModelMistral, errBoom)
-	o := mustNew(t, fb, cfg)
-	res, err := o.OUA(context.Background(), enginePrompt)
+	res, err := mustNew(t, fb, cfg).OUA(context.Background(), enginePrompt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.OnEvent = nil
+	ref, err := mustNew(t, llm.NewEngine(llm.Options{}), cfg).OUA(context.Background(), enginePrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out, ok := res.Outcome(llm.ModelMistral)
-	if !ok || out.Failed || out.Response == "" {
-		t.Fatalf("open-failure model did not degrade to the chunked path: %+v", out)
+	want, _ := ref.Outcome(llm.ModelMistral)
+	if !ok || out.Failed || out.Response == "" || out.Response != want.Response {
+		t.Fatalf("open-failure model = %+v, want the undisturbed %+v", out, want)
 	}
-	if len(tap.fallbacks) == 0 || tap.fallbacks[0].Model != llm.ModelMistral {
-		t.Fatalf("no stream_fallback for the open failure; fallbacks = %+v", tap.fallbacks)
+	if len(tap.fallbacks) == 0 || tap.fallbacks[0].Model != llm.ModelMistral || tap.fallbacks[0].Reason == "" {
+		t.Fatalf("no stream_fallback with a reason for the open failure; fallbacks = %+v", tap.fallbacks)
+	}
+	if opens, closes := fb.StreamOpens(llm.ModelMistral), fb.StreamCloses(llm.ModelMistral); opens == 0 || opens != closes {
+		t.Fatalf("mistral: %d streams opened, %d closed; want the reopened stream, closed", opens, closes)
+	}
+}
+
+// TestPersistentOpenFailureFailsModel: a model whose every open fails is
+// retired after the retry budget, exactly as a dead model is, and the
+// query goes on without it.
+func TestPersistentOpenFailureFailsModel(t *testing.T) {
+	cfg := DefaultConfig(engineModels()...)
+	cfg.MaxTokens = 256
+	cfg.Retry = fastRetry()
+	failures := failureEvents(&cfg)
+	fb := NewFaultBackend(llm.NewEngine(llm.Options{}))
+	fb.EnableStreams()
+	fb.FailAlways(llm.ModelMistral, errBoom)
+	res, err := mustNew(t, fb, cfg).OUA(context.Background(), enginePrompt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := res.Outcome(llm.ModelMistral)
+	if !out.Failed || !out.Pruned || !strings.Contains(out.Error, errBoom.Error()) {
+		t.Fatalf("mistral outcome = %+v, want failed on its open error", out)
+	}
+	if len(*failures) != 1 || (*failures)[0].Attempts != cfg.Retry.MaxAttempts {
+		t.Fatalf("failure events = %+v, want one after %d attempts", *failures, cfg.Retry.MaxAttempts)
 	}
 	if fb.StreamOpens(llm.ModelMistral) != 0 {
-		t.Fatalf("failed open was counted as a success")
+		t.Fatalf("a failed open was counted as a success")
 	}
 }
 
@@ -287,27 +326,30 @@ func TestPrefetchObserved(t *testing.T) {
 	waitEngineStreams(t, engine)
 }
 
-// TestRetryBackoffAbortsOnCancel pins the fault-tolerance contract the
-// pipelined fallback ladder leans on: a context canceled during the
-// between-attempt backoff sleep aborts generateWithRetry immediately
-// with the context's error, rather than sleeping out the schedule.
+// TestRetryBackoffAbortsOnCancel pins the fault-tolerance contract of the
+// reopen ladder: a context canceled during the between-attempt backoff
+// sleep aborts the pull immediately with the context's error, rather than
+// sleeping out the schedule.
 func TestRetryBackoffAbortsOnCancel(t *testing.T) {
 	fb := NewFaultBackend(threeModels())
 	fb.FailAlways("good", errBoom)
-	policy := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour, ChunkTimeout: -1}
+	cfg := DefaultConfig("good")
+	cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour, ChunkTimeout: -1}
+	o := mustNew(t, fb, cfg)
+	c := &candidate{model: "good"}
+	o.attachSessions([]*candidate{c}, testPrompt)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, attempts, err := generateWithRetry(ctx, fb,
-		llm.ChunkRequest{Model: "good", Prompt: testPrompt, MaxTokens: 16}, policy)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	r := c.sess.next(ctx, nil, 16, 16)
+	if !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", r.err)
 	}
-	if attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (canceled during the first backoff)", attempts)
+	if r.attempts != 1 {
+		t.Fatalf("attempts = %d, want 1 (canceled during the first backoff)", r.attempts)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("backoff ignored cancellation: returned after %v", elapsed)
@@ -428,8 +470,7 @@ func TestChunkTimeoutOnlyArmsWaitingDrains(t *testing.T) {
 	}
 }
 
-// stallBackend's streams never deliver a token; its per-round call
-// answers at once.
+// stallBackend's streams never deliver a token.
 type stallBackend struct{}
 
 func (stallBackend) GenerateChunk(context.Context, llm.ChunkRequest) (llm.Chunk, error) {
@@ -450,8 +491,7 @@ func (stallStream) Close() error  { return nil }
 func (stallStream) Buffered() int { return 0 }
 
 // TestStalledStreamStillTimesOut: a drain that has to wait is still bound
-// by the per-chunk timeout, and the session falls back to the per-round
-// call.
+// by the per-chunk timeout, which closes the stream and spends the attempt.
 func TestStalledStreamStillTimesOut(t *testing.T) {
 	cfg := DefaultConfig("m")
 	cfg.Retry = RetryPolicy{MaxAttempts: 1, ChunkTimeout: 20 * time.Millisecond}
@@ -462,8 +502,8 @@ func TestStalledStreamStillTimesOut(t *testing.T) {
 	go func() { done <- c.sess.next(context.Background(), nil, 8, 8) }()
 	select {
 	case r := <-done:
-		if !errors.Is(r.fallback, context.DeadlineExceeded) || r.closeReason != "error" || r.chunk.Text != "late" {
-			t.Fatalf("stalled drain = %+v, want a timed-out stream falling back to the per-round call", r)
+		if !errors.Is(r.err, context.DeadlineExceeded) || r.broke != 1 || c.sess.stream != nil {
+			t.Fatalf("stalled drain = %+v, want a timed-out attempt that closed its stream", r)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("a stalled drain never timed out")

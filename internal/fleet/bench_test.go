@@ -10,16 +10,11 @@ import (
 	"llmms/internal/llm"
 )
 
-// This file is the fleet layer's wall-clock evidence (BENCH_fleet.json
-// via make bench-fleet):
-//
-//   - FleetDyingReplica: a replica that turned into a slow failure adds
-//     ~zero p50 latency once its breaker opens — the pool's p50 with a
-//     dying replica matches the all-healthy p50, instead of every other
-//     request eating the slow failure.
-//   - FleetHedge: with one chronically slow replica, p95-triggered
-//     hedging cuts p99 from "the slow replica's latency" to "hedge
-//     delay + the fast replica's latency".
+// This file is the fleet layer's wall-clock evidence: in
+// FleetDyingReplica, a replica that turned into a slow failure adds
+// ~zero p50 latency once its breaker opens — the pool's p50 with a dying
+// replica matches the all-healthy p50, instead of every other request
+// eating the slow failure.
 
 // sleepBackend answers after a fixed ctx-aware delay; with dying set it
 // answers the delay with an error instead — a slow failure, the worst
@@ -125,42 +120,4 @@ func replicaState2(b *testing.B, p *Pool) ReplicaStatus {
 	}
 	b.Fatal("no status for m/r0")
 	return ReplicaStatus{}
-}
-
-// BenchmarkFleetHedge runs a fleet with one chronically slow replica
-// (10ms) and one fast one (1ms). Without hedging, every request routed
-// to the slow replica pays the full 10ms, so p99 ≈ 10ms. With hedging
-// at 0.3 × p95, those requests fire a backup on the fast replica after
-// a few milliseconds and finish at hedge-delay + 1ms — the tail
-// collapses while p50 stays put.
-func BenchmarkFleetHedge(b *testing.B) {
-	newPool := func(b *testing.B, factor float64) *Pool {
-		p, err := New(Config{
-			Replicas: map[string][]Replica{"m": {
-				{ID: "slow", Backend: &sleepBackend{delay: 10 * time.Millisecond}},
-				{ID: "fast", Backend: &sleepBackend{delay: time.Millisecond}},
-			}},
-			HedgeFactor:     factor,
-			HedgeMinSamples: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(p.Close)
-		// Warmup fills the latency window so hedging is armed (and gives
-		// the no-hedge variant identical treatment).
-		for i := 0; i < 16; i++ {
-			if _, err := p.GenerateChunk(context.Background(), testReq("m")); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return p
-	}
-
-	b.Run("off", func(b *testing.B) {
-		benchLoop(b, newPool(b, 0))
-	})
-	b.Run("on", func(b *testing.B) {
-		benchLoop(b, newPool(b, 0.3))
-	})
 }

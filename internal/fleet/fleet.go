@@ -6,10 +6,7 @@
 // Per request the pool picks a replica by power-of-two-choices over
 // live inflight counts, filtered through per-replica circuit breakers
 // (closed → open after consecutive failures → half-open trial after a
-// cooldown) and prober-maintained health. When hedging is enabled, a
-// chunk call that outlives the model's observed p95 × HedgeFactor fires
-// a second attempt on a different replica; first success wins and the
-// loser is cancelled.
+// cooldown) and prober-maintained health.
 package fleet
 
 import (
@@ -58,19 +55,11 @@ type Config struct {
 	ProbeTimeout  time.Duration // default 2s
 	ProbeFailures int           // default 2
 
-	// HedgeFactor enables tail-latency hedging when > 0: a chunk call
-	// still unanswered after HedgeFactor × p95(model latency) fires a
-	// backup attempt on a second replica. 1.0 hedges at the observed
-	// p95; 0 disables. Hedging needs HedgeMinSamples observations
-	// (default 8) before it arms, and never applies to streams.
-	HedgeFactor     float64
-	HedgeMinSamples int
-
 	// Telemetry receives fleet gauges/counters; nil disables.
 	Telemetry *telemetry.Telemetry
 
-	// Logger receives structured fleet events: breaker transitions,
-	// health ejections/re-admissions, and hedge firings. Nil discards.
+	// Logger receives structured fleet events: breaker transitions and
+	// health ejections/re-admissions. Nil discards.
 	Logger *slog.Logger
 
 	// Seed fixes the selection RNG for reproducible tests; 0 seeds from
@@ -86,9 +75,6 @@ var (
 	// (breaker open within cooldown, or prober-marked unhealthy).
 	ErrNoReplicas = errors.New("fleet: no selectable replica")
 )
-
-// latWindow is the per-model latency ring size feeding the hedging p95.
-const latWindow = 64
 
 // replicaStates is the fixed vocabulary of the one-hot
 // llmms_fleet_replica_state gauge.
@@ -111,15 +97,10 @@ type Pool struct {
 	probeWG  sync.WaitGroup
 }
 
-// modelPool is one model's replica set plus its latency window.
+// modelPool is one model's replica set.
 type modelPool struct {
 	model    string
 	replicas []*replica
-
-	lmu     sync.Mutex
-	lat     [latWindow]time.Duration
-	latN    int // filled entries (≤ latWindow)
-	latNext int // ring cursor
 }
 
 // replica is the pool-internal state for one Replica.
@@ -156,9 +137,6 @@ func New(cfg Config) (*Pool, error) {
 	}
 	if cfg.ProbeFailures <= 0 {
 		cfg.ProbeFailures = 2
-	}
-	if cfg.HedgeMinSamples <= 0 {
-		cfg.HedgeMinSamples = 8
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -278,13 +256,10 @@ func (p *Pool) noteTransition(r *replica, to string) {
 // pick selects a replica for one attempt: filter to selectable replicas
 // (healthy, breaker admitting), choose by power-of-two-choices over
 // inflight counts, then reserve admission (which may consume a
-// half-open trial slot). exclude skips the hedge's primary replica.
-func (p *Pool) pick(mp *modelPool, exclude *replica) (*replica, error) {
+// half-open trial slot).
+func (p *Pool) pick(mp *modelPool) (*replica, error) {
 	elig := make([]*replica, 0, len(mp.replicas))
 	for _, r := range mp.replicas {
-		if r == exclude {
-			continue
-		}
 		r.mu.Lock()
 		ok := !r.unhealthy && r.br.selectable()
 		r.mu.Unlock()
@@ -332,7 +307,7 @@ func (p *Pool) pickIndex(elig []*replica) int {
 
 // settle feeds one request outcome into the replica's breaker. A
 // context.Canceled error is neutral: the caller abandoned the call
-// (hedge loser, client disconnect), which says nothing about replica
+// (a client disconnect), which says nothing about replica
 // health — but the reserved half-open trial slot is still released.
 // DeadlineExceeded does count as a failure: the replica blew a deadline
 // somebody set.
@@ -351,13 +326,21 @@ func (p *Pool) settle(r *replica, err error) {
 	p.noteTransition(r, trans)
 }
 
-// call runs one chunk attempt on one replica with full accounting:
-// inflight for the P2C signal, outcome for the breaker, latency for the
-// hedging window, and — when the context carries a trace — a
-// "fleet.call" span recording which replica was picked, the breaker
-// state it was picked in, and whether this was the primary or the
-// hedged backup attempt.
-func (p *Pool) call(ctx context.Context, r *replica, req llm.ChunkRequest, role string) (llm.Chunk, error) {
+// GenerateChunk implements llm.Backend: route to the least-loaded
+// admissible replica and call it with full accounting — inflight for the
+// P2C signal, the outcome for the breaker and, when the context carries a
+// trace, a "fleet.call" span recording which replica was picked and the
+// breaker state it was picked in. Sessions go through OpenStream; this
+// serves probes and replicas that cannot stream.
+func (p *Pool) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (llm.Chunk, error) {
+	mp := p.models[req.Model]
+	if mp == nil {
+		return llm.Chunk{}, fmt.Errorf("%w: %q", ErrUnknownModel, req.Model)
+	}
+	r, err := p.pick(mp)
+	if err != nil {
+		return llm.Chunk{}, err
+	}
 	ctx, sp := telemetry.StartSpan(ctx, "fleet.call")
 	if sp != nil {
 		r.mu.Lock()
@@ -366,146 +349,22 @@ func (p *Pool) call(ctx context.Context, r *replica, req llm.ChunkRequest, role 
 		sp.SetAttr("model", req.Model)
 		sp.SetAttr("replica", r.id)
 		sp.SetAttr("breaker", st)
-		sp.SetAttr("role", role)
 	}
 	r.inflight.Add(1)
-	start := time.Now()
 	chunk, err := r.backend.GenerateChunk(ctx, req)
 	r.inflight.Add(-1)
 	sp.End(err)
 	p.settle(r, err)
-	if err == nil {
-		r.mp.observe(time.Since(start))
-	}
 	return chunk, err
-}
-
-// observe records one successful call's latency in the model's ring.
-func (mp *modelPool) observe(d time.Duration) {
-	mp.lmu.Lock()
-	mp.lat[mp.latNext] = d
-	mp.latNext = (mp.latNext + 1) % latWindow
-	if mp.latN < latWindow {
-		mp.latN++
-	}
-	mp.lmu.Unlock()
-}
-
-// p95 returns the model's observed p95 latency once minSamples
-// observations exist.
-func (mp *modelPool) p95(minSamples int) (time.Duration, bool) {
-	mp.lmu.Lock()
-	n := mp.latN
-	if n < minSamples {
-		mp.lmu.Unlock()
-		return 0, false
-	}
-	tmp := make([]time.Duration, n)
-	copy(tmp, mp.lat[:n])
-	mp.lmu.Unlock()
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	return tmp[int(float64(n-1)*0.95)], true
-}
-
-// hedgeDelay reports whether hedging is armed for this model and, if
-// so, the delay before the backup attempt fires.
-func (p *Pool) hedgeDelay(mp *modelPool) (time.Duration, bool) {
-	if p.cfg.HedgeFactor <= 0 || len(mp.replicas) < 2 {
-		return 0, false
-	}
-	p95, ok := mp.p95(p.cfg.HedgeMinSamples)
-	if !ok {
-		return 0, false
-	}
-	d := time.Duration(float64(p95) * p.cfg.HedgeFactor)
-	if d <= 0 {
-		return 0, false
-	}
-	return d, true
-}
-
-// GenerateChunk implements llm.Backend: route to the least-loaded
-// admissible replica, optionally hedging with a second replica when the
-// call outlives the model's p95-derived delay. First success wins; the
-// loser is cancelled (a neutral outcome for its breaker).
-func (p *Pool) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (llm.Chunk, error) {
-	mp := p.models[req.Model]
-	if mp == nil {
-		return llm.Chunk{}, fmt.Errorf("%w: %q", ErrUnknownModel, req.Model)
-	}
-	primary, err := p.pick(mp, nil)
-	if err != nil {
-		return llm.Chunk{}, err
-	}
-	delay, armed := p.hedgeDelay(mp)
-	if !armed {
-		return p.call(ctx, primary, req, "primary")
-	}
-
-	// Hedged path. The shared cancelable context kills the loser the
-	// moment a winner lands; the channel is buffered for both attempts
-	// so the loser's goroutine can always deliver and exit.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		chunk llm.Chunk
-		err   error
-		r     *replica
-	}
-	results := make(chan outcome, 2)
-	launch := func(r *replica, role string) {
-		go func() {
-			c, e := p.call(cctx, r, req, role)
-			results <- outcome{chunk: c, err: e, r: r}
-		}()
-	}
-	launch(primary, "primary")
-	pending := 1
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			backup, perr := p.pick(mp, primary)
-			if perr != nil {
-				continue // nobody to hedge to; keep waiting on the primary
-			}
-			if p.tel != nil {
-				p.tel.FleetHedges.Inc(req.Model, "fired")
-			}
-			p.log.Debug("hedge fired",
-				"model", req.Model, "primary", primary.id, "backup", backup.id,
-				"delay", delay)
-			pending++
-			launch(backup, "backup")
-		case o := <-results:
-			pending--
-			if o.err == nil {
-				if o.r != primary && p.tel != nil {
-					p.tel.FleetHedges.Inc(req.Model, "won")
-				}
-				return o.chunk, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if pending == 0 {
-				return llm.Chunk{}, firstErr
-			}
-		}
-	}
 }
 
 // OpenStream implements llm.StreamingBackend: a persistent session is
 // routed to one replica by the same health/breaker/least-loaded rule as
-// chunk calls. Hedging never applies — a session cannot be cheaply
-// raced. The replica's inflight count includes the stream for its whole
-// life, so P2C steers new work away from stream-loaded replicas; a
+// chunk calls. The replica's inflight count includes the stream for its
+// whole life, so P2C steers new work away from stream-loaded replicas; a
 // mid-stream failure feeds the breaker once. A picked replica that
-// cannot stream reports llm.ErrStreamUnsupported (a routing signal —
-// the orchestrator falls back to per-round chunks, still through the
-// fleet).
+// cannot stream reports llm.ErrStreamUnsupported, on which llm.Sessions
+// lifts the session onto chunk calls, still through the fleet.
 func (p *Pool) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.ChunkStream, error) {
 	mp := p.models[req.Model]
 	if mp == nil {
@@ -513,7 +372,7 @@ func (p *Pool) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.ChunkS
 	}
 	ctx, sp := telemetry.StartSpan(ctx, "fleet.stream_open")
 	sp.SetAttr("model", req.Model)
-	r, err := p.pick(mp, nil)
+	r, err := p.pick(mp)
 	if err != nil {
 		sp.End(err)
 		return nil, err

@@ -404,93 +404,3 @@ func TestProberLoop(t *testing.T) {
 	}
 	p.Close() // waits for the loop; double Close via cleanup must not panic
 }
-
-// TestHedgeCancelsLoser: the primary hangs, the hedge timer fires a
-// backup on the other replica, the backup wins, and the loser is
-// cancelled — a neutral outcome that leaves the slow replica's breaker
-// closed and leaks nothing.
-func TestHedgeCancelsLoser(t *testing.T) {
-	cancelled := make(chan struct{})
-	slow := &funcBackend{fn: func(ctx context.Context) (llm.Chunk, error) {
-		<-ctx.Done()
-		close(cancelled)
-		return llm.Chunk{}, ctx.Err()
-	}}
-	fast := okBackend()
-	tel := telemetry.New(telemetry.Options{})
-	p := mustPool(t, Config{
-		Replicas: map[string][]Replica{"m": {
-			{ID: "slow", Backend: slow}, {ID: "fast", Backend: fast},
-		}},
-		HedgeFactor:     0.5,
-		HedgeMinSamples: 8,
-		Telemetry:       tel,
-	})
-	// Arm the hedge window: 8 observed calls at 10ms → p95 10ms, delay 5ms.
-	for i := 0; i < 8; i++ {
-		p.models["m"].replicas[0].mp.observe(10 * time.Millisecond)
-	}
-	// Make P2C pick the slow replica as primary: the fast one carries
-	// synthetic load. The backup pick excludes the primary, so the hedge
-	// still reaches the fast replica.
-	p.models["m"].replicas[1].inflight.Store(3)
-
-	chunk, err := p.GenerateChunk(context.Background(), testReq("m"))
-	if err != nil {
-		t.Fatalf("hedged call failed: %v", err)
-	}
-	if chunk.Text != "ok" {
-		t.Fatalf("chunk = %+v", chunk)
-	}
-	select {
-	case <-cancelled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("loser was never cancelled")
-	}
-	if got := tel.FleetHedges.Value("m", "fired"); got != 1 {
-		t.Fatalf("hedges fired = %v, want 1", got)
-	}
-	if got := tel.FleetHedges.Value("m", "won"); got != 1 {
-		t.Fatalf("hedges won = %v, want 1", got)
-	}
-	// The losing attempt closes cancelled inside the backend call and
-	// settles its in-flight slot only once that call has returned, so wait
-	// for the settle: nothing left in flight beyond the synthetic load
-	// pinned on the fast replica above.
-	for deadline := time.Now().Add(2 * time.Second); replicaState(t, p, "m", "slow").Inflight != 0; {
-		if time.Now().After(deadline) {
-			t.Fatalf("slow replica inflight = %d after hedge, want 0", replicaState(t, p, "m", "slow").Inflight)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Cancellation is neutral: the slow replica keeps a closed breaker
-	// and zero consecutive failures.
-	rs := replicaState(t, p, "m", "slow")
-	if rs.State != "serving" || rs.ConsecutiveFailures != 0 {
-		t.Fatalf("loser penalized for losing: %+v", rs)
-	}
-	if got := replicaState(t, p, "m", "fast").Inflight; got != 3 {
-		t.Fatalf("fast replica inflight = %d after hedge, want the 3 synthetic", got)
-	}
-}
-
-// TestHedgeDisarmed: without samples (or with one replica) no hedge
-// fires even when the factor is set.
-func TestHedgeDisarmed(t *testing.T) {
-	tel := telemetry.New(telemetry.Options{})
-	slowCalls := &funcBackend{fn: func(ctx context.Context) (llm.Chunk, error) {
-		time.Sleep(2 * time.Millisecond)
-		return llm.Chunk{Text: "ok", EvalCount: 1, Done: true}, nil
-	}}
-	p := mustPool(t, Config{
-		Replicas:    map[string][]Replica{"m": {{ID: "r0", Backend: slowCalls}, {ID: "r1", Backend: okBackend()}}},
-		HedgeFactor: 0.5,
-		Telemetry:   tel,
-	})
-	if _, err := p.GenerateChunk(context.Background(), testReq("m")); err != nil {
-		t.Fatal(err)
-	}
-	if got := tel.FleetHedges.Value("m", "fired"); got != 0 {
-		t.Fatalf("hedge fired without a latency window: %v", got)
-	}
-}

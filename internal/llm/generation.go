@@ -126,8 +126,8 @@ func (g *Generation) text(from, to int) string {
 }
 
 // terminal is the final chunk of a generation that ended before token pos.
-func (g *Generation) terminal(pos int) Chunk {
-	return Chunk{Done: true, DoneReason: g.reason, Context: g.plan.ids[:pos:pos],
+func (g *Generation) terminal(pos int, reason DoneReason) Chunk {
+	return Chunk{Done: true, DoneReason: reason, Context: g.plan.ids[:pos:pos],
 		EvalCount: pos - g.plan.cursor, TotalTokens: pos}
 }
 
@@ -149,7 +149,9 @@ type TokenBatch struct {
 // Fill empties the batch, blocks until g has at least one token the
 // consumer has not taken (or has ended), and takes everything decoded so
 // far. When that reaches the generation's end it returns the terminal
-// chunk (final.Done is true) and more is false.
+// chunk (final.Done is true) and more is false. A batch that reaches the
+// plan's end is the last one whether or not the producer has yet marked
+// the generation over, as in engineStream.slice: nothing can follow it.
 func (b *TokenBatch) Fill(g *Generation) (final Chunk, more bool) {
 	b.Text, b.Ends = b.Text[:0], b.Ends[:0]
 	from := int(g.taken.Load())
@@ -164,8 +166,11 @@ func (b *TokenBatch) Fill(g *Generation) (final Chunk, more bool) {
 		b.Ends = append(b.Ends, len(b.Text))
 	}
 	g.taken.Store(int64(decoded))
-	if over {
-		return g.terminal(decoded), false
+	switch {
+	case decoded == len(g.plan.ids):
+		return g.terminal(decoded, g.plan.reason), false
+	case over:
+		return g.terminal(decoded, g.reason), false
 	}
 	return Chunk{}, true
 }
@@ -179,7 +184,7 @@ func Collect(g *Generation) (string, Chunk) {
 		decoded, over = g.progress()
 	}
 	from := int(g.taken.Swap(int64(decoded)))
-	return g.text(from, decoded), g.terminal(decoded)
+	return g.text(from, decoded), g.terminal(decoded, g.reason)
 }
 
 // engineStream is the in-process ChunkStream: it reads the generation's

@@ -279,3 +279,20 @@ func TestEngineStreamEndsAtPlanEnd(t *testing.T) {
 		t.Fatalf("slice to the plan's end = %+v, %v; want the terminal chunk", got, err)
 	}
 }
+
+// TestFillEndsAtPlanEnd is the daemon's side of the same window: the
+// batch that reaches the plan's last token is the last one, with the
+// plan's reason, even before the producer marks the generation over — so
+// the line writer puts those tokens on the done line, never on a token
+// line a reader could drain without the end.
+func TestFillEndsAtPlanEnd(t *testing.T) {
+	tok := tokenizer.Default()
+	ids := tok.AppendIDs(nil, "Bats are not blind.")
+	gen := newGeneration(tok, genPlan{ids: ids, reason: DoneLength}, nil)
+	gen.advance(len(ids)) // decoded to the end, finish not yet called
+	var b TokenBatch
+	final, more := b.Fill(gen)
+	if more || !final.Done || final.DoneReason != DoneLength || final.EvalCount != len(ids) || len(b.IDs) != len(ids) {
+		t.Fatalf("fill to the plan's end = %+v, more %v, %d ids; want the terminal batch of %d", final, more, len(b.IDs), len(ids))
+	}
+}

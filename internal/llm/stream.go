@@ -20,8 +20,8 @@ import (
 // prompt + decode chunk".
 
 // ErrStreamUnsupported reports that a backend (or the daemon behind it)
-// cannot serve persistent generation streams. Callers fall back to the
-// per-round GenerateChunk path; the error is a routing signal, not a
+// cannot serve persistent generation streams. Sessions lifts such a
+// session onto GenerateChunk; the error is a routing signal, not a
 // failure of the query.
 var ErrStreamUnsupported = errors.New("llm: persistent generation streams unsupported")
 
@@ -185,6 +185,11 @@ func (b *StreamBuffer) Push(text []byte, ids, ends []int) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.pushLocked(text, ids, ends)
+}
+
+// pushLocked is Push under b.mu.
+func (b *StreamBuffer) pushLocked(text []byte, ids, ends []int) error {
 	switch {
 	case b.closed:
 		return ErrStreamClosed
@@ -232,16 +237,26 @@ func checkBatch(text []byte, ids, ends []int) error {
 	return nil
 }
 
-// Finish records the stream's terminal chunk (Done metadata). Buffered
-// tokens remain drainable; the terminal slice is synthesized once they
-// are exhausted. final.Context is not retained: when it equals the ids
-// the buffer holds — the opened-from state plus every pushed token, which
-// is what a consistent stream ends on — the buffer's own array serves as
-// the terminal Context, and otherwise it is cloned. The caller may reuse
-// its slice. After Close it refuses with ErrStreamClosed.
-func (b *StreamBuffer) Finish(final Chunk) error {
+// Finish pushes the stream's last batch (text, ids and ends as in Push;
+// none for a stream whose tokens are all pushed) and records its terminal
+// chunk (Done metadata), in one step: no Drain can take the batch's tokens
+// without the stream's end, so a round that drains a model's last token
+// also sees it finish. Buffered tokens remain drainable; the terminal
+// slice is synthesized once they are exhausted. final.Context is not
+// retained: when it equals the ids the buffer holds — the opened-from
+// state plus every pushed token, which is what a consistent stream ends
+// on — the buffer's own array serves as the terminal Context, and
+// otherwise it is cloned. The caller may reuse its slices. A batch Push
+// would refuse fails the stream and is returned; after Close it refuses
+// with ErrStreamClosed.
+func (b *StreamBuffer) Finish(text []byte, ids, ends []int, final Chunk) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if len(text) > 0 || len(ids) > 0 {
+		if err := b.pushLocked(text, ids, ends); err != nil {
+			return err
+		}
+	}
 	switch {
 	case b.closed:
 		return ErrStreamClosed

@@ -23,7 +23,7 @@ func TestStreamBufferSlicing(t *testing.T) {
 	b.Push([]byte("Hello "), []int{1, 2}, []int{5, 6})
 	b.Push([]byte("world"), []int{3}, nil)
 	b.Push([]byte("!"), []int{4}, []int{1})
-	b.Finish(Chunk{Done: true, DoneReason: DoneStop, Context: []int{1, 2, 3, 4}, EvalCount: 4, TotalTokens: 4})
+	b.Finish(nil, nil, nil, Chunk{Done: true, DoneReason: DoneStop, Context: []int{1, 2, 3, 4}, EvalCount: 4, TotalTokens: 4})
 
 	ctx := context.Background()
 	c1, err := b.Drain(ctx, 2)
@@ -61,7 +61,7 @@ func TestStreamBufferSlicesInsideABatch(t *testing.T) {
 	b := NewStreamBuffer(nil, 0)
 	b.Push([]byte("abc"), []int{1, 2, 3}, []int{1, 2, 3})
 	b.Push([]byte("de"), []int{4, 5}, []int{1, 2})
-	b.Finish(Chunk{Done: true, DoneReason: DoneStop, Context: []int{1, 2, 3, 4, 5}})
+	b.Finish(nil, nil, nil, Chunk{Done: true, DoneReason: DoneStop, Context: []int{1, 2, 3, 4, 5}})
 
 	for i, want := range []struct {
 		text string
@@ -109,7 +109,7 @@ func TestStreamBufferPartitionInvariance(t *testing.T) {
 				}
 				from = to
 			}
-			b.Finish(final)
+			b.Finish(nil, nil, nil, final)
 		}()
 		var out []Chunk
 		for {
@@ -241,7 +241,7 @@ func TestStreamBufferCloseAndContext(t *testing.T) {
 	if err := b.Push([]byte("y"), []int{2}, nil); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("post-close push err = %v, want ErrStreamClosed", err)
 	}
-	if err := b.Finish(Chunk{Done: true, DoneReason: DoneStop}); !errors.Is(err, ErrStreamClosed) {
+	if err := b.Finish(nil, nil, nil, Chunk{Done: true, DoneReason: DoneStop}); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("post-close finish err = %v, want ErrStreamClosed", err)
 	}
 
@@ -279,7 +279,7 @@ func TestStreamBufferCloseRacesProducer(t *testing.T) {
 							return
 						}
 					}
-					b.Finish(Chunk{Done: true, DoneReason: DoneStop})
+					b.Finish(nil, nil, nil, Chunk{Done: true, DoneReason: DoneStop})
 				}()
 				var got string
 				for n := 0; n < i%7; n++ {
@@ -443,4 +443,25 @@ func waitForStreams(t *testing.T, e *Engine, want int) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("OpenStreams = %d, want %d after wait", e.OpenStreams(), want)
+}
+
+// TestFinishCarriesTheLastBatch: the batch Finish carries is buffered and
+// the stream finished in one step, so the drain that takes the last token
+// is the terminal one; a batch Push would refuse fails the stream instead.
+func TestFinishCarriesTheLastBatch(t *testing.T) {
+	b := NewStreamBuffer(nil, 0)
+	b.Push([]byte("a"), []int{1}, nil)
+	if err := b.Finish([]byte("bc"), []int{2, 3}, []int{1, 2}, Chunk{Done: true, DoneReason: DoneLength, Context: []int{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := b.Drain(context.Background(), 3); err != nil || c.Text != "abc" || !c.Done || c.DoneReason != DoneLength {
+		t.Fatalf("drain of the last token = %+v, %v; want it terminal", c, err)
+	}
+	bad := NewStreamBuffer(nil, 0)
+	if err := bad.Finish([]byte("x"), nil, nil, Chunk{Done: true}); !errors.Is(err, ErrStreamUnsupported) {
+		t.Fatalf("Finish of a batch without ids = %v, want ErrStreamUnsupported", err)
+	}
+	if _, err := bad.Drain(context.Background(), 1); !errors.Is(err, ErrStreamUnsupported) {
+		t.Fatalf("the refused stream drains %v, want ErrStreamUnsupported", err)
+	}
 }

@@ -427,7 +427,7 @@ func (c *Client) observeChunk(model string, start time.Time, err error) {
 // legitimately lives for the whole query. Cancellation is the caller's
 // ctx or Close. A daemon that does not echo token ids (a stock Ollama)
 // fails the stream with llm.ErrStreamUnsupported before any text is
-// handed out, so callers can fall back to per-round GenerateChunk
+// handed out, so llm.Sessions can lift the session onto GenerateChunk
 // without duplicating output.
 func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.ChunkStream, error) {
 	wire := GenerateRequest{Model: req.Model, Prompt: req.Prompt, Context: req.Cont}
@@ -454,15 +454,18 @@ func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.Chun
 }
 
 // pumpStream drains one open generation stream into its client-side
-// buffer: token lines are pushed as they arrive, the done line finishes
-// the buffer, and however the body ended the buffer, the span and the
+// buffer: token lines are pushed as they arrive, the done line pushes its
+// tokens and finishes the buffer, and however the body ended the buffer, the span and the
 // request's count are settled once. A buffer the consumer closed refuses
 // the next line, which ends the read and counts as canceled.
 func (c *Client) pumpStream(resp *http.Response, body *requestBuf, buf *llm.StreamBuffer, model string, start time.Time, sp *telemetry.Span) {
 	err := readStream(resp, body, sp, func(sl *streamLine) error {
 		switch {
 		case sl.done:
-			return buf.Finish(llm.Chunk{
+			// The done line carries the last batch: pushed and finished in
+			// one step, so no drain takes the model's last token without
+			// its end.
+			return buf.Finish(sl.text, sl.ids, sl.ends, llm.Chunk{
 				Done: true, DoneReason: sl.doneReason,
 				Context: sl.context, EvalCount: sl.evalCount, TotalTokens: len(sl.context),
 			})

@@ -1,6 +1,7 @@
 package modeld
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"llmms/internal/llm"
@@ -39,11 +41,9 @@ func multibyteDaemon(t *testing.T, latencyScale float64) (*Client, *llm.Engine, 
 	return New(srv.URL, WithHTTPClient(srv.Client())), engine, questions
 }
 
-// drainSession opens one stream and drains it take tokens at a time.
-// When the answer is a whole number of takes, whether the last full
-// slice already carries Done or an empty terminal slice follows depends
-// on whether the done line had arrived by then; the empty one is folded
-// into its predecessor so both timings compare equal.
+// drainSession opens one stream and drains it take tokens at a time. The
+// slice that takes a model's last token is the terminal one on either side
+// of the hop, however the timing fell.
 func drainSession(t *testing.T, sb llm.StreamingBackend, req llm.ChunkRequest, take int) []llm.Chunk {
 	t.Helper()
 	st, err := sb.OpenStream(context.Background(), req)
@@ -56,10 +56,6 @@ func drainSession(t *testing.T, sb llm.StreamingBackend, req llm.ChunkRequest, t
 		c, err := st.Next(context.Background(), take)
 		if err != nil {
 			t.Fatalf("next %s %q after %d slices: %v", req.Model, req.Prompt, len(out), err)
-		}
-		if c.Done && c.EvalCount == 0 && len(out) > 0 {
-			c.Text, c.EvalCount = out[len(out)-1].Text, out[len(out)-1].EvalCount
-			out = out[:len(out)-1]
 		}
 		out = append(out, c)
 		if c.Done {
@@ -287,5 +283,83 @@ func TestStreamRejectsInconsistentLines(t *testing.T) {
 			t.Fatalf("%s: second slice = %+v, %v; want a bad-line failure and no text", name, chunk, err)
 		}
 		st.Close()
+	}
+}
+
+// holdDoneLine is a transport that delivers a generation body up to its
+// done line at once and the done line only after hold: the widest window
+// a reader could have between a model's last token and its end.
+type holdDoneLine struct {
+	http.RoundTripper
+	hold time.Duration
+}
+
+func (h holdDoneLine) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := h.RoundTripper.RoundTrip(req)
+	if err == nil {
+		resp.Body = &heldBody{ReadCloser: resp.Body, hold: h.hold}
+	}
+	return resp, err
+}
+
+type heldBody struct {
+	io.ReadCloser
+	hold    time.Duration
+	pending []byte
+	err     error
+	held    bool
+}
+
+func (b *heldBody) Read(p []byte) (int, error) {
+	if len(b.pending) == 0 {
+		if b.err != nil {
+			return 0, b.err
+		}
+		buf := make([]byte, 64<<10)
+		n, err := b.ReadCloser.Read(buf)
+		b.pending, b.err = buf[:n], err
+	}
+	if i := bytes.Index(b.pending, []byte(`"done":true`)); i >= 0 && !b.held {
+		if start := bytes.LastIndexByte(b.pending[:i], '\n') + 1; start > 0 {
+			n := copy(p, b.pending[:start])
+			b.pending = b.pending[n:]
+			return n, nil
+		}
+		b.held = true
+		time.Sleep(b.hold)
+	}
+	n := copy(p, b.pending)
+	b.pending = b.pending[n:]
+	if len(b.pending) == 0 && b.err != nil {
+		return n, b.err
+	}
+	return n, nil
+}
+
+// TestDrainOfLastTokenSeesTheEnd closes the terminal-slice window over the
+// hop: a drain that takes a model's last token reports the model done,
+// even when the done line is slow to arrive — the daemon puts the last
+// batch on the done line, and the client pushes and finishes it in one
+// step, so there is no moment at which the last token is buffered and the
+// end is not.
+func TestDrainOfLastTokenSeesTheEnd(t *testing.T) {
+	engine := llm.NewEngine(llm.Options{})
+	t.Cleanup(func() { engine.Close() })
+	srv := httptest.NewServer(NewServer(engine))
+	t.Cleanup(srv.Close)
+	c := New(srv.URL, WithHTTPClient(&http.Client{
+		Transport: holdDoneLine{RoundTripper: srv.Client().Transport, hold: 50 * time.Millisecond},
+	}))
+	for _, budget := range []int{1, 6} {
+		req := llm.ChunkRequest{Model: llm.ModelLlama3, Prompt: "Question: Are bats blind?\nAnswer:", MaxTokens: budget}
+		st, err := c.OpenStream(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.Next(context.Background(), budget)
+		st.Close()
+		if err != nil || got.EvalCount != budget || !got.Done || got.DoneReason != llm.DoneLength {
+			t.Fatalf("budget %d: drain of the last token = %+v, %v; want it done on length", budget, got, err)
+		}
 	}
 }

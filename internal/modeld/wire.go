@@ -29,7 +29,8 @@ import (
 //
 // A token line carries a batch of tokens — as many as the engine had
 // decoded when the writer came back for more, so one per line when
-// decode is the slow side and a whole answer when the writer is:
+// decode is the slow side and a whole answer when the writer is (the
+// batch that reaches the end rides on the done line instead):
 //
 //	{"model":…,"created_at":…,"response":"<text>","done":false,
 //	 "tokens":[id,…],"token_ends":[off,…],"response_raw":"<base64>"}
@@ -89,17 +90,19 @@ func (lw *lineWriter) release() {
 // Fill it has whatever else the engine had already decoded and writes one
 // line and one Flush for the lot, so a token leaves the daemon the moment
 // it is decoded and a burst costs one write. The fill that reaches the end
-// writes its tokens and the done line and returns without a Flush: the
-// handler returns next, and net/http sends them with the body's end in one
-// write. finish, when set, runs on the terminal chunk just before it is
-// written and returns the root of the trace whose spans it should carry. A
-// failed write means the client went away; the request context stops the
-// generation.
+// writes the done line and returns without a Flush: the handler returns
+// next, and net/http sends it with the body's end in one write. With echo
+// the done line carries that fill's tokens, so a reader never holds a
+// model's last token without its end; without it, they go on a line of
+// their own first. finish, when set, runs on the terminal chunk just
+// before it is written and returns the root of the trace whose spans it
+// should carry. A failed write means the client went away; the request
+// context stops the generation.
 func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) *telemetry.Span) {
 	lw.writeHeader(ndjsonContentType)
 	for {
 		final, more := lw.batch.Fill(g)
-		if len(lw.batch.IDs) > 0 && !lw.writeTokens() {
+		if (more || !lw.echo) && len(lw.batch.IDs) > 0 && !lw.writeTokens() {
 			return
 		}
 		if !more {
@@ -109,7 +112,11 @@ func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) *te
 			}
 			// Without echo, pend is the held-back tail that never completed
 			// a character.
-			lw.writeDone(lw.pend, final, spans)
+			if lw.echo {
+				lw.writeDone(lw.batch.Text, lw.batch.IDs, lw.batch.Ends, final, spans)
+			} else {
+				lw.writeDone(lw.pend, nil, nil, final, spans)
+			}
 			return
 		}
 		if lw.flusher != nil {
@@ -123,7 +130,7 @@ func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) *te
 func (lw *lineWriter) reply(text string, final llm.Chunk, spans *telemetry.Span) {
 	lw.writeHeader(jsonContentType)
 	lw.pend = append(lw.pend[:0], text...)
-	lw.writeDone(lw.pend, final, spans)
+	lw.writeDone(lw.pend, nil, nil, final, spans)
 }
 
 // writeHeader answers 200 without a Date, which the client would only parse.
@@ -134,8 +141,8 @@ func (lw *lineWriter) writeHeader(contentType []string) {
 }
 
 // writeDone writes the line that ends the response.
-func (lw *lineWriter) writeDone(text []byte, final llm.Chunk, spans *telemetry.Span) {
-	lw.out = lw.appendDoneLine(lw.out[:0], time.Now(), text, final, spans)
+func (lw *lineWriter) writeDone(text []byte, ids, ends []int, final llm.Chunk, spans *telemetry.Span) {
+	lw.out = lw.appendDoneLine(lw.out[:0], time.Now(), text, ids, ends, final, spans)
 	_, _ = lw.w.Write(lw.out) // a failed write leaves nothing more to do: the client went away
 }
 
@@ -176,15 +183,23 @@ func (lw *lineWriter) appendHead(dst []byte, at time.Time, text []byte, done boo
 // appendTokenLine appends the NDJSON line for one batch of tokens. ids
 // and ends are written only on echo lines.
 func (lw *lineWriter) appendTokenLine(dst []byte, at time.Time, text []byte, ids, ends []int) []byte {
-	dst = lw.appendHead(dst, at, text, false)
-	if lw.echo {
-		dst = jsonwire.AppendInts(append(dst, `,"tokens":`...), ids)
-		if len(ids) > 1 {
-			dst = jsonwire.AppendInts(append(dst, `,"token_ends":`...), ends)
-		}
-		dst = appendResponseRaw(dst, text)
-	}
+	dst = lw.appendTokens(lw.appendHead(dst, at, text, false), text, ids, ends)
 	return append(dst, "}\n"...)
+}
+
+// appendTokens appends the stream_tokens members of a batch — tokens,
+// token_ends, response_raw — on echo lines.
+func (lw *lineWriter) appendTokens(dst, text []byte, ids, ends []int) []byte {
+	if !lw.echo {
+		return dst
+	}
+	if len(ids) > 0 {
+		dst = jsonwire.AppendInts(append(dst, `,"tokens":`...), ids)
+	}
+	if len(ids) > 1 {
+		dst = jsonwire.AppendInts(append(dst, `,"token_ends":`...), ends)
+	}
+	return appendResponseRaw(dst, text)
 }
 
 // appendResponseRaw appends the response_raw member when text is not
@@ -201,19 +216,18 @@ func appendResponseRaw(dst, text []byte) []byte {
 // appendDoneLine appends the line that ends a generation — or, with all of
 // the text in it, the whole stream=false reply: the members of
 // GenerateResponse (ChatResponse for /api/chat) in declaration order, the
-// empty ones omitted as encoding/json omits them. spans is the root of the
-// daemon's trace of the generation, for a caller that sent a traceparent:
-// its finished spans are written from the arena, in place.
-func (lw *lineWriter) appendDoneLine(dst []byte, at time.Time, text []byte, final llm.Chunk, spans *telemetry.Span) []byte {
+// empty ones omitted as encoding/json omits them. ids and ends are the
+// tokens of text, when the line carries a session's last batch. spans is
+// the root of the daemon's trace of the generation, for a caller that sent
+// a traceparent: its finished spans are written from the arena, in place.
+func (lw *lineWriter) appendDoneLine(dst []byte, at time.Time, text []byte, ids, ends []int, final llm.Chunk, spans *telemetry.Span) []byte {
 	dst = lw.appendHead(dst, at, text, true)
 	dst = jsonwire.AppendText(dst, `,"done_reason":`, string(final.DoneReason))
 	if !lw.chat && len(final.Context) > 0 {
 		dst = jsonwire.AppendInts(append(dst, `,"context":`...), final.Context)
 	}
 	dst = jsonwire.AppendInt(dst, `,"eval_count":`, int64(final.EvalCount))
-	if lw.echo {
-		dst = appendResponseRaw(dst, text)
-	}
+	dst = lw.appendTokens(dst, text, ids, ends)
 	sep := `,"spans":[`
 	spans.Walk(func(d telemetry.SpanData) {
 		dst = appendSpan(append(dst, sep...), &d)
@@ -315,8 +329,7 @@ const (
 	keyEvalCount
 	keySpans
 
-	tokenLineKeys = keyTokens | keyTokenEnds | keyResponseRaw
-	doneLineKeys  = keyDoneReason | keyContext | keyEvalCount | keySpans
+	doneLineKeys = keyDoneReason | keyContext | keyEvalCount | keySpans
 )
 
 // once marks key as seen, reporting false when it already was.
@@ -338,9 +351,10 @@ func (l *streamLine) reset() {
 // decode reads line into l without reflection when it is a line of the
 // shape the daemon writes: one JSON object of the known keys, each at
 // most once — a token line ("done" false, the token members) or the done
-// line ("done" true, done_reason, context, eval_count, spans). It reports
-// false for anything else — a foreign daemon's extra fields, a line mixing
-// the two shapes, escapes it does not read — and the caller falls back to
+// line ("done" true, done_reason, context, eval_count, spans, and the
+// token members of the last batch). It reports false for anything else —
+// a foreign daemon's extra fields, a token line with done members, escapes
+// it does not read — and the caller falls back to
 // encoding/json, which remains the reference: whenever decode accepts a
 // line, it fills l exactly as fromResponse would from the unmarshalled
 // line (FuzzStreamLine).
@@ -393,7 +407,7 @@ func (l *streamLine) decode(line []byte) bool {
 		return false
 	})
 	l.key = s.Key
-	if !ok || !s.End() || l.done && seen&tokenLineKeys != 0 || !l.done && seen&doneLineKeys != 0 {
+	if !ok || !s.End() || !l.done && seen&doneLineKeys != 0 {
 		return false
 	}
 	l.text = l.response

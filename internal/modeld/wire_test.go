@@ -27,10 +27,9 @@ func echoLine(text string, ids, ends []int) []byte {
 // token at a time, or reports the push's rejection.
 func drainTokens(tl *streamLine) ([]llm.Chunk, error) {
 	buf := llm.NewStreamBuffer(nil, 0)
-	if err := buf.Push(tl.text, tl.ids, tl.ends); err != nil {
+	if err := buf.Finish(tl.text, tl.ids, tl.ends, llm.Chunk{Done: true, DoneReason: llm.DoneStop}); err != nil {
 		return nil, err
 	}
-	buf.Finish(llm.Chunk{Done: true, DoneReason: llm.DoneStop})
 	var out []llm.Chunk
 	for {
 		c, err := buf.Drain(context.Background(), 1)
@@ -98,8 +97,9 @@ func TestTokenLineEncoding(t *testing.T) {
 }
 
 // TestTokenLineDecoderDeclines lists lines the fast decoder must leave to
-// encoding/json: foreign fields, a line that is half token line and half
-// done line, and anything whose reading it could get wrong.
+// encoding/json: foreign fields, a token line with done members, and
+// anything whose reading it could get wrong. (A done line carrying tokens
+// is the daemon's own: the session's last batch.)
 func TestTokenLineDecoderDeclines(t *testing.T) {
 	span := func(member string) string {
 		return `{"model":"m","response":"","done":true,"spans":[{"trace_id":"t","span_id":"s","name":"n",` + member + `}]}`
@@ -107,7 +107,7 @@ func TestTokenLineDecoderDeclines(t *testing.T) {
 	for _, line := range []string{
 		`{"model":"m","response":"","done":true,"done_reason":"stop","context":[1,2],"total_duration":5}`,
 		`{"model":"m","response":"","done":true,"done_reason":"stop","done_reason":"length"}`,
-		`{"model":"m","response":"x","done":true,"tokens":[1]}`,
+		`{"model":"m","response":"x","done":true,"tokens":[1.0]}`,
 		`{"model":"m","response":"","done":true,"context":null}`,
 		`{"model":"m","response":"","done":true,"eval_count":3.0}`,
 		`{"model":"m","response":"","done":true,"eval_count":"3"}`,
@@ -182,13 +182,18 @@ func graftedFrom(sl *streamLine, line []byte) []telemetry.SpanRecord {
 // doneLine is the done line the daemon writes for a stream_tokens request
 // (or, with chat, an /api/chat one) ending on final, carrying spans.
 func doneLine(chat bool, tail string, final llm.Chunk, spans []telemetry.SpanRecord) []byte {
+	return lastBatchLine(chat, tail, nil, nil, final, spans)
+}
+
+// lastBatchLine is doneLine carrying the session's last batch of tokens.
+func lastBatchLine(chat bool, text string, ids, ends []int, final llm.Chunk, spans []telemetry.SpanRecord) []byte {
 	lw := newLineWriter(nil, "llama3:8b", chat, !chat)
 	defer lw.release()
 	var root *telemetry.Span
 	if len(spans) > 0 {
 		root = traceOf(spans)
 	}
-	return lw.appendDoneLine(nil, time.Unix(1700000000, 123), []byte(tail), final, root)
+	return lw.appendDoneLine(nil, time.Unix(1700000000, 123), []byte(text), ids, ends, final, root)
 }
 
 // TestDoneLineEncoding pins the done line against encoding/json, the
@@ -197,9 +202,11 @@ func doneLine(chat bool, tail string, final llm.Chunk, spans []telemetry.SpanRec
 func TestDoneLineEncoding(t *testing.T) {
 	at := time.Unix(1700000000, 123).UTC().Format(time.RFC3339Nano)
 	for _, tc := range []struct {
-		name  string
-		final llm.Chunk
-		spans []telemetry.SpanRecord
+		name      string
+		final     llm.Chunk
+		spans     []telemetry.SpanRecord
+		text      string // the last batch the line carries
+		ids, ends []int
 	}{
 		{name: "stop", final: llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{5, 6, 7}, EvalCount: 3, TotalTokens: 3}},
 		{name: "length, continued", final: llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2, 3, 4}, EvalCount: 2, TotalTokens: 4}},
@@ -207,10 +214,18 @@ func TestDoneLineEncoding(t *testing.T) {
 		{name: "no reason", final: llm.Chunk{Done: true}},
 		{name: "one span", final: llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{9}, EvalCount: 1}, spans: testSpans()[:1]},
 		{name: "two spans", final: llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{9}, EvalCount: 1}, spans: testSpans()},
+		{name: "last token", final: llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{8, 9}, EvalCount: 2},
+			text: ".", ids: []int{9}},
+		{name: "last batch cut mid-character", final: llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2, 3}, EvalCount: 3},
+			text: " Bras\xc3", ids: []int{1, 2, 3}, ends: []int{1, 5, 6}, spans: testSpans()[:1]},
 	} {
-		line := doneLine(false, "", tc.final, tc.spans)
-		want := GenerateResponse{Model: "llama3:8b", CreatedAt: at, Done: true, DoneReason: string(tc.final.DoneReason),
-			Context: tc.final.Context, EvalCount: tc.final.EvalCount, Spans: tc.spans}
+		line := lastBatchLine(false, tc.text, tc.ids, tc.ends, tc.final, tc.spans)
+		want := GenerateResponse{Model: "llama3:8b", CreatedAt: at, Response: tc.text, Done: true,
+			DoneReason: string(tc.final.DoneReason), Context: tc.final.Context, EvalCount: tc.final.EvalCount,
+			Tokens: tc.ids, TokenEnds: tc.ends, Spans: tc.spans}
+		if !utf8.ValidString(tc.text) {
+			want.ResponseRaw = []byte(tc.text)
+		}
 		ref, err := json.Marshal(want)
 		if err != nil {
 			t.Fatal(err)
@@ -235,8 +250,9 @@ func TestDoneLineEncoding(t *testing.T) {
 		slow.fromResponse(&gr)
 		for _, sl := range []*streamLine{&fast, &slow} {
 			if !sl.done || sl.doneReason != tc.final.DoneReason || sl.evalCount != tc.final.EvalCount ||
-				!equalInts(sl.context, tc.final.Context) || len(sl.text) != 0 || len(sl.ids) != 0 {
-				t.Fatalf("%s: decoded %+v, want %+v", tc.name, sl, tc.final)
+				!equalInts(sl.context, tc.final.Context) || string(sl.text) != tc.text ||
+				!equalInts(sl.ids, tc.ids) || !equalInts(sl.ends, tc.ends) {
+				t.Fatalf("%s: decoded %+v, want %+v carrying %q %v %v", tc.name, sl, tc.final, tc.text, tc.ids, tc.ends)
 			}
 		}
 		// The spans go from the line straight into the caller's trace, and
@@ -262,7 +278,7 @@ func TestDoneLineEncoding(t *testing.T) {
 	}
 	lw := newLineWriter(nil, "m", false, false)
 	defer lw.release()
-	if line := lw.appendDoneLine(nil, time.Now(), []byte("\xc3"), final, nil); bytes.Contains(line, []byte("response_raw")) {
+	if line := lw.appendDoneLine(nil, time.Now(), []byte("\xc3"), nil, nil, final, nil); bytes.Contains(line, []byte("response_raw")) {
 		t.Fatalf("Ollama-shaped done line carries response_raw: %s", line)
 	}
 	// A stream=false reply to a stream_tokens request is the done object
@@ -313,7 +329,7 @@ func TestFastDecodersAllocateNothing(t *testing.T) {
 			gen.End(nil)
 			root.Hold()
 			root.End(nil)
-			line = lw.appendDoneLine(line[:0], time.Unix(1700000000, 123), nil, final, root)
+			line = lw.appendDoneLine(line[:0], time.Unix(1700000000, 123), nil, nil, nil, final, root)
 			root.Release()
 			stream := caller.Child("modeld.stream")
 			if !sl.decode(line) {
@@ -365,6 +381,9 @@ func FuzzStreamLine(f *testing.F) {
 	f.Add(doneLine(false, "", llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2, 3, 4}, EvalCount: 2}, testSpans()))
 	f.Add(doneLine(false, "", llm.Chunk{Done: true, DoneReason: llm.DoneCancel}, testSpans()[1:]))
 	f.Add(doneLine(false, "tail", llm.Chunk{Done: true, DoneReason: llm.DoneStop, EvalCount: 1}, nil))
+	// Done lines carrying the session's last batch.
+	f.Add(lastBatchLine(false, ".", []int{9}, nil, llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{8, 9}, EvalCount: 2}, nil))
+	f.Add(lastBatchLine(false, " Bras\xc3", []int{1, 2, 3}, []int{1, 5, 6}, llm.Chunk{Done: true, DoneReason: llm.DoneLength, EvalCount: 3}, testSpans()))
 	f.Add([]byte(`{"done":true,"spans":[{"trace_id":"t","span_id":"s","name":"n","start":"2026-10-02T21:26:38+02:00","duration_ns":-5,"attrs":{},"status":""}]}`))
 	f.Add([]byte(`{"done":true,"done_reason":"stop","context":[1],"total_duration":12345}`))
 	f.Add([]byte(`{"done":true,"spans":[{"span_id":"s","start":"0000-10-01T00:00:00+00:00","attrs":{"":"","0":""},"status":"","links":0}]}`))
@@ -408,29 +427,32 @@ func FuzzStreamLine(f *testing.F) {
 			spans = traceOf(gr.Spans)
 		}
 		if sl.done {
-			// Through the daemon's encoder and back.
+			// Through the daemon's encoder and back: the terminal fields,
+			// the spans and the last batch's exact bytes and tokens (the
+			// writer puts token_ends on a line of more than one token).
 			lw := newLineWriter(nil, "m", false, true)
 			defer lw.release()
 			final := llm.Chunk{Done: true, DoneReason: sl.doneReason, Context: sl.context, EvalCount: sl.evalCount}
-			again := lw.appendDoneLine(nil, time.Now(), sl.response, final, spans)
-			var back streamLine
-			if !utf8.Valid(sl.response) || strings.ContainsRune(string(sl.response), utf8.RuneError) {
-				return // re-encodes with response_raw, which no done line is read with
+			ends := sl.ends
+			if len(sl.ids) < 2 {
+				ends = nil
 			}
+			again := lw.appendDoneLine(nil, time.Now(), sl.text, sl.ids, ends, final, spans)
 			for _, r := range spans.Records() {
 				if y := r.Start.Year(); y < 0 || y > 9999 {
 					return // not a time encoding/json would have written
 				}
 			}
+			var back streamLine
 			if !back.decode(again) {
 				t.Fatalf("fast decoder declined the daemon's re-encoding %q of %q", again, line)
 			}
 			if !back.done || back.doneReason != sl.doneReason || back.evalCount != sl.evalCount ||
-				!equalInts(back.context, sl.context) || !bytes.Equal(back.response, sl.response) ||
+				!equalInts(back.context, sl.context) || !bytes.Equal(back.text, sl.text) ||
+				!equalInts(back.ids, sl.ids) || !equalInts(back.ends, ends) ||
 				!sameSpans(graftedFrom(&back, again), spans.Records()) {
 				t.Fatalf("round trip through the daemon's encoder read %+v, want %+v: %q", back, sl, line)
 			}
-			return
 		}
 		if len(sl.ids) == 0 {
 			return // the pump skips the line or refuses the session
@@ -448,6 +470,9 @@ func FuzzStreamLine(f *testing.F) {
 		}
 		if len(got) != len(sl.ids) || !bytes.Equal(text, sl.text) {
 			t.Fatalf("drained %d tokens %q from a line of %d tokens %q: %q", len(got), text, len(sl.ids), sl.text, line)
+		}
+		if sl.done {
+			return
 		}
 
 		ends := sl.ends

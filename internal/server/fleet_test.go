@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -174,5 +176,66 @@ func TestReadyzPerModelFleetChecks(t *testing.T) {
 	resp = doJSON(t, http.MethodGet, ts.URL+"/readyz", nil, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recovered fleet still unready: %d", resp.StatusCode)
+	}
+}
+
+// chunkOnlyReplica serves generation by chunk calls only: a replica that
+// cannot stream.
+type chunkOnlyReplica struct{ llm.Backend }
+
+// TestQueriesReachTheFleetAsSessions pins the traffic the orchestrator
+// sends a fleet: every strategy, single included, opens one session per
+// candidate (a fleet.stream_open span each) and makes no chunk call (no
+// fleet.call span); a replica set that cannot stream is still reached,
+// through chunk calls.
+func TestQueriesReachTheFleetAsSessions(t *testing.T) {
+	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
+	t.Cleanup(func() { engine.Close() })
+	serve := func(t *testing.T, replica llm.Backend) *Server {
+		replicas := make(map[string][]fleet.Replica)
+		for _, p := range engine.Profiles() {
+			replicas[p.Name] = []fleet.Replica{{ID: "r0", Backend: replica}, {ID: "r1", Backend: replica}}
+		}
+		pool, err := fleet.New(fleet.Config{Replicas: replicas})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(pool.Close)
+		s, err := NewServer(Options{Engine: engine, Fleet: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		watchResources(t, s)
+		return s
+	}
+	spans := func(t *testing.T, s *Server, strategy string) map[string]int {
+		t.Helper()
+		body := fmt.Sprintf(`{"query":%q,"strategy":%q}`, truthfulqa.Seed()[1].Question, strategy)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/query", strings.NewReader(body)))
+		tr, ok := s.tel.Traces.Get(rec.Header().Get("X-Query-ID"))
+		if rec.Code != http.StatusOK || !ok || tr.Outcome != "ok" {
+			t.Fatalf("%s: status %d, trace stored %v with outcome %q", strategy, rec.Code, ok, tr.Outcome)
+		}
+		n := map[string]int{}
+		for _, sp := range tr.Spans {
+			n[sp.Name]++
+		}
+		return n
+	}
+
+	s := serve(t, engine)
+	for _, strategy := range []string{"oua", "mab", "hybrid", "single"} {
+		want := len(DefaultSettings().EnabledModels)
+		if strategy == "single" {
+			want = 1
+		}
+		if n := spans(t, s, strategy); n["fleet.call"] != 0 || n["fleet.stream_open"] != want {
+			t.Fatalf("%s: %d fleet.call and %d fleet.stream_open spans, want 0 and %d", strategy,
+				n["fleet.call"], n["fleet.stream_open"], want)
+		}
+	}
+	if n := spans(t, serve(t, chunkOnlyReplica{engine}), "oua"); n["fleet.call"] == 0 {
+		t.Fatalf("chunk-only replicas answered with no fleet.call span: %v", n)
 	}
 }

@@ -131,9 +131,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolve decodes and validates the request and fixes what it asks for:
-// strategy, model pool, λ_max, session. An anonymous request's summary is
-// empty by definition and its session waits for openStream, so one that is
-// shed or fails leaves none behind.
+// strategy, model pool (for single, a model the engine serves), λ_max,
+// session. An anonymous request's summary is empty by definition and its
+// session waits for openStream, so one that is shed or fails leaves none
+// behind.
 func (s *Server) resolve(q *query) bool {
 	var req QueryRequest
 	if bad := readJSON(q.w, q.r, &req); bad != nil {
@@ -155,6 +156,10 @@ func (s *Server) resolve(q *query) bool {
 	}
 	q.models = q.st.EnabledModels
 	if q.strategy == core.StrategySingle {
+		// Refused before any stream opens; only single pays for the check.
+		if m, ok := s.unknownModel(q.st.Model); ok {
+			return q.fail(nil, http.StatusUnprocessableEntity, "unknown_model", "unknown model %q", m)
+		}
 		q.models = []string{q.st.Model}
 	}
 	if q.sessID = req.SessionID; q.sessID != "" {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -420,7 +421,14 @@ func TestQueryEveryExit(t *testing.T) {
 		{Name: "all_models_failed", Body: askFrance,
 			Arrange: func(e *exitEnv) { e.enable("ghost:1b", "ghost:2b") },
 			Expect:  failed("all_models_failed", "all_models_failed")},
-		{Name: "query_failed", Body: `{"query":"q","strategy":"single","model":"ghost:1b"}`, Expect: failed("query_failed", "error")},
+		{Name: "unknown_model", Body: `{"query":"q","strategy":"single","model":"ghost:1b"}`,
+			Expect: exitExpect{Status: 422, Code: "unknown_model"}},
+		{Name: "query_failed", Body: `{"query":"q","strategy":"single"}`,
+			Arrange: func(e *exitEnv) {
+				e.g.broken = errors.New("daemon down")
+				e.g.open()
+			},
+			Expect: failed("query_failed", "error")},
 		{Name: "client gone mid-stream", Body: askFrance, Dead: true,
 			Expect: exitExpect{XCache: "MISS", Sessions: 1, Trace: "canceled"}},
 		{Name: "ok", Body: askFrance,

@@ -494,14 +494,22 @@ func (o *outcome) write(w http.ResponseWriter) { writeErr(w, o.status, o.code, "
 // knownModels reports whether the engine serves every one of models, and
 // answers 422 unknown_model for the first it does not.
 func (s *Server) knownModels(w http.ResponseWriter, models ...string) bool {
+	if m, ok := s.unknownModel(models...); ok {
+		writeErr(w, http.StatusUnprocessableEntity, "unknown_model", "unknown model %q", m)
+		return false
+	}
+	return true
+}
+
+// unknownModel returns the first of models the engine does not serve.
+func (s *Server) unknownModel(models ...string) (string, bool) {
 	profiles := s.engine.Profiles()
 	for _, m := range models {
 		if !slices.ContainsFunc(profiles, func(p llm.Profile) bool { return p.Name == m }) {
-			writeErr(w, http.StatusUnprocessableEntity, "unknown_model", "unknown model %q", m)
-			return false
+			return m, true
 		}
 	}
-	return true
+	return "", false
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -734,7 +742,7 @@ func (s *Server) handlePutSettings(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, "invalid_settings", "%v", err)
 		return
 	}
-	if !s.knownModels(w, st.EnabledModels...) {
+	if !s.knownModels(w, st.Model) || !s.knownModels(w, st.EnabledModels...) {
 		return
 	}
 	s.mu.Lock()

@@ -301,7 +301,7 @@ func TestSettingsRoundTrip(t *testing.T) {
 	}
 	var got Settings
 	doJSON(t, "GET", ts.URL+"/api/settings", nil, &got)
-	if got.Strategy != "mab" || got.MaxTokens != 512 || len(got.EnabledModels) != 2 {
+	if got.Strategy != "mab" || got.MaxTokens != 512 || len(got.EnabledModels) != 2 || got.Model != llm.ModelLlama3 {
 		t.Fatalf("settings = %+v", got)
 	}
 	// Invalid updates are rejected without mutating state.
@@ -310,6 +310,17 @@ func TestSettingsRoundTrip(t *testing.T) {
 	resp = doJSON(t, "PUT", ts.URL+"/api/settings", bad, nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown model accepted: %d", resp.StatusCode)
+	}
+	// The single strategy's model is a model the engine serves too, or
+	// every single query would fail.
+	for _, model := range []string{"nope", ""} {
+		bad := got
+		bad.Model = model
+		var env map[string]apiError
+		resp = doJSON(t, "PUT", ts.URL+"/api/settings", bad, &env)
+		if resp.StatusCode != http.StatusUnprocessableEntity || env["error"].Code != "unknown_model" {
+			t.Fatalf("model %q: put = %d %+v, want 422 unknown_model", model, resp.StatusCode, env)
+		}
 	}
 	bad2 := got
 	bad2.MaxTokens = 0

@@ -32,6 +32,7 @@ type gatedBackend struct {
 	permits chan struct{} // one receive per call; open closes it
 	opened  sync.Once
 	calls   atomic.Int64
+	broken  error // when set before a query, every call fails with it at once
 }
 
 // open lets every call through from now on.
@@ -55,6 +56,9 @@ func newGatedServer(t *testing.T, sv ServingOptions) (*Server, *httptest.Server,
 }
 
 func (g *gatedBackend) hold(ctx context.Context) error {
+	if g.broken != nil {
+		return g.broken
+	}
 	g.calls.Add(1)
 	g.arrived <- struct{}{}
 	select {

@@ -41,12 +41,17 @@ var metricsLine = regexp.MustCompile(
 // asserts GET /metrics is Prometheus-parseable and carries every family
 // the platform promises, with the expected counts.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
+	// qwen2's daemon is down: the oua query answers without it, and a
+	// single query on it fails once its stream is open.
+	fb := core.NewFaultBackend(llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())}))
+	fb.EnableStreams()
+	fb.FailAlways(llm.ModelQwen2, errors.New("daemon down"))
+	_, ts := newServingServer(t, ServingOptions{}, fb)
 
 	if _, body := runQuery(t, ts.URL, map[string]any{"query": "What color is the sky?", "strategy": "oua"}); !strings.Contains(body, "event: result") {
 		t.Fatalf("oua query did not complete:\n%s", body)
 	}
-	if _, body := runQuery(t, ts.URL, map[string]any{"query": "What color is the sky?", "strategy": "single", "model": "no-such-model"}); !strings.Contains(body, "event: error") {
+	if _, body := runQuery(t, ts.URL, map[string]any{"query": "What color is the sky?", "strategy": "single", "model": llm.ModelQwen2}); !strings.Contains(body, "event: error") {
 		t.Fatalf("doomed query did not error:\n%s", body)
 	}
 

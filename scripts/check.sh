@@ -43,6 +43,13 @@ go test -run '^$' -fuzz '^FuzzPredictorLoad$' -fuzztime 10s ./internal/router >/
 echo "== fan-out rounds: go test -race -count=20 -run 'TestFanOutMatchesReference|TestWarmBufferedRoundAllocatesNothing' ./internal/core"
 go test -race -count=20 -run 'TestFanOutMatchesReference|TestWarmBufferedRoundAllocatesNothing' ./internal/core
 
+# The reopen ladder: a stream that breaks mid-answer, an open that fails
+# once and one that always fails, a drain that stalls past its deadline,
+# and a cancel during the backoff sleep, over and over.
+reopen='TestMidStreamBreakFallsBackLosslessly|TestStreamOpenFailureDegradesQuietly|TestPersistentOpenFailureFailsModel|TestStalledStreamStillTimesOut|TestRetryBackoffAbortsOnCancel'
+echo "== reopen ladder: go test -race -count=20 -run '$reopen' ./internal/core"
+go test -race -count=20 -run "$reopen" ./internal/core
+
 # Borrowed embeddings: pooled accumulators and scorers shared by concurrent
 # queries, and flight histories recycled while a follower still replays;
 # then a short fuzz of the borrow rule against Encode.
@@ -75,12 +82,13 @@ go test -race -count=20 -run 'TestDropPassRacesPutAndProbe|TestExactInvalidation
 # header against the spec; then the cache key's normal form against its
 # three-pass reference, the warm-start entry decoder, and the vector kernel
 # (embedding.Rows and its Selector) against a map model and a sort of every
-# candidate.
+# candidate, and a session lifted onto chunk calls against the engine's own
+# stream.
 for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telemetry' \
 	'FuzzStreamLine ./internal/modeld' 'FuzzGenerateRequest ./internal/modeld' \
 	'FuzzEventFrame ./internal/server' 'FuzzResultFrame ./internal/server' \
 	'FuzzNormalize ./internal/qcache' 'FuzzDecodeCachedAnswer ./internal/server' \
-	'FuzzRows ./internal/embedding'; do
+	'FuzzRows ./internal/embedding' 'FuzzLiftedSession ./internal/llm'; do
 	set -- $target
 	echo "== fuzz smoke: $1 10s"
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2" >/dev/null
