@@ -42,8 +42,8 @@ type Accumulator struct {
 	// pool is where Release returns the accumulator: its encoder's.
 	pool *sync.Pool
 
-	// tf holds the committed term frequency per feature hash.
-	tf map[uint64]float64
+	// feats holds the committed term frequency per feature hash.
+	feats featTable
 	// sums is the unnormalized signed feature accumulation in float64:
 	// every tf change applies the telescoping delta g(tf')−g(tf) at the
 	// feature's index, so sums always equals the one-shot encoding of the
@@ -102,10 +102,10 @@ func (e *hashEncoder) NewAccumulator() *Accumulator {
 		return acc
 	}
 	return &Accumulator{
-		cfg:  e.cfg,
-		pool: &e.accs,
-		tf:   make(map[uint64]float64, 64),
-		sums: make([]float64, e.cfg.Dim),
+		cfg:   e.cfg,
+		pool:  &e.accs,
+		feats: newFeatTable(),
+		sums:  make([]float64, e.cfg.Dim),
 	}
 }
 
@@ -136,7 +136,7 @@ func (a *Accumulator) Release() {
 
 // Reset clears the accumulator for reuse on a new text.
 func (a *Accumulator) Reset() {
-	clear(a.tf)
+	a.feats.reset()
 	for i := range a.sums {
 		a.sums[i] = 0
 	}
@@ -159,6 +159,21 @@ func (a *Accumulator) Add(chunk string) {
 	}
 	i := 0
 	for i < len(s) {
+		// Below utf8.RuneSelf, IsLetter/IsDigit are [A-Za-z0-9] and
+		// ToLower is A-Z+32: the same bytes the rune path appends.
+		if c := s[i]; c < utf8.RuneSelf {
+			switch {
+			case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+				a.word = append(a.word, c)
+			case 'A' <= c && c <= 'Z':
+				a.word = append(a.word, c+'a'-'A')
+			case len(a.word) > 0:
+				a.commitWord(a.word)
+				a.word = a.word[:0]
+			}
+			i++
+			continue
+		}
 		if !utf8.FullRuneInString(s[i:]) {
 			// Incomplete trailing encoding: hold the bytes for the next
 			// chunk to complete (or for Vector to discard at the end).
@@ -179,11 +194,7 @@ func (a *Accumulator) Add(chunk string) {
 // commitWord folds one completed word's features into the committed
 // state, mirroring exactly the feature set Encode derives per word.
 func (a *Accumulator) commitWord(w []byte) {
-	weight := 1.0
-	stop := false
-	if damp, ok := stopwords[string(w)]; ok {
-		weight, stop = damp, true
-	}
+	weight, stop := wordWeight(w)
 	a.bump(hashWordFeat(a.cfg.Seed, w), weight)
 	if a.cfg.WordBigrams && a.hasPrev {
 		a.bump(hashBigramFeat(a.cfg.Seed, a.prev, w), 0.6)
@@ -197,20 +208,39 @@ func (a *Accumulator) commitWord(w []byte) {
 	a.hasPrev = true
 }
 
+// wordWeight returns the weight of word w's own feature: its damping if
+// it is a stopword, 1 otherwise. A word longer than the longest stopword
+// skips the map.
+func wordWeight(w []byte) (weight float64, stop bool) {
+	if len(w) <= longestStopword {
+		if damp, ok := stopwords[string(w)]; ok {
+			return damp, true
+		}
+	}
+	return 1, false
+}
+
+var longestStopword = func() int {
+	n := 0
+	for w := range stopwords {
+		n = max(n, len(w))
+	}
+	return n
+}()
+
 // bump raises a feature's term frequency by w, applying the telescoping
 // weight delta to the feature's vector component. gWeight(0) == 0, so a
 // feature's accumulated contribution always equals gWeight of its current
 // tf (up to float64 rounding).
 func (a *Accumulator) bump(h uint64, w float64) {
-	old := a.tf[h]
-	now := old + w
-	a.tf[h] = now
-	idx := int(h % uint64(a.cfg.Dim))
-	delta := gWeight(now) - gWeight(old)
+	s := a.feats.slot(h)
+	old := s.tf
+	s.tf += w
+	delta := cachedWeight(s.tf) - cachedWeight(old)
 	if (h>>32)&1 == 1 {
 		delta = -delta
 	}
-	a.sums[idx] += delta
+	a.sums[int(h%uint64(a.cfg.Dim))] += delta
 }
 
 // gWeight is the per-feature embedding weight at term frequency tf — the
@@ -220,6 +250,131 @@ func gWeight(tf float64) float64 {
 		return 0
 	}
 	return (1 + math.Log(tf+1e-12)) * featureScale(tf)
+}
+
+// weightMemo is gWeight of every term frequency a feature reaches in
+// its first 32 bumps — all of a feature's bumps add the same weight: a
+// word's (1, or its stopword damping), a bigram's or a character
+// n-gram's. Open addressing over {bits, gWeight} slots, at most a third
+// full, built once and then only read. It is keyed by the float64's bits
+// and gWeight is pure, so a hit is exactly what gWeight would return.
+var weightMemo = func() *[1 << weightMemoBits]weightSlot {
+	var slots [1 << weightMemoBits]weightSlot
+	ws := []float64{1, 0.6, 0.25}
+	for _, w := range stopwords {
+		ws = append(ws, w)
+	}
+	for _, w := range ws {
+		tf := 0.0
+		for k := 0; k < 32; k++ {
+			tf += w
+			bits := math.Float64bits(tf)
+			i := weightHome(bits)
+			for slots[i].bits != 0 && slots[i].bits != bits {
+				i = (i + 1) & (len(slots) - 1)
+			}
+			slots[i] = weightSlot{bits: bits, g: gWeight(tf)}
+		}
+	}
+	return &slots
+}()
+
+const weightMemoBits = 10
+
+// weightSlot is empty when bits is 0, the bits of tf 0.
+type weightSlot struct {
+	bits uint64
+	g    float64
+}
+
+func weightHome(bits uint64) int { return int(bits * 0x9E3779B97F4A7C15 >> (64 - weightMemoBits)) }
+
+// cachedWeight is gWeight(tf), from weightMemo when tf is in it.
+func cachedWeight(tf float64) float64 {
+	if tf == 0 {
+		return 0
+	}
+	bits := math.Float64bits(tf)
+	for i := weightHome(bits); ; i = (i + 1) & (len(weightMemo) - 1) {
+		switch s := &weightMemo[i]; s.bits {
+		case bits:
+			return s.g
+		case 0:
+			return gWeight(tf)
+		}
+	}
+}
+
+// featTable maps a feature hash to its committed term frequency: open
+// addressing with linear probing over a power-of-two number of 16-byte
+// slots, at most three quarters full — no more bytes than a Go map of
+// the same features — plus the list of occupied slots, so that reset
+// clears only what the last text touched: a question that follows a long
+// prompt does not pay for the prompt's capacity.
+type featTable struct {
+	slots []featSlot
+	used  []int32
+	shift uint // 64 - log2(len(slots))
+}
+
+// featSlot is free while tf is 0: every bump adds a positive weight.
+type featSlot struct {
+	h  uint64
+	tf float64
+}
+
+// featTableMinBits sizes a new table: 128 slots, 2 KiB, for up to 96
+// features. A question has 24 at the median; a pooled accumulator keeps
+// what it grew to, and a new one is built only after a GC empties the
+// pool.
+const featTableMinBits = 7
+
+func newFeatTable() featTable {
+	const n = 1 << featTableMinBits
+	return featTable{slots: make([]featSlot, n), used: make([]int32, 0, n*3/4), shift: 64 - featTableMinBits}
+}
+
+// find returns h's slot index, or the free slot where h would go.
+func (t *featTable) find(h uint64) int {
+	mask := len(t.slots) - 1
+	for i := int(h * 0x9E3779B97F4A7C15 >> t.shift); ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.tf == 0 || s.h == h {
+			return i
+		}
+	}
+}
+
+// slot returns h's slot for a bump, claiming a free one if need be.
+func (t *featTable) slot(h uint64) *featSlot {
+	i := t.find(h)
+	if t.slots[i].tf == 0 {
+		if 4*(len(t.used)+1) > 3*len(t.slots) {
+			t.grow()
+			i = t.find(h)
+		}
+		t.slots[i].h = h
+		t.used = append(t.used, int32(i))
+	}
+	return &t.slots[i]
+}
+
+// grow doubles the table.
+func (t *featTable) grow() {
+	old := t.slots
+	t.slots = make([]featSlot, 2*len(old))
+	t.shift--
+	for k, j := range t.used {
+		i := t.find(old[j].h)
+		t.slots[i] = old[j]
+		t.used[k] = int32(i)
+	}
+}
+
+func (t *featTable) reset() {
+	for _, i := range t.used {
+		t.slots[i] = featSlot{}
+	}
+	t.used = t.used[:0]
 }
 
 // Vector materializes the normalized embedding of all text added so far.
@@ -265,7 +420,8 @@ func (a *Accumulator) VectorInto(dst Vector) Vector {
 	}
 	copy(a.scratch, a.sums)
 	for _, p := range a.pending {
-		delta := gWeight(a.tf[p.h]+p.d) - gWeight(a.tf[p.h])
+		tf := a.feats.slots[a.feats.find(p.h)].tf
+		delta := gWeight(tf+p.d) - gWeight(tf)
 		if (p.h>>32)&1 == 1 {
 			delta = -delta
 		}
@@ -282,11 +438,7 @@ func (a *Accumulator) VectorInto(dst Vector) Vector {
 // deterministic order (word, bigram, n-grams by position), merging
 // repeats so each feature's delta is computed from its total count.
 func (a *Accumulator) pendWord(w []byte) {
-	weight := 1.0
-	stop := false
-	if damp, ok := stopwords[string(w)]; ok {
-		weight, stop = damp, true
-	}
+	weight, stop := wordWeight(w)
 	a.pend(hashWordFeat(a.cfg.Seed, w), weight)
 	if a.cfg.WordBigrams && a.hasPrev {
 		a.pend(hashBigramFeat(a.cfg.Seed, a.prev, w), 0.6)

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unicode"
+	"unicode/utf8"
 
 	"llmms/internal/tokenizer"
 )
@@ -70,6 +72,121 @@ func refEncode(cfg Config, text string) Vector {
 	return v
 }
 
+// mapAccumulator is the accumulator as it was before the flat feature
+// table: term frequencies in a Go map, both weights of every bump
+// computed with math.Log, every rune through the unicode tables. The
+// Accumulator must reproduce its vectors bit for bit.
+type mapAccumulator struct {
+	cfg     Config
+	tf      map[uint64]float64
+	sums    []float64
+	word    []byte
+	carry   []byte
+	prev    []byte
+	hasPrev bool
+	pending []pendingFeat
+}
+
+func newMapAccumulator(cfg Config) *mapAccumulator {
+	return &mapAccumulator{cfg: cfg, tf: make(map[uint64]float64), sums: make([]float64, cfg.Dim)}
+}
+
+func (a *mapAccumulator) Add(chunk string) {
+	if chunk == "" {
+		return
+	}
+	s := chunk
+	if len(a.carry) > 0 {
+		s = string(append(a.carry, chunk...))
+		a.carry = a.carry[:0]
+	}
+	for i := 0; i < len(s); {
+		if !utf8.FullRuneInString(s[i:]) {
+			a.carry = append(a.carry, s[i:]...)
+			return
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			a.word = utf8.AppendRune(a.word, unicode.ToLower(r))
+		} else if len(a.word) > 0 {
+			a.features(a.word, a.bump)
+			a.prev = append(a.prev[:0], a.word...)
+			a.hasPrev = true
+			a.word = a.word[:0]
+		}
+		i += size
+	}
+}
+
+// features hands each of word w's features to f in commit order.
+func (a *mapAccumulator) features(w []byte, f func(h uint64, d float64)) {
+	weight := 1.0
+	stop := false
+	if damp, ok := stopwords[string(w)]; ok {
+		weight, stop = damp, true
+	}
+	f(hashWordFeat(a.cfg.Seed, w), weight)
+	if a.cfg.WordBigrams && a.hasPrev {
+		f(hashBigramFeat(a.cfg.Seed, a.prev, w), 0.6)
+	}
+	if n := a.cfg.CharNGram; n > 0 && !stop && len(w)+2 >= n {
+		for i := 0; i+n <= len(w)+2; i++ {
+			f(hashNGramFeat(a.cfg.Seed, w, i, n), 0.25)
+		}
+	}
+}
+
+func (a *mapAccumulator) bump(h uint64, w float64) {
+	old := a.tf[h]
+	now := old + w
+	a.tf[h] = now
+	delta := gWeight(now) - gWeight(old)
+	if (h>>32)&1 == 1 {
+		delta = -delta
+	}
+	a.sums[int(h%uint64(a.cfg.Dim))] += delta
+}
+
+func (a *mapAccumulator) Vector() Vector {
+	dst := make(Vector, a.cfg.Dim)
+	a.pending = a.pending[:0]
+	if len(a.word) > 0 {
+		a.features(a.word, func(h uint64, d float64) {
+			for i := range a.pending {
+				if a.pending[i].h == h {
+					a.pending[i].d += d
+					return
+				}
+			}
+			a.pending = append(a.pending, pendingFeat{h: h, d: d})
+		})
+	}
+	sums := append([]float64(nil), a.sums...)
+	for _, p := range a.pending {
+		delta := gWeight(a.tf[p.h]+p.d) - gWeight(a.tf[p.h])
+		if (p.h>>32)&1 == 1 {
+			delta = -delta
+		}
+		sums[int(p.h%uint64(a.cfg.Dim))] += delta
+	}
+	for i, s := range sums {
+		dst[i] = float32(s)
+	}
+	NormalizeInPlace(dst)
+	return dst
+}
+
+// ReferenceVector is the map-based reference's vector of chunks added in
+// order to a fresh accumulation for enc, a hashing encoder. Exported for
+// the external test package, which builds prompts with internal/rag.
+func ReferenceVector(enc Encoder, chunks ...string) Vector {
+	a := newMapAccumulator(enc.(*hashEncoder).cfg)
+	for _, c := range chunks {
+		a.Add(c)
+	}
+	return a.Vector()
+}
+
 func maxAbsDiff(a, b Vector) float64 {
 	if len(a) != len(b) {
 		return math.Inf(1)
@@ -122,6 +239,7 @@ func TestReleasedAccumulatorsReuseExactly(t *testing.T) {
 	texts := []string{
 		"not visible from space", "", "trailing partial wor", "naïve café déjà-vu", "ends mid-rune \xc3",
 		"the the the", strings.Repeat("a long answer about bats and echolocation ", 40), "日本語のテキスト", "x",
+		benchPrompt, "Which GPU does the laboratory's server use?",
 	}
 	want := make([]Vector, len(texts))
 	for i, s := range texts {
@@ -309,5 +427,32 @@ func TestCosineUnitMatchesCosine(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWeightMemoIsExact: every weight the memo holds is gWeight of its
+// key bit for bit, the table is at most half full (so a miss ends soon),
+// and cachedWeight equals gWeight on the memo's keys and off them.
+func TestWeightMemoIsExact(t *testing.T) {
+	held := 0
+	for _, s := range weightMemo {
+		if s.bits == 0 {
+			continue
+		}
+		held++
+		tf := math.Float64frombits(s.bits)
+		if math.Float64bits(s.g) != math.Float64bits(gWeight(tf)) || cachedWeight(tf) != s.g {
+			t.Fatalf("memo holds %v for tf %v, gWeight is %v", s.g, tf, gWeight(tf))
+		}
+	}
+	if held < 64 || 2*held > len(weightMemo) {
+		t.Fatalf("memo holds %d of %d slots", held, len(weightMemo))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		tf := rng.Float64() * 40
+		if math.Float64bits(cachedWeight(tf)) != math.Float64bits(gWeight(tf)) {
+			t.Fatalf("cachedWeight(%v) = %v, gWeight %v", tf, cachedWeight(tf), gWeight(tf))
+		}
 	}
 }

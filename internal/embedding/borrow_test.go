@@ -22,7 +22,9 @@ func bitEqual(a, b Vector) bool {
 // FuzzBorrow holds the borrow rule to Encode bit for bit: a borrowed
 // vector, a pooled accumulator reused after a longer text, one fed the
 // same text in chunks, and a View taken after further Adds (which must
-// overwrite the earlier View in place) all equal Encode of the same text.
+// overwrite the earlier View in place) all equal Encode of the same text,
+// and Encode and the chunked View equal the map-based reference
+// (mapAccumulator) bit for bit.
 func FuzzBorrow(f *testing.F) {
 	for _, s := range []string{
 		"", "the the the", "is the great wall visible from space", "naïve café déjà-vu",
@@ -33,6 +35,9 @@ func FuzzBorrow(f *testing.F) {
 	enc := Default().(*hashEncoder)
 	f.Fuzz(func(t *testing.T, text string, cut uint8) {
 		want := enc.Encode(text)
+		if !bitEqual(want, ReferenceVector(enc, text)) {
+			t.Fatalf("Encode(%q) differs from the map reference", text)
+		}
 		got, acc := Borrow(enc, text)
 		if !bitEqual(got, want) {
 			t.Fatalf("Borrow(%q) differs from Encode", text)
@@ -67,6 +72,9 @@ func FuzzBorrow(f *testing.F) {
 		if !bitEqual(got, want) {
 			t.Fatalf("View after chunks %q|%q differs from Encode", text[:k], text[k:])
 		}
+		if !bitEqual(got, ReferenceVector(enc, text[:k], text[k:])) {
+			t.Fatalf("View after chunks %q|%q differs from the map reference", text[:k], text[k:])
+		}
 		if &got[0] != &first[0] {
 			t.Fatal("View reallocated its output")
 		}
@@ -92,7 +100,9 @@ func TestBorrowNonIncremental(t *testing.T) {
 type plainEncoder struct{ Encoder }
 
 // TestBorrowReleaseAllocatesNothing: once the pool holds an accumulator
-// that has materialized before, a borrowed vector costs no allocation.
+// that has materialized before, a borrowed vector costs no allocation —
+// a question, and a prompt whose features outgrow a new accumulator's
+// table, borrowed in turn from one pooled accumulator.
 func TestBorrowReleaseAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector")
@@ -102,8 +112,15 @@ func TestBorrowReleaseAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		_, acc := Borrow(enc, text)
 		acc.Release()
+		_, acc = Borrow(enc, benchPrompt)
+		acc.Release()
 	})
 	if allocs != 0 {
 		t.Fatalf("Borrow+Release allocates %.1f times per call, want 0", allocs)
+	}
+	acc, _ := NewAccumulator(enc)
+	defer acc.Release()
+	if n := len(acc.feats.slots); n <= 1<<featTableMinBits {
+		t.Fatalf("the pooled accumulator's table has %d slots: the prompt did not outgrow a new one", n)
 	}
 }

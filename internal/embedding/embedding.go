@@ -60,7 +60,7 @@ type Config struct {
 type hashEncoder struct {
 	cfg Config
 	// accs recycles released accumulators (a Dim-wide float64 array and a
-	// feature map each), which Encode would otherwise build and drop on
+	// feature table each), which Encode would otherwise build and drop on
 	// every query, cache probe, retrieval and memory write.
 	accs sync.Pool
 }

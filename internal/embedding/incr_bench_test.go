@@ -54,6 +54,38 @@ func BenchmarkEncodeReencodeBaseline(b *testing.B) {
 	}
 }
 
+// benchPrompt is a RAG + session-history prompt of about 1 KB, the shape
+// the MAB scorer embeds on every agent-workload query.
+const benchPrompt = "Summary of earlier conversation:\n" +
+	"user: What is the capital of Brazil and which currency is used there?\n" +
+	"assistant: The capital of Brazil is Brasília; the currency is the real, not the peso.\n" +
+	"user: And what about Poland, is the euro legal tender in Kraków?\n" +
+	"assistant: No. Poland uses the złoty; the euro is not legal tender there.\n\n" +
+	"Context:\n" +
+	"[1] The DMSL laboratory operates a virtual server with an NVIDIA Tesla V100 GPU that hosts the Ollama daemon, " +
+	"the vector database and the orchestration platform used in the evaluation.\n" +
+	"[2] Retrieval augmented generation embeds the query, performs a similarity search over document fragments " +
+	"and prepends the most relevant ones to the prompt before the candidate models are invoked in parallel.\n" +
+	"[3] Token budgets are reallocated dynamically by pruning low performing models (λ_max = 2048, α = 0.7).\n\n" +
+	"Question: Which GPU does the laboratory's server use, and what does it host?\nAnswer:"
+
+// BenchmarkEncodePrompt is Borrow and Release of a whole prompt and then
+// of a question, on one pooled accumulator: the scorer's prompt vector and
+// the cache probe's, router's and retrieval's question vectors.
+func BenchmarkEncodePrompt(b *testing.B) {
+	enc := Default()
+	const question = "Which GPU does the laboratory's server use?"
+	b.SetBytes(int64(len(benchPrompt) + len(question)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, acc := Borrow(enc, benchPrompt)
+		acc.Release()
+		_, acc = Borrow(enc, question)
+		acc.Release()
+	}
+}
+
 // interSimVectors builds n unit candidate embeddings for the agreement
 // benchmarks.
 func interSimVectors(n int) []Vector {

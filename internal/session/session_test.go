@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unicode/utf8"
 
 	"llmms/internal/tokenizer"
 )
@@ -329,5 +330,32 @@ func BenchmarkAppend(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, _ = st.Append(s.ID, Message{Role: RoleUser, Content: fmt.Sprintf("benchmark message %d content", i)})
+	}
+}
+
+// TestSummarizeTruncatesOnRuneBoundaries: a summary that must cut its
+// one over-budget sentence never ends mid-character, is never empty, is
+// a prefix of the sentence, and keeps to the budget whenever a whole
+// character fits in it.
+func TestSummarizeTruncatesOnRuneBoundaries(t *testing.T) {
+	tok := tokenizer.Default()
+	for _, text := range []string{
+		strings.Repeat("日本語", 200),
+		strings.Repeat("🦇🦊", 100),
+		strings.Repeat("naïve café déjà vu ", 30),
+		strings.Repeat("北京 and Brasília ", 40),
+	} {
+		for maxTokens := 1; maxTokens <= 40; maxTokens++ {
+			got := Summarize(text, maxTokens, tok)
+			if !utf8.ValidString(got) {
+				t.Fatalf("Summarize(%.12q…, %d) = %q, invalid UTF-8", text, maxTokens, got)
+			}
+			if got == "" || !strings.HasPrefix(text, got) {
+				t.Fatalf("Summarize(%.12q…, %d) = %q, want a non-empty prefix of the text", text, maxTokens, got)
+			}
+			if n := tok.Count(got); n > maxTokens && utf8.RuneCountInString(got) > 1 {
+				t.Fatalf("Summarize(%.12q…, %d) = %q, %d tokens", text, maxTokens, got, n)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package session
 import (
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"llmms/internal/embedding"
 	"llmms/internal/tokenizer"
@@ -85,13 +86,26 @@ func Summarize(text string, maxTokens int, tok *tokenizer.Tokenizer) string {
 	}
 	if len(selected) == 0 {
 		// Every sentence is over budget; hard-truncate the most central
-		// one so the summary is never empty.
+		// one so the summary is never empty. The cut is the last end of
+		// one of its first maxTokens tokens that is also the end of a
+		// rune, so no multi-byte character is split; when no rune ends
+		// within the budget, the cut is the end of the first rune.
 		best := sentences[ranked[0].idx]
-		toks := tok.Encode(best)
-		if len(toks) > maxTokens {
-			toks = toks[:maxTokens]
+		cut, end, runeEnd := 0, 0, 0
+		for i, t := range tok.Encode(best) {
+			if i >= maxTokens && cut > 0 {
+				break
+			}
+			end += len(tok.DecodeOne(t))
+			for runeEnd < end {
+				_, size := utf8.DecodeRuneInString(best[runeEnd:])
+				runeEnd += size
+			}
+			if runeEnd == end {
+				cut = end
+			}
 		}
-		return strings.TrimSpace(tok.Decode(toks))
+		return strings.TrimSpace(best[:cut])
 	}
 	sort.Ints(selected)
 	parts := make([]string, len(selected))

@@ -1,6 +1,7 @@
 package tokenizer
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -107,31 +108,60 @@ func walk(text string) []string {
 	}
 }
 
+// unmemoized returns a tokenizer with t's merges and an empty memo.
+func unmemoized(t *Tokenizer) *Tokenizer {
+	return &Tokenizer{ranks: t.ranks, merged: t.merged, pairs: t.pairs, bytesOf: t.bytesOf, texts: t.texts, vocabSize: t.vocabSize}
+}
+
+// emptied holds, per tokenizer checked against the reference, one copy
+// for each inference entry point, whose memo checkAgainstReference
+// empties before every input. Tests call it from one goroutine.
+var emptied = map[*Tokenizer]*[3]*Tokenizer{}
+
 // checkAgainstReference asserts the three inference entry points agree
-// with the reference on s.
+// with the reference on s: each on tok, whose memo is shared with the
+// other inputs, and each twice on a tokenizer of its own whose memo
+// starts empty — a miss, then a hit.
 func checkAgainstReference(t testing.TB, tok *Tokenizer, s string) {
 	t.Helper()
 	want := tok.referenceEncode(s)
-	got := tok.Encode(s)
-	if len(got) != len(want) {
-		t.Fatalf("Encode(%q) has %d tokens, reference %d", s, len(got), len(want))
+	fresh := emptied[tok]
+	if fresh == nil {
+		fresh = &[3]*Tokenizer{unmemoized(tok), unmemoized(tok), unmemoized(tok)}
+		emptied[tok] = fresh
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Encode(%q)[%d] = %d, reference %d", s, i, got[i], want[i])
+	for _, f := range fresh {
+		clear(f.memo)
+		f.memoTokens = f.memoTokens[:0]
+	}
+	for _, pass := range []struct {
+		name  string
+		tok   [3]*Tokenizer
+		times int
+	}{{"memo", [3]*Tokenizer{tok, tok, tok}, 1}, {"fresh memo", *fresh, 2}} {
+		for i := 0; i < pass.times; i++ {
+			got := pass.tok[0].Encode(s)
+			if len(got) != len(want) {
+				t.Fatalf("%s, call %d: Encode(%q) has %d tokens, reference %d", pass.name, i, s, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s, call %d: Encode(%q)[%d] = %d, reference %d", pass.name, i, s, j, got[j], want[j])
+				}
+			}
+			ids := pass.tok[1].AppendIDs([]int{-1}, s)
+			if len(ids) != len(want)+1 || ids[0] != -1 {
+				t.Fatalf("%s, call %d: AppendIDs(%q) appended %d ids to a slice of 1, want %d", pass.name, i, s, len(ids)-1, len(want))
+			}
+			for j := range want {
+				if ids[j+1] != int(want[j]) {
+					t.Fatalf("%s, call %d: AppendIDs(%q)[%d] = %d, reference %d", pass.name, i, s, j, ids[j+1], want[j])
+				}
+			}
+			if n := pass.tok[2].Count(s); n != len(want) {
+				t.Fatalf("%s, call %d: Count(%q) = %d, reference has %d tokens", pass.name, i, s, n, len(want))
+			}
 		}
-	}
-	ids := tok.AppendIDs([]int{-1}, s)
-	if len(ids) != len(want)+1 || ids[0] != -1 {
-		t.Fatalf("AppendIDs(%q) appended %d ids to a slice of 1, want %d", s, len(ids)-1, len(want))
-	}
-	for i := range want {
-		if ids[i+1] != int(want[i]) {
-			t.Fatalf("AppendIDs(%q)[%d] = %d, reference %d", s, i, ids[i+1], want[i])
-		}
-	}
-	if n := tok.Count(s); n != len(want) {
-		t.Fatalf("Count(%q) = %d, reference has %d tokens", s, n, len(want))
 	}
 }
 
@@ -199,27 +229,101 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCountAllocatesNothing pins the point of counting in place.
+// TestCountAllocatesNothing pins the point of counting in place: once
+// the memo holds the prompt's words, and once the memo is full and the
+// words are merged anew on every call.
 func TestCountAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
-	tok := Default()
 	prompt := benchPrompt()
-	tok.Count(prompt) // warm the scratch pool
-	if n := testing.AllocsPerRun(100, func() { tok.Count(prompt) }); n != 0 {
-		t.Fatalf("Count allocates %v times per call, want 0", n)
-	}
-	ids := make([]int, 0, len(prompt))
-	if n := testing.AllocsPerRun(100, func() { ids = tok.AppendIDs(ids[:0], prompt) }); n != 0 {
-		t.Fatalf("AppendIDs into a large enough slice allocates %v times per call, want 0", n)
+	for name, tok := range map[string]*Tokenizer{"memo hit": unmemoized(Default()), "memo full": fullMemo(t)} {
+		tok.Count(prompt) // warm the scratch pool and the memo
+		if name == "memo hit" {
+			for p := (pretokens{text: prompt}); ; {
+				w, ok := p.next()
+				if !ok {
+					break
+				}
+				if _, hit := tok.memo[w]; !hit && len(w) > 1 {
+					t.Fatalf("the memo does not hold the prompt's word %q", w)
+				}
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { tok.Count(prompt) }); n != 0 {
+			t.Fatalf("%s: Count allocates %v times per call, want 0", name, n)
+		}
+		ids := make([]int, 0, len(prompt))
+		if n := testing.AllocsPerRun(100, func() { ids = tok.AppendIDs(ids[:0], prompt) }); n != 0 {
+			t.Fatalf("%s: AppendIDs into a large enough slice allocates %v times per call, want 0", name, n)
+		}
 	}
 }
 
-// TestConcurrentEncodeAndCount shares one tokenizer and its scratch pool
-// between goroutines; under -race it is the pool's data-race test.
+// floodWords returns n distinct pre-tokens of two or more bytes that the
+// benchmark prompt does not contain.
+func floodWords(n int) []string {
+	words := make([]string, n)
+	for i := range words {
+		words[i] = fmt.Sprintf(" zq%x", i)
+	}
+	return words
+}
+
+// fullMemo returns a tokenizer whose memo holds memoCap flood words.
+func fullMemo(t testing.TB) *Tokenizer {
+	tok := unmemoized(Default())
+	tok.Count(strings.Join(floodWords(memoCap), ""))
+	if len(tok.memo) != memoCap {
+		t.Fatalf("flooded memo holds %d words, want %d", len(tok.memo), memoCap)
+	}
+	return tok
+}
+
+// TestMemoIsBounded floods a tokenizer's memo past its cap: it stops at
+// memoCap words, takes no word longer than maxMemoWord bytes, indexes
+// exactly the tokens it stores, and every answer, the words it holds and
+// the words it turned away, still equals the reference.
+func TestMemoIsBounded(t *testing.T) {
+	tok := fullMemo(t)
+	long := " " + strings.Repeat("antidisestablishment", 2)
+	inputs := append(floodWords(memoCap+500), long, benchPrompt())
+	for _, s := range inputs[memoCap-100:] {
+		checkAgainstReference(t, tok, s)
+	}
+	if len(tok.memo) != memoCap {
+		t.Fatalf("memo holds %d words after the flood, want its cap %d", len(tok.memo), memoCap)
+	}
+	fresh := unmemoized(Default())
+	fresh.Count(long + ", " + benchPrompt())
+	if _, held := fresh.memo[long]; held || len(long) <= maxMemoWord {
+		t.Fatalf("memo with room took %q, %d bytes > maxMemoWord %d", long, len(long), maxMemoWord)
+	}
+	total := 0
+	for w, v := range tok.memo {
+		n := int(v & memoLenMask)
+		total += n
+		want := tok.referenceEncodeWord([]byte(w))
+		if n != len(want) {
+			t.Fatalf("memo holds %d tokens for %q, reference %d", n, w, len(want))
+		}
+		for i, id := range tok.memoTokens[v>>memoLenBits:][:n] {
+			if Token(id) != want[i] {
+				t.Fatalf("memo's token %d for %q is %d, reference %d", i, w, id, want[i])
+			}
+		}
+	}
+	if total != len(tok.memoTokens) {
+		t.Fatalf("memo indexes %d tokens but stores %d", total, len(tok.memoTokens))
+	}
+}
+
+// TestConcurrentEncodeAndCount shares one tokenizer, its memo and its
+// scratch pool between goroutines, starting from an empty memo so that
+// they race to insert the same words; under -race it is the memo's and
+// the pool's data-race test.
 func TestConcurrentEncodeAndCount(t *testing.T) {
-	tok := Default()
+	tok := unmemoized(Default())
 	inputs := referenceInputs()[:200]
 	want := make([]int, len(inputs))
 	for i, s := range inputs {

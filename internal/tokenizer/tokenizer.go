@@ -53,8 +53,9 @@ type pair struct {
 }
 
 // Tokenizer is a trained byte-level BPE tokenizer. The zero value is not
-// usable; construct with Train or New. A Tokenizer is immutable after
-// training and therefore safe for concurrent use.
+// usable; construct with Train or New. Its merge tables are fixed once
+// trained; inference adds the words it merges to a bounded memo under a
+// lock, so a Tokenizer is safe for concurrent use.
 type Tokenizer struct {
 	// ranks maps a mergeable pair to its merge priority; lower is earlier.
 	ranks map[pair]int
@@ -70,7 +71,25 @@ type Tokenizer struct {
 	texts []string
 	// vocabSize is the total number of token ids (bytes + special + merges).
 	vocabSize int
+
+	// memo maps a pre-token of 2 to maxMemoWord bytes to its merged
+	// tokens, memoTokens[v>>memoLenBits:][:v&memoLenMask] for its value v.
+	// mergeWord is a pure function of the word, so a hit is exact. It
+	// holds at most memoCap words; a full memo is only read.
+	memoMu     sync.RWMutex
+	memo       map[string]uint32
+	memoTokens []uint16
 }
+
+// The memo's bounds: the words it takes, and the longest word it takes.
+// Merged tokens fit 16 bits (maxVocabSize), and a word's count of them
+// memoLenBits (a token is at least a byte).
+const (
+	memoCap     = 1 << 12
+	maxMemoWord = 32
+	memoLenBits = 6
+	memoLenMask = 1<<memoLenBits - 1
+)
 
 // New returns a tokenizer with no learned merges: every byte is its own
 // token. It is primarily useful in tests and as a degenerate baseline.
@@ -186,11 +205,11 @@ func lessPair(p, q pair, t *Tokenizer) bool {
 }
 
 // applyMerge replaces every adjacent occurrence of p in seq with id.
-func applyMerge(seq []Token, p pair, id Token) []Token {
+func applyMerge[T Token | uint16](seq []T, p pair, id Token) []T {
 	out := seq[:0]
 	for i := 0; i < len(seq); i++ {
-		if i+1 < len(seq) && seq[i] == p.a && seq[i+1] == p.b {
-			out = append(out, id)
+		if i+1 < len(seq) && Token(seq[i]) == p.a && Token(seq[i+1]) == p.b {
+			out = append(out, T(id))
 			i++
 			continue
 		}
@@ -239,10 +258,18 @@ func (p *pretokens) next() (string, bool) {
 	}
 	for n > 0 {
 		i += n
+		for i < len(text) && isAlnum(text[i]) {
+			i++
+		}
 		n = wordRune(text[i:])
 	}
 	p.i = i
 	return text[start:i], true
+}
+
+// isAlnum reports whether c is an ASCII letter or digit.
+func isAlnum(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 }
 
 // wordRune returns the size of the letter or digit s starts with, 0 when
@@ -252,7 +279,7 @@ func wordRune(s string) int {
 		return 0
 	}
 	if c := s[0]; c < utf8.RuneSelf {
-		if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' {
+		if isAlnum(c) {
 			return 1
 		}
 		return 0
@@ -325,24 +352,25 @@ func (pt *pairTable) lookup(a, b Token) Token {
 // scratchPool holds the token buffers words are merged in, so encoding
 // allocates nothing but its result and counting nothing at all.
 var scratchPool = sync.Pool{New: func() any {
-	s := make([]Token, 0, 64)
+	s := make([]uint16, 0, 64)
 	return &s
 }}
 
 // mergeWord applies learned merges to one pre-token in seq's storage,
 // always choosing the lowest-rank applicable merge first (standard BPE
 // inference), and returns the merged sequence.
-func (t *Tokenizer) mergeWord(seq []Token, word string) []Token {
+func (t *Tokenizer) mergeWord(seq []uint16, word string) []uint16 {
 	seq = seq[:0]
 	for i := 0; i < len(word); i++ {
-		seq = append(seq, Token(word[i]))
+		seq = append(seq, uint16(word[i]))
 	}
 	for len(seq) > 1 {
 		var best pair
 		bestID := Token(0)
 		for i := 0; i+1 < len(seq); i++ {
-			if id := t.pairs.lookup(seq[i], seq[i+1]); id != 0 && (bestID == 0 || id < bestID) {
-				best, bestID = pair{seq[i], seq[i+1]}, id
+			a, b := Token(seq[i]), Token(seq[i+1])
+			if id := t.pairs.lookup(a, b); id != 0 && (bestID == 0 || id < bestID) {
+				best, bestID = pair{a, b}, id
 			}
 		}
 		if bestID == 0 {
@@ -353,11 +381,39 @@ func (t *Tokenizer) mergeWord(seq []Token, word string) []Token {
 	return seq
 }
 
+// wordTokens returns the merged tokens of w, a pre-token of two or more
+// bytes: the memo's on a hit, otherwise merged into *buf and remembered
+// while the memo has room. The caller holds t.memoMu's read lock, which
+// an insert drops and retakes; the result is valid until the next call.
+func (t *Tokenizer) wordTokens(w string, buf *[]uint16) []uint16 {
+	if v, ok := t.memo[w]; ok {
+		return t.memoTokens[v>>memoLenBits:][:v&memoLenMask]
+	}
+	seq := t.mergeWord(*buf, w)
+	*buf = seq
+	if len(w) <= maxMemoWord && len(t.memo) < memoCap {
+		t.memoMu.RUnlock()
+		t.memoMu.Lock()
+		if _, dup := t.memo[w]; !dup && len(t.memo) < memoCap {
+			if t.memo == nil {
+				// Sized for the cap at once: a map that grew while
+				// serving would leave each outgrown table as garbage.
+				t.memo = make(map[string]uint32, memoCap)
+			}
+			t.memo[strings.Clone(w)] = uint32(len(t.memoTokens))<<memoLenBits | uint32(len(seq))
+			t.memoTokens = append(t.memoTokens, seq...)
+		}
+		t.memoMu.Unlock()
+		t.memoMu.RLock()
+	}
+	return seq
+}
+
 // appendTokens appends text's tokens to dst; T is Token, or the plain int
 // the wire carries.
 func appendTokens[T ~int](t *Tokenizer, dst []T, text string) []T {
-	sp := scratchPool.Get().(*[]Token)
-	seq := *sp
+	sp := scratchPool.Get().(*[]uint16)
+	t.memoMu.RLock()
 	for p := (pretokens{text: text}); ; {
 		w, ok := p.next()
 		if !ok {
@@ -367,12 +423,11 @@ func appendTokens[T ~int](t *Tokenizer, dst []T, text string) []T {
 			dst = append(dst, T(w[0]))
 			continue
 		}
-		seq = t.mergeWord(seq, w)
-		for _, tok := range seq {
+		for _, tok := range t.wordTokens(w, sp) {
 			dst = append(dst, T(tok))
 		}
 	}
-	*sp = seq
+	t.memoMu.RUnlock()
 	scratchPool.Put(sp)
 	return dst
 }
@@ -415,8 +470,9 @@ func (t *Tokenizer) DecodeOne(tok Token) string {
 // the unit in which all LLM-MS budgets are denominated. It counts without
 // encoding: no token sequence is built and nothing is allocated.
 func (t *Tokenizer) Count(text string) int {
-	sp := scratchPool.Get().(*[]Token)
-	seq, n := *sp, 0
+	sp := scratchPool.Get().(*[]uint16)
+	n := 0
+	t.memoMu.RLock()
 	for p := (pretokens{text: text}); ; {
 		w, ok := p.next()
 		if !ok {
@@ -426,10 +482,9 @@ func (t *Tokenizer) Count(text string) int {
 			n++
 			continue
 		}
-		seq = t.mergeWord(seq, w)
-		n += len(seq)
+		n += len(t.wordTokens(w, sp))
 	}
-	*sp = seq
+	t.memoMu.RUnlock()
 	scratchPool.Put(sp)
 	return n
 }

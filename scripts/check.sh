@@ -71,6 +71,13 @@ go test -race -count=20 -run 'TestConcurrentRunsShareOneEncoder|TestFlightFollow
 echo "== fuzz smoke: FuzzBorrow 10s"
 go test -run '^$' -fuzz '^FuzzBorrow$' -fuzztime 10s ./internal/embedding >/dev/null
 
+# The word memo and the flat feature table: goroutines race to insert the
+# same words into a tokenizer whose memo starts empty, and pooled
+# accumulators are reused from text to text (a question after a prompt)
+# by concurrent encoders, over and over.
+echo "== memoized words: go test -race -count=20 -run 'TestConcurrentEncodeAndCount|TestReleasedAccumulatorsReuseExactly' ./internal/tokenizer ./internal/embedding"
+go test -race -count=20 -run 'TestConcurrentEncodeAndCount|TestReleasedAccumulatorsReuseExactly' ./internal/tokenizer ./internal/embedding
+
 # Recycled stream stores: consumers close sessions while their producer
 # is still pushing and finishing, and the closed buffer's stores go back
 # to the pool for the next session.
@@ -97,12 +104,14 @@ go test -race -count=20 -run 'TestDropPassRacesPutAndProbe|TestExactInvalidation
 # (embedding.Rows and its Selector) against a map model and a sort of every
 # candidate — −0 is in its alphabet, so TopK's skipped zeros are checked
 # against Dot bit for bit — and a session lifted onto chunk calls against
-# the engine's own stream.
+# the engine's own stream; and the tokenizer's memoized inference path
+# against its reference, each input on a miss and then a hit.
 for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telemetry' \
 	'FuzzStreamLine ./internal/modeld' 'FuzzGenerateRequest ./internal/modeld' \
 	'FuzzEventFrame ./internal/server' 'FuzzResultFrame ./internal/server' \
 	'FuzzNormalize ./internal/qcache' 'FuzzDecodeCachedAnswer ./internal/server' \
-	'FuzzRows ./internal/embedding' 'FuzzLiftedSession ./internal/llm'; do
+	'FuzzRows ./internal/embedding' 'FuzzLiftedSession ./internal/llm' \
+	'FuzzCount ./internal/tokenizer'; do
 	set -- $target
 	echo "== fuzz smoke: $1 10s"
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2" >/dev/null
@@ -126,7 +135,7 @@ echo "== benchmark: go vet ./... && go test ./..."
 # One-iteration smoke of the remaining Go micro-benchmarks: proves the
 # benchmark code itself still compiles and runs.
 echo "== bench smoke (-benchtime=1x)"
-go test -run='^$' -bench='ScoreAll|EncodeIncremental|InterSim|TopK' -benchtime=1x \
+go test -run='^$' -bench='ScoreAll|EncodeIncremental|EncodePrompt|InterSim|TopK' -benchtime=1x \
 	./internal/core/ ./internal/embedding/ >/dev/null
 go test -run='^$' -bench='ServeRoute' -benchtime=1x ./internal/server/ >/dev/null
 go test -run='^$' -bench='Fleet' -benchtime=1x ./internal/fleet/ >/dev/null
