@@ -31,19 +31,7 @@ const decisionsGolden = "testdata/decisions.golden"
 // changed a decision; regenerate it (go test -run TestDecisionLog -update)
 // only for a change that means to.
 func TestDecisionLog(t *testing.T) {
-	data := truthfulqa.Generate(400, 1)
-	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(data)})
-	defer engine.Close()
-	var prompts []string
-	for _, i := range rand.New(rand.NewSource(1)).Perm(len(data))[:24] {
-		prompts = append(prompts, "Question: "+data[i].Question+"\nAnswer:")
-	}
-	pools := [][]string{
-		{llm.ModelLlama3, llm.ModelMistral},
-		{llm.ModelLlama3, llm.ModelMistral, llm.ModelQwen2},
-	}
-	strategies := []Strategy{StrategyOUA, StrategyMAB, StrategyHybrid}
-
+	engine, prompts := gridEngine(t)
 	var log bytes.Buffer
 	record := func(name string, b Backend, cfg Config, strat Strategy, prompt string) {
 		t.Helper()
@@ -71,28 +59,20 @@ func TestDecisionLog(t *testing.T) {
 		fmt.Fprintf(&log, " events=%x\n", events.Sum(nil)[:16])
 	}
 
-	for _, strat := range strategies {
-		for _, budget := range []int{32, 128, 2048} {
-			for _, pool := range pools {
-				for q, prompt := range prompts {
-					cfg := DefaultConfig(pool...)
-					cfg.MaxTokens = budget
-					record(fmt.Sprintf("%s/%d/%d/q%02d", strat, budget, len(pool), q), engine, cfg, strat, prompt)
-				}
-			}
-		}
-	}
+	forEachGridCase(prompts, func(name string, strat Strategy, cfg Config, prompt string) {
+		record(name, engine, cfg, strat, prompt)
+	})
 
 	// The rows no seeded question reaches, on the three-model pool at 128
 	// tokens over the first four questions.
-	pool := pools[1]
+	pool := gridPools[1]
 	base := func() Config {
 		cfg := DefaultConfig(pool...)
 		cfg.MaxTokens = 128
 		cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: -1}
 		return cfg
 	}
-	for _, strat := range strategies {
+	for _, strat := range gridStrategies {
 		for q, prompt := range prompts[:4] {
 			if strat != StrategyOUA {
 				cfg := base()
@@ -145,6 +125,45 @@ func TestDecisionLog(t *testing.T) {
 		}
 	}
 	t.Fatalf("decision log has %d lines, golden %d", len(got), len(old))
+}
+
+// The fault-free grid TestDecisionLog pins and TestOneStreamPerCandidate
+// runs: every strategy, three budgets, a two- and a three-model pool.
+var (
+	gridStrategies = []Strategy{StrategyOUA, StrategyMAB, StrategyHybrid}
+	gridPools      = [][]string{
+		{llm.ModelLlama3, llm.ModelMistral},
+		{llm.ModelLlama3, llm.ModelMistral, llm.ModelQwen2},
+	}
+)
+
+// gridEngine returns an engine over 400 seeded questions and the 24 of
+// them the grid asks, as prompts. The engine closes with the test.
+func gridEngine(t *testing.T) (*llm.Engine, []string) {
+	data := truthfulqa.Generate(400, 1)
+	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(data)})
+	t.Cleanup(func() { engine.Close() })
+	var prompts []string
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(data))[:24] {
+		prompts = append(prompts, "Question: "+data[i].Question+"\nAnswer:")
+	}
+	return engine, prompts
+}
+
+// forEachGridCase calls visit once per grid case, in the golden's order,
+// with the case's name ("oua/128/3/q00"), strategy, config and prompt.
+func forEachGridCase(prompts []string, visit func(name string, strat Strategy, cfg Config, prompt string)) {
+	for _, strat := range gridStrategies {
+		for _, budget := range []int{32, 128, 2048} {
+			for _, pool := range gridPools {
+				for q, prompt := range prompts {
+					cfg := DefaultConfig(pool...)
+					cfg.MaxTokens = budget
+					visit(fmt.Sprintf("%s/%d/%d/q%02d", strat, budget, len(pool), q), strat, cfg, prompt)
+				}
+			}
+		}
+	}
 }
 
 // round9 rounds to 1e-9, folding -0 into 0.

@@ -84,12 +84,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 
 // fanJob is one model's slice of a fan-out round.
 type fanJob struct {
-	cand *candidate
-	take int
-	// hint is the session-wide budget a lazily opened stream should
-	// cover — the most tokens this candidate could still receive this
-	// query. Ignored once a stream is open.
-	hint int
+	cand  *candidate
+	take  int
+	spent int // the query's tokens awarded before the round (genSession.drain)
 }
 
 // fanResult is the collected outcome of one fanJob, in job order.
@@ -161,7 +158,7 @@ func (o *Orchestrator) fanOut(ctx context.Context, rs *roundScratch) []fanResult
 	last := -1 // the latest pull that may wait, started once a later one shows up
 	for i, j := range jobs {
 		if j.cand.sess.covers(j.take) {
-			results[i] = o.pull(ctx, j.cand, j.take, j.hint)
+			results[i] = o.pull(ctx, j.cand, j.take, j.spent)
 			continue
 		}
 		if last >= 0 {
@@ -172,7 +169,7 @@ func (o *Orchestrator) fanOut(ctx context.Context, rs *roundScratch) []fanResult
 	}
 	if last >= 0 {
 		j := jobs[last]
-		results[last] = o.pull(ctx, j.cand, j.take, j.hint)
+		results[last] = o.pull(ctx, j.cand, j.take, j.spent)
 	}
 	rs.wg.Wait()
 	return results
@@ -186,7 +183,7 @@ func (o *Orchestrator) pullAsync(ctx context.Context, rs *roundScratch, i int, s
 		defer func() { <-sem }()
 	}
 	j := rs.jobs[i]
-	rs.results[i] = o.pull(ctx, j.cand, j.take, j.hint)
+	rs.results[i] = o.pull(ctx, j.cand, j.take, j.spent)
 }
 
 // pull takes one candidate's next chunk off its generation session
@@ -194,9 +191,9 @@ func (o *Orchestrator) pullAsync(ctx context.Context, rs *roundScratch, i int, s
 // the bandit's sequential pulls. A candidate's session is touched by one
 // pull at a time; pull never mutates any other candidate state and never
 // emits events, so it is safe on fan-out workers.
-func (o *Orchestrator) pull(ctx context.Context, c *candidate, take, hint int) fanResult {
+func (o *Orchestrator) pull(ctx context.Context, c *candidate, take, spent int) fanResult {
 	callStart := time.Now()
-	r := c.sess.next(ctx, c.cont, take, hint)
+	r := c.sess.next(ctx, c.cont, take, spent)
 	r.elapsed = time.Since(callStart)
 	return r
 }

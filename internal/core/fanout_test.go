@@ -38,7 +38,7 @@ func referenceFanOut(o *Orchestrator, ctx context.Context, rs *roundScratch) []f
 				sem <- struct{}{}
 				defer func() { <-sem }()
 			}
-			results[i] = o.pull(ctx, j.cand, j.take, j.hint)
+			results[i] = o.pull(ctx, j.cand, j.take, j.spent)
 		}(i, j)
 	}
 	wg.Wait()
@@ -244,7 +244,7 @@ func TestWarmBufferedRoundAllocatesNothing(t *testing.T) {
 	var rs roundScratch
 	for _, m := range models {
 		c := &candidate{model: m}
-		rs.jobs = append(rs.jobs, fanJob{cand: c, take: 1, hint: tokens})
+		rs.jobs = append(rs.jobs, fanJob{cand: c, take: 1})
 		o.attachSessions([]*candidate{c}, testPrompt)
 	}
 	ctx := context.Background()

@@ -48,16 +48,13 @@ func (o *Orchestrator) Hybrid(ctx context.Context, prompt string) (Result, error
 		screenChunk = 1
 	}
 	used := 0
-	// A screening survivor could win the entire refinement pool on top of
-	// its screening chunk, so sessions are opened for that ceiling.
 	totalPulls := len(cands)
 	o.attachSessions(cands, prompt)
 	defer func() { o.closeAllSessions(StrategyHybrid, totalPulls, cands, "query_end") }()
-	sessionHint := cfg.MaxTokens - (n-1)*screenChunk
 	o.emit(Event{Type: EventRound, Strategy: StrategyHybrid, Round: 1, Elapsed: time.Since(start)})
 	rs := roundScratch{jobs: make([]fanJob, n)}
 	for i, c := range cands {
-		rs.jobs[i] = fanJob{cand: c, take: screenChunk, hint: sessionHint}
+		rs.jobs[i] = fanJob{cand: c, take: screenChunk}
 	}
 	results := fanOutRound(o, ctx, &rs)
 	if err := ctx.Err(); err != nil {

@@ -46,9 +46,6 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 	// unpulled (the loop's budget check stops before they would matter).
 	used := 0
 	totalPulls := 0
-	// The budget is shared, so any single arm could in principle win all
-	// of it — each session's stream is opened for the full λ_max and the
-	// unclaimed tail is cancelled at close.
 	o.attachSessions(cands, prompt)
 	defer func() { o.closeAllSessions(StrategyMAB, totalPulls, cands, "query_end") }()
 	rs := roundScratch{jobs: make([]fanJob, 0, len(cands))}
@@ -62,7 +59,7 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 			break
 		}
 		remaining -= take
-		rs.jobs = append(rs.jobs, fanJob{cand: c, take: take, hint: cfg.MaxTokens})
+		rs.jobs = append(rs.jobs, fanJob{cand: c, take: take})
 	}
 	results := fanOutRound(o, ctx, &rs)
 	if err := ctx.Err(); err != nil {
@@ -129,7 +126,7 @@ func (o *Orchestrator) refine(ctx context.Context, strategy Strategy, cands []*c
 			Elapsed: time.Since(start)})
 
 		o.beforeWait()
-		r := o.pull(ctx, arm, take, cfg.MaxTokens-used)
+		r := o.pull(ctx, arm, take, used)
 		n, err := o.absorb(ctx, strategy, *pulls, arm, r)
 		if err != nil {
 			return Result{}, err

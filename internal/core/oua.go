@@ -78,7 +78,7 @@ func (o *Orchestrator) OUA(ctx context.Context, prompt string) (Result, error) {
 			if take > c.remaining {
 				take = c.remaining
 			}
-			rs.jobs = append(rs.jobs, fanJob{cand: c, take: take, hint: c.remaining})
+			rs.jobs = append(rs.jobs, fanJob{cand: c, take: take, spent: totalTokens})
 		}
 		results := fanOutRound(o, ctx, &rs)
 		if err := ctx.Err(); err != nil {

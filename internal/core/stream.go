@@ -61,17 +61,17 @@ type genSession struct {
 var errChunkTimeout = errors.New("core: chunk attempt timed out")
 
 // next produces the candidate's chunk for one round: it drains up to take
-// tokens from the stream, lazily opening it with the session-wide hint
-// budget, and climbs the failure ladder — close, back off, reopen from
-// cont, drain again — until a drain succeeds or RetryPolicy's attempts
-// are spent. cont is the candidate's current continuation state.
-func (s *genSession) next(ctx context.Context, cont []int, take, hint int) fanResult {
+// tokens from the stream, lazily opening it, and climbs the failure
+// ladder — close, back off, reopen from cont, drain again — until a drain
+// succeeds or RetryPolicy's attempts are spent. cont is the candidate's
+// current continuation state, spent the query's tokens awarded so far.
+func (s *genSession) next(ctx context.Context, cont []int, take, spent int) fanResult {
 	var r fanResult
 	p := s.o.cfg.Retry
 	backoff := p.BaseBackoff
 	for {
 		r.attempts++
-		chunk, err := s.drain(ctx, cont, take, hint, &r)
+		chunk, err := s.drain(ctx, cont, take, spent, &r)
 		if err == nil && chunk.DoneReason == llm.DoneCancel && ctx.Err() == nil {
 			// The drain's deadline interrupted a chunk call: the backend
 			// reports a cancel the caller didn't ask for.
@@ -81,8 +81,7 @@ func (s *genSession) next(ctx context.Context, cont []int, take, hint int) fanRe
 			r.chunk = chunk
 			r.streamed = true
 			if chunk.Done {
-				// Natural completion: release the backend session. A later
-				// budget grant (OUA redistribution) reopens from cont.
+				// Natural completion: release the backend session.
 				s.stream.Close()
 				s.stream = nil
 				r.closeReason = "done"
@@ -123,10 +122,16 @@ func (s *genSession) next(ctx context.Context, cont []int, take, hint int) fanRe
 // drain is one attempt of next: open the stream if none is open, then
 // take up to take tokens off it. Only a drain the buffer does not already
 // cover may wait, so only it takes the per-chunk deadline (and its timer).
-func (s *genSession) drain(ctx context.Context, cont []int, take, hint int, r *fanResult) (llm.Chunk, error) {
+//
+// The one session-budget rule: a stream is opened, or reopened after a
+// failure, for the budget nobody has been awarded yet, λ_max − spent. No
+// strategy can award one candidate more (an OUA redistribution included),
+// so on a healthy backend a candidate opens one stream per query. What it
+// decodes past its award is bounded by the answer and cancelled at close.
+func (s *genSession) drain(ctx context.Context, cont []int, take, spent int, r *fanResult) (llm.Chunk, error) {
 	if s.stream == nil {
 		st, err := s.backend.OpenStream(ctx, llm.ChunkRequest{
-			Model: s.model, Prompt: s.prompt, MaxTokens: max(hint, take), Cont: cont,
+			Model: s.model, Prompt: s.prompt, MaxTokens: max(s.o.cfg.MaxTokens-spent, take), Cont: cont,
 		})
 		if err != nil {
 			return llm.Chunk{}, err

@@ -509,3 +509,126 @@ func TestStalledStreamStillTimesOut(t *testing.T) {
 		t.Fatal("a stalled drain never timed out")
 	}
 }
+
+// TestOneStreamPerCandidate holds the session-budget rule (genSession.drain)
+// over the decision grid's fault-free cases, on the streaming engine and on
+// the chunk-only lift: on a healthy backend every candidate that is pulled
+// opens exactly one stream and never falls back, and every drain returns
+// min(take, tokens left in the engine's plan). A strategy never asks for
+// more than the candidate's allowance, so a shorter chunk can only be a
+// stream opened for less than the candidate could still be awarded.
+func TestOneStreamPerCandidate(t *testing.T) {
+	engine, prompts := gridEngine(t)
+	planned := map[string]int{} // model+prompt → the tokens of the whole answer
+	planLen := func(model, prompt string) int {
+		key := model + "\x00" + prompt
+		if n, ok := planned[key]; ok {
+			return n
+		}
+		c, err := engine.GenerateChunk(context.Background(), llm.ChunkRequest{Model: model, Prompt: prompt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		planned[key] = len(c.Context)
+		return len(c.Context)
+	}
+	forEachGridCase(prompts, func(name string, strat Strategy, cfg Config, prompt string) {
+		for _, chunkOnly := range []bool{false, true} {
+			var inner Backend = chunkOnlyWrapper{inner: engine}
+			fb := NewFaultBackend(engine)
+			if !chunkOnly {
+				fb.EnableStreams()
+				inner = fb
+			}
+			ledger := &drainLedger{sessions: llm.Sessions(inner)}
+			opens := map[string]int{}
+			cfg.OnEvent = func(ev Event) {
+				switch ev.Type {
+				case EventStreamOpen:
+					opens[ev.Model]++
+				case EventStreamFallback:
+					t.Errorf("%s (chunk-only=%v): %s fell back: %s", name, chunkOnly, ev.Model, ev.Reason)
+				}
+			}
+			res, err := mustNew(t, ledger, cfg).Run(context.Background(), strat, prompt)
+			if err != nil {
+				t.Fatalf("%s (chunk-only=%v): %v", name, chunkOnly, err)
+			}
+			for _, m := range cfg.Models {
+				o, _ := res.Outcome(m)
+				if want := min(o.Pulls, 1); opens[m] != want {
+					t.Errorf("%s (chunk-only=%v): %s opened %d streams over %d pulls, want %d",
+						name, chunkOnly, m, opens[m], o.Pulls, want)
+				}
+				if opened, closed := fb.StreamOpens(m), fb.StreamCloses(m); opened != closed {
+					t.Errorf("%s: %s opened %d streams, closed %d", name, m, opened, closed)
+				}
+			}
+			total := 0
+			for _, d := range ledger.drains {
+				total += d.got
+				if want := min(d.take, planLen(d.model, prompt)-d.before); d.got != want {
+					t.Errorf("%s (chunk-only=%v): %s drained %d of take %d after %d tokens, want %d",
+						name, chunkOnly, d.model, d.got, d.take, d.before, want)
+				}
+			}
+			if total != res.TokensUsed || total > cfg.MaxTokens {
+				t.Errorf("%s (chunk-only=%v): drained %d tokens, the result spent %d of %d",
+					name, chunkOnly, total, res.TokensUsed, cfg.MaxTokens)
+			}
+		}
+	})
+}
+
+// drainLedger hands out the sessions of the backend it wraps and records
+// every drain: how many tokens it asked for, how many the candidate held
+// before it, and how many it got.
+type drainLedger struct {
+	sessions llm.StreamingBackend
+	mu       sync.Mutex
+	drains   []drainRecord
+}
+
+type drainRecord struct {
+	model             string
+	take, before, got int
+}
+
+func (l *drainLedger) GenerateChunk(context.Context, llm.ChunkRequest) (llm.Chunk, error) {
+	return llm.Chunk{}, errors.New("drainLedger: the orchestrator generates through sessions")
+}
+
+func (l *drainLedger) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.ChunkStream, error) {
+	st, err := l.sessions.OpenStream(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return &ledgerStream{ChunkStream: st, l: l, model: req.Model, held: len(req.Cont)}, nil
+}
+
+// ledgerStream is one of the ledger's streams; held is the candidate's
+// continuation length after the last drain.
+type ledgerStream struct {
+	llm.ChunkStream
+	l     *drainLedger
+	model string
+	held  int
+}
+
+func (s *ledgerStream) Buffered() int {
+	if bs, ok := s.ChunkStream.(llm.BufferedStream); ok {
+		return bs.Buffered()
+	}
+	return 0
+}
+
+func (s *ledgerStream) Next(ctx context.Context, maxTokens int) (llm.Chunk, error) {
+	c, err := s.ChunkStream.Next(ctx, maxTokens)
+	if err == nil {
+		s.l.mu.Lock()
+		s.l.drains = append(s.l.drains, drainRecord{model: s.model, take: maxTokens, before: s.held, got: c.EvalCount})
+		s.l.mu.Unlock()
+		s.held = len(c.Context)
+	}
+	return c, err
+}

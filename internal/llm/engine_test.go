@@ -2,6 +2,7 @@ package llm
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -463,6 +464,69 @@ func TestEngineEmbed(t *testing.T) {
 	if _, err := e.Embed("no-such-encoder", "text"); err == nil {
 		t.Fatal("expected error for unknown encoder")
 	}
+}
+
+// TestHugeMaxTokens: a budget past the end of the answer is no budget,
+// however large — with a context too, where the plan's end once overflowed
+// (cursor + MaxTokens) and a makeslice panicked.
+func TestHugeMaxTokens(t *testing.T) {
+	e := newTestEngine(t)
+	ctx := context.Background()
+	const prompt = "Are bats blind?"
+	full, err := e.GenerateChunk(ctx, ChunkRequest{Model: ModelMistral, Prompt: prompt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := e.GenerateChunk(ctx, ChunkRequest{Model: ModelMistral, Prompt: prompt, MaxTokens: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cont := range [][]int{nil, first.Context} {
+		c, err := e.GenerateChunk(ctx, ChunkRequest{Model: ModelMistral, Prompt: prompt, MaxTokens: math.MaxInt, Cont: cont})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.DoneReason != DoneStop || c.EvalCount != full.EvalCount-len(cont) || !strings.HasSuffix(full.Text, c.Text) {
+			t.Fatalf("MaxInt after %d tokens: %d tokens (%s) %q, want the rest of %q",
+				len(cont), c.EvalCount, c.DoneReason, c.Text, full.Text)
+		}
+	}
+}
+
+// FuzzPlanBudget holds the plan's budget arithmetic for any num_predict
+// and any context length: no panic, and the plan ends at the cursor plus
+// the budget, cut to the answer's end — within [cursor, answer end].
+func FuzzPlanBudget(f *testing.F) {
+	f.Add(0, uint16(0))
+	f.Add(5, uint16(3))
+	f.Add(math.MaxInt, uint16(3))
+	f.Add(math.MaxInt-1, uint16(40))
+	f.Add(-1, uint16(2))
+	f.Add(math.MinInt, uint16(1))
+	f.Add(1, uint16(60000))
+	e := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed())})
+	defer e.Close()
+	const prompt = "Are bats blind?"
+	_, whole, err := e.planGeneration(GenRequest{Model: ModelLlama3, Prompt: prompt})
+	if err != nil {
+		f.Fatal(err)
+	}
+	answerEnd := len(whole.ids)
+	f.Fuzz(func(t *testing.T, maxTokens int, held uint16) {
+		_, plan, err := e.planGeneration(GenRequest{Model: ModelLlama3, Prompt: prompt,
+			MaxTokens: maxTokens, Context: make([]int, held)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursor, end := min(int(held), answerEnd), answerEnd
+		if maxTokens > 0 && maxTokens < answerEnd-cursor {
+			end = cursor + maxTokens
+		}
+		if plan.cursor != cursor || len(plan.ids) != end || (plan.reason == DoneLength) != (end < answerEnd) {
+			t.Fatalf("num_predict %d after %d tokens: plan [%d, %d) %s, want [%d, %d) of %d",
+				maxTokens, held, plan.cursor, len(plan.ids), plan.reason, cursor, end, answerEnd)
+		}
+	})
 }
 
 func TestEngineGenerateChunkPrimitive(t *testing.T) {

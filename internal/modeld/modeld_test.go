@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -107,6 +108,37 @@ func TestGenerateChunkContinuation(t *testing.T) {
 	}
 	if text != full.Text {
 		t.Fatalf("chunked text != full text:\n%q\n%q", text, full.Text)
+	}
+}
+
+// TestGenerateHugeNumPredict: a num_predict past the answer's end, with a
+// context, decodes the rest of the answer and ends in a done line. The
+// engine once overflowed adding it to the context's length and panicked,
+// and the client read EOF.
+func TestGenerateHugeNumPredict(t *testing.T) {
+	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Generate(100, 1))})
+	srv := httptest.NewServer(NewServer(engine))
+	defer srv.Close()
+	body := `{"model":"mistral:7b","prompt":"Are bats blind?","context":[1,2,3],"options":{"num_predict":9223372036854775807}}`
+	resp, err := srv.Client().Post(srv.URL+"/api/generate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading the stream: %v (read %q)", err, raw)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if last := lines[len(lines)-1]; resp.StatusCode != http.StatusOK || !strings.Contains(last, `"done":true`) ||
+		!strings.Contains(last, `"done_reason":"stop"`) {
+		t.Fatalf("status %d, last line %q: want a done line that stopped", resp.StatusCode, last)
+	}
+	c := New(srv.URL, WithHTTPClient(srv.Client()))
+	chunk, err := c.GenerateChunk(context.Background(), llm.ChunkRequest{Model: llm.ModelMistral, Prompt: "Are bats blind?",
+		MaxTokens: math.MaxInt, Cont: []int{1, 2, 3}})
+	if err != nil || chunk.DoneReason != llm.DoneStop {
+		t.Fatalf("GenerateChunk with MaxInt after a context: %+v, %v", chunk, err)
 	}
 }
 

@@ -35,7 +35,8 @@ type QueryRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 	// Model overrides the single-model default.
 	Model string `json:"model,omitempty"`
-	// MaxTokens overrides λ_max for this query.
+	// MaxTokens overrides λ_max for this query; 0 keeps the settings' and
+	// a negative one is refused.
 	MaxTokens int `json:"max_tokens,omitempty"`
 	// UseRAG augments the prompt with retrieved document chunks.
 	UseRAG bool `json:"use_rag,omitempty"`
@@ -147,7 +148,10 @@ func (s *Server) resolve(q *query) bool {
 	q.req, q.st = req, s.Settings()
 	q.st.Strategy = cmp.Or(req.Strategy, q.st.Strategy)
 	q.st.Model = cmp.Or(req.Model, q.st.Model)
-	if req.MaxTokens > 0 {
+	switch {
+	case req.MaxTokens < 0:
+		return q.fail(nil, http.StatusBadRequest, "invalid_max_tokens", "max_tokens must be positive, got %d", req.MaxTokens)
+	case req.MaxTokens > 0:
 		q.st.MaxTokens = req.MaxTokens
 	}
 	var err error

@@ -365,6 +365,7 @@ func TestQueryEveryExit(t *testing.T) {
 			Expect: exitExpect{Status: 413, Code: "request_too_large"}},
 		{Name: "missing_field", Body: `{"query":"  "}`, Expect: exitExpect{Status: 400, Code: "missing_field"}},
 		{Name: "invalid_strategy", Body: `{"query":"q","strategy":"bogus"}`, Expect: exitExpect{Status: 400, Code: "invalid_strategy"}},
+		{Name: "invalid_max_tokens", Body: `{"query":"q","max_tokens":-1}`, Expect: exitExpect{Status: 400, Code: "invalid_max_tokens"}},
 		{Name: "unknown_session", Body: `{"query":"q","session_id":"nope"}`, Expect: exitExpect{Status: 404, Code: "unknown_session"}},
 		{Name: "HIT", Body: askFrance, Arrange: func(e *exitEnv) { e.prime(askFrance) }, Expect: replayed("HIT")},
 		{Name: "SEMANTIC", Body: `{"query":"What is the capital city of France?","max_tokens":96}`,

@@ -47,8 +47,8 @@
 //	{"error": {"code": "unknown_session", "message": "session abc not found"}}
 //
 // where code is a stable machine-readable identifier (invalid_json,
-// missing_field, invalid_strategy, unknown_session, unknown_document,
-// unknown_model, unknown_trace, invalid_settings, invalid_rating,
+// missing_field, invalid_strategy, invalid_max_tokens, unknown_session,
+// unknown_document, unknown_model, unknown_trace, invalid_settings, invalid_rating,
 // body_too_large, request_too_large, overloaded, ingest_failed,
 // retrieval_failed, ephemeral_context, invalid_config, encode_failed,
 // all_models_failed, query_failed) and message is the human-readable

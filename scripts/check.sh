@@ -58,8 +58,9 @@ go test -race -count=20 -run 'TestFanOutMatchesReference|TestWarmBufferedRoundAl
 
 # The reopen ladder: a stream that breaks mid-answer, an open that fails
 # once and one that always fails, a drain that stalls past its deadline,
-# and a cancel during the backoff sleep, over and over.
-reopen='TestMidStreamBreakFallsBackLosslessly|TestStreamOpenFailureDegradesQuietly|TestPersistentOpenFailureFailsModel|TestStalledStreamStillTimesOut|TestRetryBackoffAbortsOnCancel'
+# and a cancel during the backoff sleep — and, on a healthy backend, no
+# reopen at all: one stream per candidate — over and over.
+reopen='TestMidStreamBreakFallsBackLosslessly|TestStreamOpenFailureDegradesQuietly|TestPersistentOpenFailureFailsModel|TestStalledStreamStillTimesOut|TestRetryBackoffAbortsOnCancel|TestOneStreamPerCandidate'
 echo "== reopen ladder: go test -race -count=20 -run '$reopen' ./internal/core"
 go test -race -count=20 -run "$reopen" ./internal/core
 
@@ -105,13 +106,14 @@ go test -race -count=20 -run 'TestDropPassRacesPutAndProbe|TestExactInvalidation
 # candidate — −0 is in its alphabet, so TopK's skipped zeros are checked
 # against Dot bit for bit — and a session lifted onto chunk calls against
 # the engine's own stream; and the tokenizer's memoized inference path
-# against its reference, each input on a miss and then a hit.
+# against its reference, each input on a miss and then a hit; and the
+# engine's budget arithmetic for any num_predict and context length.
 for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telemetry' \
 	'FuzzStreamLine ./internal/modeld' 'FuzzGenerateRequest ./internal/modeld' \
 	'FuzzEventFrame ./internal/server' 'FuzzResultFrame ./internal/server' \
 	'FuzzNormalize ./internal/qcache' 'FuzzDecodeCachedAnswer ./internal/server' \
 	'FuzzRows ./internal/embedding' 'FuzzLiftedSession ./internal/llm' \
-	'FuzzCount ./internal/tokenizer'; do
+	'FuzzCount ./internal/tokenizer' 'FuzzPlanBudget ./internal/llm'; do
 	set -- $target
 	echo "== fuzz smoke: $1 10s"
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2" >/dev/null
