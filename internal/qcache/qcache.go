@@ -4,13 +4,18 @@
 //
 // Three cooperating pieces live here, each usable on its own:
 //
-//   - Cache: a two-tier answer cache. The exact tier is an LRU+TTL map
-//     keyed on the normalized query plus an opaque scope string (strategy,
-//     model set, token budget, RAG fingerprint — everything non-semantic
-//     that changes the answer). The semantic tier embeds the normalized
-//     query with an embedding.Encoder and scans its own scope's bucket of
-//     cached query vectors, returning a near-duplicate's answer when
-//     cosine similarity clears a configurable threshold. This is the
+//   - Cache: a two-tier answer cache. The exact tier is a TTL map keyed
+//     on the normalized query plus an opaque scope string (strategy, model
+//     set, token budget, RAG fingerprint — everything non-semantic that
+//     changes the answer), bounded by W-TinyLFU (policy.go): a small
+//     window LRU, a segmented main region, and a frequency sketch of the
+//     lookups that admits the window's oldest entry only when it is asked
+//     for more often than the main region's victim, so a scan of one-off
+//     questions cannot push the answers asked for again and again out.
+//     The semantic tier embeds the normalized query with an
+//     embedding.Encoder and scans its own scope's bucket of cached query
+//     vectors, returning a near-duplicate's answer when cosine similarity
+//     clears a configurable threshold. This is the
 //     bounded-staleness trade the networked-LLM literature motivates: a
 //     semantically equivalent answer now instead of an identical answer
 //     after a full fan-out. A document write drops exactly the answers
@@ -36,7 +41,7 @@
 package qcache
 
 import (
-	"container/list"
+	"hash/maphash"
 	"math"
 	"slices"
 	"strings"
@@ -141,8 +146,11 @@ const (
 
 // Options tunes a Cache. The zero value takes every default.
 type Options struct {
-	// Capacity bounds the number of entries; the least recently used
-	// entry is evicted at the bound. Non-positive means DefaultCapacity.
+	// Capacity bounds the number of entries. At the bound a new entry is
+	// kept in place of the main region's least recently used probationary
+	// entry only when lookups have asked for it more often (W-TinyLFU);
+	// the window and segment shares are fixed fractions of it.
+	// Non-positive means DefaultCapacity.
 	Capacity int
 	// TTL is how long an entry stays servable. Non-positive means
 	// DefaultTTL.
@@ -165,8 +173,14 @@ type entry struct {
 	value   any
 	expires time.Time
 	g       *Grounding // nil: the answer uses no documents
-	elem    *list.Element
-	row     int // the entry's row in its scope's bucket, under Cache.vmu
+	row     int        // the entry's row in its scope's bucket, under Cache.vmu
+
+	// Policy state, under Cache.mu: the segment list the entry is on, the
+	// sketch's hash of its id, and the tick of its last use.
+	seg        *segment
+	prev, next *entry
+	hash       uint64
+	used       uint64
 }
 
 // Grounding is what an answer's retrieval of the top-k chunks, by cosine
@@ -194,8 +208,15 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
-	lru     *list.List    // front = most recently used
 	gen     atomic.Uint64 // advanced under mu by Flush and every drop pass
+
+	// The W-TinyLFU policy (policy.go), under mu: every entry is on exactly
+	// one segment.
+	window, probation, protected segment
+	windowMax, protectedMax      int
+	sketch                       *sketch
+	tick                         uint64 // last-use clock, for Snapshot's order
+	admitted, rejected           atomic.Uint64
 
 	// vmu guards the semantic tier: writers take it inside mu, a probe
 	// alone, so a probe never holds the lock an exact hit needs. A scope's
@@ -224,14 +245,16 @@ func New(opts Options) *Cache {
 		opts.Clock = time.Now
 	}
 	return &Cache{
-		capacity:  opts.Capacity,
-		ttl:       opts.TTL,
-		threshold: opts.SemanticThreshold,
-		clock:     opts.Clock,
-		enc:       opts.Encoder,
-		entries:   make(map[string]*entry),
-		lru:       list.New(),
-		buckets:   make(map[string]*embedding.Rows[string]),
+		capacity:     opts.Capacity,
+		ttl:          opts.TTL,
+		threshold:    opts.SemanticThreshold,
+		clock:        opts.Clock,
+		enc:          opts.Encoder,
+		entries:      make(map[string]*entry),
+		windowMax:    windowMax(opts.Capacity),
+		protectedMax: protectedMax(opts.Capacity),
+		sketch:       newSketch(opts.Capacity, maphash.MakeSeed()),
+		buckets:      make(map[string]*embedding.Rows[string]),
 	}
 }
 
@@ -249,7 +272,8 @@ func (c *Cache) Len() int {
 // Get looks key up: first the exact tier, then — when the exact tier
 // misses and the semantic tier is enabled — the nearest cached query in
 // the same scope above the similarity threshold. Expired entries are
-// evicted on contact, never served.
+// evicted on contact, never served. Every Get counts key in the policy's
+// sketch, and a semantic hit counts the entry it served as well.
 func (c *Cache) Get(key Key) (any, HitKind) {
 	if c == nil {
 		return nil, Miss
@@ -257,11 +281,13 @@ func (c *Cache) Get(key Key) (any, HitKind) {
 	now := c.clock()
 	nq := Normalize(key.Query)
 	id := nq + keySep + key.Scope
+	h := c.sketch.hash(id)
 
 	c.mu.Lock()
+	c.sketch.add(h)
 	if e, ok := c.entries[id]; ok {
 		if now.Before(e.expires) {
-			c.lru.MoveToFront(e.elem)
+			c.touchLocked(e)
 			v := e.value
 			c.mu.Unlock()
 			return v, Exact
@@ -298,14 +324,15 @@ func (c *Cache) Get(key Key) (any, HitKind) {
 			c.removeLocked(e)
 			continue
 		}
-		c.lru.MoveToFront(e.elem)
+		c.sketch.add(e.hash)
+		c.touchLocked(e)
 		return e.value, Semantic
 	}
 	return nil, Miss
 }
 
-// Put stores (or refreshes) an answer that uses no documents, evicting the
-// least recently used entries at capacity. No document write drops it.
+// Put stores (or refreshes) an answer that uses no documents; at capacity
+// the policy decides which entry goes. No document write drops it.
 func (c *Cache) Put(key Key, value any) {
 	if c != nil {
 		c.put(Normalize(key.Query), key.Scope, value, c.clock().Add(c.ttl), nil, nil, true)
@@ -329,10 +356,11 @@ func (c *Cache) PutAt(key Key, value any, gen uint64, g *Grounding) bool {
 
 // put stores an entry — with the semantic tier on, its vector as a new row
 // of its scope's bucket too — and reports it did, unless the generation
-// moved past *at, or the key is held: that entry moves to the LRU front
-// and, with refresh, takes value, deadline and grounding.
+// moved past *at, or the key is held: that entry counts as used and, with
+// refresh, takes value, deadline and grounding.
 func (c *Cache) put(nq, scope string, value any, expires time.Time, g *Grounding, at *uint64, refresh bool) bool {
 	id := nq + keySep + scope
+	h := c.sketch.hash(id)
 	var vec embedding.Vector
 	if c.threshold <= 1 {
 		var acc *embedding.Accumulator
@@ -348,15 +376,12 @@ func (c *Cache) put(nq, scope string, value any, expires time.Time, g *Grounding
 		if refresh {
 			e.value, e.expires, e.g = value, expires, g
 		}
-		c.lru.MoveToFront(e.elem)
+		c.touchLocked(e)
 		return refresh
 	}
-	for len(c.entries) >= c.capacity {
-		c.removeLocked(c.lru.Back().Value.(*entry))
-	}
-	e := &entry{id: id, scope: scope, value: value, expires: expires, g: g}
-	e.elem = c.lru.PushFront(e)
+	e := &entry{id: id, scope: scope, value: value, expires: expires, g: g, hash: h}
 	c.entries[id] = e
+	c.insertLocked(e)
 	if c.threshold > 1 {
 		return true
 	}
@@ -388,7 +413,7 @@ func (c *Cache) Flush() int {
 	c.gen.Add(1)
 	n := len(c.entries)
 	c.entries = make(map[string]*entry)
-	c.lru.Init()
+	c.window, c.probation, c.protected = segment{}, segment{}, segment{}
 	c.vmu.Lock()
 	for _, b := range c.buckets {
 		c.keepLocked(b)
@@ -462,7 +487,7 @@ const maxSpares = 4
 // moving into its row; an emptied bucket goes. Caller holds c.mu.
 func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.id)
-	c.lru.Remove(e.elem)
+	e.seg.remove(e)
 	if c.threshold > 1 {
 		return
 	}

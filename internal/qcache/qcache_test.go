@@ -1,9 +1,10 @@
 package qcache
 
 import (
-	"container/list"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -172,26 +173,69 @@ func TestPutRefreshesTTL(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := New(Options{Capacity: 3})
-	for i := 0; i < 3; i++ {
-		c.Put(Key{Query: fmt.Sprintf("query number %d", i), Scope: "s"}, i)
-	}
-	// Touch 0 so 1 becomes the LRU victim.
-	if _, kind := c.Get(Key{Query: "query number 0", Scope: "s"}); kind != Exact {
-		t.Fatal("warmup get missed")
-	}
-	c.Put(Key{Query: "query number 3", Scope: "s"}, 3)
-	if got := c.Len(); got != 3 {
-		t.Fatalf("Len = %d, want 3", got)
-	}
-	if _, kind := c.Get(Key{Query: "query number 1", Scope: "s"}); kind != Miss {
-		t.Fatal("LRU entry 1 survived eviction")
-	}
-	for _, q := range []string{"query number 0", "query number 2", "query number 3"} {
-		if _, kind := c.Get(Key{Query: q, Scope: "s"}); kind != Exact {
-			t.Fatalf("entry %q was evicted, want kept", q)
+// TestEvictionAdmitsByFrequency: at capacity, a one-off question passes
+// through the window and is refused at the main region's door, so a scan
+// of them leaves every answer asked for again in place — where an LRU of
+// the same capacity would hold only the scan — while a question asked for
+// more often than the main region's victim is admitted in its place.
+func TestEvictionAdmitsByFrequency(t *testing.T) {
+	c := New(Options{Capacity: 10, SemanticThreshold: 2}) // window 1, main 9
+	exactCounts(c)
+	ask := func(q string) HitKind {
+		key := Key{Query: q, Scope: "s"}
+		_, kind := c.Get(key)
+		if kind == Miss {
+			c.Put(key, q)
 		}
+		return kind
+	}
+	hot := func(i int) string { return fmt.Sprintf("hot question %d", i) }
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 9; i++ {
+			if kind := ask(hot(i)); (kind == Miss) != (round == 0) {
+				t.Fatalf("round %d: %s was a %v", round, hot(i), kind)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if kind := ask(fmt.Sprintf("one-off question %d", i)); kind != Miss {
+			t.Fatalf("one-off question %d was a %v", i, kind)
+		}
+		if c.Len() > 10 {
+			t.Fatalf("Len = %d over capacity 10", c.Len())
+		}
+	}
+	for i := 0; i < 9; i++ {
+		if _, kind := c.Get(Key{Query: hot(i), Scope: "s"}); kind != Exact {
+			t.Fatalf("the scan pushed %s out", hot(i))
+		}
+	}
+	// The first one-off found room in the main region; the other 19 each
+	// met a full one as the window's oldest entry, and were refused.
+	if a, r := c.Admissions(); a != 0 || r != 19 {
+		t.Fatalf("Admissions = (%d, %d), want (0, 19)", a, r)
+	}
+
+	// Asked for ten times, a question beats a hot answer asked for five.
+	for i := 0; i < 9; i++ {
+		c.Get(Key{Query: "a popular question", Scope: "s"})
+	}
+	ask("a popular question")
+	ask("a question that pushes it out of the window")
+	if a, r := c.Admissions(); a != 1 || r != 20 {
+		t.Fatalf("Admissions = (%d, %d), want (1, 20)", a, r)
+	}
+	if _, kind := c.Get(Key{Query: "a popular question", Scope: "s"}); kind != Exact {
+		t.Fatal("the popular question was refused")
+	}
+	held := 0
+	for i := 0; i < 9; i++ {
+		if _, kind := c.Get(Key{Query: hot(i), Scope: "s"}); kind == Exact {
+			held++
+		}
+	}
+	if held != 8 || c.Len() != 10 {
+		t.Fatalf("%d hot answers held of %d entries, want 8 of 10: one victim", held, c.Len())
 	}
 }
 
@@ -222,43 +266,47 @@ func TestNilCache(t *testing.T) {
 	}
 }
 
-// refCache is the reference semantic tier: the Cache as it was, over a
-// vectordb cosine collection filtered to the key's scope by a metadata
-// equality. TestSemanticTierMatchesReference holds the Cache's own index
-// to it. It is sequential: only the differential test drives it.
+// refCache is the reference: the Cache's policy as a plain model — its
+// segments are slices of ids, front first, searched by linear scans, and
+// it counts lookups in its own sketch, seeded as the Cache's is — over
+// the semantic tier as it was, a vectordb cosine collection filtered to
+// the key's scope by a metadata equality. TestSemanticTierMatchesReference
+// holds the Cache to it. It is sequential: only the differential test
+// drives it.
 type refCache struct {
-	opts    Options
-	entries map[string]*refEntry
-	lru     *list.List
-	vectors *vectordb.Collection
+	opts                         Options
+	entries                      map[string]*refEntry
+	window, probation, protected []string
+	sketch                       *sketch
+	vectors                      *vectordb.Collection
 }
 
 type refEntry struct {
-	id      string
 	value   any
 	expires time.Time
-	elem    *list.Element
 }
 
-func newRefCache(t *testing.T, opts Options) *refCache {
+func newRefCache(t *testing.T, opts Options, seed maphash.Seed) *refCache {
 	col, err := vectordb.New().CreateCollection("qcache", vectordb.CollectionConfig{
 		Metric: vectordb.Cosine, Encoder: embedding.Default(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &refCache{opts: opts, entries: map[string]*refEntry{}, lru: list.New(), vectors: col}
+	return &refCache{opts: opts, entries: map[string]*refEntry{}, sketch: newSketch(opts.Capacity, seed), vectors: col}
 }
 
 func (c *refCache) get(key Key) (any, HitKind) {
 	now := c.opts.Clock()
 	nq := normalizeRef(key.Query)
-	if e, ok := c.entries[nq+keySep+key.Scope]; ok {
+	id := nq + keySep + key.Scope
+	c.sketch.add(c.sketch.hash(id))
+	if e, ok := c.entries[id]; ok {
 		if now.Before(e.expires) {
-			c.lru.MoveToFront(e.elem)
+			c.touch(id)
 			return e.value, Exact
 		}
-		c.remove(e)
+		c.remove(id)
 	}
 	res, err := c.vectors.Query(vectordb.QueryRequest{
 		Text: nq, TopK: 3, Where: vectordb.Metadata{"scope": key.Scope},
@@ -272,10 +320,11 @@ func (c *refCache) get(key Key) (any, HitKind) {
 		}
 		e := c.entries[r.ID]
 		if !now.Before(e.expires) {
-			c.remove(e)
+			c.remove(r.ID)
 			continue
 		}
-		c.lru.MoveToFront(e.elem)
+		c.sketch.add(c.sketch.hash(r.ID))
+		c.touch(r.ID)
 		return e.value, Semantic
 	}
 	return nil, Miss
@@ -287,16 +336,51 @@ func (c *refCache) put(key Key, value any) {
 	expires := c.opts.Clock().Add(c.opts.TTL)
 	if e, ok := c.entries[id]; ok {
 		e.value, e.expires = value, expires
-		c.lru.MoveToFront(e.elem)
+		c.touch(id)
 		return
 	}
-	for len(c.entries) >= c.opts.Capacity {
-		c.remove(c.lru.Back().Value.(*refEntry))
-	}
-	e := &refEntry{id: id, value: value, expires: expires}
-	e.elem = c.lru.PushFront(e)
-	c.entries[id] = e
+	c.entries[id] = &refEntry{value: value, expires: expires}
 	_ = c.vectors.Upsert(vectordb.Document{ID: id, Text: nq, Metadata: vectordb.Metadata{"scope": key.Scope}})
+	c.window = slices.Insert(c.window, 0, id)
+	window := max(1, c.opts.Capacity/100)
+	if len(c.window) <= window {
+		return
+	}
+	cand := c.window[len(c.window)-1]
+	if len(c.probation)+len(c.protected) >= c.opts.Capacity-window {
+		if len(c.probation) == 0 {
+			c.remove(cand)
+			return
+		}
+		victim := c.probation[len(c.probation)-1]
+		if c.sketch.estimate(c.sketch.hash(cand)) <= c.sketch.estimate(c.sketch.hash(victim)) {
+			c.remove(cand)
+			return
+		}
+		c.remove(victim)
+	}
+	c.window = c.window[:len(c.window)-1]
+	c.probation = slices.Insert(c.probation, 0, cand)
+}
+
+// touch moves id to the front of its segment, or from probation to the
+// front of protected, whose last id goes back to probation's front when
+// protected holds more than 80 % of the main region.
+func (c *refCache) touch(id string) {
+	for _, seg := range []*[]string{&c.window, &c.protected} {
+		if i := slices.Index(*seg, id); i >= 0 {
+			*seg = slices.Insert(slices.Delete(*seg, i, i+1), 0, id)
+			return
+		}
+	}
+	i := slices.Index(c.probation, id)
+	c.probation = slices.Delete(c.probation, i, i+1)
+	c.protected = slices.Insert(c.protected, 0, id)
+	if len(c.protected) > (c.opts.Capacity-max(1, c.opts.Capacity/100))*80/100 {
+		last := c.protected[len(c.protected)-1]
+		c.protected = c.protected[:len(c.protected)-1]
+		c.probation = slices.Insert(c.probation, 0, last)
+	}
 }
 
 func (c *refCache) flush() {
@@ -304,13 +388,17 @@ func (c *refCache) flush() {
 		c.vectors.Delete(id)
 	}
 	c.entries = map[string]*refEntry{}
-	c.lru.Init()
+	c.window, c.probation, c.protected = nil, nil, nil
 }
 
-func (c *refCache) remove(e *refEntry) {
-	delete(c.entries, e.id)
-	c.lru.Remove(e.elem)
-	c.vectors.Delete(e.id)
+func (c *refCache) remove(id string) {
+	delete(c.entries, id)
+	for _, seg := range []*[]string{&c.window, &c.probation, &c.protected} {
+		if i := slices.Index(*seg, id); i >= 0 {
+			*seg = slices.Delete(*seg, i, i+1)
+		}
+	}
+	c.vectors.Delete(id)
 }
 
 // families are the test's queries: each a question with its paraphrases
@@ -326,9 +414,9 @@ var families = [][]string{
 
 // TestSemanticTierMatchesReference drives the Cache and the reference
 // through one seeded sequence of Puts, Gets, Flushes and clock steps over
-// three scopes, at a capacity that keeps the LRU evicting and a TTL the
-// clock keeps crossing, and requires the same (value, HitKind) from every
-// Get.
+// three scopes, at a capacity that keeps the policy admitting, refusing
+// and evicting and a TTL the clock keeps crossing, and requires the same
+// (value, HitKind) from every Get.
 func TestSemanticTierMatchesReference(t *testing.T) {
 	const threshold = 0.5
 	enc := embedding.Default()
@@ -342,7 +430,8 @@ func TestSemanticTierMatchesReference(t *testing.T) {
 	}
 	now := time.Unix(1000, 0)
 	opts := Options{Capacity: 6, TTL: time.Minute, SemanticThreshold: threshold, Clock: func() time.Time { return now }}
-	c, ref := New(opts), newRefCache(t, opts)
+	c := New(opts)
+	ref := newRefCache(t, opts, c.sketch.seed)
 	scopes := []string{"oua|a,b|256", "mab|a,b|256", "oua|a|128"}
 	rng := rand.New(rand.NewSource(1))
 	key := func() Key {
@@ -370,12 +459,15 @@ func TestSemanticTierMatchesReference(t *testing.T) {
 			c.Flush()
 			ref.flush()
 		}
-		if op%1000 == 0 && vectorRows(t, c) != c.Len() {
-			t.Fatalf("op %d: %d vector rows for %d entries", op, vectorRows(t, c), c.Len())
+		if op%1000 == 0 {
+			policyShape(t, c)
 		}
 	}
 	if kinds[Exact] < 100 || kinds[Semantic] < 100 || kinds[Miss] < 100 {
 		t.Fatalf("outcomes %v: the sequence no longer exercises every tier", kinds)
+	}
+	if a, r := c.Admissions(); a < 100 || r < 100 {
+		t.Fatalf("%d admitted, %d refused: the sequence no longer exercises the policy", a, r)
 	}
 }
 

@@ -1,11 +1,13 @@
 package qcache
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
+	"slices"
 	"strings"
 	"time"
 )
@@ -43,7 +45,8 @@ type WarmState struct {
 	// Fingerprint identifies the serving settings the answers were
 	// produced under. WarmStart ignores the snapshot when it differs.
 	Fingerprint string `json:"fingerprint"`
-	// Entries in LRU order, most recently used first.
+	// Entries by last use, most recently used first — a hit or a store is
+	// a use, whichever segment of the policy holds the entry.
 	Entries []WarmEntry `json:"entries"`
 }
 
@@ -58,8 +61,12 @@ func (c *Cache) Snapshot(fingerprint string, encode func(any) ([]byte, error)) *
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clock()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
+	byUse := make([]*entry, 0, len(c.entries))
+	for _, e := range c.entries {
+		byUse = append(byUse, e)
+	}
+	slices.SortFunc(byUse, func(a, b *entry) int { return cmp.Compare(b.used, a.used) })
+	for _, e := range byUse {
 		if !now.Before(e.expires) {
 			continue
 		}
@@ -83,21 +90,27 @@ func (c *Cache) Snapshot(fingerprint string, encode func(any) ([]byte, error)) *
 }
 
 // WarmStart loads a snapshot into the cache: both tiers are rebuilt
-// (each entry's query re-embedded into its scope's bucket) and
-// LRU order is preserved. Entries that have expired, fail to decode, or
-// would exceed capacity are dropped. A fingerprint mismatch loads
-// nothing — the snapshot was cut under different serving settings. It
-// returns how many entries were restored.
+// (each entry's query re-embedded into its scope's bucket) from the
+// Capacity most recently used entries that have not expired and decode,
+// and the order of their last use is kept. The rest are neither decoded
+// nor embedded. A fingerprint mismatch loads nothing — the snapshot was
+// cut under different serving settings. It returns how many of the
+// snapshot's entries the cache holds afterwards.
 func (c *Cache) WarmStart(st *WarmState, fingerprint string, decode func([]byte) (any, error)) int {
 	if c == nil || st == nil || st.Fingerprint != fingerprint {
 		return 0
 	}
 	now := c.clock()
-	restored := 0
-	// Back to front so the most recently used entry is pushed last and
-	// lands at the LRU front, as it was.
-	for i := len(st.Entries) - 1; i >= 0; i-- {
-		we := st.Entries[i]
+	type restore struct {
+		we    *WarmEntry
+		value any
+	}
+	var keep []restore
+	for i := range st.Entries {
+		if len(keep) == c.capacity {
+			break
+		}
+		we := &st.Entries[i]
 		if !now.Before(we.Expires) {
 			continue
 		}
@@ -105,12 +118,27 @@ func (c *Cache) WarmStart(st *WarmState, fingerprint string, decode func([]byte)
 		if err != nil {
 			continue
 		}
+		keep = append(keep, restore{we, value})
+	}
+	// Back to front, so the most recently used entry is used last, as it
+	// was. No more than Capacity go in, so none contends for admission.
+	var stored []string
+	for i := len(keep) - 1; i >= 0; i-- {
+		we := keep[i].we
 		var g *Grounding
 		if we.Grounded {
 			g = everyDoc
 		}
 		// A live entry wins: it is newer than the snapshot.
-		if c.put(we.Query, we.Scope, value, we.Expires, g, nil, false) {
+		if c.put(we.Query, we.Scope, keep[i].value, we.Expires, g, nil, false) {
+			stored = append(stored, we.Query+keySep+we.Scope)
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	restored := 0
+	for _, id := range stored {
+		if _, ok := c.entries[id]; ok {
 			restored++
 		}
 	}

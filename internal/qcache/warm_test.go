@@ -112,12 +112,18 @@ func TestWarmStartKeepsOriginalExpiry(t *testing.T) {
 	}
 }
 
-func TestWarmStartPreservesLRUOrder(t *testing.T) {
+// TestWarmStartKeepsMostRecentlyUsed: a snapshot lists entries by last
+// use — a hit counts, whichever segment holds the entry — and a cache too
+// small for it restores the most recently used, in the same order.
+func TestWarmStartKeepsMostRecentlyUsed(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
 	c := New(Options{Clock: clock})
 	for i := 0; i < 4; i++ {
 		c.Put(Key{Query: fmt.Sprintf("query number %d", i), Scope: "s"}, i)
+	}
+	if _, kind := c.Get(Key{Query: "query number 0", Scope: "s"}); kind != Exact {
+		t.Fatal("warmup get missed")
 	}
 	enc := func(v any) ([]byte, error) { return json.Marshal(v) }
 	dec := func(raw []byte) (any, error) {
@@ -125,30 +131,55 @@ func TestWarmStartPreservesLRUOrder(t *testing.T) {
 		err := json.Unmarshal(raw, &n)
 		return n, err
 	}
+	order := func(st *WarmState) []string {
+		var qs []string
+		for _, we := range st.Entries {
+			qs = append(qs, we.Query)
+		}
+		return qs
+	}
 	st := c.Snapshot("fp", enc)
+	if got, want := order(st), []string{"query number 0", "query number 3", "query number 2", "query number 1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot order %q, want %q", got, want)
+	}
 
-	// Capacity 2: only the two most recently used entries survive the
-	// restore, which proves order round-tripped.
 	fresh := New(Options{Capacity: 2, Clock: clock})
-	if got := fresh.WarmStart(st, "fp", dec); got != 4 {
-		t.Fatalf("restored %d, want 4 (older ones evicted on the way)", got)
+	if got := fresh.WarmStart(st, "fp", dec); got != 2 || fresh.Len() != 2 {
+		t.Fatalf("restored %d, Len %d: want the 2 the cache holds", got, fresh.Len())
 	}
-	if fresh.Len() != 2 {
-		t.Fatalf("len %d, want 2", fresh.Len())
+	if got, want := order(fresh.Snapshot("fp", enc)), []string{"query number 0", "query number 3"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored %q, want %q", got, want)
 	}
-	for i := 0; i < 2; i++ {
-		if _, kind := fresh.Get(Key{Query: fmt.Sprintf("query number %d", i), Scope: "s"}); kind != Miss {
-			t.Fatalf("old entry %d survived", i)
-		}
-	}
-	for i := 2; i < 4; i++ {
-		if _, kind := fresh.Get(Key{Query: fmt.Sprintf("query number %d", i), Scope: "s"}); kind != Exact {
-			t.Fatalf("recent entry %d lost", i)
-		}
-	}
-	// Both tiers stay in lockstep through warm-start evictions.
 	if vc := vectorRows(t, fresh); vc != fresh.Len() {
 		t.Fatalf("vector tier holds %d rows, entries %d", vc, fresh.Len())
+	}
+}
+
+// TestWarmStartOverCapacityReportsWhatItHolds: a snapshot larger than the
+// cache — the capacity was lowered between runs — restores its Capacity
+// most recently used entries, embeds no others, and reports how many the
+// cache holds.
+func TestWarmStartOverCapacityReportsWhatItHolds(t *testing.T) {
+	now := time.Now()
+	clock := func() time.Time { return now }
+	donor := New(Options{Capacity: 32, Clock: clock})
+	for i := 0; i < 20; i++ {
+		donor.Put(Key{Query: fmt.Sprintf("question %d", i), Scope: "s"}, fmt.Sprint(i))
+	}
+	encode, decode := jsonCodec()
+	st := donor.Snapshot("fp", encode)
+	enc := &countingEncoder{Encoder: embedding.Default()}
+	c := New(Options{Capacity: 8, Encoder: enc, Clock: clock})
+	if got := c.WarmStart(st, "fp", decode); got != 8 || c.Len() != 8 {
+		t.Fatalf("WarmStart = %d with Len %d, want 8 and 8", got, c.Len())
+	}
+	if n := enc.n.Load(); n != 8 {
+		t.Fatalf("embedded %d entries to keep 8", n)
+	}
+	for i := 0; i < 20; i++ {
+		if _, kind := c.Get(Key{Query: fmt.Sprintf("question %d", i), Scope: "s"}); (kind == Exact) != (i >= 12) {
+			t.Fatalf("question %d: %v, want the 8 most recently used held", i, kind)
+		}
 	}
 }
 
@@ -178,26 +209,34 @@ func vectorRows(t *testing.T, c *Cache) int {
 }
 
 // TestVectorTierTracksEvictions pins the two tiers to the same size:
-// every path that drops an exact-tier entry (LRU eviction, expiry,
-// flush) must delete the matching semantic-tier row, or the index grows
-// without bound.
+// every path that drops an exact-tier entry (a candidate the policy
+// refuses, a victim it evicts for one it admits, expiry, flush) must
+// delete the matching semantic-tier row, or the index grows without bound.
 func TestVectorTierTracksEvictions(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
 	c := New(Options{Capacity: 8, TTL: time.Minute, Clock: clock})
+	exactCounts(c)
+	key := func(i int) Key { return Key{Query: fmt.Sprintf("distinct question %d", i), Scope: "s"} }
 	for i := 0; i < 50; i++ {
-		c.Put(Key{Query: fmt.Sprintf("distinct question %d", i), Scope: "s"}, i)
+		if i >= 40 {
+			c.Get(key(i)) // asked for: admitted over an entry never asked for
+		}
+		c.Put(key(i), i)
+	}
+	if a, r := c.Admissions(); a == 0 || r == 0 {
+		t.Fatalf("Admissions = (%d, %d): the fill no longer both admits and refuses", a, r)
 	}
 	if c.Len() != 8 {
 		t.Fatalf("len %d, want capacity 8", c.Len())
 	}
 	if vc := vectorRows(t, c); vc != 8 {
-		t.Fatalf("vector tier holds %d rows after LRU eviction, want 8", vc)
+		t.Fatalf("vector tier holds %d rows after evictions, want 8", vc)
 	}
 	// Expiry path: entries are dropped from both tiers on contact.
 	now = now.Add(2 * time.Minute)
-	for i := 42; i < 50; i++ {
-		if _, kind := c.Get(Key{Query: fmt.Sprintf("distinct question %d", i), Scope: "s"}); kind != Miss {
+	for i := 0; i < 50; i++ {
+		if _, kind := c.Get(key(i)); kind != Miss {
 			t.Fatalf("expired entry %d served (kind %v)", i, kind)
 		}
 	}
@@ -210,7 +249,7 @@ func TestVectorTierTracksEvictions(t *testing.T) {
 	// Flush path.
 	now = now.Add(-2 * time.Minute)
 	for i := 0; i < 8; i++ {
-		c.Put(Key{Query: fmt.Sprintf("distinct question %d", i), Scope: "s"}, i)
+		c.Put(key(i), i)
 	}
 	c.Flush()
 	if vc := vectorRows(t, c); vc != 0 {
@@ -224,14 +263,19 @@ func TestVectorTierTracksEvictions(t *testing.T) {
 func TestSemanticTierDropsEmptyBuckets(t *testing.T) {
 	now := time.Now()
 	c := New(Options{Capacity: 4, TTL: time.Minute, Clock: func() time.Time { return now }})
+	exactCounts(c)
 	buckets := func() int {
 		c.vmu.RLock()
 		defer c.vmu.RUnlock()
 		return len(c.buckets)
 	}
 	c.Put(Key{Query: "a lonely question", Scope: "lonely"}, 0)
+	// Asked for before they are stored, as the server does: the last one
+	// is admitted over the lonely entry, asked for never.
 	for i := 0; i < 4; i++ {
-		c.Put(Key{Query: fmt.Sprintf("distinct question %d", i), Scope: "busy"}, i)
+		k := Key{Query: fmt.Sprintf("distinct question %d", i), Scope: "busy"}
+		c.Get(k)
+		c.Put(k, i)
 	}
 	if n := buckets(); n != 1 || vectorRows(t, c) != 4 {
 		t.Fatalf("%d buckets after the lonely scope's entry was evicted, want the busy one only", n)

@@ -335,6 +335,7 @@ func NewServer(opts Options) (*Server, error) {
 			TTL:               sv.CacheTTL,
 			SemanticThreshold: sv.SemanticThreshold,
 		})
+		s.exportAdmissions()
 	}
 	if rt := opts.Routing; rt.TopK > 0 {
 		s.predictor = router.NewPredictor(router.PredictorOptions{TopK: rt.TopK, Epsilon: rt.Epsilon})
@@ -374,6 +375,21 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	s.routes()
 	return s, nil
+}
+
+// exportAdmissions brings llmms_cache_admissions_total up to the cache's
+// own admission counts at every scrape.
+func (s *Server) exportAdmissions() {
+	var mu sync.Mutex
+	var admitted, rejected uint64
+	s.tel.Registry.OnScrape(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		a, r := s.cache.Admissions()
+		s.tel.CacheAdmissions.Add(float64(a-admitted), "admitted")
+		s.tel.CacheAdmissions.Add(float64(r-rejected), "rejected")
+		admitted, rejected = a, r
+	})
 }
 
 func (s *Server) routes() {

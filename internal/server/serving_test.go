@@ -165,6 +165,31 @@ func TestQueryCacheSemanticHit(t *testing.T) {
 	}
 }
 
+// TestCacheAdmissionsExported: llmms_cache_admissions_total counts, at
+// scrape time, each new answer that met a full main region — with
+// capacity 2, one window entry and one main, every distinct answer past
+// the second — by whether the policy admitted it.
+func TestCacheAdmissionsExported(t *testing.T) {
+	s, ts := newServingServer(t, ServingOptions{CacheTTL: time.Minute, CacheCapacity: 2, SemanticThreshold: 2}, nil)
+	scrape := func() (admitted, rejected float64) {
+		t.Helper()
+		if resp := doJSON(t, "GET", ts.URL+"/metrics", nil, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /metrics: %d", resp.StatusCode)
+		}
+		return s.tel.CacheAdmissions.Value("admitted"), s.tel.CacheAdmissions.Value("rejected")
+	}
+	for _, q := range []string{"What is the capital of France?", "Are bats blind?", "Why is the sky blue?", "Do goldfish remember?", "How do vaccines work?"} {
+		postQuery(t, ts.URL, map[string]any{"query": q})
+	}
+	if a, r := scrape(); a+r != 3 {
+		t.Fatalf("admissions: %v admitted + %v rejected, want 3 contests", a, r)
+	}
+	wantA, wantR := s.cache.Admissions()
+	if a, r := scrape(); a != float64(wantA) || r != float64(wantR) {
+		t.Fatalf("a second scrape reads (%v, %v), the cache (%d, %d)", a, r, wantA, wantR)
+	}
+}
+
 func TestQueryCacheTTLExpiry(t *testing.T) {
 	_, ts := newServingServer(t, ServingOptions{CacheTTL: 50 * time.Millisecond}, nil)
 	q := map[string]any{"query": "What is the capital of France?"}

@@ -24,6 +24,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"sort"
@@ -50,7 +51,9 @@ var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 // Registry holds metric families and renders them in the Prometheus text
 // exposition format. All methods are safe for concurrent use; the
 // recording paths (Inc/Add/Set/Observe) are lock-free after a series'
-// first observation.
+// first observation: each family publishes its series map through an
+// atomic pointer, and a series' first observation publishes a copy with
+// the series added, under the family's lock.
 type Registry struct {
 	mu        sync.RWMutex
 	families  map[string]*family
@@ -143,8 +146,8 @@ func (r *Registry) register(name, help, typ string, buckets []float64, labels []
 		labels:    append([]string(nil), labels...),
 		bucketsUB: append([]float64(nil), buckets...),
 		maxSeries: r.maxSeries,
-		series:    make(map[string]*series),
 	}
+	f.series.Store(&map[string]*series{})
 	// Unlabeled scalar metrics render a zero line immediately, so every
 	// registered family is visible to scrapes before its first event.
 	if len(labels) == 0 && typ != typeHistogram {
@@ -205,8 +208,10 @@ type family struct {
 	bucketsUB []float64 // histogram upper bounds, +Inf implicit
 	maxSeries int
 
-	mu     sync.RWMutex
-	series map[string]*series
+	// series is the published map, never written once stored; mu
+	// serializes the writers that replace it.
+	mu     sync.Mutex
+	series atomic.Pointer[map[string]*series]
 }
 
 // series is one label combination's live cells. Scalar values use
@@ -229,18 +234,16 @@ func (f *family) get(vals []string) *series {
 	// string: recording into a series that exists allocates nothing.
 	var buf [96]byte
 	key := joinLabels(buf[:0], vals)
-	f.mu.RLock()
-	s, ok := f.series[string(key)]
-	f.mu.RUnlock()
-	if ok {
+	if s, ok := (*f.series.Load())[string(key)]; ok {
 		return s
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok := f.series[string(key)]; ok {
+	old := *f.series.Load()
+	if s, ok := old[string(key)]; ok {
 		return s
 	}
-	if f.maxSeries > 0 && len(f.series) >= f.maxSeries {
+	if f.maxSeries > 0 && len(old) >= f.maxSeries {
 		// Cardinality guard: collapse novel label combinations into the
 		// overflow series instead of growing without bound.
 		vals = make([]string, len(f.labels))
@@ -248,15 +251,18 @@ func (f *family) get(vals []string) *series {
 			vals[i] = OverflowLabel
 		}
 		key = joinLabels(nil, vals)
-		if s, ok := f.series[string(key)]; ok {
+		if s, ok := old[string(key)]; ok {
 			return s
 		}
 	}
-	s = &series{labelVals: append([]string(nil), vals...)}
+	s := &series{labelVals: append([]string(nil), vals...)}
 	if f.typ == typeHistogram {
 		s.bucketN = make([]atomic.Uint64, len(f.bucketsUB)+1)
 	}
-	f.series[string(key)] = s
+	// Copy on write: MaxSeries (plus the overflow series) bounds the copies.
+	next := maps.Clone(old)
+	next[string(key)] = s
+	f.series.Store(&next)
 	return s
 }
 
@@ -387,17 +393,16 @@ func (r *Registry) WriteText(w io.Writer) error {
 func (f *family) writeText(b *strings.Builder) {
 	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
-	f.mu.RLock()
-	keys := make([]string, 0, len(f.series))
-	for k := range f.series {
+	published := *f.series.Load()
+	keys := make([]string, 0, len(published))
+	for k := range published {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	sers := make([]*series, len(keys))
 	for i, k := range keys {
-		sers[i] = f.series[k]
+		sers[i] = published[k]
 	}
-	f.mu.RUnlock()
 
 	for _, s := range sers {
 		if f.typ != typeHistogram {

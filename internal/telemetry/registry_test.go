@@ -342,3 +342,109 @@ func TestRegistryConcurrency(t *testing.T) {
 		t.Errorf("counter total = %v, want %d", total, workers*iters)
 	}
 }
+
+// TestSeriesPublishRacesRecording adds series to families while other
+// goroutines record into the ones already there and scrape: under -race it
+// holds the lock-free lookup apart from every copy-and-publish, and
+// afterwards every observation is counted exactly once, the series past
+// the cap in the overflow series.
+func TestSeriesPublishRacesRecording(t *testing.T) {
+	r := NewRegistry()
+	r.SetMaxSeries(40)
+	c := r.Counter("publish_total", "c.", "label")
+	h := r.Histogram("publish_seconds", "h.", nil, "label")
+	const writers, recorders, iters = 4, 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				label := fmt.Sprintf("new-%d-%d", w, i%25) // 100 labels: past the cap
+				c.Inc(label)
+				h.Observe(0.01, label)
+			}
+		}(w)
+	}
+	for g := 0; g < recorders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				c.Inc("steady")
+				h.Observe(0.01, "steady")
+				if i%50 == 0 {
+					var b strings.Builder
+					_ = r.WriteText(&b)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Value("steady"); got != recorders*iters {
+		t.Errorf("steady series = %v, want %d", got, recorders*iters)
+	}
+	var total float64
+	var series int
+	for _, line := range strings.Split(scrape(t, r), "\n") {
+		if !strings.HasPrefix(line, "publish_total{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q: %v", line, err)
+		}
+		total += v
+		series++
+	}
+	if total != (writers+recorders)*iters {
+		t.Errorf("counter total = %v, want %d", total, (writers+recorders)*iters)
+	}
+	if series > 41 {
+		t.Errorf("%d series, over the cap of 40 plus the overflow series", series)
+	}
+}
+
+// TestRecordingAllocatesNothing: recording into a series that exists —
+// every instrument kind, labeled and not — allocates nothing.
+func TestRecordingAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	r := NewRegistry()
+	c := r.Counter("allocs_total", "c.", "model", "outcome")
+	g := r.Gauge("allocs_gauge", "g.")
+	h := r.Histogram("allocs_seconds", "h.", nil, "model")
+	c.Inc("mistral:7b", "ok")
+	h.Observe(0.01, "mistral:7b")
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Inc("mistral:7b", "ok")
+		c.Add(2, "mistral:7b", "ok")
+		g.Set(1)
+		g.Add(1)
+		h.Observe(0.02, "mistral:7b")
+	}); n != 0 {
+		t.Fatalf("recording into existing series: %v allocations, want 0", n)
+	}
+}
+
+// BenchmarkRecordParallel records into existing series from every P at
+// once, the path Inc/Observe take on every query.
+func BenchmarkRecordParallel(b *testing.B) {
+	r := NewRegistry()
+	c := r.Counter("bench_total", "c.", "model")
+	h := r.Histogram("bench_seconds", "h.", nil, "model")
+	models := []string{"llama3:8b", "mistral:7b", "phi3:mini"}
+	for _, m := range models {
+		c.Inc(m)
+		h.Observe(0, m)
+	}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			m := models[i%len(models)]
+			c.Inc(m)
+			h.Observe(0.01, m)
+		}
+	})
+}

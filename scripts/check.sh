@@ -24,13 +24,13 @@ go test -race -shuffle=on ./...
 # The allocation guards skip themselves under -race, where sync.Pool drops
 # puts and counts are not exact, so the suite above never runs them: run
 # them once more without it, and require that every one of them ran.
-allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestTopKAllocatesNothing'
+allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestTopKAllocatesNothing|TestRecordingAllocatesNothing'
 echo "== allocation guards: go test -count=1 -run '^($allocs)\$' ./internal/..."
 out=$(go test -count=1 -v -run "^($allocs)\$" ./internal/...)
 passed=$(printf '%s\n' "$out" | grep -c '^--- PASS' || true)
-if [ "$passed" -ne 8 ]; then
+if [ "$passed" -ne 9 ]; then
 	printf '%s\n' "$out" >&2
-	echo "allocation guards: $passed of 8 passed" >&2
+	echo "allocation guards: $passed of 9 passed" >&2
 	exit 1
 fi
 
@@ -90,6 +90,20 @@ go test -race -count=20 -run 'TestStreamBufferCloseRacesProducer|TestClientClose
 echo "== semantic probes: go test -race -count=20 -run 'TestSemanticProbeRacesEviction' ./internal/qcache"
 go test -race -count=20 -run 'TestSemanticProbeRacesEviction' ./internal/qcache
 
+# The admission policy: the miss share on the benchmark's repeat_mix shape
+# and its bounds against a plain LRU, admission and refusal by frequency,
+# warm start by last use, the tiers in lockstep through every eviction,
+# and the policy against its plain model — each cache draws its sketch's
+# hash seed anew, so every run is another seed.
+policy='TestScanResistance|TestSketchCountsAndHalves|TestEvictionAdmitsByFrequency|TestWarmStartKeepsMostRecentlyUsed|TestWarmStartOverCapacityReportsWhatItHolds|TestVectorTierTracksEvictions|TestSemanticTierDropsEmptyBuckets|TestSemanticTierMatchesReference'
+echo "== cache policy: go test -race -count=20 -run '$policy' ./internal/qcache"
+go test -race -count=20 -run "$policy" ./internal/qcache
+
+# The metrics registry's lock-free recording: series published while
+# others record into the existing ones and scrapes read them.
+echo "== series publish: go test -race -count=20 -run 'TestSeriesPublishRacesRecording|TestRegistryConcurrency' ./internal/telemetry"
+go test -race -count=20 -run 'TestSeriesPublishRacesRecording|TestRegistryConcurrency' ./internal/telemetry
+
 # Exact invalidation: drop passes judge entries outside the entry lock
 # while PutAt, Get and the semantic probe run; and the server held to the
 # flush-on-write rule it replaced, every cached RAG answer to a fresh
@@ -101,7 +115,8 @@ go test -race -count=20 -run 'TestDropPassRacesPutAndProbe|TestExactInvalidation
 # of internal/jsonwire, the formats built on it at both ends of the modeld
 # hop and in the SSE egress (events and the result), and the traceparent
 # header against the spec; then the cache key's normal form against its
-# three-pass reference, the warm-start entry decoder, and the vector kernel
+# three-pass reference, the cache's policy against its invariants and a
+# model of what may be served, the warm-start entry decoder, and the vector kernel
 # (embedding.Rows and its Selector) against a map model and a sort of every
 # candidate — −0 is in its alphabet, so TopK's skipped zeros are checked
 # against Dot bit for bit — and a session lifted onto chunk calls against
@@ -111,7 +126,8 @@ go test -race -count=20 -run 'TestDropPassRacesPutAndProbe|TestExactInvalidation
 for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telemetry' \
 	'FuzzStreamLine ./internal/modeld' 'FuzzGenerateRequest ./internal/modeld' \
 	'FuzzEventFrame ./internal/server' 'FuzzResultFrame ./internal/server' \
-	'FuzzNormalize ./internal/qcache' 'FuzzDecodeCachedAnswer ./internal/server' \
+	'FuzzNormalize ./internal/qcache' 'FuzzCachePolicy ./internal/qcache' \
+	'FuzzDecodeCachedAnswer ./internal/server' \
 	'FuzzRows ./internal/embedding' 'FuzzLiftedSession ./internal/llm' \
 	'FuzzCount ./internal/tokenizer' 'FuzzPlanBudget ./internal/llm'; do
 	set -- $target
