@@ -1,13 +1,16 @@
 package embedding
 
-import "cmp"
+import (
+	"cmp"
+	"slices"
+)
 
 // Rows is a set of dim-wide vectors, each under an id, stored row by row in
 // one array so a scan reads dense memory. It is the one nearest-vector
-// kernel: the answer cache's semantic tier, the routing index's centroids
-// and the memory graph keep their vectors in it. Rows is not safe for
-// concurrent use, but Len, ID and TopK never write, so any number of them
-// may run while no write does.
+// kernel: the answer cache's semantic tier, the routing index's centroids,
+// the memory graph and each vector-database shard keep their vectors in it.
+// Rows is not safe for concurrent use, but Len, ID, Row and TopK never
+// write, so any number of them may run while no write does.
 type Rows[ID cmp.Ordered] struct {
 	dim  int
 	vecs Vector
@@ -64,17 +67,37 @@ func (r *Rows[ID]) truncate(n int) {
 	r.ids, r.vecs = r.ids[:n], r.vecs[:n*r.dim]
 }
 
+// Trim gives back the room of removed rows: once the rows fill under half
+// of it, they move to arrays that just fit them, a copy the removals since
+// the arrays last grew have paid for. A set that shrank then holds only
+// what it holds, and the next Append grows it as usual.
+func (r *Rows[ID]) Trim() {
+	if 2*len(r.vecs) < cap(r.vecs) {
+		r.ids, r.vecs = slices.Clone(r.ids), slices.Clone(r.vecs)
+	}
+}
+
 // TopK selects the k rows nearest q by ⟨q, v⟩ — for unit vectors, their
 // cosine similarity — into dst's array, best first. It lists q's nonzero
 // coordinates once and scores each row over only those (DotNonzero), so a
 // scan costs rows × q's nonzeros, not rows × dim; the scores are Dot's,
 // bit for bit.
 func (r *Rows[ID]) TopK(q Vector, k int, dst []Hit[ID]) []Hit[ID] {
+	return r.TopKWhere(q, k, 0, nil, dst)
+}
+
+// TopKWhere is TopK over only the rows keep admits (every row, when keep
+// is nil), each scoring ⟨q, v⟩ + shift. A shift of −1 scores a unit row
+// by its cosine distance negated, −(1 − ⟨q, v⟩) exactly, so rows whose
+// distances round alike rank by id, as a ranking by distance does.
+func (r *Rows[ID]) TopKWhere(q Vector, k int, shift float64, keep func(i int) bool, dst []Hit[ID]) []Hit[ID] {
 	var buf [maxStackDim]int32
 	nz := Nonzero(q[:min(len(q), r.dim)], buf[:0])
 	s := NewSelector(k, dst)
 	for i, id := range r.ids {
-		s.Offer(id, DotNonzero(q, r.vecs[i*r.dim:(i+1)*r.dim], nz))
+		if keep == nil || keep(i) {
+			s.Offer(id, DotNonzero(q, r.vecs[i*r.dim:(i+1)*r.dim], nz)+shift)
+		}
 	}
 	return s.Sorted()
 }

@@ -163,12 +163,14 @@ func sameHits(a, b []Hit[int]) bool {
 
 // FuzzRows holds the kernel to a map model and a sort-everything
 // reference. Each input byte is an operation — Append, SwapRemove, a write
-// through Row, Set, Reset, a TopK, or a run of the Selector alone — whose
+// through Row, Set, Reset or Trim, a TopK and a filtered, shifted
+// TopKWhere, or a run of the Selector alone — whose
 // operands come from the bytes after it. Vector entries and scores come
 // from a five-value alphabet, so duplicate rows and tied scores are common
 // and the id tie-break is exercised. After every operation the rows must
 // hold exactly the model's vectors, each under its id; every SwapRemove
-// must report the id that was in the last row; and TopK and the Selector
+// must report the id that was in the last row; Trim must leave the rows
+// filling at least half their room; and TopK, TopKWhere and the Selector
 // must agree with sortEverything bit for bit for k ∈ {0, 1, 3, > len}.
 // The alphabet holds −0 beside 0: TopK skips both in a query, and its
 // scores must still be Dot's, sign of zero included.
@@ -176,6 +178,7 @@ func FuzzRows(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 5, 6, 7, 0, 1, 2, 3, 5, 9, 0, 4})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 1, 1, 1, 2, 1, 5, 3, 3, 3, 6, 2})
 	f.Add([]byte{0, 9, 9, 9, 0, 9, 9, 9, 0, 8, 8, 8, 1, 2, 1, 0, 4, 0, 3, 5, 5, 5, 6, 7, 7, 7, 7})
+	f.Add([]byte{0, 1, 1, 1, 0, 2, 2, 2, 0, 3, 3, 3, 0, 4, 4, 4, 1, 0, 1, 0, 1, 0, 4, 1, 5, 4, 4, 4})
 	const dim = 3
 	alphabet := [5]float32{-1, float32(math.Copysign(0, -1)), 0, 0.5, 1}
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -229,9 +232,15 @@ func FuzzRows(f *testing.F) {
 				model[fresh] = v
 				fresh++
 			case op == 4:
-				if next()%4 == 0 {
+				switch next() % 4 {
+				case 0:
 					r.Reset()
 					clear(model)
+				case 1:
+					r.Trim()
+					if 2*len(r.vecs) < cap(r.vecs) {
+						t.Fatalf("Trim left %d rows in room for %d", r.Len(), cap(r.vecs)/dim)
+					}
 				}
 			case op == 5:
 				q := vec()
@@ -247,6 +256,19 @@ func FuzzRows(f *testing.F) {
 					}
 					if len(got) > 0 && &got[0] != &dst[:1][0] {
 						t.Fatalf("TopK(%v, %d) left dst's array", q, k)
+					}
+				}
+				// TopKWhere over the rows of even ids, scored as distances.
+				var even []Hit[int]
+				for _, h := range all {
+					if h.ID%2 == 0 {
+						even = append(even, Hit[int]{ID: h.ID, Score: h.Score - 1})
+					}
+				}
+				keep := func(i int) bool { return r.ID(i)%2 == 0 }
+				for _, k := range []int{0, 1, 3, r.Len() + 2} {
+					if got, want := r.TopKWhere(q, k, -1, keep, nil), sortEverything(even, k); !sameHits(got, want) {
+						t.Fatalf("TopKWhere(%v, %d, -1, even) = %v, want %v", q, k, got, want)
 					}
 				}
 			case op == 6:

@@ -287,9 +287,7 @@ type refEntry struct {
 }
 
 func newRefCache(t *testing.T, opts Options, seed maphash.Seed) *refCache {
-	col, err := vectordb.New().CreateCollection("qcache", vectordb.CollectionConfig{
-		Metric: vectordb.Cosine, Encoder: embedding.Default(),
-	})
+	col, err := vectordb.New().CreateCollection("qcache", vectordb.CollectionConfig{Encoder: embedding.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}

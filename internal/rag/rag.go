@@ -205,11 +205,11 @@ func ChunkID(docID string, i int) string { return fmt.Sprintf("%s#%d", docID, i)
 
 // DeleteDocument removes every chunk of a previously ingested document,
 // found by its doc_id whatever ids a crash left, in one write (one WAL
-// record), and returns how many chunks were deleted.
-func (in *Ingestor) DeleteDocument(docID string) int {
-	// Only the WAL can fail, and like Collection.Delete this cannot say so.
-	removed, _ := in.col.DeleteWhere(vectordb.Metadata{"doc_id": docID})
-	return removed
+// record), and returns how many chunks were deleted. An error means the
+// delete did not reach the log: the chunks are gone from memory, but a
+// restart brings them back.
+func (in *Ingestor) DeleteDocument(docID string) (int, error) {
+	return in.col.DeleteWhere(vectordb.Metadata{"doc_id": docID})
 }
 
 // Retrieve returns the top-k chunks for a query, optionally restricted to

@@ -204,14 +204,14 @@ func TestDeleteDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed := in.DeleteDocument("doc1"); removed != n {
-		t.Fatalf("deleted %d chunks, want %d", removed, n)
+	if removed, err := in.DeleteDocument("doc1"); err != nil || removed != n {
+		t.Fatalf("deleted %d chunks (%v), want %d", removed, err, n)
 	}
 	if col.Count() != 0 {
 		t.Fatalf("%d chunks remain", col.Count())
 	}
-	if removed := in.DeleteDocument("doc1"); removed != 0 {
-		t.Fatalf("second delete removed %d", removed)
+	if removed, err := in.DeleteDocument("doc1"); err != nil || removed != 0 {
+		t.Fatalf("second delete removed %d (%v)", removed, err)
 	}
 }
 

@@ -221,6 +221,28 @@ func TestDeleteRemovesChunksAfterACrashGap(t *testing.T) {
 	}
 }
 
+// TestDeleteThatMissesTheLogFails: a delete the write-ahead log did not
+// take — the database is closed, so the log refuses it — answers 500
+// delete_failed, not 200: a restart would bring the chunks back.
+func TestDeleteThatMissesTheLogFails(t *testing.T) {
+	s, ts := newDurableServer(t, t.TempDir())
+	var up struct {
+		DocID string `json:"doc_id"`
+	}
+	doJSON(t, "POST", ts.URL+"/api/upload", map[string]any{"filename": "facts.txt", "content": "The capital of France is Paris."}, &up)
+	if err := s.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if resp := doJSON(t, "DELETE", ts.URL+"/api/documents/"+up.DocID, nil, &body); resp.StatusCode != http.StatusInternalServerError || body.Error.Code != "delete_failed" {
+		t.Fatalf("delete after the log closed = %d %q, want 500 delete_failed", resp.StatusCode, body.Error.Code)
+	}
+}
+
 // TestConcurrentUploadsGetDistinctIDs: uploads that land together each get
 // their own document, never one another's chunks.
 func TestConcurrentUploadsGetDistinctIDs(t *testing.T) {

@@ -62,10 +62,11 @@ type serverState struct {
 	RagRev int `json:"rag_rev"`
 }
 
-// docsConfig is the RAG chunk collection's: cosine over encoder output on
-// the flat index, whose exact search puts a chunk in the top k precisely
-// when the distance the answer cache's drop passes recompute sorts there.
-var docsConfig = vectordb.CollectionConfig{Metric: vectordb.Cosine, Index: "flat", Encoder: embedding.Default()}
+// docsConfig is the RAG chunk collection's: the default encoder, whose
+// vectors the collection's exact search ranks by the distance the answer
+// cache's drop passes recompute, so a chunk is in the top k precisely when
+// that distance sorts it there.
+var docsConfig = vectordb.CollectionConfig{Encoder: embedding.Default()}
 
 // openSubstrate builds the server's vector database: durable under
 // Options.DataDir (recovered inside a vectordb.recover span), in-memory

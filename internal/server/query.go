@@ -556,13 +556,14 @@ func (s *Server) logQuery(tr telemetry.QueryTrace) {
 	s.logger.Log(context.Background(), level, msg, attrs...)
 }
 
-// retrieveEphemeral chunks and embeds text in a throwaway collection,
-// retrieves the top-k chunks for the query, and lets the collection go
-// out of scope — the §6.5 "discarded immediately after response
-// delivery" contract, enforced structurally rather than by cleanup code.
+// retrieveEphemeral chunks and embeds text in a throwaway one-shard
+// collection, retrieves the top-k chunks for the query, and lets the
+// collection go out of scope — the §6.5 "discarded immediately after
+// response delivery" contract, enforced structurally rather than by
+// cleanup code.
 func retrieveEphemeral(text, query string, topK int) ([]vectordb.Result, error) {
 	db := vectordb.New()
-	col, err := db.CreateCollection("ephemeral", vectordb.CollectionConfig{})
+	col, err := db.CreateCollection("ephemeral", vectordb.CollectionConfig{Shards: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@
 // missing_field, invalid_strategy, invalid_max_tokens, unknown_session,
 // unknown_document, unknown_model, unknown_trace, invalid_settings, invalid_rating,
 // body_too_large, request_too_large, overloaded, ingest_failed,
-// retrieval_failed, ephemeral_context, invalid_config, encode_failed,
+// delete_failed, retrieval_failed, ephemeral_context, invalid_config, encode_failed,
 // all_models_failed, query_failed) and message is the human-readable
 // detail. The one exception is GET /readyz, whose 503 body is the
 // per-dependency check report itself. The /api/query stream also
@@ -687,8 +687,12 @@ func (s *Server) handleDeleteDocument(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown_document", "unknown document %q", id)
 		return
 	}
-	removed := s.ingestor.DeleteDocument(id)
+	removed, err := s.ingestor.DeleteDocument(id)
 	s.tel.CacheDropped.Add(float64(s.cache.DropDoc(id)), "delete")
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "delete_failed", "delete document %q: %v", id, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"deleted_chunks": removed})
 }
 

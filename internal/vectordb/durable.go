@@ -78,11 +78,13 @@ func Open(dir string, opts OpenOptions) (*DB, error) {
 	for i := range db.man.Collections {
 		c, err := db.recoverCollection(&db.man.Collections[i])
 		if err != nil {
+			db.closeWALs()
 			return nil, err
 		}
 		db.collections[c.name] = c
 	}
 	if err := db.writeManifestLocked(); err != nil {
+		db.closeWALs()
 		return nil, err
 	}
 	if db.hooks.ObserveRecovery != nil {
@@ -91,9 +93,18 @@ func Open(dir string, opts OpenOptions) (*DB, error) {
 	return db, nil
 }
 
+// closeWALs releases the logs of the collections a failed Open armed;
+// the error Open returns is the one to report.
+func (db *DB) closeWALs() {
+	for _, c := range db.collections {
+		_ = c.wal.close()
+	}
+}
+
 // readManifest loads <dir>/manifest.json, upgrading version-1 manifests
 // (an earlier release's plain snapshots: no WAL names, no file counter) in
-// memory. A missing file is an empty database.
+// memory, and refuses a header it cannot open (collectionHeader.check). A
+// missing file is an empty database.
 func readManifest(dir string) (manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -114,10 +125,39 @@ func readManifest(dir string) (manifest, error) {
 		}
 		m.Version = 2
 	}
+	for i := range m.Collections {
+		h := &m.Collections[i]
+		if err := h.check(); err != nil {
+			return manifest{}, fmt.Errorf("vectordb: collection %q: %w", h.Name, err)
+		}
+		h.Metric, h.Index = "", ""
+	}
 	if m.NextFile < len(m.Collections) {
 		m.NextFile = len(m.Collections)
 	}
 	return m, nil
+}
+
+// maxShards bounds the shard count a manifest may name: a collection is
+// built with that many shards before anything else in it is read.
+const maxShards = 4096
+
+// check refuses a header naming a search other than exact cosine, a file
+// that is not a plain name inside the data directory, or a shard count
+// over maxShards.
+func (h *collectionHeader) check() error {
+	if (h.Metric != "" && h.Metric != "cosine") || (h.Index != "" && h.Index != "flat") {
+		return fmt.Errorf("metric %q, index %q: only exact cosine search is supported", h.Metric, h.Index)
+	}
+	for _, name := range []string{h.File, h.WAL} {
+		if filepath.Base(name) != name || !filepath.IsLocal(name) {
+			return fmt.Errorf("file name %q is not a plain name in the data directory", name)
+		}
+	}
+	if h.Shards > maxShards {
+		return fmt.Errorf("%d shards, over the limit of %d", h.Shards, maxShards)
+	}
+	return nil
 }
 
 // recoverCollection rebuilds one collection from its snapshot and WAL
@@ -127,13 +167,7 @@ func (db *DB) recoverCollection(h *collectionHeader) (*Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vectordb: collection %q: %w", h.Name, err)
 	}
-	c := newCollection(h.Name, CollectionConfig{
-		Metric:  h.Metric,
-		Encoder: enc,
-		Index:   h.Index,
-		HNSW:    h.HNSW,
-		Shards:  h.Shards,
-	})
+	c := newCollection(h.Name, CollectionConfig{Encoder: enc, Shards: h.Shards})
 	c.hooks = db.hooks
 	h.Shards = len(c.shards) // pin the resolved count for the next boot
 
@@ -178,16 +212,11 @@ func (db *DB) recoverCollection(h *collectionHeader) (*Collection, error) {
 		return nil, fmt.Errorf("vectordb: replay %q: %w", h.Name, applyErr)
 	}
 
-	w, err := openWAL(walPath, validLen, db.opts.Sync, db.opts.BatchInterval, db.walBytesHook(h.Name))
-	if err != nil {
-		return nil, fmt.Errorf("vectordb: open wal for %q: %w", h.Name, err)
-	}
-	c.wal = w
-	c.snapFile = snapPath
-	c.compactBytes = db.opts.CompactBytes
 	if hadOld {
 		// Finish the interrupted compaction: the rotated records are now
 		// applied, so a fresh snapshot covers them and the file can go.
+		// It comes before the log is opened, so a failure leaves no file
+		// open.
 		if err := writeJSONAtomic(snapPath, c.All()); err != nil {
 			return nil, fmt.Errorf("vectordb: compact %q: %w", h.Name, err)
 		}
@@ -195,6 +224,13 @@ func (db *DB) recoverCollection(h *collectionHeader) (*Collection, error) {
 			return nil, fmt.Errorf("vectordb: compact %q: %w", h.Name, err)
 		}
 	}
+	w, err := openWAL(walPath, validLen, db.opts.Sync, db.opts.BatchInterval, db.walBytesHook(h.Name))
+	if err != nil {
+		return nil, fmt.Errorf("vectordb: open wal for %q: %w", h.Name, err)
+	}
+	c.wal = w
+	c.snapFile = snapPath
+	c.compactBytes = db.opts.CompactBytes
 	c.observeShardDocs(allShards(len(c.shards)))
 	return c, nil
 }
@@ -217,16 +253,20 @@ func (c *Collection) applyWAL(rec walRecord) error {
 	return fmt.Errorf("unknown wal op %q", rec.Op)
 }
 
-// bulkLoad inserts snapshot documents, rebuilding each shard's index on
-// its own goroutine. Only used on fresh collections during recovery.
+// bulkLoad inserts snapshot documents, filling each shard on its own
+// goroutine into rows sized for the vectors it gets. Only used on fresh
+// collections during recovery.
 func (c *Collection) bulkLoad(docs []Document) error {
 	pp, err := c.prepare(docs)
 	if err != nil {
 		return err
 	}
-	perShard := make([][]prepared, len(c.shards))
+	perShard, rows := make([][]prepared, len(c.shards)), make([]int, len(c.shards))
 	for i := range pp {
 		perShard[pp[i].shard] = append(perShard[pp[i].shard], pp[i])
+		if pp[i].indexed {
+			rows[pp[i].shard]++
+		}
 	}
 	var wg sync.WaitGroup
 	for si, batch := range perShard {
@@ -234,14 +274,15 @@ func (c *Collection) bulkLoad(docs []Document) error {
 			continue
 		}
 		wg.Add(1)
-		go func(sh *shard, batch []prepared) {
+		go func(sh *shard, batch []prepared, rows int) {
 			defer wg.Done()
 			sh.mu.Lock()
+			sh.rows = embedding.NewRows[string](c.dim, rows)
 			for i := range batch {
-				sh.insertLocked(batch[i], c.cfg.Metric)
+				sh.insertLocked(batch[i])
 			}
 			sh.mu.Unlock()
-		}(c.shards[si], batch)
+		}(c.shards[si], batch, rows[si])
 	}
 	wg.Wait()
 	return nil
@@ -264,10 +305,7 @@ func (db *DB) armLocked(c *Collection) error {
 		Name:    c.name,
 		File:    fmt.Sprintf("col_%d.json", n),
 		WAL:     fmt.Sprintf("wal_%d.log", n),
-		Metric:  c.cfg.Metric,
-		Index:   c.cfg.Index,
 		Encoder: c.cfg.Encoder.Name(),
-		HNSW:    c.cfg.HNSW,
 		Shards:  len(c.shards),
 	}
 	snapPath := filepath.Join(db.dir, h.File)

@@ -6,9 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"llmms/internal/embedding"
 )
 
 func TestOpenWriteCloseReopen(t *testing.T) {
@@ -33,7 +36,11 @@ func TestOpenWriteCloseReopen(t *testing.T) {
 	if got := c.Delete("d3", "d7", "missing"); got != 2 {
 		t.Fatalf("deleted %d, want 2", got)
 	}
-	if _, err := db.CreateCollection("other", CollectionConfig{Metric: L2, Index: "hnsw"}); err != nil {
+	nomic, err := embedding.Lookup(embedding.ModelNomic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateCollection("other", CollectionConfig{Encoder: nomic, Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -74,8 +81,8 @@ func TestOpenWriteCloseReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other.Metric() != L2 || other.cfg.Index != "hnsw" {
-		t.Fatalf("collection \"other\" mis-restored: metric %s, index %q", other.Metric(), other.cfg.Index)
+	if other.cfg.Encoder.Name() != embedding.ModelNomic || other.Shards() != 3 {
+		t.Fatalf("collection \"other\" mis-restored: encoder %s, %d shards", other.cfg.Encoder.Name(), other.Shards())
 	}
 	// A clean Close cuts a snapshot and empties the log.
 	m, err := readManifest(dir)
@@ -95,7 +102,7 @@ func TestOpenWriteCloseReopen(t *testing.T) {
 // is a durable database from then on.
 func TestOpenUpgradesVersion1Manifest(t *testing.T) {
 	dir := t.TempDir()
-	src, err := New().CreateCollection("facts", CollectionConfig{Metric: L2})
+	src, err := New().CreateCollection("facts", CollectionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +113,7 @@ func TestOpenUpgradesVersion1Manifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := manifest{Version: 1, Collections: []collectionHeader{{
-		Name: "facts", File: "col_0.json", Metric: L2, Index: src.cfg.Index, Encoder: src.cfg.Encoder.Name(), HNSW: src.cfg.HNSW,
+		Name: "facts", File: "col_0.json", Metric: "cosine", Index: "flat", Encoder: src.cfg.Encoder.Name(),
 	}}}
 	if err := writeJSONAtomic(filepath.Join(dir, manifestName), v1); err != nil {
 		t.Fatal(err)
@@ -120,8 +127,8 @@ func TestOpenUpgradesVersion1Manifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Count() != 1 || c.Metric() != L2 {
-		t.Fatalf("version-1 collection mis-restored: %d docs, metric %s", c.Count(), c.Metric())
+	if c.Count() != 1 {
+		t.Fatalf("version-1 collection mis-restored: %d docs", c.Count())
 	}
 	if err := c.Add(Document{ID: "b", Text: "water boils at one hundred degrees celsius"}); err != nil {
 		t.Fatal(err)
@@ -146,6 +153,158 @@ func TestOpenUpgradesVersion1Manifest(t *testing.T) {
 	}
 }
 
+// headManifest is a manifest as the database wrote it while a collection
+// could choose its metric and index: every header names both, and the
+// HNSW parameters it did not use.
+const headManifest = `{"version":2,"collections":[{"name":"docs","file":"col_0.json","metric":"cosine","index":"flat",` +
+	`"encoder":"llmms-minihash","hnsw":{"M":16,"EfConstruction":200,"EfSearch":64,"Seed":1,"RebuildTombstoneRatio":0.5},` +
+	`"wal":"wal_0.log","shards":4}],"next_file":1}`
+
+// TestOpenHeadFormatDataDir: a data directory from before the metric and
+// index were retired — that manifest over a snapshot and a WAL tail —
+// opens with every document, and answers each query as the collection
+// that wrote it did, bit for bit.
+func TestOpenHeadFormatDataDir(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, OpenOptions{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.CreateCollection("docs", CollectionConfig{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if err := c.Upsert(Document{ID: fmt.Sprintf("d%d", i), Text: fmt.Sprintf("doc %d about subject %d", i, i%4),
+			Metadata: Metadata{"doc_id": fmt.Sprint(i % 3)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, OpenOptions{Sync: SyncAlways}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if c, err = db.Collection("docs"); err != nil {
+		t.Fatal(err)
+	}
+	// The tail: writes after the snapshot, in the log alone.
+	if err := c.Upsert(Document{ID: "d3", Text: "doc 3 rewritten about subject 0", Metadata: Metadata{"doc_id": "0"}},
+		Document{ID: "tail", Text: "a tail doc about subject 2", Metadata: Metadata{"doc_id": "2"}}); err != nil {
+		t.Fatal(err)
+	}
+	c.Delete("d5")
+
+	head := t.TempDir()
+	copyDataDir(t, dir, head)
+	if fi, ok := statFile(filepath.Join(head, "wal_0.log")); !ok || fi.Size() == 0 {
+		t.Fatal("no WAL tail to replay")
+	}
+	if err := os.WriteFile(filepath.Join(head, manifestName), []byte(headManifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(head, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	c2, err := reopened.Collection("docs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2.Count() != c.Count() || c2.Shards() != 4 {
+		t.Fatalf("reopened %d documents in %d shards, want %d in 4", c2.Count(), c2.Shards(), c.Count())
+	}
+	for _, req := range []QueryRequest{
+		{Text: "doc about subject 2", TopK: 20},
+		{Text: "rewritten", TopK: 3},
+		{Text: "subject 1", TopK: 20, Where: Metadata{"doc_id": "1"}},
+	} {
+		want, err := c.Query(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c2.Query(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d results, want %d", req.Text, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Distance) != math.Float64bits(want[i].Distance) {
+				t.Fatalf("%q: result %d is %s at %v, want %s at %v", req.Text, i, got[i].ID, got[i].Distance, want[i].ID, want[i].Distance)
+			}
+		}
+	}
+}
+
+// refusedHeaders are manifests Open must refuse, each naming its one
+// collection, "bad": another distance or index than exact cosine, a file
+// outside the data directory, a shard count no collection is built with.
+var refusedHeaders = []string{
+	`{"version":2,"collections":[{"name":"bad","file":"col_0.json","metric":"l2","index":"flat","encoder":"llmms-minihash","wal":"wal_0.log"}]}`,
+	`{"version":2,"collections":[{"name":"bad","file":"col_0.json","metric":"ip","index":"flat","encoder":"llmms-minihash","wal":"wal_0.log"}]}`,
+	`{"version":2,"collections":[{"name":"bad","file":"col_0.json","metric":"cosine","index":"hnsw","encoder":"llmms-minihash","wal":"wal_0.log"}]}`,
+	`{"version":1,"collections":[{"name":"bad","file":"col_0.json","metric":"l2","index":"hnsw","encoder":"llmms-minihash"}]}`,
+	`{"version":2,"collections":[{"name":"bad","file":"../col_0.json","encoder":"llmms-minihash","wal":"wal_0.log"}]}`,
+	`{"version":2,"collections":[{"name":"bad","file":"col_0.json","encoder":"llmms-minihash","wal":"/tmp/wal_0.log"}]}`,
+	`{"version":2,"collections":[{"name":"bad","file":"col_0.json","encoder":"llmms-minihash","wal":"wal_0.log","shards":1000000000000}]}`,
+}
+
+func TestOpenRefusesRetiredSearches(t *testing.T) {
+	for _, raw := range refusedHeaders {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(dir, OpenOptions{})
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open accepted %s", raw)
+		}
+		if !strings.Contains(err.Error(), `"bad"`) {
+			t.Fatalf("Open's error %q does not name the collection", err)
+		}
+	}
+}
+
+// FuzzOpenManifest: Open on any manifest.json returns an error or a
+// database, and never panics.
+func FuzzOpenManifest(f *testing.F) {
+	f.Add(headManifest)
+	f.Add(`{"version":1,"collections":[{"name":"facts","file":"col_0.json","metric":"cosine","index":"flat","encoder":"llmms-minihash"}]}`)
+	f.Add(`{"version":2,"collections":[{"name":"a","file":"col_0.json","encoder":"llmms-minihash","wal":"wal_0.log","shards":2},` +
+		`{"name":"b","file":"col_1.json","encoder":"nomic-embed-text","wal":"wal_1.log"}],"next_file":2}`)
+	for _, raw := range refusedHeaders {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(dir, OpenOptions{Sync: SyncNone, CompactBytes: -1})
+		if err != nil {
+			return
+		}
+		for _, name := range db.ListCollections() {
+			c, err := db.Collection(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Query(QueryRequest{Text: "anything", TopK: 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestOpenCorruptManifest(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
@@ -153,6 +312,70 @@ func TestOpenCorruptManifest(t *testing.T) {
 	}
 	if _, err := Open(dir, OpenOptions{}); err == nil {
 		t.Fatal("expected error for corrupt manifest")
+	}
+}
+
+// TestFailedOpenLeavesNoFileOpen: an Open that fails part way through
+// recovery holds no file of the data directory open afterwards — not the
+// log of a collection it had already recovered, nor one of the collection
+// that failed.
+func TestFailedOpenLeavesNoFileOpen(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to list open files")
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(t *testing.T, dir string)
+	}{
+		{"a later snapshot does not parse", func(t *testing.T, dir string) {
+			if err := os.WriteFile(filepath.Join(dir, "col_1.json"), []byte("{"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"an interrupted compaction cannot finish", func(t *testing.T, dir string) {
+			// A rotated log to replay, and a directory where the fresh
+			// snapshot's temporary file must go.
+			if err := os.Rename(filepath.Join(dir, "wal_0.log"), filepath.Join(dir, "wal_0.log.old")); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(filepath.Join(dir, "col_0.json.tmp"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, OpenOptions{CompactBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"a", "b"} {
+				c, err := db.CreateCollection(name, CollectionConfig{Shards: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Upsert(Document{ID: "d", Text: "the cat sat"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.spoil(t, dir)
+			if db, err := Open(dir, OpenOptions{}); err == nil {
+				db.Close()
+				t.Fatal("Open succeeded")
+			}
+			fds, err := os.ReadDir("/proc/self/fd")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fd := range fds {
+				if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+					t.Errorf("the failed Open left %s open", target)
+				}
+			}
+		})
 	}
 }
 

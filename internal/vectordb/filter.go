@@ -5,245 +5,53 @@ import (
 	"strings"
 )
 
-// filter is a compiled metadata predicate.
-type filter func(Metadata) bool
+// filter is a compiled Where: a document matches when its metadata holds
+// every listed field with an equal value. The empty filter matches all.
+type filter []fieldEq
 
-// docPredicate is a compiled document-text predicate.
-type docPredicate func(string) bool
+type fieldEq struct {
+	field string
+	want  any
+}
 
-// compileFilter translates a Chroma-style Where map into a predicate.
-//
-// Supported forms:
-//
-//	{"field": value}                      — equality shorthand
-//	{"field": {"$eq": v}}                 — and $ne, $gt, $gte, $lt, $lte
-//	{"field": {"$in": [v1, v2]}}          — and $nin
-//	{"$and": [filter, filter, ...]}
-//	{"$or":  [filter, filter, ...]}
-//
-// A map with several top-level fields is an implicit $and over them.
+// compileFilter checks a Where map and compiles it: each value must be a
+// string, a bool or a number, and no key an operator.
 func compileFilter(where Metadata) (filter, error) {
-	var preds []filter
-	for key, val := range where {
-		key, val := key, val
-		switch key {
-		case "$and", "$or":
-			clauses, ok := val.([]any)
-			if !ok {
-				// Also accept a concrete []Metadata for Go callers.
-				if ms, ok2 := val.([]Metadata); ok2 {
-					clauses = make([]any, len(ms))
-					for i, m := range ms {
-						clauses[i] = m
-					}
-				} else {
-					return nil, fmt.Errorf("%s expects a list of clauses", key)
-				}
-			}
-			sub := make([]filter, 0, len(clauses))
-			for _, cl := range clauses {
-				m, err := toMetadata(cl)
-				if err != nil {
-					return nil, fmt.Errorf("%s clause: %w", key, err)
-				}
-				f, err := compileFilter(m)
-				if err != nil {
-					return nil, err
-				}
-				sub = append(sub, f)
-			}
-			isAnd := key == "$and"
-			preds = append(preds, func(md Metadata) bool {
-				for _, f := range sub {
-					if f(md) != isAnd {
-						return !isAnd
-					}
-				}
-				return isAnd
-			})
-		default:
-			if strings.HasPrefix(key, "$") {
-				return nil, fmt.Errorf("unknown logical operator %q", key)
-			}
-			f, err := compileFieldPredicate(key, val)
-			if err != nil {
-				return nil, err
-			}
-			preds = append(preds, f)
+	f := make(filter, 0, len(where))
+	for field, want := range where {
+		if strings.HasPrefix(field, "$") {
+			return nil, fmt.Errorf("operator %q: Where compares fields for equality only", field)
+		}
+		if !isScalar(want) {
+			return nil, fmt.Errorf("field %q: Where takes a string, bool or number, got %T", field, want)
+		}
+		f = append(f, fieldEq{field, want})
+	}
+	return f, nil
+}
+
+func (f filter) matches(md Metadata) bool {
+	for _, eq := range f {
+		got, ok := md[eq.field]
+		if !ok || !scalarEqual(got, eq.want) {
+			return false
 		}
 	}
-	return func(md Metadata) bool {
-		for _, p := range preds {
-			if !p(md) {
-				return false
-			}
-		}
+	return true
+}
+
+func isScalar(v any) bool {
+	switch v.(type) {
+	case string, bool:
 		return true
-	}, nil
+	}
+	_, ok := toFloat(v)
+	return ok
 }
 
-func toMetadata(v any) (Metadata, error) {
-	switch m := v.(type) {
-	case Metadata:
-		return m, nil
-	case map[string]any:
-		return Metadata(m), nil
-	default:
-		return nil, fmt.Errorf("expected object, got %T", v)
-	}
-}
-
-// compileFieldPredicate builds the predicate for a single field.
-func compileFieldPredicate(field string, spec any) (filter, error) {
-	ops, err := toMetadata(spec)
-	if err != nil {
-		// Equality shorthand: {"field": value}.
-		want := spec
-		return func(md Metadata) bool {
-			got, ok := md[field]
-			return ok && scalarEqual(got, want)
-		}, nil
-	}
-	var preds []filter
-	for op, arg := range ops {
-		op, arg := op, arg
-		switch op {
-		case "$eq":
-			preds = append(preds, func(md Metadata) bool {
-				got, ok := md[field]
-				return ok && scalarEqual(got, arg)
-			})
-		case "$ne":
-			preds = append(preds, func(md Metadata) bool {
-				got, ok := md[field]
-				return ok && !scalarEqual(got, arg)
-			})
-		case "$gt", "$gte", "$lt", "$lte":
-			cmpArg, ok := toFloat(arg)
-			if !ok {
-				return nil, fmt.Errorf("%s on field %q needs a numeric argument, got %T", op, field, arg)
-			}
-			op := op
-			preds = append(preds, func(md Metadata) bool {
-				got, ok := md[field]
-				if !ok {
-					return false
-				}
-				f, ok := toFloat(got)
-				if !ok {
-					return false
-				}
-				switch op {
-				case "$gt":
-					return f > cmpArg
-				case "$gte":
-					return f >= cmpArg
-				case "$lt":
-					return f < cmpArg
-				default:
-					return f <= cmpArg
-				}
-			})
-		case "$in", "$nin":
-			list, ok := arg.([]any)
-			if !ok {
-				if ss, ok2 := arg.([]string); ok2 {
-					list = make([]any, len(ss))
-					for i, s := range ss {
-						list[i] = s
-					}
-				} else {
-					return nil, fmt.Errorf("%s on field %q needs a list, got %T", op, field, arg)
-				}
-			}
-			isIn := op == "$in"
-			preds = append(preds, func(md Metadata) bool {
-				got, ok := md[field]
-				if !ok {
-					return false
-				}
-				for _, item := range list {
-					if scalarEqual(got, item) {
-						return isIn
-					}
-				}
-				return !isIn
-			})
-		default:
-			return nil, fmt.Errorf("unknown operator %q on field %q", op, field)
-		}
-	}
-	return func(md Metadata) bool {
-		for _, p := range preds {
-			if !p(md) {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
-
-// compileDocFilter translates a WhereDocument map:
-//
-//	{"$contains": "substring"}
-//	{"$not_contains": "substring"}
-//	{"$and"/"$or": [docFilter, ...]}
-func compileDocFilter(where Metadata) (docPredicate, error) {
-	var preds []docPredicate
-	for key, val := range where {
-		switch key {
-		case "$contains", "$not_contains":
-			s, ok := val.(string)
-			if !ok {
-				return nil, fmt.Errorf("%s needs a string, got %T", key, val)
-			}
-			want := key == "$contains"
-			needle := strings.ToLower(s)
-			preds = append(preds, func(text string) bool {
-				return strings.Contains(strings.ToLower(text), needle) == want
-			})
-		case "$and", "$or":
-			clauses, ok := val.([]any)
-			if !ok {
-				return nil, fmt.Errorf("%s expects a list", key)
-			}
-			sub := make([]docPredicate, 0, len(clauses))
-			for _, cl := range clauses {
-				m, err := toMetadata(cl)
-				if err != nil {
-					return nil, err
-				}
-				p, err := compileDocFilter(m)
-				if err != nil {
-					return nil, err
-				}
-				sub = append(sub, p)
-			}
-			isAnd := key == "$and"
-			preds = append(preds, func(text string) bool {
-				for _, p := range sub {
-					if p(text) != isAnd {
-						return !isAnd
-					}
-				}
-				return isAnd
-			})
-		default:
-			return nil, fmt.Errorf("unknown document operator %q", key)
-		}
-	}
-	return func(text string) bool {
-		for _, p := range preds {
-			if !p(text) {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
-
-// scalarEqual compares metadata scalars with JSON-style numeric
-// coercion (int vs float64 from decoded JSON).
+// scalarEqual compares a stored metadata value with a scalar b, with
+// JSON-style numeric coercion (int vs float64 from decoded JSON). Because
+// b is a scalar, a == b never compares two values of an uncomparable type.
 func scalarEqual(a, b any) bool {
 	if fa, ok := toFloat(a); ok {
 		if fb, ok2 := toFloat(b); ok2 {

@@ -21,15 +21,17 @@ type manifest struct {
 }
 
 type collectionHeader struct {
-	Name    string     `json:"name"`
-	File    string     `json:"file"`
-	Metric  Distance   `json:"metric"`
-	Index   string     `json:"index"`
-	Encoder string     `json:"encoder"`
-	HNSW    HNSWConfig `json:"hnsw"`
+	Name    string `json:"name"`
+	File    string `json:"file"`
+	Encoder string `json:"encoder"`
 	// WAL and Shards are absent from a version-1 manifest.
 	WAL    string `json:"wal,omitempty"`
 	Shards int    `json:"shards,omitempty"`
+	// Metric and Index are an older manifest's: it named each collection's
+	// distance and index. readManifest accepts only the exact cosine
+	// search this package has ("cosine", "flat"), and nothing writes them.
+	Metric string `json:"metric,omitempty"`
+	Index  string `json:"index,omitempty"`
 }
 
 func writeJSONAtomic(path string, v any) error {

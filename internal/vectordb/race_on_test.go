@@ -1,0 +1,7 @@
+//go:build race
+
+package vectordb_test
+
+// probeStride is every how many questions TestRetrievalMatchesReference
+// probes with.
+const probeStride = 8

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+
+	"llmms/internal/embedding"
 )
 
 // DefaultShards is the shard count for collections that don't set
@@ -11,56 +13,79 @@ import (
 // different shards never convoy on one lock.
 func DefaultShards() int { return runtime.GOMAXPROCS(0) }
 
-// shard is one hash partition of a collection: its own document map,
-// its own index, its own lock. A shard never sees another shard's keys,
-// so the unit-cosine fast-path invariant is tracked — and, when an
-// explicit non-unit embedding lands, downgraded — per shard.
+// shard is one hash partition of a collection: its own documents, its
+// own rows of vectors, its own lock.
 type shard struct {
 	mu   sync.RWMutex
-	docs map[string]*Document
-	// unitCosine reports that the shard is on the cosine fast path: the
-	// metric is Cosine and every stored embedding is unit or zero —
-	// guaranteed by the encoder for embedded text, verified on insert
-	// for explicit embeddings. One non-unit explicit embedding
-	// downgrades the shard (permanently) to the norm-recomputing metric.
-	unitCosine bool
-	index      index
+	docs map[string]*record
+	// rows holds one unit (or zero) vector per document whose embedding is
+	// the collection's dim wide, under the document's id.
+	rows *embedding.Rows[string]
 }
 
-// newShard builds shard i of a collection. HNSW shards decorrelate their
-// level-assignment RNG by shard index so the partitions don't build
-// structurally identical graphs.
-func newShard(cfg CollectionConfig, i int) *shard {
-	var idx index
-	if cfg.Index == "hnsw" {
-		hc := cfg.HNSW
-		hc.Seed += int64(i)
-		idx = newHNSW(cfg.Metric, hc)
-	} else {
-		idx = newFlat(cfg.Metric)
-	}
-	sh := &shard{docs: make(map[string]*Document), index: idx}
-	if cfg.Metric == Cosine {
-		sh.unitCosine = true
-		sh.index.setDist(unitCosineDistance)
-	}
-	return sh
+// record is a stored document. One with a row (row ≥ 0) keeps its vector
+// there alone, so its Embedding is nil; one without (row < 0) keeps an
+// embedding of another length as data.
+type record struct {
+	Document
+	row int
+}
+
+func newShard(dim int) *shard {
+	return &shard{docs: make(map[string]*record), rows: embedding.NewRows[string](dim, 0)}
 }
 
 // insertLocked applies one prepared document to the shard, replacing any
 // existing document with the same id. The shard's write lock is held.
-func (sh *shard) insertLocked(p prepared, metric Distance) {
-	if _, ok := sh.docs[p.doc.ID]; ok {
-		sh.index.remove(p.doc.ID)
-		delete(sh.docs, p.doc.ID)
+func (sh *shard) insertLocked(p prepared) {
+	sh.removeLocked(p.doc.ID)
+	rec := &record{Document: p.doc, row: -1}
+	if p.indexed {
+		rec.row = sh.rows.Len()
+		sh.rows.Append(rec.ID, rec.Embedding)
+		rec.Embedding = nil
 	}
-	if p.breaksUnit && sh.unitCosine {
-		sh.unitCosine = false
-		sh.index.setDist(metric.distance)
+	sh.docs[rec.ID] = rec
+}
+
+// removeLocked deletes id from the shard and reports whether it was
+// there. The shard's write lock is held.
+func (sh *shard) removeLocked(id string) bool {
+	rec, ok := sh.docs[id]
+	if !ok {
+		return false
 	}
-	stored := p.doc
-	sh.docs[stored.ID] = &stored
-	sh.index.add(stored.ID, stored.Embedding)
+	delete(sh.docs, id)
+	if rec.row >= 0 {
+		if moved, ok := sh.rows.SwapRemove(rec.row); ok {
+			sh.docs[moved].row = rec.row
+		}
+		sh.rows.Trim()
+	}
+	return true
+}
+
+// document returns rec with a copy of its vector. The shard's lock is held.
+func (sh *shard) document(rec *record) Document {
+	d := rec.Document
+	if rec.row >= 0 {
+		d.Embedding = embedding.Clone(sh.rows.Row(rec.row))
+	} else {
+		d.Embedding = embedding.Clone(rec.Embedding)
+	}
+	return d
+}
+
+// search selects, into dst's array, the k rows nearest the unit query q
+// whose documents match, best first. A row scores ⟨q, v⟩ − 1, which is
+// −(1 − ⟨q, v⟩) exactly, so the hits come ordered by (distance, id) and a
+// hit's distance is its score negated. The shard's lock is held.
+func (sh *shard) search(q embedding.Vector, match filter, k int, dst []embedding.Hit[string]) []embedding.Hit[string] {
+	var keep func(i int) bool
+	if len(match) > 0 {
+		keep = func(i int) bool { return match.matches(sh.docs[sh.rows.ID(i)].Metadata) }
+	}
+	return sh.rows.TopKWhere(q, k, -1, keep, dst)
 }
 
 // shardIndex maps a document id to its shard with FNV-1a. The hash is

@@ -3,15 +3,16 @@ package vectordb
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"llmms/internal/embedding"
 )
 
-// TestUnitCosineFastPathMatchesGeneral pins the fast path's exactness:
-// for encoder-embedded documents, query results under the unit-dot
-// distance match the norm-recomputing cosine to float tolerance, for
-// both index types and for text and explicit-embedding queries.
+// TestUnitCosineFastPathMatchesGeneral pins the search's exactness: for
+// encoder-embedded documents, distances under the unit dot product match
+// the norm-recomputing cosine, 1 − Cosine(q, v), to float tolerance, for
+// text queries and for an explicit query vector that is not unit.
 func TestUnitCosineFastPathMatchesGeneral(t *testing.T) {
 	texts := []string{
 		"the great wall of china is not visible from space",
@@ -20,27 +21,15 @@ func TestUnitCosineFastPathMatchesGeneral(t *testing.T) {
 		"lightning can strike the same place twice",
 		"the sky appears blue because of rayleigh scattering",
 	}
-	enc := embedding.Default()
-	for _, idx := range []string{"flat", "hnsw"} {
+	for _, idx := range []string{"flat"} {
 		t.Run(idx, func(t *testing.T) {
-			fast := newCollection("fast", CollectionConfig{Metric: Cosine, Index: idx, Shards: 1})
-			slow := newCollection("slow", CollectionConfig{Metric: Cosine, Index: idx, Shards: 1})
-			slow.shards[0].unitCosine = false
-			slow.shards[0].index.setDist(Cosine.distance)
+			enc := embedding.Default()
+			c := newCollection("fast", CollectionConfig{Shards: 1})
 			for i, txt := range texts {
-				doc := Document{ID: fmt.Sprintf("d%d", i), Text: txt}
-				if err := fast.Add(doc); err != nil {
-					t.Fatal(err)
-				}
-				if err := slow.Add(doc); err != nil {
+				if err := c.Add(Document{ID: fmt.Sprintf("d%d", i), Text: txt}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if !fast.shards[0].unitCosine {
-				t.Fatal("encoder-only collection left the fast path")
-			}
-			// Unnormalized explicit query vector: the fast path must
-			// normalize its own copy, leaving distances exact.
 			qv := enc.Encode("is the great wall visible from orbit")
 			for i := range qv {
 				qv[i] *= 3
@@ -49,14 +38,19 @@ func TestUnitCosineFastPathMatchesGeneral(t *testing.T) {
 				{Text: "is the great wall visible from orbit", TopK: len(texts)},
 				{Embedding: qv, TopK: len(texts)},
 			} {
-				got, err := fast.Query(req)
+				got, err := c.Query(req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := slow.Query(req)
-				if err != nil {
-					t.Fatal(err)
+				q := req.Embedding
+				if q == nil {
+					q = enc.Encode(req.Text)
 				}
+				want := make([]Result, len(texts))
+				for i, txt := range texts {
+					want[i] = Result{ID: fmt.Sprintf("d%d", i), Distance: 1 - embedding.Cosine(q, enc.Encode(txt))}
+				}
+				sort.Slice(want, func(i, j int) bool { return want[i].Distance < want[j].Distance })
 				if len(got) != len(want) {
 					t.Fatalf("result count %d != %d", len(got), len(want))
 				}
@@ -73,27 +67,19 @@ func TestUnitCosineFastPathMatchesGeneral(t *testing.T) {
 	}
 }
 
-// TestUnitCosineDowngrade pins the invariant enforcement: inserting one
-// explicit non-unit embedding drops the collection off the fast path,
-// and queries stay correct (the general cosine handles mixed norms).
-func TestUnitCosineDowngrade(t *testing.T) {
-	c := newCollection("mixed", CollectionConfig{Metric: Cosine, Shards: 1})
+// TestNonUnitEmbeddingNormalizedOnInsert: an explicit vector of the
+// collection's width is stored unit length — bit for bit when it already
+// is, as its normalized copy when it is not — so a scaled copy of a
+// document's vector ties with it, ahead of an off-topic document.
+func TestNonUnitEmbeddingNormalizedOnInsert(t *testing.T) {
+	c := newCollection("mixed", CollectionConfig{Shards: 1})
 	if err := c.Add(Document{ID: "unit", Text: "the sky is blue"}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.shards[0].unitCosine {
-		t.Fatal("collection should start on the fast path")
-	}
-	// An explicit unit embedding keeps the fast path.
 	unit := embedding.Default().Encode("grass is green in spring")
 	if err := c.Add(Document{ID: "explicit-unit", Text: "grass is green in spring", Embedding: unit}); err != nil {
 		t.Fatal(err)
 	}
-	if !c.shards[0].unitCosine {
-		t.Fatal("unit explicit embedding must not downgrade")
-	}
-	// A scaled embedding must downgrade — and still rank correctly,
-	// because true cosine ignores magnitude.
 	scaled := embedding.Clone(unit)
 	for i := range scaled {
 		scaled[i] *= 5
@@ -101,8 +87,16 @@ func TestUnitCosineDowngrade(t *testing.T) {
 	if err := c.Add(Document{ID: "scaled", Embedding: scaled, Text: "grass is green in spring"}); err != nil {
 		t.Fatal(err)
 	}
-	if c.shards[0].unitCosine {
-		t.Fatal("non-unit explicit embedding must downgrade the collection")
+	if got := c.Get("explicit-unit")[0].Embedding; !sameBits(got, unit) {
+		t.Fatal("a unit embedding was not stored bit for bit")
+	}
+	want := embedding.Clone(scaled)
+	embedding.NormalizeInPlace(want)
+	if got := c.Get("scaled")[0].Embedding; !sameBits(got, want) {
+		t.Fatal("a non-unit embedding was not stored as its unit copy")
+	}
+	if scaled[0] != 5*unit[0] {
+		t.Fatal("the caller's vector was normalized in place")
 	}
 	res, err := c.Query(QueryRequest{Text: "what color is grass", TopK: 3})
 	if err != nil {
@@ -111,8 +105,6 @@ func TestUnitCosineDowngrade(t *testing.T) {
 	if len(res) != 3 {
 		t.Fatalf("got %d results", len(res))
 	}
-	// The scaled copy and its unit twin must tie (same direction), both
-	// ahead of the off-topic document.
 	if d := math.Abs(res[0].Distance - res[1].Distance); d > 1e-6 {
 		t.Fatalf("identical-direction documents differ by %g", d)
 	}
@@ -121,69 +113,61 @@ func TestUnitCosineDowngrade(t *testing.T) {
 	}
 }
 
-// TestUnitCosineDowngradeIsPerShard pins the sharded refinement of the
-// invariant: one non-unit embedding downgrades only the shard it hashes
-// to, the other shards keep the fast path, and cross-shard merged
-// results stay exact (both paths compute true cosine distance for a
-// normalized query, so distances remain comparable).
-func TestUnitCosineDowngradeIsPerShard(t *testing.T) {
-	c := newCollection("sharded", CollectionConfig{Metric: Cosine, Shards: 4})
-	enc := embedding.Default()
-	texts := []string{
-		"the sky appears blue because of rayleigh scattering",
-		"grass is green in spring",
-		"lightning can strike the same place twice",
-		"goldfish have memories lasting months",
-		"the great wall is not visible from space",
-		"astronauts orbit the earth every ninety minutes",
-	}
-	for i, txt := range texts {
-		if err := c.Add(Document{ID: fmt.Sprintf("d%d", i), Text: txt}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	scaled := enc.Encode("a scaled vector lands in exactly one shard")
-	for i := range scaled {
-		scaled[i] *= 7
-	}
-	if err := c.Add(Document{ID: "scaled", Text: "a scaled vector lands in exactly one shard", Embedding: scaled}); err != nil {
-		t.Fatal(err)
-	}
-	hit := c.shardIndex("scaled")
-	for i, sh := range c.shards {
-		if i == hit && sh.unitCosine {
-			t.Fatalf("shard %d holds the non-unit doc but kept the fast path", i)
-		}
-		if i != hit && !sh.unitCosine {
-			t.Fatalf("shard %d downgraded without holding a non-unit doc", i)
-		}
-	}
-	// Merged results must match a single-shard (fully downgraded-capable)
-	// collection holding the same documents.
-	ref := newCollection("ref", CollectionConfig{Metric: Cosine, Shards: 1})
-	for _, d := range c.All() {
-		if err := ref.Add(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	req := QueryRequest{Text: "which vector was scaled", TopK: len(texts) + 1}
-	got, err := c.Query(req)
+// TestEmbeddingOfAnotherWidthIsData: a vector that is not the encoder's
+// width — the one-element placeholders sessions and route clusters write,
+// a 1024-d model's embedding — is stored and returned as given, holds no
+// row, and is never a query's candidate. A vector that has a row is held
+// there alone, and Get copies it out.
+func TestEmbeddingOfAnotherWidthIsData(t *testing.T) {
+	c := newCollection("data", CollectionConfig{Shards: 1})
+	mxbai, err := embedding.Lookup(embedding.ModelMxbai)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Query(req)
+	wide := mxbai.Encode("bats are not blind")
+	for i := range wide {
+		wide[i] *= 2
+	}
+	docs := []Document{
+		{ID: "placeholder", Text: "bats are not blind", Embedding: embedding.Vector{0}},
+		{ID: "wide", Text: "bats are not blind", Embedding: wide},
+		{ID: "indexed", Text: "bats are not blind"},
+	}
+	if err := c.Add(docs...); err != nil {
+		t.Fatal(err)
+	}
+	sh := c.shards[0]
+	if sh.rows.Len() != 1 || sh.docs["indexed"].row != 0 || sh.docs["indexed"].Embedding != nil {
+		t.Fatalf("%d rows; the indexed document keeps row %d and %d floats of its own, want 1, 0 and none",
+			sh.rows.Len(), sh.docs["indexed"].row, len(sh.docs["indexed"].Embedding))
+	}
+	for _, d := range docs[:2] {
+		if got := c.Get(d.ID)[0].Embedding; !sameBits(got, d.Embedding) {
+			t.Fatalf("%s: stored %d floats, not the %d given", d.ID, len(got), len(d.Embedding))
+		}
+	}
+	got := c.Get("indexed")[0].Embedding
+	got[0]++
+	if sameBits(got, c.Get("indexed")[0].Embedding) {
+		t.Fatal("Get handed out the row itself")
+	}
+	res, err := c.Query(QueryRequest{Text: "are bats blind", TopK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("result count %d != %d", len(got), len(want))
+	if len(res) != 1 || res[0].ID != "indexed" {
+		t.Fatalf("query answered %v, want only the indexed document", res)
 	}
-	for i := range got {
-		if got[i].ID != want[i].ID {
-			t.Fatalf("rank %d: %s != %s", i, got[i].ID, want[i].ID)
-		}
-		if d := math.Abs(got[i].Distance - want[i].Distance); d > 1e-6 {
-			t.Fatalf("rank %d distance off by %g", i, d)
+}
+
+func sameBits(a, b embedding.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
 		}
 	}
+	return true
 }

@@ -1,26 +1,24 @@
-// Package vectordb implements an embedded vector database modeled on
-// ChromaDB, the storage-layer component of LLM-MS.
+// Package vectordb is the embedded vector database behind LLM-MS's RAG
+// layer, standing in for the ChromaDB the paper deploys (§6.2).
 //
-// The database stores named collections of documents. Each document has a
-// caller-supplied id, raw text, a dense embedding, and optional metadata.
-// Collections answer top-k nearest-neighbor queries under cosine, L2, or
-// inner-product distance, optionally restricted by a Chroma-style metadata
-// filter ($eq/$ne/$gt/$gte/$lt/$lte/$in/$nin composed with $and/$or) and a
-// document-content filter ($contains/$not_contains).
-//
-// Two index implementations back the search: an exact flat index and an
-// HNSW (hierarchical navigable small world) graph, matching the index
-// family the paper's deployment uses ("cosine similarity with an HNSW
-// index", §7.1).
+// A database holds named collections of documents. Each document has a
+// caller-supplied id, raw text, an embedding, and optional metadata. A
+// collection answers one kind of query: the exact top-k documents by
+// cosine similarity to a question, optionally kept to those whose metadata
+// fields equal given values. Every vector a collection indexes is unit
+// length and as wide as its encoder's Dim — the encoder's output is, and an
+// explicit vector is normalized on insert — so cosine similarity is one dot
+// product, and a shard keeps its vectors in one embedding.Rows, scanned with
+// that package's kernel. A vector of any other length is stored as data and
+// is never a candidate.
 //
 // Every collection is split by document-id hash into independently locked
 // shards (see shard.go), so concurrent upserts and queries contend on
 // 1/N of the key space instead of one collection-wide lock. Queries fan
-// out across shards and k-way merge by distance after every read lock is
+// out across shards and merge by distance after every read lock is
 // released.
 //
-// Two persistence layers exist: Save/Load write point-in-time JSON
-// snapshots (persist.go), and Open arms a durable database where every
+// New builds an in-memory database. Open builds a durable one, where every
 // write is CRC-framed into a per-collection write-ahead log before it is
 // acknowledged, with snapshot+truncate compaction and crash recovery
 // (wal.go, durable.go).
@@ -36,67 +34,6 @@ import (
 
 	"llmms/internal/embedding"
 )
-
-// Distance identifies the metric a collection uses for nearest-neighbor
-// search.
-type Distance string
-
-// Supported distance metrics.
-const (
-	// Cosine distance: 1 − cosine similarity. The LLM-MS default.
-	Cosine Distance = "cosine"
-	// L2 is squared Euclidean distance.
-	L2 Distance = "l2"
-	// InnerProduct distance: −⟨a,b⟩.
-	InnerProduct Distance = "ip"
-)
-
-// distFunc computes a distance between two vectors. Indexes hold one so
-// a collection can swap the general metric for a cheaper equivalent (the
-// unit-cosine fast path) without the indexes knowing why.
-type distFunc func(a, b embedding.Vector) float64
-
-// unitCosineDistance is cosine distance specialized to unit-or-zero
-// vectors: one dot product, no norm recomputation. Numerically equal to
-// Distance(Cosine).distance on such vectors; shards install it only
-// while every stored embedding (and the query) upholds the invariant.
-func unitCosineDistance(a, b embedding.Vector) float64 {
-	return 1 - embedding.CosineUnit(a, b)
-}
-
-// distance computes the configured metric between two vectors.
-func (d Distance) distance(a, b embedding.Vector) float64 {
-	switch d {
-	case L2:
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		var s float64
-		for i := 0; i < n; i++ {
-			diff := float64(a[i]) - float64(b[i])
-			s += diff * diff
-		}
-		return s
-	case InnerProduct:
-		return -embedding.Dot(a, b)
-	default: // Cosine
-		return 1 - embedding.Cosine(a, b)
-	}
-}
-
-// similarity converts a distance back to a similarity score where larger
-// is better, for caller convenience.
-func (d Distance) similarity(dist float64) float64 {
-	switch d {
-	case L2:
-		return -dist
-	case InnerProduct:
-		return -dist
-	default:
-		return 1 - dist
-	}
-}
 
 // Metadata is the schemaless per-document annotation map. Values should
 // be strings, bools, or numbers (JSON-representable scalars).
@@ -115,10 +52,9 @@ type Result struct {
 	ID       string
 	Text     string
 	Metadata Metadata
-	// Distance under the collection metric (smaller is closer).
+	// Distance is the cosine distance 1 − ⟨q, v⟩ (smaller is closer).
 	Distance float64
-	// Similarity is the metric-appropriate "larger is better" score; for
-	// cosine collections it is the cosine similarity.
+	// Similarity is 1 − Distance, the cosine similarity.
 	Similarity float64
 }
 
@@ -127,28 +63,23 @@ type Result struct {
 type QueryRequest struct {
 	// Text is embedded with the collection encoder.
 	Text string
-	// Embedding queries with a precomputed vector.
+	// Embedding queries with a precomputed vector as wide as the
+	// collection encoder's Dim; any other length is an error.
 	Embedding embedding.Vector
 	// TopK is the number of results; defaults to 10.
 	TopK int
-	// Where filters on metadata (Chroma operator syntax); nil matches all.
+	// Where keeps the documents whose metadata holds every listed field
+	// with an equal value: a string, a bool or a number, numbers compared
+	// as float64. nil matches all.
 	Where Metadata
-	// WhereDocument filters on document text, e.g.
-	// {"$contains": "visa"}; nil matches all.
-	WhereDocument Metadata
 }
 
 // CollectionConfig controls collection creation.
 type CollectionConfig struct {
-	// Metric is the distance function; defaults to Cosine.
-	Metric Distance
 	// Encoder embeds Text on Add/Query when no explicit embedding is
-	// given; defaults to embedding.Default().
+	// given, and its Dim is the width of the vectors the collection
+	// indexes; defaults to embedding.Default().
 	Encoder embedding.Encoder
-	// Index selects the ANN structure: "flat" (exact, default) or "hnsw".
-	Index string
-	// HNSW tunes the graph index when Index == "hnsw".
-	HNSW HNSWConfig
 	// Shards is how many independently locked partitions the collection
 	// is split into by document-id hash. Non-positive means DefaultShards.
 	Shards int
@@ -175,11 +106,12 @@ type Hooks struct {
 }
 
 // Collection is a named set of documents sharded by document-id hash,
-// each shard with its own search index and RWMutex. All methods are safe
-// for concurrent use.
+// each shard with its own rows of vectors and RWMutex. All methods are
+// safe for concurrent use.
 type Collection struct {
 	name       string
 	cfg        CollectionConfig
+	dim        int // cfg.Encoder.Dim(): the width of an indexed vector
 	shards     []*shard
 	shardNames []string // per-shard metric label values, precomputed
 	hooks      Hooks
@@ -191,52 +123,23 @@ type Collection struct {
 	compacting   atomic.Bool
 }
 
-// index is the internal ANN interface implemented by flatIndex and
-// hnswIndex. Implementations are NOT thread-safe; the owning shard
-// serializes access.
-type index interface {
-	add(id string, v embedding.Vector)
-	remove(id string)
-	// setDist replaces the index's distance function. Callers only swap
-	// between functions that agree on every vector currently stored, so
-	// existing structure (HNSW links) stays valid.
-	setDist(distFunc)
-	// search returns up to k candidate ids ordered by increasing
-	// distance, considering only ids accepted by allow (nil allows all).
-	// Approximate indexes may consult more than k nodes internally.
-	search(q embedding.Vector, k int, allow func(string) bool) []candidate
-	// len reports the number of live entries.
-	len() int
-}
-
-type candidate struct {
-	id   string
-	dist float64
-}
-
 // newCollection builds an empty collection, normalizing config defaults.
 func newCollection(name string, cfg CollectionConfig) *Collection {
-	if cfg.Metric == "" {
-		cfg.Metric = Cosine
-	}
 	if cfg.Encoder == nil {
 		cfg.Encoder = embedding.Default()
 	}
-	if cfg.Index == "" {
-		cfg.Index = "flat"
-	}
-	cfg.HNSW = cfg.HNSW.withDefaults()
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards()
 	}
 	c := &Collection{
 		name:       name,
 		cfg:        cfg,
+		dim:        cfg.Encoder.Dim(),
 		shards:     make([]*shard, cfg.Shards),
 		shardNames: make([]string, cfg.Shards),
 	}
 	for i := range c.shards {
-		c.shards[i] = newShard(cfg, i)
+		c.shards[i] = newShard(c.dim)
 		c.shardNames[i] = fmt.Sprintf("%d", i)
 	}
 	return c
@@ -244,9 +147,6 @@ func newCollection(name string, cfg CollectionConfig) *Collection {
 
 // Name returns the collection name.
 func (c *Collection) Name() string { return c.name }
-
-// Metric returns the collection's distance metric.
-func (c *Collection) Metric() Distance { return c.cfg.Metric }
 
 // Shards returns the number of shards the collection is split into.
 func (c *Collection) Shards() int { return len(c.shards) }
@@ -305,7 +205,7 @@ func (c *Collection) write(docs []Document, replace, logWAL bool) error {
 		}
 	}
 	for i := range pp {
-		c.shards[pp[i].shard].insertLocked(pp[i], c.cfg.Metric)
+		c.shards[pp[i].shard].insertLocked(pp[i])
 	}
 	var ack *walAck
 	if logWAL && c.wal != nil {
@@ -326,12 +226,12 @@ func (c *Collection) write(docs []Document, replace, logWAL bool) error {
 	return nil
 }
 
-// prepared is a document ready for insertion: embedding resolved and
-// cloned, fast-path impact precomputed, target shard chosen.
+// prepared is a document ready for insertion: embedding resolved,
+// target shard chosen.
 type prepared struct {
-	doc        Document
-	shard      int
-	breaksUnit bool
+	doc     Document
+	shard   int
+	indexed bool // the embedding is dim wide and unit or zero: it takes a row
 }
 
 // prepare resolves embeddings and shard targets for a batch, outside any
@@ -343,22 +243,22 @@ func (c *Collection) prepare(docs []Document) ([]prepared, error) {
 		if d.ID == "" {
 			return nil, fmt.Errorf("vectordb: document with empty id")
 		}
-		breaksUnit := false
-		if len(d.Embedding) == 0 {
+		switch {
+		case len(d.Embedding) == 0:
 			// Encoder output is unit (or zero) by contract — no check needed.
 			d.Embedding = c.cfg.Encoder.Encode(d.Text)
-		} else {
+		case len(d.Embedding) != c.dim:
+			// Not a vector this collection searches: kept as data.
 			d.Embedding = embedding.Clone(d.Embedding)
-			if c.cfg.Metric == Cosine {
-				if n := embedding.Norm(d.Embedding); n != 0 && math.Abs(n-1) > 1e-4 {
-					// An explicit non-unit embedding breaks the fast path's
-					// invariant for its shard: that shard falls back to the
-					// norm-recomputing cosine for every comparison from here on.
-					breaksUnit = true
-				}
+		default:
+			// The row copies a unit vector bit for bit. Cosine ranking is
+			// scale-invariant, so any other is stored as its unit copy.
+			if n := embedding.Norm(d.Embedding); n != 0 && math.Abs(n-1) > 1e-4 {
+				d.Embedding = embedding.Clone(d.Embedding)
+				embedding.NormalizeInPlace(d.Embedding)
 			}
 		}
-		pp[i] = prepared{doc: d, shard: c.shardIndex(d.ID), breaksUnit: breaksUnit}
+		pp[i] = prepared{doc: d, shard: c.shardIndex(d.ID), indexed: len(d.Embedding) == c.dim}
 	}
 	return pp, nil
 }
@@ -373,10 +273,7 @@ func (c *Collection) Delete(ids ...string) int {
 	c.lockShards(idxs)
 	var removed []string
 	for _, id := range ids {
-		sh := c.shards[c.shardIndex(id)]
-		if _, ok := sh.docs[id]; ok {
-			delete(sh.docs, id)
-			sh.index.remove(id)
+		if c.shards[c.shardIndex(id)].removeLocked(id) {
 			removed = append(removed, id)
 		}
 	}
@@ -396,30 +293,29 @@ func (c *Collection) Delete(ids ...string) int {
 	return len(removed)
 }
 
-// DeleteWhere removes every document whose metadata matches the filter
-// (the ChromaDB delete-with-where operation). It returns how many
-// documents were removed; an invalid filter is an error. Unlike Query,
+// DeleteWhere removes every document whose metadata matches where, as
+// QueryRequest.Where reads it (the ChromaDB delete-with-where operation).
+// It returns how many documents were removed; an invalid filter, or a
+// log that did not take the delete, is an error. Unlike Query,
 // it locks every shard at once so the scan is a consistent point-in-time
 // cut of the collection.
 func (c *Collection) DeleteWhere(where Metadata) (int, error) {
 	match, err := compileFilter(where)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("vectordb: bad Where filter: %w", err)
 	}
 	idxs := allShards(len(c.shards))
 	c.lockShards(idxs)
 	var doomed []string
 	for _, sh := range c.shards {
-		for id, d := range sh.docs {
-			if match(d.Metadata) {
+		for id, rec := range sh.docs {
+			if match.matches(rec.Metadata) {
 				doomed = append(doomed, id)
 			}
 		}
 	}
 	for _, id := range doomed {
-		sh := c.shards[c.shardIndex(id)]
-		delete(sh.docs, id)
-		sh.index.remove(id)
+		c.shards[c.shardIndex(id)].removeLocked(id)
 	}
 	var ack *walAck
 	if c.wal != nil && len(doomed) > 0 {
@@ -442,10 +338,8 @@ func (c *Collection) Get(ids ...string) []Document {
 	for _, id := range ids {
 		sh := c.shards[c.shardIndex(id)]
 		sh.mu.RLock()
-		if d, ok := sh.docs[id]; ok {
-			cp := *d
-			cp.Embedding = embedding.Clone(d.Embedding)
-			out = append(out, cp)
+		if rec, ok := sh.docs[id]; ok {
+			out = append(out, sh.document(rec))
 		}
 		sh.mu.RUnlock()
 	}
@@ -459,10 +353,8 @@ func (c *Collection) All() []Document {
 	var out []Document
 	for _, sh := range c.shards {
 		sh.mu.RLock()
-		for _, d := range sh.docs {
-			cp := *d
-			cp.Embedding = embedding.Clone(d.Embedding)
-			out = append(out, cp)
+		for _, rec := range sh.docs {
+			out = append(out, sh.document(rec))
 		}
 		sh.mu.RUnlock()
 	}
@@ -470,10 +362,10 @@ func (c *Collection) All() []Document {
 	return out
 }
 
-// Query runs a top-k nearest-neighbor search. Each shard is searched —
-// and its hits materialized — under that shard's read lock alone; every
-// lock is released before the cross-shard merge, so writers never wait
-// behind merge or sort work.
+// Query runs an exact top-k search by cosine similarity. Each shard is
+// scanned — and its hits materialized — under that shard's read lock alone;
+// every lock is released before the cross-shard merge, so writers never
+// wait behind merge or sort work.
 func (c *Collection) Query(req QueryRequest) ([]Result, error) {
 	var start time.Time
 	if c.hooks.ObserveQuery != nil {
@@ -482,73 +374,43 @@ func (c *Collection) Query(req QueryRequest) ([]Result, error) {
 	if req.TopK <= 0 {
 		req.TopK = 10
 	}
-	// Nothing below (results, HNSW's beam and visited set) is sized by more.
+	// Nothing below is sized by more.
 	req.TopK = min(req.TopK, c.Count())
 	q := req.Embedding
-	if len(q) == 0 {
-		if req.Text == "" {
-			return nil, fmt.Errorf("vectordb: query needs Text or Embedding")
-		}
+	switch {
+	case len(q) == 0 && req.Text == "":
+		return nil, fmt.Errorf("vectordb: query needs Text or Embedding")
+	case len(q) == 0:
 		var acc *embedding.Accumulator
 		q, acc = embedding.Borrow(c.cfg.Encoder, req.Text)
 		defer acc.Release()
-	} else if c.cfg.Metric == Cosine {
-		// The fast path needs a unit query too. Normalizing a copy is
-		// exact, not approximate: cosine similarity is invariant under
-		// query scaling. Checked outside the locks against the config
-		// metric; whether a shard is still on the fast path is its own
-		// business, and a normalized query is equally correct on the
-		// slow path.
+	case len(q) != c.dim:
+		return nil, fmt.Errorf("vectordb: query embedding has %d dimensions, collection %q indexes %d", len(q), c.name, c.dim)
+	default:
+		// Rows hold unit vectors, so ⟨q, v⟩ is cosine once q is unit too.
+		// Normalizing a copy is exact, not approximate: cosine similarity
+		// is invariant under query scaling.
 		q = embedding.Clone(q)
 		embedding.NormalizeInPlace(q)
 	}
-
-	var metaFilter filter
-	if req.Where != nil {
-		f, err := compileFilter(req.Where)
-		if err != nil {
-			return nil, fmt.Errorf("vectordb: bad Where filter: %w", err)
-		}
-		metaFilter = f
-	}
-	var docFilter docPredicate
-	if req.WhereDocument != nil {
-		f, err := compileDocFilter(req.WhereDocument)
-		if err != nil {
-			return nil, fmt.Errorf("vectordb: bad WhereDocument filter: %w", err)
-		}
-		docFilter = f
+	match, err := compileFilter(req.Where)
+	if err != nil {
+		return nil, fmt.Errorf("vectordb: bad Where filter: %w", err)
 	}
 
+	hits := make([]embedding.Hit[string], 0, req.TopK)
 	results := make([]Result, 0, req.TopK)
 	for _, sh := range c.shards {
 		sh.mu.RLock()
-		var allow func(string) bool
-		if metaFilter != nil || docFilter != nil {
-			docs := sh.docs
-			allow = func(id string) bool {
-				d, ok := docs[id]
-				if !ok {
-					return false
-				}
-				if metaFilter != nil && !metaFilter(d.Metadata) {
-					return false
-				}
-				if docFilter != nil && !docFilter(d.Text) {
-					return false
-				}
-				return true
-			}
-		}
-		cands := sh.index.search(q, req.TopK, allow)
-		for _, cand := range cands {
-			d := sh.docs[cand.id]
+		for _, h := range sh.search(q, match, req.TopK, hits) {
+			d := sh.docs[h.ID]
+			dist := -h.Score
 			results = append(results, Result{
 				ID:         d.ID,
 				Text:       d.Text,
 				Metadata:   d.Metadata,
-				Distance:   cand.dist,
-				Similarity: c.cfg.Metric.similarity(cand.dist),
+				Distance:   dist,
+				Similarity: 1 - dist,
 			})
 		}
 		sh.mu.RUnlock()

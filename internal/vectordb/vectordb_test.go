@@ -3,6 +3,7 @@ package vectordb
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -102,6 +103,37 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// TestDeletesGiveMemoryBack: a collection that shrank holds about what it
+// still holds. Its rows are cut to fit once removals leave them under
+// half full, so 10 documents left of 2 000 keep far less than the 2 000
+// vectors' 2 MiB.
+func TestDeletesGiveMemoryBack(t *testing.T) {
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	c := newTestCollection(t, CollectionConfig{Shards: 2})
+	base := live()
+	var ids []string
+	for i := range 2000 {
+		ids = append(ids, fmt.Sprintf("d%d", i))
+		if err := c.Upsert(Document{ID: ids[i], Text: fmt.Sprintf("document number %d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.Delete(ids[10:]...); n != 1990 {
+		t.Fatalf("Delete removed %d, want 1990", n)
+	}
+	if kept := live() - base; kept > 512<<10 {
+		t.Fatalf("10 documents keep %d KiB", kept>>10)
+	}
+	if c.Count() != 10 {
+		t.Fatalf("count = %d, want 10", c.Count())
+	}
+}
+
 func TestQueryValidation(t *testing.T) {
 	c := newTestCollection(t, CollectionConfig{})
 	if _, err := c.Query(QueryRequest{}); err == nil {
@@ -134,33 +166,43 @@ func TestMetadataFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Where is field equality, ANDed. The Chroma operators it once
+	// compiled are refused (want nil), each with an error.
 	cases := []struct {
 		name  string
 		where Metadata
 		want  map[string]bool
 	}{
 		{"eq-shorthand", Metadata{"category": "health"}, map[string]bool{"a": true, "c": true}},
-		{"eq-op", Metadata{"category": Metadata{"$eq": "law"}}, map[string]bool{"b": true}},
-		{"ne", Metadata{"category": Metadata{"$ne": "health"}}, map[string]bool{"b": true}},
-		{"gt", Metadata{"page": Metadata{"$gt": 1}}, map[string]bool{"b": true, "c": true}},
-		{"gte", Metadata{"page": Metadata{"$gte": 2}}, map[string]bool{"b": true, "c": true}},
-		{"lt", Metadata{"page": Metadata{"$lt": 2}}, map[string]bool{"a": true}},
-		{"lte", Metadata{"page": Metadata{"$lte": 2}}, map[string]bool{"a": true, "b": true}},
-		{"in", Metadata{"category": Metadata{"$in": []any{"law", "science"}}}, map[string]bool{"b": true}},
-		{"nin", Metadata{"category": Metadata{"$nin": []any{"law"}}}, map[string]bool{"a": true, "c": true}},
+		{"eq-op", Metadata{"category": Metadata{"$eq": "law"}}, nil},
+		{"ne", Metadata{"category": Metadata{"$ne": "health"}}, nil},
+		{"gt", Metadata{"page": Metadata{"$gt": 1}}, nil},
+		{"gte", Metadata{"page": Metadata{"$gte": 2}}, nil},
+		{"lt", Metadata{"page": Metadata{"$lt": 2}}, nil},
+		{"lte", Metadata{"page": Metadata{"$lte": 2}}, nil},
+		{"in", Metadata{"category": Metadata{"$in": []any{"law", "science"}}}, nil},
+		{"nin", Metadata{"category": Metadata{"$nin": []any{"law"}}}, nil},
 		{"and", Metadata{"$and": []any{
 			map[string]any{"category": "health"},
 			map[string]any{"page": map[string]any{"$gt": 1}},
-		}}, map[string]bool{"c": true}},
+		}}, nil},
 		{"or", Metadata{"$or": []any{
 			map[string]any{"page": 1},
 			map[string]any{"page": 2},
-		}}, map[string]bool{"a": true, "b": true}},
+		}}, nil},
 		{"multi-field-implicit-and", Metadata{"category": "health", "page": 3}, map[string]bool{"c": true}},
+		{"int-matches-float", Metadata{"page": 2.0}, map[string]bool{"b": true}},
+		{"missing-field", Metadata{"author": "x"}, map[string]bool{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := c.Query(QueryRequest{Text: "doc", TopK: 10, Where: tc.where})
+			if tc.want == nil {
+				if err == nil {
+					t.Fatalf("Where %v answered %d results, want an error", tc.where, len(res))
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,38 +232,48 @@ func TestBadFilters(t *testing.T) {
 		{"$xor": []any{}},
 		{"k": Metadata{"$gt": "not-a-number"}},
 		{"k": Metadata{"$in": 5}},
+		// Values that are not scalars; two []any once panicked on ==.
+		{"k": []any{1}},
+		{"k": nil},
+		{"k": struct{}{}},
+		{"$contains": "x"},
+	}
+	if err := c.Add(Document{ID: "list", Text: "x", Metadata: Metadata{"k": []any{1}}}); err != nil {
+		t.Fatal(err)
 	}
 	for _, w := range bad {
 		if _, err := c.Query(QueryRequest{Text: "x", Where: w}); err == nil {
 			t.Errorf("filter %v: expected error", w)
 		}
+		if _, err := c.DeleteWhere(w); err == nil {
+			t.Errorf("DeleteWhere %v: expected error", w)
+		}
+	}
+	if c.Count() != 2 {
+		t.Fatalf("a refused DeleteWhere deleted: %d documents left, want 2", c.Count())
 	}
 }
 
-func TestWhereDocument(t *testing.T) {
+// TestQueryEmbeddingOfAnotherWidth: an explicit query vector must be as
+// wide as the collection's encoder; a shorter or longer one (a 1024-d
+// model's against the 256-d default) is an error, not a ranking of its
+// common prefix.
+func TestQueryEmbeddingOfAnotherWidth(t *testing.T) {
 	c := newTestCollection(t, CollectionConfig{})
-	err := c.Add(
-		Document{ID: "a", Text: "The visa application requires form DS-160."},
-		Document{ID: "b", Text: "Passports are issued by the state department."},
-	)
-	if err != nil {
+	if err := c.Add(Document{ID: "a", Text: "the yen is the currency of japan"}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query(QueryRequest{Text: "travel documents", TopK: 5,
-		WhereDocument: Metadata{"$contains": "VISA"}})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{embedding.ModelMxbai, embedding.ModelNomic} {
+		enc, err := embedding.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := c.Query(QueryRequest{Embedding: enc.Encode("currency of japan")}); err == nil {
+			t.Errorf("a %d-d query over a %d-d collection answered %v", enc.Dim(), embedding.Default().Dim(), res)
+		}
 	}
-	if len(res) != 1 || res[0].ID != "a" {
-		t.Fatalf("contains filter: %+v", res)
-	}
-	res, err = c.Query(QueryRequest{Text: "travel documents", TopK: 5,
-		WhereDocument: Metadata{"$not_contains": "visa"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || res[0].ID != "b" {
-		t.Fatalf("not_contains filter: %+v", res)
+	if _, err := c.Query(QueryRequest{Embedding: embedding.Vector{1, 0}}); err == nil {
+		t.Error("a 2-d query was answered")
 	}
 }
 
@@ -255,23 +307,6 @@ func TestDBCollectionLifecycle(t *testing.T) {
 	}
 	if _, err := db.Collection("c1"); err == nil {
 		t.Fatal("expected error getting deleted collection")
-	}
-}
-
-func TestDistanceMetrics(t *testing.T) {
-	a := embedding.Vector{1, 0}
-	b := embedding.Vector{0, 1}
-	if d := Cosine.distance(a, a); d > 1e-9 {
-		t.Fatalf("cosine self-distance = %v", d)
-	}
-	if d := Cosine.distance(a, b); d < 0.99 || d > 1.01 {
-		t.Fatalf("cosine orthogonal distance = %v, want 1", d)
-	}
-	if d := L2.distance(a, b); d != 2 {
-		t.Fatalf("l2 distance = %v, want 2", d)
-	}
-	if d := InnerProduct.distance(a, a); d != -1 {
-		t.Fatalf("ip distance = %v, want -1", d)
 	}
 }
 
@@ -340,11 +375,6 @@ func TestDeleteWhere(t *testing.T) {
 			t.Fatalf("deleted doc still searchable: %+v", r)
 		}
 	}
-	// Operator filters work.
-	n, err = c.DeleteWhere(Metadata{"page": Metadata{"$gte": 1}})
-	if err != nil || n != 1 {
-		t.Fatalf("operator DeleteWhere = %d, %v", n, err)
-	}
 	// Invalid filters are rejected.
 	if _, err := c.DeleteWhere(Metadata{"page": Metadata{"$weird": 1}}); err == nil {
 		t.Fatal("expected error for invalid operator")
@@ -353,11 +383,10 @@ func TestDeleteWhere(t *testing.T) {
 
 // TestQueryHugeTopKReturnsEveryDocument: k is clamped to the live
 // document count before anything is sized by it, so a k of 2^40 answers
-// with the whole collection instead of exhausting memory — on the flat
-// index, and on HNSW with a filter, whose beam doubles k.
+// with the whole collection instead of exhausting memory, filtered or not.
 func TestQueryHugeTopKReturnsEveryDocument(t *testing.T) {
-	for _, index := range []string{"flat", "hnsw"} {
-		c := newTestCollection(t, CollectionConfig{Index: index})
+	for _, index := range []string{"flat"} {
+		c := newTestCollection(t, CollectionConfig{})
 		if res, err := c.Query(QueryRequest{Text: "anything", TopK: 1 << 40}); err != nil || len(res) != 0 {
 			t.Fatalf("%s: empty collection = (%v, %v), want no results", index, res, err)
 		}
@@ -380,11 +409,10 @@ func TestQueryHugeTopKReturnsEveryDocument(t *testing.T) {
 
 // TestQueryMatchesSortEverything holds Query to the plainest reading of a
 // top-k search: every live document that passes the filter, scored with
-// the distance its shard computes, sorted by (distance, id), cut at k. It
-// covers cosine on the unit fast path and downgraded, L2 and inner
-// product, with and without Where, tied duplicate embeddings under
-// distinct ids, and 1 and 4 shards; ids, distances and similarities agree
-// bit for bit.
+// its unit-cosine distance to the query, sorted by (distance, id), cut at
+// k. It covers text and explicit-embedding queries, with and without
+// Where, tied duplicate embeddings under distinct ids, and 1 and 4 shards;
+// ids, distances and similarities agree bit for bit.
 func TestQueryMatchesSortEverything(t *testing.T) {
 	enc := embedding.Default()
 	scaled := func(v embedding.Vector, by float32) embedding.Vector {
@@ -397,18 +425,13 @@ func TestQueryMatchesSortEverything(t *testing.T) {
 	dup := enc.Encode("bats are not blind but see well at dusk")
 	queries := []string{"topic 3 document words", "are bats blind", "bats are not blind but see well at dusk", "unrelated goldfish memory"}
 	for _, tc := range []struct {
-		name      string
-		metric    Distance
-		dupScale  float32 // the duplicates' embedding is dup scaled by this
-		downgrade bool    // store one non-unit embedding under cosine
+		name     string
+		dupScale float32 // the duplicates' embedding is dup scaled by this
 	}{
-		{"cosine", Cosine, 1, false},
-		{"cosine-downgraded", Cosine, 1, true},
-		{"l2", L2, 3, false},
-		{"ip", InnerProduct, 3, false},
+		{"cosine", 1},
 	} {
 		for _, shards := range []int{1, 4} {
-			c := newCollection(tc.name, CollectionConfig{Metric: tc.metric, Shards: shards})
+			c := newCollection(tc.name, CollectionConfig{Shards: shards})
 			for i := 0; i < 30; i++ {
 				if err := c.Add(Document{ID: fmt.Sprintf("d%02d", i), Text: fmt.Sprintf("document %d about topic %d and bats", i, i%5),
 					Metadata: Metadata{"even": i%2 == 0}}); err != nil {
@@ -421,21 +444,14 @@ func TestQueryMatchesSortEverything(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if tc.downgrade {
-				if err := c.Add(Document{ID: "scaled", Text: "scaled", Embedding: scaled(enc.Encode("are bats blind at night"), 5)}); err != nil {
-					t.Fatal(err)
-				}
-			}
 			docs := c.All()
 			for qi, text := range queries {
 				req := QueryRequest{Text: text}
 				q := enc.Encode(text)
 				if qi%2 == 1 {
 					req = QueryRequest{Embedding: q}
-					if tc.metric == Cosine {
-						q = embedding.Clone(q)
-						embedding.NormalizeInPlace(q)
-					}
+					q = embedding.Clone(q)
+					embedding.NormalizeInPlace(q)
 				}
 				for _, where := range []Metadata{nil, {"even": true}} {
 					var want []Result
@@ -443,11 +459,8 @@ func TestQueryMatchesSortEverything(t *testing.T) {
 						if where != nil && d.Metadata["even"] != true {
 							continue
 						}
-						dist := tc.metric.distance(q, d.Embedding)
-						if c.shards[c.shardIndex(d.ID)].unitCosine {
-							dist = unitCosineDistance(q, d.Embedding)
-						}
-						want = append(want, Result{ID: d.ID, Distance: dist, Similarity: tc.metric.similarity(dist)})
+						dist := unitCosineDistance(q, d.Embedding)
+						want = append(want, Result{ID: d.ID, Distance: dist, Similarity: 1 - dist})
 					}
 					sort.Slice(want, func(i, j int) bool {
 						if want[i].Distance != want[j].Distance {
@@ -474,9 +487,6 @@ func TestQueryMatchesSortEverything(t *testing.T) {
 						}
 					}
 				}
-			}
-			if tc.downgrade && c.shards[c.shardIndex("scaled")].unitCosine {
-				t.Fatalf("%s/%d shards: the non-unit embedding left its shard on the fast path", tc.name, shards)
 			}
 		}
 	}

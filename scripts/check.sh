@@ -111,6 +111,14 @@ go test -race -count=20 -run 'TestSeriesPublishRacesRecording|TestRegistryConcur
 echo "== cache invalidation: go test -race -count=20 -run 'TestDropPassRacesPutAndProbe|TestExactInvalidationMatchesFlushReference' ./internal/qcache ./internal/server"
 go test -race -count=20 -run 'TestDropPassRacesPutAndProbe|TestExactInvalidationMatchesFlushReference' ./internal/qcache ./internal/server
 
+# The vector database's one search against the flat scan it replaced, bit
+# for bit, over the benchmark's questions and through writes that move
+# rows; queries racing upserts and deletes across shards; and recovery of
+# every prefix of a crashed write-ahead log, over and over.
+vdb='TestRetrievalMatchesReference|TestRowsFollowWrites|TestConcurrentQueryUpsert|TestCrashRecoveryPrefix'
+echo "== vector search: go test -race -count=20 -run '$vdb' ./internal/vectordb"
+go test -race -count=20 -run "$vdb" ./internal/vectordb
+
 # The wire codecs against encoding/json, their reference: the string rule
 # of internal/jsonwire, the formats built on it at both ends of the modeld
 # hop and in the SSE egress (events and the result), and the traceparent
@@ -122,14 +130,17 @@ go test -race -count=20 -run 'TestDropPassRacesPutAndProbe|TestExactInvalidation
 # against Dot bit for bit — and a session lifted onto chunk calls against
 # the engine's own stream; and the tokenizer's memoized inference path
 # against its reference, each input on a miss and then a hit; and the
-# engine's budget arithmetic for any num_predict and context length.
+# engine's budget arithmetic for any num_predict and context length; and
+# the vector database's search against its flat-scan reference over any
+# texts, and Open over any manifest.
 for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telemetry' \
 	'FuzzStreamLine ./internal/modeld' 'FuzzGenerateRequest ./internal/modeld' \
 	'FuzzEventFrame ./internal/server' 'FuzzResultFrame ./internal/server' \
 	'FuzzNormalize ./internal/qcache' 'FuzzCachePolicy ./internal/qcache' \
 	'FuzzDecodeCachedAnswer ./internal/server' \
 	'FuzzRows ./internal/embedding' 'FuzzLiftedSession ./internal/llm' \
-	'FuzzCount ./internal/tokenizer' 'FuzzPlanBudget ./internal/llm'; do
+	'FuzzCount ./internal/tokenizer' 'FuzzPlanBudget ./internal/llm' \
+	'FuzzRetrieval ./internal/vectordb' 'FuzzOpenManifest ./internal/vectordb'; do
 	set -- $target
 	echo "== fuzz smoke: $1 10s"
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2" >/dev/null
