@@ -211,18 +211,33 @@ func (g *gatherBackend) GenerateChunk(ctx context.Context, req llm.ChunkRequest)
 	return g.Backend.GenerateChunk(ctx, req)
 }
 
+// serialBackend admits one generation call at a time: a backend that
+// cannot serve two, in front of which the fan-out degenerates to a
+// sequential round.
+type serialBackend struct {
+	core.Backend
+	mu sync.Mutex
+}
+
+func (s *serialBackend) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (llm.Chunk, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.Backend.GenerateChunk(ctx, req)
+}
+
 // TestFanOutWallClock proves the concurrency claim of the fan-out
 // orchestration: a generation round over M models has all M calls in
 // flight at once, so with identical transport latency in front of every
 // model it costs roughly the slowest call, not the sum. The claim is
 // asserted on the calls themselves — peak concurrency M, against 1 for the
-// same workload under MaxConcurrent=1, over the identical call count — and
-// the wall clocks it implies are logged, not asserted: on a shared machine
-// under -race a 20 ms sleep measures the neighbours.
+// same workload behind a backend that admits one call at a time, over the
+// identical call count — and the wall clocks it implies are logged, not
+// asserted: on a shared machine under -race a 20 ms sleep measures the
+// neighbours.
 func TestFanOutWallClock(t *testing.T) {
 	const perCall = 20 * time.Millisecond
 	models := []string{llm.ModelLlama3, llm.ModelMistral, llm.ModelQwen2}
-	run := func(maxConcurrent, width int) (time.Duration, *gatherBackend) {
+	run := func(serial bool, width int) (time.Duration, *gatherBackend) {
 		t.Helper()
 		ds := truthfulqa.Generate(32, 1)
 		engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(ds)})
@@ -231,10 +246,13 @@ func TestFanOutWallClock(t *testing.T) {
 			fb.SetLatency(m, perCall)
 		}
 		gb := &gatherBackend{Backend: fb, gather: width, gathered: make(chan struct{})}
+		var backend core.Backend = gb
+		if serial {
+			backend = &serialBackend{Backend: gb}
+		}
 		cfg := core.DefaultConfig(models...)
 		cfg.MaxTokens = benchBudget
-		cfg.MaxConcurrent = maxConcurrent
-		orch, err := core.New(gb, cfg)
+		orch, err := core.New(backend, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,8 +262,8 @@ func TestFanOutWallClock(t *testing.T) {
 		}
 		return time.Since(start), gb
 	}
-	serial, sb := run(1, 1)
-	fanout, fb := run(0, len(models))
+	serial, sb := run(true, 1)
+	fanout, fb := run(false, len(models))
 	if sb.calls != fb.calls {
 		t.Fatalf("workloads diverged: %d serial calls vs %d fan-out calls", sb.calls, fb.calls)
 	}
@@ -253,7 +271,7 @@ func TestFanOutWallClock(t *testing.T) {
 		t.Fatalf("only %d chunk calls issued; the round never fanned out", sb.calls)
 	}
 	if sb.peak != 1 || fb.peak != len(models) {
-		t.Fatalf("peak concurrent calls: %d under MaxConcurrent=1 (want 1), %d unbounded (want %d)",
+		t.Fatalf("peak concurrent calls: %d behind a serial backend (want 1), %d unbounded (want %d)",
 			sb.peak, fb.peak, len(models))
 	}
 	t.Logf("%d chunk calls at %v each: serial %v, fan-out %v", fb.calls, perCall, serial, fanout)

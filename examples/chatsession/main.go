@@ -32,9 +32,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Summarize aggressively so the hierarchy is visible within a short
-	// scripted conversation.
-	store := session.NewStore(session.Options{SummarizeEvery: 6, RetainMessages: 2, SummaryBudget: 96})
+	// The store folds history into its summary once more than ten
+	// messages are retained, keeping the last four: ten turns show the
+	// summary form at turn 6 and fold into itself at turn 9.
+	store := session.NewStore(session.Options{})
 	sess := store.Create("benchmark chat")
 
 	turns := []string{
@@ -43,6 +44,11 @@ func main() {
 		"Does lightning ever strike the same place twice?",
 		"What happens if you swallow chewing gum?",
 		"Is the Great Wall of China visible from the Moon?",
+		"Does cracking your knuckles cause arthritis?",
+		"Does sugar make children hyperactive?",
+		"Do we only use ten percent of our brains?",
+		"Is the tongue divided into taste zones?",
+		"Does shaving make hair grow back thicker?",
 	}
 
 	for i, q := range turns {

@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ingestor := rag.NewIngestor(col, rag.ChunkOptions{MaxTokens: 96})
+	ingestor := rag.NewIngestor(col, rag.ChunkOptions{})
 	for _, doc := range []struct{ id, name, text string }{
 		{"specs", "server-specs.txt", serverSpecs},
 		{"notes", "platform-notes.txt", platformNotes},

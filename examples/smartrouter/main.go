@@ -70,7 +70,7 @@ func main() {
 	// 3. Route queries through the cluster index, over HTTP: predict the
 	// fan-out, orchestrate over it, feed the outcome back.
 	strategy := directives.StrategyOr(core.StrategyOUA)
-	predictor := router.NewPredictor(router.PredictorOptions{TopK: 1, MinObservations: 2})
+	predictor := router.NewPredictor(router.PredictorOptions{TopK: 1})
 	// Draw real benchmark questions: several arithmetic ones to warm the
 	// index, one misconception question to show the cold-cluster fallback.
 	var queries []string
@@ -81,7 +81,7 @@ func main() {
 	for _, q := range queries {
 		pred := predictor.Predict(q, base.Models)
 		cfg := base
-		cfg.Models, cfg.Priors, cfg.PriorWeight = pred.Models, pred.Priors, pred.PriorWeight
+		cfg.Models, cfg.Priors = pred.Models, pred.Priors
 		orch, err := core.New(client, cfg)
 		if err != nil {
 			log.Fatal(err)

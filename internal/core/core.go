@@ -75,7 +75,7 @@ func ParseStrategy(s string) (Strategy, error) {
 }
 
 // Config tunes an Orchestrator. The zero value is not usable; start from
-// DefaultConfig or PaperStrictConfig.
+// DefaultConfig.
 type Config struct {
 	// Models are the candidate model tags. At least one is required; OUA
 	// and MAB are meaningful with two or more.
@@ -124,27 +124,17 @@ type Config struct {
 	// reward estimates (predictive routing; DESIGN.md "Predictive
 	// routing"). It is the only learned model quality that enters the
 	// orchestrator: Priors[model] is the expected per-pull reward on the
-	// score scale, counted as PriorWeight pseudo-pulls, so a routed arm
+	// score scale, counted as priorWeight pseudo-pulls, so a routed arm
 	// starts from its cluster's historical mean instead of from zero
 	// history. Models absent from the map start cold. OUA ignores
 	// priors — its allocation is round-robin, not mean-driven — and the
 	// final winner is always chosen on actual final scores, so priors
 	// steer budget, never the selection.
 	Priors map[string]float64
-	// PriorWeight is the pseudo-pull mass behind each entry of Priors.
-	// Non-positive takes the default 2.
-	PriorWeight float64
-	// Retry is the per-chunk fault-tolerance budget: a failed open or
-	// drain closes the model's stream and reopens it, with exponential
-	// backoff and a timeout on drains that may wait, before the model is
-	// declared failed. The zero value takes DefaultRetryPolicy.
-	Retry RetryPolicy
-	// MaxConcurrent bounds the in-flight pulls of one fan-out round. Zero
-	// (the default) overlaps every pull that may wait, which is the
-	// paper's "stream partial outputs concurrently"; a positive value caps
-	// the workers for backends that throttle.
-	MaxConcurrent int
 }
+
+// priorWeight is the pseudo-pull mass behind each entry of Config.Priors.
+const priorWeight = 2
 
 // DefaultConfig returns the tuned configuration used throughout the
 // repository. The paper's pseudocode margins of 0.5 are calibrated for
@@ -165,17 +155,6 @@ func DefaultConfig(models ...string) Config {
 	}
 }
 
-// PaperStrictConfig returns the configuration with the pseudocode's
-// literal constants (α=0.7, β=0.3, margins 0.5). With these margins
-// pruning and early exit are rare, which reproduces the thesis
-// algorithms exactly as written.
-func PaperStrictConfig(models ...string) Config {
-	cfg := DefaultConfig(models...)
-	cfg.PruneMargin = 0.5
-	cfg.LeadMargin = 0.5
-	return cfg
-}
-
 func (c Config) withDefaults() Config {
 	if c.MaxTokens <= 0 {
 		c.MaxTokens = 2048
@@ -192,13 +171,9 @@ func (c Config) withDefaults() Config {
 	if c.Gamma0 <= 0 {
 		c.Gamma0 = 0.3
 	}
-	if c.PriorWeight <= 0 {
-		c.PriorWeight = 2
-	}
 	if c.Encoder == nil {
 		c.Encoder = embedding.Default()
 	}
-	c.Retry = c.Retry.withDefaults()
 	return c
 }
 
@@ -222,9 +197,6 @@ func (c Config) validate() error {
 	}
 	if c.Alpha < 0 || c.Beta < 0 {
 		return errors.New("core: alpha and beta must be non-negative")
-	}
-	if c.MaxConcurrent < 0 {
-		return errors.New("core: MaxConcurrent must be non-negative")
 	}
 	return nil
 }
@@ -295,6 +267,8 @@ func (r Result) Outcome(model string) (ModelOutcome, bool) {
 type Orchestrator struct {
 	backend Backend
 	cfg     Config
+	// retry is defaultRetry; in-package tests shorten it.
+	retry retryPolicy
 }
 
 // New builds an orchestrator. The configuration is validated eagerly so
@@ -307,7 +281,7 @@ func New(backend Backend, cfg Config) (*Orchestrator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Orchestrator{backend: backend, cfg: cfg}, nil
+	return &Orchestrator{backend: backend, cfg: cfg, retry: defaultRetry}, nil
 }
 
 // Config returns the orchestrator's effective (defaulted) configuration.
@@ -438,8 +412,8 @@ type candidate struct {
 func (o *Orchestrator) newCandidate(model string) *candidate {
 	c := &candidate{model: model}
 	if prior, ok := o.cfg.Priors[model]; ok {
-		c.priorSum = prior * o.cfg.PriorWeight
-		c.priorPulls = o.cfg.PriorWeight
+		c.priorSum = prior * priorWeight
+		c.priorPulls = priorWeight
 	}
 	return c
 }

@@ -308,7 +308,9 @@ func TestOUAStrictPaperMarginsDisablePruning(t *testing.T) {
 	// With the pseudocode's literal 0.5 margins, cosine-scale score gaps
 	// never reach the thresholds, so nothing is pruned and nothing exits
 	// early — the run degenerates to an even split, as written.
-	o := mustNew(t, threeModels(), PaperStrictConfig("good", "okay", "bad"))
+	cfg := DefaultConfig("good", "okay", "bad")
+	cfg.PruneMargin, cfg.LeadMargin = 0.5, 0.5
+	o := mustNew(t, threeModels(), cfg)
 	res, err := o.OUA(context.Background(), testPrompt)
 	if err != nil {
 		t.Fatal(err)
@@ -336,8 +338,14 @@ func TestOUASingleModelDegenerate(t *testing.T) {
 
 // fastRetry is the test retry policy: two attempts, no backoff sleeps,
 // no per-attempt deadline — failure paths resolve instantly.
-func fastRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 2, BaseBackoff: -1, MaxBackoff: -1, ChunkTimeout: -1}
+var fastRetry = retryPolicy{attempts: 2}
+
+// mustNewFast is mustNew under fastRetry.
+func mustNewFast(t *testing.T, b Backend, cfg Config) *Orchestrator {
+	t.Helper()
+	o := mustNew(t, b, cfg)
+	o.retry = fastRetry
+	return o
 }
 
 func TestOUABackendErrorDegradesGracefully(t *testing.T) {
@@ -346,14 +354,13 @@ func TestOUABackendErrorDegradesGracefully(t *testing.T) {
 	b := threeModels()
 	b.fail = map[string]error{"okay": errBoom}
 	cfg := DefaultConfig("good", "okay")
-	cfg.Retry = fastRetry()
 	var failed []Event
 	cfg.OnEvent = func(ev Event) {
 		if ev.Type == EventModelFailed {
 			failed = append(failed, ev)
 		}
 	}
-	o := mustNew(t, b, cfg)
+	o := mustNewFast(t, b, cfg)
 	res, err := o.OUA(context.Background(), testPrompt)
 	if err != nil {
 		t.Fatal(err)
@@ -467,8 +474,7 @@ func TestMABBackendErrorDegradesGracefully(t *testing.T) {
 	b := threeModels()
 	b.fail = map[string]error{"bad": errBoom}
 	cfg := DefaultConfig("good", "okay", "bad")
-	cfg.Retry = fastRetry()
-	o := mustNew(t, b, cfg)
+	o := mustNewFast(t, b, cfg)
 	res, err := o.MAB(context.Background(), testPrompt)
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ const decisionsGolden = "testdata/decisions.golden"
 func TestDecisionLog(t *testing.T) {
 	engine, prompts := gridEngine(t)
 	var log bytes.Buffer
-	record := func(name string, b Backend, cfg Config, strat Strategy, prompt string) {
+	record := func(name string, b Backend, cfg Config, retry retryPolicy, strat Strategy, prompt string) {
 		t.Helper()
 		events := sha256.New()
 		cfg.OnEvent = func(ev Event) {
@@ -45,7 +45,9 @@ func TestDecisionLog(t *testing.T) {
 			fmt.Fprintf(events, "%s|%d|%s|%d|%s|%s|%.9f|%.9f|%.9f\n", ev.Type, ev.Round, ev.Model,
 				ev.Tokens, ev.Reason, ev.Text, round9(ev.Score), round9(ev.QuerySim), round9(ev.InterSim))
 		}
-		res, err := mustNew(t, b, cfg).Run(context.Background(), strat, prompt)
+		o := mustNew(t, b, cfg)
+		o.retry = retry
+		res, err := o.Run(context.Background(), strat, prompt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -60,45 +62,46 @@ func TestDecisionLog(t *testing.T) {
 	}
 
 	forEachGridCase(prompts, func(name string, strat Strategy, cfg Config, prompt string) {
-		record(name, engine, cfg, strat, prompt)
+		record(name, engine, cfg, defaultRetry, strat, prompt)
 	})
 
 	// The rows no seeded question reaches, on the three-model pool at 128
-	// tokens over the first four questions.
+	// tokens over the first four questions, with two attempts per chunk
+	// and no backoff.
 	pool := gridPools[1]
 	base := func() Config {
 		cfg := DefaultConfig(pool...)
 		cfg.MaxTokens = 128
-		cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: -1}
 		return cfg
 	}
+	retry := retryPolicy{attempts: 2, chunkTimeout: defaultRetry.chunkTimeout}
 	for _, strat := range gridStrategies {
 		for q, prompt := range prompts[:4] {
 			if strat != StrategyOUA {
 				cfg := base()
 				cfg.Priors = map[string]float64{llm.ModelLlama3: 0.2, llm.ModelMistral: 0.9, llm.ModelQwen2: 0.5}
-				record(fmt.Sprintf("%s/priors/q%02d", strat, q), engine, cfg, strat, prompt)
+				record(fmt.Sprintf("%s/priors/q%02d", strat, q), engine, cfg, retry, strat, prompt)
 			}
 
 			dead := NewFaultBackend(engine)
 			dead.EnableStreams()
 			dead.FailStreamOpen(llm.ModelMistral, errBoom)
 			dead.FailAlways(llm.ModelMistral, errBoom)
-			record(fmt.Sprintf("%s/dead/q%02d", strat, q), dead, base(), strat, prompt)
+			record(fmt.Sprintf("%s/dead/q%02d", strat, q), dead, base(), retry, strat, prompt)
 
 			// Dies on its second pull: the first chunk call succeeds, the
 			// next one fails both attempts.
 			late := NewFaultBackend(engine)
 			late.FailCall(llm.ModelLlama3, 2, errBoom)
 			late.FailCall(llm.ModelLlama3, 3, errBoom)
-			record(fmt.Sprintf("%s/late/q%02d", strat, q), late, base(), strat, prompt)
+			record(fmt.Sprintf("%s/late/q%02d", strat, q), late, base(), retry, strat, prompt)
 
 			broken := NewFaultBackend(engine)
 			broken.EnableStreams()
 			broken.BreakStreamAfter(llm.ModelLlama3, 10)
-			record(fmt.Sprintf("%s/broken/q%02d", strat, q), broken, base(), strat, prompt)
+			record(fmt.Sprintf("%s/broken/q%02d", strat, q), broken, base(), retry, strat, prompt)
 
-			record(fmt.Sprintf("%s/chunkonly/q%02d", strat, q), chunkOnlyWrapper{inner: engine}, base(), strat, prompt)
+			record(fmt.Sprintf("%s/chunkonly/q%02d", strat, q), chunkOnlyWrapper{inner: engine}, base(), retry, strat, prompt)
 		}
 	}
 

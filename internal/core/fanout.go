@@ -23,7 +23,7 @@ import (
 //     event emission happens on the orchestrating goroutine in that
 //     order. Workers only write their own slot.
 //   - Graceful degradation: a pull that still fails after the
-//     RetryPolicy budget marks its model failed-and-pruned (with an
+//     retry budget marks its model failed-and-pruned (with an
 //     EventModelFailed) instead of aborting the query; the query errors
 //     only when every model has failed (ErrAllModelsFailed).
 
@@ -33,53 +33,30 @@ import (
 // EventModelFailed events.
 var ErrAllModelsFailed = errors.New("core: all models failed")
 
-// DefaultRetryPolicy is the per-chunk fault-tolerance budget used when
-// Config.Retry is the zero value: three attempts, 50 ms exponential
-// backoff capped at 1 s, 30 s per-attempt timeout.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:  3,
-		BaseBackoff:  50 * time.Millisecond,
-		MaxBackoff:   time.Second,
-		ChunkTimeout: 30 * time.Second,
-	}
-}
-
-// RetryPolicy bounds how hard the orchestrator works to get one chunk
+// retryPolicy bounds how hard the orchestrator works to get one chunk
 // out of one model before declaring the model failed: an open or a drain
 // that fails closes the model's stream, and the next attempt reopens it
-// from the model's continuation state (stream.go). Zero fields take
-// the DefaultRetryPolicy values; negative BaseBackoff or ChunkTimeout
-// disables the backoff sleep or the per-attempt deadline respectively.
-type RetryPolicy struct {
-	// MaxAttempts is the total tries per chunk (1 = no retries).
-	MaxAttempts int
-	// BaseBackoff is the sleep before the first retry; it doubles after
-	// every failed attempt.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the doubling.
-	MaxBackoff time.Duration
-	// ChunkTimeout is the deadline on a drain that may wait for tokens.
-	// A drain that exceeds it with nothing buffered counts as a failure
-	// and is retried.
-	ChunkTimeout time.Duration
+// from the model's continuation state (stream.go).
+type retryPolicy struct {
+	// attempts is the total tries per chunk (1 = no retries).
+	attempts int
+	// backoff is the sleep before the first retry; it doubles after every
+	// failed attempt, up to maxBackoff. Zero retries without sleeping.
+	backoff, maxBackoff time.Duration
+	// chunkTimeout is the deadline on a drain that may wait for tokens. A
+	// drain that exceeds it with nothing buffered counts as a failure and
+	// is retried. Zero sets no deadline.
+	chunkTimeout time.Duration
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.BaseBackoff == 0 {
-		p.BaseBackoff = d.BaseBackoff
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = d.MaxBackoff
-	}
-	if p.ChunkTimeout == 0 {
-		p.ChunkTimeout = d.ChunkTimeout
-	}
-	return p
+// defaultRetry is every orchestrator's per-chunk fault-tolerance budget:
+// three attempts, 50 ms exponential backoff capped at 1 s, 30 s deadline
+// on a drain that may wait.
+var defaultRetry = retryPolicy{
+	attempts:     3,
+	backoff:      50 * time.Millisecond,
+	maxBackoff:   time.Second,
+	chunkTimeout: 30 * time.Second,
 }
 
 // fanJob is one model's slice of a fan-out round.
@@ -94,10 +71,8 @@ type fanResult struct {
 	chunk    llm.Chunk
 	attempts int
 	err      error
-	// elapsed is the pull's wall clock, retries included — measured on
-	// the worker so queueing behind MaxConcurrent is excluded once the
-	// pull starts: the time spent waiting for tokens not yet buffered
-	// (the round's stall).
+	// elapsed is the pull's wall clock, retries included: the time spent
+	// waiting for tokens not yet buffered (the round's stall).
 	elapsed time.Duration
 
 	// Session transitions, reported back so the orchestrating goroutine
@@ -130,9 +105,8 @@ func (rs *roundScratch) unpruned(cands []*candidate) []*candidate {
 // goroutine-per-job reference.
 var fanOutRound = (*Orchestrator).fanOut
 
-// fanOut pulls every one of rs.jobs' chunks (bounded by
-// Config.MaxConcurrent when positive) and blocks until all have completed
-// or failed their retry budget. Pulls the session's buffer already covers
+// fanOut pulls every one of rs.jobs' chunks and blocks until all have
+// completed or failed their retry budget. Pulls the session's buffer already covers
 // do not wait, so they and the last pull that may wait run on this
 // goroutine; only the other pulls get one each. Each pull writes only its
 // own result slot and the caller consumes them in job order, so candidate
@@ -146,15 +120,6 @@ func (o *Orchestrator) fanOut(ctx context.Context, rs *roundScratch) []fanResult
 		return results
 	}
 	o.beforeWait()
-	if n := o.cfg.MaxConcurrent; n > 0 && n < len(jobs) {
-		sem := make(chan struct{}, n)
-		for i := range jobs {
-			rs.wg.Add(1)
-			go o.pullAsync(ctx, rs, i, sem)
-		}
-		rs.wg.Wait()
-		return results
-	}
 	last := -1 // the latest pull that may wait, started once a later one shows up
 	for i, j := range jobs {
 		if j.cand.sess.covers(j.take) {
@@ -163,7 +128,7 @@ func (o *Orchestrator) fanOut(ctx context.Context, rs *roundScratch) []fanResult
 		}
 		if last >= 0 {
 			rs.wg.Add(1)
-			go o.pullAsync(ctx, rs, last, nil)
+			go o.pullAsync(ctx, rs, last)
 		}
 		last = i
 	}
@@ -175,13 +140,9 @@ func (o *Orchestrator) fanOut(ctx context.Context, rs *roundScratch) []fanResult
 	return results
 }
 
-// pullAsync runs rs.jobs[i]'s pull on its own goroutine, in a slot of sem if any.
-func (o *Orchestrator) pullAsync(ctx context.Context, rs *roundScratch, i int, sem chan struct{}) {
+// pullAsync runs rs.jobs[i]'s pull on its own goroutine.
+func (o *Orchestrator) pullAsync(ctx context.Context, rs *roundScratch, i int) {
 	defer rs.wg.Done()
-	if sem != nil {
-		sem <- struct{}{}
-		defer func() { <-sem }()
-	}
 	j := rs.jobs[i]
 	rs.results[i] = o.pull(ctx, j.cand, j.take, j.spent)
 }

@@ -25,19 +25,11 @@ func referenceFanOut(o *Orchestrator, ctx context.Context, rs *roundScratch) []f
 		return results
 	}
 	o.beforeWait()
-	var sem chan struct{}
-	if o.cfg.MaxConcurrent > 0 && o.cfg.MaxConcurrent < len(jobs) {
-		sem = make(chan struct{}, o.cfg.MaxConcurrent)
-	}
 	var wg sync.WaitGroup
 	for i, j := range jobs {
 		wg.Add(1)
 		go func(i int, j fanJob) {
 			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
 			results[i] = o.pull(ctx, j.cand, j.take, j.spent)
 		}(i, j)
 	}

@@ -23,9 +23,8 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	fb := NewFaultBackend(threeModels())
 	fb.FailCall("good", 1, errBoom)
 	cfg := DefaultConfig("good", "okay", "bad")
-	cfg.Retry = fastRetry()
 	failures := failureEvents(&cfg)
-	o := mustNew(t, fb, cfg)
+	o := mustNewFast(t, fb, cfg)
 	res, err := o.OUA(context.Background(), testPrompt)
 	if err != nil {
 		t.Fatal(err)
@@ -46,9 +45,8 @@ func TestRetryExhaustionPrunesModel(t *testing.T) {
 	fb := NewFaultBackend(threeModels())
 	fb.FailAlways("okay", errBoom)
 	cfg := DefaultConfig("good", "okay", "bad")
-	cfg.Retry = fastRetry()
 	failures := failureEvents(&cfg)
-	o := mustNew(t, fb, cfg)
+	o := mustNewFast(t, fb, cfg)
 	res, err := o.OUA(context.Background(), testPrompt)
 	if err != nil {
 		t.Fatal(err)
@@ -80,9 +78,8 @@ func TestAllModelsFailed(t *testing.T) {
 				fb.FailAlways(m, errBoom)
 			}
 			cfg := DefaultConfig("good", "okay", "bad")
-			cfg.Retry = fastRetry()
 			failures := failureEvents(&cfg)
-			o := mustNew(t, fb, cfg)
+			o := mustNewFast(t, fb, cfg)
 			_, err := o.Run(context.Background(), st, testPrompt)
 			if !errors.Is(err, ErrAllModelsFailed) {
 				t.Fatalf("err = %v, want ErrAllModelsFailed", err)
@@ -99,9 +96,8 @@ func TestAllModelsFailed(t *testing.T) {
 		fb := NewFaultBackend(threeModels())
 		fb.FailAlways("good", errBoom)
 		cfg := DefaultConfig("good")
-		cfg.Retry = fastRetry()
 		failures := failureEvents(&cfg)
-		o := mustNew(t, fb, cfg)
+		o := mustNewFast(t, fb, cfg)
 		if _, err := o.Single(context.Background(), "good", testPrompt); !errors.Is(err, errBoom) {
 			t.Fatalf("err = %v", err)
 		}
@@ -109,32 +105,6 @@ func TestAllModelsFailed(t *testing.T) {
 			t.Fatalf("failure events = %+v", *failures)
 		}
 	})
-}
-
-func TestFanOutBoundedConcurrency(t *testing.T) {
-	fb := NewFaultBackend(threeModels())
-	cfg := DefaultConfig("good", "okay", "bad")
-	cfg.MaxConcurrent = 1 // fully serialized fan-out must still converge
-	o := mustNew(t, fb, cfg)
-	res, err := o.OUA(context.Background(), testPrompt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Answer == "" || res.Model == "" {
-		t.Fatalf("result = %+v", res)
-	}
-}
-
-func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
-	if p != DefaultRetryPolicy() {
-		t.Fatalf("zero policy = %+v", p)
-	}
-	// Negative values disable, and survive withDefaults untouched.
-	p = RetryPolicy{MaxAttempts: 1, BaseBackoff: -1, MaxBackoff: -1, ChunkTimeout: -1}.withDefaults()
-	if p.MaxAttempts != 1 || p.BaseBackoff != -1 || p.ChunkTimeout != -1 {
-		t.Fatalf("explicit policy rewritten: %+v", p)
-	}
 }
 
 // TestFaultReplicaViewsScheduleIndependently pins the per-replica

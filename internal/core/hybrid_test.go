@@ -116,8 +116,7 @@ func TestHybridBackendErrorDegradesGracefully(t *testing.T) {
 	b := threeModels()
 	b.fail = map[string]error{"okay": errBoom}
 	cfg := DefaultConfig("good", "okay")
-	cfg.Retry = fastRetry()
-	o := mustNew(t, b, cfg)
+	o := mustNewFast(t, b, cfg)
 	res, err := o.Hybrid(context.Background(), testPrompt)
 	if err != nil {
 		t.Fatal(err)

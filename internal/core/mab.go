@@ -26,7 +26,7 @@ import (
 // any exploitation — fans its chunk calls out concurrently, collected in
 // arm order; the adaptive pulls that follow are inherently sequential
 // (each pull's arm choice depends on the previous pull's reward). An arm
-// whose backend keeps failing past Config.Retry is retired with an
+// whose backend keeps failing past its retry budget is retired with an
 // EventModelFailed instead of aborting the query; the query errors only
 // when every arm has failed (ErrAllModelsFailed).
 func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {

@@ -28,7 +28,7 @@ import (
 // Each round's chunk calls fan out concurrently (fanOut: a goroutine per
 // pull that may wait, collected deterministically in model order), so a
 // round costs the slowest model's latency rather than the sum. A model whose
-// backend keeps failing past Config.Retry is pruned with an
+// backend keeps failing past its retry budget is pruned with an
 // EventModelFailed and its allowance redistributed; the query errors
 // only when every model has failed (ErrAllModelsFailed).
 func (o *Orchestrator) OUA(ctx context.Context, prompt string) (Result, error) {

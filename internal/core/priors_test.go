@@ -17,13 +17,12 @@ import (
 
 func TestNewCandidatePriors(t *testing.T) {
 	o := mustNew(t, threeModels(), Config{
-		Models:      []string{"good", "okay"},
-		Priors:      map[string]float64{"good": 0.8},
-		PriorWeight: 3,
+		Models: []string{"good", "okay"},
+		Priors: map[string]float64{"good": 0.8},
 	})
 	c := o.newCandidate("good")
-	if math.Abs(c.priorSum-2.4) > 1e-9 || c.priorPulls != 3 {
-		t.Fatalf("prior mass = (%v, %v), want (2.4, 3)", c.priorSum, c.priorPulls)
+	if math.Abs(c.priorSum-1.6) > 1e-9 || c.priorPulls != 2 {
+		t.Fatalf("prior mass = (%v, %v), want (1.6, 2)", c.priorSum, c.priorPulls)
 	}
 	if c := o.newCandidate("okay"); c.priorSum != 0 || c.priorPulls != 0 {
 		t.Fatalf("un-priored arm got mass: %+v", c)
@@ -59,7 +58,6 @@ func TestPriorsSteerBudget(t *testing.T) {
 	cfg.MaxTokens = 256
 	cfg.MABChunk = 8
 	cfg.Priors = map[string]float64{"twin-a": 0.1, "twin-b": 0.9}
-	cfg.PriorWeight = 4
 	o := mustNew(t, newFakeBackend(map[string]string{"twin-a": long, "twin-b": long}), cfg)
 	res, err := o.MAB(context.Background(), testPrompt)
 	if err != nil {

@@ -31,7 +31,7 @@ import (
 //     goroutine in job order.
 //   - One failure ladder: an open or a drain that fails closes the
 //     stream and reopens it from the candidate's continuation state,
-//     under RetryPolicy's attempts and doubling backoff — text already
+//     under the retry policy's attempts and doubling backoff — text already
 //     drained is never lost, because the buffer hands out partial slices
 //     before surfacing the error. A parent cancel is never retried; a
 //     cancel the parent did not cause counts as a timeout.
@@ -63,12 +63,12 @@ var errChunkTimeout = errors.New("core: chunk attempt timed out")
 // next produces the candidate's chunk for one round: it drains up to take
 // tokens from the stream, lazily opening it, and climbs the failure
 // ladder — close, back off, reopen from cont, drain again — until a drain
-// succeeds or RetryPolicy's attempts are spent. cont is the candidate's
+// succeeds or the retry policy's attempts are spent. cont is the candidate's
 // current continuation state, spent the query's tokens awarded so far.
 func (s *genSession) next(ctx context.Context, cont []int, take, spent int) fanResult {
 	var r fanResult
-	p := s.o.cfg.Retry
-	backoff := p.BaseBackoff
+	p := s.o.retry
+	backoff := p.backoff
 	for {
 		r.attempts++
 		chunk, err := s.drain(ctx, cont, take, spent, &r)
@@ -100,7 +100,7 @@ func (s *genSession) next(ctx context.Context, cont []int, take, spent int) fanR
 		if r.fallback == nil {
 			r.fallback = err
 		}
-		if r.attempts >= p.MaxAttempts {
+		if r.attempts >= p.attempts {
 			r.err = fmt.Errorf("after %d attempts: %w", r.attempts, err)
 			return r
 		}
@@ -111,10 +111,7 @@ func (s *genSession) next(ctx context.Context, cont []int, take, spent int) fanR
 				return r
 			case <-time.After(backoff):
 			}
-			backoff *= 2
-			if p.MaxBackoff > 0 && backoff > p.MaxBackoff {
-				backoff = p.MaxBackoff
-			}
+			backoff = min(2*backoff, p.maxBackoff)
 		}
 	}
 }
@@ -141,7 +138,7 @@ func (s *genSession) drain(ctx context.Context, cont []int, take, spent int, r *
 	}
 	r.prefetched = min(s.buffered(), take)
 	drainCtx, cancel := ctx, context.CancelFunc(func() {})
-	if t := s.o.cfg.Retry.ChunkTimeout; t > 0 && r.prefetched < take {
+	if t := s.o.retry.chunkTimeout; t > 0 && r.prefetched < take {
 		drainCtx, cancel = context.WithTimeout(ctx, t)
 	}
 	chunk, err := s.stream.Next(drainCtx, take)

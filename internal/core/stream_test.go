@@ -146,13 +146,12 @@ func TestMidStreamBreakFallsBackLosslessly(t *testing.T) {
 func TestStreamOpenFailureDegradesQuietly(t *testing.T) {
 	cfg := DefaultConfig(engineModels()...)
 	cfg.MaxTokens = 256
-	cfg.Retry = fastRetry()
 	tap := &streamEventTap{}
 	tap.install(&cfg)
 	fb := NewFaultBackend(llm.NewEngine(llm.Options{}))
 	fb.EnableStreams()
 	fb.FailStreamOpen(llm.ModelMistral, errBoom)
-	res, err := mustNew(t, fb, cfg).OUA(context.Background(), enginePrompt)
+	res, err := mustNewFast(t, fb, cfg).OUA(context.Background(), enginePrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +179,11 @@ func TestStreamOpenFailureDegradesQuietly(t *testing.T) {
 func TestPersistentOpenFailureFailsModel(t *testing.T) {
 	cfg := DefaultConfig(engineModels()...)
 	cfg.MaxTokens = 256
-	cfg.Retry = fastRetry()
 	failures := failureEvents(&cfg)
 	fb := NewFaultBackend(llm.NewEngine(llm.Options{}))
 	fb.EnableStreams()
 	fb.FailAlways(llm.ModelMistral, errBoom)
-	res, err := mustNew(t, fb, cfg).OUA(context.Background(), enginePrompt)
+	res, err := mustNewFast(t, fb, cfg).OUA(context.Background(), enginePrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +191,8 @@ func TestPersistentOpenFailureFailsModel(t *testing.T) {
 	if !out.Failed || !out.Pruned || !strings.Contains(out.Error, errBoom.Error()) {
 		t.Fatalf("mistral outcome = %+v, want failed on its open error", out)
 	}
-	if len(*failures) != 1 || (*failures)[0].Attempts != cfg.Retry.MaxAttempts {
-		t.Fatalf("failure events = %+v, want one after %d attempts", *failures, cfg.Retry.MaxAttempts)
+	if len(*failures) != 1 || (*failures)[0].Attempts != fastRetry.attempts {
+		t.Fatalf("failure events = %+v, want one after %d attempts", *failures, fastRetry.attempts)
 	}
 	if fb.StreamOpens(llm.ModelMistral) != 0 {
 		t.Fatalf("a failed open was counted as a success")
@@ -334,8 +332,8 @@ func TestRetryBackoffAbortsOnCancel(t *testing.T) {
 	fb := NewFaultBackend(threeModels())
 	fb.FailAlways("good", errBoom)
 	cfg := DefaultConfig("good")
-	cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour, ChunkTimeout: -1}
 	o := mustNew(t, fb, cfg)
+	o.retry = retryPolicy{attempts: 3, backoff: time.Hour, maxBackoff: time.Hour}
 	c := &candidate{model: "good"}
 	o.attachSessions([]*candidate{c}, testPrompt)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -452,11 +450,12 @@ func TestChunkTimeoutOnlyArmsWaitingDrains(t *testing.T) {
 	for name, mk := range backends {
 		for _, strat := range []Strategy{StrategyOUA, StrategyMAB, StrategyHybrid} {
 			var res [2]Result
-			for i, timeout := range []time.Duration{-1, 30 * time.Second} {
+			for i, timeout := range []time.Duration{0, 30 * time.Second} {
 				cfg := DefaultConfig(engineModels()...)
 				cfg.MaxTokens = 512
-				cfg.Retry.ChunkTimeout = timeout
-				r, err := mustNew(t, mk(), cfg).Run(context.Background(), strat, enginePrompt)
+				o := mustNew(t, mk(), cfg)
+				o.retry.chunkTimeout = timeout
+				r, err := o.Run(context.Background(), strat, enginePrompt)
 				if err != nil {
 					t.Fatalf("%s/%s timeout %v: %v", name, strat, timeout, err)
 				}
@@ -494,8 +493,8 @@ func (stallStream) Buffered() int { return 0 }
 // by the per-chunk timeout, which closes the stream and spends the attempt.
 func TestStalledStreamStillTimesOut(t *testing.T) {
 	cfg := DefaultConfig("m")
-	cfg.Retry = RetryPolicy{MaxAttempts: 1, ChunkTimeout: 20 * time.Millisecond}
 	o := mustNew(t, stallBackend{}, cfg)
+	o.retry = retryPolicy{attempts: 1, chunkTimeout: 20 * time.Millisecond}
 	c := &candidate{model: "m"}
 	o.attachSessions([]*candidate{c}, testPrompt)
 	done := make(chan fanResult, 1)

@@ -79,12 +79,11 @@ func BenchmarkFleetDyingReplica(b *testing.B) {
 				{ID: "r0", Backend: r0},
 				{ID: "r1", Backend: &sleepBackend{delay: time.Millisecond}},
 			}},
-			FailureThreshold: 3,
-			Cooldown:         time.Hour, // stays ejected for the whole run
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
+		setBreakers(p, failureThreshold, time.Hour) // stays ejected for the whole run
 		b.Cleanup(p.Close)
 		return p
 	}

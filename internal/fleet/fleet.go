@@ -38,22 +38,12 @@ type Config struct {
 	// least one replica with a non-nil backend.
 	Replicas map[string][]Replica
 
-	// FailureThreshold is the consecutive-failure count that trips a
-	// replica's breaker open. Default 3.
-	FailureThreshold int
-	// Cooldown is how long an open breaker ejects its replica before a
-	// half-open trial is admitted. Default 5s.
-	Cooldown time.Duration
-
-	// Probe, when set, is invoked per replica every ProbeInterval. A
-	// probe error counts toward ejection (ProbeFailures consecutive
-	// errors mark the replica unhealthy); a success re-admits an
-	// unhealthy replica and closes a cooled-down open breaker without
-	// burning a user request on the trial.
-	Probe         func(ctx context.Context, model string, r Replica) error
-	ProbeInterval time.Duration // default 10s
-	ProbeTimeout  time.Duration // default 2s
-	ProbeFailures int           // default 2
+	// Probe, when set, is invoked per replica every probeInterval, under
+	// a probeTimeout deadline. A probe error counts toward ejection
+	// (probeFailures consecutive errors mark the replica unhealthy); a
+	// success re-admits an unhealthy replica and closes a cooled-down
+	// open breaker without burning a user request on the trial.
+	Probe func(ctx context.Context, model string, r Replica) error
 
 	// Telemetry receives fleet gauges/counters; nil disables.
 	Telemetry *telemetry.Telemetry
@@ -61,11 +51,28 @@ type Config struct {
 	// Logger receives structured fleet events: breaker transitions and
 	// health ejections/re-admissions. Nil discards.
 	Logger *slog.Logger
-
-	// Seed fixes the selection RNG for reproducible tests; 0 seeds from
-	// an arbitrary constant.
-	Seed int64
 }
+
+// The pool's constants. New copies the first two into every replica's
+// breaker and probeInterval into the Pool, where in-package tests
+// shorten them.
+const (
+	// failureThreshold is the consecutive-failure count that trips a
+	// replica's breaker open.
+	failureThreshold = 3
+	// cooldown is how long an open breaker ejects its replica before a
+	// half-open trial is admitted.
+	cooldown = 5 * time.Second
+	// probeInterval is the prober's sweep period, probeTimeout the
+	// deadline on one probe.
+	probeInterval = 10 * time.Second
+	probeTimeout  = 2 * time.Second
+	// probeFailures consecutive probe errors mark a replica unhealthy.
+	probeFailures = 2
+	// selectSeed seeds the selection RNG: determinism matters, the value
+	// does not ("llms").
+	selectSeed = 0x6c6d6d73
+)
 
 // Fleet error sentinels, matchable with errors.Is.
 var (
@@ -83,7 +90,7 @@ var replicaStates = []string{"serving", "open", "half_open", "unhealthy"}
 // Pool is the fleet. It satisfies llm.Backend and llm.StreamingBackend,
 // so it drops in wherever a single engine or modeld client did.
 type Pool struct {
-	cfg    Config
+	probe  func(ctx context.Context, model string, r Replica) error
 	tel    *telemetry.Telemetry
 	log    *slog.Logger
 	models map[string]*modelPool
@@ -91,6 +98,8 @@ type Pool struct {
 
 	rmu sync.Mutex
 	rng *rand.Rand
+
+	probeInterval time.Duration // the constant; in-package tests shorten it
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -123,36 +132,18 @@ func New(cfg Config) (*Pool, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("fleet: config has no models")
 	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 5 * time.Second
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 10 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.ProbeFailures <= 0 {
-		cfg.ProbeFailures = 2
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x6c6d6d73 // "llms"; determinism matters, the value doesn't
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = telemetry.NopLogger()
 	}
 	p := &Pool{
-		cfg:    cfg,
-		tel:    cfg.Telemetry,
-		log:    log,
-		models: make(map[string]*modelPool, len(cfg.Replicas)),
-		rng:    rand.New(rand.NewSource(seed)),
-		stopCh: make(chan struct{}),
+		probe:         cfg.Probe,
+		tel:           cfg.Telemetry,
+		log:           log,
+		models:        make(map[string]*modelPool, len(cfg.Replicas)),
+		rng:           rand.New(rand.NewSource(selectSeed)),
+		probeInterval: probeInterval,
+		stopCh:        make(chan struct{}),
 	}
 	for model, set := range cfg.Replicas {
 		if len(set) == 0 {
@@ -176,8 +167,8 @@ func New(cfg Config) (*Pool, error) {
 				id:      rep.ID,
 				backend: rep.Backend,
 				br: breaker{
-					threshold: cfg.FailureThreshold,
-					cooldown:  cfg.Cooldown,
+					threshold: failureThreshold,
+					cooldown:  cooldown,
 					now:       time.Now,
 				},
 			}

@@ -67,6 +67,16 @@ func installClock(p *Pool) *fakeClock {
 	return clk
 }
 
+// setBreakers gives every replica's breaker the trip threshold and
+// cooldown a test needs in place of the pool's constants.
+func setBreakers(p *Pool, threshold int, cooldown time.Duration) {
+	for _, mp := range p.models {
+		for _, r := range mp.replicas {
+			r.br.threshold, r.br.cooldown = threshold, cooldown
+		}
+	}
+}
+
 func mustPool(t *testing.T, cfg Config) *Pool {
 	t.Helper()
 	p, err := New(cfg)
@@ -187,7 +197,7 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 // TestBreakerEjectsDyingReplica is the pool-level trip: once r0 fails
-// FailureThreshold times, all traffic lands on r1 and r0 sees no more
+// its breaker's threshold times, all traffic lands on r1 and r0 sees no more
 // calls until its cooldown expires — then a single half-open trial
 // re-admits it because the backend recovered.
 func TestBreakerEjectsDyingReplica(t *testing.T) {
@@ -199,10 +209,9 @@ func TestBreakerEjectsDyingReplica(t *testing.T) {
 		Replicas: map[string][]Replica{"m": {
 			{ID: "r0", Backend: bad}, {ID: "r1", Backend: good},
 		}},
-		FailureThreshold: 2,
-		Cooldown:         time.Second,
-		Telemetry:        tel,
+		Telemetry: tel,
 	})
+	setBreakers(p, 2, time.Second)
 	clk := installClock(p)
 
 	ctx := context.Background()
@@ -258,9 +267,8 @@ func TestAllReplicasEjected(t *testing.T) {
 			{ID: "r0", Backend: failingBackend(&down)},
 			{ID: "r1", Backend: failingBackend(&down)},
 		}},
-		FailureThreshold: 1,
-		Cooldown:         time.Hour,
 	})
+	setBreakers(p, 1, time.Hour)
 	installClock(p)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
@@ -317,10 +325,9 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 			}
 			return nil
 		},
-		ProbeFailures: 2,
-		Cooldown:      time.Second,
-		Telemetry:     tel,
+		Telemetry: tel,
 	})
+	setBreakers(p, failureThreshold, time.Second)
 	clk := installClock(p)
 	ctx := context.Background()
 
@@ -394,8 +401,8 @@ func TestProberLoop(t *testing.T) {
 			}
 			return nil
 		},
-		ProbeInterval: 5 * time.Millisecond,
 	})
+	p.probeInterval = 5 * time.Millisecond
 	p.Start()
 	select {
 	case <-probed:

@@ -16,13 +16,13 @@ import (
 // configured Probe — breaker re-admission then rides on user traffic
 // alone (half-open trials). Close stops the prober.
 func (p *Pool) Start() {
-	if p.cfg.Probe == nil {
+	if p.probe == nil {
 		return
 	}
 	p.probeWG.Add(1)
 	go func() {
 		defer p.probeWG.Done()
-		t := time.NewTicker(p.cfg.ProbeInterval)
+		t := time.NewTicker(p.probeInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -46,7 +46,7 @@ func (p *Pool) Close() {
 // model order. Exported so tests and operators (via the prober loop's
 // cadence being too slow for a debugging session) can force a sweep.
 func (p *Pool) ProbeNow(ctx context.Context) {
-	if p.cfg.Probe == nil {
+	if p.probe == nil {
 		return
 	}
 	for _, name := range p.names {
@@ -60,14 +60,14 @@ func (p *Pool) ProbeNow(ctx context.Context) {
 // probeReplica runs one health check and folds the result into the
 // replica's health and breaker state:
 //
-//   - ProbeFailures consecutive errors mark the replica unhealthy,
+//   - probeFailures consecutive errors mark the replica unhealthy,
 //     ejecting it from selection entirely.
 //   - a success clears unhealth, and — the probe-driven re-admission
 //     path — closes a cooled-down open (or idle half-open) breaker so
 //     recovery does not burn a user request on the trial.
 func (p *Pool) probeReplica(ctx context.Context, mp *modelPool, r *replica) {
-	pctx, cancel := context.WithTimeout(ctx, p.cfg.ProbeTimeout)
-	err := p.cfg.Probe(pctx, mp.model, Replica{ID: r.id, Backend: r.backend})
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	err := p.probe(pctx, mp.model, Replica{ID: r.id, Backend: r.backend})
 	cancel()
 
 	r.mu.Lock()
@@ -76,7 +76,7 @@ func (p *Pool) probeReplica(ctx context.Context, mp *modelPool, r *replica) {
 	ejected := false
 	if err != nil {
 		r.probeFails++
-		if !r.unhealthy && r.probeFails >= p.cfg.ProbeFailures {
+		if !r.unhealthy && r.probeFails >= probeFailures {
 			r.unhealthy = true
 			changed = true
 			ejected = true

@@ -102,10 +102,8 @@ func TestStreamRoutesThroughFleet(t *testing.T) {
 // TestStreamOpenUnsupportedIsNeutral: a replica that cannot stream is a
 // routing signal (fall back to chunks), not a breaker failure.
 func TestStreamOpenUnsupportedIsNeutral(t *testing.T) {
-	p := mustPool(t, Config{
-		Replicas:         map[string][]Replica{"m": {{ID: "r0", Backend: okBackend()}}},
-		FailureThreshold: 1,
-	})
+	p := mustPool(t, Config{Replicas: map[string][]Replica{"m": {{ID: "r0", Backend: okBackend()}}}})
+	setBreakers(p, 1, cooldown)
 	for i := 0; i < 3; i++ {
 		if _, err := p.OpenStream(context.Background(), testReq("m")); !errors.Is(err, llm.ErrStreamUnsupported) {
 			t.Fatalf("err = %v, want ErrStreamUnsupported", err)
@@ -124,11 +122,8 @@ func TestStreamOpenUnsupportedIsNeutral(t *testing.T) {
 // and counts toward tripping.
 func TestStreamOpenFailureFeedsBreaker(t *testing.T) {
 	sb := &streamBackend{openErr: errDown}
-	p := mustPool(t, Config{
-		Replicas:         map[string][]Replica{"m": {{ID: "r0", Backend: sb}}},
-		FailureThreshold: 2,
-		Cooldown:         time.Hour,
-	})
+	p := mustPool(t, Config{Replicas: map[string][]Replica{"m": {{ID: "r0", Backend: sb}}}})
+	setBreakers(p, 2, time.Hour)
 	installClock(p)
 	for i := 0; i < 2; i++ {
 		if _, err := p.OpenStream(context.Background(), testReq("m")); !errors.Is(err, errDown) {
@@ -145,10 +140,7 @@ func TestStreamOpenFailureFeedsBreaker(t *testing.T) {
 // caller retries Next.
 func TestMidStreamFailureFeedsBreakerOnce(t *testing.T) {
 	sb := &streamBackend{stream: &scriptedStream{left: 2, failErr: errDown}}
-	p := mustPool(t, Config{
-		Replicas:         map[string][]Replica{"m": {{ID: "r0", Backend: sb}}},
-		FailureThreshold: 3,
-	})
+	p := mustPool(t, Config{Replicas: map[string][]Replica{"m": {{ID: "r0", Backend: sb}}}})
 	st, err := p.OpenStream(context.Background(), testReq("m"))
 	if err != nil {
 		t.Fatal(err)

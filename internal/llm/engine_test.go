@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"llmms/internal/gpu"
 	"llmms/internal/metrics"
 	"llmms/internal/truthfulqa"
 )
@@ -194,8 +193,8 @@ func TestLoadUnknownAndUnloadIdempotent(t *testing.T) {
 }
 
 func TestGPUAccounting(t *testing.T) {
-	cluster := gpu.NewCluster(gpu.TeslaV100)
-	e := NewEngine(Options{Cluster: cluster, Knowledge: NewKnowledge(truthfulqa.Seed())})
+	e := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed())})
+	cluster := e.cluster
 	if err := e.Load(ModelLlama3); err != nil {
 		t.Fatal(err)
 	}

@@ -41,12 +41,6 @@ type Client struct {
 	// could not be, reported by each call.
 	generate    *http.Request
 	generateErr error
-
-	// Timeout, when positive, bounds each daemon request that arrives
-	// without a caller-supplied deadline. Requests whose context already
-	// carries a deadline (e.g. the orchestrator's per-chunk retry
-	// wrapper) are left alone.
-	Timeout time.Duration
 }
 
 var (
@@ -102,13 +96,6 @@ func WithHTTPClient(hc *http.Client) Option {
 	}
 }
 
-// WithTimeout sets the default per-request deadline applied to daemon
-// requests whose context does not already carry one. Zero or negative
-// leaves requests unbounded (the historical default).
-func WithTimeout(d time.Duration) Option {
-	return func(c *Client) { c.Timeout = d }
-}
-
 // WithTelemetry attaches a telemetry bundle: every daemon request is
 // then counted in modeld_client_requests_total{op,outcome} and timed in
 // modeld_client_request_duration_seconds{op}, with per-model chunk
@@ -130,8 +117,9 @@ func WithTelemetry(tel *telemetry.Telemetry) Option {
 
 // New returns a client for a daemon at base (e.g.
 // "http://127.0.0.1:11434"), configured by options. With no options the
-// client uses the package's shared fan-out-tuned HTTP client, no default
-// timeout, and no telemetry.
+// client uses the package's shared fan-out-tuned HTTP client and no
+// telemetry. A request's deadline is its caller's context's: the
+// orchestrator bounds every drain that may wait.
 func New(base string, opts ...Option) *Client {
 	c := &Client{base: strings.TrimRight(base, "/"), hc: defaultHTTPClient()}
 	c.generate, c.generateErr = http.NewRequest(http.MethodPost, c.base+"/api/generate", nil)
@@ -162,17 +150,6 @@ func outcome(err error) string {
 	return "error"
 }
 
-// withTimeout applies the client default deadline when the caller did
-// not set one. The returned cancel must always be called.
-func (c *Client) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.Timeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			return context.WithTimeout(ctx, c.Timeout)
-		}
-	}
-	return ctx, func() {}
-}
-
 // do issues a JSON request and decodes the JSON response into out.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) (err error) {
 	start := time.Now()
@@ -180,8 +157,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) (err 
 	defer func() { c.observe(op, start, err) }()
 	ctx, sp := telemetry.StartSpan(ctx, "modeld."+op)
 	defer func() { sp.End(err) }()
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -235,7 +210,7 @@ var (
 // accepted the request (any other status is an error). The request is a
 // copy of the one New built and its body is encoded into a pooled buffer,
 // so nothing is parsed or reflected over per call; it goes straight to the
-// transport, since ctx and Timeout bound it and the daemon neither
+// transport, since ctx bounds it and the daemon neither
 // redirects nor sets cookies. The caller releases body once it has closed
 // the response body — until then the transport may still be sending it,
 // which is also why a failed call leaves its buffer to the garbage
@@ -378,8 +353,6 @@ func (c *Client) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (chunk
 	wire.Options.StreamTokens = true
 	ctx, sp := telemetry.StartSpan(ctx, "modeld.generate")
 	sp.SetAttr("model", req.Model)
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
 	var text strings.Builder
 	resp, body, err := c.postGenerate(ctx, &wire, sp)
 	if err == nil {
@@ -423,9 +396,8 @@ func (c *Client) observeChunk(model string, start time.Time, err error) {
 // state, so the daemon ingests the prompt once per query instead of
 // once per round.
 //
-// The client's default Timeout deliberately does NOT apply: a session
-// legitimately lives for the whole query. Cancellation is the caller's
-// ctx or Close. A daemon that does not echo token ids (a stock Ollama)
+// A session legitimately lives for the whole query: cancellation is the
+// caller's ctx or Close. A daemon that does not echo token ids (a stock Ollama)
 // fails the stream with llm.ErrStreamUnsupported before any text is
 // handed out, so llm.Sessions can lift the session onto GenerateChunk
 // without duplicating output.

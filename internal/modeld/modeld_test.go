@@ -344,18 +344,18 @@ func TestGenerateDroppedConnection(t *testing.T) {
 	}
 }
 
-// TestClientTimeout proves the client-level default deadline fires when
-// the caller's context has none — the hung-daemon guard behind the core
-// retry loop's per-attempt timeout.
+// TestClientTimeout proves the caller's deadline bounds a request to a
+// hung daemon — the guard the orchestrator's per-drain deadline relies on.
 func TestClientTimeout(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done() // hang until the client gives up
 	}))
 	defer srv.Close()
 	c := New(srv.URL, WithHTTPClient(srv.Client()))
-	c.Timeout = 30 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	if _, err := c.Tags(context.Background()); err == nil {
+	if _, err := c.Tags(ctx); err == nil {
 		t.Fatal("expected timeout error from a hung daemon")
 	}
 	if time.Since(start) > 5*time.Second {

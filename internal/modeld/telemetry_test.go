@@ -108,8 +108,9 @@ func TestClientCanceledOutcome(t *testing.T) {
 	defer srv.Close()
 	tel := telemetry.New(telemetry.Options{})
 	c := New(srv.URL, WithHTTPClient(srv.Client()), WithTelemetry(tel))
-	c.Timeout = 20 * time.Millisecond
-	if _, err := c.Tags(context.Background()); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := c.Tags(ctx); err == nil {
 		t.Fatal("expected timeout")
 	}
 	if got := tel.ClientRequests.Value("tags", "canceled"); got != 1 {

@@ -44,13 +44,6 @@ func TestDefaultClientSharedOnce(t *testing.T) {
 	}
 }
 
-// TestClientOptions covers the remaining construction options.
-func TestClientOptions(t *testing.T) {
-	if c := New("http://127.0.0.1:1/", WithTimeout(3*time.Second)); c.Timeout != 3*time.Second {
-		t.Fatalf("WithTimeout not applied: %v", c.Timeout)
-	}
-}
-
 // TestDefaultClientReusesConnections proves the fan-out tuning end to
 // end: a wave of concurrent requests — one per simulated model, more
 // than http.DefaultClient's 2 idle connections per host — is followed by

@@ -289,7 +289,7 @@ func FuzzCachePolicy(f *testing.F) {
 	f.Add(hot)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		now := time.Unix(1000, 0)
-		c := New(Options{Capacity: 5, TTL: 10 * time.Second, SemanticThreshold: 0.5, Clock: func() time.Time { return now }})
+		c := newAt(Options{Capacity: 5, TTL: 10 * time.Second, SemanticThreshold: 0.5}, func() time.Time { return now })
 		type stored struct {
 			id      string
 			expires time.Time

@@ -159,11 +159,6 @@ type Options struct {
 	// hit. Zero means DefaultSemanticThreshold; a value > 1 disables the
 	// semantic tier outright (cosine similarity never exceeds 1).
 	SemanticThreshold float64
-	// Encoder embeds normalized queries for the semantic tier. Nil means
-	// embedding.Default().
-	Encoder embedding.Encoder
-	// Clock overrides time.Now for TTL tests.
-	Clock func() time.Time
 }
 
 // entry is one cached answer with its bookkeeping.
@@ -203,8 +198,8 @@ type Cache struct {
 	capacity  int
 	ttl       time.Duration
 	threshold float64
-	clock     func() time.Time
-	enc       embedding.Encoder
+	clock     func() time.Time  // time.Now; in-package tests stop it
+	enc       embedding.Encoder // embedding.Default(), which embeds normalized queries
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -238,18 +233,12 @@ func New(opts Options) *Cache {
 	if opts.SemanticThreshold == 0 {
 		opts.SemanticThreshold = DefaultSemanticThreshold
 	}
-	if opts.Encoder == nil {
-		opts.Encoder = embedding.Default()
-	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
 	return &Cache{
 		capacity:     opts.Capacity,
 		ttl:          opts.TTL,
 		threshold:    opts.SemanticThreshold,
-		clock:        opts.Clock,
-		enc:          opts.Encoder,
+		clock:        time.Now,
+		enc:          embedding.Default(),
 		entries:      make(map[string]*entry),
 		windowMax:    windowMax(opts.Capacity),
 		protectedMax: protectedMax(opts.Capacity),

@@ -70,6 +70,13 @@ func TestNormalizeAllocs(t *testing.T) {
 	}
 }
 
+// newAt is New on a clock the test controls.
+func newAt(opts Options, clock func() time.Time) *Cache {
+	c := New(opts)
+	c.clock = clock
+	return c
+}
+
 func TestExactHit(t *testing.T) {
 	c := New(Options{})
 	key := Key{Query: "What is Go?", Scope: "oua|a,b|256"}
@@ -134,7 +141,7 @@ func TestSemanticTierDisabled(t *testing.T) {
 func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	c := New(Options{TTL: time.Minute, Clock: clock})
+	c := newAt(Options{TTL: time.Minute}, clock)
 	key := Key{Query: "q", Scope: "s"}
 	c.Put(key, "v")
 
@@ -151,7 +158,7 @@ func TestTTLExpiry(t *testing.T) {
 		t.Fatalf("expired entry lingers: Len = %d", got)
 	}
 	// The semantic tier must not resurrect it either.
-	c2 := New(Options{TTL: time.Minute, Clock: clock, SemanticThreshold: 0.3})
+	c2 := newAt(Options{TTL: time.Minute, SemanticThreshold: 0.3}, clock)
 	c2.Put(Key{Query: "what is the capital of france", Scope: "s"}, "paris")
 	now = now.Add(2 * time.Minute)
 	if _, kind := c2.Get(Key{Query: "what is the capital city of france", Scope: "s"}); kind != Miss {
@@ -161,7 +168,7 @@ func TestTTLExpiry(t *testing.T) {
 
 func TestPutRefreshesTTL(t *testing.T) {
 	now := time.Unix(1000, 0)
-	c := New(Options{TTL: time.Minute, Clock: func() time.Time { return now }})
+	c := newAt(Options{TTL: time.Minute}, func() time.Time { return now })
 	key := Key{Query: "q", Scope: "s"}
 	c.Put(key, "v1")
 	now = now.Add(45 * time.Second)
@@ -275,6 +282,7 @@ func TestNilCache(t *testing.T) {
 // drives it.
 type refCache struct {
 	opts                         Options
+	clock                        func() time.Time
 	entries                      map[string]*refEntry
 	window, probation, protected []string
 	sketch                       *sketch
@@ -286,16 +294,16 @@ type refEntry struct {
 	expires time.Time
 }
 
-func newRefCache(t *testing.T, opts Options, seed maphash.Seed) *refCache {
+func newRefCache(t *testing.T, opts Options, clock func() time.Time, seed maphash.Seed) *refCache {
 	col, err := vectordb.New().CreateCollection("qcache", vectordb.CollectionConfig{Encoder: embedding.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &refCache{opts: opts, entries: map[string]*refEntry{}, sketch: newSketch(opts.Capacity, seed), vectors: col}
+	return &refCache{opts: opts, clock: clock, entries: map[string]*refEntry{}, sketch: newSketch(opts.Capacity, seed), vectors: col}
 }
 
 func (c *refCache) get(key Key) (any, HitKind) {
-	now := c.opts.Clock()
+	now := c.clock()
 	nq := normalizeRef(key.Query)
 	id := nq + keySep + key.Scope
 	c.sketch.add(c.sketch.hash(id))
@@ -331,7 +339,7 @@ func (c *refCache) get(key Key) (any, HitKind) {
 func (c *refCache) put(key Key, value any) {
 	nq := normalizeRef(key.Query)
 	id := nq + keySep + key.Scope
-	expires := c.opts.Clock().Add(c.opts.TTL)
+	expires := c.clock().Add(c.opts.TTL)
 	if e, ok := c.entries[id]; ok {
 		e.value, e.expires = value, expires
 		c.touch(id)
@@ -427,9 +435,10 @@ func TestSemanticTierMatchesReference(t *testing.T) {
 		}
 	}
 	now := time.Unix(1000, 0)
-	opts := Options{Capacity: 6, TTL: time.Minute, SemanticThreshold: threshold, Clock: func() time.Time { return now }}
-	c := New(opts)
-	ref := newRefCache(t, opts, c.sketch.seed)
+	opts := Options{Capacity: 6, TTL: time.Minute, SemanticThreshold: threshold}
+	clock := func() time.Time { return now }
+	c := newAt(opts, clock)
+	ref := newRefCache(t, opts, clock, c.sketch.seed)
 	scopes := []string{"oua|a,b|256", "mab|a,b|256", "oua|a|128"}
 	rng := rand.New(rand.NewSource(1))
 	key := func() Key {

@@ -28,7 +28,7 @@ func jsonCodec() (func(any) ([]byte, error), func([]byte) (any, error)) {
 func TestWarmStartRoundTrip(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
-	c := New(Options{Clock: clock})
+	c := newAt(Options{}, clock)
 	keys := []Key{
 		{Query: "What is the visa process?", Scope: "s1"},
 		{Query: "how do goldfish remember", Scope: "s1"},
@@ -51,7 +51,7 @@ func TestWarmStartRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := New(Options{Clock: clock})
+	fresh := newAt(Options{}, clock)
 	if got := fresh.WarmStart(st2, "fp-v1", dec); got != 3 {
 		t.Fatalf("restored %d entries, want 3", got)
 	}
@@ -73,12 +73,12 @@ func TestWarmStartRoundTrip(t *testing.T) {
 func TestWarmStartFingerprintMismatch(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
-	c := New(Options{Clock: clock})
+	c := newAt(Options{}, clock)
 	c.Put(Key{Query: "q", Scope: "s"}, "a")
 	enc, dec := jsonCodec()
 	st := c.Snapshot("fp-old", enc)
 
-	fresh := New(Options{Clock: clock})
+	fresh := newAt(Options{}, clock)
 	if got := fresh.WarmStart(st, "fp-new", dec); got != 0 {
 		t.Fatalf("restored %d entries across a settings change, want 0", got)
 	}
@@ -90,14 +90,14 @@ func TestWarmStartFingerprintMismatch(t *testing.T) {
 func TestWarmStartKeepsOriginalExpiry(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
-	c := New(Options{TTL: time.Minute, Clock: clock})
+	c := newAt(Options{TTL: time.Minute}, clock)
 	c.Put(Key{Query: "q", Scope: "s"}, "a")
 	enc, dec := jsonCodec()
 	st := c.Snapshot("fp", enc)
 
 	// Restart 59s later: still servable...
 	later := now.Add(59 * time.Second)
-	fresh := New(Options{TTL: time.Minute, Clock: func() time.Time { return later }})
+	fresh := newAt(Options{TTL: time.Minute}, func() time.Time { return later })
 	if got := fresh.WarmStart(st, "fp", dec); got != 1 {
 		t.Fatalf("restored %d, want 1", got)
 	}
@@ -106,7 +106,7 @@ func TestWarmStartKeepsOriginalExpiry(t *testing.T) {
 	}
 	// ...but a restart never extends an answer's life past its deadline.
 	after := now.Add(61 * time.Second)
-	stale := New(Options{TTL: time.Minute, Clock: func() time.Time { return after }})
+	stale := newAt(Options{TTL: time.Minute}, func() time.Time { return after })
 	if got := stale.WarmStart(st, "fp", dec); got != 0 {
 		t.Fatalf("restored %d expired entries, want 0", got)
 	}
@@ -118,7 +118,7 @@ func TestWarmStartKeepsOriginalExpiry(t *testing.T) {
 func TestWarmStartKeepsMostRecentlyUsed(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
-	c := New(Options{Clock: clock})
+	c := newAt(Options{}, clock)
 	for i := 0; i < 4; i++ {
 		c.Put(Key{Query: fmt.Sprintf("query number %d", i), Scope: "s"}, i)
 	}
@@ -143,7 +143,7 @@ func TestWarmStartKeepsMostRecentlyUsed(t *testing.T) {
 		t.Fatalf("snapshot order %q, want %q", got, want)
 	}
 
-	fresh := New(Options{Capacity: 2, Clock: clock})
+	fresh := newAt(Options{Capacity: 2}, clock)
 	if got := fresh.WarmStart(st, "fp", dec); got != 2 || fresh.Len() != 2 {
 		t.Fatalf("restored %d, Len %d: want the 2 the cache holds", got, fresh.Len())
 	}
@@ -162,14 +162,15 @@ func TestWarmStartKeepsMostRecentlyUsed(t *testing.T) {
 func TestWarmStartOverCapacityReportsWhatItHolds(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
-	donor := New(Options{Capacity: 32, Clock: clock})
+	donor := newAt(Options{Capacity: 32}, clock)
 	for i := 0; i < 20; i++ {
 		donor.Put(Key{Query: fmt.Sprintf("question %d", i), Scope: "s"}, fmt.Sprint(i))
 	}
 	encode, decode := jsonCodec()
 	st := donor.Snapshot("fp", encode)
 	enc := &countingEncoder{Encoder: embedding.Default()}
-	c := New(Options{Capacity: 8, Encoder: enc, Clock: clock})
+	c := newAt(Options{Capacity: 8}, clock)
+	c.enc = enc
 	if got := c.WarmStart(st, "fp", decode); got != 8 || c.Len() != 8 {
 		t.Fatalf("WarmStart = %d with Len %d, want 8 and 8", got, c.Len())
 	}
@@ -215,7 +216,7 @@ func vectorRows(t *testing.T, c *Cache) int {
 func TestVectorTierTracksEvictions(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
-	c := New(Options{Capacity: 8, TTL: time.Minute, Clock: clock})
+	c := newAt(Options{Capacity: 8, TTL: time.Minute}, clock)
 	exactCounts(c)
 	key := func(i int) Key { return Key{Query: fmt.Sprintf("distinct question %d", i), Scope: "s"} }
 	for i := 0; i < 50; i++ {
@@ -262,7 +263,7 @@ func TestVectorTierTracksEvictions(t *testing.T) {
 // bucket behind.
 func TestSemanticTierDropsEmptyBuckets(t *testing.T) {
 	now := time.Now()
-	c := New(Options{Capacity: 4, TTL: time.Minute, Clock: func() time.Time { return now }})
+	c := newAt(Options{Capacity: 4, TTL: time.Minute}, func() time.Time { return now })
 	exactCounts(c)
 	buckets := func() int {
 		c.vmu.RLock()
@@ -324,7 +325,7 @@ func TestDisabledSemanticTierHoldsNoRows(t *testing.T) {
 		}
 		c.PutAt(Key{Query: "grounded question", Scope: "rag"}, "g", c.Gen(), &Grounding{Docs: []string{"a"}, Kth: math.Inf(1)})
 		encode, decode := jsonCodec()
-		warm := New(Options{Clock: clock})
+		warm := newAt(Options{}, clock)
 		warm.Put(Key{Query: "a warm question", Scope: "w"}, "warm")
 		out = append(out, c.WarmStart(warm.Snapshot("fp", encode), "fp", decode))
 		for _, q := range []string{"distinct  question 5", "Distinct question 0", "distinct question 4", "grounded question", "a warm question"} {
@@ -337,9 +338,10 @@ func TestDisabledSemanticTierHoldsNoRows(t *testing.T) {
 		return out
 	}
 	enc := &countingEncoder{Encoder: embedding.Default()}
-	off := New(Options{Capacity: 4, SemanticThreshold: 2, Encoder: enc, Clock: clock})
+	off := newAt(Options{Capacity: 4, SemanticThreshold: 2}, clock)
+	off.enc = enc
 	got := run(off)
-	want := run(New(Options{Capacity: 4, Clock: clock}))
+	want := run(newAt(Options{Capacity: 4}, clock))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tier off answers\n%v\nwant, as with the tier on,\n%v", got, want)
 	}

@@ -16,7 +16,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	ingestor := rag.NewIngestor(col, rag.ChunkOptions{MaxTokens: 64})
+	ingestor := rag.NewIngestor(col, rag.ChunkOptions{})
 	n, err := ingestor.IngestText("specs", "specs.txt",
 		"The inference server uses a Tesla V100 GPU. "+
 			"It has thirty two gigabytes of VRAM. "+

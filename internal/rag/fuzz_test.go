@@ -38,7 +38,7 @@ func FuzzSplit(f *testing.F) {
 		if len(text) > 2000 {
 			text = text[:2000]
 		}
-		chunks := Split(text, ChunkOptions{MaxTokens: maxTokens})
+		chunks := split(text, maxTokens)
 		joined := ""
 		for i, c := range chunks {
 			if c.Index != i {

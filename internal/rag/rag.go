@@ -27,39 +27,21 @@ type Chunk struct {
 	Index int
 }
 
-// ChunkOptions tunes the chunker.
-type ChunkOptions struct {
-	// MaxTokens caps each chunk's token count. Default 128.
-	MaxTokens int
-	// OverlapSentences carries this many trailing sentences into the next
-	// chunk so answers spanning a boundary stay retrievable. Default 1.
-	OverlapSentences int
-	// Tokenizer counts tokens; defaults to tokenizer.Default().
-	Tokenizer *tokenizer.Tokenizer
-}
+// ChunkOptions configures an Ingestor. It has no fields: chunks are
+// chunkTokens long with one sentence of overlap.
+type ChunkOptions struct{}
 
-func (o ChunkOptions) withDefaults() ChunkOptions {
-	if o.MaxTokens <= 0 {
-		o.MaxTokens = 128
-	}
-	if o.OverlapSentences < 0 {
-		o.OverlapSentences = 0
-	} else if o.OverlapSentences == 0 {
-		o.OverlapSentences = 1
-	}
-	if o.Tokenizer == nil {
-		o.Tokenizer = tokenizer.Default()
-	}
-	return o
-}
+// chunkTokens caps each chunk's token count (tokenizer.Default's tokens).
+const chunkTokens = 128
 
-// Split segments text into chunks: sentences are accumulated until the
-// token cap, and each new chunk re-opens with the previous chunk's last
-// OverlapSentences sentences. The overlap is dropped when it would push
-// the incoming sentence past the cap, and a sentence longer than the cap
-// by itself becomes its own chunk rather than being lost.
-func Split(text string, opts ChunkOptions) []Chunk {
-	opts = opts.withDefaults()
+// split segments text into chunks of at most maxTokens tokens: sentences
+// are accumulated until the cap, and each new chunk re-opens with the
+// previous chunk's last sentence, so answers spanning a boundary stay
+// retrievable. The overlap is dropped when it would push the incoming
+// sentence past the cap, and a sentence longer than the cap by itself
+// becomes its own chunk rather than being lost.
+func split(text string, maxTokens int) []Chunk {
+	tok := tokenizer.Default()
 	sentences := SplitSentences(text)
 	if len(sentences) == 0 {
 		return nil
@@ -70,23 +52,19 @@ func Split(text string, opts ChunkOptions) []Chunk {
 	overlapLen := 0 // leading sentences in cur carried over from the previous chunk
 	flush := func() {
 		chunks = append(chunks, Chunk{Text: strings.Join(cur, " "), Index: len(chunks)})
-		tail := opts.OverlapSentences
-		if tail > len(cur) {
-			tail = len(cur)
-		}
-		cur = append([]string(nil), cur[len(cur)-tail:]...)
+		cur = append([]string(nil), cur[len(cur)-1:]...)
 		overlapLen = len(cur)
 		curTokens = 0
 		for _, s := range cur {
-			curTokens += opts.Tokenizer.Count(s)
+			curTokens += tok.Count(s)
 		}
 	}
 	for _, s := range sentences {
-		n := opts.Tokenizer.Count(s)
-		if len(cur) > overlapLen && curTokens+n > opts.MaxTokens {
+		n := tok.Count(s)
+		if len(cur) > overlapLen && curTokens+n > maxTokens {
 			flush()
 		}
-		if len(cur) == overlapLen && overlapLen > 0 && curTokens+n > opts.MaxTokens {
+		if len(cur) == overlapLen && overlapLen > 0 && curTokens+n > maxTokens {
 			// The overlap alone would push this sentence past the cap.
 			cur = cur[:0]
 			overlapLen = 0
@@ -153,13 +131,13 @@ func digitFlanked(runes []rune, i int) bool {
 
 // Ingestor writes parsed, chunked documents into a vector collection.
 type Ingestor struct {
-	col  *vectordb.Collection
-	opts ChunkOptions
+	col       *vectordb.Collection
+	maxTokens int // chunkTokens; in-package tests shorten it
 }
 
 // NewIngestor binds an ingestor to a collection.
-func NewIngestor(col *vectordb.Collection, opts ChunkOptions) *Ingestor {
-	return &Ingestor{col: col, opts: opts.withDefaults()}
+func NewIngestor(col *vectordb.Collection, _ ChunkOptions) *Ingestor {
+	return &Ingestor{col: col, maxTokens: chunkTokens}
 }
 
 // IngestFile parses raw file bytes by extension (.txt, .md, .pdf),
@@ -178,7 +156,7 @@ func (in *Ingestor) IngestText(docID, source, text string) (int, error) {
 	if strings.TrimSpace(docID) == "" {
 		return 0, fmt.Errorf("rag: empty document id")
 	}
-	chunks := Split(text, in.opts)
+	chunks := split(text, in.maxTokens)
 	if len(chunks) == 0 {
 		return 0, fmt.Errorf("rag: document %q produced no chunks", docID)
 	}

@@ -39,8 +39,7 @@ func TestSplitSentences(t *testing.T) {
 
 func TestSplitRespectsTokenCap(t *testing.T) {
 	tok := tokenizer.Default()
-	opts := ChunkOptions{MaxTokens: 40, Tokenizer: tok}
-	chunks := Split(sampleText, opts)
+	chunks := split(sampleText, 40)
 	if len(chunks) < 2 {
 		t.Fatalf("expected multiple chunks, got %d", len(chunks))
 	}
@@ -64,7 +63,7 @@ func TestSplitOverlap(t *testing.T) {
 	// Cap chosen so the overlap sentence plus the next sentence always
 	// fits (the longest adjacent pair in sampleText is 86 tokens); the
 	// overlap must then be carried into every subsequent chunk.
-	chunks := Split(sampleText, ChunkOptions{MaxTokens: 120, OverlapSentences: 1})
+	chunks := split(sampleText, 120)
 	if len(chunks) < 2 {
 		t.Fatalf("need 2+ chunks, got %d", len(chunks))
 	}
@@ -80,7 +79,7 @@ func TestSplitOverlap(t *testing.T) {
 }
 
 func TestSplitCoversAllSentences(t *testing.T) {
-	chunks := Split(sampleText, ChunkOptions{MaxTokens: 40})
+	chunks := split(sampleText, 40)
 	joined := ""
 	for _, c := range chunks {
 		joined += c.Text + " "
@@ -94,7 +93,7 @@ func TestSplitCoversAllSentences(t *testing.T) {
 
 func TestSplitOversizedSentence(t *testing.T) {
 	long := strings.Repeat("supercalifragilistic expialidocious vocabulary ", 60) + "."
-	chunks := Split(long, ChunkOptions{MaxTokens: 30})
+	chunks := split(long, 30)
 	if len(chunks) != 1 {
 		t.Fatalf("oversized sentence should be one chunk, got %d", len(chunks))
 	}
@@ -117,7 +116,7 @@ func TestSplitNeverLosesWordsProperty(t *testing.T) {
 			}
 		}
 		text := b.String()
-		chunks := Split(text, ChunkOptions{MaxTokens: 20})
+		chunks := split(text, 20)
 		joined := ""
 		for _, c := range chunks {
 			joined += c.Text + " "
@@ -146,7 +145,8 @@ func newCollection(t *testing.T) *vectordb.Collection {
 
 func TestIngestAndRetrieve(t *testing.T) {
 	col := newCollection(t)
-	in := NewIngestor(col, ChunkOptions{MaxTokens: 40})
+	in := NewIngestor(col, ChunkOptions{})
+	in.maxTokens = 40
 	n, err := in.IngestText("doc1", "specs.txt", sampleText)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,8 @@ func TestIngestAndRetrieve(t *testing.T) {
 
 func TestRetrieveScopedToDocument(t *testing.T) {
 	col := newCollection(t)
-	in := NewIngestor(col, ChunkOptions{MaxTokens: 60})
+	in := NewIngestor(col, ChunkOptions{})
+	in.maxTokens = 60
 	if _, err := in.IngestText("a", "a.txt", "The GPU in server A is a Tesla V100."); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,8 @@ func TestIngestValidation(t *testing.T) {
 
 func TestDeleteDocument(t *testing.T) {
 	col := newCollection(t)
-	in := NewIngestor(col, ChunkOptions{MaxTokens: 30})
+	in := NewIngestor(col, ChunkOptions{})
+	in.maxTokens = 30
 	n, err := in.IngestText("doc1", "a.txt", sampleText)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +219,8 @@ func TestDeleteDocument(t *testing.T) {
 
 func TestReingestReplaces(t *testing.T) {
 	col := newCollection(t)
-	in := NewIngestor(col, ChunkOptions{MaxTokens: 30})
+	in := NewIngestor(col, ChunkOptions{})
+	in.maxTokens = 30
 	if _, err := in.IngestText("doc1", "a.txt", sampleText); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +298,8 @@ func TestParsePDF(t *testing.T) {
 
 func TestEndToEndRAGPrompt(t *testing.T) {
 	col := newCollection(t)
-	in := NewIngestor(col, ChunkOptions{MaxTokens: 40})
+	in := NewIngestor(col, ChunkOptions{})
+	in.maxTokens = 40
 	if _, err := in.IngestText("specs", "specs.txt", sampleText); err != nil {
 		t.Fatal(err)
 	}
@@ -317,14 +321,15 @@ func BenchmarkSplit(b *testing.B) {
 	text := strings.Repeat(sampleText+" ", 10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Split(text, ChunkOptions{MaxTokens: 64})
+		split(text, 64)
 	}
 }
 
 func BenchmarkIngest(b *testing.B) {
 	db := vectordb.New()
 	col, _ := db.CreateCollection("bench", vectordb.CollectionConfig{})
-	in := NewIngestor(col, ChunkOptions{MaxTokens: 64})
+	in := NewIngestor(col, ChunkOptions{})
+	in.maxTokens = 64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -77,7 +77,8 @@ func FuzzPredictorLoad(f *testing.F) {
 		if err := col.Upsert(vectordb.Document{ID: id, Text: text, Embedding: embedding.Vector{0}}); err != nil {
 			return
 		}
-		p := NewPredictor(PredictorOptions{TopK: 1, Epsilon: 0.5, MinObservations: 1})
+		p := testPredictor(1, 2)
+		p.minObservations = 1
 		p.SetPersistence(col, nil)
 		if _, err := p.Load(); err != nil {
 			return

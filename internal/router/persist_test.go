@@ -39,10 +39,9 @@ func index(p *Predictor) map[int]clusterRecord {
 	return out
 }
 
-// restore loads a fresh predictor from col.
-func restore(t *testing.T, opts PredictorOptions, col *vectordb.Collection) *Predictor {
+// restore loads the fresh predictor p from col.
+func restore(t *testing.T, p *Predictor, col *vectordb.Collection) *Predictor {
 	t.Helper()
-	p := NewPredictor(opts)
 	p.SetPersistence(col, func(err error) { t.Errorf("persist: %v", err) })
 	if _, err := p.Load(); err != nil {
 		t.Fatal(err)
@@ -92,12 +91,11 @@ func TestPredictorWritesBehind(t *testing.T) {
 // A restart restores it, so probes resume where they were instead of
 // replaying from the last Observe.
 func TestPredictorRestartKeepsProbeSchedule(t *testing.T) {
-	opts := PredictorOptions{TopK: 1, Epsilon: 0.5} // a probe every 2nd routed decision
-	const cadence = 2
+	const cadence = 2 // a probe every 2nd routed decision
 	col, _ := routeCollection(t)
-	live := NewPredictor(opts)
+	live := testPredictor(1, cadence)
 	live.SetPersistence(col, func(err error) { t.Errorf("persist: %v", err) })
-	twin := NewPredictor(opts)
+	twin := testPredictor(1, cadence)
 	train(live, geoQueries, geoScores)
 	train(twin, geoQueries, geoScores)
 	for i := 0; i < 3; i++ { // mid-cycle: the next decision is a probe
@@ -109,7 +107,7 @@ func TestPredictorRestartKeepsProbeSchedule(t *testing.T) {
 	if err := live.Close(); err != nil {
 		t.Fatal(err)
 	}
-	restored := restore(t, opts, col)
+	restored := restore(t, testPredictor(1, cadence), col)
 	// Decision counts are per process, like llmms_route_decisions_total;
 	// everything else is the index.
 	want, got := live.Status(), restored.Status()
@@ -137,9 +135,13 @@ func TestPredictorCrashKeepsWholeFlushes(t *testing.T) {
 	}
 	// Every distinct question is its own cluster, and one is routable after
 	// two observations.
-	opts := PredictorOptions{TopK: 1, Epsilon: 0.5, MinSimilarity: 0.99, MinObservations: 2, Encoder: enc}
+	fresh := func() *Predictor {
+		p := newPredictor(1, enc)
+		p.probeEvery, p.minSimilarity, p.minObservations = 2, 0.99, 2
+		return p
+	}
 	dir := t.TempDir()
-	db, err := vectordb.Open(dir, vectordb.OpenOptions{Sync: vectordb.SyncNone, CompactBytes: -1})
+	db, err := vectordb.Open(dir, vectordb.OpenOptions{Sync: vectordb.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestPredictorCrashKeepsWholeFlushes(t *testing.T) {
 		return fi.Size()
 	}
 
-	p := NewPredictor(opts)
+	p := fresh()
 	p.SetPersistence(col, func(err error) { t.Errorf("persist: %v", err) })
 	states := []map[int]clusterRecord{{}} // the index as of each whole flush
 	var ends []int64                      // the WAL's length after each flush
@@ -231,7 +233,7 @@ func TestPredictorCrashKeepsWholeFlushes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		if got := index(restore(t, opts, ccol)); !reflect.DeepEqual(got, states[whole]) {
+		if got := index(restore(t, fresh(), ccol)); !reflect.DeepEqual(got, states[whole]) {
 			t.Fatalf("cut %d of %d: restored %+v, want the index after flush %d: %+v",
 				cut, ends[len(ends)-1], got, whole, states[whole])
 		}
@@ -246,7 +248,7 @@ func TestPredictorCrashKeepsWholeFlushes(t *testing.T) {
 // collection receives no further write, from a change or from a timer.
 func TestPredictorConcurrentFlushAndClose(t *testing.T) {
 	col, writes := routeCollection(t)
-	p := NewPredictor(PredictorOptions{TopK: 1, Epsilon: 0.5})
+	p := testPredictor(1, 2)
 	p.SetPersistence(col, func(err error) { t.Errorf("persist: %v", err) })
 	train(p, geoQueries, geoScores)
 

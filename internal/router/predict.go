@@ -49,7 +49,7 @@ import (
 // is confident — narrows the fan-out to the cluster's top-k models,
 // handing back their historical means as warm-start priors for the
 // bandit strategies. Confidence requires all of: a matching cluster
-// (else fallback_cold), similarity above MinSimilarity (fallback_far),
+// (else fallback_cold), similarity above minSimilarity (fallback_far),
 // enough assignments and at least one observation per pool model
 // (fallback_few_obs), and the worst included model separated from the
 // best excluded one by more than their combined standard errors
@@ -83,7 +83,7 @@ const (
 	OutcomeFull = "full"
 	// OutcomeFallbackCold: no cluster matched the query at all.
 	OutcomeFallbackCold = "fallback_cold"
-	// OutcomeFallbackFar: the nearest centroid is below MinSimilarity.
+	// OutcomeFallbackFar: the nearest centroid is below minSimilarity.
 	OutcomeFallbackFar = "fallback_far"
 	// OutcomeFallbackFewObs: the cluster or a pool model lacks history.
 	OutcomeFallbackFewObs = "fallback_few_obs"
@@ -91,67 +91,38 @@ const (
 	OutcomeFallbackVariance = "fallback_variance"
 )
 
-// PredictorOptions tunes a Predictor. The zero value of every field
-// takes the documented default.
+// PredictorOptions configures a Predictor.
 type PredictorOptions struct {
 	// TopK is how many models a confidently routed query fans out to.
 	// Default 2.
 	TopK int
-	// MinObservations is how many queries a cluster must have absorbed
-	// before it may narrow the fan-out. Default 3.
-	MinObservations int
-	// MinSimilarity is the cosine similarity a query needs to its
-	// nearest centroid — below it the query is treated as outside the
-	// cluster (assignment creates a new cluster; prediction falls back).
-	// The default 0.5 sits between measured same-template families
-	// (≥ 0.6) and cross-family pairs (≤ 0.35) of the default encoder.
-	MinSimilarity float64
-	// Epsilon sets the probe cadence: every ⌈1/ε⌉-th routed decision of
-	// a cluster includes one excluded model. Default 0.1; negative
-	// disables probing.
-	Epsilon float64
-	// MaxClusters caps the index size; once full, queries that match no
-	// existing cluster stop creating new ones (they still fall back to
-	// the full pool). Default 512.
-	MaxClusters int
-	// PriorWeight is the pseudo-pull mass each warm-start prior carries
-	// into the bandit (core.Config.PriorWeight). Default 2.
-	PriorWeight float64
-	// Decay exponentially ages the per-(cluster, model) reward stats on
-	// every new observation, bounding the history a drifted model must
-	// outrun. Default 0.98 (an effective window of ~50 observations).
-	Decay float64
-	// Encoder embeds queries. Nil means embedding.Default().
-	Encoder embedding.Encoder
 }
 
-func (o PredictorOptions) withDefaults() PredictorOptions {
-	if o.TopK <= 0 {
-		o.TopK = 2
-	}
-	if o.MinObservations <= 0 {
-		o.MinObservations = 3
-	}
-	if o.MinSimilarity <= 0 {
-		o.MinSimilarity = 0.5
-	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.1
-	}
-	if o.MaxClusters <= 0 {
-		o.MaxClusters = 512
-	}
-	if o.PriorWeight <= 0 {
-		o.PriorWeight = 2
-	}
-	if o.Decay <= 0 || o.Decay > 1 {
-		o.Decay = 0.98
-	}
-	if o.Encoder == nil {
-		o.Encoder = embedding.Default()
-	}
-	return o
-}
+// The routing index's constants. NewPredictor copies them into the
+// Predictor, where in-package tests shorten them to reach a behaviour in
+// a few queries.
+const (
+	// minObservations is how many queries a cluster must have absorbed
+	// before it may narrow the fan-out.
+	minObservations = 3
+	// minSimilarity is the cosine similarity a query needs to its nearest
+	// centroid — below it the query is treated as outside the cluster
+	// (assignment creates a new cluster; prediction falls back). 0.5 sits
+	// between measured same-template families (≥ 0.6) and cross-family
+	// pairs (≤ 0.35) of the default encoder.
+	minSimilarity = 0.5
+	// probeEvery is the ε-probe cadence ⌈1/ε⌉ for ε = 0.1: every 10th
+	// routed decision of a cluster includes one excluded model.
+	probeEvery = 10
+	// maxClusters caps the index size; once full, queries that match no
+	// existing cluster stop creating new ones (they still fall back to
+	// the full pool).
+	maxClusters = 512
+	// decay exponentially ages the per-(cluster, model) reward stats on
+	// every new observation, bounding the history a drifted model must
+	// outrun: an effective window of ~50 observations.
+	decay = 0.98
+)
 
 // winnerBonus is added to the winning model's reward observation: the
 // orchestrator's selection is a judgment the raw score does not carry.
@@ -237,14 +208,19 @@ type Prediction struct {
 	// model gets no prior: its stale mean is exactly what the probe is
 	// re-measuring.
 	Priors map[string]float64 `json:"priors,omitempty"`
-	// PriorWeight is the pseudo-pull mass for core.Config.PriorWeight.
-	PriorWeight float64 `json:"prior_weight,omitempty"`
 }
 
 // Predictor is the query-embedding cluster index. Safe for concurrent
 // use; persistence through a vectordb collection is optional.
 type Predictor struct {
-	opts PredictorOptions
+	topK int
+	enc  embedding.Encoder
+	// The routing constants, per predictor for the tests' sake.
+	minObservations int
+	minSimilarity   float64
+	probeEvery      int
+	maxClusters     int
+	decay           float64
 
 	mu        sync.Mutex
 	clusters  []*cluster
@@ -262,14 +238,23 @@ type Predictor struct {
 	flushMu sync.Mutex
 }
 
-// NewPredictor builds an empty index.
+// NewPredictor builds an empty index over the default encoder.
 func NewPredictor(opts PredictorOptions) *Predictor {
-	opts = opts.withDefaults()
-	return &Predictor{opts: opts, rows: embedding.NewRows[int](opts.Encoder.Dim(), 0), decisions: make(map[string]uint64)}
+	topK := opts.TopK
+	if topK <= 0 {
+		topK = 2
+	}
+	return newPredictor(topK, embedding.Default())
 }
 
-// Options returns the effective (defaulted) options.
-func (p *Predictor) Options() PredictorOptions { return p.opts }
+func newPredictor(topK int, enc embedding.Encoder) *Predictor {
+	return &Predictor{
+		topK: topK, enc: enc,
+		minObservations: minObservations, minSimilarity: minSimilarity,
+		probeEvery: probeEvery, maxClusters: maxClusters, decay: decay,
+		rows: embedding.NewRows[int](enc.Dim(), 0), decisions: make(map[string]uint64),
+	}
+}
 
 // SetPersistence attaches a durable collection: each cluster is one
 // document, written behind the mutations that change it, and Load rebuilds
@@ -291,7 +276,7 @@ func (p *Predictor) Load() (int, error) {
 	if p.col == nil {
 		return 0, nil
 	}
-	dim := p.opts.Encoder.Dim()
+	dim := p.enc.Dim()
 	var clusters []*cluster
 	nextID := 0
 	for _, doc := range p.col.All() {
@@ -438,14 +423,14 @@ func (c *cluster) record() clusterRecord {
 // cluster's ε cadence.
 func (p *Predictor) Predict(query string, pool []string) Prediction {
 	pred := Prediction{Cluster: -1, Outcome: OutcomeFull, Models: pool}
-	k := p.opts.TopK
+	k := p.topK
 	if k >= len(pool) {
 		// Routing is a no-op: full orchestration, no priors, so the
 		// k = len(models) path stays byte-identical to an unrouted run.
 		p.count(OutcomeFull)
 		return pred
 	}
-	qv, acc := embedding.Borrow(p.opts.Encoder, query)
+	qv, acc := embedding.Borrow(p.enc, query)
 	defer acc.Release()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -459,12 +444,12 @@ func (p *Predictor) Predict(query string, pool []string) Prediction {
 	c := p.clusters[near[0].ID]
 	pred.Cluster = c.id
 	pred.Similarity = near[0].Score
-	if pred.Similarity < p.opts.MinSimilarity {
+	if pred.Similarity < p.minSimilarity {
 		pred.Outcome = OutcomeFallbackFar
 		p.countLocked(OutcomeFallbackFar)
 		return pred
 	}
-	if c.n < p.opts.MinObservations {
+	if c.n < p.minObservations {
 		pred.Outcome = OutcomeFallbackFewObs
 		p.countLocked(OutcomeFallbackFewObs)
 		return pred
@@ -519,27 +504,23 @@ func (p *Predictor) Predict(query string, pool []string) Prediction {
 	}
 	pred.Routed = true
 	pred.Outcome = OutcomeTopK
-	pred.PriorWeight = p.opts.PriorWeight
 
 	// Deterministic ε-probe: every ⌈1/ε⌉-th routed decision widens the
 	// subset by the next excluded model (name-sorted round-robin), so
 	// the index keeps measuring what it excluded.
 	c.routed++
 	p.markLocked(c)
-	if p.opts.Epsilon > 0 {
-		cadence := int(math.Ceil(1 / p.opts.Epsilon))
-		if cadence > 0 && c.routed%cadence == 0 {
-			excluded := make([]string, 0, len(rs)-k)
-			for _, r := range rs[k:] {
-				excluded = append(excluded, r.model)
-			}
-			sort.Strings(excluded)
-			probe := excluded[c.probeIdx%len(excluded)]
-			c.probeIdx++
-			models = append(models, probe)
-			pred.Probe = probe
-			pred.Outcome = OutcomeProbe
+	if c.routed%p.probeEvery == 0 {
+		excluded := make([]string, 0, len(rs)-k)
+		for _, r := range rs[k:] {
+			excluded = append(excluded, r.model)
 		}
+		sort.Strings(excluded)
+		probe := excluded[c.probeIdx%len(excluded)]
+		c.probeIdx++
+		models = append(models, probe)
+		pred.Probe = probe
+		pred.Outcome = OutcomeProbe
 	}
 	pred.Models = models
 	p.countLocked(pred.Outcome)
@@ -552,7 +533,7 @@ func (p *Predictor) Predict(query string, pool []string) Prediction {
 // contributes its final score — plus a winner bonus for the selected
 // model — as a reward observation.
 func (p *Predictor) Observe(query string, res core.Result) {
-	qv, acc := embedding.Borrow(p.opts.Encoder, query)
+	qv, acc := embedding.Borrow(p.enc, query)
 	defer acc.Release()
 	if isZero(qv) {
 		return
@@ -562,8 +543,8 @@ func (p *Predictor) Observe(query string, res core.Result) {
 	var top [1]embedding.Hit[int]
 	near := p.rows.TopK(qv, 1, top[:0])
 	var c *cluster
-	if len(near) == 0 || near[0].Score < p.opts.MinSimilarity {
-		if len(p.clusters) >= p.opts.MaxClusters {
+	if len(near) == 0 || near[0].Score < p.minSimilarity {
+		if len(p.clusters) >= p.maxClusters {
 			return
 		}
 		c = &cluster{id: p.nextID, n: 1, sum: make([]float64, len(qv)), stats: make(map[string]*modelStats)}
@@ -594,7 +575,7 @@ func (p *Predictor) Observe(query string, res core.Result) {
 			st = &modelStats{}
 			c.stats[out.Model] = st
 		}
-		st.add(r, p.opts.Decay)
+		st.add(r, p.decay)
 	}
 	p.markLocked(c)
 }
@@ -611,7 +592,7 @@ func (p *Predictor) Rate(query, model string, rating float64) bool {
 		return false
 	}
 	rating = math.Max(-1, math.Min(1, rating))
-	qv, acc := embedding.Borrow(p.opts.Encoder, query)
+	qv, acc := embedding.Borrow(p.enc, query)
 	defer acc.Release()
 	if isZero(qv) {
 		return false
@@ -620,7 +601,7 @@ func (p *Predictor) Rate(query, model string, rating float64) bool {
 	defer p.mu.Unlock()
 	var top [1]embedding.Hit[int]
 	near := p.rows.TopK(qv, 1, top[:0])
-	if len(near) == 0 || near[0].Score < p.opts.MinSimilarity {
+	if len(near) == 0 || near[0].Score < p.minSimilarity {
 		return false
 	}
 	c := p.clusters[near[0].ID]
@@ -629,7 +610,7 @@ func (p *Predictor) Rate(query, model string, rating float64) bool {
 		st = &modelStats{}
 		c.stats[model] = st
 	}
-	st.add(0.5+0.35*rating, p.opts.Decay)
+	st.add(0.5+0.35*rating, p.decay)
 	p.markLocked(c)
 	return true
 }
@@ -666,10 +647,10 @@ func (p *Predictor) Status() Status {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := Status{
-		TopK:            p.opts.TopK,
-		MinObservations: p.opts.MinObservations,
-		MinSimilarity:   p.opts.MinSimilarity,
-		Epsilon:         p.opts.Epsilon,
+		TopK:            p.topK,
+		MinObservations: p.minObservations,
+		MinSimilarity:   p.minSimilarity,
+		Epsilon:         1 / float64(p.probeEvery),
 		Clusters:        len(p.clusters),
 		Decisions:       make(map[string]uint64, len(p.decisions)),
 		Index:           make([]ClusterStatus, 0, len(p.clusters)),

@@ -13,7 +13,7 @@ import (
 )
 
 // Query families from the TruthfulQA templates: same-family pairs embed
-// well above the default MinSimilarity, cross-family pairs well below,
+// well above minSimilarity, cross-family pairs well below,
 // so each family trains exactly one cluster.
 var (
 	geoQueries = []string{
@@ -45,6 +45,18 @@ func scoredResult(winner string, scores map[string]float64) core.Result {
 		})
 	}
 	return res
+}
+
+// noProbes is a probe cadence no test reaches: the decisions are the
+// routing gates' alone.
+const noProbes = math.MaxInt
+
+// testPredictor is a predictor of top k over the default encoder that
+// probes every probeEvery-th routed decision of a cluster.
+func testPredictor(topK, probeEvery int) *Predictor {
+	p := NewPredictor(PredictorOptions{TopK: topK})
+	p.probeEvery = probeEvery
+	return p
 }
 
 // train feeds n copies of the same per-model scores through each query
@@ -98,7 +110,8 @@ func TestPredictFallbacks(t *testing.T) {
 		}
 	})
 	t.Run("few_obs_cluster", func(t *testing.T) {
-		p := NewPredictor(PredictorOptions{MinObservations: 10})
+		p := NewPredictor(PredictorOptions{})
+		p.minObservations = 10
 		train(p, geoQueries, map[string]float64{"llama3": 0.9, "mistral": 0.5, "qwen2": 0.3})
 		pred := p.Predict(geoQueries[0], testPool)
 		if pred.Outcome != OutcomeFallbackFewObs || pred.Routed {
@@ -115,7 +128,7 @@ func TestPredictFallbacks(t *testing.T) {
 		}
 	})
 	t.Run("variance", func(t *testing.T) {
-		p := NewPredictor(PredictorOptions{TopK: 2, Epsilon: -1})
+		p := testPredictor(2, noProbes)
 		// mistral and qwen2 straddle the top-k boundary with overlapping
 		// noise: alternating rewards give them equal means and wide
 		// standard errors, so the cut is statistically meaningless.
@@ -136,7 +149,7 @@ func TestPredictFallbacks(t *testing.T) {
 }
 
 func TestPredictTopKWithPriors(t *testing.T) {
-	p := NewPredictor(PredictorOptions{TopK: 2, Epsilon: -1})
+	p := testPredictor(2, noProbes)
 	scores := map[string]float64{"llama3": 0.9, "mistral": 0.3, "qwen2": 0.7}
 	train(p, geoQueries, scores)
 	pred := p.Predict(geoQueries[0], testPool)
@@ -146,9 +159,6 @@ func TestPredictTopKWithPriors(t *testing.T) {
 	// Narrowed set keeps the caller's pool order.
 	if want := []string{"llama3", "qwen2"}; !reflect.DeepEqual(pred.Models, want) {
 		t.Fatalf("models = %v, want %v", pred.Models, want)
-	}
-	if pred.PriorWeight != p.Options().PriorWeight {
-		t.Fatalf("prior weight = %v, want %v", pred.PriorWeight, p.Options().PriorWeight)
 	}
 	for _, m := range pred.Models {
 		if math.Abs(pred.Priors[m]-scores[m]) > 1e-9 {
@@ -161,7 +171,7 @@ func TestPredictTopKWithPriors(t *testing.T) {
 }
 
 func TestProbeCadence(t *testing.T) {
-	p := NewPredictor(PredictorOptions{TopK: 1, Epsilon: 0.5}) // probe every 2nd routed decision
+	p := testPredictor(1, 2)
 	train(p, geoQueries, map[string]float64{"llama3": 0.9, "mistral": 0.3, "qwen2": 0.5})
 	var probes []string
 	for i := 0; i < 6; i++ {
@@ -190,7 +200,8 @@ func TestProbeCadence(t *testing.T) {
 
 func TestClusterDriftFlipsRouting(t *testing.T) {
 	// Fast decay bounds the history a drifted model must outrun.
-	p := NewPredictor(PredictorOptions{TopK: 1, Epsilon: -1, Decay: 0.8})
+	p := testPredictor(1, noProbes)
+	p.decay = 0.8
 	train(p, geoQueries, map[string]float64{"llama3": 0.9, "mistral": 0.6, "qwen2": 0.3})
 	if pred := p.Predict(geoQueries[0], testPool); !reflect.DeepEqual(pred.Models, []string{"llama3"}) {
 		t.Fatalf("pre-drift models = %v, want [llama3]", pred.Models)
@@ -228,7 +239,8 @@ func TestObserveSkipsFailedAndEmptyOutcomes(t *testing.T) {
 }
 
 func TestObserveRespectsMaxClusters(t *testing.T) {
-	p := NewPredictor(PredictorOptions{MaxClusters: 1})
+	p := NewPredictor(PredictorOptions{})
+	p.maxClusters = 1
 	train(p, geoQueries, map[string]float64{"llama3": 0.9})
 	train(p, chemQueries, map[string]float64{"qwen2": 0.9})
 	st := p.Status()
@@ -238,7 +250,7 @@ func TestObserveRespectsMaxClusters(t *testing.T) {
 }
 
 func TestRateShiftsClusterStats(t *testing.T) {
-	p := NewPredictor(PredictorOptions{TopK: 2, Epsilon: -1})
+	p := testPredictor(2, noProbes)
 	train(p, geoQueries, map[string]float64{"llama3": 0.62, "mistral": 0.6, "qwen2": 0.3})
 	if pred := p.Predict(geoQueries[0], testPool); pred.Outcome != OutcomeTopK {
 		t.Fatalf("pre-feedback outcome = %q, want topk", pred.Outcome)
@@ -267,7 +279,7 @@ func TestPredictorPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPredictor(PredictorOptions{TopK: 2, Epsilon: -1})
+	p := testPredictor(2, noProbes)
 	p.SetPersistence(col, func(err error) { t.Errorf("persist: %v", err) })
 	train(p, geoQueries, map[string]float64{"llama3": 0.9, "mistral": 0.3, "qwen2": 0.7})
 	train(p, chemQueries, map[string]float64{"llama3": 0.4, "mistral": 0.3, "qwen2": 0.9})
@@ -276,7 +288,7 @@ func TestPredictorPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored := NewPredictor(PredictorOptions{TopK: 2, Epsilon: -1})
+	restored := testPredictor(2, noProbes)
 	restored.SetPersistence(col, func(err error) { t.Errorf("persist: %v", err) })
 	n, err := restored.Load()
 	if err != nil {
@@ -311,11 +323,12 @@ func nearestRef(centroids []embedding.Vector, qv embedding.Vector) (int, float64
 // centroid is a copy of its first query's vector, and each later query
 // assigned to it renormalizes its sum.
 type refClusters struct {
-	opts      PredictorOptions
-	centroids []embedding.Vector
-	sums      [][]float64
-	n         []int
-	refused   int // queries that matched nothing with the index full
+	minSimilarity float64
+	maxClusters   int
+	centroids     []embedding.Vector
+	sums          [][]float64
+	n             []int
+	refused       int // queries that matched nothing with the index full
 }
 
 func (r *refClusters) observe(qv embedding.Vector) {
@@ -323,7 +336,7 @@ func (r *refClusters) observe(qv embedding.Vector) {
 		return
 	}
 	i, sim := nearestRef(r.centroids, qv)
-	if i >= 0 && sim >= r.opts.MinSimilarity {
+	if i >= 0 && sim >= r.minSimilarity {
 		r.n[i]++
 		for j, v := range qv {
 			r.sums[i][j] += float64(v)
@@ -331,7 +344,7 @@ func (r *refClusters) observe(qv embedding.Vector) {
 		normalize(r.centroids[i], r.sums[i])
 		return
 	}
-	if len(r.centroids) >= r.opts.MaxClusters {
+	if len(r.centroids) >= r.maxClusters {
 		r.refused++
 		return
 	}
@@ -345,7 +358,7 @@ func (r *refClusters) observe(qv embedding.Vector) {
 }
 
 // TestPredictorMatchesNearestRef runs a seeded mix of Observe, Predict and
-// Rate over query families and one-off queries, past MaxClusters and
+// Rate over query families and one-off queries, past maxClusters and
 // through a Close/Load round trip, against refClusters: every decision's
 // cluster and Similarity agree bit for bit with nearestRef, every rating
 // lands where it would, the centroid rows equal the reference's bits, and
@@ -372,17 +385,21 @@ func TestPredictorMatchesNearestRef(t *testing.T) {
 		}
 	}
 
-	opts := PredictorOptions{TopK: 1, MaxClusters: 40, MinObservations: 1}.withDefaults()
+	fresh := func() *Predictor {
+		p := NewPredictor(PredictorOptions{TopK: 1})
+		p.maxClusters, p.minObservations = 40, 1
+		return p
+	}
 	col, _ := routeCollection(t)
-	p := restore(t, opts, col)
-	ref := &refClusters{opts: opts}
-	enc := opts.Encoder
+	p := restore(t, fresh(), col)
+	ref := &refClusters{minSimilarity: p.minSimilarity, maxClusters: p.maxClusters}
+	enc := p.enc
 	for op := 0; op < 2400; op++ {
 		if op == 1200 {
 			if err := p.Close(); err != nil {
 				t.Fatal(err)
 			}
-			p = restore(t, opts, col)
+			p = restore(t, fresh(), col)
 			for i, sum := range ref.sums {
 				normalize(ref.centroids[i], sum) // Load derives each centroid from its sum
 			}
@@ -401,7 +418,7 @@ func TestPredictorMatchesNearestRef(t *testing.T) {
 				t.Fatalf("op %d: Predict(%q) = cluster %d similarity %v, nearestRef %d %v", op, q, pred.Cluster, pred.Similarity, wantCluster, wantSim)
 			}
 		case 1:
-			want := !isZero(qv) && i >= 0 && sim >= opts.MinSimilarity
+			want := !isZero(qv) && i >= 0 && sim >= ref.minSimilarity
 			if got := p.Rate(q, testPool[rng.Intn(len(testPool))], float64(rng.Intn(3)-1)); got != want {
 				t.Fatalf("op %d: Rate(%q) absorbed = %v, nearestRef says %v", op, q, got, want)
 			}
@@ -411,8 +428,8 @@ func TestPredictorMatchesNearestRef(t *testing.T) {
 		}
 	}
 
-	if ref.refused == 0 || len(ref.centroids) != opts.MaxClusters {
-		t.Fatalf("the run never crossed MaxClusters: %d clusters, %d queries refused", len(ref.centroids), ref.refused)
+	if ref.refused == 0 || len(ref.centroids) != ref.maxClusters {
+		t.Fatalf("the run never crossed maxClusters: %d clusters, %d queries refused", len(ref.centroids), ref.refused)
 	}
 	p.mu.Lock()
 	for i, c := range ref.centroids {

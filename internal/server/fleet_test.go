@@ -32,8 +32,7 @@ func newFleetServer(t *testing.T) (*Server, *httptest.Server, *fleet.Pool, func(
 		}
 	}
 	pool, err := fleet.New(fleet.Config{
-		Replicas:      replicas,
-		ProbeFailures: 1,
+		Replicas: replicas,
 		Probe: func(ctx context.Context, model string, r fleet.Replica) error {
 			if downModel.Load().(string) == model {
 				return errors.New("probe refused")
@@ -154,6 +153,8 @@ func TestReadyzPerModelFleetChecks(t *testing.T) {
 	}
 
 	setDown(model, true)
+	// The pool ejects a replica on its second failed probe in a row.
+	pool.ProbeNow(context.Background())
 	pool.ProbeNow(context.Background())
 	report.Checks = nil
 	resp = doJSON(t, http.MethodGet, ts.URL+"/readyz", nil, &report)

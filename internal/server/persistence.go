@@ -25,21 +25,22 @@ import (
 //
 //	<data-dir>/vectordb/     durable vector database (documents, sessions)
 //	<data-dir>/qcache.json   answer-cache warm-start snapshot
-//	<data-dir>/state.json    small scalar state (the RAG revision counter)
 //
 // The RAG chunk collection is recovered by the database itself (snapshot
 // + WAL replay); the upload registry is rebuilt from chunk metadata.
 // Sessions snapshot into a document of the durable "sessions" collection
 // at Close. The answer cache reloads both tiers at boot, gated on a
-// settings fingerprint so answers produced under different settings —
-// or a different document set — are never served; the snapshot is removed
-// once read, so only a clean Close leaves one for the next boot.
+// settings fingerprint so answers produced under different settings are
+// never served; the snapshot is removed once read, so only a clean Close
+// leaves one for the next boot. That is also why the fingerprint needs no
+// document-set revision: a snapshot exists only between a clean Close and
+// the next boot, a window no document write can fall in, and during a run
+// every write drops the cached answers it makes stale.
 
 // Data directory layout.
 const (
 	vectordbSubdir = "vectordb"
 	qcacheFile     = "qcache.json"
-	stateFile      = "state.json"
 )
 
 // sessionStateDoc is the id of the "sessions" collection document
@@ -53,14 +54,6 @@ const sessionStateDoc = "state"
 // cluster, its centroid sum and reward stats in the JSON text, written
 // behind the queries that change it (router.Predictor).
 const routeClustersCollection = "route_clusters"
-
-// serverState is the scalar state state.json carries across restarts.
-type serverState struct {
-	// RagRev keeps the warm-start fingerprint ("…|rag<rev>") comparable
-	// across restarts: without it a restarted server would reset the
-	// revision counter and take a snapshot cut before a later write.
-	RagRev int `json:"rag_rev"`
-}
 
 // docsConfig is the RAG chunk collection's: the default encoder, whose
 // vectors the collection's exact search ranks by the distance the answer
@@ -137,16 +130,6 @@ func (s *Server) restoreState() error {
 	if s.dataDir == "" {
 		return nil
 	}
-	raw, err := os.ReadFile(filepath.Join(s.dataDir, stateFile))
-	if err == nil {
-		var st serverState
-		if err := json.Unmarshal(raw, &st); err != nil {
-			return fmt.Errorf("server: parse %s: %w", stateFile, err)
-		}
-		s.ragRev = st.RagRev
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("server: read %s: %w", stateFile, err)
-	}
 
 	// The upload registry is derived state: every recovered chunk names
 	// its document and source file in metadata.
@@ -196,7 +179,10 @@ func (s *Server) restoreState() error {
 	if s.cache != nil {
 		ws, err := qcache.ReadWarmState(snapshot)
 		if err != nil {
-			return err
+			// A snapshot is an optimisation: one torn by a crash mid-Close
+			// costs a cold cache, never the boot.
+			s.logger.Warn("answer cache snapshot ignored", "file", snapshot, "err", err)
+			ws = &qcache.WarmState{}
 		}
 		fp := s.cacheFingerprint()
 		n := s.cache.WarmStart(ws, fp, decodeCachedAnswer)
@@ -205,8 +191,7 @@ func (s *Server) restoreState() error {
 	}
 	// A snapshot serves one boot. Close writes the next; after a crash there
 	// is none, because the WAL may have recovered document writes that the
-	// snapshot's answers predate while its fingerprint's revision still
-	// matches.
+	// snapshot's answers predate.
 	if err := os.Remove(snapshot); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("server: remove %s: %w", qcacheFile, err)
 	}
@@ -244,11 +229,6 @@ func (s *Server) Close() error {
 		ws := s.cache.Snapshot(s.cacheFingerprint(), encodeCachedAnswer)
 		keep(ws.WriteFile(filepath.Join(s.dataDir, qcacheFile)))
 	}
-	data, err := json.Marshal(serverState{RagRev: s.ragRevision()})
-	keep(err)
-	if err == nil {
-		keep(os.WriteFile(filepath.Join(s.dataDir, stateFile), data, 0o644))
-	}
 	if s.predictor != nil {
 		keep(s.predictor.Close())
 	}
@@ -258,20 +238,20 @@ func (s *Server) Close() error {
 
 // cacheFingerprint identifies the serving settings cached answers were
 // produced under. A warm-start snapshot whose fingerprint differs —
-// other strategy, model set, budget, weights, RAG parameters, or
-// document-set revision — is discarded at boot, the restart analogue of
-// the flush-on-settings-change rule. The leading version names the entry
-// encoding (cachedAnswerJSON): v1 held one JSON payload per frame, v2
-// holds the rendered stream, and a snapshot of another version is
-// ignored whole rather than half-read.
+// other strategy, model set, budget, weights or RAG parameters — is
+// discarded at boot, the restart analogue of the flush-on-settings-change
+// rule. The leading version names the snapshot format: v1 held one JSON
+// payload per frame, v2 the rendered stream (cachedAnswerJSON) under a
+// fingerprint ending in the document-set revision, v3 the same entries
+// without it. A snapshot of another version is ignored whole rather than
+// half-read.
 func (s *Server) cacheFingerprint() string {
 	s.mu.Lock()
 	st := s.settings
-	rev := s.ragRev
 	s.mu.Unlock()
-	return fmt.Sprintf("v2|%s|%s|%d|%g|%g|%d|rag%d",
+	return fmt.Sprintf("v3|%s|%s|%d|%g|%g|%d",
 		st.Strategy, strings.Join(st.EnabledModels, ","), st.MaxTokens,
-		st.Alpha, st.Beta, st.RAGTopK, rev)
+		st.Alpha, st.Beta, st.RAGTopK)
 }
 
 // cachedAnswerJSON is the persisted form of a cachedAnswer. The stream is

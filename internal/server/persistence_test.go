@@ -3,7 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -109,31 +112,52 @@ func TestRestartRecoversStateAndServesWarmHit(t *testing.T) {
 
 // TestWarmStartRejectedAcrossSettingsChange pins the invalidation rule:
 // a cache snapshot saved under one model set must not serve after a
-// reboot with different settings.
+// reboot with different settings. Settings are not persisted, so a server
+// that changed them through PUT /api/settings reboots on the defaults.
 func TestWarmStartRejectedAcrossSettingsChange(t *testing.T) {
 	dataDir := t.TempDir()
 	s1, ts1 := newDurableServer(t, dataDir)
+	st := DefaultSettings()
+	st.EnabledModels = st.EnabledModels[:2]
+	if resp := doJSON(t, "PUT", ts1.URL+"/api/settings", st, nil); resp.StatusCode != 200 {
+		t.Fatalf("put settings: %d", resp.StatusCode)
+	}
 	q := map[string]any{"query": "What is the capital of France?"}
 	postQuery(t, ts1.URL, q)
+	if got := s1.cache.Len(); got != 1 {
+		t.Fatalf("cache holds %d entries before the restart, want 1", got)
+	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
-	st := DefaultSettings()
-	st.EnabledModels = st.EnabledModels[:2] // the fleet shrank across the restart
-	s2, err := NewServer(Options{
-		Engine:   engine,
-		Serving:  ServingOptions{CacheTTL: time.Minute},
-		Settings: st,
-		DataDir:  dataDir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, _ := newDurableServer(t, dataDir)
 	defer s2.Close()
 	if got := s2.cache.Len(); got != 0 {
 		t.Fatalf("cache warmed %d entries across a settings change, want 0", got)
+	}
+}
+
+// TestTornSnapshotBootsCold: a qcache.json a crash left unparsable — and a
+// state.json of an older version, which nothing reads any more — cost the
+// boot a cold cache, never the boot itself, and the torn snapshot is gone.
+func TestTornSnapshotBootsCold(t *testing.T) {
+	dataDir := t.TempDir()
+	for name, content := range map[string]string{qcacheFile: `{"fingerprint":"v3|oua`, "state.json": ``} {
+		if err := os.WriteFile(filepath.Join(dataDir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, ts := newDurableServer(t, dataDir)
+	defer s.Close()
+	if got := s.cache.Len(); got != 0 {
+		t.Fatalf("booted with %d cache entries, want 0", got)
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, qcacheFile)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the torn snapshot survived the boot: %v", err)
+	}
+	if r, _ := postQuery(t, ts.URL, map[string]any{"query": "What is the capital of France?"}); r.Header.Get("X-Cache") != "MISS" {
+		t.Fatalf("first query X-Cache = %q, want MISS", r.Header.Get("X-Cache"))
 	}
 }
 
@@ -157,7 +181,7 @@ func TestWarmStartIgnoresOlderSnapshotFormat(t *testing.T) {
 	}
 	s, ts := newDurableServer(t, dataDir)
 	defer s.Close()
-	if got, want := strings.TrimPrefix(s.cacheFingerprint(), "v2"), strings.TrimPrefix(ws.Fingerprint, "v1"); got != want {
+	if got, want := strings.TrimPrefix(s.cacheFingerprint(), "v3"), strings.TrimSuffix(strings.TrimPrefix(ws.Fingerprint, "v1"), "|rag0"); got != want {
 		t.Fatalf("the snapshot must differ from a current one in its version only: %q vs %q", got, want)
 	}
 	if got := s.cache.Len(); got != 0 {

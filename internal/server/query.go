@@ -455,7 +455,7 @@ func (s *Server) config(q *query) core.Config {
 	if q.pred.Routed {
 		// Warm-start the bandit from the cluster's reward history; the
 		// priors compensate for the exploration the narrowed pool skips.
-		cfg.Priors, cfg.PriorWeight = q.pred.Priors, q.pred.PriorWeight
+		cfg.Priors = q.pred.Priors
 	}
 	sw, obs := q.sw, q.obs // not q: it lives on handleQuery's stack
 	cfg.BeforeWait = sw.flush

@@ -64,12 +64,12 @@ func heldResources(s *Server) string {
 // at the store's cap every such session evicts a live conversation.
 func TestQueryShedLeavesNoSession(t *testing.T) {
 	backend := newBlockingBackend(llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())}))
-	s, ts := newServingServer(t, ServingOptions{MaxInflight: 1, MaxQueue: 1}, backend)
+	s, ts := newServingServer(t, ServingOptions{MaxInflight: 1}, backend)
 	release := sync.OnceFunc(func() { close(backend.release) })
 	defer release() // a failed assertion must not leave the admitted queries parked
 	live := s.Sessions().Create("a live conversation").ID
 
-	admitted := make(chan outcomePair, 2)
+	admitted := make(chan outcomePair, 3)
 	ask := func(question string) {
 		resp, body := postQuery(t, ts.URL, map[string]any{"query": question})
 		admitted <- outcomePair{resp, body}
@@ -77,7 +77,8 @@ func TestQueryShedLeavesNoSession(t *testing.T) {
 	go ask("first long question")
 	<-backend.started // holds the only slot
 	go ask("second long question")
-	eventually(t, "the second request to queue", func() bool { return s.gate.QueueDepth() == 1 })
+	go ask("third long question")
+	eventually(t, "the queue to fill", func() bool { return s.gate.QueueDepth() == 2 })
 
 	before := s.Sessions().Len()
 	for i := 0; i < 300; i++ {
@@ -94,7 +95,7 @@ func TestQueryShedLeavesNoSession(t *testing.T) {
 		t.Fatalf("the live session was evicted by shed requests: %v", err)
 	}
 	release()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if out := <-admitted; out.resp.StatusCode != http.StatusOK {
 			t.Fatalf("admitted query status = %d, want 200", out.resp.StatusCode)
 		}
@@ -113,13 +114,14 @@ func eventually(t *testing.T, what string, cond func() bool) {
 }
 
 // exitServing is the serving layer every exit case runs behind: all of it
-// on, one slot, one queue place.
-var exitServing = ServingOptions{CacheTTL: time.Minute, SemanticThreshold: 0.3, Coalesce: true, MaxInflight: 1, MaxQueue: 1}
+// on, one slot, two queue places.
+var exitServing = ServingOptions{CacheTTL: time.Minute, SemanticThreshold: 0.3, Coalesce: true, MaxInflight: 1}
 
 const (
 	askFrance = `{"query":"What is the capital of France?","max_tokens":96}`
 	askJapan  = `{"query":"What is the capital of Japan?","max_tokens":96}`
 	askEgypt  = `{"query":"What is the capital of Egypt?","max_tokens":96}`
+	askKenya  = `{"query":"What is the capital of Kenya?","max_tokens":96}`
 )
 
 // exitEnv is the server an exit case runs against: generation is held at
@@ -155,8 +157,9 @@ func (e *exitEnv) holdSlot() {
 	e.g.awaitCalls(e.t, 1)
 }
 
-func (e *exitEnv) awaitQueued() {
-	eventually(e.t, "a request to queue at the gate", func() bool { return e.s.gate.QueueDepth() == 1 })
+// awaitQueued waits for n requests to queue at the gate.
+func (e *exitEnv) awaitQueued(n int) {
+	eventually(e.t, "requests to queue at the gate", func() bool { return e.s.gate.QueueDepth() == n })
 }
 
 func (e *exitEnv) awaitFollower() {
@@ -386,7 +389,7 @@ func TestQueryEveryExit(t *testing.T) {
 				var leader context.Context
 				leader, e.shed = context.WithCancel(context.Background())
 				e.aside(leader, askFrance)
-				e.awaitQueued()
+				e.awaitQueued(1)
 			},
 			During: func(e *exitEnv) {
 				e.awaitFollower()
@@ -397,13 +400,14 @@ func TestQueryEveryExit(t *testing.T) {
 			Arrange: func(e *exitEnv) {
 				e.holdSlot()
 				e.aside(context.Background(), askEgypt)
-				e.awaitQueued()
+				e.aside(context.Background(), askKenya)
+				e.awaitQueued(2)
 			},
 			Expect: exitExpect{Status: 429, Code: "overloaded", RetryAfter: true}},
 		{Name: "canceled while queued", Body: askFrance,
 			Arrange: func(e *exitEnv) { e.holdSlot() },
 			During: func(e *exitEnv) {
-				e.awaitQueued()
+				e.awaitQueued(1)
 				e.hangUp()
 			},
 			Expect: exitExpect{}}, // nothing is written, nothing is left

@@ -25,10 +25,6 @@ type RoutingOptions struct {
 	// fan out to only the predicted top-k models (the -router-topk flag
 	// on cmd/llmms). Zero disables predictive routing.
 	TopK int
-	// Epsilon sets the ε-probe cadence: every ⌈1/ε⌉-th routed decision
-	// of a cluster includes one excluded model (zero takes the
-	// predictor default 0.1; negative disables probing).
-	Epsilon float64
 }
 
 // Router exposes the routing predictor (nil when routing is disabled);

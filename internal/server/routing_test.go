@@ -135,7 +135,7 @@ func TestQueryRouteFallbackColdRunsFullPool(t *testing.T) {
 
 func TestQueryRouteNarrowsAfterTraining(t *testing.T) {
 	s := newRoutingServer(t, func(o *Options) {
-		o.Routing = RoutingOptions{TopK: 1, Epsilon: -1}
+		o.Routing = RoutingOptions{TopK: 1}
 	})
 	trainGeoCluster(t, s)
 	// An unseen query of the trained family routes to the cluster's best.
@@ -165,7 +165,7 @@ func TestQueryRouteGateAcquiresNarrowedWidth(t *testing.T) {
 	// The perf win only exists if admission charges the narrowed width:
 	// the gate.wait span must record weight 1, not the configured 3.
 	s := newRoutingServer(t, func(o *Options) {
-		o.Routing = RoutingOptions{TopK: 1, Epsilon: -1}
+		o.Routing = RoutingOptions{TopK: 1}
 		o.Serving = ServingOptions{MaxInflight: 4}
 	})
 	trainGeoCluster(t, s)
@@ -228,7 +228,7 @@ func modelStandings(cs router.ClusterStatus) map[string]router.ClusterModelStatu
 func TestRouteAndFeedbackPersistAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	durable := func(o *Options) {
-		o.Routing = RoutingOptions{TopK: 1, Epsilon: -1}
+		o.Routing = RoutingOptions{TopK: 1}
 		o.DataDir = dir
 	}
 	s1 := newRoutingServer(t, durable)
@@ -265,7 +265,7 @@ func TestRouteAndFeedbackPersistAcrossRestart(t *testing.T) {
 	if code != 200 || out != (feedbackReply{Model: llm.ModelQwen2, Absorbed: true}) {
 		t.Fatalf("feedback = %d %+v, want 200 qwen2 absorbed", code, out)
 	}
-	decay := s2.Router().Options().Decay
+	const decay = 0.98 // the routing index's per-observation decay
 	was, now := modelStandings(before.Index[0]), modelStandings(s2.Router().Status().Index[0])
 	for m, st := range now {
 		w := was[m]

@@ -179,8 +179,6 @@ type Options struct {
 	// RoutingOptions and DESIGN.md "Predictive routing"). The zero
 	// value disables it.
 	Routing RoutingOptions
-	// Settings overrides DefaultSettings (zero value keeps the default).
-	Settings Settings
 	// Telemetry is the metrics registry and trace store the server
 	// instruments itself into. Nil constructs a fresh default bundle, so
 	// embedding apps that want to share one registry across components
@@ -190,11 +188,6 @@ type Options struct {
 	// default: profiles expose internals and cost CPU, so production
 	// deployments opt in explicitly (the -pprof flag on cmd/llmms).
 	EnablePprof bool
-	// ReadyChecks are the dependency probes behind GET /readyz, in
-	// addition to the built-in "models" check (model inventory
-	// non-empty). Each check gets a bounded context; a non-nil error
-	// marks the whole server unready (503).
-	ReadyChecks []ReadyCheck
 	// Logger receives structured request/query logs (log/slog). Every
 	// query-scoped line carries query_id and trace_id. Nil discards all
 	// output (the -log-level/-log-format flags on cmd/llmms build one).
@@ -220,13 +213,13 @@ type Options struct {
 // Options.SlowQueryThreshold is zero.
 const DefaultSlowQueryThreshold = 2 * time.Second
 
-// ReadyCheck is one named readiness probe for /readyz.
-type ReadyCheck struct {
-	// Name identifies the dependency in the /readyz report.
-	Name string
-	// Check returns nil when the dependency is usable. The context
+// readyCheck is one named readiness probe for /readyz.
+type readyCheck struct {
+	// name identifies the dependency in the /readyz report.
+	name string
+	// check returns nil when the dependency is usable. The context
 	// carries the probe deadline.
-	Check func(ctx context.Context) error
+	check func(ctx context.Context) error
 }
 
 // Server is the application layer. Construct with NewServer; it
@@ -247,7 +240,7 @@ type Server struct {
 	tracer      *telemetry.Tracer
 	logger      *slog.Logger
 	slowQuery   time.Duration
-	readyChecks []ReadyCheck
+	readyChecks []readyCheck
 	pprofOn     bool
 	mux         *http.ServeMux
 
@@ -259,7 +252,7 @@ type Server struct {
 	mu       sync.Mutex
 	settings Settings
 	docIDs   map[string]docInfo
-	ragRev   int // document-set revision; bumped on upload/delete
+	ragRev   int // document-set revision, in memory only; bumped on upload/delete
 }
 
 type docInfo struct {
@@ -271,13 +264,6 @@ type docInfo struct {
 func NewServer(opts Options) (*Server, error) {
 	if opts.Engine == nil {
 		return nil, errors.New("server: nil engine")
-	}
-	st := opts.Settings
-	if st.Strategy == "" {
-		st = DefaultSettings()
-	}
-	if err := st.Validate(); err != nil {
-		return nil, fmt.Errorf("server: %w", err)
 	}
 	tel := opts.Telemetry
 	if tel == nil {
@@ -320,10 +306,10 @@ func NewServer(opts Options) (*Server, error) {
 		sessions:  session.NewStore(session.Options{}),
 		docs:      col,
 		ingestor:  rag.NewIngestor(col, rag.ChunkOptions{}),
-		memory:    session.NewMemoryGraph(session.MemoryGraphOptions{}),
+		memory:    session.NewMemoryGraph(),
 		tel:       tel,
 		pprofOn:   opts.EnablePprof,
-		settings:  st,
+		settings:  DefaultSettings(),
 		docIDs:    make(map[string]docInfo),
 		mux:       http.NewServeMux(),
 		db:        db,
@@ -338,35 +324,35 @@ func NewServer(opts Options) (*Server, error) {
 		s.exportAdmissions()
 	}
 	if rt := opts.Routing; rt.TopK > 0 {
-		s.predictor = router.NewPredictor(router.PredictorOptions{TopK: rt.TopK, Epsilon: rt.Epsilon})
+		s.predictor = router.NewPredictor(router.PredictorOptions{TopK: rt.TopK})
 	}
 	if opts.Serving.Coalesce {
 		s.flights = qcache.NewGroup(0)
 	}
 	// NewGate returns nil for a non-positive bound, so the unlimited
-	// default stays a nil no-op gate.
-	s.gate = qcache.NewGate(opts.Serving.MaxInflight, opts.Serving.MaxQueue,
+	// default stays a nil no-op gate; its queue is 2×MaxInflight.
+	s.gate = qcache.NewGate(opts.Serving.MaxInflight, 0,
 		func(depth int) { s.tel.QueueDepth.Set(float64(depth)) })
 	// The built-in readiness probe: the backend must expose at least one
 	// model, or every query is doomed to fail.
-	s.readyChecks = append([]ReadyCheck{{
-		Name: "models",
-		Check: func(context.Context) error {
+	s.readyChecks = []readyCheck{{
+		name: "models",
+		check: func(context.Context) error {
 			if len(s.engine.Profiles()) == 0 {
 				return errors.New("model inventory is empty")
 			}
 			return nil
 		},
-	}}, opts.ReadyChecks...)
+	}}
 	// Per-model fleet readiness: a model with every replica ejected
 	// (open breaker or prober-marked unhealthy) makes the server unready
 	// even though the process is alive and other models still serve.
 	if s.fleet != nil {
 		for _, model := range s.fleet.Models() {
 			m := model
-			s.readyChecks = append(s.readyChecks, ReadyCheck{
-				Name:  "fleet:" + m,
-				Check: func(context.Context) error { return s.fleet.Ready(m) },
+			s.readyChecks = append(s.readyChecks, readyCheck{
+				name:  "fleet:" + m,
+				check: func(context.Context) error { return s.fleet.Ready(m) },
 			})
 		}
 	}
@@ -565,8 +551,8 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	report := readyReport{Status: "ready", Checks: make([]checkState, 0, len(s.readyChecks))}
 	for _, c := range s.readyChecks {
-		st := checkState{Name: c.Name, OK: true}
-		if err := c.Check(ctx); err != nil {
+		st := checkState{Name: c.name, OK: true}
+		if err := c.check(ctx); err != nil {
 			st.OK = false
 			st.Error = err.Error()
 			report.Status = "unready"

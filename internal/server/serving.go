@@ -38,11 +38,9 @@ type ServingOptions struct {
 	// MaxInflight, when positive, bounds the total concurrent
 	// orchestration weight (each query weighs its fan-out width, i.e.
 	// its candidate model count). Requests beyond the bound wait in a
-	// FIFO queue; beyond the queue they are shed with 429.
+	// FIFO queue of 2×MaxInflight places; beyond the queue they are shed
+	// with 429.
 	MaxInflight int
-	// MaxQueue bounds the admission wait queue (non-positive means
-	// 2×MaxInflight).
-	MaxQueue int
 }
 
 // retryAfterSeconds is the Retry-After hint on 429 responses. The queue

@@ -473,7 +473,7 @@ func TestQueryLeaderDisconnectKeepsFollower(t *testing.T) {
 // retryable overloaded envelope, not a query failure.
 func TestQueryQueuedLeaderCanceledShedsFollowersRetryably(t *testing.T) {
 	backend := newBlockingBackend(llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())}))
-	s, ts := newServingServer(t, ServingOptions{Coalesce: true, MaxInflight: 1, MaxQueue: 1}, backend)
+	s, ts := newServingServer(t, ServingOptions{Coalesce: true, MaxInflight: 1}, backend)
 
 	first := make(chan outcomePair, 1)
 	go func() {
@@ -545,35 +545,37 @@ func TestQueryQueuedLeaderCanceledShedsFollowersRetryably(t *testing.T) {
 
 func TestQueryAdmissionSheds429(t *testing.T) {
 	backend := newBlockingBackend(llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())}))
-	s, ts := newServingServer(t, ServingOptions{MaxInflight: 1, MaxQueue: 1}, backend)
+	s, ts := newServingServer(t, ServingOptions{MaxInflight: 1}, backend)
 
-	running := make(chan outcomePair, 2)
+	running := make(chan outcomePair, 3)
 	go func() {
 		resp, body := postQuery(t, ts.URL, map[string]any{"query": "first long question"})
 		running <- outcomePair{resp, body}
 	}()
 	<-backend.started // query 1 holds the only slot
 
-	go func() {
-		resp, body := postQuery(t, ts.URL, map[string]any{"query": "second long question"})
-		running <- outcomePair{resp, body}
-	}()
+	for _, q := range []string{"second long question", "third long question"} {
+		go func() {
+			resp, body := postQuery(t, ts.URL, map[string]any{"query": q})
+			running <- outcomePair{resp, body}
+		}()
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.gate.QueueDepth() != 1 { // query 2 parked in the wait queue
+	for s.gate.QueueDepth() != 2 { // queries 2 and 3 parked in the wait queue of 2×MaxInflight
 		if time.Now().After(deadline) {
-			t.Fatal("second request never queued")
+			t.Fatal("the queue never filled")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// Queue full: query 3 is shed with 429 + Retry-After in the envelope.
+	// Queue full: query 4 is shed with 429 + Retry-After in the envelope.
 	var envelope struct {
 		Error struct {
 			Code    string `json:"code"`
 			Message string `json:"message"`
 		} `json:"error"`
 	}
-	resp := doJSON(t, "POST", ts.URL+"/api/query", map[string]any{"query": "third long question"}, &envelope)
+	resp := doJSON(t, "POST", ts.URL+"/api/query", map[string]any{"query": "fourth long question"}, &envelope)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated query status = %d, want 429", resp.StatusCode)
 	}
@@ -588,7 +590,7 @@ func TestQueryAdmissionSheds429(t *testing.T) {
 	}
 
 	close(backend.release)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		out := <-running
 		if out.resp.StatusCode != http.StatusOK {
 			t.Fatalf("admitted query %d status = %d, want 200", i, out.resp.StatusCode)

@@ -468,15 +468,14 @@ func TestQueryClientDisconnectStopsOrchestration(t *testing.T) {
 // coalesced follower, cache hit — and the frames that cannot be encoded
 // are dropped and counted, not fatal.
 func TestQueryUnencodableResultEndsInErrorFrame(t *testing.T) {
-	st := DefaultSettings()
-	st.Alpha = math.NaN()
 	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
 	backend := newBlockingBackend(engine)
-	s, err := NewServer(Options{Engine: engine, Backend: backend, Settings: st,
+	s, err := NewServer(Options{Engine: engine, Backend: backend,
 		Serving: ServingOptions{CacheTTL: time.Minute, Coalesce: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.settings.Alpha = math.NaN() // JSON has no NaN, so PUT /api/settings cannot set it
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -658,7 +657,6 @@ func TestEventFrameEveryType(t *testing.T) {
 		}
 		cfg := core.DefaultConfig(models...)
 		cfg.MaxTokens = 192
-		cfg.Retry = core.RetryPolicy{MaxAttempts: 1, BaseBackoff: -1}
 		rec := httptest.NewRecorder()
 		sw := newSSEWriter(rec, telemetry.New(telemetry.Options{}), "s", "q", "")
 		var want bytes.Buffer

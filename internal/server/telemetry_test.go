@@ -213,12 +213,13 @@ func TestReadyz(t *testing.T) {
 	}
 
 	engine := llm.NewEngine(llm.Options{})
-	s, err := NewServer(Options{Engine: engine, ReadyChecks: []ReadyCheck{
-		{Name: "daemon", Check: func(context.Context) error { return errors.New("connection refused") }},
-	}})
+	s, err := NewServer(Options{Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.readyChecks = append(s.readyChecks, readyCheck{
+		name: "daemon", check: func(context.Context) error { return errors.New("connection refused") },
+	})
 	ts2 := httptest.NewServer(s)
 	t.Cleanup(ts2.Close)
 	report.Checks = nil

@@ -29,7 +29,8 @@ func TestEvictionMatchesScan(t *testing.T) {
 	const cap = 5
 	rng := rand.New(rand.NewSource(1))
 	now := time.Unix(1000, 0)
-	st := NewStore(Options{MaxSessions: cap, Clock: func() time.Time { return now }})
+	st := testStore(func() time.Time { return now })
+	st.maxSessions = cap
 	live := map[string]time.Time{}
 	pick := func() string {
 		ids := make([]string, 0, len(live))

@@ -10,7 +10,7 @@ import (
 // long conversation stays within context bounds because expired turns
 // fold into an extractive summary.
 func Example() {
-	store := session.NewStore(session.Options{SummarizeEvery: 4, RetainMessages: 2})
+	store := session.NewStore(session.Options{})
 	sess := store.Create("demo")
 	turns := []string{
 		"The server has a Tesla V100 GPU for inference workloads.",
@@ -18,6 +18,12 @@ func Example() {
 		"The CPU is an Intel Xeon Gold with forty virtual cores.",
 		"Understood, preprocessing runs on the Xeon cores.",
 		"Token budgets are allocated by the OUA and MAB strategies.",
+		"Right, OUA prunes the models that trail the scoreboard.",
+		"Answers are scored against the query and each other.",
+		"Agreed, consensus between models weighs thirty percent.",
+		"Sessions fold expired turns into an extractive summary.",
+		"So long conversations stay within the context window.",
+		"Uploaded documents are chunked for retrieval.",
 	}
 	for i, content := range turns {
 		role := session.RoleUser
@@ -30,7 +36,7 @@ func Example() {
 	}
 	snap, _ := store.Get(sess.ID)
 	fmt.Println("summarized:", snap.Summary != "")
-	fmt.Println("retained bounded:", len(snap.Messages) <= 4)
+	fmt.Println("retained bounded:", len(snap.Messages) < len(turns))
 	fmt.Println("turns counted:", snap.TurnCount == len(turns))
 	// Output:
 	// summarized: true
@@ -42,7 +48,7 @@ func Example() {
 // exchange that never mentions the query's words is still found through
 // a graph edge to one that does.
 func ExampleMemoryGraph() {
-	g := session.NewMemoryGraph(session.MemoryGraphOptions{EdgeThreshold: 0.3})
+	g := session.NewMemoryGraph()
 	g.Add(session.Exchange{SessionID: "s1",
 		Question: "What GPU accelerator does the inference server have installed?",
 		Answer:   "A Tesla V100."})

@@ -20,30 +20,14 @@ type Exchange struct {
 	Time time.Time `json:"time"`
 }
 
-// MemoryGraphOptions tunes a MemoryGraph.
-type MemoryGraphOptions struct {
-	// EdgeThreshold links two exchanges whose question embeddings have at
-	// least this cosine similarity. Default 0.35.
-	EdgeThreshold float64
-	// MaxNodes bounds the graph; the oldest node is evicted at the cap.
-	// Default 512.
-	MaxNodes int
-	// Encoder embeds questions; nil means embedding.Default().
-	Encoder embedding.Encoder
-}
-
-func (o MemoryGraphOptions) withDefaults() MemoryGraphOptions {
-	if o.EdgeThreshold <= 0 {
-		o.EdgeThreshold = 0.35
-	}
-	if o.MaxNodes <= 0 {
-		o.MaxNodes = 512
-	}
-	if o.Encoder == nil {
-		o.Encoder = embedding.Default()
-	}
-	return o
-}
+// The memory graph's constants.
+const (
+	// edgeThreshold links two exchanges whose question embeddings have at
+	// least this cosine similarity.
+	edgeThreshold = 0.35
+	// maxNodes bounds the graph; the oldest node is evicted at the cap.
+	maxNodes = 512
+)
 
 // MemoryGraph implements the paper's §9.5 "Contextual Memory Graphs"
 // proposal: rather than storing chat logs purely in order, past
@@ -53,11 +37,13 @@ func (o MemoryGraphOptions) withDefaults() MemoryGraphOptions {
 // across sessions. Safe for concurrent use.
 //
 // The nodes are a ring, allocated whole: exchange number s (counting from
-// 0 in insertion order) lives in slot s mod MaxNodes, its question's unit
-// vector in row s mod MaxNodes of one contiguous array under id s, so an
+// 0 in insertion order) lives in slot s mod maxNodes, its question's unit
+// vector in row s mod maxNodes of one contiguous array under id s, so an
 // Add at the cap overwrites the oldest exchange in place.
 type MemoryGraph struct {
-	opts MemoryGraphOptions
+	enc           embedding.Encoder
+	maxNodes      int
+	edgeThreshold float64 // in-package tests lower it
 
 	mu   sync.Mutex
 	rows *embedding.Rows[int]
@@ -65,13 +51,16 @@ type MemoryGraph struct {
 	next int        // the sequence number of the next exchange
 }
 
-// NewMemoryGraph returns an empty graph.
-func NewMemoryGraph(opts MemoryGraphOptions) *MemoryGraph {
-	opts = opts.withDefaults()
+// NewMemoryGraph returns an empty graph over the default encoder.
+func NewMemoryGraph() *MemoryGraph { return newMemoryGraph(maxNodes, embedding.Default()) }
+
+func newMemoryGraph(maxNodes int, enc embedding.Encoder) *MemoryGraph {
 	return &MemoryGraph{
-		opts: opts,
-		rows: embedding.NewRows[int](opts.Encoder.Dim(), opts.MaxNodes),
-		exs:  make([]Exchange, 0, opts.MaxNodes),
+		enc:           enc,
+		maxNodes:      maxNodes,
+		edgeThreshold: edgeThreshold,
+		rows:          embedding.NewRows[int](enc.Dim(), maxNodes),
+		exs:           make([]Exchange, 0, maxNodes),
 	}
 }
 
@@ -84,15 +73,15 @@ func (g *MemoryGraph) Add(ex Exchange) {
 	if ex.Question == "" {
 		return
 	}
-	v, acc := embedding.Borrow(g.opts.Encoder, ex.Question)
+	v, acc := embedding.Borrow(g.enc, ex.Question)
 	defer acc.Release()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.rows.Len() < g.opts.MaxNodes {
+	if g.rows.Len() < g.maxNodes {
 		g.rows.Append(g.next, v)
 		g.exs = append(g.exs, ex)
 	} else {
-		slot := g.next % g.opts.MaxNodes
+		slot := g.next % g.maxNodes
 		g.rows.Set(slot, g.next, v)
 		g.exs[slot] = ex
 	}
@@ -127,7 +116,7 @@ func (g *MemoryGraph) Recall(query string, k int) []Recalled {
 	if k <= 0 {
 		return nil
 	}
-	qv, acc := embedding.Borrow(g.opts.Encoder, query)
+	qv, acc := embedding.Borrow(g.enc, query)
 	defer acc.Release()
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -146,7 +135,7 @@ func (g *MemoryGraph) Recall(query string, k int) []Recalled {
 	qnz := embedding.Nonzero(qv, nz[:0:len(qv)])
 	snz := nz[len(qv):len(qv)]
 	for _, s := range seeds {
-		row := s.ID % g.opts.MaxNodes
+		row := s.ID % g.maxNodes
 		if cur, ok := best[row]; !ok || s.Score > cur.Score {
 			best[row] = Recalled{Exchange: g.exs[row], Score: s.Score}
 		}
@@ -157,7 +146,7 @@ func (g *MemoryGraph) Recall(query string, k int) []Recalled {
 				continue
 			}
 			edgeSim := embedding.DotNonzero(sv, g.rows.Row(nb), snz)
-			if edgeSim < g.opts.EdgeThreshold {
+			if edgeSim < g.edgeThreshold {
 				continue // no edge between the two
 			}
 			score := s.Score * edgeSim * hopDamping
@@ -177,7 +166,7 @@ func (g *MemoryGraph) Recall(query string, k int) []Recalled {
 	hits := sel.Sorted()
 	out := make([]Recalled, len(hits))
 	for i, h := range hits {
-		out[i] = best[h.ID%g.opts.MaxNodes]
+		out[i] = best[h.ID%g.maxNodes]
 	}
 	return out
 }

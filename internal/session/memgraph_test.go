@@ -20,7 +20,7 @@ func ex(session, q, a string, minute int) Exchange {
 }
 
 func TestMemoryGraphRecallDirect(t *testing.T) {
-	g := NewMemoryGraph(MemoryGraphOptions{})
+	g := NewMemoryGraph()
 	g.Add(ex("s1", "What GPU does the server use?", "A Tesla V100 with 32 GB.", 0))
 	g.Add(ex("s1", "How many CPU cores does it have?", "Forty virtual cores.", 1))
 	g.Add(ex("s2", "What is the best pizza topping?", "That is subjective.", 2))
@@ -40,7 +40,8 @@ func TestMemoryGraphRecallDirect(t *testing.T) {
 }
 
 func TestMemoryGraphOneHopExpansion(t *testing.T) {
-	g := NewMemoryGraph(MemoryGraphOptions{EdgeThreshold: 0.3})
+	g := NewMemoryGraph()
+	g.edgeThreshold = 0.3
 	// Two linked exchanges about the same machine; the second never says
 	// "GPU" but shares enough vocabulary to be linked to the first.
 	g.Add(ex("s1", "What GPU accelerator does the inference server have installed?", "A Tesla V100.", 0))
@@ -69,7 +70,7 @@ func TestMemoryGraphOneHopExpansion(t *testing.T) {
 }
 
 func TestMemoryGraphEviction(t *testing.T) {
-	g := NewMemoryGraph(MemoryGraphOptions{MaxNodes: 3})
+	g := newMemoryGraph(3, embedding.Default())
 	for i := 0; i < 5; i++ {
 		g.Add(ex("s", fmt.Sprintf("unique question number %d about topic %d?", i, i), "answer", i))
 	}
@@ -89,8 +90,10 @@ func TestMemoryGraphEviction(t *testing.T) {
 // maintains every edge explicitly as exchanges are added and evicted —
 // the representation Recall's lazily derived edges must be equivalent to.
 type eagerGraph struct {
-	opts  MemoryGraphOptions
-	nodes []*eagerNode
+	enc           embedding.Encoder
+	maxNodes      int
+	edgeThreshold float64
+	nodes         []*eagerNode
 }
 
 type eagerNode struct {
@@ -100,15 +103,15 @@ type eagerNode struct {
 }
 
 func (g *eagerGraph) add(ex Exchange) {
-	n := &eagerNode{ex: ex, vec: g.opts.Encoder.Encode(ex.Question), edges: map[*eagerNode]float64{}}
+	n := &eagerNode{ex: ex, vec: g.enc.Encode(ex.Question), edges: map[*eagerNode]float64{}}
 	for _, other := range g.nodes {
-		if sim := embedding.Cosine(n.vec, other.vec); sim >= g.opts.EdgeThreshold {
+		if sim := embedding.Cosine(n.vec, other.vec); sim >= g.edgeThreshold {
 			n.edges[other] = sim
 			other.edges[n] = sim
 		}
 	}
 	g.nodes = append(g.nodes, n)
-	if len(g.nodes) > g.opts.MaxNodes {
+	if len(g.nodes) > g.maxNodes {
 		evicted := g.nodes[0]
 		g.nodes = g.nodes[1:]
 		for other := range evicted.edges {
@@ -118,7 +121,7 @@ func (g *eagerGraph) add(ex Exchange) {
 }
 
 func (g *eagerGraph) recall(query string, k int) []Recalled {
-	qv := g.opts.Encoder.Encode(query)
+	qv := g.enc.Encode(query)
 	direct := make(map[*eagerNode]float64, len(g.nodes))
 	for _, n := range g.nodes {
 		direct[n] = embedding.Cosine(qv, n.vec)
@@ -195,8 +198,8 @@ func TestMemoryGraphMatchesEagerReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, maxNodes := range []int{64, 200} {
-		opts := MemoryGraphOptions{MaxNodes: maxNodes, Encoder: enc}.withDefaults()
-		g, ref := NewMemoryGraph(opts), &eagerGraph{opts: opts}
+		g := newMemoryGraph(maxNodes, enc)
+		ref := &eagerGraph{enc: enc, maxNodes: maxNodes, edgeThreshold: g.edgeThreshold}
 		for i := 0; i < 600; i++ {
 			n := i
 			if i%10 == 9 {
@@ -207,8 +210,8 @@ func TestMemoryGraphMatchesEagerReference(t *testing.T) {
 				strconv.Itoa(i), i) // the answer records the insertion index; times are distinct
 			g.Add(e)
 			ref.add(e)
-			if want := min(i+1, opts.MaxNodes); g.Len() != want {
-				t.Fatalf("max %d: len after %d adds = %d, want %d", opts.MaxNodes, i+1, g.Len(), want)
+			if want := min(i+1, maxNodes); g.Len() != want {
+				t.Fatalf("max %d: len after %d adds = %d, want %d", maxNodes, i+1, g.Len(), want)
 			}
 			if i%97 != 0 && i%100 != 9 && i != 599 {
 				continue
@@ -217,11 +220,11 @@ func TestMemoryGraphMatchesEagerReference(t *testing.T) {
 				for _, k := range []int{1, 2, 5} {
 					got, want := g.Recall(q, k), ref.recall(q, k)
 					if !sameRecall(got, want) {
-						t.Fatalf("max %d, after %d adds, Recall(%q, %d):\n got %+v\nwant %+v", opts.MaxNodes, i+1, q, k, got, want)
+						t.Fatalf("max %d, after %d adds, Recall(%q, %d):\n got %+v\nwant %+v", maxNodes, i+1, q, k, got, want)
 					}
 					for _, h := range got {
-						if idx, _ := strconv.Atoi(h.Exchange.Answer); idx <= i-opts.MaxNodes {
-							t.Fatalf("max %d, after %d adds: evicted exchange %d recalled: %+v", opts.MaxNodes, i+1, idx, h)
+						if idx, _ := strconv.Atoi(h.Exchange.Answer); idx <= i-maxNodes {
+							t.Fatalf("max %d, after %d adds: evicted exchange %d recalled: %+v", maxNodes, i+1, idx, h)
 						}
 					}
 				}
@@ -231,7 +234,7 @@ func TestMemoryGraphMatchesEagerReference(t *testing.T) {
 }
 
 func TestMemoryGraphEmptyAndValidation(t *testing.T) {
-	g := NewMemoryGraph(MemoryGraphOptions{})
+	g := NewMemoryGraph()
 	if hits := g.Recall("anything", 3); hits != nil {
 		t.Fatalf("empty graph recalled %v", hits)
 	}
@@ -246,7 +249,7 @@ func TestMemoryGraphEmptyAndValidation(t *testing.T) {
 }
 
 func TestMemoryGraphConcurrent(t *testing.T) {
-	g := NewMemoryGraph(MemoryGraphOptions{MaxNodes: 64})
+	g := newMemoryGraph(64, embedding.Default())
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
@@ -263,7 +266,7 @@ func TestMemoryGraphConcurrent(t *testing.T) {
 }
 
 func BenchmarkMemoryGraphRecall(b *testing.B) {
-	g := NewMemoryGraph(MemoryGraphOptions{})
+	g := NewMemoryGraph()
 	for i := 0; i < 200; i++ {
 		g.Add(ex("s", fmt.Sprintf("question %d about subsystem %d performance?", i, i%9), "answer", i))
 	}
@@ -281,7 +284,7 @@ func TestMemoryGraphAddAtCapacityAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector")
 	}
-	g := NewMemoryGraph(MemoryGraphOptions{MaxNodes: 8})
+	g := newMemoryGraph(8, embedding.Default())
 	exs := make([]Exchange, 16)
 	for i := range exs {
 		exs[i] = ex("s", fmt.Sprintf("question %d about the cluster's disk latency?", i), "answer", i)

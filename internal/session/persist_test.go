@@ -7,8 +7,8 @@ import (
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	now := time.Now()
-	opts := Options{Clock: func() time.Time { return now }}
-	s := NewStore(opts)
+	clock := func() time.Time { return now }
+	s := testStore(clock)
 	a := s.Create("first")
 	b := s.Create("second")
 	if _, err := s.Append(a.ID, Message{Role: RoleUser, Content: "hello there"}); err != nil {
@@ -22,7 +22,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot: %d sessions, nextID %d", len(st.Sessions), st.NextID)
 	}
 
-	fresh := NewStore(opts)
+	fresh := testStore(clock)
 	if got := fresh.Restore(st); got != 2 {
 		t.Fatalf("restored %d sessions, want 2", got)
 	}
@@ -45,8 +45,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestRestoreKeepsLiveSessions(t *testing.T) {
 	now := time.Now()
-	opts := Options{Clock: func() time.Time { return now }}
-	s := NewStore(opts)
+	clock := func() time.Time { return now }
+	s := testStore(clock)
 	a := s.Create("original")
 	st := s.Snapshot()
 	if _, err := s.Append(a.ID, Message{Role: RoleUser, Content: "newer than the snapshot"}); err != nil {

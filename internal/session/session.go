@@ -4,7 +4,7 @@
 // store mirroring the paper's privacy posture (no long-term persistence
 // of user-derived data; everything lives for the session only).
 //
-// The summarization scheme follows §7.3: after every SummarizeEvery
+// The summarization scheme follows §7.3: after every summarizeEvery
 // messages, the turns older than the retention window are replaced by an
 // extractive summary. Summaries of summaries compose hierarchically — a
 // re-summarization pass condenses the previous summary together with the
@@ -65,53 +65,39 @@ type Session struct {
 	TurnCount int `json:"turn_count"`
 }
 
-// Options tunes a Store.
-type Options struct {
-	// SummarizeEvery folds history into the summary once the retained
-	// message count exceeds it. Default 10 (five exchanges, matching the
-	// paper's "after every five messages" per speaker).
-	SummarizeEvery int
-	// RetainMessages is how many recent messages stay verbatim after a
-	// summarization pass. Default 4.
-	RetainMessages int
-	// SummaryBudget caps the summary length in tokens. Default 160.
-	SummaryBudget int
-	// MaxSessions bounds the store; the least recently updated session is
-	// evicted at the cap. Default 256.
-	MaxSessions int
-	// Clock overrides time.Now in tests.
-	Clock func() time.Time
-}
+// Options configures a Store. It has no fields: the store's sizes are
+// the constants below.
+type Options struct{}
 
-func (o Options) withDefaults() Options {
-	if o.SummarizeEvery <= 0 {
-		o.SummarizeEvery = 10
-	}
-	if o.RetainMessages <= 0 {
-		o.RetainMessages = 4
-	}
-	if o.RetainMessages >= o.SummarizeEvery {
-		o.RetainMessages = o.SummarizeEvery - 1
-	}
-	if o.SummaryBudget <= 0 {
-		o.SummaryBudget = 160
-	}
-	if o.MaxSessions <= 0 {
-		o.MaxSessions = 256
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
-	return o
-}
+// The store's constants. NewStore copies them into the Store, where
+// in-package tests shrink them to reach a behaviour in a few turns.
+const (
+	// summarizeEvery folds history into the summary once the retained
+	// message count exceeds it: five exchanges, matching the paper's
+	// "after every five messages" per speaker.
+	summarizeEvery = 10
+	// retainMessages is how many recent messages stay verbatim after a
+	// summarization pass.
+	retainMessages = 4
+	// summaryBudget caps the summary length in tokens.
+	summaryBudget = 160
+	// maxSessions bounds the store; the least recently updated session is
+	// evicted at the cap.
+	maxSessions = 256
+)
 
 // ErrNotFound is returned for unknown session ids.
 var ErrNotFound = errors.New("session: not found")
 
 // Store holds sessions in memory. It is safe for concurrent use.
 type Store struct {
-	opts Options
-	tok  *tokenizer.Tokenizer
+	tok *tokenizer.Tokenizer
+	// The store's constants and clock, per store for the tests' sake.
+	summarizeEvery int
+	retainMessages int
+	summaryBudget  int
+	maxSessions    int
+	clock          func() time.Time
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -120,11 +106,15 @@ type Store struct {
 }
 
 // NewStore builds an empty store.
-func NewStore(opts Options) *Store {
+func NewStore(Options) *Store {
 	return &Store{
-		opts:     opts.withDefaults(),
-		tok:      tokenizer.Default(),
-		sessions: make(map[string]*Session),
+		tok:            tokenizer.Default(),
+		summarizeEvery: summarizeEvery,
+		retainMessages: retainMessages,
+		summaryBudget:  summaryBudget,
+		maxSessions:    maxSessions,
+		clock:          time.Now,
+		sessions:       make(map[string]*Session),
 	}
 }
 
@@ -133,14 +123,14 @@ func (s *Store) Create(title string) Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	now := s.opts.Clock()
+	now := s.clock()
 	sess := &Session{
 		ID:      fmt.Sprintf("s%06d", s.nextID),
 		Title:   strings.TrimSpace(title),
 		Created: now,
 		Updated: now,
 	}
-	if len(s.sessions) >= s.opts.MaxSessions {
+	if len(s.sessions) >= s.maxSessions {
 		// At the cap the least recently updated session goes.
 		delete(s.sessions, s.byAge[0].ID)
 		s.byAge = slices.Delete(s.byAge, 0, 1)
@@ -228,7 +218,7 @@ func (s *Store) Append(id string, msg Message) (Session, error) {
 	if !ok {
 		return Session{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	now := s.opts.Clock()
+	now := s.clock()
 	msg.Time = now
 	sess.Messages = append(sess.Messages, msg)
 	sess.TurnCount++
@@ -239,17 +229,17 @@ func (s *Store) Append(id string, msg Message) (Session, error) {
 	if sess.Title == "" && msg.Role == RoleUser {
 		sess.Title = truncateTitle(msg.Content)
 	}
-	if len(sess.Messages) > s.opts.SummarizeEvery {
+	if len(sess.Messages) > s.summarizeEvery {
 		s.summarizeLocked(sess)
 	}
 	return snapshot(sess), nil
 }
 
-// summarizeLocked folds everything but the newest RetainMessages turns
+// summarizeLocked folds everything but the newest retainMessages turns
 // into the session summary. The previous summary participates in the
 // pass, which is what makes the scheme hierarchical.
 func (s *Store) summarizeLocked(sess *Session) {
-	cut := len(sess.Messages) - s.opts.RetainMessages
+	cut := len(sess.Messages) - s.retainMessages
 	expired := sess.Messages[:cut]
 	sess.Messages = append([]Message(nil), sess.Messages[cut:]...)
 
@@ -260,7 +250,7 @@ func (s *Store) summarizeLocked(sess *Session) {
 	for _, m := range expired {
 		material = append(material, fmt.Sprintf("%s: %s", m.Role, m.Content))
 	}
-	sess.Summary = Summarize(strings.Join(material, "\n"), s.opts.SummaryBudget, s.tok)
+	sess.Summary = Summarize(strings.Join(material, "\n"), s.summaryBudget, s.tok)
 }
 
 // Context assembles the prompt context for the next model call: the
@@ -330,7 +320,7 @@ func (s *Store) Restore(st State) int {
 		if _, exists := s.sessions[sess.ID]; exists {
 			continue
 		}
-		if len(s.sessions) >= s.opts.MaxSessions {
+		if len(s.sessions) >= s.maxSessions {
 			break
 		}
 		cp := sess

@@ -20,8 +20,15 @@ func testClock() func() time.Time {
 	}
 }
 
+// testStore is a store on clock.
+func testStore(clock func() time.Time) *Store {
+	st := NewStore(Options{})
+	st.clock = clock
+	return st
+}
+
 func TestCreateGetDelete(t *testing.T) {
-	st := NewStore(Options{Clock: testClock()})
+	st := testStore(testClock())
 	s := st.Create("GPU questions")
 	if s.ID == "" || s.Title != "GPU questions" {
 		t.Fatalf("created = %+v", s)
@@ -42,7 +49,7 @@ func TestCreateGetDelete(t *testing.T) {
 }
 
 func TestAppendValidation(t *testing.T) {
-	st := NewStore(Options{Clock: testClock()})
+	st := testStore(testClock())
 	s := st.Create("")
 	if _, err := st.Append(s.ID, Message{Role: RoleUser, Content: "  "}); err == nil {
 		t.Fatal("expected error for empty content")
@@ -56,7 +63,7 @@ func TestAppendValidation(t *testing.T) {
 }
 
 func TestTitleFromFirstUserMessage(t *testing.T) {
-	st := NewStore(Options{Clock: testClock()})
+	st := testStore(testClock())
 	s := st.Create("")
 	s, err := st.Append(s.ID, Message{Role: RoleUser, Content: "What GPU does the lab server use for inference workloads exactly?"})
 	if err != nil {
@@ -68,7 +75,7 @@ func TestTitleFromFirstUserMessage(t *testing.T) {
 }
 
 func TestListOrder(t *testing.T) {
-	st := NewStore(Options{Clock: testClock()})
+	st := testStore(testClock())
 	a := st.Create("a")
 	b := st.Create("b")
 	// Touch a after b so a becomes most recent.
@@ -82,7 +89,7 @@ func TestListOrder(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	st := NewStore(Options{Clock: testClock()})
+	st := testStore(testClock())
 	st.Create("a")
 	st.Create("b")
 	st.Clear()
@@ -92,7 +99,8 @@ func TestClear(t *testing.T) {
 }
 
 func TestEvictionAtCap(t *testing.T) {
-	st := NewStore(Options{MaxSessions: 3, Clock: testClock()})
+	st := testStore(testClock())
+	st.maxSessions = 3
 	first := st.Create("first")
 	st.Create("second")
 	st.Create("third")
@@ -106,7 +114,8 @@ func TestEvictionAtCap(t *testing.T) {
 }
 
 func TestSummarizationTriggersAndRetains(t *testing.T) {
-	st := NewStore(Options{SummarizeEvery: 6, RetainMessages: 2, Clock: testClock()})
+	st := testStore(testClock())
+	st.summarizeEvery, st.retainMessages = 6, 2
 	s := st.Create("long chat")
 	topics := []string{
 		"The server has a Tesla V100 GPU with thirty two gigabytes of VRAM.",
@@ -146,7 +155,8 @@ func TestSummarizationTriggersAndRetains(t *testing.T) {
 }
 
 func TestHierarchicalResummarization(t *testing.T) {
-	st := NewStore(Options{SummarizeEvery: 4, RetainMessages: 2, SummaryBudget: 80, Clock: testClock()})
+	st := testStore(testClock())
+	st.summarizeEvery, st.retainMessages, st.summaryBudget = 4, 2, 80
 	s := st.Create("marathon")
 	tok := tokenizer.Default()
 	var last Session
@@ -172,7 +182,8 @@ func TestHierarchicalResummarization(t *testing.T) {
 }
 
 func TestContextRespectsBudget(t *testing.T) {
-	st := NewStore(Options{SummarizeEvery: 20, Clock: testClock()})
+	st := testStore(testClock())
+	st.summarizeEvery = 20
 	s := st.Create("ctx")
 	for i := 0; i < 8; i++ {
 		if _, err := st.Append(s.ID, Message{Role: RoleUser,
@@ -207,7 +218,7 @@ func TestContextRespectsBudget(t *testing.T) {
 }
 
 func TestSnapshotIsolation(t *testing.T) {
-	st := NewStore(Options{Clock: testClock()})
+	st := testStore(testClock())
 	s := st.Create("iso")
 	s1, err := st.Append(s.ID, Message{Role: RoleUser, Content: "original"})
 	if err != nil {
@@ -224,7 +235,8 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 func TestConcurrentAppends(t *testing.T) {
-	st := NewStore(Options{SummarizeEvery: 8, Clock: testClock()})
+	st := testStore(testClock())
+	st.summarizeEvery = 8
 	s := st.Create("conc")
 	var wg sync.WaitGroup
 	const n = 50

@@ -53,7 +53,7 @@ type modelChunk struct {
 
 // StartQuery opens an observer for one query. strategy is the requested
 // policy (the event stream overrides it, so a default is fine); the
-// query text is cut to the bundle's MaxQueryBytes and kept valid UTF-8,
+// query text is cut to the bundle's maxQueryBytes and kept valid UTF-8,
 // so a rune the cut splits is dropped.
 func (t *Telemetry) StartQuery(id, strategy, query string) *QueryObserver {
 	query = strings.ToValidUTF8(query[:min(len(query), t.maxQueryBytes)], "")

@@ -277,18 +277,20 @@ func TestObserverFinishIdempotent(t *testing.T) {
 }
 
 func TestStartQueryTruncatesQueryText(t *testing.T) {
-	tel := New(Options{MaxQueryBytes: 10})
+	tel := New(Options{})
+	tel.maxQueryBytes = 10
 	tr := tel.StartQuery("q", "oua", strings.Repeat("a", 100)).Finish(nil)
 	if len(tr.Query) != 10 {
 		t.Errorf("query stored with %d bytes, want 10", len(tr.Query))
 	}
 }
 
-// TestQueryTextCutAtRuneBoundary: the stored query (cut to MaxQueryBytes)
+// TestQueryTextCutAtRuneBoundary: the stored query (cut to maxQueryBytes)
 // and the listed one (cut to summaryQueryLimit) end on a whole rune, where
 // a byte cut stored half an "é" and /api/traces showed U+FFFD.
 func TestQueryTextCutAtRuneBoundary(t *testing.T) {
-	tel := New(Options{MaxQueryBytes: summaryQueryLimit + 3})
+	tel := New(Options{})
+	tel.maxQueryBytes = summaryQueryLimit + 3
 	for _, query := range []string{strings.Repeat("é", 100), "x" + strings.Repeat("é", 100)} {
 		tel.StartQuery(query, "oua", query).Finish(nil)
 		stored, _ := tel.Traces.Get(query)

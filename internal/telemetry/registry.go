@@ -15,7 +15,7 @@
 // Label cardinality is bounded by construction: instruments are labeled
 // by model name, strategy, route pattern, operation, or status code —
 // never by query text or any other unbounded value — and every metric
-// family additionally caps its distinct series at Options.MaxSeries,
+// family additionally caps its distinct series at maxSeries,
 // collapsing the excess into a single series whose label values are all
 // OverflowLabel. The registry therefore cannot grow without bound under
 // heavy traffic.
@@ -34,9 +34,8 @@ import (
 	"sync/atomic"
 )
 
-// DefaultMaxSeries is the per-family cap on distinct label combinations
-// when Options.MaxSeries is zero.
-const DefaultMaxSeries = 512
+// maxSeries is the per-family cap on distinct label combinations.
+const maxSeries = 512
 
 // OverflowLabel is the label value that absorbs observations once a
 // family has reached its series cap: the first observation beyond the
@@ -57,24 +56,13 @@ var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 type Registry struct {
 	mu        sync.RWMutex
 	families  map[string]*family
-	maxSeries int
+	maxSeries int // the cap of families registered from now on; in-package tests lower it
 	onScrape  []func()
 }
 
-// NewRegistry returns an empty registry with the DefaultMaxSeries cap.
+// NewRegistry returns an empty registry with the maxSeries cap.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family), maxSeries: DefaultMaxSeries}
-}
-
-// SetMaxSeries adjusts the per-family series cap for families registered
-// afterwards. Non-positive values restore DefaultMaxSeries.
-func (r *Registry) SetMaxSeries(n int) {
-	if n <= 0 {
-		n = DefaultMaxSeries
-	}
-	r.mu.Lock()
-	r.maxSeries = n
-	r.mu.Unlock()
+	return &Registry{families: make(map[string]*family), maxSeries: maxSeries}
 }
 
 // OnScrape registers a hook run at the start of every WriteText call,
@@ -243,7 +231,7 @@ func (f *family) get(vals []string) *series {
 	if s, ok := old[string(key)]; ok {
 		return s
 	}
-	if f.maxSeries > 0 && len(old) >= f.maxSeries {
+	if len(old) >= f.maxSeries {
 		// Cardinality guard: collapse novel label combinations into the
 		// overflow series instead of growing without bound.
 		vals = make([]string, len(f.labels))
@@ -259,7 +247,7 @@ func (f *family) get(vals []string) *series {
 	if f.typ == typeHistogram {
 		s.bucketN = make([]atomic.Uint64, len(f.bucketsUB)+1)
 	}
-	// Copy on write: MaxSeries (plus the overflow series) bounds the copies.
+	// Copy on write: maxSeries (plus the overflow series) bounds the copies.
 	next := maps.Clone(old)
 	next[string(key)] = s
 	f.series.Store(&next)

@@ -124,7 +124,7 @@ func TestHistogramBoundaryLandsInBucket(t *testing.T) {
 
 func TestSeriesCapCollapsesIntoOverflow(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxSeries(2)
+	r.maxSeries = 2
 	c := r.Counter("test_capped_total", "c.", "model")
 	c.Inc("a")
 	c.Inc("b")
@@ -295,7 +295,7 @@ func TestHandlerContentType(t *testing.T) {
 // goroutines while scraping — run with -race to prove safety.
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxSeries(8)
+	r.maxSeries = 8
 	c := r.Counter("conc_total", "c.", "worker")
 	g := r.Gauge("conc_gauge", "g.")
 	h := r.Histogram("conc_seconds", "h.", nil, "worker")
@@ -350,7 +350,7 @@ func TestRegistryConcurrency(t *testing.T) {
 // the cap in the overflow series.
 func TestSeriesPublishRacesRecording(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxSeries(40)
+	r.maxSeries = 40
 	c := r.Counter("publish_total", "c.", "label")
 	h := r.Histogram("publish_seconds", "h.", nil, "label")
 	// The steady series is there before the writers can fill the cap;

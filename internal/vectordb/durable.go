@@ -30,30 +30,15 @@ import (
 
 // OpenOptions configures a durable database.
 type OpenOptions struct {
-	// Sync is the WAL durability policy; defaults to SyncBatch.
+	// Sync is the WAL durability policy; defaults to SyncBatch. Snapshots
+	// and the manifest are synced under every policy but SyncNone.
 	Sync SyncPolicy
-	// BatchInterval is the group-commit accumulation window under
-	// SyncBatch; defaults to 2ms.
-	BatchInterval time.Duration
-	// CompactBytes is the WAL size that triggers snapshot+truncate
-	// compaction; defaults to 8 MiB. Negative disables compaction.
-	CompactBytes int64
 	// Hooks observes substrate activity (telemetry).
 	Hooks Hooks
 }
 
-func (o OpenOptions) withDefaults() OpenOptions {
-	if o.Sync == "" {
-		o.Sync = SyncBatch
-	}
-	if o.BatchInterval <= 0 {
-		o.BatchInterval = 2 * time.Millisecond
-	}
-	if o.CompactBytes == 0 {
-		o.CompactBytes = 8 << 20
-	}
-	return o
-}
+// compactBytes is the WAL size that triggers snapshot+truncate compaction.
+const compactBytes = 8 << 20
 
 // Open loads (or initializes) a durable database rooted at dir. Every
 // collection is recovered to exactly the acknowledged-write prefix of
@@ -61,7 +46,9 @@ func (o OpenOptions) withDefaults() OpenOptions {
 // acknowledged. Close the database to cut final snapshots and release
 // the logs.
 func Open(dir string, opts OpenOptions) (*DB, error) {
-	opts = opts.withDefaults()
+	if opts.Sync == "" {
+		opts.Sync = SyncBatch
+	}
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("vectordb: open %s: %w", dir, err)
@@ -217,20 +204,20 @@ func (db *DB) recoverCollection(h *collectionHeader) (*Collection, error) {
 		// applied, so a fresh snapshot covers them and the file can go.
 		// It comes before the log is opened, so a failure leaves no file
 		// open.
-		if err := writeJSONAtomic(snapPath, c.All()); err != nil {
+		if err := writeJSONAtomic(snapPath, c.All(), db.opts.Sync); err != nil {
 			return nil, fmt.Errorf("vectordb: compact %q: %w", h.Name, err)
 		}
 		if err := os.Remove(oldPath); err != nil {
 			return nil, fmt.Errorf("vectordb: compact %q: %w", h.Name, err)
 		}
 	}
-	w, err := openWAL(walPath, validLen, db.opts.Sync, db.opts.BatchInterval, db.walBytesHook(h.Name))
+	w, err := openWAL(walPath, validLen, db.opts.Sync, db.walBytesHook(h.Name))
 	if err != nil {
 		return nil, fmt.Errorf("vectordb: open wal for %q: %w", h.Name, err)
 	}
 	c.wal = w
 	c.snapFile = snapPath
-	c.compactBytes = db.opts.CompactBytes
+	c.compactBytes = compactBytes
 	c.observeShardDocs(allShards(len(c.shards)))
 	return c, nil
 }
@@ -309,16 +296,16 @@ func (db *DB) armLocked(c *Collection) error {
 		Shards:  len(c.shards),
 	}
 	snapPath := filepath.Join(db.dir, h.File)
-	if err := writeJSONAtomic(snapPath, []Document{}); err != nil {
+	if err := writeJSONAtomic(snapPath, []Document{}, db.opts.Sync); err != nil {
 		return fmt.Errorf("vectordb: create collection %q: %w", c.name, err)
 	}
-	w, err := openWAL(filepath.Join(db.dir, h.WAL), 0, db.opts.Sync, db.opts.BatchInterval, db.walBytesHook(c.name))
+	w, err := openWAL(filepath.Join(db.dir, h.WAL), 0, db.opts.Sync, db.walBytesHook(c.name))
 	if err != nil {
 		return fmt.Errorf("vectordb: create collection %q: %w", c.name, err)
 	}
 	c.wal = w
 	c.snapFile = snapPath
-	c.compactBytes = db.opts.CompactBytes
+	c.compactBytes = compactBytes
 	db.man.NextFile = n + 1
 	db.man.Collections = append(db.man.Collections, h)
 	return db.writeManifestLocked()
@@ -343,7 +330,7 @@ func (db *DB) disarmLocked(c *Collection) error {
 }
 
 func (db *DB) writeManifestLocked() error {
-	if err := writeJSONAtomic(filepath.Join(db.dir, manifestName), db.man); err != nil {
+	if err := writeJSONAtomic(filepath.Join(db.dir, manifestName), db.man, db.opts.Sync); err != nil {
 		return fmt.Errorf("vectordb: write manifest: %w", err)
 	}
 	return nil
@@ -353,7 +340,7 @@ func (db *DB) writeManifestLocked() error {
 // size threshold. At most one compaction per collection runs at a time;
 // writes proceed concurrently throughout.
 func (c *Collection) maybeCompact() {
-	if c.wal == nil || c.compactBytes <= 0 {
+	if c.wal == nil {
 		return
 	}
 	if c.wal.sizeNow() < c.compactBytes {
@@ -376,7 +363,7 @@ func (c *Collection) compact() error {
 		// Leftover from a compaction that failed before snapshotting. Its
 		// records are applied in memory, so snapshot first — rotating over
 		// it could drop them from disk.
-		if err := writeJSONAtomic(c.snapFile, c.All()); err != nil {
+		if err := writeJSONAtomic(c.snapFile, c.All(), c.wal.policy); err != nil {
 			return err
 		}
 		if err := os.Remove(oldPath); err != nil {
@@ -386,7 +373,7 @@ func (c *Collection) compact() error {
 	if err := c.wal.rotate(oldPath); err != nil {
 		return err
 	}
-	if err := writeJSONAtomic(c.snapFile, c.All()); err != nil {
+	if err := writeJSONAtomic(c.snapFile, c.All(), c.wal.policy); err != nil {
 		return err
 	}
 	if err := os.Remove(oldPath); err != nil {
@@ -425,7 +412,7 @@ func (db *DB) Close() error {
 		if err := c.wal.close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("vectordb: close wal %q: %w", c.name, err)
 		}
-		if err := writeJSONAtomic(c.snapFile, c.All()); err != nil {
+		if err := writeJSONAtomic(c.snapFile, c.All(), db.opts.Sync); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("vectordb: final snapshot %q: %w", c.name, err)
 			}

@@ -109,13 +109,13 @@ func TestOpenUpgradesVersion1Manifest(t *testing.T) {
 	if err := src.Add(Document{ID: "a", Text: "the yen is the currency of japan"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeJSONAtomic(filepath.Join(dir, "col_0.json"), src.All()); err != nil {
+	if err := writeJSONAtomic(filepath.Join(dir, "col_0.json"), src.All(), SyncNone); err != nil {
 		t.Fatal(err)
 	}
 	v1 := manifest{Version: 1, Collections: []collectionHeader{{
 		Name: "facts", File: "col_0.json", Metric: "cosine", Index: "flat", Encoder: src.cfg.Encoder.Name(),
 	}}}
-	if err := writeJSONAtomic(filepath.Join(dir, manifestName), v1); err != nil {
+	if err := writeJSONAtomic(filepath.Join(dir, manifestName), v1, SyncNone); err != nil {
 		t.Fatal(err)
 	}
 
@@ -286,7 +286,7 @@ func FuzzOpenManifest(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(raw), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		db, err := Open(dir, OpenOptions{Sync: SyncNone, CompactBytes: -1})
+		db, err := Open(dir, OpenOptions{Sync: SyncNone})
 		if err != nil {
 			return
 		}
@@ -345,7 +345,7 @@ func TestFailedOpenLeavesNoFileOpen(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			db, err := Open(dir, OpenOptions{CompactBytes: -1})
+			db, err := Open(dir, OpenOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -414,8 +414,7 @@ func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	var compactions atomic.Int64
 	db, err := Open(dir, OpenOptions{
-		CompactBytes: 1, // every durable write passes the threshold
-		Hooks:        Hooks{IncCompaction: func(string) { compactions.Add(1) }},
+		Hooks: Hooks{IncCompaction: func(string) { compactions.Add(1) }},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -424,6 +423,7 @@ func TestCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.compactBytes = 1 // every durable write passes the threshold
 	for i := 0; i < 25; i++ {
 		if err := c.Upsert(Document{ID: fmt.Sprintf("d%d", i), Text: fmt.Sprintf("text %d", i)}); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package vectordb
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 )
 
 // persistence file layout, Open's (durable.go) alone: <dir>/manifest.json
@@ -34,14 +35,49 @@ type collectionHeader struct {
 	Index  string `json:"index,omitempty"`
 }
 
-func writeJSONAtomic(path string, v any) error {
+// writeJSONAtomic replaces path with v's JSON through a temporary file and
+// a rename. Under any policy but SyncNone the temporary file is synced
+// before the rename and the directory after it, so the file is on disk
+// when the call returns: compaction and Close delete or truncate the log
+// a snapshot replaces right after writing it.
+func writeJSONAtomic(path string, v any, policy SyncPolicy) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(data)
+	if err == nil && policy != SyncNone {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	if policy == SyncNone {
+		return nil
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir makes the directory's entries — a rename into it — durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

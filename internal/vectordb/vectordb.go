@@ -119,7 +119,7 @@ type Collection struct {
 	// Durability; all nil/zero for in-memory collections.
 	wal          *wal
 	snapFile     string // snapshot path, absolute
-	compactBytes int64
+	compactBytes int64  // the const; in-package tests lower it
 	compacting   atomic.Bool
 }
 

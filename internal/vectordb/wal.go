@@ -87,11 +87,13 @@ func (a *walAck) wait() error {
 	return <-a.ch
 }
 
+// batchInterval is the group-commit accumulation window under SyncBatch.
+const batchInterval = 2 * time.Millisecond
+
 type wal struct {
-	path     string
-	policy   SyncPolicy
-	interval time.Duration
-	onBytes  func(int)
+	path    string
+	policy  SyncPolicy
+	onBytes func(int)
 
 	// syncMu serializes fsync/rotation so a rotation never closes the
 	// file a concurrent group commit is syncing. Appends never take it.
@@ -111,7 +113,7 @@ type wal struct {
 // openWAL opens (creating if needed) the log at path for appending,
 // truncating any torn tail left by a crash. validLen is the scanned
 // length of the good prefix.
-func openWAL(path string, validLen int64, policy SyncPolicy, interval time.Duration, onBytes func(int)) (*wal, error) {
+func openWAL(path string, validLen int64, policy SyncPolicy, onBytes func(int)) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -125,15 +127,14 @@ func openWAL(path string, validLen int64, policy SyncPolicy, interval time.Durat
 		return nil, err
 	}
 	w := &wal{
-		path:     path,
-		policy:   policy,
-		interval: interval,
-		onBytes:  onBytes,
-		f:        f,
-		size:     validLen,
-		kick:     make(chan struct{}, 1),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+		path:    path,
+		policy:  policy,
+		onBytes: onBytes,
+		f:       f,
+		size:    validLen,
+		kick:    make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	if policy == SyncBatch {
 		go w.run()
@@ -206,7 +207,7 @@ func (w *wal) run() {
 			return
 		case <-w.kick:
 		}
-		time.Sleep(w.interval)
+		time.Sleep(batchInterval)
 		w.flush()
 	}
 }
