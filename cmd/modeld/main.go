@@ -1,14 +1,14 @@
 // Command modeld runs the standalone model daemon: an Ollama-compatible
 // HTTP server (NDJSON streaming /api/generate, /api/embed, /api/tags,
-// /api/show, /api/ps, /api/gpu, plus Prometheus-style metrics on
-// /metrics) in front of the simulated inference engine. It stands in for "Ollama daemon 0.4.5" in the paper's
-// computation layer, so the orchestrator — or any Ollama client — can
-// drive the simulated models over HTTP.
+// /api/show, /api/version, /api/gpu, plus Prometheus-style metrics on
+// /metrics) in front of the simulated inference engine. It stands in for
+// "Ollama daemon 0.4.5" in the paper's computation layer, so the
+// orchestrator — or any Ollama client — can drive the simulated models
+// over HTTP.
 //
 // Usage:
 //
 //	modeld [-addr :11434] [-questions 400] [-latency 0.02]
-//	       [-data-dir path] [-wal-sync batch]
 //	       [-log-level info] [-log-format text] [-pprof] [-version]
 //
 // The daemon participates in distributed tracing: requests carrying a
@@ -16,14 +16,9 @@
 // spans are returned to the caller on the final NDJSON line. -pprof
 // mounts net/http/pprof under /debug/pprof/ (off by default, matching
 // cmd/llmms); -version prints the daemon version and Go runtime and
-// exits.
-//
-// -data-dir persists the daemon's embed cache in a WAL-backed vector
-// collection, so embeddings computed before a restart are served without
-// recomputation after it (empty = no cache); -wal-sync picks the WAL
-// durability policy (batch, always, none), and is checked at startup
-// either way. A stray argument, an unknown flag or a bad value (a
-// -questions below 1 among them) is a one-line error and exit status 2.
+// exits. The daemon keeps no state on disk. A stray argument, an
+// unknown flag or a bad value (a -questions below 1 among them) is a
+// one-line error and exit status 2.
 //
 // Every generation goes through the engine's per-model continuous batch
 // scheduler: concurrent requests on one model decode together at ~1x–2x a
@@ -47,7 +42,6 @@ import (
 	"llmms/internal/modeld"
 	"llmms/internal/telemetry"
 	"llmms/internal/truthfulqa"
-	"llmms/internal/vectordb"
 )
 
 func main() {
@@ -57,8 +51,6 @@ func main() {
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	dataDir := flag.String("data-dir", "", "persist the embed cache under this directory (empty = no cache)")
-	walSync := flag.String("wal-sync", "batch", "WAL durability: batch (group commit), always (fsync per write), none")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	parseFlags()
 	if *questions < 1 {
@@ -73,33 +65,12 @@ func main() {
 	if err != nil {
 		usageFatal("%v", err)
 	}
-	policy, err := vectordb.ParseSyncPolicy(*walSync)
-	if err != nil {
-		usageFatal("-wal-sync: %v", err)
-	}
 
 	engine := llm.NewEngine(llm.Options{
 		Knowledge:    llm.NewKnowledge(truthfulqa.Generate(*questions, 1)),
 		LatencyScale: *latency,
 	})
-	opts := []modeld.ServerOption{
-		modeld.WithLogger(logger),
-		modeld.WithPprof(*enablePprof),
-	}
-	var db *vectordb.DB
-	if *dataDir != "" {
-		db, err = vectordb.Open(*dataDir, vectordb.OpenOptions{Sync: policy})
-		if err != nil {
-			log.Fatalf("modeld: open embed cache: %v", err)
-		}
-		col, err := db.GetOrCreateCollection("embeds", vectordb.CollectionConfig{})
-		if err != nil {
-			log.Fatalf("modeld: open embed cache: %v", err)
-		}
-		logger.Info("embed cache opened", "dir", *dataDir, "entries", col.Count())
-		opts = append(opts, modeld.WithEmbedCache(col))
-	}
-	srv := modeld.NewServer(engine, opts...)
+	srv := modeld.NewServer(engine, modeld.WithLogger(logger), modeld.WithPprof(*enablePprof))
 	fmt.Printf("modeld listening on %s\n", *addr)
 	for _, p := range engine.Profiles() {
 		fmt.Printf("  model %-12s %s %s ctx=%d\n", p.Name, p.Parameters, p.Quantization, p.ContextWindow)
@@ -124,11 +95,6 @@ func main() {
 	}
 	if err := engine.Close(); err != nil {
 		log.Printf("modeld: engine close: %v", err)
-	}
-	if db != nil {
-		if err := db.Close(); err != nil {
-			log.Printf("modeld: embed cache close: %v", err)
-		}
 	}
 }
 

@@ -164,34 +164,28 @@ func orchestratedSystems(base Config) []System {
 	return out
 }
 
-// applyAblation sets one swept parameter on a copy of the base config.
+// applyAblation sets one swept parameter on a copy of the base config:
+// λ_max is the config's own, the rest reach orchestratorFor through
+// param and value.
 func applyAblation(base Config, param AblationParam, v float64) (Config, error) {
 	cfg := base
 	switch param {
-	case AblatePruneMargin:
-		cfg.PruneMargin = v
-	case AblateLeadMargin:
-		cfg.LeadMargin = v
-	case AblateRounds:
-		cfg.Rounds = int(v)
-	case AblateMABChunk:
-		cfg.MABChunk = int(v)
+	case AblatePruneMargin, AblateLeadMargin, AblateRounds, AblateMABChunk:
 	case AblateAlpha:
 		if v < 0 || v > 1 {
 			return Config{}, fmt.Errorf("bench: alpha %v outside [0,1]", v)
 		}
-		cfg.Alpha = v
-		cfg.Beta = 1 - v
 	case AblateGamma:
 		if v <= 0 {
 			return Config{}, fmt.Errorf("bench: gamma %v must be positive", v)
 		}
-		cfg.Gamma0 = v
 	case AblateBudget:
 		cfg.MaxTokens = int(v)
+		return cfg, nil
 	default:
 		return Config{}, fmt.Errorf("bench: unknown ablation parameter %q", param)
 	}
+	cfg.param, cfg.value = param, v
 	return cfg, nil
 }
 

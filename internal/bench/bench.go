@@ -53,40 +53,32 @@ func Systems() []System {
 	}
 }
 
-// Config parameterizes a harness run.
+// Config parameterizes a harness run. The orchestrated systems run over
+// the paper's three models, with core.DefaultConfig's settings, and
+// answers are scored with the paper's reward weights.
 type Config struct {
 	// Dataset is the question set. Required.
 	Dataset truthfulqa.Dataset
 	// Systems defaults to Systems().
 	Systems []System
-	// Models are the candidate models for the orchestrated systems;
-	// default is the paper's three.
-	Models []string
 	// MaxTokens is λ_max per query. Default 2048 (§6.3).
 	MaxTokens int
-	// Orchestrator overrides beyond the defaults (margins, chunk sizes,
-	// scoring weights); zero fields keep core.DefaultConfig values.
-	PruneMargin float64
-	LeadMargin  float64
-	Rounds      int
-	MABChunk    int
-	Alpha       float64
-	Beta        float64
-	Gamma0      float64
-	// Weights are the reward coefficients; zero value means the paper's
-	// w1=1, w2=0.5, w3=0.5.
-	Weights metrics.RewardWeights
 	// Progress, when non-nil, receives (completed, total) after each
 	// query so CLIs can show progress.
 	Progress func(done, total int)
+
+	// param and value are the one orchestrator setting a RunAblation
+	// point overrides; param is empty outside a sweep.
+	param AblationParam
+	value float64
 }
+
+// models are the orchestrated systems' candidates: the paper's three.
+var models = []string{llm.ModelLlama3, llm.ModelMistral, llm.ModelQwen2}
 
 func (c Config) withDefaults() Config {
 	if len(c.Systems) == 0 {
 		c.Systems = Systems()
-	}
-	if len(c.Models) == 0 {
-		c.Models = []string{llm.ModelLlama3, llm.ModelMistral, llm.ModelQwen2}
 	}
 	if c.MaxTokens <= 0 {
 		c.MaxTokens = 2048
@@ -184,7 +176,7 @@ func Run(ctx context.Context, backend core.Backend, cfg Config) (Report, error) 
 		return Report{}, fmt.Errorf("bench: %w", err)
 	}
 	start := time.Now()
-	scorer := metrics.NewScorer(embedding.Default(), cfg.Weights)
+	scorer := metrics.NewScorer(embedding.Default(), metrics.PaperWeights)
 
 	orchestrators := make(map[string]*core.Orchestrator, len(cfg.Systems))
 	for _, sys := range cfg.Systems {
@@ -270,27 +262,22 @@ func orchestratorFor(backend core.Backend, cfg Config, sys System) (*core.Orches
 		}
 		oc = core.DefaultConfig(sys.Model)
 	} else {
-		oc = core.DefaultConfig(cfg.Models...)
+		oc = core.DefaultConfig(models...)
 	}
 	oc.MaxTokens = cfg.MaxTokens
-	if cfg.PruneMargin > 0 {
-		oc.PruneMargin = cfg.PruneMargin
-	}
-	if cfg.LeadMargin > 0 {
-		oc.LeadMargin = cfg.LeadMargin
-	}
-	if cfg.Rounds > 0 {
-		oc.Rounds = cfg.Rounds
-	}
-	if cfg.MABChunk > 0 {
-		oc.MABChunk = cfg.MABChunk
-	}
-	if cfg.Alpha > 0 || cfg.Beta > 0 {
-		oc.Alpha = cfg.Alpha
-		oc.Beta = cfg.Beta
-	}
-	if cfg.Gamma0 > 0 {
-		oc.Gamma0 = cfg.Gamma0
+	switch v := cfg.value; cfg.param {
+	case AblatePruneMargin:
+		oc.PruneMargin = v
+	case AblateLeadMargin:
+		oc.LeadMargin = v
+	case AblateRounds:
+		oc.Rounds = int(v)
+	case AblateMABChunk:
+		oc.MABChunk = int(v)
+	case AblateAlpha:
+		oc.Alpha, oc.Beta = v, 1-v
+	case AblateGamma:
+		oc.Gamma0 = v
 	}
 	return core.New(backend, oc)
 }

@@ -56,41 +56,47 @@ type device struct {
 	batchSeqs   map[string]int // owner -> current batch occupancy
 	batchSteps  uint64
 	batchTokens uint64
-	temperature float64
 }
 
 // DeviceStat is a telemetry snapshot of one device, shaped after the
 // fields nvidia-smi reports.
 type DeviceStat struct {
-	Index       int
-	Name        string
-	MemoryUsed  uint64
-	MemoryTotal uint64
-	Utilization float64 // 0..100
-	Temperature float64 // °C
+	Index       int     `json:"index"`
+	Name        string  `json:"name"`
+	MemoryUsed  uint64  `json:"memory_used"`
+	MemoryTotal uint64  `json:"memory_total"`
+	Utilization float64 `json:"utilization"` // 0..100
+	Temperature float64 `json:"temperature"` // °C, derived from Utilization
 	// BatchSeqs is the device's current continuous-batch occupancy:
 	// sequences being decoded together across all resident models.
-	BatchSeqs int
+	BatchSeqs int `json:"batch_seqs"`
 	// BatchSteps and BatchTokens are cumulative batch-scheduler step
 	// accounting: decode steps executed and tokens they produced.
-	BatchSteps  uint64
-	BatchTokens uint64
-	Processes   []ProcessStat
+	BatchSteps  uint64        `json:"batch_steps"`
+	BatchTokens uint64        `json:"batch_tokens"`
+	Processes   []ProcessStat `json:"processes"`
 }
 
 // ProcessStat is one resident allocation on a device.
 type ProcessStat struct {
-	Owner string
-	Bytes uint64
+	Owner string `json:"owner"`
+	Bytes uint64 `json:"bytes"`
 }
 
 // Snapshot is the cluster-wide telemetry view, the Go analogue of one
-// nvidia-smi invocation.
+// nvidia-smi invocation, and the body of both servers' GET /api/gpu.
 type Snapshot struct {
-	Devices []DeviceStat
+	Devices []DeviceStat `json:"devices"`
 	// CPUResident lists allocations that fell back to system memory.
-	CPUResident []ProcessStat
+	CPUResident []ProcessStat `json:"cpu_resident"`
 }
+
+// The thermal model: a device reads ambientC idle and warms linearly
+// with utilization, reaching maxTempC fully busy.
+const (
+	ambientC = 35
+	maxTempC = 90
+)
 
 // Cluster is a set of simulated GPUs plus a CPU fallback pool. All
 // methods are safe for concurrent use.
@@ -98,19 +104,17 @@ type Cluster struct {
 	mu      sync.Mutex
 	devices []*device
 	cpu     map[string]uint64
-	ambient float64
 }
 
 // NewCluster builds a cluster with the given devices. An empty spec list
 // models a CPU-only host (every allocation falls back).
 func NewCluster(specs ...DeviceSpec) *Cluster {
-	c := &Cluster{cpu: make(map[string]uint64), ambient: 35}
+	c := &Cluster{cpu: make(map[string]uint64)}
 	for _, s := range specs {
 		c.devices = append(c.devices, &device{
 			spec:        s,
 			allocations: make(map[string]uint64),
 			batchSeqs:   make(map[string]int),
-			temperature: c.ambient,
 		})
 	}
 	return c
@@ -198,10 +202,6 @@ func (c *Cluster) BeginJob(owner string) func() {
 	for _, d := range c.devices {
 		if _, ok := d.allocations[owner]; ok {
 			d.activeJobs++
-			d.temperature += 4
-			if d.temperature > 90 {
-				d.temperature = 90
-			}
 			dd := d
 			var once sync.Once
 			return func() {
@@ -244,21 +244,6 @@ func (c *Cluster) RecordSteps(owner string, seqs int, steps, tokens uint64) {
 	}
 }
 
-// Tick advances the thermal model one step: idle devices cool toward
-// ambient. Call it periodically (the daemon does) or from tests.
-func (c *Cluster) Tick() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, d := range c.devices {
-		if d.activeJobs == 0 && d.temperature > c.ambient {
-			d.temperature -= 2
-			if d.temperature < c.ambient {
-				d.temperature = c.ambient
-			}
-		}
-	}
-}
-
 // Stats returns the current telemetry snapshot.
 func (c *Cluster) Stats() Snapshot {
 	c.mu.Lock()
@@ -285,7 +270,7 @@ func (c *Cluster) Stats() Snapshot {
 			MemoryUsed:  d.used,
 			MemoryTotal: d.spec.VRAM,
 			Utilization: util,
-			Temperature: d.temperature,
+			Temperature: ambientC + (maxTempC-ambientC)*util/100,
 			BatchSeqs:   batchSeqs,
 			BatchSteps:  d.batchSteps,
 			BatchTokens: d.batchTokens,
@@ -303,8 +288,8 @@ func (c *Cluster) Stats() Snapshot {
 	return snap
 }
 
-// String renders the snapshot in an nvidia-smi-inspired table, used by
-// the platform's monitoring endpoint and CLI.
+// String renders the snapshot in an nvidia-smi-inspired table, for CLIs
+// (evalrunner -setup).
 func (s Snapshot) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-3s %-24s %12s %6s %6s\n", "GPU", "Name", "Memory", "Util", "Temp")

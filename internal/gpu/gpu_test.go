@@ -124,12 +124,35 @@ func TestUtilizationAndTemperature(t *testing.T) {
 	if after.Utilization != 0 {
 		t.Fatalf("utilization after job end = %v", after.Utilization)
 	}
-	for i := 0; i < 50; i++ {
-		c.Tick()
+	if after.Temperature != 35 {
+		t.Fatalf("device did not cool to ambient: %v", after.Temperature)
 	}
-	cooled := c.Stats().Devices[0]
-	if cooled.Temperature != 35 {
-		t.Fatalf("device did not cool to ambient: %v", cooled.Temperature)
+}
+
+// TestIdleDeviceReadsAmbient: however many busy periods a device has
+// been through, once idle it reads ambient — temperature follows the
+// current load, not the history of it.
+func TestIdleDeviceReadsAmbient(t *testing.T) {
+	c := NewCluster(TeslaV100)
+	if _, err := c.Allocate("m", GiB); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		end := c.BeginJob("m")
+		if d := c.Stats().Devices[0]; d.Temperature <= 35 || d.Temperature > 90 {
+			t.Fatalf("busy period %d reads %v °C, want above ambient and at most 90", i, d.Temperature)
+		}
+		end()
+	}
+	if d := c.Stats().Devices[0]; d.Utilization != 0 || d.Temperature != 35 {
+		t.Fatalf("idle device after 20 busy periods reads %v%% at %v °C, want 0%% at 35 °C", d.Utilization, d.Temperature)
+	}
+	// Fully busy is the ceiling.
+	for i := 0; i < 3; i++ {
+		defer c.BeginJob("m")()
+	}
+	if d := c.Stats().Devices[0]; d.Utilization != 100 || d.Temperature != 90 {
+		t.Fatalf("saturated device reads %v%% at %v °C, want 100%% at 90 °C", d.Utilization, d.Temperature)
 	}
 }
 

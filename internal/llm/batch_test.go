@@ -308,8 +308,8 @@ func TestGenerateAbandonedConsumerNoLeak(t *testing.T) {
 	}
 }
 
-// TestBatchStats checks the scheduler snapshot plumbing used by the
-// daemon's /api/ps.
+// TestBatchStats checks the scheduler snapshot plumbing the daemon's
+// engine.generate span and the benchmark read.
 func TestBatchStats(t *testing.T) {
 	e := NewEngine(Options{Knowledge: NewKnowledge(truthfulqa.Seed())})
 	defer e.Close()

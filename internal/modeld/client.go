@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"llmms/internal/embedding"
 	"llmms/internal/llm"
 	"llmms/internal/telemetry"
 )
@@ -30,8 +29,7 @@ var ErrTruncatedStream = errors.New("modeld: generation stream truncated before 
 // against a remote daemon. It generates two ways, both over
 // /api/generate with the stream_tokens extension and both read by one
 // NDJSON reader (readStream): GenerateChunk, one request per chunk, and
-// OpenStream, one request per session. The other endpoints are one-shot
-// JSON calls (Chat, Embed, Tags, Show, PS, Version).
+// OpenStream, one request per session. Tags lists the daemon's models.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -105,12 +103,12 @@ func WithHTTPClient(hc *http.Client) Option {
 // paths. A nil bundle leaves the client uninstrumented.
 //
 // Label cardinality is bounded by construction: op is one of a fixed
-// set of endpoint names (generate, generate_stream, chat, embed, tags,
-// show, ps, version), outcome is ok/error/canceled, and model is the
-// configured model name. Query text, prompts, and session IDs never
-// become labels — they are unbounded and would explode the series space
-// (the registry's series cap would collapse them into "_other", losing
-// the per-model signal too).
+// set of call names (generate, generate_stream, tags), outcome is
+// ok/error/canceled, and model is the configured model name. Query
+// text, prompts, and session IDs never become labels — they are
+// unbounded and would explode the series space (the registry's series
+// cap would collapse them into "_other", losing the per-model signal
+// too).
 func WithTelemetry(tel *telemetry.Telemetry) Option {
 	return func(c *Client) { c.tel = tel }
 }
@@ -482,35 +480,6 @@ func (s *clientStream) Close() error {
 	return nil
 }
 
-// Embed returns embeddings for the inputs using the named encoder model.
-func (c *Client) Embed(ctx context.Context, model string, inputs ...string) ([]embedding.Vector, error) {
-	raw, err := json.Marshal(inputs)
-	if err != nil {
-		return nil, err
-	}
-	var resp EmbedResponse
-	if err := c.do(ctx, http.MethodPost, "/api/embed", EmbedRequest{Model: model, Input: raw}, &resp); err != nil {
-		return nil, err
-	}
-	out := make([]embedding.Vector, len(resp.Embeddings))
-	for i, e := range resp.Embeddings {
-		out[i] = embedding.Vector(e)
-	}
-	return out, nil
-}
-
-// EmbedOne embeds a single text.
-func (c *Client) EmbedOne(ctx context.Context, model, text string) (embedding.Vector, error) {
-	vs, err := c.Embed(ctx, model, text)
-	if err != nil {
-		return nil, err
-	}
-	if len(vs) != 1 {
-		return nil, fmt.Errorf("modeld: expected 1 embedding, got %d", len(vs))
-	}
-	return vs[0], nil
-}
-
 // Tags lists installed models.
 func (c *Client) Tags(ctx context.Context) ([]ModelInfo, error) {
 	var resp TagsResponse
@@ -518,29 +487,4 @@ func (c *Client) Tags(ctx context.Context) ([]ModelInfo, error) {
 		return nil, err
 	}
 	return resp.Models, nil
-}
-
-// Show returns one model's details.
-func (c *Client) Show(ctx context.Context, model string) (ShowResponse, error) {
-	var resp ShowResponse
-	err := c.do(ctx, http.MethodPost, "/api/show", ShowRequest{Model: model}, &resp)
-	return resp, err
-}
-
-// PS lists resident models.
-func (c *Client) PS(ctx context.Context) ([]ModelInfo, error) {
-	var resp TagsResponse
-	if err := c.do(ctx, http.MethodGet, "/api/ps", nil, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Models, nil
-}
-
-// Version returns the daemon version string.
-func (c *Client) Version(ctx context.Context) (string, error) {
-	var resp map[string]string
-	if err := c.do(ctx, http.MethodGet, "/api/version", nil, &resp); err != nil {
-		return "", err
-	}
-	return resp["version"], nil
 }

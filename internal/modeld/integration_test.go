@@ -182,42 +182,9 @@ func TestClientErrorPaths(t *testing.T) {
 	if _, err := client.GenerateChunk(ctx, llm.ChunkRequest{Model: "phantom:70b", Prompt: "q", MaxTokens: 8}); err == nil {
 		t.Fatal("expected error for unknown model")
 	}
-	if _, err := client.EmbedOne(ctx, "phantom-embed", "text"); err == nil {
-		t.Fatal("expected error for unknown embedding model")
-	}
-	if _, err := client.Show(ctx, "phantom:70b"); err == nil {
-		t.Fatal("expected error for unknown model in show")
-	}
-	if v, err := client.Version(ctx); err != nil || v == "" {
-		t.Fatalf("version = %q, %v", v, err)
-	}
-	if _, err := client.PS(ctx); err != nil {
-		t.Fatal(err)
-	}
 	// A client pointed at a dead endpoint surfaces transport errors.
 	dead := modeld.New("http://127.0.0.1:1")
 	if _, err := dead.Tags(ctx); err == nil {
 		t.Fatal("expected transport error")
-	}
-}
-
-func TestClientEmbedBatch(t *testing.T) {
-	ds := truthfulqa.Seed().Head(3)
-	_, client := wireStack(t, ds)
-	vs, err := client.Embed(context.Background(), "mxbai-embed-large", "first text", "second text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 2 || len(vs[0]) == 0 {
-		t.Fatalf("embed batch = %d vectors", len(vs))
-	}
-	one, err := client.EmbedOne(context.Background(), "mxbai-embed-large", "first text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range one {
-		if one[i] != vs[0][i] {
-			t.Fatal("EmbedOne diverged from batch Embed")
-		}
 	}
 }

@@ -2,6 +2,7 @@ package modeld
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"llmms/internal/embedding"
+	"llmms/internal/gpu"
 	"llmms/internal/llm"
 	"llmms/internal/telemetry"
 	"llmms/internal/truthfulqa"
@@ -150,9 +152,21 @@ func TestGenerateUnknownModel(t *testing.T) {
 	}
 }
 
+// embed POSTs inputs to /api/embed as an array through the client's
+// JSON call.
+func embed(c *Client, model string, inputs ...string) ([][]float32, error) {
+	raw, err := json.Marshal(inputs)
+	if err != nil {
+		return nil, err
+	}
+	var resp EmbedResponse
+	err = c.do(context.Background(), http.MethodPost, "/api/embed", EmbedRequest{Model: model, Input: raw}, &resp)
+	return resp.Embeddings, err
+}
+
 func TestEmbed(t *testing.T) {
 	c, _ := newTestDaemon(t)
-	vs, err := c.Embed(context.Background(), embedding.ModelDefault,
+	vs, err := embed(c, embedding.ModelDefault,
 		"the capital of france", "an unrelated sentence about volcanoes")
 	if err != nil {
 		t.Fatal(err)
@@ -164,16 +178,28 @@ func TestEmbed(t *testing.T) {
 	if embedding.Cosine(vs[0], local) < 0.999 {
 		t.Fatal("daemon embedding differs from local encoder")
 	}
-	if _, err := c.Embed(context.Background(), "no-such-encoder", "x"); err == nil {
+	if _, err := embed(c, "no-such-encoder", "x"); err == nil {
 		t.Fatal("expected error for unknown encoder")
-	}
-	one, err := c.EmbedOne(context.Background(), embedding.ModelDefault, "hello world")
-	if err != nil || len(one) == 0 {
-		t.Fatalf("EmbedOne: %v %v", one, err)
 	}
 }
 
-func TestTagsShowPSVersion(t *testing.T) {
+func TestClientEmbedBatch(t *testing.T) {
+	c, _ := newTestDaemon(t)
+	vs, err := embed(c, embedding.ModelDefault, "first text", "second text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 2 || len(vs[0]) == 0 {
+		t.Fatalf("embed batch = %d vectors", len(vs))
+	}
+	// A one-input call returns the batch's vector, bit for bit.
+	one, err := embed(c, embedding.ModelDefault, "first text")
+	if err != nil || len(one) != 1 || !reflect.DeepEqual(one[0], vs[0]) {
+		t.Fatalf("one-input embed = %d vectors, %v; want the batch's first", len(one), err)
+	}
+}
+
+func TestTagsShowVersion(t *testing.T) {
 	c, engine := newTestDaemon(t)
 	ctx := context.Background()
 
@@ -195,38 +221,89 @@ func TestTagsShowPSVersion(t *testing.T) {
 		t.Fatalf("missing default models: %v", names)
 	}
 
-	show, err := c.Show(ctx, llm.ModelLlama3)
+	show := func(model string) (ShowResponse, error) {
+		var resp ShowResponse
+		err := c.do(ctx, http.MethodPost, "/api/show", ShowRequest{Model: model}, &resp)
+		return resp, err
+	}
+	got, err := show(llm.ModelLlama3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if show.ContextWindow == 0 || show.Details.Family != "llama" {
-		t.Fatalf("show: %+v", show)
+	if got.ContextWindow == 0 || got.Details.Family != "llama" || got.Loaded {
+		t.Fatalf("show: %+v", got)
 	}
-	if _, err := c.Show(ctx, "nope"); err == nil {
+	if _, err := show("nope"); err == nil {
 		t.Fatal("expected error for unknown model")
 	}
-
-	ps, err := c.PS(ctx)
-	if err != nil {
+	if err := engine.Load(llm.ModelLlama3); err != nil {
 		t.Fatal(err)
 	}
-	if len(ps) != 0 {
-		t.Fatalf("expected no resident models, got %v", ps)
-	}
-	if err := engine.Load(llm.ModelMistral); err != nil {
-		t.Fatal(err)
-	}
-	ps, err = c.PS(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 1 || ps[0].Name != llm.ModelMistral {
-		t.Fatalf("ps after load: %+v", ps)
+	if got, err := show(llm.ModelLlama3); err != nil || !got.Loaded {
+		t.Fatalf("show after load: %+v, %v", got, err)
 	}
 
-	v, err := c.Version(ctx)
-	if err != nil || v != Version {
-		t.Fatalf("version = %q %v", v, err)
+	var v map[string]string
+	if err := c.do(ctx, http.MethodGet, "/api/version", nil, &v); err != nil || v["version"] != Version {
+		t.Fatalf("version = %v %v", v, err)
+	}
+}
+
+// TestRoutes pins the daemon's surface: the calls of the paper's Ollama
+// contract, version, GPU telemetry and metrics, and nothing else of
+// Ollama's API — /api/chat and /api/ps among what answers 404 — with
+// pprof only when enabled.
+func TestRoutes(t *testing.T) {
+	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
+	t.Cleanup(func() { engine.Close() })
+	for _, pprofOn := range []bool{false, true} {
+		srv := httptest.NewServer(NewServer(engine, WithPprof(pprofOn)))
+		status := func(method, path, body string) int {
+			t.Helper()
+			req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := srv.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			return resp.StatusCode
+		}
+		served := []struct{ method, path, body string }{
+			{"POST", "/api/generate", `{"model":"mistral:7b","prompt":"Are bats blind?","stream":false,"options":{"num_predict":4}}`},
+			{"POST", "/api/embed", `{"model":"` + embedding.ModelDefault + `","input":"bats"}`},
+			{"GET", "/api/tags", ""},
+			{"POST", "/api/show", `{"model":"mistral:7b"}`},
+			{"GET", "/api/version", ""},
+			{"GET", "/api/gpu", ""},
+			{"GET", "/metrics", ""},
+		}
+		for _, r := range served {
+			if got := status(r.method, r.path, r.body); got != http.StatusOK {
+				t.Errorf("%s %s = %d, want 200", r.method, r.path, got)
+			}
+		}
+		gone := []struct{ method, path string }{
+			{"POST", "/api/chat"}, {"GET", "/api/ps"}, {"POST", "/api/pull"},
+			{"POST", "/api/create"}, {"POST", "/api/copy"}, {"DELETE", "/api/delete"},
+			{"POST", "/api/embeddings"}, {"POST", "/api/push"},
+		}
+		for _, r := range gone {
+			if got := status(r.method, r.path, "{}"); got != http.StatusNotFound {
+				t.Errorf("%s %s = %d, want 404", r.method, r.path, got)
+			}
+		}
+		want := http.StatusNotFound
+		if pprofOn {
+			want = http.StatusOK
+		}
+		if got := status("GET", "/debug/pprof/", ""); got != want {
+			t.Errorf("pprof %v: GET /debug/pprof/ = %d, want %d", pprofOn, got, want)
+		}
+		srv.Close()
 	}
 }
 
@@ -252,21 +329,15 @@ func TestGPUEndpoint(t *testing.T) {
 	if err := engine.Load(llm.ModelLlama3); err != nil {
 		t.Fatal(err)
 	}
-	var out struct {
-		Devices []struct {
-			Name       string `json:"name"`
-			MemoryUsed uint64 `json:"memory_used"`
-		} `json:"devices"`
-		Render string `json:"render"`
-	}
+	var out gpu.Snapshot
 	if err := c.do(context.Background(), "GET", "/api/gpu", nil, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Devices) != 1 || out.Devices[0].MemoryUsed == 0 {
+	if len(out.Devices) != 1 || out.Devices[0].MemoryUsed == 0 || !strings.Contains(out.Devices[0].Name, "Tesla") {
 		t.Fatalf("gpu telemetry: %+v", out)
 	}
-	if !strings.Contains(out.Render, "Tesla") {
-		t.Fatalf("render missing device name:\n%s", out.Render)
+	if p := out.Devices[0].Processes; len(p) != 1 || p[0].Owner != llm.ModelLlama3 {
+		t.Fatalf("gpu processes: %+v", p)
 	}
 }
 

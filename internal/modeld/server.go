@@ -10,11 +10,9 @@
 // package reproduces that wire contract:
 //
 //	POST /api/generate  — streaming NDJSON generation (num_predict, context)
-//	POST /api/chat      — the same over a message history
 //	POST /api/embed     — embeddings for one input or a batch
 //	GET  /api/tags      — installed models
 //	POST /api/show      — model details
-//	GET  /api/ps        — loaded (resident) models
 //	GET  /api/version   — daemon version (reports the simulated 0.4.5)
 //	GET  /api/gpu       — hardware telemetry (LLM-MS extension)
 //	GET  /metrics       — Prometheus text-format daemon metrics (LLM-MS extension)
@@ -29,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -38,7 +35,6 @@ import (
 
 	"llmms/internal/llm"
 	"llmms/internal/telemetry"
-	"llmms/internal/vectordb"
 )
 
 // Version is the protocol version the daemon reports, matching the
@@ -118,22 +114,6 @@ type ModelInfo struct {
 	Name    string       `json:"name"`
 	Size    uint64       `json:"size"`
 	Details ModelDetails `json:"details"`
-	// Batch is the model's continuous-batch scheduler snapshot, set on
-	// /api/ps replies when the engine has a scheduler for the model.
-	Batch *BatchInfo `json:"batch,omitempty"`
-}
-
-// BatchInfo surfaces one model's batch-scheduler occupancy and
-// cumulative step accounting in /api/ps.
-type BatchInfo struct {
-	// Active is the current batch occupancy (sequences decoding).
-	Active int `json:"active"`
-	// Pending is the number of sequences queued for admission.
-	Pending int `json:"pending"`
-	// Steps is the cumulative decode-step count.
-	Steps uint64 `json:"steps"`
-	// Decoded is the cumulative token count those steps produced.
-	Decoded uint64 `json:"decoded"`
 }
 
 // ModelDetails mirrors the nested details object of Ollama's tags reply.
@@ -164,17 +144,15 @@ type errorBody struct {
 
 // Server is the HTTP daemon.
 type Server struct {
-	engine     *llm.Engine
-	mux        *http.ServeMux
-	reg        *telemetry.Registry
-	tracer     *telemetry.Tracer
-	log        *slog.Logger
-	pprof      bool
-	embedCache *vectordb.Collection // nil disables the cache
-	requests   telemetry.Counter
-	latency    telemetry.Histogram
-	genTok     telemetry.Counter
-	embedHits  telemetry.Counter
+	engine   *llm.Engine
+	mux      *http.ServeMux
+	reg      *telemetry.Registry
+	tracer   *telemetry.Tracer
+	log      *slog.Logger
+	pprof    bool
+	requests telemetry.Counter
+	latency  telemetry.Histogram
+	genTok   telemetry.Counter
 }
 
 // ServerOption configures the daemon at construction; see NewServer.
@@ -195,26 +173,6 @@ func WithLogger(log *slog.Logger) ServerOption {
 // mux — the same flag-gated profiling surface the platform server has.
 func WithPprof(enabled bool) ServerOption {
 	return func(s *Server) { s.pprof = enabled }
-}
-
-// WithEmbedCache memoizes /api/embed through col, keyed on
-// hash(model, input) with the vector stored as the document embedding.
-// Backed by a durable collection (the -data-dir flag on cmd/modeld),
-// embeddings computed before a restart are served without recomputation
-// after it. Nil disables the cache.
-func WithEmbedCache(col *vectordb.Collection) ServerOption {
-	return func(s *Server) { s.embedCache = col }
-}
-
-// embedCacheID keys one (model, input) pair. FNV-1a over both parts
-// with a NUL separator; collisions would need identical 64-bit hashes
-// across the daemon's model set, acceptable for a cache.
-func embedCacheID(model, input string) string {
-	h := fnv.New64a()
-	h.Write([]byte(model))
-	h.Write([]byte{0})
-	h.Write([]byte(input))
-	return strconv.FormatUint(h.Sum64(), 16)
 }
 
 // NewServer wraps an engine in the daemon protocol. The daemon carries
@@ -241,8 +199,6 @@ func NewServer(engine *llm.Engine, opts ...ServerOption) *Server {
 			"Daemon HTTP request latency by route pattern.", nil, "route"),
 		genTok: reg.Counter("modeld_generate_tokens_total",
 			"Tokens generated by the daemon, per model.", "model"),
-		embedHits: reg.Counter("modeld_embed_cache_total",
-			"Embed requests served from or missed in the embed cache.", "result"),
 	}
 	// The engine's batch schedulers report into the daemon's registry
 	// (llmms_batch_occupancy, llmms_batch_step_seconds,
@@ -255,11 +211,9 @@ func NewServer(engine *llm.Engine, opts ...ServerOption) *Server {
 		opt(s)
 	}
 	s.handle("POST /api/generate", s.handleGenerate)
-	s.handle("POST /api/chat", s.handleChat)
 	s.handle("POST /api/embed", s.handleEmbed)
 	s.handle("GET /api/tags", s.handleTags)
 	s.handle("POST /api/show", s.handleShow)
-	s.handle("GET /api/ps", s.handlePS)
 	s.handle("GET /api/version", s.handleVersion)
 	s.handle("GET /api/gpu", s.handleGPU)
 	s.mux.Handle("GET /metrics", reg.Handler())
@@ -399,7 +353,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		gen.SetInt("batch_occupancy", st.Active+st.Pending)
 	}
 
-	lw := newLineWriter(w, req.Model, false, req.Options.StreamTokens)
+	lw := newLineWriter(w, req.Model, req.Options.StreamTokens)
 	defer lw.release()
 	// finish closes the spans over the terminal chunk and returns the root
 	// of the arena the done line (or the whole stream=false reply) carries.
@@ -443,50 +397,14 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := EmbedResponse{Model: req.Model}
 	for _, in := range inputs {
-		if v, ok := s.cachedEmbedding(req.Model, in); ok {
-			resp.Embeddings = append(resp.Embeddings, v)
-			continue
-		}
 		v, err := s.engine.Embed(req.Model, in)
 		if err != nil {
 			writeErr(w, http.StatusNotFound, "%v", err)
 			return
 		}
-		s.storeEmbedding(req.Model, in, v)
 		resp.Embeddings = append(resp.Embeddings, v)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// cachedEmbedding probes the embed cache. Hash collisions are guarded by
-// comparing the stored text, so a false hit can't hand back another
-// input's vector.
-func (s *Server) cachedEmbedding(model, input string) ([]float32, bool) {
-	if s.embedCache == nil {
-		return nil, false
-	}
-	docs := s.embedCache.Get(embedCacheID(model, input))
-	if len(docs) == 1 && docs[0].Text == input {
-		s.embedHits.Inc("hit")
-		return docs[0].Embedding, true
-	}
-	s.embedHits.Inc("miss")
-	return nil, false
-}
-
-func (s *Server) storeEmbedding(model, input string, v []float32) {
-	if s.embedCache == nil {
-		return
-	}
-	err := s.embedCache.Upsert(vectordb.Document{
-		ID:        embedCacheID(model, input),
-		Text:      input,
-		Embedding: v,
-		Metadata:  map[string]any{"model": model},
-	})
-	if err != nil {
-		s.log.Warn("embed cache store failed", "err", err)
-	}
 }
 
 func (s *Server) handleTags(w http.ResponseWriter, _ *http.Request) {
@@ -527,54 +445,10 @@ func (s *Server) handleShow(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handlePS(w http.ResponseWriter, _ *http.Request) {
-	var resp TagsResponse
-	for _, p := range s.engine.Profiles() {
-		if s.engine.Loaded(p.Name) {
-			info := ModelInfo{
-				Name: p.Name, Size: p.SizeBytes,
-				Details: ModelDetails{
-					Family:            p.Family,
-					ParameterSize:     p.Parameters,
-					QuantizationLevel: p.Quantization,
-				},
-			}
-			if st, ok := s.engine.BatchStats(p.Name); ok {
-				info.Batch = &BatchInfo{
-					Active: st.Active, Pending: st.Pending,
-					Steps: st.Steps, Decoded: st.Decoded,
-				}
-			}
-			resp.Models = append(resp.Models, info)
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"version": Version})
 }
 
 func (s *Server) handleGPU(w http.ResponseWriter, _ *http.Request) {
-	snap := s.engine.Cluster().Stats()
-	type dev struct {
-		Index       int     `json:"index"`
-		Name        string  `json:"name"`
-		MemoryUsed  uint64  `json:"memory_used"`
-		MemoryTotal uint64  `json:"memory_total"`
-		Utilization float64 `json:"utilization"`
-		Temperature float64 `json:"temperature"`
-	}
-	out := struct {
-		Devices []dev  `json:"devices"`
-		Render  string `json:"render"`
-	}{Render: snap.String()}
-	for _, d := range snap.Devices {
-		out.Devices = append(out.Devices, dev{
-			Index: d.Index, Name: d.Name, MemoryUsed: d.MemoryUsed,
-			MemoryTotal: d.MemoryTotal, Utilization: d.Utilization,
-			Temperature: d.Temperature,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, s.engine.Cluster().Stats())
 }

@@ -155,7 +155,7 @@ func TestDecodedSessionCostsOneWrite(t *testing.T) {
 // ordinary size.
 func TestLineWriterPoolBound(t *testing.T) {
 	rec := httptest.NewRecorder()
-	lw := newLineWriter(rec, "m", false, false)
+	lw := newLineWriter(rec, "m", false)
 	lw.reply(strings.Repeat("x", maxPooledBody+1), llm.Chunk{Done: true, DoneReason: llm.DoneStop}, nil)
 	lw.release()
 	for i := 0; i < 8; i++ {
@@ -191,13 +191,13 @@ func TestWithHTTPClientTransportSeesGeneration(t *testing.T) {
 	if _, err := c.GenerateChunk(context.Background(), llm.ChunkRequest{Model: llm.ModelMistral, Prompt: "Are bats blind?", MaxTokens: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Version(context.Background()); err != nil {
+	if _, err := c.Tags(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if ct.paths["/api/generate"] != 2 || ct.paths["/api/version"] != 1 {
-		t.Fatalf("the transport saw %v, want 2 generation requests and 1 version", ct.paths)
+	if ct.paths["/api/generate"] != 2 || ct.paths["/api/tags"] != 1 {
+		t.Fatalf("the transport saw %v, want 2 generation requests and 1 tags", ct.paths)
 	}
 }
 

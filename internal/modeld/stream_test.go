@@ -162,8 +162,8 @@ func TestWireSessionMatchesEngine(t *testing.T) {
 
 // TestOllamaShapedLinesKeepCharactersWhole checks the lines a client
 // without the token extension receives — /api/generate without
-// stream_tokens and /api/chat — never carry half a character, paced (a
-// token per drain) or not, and join to the stream=false reply.
+// stream_tokens — never carry half a character, paced (a token per
+// drain) or not, and join to the engine's answer.
 func TestOllamaShapedLinesKeepCharactersWhole(t *testing.T) {
 	for _, scale := range []float64{0, 0.01} {
 		client, engine, questions := multibyteDaemon(t, scale)
@@ -198,26 +198,6 @@ func TestOllamaShapedLinesKeepCharactersWhole(t *testing.T) {
 		}
 		if checked == 0 {
 			t.Fatal("no multi-byte answer was checked")
-		}
-
-		// /api/chat shares the writer; one conversation is enough.
-		msgs := []ChatMessage{{Role: "user", Content: "What is the capital of Brazil?"}}
-		var joined strings.Builder
-		err := chatLines(client, ChatRequest{Model: llm.ModelMistral, Messages: msgs}, func(cr ChatResponse) {
-			if strings.ContainsRune(cr.Message.Content, utf8.RuneError) {
-				t.Errorf("chat line carries U+FFFD: %+v", cr)
-			}
-			joined.WriteString(cr.Message.Content)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		whole, err := client.Chat(context.Background(), llm.ModelMistral, msgs, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if joined.String() != whole.Message.Content {
-			t.Fatalf("chat stream joined to %q, want %q", joined.String(), whole.Message.Content)
 		}
 	}
 }

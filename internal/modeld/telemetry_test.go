@@ -30,14 +30,14 @@ func TestClientInstrumentation(t *testing.T) {
 	if _, err := c.Tags(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Version(ctx); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/api/version", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.EmbedOne(ctx, embedding.ModelDefault, "hello"); err != nil {
+	if _, err := embed(c, embedding.ModelDefault, "hello"); err != nil {
 		t.Fatal(err)
 	}
 	// An error outcome: unknown model.
-	if _, err := c.Show(ctx, "no-such-model"); err == nil {
+	if err := c.do(ctx, http.MethodPost, "/api/show", ShowRequest{Model: "no-such-model"}, nil); err == nil {
 		t.Fatal("expected error for unknown model")
 	}
 

@@ -79,7 +79,7 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := client.Version(context.Background()); err != nil {
+				if _, err := client.Tags(context.Background()); err != nil {
 					t.Error(err)
 				}
 			}()

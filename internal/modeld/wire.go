@@ -16,8 +16,7 @@ import (
 
 // This file is the wire codec of the modeld hop, both ends of it: the
 // daemon's line writer (one line and one Flush per drain of the
-// generation, then the done line, which leaves with the end of the body,
-// for /api/generate and /api/chat alike),
+// generation, then the done line, which leaves with the end of the body),
 // the client's decoder for the lines a stream_tokens session receives,
 // and the /api/generate request body the client writes and the daemon
 // reads. Everything is appended into pooled buffers and scanned out of
@@ -54,7 +53,6 @@ import (
 type lineWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher // nil when w cannot flush
-	chat    bool         // /api/chat framing: text rides in message.content
 	echo    bool         // stream_tokens: tokens, token_ends, response_raw
 
 	prefix []byte // `{"model":"<model>","created_at":"`, fixed per stream
@@ -67,9 +65,9 @@ type lineWriter struct {
 var lineWriterPool = sync.Pool{New: func() any { return new(lineWriter) }}
 
 // newLineWriter borrows a writer for one response; release returns it.
-func newLineWriter(w http.ResponseWriter, model string, chat, echo bool) *lineWriter {
+func newLineWriter(w http.ResponseWriter, model string, echo bool) *lineWriter {
 	lw := lineWriterPool.Get().(*lineWriter)
-	lw.w, lw.chat, lw.echo, lw.lines = w, chat, echo, 0
+	lw.w, lw.echo, lw.lines = w, echo, 0
 	lw.flusher, _ = w.(http.Flusher)
 	lw.prefix = jsonwire.AppendString(append(lw.prefix[:0], `{"model":`...), model)
 	lw.prefix = append(lw.prefix, `,"created_at":"`...)
@@ -94,8 +92,8 @@ func (lw *lineWriter) release() {
 // next, and net/http sends it with the body's end in one write. With echo
 // the done line carries that fill's tokens, so a reader never holds a
 // model's last token without its end; without it, they go on a line of
-// their own first. finish, when set, runs on the terminal chunk just
-// before it is written and returns the root of the trace whose spans it
+// their own first. finish runs on the terminal chunk just before it is
+// written and returns the root of the trace whose spans it
 // should carry. A failed write means the client went away; the request
 // context stops the generation.
 func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) *telemetry.Span) {
@@ -106,10 +104,7 @@ func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) *te
 			return
 		}
 		if !more {
-			var spans *telemetry.Span
-			if finish != nil {
-				spans = finish(final)
-			}
+			spans := finish(final)
 			// Without echo, pend is the held-back tail that never completed
 			// a character.
 			if lw.echo {
@@ -167,16 +162,10 @@ func (lw *lineWriter) writeLine(text []byte, ids, ends []int) bool {
 }
 
 // appendHead appends the members every line opens with, in declaration
-// order: model, created_at, the text — the response, or on /api/chat the
-// assistant message's content — and done.
+// order: model, created_at, response and done.
 func (lw *lineWriter) appendHead(dst []byte, at time.Time, text []byte, done bool) []byte {
 	dst = at.UTC().AppendFormat(append(dst, lw.prefix...), time.RFC3339Nano)
-	if lw.chat {
-		dst = jsonwire.AppendString(append(dst, `","message":{"role":"assistant","content":`...), text)
-		dst = append(dst, '}')
-	} else {
-		dst = jsonwire.AppendString(append(dst, `","response":`...), text)
-	}
+	dst = jsonwire.AppendString(append(dst, `","response":`...), text)
 	return strconv.AppendBool(append(dst, `,"done":`...), done)
 }
 
@@ -215,7 +204,7 @@ func appendResponseRaw(dst, text []byte) []byte {
 
 // appendDoneLine appends the line that ends a generation — or, with all of
 // the text in it, the whole stream=false reply: the members of
-// GenerateResponse (ChatResponse for /api/chat) in declaration order, the
+// GenerateResponse in declaration order, the
 // empty ones omitted as encoding/json omits them. ids and ends are the
 // tokens of text, when the line carries a session's last batch. spans is
 // the root of the daemon's trace of the generation, for a caller that sent
@@ -223,7 +212,7 @@ func appendResponseRaw(dst, text []byte) []byte {
 func (lw *lineWriter) appendDoneLine(dst []byte, at time.Time, text []byte, ids, ends []int, final llm.Chunk, spans *telemetry.Span) []byte {
 	dst = lw.appendHead(dst, at, text, true)
 	dst = jsonwire.AppendText(dst, `,"done_reason":`, string(final.DoneReason))
-	if !lw.chat && len(final.Context) > 0 {
+	if len(final.Context) > 0 {
 		dst = jsonwire.AppendInts(append(dst, `,"context":`...), final.Context)
 	}
 	dst = jsonwire.AppendInt(dst, `,"eval_count":`, int64(final.EvalCount))

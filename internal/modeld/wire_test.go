@@ -18,7 +18,7 @@ import (
 // echoLine is the token line the daemon writes for a stream_tokens
 // request carrying these tokens.
 func echoLine(text string, ids, ends []int) []byte {
-	lw := newLineWriter(nil, "llama3:8b", false, true)
+	lw := newLineWriter(nil, "llama3:8b", true)
 	defer lw.release()
 	return lw.appendTokenLine(nil, time.Unix(1700000000, 123), []byte(text), ids, ends)
 }
@@ -180,14 +180,14 @@ func graftedFrom(sl *streamLine, line []byte) []telemetry.SpanRecord {
 }
 
 // doneLine is the done line the daemon writes for a stream_tokens request
-// (or, with chat, an /api/chat one) ending on final, carrying spans.
-func doneLine(chat bool, tail string, final llm.Chunk, spans []telemetry.SpanRecord) []byte {
-	return lastBatchLine(chat, tail, nil, nil, final, spans)
+// ending on final, carrying spans.
+func doneLine(tail string, final llm.Chunk, spans []telemetry.SpanRecord) []byte {
+	return lastBatchLine(tail, nil, nil, final, spans)
 }
 
 // lastBatchLine is doneLine carrying the session's last batch of tokens.
-func lastBatchLine(chat bool, text string, ids, ends []int, final llm.Chunk, spans []telemetry.SpanRecord) []byte {
-	lw := newLineWriter(nil, "llama3:8b", chat, !chat)
+func lastBatchLine(text string, ids, ends []int, final llm.Chunk, spans []telemetry.SpanRecord) []byte {
+	lw := newLineWriter(nil, "llama3:8b", true)
 	defer lw.release()
 	var root *telemetry.Span
 	if len(spans) > 0 {
@@ -219,7 +219,7 @@ func TestDoneLineEncoding(t *testing.T) {
 		{name: "last batch cut mid-character", final: llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2, 3}, EvalCount: 3},
 			text: " Bras\xc3", ids: []int{1, 2, 3}, ends: []int{1, 5, 6}, spans: testSpans()[:1]},
 	} {
-		line := lastBatchLine(false, tc.text, tc.ids, tc.ends, tc.final, tc.spans)
+		line := lastBatchLine(tc.text, tc.ids, tc.ends, tc.final, tc.spans)
 		want := GenerateResponse{Model: "llama3:8b", CreatedAt: at, Response: tc.text, Done: true,
 			DoneReason: string(tc.final.DoneReason), Context: tc.final.Context, EvalCount: tc.final.EvalCount,
 			Tokens: tc.ids, TokenEnds: tc.ends, Spans: tc.spans}
@@ -265,26 +265,24 @@ func TestDoneLineEncoding(t *testing.T) {
 		}
 	}
 
-	// /api/chat and the Ollama-shaped /api/generate line carry the
-	// held-back tail; neither has the token extension's members.
+	// The Ollama-shaped done line carries the held-back tail and none of
+	// the token extension's members.
 	final := llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2}, EvalCount: 2}
-	var cr ChatResponse
-	if err := json.Unmarshal(doneLine(true, "Bras\xc3", final, nil), &cr); err != nil {
+	lw := newLineWriter(nil, "llama3:8b", false)
+	defer lw.release()
+	line := lw.appendDoneLine(nil, time.Unix(1700000000, 123), []byte("Bras\xc3"), nil, nil, final, nil)
+	var plain GenerateResponse
+	if err := json.Unmarshal(line, &plain); err != nil {
 		t.Fatal(err)
 	}
-	if want := (ChatResponse{Model: "llama3:8b", CreatedAt: at, Message: ChatMessage{Role: "assistant", Content: "Bras\ufffd"},
-		Done: true, DoneReason: "length", EvalCount: 2}); cr != want {
-		t.Fatalf("chat done line decodes to %+v, want %+v", cr, want)
-	}
-	lw := newLineWriter(nil, "m", false, false)
-	defer lw.release()
-	if line := lw.appendDoneLine(nil, time.Now(), []byte("\xc3"), nil, nil, final, nil); bytes.Contains(line, []byte("response_raw")) {
-		t.Fatalf("Ollama-shaped done line carries response_raw: %s", line)
+	if want := (GenerateResponse{Model: "llama3:8b", CreatedAt: at, Response: "Bras\ufffd", Done: true,
+		DoneReason: "length", Context: []int{1, 2}, EvalCount: 2}); !reflect.DeepEqual(plain, want) || bytes.Contains(line, []byte("response_raw")) {
+		t.Fatalf("Ollama-shaped done line %s decodes to %+v, want %+v", line, plain, want)
 	}
 	// A stream=false reply to a stream_tokens request is the done object
 	// with all of the text, byte-exact through response_raw.
 	var gr GenerateResponse
-	if err := json.Unmarshal(doneLine(false, "Bras\xc3", final, nil), &gr); err != nil {
+	if err := json.Unmarshal(doneLine("Bras\xc3", final, nil), &gr); err != nil {
 		t.Fatal(err)
 	}
 	if gr.Response != "Bras\ufffd" || string(gr.ResponseRaw) != "Bras\xc3" {
@@ -296,7 +294,7 @@ func TestDoneLineEncoding(t *testing.T) {
 // line and a span-less done line are read into reused storage.
 func TestFastDecodersAllocateNothing(t *testing.T) {
 	token := echoLine(" bats are not blind", []int{412, 9, 77, 1030}, []int{5, 9, 13, 19})
-	done := doneLine(false, "", llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{412, 9, 77, 1030}, EvalCount: 4}, nil)
+	done := doneLine("", llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{412, 9, 77, 1030}, EvalCount: 4}, nil)
 	var sl streamLine
 	for _, line := range [][]byte{token, done} {
 		sl.decode(line)
@@ -315,7 +313,7 @@ func TestFastDecodersAllocateNothing(t *testing.T) {
 		caller.Hold()
 		defer caller.Release()
 		tid, sid, _ := telemetry.ParseTraceparent(caller.Traceparent())
-		lw := newLineWriter(nil, "llama3:8b", false, true)
+		lw := newLineWriter(nil, "llama3:8b", true)
 		defer lw.release()
 		final := llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{412, 9, 77, 1030}, EvalCount: 4}
 		var line []byte
@@ -377,13 +375,13 @@ func FuzzStreamLine(f *testing.F) {
 	f.Add([]byte(` { "tokens" : [ -1 , 0 ] , "token_ends":[0,0], "response" : "" } `))
 	// Done lines as the daemon writes them: every reason, with and without
 	// a context, no span records and two, attributes, an error status.
-	f.Add(doneLine(false, "", llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{5, 6, 7}, EvalCount: 3}, nil))
-	f.Add(doneLine(false, "", llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2, 3, 4}, EvalCount: 2}, testSpans()))
-	f.Add(doneLine(false, "", llm.Chunk{Done: true, DoneReason: llm.DoneCancel}, testSpans()[1:]))
-	f.Add(doneLine(false, "tail", llm.Chunk{Done: true, DoneReason: llm.DoneStop, EvalCount: 1}, nil))
+	f.Add(doneLine("", llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{5, 6, 7}, EvalCount: 3}, nil))
+	f.Add(doneLine("", llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2, 3, 4}, EvalCount: 2}, testSpans()))
+	f.Add(doneLine("", llm.Chunk{Done: true, DoneReason: llm.DoneCancel}, testSpans()[1:]))
+	f.Add(doneLine("tail", llm.Chunk{Done: true, DoneReason: llm.DoneStop, EvalCount: 1}, nil))
 	// Done lines carrying the session's last batch.
-	f.Add(lastBatchLine(false, ".", []int{9}, nil, llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{8, 9}, EvalCount: 2}, nil))
-	f.Add(lastBatchLine(false, " Bras\xc3", []int{1, 2, 3}, []int{1, 5, 6}, llm.Chunk{Done: true, DoneReason: llm.DoneLength, EvalCount: 3}, testSpans()))
+	f.Add(lastBatchLine(".", []int{9}, nil, llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{8, 9}, EvalCount: 2}, nil))
+	f.Add(lastBatchLine(" Bras\xc3", []int{1, 2, 3}, []int{1, 5, 6}, llm.Chunk{Done: true, DoneReason: llm.DoneLength, EvalCount: 3}, testSpans()))
 	f.Add([]byte(`{"done":true,"spans":[{"trace_id":"t","span_id":"s","name":"n","start":"2026-10-02T21:26:38+02:00","duration_ns":-5,"attrs":{},"status":""}]}`))
 	f.Add([]byte(`{"done":true,"done_reason":"stop","context":[1],"total_duration":12345}`))
 	f.Add([]byte(`{"done":true,"spans":[{"span_id":"s","start":"0000-10-01T00:00:00+00:00","attrs":{"":"","0":""},"status":"","links":0}]}`))
@@ -430,7 +428,7 @@ func FuzzStreamLine(f *testing.F) {
 			// Through the daemon's encoder and back: the terminal fields,
 			// the spans and the last batch's exact bytes and tokens (the
 			// writer puts token_ends on a line of more than one token).
-			lw := newLineWriter(nil, "m", false, true)
+			lw := newLineWriter(nil, "m", true)
 			defer lw.release()
 			final := llm.Chunk{Done: true, DoneReason: sl.doneReason, Context: sl.context, EvalCount: sl.evalCount}
 			ends := sl.ends

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"llmms/internal/gpu"
 	"llmms/internal/llm"
 	"llmms/internal/truthfulqa"
 )
@@ -383,12 +384,17 @@ func TestUploadValidation(t *testing.T) {
 	}
 }
 
+// TestGPUEndpoint reads /api/gpu as the daemon's is read: a gpu.Snapshot
+// in its snake_case JSON shape.
 func TestGPUEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	var snap map[string]any
+	var snap gpu.Snapshot
 	resp := doJSON(t, "GET", ts.URL+"/api/gpu", nil, &snap)
 	if resp.StatusCode != 200 {
 		t.Fatalf("gpu = %d", resp.StatusCode)
+	}
+	if len(snap.Devices) != 1 || !strings.Contains(snap.Devices[0].Name, "Tesla") || snap.Devices[0].MemoryTotal == 0 {
+		t.Fatalf("gpu telemetry: %+v", snap)
 	}
 }
 
