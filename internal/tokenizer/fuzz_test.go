@@ -58,12 +58,36 @@ func FuzzCount(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	tok := Default()
+	tok, ref := Default(), seedReference()
 	f.Fuzz(func(t *testing.T, s string) {
-		checkAgainstReference(t, tok, s)
+		checkAgainstReference(t, ref, tok, s)
 		if got := tok.Decode(tok.Encode(s)); got != s {
 			t.Fatalf("round trip failed: %q -> %q", s, got)
 		}
+	})
+}
+
+// FuzzTrain holds the incremental trainer to the reference trainer on
+// any corpus and vocabulary size: the same merges in the same rank order,
+// making the same ids. Corpora are cut to 4 KiB, since the reference
+// recounts the whole corpus for every merge.
+func FuzzTrain(f *testing.F) {
+	for _, seed := range []struct {
+		corpus string
+		vocab  uint16
+	}{
+		{"", defaultVocabSize},
+		{"aaa aaaa aa aaaaa aaa", 300},
+		{"abab ab abab ba \x00\x00 abab", 500},
+		{" the then there them the", firstMergeID},
+		{"Brasília, Kraków and Malmö — złoty! \xc3\xad\xff", 400},
+		{seedCorpus[:2000], 600},
+	} {
+		f.Add(seed.corpus, seed.vocab)
+	}
+	f.Fuzz(func(t *testing.T, corpus string, vocab uint16) {
+		corpus = corpus[:min(len(corpus), 4<<10)]
+		checkTrainedLike(t, train(corpus, int(vocab)), referenceTrain(corpus, int(vocab)))
 	})
 }
 

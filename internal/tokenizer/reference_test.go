@@ -3,6 +3,8 @@ package tokenizer
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -12,10 +14,142 @@ import (
 	"llmms/internal/truthfulqa"
 )
 
-// This file keeps the tokenizer's original, allocation-heavy inference
-// path — pretokenize into a []string, merge each word through the
-// ranks/merged maps — as the reference the in-place walker, the pooled
-// merge and the pair table are tested against.
+// This file keeps the tokenizer's original, allocation-heavy paths as the
+// references the production code is tested against: the trainer that
+// recounts every pair for every merge, and the inference path that
+// pretokenizes into a []string and merges each word through the trainer's
+// ranks/merged maps — against which the incremental trainer, the in-place
+// walker, the pooled merge and the pair table are held.
+
+// referenceBPE is what referenceTrain learns: the maps the original
+// trainer filled and its encoder reads.
+type referenceBPE struct {
+	ranks   map[pair]int   // a merge's priority; lower is earlier
+	merged  map[pair]Token // the token a merge makes
+	bytesOf map[Token][]byte
+}
+
+// referenceTrain is the trainer train replaced. For each merge it counts
+// every adjacent pair of every word anew and picks the most frequent,
+// comparing tie keys it builds for every comparison.
+func referenceTrain(corpus string, vocabSize int) *referenceBPE {
+	ref := &referenceBPE{ranks: make(map[pair]int), merged: make(map[pair]Token), bytesOf: make(map[Token][]byte)}
+	for i := 0; i < byteVocabSize; i++ {
+		ref.bytesOf[Token(i)] = []byte{byte(i)}
+	}
+	vocabSize = min(vocabSize, maxVocabSize)
+	if vocabSize <= firstMergeID {
+		return ref
+	}
+	wordCounts := make(map[string]int)
+	for _, w := range walk(corpus) {
+		wordCounts[w]++
+	}
+	type seqCount struct {
+		seq   []Token
+		count int
+	}
+	words := make([]string, 0, len(wordCounts))
+	for w := range wordCounts {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	seqs := make([]seqCount, 0, len(words))
+	for _, w := range words {
+		seqs = append(seqs, seqCount{seq: bytesToTokens([]byte(w)), count: wordCounts[w]})
+	}
+	for vocab := firstMergeID; vocab < vocabSize; vocab++ {
+		counts := make(map[pair]int)
+		for _, sc := range seqs {
+			for i := 0; i+1 < len(sc.seq); i++ {
+				counts[pair{sc.seq[i], sc.seq[i+1]}] += sc.count
+			}
+		}
+		best, bestCount := pair{}, 0
+		for p, c := range counts {
+			if c > bestCount || (c == bestCount && ref.lessPair(p, best)) {
+				best, bestCount = p, c
+			}
+		}
+		if bestCount < 2 {
+			break
+		}
+		id := Token(vocab)
+		ref.ranks[best] = len(ref.ranks)
+		ref.merged[best] = id
+		ref.bytesOf[id] = append(append([]byte{}, ref.bytesOf[best.a]...), ref.bytesOf[best.b]...)
+		for i := range seqs {
+			seqs[i].seq = applyMerge(seqs[i].seq, best, id)
+		}
+	}
+	return ref
+}
+
+// lessPair orders pairs by the bytes they expand to, and two pairs that
+// expand alike by their ids.
+func (ref *referenceBPE) lessPair(p, q pair) bool {
+	pk := string(ref.bytesOf[p.a]) + "\x00" + string(ref.bytesOf[p.b])
+	qk := string(ref.bytesOf[q.a]) + "\x00" + string(ref.bytesOf[q.b])
+	return pk < qk || pk == qk && (p.a < q.a || p.a == q.a && p.b < q.b)
+}
+
+// merge is one learned merge: the pair and the token it makes.
+type merge struct {
+	p  pair
+	id Token
+}
+
+// rankedMerges lists ref's merges in rank order.
+func (ref *referenceBPE) rankedMerges() []merge {
+	list := make([]merge, len(ref.ranks))
+	for p, r := range ref.ranks {
+		list[r] = merge{p, ref.merged[p]}
+	}
+	return list
+}
+
+// rankedMerges reads tok's merges back from its pair table, in id order.
+func rankedMerges(tok *Tokenizer) []merge {
+	var list []merge
+	for _, s := range tok.pairs.slots {
+		if s.id != 0 {
+			list = append(list, merge{pair{Token(s.key >> 16), Token(s.key & 0xffff)}, Token(s.id)})
+		}
+	}
+	slices.SortFunc(list, func(x, y merge) int { return int(x.id - y.id) })
+	return list
+}
+
+// seedReference is the reference's Default: the seed corpus trained by
+// referenceTrain.
+var seedReference = sync.OnceValue(func() *referenceBPE { return referenceTrain(seedCorpus, defaultVocabSize) })
+
+// checkTrainedLike asserts tok learned what ref did: the same merges in
+// the same rank order, making the same ids, which expand to the same
+// bytes.
+func checkTrainedLike(t testing.TB, tok *Tokenizer, ref *referenceBPE) {
+	t.Helper()
+	got, want := rankedMerges(tok), ref.rankedMerges()
+	for r := range min(len(got), len(want)) {
+		if got[r] != want[r] {
+			t.Fatalf("merge of rank %d is %v, reference %v", r, got[r], want[r])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d merges, reference %d", len(got), len(want))
+	}
+	if tok.VocabSize() != len(ref.bytesOf)+numSpecial {
+		t.Fatalf("vocabulary of %d, reference %d", tok.VocabSize(), len(ref.bytesOf)+numSpecial)
+	}
+	for id, text := range tok.texts {
+		if want := string(ref.bytesOf[Token(id)]); text != want {
+			t.Fatalf("token %d expands to %q, reference %q", id, text, want)
+		}
+	}
+	if err := tok.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // pretokenize splits text into words: runs of letters/digits, runs of
 // spaces attached to the following word GPT-2 style, and individual
@@ -66,16 +200,16 @@ func pretokenize(text string) []string {
 	return words
 }
 
-// referenceEncodeWord applies learned merges to one pre-token through the
-// training-side maps, lowest rank first.
-func (t *Tokenizer) referenceEncodeWord(b []byte) []Token {
+// encodeWord applies ref's merges to one pre-token through its maps,
+// lowest rank first.
+func (ref *referenceBPE) encodeWord(b []byte) []Token {
 	seq := bytesToTokens(b)
 	for len(seq) > 1 {
 		bestRank := -1
 		var bestPair pair
 		for i := 0; i+1 < len(seq); i++ {
 			p := pair{seq[i], seq[i+1]}
-			if r, ok := t.ranks[p]; ok && (bestRank == -1 || r < bestRank) {
+			if r, ok := ref.ranks[p]; ok && (bestRank == -1 || r < bestRank) {
 				bestRank = r
 				bestPair = p
 			}
@@ -83,15 +217,15 @@ func (t *Tokenizer) referenceEncodeWord(b []byte) []Token {
 		if bestRank == -1 {
 			break
 		}
-		seq = applyMerge(seq, bestPair, t.merged[bestPair])
+		seq = applyMerge(seq, bestPair, ref.merged[bestPair])
 	}
 	return seq
 }
 
-func (t *Tokenizer) referenceEncode(text string) []Token {
+func (ref *referenceBPE) encode(text string) []Token {
 	var out []Token
 	for _, w := range pretokenize(text) {
-		out = append(out, t.referenceEncodeWord([]byte(w))...)
+		out = append(out, ref.encodeWord([]byte(w))...)
 	}
 	return out
 }
@@ -110,7 +244,7 @@ func walk(text string) []string {
 
 // unmemoized returns a tokenizer with t's merges and an empty memo.
 func unmemoized(t *Tokenizer) *Tokenizer {
-	return &Tokenizer{ranks: t.ranks, merged: t.merged, pairs: t.pairs, bytesOf: t.bytesOf, texts: t.texts, vocabSize: t.vocabSize}
+	return &Tokenizer{pairs: t.pairs, texts: t.texts}
 }
 
 // emptied holds, per tokenizer checked against the reference, one copy
@@ -118,13 +252,13 @@ func unmemoized(t *Tokenizer) *Tokenizer {
 // empties before every input. Tests call it from one goroutine.
 var emptied = map[*Tokenizer]*[3]*Tokenizer{}
 
-// checkAgainstReference asserts the three inference entry points agree
-// with the reference on s: each on tok, whose memo is shared with the
-// other inputs, and each twice on a tokenizer of its own whose memo
-// starts empty — a miss, then a hit.
-func checkAgainstReference(t testing.TB, tok *Tokenizer, s string) {
+// checkAgainstReference asserts the three inference entry points of tok,
+// trained like ref, agree with ref's encoder on s: each on tok, whose memo
+// is shared with the other inputs, and each twice on a tokenizer of its
+// own whose memo starts empty — a miss, then a hit.
+func checkAgainstReference(t testing.TB, ref *referenceBPE, tok *Tokenizer, s string) {
 	t.Helper()
-	want := tok.referenceEncode(s)
+	want := ref.encode(s)
 	fresh := emptied[tok]
 	if fresh == nil {
 		fresh = &[3]*Tokenizer{unmemoized(tok), unmemoized(tok), unmemoized(tok)}
@@ -202,17 +336,18 @@ func randomBytes(rng *rand.Rand) string {
 }
 
 // TestEncodeMatchesReference is the equivalence property of the rewrite:
-// Encode and AppendIDs equal the reference token for token, Count equals
-// its length, and the walker yields the reference's pre-tokens.
+// Encode and AppendIDs equal the reference — the reference trainer's maps
+// read by the reference encoder — token for token, Count equals its
+// length, and the walker yields the reference's pre-tokens.
 func TestEncodeMatchesReference(t *testing.T) {
-	tok := Default()
+	tok, ref := Default(), seedReference()
 	inputs := referenceInputs()
 	rng := rand.New(rand.NewSource(20))
 	for i := 0; i < 5000; i++ {
 		inputs = append(inputs, randomBytes(rng))
 	}
 	for _, s := range inputs {
-		checkAgainstReference(t, tok, s)
+		checkAgainstReference(t, ref, tok, s)
 		got, want := walk(s), pretokenize(s)
 		if len(got) != len(want) {
 			t.Fatalf("walker cut %q into %q, reference %q", s, got, want)
@@ -224,8 +359,9 @@ func TestEncodeMatchesReference(t *testing.T) {
 		}
 	}
 	// A byte-only tokenizer has an empty pair table.
+	byteOnly := referenceTrain("", 0)
 	for _, s := range inputs[:40] {
-		checkAgainstReference(t, New(), s)
+		checkAgainstReference(t, byteOnly, New(), s)
 	}
 }
 
@@ -288,8 +424,9 @@ func TestMemoIsBounded(t *testing.T) {
 	tok := fullMemo(t)
 	long := " " + strings.Repeat("antidisestablishment", 2)
 	inputs := append(floodWords(memoCap+500), long, benchPrompt())
+	ref := seedReference()
 	for _, s := range inputs[memoCap-100:] {
-		checkAgainstReference(t, tok, s)
+		checkAgainstReference(t, ref, tok, s)
 	}
 	if len(tok.memo) != memoCap {
 		t.Fatalf("memo holds %d words after the flood, want its cap %d", len(tok.memo), memoCap)
@@ -303,7 +440,7 @@ func TestMemoIsBounded(t *testing.T) {
 	for w, v := range tok.memo {
 		n := int(v & memoLenMask)
 		total += n
-		want := tok.referenceEncodeWord([]byte(w))
+		want := ref.encodeWord([]byte(w))
 		if n != len(want) {
 			t.Fatalf("memo holds %d tokens for %q, reference %d", n, w, len(want))
 		}
@@ -327,7 +464,7 @@ func TestConcurrentEncodeAndCount(t *testing.T) {
 	inputs := referenceInputs()[:200]
 	want := make([]int, len(inputs))
 	for i, s := range inputs {
-		want[i] = len(tok.referenceEncode(s))
+		want[i] = len(seedReference().encode(s))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -350,19 +487,19 @@ func TestConcurrentEncodeAndCount(t *testing.T) {
 }
 
 // TestPairTableMatchesMaps checks the table the inference path reads
-// against the maps training filled: every trained pair maps to its
-// merged id, whose order is rank order, and untrained pairs miss.
+// against the maps the reference trainer filled: every trained pair maps
+// to its merged id, whose order is rank order, and untrained pairs miss.
 func TestPairTableMatchesMaps(t *testing.T) {
-	tok := Default()
-	if len(tok.merged) == 0 || len(tok.merged) != len(tok.ranks) {
-		t.Fatalf("%d merges, %d ranks", len(tok.merged), len(tok.ranks))
+	tok, ref := Default(), seedReference()
+	if len(ref.merged) == 0 || len(ref.merged) != len(ref.ranks) {
+		t.Fatalf("%d merges, %d ranks", len(ref.merged), len(ref.ranks))
 	}
-	for p, id := range tok.merged {
+	for p, id := range ref.merged {
 		if got := tok.pairs.lookup(p.a, p.b); got != id {
 			t.Fatalf("lookup(%d,%d) = %d, merged says %d", p.a, p.b, got, id)
 		}
-		if int(id) != firstMergeID+tok.ranks[p] {
-			t.Fatalf("pair (%d,%d): id %d is not firstMergeID + rank %d", p.a, p.b, id, tok.ranks[p])
+		if int(id) != firstMergeID+ref.ranks[p] {
+			t.Fatalf("pair (%d,%d): id %d is not firstMergeID + rank %d", p.a, p.b, id, ref.ranks[p])
 		}
 	}
 	if size := len(tok.pairs.slots) * 8; size > 64<<10 {
@@ -371,7 +508,7 @@ func TestPairTableMatchesMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 0; n < 10000; {
 		p := pair{Token(rng.Intn(tok.VocabSize())), Token(rng.Intn(tok.VocabSize()))}
-		if _, trained := tok.merged[p]; trained {
+		if _, trained := ref.merged[p]; trained {
 			continue
 		}
 		n++
@@ -381,6 +518,26 @@ func TestPairTableMatchesMaps(t *testing.T) {
 	}
 	if got := New().pairs.lookup('a', 'b'); got != 0 {
 		t.Fatalf("byte-only tokenizer merges (a,b) into %d", got)
+	}
+}
+
+// TestTrainMatchesReference holds the incremental trainer to the one it
+// replaced: the seed corpus at three vocabulary sizes — 2048 through
+// Default — and random corpora over the alphabet that decides pre-token
+// boundaries, at sizes on both sides of firstMergeID.
+func TestTrainMatchesReference(t *testing.T) {
+	checkTrainedLike(t, Default(), seedReference())
+	for _, vocab := range []int{300, 600} {
+		checkTrainedLike(t, train(seedCorpus, vocab), referenceTrain(seedCorpus, vocab))
+	}
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 300; i++ {
+		var corpus strings.Builder
+		for n := rng.Intn(60); n > 0; n-- {
+			corpus.WriteString(randomBytes(rng))
+		}
+		vocab := firstMergeID - 10 + rng.Intn(300)
+		checkTrainedLike(t, train(corpus.String(), vocab), referenceTrain(corpus.String(), vocab))
 	}
 }
 

@@ -9,9 +9,8 @@
 // so any input string round-trips exactly through Encode/Decode, and a
 // learned merge table composes frequent byte pairs into subword units.
 //
-// A tokenizer is trained deterministically with Train, or obtained from
-// Default, which trains once on an embedded English seed corpus and is
-// safe for concurrent use.
+// Default trains the tokenizer once, deterministically, on an embedded
+// English seed corpus; the result is safe for concurrent use.
 package tokenizer
 
 import (
@@ -52,24 +51,17 @@ type pair struct {
 }
 
 // Tokenizer is a trained byte-level BPE tokenizer. The zero value is not
-// usable; construct with Train or New. Its merge tables are fixed once
+// usable; construct with New or Default. Its merge table is fixed once
 // trained; inference adds the words it merges to a bounded memo under a
 // lock, so a Tokenizer is safe for concurrent use.
 type Tokenizer struct {
-	// ranks maps a mergeable pair to its merge priority; lower is earlier.
-	ranks map[pair]int
-	// merged maps a pair to the token id that replaces it.
-	merged map[pair]Token
-	// pairs is what Encode and Count read instead of the two maps: the
-	// same merges in one open-addressed table (see pairTable).
+	// pairs maps each mergeable pair to the token that replaces it (see
+	// pairTable); merged ids are handed out in rank order.
 	pairs pairTable
-	// bytesOf maps every token id to the bytes it expands to.
-	bytesOf map[Token][]byte
-	// texts holds the same expansion as a string, indexed by token id, so
-	// decoding one token on the generation path allocates nothing.
+	// texts holds every token's expansion, indexed by token id, so
+	// decoding one token on the generation path allocates nothing. Its
+	// length is the vocabulary size.
 	texts []string
-	// vocabSize is the total number of token ids (bytes + special + merges).
-	vocabSize int
 
 	// memo maps a pre-token of 2 to maxMemoWord bytes to its merged
 	// tokens, memoTokens[v>>memoLenBits:][:v&memoLenMask] for its value v.
@@ -93,50 +85,31 @@ const (
 // New returns a tokenizer with no learned merges: every byte is its own
 // token. It is primarily useful in tests and as a degenerate baseline.
 func New() *Tokenizer {
-	t := &Tokenizer{
-		ranks:   make(map[pair]int),
-		merged:  make(map[pair]Token),
-		bytesOf: make(map[Token][]byte, byteVocabSize+numSpecial),
-	}
-	for i := 0; i < byteVocabSize; i++ {
-		t.bytesOf[Token(i)] = []byte{byte(i)}
-	}
-	t.bytesOf[BOS] = nil
-	t.bytesOf[EOS] = nil
-	t.bytesOf[PAD] = nil
-	t.bytesOf[UNK] = nil
-	t.vocabSize = firstMergeID
-	t.texts = make([]string, firstMergeID)
+	t := &Tokenizer{texts: make([]string, firstMergeID)}
 	for i := 0; i < byteVocabSize; i++ {
 		t.texts[i] = string([]byte{byte(i)})
 	}
 	return t
 }
 
-// TrainOptions controls BPE training.
-type TrainOptions struct {
-	// VocabSize is the target total vocabulary size including the 256 byte
-	// tokens and the special tokens. Values at or below firstMergeID yield
-	// a byte-only tokenizer; values above maxVocabSize are clamped to it.
-	VocabSize int
-	// MinPairCount is the minimum frequency an adjacent pair must reach to
-	// be merged. Defaults to 2.
-	MinPairCount int
-}
+// defaultVocabSize is the vocabulary Default trains toward. The seed
+// corpus runs out of pairs seen twice first, at 751 ids.
+const defaultVocabSize = 2048
 
-// Train learns a BPE merge table from corpus. Training is deterministic:
-// ties between equally frequent pairs break on byte order, so identical
-// corpora always yield identical tokenizers.
-func Train(corpus string, opts TrainOptions) *Tokenizer {
-	if opts.MinPairCount <= 0 {
-		opts.MinPairCount = 2
-	}
+// train learns a BPE merge table from corpus, up to vocabSize ids in all:
+// the 256 byte tokens, the special tokens and one per merge. A size at or
+// below firstMergeID yields a byte-only tokenizer; one above maxVocabSize
+// is clamped to it. Training stops early once no pair occurs twice.
+//
+// Each round merges the most frequent adjacent pair; ties break on the
+// bytes the pair expands to, so identical corpora always yield identical
+// tokenizers. The counts are kept current rather than recounted: a merge
+// visits only the words its pair occurs in (see trainer).
+func train(corpus string, vocabSize int) *Tokenizer {
 	t := New()
-	if opts.VocabSize <= firstMergeID {
+	vocabSize = min(vocabSize, maxVocabSize)
+	if vocabSize <= firstMergeID {
 		return t
-	}
-	if opts.VocabSize > maxVocabSize {
-		opts.VocabSize = maxVocabSize
 	}
 
 	// Work on pre-tokenized words so merges never cross word boundaries,
@@ -149,58 +122,191 @@ func Train(corpus string, opts TrainOptions) *Tokenizer {
 		}
 		wordCounts[w]++
 	}
-	type seqCount struct {
-		seq   []Token
-		count int
-	}
-	seqs := make([]seqCount, 0, len(wordCounts))
 	words := make([]string, 0, len(wordCounts))
 	for w := range wordCounts {
 		words = append(words, w)
 	}
 	sort.Strings(words) // determinism
-	for _, w := range words {
-		seqs = append(seqs, seqCount{seq: bytesToTokens([]byte(w)), count: wordCounts[w]})
-	}
 
-	for t.vocabSize < opts.VocabSize {
-		// Count adjacent pairs across all word sequences.
-		counts := make(map[pair]int)
-		for _, sc := range seqs {
-			for i := 0; i+1 < len(sc.seq); i++ {
-				counts[pair{sc.seq[i], sc.seq[i+1]}] += sc.count
-			}
-		}
-		best, bestCount := pair{}, 0
-		for p, c := range counts {
-			if c > bestCount || (c == bestCount && lessPair(p, best, t)) {
-				best, bestCount = p, c
-			}
-		}
-		if bestCount < opts.MinPairCount {
+	tr := &trainer{texts: t.texts, index: make(map[pair]int32), words: make([]trainWord, len(words))}
+	for i, w := range words {
+		tr.words[i] = trainWord{seq: bytesToTokens([]byte(w)), count: wordCounts[w]}
+		tr.tally(int32(i), 1, anyToken)
+	}
+	tr.requeue()
+	var merges []pair
+	for len(tr.texts) < vocabSize {
+		best, ok := tr.pop()
+		if !ok {
 			break
 		}
-		id := Token(t.vocabSize)
-		t.vocabSize++
-		t.ranks[best] = len(t.ranks)
-		t.merged[best] = id
-		joined := append(append([]byte{}, t.bytesOf[best.a]...), t.bytesOf[best.b]...)
-		t.bytesOf[id] = joined
-		t.texts = append(t.texts, string(joined))
-		for i := range seqs {
-			seqs[i].seq = applyMerge(seqs[i].seq, best, id)
-		}
+		merges = append(merges, best)
+		tr.merge(best, Token(len(tr.texts)))
 	}
-	t.pairs = newPairTable(t.merged)
+	t.texts = tr.texts
+	t.pairs = newPairTable(merges)
 	return t
 }
 
-// lessPair orders pairs by the bytes they expand to, for deterministic
-// tie-breaking during training.
-func lessPair(p, q pair, t *Tokenizer) bool {
-	pk := string(t.bytesOf[p.a]) + "\x00" + string(t.bytesOf[p.b])
-	qk := string(t.bytesOf[q.a]) + "\x00" + string(t.bytesOf[q.b])
-	return pk < qk
+// trainer is one training run's state: the corpus's distinct words as
+// token sequences, and for every adjacent pair its count over the corpus
+// and the words it occurs in, both kept current merge by merge, with a
+// max-heap of the counts to pick the next merge from.
+type trainer struct {
+	texts []string // every token's expansion; a merge appends its own
+	words []trainWord
+	stats []pairStat
+	index map[pair]int32 // a pair's slot in stats
+	// heap holds an entry for every pair whose count is above zero, with
+	// that count; entries whose pair's count has moved since are stale,
+	// and pop drops them.
+	heap    []heapEntry
+	touched []int32 // slots whose count moved since the last requeue
+}
+
+type trainWord struct {
+	seq   []Token
+	count int // occurrences in the corpus
+}
+
+type pairStat struct {
+	p pair
+	// key is the tie-break between equal counts, computed once: the
+	// pair's expansion with NUL between its halves. NUL never merges (a
+	// control byte is always its own pre-token), so comparing keys
+	// compares the halves' bytes in order.
+	key    string
+	count  int
+	queued int     // the count of the pair's newest heap entry
+	words  []int32 // the words the pair has occurred in, each listed once
+	moved  bool    // listed in touched
+}
+
+type heapEntry struct {
+	count int
+	stat  int32
+}
+
+// anyToken is tally's made for a word's first tally, all of whose pairs
+// are new.
+const anyToken Token = -1
+
+// tally adds the pairs of word w to the counts, each sign times the
+// word's count, and, when sign is positive, lists w under each pair that
+// involves made: merging a pair into made creates no other adjacency.
+func (tr *trainer) tally(w int32, sign int, made Token) {
+	word := &tr.words[w]
+	for i := 0; i+1 < len(word.seq); i++ {
+		p := pair{word.seq[i], word.seq[i+1]}
+		si, ok := tr.index[p]
+		if !ok {
+			si = int32(len(tr.stats))
+			tr.index[p] = si
+			tr.stats = append(tr.stats, pairStat{p: p, key: tr.texts[p.a] + "\x00" + tr.texts[p.b]})
+		}
+		st := &tr.stats[si]
+		st.count += sign * word.count
+		if !st.moved {
+			st.moved = true
+			tr.touched = append(tr.touched, si)
+		}
+		if sign > 0 && (made == anyToken || p.a == made || p.b == made) &&
+			(len(st.words) == 0 || st.words[len(st.words)-1] != w) {
+			st.words = append(st.words, w)
+		}
+	}
+}
+
+// merge replaces p with made in every word listed under p, moving the
+// counts of those words' pairs with them, and queues the counts that
+// moved. A word an earlier merge took p out of is tallied back unchanged.
+func (tr *trainer) merge(p pair, made Token) {
+	tr.texts = append(tr.texts, tr.texts[p.a]+tr.texts[p.b])
+	si := tr.index[p]
+	for _, w := range tr.stats[si].words {
+		tr.tally(w, -1, made)
+		tr.words[w].seq = applyMerge(tr.words[w].seq, p, made)
+		tr.tally(w, 1, made)
+	}
+	tr.stats[si].words = nil
+	tr.requeue()
+}
+
+// requeue pushes a heap entry for every pair whose count moved to a new
+// value above zero. The count of a pair that involves no new token can
+// only fall, so a pair whose count reached zero never needs one again.
+func (tr *trainer) requeue() {
+	for _, si := range tr.touched {
+		st := &tr.stats[si]
+		st.moved = false
+		if st.count > 0 && st.count != st.queued {
+			st.queued = st.count
+			tr.heap = append(tr.heap, heapEntry{st.count, si})
+			tr.up(len(tr.heap) - 1)
+		}
+	}
+	tr.touched = tr.touched[:0]
+}
+
+// pop removes and returns the pair to merge next: the highest count, the
+// lowest key among equal counts. It reports false once no pair occurs
+// twice.
+func (tr *trainer) pop() (pair, bool) {
+	for len(tr.heap) > 0 {
+		e := tr.heap[0]
+		last := len(tr.heap) - 1
+		tr.heap[0] = tr.heap[last]
+		tr.heap = tr.heap[:last]
+		tr.down(0)
+		if st := &tr.stats[e.stat]; e.count == st.count {
+			if e.count < 2 {
+				return pair{}, false
+			}
+			return st.p, true
+		}
+	}
+	return pair{}, false
+}
+
+// before orders heap entries: higher count first, then lower key, then —
+// for two tokens with the same expansion — lower ids.
+func (tr *trainer) before(i, j int) bool {
+	if ci, cj := tr.heap[i].count, tr.heap[j].count; ci != cj {
+		return ci > cj
+	}
+	si, sj := &tr.stats[tr.heap[i].stat], &tr.stats[tr.heap[j].stat]
+	if si.key != sj.key {
+		return si.key < sj.key
+	}
+	return si.p.a < sj.p.a || si.p.a == sj.p.a && si.p.b < sj.p.b
+}
+
+func (tr *trainer) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !tr.before(i, parent) {
+			return
+		}
+		tr.heap[i], tr.heap[parent] = tr.heap[parent], tr.heap[i]
+		i = parent
+	}
+}
+
+func (tr *trainer) down(i int) {
+	for {
+		first, l := i, 2*i+1
+		if l < len(tr.heap) && tr.before(l, first) {
+			first = l
+		}
+		if r := l + 1; r < len(tr.heap) && tr.before(r, first) {
+			first = r
+		}
+		if first == i {
+			return
+		}
+		tr.heap[i], tr.heap[first] = tr.heap[first], tr.heap[i]
+		i = first
+	}
 }
 
 // applyMerge replaces every adjacent occurrence of p in seq with id.
@@ -297,8 +403,8 @@ const maxVocabSize = 1 << 16
 // pairTable maps a mergeable pair to the token that replaces it: open
 // addressing with linear probing over a power-of-two number of 8-byte
 // slots, at most a quarter full (64 KiB for the default vocabulary). It
-// stands in for both maps on the inference path, because merged ids are
-// handed out in rank order: the lower id is the earlier merge.
+// is the whole merge table: merged ids are handed out in rank order, so
+// the lower id is the earlier merge.
 type pairTable struct {
 	slots []pairSlot
 	shift uint // 32 - log2(len(slots))
@@ -310,16 +416,19 @@ type pairSlot struct {
 	id  uint32
 }
 
-func newPairTable(merged map[pair]Token) pairTable {
-	if len(merged) == 0 {
+// newPairTable builds the table of merges, given in rank order: the
+// merge of rank r makes token firstMergeID + r.
+func newPairTable(merges []pair) pairTable {
+	if len(merges) == 0 {
 		return pairTable{}
 	}
 	bits := uint(4)
-	for 1<<bits < 4*len(merged) {
+	for 1<<bits < 4*len(merges) {
 		bits++
 	}
 	pt := pairTable{slots: make([]pairSlot, 1<<bits), shift: 32 - bits}
-	for p, id := range merged {
+	for r, p := range merges {
+		id := firstMergeID + r
 		key := uint32(p.a)<<16 | uint32(p.b)
 		i := pt.home(key)
 		for pt.slots[i].id != 0 {
@@ -451,7 +560,7 @@ func (t *Tokenizer) AppendIDs(dst []int, text string) []int {
 func (t *Tokenizer) Decode(tokens []Token) string {
 	var sb strings.Builder
 	for _, tok := range tokens {
-		sb.Write(t.bytesOf[tok])
+		sb.WriteString(t.DecodeOne(tok))
 	}
 	return sb.String()
 }
@@ -498,7 +607,7 @@ var (
 // instance. The result is safe for concurrent use.
 func Default() *Tokenizer {
 	defaultOnce.Do(func() {
-		defaultTok = Train(seedCorpus, TrainOptions{VocabSize: 2048})
+		defaultTok = train(seedCorpus, defaultVocabSize)
 	})
 	return defaultTok
 }

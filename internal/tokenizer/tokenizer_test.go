@@ -1,7 +1,11 @@
 package tokenizer
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -59,8 +63,8 @@ func TestCompressionOnSeedVocabulary(t *testing.T) {
 }
 
 func TestTrainDeterminism(t *testing.T) {
-	a := Train(seedCorpus, TrainOptions{VocabSize: 600})
-	b := Train(seedCorpus, TrainOptions{VocabSize: 600})
+	a := train(seedCorpus, 600)
+	b := train(seedCorpus, 600)
 	if a.VocabSize() != b.VocabSize() {
 		t.Fatalf("vocab sizes differ: %d vs %d", a.VocabSize(), b.VocabSize())
 	}
@@ -168,40 +172,105 @@ func TestCountMatchesEncode(t *testing.T) {
 }
 
 // VocabSize returns the total number of token ids.
-func (t *Tokenizer) VocabSize() int { return t.vocabSize }
+func (t *Tokenizer) VocabSize() int { return len(t.texts) }
 
 // IsSpecial reports whether tok is one of the reserved control tokens.
 func IsSpecial(tok Token) bool { return tok >= BOS && tok < BOS+numSpecial }
 
-// Validate checks internal consistency of the merge table.
+// Validate checks internal consistency of the merge table: one merge per
+// id above the special tokens, each joining two earlier tokens and
+// expanding to their bytes, and found again by lookup.
 func (t *Tokenizer) Validate() error {
-	if t.vocabSize < firstMergeID {
-		return fmt.Errorf("tokenizer: vocab size %d below minimum %d", t.vocabSize, firstMergeID)
+	if len(t.texts) < firstMergeID {
+		return fmt.Errorf("tokenizer: vocab size %d below minimum %d", len(t.texts), firstMergeID)
 	}
-	if len(t.ranks) != len(t.merged) {
-		return fmt.Errorf("tokenizer: %d ranks but %d merges", len(t.ranks), len(t.merged))
-	}
-	for p, id := range t.merged {
-		want := string(t.bytesOf[p.a]) + string(t.bytesOf[p.b])
-		if got := string(t.bytesOf[id]); got != want {
-			return fmt.Errorf("tokenizer: merge %d expands to %q, want %q", id, got, want)
+	for i := 0; i < byteVocabSize; i++ {
+		if t.texts[i] != string([]byte{byte(i)}) {
+			return fmt.Errorf("tokenizer: byte token %d decodes to %q", i, t.texts[i])
 		}
 	}
-	for p, id := range t.merged {
-		if got := t.pairs.lookup(p.a, p.b); got != id {
-			return fmt.Errorf("tokenizer: pair table maps (%d,%d) to %d, want %d", p.a, p.b, got, id)
-		}
-		if want := Token(firstMergeID + t.ranks[p]); id != want {
-			return fmt.Errorf("tokenizer: merge of rank %d has id %d, want %d", t.ranks[p], id, want)
+	for tok := BOS; tok < firstMergeID; tok++ {
+		if t.texts[tok] != "" {
+			return fmt.Errorf("tokenizer: special token %d decodes to %q", tok, t.texts[tok])
 		}
 	}
-	if len(t.texts) != t.vocabSize {
-		return fmt.Errorf("tokenizer: %d token texts for a vocabulary of %d", len(t.texts), t.vocabSize)
+	merges := rankedMerges(t)
+	if len(merges) != len(t.texts)-firstMergeID {
+		return fmt.Errorf("tokenizer: %d merges for a vocabulary of %d", len(merges), len(t.texts))
 	}
-	for id, text := range t.texts {
-		if want := string(t.bytesOf[Token(id)]); text != want {
-			return fmt.Errorf("tokenizer: token %d decodes to %q, want %q", id, text, want)
+	for r, m := range merges {
+		if want := Token(firstMergeID + r); m.id != want {
+			return fmt.Errorf("tokenizer: merge of rank %d has id %d, want %d", r, m.id, want)
+		}
+		if m.p.a >= m.id || m.p.b >= m.id {
+			return fmt.Errorf("tokenizer: merge %d joins a later token (%d,%d)", m.id, m.p.a, m.p.b)
+		}
+		if want := t.texts[m.p.a] + t.texts[m.p.b]; t.texts[m.id] != want {
+			return fmt.Errorf("tokenizer: merge %d expands to %q, want %q", m.id, t.texts[m.id], want)
+		}
+		if got := t.pairs.lookup(m.p.a, m.p.b); got != m.id {
+			return fmt.Errorf("tokenizer: pair table maps (%d,%d) to %d, want %d", m.p.a, m.p.b, got, m.id)
 		}
 	}
 	return nil
+}
+
+// TestDefaultVocabulary pins what Default learns from the seed corpus:
+// its vocabulary size and a hash of its merges' halves, in rank order,
+// as the recounting trainer learned them.
+func TestDefaultVocabulary(t *testing.T) {
+	tok := Default()
+	if n := tok.VocabSize(); n != 751 {
+		t.Fatalf("Default has %d ids, want 751", n)
+	}
+	h := sha256.New()
+	for _, m := range rankedMerges(tok) {
+		io.WriteString(h, tok.texts[m.p.a]+"\x00"+tok.texts[m.p.b]+"\x00")
+	}
+	const want = "b53a18ab2c6bb38e3ffaebbf0e6fa82bcdef9cad321756717be519e7e7b0eb6b"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Default's merges hash to %s, want %s", got, want)
+	}
+}
+
+// TestTrainAllocs bounds what training the seed corpus allocates, which
+// every process pays at start-up: the recounting trainer took 41.6 MB.
+func TestTrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation guards run without the race detector")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tok := train(seedCorpus, defaultVocabSize)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<20 {
+		t.Fatalf("training the seed corpus allocates %d bytes, want at most 4 MiB", n)
+	}
+	runtime.KeepAlive(tok)
+}
+
+// BenchmarkTrain times training the seed corpus, the incremental trainer
+// beside the reference it replaced.
+func BenchmarkTrain(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		vocab int
+		train func(corpus string, vocab int) (merges int)
+	}{
+		{"incremental/600", 600, func(c string, v int) int { return train(c, v).VocabSize() - firstMergeID }},
+		{"incremental/default", defaultVocabSize, func(c string, v int) int { return train(c, v).VocabSize() - firstMergeID }},
+		{"reference/default", defaultVocabSize, func(c string, v int) int { return len(referenceTrain(c, v).ranks) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(seedCorpus)))
+			b.ReportAllocs()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				n += bc.train(seedCorpus, bc.vocab)
+			}
+			if n == 0 {
+				b.Fatal("trained no merges")
+			}
+		})
+	}
 }
