@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -119,6 +120,39 @@ func (s *refSpan) SetAttr(key, value string) {
 	s.rec.Attrs[key] = value
 }
 
+// lateSetAttr is the query observer's late write (a chunk's score after
+// the chunk): SetAttr on an open span, and on an ended one a write into
+// its record.
+func (s *refSpan) lateSetAttr(key, value string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	ended := s.ended
+	s.mu.Unlock()
+	if !ended {
+		s.SetAttr(key, value)
+		return
+	}
+	b := s.buf
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i := range b.recs {
+		rec := &b.recs[i]
+		if rec.SpanID != s.rec.SpanID {
+			continue
+		}
+		if _, ok := rec.Attrs[key]; !ok && len(rec.Attrs) == maxAttrs {
+			b.droppedAttrs++
+			return
+		}
+		if rec.Attrs == nil {
+			rec.Attrs = make(map[string]string, 4)
+		}
+		rec.Attrs[key] = value
+	}
+}
+
 func (s *refSpan) End(err error) {
 	if s == nil {
 		return
@@ -230,12 +264,16 @@ func structure(recs []SpanRecord, adopted map[string]bool) []string {
 // to depth 6, string/int/float/list attributes with overwrites and
 // overflow, errors, double Ends, attributes after End, adoption of
 // matching, foreign and malformed records, more than 512 spans — and
-// requires the same record set from both, up to IDs and clock.
+// requires the same record set from both, up to IDs and clock. Seeds past
+// 60 add what moves a span's attributes out of its slot: bursts of 4–9
+// keys on one span and overwrites after them, the observer's late writes
+// (ended spans included), and adopted records of 5–8 attributes.
 func TestArenaMatchesReference(t *testing.T) {
 	keys := []string{"model", "tokens", "round", "replica", "breaker", "role", "tier", "score", "lines", "weight", "cache"}
 	errs := []error{nil, nil, nil, fmt.Errorf("boom"), fmt.Errorf("context canceled\n\"quoted\"")}
 	tracer := NewTracer("svc")
-	for seed := int64(1); seed <= 60; seed++ {
+	var overflowedLate, wideGrafts int
+	for seed := int64(1); seed <= 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var p tracePair
 		adopted := map[string]bool{}
@@ -255,10 +293,14 @@ func TestArenaMatchesReference(t *testing.T) {
 		if seed%10 == 0 {
 			ops = 2500 // past the span cap
 		}
+		kinds := 12
+		if seed > 60 {
+			kinds = 14
+		}
 		for op := 0; op < ops; op++ {
 			i := rng.Intn(len(p.arena))
 			a, r := p.arena[i], p.ref[i]
-			switch k := rng.Intn(12); {
+			switch k := rng.Intn(kinds); {
 			case k < 4 && p.depth[i] < 6:
 				name := "span" + strconv.Itoa(rng.Intn(5))
 				p.add(a.Child(name), r.Child(name), p.depth[i]+1)
@@ -286,11 +328,44 @@ func TestArenaMatchesReference(t *testing.T) {
 				err := errs[rng.Intn(len(errs))]
 				a.End(err)
 				r.End(err) // again and again on the same span, too
+			case k == 12: // 4–9 keys on one span, then some of them again
+				off := rng.Intn(len(keys))
+				for j, n := 0, 4+rng.Intn(6); j < n; j++ {
+					key, v := keys[(off+j)%len(keys)], "w"+strconv.Itoa(rng.Intn(3))
+					a.SetAttr(key, v)
+					r.SetAttr(key, v)
+				}
+				for j := rng.Intn(4); j > 0; j-- {
+					key, v := keys[(off+rng.Intn(9))%len(keys)], rng.Intn(100)
+					a.SetInt(key, v)
+					r.SetAttr(key, strconv.Itoa(v))
+				}
+			case k == 13: // a late write, as the observer scores and prunes a chunk after it ended
+				key := keys[rng.Intn(len(keys))]
+				if a != nil && a.state > spanOpen && a.run != 0 {
+					overflowedLate++
+				}
+				if rng.Intn(2) == 0 {
+					v := rng.Float64()
+					a.write(true, key, attrFloat|math.Float64bits(v)>>2)
+					r.lateSetAttr(key, fmt.Sprintf("%.3f", v))
+				} else {
+					v := "trailing by 0." + strconv.Itoa(rng.Intn(1000))
+					a.write(true, key, attrText, v)
+					r.lateSetAttr(key, v)
+				}
 			default:
+				attrs := map[string]string{"tokens": strconv.Itoa(op), "model": "m"}
+				if seed > 60 { // 5–8 attributes; past 8 which key a graft drops is map order
+					for j, n := 0, 3+rng.Intn(4); j < n; j++ {
+						attrs[keys[2+j]] = "g" + strconv.Itoa(j)
+					}
+					wideGrafts++
+				}
 				recs := []SpanRecord{
 					{TraceID: rroot.rec.TraceID, SpanID: fmt.Sprintf("%016x", 1<<40+op), ParentID: "cc00000000000000", Name: "remote",
 						Service: "modeld", Start: time.Unix(1700000000, int64(op)).UTC(), Duration: time.Duration(op),
-						Attrs: map[string]string{"tokens": strconv.Itoa(op), "model": "m"}, Status: "ok"},
+						Attrs: attrs, Status: "ok"},
 					{TraceID: rroot.rec.TraceID, SpanID: fmt.Sprintf("%016x", 1<<41+op), ParentID: fmt.Sprintf("%016x", 1<<40+op), Name: "remote.failed",
 						Service: "modeld", Start: time.Unix(1700000001, 0).UTC(), Status: "error", Error: "daemon said no"},
 					{TraceID: "ffffffffffffffffffffffffffffffff", SpanID: "00000000000000bb", Name: "stray", Status: "ok"},
@@ -327,5 +402,9 @@ func TestArenaMatchesReference(t *testing.T) {
 		if _, refused := aroot.counts(); seed%10 == 0 && (refused == 0 || len(got) > MaxSpansPerTrace) {
 			t.Fatalf("seed %d: %d records and %d spans refused; the sequence was to run past the cap", seed, len(got), refused)
 		}
+	}
+	if overflowedLate == 0 || wideGrafts == 0 {
+		t.Fatalf("%d late writes to ended spans past a slot's attributes and %d wide grafts; the schedules were to make both",
+			overflowedLate, wideGrafts)
 	}
 }

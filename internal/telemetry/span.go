@@ -28,6 +28,11 @@ import (
 //     End stamps duration and status) and read in place by whoever needs
 //     it (Walk); nothing is copied or converted on a query's path. IDs are
 //     binary and become hex only where bytes leave the process.
+//   - A slot holds four attributes; a span's fifth key moves them all to
+//     an overflow run of eight that the arena keeps, so a stored span
+//     costs what its attributes use. A stored trace gives its blocks and
+//     runs past the ones in use back to free lists the next trace draws
+//     from (trim).
 //   - Arenas are pooled. A trace stays out of the pool while a span of it
 //     is open or someone holds it (Hold/Release: an entry point for its
 //     request's extent, the query observer until Finish, the trace store
@@ -51,10 +56,13 @@ import (
 const MaxSpansPerTrace = 512
 
 const (
-	blockSpans      = 10  // slots per block, 3 KiB: a query's 19–30 spans are 2–3 blocks
-	maxAttrs        = 8   // inline attributes per span; a key past them is counted ("dropped_attrs")
-	maxTextBytes    = 256 // one attribute value or error text is cut here
-	maxPooledBlocks = 6   // an arena that grew past this is dropped, not pooled
+	blockSpans      = 10      // slots per block, 2 000 B in the 2 KiB size class: a query's 19–32 spans are 2–4 blocks
+	inlineAttrs     = 4       // attributes a slot holds; a fifth key moves the span's to an overflow run
+	maxAttrs        = 8       // attributes per span, an overflow run's size; a key past them is counted ("dropped_attrs")
+	maxTextBytes    = 256     // one attribute value or error text is cut here
+	maxPooledBlocks = 6       // an arena that grew past this is dropped, not pooled
+	maxPooledRuns   = 8       // nor one whose overflow runs grew past this,
+	maxPooledText   = 4 << 10 // or whose text buffer did
 )
 
 // SpanRecord is one finished span in its JSON shape: what /api/traces/{id}
@@ -84,8 +92,8 @@ type Tracer struct {
 func NewTracer(service string) *Tracer { return &Tracer{service: service} }
 
 // Attr is one typed attribute of a span; SpanData.Value reads its value.
-// val is the kind, in its top two bits, over the value, so that eight of
-// them fit a slot in 192 bytes.
+// val is the kind, in its top two bits, over the value, so that four of
+// them fit a slot in 96 bytes.
 type Attr struct {
 	Key string
 	val uint64
@@ -117,8 +125,9 @@ type Span struct {
 	errText    uint64 // where the error text lies, as in an attrText
 	state      uint8  // 0 until taken, then spanOpen → spanOK | spanError
 	nattr      uint8
-	num, next  uint16         // slot number from 1; the slot that ended after this one
-	attrs      [maxAttrs]Attr // sorted by key
+	num, next  uint16 // slot number from 1; the slot that ended after this one
+	run        uint16 // the overflow run holding the attributes, from 1; 0 while they are inline
+	attrs      [inlineAttrs]Attr
 }
 
 // trace is one trace's arena. mu guards everything in it and in its slots.
@@ -135,21 +144,50 @@ type trace struct {
 	droppedAttrs int
 	text         []byte // attribute values and error texts
 	blocks       []*[blockSpans]Span
+	runs         []*[maxAttrs]Attr // overflow runs, the first nrun in use
+	nrun         int
 }
 
-var tracePool = sync.Pool{New: func() any { return new(trace) }}
+// The pool of arenas, and the free lists of the blocks and overflow runs
+// that a stored trace trims off and that take and overflow draw from.
+var (
+	tracePool = sync.Pool{New: func() any { return new(trace) }}
+	blockPool = sync.Pool{New: func() any { return new([blockSpans]Span) }}
+	runPool   = sync.Pool{New: func() any { return new([maxAttrs]Attr) }}
+)
 
 // unlock releases t.mu and, when End or Release just left the trace with
-// no open span and no hold, returns it to the pool. A pooled arena keeps
-// its contents until StartRoot draws it again.
+// no open span and no hold, returns it to the pool — unless it grew past
+// what a pooled arena may carry. A pooled arena keeps its contents until
+// StartRoot draws it again.
 func (t *trace) unlock() {
 	free := t.open == 0 && t.holds == 0 && !t.pooled
 	t.pooled = t.pooled || free
-	keep := len(t.blocks) <= maxPooledBlocks
+	keep := len(t.blocks) <= maxPooledBlocks && len(t.runs) <= maxPooledRuns && cap(t.text) <= maxPooledText
 	t.mu.Unlock()
 	if free && keep {
 		tracePool.Put(t)
 	}
+}
+
+// trim gives the blocks past the last taken slot and the overflow runs
+// past the last one in use back to their free lists, cleared, so that a
+// stored trace keeps only what its spans use and no stale slot keeps
+// another trace reachable. The caller holds t.mu.
+func (t *trace) trim() {
+	used := (t.n + blockSpans - 1) / blockSpans
+	for _, b := range t.blocks[used:] {
+		*b = [blockSpans]Span{}
+		blockPool.Put(b)
+	}
+	clear(t.blocks[used:])
+	t.blocks = t.blocks[:used]
+	for _, r := range t.runs[t.nrun:] {
+		*r = [maxAttrs]Attr{}
+		runPool.Put(r)
+	}
+	clear(t.runs[t.nrun:])
+	t.runs = t.runs[:t.nrun]
 }
 
 // take reserves the next slot, or counts a drop at the cap.
@@ -159,7 +197,7 @@ func (t *trace) take() *Span {
 		return nil
 	}
 	if t.n == len(t.blocks)*blockSpans {
-		t.blocks = append(t.blocks, new([blockSpans]Span))
+		t.blocks = append(t.blocks, blockPool.Get().(*[blockSpans]Span))
 	}
 	t.n++
 	s := t.slot(uint16(t.n))
@@ -169,6 +207,15 @@ func (t *trace) take() *Span {
 }
 
 func (t *trace) slot(num uint16) *Span { return &t.blocks[(num-1)/blockSpans][(num-1)%blockSpans] }
+
+// overflow reserves the next overflow run and returns it with its number.
+func (t *trace) overflow() (*[maxAttrs]Attr, uint16) {
+	if t.nrun == len(t.runs) {
+		t.runs = append(t.runs, runPool.Get().(*[maxAttrs]Attr))
+	}
+	t.nrun++
+	return t.runs[t.nrun-1], uint16(t.nrun)
+}
 
 // ended links s behind the spans that ended before it: a trace reads back
 // in end order, and the tree is reconstructed from the parent links.
@@ -232,7 +279,7 @@ func (t *Tracer) startRoot(name, traceID, parentID string) *Span {
 	tr := tracePool.Get().(*trace)
 	tr.mu.Lock()
 	tr.id, tr.base, tr.text, tr.pooled = id, base&^0xffff, tr.text[:0], false
-	tr.n, tr.open, tr.holds, tr.dropped, tr.droppedAttrs = 0, 1, 0, 0, 0
+	tr.n, tr.nrun, tr.open, tr.holds, tr.dropped, tr.droppedAttrs = 0, 0, 1, 0, 0, 0
 	tr.head, tr.tail = 0, 0
 	s := tr.take()
 	s.parent, s.name, s.service, s.start, s.state = parent, name, t.service, now, spanOpen
@@ -298,6 +345,17 @@ func (s *Span) Hold() { s.hold(1) }
 // Release drops one Hold.
 func (s *Span) Release() { s.hold(-1) }
 
+// keep is the trace store's Hold: it also trims the arena, which from
+// then on is mostly read, to the blocks and runs its spans use.
+func (s *Span) keep() {
+	if s != nil {
+		s.tr.mu.Lock()
+		s.tr.holds++
+		s.tr.trim()
+		s.tr.mu.Unlock()
+	}
+}
+
 func (s *Span) hold(d int) {
 	if s != nil {
 		s.tr.mu.Lock()
@@ -345,13 +403,30 @@ func (s *Span) write(late bool, key string, val uint64, text ...string) {
 	t.mu.Unlock()
 }
 
-// put sets key on the slot, counting it instead when the slot is full. The
+// put sets key on the span, moving its attributes to an overflow run when
+// the slot is full and counting the key instead when the run is. The
 // caller holds the trace's lock.
 func (s *Span) put(key string, val uint64) {
-	n, ok := putAttr(s.attrs[:], int(s.nattr), Attr{key, val})
+	n, ok := putAttr(s.attrList(), int(s.nattr), Attr{key, val})
+	if !ok && s.run == 0 {
+		var run *[maxAttrs]Attr
+		run, s.run = s.tr.overflow()
+		copy(run[:], s.attrs[:])
+		n, ok = putAttr(run[:], n, Attr{key, val})
+	}
 	if s.nattr = uint8(n); !ok {
 		s.tr.droppedAttrs++
 	}
+}
+
+// attrList is the storage of the span's attributes, sorted by key in its
+// first nattr entries: the slot's own, or its overflow run. The caller
+// holds the trace's lock.
+func (s *Span) attrList() []Attr {
+	if s.run == 0 {
+		return s.attrs[:]
+	}
+	return s.tr.runs[s.run-1][:]
 }
 
 // putAttr sets a among attrs[:n], which stay sorted by key — the order the
@@ -471,7 +546,7 @@ func (s *Span) Walk(fn func(d SpanData)) {
 		sp := t.slot(num)
 		num = sp.next
 		d.SpanID, d.ParentID, d.Name, d.Service = sp.id, sp.parent, sp.name, sp.service
-		d.Start, d.Duration, d.Attrs = sp.start, sp.dur, sp.attrs[:sp.nattr]
+		d.Start, d.Duration, d.Attrs = sp.start, sp.dur, sp.attrList()[:sp.nattr]
 		d.Failed, d.Error = sp.state == spanError, textAt(t.text, sp.errText)
 		if sp.num == 1 && t.dropped+t.droppedAttrs > 0 {
 			// Counted on the trace, shown on its root: among a copy of the

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -471,11 +472,16 @@ func TestSpanAllocatesNothing(t *testing.T) {
 		c.SetFloat("similarity", 0.812)
 		c.SetList("models", []string{"llama3:8b", "mistral:7b"})
 		c.End(errBoom)
+		w := root.Child("engine.generate") // six attributes: an overflow run
+		for i, k := range []string{"batch_occupancy", "lines", "model", "replica", "tokens", "weight"} {
+			w.SetInt(k, i)
+		}
+		w.End(nil)
 		root.End(nil)
 	}
 	trace()
 	if n := testing.AllocsPerRun(200, trace); n != 0 {
-		t.Errorf("a root, 3 children, 6 attributes and their ends allocate %v times, want 0", n)
+		t.Errorf("a root, 4 children, 12 attributes and their ends allocate %v times, want 0", n)
 	}
 	ctx := context.Background()
 	if n := testing.AllocsPerRun(200, func() {
@@ -531,11 +537,54 @@ func TestSpanAllocatesNothing(t *testing.T) {
 
 var errBoom = errors.New("boom")
 
+// TestPooledArenaIsBounded: an arena goes back to the pool only while its
+// text and overflow runs are within a constant, so a trace whose spans
+// failed with long errors, or carried many attributes, does not lend its
+// room to the light traces that draw the arena after it, nor do they carry
+// it into the ring.
+func TestPooledArenaIsBounded(t *testing.T) {
+	tracer := NewTracer("test")
+	store := NewTraceStore(4)
+	errLong := errors.New(strings.Repeat("x", maxTextBytes))
+	for i := 0; i < 16; i++ { // the pool may hand the light trace another arena: many tries
+		_, heavy := tracer.StartRoot(bg, "heavy")
+		for j := 0; j < 4*blockSpans; j++ {
+			sp := heavy.Child("fail")
+			if i%2 == 0 {
+				sp.End(errLong)
+				continue
+			}
+			for _, k := range []string{"a", "b", "c", "d", "e"} {
+				sp.SetInt(k, j)
+			}
+			sp.End(nil)
+		}
+		heavy.End(nil) // the last span: the arena is pooled here, or dropped
+		_, light := tracer.StartRoot(bg, "light")
+		light.Hold()
+		light.tr.mu.Lock()
+		runs := len(light.tr.runs)
+		light.tr.mu.Unlock()
+		light.SetAttr("outcome", "ok")
+		light.End(nil)
+		store.Put(QueryTrace{ID: "light" + strconv.Itoa(i)}, light)
+		light.tr.mu.Lock()
+		text := cap(light.tr.text)
+		light.tr.mu.Unlock()
+		light.Release()
+		if text > maxPooledText || runs > maxPooledRuns {
+			t.Fatalf("a light trace drawn after a heavy one has %d overflow runs and is stored with %d bytes of text room", runs, text)
+		}
+	}
+}
+
 // TestTraceRecycling runs 64 goroutines of seeded schedules over traces
 // that keep going back to the pool and coming out again: children,
-// attributes, ends, grafts, spans that end after every hold is gone (the
-// stream pump, the hedge loser), traces kept by a small ring and read back
-// while others evict them. Every span is named after the trace it was
+// attributes past a slot's four and past a span's eight, ends, grafts,
+// spans that end after every hold is gone (the stream pump, the hedge
+// loser), traces kept by a small ring — trimmed there, grown again from the
+// free lists while late spans still end, read back while others evict
+// them. Every span is named after the trace it was
 // started in, and whenever a trace is read — by its owner or out of the
 // ring — every span in it must carry that trace's name: a write into a
 // recycled arena would show up as a stranger. The race detector checks the
@@ -571,7 +620,7 @@ func TestTraceRecycling(t *testing.T) {
 						c.SetAttr("trace", name)
 						spans = append(spans, c)
 					case 2:
-						sp.SetInt("n", op)
+						sp.SetInt("n"+strconv.Itoa(rng.Intn(maxAttrs)), op)
 					case 3:
 						sp.End(nil)
 						sp.End(errBoom)
@@ -601,6 +650,15 @@ func TestTraceRecycling(t *testing.T) {
 				check(name, root.Records())
 				if rng.Intn(3) == 0 {
 					store.Put(QueryTrace{ID: name, Outcome: "ok"}, root)
+					for j, more := 0, rng.Intn(2*blockSpans); j < more; j++ { // past the trim
+						c := root.Child(name)
+						c.SetAttr("trace", name)
+						for k := rng.Intn(maxAttrs); k > 0; k-- {
+							c.SetInt("w"+strconv.Itoa(k), j)
+						}
+						c.End(nil)
+					}
+					check(name, root.Records())
 				}
 				root.Release()
 				if tr, ok := store.Get(fmt.Sprintf("g%d.%d", rng.Intn(64), n)); ok {

@@ -66,9 +66,10 @@ const summaryQueryLimit = 120
 // insertion evicts the oldest trace. Safe for concurrent use. Every
 // trace offered is stored.
 //
-// A stored trace is its header plus a hold on its arena: nothing is
-// copied in, the span tree is rendered when someone asks for it, and the
-// arena of an evicted trace goes back to the pool.
+// A stored trace is its header plus a hold on its arena, trimmed to the
+// blocks and overflow runs its spans use: nothing is copied in, the span
+// tree is rendered when someone asks for it, and the arena of an evicted
+// trace goes back to the pool.
 type TraceStore struct {
 	mu       sync.RWMutex
 	capacity int
@@ -92,11 +93,11 @@ func NewTraceStore(capacity int) *TraceStore {
 // Put stores a completed trace — its header and the root span of its
 // arena, nil when it has none — evicting the oldest beyond capacity. A
 // trace with an already-stored ID replaces the stored one in place. The
-// stored trace is held, and the one it displaces released.
+// stored trace is held and trimmed, and the one it displaces released.
 func (s *TraceStore) Put(tr QueryTrace, root *Span) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	root.Hold()
+	root.keep()
 	idx, replace := s.byID[tr.ID]
 	switch {
 	case replace:

@@ -3,10 +3,15 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"math"
 	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 func TestTraceStorePutGet(t *testing.T) {
@@ -172,5 +177,116 @@ func TestNewQueryID(t *testing.T) {
 			t.Fatalf("duplicate ID %q", id)
 		}
 		seen[id] = true
+	}
+}
+
+// fanoutTrace builds a trace shaped like the benchmark's fan-out query
+// and stores it: 25 spans — the root, orchestrate, a stream open and a
+// stream per model, each stream with the daemon's two grafted spans, and
+// rounds of chunks whose score comes after the chunk ended, one of them
+// pruned — 2.4 attributes a span, one span of five.
+func fanoutTrace(tracer *Tracer, store *TraceStore, id string) {
+	models := []string{"llama3:8b", "mistral:7b", "qwen2:7b"}
+	_, root := tracer.StartRoot(bg, "query")
+	root.Hold()
+	root.SetAttr("strategy", "oua")
+	orch := root.Child("orchestrate")
+	var d SpanData
+	for i, m := range models {
+		open := root.Child("fleet.stream_open")
+		open.SetAttr("model", m)
+		open.SetAttr("replica", "r"+strconv.Itoa(i%2))
+		open.End(nil)
+		stream := orch.Child("modeld.stream")
+		stream.SetAttr("model", m)
+		for j, name := range []string{"engine.generate", "modeld.handle_generate"} {
+			d.Reset()
+			d.TraceID, d.Name, d.Service, d.Start = root.tr.id, name, "modeld", time.Now()
+			d.SpanID[0], d.SpanID[7] = byte(i+1), byte(j+1)
+			d.AddAttr("model", []byte(m))
+			if j == 0 {
+				d.AddAttr("batch_occupancy", []byte("2.500"))
+				d.AddAttr("lines", []byte("43"))
+			}
+			stream.Graft(&d)
+		}
+		stream.End(nil)
+	}
+	for r, width := range []int{3, 3, 2} {
+		round := orch.Child("round")
+		round.SetInt("round", r+1)
+		for _, m := range models[:width] {
+			c := round.Child("chunk")
+			c.SetInt("round", r+1)
+			c.SetAttr("model", m)
+			c.SetInt("tokens", 8)
+			c.End(nil)
+			c.write(true, "score", attrFloat|math.Float64bits(0.25)>>2)
+			if r == 1 && m == models[2] {
+				c.write(true, "pruned", attrText, "trailing by 0.155")
+			}
+		}
+		if r == 2 {
+			round.SetAttr("winner", models[0])
+			round.SetAttr("winner_reason", "budget settled")
+		}
+		round.End(nil)
+	}
+	orch.End(nil)
+	root.End(nil)
+	store.Put(QueryTrace{ID: id, TraceID: root.TraceID(), Strategy: "oua", Query: "What happens if you swallow gum?",
+		Outcome: "ok", Winner: models[0], TokensUsed: 84, Rounds: 6}, root)
+	root.Release()
+}
+
+// TestStoredTraceFootprint bounds what the trace ring holds a trace with.
+// The arenas it draws have first been grown, as pooled arenas are in a
+// server, by a 50-span trace with eight overflowing spans; each is then
+// filled with a fan-out query's 25 spans. A stored trace keeps the blocks
+// and overflow runs its spans use and no more: 7 366 bytes, header and
+// ring share included.
+func TestStoredTraceFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its puts under the race detector")
+	}
+	if size := unsafe.Sizeof([blockSpans]Span{}); size > 2048 {
+		t.Fatalf("a block of %d slots is %d bytes, past the 2 KiB size class", blockSpans, size)
+	}
+	const bound = 8103 // bytes a stored trace: the 7 366 it measures plus 10 %
+	tracer := NewTracer("llmms")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	roots := make([]*Span, TraceCapacity)
+	for i := range roots {
+		_, roots[i] = tracer.StartRoot(bg, "query")
+		for j := 1; j < 50; j++ {
+			c := roots[i].Child("c")
+			for k := 0; j%6 == 0 && k < inlineAttrs+1; k++ { // 8 spans of five attributes
+				c.SetInt("k"+strconv.Itoa(k), j)
+			}
+			c.End(nil)
+		}
+	}
+	for _, root := range roots {
+		root.End(nil) // back to the pool: five blocks and eight overflow runs each
+	}
+	roots = nil
+	store := NewTraceStore(TraceCapacity)
+	for i := 0; i < TraceCapacity; i++ {
+		fanoutTrace(tracer, store, "q"+strconv.Itoa(i))
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(after.HeapAlloc-before.HeapAlloc) / TraceCapacity
+	runtime.KeepAlive(store)
+	if got, _ := store.Get("q0"); len(got.Spans) != 25 {
+		t.Fatalf("a stored fan-out trace reads %d spans, want 25", len(got.Spans))
+	}
+	t.Logf("%.0f bytes a stored trace", per)
+	if per > bound {
+		t.Errorf("a stored fan-out trace holds %.0f bytes, want at most %d", per, bound)
 	}
 }

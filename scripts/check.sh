@@ -24,13 +24,13 @@ go test -race -shuffle=on ./...
 # The allocation guards skip themselves under -race, where sync.Pool drops
 # puts and counts are not exact, so the suite above never runs them: run
 # them once more without it, and require that every one of them ran.
-allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestTrainAllocs|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestTopKAllocatesNothing|TestRecordingAllocatesNothing'
+allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestTrainAllocs|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestTopKAllocatesNothing|TestRecordingAllocatesNothing|TestStoredTraceFootprint'
 echo "== allocation guards: go test -count=1 -run '^($allocs)\$' ./internal/..."
 out=$(go test -count=1 -v -run "^($allocs)\$" ./internal/...)
 passed=$(printf '%s\n' "$out" | grep -c '^--- PASS' || true)
-if [ "$passed" -ne 10 ]; then
+if [ "$passed" -ne 11 ]; then
 	printf '%s\n' "$out" >&2
-	echo "allocation guards: $passed of 10 passed" >&2
+	echo "allocation guards: $passed of 11 passed" >&2
 	exit 1
 fi
 
@@ -101,6 +101,13 @@ go test -race -count=20 -run 'TestSemanticProbeRacesEviction' ./internal/qcache
 policy='TestScanResistance|TestSketchCountsAndHalves|TestEvictionAdmitsByFrequency|TestWarmStartKeepsMostRecentlyUsed|TestWarmStartOverCapacityReportsWhatItHolds|TestVectorTierTracksEvictions|TestSemanticTierDropsEmptyBuckets|TestSemanticTierMatchesReference'
 echo "== cache policy: go test -race -count=20 -run '$policy' ./internal/qcache"
 go test -race -count=20 -run "$policy" ./internal/qcache
+
+# The span arena: traces recycled through the pool by concurrent
+# schedules — stored, trimmed, evicted and grown again from the free lists
+# while late spans still end — and the arena against its reference tracer,
+# spans whose attributes move to overflow runs included, over and over.
+echo "== span arena: go test -race -count=20 -run 'TestTraceRecycling|TestArenaMatchesReference' ./internal/telemetry"
+go test -race -count=20 -run 'TestTraceRecycling|TestArenaMatchesReference' ./internal/telemetry
 
 # The metrics registry's lock-free recording: series published while
 # others record into the existing ones and scrapes read them.
