@@ -106,6 +106,17 @@ func TestDecisionLog(t *testing.T) {
 		}
 	}
 
+	// The single baseline on each of the grid's models, alone in its pool.
+	for _, budget := range []int{32, 128, 2048} {
+		for _, m := range gridPools[1] {
+			for q, prompt := range prompts {
+				cfg := DefaultConfig(m)
+				cfg.MaxTokens = budget
+				record(fmt.Sprintf("single/%d/%s/q%02d", budget, m, q), engine, cfg, defaultRetry, StrategySingle, prompt)
+			}
+		}
+	}
+
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
