@@ -258,7 +258,7 @@ func TestFanOutWallClock(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		if _, err := orch.OUA(context.Background(), ds[0].Question); err != nil {
+		if _, err := orch.Run(context.Background(), core.StrategyOUA, ds[0].Question); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start), gb

@@ -14,13 +14,12 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 
+	"llmms/internal/cli"
 	"llmms/internal/truthfulqa"
 )
 
@@ -28,9 +27,9 @@ func main() {
 	n := flag.Int("n", 817, "number of questions (817 matches the real benchmark's size)")
 	out := flag.String("o", "", "output file (default stdout)")
 	stats := flag.Bool("stats", false, "print per-category counts instead of the dataset")
-	parseFlags()
+	cli.Parse("datagen")
 	if *n < 1 {
-		usageFatal("-n must be at least 1, got %d", *n)
+		cli.Fatal("-n must be at least 1, got %d", *n)
 	}
 
 	ds := truthfulqa.Generate(*n, 1)
@@ -64,28 +63,4 @@ func main() {
 	if err := enc.Encode(ds); err != nil {
 		log.Fatalf("datagen: %v", err)
 	}
-}
-
-// parseFlags parses the command line, -h listing the flags. A bad flag or
-// value, or a stray argument — after which the flag package would stop
-// parsing, silently dropping every flag behind it — is fatal.
-func parseFlags() {
-	flag.CommandLine.Init("datagen", flag.ContinueOnError)
-	flag.CommandLine.SetOutput(io.Discard) // the error is reported once, below
-	switch err := flag.CommandLine.Parse(os.Args[1:]); {
-	case errors.Is(err, flag.ErrHelp):
-		flag.CommandLine.SetOutput(os.Stderr)
-		flag.Usage()
-		os.Exit(0)
-	case err != nil:
-		usageFatal("%v", err)
-	case flag.NArg() > 0:
-		usageFatal("unexpected argument %q: datagen takes flags only", flag.Arg(0))
-	}
-}
-
-// usageFatal reports a command-line error in one line and exits 2.
-func usageFatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "datagen: "+format+" (datagen -h lists the flags)\n", args...)
-	os.Exit(2)
 }

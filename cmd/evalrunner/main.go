@@ -25,16 +25,15 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"slices"
 	"strings"
 
 	"llmms/internal/bench"
+	"llmms/internal/cli"
 	"llmms/internal/core"
 	"llmms/internal/gpu"
 	"llmms/internal/llm"
@@ -54,14 +53,14 @@ func main() {
 	breakdown := flag.String("breakdown", "", "per-category breakdown for a system (oua, mab, or a model name)")
 	ablate := flag.String("ablate", "", "sweep one parameter instead of the main figures: prune_margin, lead_margin, rounds, mab_chunk, alpha, gamma, max_tokens")
 	hybrid := flag.Bool("hybrid", false, "add the LLM-MS Hybrid strategy (§8.4 proposal) as a sixth system")
-	parseFlags()
+	cli.Parse("evalrunner")
 	if *n < 1 {
-		usageFatal("-n must be at least 1, got %d", *n)
+		cli.Fatal("-n must be at least 1, got %d", *n)
 	}
 	switch *figure {
 	case "", "8.1", "8.2", "8.3":
 	default:
-		usageFatal("unknown figure %q (want 8.1, 8.2 or 8.3)", *figure)
+		cli.Fatal("unknown figure %q (want 8.1, 8.2 or 8.3)", *figure)
 	}
 	systems := bench.Systems()
 	if *hybrid {
@@ -72,7 +71,7 @@ func main() {
 		for _, s := range systems {
 			names = append(names, s.Name)
 		}
-		usageFatal("unknown system %q for -breakdown (want oua, mab, a model name, or one of: %s)", *breakdown, strings.Join(names, ", "))
+		cli.Fatal("unknown system %q for -breakdown (want oua, mab, a model name, or one of: %s)", *breakdown, strings.Join(names, ", "))
 	}
 
 	if *setup {
@@ -158,30 +157,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d records)\n", *recordsPath, len(report.Records))
 	}
-}
-
-// parseFlags parses the command line, -h listing the flags. A bad flag or
-// value, or a stray argument — after which the flag package would stop
-// parsing, silently dropping every flag behind it — is fatal.
-func parseFlags() {
-	flag.CommandLine.Init("evalrunner", flag.ContinueOnError)
-	flag.CommandLine.SetOutput(io.Discard) // the error is reported once, below
-	switch err := flag.CommandLine.Parse(os.Args[1:]); {
-	case errors.Is(err, flag.ErrHelp):
-		flag.CommandLine.SetOutput(os.Stderr)
-		flag.Usage()
-		os.Exit(0)
-	case err != nil:
-		usageFatal("%v", err)
-	case flag.NArg() > 0:
-		usageFatal("unexpected argument %q: evalrunner takes flags only", flag.Arg(0))
-	}
-}
-
-// usageFatal reports a command-line error in one line and exits 2.
-func usageFatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "evalrunner: "+format+" (evalrunner -h lists the flags)\n", args...)
-	os.Exit(2)
 }
 
 func resolveSystem(s string) string {

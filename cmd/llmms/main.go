@@ -62,16 +62,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net"
 	"os"
 	"os/signal"
 
+	"llmms/internal/cli"
 	"llmms/internal/fleet"
 	"llmms/internal/llm"
 	"llmms/internal/qcache"
@@ -96,9 +95,9 @@ func main() {
 	dataDir := flag.String("data-dir", "", "persist state under this directory: vector database with WAL crash recovery, sessions, answer-cache warm start, routing clusters (empty = in-memory only)")
 	walSync := flag.String("wal-sync", "batch", "WAL durability: batch (group commit), always (fsync per write), none")
 	showVersion := flag.Bool("version", false, "print version and exit")
-	parseFlags()
+	cli.Parse("llmms")
 	if *questions < 1 {
-		usageFatal("-questions must be at least 1, got %d", *questions)
+		cli.Fatal("-questions must be at least 1, got %d", *questions)
 	}
 
 	if *showVersion {
@@ -107,11 +106,11 @@ func main() {
 	}
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
-		usageFatal("%v", err)
+		cli.Fatal("%v", err)
 	}
 	syncPolicy, err := vectordb.ParseSyncPolicy(*walSync)
 	if err != nil {
-		usageFatal("-wal-sync: %v", err)
+		cli.Fatal("-wal-sync: %v", err)
 	}
 
 	ds, err := loadDataset(*dataset, *questions)
@@ -170,30 +169,6 @@ func main() {
 	if err := srv.ListenAndServe(ctx, *addr); err != nil {
 		log.Fatalf("llmms: %v", err)
 	}
-}
-
-// parseFlags parses the command line, -h listing the flags. A bad flag or
-// value, or a stray argument — after which the flag package would stop
-// parsing, silently dropping every flag behind it — is fatal.
-func parseFlags() {
-	flag.CommandLine.Init("llmms", flag.ContinueOnError)
-	flag.CommandLine.SetOutput(io.Discard) // the error is reported once, below
-	switch err := flag.CommandLine.Parse(os.Args[1:]); {
-	case errors.Is(err, flag.ErrHelp):
-		flag.CommandLine.SetOutput(os.Stderr)
-		flag.Usage()
-		os.Exit(0)
-	case err != nil:
-		usageFatal("%v", err)
-	case flag.NArg() > 0:
-		usageFatal("unexpected argument %q: llmms takes flags only", flag.Arg(0))
-	}
-}
-
-// usageFatal reports a command-line error in one line and exits 2.
-func usageFatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "llmms: "+format+" (llmms -h lists the flags)\n", args...)
-	os.Exit(2)
 }
 
 // browseURL is the URL a browser on this machine opens for a server

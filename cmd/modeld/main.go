@@ -28,16 +28,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
 	"time"
 
+	"llmms/internal/cli"
 	"llmms/internal/llm"
 	"llmms/internal/modeld"
 	"llmms/internal/telemetry"
@@ -52,9 +51,9 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	showVersion := flag.Bool("version", false, "print version and exit")
-	parseFlags()
+	cli.Parse("modeld")
 	if *questions < 1 {
-		usageFatal("-questions must be at least 1, got %d", *questions)
+		cli.Fatal("-questions must be at least 1, got %d", *questions)
 	}
 
 	if *showVersion {
@@ -63,7 +62,7 @@ func main() {
 	}
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
-		usageFatal("%v", err)
+		cli.Fatal("%v", err)
 	}
 
 	engine := llm.NewEngine(llm.Options{
@@ -96,28 +95,4 @@ func main() {
 	if err := engine.Close(); err != nil {
 		log.Printf("modeld: engine close: %v", err)
 	}
-}
-
-// parseFlags parses the command line, -h listing the flags. A bad flag or
-// value, or a stray argument — after which the flag package would stop
-// parsing, silently dropping every flag behind it — is fatal.
-func parseFlags() {
-	flag.CommandLine.Init("modeld", flag.ContinueOnError)
-	flag.CommandLine.SetOutput(io.Discard) // the error is reported once, below
-	switch err := flag.CommandLine.Parse(os.Args[1:]); {
-	case errors.Is(err, flag.ErrHelp):
-		flag.CommandLine.SetOutput(os.Stderr)
-		flag.Usage()
-		os.Exit(0)
-	case err != nil:
-		usageFatal("%v", err)
-	case flag.NArg() > 0:
-		usageFatal("unexpected argument %q: modeld takes flags only", flag.Arg(0))
-	}
-}
-
-// usageFatal reports a command-line error in one line and exits 2.
-func usageFatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "modeld: "+format+" (modeld -h lists the flags)\n", args...)
-	os.Exit(2)
 }

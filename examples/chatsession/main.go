@@ -67,7 +67,7 @@ func main() {
 			Question: q,
 		})
 
-		res, err := orch.MAB(context.Background(), prompt)
+		res, err := orch.Run(context.Background(), core.StrategyMAB, prompt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -83,7 +83,7 @@ func main() {
 			fmt.Printf("   retrieved [%.3f] %s (%v)\n", h.Similarity, h.ID, h.Metadata["source"])
 		}
 		prompt := rag.BuildPrompt(rag.PromptParts{Chunks: chunks, Question: q})
-		res, err := orch.OUA(context.Background(), prompt)
+		res, err := orch.Run(context.Background(), core.StrategyOUA, prompt)
 		if err != nil {
 			log.Fatal(err)
 		}

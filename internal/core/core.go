@@ -279,66 +279,49 @@ func New(backend Backend, cfg Config) (*Orchestrator, error) {
 	return &Orchestrator{backend: backend, cfg: cfg, enc: embedding.Default(), retry: defaultRetry}, nil
 }
 
-// Run dispatches to the strategy implementation. For StrategySingle the
-// first configured model serves the query with the whole budget.
+// Run answers prompt under strategy — the one entry point. It opens the
+// query (run.go), lets the strategy take its decisions, and sweeps what is
+// left open however the strategy returns. StrategySingle serves the first
+// configured model with the whole budget.
 func (o *Orchestrator) Run(ctx context.Context, strategy Strategy, prompt string) (Result, error) {
+	var decide func(*run, context.Context) (Result, error)
+	models := o.cfg.Models
 	switch strategy {
 	case StrategyOUA:
-		return o.OUA(ctx, prompt)
+		decide = (*run).oua
 	case StrategyMAB:
-		return o.MAB(ctx, prompt)
+		decide = (*run).mab
 	case StrategyHybrid:
-		return o.Hybrid(ctx, prompt)
+		decide = (*run).hybrid
 	case StrategySingle:
-		return o.Single(ctx, o.cfg.Models[0], prompt)
+		models, decide = models[:1], (*run).single
 	default:
 		return Result{}, fmt.Errorf("core: unknown strategy %q", strategy)
 	}
+	r := o.open(strategy, prompt, models)
+	defer r.close()
+	return decide(r, ctx)
 }
 
-// Single answers with one fixed model and the full budget — the paper's
-// static baseline (§8.1 execution mode 1).
-func (o *Orchestrator) Single(ctx context.Context, model, prompt string) (Result, error) {
-	start := time.Now()
-	found := false
-	for _, m := range o.cfg.Models {
-		if m == model {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return Result{}, fmt.Errorf("core: model %q is not configured", model)
-	}
-	o.emit(Event{Type: EventStart, Strategy: StrategySingle, Model: model})
-	// One session, drained once for the whole budget.
-	c := &candidate{model: model}
-	cands := []*candidate{c}
-	o.attachSessions(cands, prompt)
-	defer o.closeAllSessions(StrategySingle, 0, cands, "query_end")
-	o.beforeWait()
-	if _, err := o.absorb(ctx, StrategySingle, 0, c, o.pull(ctx, c, o.cfg.MaxTokens, o.cfg.MaxTokens)); err != nil {
+// single answers with one model and the full budget — the paper's static
+// baseline (§8.1 execution mode 1): one session, drained once, and scored
+// on its relevance alone.
+func (r *run) single(ctx context.Context) (Result, error) {
+	o, c := r.o, r.cands[0]
+	if _, err := r.pull(ctx, c, o.cfg.MaxTokens); err != nil {
 		return Result{}, err
 	}
 	if c.failed {
 		// One model is the whole candidate pool: its failure is the
 		// everyone-failed case, not a degradable one.
-		return Result{}, fmt.Errorf("core: single %s: %w", model, c.failErr)
+		return Result{}, fmt.Errorf("core: single %s: %w", c.model, c.failErr)
 	}
-	qv, qacc := embedding.Borrow(o.enc, prompt)
-	rv, racc := embedding.Borrow(o.enc, c.response)
-	c.querySim = embedding.Cosine(qv, rv)
+	rv, acc := embedding.Borrow(o.enc, c.response)
+	c.querySim = embedding.Cosine(r.sc.qv, rv)
 	c.score = o.cfg.Alpha * c.querySim
-	qacc.Release()
-	racc.Release()
-	res := Result{
-		Strategy: StrategySingle, Answer: c.response, Model: model,
-		TokensUsed: c.tokens, Rounds: 1,
-		Outcomes: []ModelOutcome{c.outcome()}, Elapsed: time.Since(start),
-	}
-	o.emit(Event{Type: EventWinner, Strategy: StrategySingle, Model: model, Text: c.response,
-		Tokens: res.TokensUsed, Elapsed: res.Elapsed})
-	return res, nil
+	acc.Release()
+	r.round = 1
+	return r.finish(c, false, ""), nil
 }
 
 func (o *Orchestrator) emit(ev Event) {
@@ -394,8 +377,8 @@ type candidate struct {
 	priorSum   float64
 	priorPulls float64
 
-	// sess is the candidate's generation session (stream.go), attached by
-	// every multi-model strategy before its first round.
+	// sess is the candidate's generation session (stream.go), attached
+	// when the query's run opens.
 	sess *genSession
 }
 

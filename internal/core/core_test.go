@@ -156,7 +156,7 @@ func TestParseStrategy(t *testing.T) {
 func TestSingleBaseline(t *testing.T) {
 	b := threeModels()
 	o := mustNew(t, b, DefaultConfig("good", "okay", "bad"))
-	res, err := o.Single(context.Background(), "good", testPrompt)
+	res, err := o.Run(context.Background(), StrategySingle, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +174,6 @@ func TestSingleBaseline(t *testing.T) {
 	}
 	if b.callCount("okay") != 0 || b.callCount("bad") != 0 {
 		t.Fatal("single baseline touched other models")
-	}
-}
-
-func TestSingleUnknownModel(t *testing.T) {
-	o := mustNew(t, threeModels(), DefaultConfig("good"))
-	if _, err := o.Single(context.Background(), "okay", testPrompt); err == nil {
-		t.Fatal("expected error for unconfigured model")
 	}
 }
 
@@ -202,7 +195,7 @@ func TestRunDispatch(t *testing.T) {
 
 func TestOUASelectsRelevantModel(t *testing.T) {
 	o := mustNew(t, threeModels(), DefaultConfig("good", "okay", "bad"))
-	res, err := o.OUA(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyOUA, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +212,7 @@ func TestOUABudgetInvariant(t *testing.T) {
 		cfg := DefaultConfig("good", "okay", "bad")
 		cfg.MaxTokens = budget
 		o := mustNew(t, threeModels(), cfg)
-		res, err := o.OUA(context.Background(), testPrompt)
+		res, err := o.Run(context.Background(), StrategyOUA, testPrompt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +234,7 @@ func TestOUAPrunesTrailingModel(t *testing.T) {
 	cfg.MaxTokens = 240
 	cfg.Rounds = 6
 	o := mustNew(t, threeModels(), cfg)
-	res, err := o.OUA(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyOUA, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +261,7 @@ func TestOUAPrunedModelStopsGenerating(t *testing.T) {
 		}
 	}
 	o := mustNew(t, b, cfg)
-	if _, err := o.OUA(context.Background(), testPrompt); err != nil {
+	if _, err := o.Run(context.Background(), StrategyOUA, testPrompt); err != nil {
 		t.Fatal(err)
 	}
 	if pruneRound == 0 {
@@ -289,7 +282,7 @@ func TestOUAEarlyExitOnClearLeader(t *testing.T) {
 	cfg.MaxTokens = 2048
 	cfg.Rounds = 8
 	o := mustNew(t, b, cfg)
-	res, err := o.OUA(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyOUA, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +304,7 @@ func TestOUAStrictPaperMarginsDisablePruning(t *testing.T) {
 	cfg := DefaultConfig("good", "okay", "bad")
 	cfg.PruneMargin, cfg.LeadMargin = 0.5, 0.5
 	o := mustNew(t, threeModels(), cfg)
-	res, err := o.OUA(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyOUA, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +320,7 @@ func TestOUAStrictPaperMarginsDisablePruning(t *testing.T) {
 
 func TestOUASingleModelDegenerate(t *testing.T) {
 	o := mustNew(t, threeModels(), DefaultConfig("good"))
-	res, err := o.OUA(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyOUA, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +354,7 @@ func TestOUABackendErrorDegradesGracefully(t *testing.T) {
 		}
 	}
 	o := mustNewFast(t, b, cfg)
-	res, err := o.OUA(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyOUA, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,14 +374,14 @@ func TestOUAContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	o := mustNew(t, threeModels(), DefaultConfig("good", "okay"))
-	if _, err := o.OUA(ctx, testPrompt); err == nil {
+	if _, err := o.Run(ctx, StrategyOUA, testPrompt); err == nil {
 		t.Fatal("expected cancellation error")
 	}
 }
 
 func TestMABSelectsRelevantModel(t *testing.T) {
 	o := mustNew(t, threeModels(), DefaultConfig("good", "okay", "bad"))
-	res, err := o.MAB(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyMAB, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +395,7 @@ func TestMABPullsEveryArmOnce(t *testing.T) {
 	cfg := DefaultConfig("good", "okay", "bad")
 	cfg.MaxTokens = 2048
 	o := mustNew(t, b, cfg)
-	res, err := o.MAB(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyMAB, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +411,7 @@ func TestMABBudgetInvariant(t *testing.T) {
 		cfg := DefaultConfig("good", "okay", "bad")
 		cfg.MaxTokens = budget
 		o := mustNew(t, threeModels(), cfg)
-		res, err := o.MAB(context.Background(), testPrompt)
+		res, err := o.Run(context.Background(), StrategyMAB, testPrompt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +430,7 @@ func TestMABConcentratesTokensOnWinner(t *testing.T) {
 		"bad":  strings.Repeat("Cabbages outnumber accordions in most municipal inventories. ", 10),
 	})
 	o := mustNew(t, b, cfg)
-	res, err := o.MAB(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyMAB, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +449,7 @@ func TestMABStopsWhenAllArmsDone(t *testing.T) {
 	cfg := DefaultConfig("a", "b")
 	cfg.MaxTokens = 100000
 	o := mustNew(t, b, cfg)
-	res, err := o.MAB(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyMAB, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +468,7 @@ func TestMABBackendErrorDegradesGracefully(t *testing.T) {
 	b.fail = map[string]error{"bad": errBoom}
 	cfg := DefaultConfig("good", "okay", "bad")
 	o := mustNewFast(t, b, cfg)
-	res, err := o.MAB(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyMAB, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +509,7 @@ func TestEventStream(t *testing.T) {
 	cfg := DefaultConfig("good", "okay", "bad")
 	cfg.OnEvent = func(ev Event) { events = append(events, ev) }
 	o := mustNew(t, threeModels(), cfg)
-	if _, err := o.OUA(context.Background(), testPrompt); err != nil {
+	if _, err := o.Run(context.Background(), StrategyOUA, testPrompt); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {
@@ -672,7 +665,7 @@ func BenchmarkOUA(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := o.OUA(context.Background(), testPrompt); err != nil {
+		if _, err := o.Run(context.Background(), StrategyOUA, testPrompt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -687,7 +680,7 @@ func BenchmarkMAB(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := o.MAB(context.Background(), testPrompt); err != nil {
+		if _, err := o.Run(context.Background(), StrategyMAB, testPrompt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,10 +9,10 @@ import (
 	"llmms/internal/truthfulqa"
 )
 
-// ExampleOrchestrator_OUA shows the minimal end-to-end use of the
+// ExampleOrchestrator_Run shows the minimal end-to-end use of the
 // orchestration API: build the engine, configure the candidate pool, run
 // one query under the Overperformers–Underperformers Algorithm.
-func ExampleOrchestrator_OUA() {
+func ExampleOrchestrator_Run() {
 	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
 	cfg := core.DefaultConfig(llm.ModelLlama3, llm.ModelMistral, llm.ModelQwen2)
 	cfg.MaxTokens = 256
@@ -20,7 +20,7 @@ func ExampleOrchestrator_OUA() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := orch.OUA(context.Background(), "Do antibiotics work against viruses?")
+	res, err := orch.Run(context.Background(), core.StrategyOUA, "Do antibiotics work against viruses?")
 	if err != nil {
 		panic(err)
 	}

@@ -24,7 +24,7 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	cfg := DefaultConfig("good", "okay", "bad")
 	failures := failureEvents(&cfg)
 	o := mustNewFast(t, fb, cfg)
-	res, err := o.OUA(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyOUA, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRetryExhaustionPrunesModel(t *testing.T) {
 	cfg := DefaultConfig("good", "okay", "bad")
 	failures := failureEvents(&cfg)
 	o := mustNewFast(t, fb, cfg)
-	res, err := o.OUA(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyOUA, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestAllModelsFailed(t *testing.T) {
 		cfg := DefaultConfig("good")
 		failures := failureEvents(&cfg)
 		o := mustNewFast(t, fb, cfg)
-		if _, err := o.Single(context.Background(), "good", testPrompt); !errors.Is(err, errBoom) {
+		if _, err := o.Run(context.Background(), StrategySingle, testPrompt); !errors.Is(err, errBoom) {
 			t.Fatalf("err = %v", err)
 		}
 		if len(*failures) != 1 {

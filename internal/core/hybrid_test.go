@@ -11,7 +11,7 @@ import (
 
 func TestHybridSelectsRelevantModel(t *testing.T) {
 	o := mustNew(t, threeModels(), DefaultConfig("good", "okay", "bad"))
-	res, err := o.Hybrid(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyHybrid, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestHybridScreensOutOffTopicModel(t *testing.T) {
 	cfg := DefaultConfig("good", "okay", "bad")
 	cfg.MaxTokens = 240
 	o := mustNew(t, threeModels(), cfg)
-	res, err := o.Hybrid(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyHybrid, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestHybridBudgetInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := o.Hybrid(context.Background(), testPrompt)
+		res, err := o.Run(context.Background(), StrategyHybrid, testPrompt)
 		if err != nil {
 			return false
 		}
@@ -95,7 +95,7 @@ func TestHybridEventStream(t *testing.T) {
 	cfg.MaxTokens = 240
 	cfg.OnEvent = func(ev Event) { events = append(events, ev) }
 	o := mustNew(t, threeModels(), cfg)
-	if _, err := o.Hybrid(context.Background(), testPrompt); err != nil {
+	if _, err := o.Run(context.Background(), StrategyHybrid, testPrompt); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[EventType]bool{}
@@ -117,7 +117,7 @@ func TestHybridBackendErrorDegradesGracefully(t *testing.T) {
 	b.fail = map[string]error{"okay": errBoom}
 	cfg := DefaultConfig("good", "okay")
 	o := mustNewFast(t, b, cfg)
-	res, err := o.Hybrid(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyHybrid, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestHybridWithRealEngine(t *testing.T) {
 	cfg := DefaultConfig(llm.ModelLlama3, llm.ModelMistral, llm.ModelQwen2)
 	cfg.MaxTokens = 256
 	o := mustNew(t, engine, cfg)
-	res, err := o.Hybrid(context.Background(), "Question: Are bats blind?\nAnswer:")
+	res, err := o.Run(context.Background(), StrategyHybrid, "Question: Are bats blind?\nAnswer:")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func BenchmarkHybrid(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := o.Hybrid(context.Background(), testPrompt); err != nil {
+		if _, err := o.Run(context.Background(), StrategyHybrid, testPrompt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 )
 
-// MAB runs the Multi-Armed Bandit algorithm (Algorithm 2). Each model is
+// mab runs the Multi-Armed Bandit algorithm (Algorithm 2). Each model is
 // an arm with an unknown reward distribution. Tokens are not
 // pre-allocated: every pull grants the next Config.MABChunk tokens to the
 // arm with the highest UCB1 index
@@ -29,72 +28,37 @@ import (
 // whose backend keeps failing past its retry budget is retired with an
 // EventModelFailed instead of aborting the query; the query errors only
 // when every arm has failed (ErrAllModelsFailed).
-func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
-	start := time.Now()
-	cfg := o.cfg
-	cands := make([]*candidate, len(cfg.Models))
-	for i, m := range cfg.Models {
-		cands[i] = o.newCandidate(m)
-	}
-	sc := o.newScorer(prompt)
-	defer sc.release()
-	o.emit(Event{Type: EventStart, Strategy: StrategyMAB})
-
+func (r *run) mab(ctx context.Context) (Result, error) {
+	cfg := r.o.cfg
 	// Concurrent initialization: grant each arm its first chunk up
 	// front. Per-arm takes are fixed before launching so the shared
 	// budget split is deterministic; arms the budget cannot cover stay
 	// unpulled (the loop's budget check stops before they would matter).
-	used := 0
-	totalPulls := 0
-	o.attachSessions(cands, prompt)
-	defer func() { o.closeAllSessions(StrategyMAB, totalPulls, cands, "query_end") }()
-	rs := roundScratch{jobs: make([]fanJob, 0, len(cands))}
 	remaining := cfg.MaxTokens
-	for _, c := range cands {
-		take := cfg.MABChunk
-		if take > remaining {
-			take = remaining
-		}
+	for _, c := range r.cands {
+		take := min(cfg.MABChunk, remaining)
 		if take <= 0 {
 			break
 		}
 		remaining -= take
-		rs.jobs = append(rs.jobs, fanJob{cand: c, take: take})
+		r.rs.jobs = append(r.rs.jobs, fanJob{cand: c, take: take})
 	}
-	results := fanOutRound(o, ctx, &rs)
-	if err := ctx.Err(); err != nil {
+	if err := r.fanOut(ctx, true, nil); err != nil {
 		return Result{}, err
 	}
-	for i, r := range results {
-		arm := rs.jobs[i].cand
-		totalPulls++
-		o.emit(Event{Type: EventRound, Strategy: StrategyMAB, Round: totalPulls, Model: arm.model,
-			Elapsed: time.Since(start)})
-		n, err := o.absorb(ctx, StrategyMAB, totalPulls, arm, r)
-		if err != nil {
-			return Result{}, err
-		}
-		used += n
-	}
-	o.emitRoundStall(StrategyMAB, totalPulls, results)
-	if allFailed(cands) {
-		return Result{}, allModelsFailedError(StrategyMAB, cands)
-	}
 	// Seed every initialized arm's reward with its first-chunk score.
-	o.scorePass(sc, StrategyMAB, totalPulls, rs.unpruned(cands))
-	for _, arm := range cands {
-		if arm.failed || arm.pulls == 0 {
-			continue
+	r.scorePass(r.unpruned())
+	for _, arm := range r.cands {
+		if !arm.failed && arm.pulls > 0 {
+			arm.rewardSum += arm.score
+			r.announce(arm)
 		}
-		arm.rewardSum += arm.score
-		o.emit(Event{Type: EventScore, Strategy: StrategyMAB, Round: totalPulls,
-			Model: arm.model, Score: arm.score, QuerySim: arm.querySim, InterSim: arm.interSim})
 	}
 
 	// A finished arm whose mean reward already dominates every possible
 	// rival bound cannot be overtaken — further pulls would only spend
 	// budget on losers — so MAB lets a locked leader end the loop.
-	return o.refine(ctx, StrategyMAB, cands, sc, &rs, start, used, &totalPulls, true, func(best *candidate) string {
+	return r.refine(ctx, true, func(best *candidate) string {
 		return fmt.Sprintf("highest final reward %.3f over %d pulls", best.score, best.pulls)
 	})
 }
@@ -107,60 +71,39 @@ func (o *Orchestrator) MAB(ctx context.Context, prompt string) (Result, error) {
 // budget is spent, every arm has settled, or — with lockLeader — a finished
 // leader can no longer be overtaken. The arm with the highest final score
 // wins; reason words the winner event. Nothing is score-pruned in MAB, so
-// "unpruned" there means "not failed". used is the budget already spent;
-// *pulls is the round counter, advanced in place so the caller's deferred
-// session sweep reports the round the query ended in. rs is the caller's
-// round scratch, whose candidate list the loop's scoring passes reuse.
-func (o *Orchestrator) refine(ctx context.Context, strategy Strategy, cands []*candidate, sc *scorer, rs *roundScratch,
-	start time.Time, used int, pulls *int, lockLeader bool, reason func(best *candidate) string) (Result, error) {
-	cfg := o.cfg
-	for used < cfg.MaxTokens {
-		gamma := cfg.Gamma0 * (1 - float64(used)/float64(cfg.MaxTokens))
-		arm := selectArm(cands, gamma, *pulls)
+// "unpruned" there means "not failed".
+func (r *run) refine(ctx context.Context, lockLeader bool, reason func(best *candidate) string) (Result, error) {
+	cfg := r.o.cfg
+	for r.used < cfg.MaxTokens {
+		gamma := cfg.Gamma0 * (1 - float64(r.used)/float64(cfg.MaxTokens))
+		arm := selectArm(r.cands, gamma, r.round)
 		if arm == nil {
 			break // every arm has finished its answer or been pruned
 		}
-		take := min(cfg.MABChunk, cfg.MaxTokens-used)
-		*pulls++
-		o.emit(Event{Type: EventRound, Strategy: strategy, Round: *pulls, Model: arm.model,
-			Elapsed: time.Since(start)})
-
-		o.beforeWait()
-		r := o.pull(ctx, arm, take, used)
-		n, err := o.absorb(ctx, strategy, *pulls, arm, r)
+		r.round++
+		r.roundEvent(arm.model)
+		res, err := r.pull(ctx, arm, min(cfg.MABChunk, cfg.MaxTokens-r.used))
 		if err != nil {
 			return Result{}, err
 		}
 		if arm.failed {
-			if allFailed(cands) {
-				return Result{}, allModelsFailedError(strategy, cands)
+			if allFailed(r.cands) {
+				return Result{}, allModelsFailedError(r.strategy, r.cands)
 			}
 			continue
 		}
-		used += n
-		o.emit(Event{Type: EventRoundStall, Strategy: strategy, Round: *pulls, Elapsed: r.elapsed})
+		r.o.emit(Event{Type: EventRoundStall, Strategy: r.strategy, Round: r.round, Elapsed: res.elapsed})
 
 		// Reward the pull (line 9): relevance plus consensus, computed on
 		// the arm's whole accumulated response so far.
-		o.scorePass(sc, strategy, *pulls, rs.unpruned(cands))
+		r.scorePass(r.unpruned())
 		arm.rewardSum += arm.score
-		o.emit(Event{Type: EventScore, Strategy: strategy, Round: *pulls,
-			Model: arm.model, Score: arm.score, QuerySim: arm.querySim, InterSim: arm.interSim})
+		r.announce(arm)
 
 		// Termination condition (line 12): the budget loop header handles
 		// exhaustion; stop early when every arm has completed its answer.
-		if allDone(cands) || lockLeader && leaderLocked(cands, gamma, *pulls) {
+		if allDone(r.cands) || lockLeader && leaderLocked(r.cands, gamma, r.round) {
 			break
-		}
-	}
-
-	final := rs.unpruned(cands)
-	if len(final) == 0 {
-		// Every unfailed model was score-pruned or failed later; fall back
-		// to the best surviving candidate so the query still gets an
-		// answer — or error when none is left.
-		if final = surviving(cands); len(final) == 0 {
-			return Result{}, allModelsFailedError(strategy, cands)
 		}
 	}
 	// The winner (line 16) is the arm whose response has the highest
@@ -170,16 +113,7 @@ func (o *Orchestrator) refine(ctx context.Context, strategy Strategy, cands []*c
 	// historical mean underrates arms that improved as their answer
 	// completed, and a cumulative sum overrates verbose arms that simply
 	// needed more pulls.
-	o.scorePass(sc, strategy, *pulls, final)
-	best := argmaxScore(final)
-	elapsed := time.Since(start)
-	o.emit(Event{Type: EventWinner, Strategy: strategy, Model: best.model,
-		Text: best.response, Tokens: used, Score: best.score, Elapsed: elapsed, Reason: reason(best)})
-	return Result{
-		Strategy: strategy, Answer: best.response, Model: best.model,
-		TokensUsed: used, Rounds: *pulls,
-		Outcomes: outcomes(cands), Elapsed: elapsed,
-	}, nil
+	return r.settle(true, reason)
 }
 
 // selectArm returns the unfinished, unpruned arm with the highest UCB1

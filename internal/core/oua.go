@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
-	"time"
 )
 
-// OUA runs the Overperformers–Underperformers Algorithm (Algorithm 1).
+// oua runs the Overperformers–Underperformers Algorithm (Algorithm 1).
 //
 // The budget λ_max is split evenly: each of the N models may generate at
 // most λ_max/N tokens, spread over Config.Rounds round-robin chunks. After
@@ -25,154 +23,76 @@ import (
 // The loop ends when every surviving model has finished or spent its
 // allowance; the highest-scoring response wins (line 25).
 //
-// Each round's chunk calls fan out concurrently (fanOut: a goroutine per
-// pull that may wait, collected deterministically in model order), so a
-// round costs the slowest model's latency rather than the sum. A model whose
+// Each round's chunk calls fan out concurrently (run.fanOut), so a round
+// costs the slowest model's latency rather than the sum. A model whose
 // backend keeps failing past its retry budget is pruned with an
 // EventModelFailed and its allowance redistributed; the query errors
 // only when every model has failed (ErrAllModelsFailed).
-func (o *Orchestrator) OUA(ctx context.Context, prompt string) (Result, error) {
-	start := time.Now()
-	cfg := o.cfg
-	n := len(cfg.Models)
-	perModel := cfg.MaxTokens / n
-	if perModel < 1 {
-		perModel = 1
+func (r *run) oua(ctx context.Context) (Result, error) {
+	cfg := r.o.cfg
+	perModel := max(cfg.MaxTokens/len(r.cands), 1)
+	chunkSize := max(perModel/cfg.Rounds, 1)
+	for _, c := range r.cands {
+		c.remaining = perModel
 	}
-	chunkSize := perModel / cfg.Rounds
-	if chunkSize < 1 {
-		chunkSize = 1
-	}
-
-	cands := make([]*candidate, n)
-	for i, m := range cfg.Models {
-		cands[i] = &candidate{model: m, remaining: perModel}
-	}
-	sc := o.newScorer(prompt)
-	defer sc.release()
-	o.emit(Event{Type: EventStart, Strategy: StrategyOUA})
-
-	totalTokens := 0
-	round := 0
-	// Each candidate holds one generation session; the sweep closes
-	// whatever stream is still open when the query ends, however it ends.
-	o.attachSessions(cands, prompt)
-	defer func() { o.closeAllSessions(StrategyOUA, round, cands, "query_end") }()
-	var rs roundScratch
 	for {
-		round++
-		o.emit(Event{Type: EventRound, Strategy: StrategyOUA, Round: round, Elapsed: time.Since(start)})
-
+		r.round++
 		// Generation pass: every active model with budget left and an
-		// unfinished answer receives its next chunk. The pulls that may
-		// wait run concurrently and the results are collected in
-		// model-index order, so the round costs the slowest model's latency
-		// while scoring, pruning, and event order stay identical to the
-		// sequential pass.
-		rs.jobs = slices.Grow(rs.jobs[:0], n)
-		for _, c := range cands {
-			if c.pruned || c.done || c.remaining <= 0 {
-				continue
+		// unfinished answer receives its next chunk; a failed model's
+		// allowance goes to the survivors.
+		for _, c := range r.cands {
+			if !c.pruned && !c.done && c.remaining > 0 {
+				r.rs.jobs = append(r.rs.jobs, fanJob{cand: c, take: min(chunkSize, c.remaining), spent: r.used})
 			}
-			take := chunkSize
-			if take > c.remaining {
-				take = c.remaining
-			}
-			rs.jobs = append(rs.jobs, fanJob{cand: c, take: take, spent: totalTokens})
 		}
-		results := fanOutRound(o, ctx, &rs)
-		if err := ctx.Err(); err != nil {
+		used := r.used
+		if err := r.fanOut(ctx, false, func(c *candidate, tokens int) {
+			c.remaining -= tokens
+			if c.failed {
+				redistribute(c, r.cands)
+			}
+		}); err != nil {
 			return Result{}, err
 		}
-		progressed := false
-		for i, r := range results {
-			c := rs.jobs[i].cand
-			n, err := o.absorb(ctx, StrategyOUA, round, c, r)
-			if err != nil {
-				return Result{}, err
-			}
-			if c.failed {
-				redistribute(c, cands)
-				continue
-			}
-			c.remaining -= n
-			totalTokens += n
-			progressed = progressed || n > 0
-		}
-		o.emitRoundStall(StrategyOUA, round, results)
-		if allFailed(cands) {
-			return Result{}, allModelsFailedError(StrategyOUA, cands)
-		}
+		progressed := r.used > used
 
 		// Scoring pass over all unpruned candidates (finished models keep
 		// competing on their final answers; line 10 iterates activeModels).
-		active := rs.unpruned(cands)
+		active := r.unpruned()
 		if len(active) == 0 {
 			break
 		}
-		o.scorePass(sc, StrategyOUA, round, active)
+		r.scorePass(active)
 		for _, c := range active {
-			o.emit(Event{Type: EventScore, Strategy: StrategyOUA, Round: round,
-				Model: c.model, Score: c.score, QuerySim: c.querySim, InterSim: c.interSim})
+			r.announce(c)
 		}
 
-		// Early exit (line 17): a clear, finished leader wins outright.
 		if len(active) >= 2 {
+			// Early exit (line 17): a clear, finished leader wins outright.
 			best, second := topTwo(active)
 			if best.done && best.score > second.score+cfg.LeadMargin {
 				// The losers' streams are still generating; cancel them now
-				// rather than at the deferred query_end sweep so the early
-				// return actually releases backend capacity early.
-				o.closeAllSessions(StrategyOUA, round, cands, "early_exit")
-				return o.finishOUA(cands, best, totalTokens, round, true, start,
-					fmt.Sprintf("early exit: leads by %.3f", best.score-second.score)), nil
+				// rather than at the query_end sweep so the early return
+				// actually releases backend capacity early.
+				r.closeAll("early_exit")
+				return r.finish(best, true, fmt.Sprintf("early exit: leads by %.3f", best.score-second.score)), nil
 			}
-		}
-
-		// Pruning (line 21): drop a clearly trailing model and hand its
-		// unspent allowance to the survivors.
-		if len(active) >= 2 {
+			// Pruning (line 21): drop a clearly trailing model and hand its
+			// unspent allowance to the survivors.
 			worst, secondWorst := bottomTwo(active)
 			if secondWorst.score-worst.score > cfg.PruneMargin {
-				worst.pruned = true
-				o.closeSession(StrategyOUA, round, worst, "pruned")
-				o.emit(Event{Type: EventPrune, Strategy: StrategyOUA, Round: round,
-					Model: worst.model, Score: worst.score,
-					Reason: fmt.Sprintf("trailing by %.3f", secondWorst.score-worst.score)})
-				redistribute(worst, cands)
+				r.prune(worst, fmt.Sprintf("trailing by %.3f", secondWorst.score-worst.score))
+				redistribute(worst, r.cands)
 			}
 		}
 
 		// Termination: all survivors finished or out of budget, or this
 		// round produced nothing (everyone done/spent).
-		if !progressed || allSettled(cands) {
+		if !progressed || allSettled(r.cands) {
 			break
 		}
 	}
-
-	active := rs.unpruned(cands)
-	if len(active) == 0 {
-		// Everything was pruned — fall back to the best surviving
-		// (non-failed) candidate so the query still gets an answer.
-		active = surviving(cands)
-		if len(active) == 0 {
-			return Result{}, allModelsFailedError(StrategyOUA, cands)
-		}
-		o.scorePass(sc, StrategyOUA, round, active)
-	}
-	best := argmaxScore(active)
-	return o.finishOUA(cands, best, totalTokens, round, false, start, "budget settled"), nil
-}
-
-func (o *Orchestrator) finishOUA(cands []*candidate, best *candidate, tokens, rounds int, early bool, start time.Time, reason string) Result {
-	elapsed := time.Since(start)
-	o.emit(Event{Type: EventWinner, Strategy: StrategyOUA, Model: best.model,
-		Text: best.response, Tokens: tokens, Score: best.score, Reason: reason, Elapsed: elapsed})
-	return Result{
-		Strategy: StrategyOUA, Answer: best.response, Model: best.model,
-		TokensUsed: tokens, Rounds: rounds, EarlyExit: early,
-		Outcomes: outcomes(cands), Elapsed: elapsed,
-	}
+	return r.settle(false, func(*candidate) string { return "budget settled" })
 }
 
 // allSettled reports whether every unpruned candidate has either finished

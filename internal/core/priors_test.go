@@ -59,7 +59,7 @@ func TestPriorsSteerBudget(t *testing.T) {
 	cfg.MABChunk = 8
 	cfg.Priors = map[string]float64{"twin-a": 0.1, "twin-b": 0.9}
 	o := mustNew(t, newFakeBackend(map[string]string{"twin-a": long, "twin-b": long}), cfg)
-	res, err := o.MAB(context.Background(), testPrompt)
+	res, err := o.Run(context.Background(), StrategyMAB, testPrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestOUAIgnoresPriors(t *testing.T) {
 		cfg := DefaultConfig("good", "okay", "bad")
 		cfg.Priors = priors
 		o := mustNew(t, threeModels(), cfg)
-		res, err := o.OUA(context.Background(), testPrompt)
+		res, err := o.Run(context.Background(), StrategyOUA, testPrompt)
 		if err != nil {
 			t.Fatal(err)
 		}

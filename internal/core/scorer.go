@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"llmms/internal/embedding"
 )
@@ -151,9 +150,9 @@ func (s *scorer) refresh(c *candidate) bool {
 }
 
 // release returns the prompt's and the candidates' accumulators to the
-// encoder's pool and the scorer to its own. Each strategy defers it next
-// to its session sweep, so it runs on every exit path of a query, after
-// the Result is built, and nothing is scored afterwards.
+// encoder's pool and the scorer to its own. The run's close calls it after
+// its session sweep, so it runs on every exit path of a query, after the
+// Result is built, and nothing is scored afterwards.
 func (s *scorer) release() {
 	for _, acc := range s.accs {
 		acc.Release()
@@ -207,13 +206,4 @@ func (o *Orchestrator) newScorer(prompt string) *scorer {
 	s.qv, acc = embedding.Borrow(s.enc, prompt)
 	s.accs = append(s.accs, acc)
 	return s
-}
-
-// scorePass runs one timed scoring pass over cands and announces it
-// (EventScorePass carries the pass's compute time, feeding the
-// llmms_score_duration_seconds histogram).
-func (o *Orchestrator) scorePass(sc *scorer, strategy Strategy, round int, cands []*candidate) {
-	start := time.Now()
-	sc.pass(cands)
-	o.emit(Event{Type: EventScorePass, Strategy: strategy, Round: round, Elapsed: time.Since(start)})
 }

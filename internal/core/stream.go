@@ -185,15 +185,6 @@ func (o *Orchestrator) closeSession(strategy Strategy, round int, c *candidate, 
 	}
 }
 
-// closeAllSessions sweeps every candidate's remaining stream — the
-// end-of-query cleanup (deferred by each strategy) and the early-exit
-// cancel of the losers' still-running generations.
-func (o *Orchestrator) closeAllSessions(strategy Strategy, round int, cands []*candidate, reason string) {
-	for _, c := range cands {
-		o.closeSession(strategy, round, c, reason)
-	}
-}
-
 // emitStreamEvents announces one fan result's session transitions — the
 // streams its failures closed, the reopen notice, its opens, its natural
 // close — on the orchestrating goroutine, in job order, preserving the

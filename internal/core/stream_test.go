@@ -152,12 +152,12 @@ func TestStreamOpenFailureDegradesQuietly(t *testing.T) {
 	fb := llmtest.NewFaultBackend(llm.NewEngine(llm.Options{}))
 	fb.EnableStreams()
 	fb.FailStreamOpen(llm.ModelMistral, errBoom)
-	res, err := mustNewFast(t, fb, cfg).OUA(context.Background(), enginePrompt)
+	res, err := mustNewFast(t, fb, cfg).Run(context.Background(), StrategyOUA, enginePrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.OnEvent = nil
-	ref, err := mustNew(t, llm.NewEngine(llm.Options{}), cfg).OUA(context.Background(), enginePrompt)
+	ref, err := mustNew(t, llm.NewEngine(llm.Options{}), cfg).Run(context.Background(), StrategyOUA, enginePrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPersistentOpenFailureFailsModel(t *testing.T) {
 	fb := llmtest.NewFaultBackend(llm.NewEngine(llm.Options{}))
 	fb.EnableStreams()
 	fb.FailAlways(llm.ModelMistral, errBoom)
-	res, err := mustNewFast(t, fb, cfg).OUA(context.Background(), enginePrompt)
+	res, err := mustNewFast(t, fb, cfg).Run(context.Background(), StrategyOUA, enginePrompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestStreamsClosedOnCancel(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := o.OUA(ctx, enginePrompt); !errors.Is(err, context.Canceled) {
+	if _, err := o.Run(ctx, StrategyOUA, enginePrompt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	for _, m := range engineModels() {
@@ -315,7 +315,7 @@ func TestPrefetchObserved(t *testing.T) {
 	// The observation is inherently a race the producer almost always
 	// wins; a few queries make the "almost" irrelevant.
 	for i := 0; i < 10 && prefetched == 0; i++ {
-		if _, err := o.OUA(context.Background(), enginePrompt); err != nil {
+		if _, err := o.Run(context.Background(), StrategyOUA, enginePrompt); err != nil {
 			t.Fatal(err)
 		}
 	}

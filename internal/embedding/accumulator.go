@@ -196,7 +196,7 @@ func (a *Accumulator) Add(chunk string) {
 func (a *Accumulator) commitWord(w []byte) {
 	weight, stop := wordWeight(w)
 	a.bump(hashWordFeat(a.cfg.Seed, w), weight)
-	if a.cfg.WordBigrams && a.hasPrev {
+	if a.hasPrev {
 		a.bump(hashBigramFeat(a.cfg.Seed, a.prev, w), 0.6)
 	}
 	if n := a.cfg.CharNGram; n > 0 && !stop && len(w)+2 >= n {
@@ -440,7 +440,7 @@ func (a *Accumulator) VectorInto(dst Vector) Vector {
 func (a *Accumulator) pendWord(w []byte) {
 	weight, stop := wordWeight(w)
 	a.pend(hashWordFeat(a.cfg.Seed, w), weight)
-	if a.cfg.WordBigrams && a.hasPrev {
+	if a.hasPrev {
 		a.pend(hashBigramFeat(a.cfg.Seed, a.prev, w), 0.6)
 	}
 	if n := a.cfg.CharNGram; n > 0 && !stop && len(w)+2 >= n {

@@ -45,10 +45,8 @@ func refEncode(cfg Config, text string) Vector {
 		}
 		feats["w:"+w] += weight
 	}
-	if cfg.WordBigrams {
-		for i := 0; i+1 < len(words); i++ {
-			feats["b:"+words[i]+" "+words[i+1]] += 0.6
-		}
+	for i := 0; i+1 < len(words); i++ {
+		feats["b:"+words[i]+" "+words[i+1]] += 0.6
 	}
 	if n := cfg.CharNGram; n > 0 {
 		for _, w := range words {
@@ -137,7 +135,7 @@ func (a *mapAccumulator) features(w []byte, f func(h uint64, d float64)) {
 		weight, stop = damp, true
 	}
 	f(hashWordFeat(a.cfg.Seed, w), weight)
-	if a.cfg.WordBigrams && a.hasPrev {
+	if a.hasPrev {
 		f(hashBigramFeat(a.cfg.Seed, a.prev, w), 0.6)
 	}
 	if n := a.cfg.CharNGram; n > 0 && !stop && len(w)+2 >= n {

@@ -50,9 +50,6 @@ type Config struct {
 	// (0 disables them). Character features make the encoder robust to
 	// morphological variation ("run"/"running").
 	CharNGram int
-	// WordBigrams enables adjacent word-pair features, which capture
-	// short-range phrase structure ("not visible" vs "visible").
-	WordBigrams bool
 }
 
 // hashEncoder is the feature-hashing implementation of Encoder.
@@ -211,9 +208,9 @@ var (
 
 func init() {
 	for _, cfg := range []Config{
-		{Name: ModelMxbai, Dim: 1024, Seed: 0x6d786261, CharNGram: 4, WordBigrams: true},
-		{Name: ModelNomic, Dim: 768, Seed: 0x6e6f6d69, CharNGram: 3, WordBigrams: true},
-		{Name: ModelDefault, Dim: 256, Seed: 0x6c6c6d73, CharNGram: 3, WordBigrams: true},
+		{Name: ModelMxbai, Dim: 1024, Seed: 0x6d786261, CharNGram: 4},
+		{Name: ModelNomic, Dim: 768, Seed: 0x6e6f6d69, CharNGram: 3},
+		{Name: ModelDefault, Dim: 256, Seed: 0x6c6c6d73, CharNGram: 3},
 	} {
 		enc, err := New(cfg)
 		if err != nil {

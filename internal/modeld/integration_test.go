@@ -147,7 +147,7 @@ func TestFederatedOrchestration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := orch.MAB(context.Background(), "Does sugar make children hyperactive?")
+	res, err := orch.Run(context.Background(), core.StrategyMAB, "Does sugar make children hyperactive?")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func TestPredictorRestartKeepsProbeSchedule(t *testing.T) {
 // the cut — never part of one.
 func TestPredictorCrashKeepsWholeFlushes(t *testing.T) {
 	// A small encoder keeps the log a few KiB, so every offset is cheap.
-	enc, err := embedding.New(embedding.Config{Name: "router-crash-test", Dim: 8, Seed: 3, WordBigrams: true})
+	enc, err := embedding.New(embedding.Config{Name: "router-crash-test", Dim: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func TestMemoryGraphMatchesEagerReference(t *testing.T) {
 	}
 	// A narrow encoder: the reference computes a cosine per stored node on
 	// every add, which is most of this test's time under -race.
-	enc, err := embedding.New(embedding.Config{Name: "memgraph-test", Dim: 48, Seed: 7, CharNGram: 3, WordBigrams: true})
+	enc, err := embedding.New(embedding.Config{Name: "memgraph-test", Dim: 48, Seed: 7, CharNGram: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -387,7 +387,7 @@ func (c *Collection) Query(req QueryRequest) ([]Result, error) {
 		sh.mu.RLock()
 		for _, h := range sh.search(q, match, req.TopK, hits) {
 			d := sh.docs[h.ID]
-			dist := -h.Score
+			dist := 0 - h.Score // not -h.Score: an exact match is at +0, as in the flat scan
 			results = append(results, Result{
 				ID:         d.ID,
 				Text:       d.Text,
