@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -46,32 +45,19 @@ var (
 	defaultClient     *http.Client
 )
 
-// defaultHTTPClient returns the package's tuned fan-out client, built
-// exactly once. http.DefaultClient keeps at most 2 idle connections per
-// host (net/http's DefaultMaxIdleConnsPerHost), so an orchestrator
-// fanning one chunk call per model out to a single daemon reconnects —
-// TCP handshake and slow-start — on every round beyond the second model.
-// The tuned transport keeps an idle connection per concurrent model
-// stream so steady-state rounds reuse warm connections.
+// defaultHTTPClient returns the package's fan-out client, built exactly
+// once. http.DefaultClient keeps at most 2 idle connections per host
+// (net/http's DefaultMaxIdleConnsPerHost), so an orchestrator fanning one
+// stream per model out to a single daemon would reconnect — TCP handshake
+// and slow-start — on every session beyond the second model. Its
+// transport, hopTransport, keeps an idle connection per concurrent model
+// stream, so steady-state sessions reuse warm connections, and writes and
+// reads each request on its caller's goroutine. It speaks plain http
+// only, and reads no proxy variables: a daemon behind TLS or a proxy is
+// reached through WithHTTPClient.
 func defaultHTTPClient() *http.Client {
 	defaultClientOnce.Do(func() {
-		defaultClient = &http.Client{Transport: &http.Transport{
-			Proxy: http.ProxyFromEnvironment,
-			DialContext: (&net.Dialer{
-				Timeout:   10 * time.Second,
-				KeepAlive: 30 * time.Second,
-			}).DialContext,
-			// Generous per-host headroom: every configured model streams
-			// over its own connection to the same daemon host.
-			MaxIdleConns:          64,
-			MaxIdleConnsPerHost:   32,
-			IdleConnTimeout:       90 * time.Second,
-			TLSHandshakeTimeout:   10 * time.Second,
-			ExpectContinueTimeout: time.Second,
-			// The daemon never gzips NDJSON: asking it to is a header for
-			// both ends to write and parse, every request.
-			DisableCompression: true,
-		}}
+		defaultClient = &http.Client{Transport: newHopTransport()}
 	})
 	return defaultClient
 }
@@ -82,8 +68,10 @@ func defaultHTTPClient() *http.Client {
 // signature.
 type Option func(*Client)
 
-// WithHTTPClient overrides the package's shared fan-out-tuned HTTP
-// client (see defaultHTTPClient) entirely. A nil hc keeps the default.
+// WithHTTPClient overrides the package's shared fan-out HTTP client (see
+// defaultHTTPClient) entirely: a daemon reached over https or through a
+// proxy needs one, since the default speaks plain http only and reads no
+// proxy variables. A nil hc keeps the default.
 // Generation (GenerateChunk, OpenStream) uses only hc.Transport, or
 // http.DefaultTransport: hc.Timeout, Jar and CheckRedirect do not apply.
 func WithHTTPClient(hc *http.Client) Option {
@@ -115,9 +103,10 @@ func WithTelemetry(tel *telemetry.Telemetry) Option {
 
 // New returns a client for a daemon at base (e.g.
 // "http://127.0.0.1:11434"), configured by options. With no options the
-// client uses the package's shared fan-out-tuned HTTP client and no
-// telemetry. A request's deadline is its caller's context's: the
-// orchestrator bounds every drain that may wait.
+// client uses the package's shared fan-out HTTP client, which speaks
+// plain http only and reads no proxy variables, and no telemetry. A
+// request's deadline is its caller's context's: the orchestrator bounds
+// every drain that may wait.
 func New(base string, opts ...Option) *Client {
 	c := &Client{base: strings.TrimRight(base, "/"), hc: defaultHTTPClient()}
 	c.generate, c.generateErr = http.NewRequest(http.MethodPost, c.base+"/api/generate", nil)

@@ -1,19 +1,51 @@
 package modeld
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"llmms/internal/llm"
+	"llmms/internal/telemetry"
+	"llmms/internal/truthfulqa"
 )
 
-// TestDefaultClientSharedOnce pins the New(base) contract: the tuned
-// default client is built exactly once and shared across clients, and
-// WithHTTPClient overrides it.
+// referenceTransport is the tuned net/http transport the hop ran over
+// before hopTransport, kept as the reference it is held to.
+func referenceTransport() *http.Transport {
+	return &http.Transport{
+		Proxy: http.ProxyFromEnvironment,
+		DialContext: (&net.Dialer{
+			Timeout:   10 * time.Second,
+			KeepAlive: 30 * time.Second,
+		}).DialContext,
+		MaxIdleConns:          64,
+		MaxIdleConnsPerHost:   32,
+		IdleConnTimeout:       90 * time.Second,
+		TLSHandshakeTimeout:   10 * time.Second,
+		ExpectContinueTimeout: time.Second,
+		DisableCompression:    true,
+	}
+}
+
+// TestDefaultClientSharedOnce pins the New(base) contract: the default
+// client is built exactly once and shared across clients, its transport is
+// the hop's own, with more idle room per host than net/http's default, it
+// sends a URL it cannot serve to WithHTTPClient, and WithHTTPClient
+// overrides it.
 func TestDefaultClientSharedOnce(t *testing.T) {
 	a := New("http://127.0.0.1:1")
 	b := New("http://127.0.0.1:2")
@@ -21,18 +53,18 @@ func TestDefaultClientSharedOnce(t *testing.T) {
 		t.Fatal("option-less clients must share one default client")
 	}
 	if a.hc == http.DefaultClient {
-		t.Fatal("default client must be the tuned transport, not http.DefaultClient")
+		t.Fatal("default client must be the hop transport's, not http.DefaultClient")
 	}
-	tr, ok := a.hc.Transport.(*http.Transport)
-	if !ok {
-		t.Fatalf("default transport is %T, want *http.Transport", a.hc.Transport)
+	if _, ok := a.hc.Transport.(*hopTransport); !ok {
+		t.Fatalf("default transport is %T, want *hopTransport", a.hc.Transport)
 	}
-	if !tr.DisableCompression {
-		t.Fatal("default transport must not ask the daemon for gzip")
+	if maxIdlePerHost <= http.DefaultMaxIdleConnsPerHost {
+		t.Fatalf("maxIdlePerHost = %d, want more than net/http's default %d",
+			maxIdlePerHost, http.DefaultMaxIdleConnsPerHost)
 	}
-	if tr.MaxIdleConnsPerHost <= http.DefaultMaxIdleConnsPerHost {
-		t.Fatalf("MaxIdleConnsPerHost = %d, want more than net/http's default %d",
-			tr.MaxIdleConnsPerHost, http.DefaultMaxIdleConnsPerHost)
+	_, err := New("https://127.0.0.1:5").Tags(context.Background())
+	if !errors.Is(err, errNotHTTP) || !strings.Contains(err.Error(), "WithHTTPClient") {
+		t.Fatalf("an https daemon through the default client: %v, want an error naming WithHTTPClient", err)
 	}
 	own := &http.Client{}
 	if c := New("http://127.0.0.1:3", WithHTTPClient(own)); c.hc != own {
@@ -44,58 +76,655 @@ func TestDefaultClientSharedOnce(t *testing.T) {
 	}
 }
 
-// TestDefaultClientReusesConnections proves the fan-out tuning end to
-// end: a wave of concurrent requests — one per simulated model, more
-// than http.DefaultClient's 2 idle connections per host — is followed by
-// a second wave that dials NO new TCP connections, because the tuned
-// transport kept every stream's connection idle for reuse. Dials are
-// counted by wrapping DialContext on a clone of the tuned transport, so
-// the assertion is race-free against server-side keep-alive state.
-func TestDefaultClientReusesConnections(t *testing.T) {
-	const models = 6
-	var wave sync.WaitGroup
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Hold every request of a wave open until all have connected, so
-		// the wave genuinely occupies `models` distinct connections.
+// countDials makes tr count the connections it dials.
+func countDials(tr *hopTransport) *atomic.Int64 {
+	dials := new(atomic.Int64)
+	dial := tr.dial
+	tr.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return dial(ctx, network, addr)
+	}
+	return dials
+}
+
+// waveServer answers /api/tags once every request of a wave has arrived,
+// so a wave of n requests occupies n distinct connections.
+func waveServer(t *testing.T) (srv *httptest.Server, wave *sync.WaitGroup) {
+	wave = new(sync.WaitGroup)
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		wave.Done()
 		wave.Wait()
 		w.Write([]byte(`{"version":"test"}`))
 	}))
-	defer srv.Close()
+	t.Cleanup(srv.Close)
+	return srv, wave
+}
 
-	var dials atomic.Int64
-	counting := defaultHTTPClient().Transport.(*http.Transport).Clone()
-	dialer := &net.Dialer{Timeout: 10 * time.Second}
-	counting.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		dials.Add(1)
-		return dialer.DialContext(ctx, network, addr)
+// runWave sends n concurrent Tags requests through c and waits for them.
+func runWave(t *testing.T, c *Client, wave *sync.WaitGroup, n int) {
+	wave.Add(n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Tags(context.Background()); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	client := New(srv.URL, WithHTTPClient(&http.Client{Transport: counting}))
+	wg.Wait()
+}
 
-	runWave := func() {
-		wave.Add(models)
-		var wg sync.WaitGroup
-		for i := 0; i < models; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := client.Tags(context.Background()); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	runWave()
+// TestDefaultClientReusesConnections proves the fan-out tuning end to
+// end: a wave of concurrent requests — one per simulated model, more
+// than http.DefaultClient's 2 idle connections per host — is followed by
+// a second wave that dials NO new TCP connections, because the transport
+// kept every stream's connection idle for reuse. A connection is back in
+// the pool by the time its request returns, so the second wave follows
+// the first at once.
+func TestDefaultClientReusesConnections(t *testing.T) {
+	const models = 6
+	srv, wave := waveServer(t)
+	tr := newHopTransport()
+	dials := countDials(tr)
+	client := New(srv.URL, WithHTTPClient(&http.Client{Transport: tr}))
+
+	runWave(t, client, wave, models)
 	opened := dials.Load()
 	if opened < models {
 		t.Fatalf("first wave dialed %d connections, want %d concurrent", opened, models)
 	}
-	// Let the transport park the wave's connections in the idle pool.
-	time.Sleep(50 * time.Millisecond)
-	runWave()
+	runWave(t, client, wave, models)
 	if after := dials.Load(); after != opened {
-		t.Fatalf("second wave dialed %d new connections; tuned transport should reuse all %d idle ones",
+		t.Fatalf("second wave dialed %d new connections; the transport should reuse all %d idle ones",
 			after-opened, opened)
 	}
+}
+
+// clientGoroutines returns the ids of the live goroutines that are not a
+// test server's connections.
+func clientGoroutines() map[string]bool {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := map[string]bool{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "net/http.(*conn)") || strings.Contains(g, "net/http.(*connReader)") {
+			continue
+		}
+		if id, _, ok := strings.Cut(strings.TrimPrefix(g, "goroutine "), " "); ok {
+			ids[id] = true
+		}
+	}
+	return ids
+}
+
+// TestIdleConnectionHoldsNoGoroutine: a connection idle in the hop
+// transport's pool holds no goroutine, where net/http's transport holds two
+// per connection (its read and write loops).
+func TestIdleConnectionHoldsNoGoroutine(t *testing.T) {
+	const conns = 4
+	for _, tc := range []struct {
+		name    string
+		rt      http.RoundTripper
+		perConn int
+	}{
+		{"hop", newHopTransport(), 0},
+		{"reference", referenceTransport(), 2},
+	} {
+		srv, wave := waveServer(t)
+		client := New(srv.URL, WithHTTPClient(&http.Client{Transport: tc.rt}))
+		before := clientGoroutines()
+		runWave(t, client, wave, conns)
+		want := tc.perConn * conns
+		var added int
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			added = 0
+			for id := range clientGoroutines() {
+				if !before[id] {
+					added++
+				}
+			}
+			if added == want || time.Now().After(deadline) {
+				break
+			}
+		}
+		if added != want {
+			t.Fatalf("%s: %d idle connections hold %d goroutines, want %d", tc.name, conns, added, want)
+		}
+		srv.Close()
+	}
+}
+
+// rawDaemon is a daemon scripted byte for byte. It answers each request
+// with the next reply handed to it, and records each request's bytes and
+// the connection it arrived on; connections are numbered from 1 as they
+// are accepted.
+type rawDaemon struct {
+	url     string
+	ln      net.Listener
+	replies chan rawReply
+	hungUp  chan int      // connections the client closed
+	done    chan struct{} // closed at the test's end
+
+	mu    sync.Mutex
+	conns []net.Conn
+	seen  []rawRequest
+}
+
+type rawRequest struct {
+	conn  int
+	bytes string
+}
+
+// rawReply writes one reply on c and reports whether the daemon hangs up
+// after it; otherwise it goes on reading the connection.
+type rawReply func(c *net.TCPConn) (hangUp bool)
+
+func newRawDaemon(t *testing.T) *rawDaemon {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &rawDaemon{url: "http://" + ln.Addr().String(), ln: ln, replies: make(chan rawReply, 1),
+		hungUp: make(chan int, 64), done: make(chan struct{})}
+	var served sync.WaitGroup
+	t.Cleanup(func() {
+		close(d.done)
+		ln.Close()
+		d.mu.Lock()
+		for _, c := range d.conns {
+			c.Close()
+		}
+		d.mu.Unlock()
+		served.Wait()
+	})
+	served.Add(1)
+	go func() {
+		defer served.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			d.mu.Lock()
+			d.conns = append(d.conns, c)
+			n := len(d.conns)
+			d.mu.Unlock()
+			served.Add(1)
+			go func() {
+				defer served.Done()
+				d.serve(c.(*net.TCPConn), n)
+			}()
+		}
+	}()
+	return d
+}
+
+func (d *rawDaemon) serve(c *net.TCPConn, n int) {
+	defer c.Close()
+	var rec bytes.Buffer
+	br := bufio.NewReader(io.TeeReader(c, &rec))
+	for {
+		req, err := http.ReadRequest(br)
+		if err != nil {
+			d.hungUp <- n
+			return
+		}
+		io.Copy(io.Discard, req.Body)
+		raw := rec.Next(rec.Len() - br.Buffered())
+		d.mu.Lock()
+		d.seen = append(d.seen, rawRequest{n, string(raw)})
+		d.mu.Unlock()
+		select {
+		case reply := <-d.replies:
+			if reply(c) {
+				return
+			}
+		case <-d.done: // a request the script has no reply for
+			return
+		}
+	}
+}
+
+// reset forgets the requests the daemon saw. Connections keep their
+// numbers, so a hang-up from an earlier run is never taken for a later
+// one.
+func (d *rawDaemon) reset() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.seen = nil
+}
+
+// lastConn is the connection the latest request arrived on.
+func (d *rawDaemon) lastConn() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.seen) == 0 {
+		return 0
+	}
+	return d.seen[len(d.seen)-1].conn
+}
+
+// awaitHangUp waits for the client to close connection n.
+func (d *rawDaemon) awaitHangUp(t *testing.T, n int) {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for {
+		select {
+		case got := <-d.hungUp:
+			if got == n {
+				return
+			}
+		case <-timeout:
+			t.Fatalf("the client kept connection %d open", n)
+		}
+	}
+}
+
+// Raw replies.
+const (
+	ndjsonHead = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\n\r\n"
+	lineHel    = `{"model":"m","response":"Hel","done":false,"tokens":[1],"token_ends":[3]}`
+	lineLo     = `{"model":"m","response":"lo","done":false,"tokens":[2],"token_ends":[2]}`
+	lineDone   = `{"model":"m","response":"","done":true,"done_reason":"stop","context":[1,2],"eval_count":2}`
+	tagsBody   = `{"models":[{"name":"m","model":"m","size":1}]}`
+)
+
+// chunk is one NDJSON line as a chunk of a chunked body.
+func chunk(line string) string { return fmt.Sprintf("%x\r\n%s\n\r\n", len(line)+1, line) }
+
+// reply writes parts in order, one write each, and hangs up or not.
+func reply(hangUp bool, parts ...string) rawReply {
+	return func(c *net.TCPConn) bool {
+		for _, p := range parts {
+			if _, err := io.WriteString(c, p); err != nil {
+				return true
+			}
+		}
+		return hangUp
+	}
+}
+
+// jsonReply is a reply with a Content-Length body, and extra header lines.
+func jsonReply(status, body, extra string) string {
+	return "HTTP/1.1 " + status + "\r\nContent-Type: application/json\r\n" + extra +
+		"Content-Length: " + strconv.Itoa(len(body)) + "\r\n\r\n" + body
+}
+
+// errClass is how a caller tells errors apart: none, a truncated stream,
+// a request given up on, anything else.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrTruncatedStream):
+		return "truncated"
+	case outcome(err) == "canceled":
+		return "canceled"
+	}
+	return "error"
+}
+
+// settled waits for the client to have counted want requests under op and
+// outcome: a session's pump settles a moment after its last chunk.
+func settled(t *testing.T, tel *telemetry.Telemetry, op, outcome string, want float64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); tel.ClientRequests.Value(op, outcome) != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("requests{%s,%s} = %v, want %v", op, outcome, tel.ClientRequests.Value(op, outcome), want)
+		}
+	}
+}
+
+// hopStep is one exchange of the differential script: the daemon's reply,
+// what the client does, and what must hold of the connections.
+type hopStep struct {
+	name  string
+	reply rawReply
+	do    func(t *testing.T, c *Client, tel *telemetry.Telemetry) string
+	// fresh: the request arrives on a connection no earlier one used.
+	fresh bool
+	// hangUp: the client closes the request's connection.
+	hangUp bool
+}
+
+var hopReq = llm.ChunkRequest{Model: "m", Prompt: "Are bats blind?", MaxTokens: 8}
+
+func chunkResult(ch llm.Chunk, err error) string {
+	return fmt.Sprintf("%+v %s %v", ch, errClass(err), err)
+}
+
+func hopScript(url string) []hopStep {
+	drain := func(t *testing.T, c *Client, tel *telemetry.Telemetry) string {
+		st, err := c.OpenStream(context.Background(), hopReq)
+		if err != nil {
+			return chunkResult(llm.Chunk{}, err)
+		}
+		defer st.Close()
+		// Drained once the pump has settled, the slices do not depend on
+		// how the lines' arrival interleaves with the drains.
+		settled(t, tel, "generate_stream", "ok", 1)
+		var out []string
+		for {
+			ch, err := st.Next(context.Background(), 1)
+			out = append(out, chunkResult(ch, err))
+			if err != nil || ch.Done {
+				break
+			}
+		}
+		return strings.Join(out, " | ")
+	}
+	generate := func(model string) func(*testing.T, *Client, *telemetry.Telemetry) string {
+		return func(_ *testing.T, c *Client, _ *telemetry.Telemetry) string {
+			req := hopReq
+			req.Model = model
+			return chunkResult(c.GenerateChunk(context.Background(), req))
+		}
+	}
+	tags := func(_ *testing.T, c *Client, _ *telemetry.Telemetry) string {
+		models, err := c.Tags(context.Background())
+		return fmt.Sprintf("%+v %s %v", models, errClass(err), err)
+	}
+	return []hopStep{
+		{name: "stream", fresh: true, do: drain,
+			reply: reply(false, ndjsonHead, chunk(lineHel), chunk(lineLo), chunk(lineDone), "0\r\n\r\n")},
+		{name: "stream:false", do: generate("m"),
+			reply: reply(false, jsonReply("200 OK", lineDone+"\n", ""))},
+		{name: "tags", do: tags, reply: reply(false, jsonReply("200 OK", tagsBody, ""))},
+		{name: "404", do: generate("ghost"),
+			reply: reply(false, jsonReply("404 Not Found", `{"error":"model \"ghost\" not found"}`, ""))},
+		{name: "header fields", reply: reply(false, jsonReply("200 OK", "ok", "")),
+			do: func(t *testing.T, c *Client, _ *telemetry.Telemetry) string {
+				req, err := http.NewRequest(http.MethodPost, url+"/api/generate", strings.NewReader(`{"model":"m"}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header = http.Header{
+					"Content-Type": {"application/json"},
+					"Traceparent":  {"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
+					"X-Hop":        {"a", " b\t"},
+					"User-Agent":   {"llmms-test"},
+				}
+				resp, err := c.hc.Transport.RoundTrip(req)
+				if err != nil {
+					return err.Error()
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				return fmt.Sprintf("%s %q %v", resp.Status, body, err)
+			}},
+		{name: "Connection: close", hangUp: true, do: generate("m"),
+			reply: reply(false, jsonReply("200 OK", lineDone+"\n", "Connection: close\r\n"))},
+		{name: "idle then closed by the daemon", fresh: true, do: tags,
+			reply: reply(true, jsonReply("200 OK", tagsBody, ""))},
+		{name: "after the idle close", fresh: true, do: tags,
+			reply: reply(false, jsonReply("200 OK", tagsBody, ""))},
+		{name: "cancel mid-stream", hangUp: true,
+			reply: reply(false, ndjsonHead, chunk(lineHel)),
+			do: func(t *testing.T, c *Client, tel *telemetry.Telemetry) string {
+				st, err := c.OpenStream(context.Background(), hopReq)
+				if err != nil {
+					return chunkResult(llm.Chunk{}, err)
+				}
+				first := chunkResult(st.Next(context.Background(), 1))
+				st.Close()
+				settled(t, tel, "generate_stream", "canceled", 1)
+				return first
+			}},
+		{name: "truncated chunked body", fresh: true, hangUp: true, do: generate("m"),
+			reply: func(c *net.TCPConn) bool {
+				reply(false, ndjsonHead, chunk(lineHel))(c)
+				c.CloseWrite()
+				return false
+			}},
+		{name: "a bad line mid-stream", fresh: true, hangUp: true, do: generate("m"),
+			reply: reply(false, ndjsonHead, chunk(`{"model":`))},
+		{name: "after the bad line", fresh: true, do: tags,
+			reply: reply(false, jsonReply("200 OK", tagsBody, ""))},
+	}
+}
+
+// TestHopTransportMatchesReference holds the hop transport to net/http's,
+// its reference, over one script of daemon behaviours: a stream to its
+// done line, a stream:false reply, /api/tags, a 404 JSON error, a request
+// with header fields of its own, a reply saying Connection: close, a
+// connection the daemon closes while it is idle, a session canceled
+// mid-stream, a chunked body cut short and a stream the client gives up
+// on at a bad line. The daemon must receive the same bytes on the same
+// connections from both, and the client must come to the same results,
+// errors and counts. A connection whose reply said Connection: close, was
+// canceled, was cut short or was left mid-body is closed by the client and
+// never used again, under either transport.
+func TestHopTransportMatchesReference(t *testing.T) {
+	d := newRawDaemon(t)
+	type run struct {
+		results []string
+		seen    []rawRequest
+		counts  string
+	}
+	var runs []run
+	for _, rt := range []http.RoundTripper{referenceTransport(), newHopTransport()} {
+		d.reset()
+		tel := telemetry.New(telemetry.Options{})
+		c := New(d.url, WithHTTPClient(&http.Client{Transport: rt}), WithTelemetry(tel))
+		var r run
+		used := map[int]bool{}
+		for _, st := range hopScript(d.url) {
+			d.replies <- st.reply
+			r.results = append(r.results, st.name+": "+st.do(t, c, tel))
+			conn := d.lastConn()
+			if st.fresh && used[conn] {
+				t.Fatalf("%T: %s: the request came on connection %d, used before", rt, st.name, conn)
+			}
+			if !st.fresh && !used[conn] {
+				t.Fatalf("%T: %s: the request came on connection %d, want an idle one reused", rt, st.name, conn)
+			}
+			used[conn] = true
+			if st.hangUp {
+				d.awaitHangUp(t, conn)
+			}
+		}
+		d.mu.Lock()
+		// Connections numbered from the run's first.
+		for _, req := range d.seen {
+			req.conn -= d.seen[0].conn - 1
+			r.seen = append(r.seen, req)
+		}
+		d.mu.Unlock()
+		for _, op := range []string{"generate", "generate_stream", "tags"} {
+			for _, oc := range []string{"ok", "error", "canceled"} {
+				r.counts += fmt.Sprintf("%s/%s=%v ", op, oc, tel.ClientRequests.Value(op, oc))
+			}
+		}
+		r.counts += fmt.Sprintf("truncated=%v", tel.ClientTruncated.Value("m"))
+		runs = append(runs, r)
+	}
+	ref, hop := runs[0], runs[1]
+	for i := range ref.results {
+		if ref.results[i] != hop.results[i] {
+			t.Errorf("step %d:\nreference %s\nhop       %s", i, ref.results[i], hop.results[i])
+		}
+	}
+	if len(ref.seen) != len(hop.seen) {
+		t.Fatalf("the daemon saw %d requests from the reference, %d from the hop transport", len(ref.seen), len(hop.seen))
+	}
+	for i := range ref.seen {
+		if ref.seen[i] != hop.seen[i] {
+			t.Errorf("request %d:\nreference %+q\nhop       %+q", i, ref.seen[i], hop.seen[i])
+		}
+	}
+	if ref.counts != hop.counts {
+		t.Errorf("counts:\nreference %s\nhop       %s", ref.counts, hop.counts)
+	}
+}
+
+// TestStaleIdleConnectionIsRedialled: a generation request on an idle
+// connection the daemon has since closed is sent once more on a fresh one
+// and succeeds; a reused connection that breaks after a byte of the reply
+// arrived is not resent, since the daemon may have acted on it.
+func TestStaleIdleConnectionIsRedialled(t *testing.T) {
+	d := newRawDaemon(t)
+	tr := newHopTransport()
+	dials := countDials(tr)
+	c := New(d.url, WithHTTPClient(&http.Client{Transport: tr}))
+	generate := func(r rawReply) error {
+		d.replies <- r
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, err := c.GenerateChunk(ctx, hopReq)
+		return err
+	}
+	if err := generate(reply(true, jsonReply("200 OK", lineDone+"\n", ""))); err != nil {
+		t.Fatal(err)
+	}
+	if err := generate(reply(false, jsonReply("200 OK", lineDone+"\n", ""))); err != nil {
+		t.Fatalf("a request on a connection the daemon closed while idle: %v", err)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("dialed %d connections, want 2", n)
+	}
+	if err := generate(reply(true, "HTTP/1.1 200 OK\r\n")); err == nil {
+		t.Fatal("a reply cut short after its status line succeeded")
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.seen) != 3 || d.seen[2].conn != 2 {
+		t.Fatalf("the daemon saw %+v, want three requests, the last on connection 2 and none resent", d.seen)
+	}
+}
+
+// daemonReplies returns what a real daemon answers, byte for byte, to a
+// session, a stream:false call, a call for a model it does not serve and
+// a request for /api/tags.
+func daemonReplies(tb testing.TB) [][]byte {
+	engine := llm.NewEngine(llm.Options{Knowledge: llm.NewKnowledge(truthfulqa.Seed())})
+	defer engine.Close()
+	srv := httptest.NewServer(NewServer(engine))
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer conn.Close()
+	post := func(body string) string {
+		return fmt.Sprintf("POST /api/generate HTTP/1.1\r\nHost: modeld\r\nContent-Length: %d\r\nContent-Type: application/json\r\n\r\n%s", len(body), body)
+	}
+	var rec bytes.Buffer
+	br := bufio.NewReader(io.TeeReader(conn, &rec))
+	var out [][]byte
+	for _, req := range []string{
+		post(`{"model":"mistral:7b","prompt":"Are bats blind?","options":{"num_predict":8,"stream_tokens":true}}`),
+		post(`{"model":"mistral:7b","prompt":"Are bats blind?","stream":false,"options":{"num_predict":8}}`),
+		post(`{"model":"ghost:1b","prompt":"Are bats blind?"}`),
+		"GET /api/tags HTTP/1.1\r\nHost: modeld\r\n\r\n",
+	} {
+		if _, err := io.WriteString(conn, req); err != nil {
+			tb.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			tb.Fatal(err)
+		}
+		resp.Body.Close()
+		out = append(out, bytes.Clone(rec.Next(rec.Len()-br.Buffered())))
+	}
+	return out
+}
+
+// fuzzDeadline bounds one fuzzed exchange.
+const fuzzDeadline = 10 * time.Millisecond
+
+// FuzzHopResponse answers a generation request through the hop transport
+// with arbitrary bytes — a daemon that then hangs up, or one that holds the
+// connection open — seeded with a real daemon's replies. The transport
+// must not panic, must return by the request's deadline, and may pool the
+// connection only after a reply whose body ended cleanly: one net/http
+// reads off the same bytes to its end without an error or a
+// Connection: close, and whose body it reads the same.
+func FuzzHopResponse(f *testing.F) {
+	for _, r := range daemonReplies(f) {
+		f.Add(r, false)
+		f.Add(r, true)
+	}
+	f.Fuzz(func(t *testing.T, reply []byte, hold bool) {
+		tr := newHopTransport()
+		var daemons sync.WaitGroup
+		tr.dial = func(context.Context, string, string) (net.Conn, error) {
+			client, server := net.Pipe()
+			daemons.Add(1)
+			go func() {
+				defer daemons.Done()
+				defer server.Close()
+				br := bufio.NewReader(server)
+				req, err := http.ReadRequest(br)
+				if err != nil {
+					return
+				}
+				io.Copy(io.Discard, req.Body)
+				if _, err := server.Write(reply); err != nil || !hold {
+					return
+				}
+				io.Copy(io.Discard, br) // until the client closes
+			}()
+			return client, nil
+		}
+		defer func() {
+			tr.mu.Lock()
+			for _, idle := range tr.idle {
+				for _, pc := range idle {
+					pc.timer.Stop()
+					pc.conn.Close()
+				}
+			}
+			tr.mu.Unlock()
+			daemons.Wait()
+		}()
+
+		ctx, cancel := context.WithTimeout(context.Background(), fuzzDeadline)
+		defer cancel()
+		const body = `{"model":"m","prompt":"q","options":{"num_predict":8,"stream_tokens":true}}`
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://modeld/api/generate", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		var got []byte
+		resp, err := tr.RoundTrip(req)
+		if err == nil {
+			got, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		if took := time.Since(start); took > fuzzDeadline+time.Second {
+			t.Fatalf("the exchange took %v past a %v deadline", took, fuzzDeadline)
+		}
+		tr.mu.Lock()
+		pooled := len(tr.idle["modeld:80"])
+		tr.mu.Unlock()
+		if pooled == 0 {
+			return
+		}
+		if err != nil || resp.Close {
+			t.Fatalf("pooled the connection after a reply that ended with %v (Connection: close %v)", err, resp.Close)
+		}
+		ref, rerr := http.ReadResponse(bufio.NewReader(bytes.NewReader(reply)), req)
+		if rerr != nil {
+			t.Fatalf("pooled the connection after a reply net/http does not read: %v", rerr)
+		}
+		want, rerr := io.ReadAll(ref.Body)
+		if rerr != nil || ref.Close || !bytes.Equal(got, want) {
+			t.Fatalf("pooled the connection after a body read as %q; net/http reads %q, %v (Connection: close %v)",
+				got, want, rerr, ref.Close)
+		}
+	})
 }

@@ -156,6 +156,21 @@ var (
 	runPool   = sync.Pool{New: func() any { return new([maxAttrs]Attr) }}
 )
 
+// Text buffers change hands so that a stored trace holds one its text
+// fills, give or take textClass bytes, and no buffer is allocated in a
+// steady state: trim copies the text into a buffer of its size from
+// fitText and leaves the roomy buffer it was written in to roomyText;
+// StartRoot gives the arena it draws a roomy buffer from there and leaves
+// its small one, the text of a trace since evicted, to fitText. A *[]byte
+// carries a buffer through either pool, and is handed on with the one
+// swapped for it.
+const textClass = 64
+
+var (
+	roomyText sync.Pool
+	fitText   [maxPooledText/textClass + 1]sync.Pool // by cap / textClass
+)
+
 // unlock releases t.mu and, when End or Release just left the trace with
 // no open span and no hold, returns it to the pool — unless it grew past
 // what a pooled arena may carry. A pooled arena keeps its contents until
@@ -171,9 +186,10 @@ func (t *trace) unlock() {
 }
 
 // trim gives the blocks past the last taken slot and the overflow runs
-// past the last one in use back to their free lists, cleared, so that a
-// stored trace keeps only what its spans use and no stale slot keeps
-// another trace reachable. The caller holds t.mu.
+// past the last one in use back to their free lists, cleared, and moves
+// the text into a buffer it fills, so that a stored trace keeps only what
+// its spans use and no stale slot keeps another trace reachable. The
+// caller holds t.mu.
 func (t *trace) trim() {
 	used := (t.n + blockSpans - 1) / blockSpans
 	for _, b := range t.blocks[used:] {
@@ -188,6 +204,37 @@ func (t *trace) trim() {
 	}
 	clear(t.runs[t.nrun:])
 	t.runs = t.runs[:t.nrun]
+	class := (len(t.text) + textClass - 1) / textClass // the smallest whose buffers hold the text
+	if cap(t.text) < (class+1)*textClass || cap(t.text) > maxPooledText {
+		return
+	}
+	// A buffer made for a class may be rounded up into the next one.
+	p, _ := fitText[class].Get().(*[]byte)
+	if p == nil {
+		p, _ = fitText[class+1].Get().(*[]byte)
+	}
+	if p == nil {
+		p = new([]byte)
+		*p = make([]byte, 0, class*textClass)
+	}
+	fit := append((*p)[:0], t.text...)
+	*p, t.text = t.text[:0], fit
+	roomyText.Put(p)
+}
+
+// roomier gives the arena a text buffer from roomyText when one there is
+// larger than its own, which goes to fitText in its place.
+func (t *trace) roomier() {
+	p, _ := roomyText.Get().(*[]byte)
+	switch {
+	case p == nil:
+	case cap(*p) <= cap(t.text):
+		roomyText.Put(p)
+	default:
+		small := t.text[:0]
+		t.text, *p = (*p)[:0], small
+		fitText[cap(small)/textClass].Put(p)
+	}
 }
 
 // take reserves the next slot, or counts a drop at the cap.
@@ -279,6 +326,7 @@ func (t *Tracer) startRoot(name, traceID, parentID string) *Span {
 	tr := tracePool.Get().(*trace)
 	tr.mu.Lock()
 	tr.id, tr.base, tr.text, tr.pooled = id, base&^0xffff, tr.text[:0], false
+	tr.roomier()
 	tr.n, tr.nrun, tr.open, tr.holds, tr.dropped, tr.droppedAttrs = 0, 0, 1, 0, 0, 0
 	tr.head, tr.tail = 0, 0
 	s := tr.take()

@@ -24,13 +24,13 @@ go test -race -shuffle=on ./...
 # The allocation guards skip themselves under -race, where sync.Pool drops
 # puts and counts are not exact, so the suite above never runs them: run
 # them once more without it, and require that every one of them ran.
-allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestTrainAllocs|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestTopKAllocatesNothing|TestRecordingAllocatesNothing|TestStoredTraceFootprint'
+allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestTrainAllocs|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestTopKAllocatesNothing|TestRecordingAllocatesNothing|TestStoredTraceFootprint|TestStoredTraceTextFits'
 echo "== allocation guards: go test -count=1 -run '^($allocs)\$' ./internal/..."
 out=$(go test -count=1 -v -run "^($allocs)\$" ./internal/...)
 passed=$(printf '%s\n' "$out" | grep -c '^--- PASS' || true)
-if [ "$passed" -ne 11 ]; then
+if [ "$passed" -ne 12 ]; then
 	printf '%s\n' "$out" >&2
-	echo "allocation guards: $passed of 11 passed" >&2
+	echo "allocation guards: $passed of 12 passed" >&2
 	exit 1
 fi
 
@@ -88,6 +88,17 @@ go test -run '^$' -fuzz '^FuzzBorrow$' -fuzztime 10s ./internal/embedding >/dev/
 echo "== memoized words: go test -race -count=20 -run 'TestConcurrentEncodeAndCount|TestReleasedAccumulatorsReuseExactly' ./internal/tokenizer ./internal/embedding"
 go test -race -count=20 -run 'TestConcurrentEncodeAndCount|TestReleasedAccumulatorsReuseExactly' ./internal/tokenizer ./internal/embedding
 
+# The modeld hop's transport against net/http's, its reference: the same
+# bytes on the same connections and the same results over a script of
+# daemon behaviours, one shared default, reuse without a dial, no goroutine
+# on an idle connection and one resend on a stale one, over and over; then
+# a short fuzz of the replies it reads.
+hop='TestHopTransportMatchesReference|TestDefaultClientSharedOnce|TestDefaultClientReusesConnections|TestIdleConnectionHoldsNoGoroutine|TestStaleIdleConnectionIsRedialled'
+echo "== hop transport: go test -race -count=20 -run '$hop' ./internal/modeld"
+go test -race -count=20 -run "$hop" ./internal/modeld
+echo "== fuzz smoke: FuzzHopResponse 10s"
+go test -run '^$' -fuzz '^FuzzHopResponse$' -fuzztime 10s ./internal/modeld >/dev/null
+
 # Recycled stream stores: consumers close sessions while their producer
 # is still pushing and finishing, and the closed buffer's stores go back
 # to the pool for the next session.
@@ -111,9 +122,11 @@ go test -race -count=20 -run "$policy" ./internal/qcache
 # The span arena: traces recycled through the pool by concurrent
 # schedules — stored, trimmed, evicted and grown again from the free lists
 # while late spans still end — and the arena against its reference tracer,
-# spans whose attributes move to overflow runs included, over and over.
-echo "== span arena: go test -race -count=20 -run 'TestTraceRecycling|TestArenaMatchesReference' ./internal/telemetry"
-go test -race -count=20 -run 'TestTraceRecycling|TestArenaMatchesReference' ./internal/telemetry
+# spans whose attributes move to overflow runs included; and a stored
+# trace's text fitted to what it uses, with late writes after the store,
+# over and over.
+echo "== span arena: go test -race -count=20 -run 'TestTraceRecycling|TestArenaMatchesReference|TestStoredTraceTextFits' ./internal/telemetry"
+go test -race -count=20 -run 'TestTraceRecycling|TestArenaMatchesReference|TestStoredTraceTextFits' ./internal/telemetry
 
 # The metrics registry's lock-free recording: series published while
 # others record into the existing ones and scrapes read them.
