@@ -11,8 +11,9 @@ import (
 
 // This file implements pipelined generation (DESIGN.md "Pipelined
 // generation"): every candidate has a genSession, which opens ONE
-// generation stream per (model, query) and slices per-round chunks off the
-// stream's client-side buffer. The backend keeps decoding between rounds,
+// generation stream per (model, query) and takes per-round chunks off it —
+// tokens the backend has already decoded, in-process or read from the
+// modeld hop by the drain itself. The backend keeps decoding between rounds,
 // so round r+1's tokens are (partially) generated while round r is being
 // scored, and the per-round prompt re-ingest of a chunk call is paid once
 // per query instead of once per round. Sessions are the only way the
@@ -32,7 +33,7 @@ import (
 //   - One failure ladder: an open or a drain that fails closes the
 //     stream and reopens it from the candidate's continuation state,
 //     under the retry policy's attempts and doubling backoff — text already
-//     drained is never lost, because the buffer hands out partial slices
+//     drained is never lost, because a stream hands out partial slices
 //     before surfacing the error. A parent cancel is never retried; a
 //     cancel the parent did not cause counts as a timeout.
 //   - Hygiene: every opened stream is closed exactly once — on natural

@@ -296,17 +296,18 @@ func (p *Pool) pickIndex(elig []*replica) int {
 	return i
 }
 
-// settle feeds one request outcome into the replica's breaker. A
-// context.Canceled error is neutral: the caller abandoned the call
-// (a client disconnect), which says nothing about replica
-// health — but the reserved half-open trial slot is still released.
-// DeadlineExceeded does count as a failure: the replica blew a deadline
-// somebody set.
+// settle feeds one request outcome into the replica's breaker. Two
+// errors are neutral, though the reserved half-open trial slot is still
+// released: context.Canceled, since the caller abandoned the call (a
+// client disconnect), which says nothing about replica health, and
+// llm.ErrStreamUnsupported, a capability the session is lifted for, on
+// its open or on its first drain. DeadlineExceeded does count as a
+// failure: the replica blew a deadline somebody set.
 func (p *Pool) settle(r *replica, err error) {
 	r.mu.Lock()
 	var trans string
 	switch {
-	case errors.Is(err, context.Canceled):
+	case errors.Is(err, context.Canceled), errors.Is(err, llm.ErrStreamUnsupported):
 		r.br.releaseTrial()
 	case err == nil:
 		trans = r.br.onSuccess()
@@ -371,12 +372,8 @@ func (p *Pool) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.ChunkS
 	sp.SetAttr("replica", r.id)
 	sb, ok := llm.AsStreaming(r.backend)
 	if !ok {
-		// Capability, not failure: release any reserved trial slot and
-		// leave the breaker unjudged.
-		r.mu.Lock()
-		r.br.releaseTrial()
-		r.mu.Unlock()
 		sp.End(llm.ErrStreamUnsupported)
+		p.settle(r, llm.ErrStreamUnsupported)
 		return nil, llm.ErrStreamUnsupported
 	}
 	r.inflight.Add(1)
@@ -384,12 +381,6 @@ func (p *Pool) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.ChunkS
 	sp.End(err)
 	if err != nil {
 		r.inflight.Add(-1)
-		if errors.Is(err, llm.ErrStreamUnsupported) {
-			r.mu.Lock()
-			r.br.releaseTrial()
-			r.mu.Unlock()
-			return nil, err
-		}
 		p.settle(r, err)
 		return nil, err
 	}

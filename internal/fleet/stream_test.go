@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -113,6 +114,34 @@ func TestStreamOpenUnsupportedIsNeutral(t *testing.T) {
 		t.Fatalf("capability miss tripped the breaker: %+v", rs)
 	}
 	// The chunk path still works — the fallback the signal points to.
+	if _, err := p.GenerateChunk(context.Background(), testReq("m")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamNextUnsupportedIsNeutral: a replica whose stream reports
+// that it cannot stream on its first drain — modeld's client finds a
+// daemon that does not echo token ids there, not at open — is judged as
+// one that says so at open: the session is lifted onto chunk calls, and
+// the breaker stays closed for them.
+func TestStreamNextUnsupportedIsNeutral(t *testing.T) {
+	unsupported := fmt.Errorf("daemon does not echo stream tokens: %w", llm.ErrStreamUnsupported)
+	sb := &streamBackend{stream: &scriptedStream{failErr: unsupported}}
+	p := mustPool(t, Config{Replicas: map[string][]Replica{"m": {{ID: "r0", Backend: sb}}}})
+	setBreakers(p, 1, cooldown)
+	for i := 0; i < 3; i++ {
+		st, err := p.OpenStream(context.Background(), testReq("m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Next(context.Background(), 1); !errors.Is(err, llm.ErrStreamUnsupported) {
+			t.Fatalf("drain %d: err = %v, want ErrStreamUnsupported", i, err)
+		}
+		st.Close()
+	}
+	if rs := replicaState(t, p, "m", "r0"); rs.State != "serving" || rs.ConsecutiveFailures != 0 {
+		t.Fatalf("capability miss on a drain fed the breaker: %+v", rs)
+	}
 	if _, err := p.GenerateChunk(context.Background(), testReq("m")); err != nil {
 		t.Fatal(err)
 	}

@@ -218,9 +218,9 @@ func (e *Engine) OpenStream(ctx context.Context, req ChunkRequest) (ChunkStream,
 	return &engineStream{gen: gen, cancel: cancel}, nil
 }
 
-// Next implements ChunkStream with StreamBuffer.Drain's contract: it waits
-// for maxTokens tokens (the end, when maxTokens <= 0), and an interrupted
-// wait hands out what there is as a partial slice before any error.
+// Next implements ChunkStream: it waits for maxTokens tokens (the end,
+// when maxTokens <= 0), and an interrupted wait hands out what there is as
+// a partial slice before any error, as modeld.Client's sessions do.
 func (s *engineStream) Next(ctx context.Context, maxTokens int) (Chunk, error) {
 	g := s.gen
 	from := int(g.taken.Load())

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -27,8 +29,9 @@ var ErrTruncatedStream = errors.New("modeld: generation stream truncated before 
 // orchestrator's Backend interface, so the core algorithms run unchanged
 // against a remote daemon. It generates two ways, both over
 // /api/generate with the stream_tokens extension and both read by one
-// NDJSON reader (readStream): GenerateChunk, one request per chunk, and
-// OpenStream, one request per session. Tags lists the daemon's models.
+// NDJSON reader (lineReader) on the caller's goroutine: GenerateChunk, one
+// request per chunk, and OpenStream, one request per session. Tags lists
+// the daemon's models.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -235,67 +238,166 @@ func (c *Client) postGenerate(ctx context.Context, req *GenerateRequest, sp *tel
 	return resp, body, nil
 }
 
-// maxScanLine bounds one NDJSON stream line; the scanner grows toward it
-// only for pathological lines. The daemon reads request bodies through the
-// same bound.
+// maxScanLine bounds one NDJSON stream line; the reader's buffer grows
+// toward it only for pathological lines. The daemon reads request bodies
+// through the same bound.
 const maxScanLine = 8 * 1024 * 1024
 
-// readStream is the client's one NDJSON reader: it reads the body of an
-// /api/generate response a line at a time into pooled storage — the
-// scanner of wire.go first, encoding/json for a line it declines — and
-// hands each line to each, the done line with its span records already
-// grafted into sp. After the done line the body is only read to its end,
-// so the connection can be reused; then it is closed and the request's
-// body released. It reports how the body ended, once:
-// nil after a done line; a bad line or each's error at once; the read
-// error of a request whose context ended; otherwise ErrTruncatedStream —
-// bare when the body ended cleanly, wrapping the read error when it broke.
-func readStream(resp *http.Response, body *requestBuf, sp *telemetry.Span, each func(*streamLine) error) error {
-	defer body.release() // once the response body is closed
-	defer resp.Body.Close()
-	sl := streamLinePool.Get().(*streamLine)
-	defer streamLinePool.Put(sl)
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(sl.scan, maxScanLine)
-	done := false
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || done {
+// lineReader is the client's one NDJSON reader. On its caller's goroutine
+// it reads the body of an /api/generate response into pooled storage and
+// decodes it a line at a time — the scanner of wire.go first,
+// encoding/json for a line it declines — grafting the done line's span
+// records into sp. After the done line the body is only read to its end,
+// so the connection can be reused. Once the body ended it is closed and
+// err set: nil after a done line; a bad line at once; the read error of a
+// request whose context ended; llm.ErrStreamClosed once what had arrived
+// ran out (reachArrived); else ErrTruncatedStream, wrapping the read error
+// when the body broke.
+type lineReader struct {
+	line  streamLine // the line next decoded
+	buf   []byte     // the body's unread bytes are buf[r:w]; 64 KiB when pooled
+	r, w  int
+	text  []byte // a session's undrained tokens (clientStream): their bytes
+	ends  []int  // and where in text each ends
+	resp  *http.Response
+	req   *requestBuf
+	sp    *telemetry.Span
+	done  bool  // the done line was decoded
+	rerr  error // the body's read error, once it had one
+	ended bool
+	err   error
+}
+
+var lineReaderPool = sync.Pool{New: func() any { return &lineReader{buf: make([]byte, 64<<10)} }}
+
+// reach is how far lineReader.next may read for a line: only what the
+// reader holds, also what has arrived without waiting (the body ends
+// there), or also what the daemon is still to send.
+type reach int
+
+const (
+	reachHeld reach = iota
+	reachArrived
+	reachDaemon
+)
+
+func newLineReader(resp *http.Response, req *requestBuf, sp *telemetry.Span) *lineReader {
+	lr := lineReaderPool.Get().(*lineReader)
+	lr.resp, lr.req, lr.sp = resp, req, sp
+	return lr
+}
+
+// release returns an ended reader to the pool, unless a long line grew it.
+func (lr *lineReader) release() {
+	if len(lr.buf) == 64<<10 {
+		*lr = lineReader{line: lr.line, buf: lr.buf, text: lr.text[:0], ends: lr.ends[:0]}
+		lineReaderPool.Put(lr)
+	}
+}
+
+// next decodes the body's next line into lr.line, reading as far as to
+// allows. It reports false once the body has ended, and when no whole
+// line is held and to is reachHeld.
+func (lr *lineReader) next(to reach) bool {
+	for !lr.ended {
+		rest := lr.buf[lr.r:lr.w]
+		i := bytes.IndexByte(rest, '\n')
+		switch {
+		case i >= 0:
+			lr.r += i + 1
+		case lr.rerr != nil && len(rest) > 0:
+			i, lr.r = len(rest), lr.w // the last line, without its newline
+		case lr.rerr != nil:
+			lr.end(lr.outcome())
+			return false
+		case to == reachHeld:
+			return false
+		default:
+			lr.fill(to)
 			continue
 		}
-		if !sl.decode(line) {
-			var gr GenerateResponse
-			if err := json.Unmarshal(line, &gr); err != nil {
-				return fmt.Errorf("modeld: bad stream line: %w", err)
-			}
-			sl.fromResponse(&gr)
-			sp.Adopt(gr.Spans)
+		line := bytes.TrimSpace(rest[:i])
+		if len(line) == 0 || lr.done {
+			continue
 		}
-		if sl.done {
-			sl.graftSpans(line, sp)
-			done = true
+		if err := lr.decode(line); err != nil {
+			lr.end(err)
+			return false
 		}
-		if err := each(sl); err != nil {
-			return err
-		}
+		return true
 	}
-	switch err := sc.Err(); {
-	case done:
+	return false
+}
+
+// fill reads the body once into the free end of buf, first moving the
+// unread bytes to its front and, for a line longer than buf, doubling it
+// up to maxScanLine.
+func (lr *lineReader) fill(to reach) {
+	lr.w, lr.r = copy(lr.buf, lr.buf[lr.r:lr.w]), 0
+	if lr.w == len(lr.buf) {
+		if lr.w >= maxScanLine {
+			lr.rerr = bufio.ErrTooLong
+			return
+		}
+		lr.buf = append(lr.buf, make([]byte, min(lr.w, maxScanLine-lr.w))...)
+	}
+	var n int
+	if to == reachArrived {
+		n, lr.rerr = readNoWait(lr.resp.Body, lr.buf[lr.w:])
+	} else {
+		n, lr.rerr = lr.resp.Body.Read(lr.buf[lr.w:])
+	}
+	lr.w += n
+}
+
+// decode reads line into lr.line.
+func (lr *lineReader) decode(line []byte) error {
+	sl := &lr.line
+	if !sl.decode(line) {
+		var gr GenerateResponse
+		if err := json.Unmarshal(line, &gr); err != nil {
+			return fmt.Errorf("modeld: bad stream line: %w", err)
+		}
+		sl.fromResponse(&gr)
+		lr.sp.Adopt(gr.Spans)
+	}
+	if sl.done {
+		sl.graftSpans(line, lr.sp)
+		lr.done = true
+	}
+	return nil
+}
+
+// outcome is how a body that was read to its end, or broke, ended.
+func (lr *lineReader) outcome() error {
+	switch err := lr.rerr; {
+	case lr.done:
 		return nil
-	case err == nil:
+	case err == io.EOF:
 		return ErrTruncatedStream
-	case resp.Request.Context().Err() != nil:
+	case errors.Is(err, errWouldBlock):
+		return llm.ErrStreamClosed
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return context.DeadlineExceeded // the read deadline Next set
+	case lr.resp.Request.Context().Err() != nil:
 		return err // the caller gave up; the daemon did not
 	default:
 		return fmt.Errorf("%w: %w", ErrTruncatedStream, err)
 	}
 }
 
+// end closes the body, then releases the request's, and records err.
+func (lr *lineReader) end(err error) {
+	lr.ended, lr.err = true, err
+	lr.resp.Body.Close()
+	lr.req.release()
+}
+
 // settle ends one generation request's span on err and counts the request
 // under op; a stream cut short also counts against model in
 // modeld_client_truncated_streams_total. A request the daemon answered in
 // full at the HTTP level counts as ok even when the answer fell short —
-// a body that ended cleanly without a done line (readStream's bare
+// a body that ended cleanly without a done line (a bare
 // ErrTruncatedStream), a daemon without the token extension — since what
 // it lacked has its own signal.
 func (c *Client) settle(op, model string, start time.Time, sp *telemetry.Span, err error) {
@@ -343,15 +445,18 @@ func (c *Client) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (chunk
 	var text strings.Builder
 	resp, body, err := c.postGenerate(ctx, &wire, sp)
 	if err == nil {
-		err = readStream(resp, body, sp, func(sl *streamLine) error {
+		lr := newLineReader(resp, body, sp)
+		for lr.next(reachDaemon) {
+			sl := &lr.line
 			text.Write(sl.text)
 			if sl.done {
 				// The line's storage is reused: the chunk keeps a copy.
 				chunk = llm.Chunk{Done: true, DoneReason: sl.doneReason, Context: append([]int(nil), sl.context...),
 					EvalCount: sl.evalCount, TotalTokens: len(sl.context)}
 			}
-			return nil
-		})
+		}
+		err = lr.err
+		lr.release()
 	}
 	c.settle("generate", req.Model, start, sp, err)
 	switch {
@@ -377,25 +482,26 @@ func (c *Client) observeChunk(model string, start time.Time, err error) {
 
 // OpenStream implements llm.StreamingBackend over the wire: it POSTs
 // one /api/generate covering the session's whole token budget with the
-// stream_tokens extension on, holds the NDJSON stream open, and buffers
-// delivered tokens client-side; each ChunkStream.Next then slices the
-// next per-round chunk off the buffer with synthesized continuation
-// state, so the daemon ingests the prompt once per query instead of
-// once per round.
+// stream_tokens extension on and holds the NDJSON response open. Each
+// ChunkStream.Next reads it on its caller's goroutine until it holds the
+// next per-round slice, and synthesizes that chunk's continuation state,
+// so the daemon ingests the prompt once per query instead of once per
+// round. Between calls the daemon's lines wait in the connection: a
+// session holds no goroutine.
 //
 // A session legitimately lives for the whole query: cancellation is the
-// caller's ctx or Close. A daemon that does not echo token ids (a stock Ollama)
-// fails the stream with llm.ErrStreamUnsupported before any text is
-// handed out, so llm.Sessions can lift the session onto GenerateChunk
+// caller's ctx or Close. A daemon that does not echo token ids (a stock
+// Ollama) fails the stream with llm.ErrStreamUnsupported before any text
+// is handed out, so llm.Sessions can lift the session onto GenerateChunk
 // without duplicating output.
 func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.ChunkStream, error) {
 	wire := GenerateRequest{Model: req.Model, Prompt: req.Prompt, Context: req.Cont}
 	wire.Options.NumPredict = req.MaxTokens
 	wire.Options.StreamTokens = true
 	// The stream span covers the whole session: opened here, ended by
-	// the pump on the done line (or failure), with the daemon's echoed
-	// spans grafted in before it closes. The span must not come from
-	// sctx — Close cancels sctx, but the span belongs to the query's
+	// whichever call reads the done line (or a failure), with the daemon's
+	// echoed spans grafted in before it closes. The span must not come
+	// from sctx — Close cancels sctx, but the span belongs to the query's
 	// still-live trace.
 	ctx, sp := telemetry.StartSpan(ctx, "modeld.stream")
 	sp.SetAttr("model", req.Model)
@@ -407,66 +513,209 @@ func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.Chun
 		c.settle("generate_stream", req.Model, start, sp, err)
 		return nil, err
 	}
-	s := &clientStream{buf: llm.NewStreamBuffer(req.Cont, req.MaxTokens), cancel: cancel}
-	go c.pumpStream(resp, body, s.buf, req.Model, start, sp)
-	return s, nil
-}
-
-// pumpStream drains one open generation stream into its client-side
-// buffer: token lines are pushed as they arrive, the done line pushes its
-// tokens and finishes the buffer, and however the body ended the buffer, the span and the
-// request's count are settled once. A buffer the consumer closed refuses
-// the next line, which ends the read and counts as canceled.
-func (c *Client) pumpStream(resp *http.Response, body *requestBuf, buf *llm.StreamBuffer, model string, start time.Time, sp *telemetry.Span) {
-	err := readStream(resp, body, sp, func(sl *streamLine) error {
-		switch {
-		case sl.done:
-			// The done line carries the last batch: pushed and finished in
-			// one step, so no drain takes the model's last token without
-			// its end.
-			return buf.Finish(sl.text, sl.ids, sl.ends, llm.Chunk{
-				Done: true, DoneReason: sl.doneReason,
-				Context: sl.context, EvalCount: sl.evalCount, TotalTokens: len(sl.context),
-			})
-		case len(sl.ids) > 0:
-			// Push rejects a line whose token_ends do not partition its text
-			// before buffering any of it, failing the stream.
-			return buf.Push(sl.text, sl.ids, sl.ends)
-		case len(sl.text) > 0:
-			// The daemon ignored stream_tokens (e.g. a stock Ollama):
-			// without per-line ids the buffer cannot synthesize resume
-			// state, so refuse the session before any text leaks out.
-			return fmt.Errorf("modeld: daemon does not echo stream tokens: %w", llm.ErrStreamUnsupported)
-		}
-		return nil
-	})
-	if err != nil {
-		buf.Fail(err)
+	n := 64 // ids to make room for; a bandit's budget is the whole query's, so past 64 they grow
+	if req.MaxTokens > 0 {
+		n = min(n, req.MaxTokens)
 	}
-	c.settle("generate_stream", model, start, sp, err)
+	return &clientStream{c: c, model: req.Model, start: start, cancel: cancel, lr: newLineReader(resp, body, sp),
+		ids: append(make([]int, 0, len(req.Cont)+n), req.Cont...), base: len(req.Cont)}, nil
 }
 
-// clientStream adapts a pumped HTTP generation stream to llm.ChunkStream.
+// clientStream is one session over the wire, its body read only by the
+// calls made on it. Tokens are held flat — text bytes, one id and one end
+// offset per token — so a slice is cut on token boundaries and its Text,
+// EvalCount and Context are the same however the daemon batched its lines.
 type clientStream struct {
-	buf    *llm.StreamBuffer
-	cancel context.CancelFunc
+	c      *Client
+	model  string
+	start  time.Time
+	cancel context.CancelFunc // ends the request, and any read blocked on it
+
+	// mu is held by each call; Close, which may come from any goroutine,
+	// first ends a read another call is blocked in.
+	mu sync.Mutex
+	lr *lineReader // nil once closed
+	// ids is the continuation state the session was opened from, then the
+	// id of every token held; it only grows, so slices hand out capped
+	// sub-slices of it as Context. head counts the tokens handed out.
+	ids        []int
+	base, head int
+	final      llm.Chunk // the done line's terminal chunk; final.Done once read
+	err        error     // why the session ended short, once it did
 }
 
-// Next implements llm.ChunkStream.
+// Next implements llm.ChunkStream. It hands out maxTokens tokens (the rest
+// of the session, when maxTokens <= 0) once it holds them or the session
+// finished, reading the body for them as needed; the slice that takes the
+// last token is the terminal one. A session that failed, or a ctx that
+// ended while Next waited, yields what is held as a partial slice before
+// the error; a ctx that ends mid-read ends the session. Over the hop's own
+// connection, ctx's deadline is a read deadline, which costs nothing, and
+// its cancellation reaches the read through the ctx the session was
+// opened with, which a query's drains descend from; otherwise ctx's end
+// reaches it through context.AfterFunc.
 func (s *clientStream) Next(ctx context.Context, maxTokens int) (llm.Chunk, error) {
-	return s.buf.Drain(ctx, maxTokens)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lr == nil {
+		return llm.Chunk{}, llm.ErrStreamClosed
+	}
+	s.fill(reachHeld, maxTokens)
+	if !s.lr.ended && (s.final.Done || maxTokens <= 0 || s.held() < maxTokens) && ctx.Err() == nil {
+		if dl, ok := ctx.Deadline(); (!setReadDeadline(s.lr.resp.Body, dl) || !ok) && ctx.Done() != nil {
+			defer context.AfterFunc(ctx, s.cancel)()
+		}
+		s.fill(reachDaemon, maxTokens)
+		if s.err != nil && ctx.Err() != nil {
+			s.err = ctx.Err()
+		}
+	}
+	switch {
+	case s.final.Done || s.held() > 0:
+		return s.slice(maxTokens), nil
+	case s.err != nil:
+		return llm.Chunk{}, s.err
+	}
+	return llm.Chunk{}, ctx.Err()
 }
 
-// Buffered implements llm.BufferedStream.
-func (s *clientStream) Buffered() int { return s.buf.Buffered() }
+// Buffered implements llm.BufferedStream: the tokens held once the whole
+// lines the reader holds are decoded; it reads nothing from the connection.
+func (s *clientStream) Buffered() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lr == nil {
+		return 0
+	}
+	s.fill(reachHeld, 0)
+	return s.held()
+}
 
-// Close implements llm.ChunkStream: it aborts the HTTP request (the
-// daemon sees the disconnect and stops generating) and poisons the
-// buffer.
+// Close implements llm.ChunkStream: what has arrived of the body is decoded
+// without waiting, so a session whose daemon already finished settles ok
+// and its connection goes back to the pool; otherwise the request is
+// aborted, and the daemon sees the disconnect and stops generating.
 func (s *clientStream) Close() error {
-	s.cancel()
-	s.buf.Close()
+	if !s.mu.TryLock() {
+		s.cancel()
+		s.mu.Lock()
+	}
+	defer s.mu.Unlock()
+	if s.lr != nil {
+		s.fill(reachArrived, 0)
+		s.cancel()
+		s.lr.release()
+		s.lr = nil
+	}
 	return nil
+}
+
+// held is the count of tokens held and not yet handed out.
+func (s *clientStream) held() int { return len(s.lr.ends) - s.head }
+
+// fill decodes lines into held tokens, reading as far as to allows, until
+// want tokens are held (want <= 0: all of them), the session finished or
+// the body ended — after the done line it reads on only to the body's
+// end — and settles a session the body ended short.
+func (s *clientStream) fill(to reach, want int) {
+	lr := s.lr
+	for !lr.ended && (s.final.Done || want <= 0 || s.held() < want) && lr.next(to) {
+		if err := s.take(&lr.line); err != nil {
+			lr.end(err)
+		}
+	}
+	if lr.ended && !s.final.Done && s.err == nil {
+		s.err = lr.err
+		s.c.settle("generate_stream", s.model, s.start, lr.sp, s.err)
+	}
+}
+
+// take holds the tokens of the line just decoded and, on the done line,
+// finishes the session and settles it ok. A line whose tokens cannot be
+// held — text without ids (a daemon that ignored stream_tokens), token
+// ends that do not partition the text — fails the session before any of
+// it is held, so no text is handed out whose continuation state a
+// fallback could not reproduce.
+func (s *clientStream) take(sl *streamLine) error {
+	switch lr := s.lr; {
+	case len(sl.ids) > 0:
+		if err := checkBatch(sl.text, sl.ids, sl.ends); err != nil {
+			return err
+		}
+		off := len(lr.text)
+		lr.text = append(lr.text, sl.text...)
+		s.ids = append(s.ids, sl.ids...)
+		if len(sl.ends) == 0 {
+			lr.ends = append(lr.ends, len(lr.text))
+		}
+		for _, e := range sl.ends {
+			lr.ends = append(lr.ends, off+e)
+		}
+	case len(sl.text) > 0:
+		return fmt.Errorf("modeld: daemon does not echo stream tokens: %w", llm.ErrStreamUnsupported)
+	}
+	if sl.done {
+		// The line's storage is reused: the terminal chunk keeps a context
+		// only when it is not the ids held, which a consistent daemon's is.
+		s.final = llm.Chunk{Done: true, DoneReason: sl.doneReason, EvalCount: sl.evalCount}
+		if !slices.Equal(sl.context, s.ids) {
+			s.final.Context = slices.Clone(sl.context)
+		}
+		s.c.settle("generate_stream", s.model, s.start, s.lr.sp, nil)
+	}
+	return nil
+}
+
+// checkBatch reports why a line's tokens cannot be held on token
+// boundaries, or nil when ends partitions text into len(ids) > 0 tokens.
+func checkBatch(text []byte, ids, ends []int) error {
+	switch {
+	case len(ends) == 0 && len(ids) == 1:
+		return nil
+	case len(ends) != len(ids):
+		return fmt.Errorf("modeld: stream line has %d token ids but %d token ends", len(ids), len(ends))
+	case ends[len(ends)-1] != len(text):
+		return fmt.Errorf("modeld: stream line token ends stop at %d of %d text bytes", ends[len(ends)-1], len(text))
+	}
+	prev := 0
+	for _, e := range ends {
+		if e < prev {
+			return fmt.Errorf("modeld: stream line token ends decrease (%d after %d)", e, prev)
+		}
+		prev = e
+	}
+	return nil
+}
+
+// slice hands out the next maxTokens held tokens (all of them when
+// maxTokens <= 0 or fewer are held) and synthesizes their chunk.
+func (s *clientStream) slice(maxTokens int) llm.Chunk {
+	lr, taken, from := s.lr, s.held(), 0
+	if maxTokens > 0 {
+		taken = min(taken, maxTokens)
+	}
+	if s.head > 0 {
+		from = lr.ends[s.head-1]
+	}
+	s.head += taken
+	var text string
+	if taken > 0 {
+		text = string(lr.text[from:lr.ends[s.head-1]])
+	}
+	// Capped, so an append by the caller reallocates, never writing into
+	// the ids the session still extends.
+	n := s.base + s.head
+	drained := s.ids[:n:n]
+	if !s.final.Done || s.head < len(lr.ends) {
+		return llm.Chunk{Text: text, EvalCount: taken, DoneReason: llm.DoneLength, Context: drained, TotalTokens: len(drained)}
+	}
+	f := s.final
+	f.Text, f.EvalCount = text, taken
+	if len(f.Context) == 0 {
+		f.Context = drained
+	}
+	f.TotalTokens = len(f.Context)
+	return f
 }
 
 // Tags lists installed models.

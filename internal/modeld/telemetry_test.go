@@ -2,6 +2,7 @@ package modeld
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -118,19 +119,18 @@ func TestClientCanceledOutcome(t *testing.T) {
 	}
 }
 
-// TestClientClosedStreamCountsCanceled checks a session whose consumer
-// closed it before the pump read its lines: the buffer refuses the next
-// line, the pump stops reading there, and the request counts as
-// canceled, not as an error or a success.
+// TestClientClosedStreamCountsCanceled checks a session its consumer
+// closed before reading its lines, over a body that cannot tell what has
+// arrived from what is still to come (only the hop's own can): the body
+// is read no further, and the request counts as canceled, not as an error
+// or a success.
 func TestClientClosedStreamCountsCanceled(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{})
 	c := New("http://127.0.0.1:1", WithTelemetry(tel))
-	req, _ := http.NewRequest(http.MethodPost, "http://127.0.0.1:1/api/generate", nil)
 	lines := string(echoLine("late", []int{7}, nil)) + `{"model":"m","created_at":"","response":"","done":true,"done_reason":"stop"}` + "\n"
-	resp := &http.Response{Body: io.NopCloser(strings.NewReader(lines)), Request: req}
-	buf := llm.NewStreamBuffer(nil, 8)
-	buf.Close()
-	c.pumpStream(resp, requestBufPool.Get().(*requestBuf), buf, "m", time.Now(), nil)
+	resp, _, cancel := scriptedReply(lines, io.EOF)
+	st := c.streamReply(llm.ChunkRequest{Model: "m", MaxTokens: 8}, resp, requestBufPool.Get().(*requestBuf), nil, cancel)
+	st.Close()
 	for _, outcome := range []string{"ok", "error"} {
 		if got := tel.ClientRequests.Value("generate_stream", outcome); got != 0 {
 			t.Errorf("requests{generate_stream,%s} = %v, want 0", outcome, got)
@@ -138,6 +138,9 @@ func TestClientClosedStreamCountsCanceled(t *testing.T) {
 	}
 	if got := tel.ClientRequests.Value("generate_stream", "canceled"); got != 1 {
 		t.Errorf("requests{generate_stream,canceled} = %v, want 1", got)
+	}
+	if _, err := st.Next(context.Background(), 1); !errors.Is(err, llm.ErrStreamClosed) {
+		t.Errorf("Next after Close = %v, want ErrStreamClosed", err)
 	}
 }
 

@@ -57,7 +57,9 @@ type hopConn struct {
 	t    *hopTransport
 	addr string
 	conn net.Conn
-	br   *bufio.Reader
+	br   *bufio.Reader // reads conn through Read
+	// noWait: Read takes only what has arrived (readNoWait).
+	noWait bool
 	// expire sets a past deadline on conn, failing whatever is blocked on
 	// it: it runs when the owning request's context ends. Bound once.
 	expire func()
@@ -100,7 +102,8 @@ func (t *hopTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 				}
 				return nil, err
 			}
-			pc = &hopConn{t: t, addr: addr, conn: conn, br: bufio.NewReader(conn)}
+			pc = &hopConn{t: t, addr: addr, conn: conn}
+			pc.br = bufio.NewReader(pc)
 			pc.expire = pc.expireNow
 		}
 		resp, replied, err := pc.roundTrip(ctx, req, msg.b)
@@ -157,10 +160,23 @@ func (pc *hopConn) roundTrip(ctx context.Context, req *http.Request, msg []byte)
 // expireNow is hopConn.expire.
 func (pc *hopConn) expireNow() { pc.conn.SetDeadline(time.Unix(1, 0)) }
 
+// errWouldBlock is what a no-wait read reports once nothing more arrived.
+var errWouldBlock = errors.New("modeld: read would block")
+
+// Read is the connection as pc.br reads it: a blocking read, or while
+// noWait is set one that does not wait (readNow).
+func (pc *hopConn) Read(p []byte) (int, error) {
+	if pc.noWait {
+		return readNow(pc.conn, p)
+	}
+	return pc.conn.Read(p)
+}
+
 // release hands the connection back at the end of a reply: to the idle
 // pool when the reply allowed it (keep) and the request's context had not
 // ended — stop stops its AfterFunc before it fires — and closed otherwise.
 func (pc *hopConn) release(stop func() bool, keep bool) {
+	pc.noWait = false
 	if !stop() || !keep || pc.br.Buffered() > 0 {
 		pc.conn.Close()
 		return
@@ -173,6 +189,7 @@ func (pc *hopConn) release(stop func() bool, keep bool) {
 		pc.conn.Close()
 		return
 	}
+	pc.conn.SetReadDeadline(time.Time{})
 	pc.idleAt = time.Now()
 	if pc.timer == nil {
 		pc.timer = time.AfterFunc(idleTimeout, pc.closeIdle)
@@ -256,6 +273,38 @@ func (b *hopBody) Read(p []byte) (int, error) {
 		pc.conn.Close()
 	}
 	return n, err
+}
+
+// readNoWait reads body without waiting on the daemon: what has already
+// arrived, then errWouldBlock, after which the connection is closed, since
+// net/http's body framing keeps that error. Only the hop's own body can
+// tell what has arrived; any other reports errWouldBlock at once.
+func readNoWait(body io.Reader, p []byte) (int, error) {
+	b, ok := body.(*hopBody)
+	if !ok || b.pc == nil {
+		return 0, errWouldBlock
+	}
+	pc := b.pc
+	pc.noWait = true
+	n, err := b.Read(p)
+	if err == nil {
+		pc.noWait = false
+	}
+	return n, err
+}
+
+// setReadDeadline bounds body's reads by t (none, when zero), reporting
+// whether it could: only the hop's body can, and an ended request keeps its.
+func setReadDeadline(body io.Reader, t time.Time) bool {
+	b, ok := body.(*hopBody)
+	if !ok || b.pc == nil {
+		return false
+	}
+	b.pc.conn.SetReadDeadline(t)
+	if b.ctx.Err() != nil {
+		b.pc.expire()
+	}
+	return true
 }
 
 // Close closes the connection unless the body was read to its end: what

@@ -374,7 +374,7 @@ func errClass(err error) string {
 }
 
 // settled waits for the client to have counted want requests under op and
-// outcome: a session's pump settles a moment after its last chunk.
+// outcome.
 func settled(t *testing.T, tel *telemetry.Telemetry, op, outcome string, want float64) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); tel.ClientRequests.Value(op, outcome) != want; time.Sleep(time.Millisecond) {
@@ -409,9 +409,8 @@ func hopScript(url string) []hopStep {
 			return chunkResult(llm.Chunk{}, err)
 		}
 		defer st.Close()
-		// Drained once the pump has settled, the slices do not depend on
-		// how the lines' arrival interleaves with the drains.
-		settled(t, tel, "generate_stream", "ok", 1)
+		// Each Next reads only until it holds its token, so the slices do
+		// not depend on how the lines' arrival interleaves with the drains.
 		var out []string
 		for {
 			ch, err := st.Next(context.Background(), 1)
@@ -420,6 +419,7 @@ func hopScript(url string) []hopStep {
 				break
 			}
 		}
+		settled(t, tel, "generate_stream", "ok", 1)
 		return strings.Join(out, " | ")
 	}
 	generate := func(model string) func(*testing.T, *Client, *telemetry.Telemetry) string {
@@ -727,4 +727,56 @@ func FuzzHopResponse(f *testing.F) {
 				got, want, rerr, ref.Close)
 		}
 	})
+}
+
+// TestDrainDeadlineIsAReadDeadline: over the hop's own connection a
+// drain's deadline bounds its read as the connection's read deadline. A
+// daemon that stalls mid-answer ends the drain there — the token held
+// handed out first, then the session ended on context.DeadlineExceeded,
+// counted canceled, its connection closed — and a connection that went
+// back to the pool keeps no deadline from the drain that read it.
+func TestDrainDeadlineIsAReadDeadline(t *testing.T) {
+	d := newRawDaemon(t)
+	tr := newHopTransport()
+	dials := countDials(tr)
+	tel := telemetry.New(telemetry.Options{})
+	c := New(d.url, WithHTTPClient(&http.Client{Transport: tr}), WithTelemetry(tel))
+	const deadline = 50 * time.Millisecond
+	for i := 0; i < 2; i++ {
+		d.replies <- reply(false, ndjsonHead+chunk(lineHel)+chunk(lineLo)+chunk(lineDone)+"0\r\n\r\n")
+		open, stop := context.WithTimeout(context.Background(), 5*time.Second)
+		st, err := c.OpenStream(open, hopReq)
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		ch, err := st.Next(ctx, 0)
+		cancel()
+		st.Close()
+		stop()
+		if err != nil || ch.Text != "Hello" || !ch.Done {
+			t.Fatalf("session %d: %+v, %v; want the whole answer", i, ch, err)
+		}
+		time.Sleep(2 * deadline) // past the drain's deadline, before the connection's next use
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("two sessions dialed %d connections, want 1", n)
+	}
+
+	d.replies <- reply(false, ndjsonHead, chunk(lineHel))
+	st, err := c.OpenStream(context.Background(), hopReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	if ch, err := st.Next(ctx, 2); err != nil || ch.Text != "Hel" || ch.Done {
+		t.Fatalf("stalled: first slice = %+v, %v; want the token held", ch, err)
+	}
+	if _, err := st.Next(context.Background(), 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("after the deadline: %v, want the session ended on context.DeadlineExceeded", err)
+	}
+	d.awaitHangUp(t, d.lastConn())
+	settled(t, tel, "generate_stream", "canceled", 1)
 }

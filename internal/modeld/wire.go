@@ -277,10 +277,10 @@ func incompleteTail(b []byte) int {
 }
 
 // streamLine is one decoded line of a stream_tokens session, in storage
-// the pump reuses line after line and stream after stream. On a token
-// line, text is the exact bytes of the line's tokens (response_raw when
-// the line has it, else response); on the done line, done is set and the
-// terminal fields are filled. The done line's span records are not kept
+// the client's line reader reuses line after line and stream after
+// stream. On a token line, text is the exact bytes of the line's tokens
+// (response_raw when the line has it, else response); on the done line,
+// done is set and the terminal fields are filled. The done line's span records are not kept
 // here: decode checks them and notes where they start, graftSpans reads them
 // straight into the caller's trace, one at a time through span.
 type streamLine struct {
@@ -296,13 +296,7 @@ type streamLine struct {
 	span       telemetry.SpanData
 
 	response, raw, scratch, key []byte
-	// scan is readStream's initial line buffer, pooled with the rest:
-	// per-chunk streaming is the orchestrator's hottest client path, Rounds
-	// × models reads per query.
-	scan []byte
 }
-
-var streamLinePool = sync.Pool{New: func() any { return &streamLine{scan: make([]byte, 64<<10)} }}
 
 // Keys of a stream line, as bits of the decoder's seen-set.
 const (
@@ -333,7 +327,7 @@ func once(seen *int, key int) bool {
 func (l *streamLine) reset() {
 	*l = streamLine{
 		ids: l.ids[:0], ends: l.ends[:0], context: l.context[:0], span: l.span,
-		response: l.response[:0], raw: l.raw[:0], scratch: l.scratch, key: l.key, scan: l.scan,
+		response: l.response[:0], raw: l.raw[:0], scratch: l.scratch, key: l.key,
 	}
 }
 

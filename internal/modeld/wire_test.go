@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,16 +24,20 @@ func echoLine(text string, ids, ends []int) []byte {
 	return lw.appendTokenLine(nil, time.Unix(1700000000, 123), []byte(text), ids, ends)
 }
 
-// drainTokens pushes a decoded line into a fresh buffer and drains it one
-// token at a time, or reports the push's rejection.
+// drainTokens hands a decoded line to a fresh session as its last batch
+// and drains it one token at a time, or reports the line's rejection.
 func drainTokens(tl *streamLine) ([]llm.Chunk, error) {
-	buf := llm.NewStreamBuffer(nil, 0)
-	if err := buf.Finish(tl.text, tl.ids, tl.ends, llm.Chunk{Done: true, DoneReason: llm.DoneStop}); err != nil {
+	resp, _, cancel := scriptedReply("", io.EOF)
+	s := New("http://modeld").streamReply(llm.ChunkRequest{}, resp, requestBufPool.Get().(*requestBuf), nil, cancel)
+	defer s.Close()
+	last := *tl
+	last.done, last.doneReason, last.context = true, llm.DoneStop, nil
+	if err := s.take(&last); err != nil {
 		return nil, err
 	}
 	var out []llm.Chunk
 	for {
-		c, err := buf.Drain(context.Background(), 1)
+		c, err := s.Next(context.Background(), 1)
 		if err != nil {
 			return nil, err
 		}
@@ -352,41 +357,52 @@ func TestFastDecodersAllocateNothing(t *testing.T) {
 	}
 }
 
+// streamLineSeeds are FuzzStreamLine's seed lines: the daemon's token
+// lines, batched and split mid-character, done lines of every shape, and
+// lines it does not write.
+func streamLineSeeds() [][]byte {
+	done, _ := json.Marshal(GenerateResponse{Model: "m", CreatedAt: "2026-10-02T21:26:38.001367449Z", Done: true,
+		DoneReason: "stop", Context: []int{1, 2, 3}, EvalCount: 3})
+	return [][]byte{
+		echoLine(" bats", []int{412}, nil),
+		echoLine(" bats are not blind", []int{412, 9, 77, 1030}, []int{5, 9, 13, 19}),
+		echoLine("Bras\xc3", []int{66, 114, 195}, []int{1, 4, 5}),
+		echoLine("\xadlia \"x\"\n", []int{173, 300}, []int{1, 9}),
+		done,
+		[]byte(`{"model":"m","response":"no ids"}`),
+		[]byte(`{"response":"ab","tokens":[1,2],"token_ends":[2,1]}`),
+		[]byte(`{"response":"ab","tokens":[1,2],"token_ends":[1]}`),
+		[]byte(`{"response":"ab","tokens":[1,2],"token_ends":[1,3]}`),
+		[]byte(`{"response":"�","tokens":[1],"response_raw":"ww=="}`),
+		[]byte(` { "tokens" : [ -1 , 0 ] , "token_ends":[0,0], "response" : "" } `),
+		// Done lines as the daemon writes them: every reason, with and
+		// without a context, no span records and two, attributes, an error
+		// status.
+		doneLine("", llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{5, 6, 7}, EvalCount: 3}, nil),
+		doneLine("", llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2, 3, 4}, EvalCount: 2}, testSpans()),
+		doneLine("", llm.Chunk{Done: true, DoneReason: llm.DoneCancel}, testSpans()[1:]),
+		doneLine("tail", llm.Chunk{Done: true, DoneReason: llm.DoneStop, EvalCount: 1}, nil),
+		// Done lines carrying the session's last batch.
+		lastBatchLine(".", []int{9}, nil, llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{8, 9}, EvalCount: 2}, nil),
+		lastBatchLine(" Bras\xc3", []int{1, 2, 3}, []int{1, 5, 6}, llm.Chunk{Done: true, DoneReason: llm.DoneLength, EvalCount: 3}, testSpans()),
+		[]byte(`{"done":true,"spans":[{"trace_id":"t","span_id":"s","name":"n","start":"2026-10-02T21:26:38+02:00","duration_ns":-5,"attrs":{},"status":""}]}`),
+		[]byte(`{"done":true,"done_reason":"stop","context":[1],"total_duration":12345}`),
+		[]byte(`{"done":true,"spans":[{"span_id":"s","start":"0000-10-01T00:00:00+00:00","attrs":{"":"","0":""},"status":"","links":0}]}`),
+		manySpansLine(600),
+	}
+}
+
 // FuzzStreamLine feeds arbitrary bytes through the client's line decoder
-// and the buffer's validator. Whatever the input: no panic; a line the
+// and the session's validator. Whatever the input: no panic; a line the
 // fast decoder accepts — token line or done line — is one encoding/json
-// reads to exactly the same values; a token line that reaches the buffer
-// drains to exactly its own ids and text; and an accepted line re-encoded
+// reads to exactly the same values; a token line a session holds drains
+// to exactly its own ids and text; and an accepted line re-encoded
 // by the daemon's writer decodes (on the fast path) to the same values
 // again.
 func FuzzStreamLine(f *testing.F) {
-	f.Add(echoLine(" bats", []int{412}, nil))
-	f.Add(echoLine(" bats are not blind", []int{412, 9, 77, 1030}, []int{5, 9, 13, 19}))
-	f.Add(echoLine("Bras\xc3", []int{66, 114, 195}, []int{1, 4, 5}))
-	f.Add(echoLine("\xadlia \"x\"\n", []int{173, 300}, []int{1, 9}))
-	done, _ := json.Marshal(GenerateResponse{Model: "m", CreatedAt: "2026-10-02T21:26:38.001367449Z", Done: true,
-		DoneReason: "stop", Context: []int{1, 2, 3}, EvalCount: 3})
-	f.Add(done)
-	f.Add([]byte(`{"model":"m","response":"no ids"}`))
-	f.Add([]byte(`{"response":"ab","tokens":[1,2],"token_ends":[2,1]}`))
-	f.Add([]byte(`{"response":"ab","tokens":[1,2],"token_ends":[1]}`))
-	f.Add([]byte(`{"response":"ab","tokens":[1,2],"token_ends":[1,3]}`))
-	f.Add([]byte(`{"response":"�","tokens":[1],"response_raw":"ww=="}`))
-	f.Add([]byte(` { "tokens" : [ -1 , 0 ] , "token_ends":[0,0], "response" : "" } `))
-	// Done lines as the daemon writes them: every reason, with and without
-	// a context, no span records and two, attributes, an error status.
-	f.Add(doneLine("", llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{5, 6, 7}, EvalCount: 3}, nil))
-	f.Add(doneLine("", llm.Chunk{Done: true, DoneReason: llm.DoneLength, Context: []int{1, 2, 3, 4}, EvalCount: 2}, testSpans()))
-	f.Add(doneLine("", llm.Chunk{Done: true, DoneReason: llm.DoneCancel}, testSpans()[1:]))
-	f.Add(doneLine("tail", llm.Chunk{Done: true, DoneReason: llm.DoneStop, EvalCount: 1}, nil))
-	// Done lines carrying the session's last batch.
-	f.Add(lastBatchLine(".", []int{9}, nil, llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{8, 9}, EvalCount: 2}, nil))
-	f.Add(lastBatchLine(" Bras\xc3", []int{1, 2, 3}, []int{1, 5, 6}, llm.Chunk{Done: true, DoneReason: llm.DoneLength, EvalCount: 3}, testSpans()))
-	f.Add([]byte(`{"done":true,"spans":[{"trace_id":"t","span_id":"s","name":"n","start":"2026-10-02T21:26:38+02:00","duration_ns":-5,"attrs":{},"status":""}]}`))
-	f.Add([]byte(`{"done":true,"done_reason":"stop","context":[1],"total_duration":12345}`))
-	f.Add([]byte(`{"done":true,"spans":[{"span_id":"s","start":"0000-10-01T00:00:00+00:00","attrs":{"":"","0":""},"status":"","links":0}]}`))
-
-	f.Add(manySpansLine(600))
+	for _, seed := range streamLineSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var sl streamLine

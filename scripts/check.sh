@@ -105,19 +105,20 @@ go test -race -count=20 -run 'TestConcurrentEncodeAndCount|TestReleasedAccumulat
 # The modeld hop's transport against net/http's, its reference: the same
 # bytes on the same connections and the same results over a script of
 # daemon behaviours, one shared default, reuse without a dial, no goroutine
-# on an idle connection and one resend on a stale one, over and over; then
-# a short fuzz of the replies it reads.
-hop='TestHopTransportMatchesReference|TestDefaultClientSharedOnce|TestDefaultClientReusesConnections|TestIdleConnectionHoldsNoGoroutine|TestStaleIdleConnectionIsRedialled'
+# on an idle connection or an open session, a session closed after its
+# daemon finished keeping its connection, and one resend on a stale one,
+# over and over; then a short fuzz of the replies it reads.
+hop='TestHopTransportMatchesReference|TestDefaultClientSharedOnce|TestDefaultClientReusesConnections|TestIdleConnectionHoldsNoGoroutine|TestSessionHoldsNoGoroutine|TestEarlyClosedSessionKeepsItsConnection|TestStaleIdleConnectionIsRedialled'
 echo "== hop transport: go test -race -count=20 -run '$hop' ./internal/modeld"
 go test -race -count=20 -run "$hop" ./internal/modeld
 echo "== fuzz smoke: FuzzHopResponse 10s"
 go test -run '^$' -fuzz '^FuzzHopResponse$' -fuzztime 10s ./internal/modeld >/dev/null
 
-# Recycled stream stores: consumers close sessions while their producer
-# is still pushing and finishing, and the closed buffer's stores go back
-# to the pool for the next session.
-echo "== recycled stream stores: go test -race -count=20 -run 'TestStreamBufferCloseRacesProducer|TestClientClosedStreamCountsCanceled' ./internal/llm ./internal/modeld"
-go test -race -count=20 -run 'TestStreamBufferCloseRacesProducer|TestClientClosedStreamCountsCanceled' ./internal/llm ./internal/modeld
+# Closed sessions: sessions closed from another goroutine while their Next
+# is blocked reading the daemon, and closed before any line was read, and
+# the closed session's line reader goes back to the pool for the next one.
+echo "== closed sessions: go test -race -count=20 -run 'TestSessionCloseRacesBlockedNext|TestClientClosedStreamCountsCanceled' ./internal/modeld"
+go test -race -count=20 -run 'TestSessionCloseRacesBlockedNext|TestClientClosedStreamCountsCanceled' ./internal/modeld
 
 # The semantic tier's own index: probes scan a bucket outside the entry
 # lock while Puts evict, refresh and Flush rewrite it, over and over.
