@@ -3,6 +3,7 @@ package modeld
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,11 +37,10 @@ type Client struct {
 	base string
 	hc   *http.Client
 	tel  *telemetry.Telemetry
-	// generate is the POST /api/generate request every generation call is
-	// a copy of, built (and its URL parsed) once; generateErr is why it
-	// could not be, reported by each call.
-	generate    *http.Request
-	generateErr error
+	// route carries generation requests, chosen by New from hc's transport;
+	// routeErr, why there is none, is each generation call's error.
+	route    exchanger
+	routeErr error
 }
 
 var (
@@ -77,6 +77,9 @@ type Option func(*Client)
 // proxy variables. A nil hc keeps the default.
 // Generation (GenerateChunk, OpenStream) uses only hc.Transport, or
 // http.DefaultTransport: hc.Timeout, Jar and CheckRedirect do not apply.
+// Only the package's own transport, the default client's, writes generation
+// requests and parses their replies' heads itself; any other RoundTripper,
+// net/http's included, is handed an http.Request for each.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) {
 		if hc != nil {
@@ -112,9 +115,20 @@ func WithTelemetry(tel *telemetry.Telemetry) Option {
 // every drain that may wait.
 func New(base string, opts ...Option) *Client {
 	c := &Client{base: strings.TrimRight(base, "/"), hc: defaultHTTPClient()}
-	c.generate, c.generateErr = http.NewRequest(http.MethodPost, c.base+"/api/generate", nil)
 	for _, opt := range opts {
 		opt(c)
+	}
+	req, err := http.NewRequest(http.MethodPost, c.base+"/api/generate", nil)
+	switch t, hop := c.hc.Transport.(*hopTransport); {
+	case err != nil:
+		c.routeErr = err
+	case hop && req.URL.Scheme != "http":
+		c.routeErr = fmt.Errorf("%w (got %s)", errNotHTTP, req.URL.Scheme)
+	case hop:
+		c.route = &hopRoute{t: t, addr: hostPort(req.URL),
+			prefix: "POST " + req.URL.RequestURI() + " HTTP/1.1\r\nHost: " + cmp.Or(req.Host, req.URL.Host) + "\r\nContent-Length: "}
+	default:
+		c.route = &roundTripRoute{rt: cmp.Or[http.RoundTripper](c.hc.Transport, http.DefaultTransport), req: req}
 	}
 	return c
 }
@@ -171,7 +185,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) (err 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
+		return decodeError(resp.Status, resp.Body)
 	}
 	if out == nil {
 		return nil
@@ -179,63 +193,78 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) (err 
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func decodeError(resp *http.Response) error {
+func decodeError(status string, body io.Reader) error {
 	var eb errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err == nil && eb.Error != "" {
-		return fmt.Errorf("modeld: %s: %s", resp.Status, eb.Error)
+	if err := json.NewDecoder(body).Decode(&eb); err == nil && eb.Error != "" {
+		return fmt.Errorf("modeld: %s: %s", status, eb.Error)
 	}
-	return fmt.Errorf("modeld: %s", resp.Status)
+	return fmt.Errorf("modeld: %s", status)
 }
 
 // Header values shared by every generation request and daemon reply, read
 // only; an empty User-Agent keeps the transport from sending its own.
-var (
-	jsonContentType   = []string{"application/json"}
-	ndjsonContentType = []string{"application/x-ndjson"}
-	noUserAgent       = []string{""}
-)
+var jsonContentType, ndjsonContentType, noUserAgent = []string{"application/json"}, []string{"application/x-ndjson"}, []string{""}
 
-// postGenerate POSTs req to /api/generate under ctx, with sp's traceparent
-// when there is a span, and returns the response once the daemon has
-// accepted the request (any other status is an error). The request is a
-// copy of the one New built and its body is encoded into a pooled buffer,
-// so nothing is parsed or reflected over per call; it goes straight to the
-// transport, since ctx bounds it and the daemon neither
-// redirects nor sets cookies. The caller releases body once it has closed
-// the response body — until then the transport may still be sending it,
-// which is also why a failed call leaves its buffer to the garbage
-// collector.
-func (c *Client) postGenerate(ctx context.Context, req *GenerateRequest, sp *telemetry.Span) (resp *http.Response, body *requestBuf, err error) {
-	if c.generateErr != nil {
-		return nil, nil, c.generateErr
+// exchanger carries a client's generation requests: exchange sends one
+// whose body msg holds, with traceparent unless empty, and reads the head
+// of its reply into lr, which then reads the body; a status other than 200
+// is an error. hopRoute is the hop's own transport, roundTripRoute any other.
+type exchanger interface {
+	exchange(ctx context.Context, msg *requestBuf, traceparent string, lr *lineReader) error
+}
+
+// roundTripRoute hands rt a copy of req, the POST New built, per request:
+// straight to the transport, since ctx bounds it and the daemon neither
+// redirects nor sets cookies, under a context of its own that a session
+// can cancel (clientStream.abort).
+type roundTripRoute struct {
+	rt  http.RoundTripper
+	req *http.Request
+}
+
+func (r *roundTripRoute) exchange(ctx context.Context, msg *requestBuf, traceparent string, lr *lineReader) error {
+	ctx, cancel := context.WithCancel(ctx)
+	data := msg.body
+	req := r.req.WithContext(ctx)
+	req.Header = http.Header{"Content-Type": jsonContentType, "User-Agent": noUserAgent}
+	if traceparent != "" {
+		req.Header["Traceparent"] = []string{traceparent}
 	}
-	body = requestBufPool.Get().(*requestBuf)
-	body.encode(req)
-	data := body.body
-	httpReq := c.generate.WithContext(ctx)
-	httpReq.Header = http.Header{"Content-Type": jsonContentType, "User-Agent": noUserAgent}
-	if tp := sp.Traceparent(); tp != "" {
-		httpReq.Header["Traceparent"] = []string{tp}
-	}
-	httpReq.ContentLength = int64(len(data))
-	httpReq.Body = io.NopCloser(bytes.NewReader(data))
+	req.ContentLength = int64(len(data))
+	req.Body = io.NopCloser(bytes.NewReader(data))
 	// GetBody lets the transport replay the request when a kept-alive
 	// connection turns out to have been closed under it.
-	httpReq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }
-	rt := c.hc.Transport
-	if rt == nil {
-		rt = http.DefaultTransport
-	}
-	resp, err = rt.RoundTrip(httpReq)
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		err := decodeError(resp)
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }
+	resp, err := r.rt.RoundTrip(req)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = decodeError(resp.Status, resp.Body)
 		resp.Body.Close()
-		return nil, nil, err
 	}
-	return resp, body, nil
+	if err != nil {
+		cancel()
+		return err
+	}
+	lr.body, lr.ctx, lr.cancel = resp.Body, ctx, cancel
+	return nil
+}
+
+// send POSTs req through the client's route, with sp's traceparent, and
+// returns the reply's reader, which releases the pooled body once the reply
+// ends; a failed call leaves it to the collector, since a transport other
+// than the hop's may still be sending it.
+func (c *Client) send(ctx context.Context, req *GenerateRequest, sp *telemetry.Span) (*lineReader, error) {
+	if c.routeErr != nil {
+		return nil, c.routeErr
+	}
+	msg := requestBufPool.Get().(*requestBuf)
+	msg.encode(req)
+	lr := lineReaderPool.Get().(*lineReader)
+	lr.req, lr.sp = msg, sp
+	if err := c.route.exchange(ctx, msg, sp.Traceparent(), lr); err != nil {
+		lr.release()
+		return nil, err
+	}
+	return lr, nil
 }
 
 // maxScanLine bounds one NDJSON stream line; the reader's buffer grows
@@ -244,7 +273,7 @@ func (c *Client) postGenerate(ctx context.Context, req *GenerateRequest, sp *tel
 const maxScanLine = 8 * 1024 * 1024
 
 // lineReader is the client's one NDJSON reader. On its caller's goroutine
-// it reads the body of an /api/generate response into pooled storage and
+// it reads the body of an /api/generate reply into pooled storage and
 // decodes it a line at a time — the scanner of wire.go first,
 // encoding/json for a line it declines — grafting the done line's span
 // records into sp. After the done line the body is only read to its end,
@@ -254,21 +283,26 @@ const maxScanLine = 8 * 1024 * 1024
 // ran out (reachArrived); else ErrTruncatedStream, wrapping the read error
 // when the body broke.
 type lineReader struct {
-	line  streamLine // the line next decoded
-	buf   []byte     // the body's unread bytes are buf[r:w]; 64 KiB when pooled
-	r, w  int
-	text  []byte // a session's undrained tokens (clientStream): their bytes
-	ends  []int  // and where in text each ends
-	resp  *http.Response
-	req   *requestBuf
-	sp    *telemetry.Span
-	done  bool  // the done line was decoded
-	rerr  error // the body's read error, once it had one
-	ended bool
-	err   error
+	line streamLine // the line next decoded
+	buf  []byte     // the body's unread bytes are buf[r:w]; 4 KiB until a line needs more
+	r, w int
+	text []byte // a session's undrained tokens (clientStream): their bytes
+	ends []int  // and where in text each ends
+	// The reply's body (hop over the hop's own transport), and the request's
+	// context and cancel.
+	body   io.ReadCloser
+	hop    hopBody
+	ctx    context.Context
+	cancel context.CancelFunc
+	req    *requestBuf
+	sp     *telemetry.Span
+	done   bool  // the done line was decoded
+	rerr   error // the body's read error, once it had one
+	ended  bool
+	err    error
 }
 
-var lineReaderPool = sync.Pool{New: func() any { return &lineReader{buf: make([]byte, 64<<10)} }}
+var lineReaderPool = sync.Pool{New: func() any { return &lineReader{buf: make([]byte, 4<<10)} }}
 
 // reach is how far lineReader.next may read for a line: only what the
 // reader holds, also what has arrived without waiting (the body ends
@@ -281,15 +315,10 @@ const (
 	reachDaemon
 )
 
-func newLineReader(resp *http.Response, req *requestBuf, sp *telemetry.Span) *lineReader {
-	lr := lineReaderPool.Get().(*lineReader)
-	lr.resp, lr.req, lr.sp = resp, req, sp
-	return lr
-}
-
-// release returns an ended reader to the pool, unless a long line grew it.
+// release returns a reader to the pool, unless a line grew it past
+// maxPooledBody.
 func (lr *lineReader) release() {
-	if len(lr.buf) == 64<<10 {
+	if len(lr.buf) <= maxPooledBody {
 		*lr = lineReader{line: lr.line, buf: lr.buf, text: lr.text[:0], ends: lr.ends[:0]}
 		lineReaderPool.Put(lr)
 	}
@@ -343,9 +372,9 @@ func (lr *lineReader) fill(to reach) {
 	}
 	var n int
 	if to == reachArrived {
-		n, lr.rerr = readNoWait(lr.resp.Body, lr.buf[lr.w:])
+		n, lr.rerr = readNoWait(lr.body, lr.buf[lr.w:])
 	} else {
-		n, lr.rerr = lr.resp.Body.Read(lr.buf[lr.w:])
+		n, lr.rerr = lr.body.Read(lr.buf[lr.w:])
 	}
 	lr.w += n
 }
@@ -379,17 +408,20 @@ func (lr *lineReader) outcome() error {
 		return llm.ErrStreamClosed
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		return context.DeadlineExceeded // the read deadline Next set
-	case lr.resp.Request.Context().Err() != nil:
+	case lr.ctx.Err() != nil || errors.Is(err, context.Canceled):
 		return err // the caller gave up; the daemon did not
 	default:
 		return fmt.Errorf("%w: %w", ErrTruncatedStream, err)
 	}
 }
 
-// end closes the body, then releases the request's, and records err.
+// end closes the body, ends the request, releases its body and records err.
 func (lr *lineReader) end(err error) {
 	lr.ended, lr.err = true, err
-	lr.resp.Body.Close()
+	lr.body.Close()
+	if lr.cancel != nil {
+		lr.cancel()
+	}
 	lr.req.release()
 }
 
@@ -443,9 +475,8 @@ func (c *Client) GenerateChunk(ctx context.Context, req llm.ChunkRequest) (chunk
 	ctx, sp := telemetry.StartSpan(ctx, "modeld.generate")
 	sp.SetAttr("model", req.Model)
 	var text strings.Builder
-	resp, body, err := c.postGenerate(ctx, &wire, sp)
+	lr, err := c.send(ctx, &wire, sp)
 	if err == nil {
-		lr := newLineReader(resp, body, sp)
 		for lr.next(reachDaemon) {
 			sl := &lr.line
 			text.Write(sl.text)
@@ -505,11 +536,9 @@ func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.Chun
 	// still-live trace.
 	ctx, sp := telemetry.StartSpan(ctx, "modeld.stream")
 	sp.SetAttr("model", req.Model)
-	sctx, cancel := context.WithCancel(ctx)
 	start := time.Now()
-	resp, body, err := c.postGenerate(sctx, &wire, sp)
+	lr, err := c.send(ctx, &wire, sp)
 	if err != nil {
-		cancel()
 		c.settle("generate_stream", req.Model, start, sp, err)
 		return nil, err
 	}
@@ -517,8 +546,13 @@ func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.Chun
 	if req.MaxTokens > 0 {
 		n = min(n, req.MaxTokens)
 	}
-	return &clientStream{c: c, model: req.Model, start: start, cancel: cancel, lr: newLineReader(resp, body, sp),
-		ids: append(make([]int, 0, len(req.Cont)+n), req.Cont...), base: len(req.Cont)}, nil
+	return newClientStream(c, req, lr, start, n), nil
+}
+
+// newClientStream is the session over lr, with room for n more ids.
+func newClientStream(c *Client, req llm.ChunkRequest, lr *lineReader, start time.Time, n int) *clientStream {
+	return &clientStream{c: c, model: req.Model, start: start, lr: lr, cancel: lr.cancel, stop: lr.hop.stop, pc: lr.hop.pc,
+		ids: append(make([]int, 0, len(req.Cont)+n), req.Cont...), base: len(req.Cont)}
 }
 
 // clientStream is one session over the wire, its body read only by the
@@ -526,10 +560,14 @@ func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.Chun
 // offset per token — so a slice is cut on token boundaries and its Text,
 // EvalCount and Context are the same however the daemon batched its lines.
 type clientStream struct {
-	c      *Client
-	model  string
-	start  time.Time
-	cancel context.CancelFunc // ends the request, and any read blocked on it
+	c     *Client
+	model string
+	start time.Time
+	// What abort ends the request with, fixed at open: the route's cancel,
+	// or the exchange's stop and the connection over the hop's own.
+	cancel context.CancelFunc
+	stop   func() bool
+	pc     *hopConn
 
 	// mu is held by each call; Close, which may come from any goroutine,
 	// first ends a read another call is blocked in.
@@ -562,8 +600,8 @@ func (s *clientStream) Next(ctx context.Context, maxTokens int) (llm.Chunk, erro
 	}
 	s.fill(reachHeld, maxTokens)
 	if !s.lr.ended && (s.final.Done || maxTokens <= 0 || s.held() < maxTokens) && ctx.Err() == nil {
-		if dl, ok := ctx.Deadline(); (!setReadDeadline(s.lr.resp.Body, dl) || !ok) && ctx.Done() != nil {
-			defer context.AfterFunc(ctx, s.cancel)()
+		if dl, ok := ctx.Deadline(); (!setReadDeadline(s.lr.body, dl) || !ok) && ctx.Done() != nil {
+			defer context.AfterFunc(ctx, s.abort)()
 		}
 		s.fill(reachDaemon, maxTokens)
 		if s.err != nil && ctx.Err() != nil {
@@ -597,17 +635,27 @@ func (s *clientStream) Buffered() int {
 // aborted, and the daemon sees the disconnect and stops generating.
 func (s *clientStream) Close() error {
 	if !s.mu.TryLock() {
-		s.cancel()
+		s.abort()
 		s.mu.Lock()
 	}
 	defer s.mu.Unlock()
 	if s.lr != nil {
 		s.fill(reachArrived, 0)
-		s.cancel()
 		s.lr.release()
 		s.lr = nil
 	}
 	return nil
+}
+
+// abort ends the request from any goroutine, failing a read blocked on it;
+// it closes the connection only if it wins the exchange's stop, which a
+// reply that let its connection go has already called.
+func (s *clientStream) abort() {
+	if s.cancel != nil {
+		s.cancel()
+	} else if s.stop != nil && s.stop() {
+		s.pc.conn.Close()
+	}
 }
 
 // held is the count of tokens held and not yet handed out.

@@ -40,6 +40,33 @@ func scriptedSession(t *testing.T, c *Client, lines string, end error, cont []in
 	return st, body
 }
 
+// TestLineReaderPoolBound: a reader's buffer starts at 4 KiB and grows
+// only for a line that does not fit it; an outsized line still decodes
+// whole, and a reader it grew past maxPooledBody is not pooled, so
+// whatever the pool hands out next is of ordinary size.
+func TestLineReaderPoolBound(t *testing.T) {
+	if n := len(lineReaderPool.New().(*lineReader).buf); n != 4<<10 {
+		t.Fatalf("a new reader's buffer holds %d bytes, want 4 KiB", n)
+	}
+	text := strings.Repeat("x", 2*maxPooledBody)
+	st, _ := scriptedSession(t, New("http://modeld"), tokenLine(text, []int{1}, nil)+
+		endLine("", nil, nil, llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{1}, EvalCount: 1}), io.EOF, nil)
+	if ch, err := st.Next(context.Background(), 0); err != nil || ch.Text != text || !ch.Done {
+		t.Fatalf("the outsized line read as %d bytes of text, done %v, %v", len(ch.Text), ch.Done, err)
+	}
+	if n := len(st.lr.buf); n <= maxPooledBody {
+		t.Fatalf("the reader's buffer holds %d bytes after a %d-byte line", n, len(text))
+	}
+	st.Close()
+	for i := 0; i < 8; i++ {
+		lr := lineReaderPool.Get().(*lineReader)
+		if n := len(lr.buf); n > maxPooledBody {
+			t.Fatalf("the pool kept a reader with a %d-byte buffer", n)
+		}
+		defer lineReaderPool.Put(lr)
+	}
+}
+
 // TestSessionSlicing drains a session in per-round slices and checks
 // token-boundary slicing, continuation synthesis, and the terminal
 // chunk's authoritative metadata.
@@ -427,7 +454,12 @@ func TestSessionMatchesReference(t *testing.T) {
 		}
 		return s + fmt.Sprintf("truncated=%v", tel.ClientTruncated.Value("m"))
 	}
-	const unsettled = "ok=0 error=0 canceled=0 truncated=0"
+	// A request is settled once it is counted under an outcome, which
+	// settle does after the truncation counter.
+	settled := func(tel *telemetry.Telemetry) bool {
+		return tel.ClientRequests.Value("generate_stream", "ok")+tel.ClientRequests.Value("generate_stream", "error")+
+			tel.ClientRequests.Value("generate_stream", "canceled") > 0
+	}
 	for _, r := range replies {
 		for _, take := range []int{1, 2, 3, 0} {
 			if r.end == nil && take == 0 {
@@ -444,7 +476,7 @@ func TestSessionMatchesReference(t *testing.T) {
 					st = c.pumpReply(req, resp, requestBufPool.Get().(*requestBuf), nil, cancel)
 					// Drained once the pump has settled a reply that ended, or has
 					// asked for more than the daemon sent.
-					for r.end != nil && counts(tel) == unsettled {
+					for r.end != nil && !settled(tel) {
 						time.Sleep(time.Millisecond)
 					}
 					if r.end == nil {
@@ -466,7 +498,7 @@ func TestSessionMatchesReference(t *testing.T) {
 					}
 				}
 				st.Close()
-				for deadline := time.Now().Add(5 * time.Second); counts(tel) == unsettled; time.Sleep(time.Millisecond) {
+				for deadline := time.Now().Add(5 * time.Second); !settled(tel); time.Sleep(time.Millisecond) {
 					if time.Now().After(deadline) {
 						t.Fatalf("%s, take %d: side %d never settled", r.name, take, side)
 					}

@@ -13,13 +13,13 @@ import (
 // The client generates only through GenerateChunk and OpenStream; the
 // tests of the daemon's Ollama-shaped answers read them with this.
 func generateLines(c *Client, req GenerateRequest, fn func(GenerateResponse)) error {
-	resp, body, err := c.postGenerate(context.Background(), &req, nil)
+	lr, err := c.send(context.Background(), &req, nil)
 	if err != nil {
 		return err
 	}
-	defer body.release()
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
+	defer lr.release()
+	defer lr.end(nil)
+	dec := json.NewDecoder(lr.body)
 	for {
 		var line GenerateResponse
 		if err := dec.Decode(&line); errors.Is(err, io.EOF) {

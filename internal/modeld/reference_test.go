@@ -251,27 +251,39 @@ func (c *Client) openReference(ctx context.Context, req llm.ChunkRequest) (*refS
 	ctx, sp := telemetry.StartSpan(ctx, "modeld.stream")
 	sctx, cancel := context.WithCancel(ctx)
 	start := time.Now()
-	resp, body, err := c.postGenerate(sctx, &wire, sp)
+	lr, err := c.send(sctx, &wire, sp)
 	if err != nil {
 		cancel()
 		c.settle("generate_stream", req.Model, start, sp, err)
 		return nil, err
 	}
-	return c.pumpReply(req, resp, body, sp, cancel), nil
+	return c.pump(req, lr, cancel), nil
+}
+
+// pump starts the reference session over lr.
+func (c *Client) pump(req llm.ChunkRequest, lr *lineReader, cancel context.CancelFunc) *refStream {
+	s := &refStream{buf: newStreamBuffer(req.Cont), cancel: cancel}
+	go c.pumpStream(lr, s.buf, req.Model, time.Now())
+	return s
+}
+
+// replyReader is the line reader of resp as a route other than the hop's
+// hands it over: its body, its request's context and cancel.
+func replyReader(resp *http.Response, body *requestBuf, sp *telemetry.Span, cancel context.CancelFunc) *lineReader {
+	lr := lineReaderPool.Get().(*lineReader)
+	lr.body, lr.ctx, lr.cancel, lr.req, lr.sp = resp.Body, resp.Request.Context(), cancel, body, sp
+	return lr
 }
 
 // pumpReply starts the reference session over resp.
 func (c *Client) pumpReply(req llm.ChunkRequest, resp *http.Response, body *requestBuf, sp *telemetry.Span, cancel context.CancelFunc) *refStream {
-	s := &refStream{buf: newStreamBuffer(req.Cont), cancel: cancel}
-	go c.pumpStream(newLineReader(resp, body, sp), s.buf, req.Model, time.Now())
-	return s
+	return c.pump(req, replyReader(resp, body, sp, cancel), cancel)
 }
 
 // streamReply is the session OpenStream hands out over resp, with room
 // for 64 ids.
 func (c *Client) streamReply(req llm.ChunkRequest, resp *http.Response, body *requestBuf, sp *telemetry.Span, cancel context.CancelFunc) *clientStream {
-	return &clientStream{c: c, model: req.Model, start: time.Now(), cancel: cancel, lr: newLineReader(resp, body, sp),
-		ids: append(make([]int, 0, len(req.Cont)+64), req.Cont...), base: len(req.Cont)}
+	return newClientStream(c, req, replyReader(resp, body, sp, cancel), time.Now(), 64)
 }
 
 // scriptedReply is a reply whose body is the lines of script, then err

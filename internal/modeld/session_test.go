@@ -1,10 +1,12 @@
 package modeld
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,11 +35,12 @@ func sessionDaemon(t *testing.T, wrap func(http.Handler) http.Handler) *httptest
 var sessionReq = llm.ChunkRequest{Model: llm.ModelMistral, Prompt: "Are bats blind?", MaxTokens: 16}
 
 // TestGenerationSessionAllocs pins what one session costs in allocations
-// over the default client, both ends of the hop counted: the request
-// goes straight to the hop transport, which writes it, the session reads
-// the reply on the caller's goroutine and starts none, the request carries
-// no headers the daemon does not read, and the session's token stores come
-// pooled with its line reader.
+// and bytes over the default client, both ends of the hop counted: the
+// request goes straight to the hop transport, which writes it from the
+// pooled body and reads the reply's head in place, with no http.Request,
+// http.Response or header map and one context.AfterFunc; the session reads
+// the reply on the caller's goroutine and starts none, and its token stores
+// and reply state come pooled with its line reader.
 func TestGenerationSessionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop what it is given")
@@ -54,10 +57,28 @@ func TestGenerationSessionAllocs(t *testing.T) {
 		st.Close()
 	}
 	session() // dial and warm the pools
-	const bound = 81
+	const bound, bytesBound = 60, 4700
 	if n := testing.AllocsPerRun(50, session); n > bound {
 		t.Fatalf("one session allocates %.0f times, want at most %d", n, bound)
 	}
+	if n := bytesPerRun(50, session); n > bytesBound {
+		t.Fatalf("one session allocates %.0f bytes, want at most %d", n, bytesBound)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean bytes allocated
+// by one call of f, after a warm-up call, with one P so other goroutines'
+// allocations interleave as little as they can.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // writeCounter is a listener whose connections count their writes: the
@@ -243,13 +264,17 @@ func TestGenerationWireHeaders(t *testing.T) {
 		stream bool
 		want   string
 	}{{true, "application/x-ndjson"}, {false, "application/json"}} {
-		req := GenerateRequest{Model: llm.ModelMistral, Prompt: "Are bats blind?", Stream: &tc.stream}
-		resp, body, err := c.postGenerate(context.Background(), &req, nil)
+		var rb requestBuf
+		rb.encode(&GenerateRequest{Model: llm.ModelMistral, Prompt: "Are bats blind?", Stream: &tc.stream})
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/api/generate", bytes.NewReader(rb.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.hc.Transport.RoundTrip(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		body.release()
 		if got := resp.Header.Get("Content-Type"); got != tc.want {
 			t.Errorf("stream=%v: Content-Type = %q, want %q", tc.stream, got, tc.want)
 		}

@@ -10,10 +10,11 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httputil"
 	"net/textproto"
+	"net/url"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -28,16 +29,15 @@ const (
 	tcpKeepAlive   = 30 * time.Second
 )
 
-// hopTransport is the default client's http.RoundTripper: HTTP/1.1 over
-// plain TCP with a per-host pool of idle keep-alive connections. A request
-// is written from one pooled buffer in one write on the calling goroutine,
-// and its reply is read there with http.ReadResponse, so the framing of
-// the body is net/http's. Nothing runs between requests: an idle
-// connection holds no goroutine, only a stopped timer, and a daemon that
-// closed one is found out when it is next used — a reused connection that
-// fails before any byte of a reply is redialled once, and the request sent
-// again from the bytes in hand. It speaks plain http only and reads no
-// proxy variables; anything else goes through WithHTTPClient.
+// hopTransport is the default client's transport: HTTP/1.1 over plain TCP
+// with a per-host pool of idle keep-alive connections. Its exchange writes a
+// request in one write on the calling goroutine and reads the reply's head
+// there, in place when parseHead takes it. Generation requests call it
+// directly (hopRoute); RoundTrip adapts it for http.Client. An idle
+// connection holds no goroutine, only a stopped timer, so a daemon that
+// closed one is found out at its next use: a reused connection that fails
+// before any byte of a reply is redialled once, the request resent from the
+// bytes in hand. It speaks plain http only and reads no proxy variables.
 type hopTransport struct {
 	// dial opens a connection; tests count or script connections here.
 	dial func(ctx context.Context, network, addr string) (net.Conn, error)
@@ -57,7 +57,7 @@ type hopConn struct {
 	t    *hopTransport
 	addr string
 	conn net.Conn
-	br   *bufio.Reader // reads conn through Read
+	br   *bufio.Reader // reads conn through Read; from brPool, back there at close
 	// noWait: Read takes only what has arrived (readNoWait).
 	noWait bool
 	// expire sets a past deadline on conn, failing whatever is blocked on
@@ -69,27 +69,80 @@ type hopConn struct {
 	idleAt time.Time
 }
 
+// brPool holds read buffers: a dial takes one; the connection's owner puts
+// it back, emptied, when it closes the connection.
+var brPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
 // errNotHTTP is why the hop transport refuses a URL: it has no TLS and no
 // proxy support, which a caller supplies with its own http.Client.
 var errNotHTTP = errors.New("modeld: the default transport speaks plain http only; pass an http.Client with WithHTTPClient")
 
-// RoundTrip implements http.RoundTripper.
+// hopRoute writes a client's generation requests as net/http writes the
+// one roundTripRoute builds: prefix (request line, Host, Content-Length's
+// name, built by New), the length, the fields, then the pooled body.
+type hopRoute struct {
+	t            *hopTransport
+	addr, prefix string
+}
+
+func (r *hopRoute) exchange(ctx context.Context, msg *requestBuf, traceparent string, lr *lineReader) error {
+	w := strconv.AppendInt(append(msg.wire[:0], r.prefix...), int64(len(msg.body)), 10)
+	w = append(w, "\r\nContent-Type: application/json\r\n"...)
+	if traceparent != "" {
+		w = append(append(append(w, "Traceparent: "...), traceparent...), "\r\n"...)
+	}
+	msg.wire = append(append(w, "\r\n"...), msg.body...)
+	b := &lr.hop
+	if err := r.t.exchange(ctx, r.addr, msg.wire, nil, b); err != nil {
+		return err
+	}
+	if b.code != http.StatusOK {
+		err := decodeError(b.status, b)
+		b.Close()
+		return err
+	}
+	lr.body, lr.ctx = b, ctx
+	return nil
+}
+
+// hostPort is the address a request to u dials.
+func hostPort(u *url.URL) string { return net.JoinHostPort(u.Hostname(), cmp.Or(u.Port(), "80")) }
+
+// RoundTrip implements http.RoundTripper over exchange, for /api/tags: the
+// request as req.Write renders it, the response from the same parse.
 func (t *hopTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	msg := hopMessagePool.Get().(*hopMessage)
-	defer msg.release()
-	if err := msg.build(req); err != nil {
+	var msg bytes.Buffer
+	if err := req.Write(&msg); err != nil {
 		return nil, err
 	}
 	if req.URL.Scheme != "http" {
 		return nil, fmt.Errorf("%w (got %s)", errNotHTTP, req.URL.Scheme)
 	}
-	ctx := req.Context()
-	if ctx.Err() != nil {
-		return nil, context.Cause(ctx)
+	b := &hopBody{header: http.Header{}}
+	if err := t.exchange(req.Context(), hostPort(req.URL), msg.Bytes(), req, b); err != nil {
+		return nil, err
 	}
-	addr := req.URL.Host
-	if req.URL.Port() == "" {
-		addr = net.JoinHostPort(req.URL.Hostname(), "80")
+	resp := b.resp
+	if resp == nil {
+		resp = &http.Response{Status: b.status, StatusCode: b.code, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Header: b.header, ContentLength: b.n, Close: b.close}
+		if b.chunked {
+			resp.TransferEncoding = []string{"chunked"}
+		}
+	}
+	resp.Request, resp.Body = req, b
+	if b.pc == nil {
+		resp.Body = http.NoBody
+	}
+	return resp, nil
+}
+
+// exchange sends msg, the whole of req (nil for generation), to addr and
+// reads the reply's head into b, which then reads the body; b.pc is nil
+// when there is none.
+func (t *hopTransport) exchange(ctx context.Context, addr string, msg []byte, req *http.Request, b *hopBody) error {
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
 	}
 	pc := t.idleConn(addr)
 	reused := pc != nil
@@ -98,24 +151,24 @@ func (t *hopTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			conn, err := t.dial(ctx, "tcp", addr)
 			if err != nil {
 				if ctx.Err() != nil {
-					return nil, context.Cause(ctx)
+					return context.Cause(ctx)
 				}
-				return nil, err
+				return err
 			}
-			pc = &hopConn{t: t, addr: addr, conn: conn}
-			pc.br = bufio.NewReader(pc)
+			pc = &hopConn{t: t, addr: addr, conn: conn, br: brPool.Get().(*bufio.Reader)}
+			pc.br.Reset(pc)
 			pc.expire = pc.expireNow
 		}
-		resp, replied, err := pc.roundTrip(ctx, req, msg.b)
+		replied, err := pc.exchange(ctx, msg, req, b)
 		if err == nil {
-			return resp, nil
+			return nil
 		}
-		pc.conn.Close()
+		pc.close()
 		switch {
 		case ctx.Err() != nil:
-			return nil, context.Cause(ctx)
+			return context.Cause(ctx)
 		case !reused || replied:
-			return nil, err
+			return err
 		}
 		// The daemon closed the idle connection under us: once more on a
 		// fresh one.
@@ -123,10 +176,10 @@ func (t *hopTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 }
 
-// roundTrip sends msg, the bytes of req, and reads the reply's header. It
-// reports whether any byte of a reply arrived, which rules out resending.
-// On an error the caller closes the connection.
-func (pc *hopConn) roundTrip(ctx context.Context, req *http.Request, msg []byte) (resp *http.Response, replied bool, err error) {
+// exchange sends msg and reads the reply's head. It reports whether a byte
+// of a reply arrived, which rules out resending. Its one context.AfterFunc
+// is stopped when the reply lets the connection go.
+func (pc *hopConn) exchange(ctx context.Context, msg []byte, req *http.Request, b *hopBody) (replied bool, err error) {
 	stop := context.AfterFunc(ctx, pc.expire)
 	defer func() {
 		if err != nil {
@@ -134,31 +187,44 @@ func (pc *hopConn) roundTrip(ctx context.Context, req *http.Request, msg []byte)
 		}
 	}()
 	if _, err = pc.conn.Write(msg); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	if _, err = pc.br.Peek(1); err != nil {
-		return nil, false, err
+		return false, err
 	}
-	resp, err = http.ReadResponse(pc.br, req)
-	switch {
-	case err != nil:
-		return nil, true, err
-	case resp.StatusCode < http.StatusOK:
+	if n := b.parseHead(pc.br, req); n > 0 {
+		pc.br.Discard(n)
+	} else if b.resp, err = http.ReadResponse(pc.br, req); err != nil {
+		return true, err
+	} else {
+		b.code, b.status, b.n, b.chunked, b.close, b.src = b.resp.StatusCode, b.resp.Status, -1, false, b.resp.Close, b.resp.Body
+	}
+	if b.code < http.StatusOK {
 		// The daemon sends no informational replies; one that does is not
 		// followed any further.
-		return nil, true, fmt.Errorf("modeld: unexpected %s", resp.Status)
+		return true, fmt.Errorf("modeld: unexpected %s", b.status)
 	}
-	keep := !resp.Close && !req.Close
-	if resp.Body == http.NoBody {
-		pc.release(stop, keep)
-		return resp, true, nil
+	b.pc, b.ctx, b.stop, b.keep = pc, ctx, stop, !b.close && (req == nil || !req.Close)
+	if b.n == 0 || b.src == http.NoBody {
+		b.pc, b.err = nil, io.EOF
+		pc.release(stop, b.keep)
 	}
-	resp.Body = &hopBody{pc: pc, body: resp.Body, ctx: ctx, stop: stop, keep: keep}
-	return resp, true, nil
+	return true, nil
 }
 
 // expireNow is hopConn.expire.
 func (pc *hopConn) expireNow() { pc.conn.SetDeadline(time.Unix(1, 0)) }
+
+// close closes the connection and pools its read buffer, emptied: a later
+// connection never reads a byte of this one.
+func (pc *hopConn) close() {
+	pc.conn.Close()
+	if pc.br != nil {
+		pc.br.Reset(nil)
+		brPool.Put(pc.br)
+		pc.br = nil
+	}
+}
 
 // errWouldBlock is what a no-wait read reports once nothing more arrived.
 var errWouldBlock = errors.New("modeld: read would block")
@@ -178,7 +244,7 @@ func (pc *hopConn) Read(p []byte) (int, error) {
 func (pc *hopConn) release(stop func() bool, keep bool) {
 	pc.noWait = false
 	if !stop() || !keep || pc.br.Buffered() > 0 {
-		pc.conn.Close()
+		pc.close()
 		return
 	}
 	t := pc.t
@@ -186,7 +252,7 @@ func (pc *hopConn) release(stop func() bool, keep bool) {
 	defer t.mu.Unlock()
 	idle := t.idle[pc.addr]
 	if len(idle) >= maxIdlePerHost {
-		pc.conn.Close()
+		pc.close()
 		return
 	}
 	pc.conn.SetReadDeadline(time.Time{})
@@ -212,7 +278,7 @@ func (pc *hopConn) closeIdle() {
 	}
 	t.idle[pc.addr] = slices.Delete(idle, i, i+1)
 	t.mu.Unlock()
-	pc.conn.Close()
+	pc.close()
 }
 
 // idleConn takes the most recently used idle connection to addr, or
@@ -230,25 +296,34 @@ func (t *hopTransport) idleConn(addr string) *hopConn {
 			t.idle[addr] = idle
 			return pc
 		}
-		pc.conn.Close()
+		pc.close()
 	}
 	t.idle[addr] = idle
 	return nil
 }
 
-// hopBody is a reply's body: net/http's framing over the connection, which
-// goes back to the pool when the body reaches its end cleanly and is
-// closed when it breaks, when the request's context ends or when the
-// caller closes the body before its end. Like the connection, it has one
-// user at a time: a Read blocked on the daemon is ended by the request's
-// context, not by Close.
+// hopBody is a reply: its head, then its body framed as net/http frames it.
+// The connection is pooled when the body ends cleanly and closed when it
+// breaks, the request's context ends or the body is closed early. It has
+// one user at a time: a blocked Read is ended by the request's context or
+// clientStream.abort, not by Close.
 type hopBody struct {
-	body io.ReadCloser
+	code   int
+	status string
+	// n is what is left of a Content-Length body; src reads a chunked one
+	// (n < 0), or net/http's (resp) for a head parseHead declined.
+	n       int64
+	chunked bool
+	close   bool // the daemon said Connection: close
+	src     io.Reader
+	resp    *http.Response
+	header  http.Header // parsed into only for RoundTrip
+
 	ctx  context.Context
+	stop func() bool // the exchange's context.AfterFunc
 	keep bool
-	stop func() bool // the request's context.AfterFunc
-	pc   *hopConn    // nil once the connection is released or closed
-	err  error       // what Read returns once pc is nil
+	pc   *hopConn // nil once the connection is released or closed
+	err  error    // what Read returns once pc is nil
 }
 
 var errBodyClosed = errors.New("http: read on closed response body")
@@ -257,12 +332,15 @@ func (b *hopBody) Read(p []byte) (int, error) {
 	if b.pc == nil {
 		return 0, b.err
 	}
-	n, err := b.body.Read(p)
-	if err == nil {
+	n, err := b.read(p)
+	switch {
+	case err == nil:
 		return n, nil
-	}
-	if err != io.EOF && b.ctx.Err() != nil {
+	case err == io.EOF:
+	case b.ctx.Err() != nil:
 		err = context.Cause(b.ctx)
+	case errors.Is(err, net.ErrClosed):
+		err = context.Canceled // clientStream.abort closed it
 	}
 	pc := b.pc
 	b.pc, b.err = nil, err
@@ -270,15 +348,146 @@ func (b *hopBody) Read(p []byte) (int, error) {
 		pc.release(b.stop, b.keep)
 	} else {
 		b.stop()
-		pc.conn.Close()
+		pc.close()
 	}
 	return n, err
 }
 
-// readNoWait reads body without waiting on the daemon: what has already
-// arrived, then errWouldBlock, after which the connection is closed, since
-// net/http's body framing keeps that error. Only the hop's own body can
-// tell what has arrived; any other reports errWouldBlock at once.
+// read is one read of the body through its framing; a chunked body ends
+// with its trailer, read as net/http reads it.
+func (b *hopBody) read(p []byte) (int, error) {
+	br := b.pc.br
+	if b.src != nil {
+		n, err := b.src.Read(p)
+		if err == io.EOF && b.chunked {
+			if terr := readTrailer(br); terr != nil {
+				err = terr
+			}
+		}
+		return n, err
+	}
+	if int64(len(p)) > b.n {
+		p = p[:b.n]
+	}
+	n, err := br.Read(p)
+	if b.n -= int64(n); b.n == 0 {
+		err = io.EOF
+	} else if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
+}
+
+var (
+	crlf, colonSpace, endOfHead = []byte("\r\n"), []byte(": "), []byte("\r\n\r\n")
+	errTrailerEOF               = errors.New("http: unexpected EOF reading trailer")
+	headFields                  = []string{"Content-Type", "Date", "Content-Length", "Transfer-Encoding", "Connection"}
+	unprintable                 = func(r rune) bool { return r < ' ' || r > '~' }
+)
+
+// readTrailer reads what follows a chunked body's last chunk: CRLF, or
+// trailer fields (dropped) that end within br's buffer.
+func readTrailer(br *bufio.Reader) error {
+	if buf, _ := br.Peek(2); string(buf) == "\r\n" {
+		br.Discard(2)
+		return nil
+	} else if len(buf) < 2 {
+		return errTrailerEOF
+	}
+	for n := len(endOfHead); ; n++ {
+		buf, err := br.Peek(n)
+		if bytes.HasSuffix(buf, endOfHead) {
+			break
+		}
+		if err != nil {
+			return errors.New("http: suspiciously long trailer after chunked body")
+		}
+	}
+	if _, err := textproto.NewReader(br).ReadMIMEHeader(); err != nil {
+		if err == io.EOF {
+			return errTrailerEOF
+		}
+		return err
+	}
+	return nil
+}
+
+// parseHead parses the head at the front of br in place and returns its
+// length when it has the shape a Go daemon or Ollama sends: "HTTP/1.1 ", a
+// code from 200 to 599 with a body, then headFields, each at most once,
+// with one of Content-Length and Transfer-Encoding: chunked and Connection:
+// close or keep-alive, as "Name: value" in printable ASCII, no space at
+// either end, each line ending in CRLF. Otherwise — a reply to HEAD too —
+// it returns 0 having consumed nothing, and http.ReadResponse reads the
+// same bytes (FuzzHopHead holds the two to each other).
+func (b *hopBody) parseHead(br *bufio.Reader, req *http.Request) int {
+	if req != nil && req.Method == http.MethodHead {
+		return 0
+	}
+	var head []byte
+	for head == nil {
+		buf, _ := br.Peek(br.Buffered())
+		if i := bytes.Index(buf, endOfHead); i >= 0 {
+			head = buf[:i+len(endOfHead)]
+		} else if _, err := br.Peek(len(buf) + 1); err != nil || len(buf) == br.Size() {
+			return 0 // the connection failed first, or the head does not fit br
+		}
+	}
+	status, rest, _ := bytes.Cut(head, crlf)
+	if len(status) < 13 || string(status[:9]) != "HTTP/1.1 " || status[12] != ' ' || bytes.ContainsFunc(status[13:], unprintable) {
+		return 0
+	}
+	code, err := strconv.Atoi(string(status[9:12]))
+	if err != nil || code < 200 || code > 599 || code == http.StatusNoContent || code == http.StatusNotModified {
+		return 0
+	}
+	b.code, b.n, b.chunked, b.close = code, -1, false, false
+	seen := 0
+	for len(rest) > len(crlf) {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, crlf)
+		name, value, _ := bytes.Cut(line, colonSpace)
+		field := slices.Index(headFields, string(name))
+		if field < 0 || !once(&seen, 1<<field) || len(value) == 0 || value[0] == ' ' || value[len(value)-1] == ' ' ||
+			bytes.ContainsFunc(value, unprintable) {
+			return 0
+		}
+		switch v := string(value); string(name) {
+		case "Content-Length":
+			n, err := strconv.ParseUint(v, 10, 63)
+			if b.n = int64(n); err != nil {
+				return 0
+			}
+		case "Transfer-Encoding":
+			if b.chunked = v == "chunked"; !b.chunked {
+				return 0
+			}
+		case "Connection":
+			if b.close = v == "close"; !b.close && v != "keep-alive" {
+				return 0
+			}
+		}
+		// Framing and a close are what net/http keeps out of the header.
+		if b.header != nil && string(name) != "Transfer-Encoding" && (string(name) != "Connection" || !b.close) {
+			b.header[string(name)] = []string{string(value)}
+		}
+	}
+	if b.chunked == (b.n >= 0) {
+		return 0
+	}
+	b.status = "200 OK"
+	if string(status[9:]) != b.status {
+		b.status = string(status[9:])
+	}
+	if b.chunked {
+		b.src = httputil.NewChunkedReader(br)
+	}
+	return len(head)
+}
+
+// readNoWait reads body without waiting on the daemon: what has arrived,
+// then errWouldBlock, after which the connection is closed. Only the hop's
+// own body can tell what has arrived; any other says errWouldBlock at once.
 func readNoWait(body io.Reader, p []byte) (int, error) {
 	b, ok := body.(*hopBody)
 	if !ok || b.pc == nil {
@@ -312,121 +521,9 @@ func setReadDeadline(body io.Reader, t time.Time) bool {
 func (b *hopBody) Close() error {
 	if b.pc != nil {
 		b.stop()
-		b.pc.conn.Close()
+		b.pc.close()
 		b.pc = nil
 	}
 	b.err = errBodyClosed
 	return nil
-}
-
-// hopMessage is pooled storage for one request's bytes: the head in b,
-// then the body, read first into body.
-type hopMessage struct {
-	b    []byte
-	body bytes.Buffer
-}
-
-var hopMessagePool = sync.Pool{New: func() any { return new(hopMessage) }}
-
-func (m *hopMessage) release() {
-	if cap(m.b) <= maxPooledBody {
-		hopMessagePool.Put(m)
-	}
-}
-
-// build renders req into m.b as net/http writes it for a transport that
-// neither compresses nor proxies: the request line, Host, User-Agent (Go's
-// default unless the header names one; an empty one is not sent),
-// Connection: close when req.Close, Content-Length, the other header
-// fields in key order, then the body. The body is read whole first — and
-// closed, as RoundTrip must — so it goes out with its length.
-func (m *hopMessage) build(req *http.Request) error {
-	m.body.Reset()
-	if req.Body != nil {
-		_, err := m.body.ReadFrom(req.Body)
-		if cerr := req.Body.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if req.URL == nil {
-		return errors.New("modeld: request without a URL")
-	}
-	if n := int64(m.body.Len()); req.ContentLength > 0 && n != req.ContentLength {
-		return fmt.Errorf("http: ContentLength=%d with Body length %d", req.ContentLength, n)
-	}
-	var stack [8]string
-	keys := stack[:0]
-	for k, vs := range req.Header {
-		if !validName(k) {
-			return fmt.Errorf("modeld: invalid header field name %q", k)
-		}
-		for _, v := range vs {
-			if !validValue(v) {
-				return fmt.Errorf("modeld: invalid header field value for %q", k)
-			}
-		}
-		switch k {
-		case "Host", "User-Agent", "Content-Length", "Transfer-Encoding", "Trailer":
-		default:
-			keys = append(keys, k)
-		}
-	}
-	slices.Sort(keys)
-	method, host, uri := cmp.Or(req.Method, http.MethodGet), cmp.Or(req.Host, req.URL.Host), req.URL.RequestURI()
-	if !validValue(host) || !validValue(uri) {
-		return fmt.Errorf("modeld: control character in the request's URL %q", req.URL)
-	}
-	b := append(append(append(m.b[:0], method...), ' '), uri...)
-	b = append(append(append(b, " HTTP/1.1\r\nHost: "...), host...), "\r\n"...)
-	ua := "Go-http-client/1.1"
-	if _, ok := req.Header["User-Agent"]; ok {
-		ua = textproto.TrimString(req.Header.Get("User-Agent"))
-	}
-	if ua != "" {
-		b = append(append(append(b, "User-Agent: "...), ua...), "\r\n"...)
-	}
-	if req.Close {
-		b = append(b, "Connection: close\r\n"...)
-	}
-	if m.body.Len() > 0 || method == http.MethodPost || method == http.MethodPut || method == http.MethodPatch {
-		b = strconv.AppendInt(append(b, "Content-Length: "...), int64(m.body.Len()), 10)
-		b = append(b, "\r\n"...)
-	}
-	for _, k := range keys {
-		for _, v := range req.Header[k] {
-			b = append(append(append(append(b, k...), ": "...), textproto.TrimString(v)...), "\r\n"...)
-		}
-	}
-	m.b = append(append(b, "\r\n"...), m.body.Bytes()...)
-	return nil
-}
-
-// validName reports whether s is an HTTP token, as a header field name
-// must be.
-func validName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
-		case strings.IndexByte("!#$%&'*+-.^_`|~", c) < 0:
-			return false
-		}
-	}
-	return true
-}
-
-// validValue reports whether s holds no control character but a tab: no
-// line break that could end the field early and smuggle in another.
-func validValue(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; (c < ' ' && c != '\t') || c == 0x7f {
-			return false
-		}
-	}
-	return true
 }

@@ -10,7 +10,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,6 +67,9 @@ func TestDefaultClientSharedOnce(t *testing.T) {
 	_, err := New("https://127.0.0.1:5").Tags(context.Background())
 	if !errors.Is(err, errNotHTTP) || !strings.Contains(err.Error(), "WithHTTPClient") {
 		t.Fatalf("an https daemon through the default client: %v, want an error naming WithHTTPClient", err)
+	}
+	if _, err := New("https://127.0.0.1:5").OpenStream(context.Background(), hopReq); !errors.Is(err, errNotHTTP) {
+		t.Fatalf("a session with an https daemon through the default client: %v, want errNotHTTP", err)
 	}
 	own := &http.Client{}
 	if c := New("http://127.0.0.1:3", WithHTTPClient(own)); c.hc != own {
@@ -403,25 +408,42 @@ func chunkResult(ch llm.Chunk, err error) string {
 }
 
 func hopScript(url string) []hopStep {
-	drain := func(t *testing.T, c *Client, tel *telemetry.Telemetry) string {
-		st, err := c.OpenStream(context.Background(), hopReq)
-		if err != nil {
-			return chunkResult(llm.Chunk{}, err)
-		}
-		defer st.Close()
-		// Each Next reads only until it holds its token, so the slices do
-		// not depend on how the lines' arrival interleaves with the drains.
-		var out []string
-		for {
-			ch, err := st.Next(context.Background(), 1)
-			out = append(out, chunkResult(ch, err))
-			if err != nil || ch.Done {
-				break
+	drainFrom := func(open func(*Client) (llm.ChunkStream, error), oks float64) func(*testing.T, *Client, *telemetry.Telemetry) string {
+		return func(t *testing.T, c *Client, tel *telemetry.Telemetry) string {
+			st, err := open(c)
+			if err != nil {
+				return chunkResult(llm.Chunk{}, err)
 			}
+			defer st.Close()
+			// Each Next reads only until it holds its token, so the slices do
+			// not depend on how the lines' arrival interleaves with the drains.
+			var out []string
+			for {
+				ch, err := st.Next(context.Background(), 1)
+				out = append(out, chunkResult(ch, err))
+				if err != nil || ch.Done {
+					break
+				}
+			}
+			settled(t, tel, "generate_stream", "ok", oks)
+			return strings.Join(out, " | ")
 		}
-		settled(t, tel, "generate_stream", "ok", 1)
-		return strings.Join(out, " | ")
 	}
+	drain := drainFrom(func(c *Client) (llm.ChunkStream, error) { return c.OpenStream(context.Background(), hopReq) }, 1)
+	// A session whose request carries a traceparent, one fixed so that both
+	// transports' bytes can be compared.
+	traced := drainFrom(func(c *Client) (llm.ChunkStream, error) {
+		wire := GenerateRequest{Model: hopReq.Model, Prompt: hopReq.Prompt}
+		wire.Options.NumPredict, wire.Options.StreamTokens = hopReq.MaxTokens, true
+		msg := requestBufPool.Get().(*requestBuf)
+		msg.encode(&wire)
+		lr := lineReaderPool.Get().(*lineReader)
+		lr.req = msg
+		if err := c.route.exchange(context.Background(), msg, "00-"+testTraceID+"-0123456789abcdef-01", lr); err != nil {
+			return nil, err
+		}
+		return newClientStream(c, hopReq, lr, time.Now(), 64), nil
+	}, 2)
 	generate := func(model string) func(*testing.T, *Client, *telemetry.Telemetry) string {
 		return func(_ *testing.T, c *Client, _ *telemetry.Telemetry) string {
 			req := hopReq
@@ -435,6 +457,8 @@ func hopScript(url string) []hopStep {
 	}
 	return []hopStep{
 		{name: "stream", fresh: true, do: drain,
+			reply: reply(false, ndjsonHead, chunk(lineHel), chunk(lineLo), chunk(lineDone), "0\r\n\r\n")},
+		{name: "stream with a traceparent", do: traced,
 			reply: reply(false, ndjsonHead, chunk(lineHel), chunk(lineLo), chunk(lineDone), "0\r\n\r\n")},
 		{name: "stream:false", do: generate("m"),
 			reply: reply(false, jsonReply("200 OK", lineDone+"\n", ""))},
@@ -494,15 +518,17 @@ func hopScript(url string) []hopStep {
 
 // TestHopTransportMatchesReference holds the hop transport to net/http's,
 // its reference, over one script of daemon behaviours: a stream to its
-// done line, a stream:false reply, /api/tags, a 404 JSON error, a request
+// done line, without a traceparent and with one, a stream:false reply, /api/tags, a 404 JSON error, a request
 // with header fields of its own, a reply saying Connection: close, a
 // connection the daemon closes while it is idle, a session canceled
 // mid-stream, a chunked body cut short and a stream the client gives up
 // on at a bad line. The daemon must receive the same bytes on the same
 // connections from both, and the client must come to the same results,
-// errors and counts. A connection whose reply said Connection: close, was
-// canceled, was cut short or was left mid-body is closed by the client and
-// never used again, under either transport.
+// errors and counts. Over the hop, generation requests take the native
+// path (hopRoute), so their bytes are held to what net/http writes for the
+// http.Request the other route builds. A connection whose reply said
+// Connection: close, was canceled, was cut short or was left mid-body is
+// closed by the client and never used again, under either transport.
 func TestHopTransportMatchesReference(t *testing.T) {
 	d := newRawDaemon(t)
 	type run struct {
@@ -561,6 +587,9 @@ func TestHopTransportMatchesReference(t *testing.T) {
 			t.Errorf("request %d:\nreference %+q\nhop       %+q", i, ref.seen[i], hop.seen[i])
 		}
 	}
+	if strings.Contains(hop.seen[0].bytes, "Traceparent") || !strings.Contains(hop.seen[1].bytes, "\r\nTraceparent: 00-") {
+		t.Fatalf("the first two sessions' requests: %+q; want the second alone to carry a traceparent", hop.seen[:2])
+	}
 	if ref.counts != hop.counts {
 		t.Errorf("counts:\nreference %s\nhop       %s", ref.counts, hop.counts)
 	}
@@ -598,6 +627,37 @@ func TestStaleIdleConnectionIsRedialled(t *testing.T) {
 	defer d.mu.Unlock()
 	if len(d.seen) != 3 || d.seen[2].conn != 2 {
 		t.Fatalf("the daemon saw %+v, want three requests, the last on connection 2 and none resent", d.seen)
+	}
+}
+
+// TestRedialledConnectionReadsNothingOfTheOld: a connection closed with
+// bytes still in its read buffer — a reply that said Connection: close,
+// and more after it — puts the buffer back in the pool emptied, and the
+// connection dialled next reads its own reply, not a byte of the old one.
+func TestRedialledConnectionReadsNothingOfTheOld(t *testing.T) {
+	d := newRawDaemon(t)
+	tr := newHopTransport()
+	dials := countDials(tr)
+	c := New(d.url, WithHTTPClient(&http.Client{Transport: tr}))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	d.replies <- reply(false, jsonReply("200 OK", lineDone+"\n", "Connection: close\r\n")+
+		jsonReply("404 Not Found", `{"error":"a byte of the old connection"}`, ""))
+	if _, err := c.GenerateChunk(ctx, hopReq); err != nil {
+		t.Fatal(err)
+	}
+	d.awaitHangUp(t, d.lastConn())
+	br := brPool.Get().(*bufio.Reader)
+	if n := br.Buffered(); n != 0 {
+		t.Fatalf("the pool holds a read buffer with %d bytes in it", n)
+	}
+	brPool.Put(br)
+	d.replies <- reply(false, jsonReply("200 OK", lineDone+"\n", ""))
+	if ch, err := c.GenerateChunk(ctx, hopReq); err != nil || !ch.Done {
+		t.Fatalf("on the redialled connection: %+v, %v", ch, err)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("dialed %d connections, want 2", n)
 	}
 }
 
@@ -728,6 +788,82 @@ func FuzzHopResponse(f *testing.F) {
 		}
 	})
 }
+
+// bytesReader is a reply's bytes as a connection's buffer reads them; left
+// is what it has not consumed.
+type bytesReader struct {
+	*bufio.Reader
+	src *bytes.Reader
+}
+
+func newBytesReader(b []byte) bytesReader {
+	src := bytes.NewReader(b)
+	return bytesReader{bufio.NewReader(src), src}
+}
+
+func (r bytesReader) left() int { return r.Buffered() + r.src.Len() }
+
+// FuzzHopHead holds the hop's in-place head parse to http.ReadResponse,
+// its reference, over arbitrary reply bytes seeded with a real daemon's
+// replies. Where parseHead takes a head, the reference must read it too,
+// to the same status, header, framing and keep-alive, and the body read to
+// its end through either framing must be the same bytes, end the same way
+// and leave the same bytes unread. Where it declines, it must have
+// consumed nothing, so the fallback reads what the reference reads.
+func FuzzHopHead(f *testing.F) {
+	for _, r := range daemonReplies(f) {
+		f.Add(r)
+	}
+	f.Add([]byte(ndjsonHead + chunk(lineHel) + "0\r\nX-Trailer: 1\r\n\r\n"))
+	f.Add([]byte(jsonReply("200 OK", tagsBody, "Connection: close\r\nDate: Mon, 19 Oct 2026 06:00:00 GMT\r\n")))
+	f.Add([]byte(jsonReply("503 Service Unavailable", tagsBody, "Connection: keep-alive\r\n") + "HTTP/1.1 200 OK\r\n"))
+	f.Fuzz(func(t *testing.T, reply []byte) {
+		req, err := http.NewRequest(http.MethodPost, "http://modeld/api/generate", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hop, ref := newBytesReader(reply), newBytesReader(reply)
+		want, werr := http.ReadResponse(ref.Reader, req)
+		b := &hopBody{header: http.Header{}}
+		n := b.parseHead(hop.Reader, req)
+		if n == 0 {
+			if hop.left() != len(reply) {
+				t.Fatalf("declined after consuming %d bytes", len(reply)-hop.left())
+			}
+			got, gerr := http.ReadResponse(hop.Reader, req)
+			if (gerr == nil) != (werr == nil) || (gerr == nil && (got.Status != want.Status || got.ContentLength != want.ContentLength)) {
+				t.Fatalf("the fallback read %+v, %v; the reference %+v, %v", got, gerr, want, werr)
+			}
+			return
+		}
+		if werr != nil {
+			t.Fatalf("took a head net/http refuses: %v", werr)
+		}
+		length := b.n
+		if b.chunked {
+			length = -1
+		}
+		if b.code != want.StatusCode || b.status != want.Status || length != want.ContentLength ||
+			b.chunked != slices.Equal(want.TransferEncoding, []string{"chunked"}) || b.close != want.Close ||
+			!reflect.DeepEqual(b.header, want.Header) {
+			t.Fatalf("read %d %q, length %d, chunked %v, close %v, %v; net/http %d %q, length %d, %v, close %v, %v",
+				b.code, b.status, length, b.chunked, b.close, b.header,
+				want.StatusCode, want.Status, want.ContentLength, want.TransferEncoding, want.Close, want.Header)
+		}
+		hop.Discard(n)
+		b.pc = &hopConn{br: hop.Reader}
+		body, berr := io.ReadAll(readerFunc(b.read))
+		wantBody, wberr := io.ReadAll(want.Body)
+		if !bytes.Equal(body, wantBody) || (berr == nil) != (wberr == nil) || hop.left() != ref.left() {
+			t.Fatalf("body %q, %v, %d bytes left; net/http %q, %v, %d left", body, berr, hop.left(), wantBody, wberr, ref.left())
+		}
+	})
+}
+
+// readerFunc is a Read method as an io.Reader.
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
 
 // TestDrainDeadlineIsAReadDeadline: over the hop's own connection a
 // drain's deadline bounds its read as the connection's read deadline. A

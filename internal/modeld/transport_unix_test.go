@@ -72,7 +72,7 @@ func TestEarlyClosedSessionKeepsItsConnection(t *testing.T) {
 			t.Fatalf("session %d: first slice = %+v, %v", i, ch, err)
 		}
 		close(more)
-		arrived(t, st.(*clientStream).lr.resp.Body.(*hopBody).pc.conn, len(rest))
+		arrived(t, st.(*clientStream).pc.conn, len(rest))
 		st.Close()
 	}
 	if n := dials.Load(); n != 1 {

@@ -537,12 +537,13 @@ func spanRecord(s *jsonwire.Scanner, d *telemetry.SpanData, scratch *[]byte) boo
 }
 
 // requestBuf is pooled storage for one /api/generate request body: the
-// client encodes the request into body, the daemon reads it into body and
-// scans it with the rest as scratch.
+// client encodes the request into body (and over the hop's own transport
+// renders the whole request, head and body, into wire), the daemon reads it
+// into body and scans it with the rest as scratch.
 type requestBuf struct {
-	body     []byte
-	key, str []byte
-	ints     []int
+	body, wire []byte
+	key, str   []byte
+	ints       []int
 }
 
 var requestBufPool = sync.Pool{New: func() any { return new(requestBuf) }}
@@ -552,7 +553,7 @@ var requestBufPool = sync.Pool{New: func() any { return new(requestBuf) }}
 const maxPooledBody = 64 << 10
 
 func (rb *requestBuf) release() {
-	if cap(rb.body) <= maxPooledBody {
+	if max(cap(rb.body), cap(rb.wire)) <= maxPooledBody {
 		requestBufPool.Put(rb)
 	}
 }

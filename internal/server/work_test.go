@@ -1,0 +1,164 @@
+package server
+
+import (
+	"fmt"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"llmms/internal/fleet"
+	"llmms/internal/llm"
+	"llmms/internal/modeld"
+	"llmms/internal/telemetry"
+	"llmms/internal/truthfulqa"
+)
+
+// acceptCounter is a listener that counts the connections it accepts: the
+// dials a daemon's clients make.
+type acceptCounter struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *acceptCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// workStack is the real stack in one process: the server over a fleet of
+// two replicas per model, each a loopback modeld daemon over its own
+// engine reached through modeld.New's default client.
+type workStack struct {
+	s       *Server
+	tel     *telemetry.Telemetry
+	daemons []*acceptCounter
+}
+
+func newWorkStack(t *testing.T) *workStack {
+	t.Helper()
+	kb := llm.NewKnowledge(truthfulqa.Seed())
+	w := &workStack{tel: telemetry.New(telemetry.Options{})}
+	replicas := make(map[string][]fleet.Replica)
+	for d := 0; d < 2; d++ {
+		engine := llm.NewEngine(llm.Options{Knowledge: kb})
+		t.Cleanup(func() { engine.Close() })
+		srv := httptest.NewUnstartedServer(modeld.NewServer(engine))
+		ln := &acceptCounter{Listener: srv.Listener}
+		srv.Listener = ln
+		srv.Start()
+		t.Cleanup(srv.Close)
+		w.daemons = append(w.daemons, ln)
+		client := modeld.New(srv.URL, modeld.WithTelemetry(w.tel))
+		for _, p := range engine.Profiles() {
+			replicas[p.Name] = append(replicas[p.Name], fleet.Replica{ID: fmt.Sprintf("d%d", d), Backend: client})
+		}
+	}
+	pool, err := fleet.New(fleet.Config{Replicas: replicas, Telemetry: w.tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	inventory := llm.NewEngine(llm.Options{Knowledge: kb})
+	t.Cleanup(func() { inventory.Close() })
+	if w.s, err = NewServer(Options{Engine: inventory, Fleet: pool, Telemetry: w.tel}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.s.Close() })
+	return w
+}
+
+// query answers body through the server, which must answer it in full.
+func (w *workStack) query(t *testing.T, body string) {
+	rec := httptest.NewRecorder()
+	w.s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/query", strings.NewReader(body)))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "event: result") {
+		t.Fatalf("status %d, no result frame", rec.Code)
+	}
+}
+
+// requests counts the modeld requests the clients made.
+func (w *workStack) requests() float64 {
+	n := 0.0
+	for _, op := range []string{"generate", "generate_stream"} {
+		for _, oc := range []string{"ok", "error", "canceled"} {
+			n += w.tel.ClientRequests.Value(op, oc)
+		}
+	}
+	return n
+}
+
+// dials counts the connections the daemons accepted.
+func (w *workStack) dials() int64 {
+	var n int64
+	for _, d := range w.daemons {
+		n += d.accepted.Load()
+	}
+	return n
+}
+
+// TestQueryWork is the per-query work table: each row drives one fixed,
+// seeded query through the real stack in process — the server, the fleet,
+// two loopback modeld daemons and their batch engines — and pins what it
+// costs after a warm-up: the modeld requests, the connections dialled, and
+// the bytes allocated at both ends of the hop with the collector off
+// (skipped under -race, which allocates on its own account). Dials are
+// counted to a tenth of one a query: a session the orchestrator prunes
+// before its daemon has written the whole answer hangs up its connection,
+// which the engines' timing lets happen about once in a thousand queries.
+func TestQueryWork(t *testing.T) {
+	const warm, runs = 20, 50
+	q := truthfulqa.Seed()[1].Question
+	for _, row := range []struct {
+		name            string
+		body            string
+		requests, dials float64 // a query
+		// bytes bounds the bytes a query allocates: 5 % over what the row
+		// read when its bound was last set.
+		bytes float64
+	}{
+		// Three sessions, each over the hop's own transport, which writes
+		// the request and parses the reply's head in place: 69.4 KB a
+		// query read, 75.7 KB when each session's reply was read with
+		// http.ReadResponse from an http.Request's round trip.
+		{name: "MISS oua", body: fmt.Sprintf(`{"query":%q,"strategy":"oua","max_tokens":128}`, q),
+			requests: 3, dials: 0, bytes: 72900},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w := newWorkStack(t)
+			for i := 0; i < warm; i++ {
+				w.query(t, row.body)
+			}
+			requests, dials := w.requests(), w.dials()
+			for i := 0; i < runs; i++ {
+				w.query(t, row.body)
+			}
+			if got := (w.requests() - requests) / runs; got != row.requests {
+				t.Errorf("%.2f modeld requests a query, want %v", got, row.requests)
+			}
+			if got := float64(w.dials()-dials) / runs; got > row.dials+0.1 {
+				t.Errorf("%.2f dials a query, want %v", got, row.dials)
+			}
+			if raceEnabled {
+				return
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				w.query(t, row.body)
+			}
+			runtime.ReadMemStats(&after)
+			if b := float64(after.TotalAlloc-before.TotalAlloc) / runs; b > row.bytes {
+				t.Errorf("%.0f bytes a query, want at most %.0f", b, row.bytes)
+			}
+		})
+	}
+}

@@ -24,13 +24,13 @@ go test -race -shuffle=on ./...
 # The allocation guards skip themselves under -race, where sync.Pool drops
 # puts and counts are not exact, so the suite above never runs them: run
 # them once more without it, and require that every one of them ran.
-allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestTrainAllocs|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestTopKAllocatesNothing|TestRecordingAllocatesNothing|TestStoredTraceFootprint|TestStoredTraceTextFits|TestPolicyAllocatesNothing'
+allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestTrainAllocs|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestTopKAllocatesNothing|TestRecordingAllocatesNothing|TestStoredTraceFootprint|TestStoredTraceTextFits|TestPolicyAllocatesNothing|TestQueryWork'
 echo "== allocation guards: go test -count=1 -run '^($allocs)\$' ./internal/..."
 out=$(go test -count=1 -v -run "^($allocs)\$" ./internal/...)
 passed=$(printf '%s\n' "$out" | grep -c '^--- PASS' || true)
-if [ "$passed" -ne 13 ]; then
+if [ "$passed" -ne 14 ]; then
 	printf '%s\n' "$out" >&2
-	echo "allocation guards: $passed of 13 passed" >&2
+	echo "allocation guards: $passed of 14 passed" >&2
 	exit 1
 fi
 
@@ -106,9 +106,10 @@ go test -race -count=20 -run 'TestConcurrentEncodeAndCount|TestReleasedAccumulat
 # bytes on the same connections and the same results over a script of
 # daemon behaviours, one shared default, reuse without a dial, no goroutine
 # on an idle connection or an open session, a session closed after its
-# daemon finished keeping its connection, and one resend on a stale one,
-# over and over; then a short fuzz of the replies it reads.
-hop='TestHopTransportMatchesReference|TestDefaultClientSharedOnce|TestDefaultClientReusesConnections|TestIdleConnectionHoldsNoGoroutine|TestSessionHoldsNoGoroutine|TestEarlyClosedSessionKeepsItsConnection|TestStaleIdleConnectionIsRedialled'
+# daemon finished keeping its connection, one resend on a stale one, and a
+# redialled connection that reads nothing of the one before, over and over;
+# then a short fuzz of the replies it reads.
+hop='TestHopTransportMatchesReference|TestDefaultClientSharedOnce|TestDefaultClientReusesConnections|TestIdleConnectionHoldsNoGoroutine|TestSessionHoldsNoGoroutine|TestEarlyClosedSessionKeepsItsConnection|TestStaleIdleConnectionIsRedialled|TestRedialledConnectionReadsNothingOfTheOld'
 echo "== hop transport: go test -race -count=20 -run '$hop' ./internal/modeld"
 go test -race -count=20 -run "$hop" ./internal/modeld
 echo "== fuzz smoke: FuzzHopResponse 10s"
@@ -166,7 +167,8 @@ go test -race -count=20 -run "$vdb" ./internal/vectordb
 # The wire codecs against encoding/json, their reference: the string rule
 # of internal/jsonwire, the formats built on it at both ends of the modeld
 # hop and in the SSE egress (events and the result), and the traceparent
-# header against the spec; then the cache key's normal form against its
+# header against the spec; the head of a daemon's reply, parsed in place,
+# against http.ReadResponse; then the cache key's normal form against its
 # three-pass reference, the cache's policy against its invariants and a
 # model of what may be served, the warm-start entry decoder, and the vector kernel
 # (embedding.Rows and its Selector) against a map model and a sort of every
@@ -180,6 +182,7 @@ go test -race -count=20 -run "$vdb" ./internal/vectordb
 # texts, and Open over any manifest.
 for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telemetry' \
 	'FuzzStreamLine ./internal/modeld' 'FuzzGenerateRequest ./internal/modeld' \
+	'FuzzHopHead ./internal/modeld' \
 	'FuzzEventFrame ./internal/server' 'FuzzResultFrame ./internal/server' \
 	'FuzzNormalize ./internal/qcache' 'FuzzCachePolicy ./internal/qcache' \
 	'FuzzDecodeCachedAnswer ./internal/server' \
