@@ -46,12 +46,8 @@ func main() {
 	client := modeld.New("http://" + ln.Addr().String())
 	fmt.Printf("model daemon on %s\n", ln.Addr())
 
-	models, err := client.Tags(context.Background())
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, m := range models {
-		fmt.Printf("  serving %s\n", m.Name)
+	for _, p := range engine.Profiles() {
+		fmt.Printf("  serving %s\n", p.Name)
 	}
 	fmt.Println()
 

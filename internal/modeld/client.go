@@ -31,39 +31,29 @@ var ErrTruncatedStream = errors.New("modeld: generation stream truncated before 
 // against a remote daemon. It generates two ways, both over
 // /api/generate with the stream_tokens extension and both read by one
 // NDJSON reader (lineReader) on the caller's goroutine: GenerateChunk, one
-// request per chunk, and OpenStream, one request per session. Tags lists
-// the daemon's models.
+// request per chunk, and OpenStream, one request per session.
 type Client struct {
 	base string
-	hc   *http.Client
 	tel  *telemetry.Telemetry
-	// route carries generation requests, chosen by New from hc's transport;
+	// rt is WithHTTPClient's transport, nil for the hop's own.
+	rt http.RoundTripper
+	// route carries generation requests, chosen by New from rt;
 	// routeErr, why there is none, is each generation call's error.
 	route    exchanger
 	routeErr error
 }
 
-var (
-	defaultClientOnce sync.Once
-	defaultClient     *http.Client
-)
-
-// defaultHTTPClient returns the package's fan-out client, built exactly
-// once. http.DefaultClient keeps at most 2 idle connections per host
-// (net/http's DefaultMaxIdleConnsPerHost), so an orchestrator fanning one
-// stream per model out to a single daemon would reconnect — TCP handshake
-// and slow-start — on every session beyond the second model. Its
-// transport, hopTransport, keeps an idle connection per concurrent model
+// defaultTransport is the hop transport shared by every client New builds
+// without WithHTTPClient, built once. net/http's default transport keeps
+// at most 2 idle connections per host (DefaultMaxIdleConnsPerHost), so an
+// orchestrator fanning one stream per model out to a single daemon would
+// reconnect — TCP handshake and slow-start — on every session beyond the
+// second model. hopTransport keeps an idle connection per concurrent model
 // stream, so steady-state sessions reuse warm connections, and writes and
 // reads each request on its caller's goroutine. It speaks plain http
 // only, and reads no proxy variables: a daemon behind TLS or a proxy is
 // reached through WithHTTPClient.
-func defaultHTTPClient() *http.Client {
-	defaultClientOnce.Do(func() {
-		defaultClient = &http.Client{Transport: newHopTransport()}
-	})
-	return defaultClient
-}
+var defaultTransport = sync.OnceValue(newHopTransport)
 
 // Option configures a Client at construction; see New. A Client is fully
 // configured before its first request, so no caller can observe a
@@ -71,19 +61,17 @@ func defaultHTTPClient() *http.Client {
 // signature.
 type Option func(*Client)
 
-// WithHTTPClient overrides the package's shared fan-out HTTP client (see
-// defaultHTTPClient) entirely: a daemon reached over https or through a
-// proxy needs one, since the default speaks plain http only and reads no
-// proxy variables. A nil hc keeps the default.
-// Generation (GenerateChunk, OpenStream) uses only hc.Transport, or
-// http.DefaultTransport: hc.Timeout, Jar and CheckRedirect do not apply.
-// Only the package's own transport, the default client's, writes generation
-// requests and parses their replies' heads itself; any other RoundTripper,
-// net/http's included, is handed an http.Request for each.
+// WithHTTPClient sends the client's requests through hc.Transport, or
+// http.DefaultTransport when it is nil, instead of the package's shared
+// hop transport (see defaultTransport): a daemon reached over https or
+// through a proxy needs one, since the default speaks plain http only and
+// reads no proxy variables. A nil hc keeps the default. The transport is
+// handed an http.Request for each generation request; only the hop's own
+// transport writes them and parses their replies' heads itself.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) {
 		if hc != nil {
-			c.hc = hc
+			c.rt = cmp.Or[http.RoundTripper](hc.Transport, http.DefaultTransport)
 		}
 	}
 }
@@ -96,39 +84,38 @@ func WithHTTPClient(hc *http.Client) Option {
 // (modeld_client_truncated_streams_total{model}) on both generation
 // paths. A nil bundle leaves the client uninstrumented.
 //
-// Label cardinality is bounded by construction: op is one of a fixed
-// set of call names (generate, generate_stream, tags), outcome is
-// ok/error/canceled, and model is the configured model name. Query
-// text, prompts, and session IDs never become labels — they are
-// unbounded and would explode the series space (the registry's series
-// cap would collapse them into "_other", losing the per-model signal
-// too).
+// Label cardinality is bounded by construction: op is generate or
+// generate_stream, outcome is ok/error/canceled, and model is the
+// configured model name. Query text, prompts, and session IDs never
+// become labels — they are unbounded and would explode the series space
+// (the registry's series cap would collapse them into "_other", losing
+// the per-model signal too).
 func WithTelemetry(tel *telemetry.Telemetry) Option {
 	return func(c *Client) { c.tel = tel }
 }
 
 // New returns a client for a daemon at base (e.g.
 // "http://127.0.0.1:11434"), configured by options. With no options the
-// client uses the package's shared fan-out HTTP client, which speaks
-// plain http only and reads no proxy variables, and no telemetry. A
-// request's deadline is its caller's context's: the orchestrator bounds
-// every drain that may wait.
+// client uses the package's shared hop transport, which speaks plain http
+// only and reads no proxy variables, and no telemetry. A request's
+// deadline is its caller's context's: the orchestrator bounds every drain
+// that may wait.
 func New(base string, opts ...Option) *Client {
-	c := &Client{base: strings.TrimRight(base, "/"), hc: defaultHTTPClient()}
+	c := &Client{base: strings.TrimRight(base, "/")}
 	for _, opt := range opts {
 		opt(c)
 	}
 	req, err := http.NewRequest(http.MethodPost, c.base+"/api/generate", nil)
-	switch t, hop := c.hc.Transport.(*hopTransport); {
+	switch {
 	case err != nil:
 		c.routeErr = err
-	case hop && req.URL.Scheme != "http":
+	case c.rt != nil:
+		c.route = &roundTripRoute{rt: c.rt, req: req}
+	case req.URL.Scheme != "http":
 		c.routeErr = fmt.Errorf("%w (got %s)", errNotHTTP, req.URL.Scheme)
-	case hop:
-		c.route = &hopRoute{t: t, addr: hostPort(req.URL),
-			prefix: "POST " + req.URL.RequestURI() + " HTTP/1.1\r\nHost: " + cmp.Or(req.Host, req.URL.Host) + "\r\nContent-Length: "}
 	default:
-		c.route = &roundTripRoute{rt: cmp.Or[http.RoundTripper](c.hc.Transport, http.DefaultTransport), req: req}
+		c.route = &hopRoute{t: defaultTransport(), addr: hostPort(req.URL),
+			prefix: "POST " + req.URL.RequestURI() + " HTTP/1.1\r\nHost: " + cmp.Or(req.Host, req.URL.Host) + "\r\nContent-Length: "}
 	}
 	return c
 }
@@ -152,45 +139,6 @@ func outcome(err error) string {
 		return "canceled"
 	}
 	return "error"
-}
-
-// do issues a JSON request and decodes the JSON response into out.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) (err error) {
-	start := time.Now()
-	op := strings.TrimPrefix(path, "/api/")
-	defer func() { c.observe(op, start, err) }()
-	ctx, sp := telemetry.StartSpan(ctx, "modeld."+op)
-	defer func() { sp.End(err) }()
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(data)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if tp := sp.Traceparent(); tp != "" {
-		req.Header.Set("Traceparent", tp)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp.Status, resp.Body)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 func decodeError(status string, body io.Reader) error {
@@ -764,13 +712,4 @@ func (s *clientStream) slice(maxTokens int) llm.Chunk {
 	}
 	f.TotalTokens = len(f.Context)
 	return f
-}
-
-// Tags lists installed models.
-func (c *Client) Tags(ctx context.Context) ([]ModelInfo, error) {
-	var resp TagsResponse
-	if err := c.do(ctx, http.MethodGet, "/api/tags", nil, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Models, nil
 }

@@ -359,7 +359,7 @@ func TestSessionCloseRacesBlockedNext(t *testing.T) {
 	}))
 	defer srv.Close()
 	tel := telemetry.New(telemetry.Options{})
-	c := New(srv.URL, WithHTTPClient(&http.Client{Transport: newHopTransport()}), WithTelemetry(tel))
+	c := hopClient(srv.URL, newHopTransport(), WithTelemetry(tel))
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -525,7 +525,7 @@ func TestSessionHoldsNoGoroutine(t *testing.T) {
 		<-r.Context().Done()
 	}))
 	defer srv.Close()
-	c := New(srv.URL, WithHTTPClient(&http.Client{Transport: newHopTransport()}))
+	c := hopClient(srv.URL, newHopTransport())
 	req := llm.ChunkRequest{Model: "m", Prompt: "q", MaxTokens: 8}
 	for _, tc := range []struct {
 		name       string

@@ -184,7 +184,7 @@ func TestClientErrorPaths(t *testing.T) {
 	}
 	// A client pointed at a dead endpoint surfaces transport errors.
 	dead := modeld.New("http://127.0.0.1:1")
-	if _, err := dead.Tags(ctx); err == nil {
+	if _, err := dead.GenerateChunk(ctx, llm.ChunkRequest{Model: "m", Prompt: "q", MaxTokens: 8}); err == nil {
 		t.Fatal("expected transport error")
 	}
 }

@@ -1,6 +1,7 @@
 package modeld
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -152,15 +153,44 @@ func TestGenerateUnknownModel(t *testing.T) {
 	}
 }
 
-// embed POSTs inputs to /api/embed as an array through the client's
-// JSON call.
+// call sends in, as JSON, to c's daemon over net/http and decodes the JSON
+// reply into out: the daemon's calls other than generation, which the
+// client does not make.
+func call(c *Client, method, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(data)
+	}
+	req, err := http.NewRequest(method, c.base+path, body)
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return decodeError(resp.Status, resp.Body)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// embed POSTs inputs to /api/embed as an array.
 func embed(c *Client, model string, inputs ...string) ([][]float32, error) {
 	raw, err := json.Marshal(inputs)
 	if err != nil {
 		return nil, err
 	}
 	var resp EmbedResponse
-	err = c.do(context.Background(), http.MethodPost, "/api/embed", EmbedRequest{Model: model, Input: raw}, &resp)
+	err = call(c, http.MethodPost, "/api/embed", EmbedRequest{Model: model, Input: raw}, &resp)
 	return resp.Embeddings, err
 }
 
@@ -203,10 +233,11 @@ func TestTagsShowVersion(t *testing.T) {
 	c, engine := newTestDaemon(t)
 	ctx := context.Background()
 
-	tags, err := c.Tags(ctx)
-	if err != nil {
+	var list TagsResponse
+	if err := call(c, http.MethodGet, "/api/tags", nil, &list); err != nil {
 		t.Fatal(err)
 	}
+	tags := list.Models
 	if len(tags) != 3 {
 		t.Fatalf("tags = %d models, want 3", len(tags))
 	}
@@ -223,7 +254,7 @@ func TestTagsShowVersion(t *testing.T) {
 
 	show := func(model string) (ShowResponse, error) {
 		var resp ShowResponse
-		err := c.do(ctx, http.MethodPost, "/api/show", ShowRequest{Model: model}, &resp)
+		err := call(c, http.MethodPost, "/api/show", ShowRequest{Model: model}, &resp)
 		return resp, err
 	}
 	got, err := show(llm.ModelLlama3)
@@ -245,7 +276,7 @@ func TestTagsShowVersion(t *testing.T) {
 	}
 
 	var v map[string]string
-	if err := c.do(ctx, http.MethodGet, "/api/version", nil, &v); err != nil || v["version"] != Version {
+	if err := call(c, http.MethodGet, "/api/version", nil, &v); err != nil || v["version"] != Version {
 		t.Fatalf("version = %v %v", v, err)
 	}
 }
@@ -331,7 +362,7 @@ func TestGPUEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out gpu.Snapshot
-	if err := c.do(context.Background(), "GET", "/api/gpu", nil, &out); err != nil {
+	if err := call(c, http.MethodGet, "/api/gpu", nil, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Devices) != 1 || out.Devices[0].MemoryUsed == 0 || !strings.Contains(out.Devices[0].Name, "Tesla") {
@@ -420,6 +451,9 @@ func TestGenerateDroppedConnection(t *testing.T) {
 // hung daemon — the guard the orchestrator's per-drain deadline relies on.
 func TestClientTimeout(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// A request read to its end: only then does net/http watch the
+		// connection, and end the context when the client hangs up.
+		io.Copy(io.Discard, r.Body)
 		<-r.Context().Done() // hang until the client gives up
 	}))
 	defer srv.Close()
@@ -427,7 +461,7 @@ func TestClientTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := c.Tags(ctx); err == nil {
+	if _, err := c.GenerateChunk(ctx, llm.ChunkRequest{Model: "m", Prompt: "q", MaxTokens: 8}); err == nil {
 		t.Fatal("expected timeout error from a hung daemon")
 	}
 	if time.Since(start) > 5*time.Second {

@@ -10,35 +10,27 @@ import (
 	"testing"
 	"time"
 
-	"llmms/internal/embedding"
 	"llmms/internal/llm"
 	"llmms/internal/telemetry"
 )
 
-// TestClientInstrumentation drives every client operation against a
-// live daemon and checks the request counters, latency histograms, and
-// per-model chunk latency land in the shared telemetry bundle.
+// TestClientInstrumentation drives both of the client's operations
+// against a live daemon and checks the request counters, latency
+// histograms, and per-model chunk latency land in the shared telemetry
+// bundle.
 func TestClientInstrumentation(t *testing.T) {
 	plain, engine := newTestDaemon(t)
 	tel := telemetry.New(telemetry.Options{})
-	c := New(plain.base, WithHTTPClient(plain.hc), WithTelemetry(tel))
+	c := New(plain.base, WithTelemetry(tel))
 	ctx := context.Background()
 	model := engine.Profiles()[0].Name
 
 	if _, err := c.GenerateChunk(ctx, llm.ChunkRequest{Model: model, Prompt: "What color is the sky?", MaxTokens: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Tags(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.do(ctx, http.MethodGet, "/api/version", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := embed(c, embedding.ModelDefault, "hello"); err != nil {
-		t.Fatal(err)
-	}
+	drainSession(t, c, llm.ChunkRequest{Model: model, Prompt: "What color is the sky?", MaxTokens: 8}, 0)
 	// An error outcome: unknown model.
-	if err := c.do(ctx, http.MethodPost, "/api/show", ShowRequest{Model: "no-such-model"}, nil); err == nil {
+	if _, err := c.GenerateChunk(ctx, llm.ChunkRequest{Model: "no-such-model", Prompt: "q", MaxTokens: 8}); err == nil {
 		t.Fatal("expected error for unknown model")
 	}
 
@@ -47,17 +39,18 @@ func TestClientInstrumentation(t *testing.T) {
 		want        float64
 	}{
 		{"generate", "ok", 1},
-		{"tags", "ok", 1},
-		{"version", "ok", 1},
-		{"embed", "ok", 1},
-		{"show", "error", 1},
+		{"generate", "error", 1},
+		{"generate_stream", "ok", 1},
 	} {
 		if got := tel.ClientRequests.Value(check.op, check.outcome); got != check.want {
 			t.Errorf("requests{%s,%s} = %v, want %v", check.op, check.outcome, got, check.want)
 		}
 	}
-	if got := tel.ClientLatency.Count("generate"); got != 1 {
-		t.Errorf("latency count{generate} = %v, want 1", got)
+	if got := tel.ClientLatency.Count("generate"); got != 2 {
+		t.Errorf("latency count{generate} = %v, want 2", got)
+	}
+	if got := tel.ClientLatency.Count("generate_stream"); got != 1 {
+		t.Errorf("latency count{generate_stream} = %v, want 1", got)
 	}
 	if got := tel.ClientChunkLat.Count(model, "ok"); got != 1 {
 		t.Errorf("chunk latency count{%s,ok} = %v, want 1", model, got)
@@ -104,6 +97,9 @@ func TestClientTruncatedStreamCounter(t *testing.T) {
 // "canceled" outcome label, not "error".
 func TestClientCanceledOutcome(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// A request read to its end: only then does net/http watch the
+		// connection, and end the context when the client hangs up.
+		io.Copy(io.Discard, r.Body)
 		<-r.Context().Done()
 	}))
 	defer srv.Close()
@@ -111,11 +107,11 @@ func TestClientCanceledOutcome(t *testing.T) {
 	c := New(srv.URL, WithHTTPClient(srv.Client()), WithTelemetry(tel))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := c.Tags(ctx); err == nil {
+	if _, err := c.GenerateChunk(ctx, llm.ChunkRequest{Model: "m", Prompt: "q", MaxTokens: 8}); err == nil {
 		t.Fatal("expected timeout")
 	}
-	if got := tel.ClientRequests.Value("tags", "canceled"); got != 1 {
-		t.Errorf("requests{tags,canceled} = %v, want 1", got)
+	if got := tel.ClientRequests.Value("generate", "canceled"); got != 1 {
+		t.Errorf("requests{generate,canceled} = %v, want 1", got)
 	}
 }
 
@@ -153,11 +149,11 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 	if _, err := c.GenerateChunk(ctx, llm.ChunkRequest{Model: model, Prompt: "What color is the sky?", MaxTokens: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Tags(ctx); err != nil {
+	if err := call(c, http.MethodGet, "/api/tags", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	resp, err := c.hc.Get(c.base + "/metrics")
+	resp, err := http.Get(c.base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,8 @@ const (
 // hopTransport is the default client's transport: HTTP/1.1 over plain TCP
 // with a per-host pool of idle keep-alive connections. Its exchange writes a
 // request in one write on the calling goroutine and reads the reply's head
-// there, in place when parseHead takes it. Generation requests call it
-// directly (hopRoute); RoundTrip adapts it for http.Client. An idle
-// connection holds no goroutine, only a stopped timer, so a daemon that
+// there, in place when parseHead takes it; hopRoute is its one caller. An
+// idle connection holds no goroutine, only a stopped timer, so a daemon that
 // closed one is found out at its next use: a reused connection that fails
 // before any byte of a reply is redialled once, the request resent from the
 // bytes in hand. It speaks plain http only and reads no proxy variables.
@@ -73,8 +72,9 @@ type hopConn struct {
 // it back, emptied, when it closes the connection.
 var brPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
-// errNotHTTP is why the hop transport refuses a URL: it has no TLS and no
-// proxy support, which a caller supplies with its own http.Client.
+// errNotHTTP is why New gives a client no hop route: the hop transport has
+// no TLS and no proxy support, which a caller supplies with its own
+// http.Client.
 var errNotHTTP = errors.New("modeld: the default transport speaks plain http only; pass an http.Client with WithHTTPClient")
 
 // hopRoute writes a client's generation requests as net/http writes the
@@ -93,7 +93,7 @@ func (r *hopRoute) exchange(ctx context.Context, msg *requestBuf, traceparent st
 	}
 	msg.wire = append(append(w, "\r\n"...), msg.body...)
 	b := &lr.hop
-	if err := r.t.exchange(ctx, r.addr, msg.wire, nil, b); err != nil {
+	if err := r.t.exchange(ctx, r.addr, msg.wire, b); err != nil {
 		return err
 	}
 	if b.code != http.StatusOK {
@@ -108,39 +108,9 @@ func (r *hopRoute) exchange(ctx context.Context, msg *requestBuf, traceparent st
 // hostPort is the address a request to u dials.
 func hostPort(u *url.URL) string { return net.JoinHostPort(u.Hostname(), cmp.Or(u.Port(), "80")) }
 
-// RoundTrip implements http.RoundTripper over exchange, for /api/tags: the
-// request as req.Write renders it, the response from the same parse.
-func (t *hopTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	var msg bytes.Buffer
-	if err := req.Write(&msg); err != nil {
-		return nil, err
-	}
-	if req.URL.Scheme != "http" {
-		return nil, fmt.Errorf("%w (got %s)", errNotHTTP, req.URL.Scheme)
-	}
-	b := &hopBody{header: http.Header{}}
-	if err := t.exchange(req.Context(), hostPort(req.URL), msg.Bytes(), req, b); err != nil {
-		return nil, err
-	}
-	resp := b.resp
-	if resp == nil {
-		resp = &http.Response{Status: b.status, StatusCode: b.code, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-			Header: b.header, ContentLength: b.n, Close: b.close}
-		if b.chunked {
-			resp.TransferEncoding = []string{"chunked"}
-		}
-	}
-	resp.Request, resp.Body = req, b
-	if b.pc == nil {
-		resp.Body = http.NoBody
-	}
-	return resp, nil
-}
-
-// exchange sends msg, the whole of req (nil for generation), to addr and
-// reads the reply's head into b, which then reads the body; b.pc is nil
-// when there is none.
-func (t *hopTransport) exchange(ctx context.Context, addr string, msg []byte, req *http.Request, b *hopBody) error {
+// exchange sends msg, a whole request, to addr and reads the reply's head
+// into b, which then reads the body; b.pc is nil when there is none.
+func (t *hopTransport) exchange(ctx context.Context, addr string, msg []byte, b *hopBody) error {
 	if ctx.Err() != nil {
 		return context.Cause(ctx)
 	}
@@ -159,7 +129,7 @@ func (t *hopTransport) exchange(ctx context.Context, addr string, msg []byte, re
 			pc.br.Reset(pc)
 			pc.expire = pc.expireNow
 		}
-		replied, err := pc.exchange(ctx, msg, req, b)
+		replied, err := pc.exchange(ctx, msg, b)
 		if err == nil {
 			return nil
 		}
@@ -179,7 +149,7 @@ func (t *hopTransport) exchange(ctx context.Context, addr string, msg []byte, re
 // exchange sends msg and reads the reply's head. It reports whether a byte
 // of a reply arrived, which rules out resending. Its one context.AfterFunc
 // is stopped when the reply lets the connection go.
-func (pc *hopConn) exchange(ctx context.Context, msg []byte, req *http.Request, b *hopBody) (replied bool, err error) {
+func (pc *hopConn) exchange(ctx context.Context, msg []byte, b *hopBody) (replied bool, err error) {
 	stop := context.AfterFunc(ctx, pc.expire)
 	defer func() {
 		if err != nil {
@@ -192,19 +162,19 @@ func (pc *hopConn) exchange(ctx context.Context, msg []byte, req *http.Request, 
 	if _, err = pc.br.Peek(1); err != nil {
 		return false, err
 	}
-	if n := b.parseHead(pc.br, req); n > 0 {
+	if n := b.parseHead(pc.br); n > 0 {
 		pc.br.Discard(n)
-	} else if b.resp, err = http.ReadResponse(pc.br, req); err != nil {
+	} else if resp, err := http.ReadResponse(pc.br, nil); err != nil {
 		return true, err
 	} else {
-		b.code, b.status, b.n, b.chunked, b.close, b.src = b.resp.StatusCode, b.resp.Status, -1, false, b.resp.Close, b.resp.Body
+		b.code, b.status, b.n, b.chunked, b.close, b.src = resp.StatusCode, resp.Status, -1, false, resp.Close, resp.Body
 	}
 	if b.code < http.StatusOK {
 		// The daemon sends no informational replies; one that does is not
 		// followed any further.
 		return true, fmt.Errorf("modeld: unexpected %s", b.status)
 	}
-	b.pc, b.ctx, b.stop, b.keep = pc, ctx, stop, !b.close && (req == nil || !req.Close)
+	b.pc, b.ctx, b.stop, b.keep = pc, ctx, stop, !b.close
 	if b.n == 0 || b.src == http.NoBody {
 		b.pc, b.err = nil, io.EOF
 		pc.release(stop, b.keep)
@@ -311,13 +281,11 @@ type hopBody struct {
 	code   int
 	status string
 	// n is what is left of a Content-Length body; src reads a chunked one
-	// (n < 0), or net/http's (resp) for a head parseHead declined.
+	// (n < 0), or net/http's for a head parseHead declined.
 	n       int64
 	chunked bool
 	close   bool // the daemon said Connection: close
 	src     io.Reader
-	resp    *http.Response
-	header  http.Header // parsed into only for RoundTrip
 
 	ctx  context.Context
 	stop func() bool // the exchange's context.AfterFunc
@@ -417,13 +385,10 @@ func readTrailer(br *bufio.Reader) error {
 // code from 200 to 599 with a body, then headFields, each at most once,
 // with one of Content-Length and Transfer-Encoding: chunked and Connection:
 // close or keep-alive, as "Name: value" in printable ASCII, no space at
-// either end, each line ending in CRLF. Otherwise — a reply to HEAD too —
-// it returns 0 having consumed nothing, and http.ReadResponse reads the
-// same bytes (FuzzHopHead holds the two to each other).
-func (b *hopBody) parseHead(br *bufio.Reader, req *http.Request) int {
-	if req != nil && req.Method == http.MethodHead {
-		return 0
-	}
+// either end, each line ending in CRLF. Otherwise it returns 0 having
+// consumed nothing, and http.ReadResponse reads the same bytes
+// (FuzzHopHead holds the two to each other).
+func (b *hopBody) parseHead(br *bufio.Reader) int {
 	var head []byte
 	for head == nil {
 		buf, _ := br.Peek(br.Buffered())
@@ -466,10 +431,6 @@ func (b *hopBody) parseHead(br *bufio.Reader, req *http.Request) int {
 			if b.close = v == "close"; !b.close && v != "keep-alive" {
 				return 0
 			}
-		}
-		// Framing and a close are what net/http keeps out of the header.
-		if b.header != nil && string(name) != "Transfer-Encoding" && (string(name) != "Connection" || !b.close) {
-			b.header[string(name)] = []string{string(value)}
 		}
 	}
 	if b.chunked == (b.n >= 0) {

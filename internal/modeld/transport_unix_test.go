@@ -5,7 +5,6 @@ package modeld
 import (
 	"context"
 	"net"
-	"net/http"
 	"strings"
 	"syscall"
 	"testing"
@@ -47,7 +46,7 @@ func TestEarlyClosedSessionKeepsItsConnection(t *testing.T) {
 	tr := newHopTransport()
 	dials := countDials(tr)
 	tel := telemetry.New(telemetry.Options{})
-	c := New(d.url, WithHTTPClient(&http.Client{Transport: tr}), WithTelemetry(tel))
+	c := hopClient(d.url, tr, WithTelemetry(tel))
 	rest := chunk(lineLo) + chunk(strings.TrimSuffix(string(lastBatchLine("!", []int{3}, nil,
 		llm.Chunk{Done: true, DoneReason: llm.DoneStop, Context: []int{1, 2, 3}, EvalCount: 3}, testSpans())), "\n")) +
 		"0\r\n\r\n"

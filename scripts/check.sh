@@ -102,13 +102,14 @@ go test -run '^$' -fuzz '^FuzzBorrow$' -fuzztime 10s ./internal/embedding >/dev/
 echo "== memoized words: go test -race -count=20 -run 'TestConcurrentEncodeAndCount|TestReleasedAccumulatorsReuseExactly' ./internal/tokenizer ./internal/embedding"
 go test -race -count=20 -run 'TestConcurrentEncodeAndCount|TestReleasedAccumulatorsReuseExactly' ./internal/tokenizer ./internal/embedding
 
-# The modeld hop's transport against net/http's, its reference: the same
-# bytes on the same connections and the same results over a script of
-# daemon behaviours, one shared default, reuse without a dial, no goroutine
-# on an idle connection or an open session, a session closed after its
-# daemon finished keeping its connection, one resend on a stale one, and a
+# The modeld client's two routes, the hop's own transport and net/http's,
+# its reference: the same bytes on the same connections and the same
+# results over a script of daemon behaviours, one shared default, a wave of
+# concurrent generation requests reused without a dial, no goroutine on an
+# idle connection or an open session, a session closed after its daemon
+# finished keeping its connection, one resend on a stale one, and a
 # redialled connection that reads nothing of the one before, over and over;
-# then a short fuzz of the replies it reads.
+# then a short fuzz of the replies its exchange reads.
 hop='TestHopTransportMatchesReference|TestDefaultClientSharedOnce|TestDefaultClientReusesConnections|TestIdleConnectionHoldsNoGoroutine|TestSessionHoldsNoGoroutine|TestEarlyClosedSessionKeepsItsConnection|TestStaleIdleConnectionIsRedialled|TestRedialledConnectionReadsNothingOfTheOld'
 echo "== hop transport: go test -race -count=20 -run '$hop' ./internal/modeld"
 go test -race -count=20 -run "$hop" ./internal/modeld
@@ -194,6 +195,13 @@ for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telem
 	echo "== fuzz smoke: $1 10s"
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2" >/dev/null
 done
+
+# The docs name what the code declares: every Go-looking name DESIGN.md and
+# README.md put in backticks is declared or used in the tree's Go code,
+# said on its line to be gone, or in scripts/namecheck.allow with the reason
+# it stays — and every name there is still one the check would flag.
+echo "== name check: scripts/namecheck.sh against scripts/namecheck.allow"
+./scripts/namecheck.sh
 
 # Every internal package must be in the import closure of a binary: one
 # that only tests and examples reach is code the product does not run.
