@@ -735,6 +735,8 @@ func FuzzHopResponse(f *testing.F) {
 		f.Add(r, true)
 	}
 	f.Fuzz(func(t *testing.T, reply []byte, hold bool) {
+		ctx, cancel := context.WithTimeout(context.Background(), fuzzDeadline)
+		defer cancel()
 		tr := newHopTransport()
 		var daemons sync.WaitGroup
 		tr.dial = func(context.Context, string, string) (net.Conn, error) {
@@ -752,6 +754,11 @@ func FuzzHopResponse(f *testing.F) {
 				if _, err := server.Write(reply); err != nil || !hold {
 					return
 				}
+				// A pipe's Write returns once the client has read every
+				// byte: a daemon that holds the connection has nothing more
+				// to send, so the caller gives up now rather than at the
+				// deadline.
+				cancel()
 				io.Copy(io.Discard, br) // until the client closes
 			}()
 			return client, nil
@@ -768,8 +775,6 @@ func FuzzHopResponse(f *testing.F) {
 			daemons.Wait()
 		}()
 
-		ctx, cancel := context.WithTimeout(context.Background(), fuzzDeadline)
-		defer cancel()
 		const body = `{"model":"m","prompt":"q","options":{"num_predict":8,"stream_tokens":true}}`
 		msg := fmt.Sprintf("POST /api/generate HTTP/1.1\r\nHost: modeld\r\nContent-Length: %d\r\nContent-Type: application/json\r\n\r\n%s", len(body), body)
 		start := time.Now()

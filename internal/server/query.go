@@ -1,17 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"llmms/internal/core"
+	"llmms/internal/jsonwire"
 	"llmms/internal/qcache"
 	"llmms/internal/rag"
 	"llmms/internal/router"
@@ -76,7 +81,9 @@ type query struct {
 	sessID   string   // "" for an anonymous request until its stream opens
 	summary  string
 
-	// Set by begin. ctx carries root.
+	// Set by begin. ctx carries root. ids holds the head's per-request
+	// values — trace, session and query id — in one array the head keeps.
+	ids      []string
 	ctx      context.Context
 	root     *telemetry.Span
 	key      qcache.Key
@@ -88,7 +95,7 @@ type query struct {
 	sw       *sseWriter
 	obs      *telemetry.QueryObserver
 
-	xcache string            // X-Cache value, "" for none
+	xcache []string          // X-Cache value, nil for none
 	pred   router.Prediction // zero when route made none
 	routed []string          // the models orchestration fans out to
 
@@ -137,15 +144,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // session waits for openStream, so one that is shed or fails leaves none
 // behind.
 func (s *Server) resolve(q *query) bool {
-	var req QueryRequest
-	if bad := readJSON(q.w, q.r, &req); bad != nil {
+	if bad := readQuery(q.w, q.r, &q.req); bad != nil {
 		q.out = *bad
 		return false
 	}
+	req := &q.req
 	if strings.TrimSpace(req.Query) == "" {
 		return q.fail(nil, http.StatusBadRequest, "missing_field", "query is required")
 	}
-	q.req, q.st = req, s.Settings()
+	q.st = s.Settings()
 	q.st.Strategy = cmp.Or(req.Strategy, q.st.Strategy)
 	q.st.Model = cmp.Or(req.Model, q.st.Model)
 	switch {
@@ -174,6 +181,124 @@ func (s *Server) resolve(q *query) bool {
 	return true
 }
 
+// maxPooledQuery bounds the /api/query bodies decoded in a pooled buffer,
+// and so the buffers the pool keeps: a longer body — one with an ephemeral
+// document, mostly — goes through readJSON as it arrives.
+const maxPooledQuery = 64 << 10
+
+// queryBuf is pooled storage for one /api/query body: the body, and the
+// scratch its keys and strings are unescaped into.
+type queryBuf struct{ body, key, str []byte }
+
+var queryBufPool = sync.Pool{New: func() any { return &queryBuf{body: make([]byte, 0, 1<<10)} }}
+
+// readQuery decodes the request's body into req, answering as readJSON
+// would. A body shorter than maxPooledQuery is read into a pooled buffer
+// and decoded there when it is the object a client writes (decode); every
+// other body — longer, declined, or cut by a failed read — goes through
+// readJSON over the same bytes, which stays the reference
+// (FuzzQueryRequest).
+func readQuery(w http.ResponseWriter, r *http.Request, req *QueryRequest) *outcome {
+	if r.ContentLength >= maxPooledQuery {
+		return readQueryJSON(w, r.Body, req)
+	}
+	qb := queryBufPool.Get().(*queryBuf)
+	defer queryBufPool.Put(qb)
+	whole, err := qb.read(r.Body)
+	if whole && qb.decode(req) {
+		return nil
+	}
+	rest := io.Reader(r.Body)
+	if err != nil {
+		rest = errReader{err}
+	}
+	return readQueryJSON(w, io.NopCloser(io.MultiReader(bytes.NewReader(qb.body), rest)), req)
+}
+
+// readQueryJSON is readJSON into req; only the fallback pays for the
+// request value it moves to the heap.
+func readQueryJSON(w http.ResponseWriter, body io.ReadCloser, req *QueryRequest) *outcome {
+	var v QueryRequest
+	bad := readJSON(w, body, &v)
+	*req = v
+	return bad
+}
+
+// errReader replays the error a read of the body ended with.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// read fills qb.body with body's bytes. It reports whether it read all of
+// them, to io.EOF, before the buffer held maxPooledQuery bytes — it never
+// grows past that — and the error of a read that failed before.
+func (qb *queryBuf) read(body io.Reader) (bool, error) {
+	b := qb.body[:0]
+	defer func() { qb.body = b }()
+	for {
+		if len(b) == cap(b) {
+			if cap(b) >= maxPooledQuery {
+				return false, nil
+			}
+			b = slices.Grow(b, cap(b))
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		switch {
+		case err == io.EOF:
+			return true, nil
+		case err != nil:
+			return false, err
+		}
+	}
+}
+
+// decode reads qb.body into req without reflection when it is an object
+// of QueryRequest's members under their own names, each value of its
+// field's type, and nothing after it — exactly as encoding/json would, a
+// repeated member's last value winning. It reports false, leaving req
+// zero, for anything else: another key (encoding/json matches keys
+// without regard to case and skips unknown ones), a null, a number that is
+// not a plain integer, invalid UTF-8, trailing bytes.
+func (qb *queryBuf) decode(req *QueryRequest) bool {
+	*req = QueryRequest{}
+	s := jsonwire.Scanner{B: qb.body, Key: qb.key}
+	str := func(dst *string) (ok bool) {
+		qb.str, ok = s.Str(qb.str[:0])
+		*dst = string(qb.str)
+		return ok
+	}
+	ok := s.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "query":
+			return str(&req.Query)
+		case "session_id":
+			return str(&req.SessionID)
+		case "strategy":
+			return str(&req.Strategy)
+		case "model":
+			return str(&req.Model)
+		case "max_tokens":
+			req.MaxTokens, ok = s.Int()
+			return ok
+		case "use_rag":
+			req.UseRAG, ok = s.Bool()
+			return ok
+		case "doc_id":
+			return str(&req.DocID)
+		case "ephemeral_context":
+			return str(&req.EphemeralContext)
+		}
+		return false
+	})
+	qb.key = s.Key
+	if !ok || !s.End() {
+		*req = QueryRequest{}
+		return false
+	}
+	return true
+}
+
 // begin opens the root span — before the serving-layer probe, so the trace
 // times cache lookup and admission wait too — and derives the serving key.
 // The root stays open until finish, which keeps every span handle of the
@@ -181,7 +306,8 @@ func (s *Server) resolve(q *query) bool {
 func (s *Server) begin(q *query) {
 	q.ctx, q.root = s.tracer.StartRoot(q.r.Context(), "query")
 	q.root.SetAttr("strategy", string(q.strategy))
-	q.w.Header().Set("X-Trace-ID", q.root.TraceID())
+	q.ids = []string{q.root.TraceID(), "", ""}
+	q.w.Header()["X-Trace-Id"] = q.ids[0:1:1]
 	q.key, q.servable = s.servingKey(q)
 }
 
@@ -192,7 +318,8 @@ func (s *Server) openStream(q *query) *sseWriter {
 		if q.sessID == "" {
 			q.sessID = s.sessions.Create("").ID
 		}
-		q.sw = newSSEWriter(q.w, s.tel, q.sessID, telemetry.NewQueryID(), q.xcache)
+		q.ids[1], q.ids[2] = q.sessID, telemetry.NewQueryID()
+		q.sw = newSSEWriter(q.w, s.tel, q.ids[1:3:3], q.xcache)
 	}
 	return q.sw
 }
@@ -251,7 +378,7 @@ func (s *Server) fromFlight(q *query) bool {
 	}
 	s.tel.Coalesced.Inc()
 	q.root.SetAttr("coalesce_role", "follower")
-	q.xcache = "COALESCED"
+	q.xcache = xcacheCoalesced
 	consumed := 0
 	v, completed := f.Replay(q.r.Context(), func(fr qcache.Frame) error {
 		sw := s.openStream(q)
@@ -300,7 +427,7 @@ func (s *Server) route(q *query) {
 	if q.pred.Probe != "" {
 		s.tel.RouteProbes.Inc(q.pred.Probe)
 	}
-	q.w.Header().Set("X-Route", fmt.Sprintf("%s:%d", q.pred.Outcome, len(q.pred.Models)))
+	q.w.Header()["X-Route"] = []string{q.pred.Outcome + ":" + strconv.Itoa(len(q.pred.Models))}
 	if q.pred.Routed {
 		q.routed = q.pred.Models
 	}
@@ -394,7 +521,7 @@ func (s *Server) orchestrate(q *query, prompt string) {
 		defer stopWatch()
 	}
 	if s.cache != nil || s.flights != nil || s.gate != nil {
-		q.xcache = "MISS"
+		q.xcache = xcacheMiss
 	}
 	sw := s.openStream(q)
 	// Followers and the cache consume the frames even when the leader's
@@ -493,7 +620,7 @@ func (s *Server) finish(q *query) {
 		q.sw.fail(out.code, out.message)
 	default:
 		if out.code == "overloaded" { // the one retryable code, for a leader and its followers alike
-			q.w.Header().Set("Retry-After", retryAfterSeconds)
+			q.w.Header()["Retry-After"] = retryAfter
 		}
 		writeErr(q.w, out.status, out.code, "%s", out.message)
 	}
@@ -517,7 +644,7 @@ func (s *Server) finish(q *query) {
 // A lookup result's span and metric label, and its X-Cache value.
 var (
 	cacheTier   = [...]string{qcache.Miss: "miss", qcache.Exact: "exact", qcache.Semantic: "semantic"}
-	cacheHeader = [...]string{qcache.Exact: "HIT", qcache.Semantic: "SEMANTIC"}
+	cacheHeader = [...][]string{qcache.Exact: xcacheHit, qcache.Semantic: xcacheSemantic}
 )
 
 // logQuery emits the per-query structured log line: Info for normal

@@ -454,11 +454,11 @@ func writeErr(w http.ResponseWriter, status int, code, format string, args ...an
 // one request balloon the heap.
 const maxJSONBody = 1 << 20
 
-// readJSON decodes the request's JSON body, capped at maxJSONBody, into v.
+// readJSON decodes a request's JSON body, capped at maxJSONBody, into v.
 // A body it cannot use comes back as the error envelope to answer with: 413
 // request_too_large past the cap, 400 invalid_json otherwise.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) *outcome {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+func readJSON(w http.ResponseWriter, body io.ReadCloser, v any) *outcome {
+	err := json.NewDecoder(http.MaxBytesReader(w, body, maxJSONBody)).Decode(v)
 	switch {
 	case err == nil:
 		return nil
@@ -671,7 +671,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	// The title is optional: a missing or unreadable body creates an
 	// untitled session, but an oversized one is refused.
-	if bad := readJSON(w, r, &req); bad != nil && bad.code == "request_too_large" {
+	if bad := readJSON(w, r.Body, &req); bad != nil && bad.code == "request_too_large" {
 		bad.write(w)
 		return
 	}
@@ -719,7 +719,7 @@ func (s *Server) handleGetSettings(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handlePutSettings(w http.ResponseWriter, r *http.Request) {
 	var st Settings
-	if bad := readJSON(w, r, &st); bad != nil {
+	if bad := readJSON(w, r.Body, &st); bad != nil {
 		bad.write(w)
 		return
 	}
@@ -747,7 +747,7 @@ func (s *Server) handleConfigure(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Instruction string `json:"instruction"`
 	}
-	if bad := readJSON(w, r, &req); bad != nil {
+	if bad := readJSON(w, r.Body, &req); bad != nil {
 		bad.write(w)
 		return
 	}
@@ -796,7 +796,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		SessionID string  `json:"session_id,omitempty"`
 		Rating    float64 `json:"rating"`
 	}
-	if bad := readJSON(w, r, &req); bad != nil {
+	if bad := readJSON(w, r.Body, &req); bad != nil {
 		bad.write(w)
 		return
 	}

@@ -1,9 +1,9 @@
 package server
 
 import (
-	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -66,14 +66,31 @@ func (s *Server) servingKey(q *query) (qcache.Key, bool) {
 	if q.summary != "" || strings.TrimSpace(q.req.EphemeralContext) != "" {
 		return qcache.Key{}, false
 	}
-	ragFP := "-"
-	if q.req.UseRAG {
-		// No document revision: a write drops only the answers it makes stale.
-		ragFP = fmt.Sprintf("rag:%s:%d", q.req.DocID, q.st.RAGTopK)
+	return qcache.Key{Query: q.req.Query, Scope: servingScope(q)}, true
+}
+
+// servingScope renders everything but the question that a query's answer
+// depends on: strategy, models, λ_max, α, β and, for a RAG query, the
+// document filter and top-k — no document revision: a write drops only the
+// answers it makes stale. The bytes are fmt's "%s|%s|%d|%g|%g|%s" over
+// them, with the models comma-joined and "-" or "rag:<doc>:<k>" last.
+func servingScope(q *query) string {
+	var buf [128]byte
+	b := append(append(buf[:0], q.strategy...), '|')
+	for i, m := range q.models {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, m...)
 	}
-	scope := fmt.Sprintf("%s|%s|%d|%g|%g|%s",
-		q.strategy, strings.Join(q.models, ","), q.st.MaxTokens, q.st.Alpha, q.st.Beta, ragFP)
-	return qcache.Key{Query: q.req.Query, Scope: scope}, true
+	b = strconv.AppendInt(append(b, '|'), int64(q.st.MaxTokens), 10)
+	b = strconv.AppendFloat(append(b, '|'), q.st.Alpha, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, '|'), q.st.Beta, 'g', -1, 64)
+	if !q.req.UseRAG {
+		return string(append(b, "|-"...))
+	}
+	b = append(append(append(b, "|rag:"...), q.req.DocID...), ':')
+	return string(strconv.AppendInt(b, int64(q.st.RAGTopK), 10))
 }
 
 // grounding records what the query's document retrieval depended on, so
@@ -102,9 +119,7 @@ func (s *Server) ragRevision() int {
 
 // appendExchange persists one question/answer pair to a session.
 func (s *Server) appendExchange(sessID, query string, res core.Result) {
-	if _, err := s.sessions.Append(sessID, session.Message{Role: session.RoleUser, Content: query}); err == nil {
-		_, _ = s.sessions.Append(sessID, session.Message{
-			Role: session.RoleAssistant, Content: res.Answer, Model: res.Model,
-		})
-	}
+	_ = s.sessions.AppendAll(sessID,
+		session.Message{Role: session.RoleUser, Content: query},
+		session.Message{Role: session.RoleAssistant, Content: res.Answer, Model: res.Model})
 }

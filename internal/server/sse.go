@@ -37,6 +37,19 @@ const maxPendingSSE = 32 << 10
 // (a long recorded stream) is left to the collector instead of pinned.
 const maxPooledSSE = 64 << 10
 
+// The constant header values /api/query answers with, shared by every
+// response: each is full at one value, so an Add copies it before it
+// appends, and net/http copies a head when it writes it.
+var (
+	eventStream     = []string{"text/event-stream"}
+	noCache         = []string{"no-cache"}
+	xcacheHit       = []string{"HIT"}
+	xcacheSemantic  = []string{"SEMANTIC"}
+	xcacheCoalesced = []string{"COALESCED"}
+	xcacheMiss      = []string{"MISS"}
+	retryAfter      = []string{retryAfterSeconds}
+)
+
 var ssePool = sync.Pool{New: func() any { return &sseWriter{buf: make([]byte, 0, 8<<10)} }}
 
 // sseWriter renders and writes one /api/query stream. It is used by the
@@ -47,7 +60,10 @@ type sseWriter struct {
 	tel     *telemetry.Telemetry
 	sessID  string
 	queryID string
-	xcache  string // X-Cache header value, "" for none
+	// ids is the request's [sessID, queryID], the head's values: storage
+	// the request owns, since the head keeps it.
+	ids    []string
+	xcache []string // X-Cache value, nil for none
 
 	// buf holds rendered frames; buf[sent:] is not yet handed to w and
 	// carries pending frames. A writer that records keeps the bytes it
@@ -87,12 +103,13 @@ type sseWriter struct {
 // errClientGone reports a stream whose client stopped accepting writes.
 var errClientGone = errors.New("server: sse client gone")
 
-// newSSEWriter prepares a stream for one requester. Nothing touches w
-// before the first frame, so a caller that never renders one may still
-// answer with a plain HTTP response.
-func newSSEWriter(w http.ResponseWriter, tel *telemetry.Telemetry, sessID, queryID, xcache string) *sseWriter {
+// newSSEWriter prepares a stream for one requester, whose session and
+// query ids are ids[0] and ids[1]. Nothing touches w before the first
+// frame, so a caller that never renders one may still answer with a plain
+// HTTP response.
+func newSSEWriter(w http.ResponseWriter, tel *telemetry.Telemetry, ids, xcache []string) *sseWriter {
 	sw := ssePool.Get().(*sseWriter)
-	*sw = sseWriter{w: w, tel: tel, sessID: sessID, queryID: queryID, xcache: xcache, buf: sw.buf[:0]}
+	*sw = sseWriter{w: w, tel: tel, sessID: ids[0], queryID: ids[1], ids: ids, xcache: xcache, buf: sw.buf[:0]}
 	sw.flusher, _ = w.(http.Flusher)
 	return sw
 }
@@ -112,15 +129,17 @@ func (sw *sseWriter) close(ctx context.Context) {
 }
 
 // open commits the response to an event stream, with the headers every
-// /api/query stream carries.
+// /api/query stream carries. They are assigned, not Set: under the names
+// Set canonicalizes them to, over the request's ids and the shared
+// constant values, so a head allocates no key and no value of its own.
 func (sw *sseWriter) open() {
 	h := sw.w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Session-ID", sw.sessID)
-	h.Set("X-Query-ID", sw.queryID)
-	if sw.xcache != "" {
-		h.Set("X-Cache", sw.xcache)
+	h["Content-Type"] = eventStream
+	h["Cache-Control"] = noCache
+	h["X-Session-Id"] = sw.ids[0:1:1]
+	h["X-Query-Id"] = sw.ids[1:2:2]
+	if sw.xcache != nil {
+		h["X-Cache"] = sw.xcache
 	}
 	sw.w.WriteHeader(http.StatusOK)
 	sw.opened = true

@@ -422,11 +422,11 @@ func TestCacheHitCostsOneWrite(t *testing.T) {
 // pooled, so every writer the pool hands out has room for a stream.
 func TestWriterLeftToFollowersIsNotPooled(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{})
-	sw := newSSEWriter(httptest.NewRecorder(), tel, "s", "q", "")
+	sw := newSSEWriter(httptest.NewRecorder(), tel, []string{"s", "q"}, nil)
 	sw.buf = nil // what finish does when the flight had followers
 	sw.close(context.Background())
 	for i := 0; i < 8; i++ {
-		sw := newSSEWriter(httptest.NewRecorder(), tel, "s", "q", "")
+		sw := newSSEWriter(httptest.NewRecorder(), tel, []string{"s", "q"}, nil)
 		if cap(sw.buf) == 0 {
 			t.Fatal("the pool handed out a writer without a buffer")
 		}
@@ -659,7 +659,7 @@ func TestEventFrameEveryType(t *testing.T) {
 		cfg := core.DefaultConfig(models...)
 		cfg.MaxTokens = 192
 		rec := httptest.NewRecorder()
-		sw := newSSEWriter(rec, telemetry.New(telemetry.Options{}), "s", "q", "")
+		sw := newSSEWriter(rec, telemetry.New(telemetry.Options{}), []string{"s", "q"}, nil)
 		var want bytes.Buffer
 		cfg.OnEvent = func(ev core.Event) {
 			seen[ev.Type]++
@@ -705,7 +705,7 @@ func TestEventFrameEveryType(t *testing.T) {
 func TestSSEWriterBoundsPending(t *testing.T) {
 	rec := httptest.NewRecorder()
 	tel := telemetry.New(telemetry.Options{})
-	sw := newSSEWriter(rec, tel, "s", "q", "HIT")
+	sw := newSSEWriter(rec, tel, []string{"s", "q"}, xcacheHit)
 	defer sw.close(context.Background())
 	big := core.Event{Type: core.EventChunk, Strategy: core.StrategyOUA, Text: strings.Repeat("x", maxPendingSSE/2)}
 	sw.event(big)
@@ -727,7 +727,7 @@ func TestSSEWriterBoundsPending(t *testing.T) {
 	first := rec.Body.String()
 
 	rec2 := httptest.NewRecorder()
-	sw2 := newSSEWriter(rec2, tel, "s", "q", "HIT")
+	sw2 := newSSEWriter(rec2, tel, []string{"s", "q"}, xcacheHit)
 	defer sw2.close(context.Background())
 	sw2.replay([]byte(first), 3)
 	sw2.flush()

@@ -206,11 +206,8 @@ func (s *Store) Len() int {
 // the retained history grows past the configured threshold. It returns
 // the updated snapshot.
 func (s *Store) Append(id string, msg Message) (Session, error) {
-	if strings.TrimSpace(msg.Content) == "" {
-		return Session{}, errors.New("session: empty message content")
-	}
-	if msg.Role != RoleUser && msg.Role != RoleAssistant {
-		return Session{}, fmt.Errorf("session: invalid role %q", msg.Role)
+	if err := valid(msg); err != nil {
+		return Session{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -218,6 +215,43 @@ func (s *Store) Append(id string, msg Message) (Session, error) {
 	if !ok {
 		return Session{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
+	s.appendLocked(sess, msg)
+	return snapshot(sess), nil
+}
+
+// AppendAll adds msgs to a session in order under one lock, as that many
+// Appends would, and makes no snapshot. The first message Append would
+// refuse stops it, with the ones before it appended.
+func (s *Store) AppendAll(id string, msgs ...Message) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sess, ok := s.sessions[id]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	for _, msg := range msgs {
+		if err := valid(msg); err != nil {
+			return err
+		}
+		s.appendLocked(sess, msg)
+	}
+	return nil
+}
+
+// valid refuses a message with no content or a role other than the two.
+func valid(msg Message) error {
+	if strings.TrimSpace(msg.Content) == "" {
+		return errors.New("session: empty message content")
+	}
+	if msg.Role != RoleUser && msg.Role != RoleAssistant {
+		return fmt.Errorf("session: invalid role %q", msg.Role)
+	}
+	return nil
+}
+
+// appendLocked adds msg to sess, stamped with the store's clock, and moves
+// sess to the young end of byAge.
+func (s *Store) appendLocked(sess *Session, msg Message) {
 	now := s.clock()
 	msg.Time = now
 	sess.Messages = append(sess.Messages, msg)
@@ -232,7 +266,6 @@ func (s *Store) Append(id string, msg Message) (Session, error) {
 	if len(sess.Messages) > s.summarizeEvery {
 		s.summarizeLocked(sess)
 	}
-	return snapshot(sess), nil
 }
 
 // summarizeLocked folds everything but the newest retainMessages turns

@@ -24,13 +24,13 @@ go test -race -shuffle=on ./...
 # The allocation guards skip themselves under -race, where sync.Pool drops
 # puts and counts are not exact, so the suite above never runs them: run
 # them once more without it, and require that every one of them ran.
-allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestTrainAllocs|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestTopKAllocatesNothing|TestRecordingAllocatesNothing|TestStoredTraceFootprint|TestStoredTraceTextFits|TestPolicyAllocatesNothing|TestQueryWork'
+allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestTrainAllocs|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestTopKAllocatesNothing|TestRecordingAllocatesNothing|TestStoredTraceFootprint|TestStoredTraceTextFits|TestPolicyAllocatesNothing|TestQueryWork|TestReadQueryAllocates'
 echo "== allocation guards: go test -count=1 -run '^($allocs)\$' ./internal/..."
 out=$(go test -count=1 -v -run "^($allocs)\$" ./internal/...)
 passed=$(printf '%s\n' "$out" | grep -c '^--- PASS' || true)
-if [ "$passed" -ne 14 ]; then
+if [ "$passed" -ne 15 ]; then
 	printf '%s\n' "$out" >&2
-	echo "allocation guards: $passed of 14 passed" >&2
+	echo "allocation guards: $passed of 15 passed" >&2
 	exit 1
 fi
 
@@ -180,7 +180,8 @@ go test -race -count=20 -run "$vdb" ./internal/vectordb
 # incremental trainer against the recounting one; and the
 # engine's budget arithmetic for any num_predict and context length; and
 # the vector database's search against its flat-scan reference over any
-# texts, and Open over any manifest.
+# texts, and Open over any manifest; and /api/query's pooled request
+# decode against the capped json.Decoder it falls back to.
 for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telemetry' \
 	'FuzzStreamLine ./internal/modeld' 'FuzzGenerateRequest ./internal/modeld' \
 	'FuzzHopHead ./internal/modeld' \
@@ -190,7 +191,8 @@ for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telem
 	'FuzzRows ./internal/embedding' 'FuzzLiftedSession ./internal/llm' \
 	'FuzzCount ./internal/tokenizer' 'FuzzTrain ./internal/tokenizer' \
 	'FuzzPlanBudget ./internal/llm' \
-	'FuzzRetrieval ./internal/vectordb' 'FuzzOpenManifest ./internal/vectordb'; do
+	'FuzzRetrieval ./internal/vectordb' 'FuzzOpenManifest ./internal/vectordb' \
+	'FuzzQueryRequest ./internal/server'; do
 	set -- $target
 	echo "== fuzz smoke: $1 10s"
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2" >/dev/null
