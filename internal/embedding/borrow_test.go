@@ -2,6 +2,7 @@ package embedding
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -107,6 +108,11 @@ func TestBorrowReleaseAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector")
 	}
+	// One P throughout: a pool's put lands in its P's private slot, which a
+	// Get on another P does not see, and AllocsPerRun puts GOMAXPROCS back
+	// when it returns, so the check after it could run on another P and
+	// find the pool empty.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	enc := Default()
 	text := strings.Repeat("is the great wall of china visible from space ", 4)
 	allocs := testing.AllocsPerRun(100, func() {

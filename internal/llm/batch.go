@@ -88,7 +88,12 @@ type batchSeq struct {
 	submitted time.Time
 }
 
+// canceled reports whether the caller gave up: its context ended, or it
+// stopped the generation (Generation.Stop).
 func (q *batchSeq) canceled() bool {
+	if q.gen.stopped.Load() {
+		return true
+	}
 	select {
 	case <-q.done:
 		return true

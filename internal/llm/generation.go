@@ -43,6 +43,10 @@ type Generation struct {
 	// in plan.ids.
 	taken atomic.Int64
 
+	// stopped is set by Stop; the producer ends the generation at its next
+	// step boundary, as it does once the request's context is done.
+	stopped atomic.Bool
+
 	// onTerminal, when set, runs on the producer once the generation has
 	// ended — how OpenStreams learns a session stopped producing.
 	onTerminal func()
@@ -75,6 +79,11 @@ func (g *Generation) finish(reason DoneReason) {
 		g.onTerminal()
 	}
 }
+
+// Stop asks the producer to end the generation at its next step boundary,
+// with DoneCancel, as a canceled request context does, but without one. A
+// generation that already ended is left as it is. Safe from any goroutine.
+func (g *Generation) Stop() { g.stopped.Store(true) }
 
 func (g *Generation) signal() {
 	select {
@@ -198,7 +207,6 @@ func Collect(g *Generation) (string, Chunk) {
 // rounds with no goroutine and no second buffer in between.
 type engineStream struct {
 	gen    *Generation
-	cancel context.CancelFunc
 	closed atomic.Bool
 	// wait is the session's bound on one Next's wait (ChunkRequest.Wait),
 	// timed by timer, made on the first wait and reset on each later one.
@@ -212,20 +220,15 @@ type engineStream struct {
 // (LatencyScale) keeps flowing between Next calls, which is the
 // generation/scoring overlap the orchestrator exploits.
 func (e *Engine) OpenStream(ctx context.Context, req ChunkRequest) (ChunkStream, error) {
-	genCtx, cancel := context.WithCancel(ctx)
 	e.streams.Add(1)
-	gen, err := e.generate(genCtx, GenRequest{
+	gen, err := e.generate(ctx, GenRequest{
 		Model: req.Model, Prompt: req.Prompt, MaxTokens: req.MaxTokens, Context: req.Cont,
-	}, func() {
-		e.streams.Add(-1)
-		cancel()
-	})
+	}, func() { e.streams.Add(-1) })
 	if err != nil {
 		e.streams.Add(-1)
-		cancel()
 		return nil, err
 	}
-	return &engineStream{gen: gen, cancel: cancel, wait: req.Wait}, nil
+	return &engineStream{gen: gen, wait: req.Wait}, nil
 }
 
 // Next implements ChunkStream: it waits for maxTokens tokens (the end,
@@ -311,12 +314,12 @@ func (s *engineStream) Buffered() int {
 	return decoded - int(s.gen.taken.Load())
 }
 
-// Close implements ChunkStream: it cancels the underlying generation (the
+// Close implements ChunkStream: it stops the underlying generation (the
 // engine settles it at its next step and releases the hardware job) and
 // fails any Next, including one blocked right now.
 func (s *engineStream) Close() error {
 	s.closed.Store(true)
-	s.cancel()
+	s.gen.Stop()
 	s.gen.signal()
 	return nil
 }

@@ -273,7 +273,7 @@ func TestEngineStreamEndsAtPlanEnd(t *testing.T) {
 	ids := tok.AppendIDs(nil, "Bats are not blind.")
 	gen := newGeneration(tok, genPlan{ids: ids, reason: DoneStop}, nil)
 	gen.advance(len(ids)) // decoded to the end, finish not yet called
-	s := &engineStream{gen: gen, cancel: func() {}}
+	s := &engineStream{gen: gen}
 	got, err := s.Next(context.Background(), len(ids))
 	if err != nil || !got.Done || got.DoneReason != DoneStop || got.EvalCount != len(ids) {
 		t.Fatalf("slice to the plan's end = %+v, %v; want the terminal chunk", got, err)

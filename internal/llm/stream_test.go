@@ -162,7 +162,7 @@ func waitForStreams(t *testing.T, e *Engine, want int) {
 func TestEngineStreamWaitBoundsOneNext(t *testing.T) {
 	const wait = 20 * time.Millisecond
 	g := newGeneration(tokenizer.Default(), genPlan{ids: []int{101, 102, 103, 104, 105, 106}, reason: DoneStop}, nil)
-	s := &engineStream{gen: g, cancel: func() {}, wait: wait}
+	s := &engineStream{gen: g, wait: wait}
 	ctx := context.Background()
 
 	start := time.Now()

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"llmms/internal/llm"
@@ -41,7 +42,20 @@ type Client struct {
 	// routeErr, why there is none, is each generation call's error.
 	route    exchanger
 	routeErr error
+	// stops is whether a session's request goes full duplex, so that Close
+	// stops the daemon with stopLine rather than hanging up: learned from
+	// the daemon's /api/version on the first OpenStream (under learn) over
+	// the hop's own route, and never over another.
+	stops atomic.Int32
+	learn sync.Mutex
 }
+
+// Client.stops: not yet learned, no, yes.
+const (
+	stopsUnknown int32 = iota
+	stopsNo
+	stopsYes
+)
 
 // defaultTransport is the hop transport shared by every client New builds
 // without WithHTTPClient, built once. net/http's default transport keeps
@@ -106,6 +120,7 @@ func New(base string, opts ...Option) *Client {
 		opt(c)
 	}
 	req, err := http.NewRequest(http.MethodPost, c.base+"/api/generate", nil)
+	c.stops.Store(stopsNo)
 	switch {
 	case err != nil:
 		c.routeErr = err
@@ -114,10 +129,45 @@ func New(base string, opts ...Option) *Client {
 	case req.URL.Scheme != "http":
 		c.routeErr = fmt.Errorf("%w (got %s)", errNotHTTP, req.URL.Scheme)
 	default:
+		host := "HTTP/1.1\r\nHost: " + cmp.Or(req.Host, req.URL.Host) + "\r\n"
+		version := *req.URL
+		version.Path, version.RawPath = strings.TrimSuffix(req.URL.Path, "generate")+"version", ""
 		c.route = &hopRoute{t: defaultTransport(), addr: hostPort(req.URL),
-			prefix: "POST " + req.URL.RequestURI() + " HTTP/1.1\r\nHost: " + cmp.Or(req.Host, req.URL.Host) + "\r\nContent-Length: "}
+			prefix: "POST " + req.URL.RequestURI() + " " + host, version: "GET " + version.RequestURI() + " " + host + "\r\n"}
+		c.stops.Store(stopsUnknown)
 	}
 	return c
+}
+
+// takesStop reports whether a session's request goes full duplex, asking
+// the daemon once: a client learns it on its first OpenStream, and asks
+// again only after a request for it failed.
+func (c *Client) takesStop(ctx context.Context) bool {
+	if s := c.stops.Load(); s != stopsUnknown {
+		return s == stopsYes
+	}
+	c.learn.Lock()
+	defer c.learn.Unlock()
+	if s := c.stops.Load(); s != stopsUnknown {
+		return s == stopsYes
+	}
+	ok, dials, err := c.route.(*hopRoute).takesStop(ctx)
+	c.countDials(dials)
+	if err != nil {
+		return false
+	}
+	c.stops.Store(stopsNo)
+	if ok {
+		c.stops.Store(stopsYes)
+	}
+	return ok
+}
+
+// countDials counts connections the client's requests dialled.
+func (c *Client) countDials(n int) {
+	if n > 0 && c.tel != nil {
+		c.tel.ClientDials.Add(float64(n))
+	}
 }
 
 // observe records one daemon request's latency and outcome under op.
@@ -201,14 +251,22 @@ func (r *roundTripRoute) exchange(ctx context.Context, msg *requestBuf, tracepar
 // ends; a failed call leaves it to the collector, since a transport other
 // than the hop's may still be sending it.
 func (c *Client) send(ctx context.Context, req *GenerateRequest, sp *telemetry.Span) (*lineReader, error) {
+	return c.sendAs(ctx, req, sp, false)
+}
+
+// sendAs is send, as a full-duplex request when duplex is set.
+func (c *Client) sendAs(ctx context.Context, req *GenerateRequest, sp *telemetry.Span, duplex bool) (*lineReader, error) {
 	if c.routeErr != nil {
 		return nil, c.routeErr
 	}
 	msg := requestBufPool.Get().(*requestBuf)
 	msg.encode(req)
+	msg.duplex = duplex
 	lr := lineReaderPool.Get().(*lineReader)
 	lr.req, lr.sp = msg, sp
-	if err := c.route.exchange(ctx, msg, sp.Traceparent(), lr); err != nil {
+	err := c.route.exchange(ctx, msg, sp.Traceparent(), lr)
+	c.countDials(lr.hop.dials)
+	if err != nil {
 		lr.release()
 		return nil, err
 	}
@@ -248,6 +306,8 @@ type lineReader struct {
 	rerr   error // the body's read error, once it had one
 	ended  bool
 	err    error
+	// stopped: the reply was let go of with the stop line (hopBody.owe).
+	stopped bool
 }
 
 var lineReaderPool = sync.Pool{New: func() any { return &lineReader{buf: make([]byte, 4<<10)} }}
@@ -282,7 +342,7 @@ func (lr *lineReader) next(to reach) bool {
 		switch {
 		case i >= 0:
 			lr.r += i + 1
-		case lr.rerr != nil && len(rest) > 0:
+		case lr.rerr != nil && len(rest) > 0 && !errors.Is(lr.rerr, errWouldBlock):
 			i, lr.r = len(rest), lr.w // the last line, without its newline
 		case lr.rerr != nil:
 			lr.end(lr.outcome())
@@ -341,6 +401,7 @@ func (lr *lineReader) decode(line []byte) error {
 	if sl.done {
 		sl.graftSpans(line, lr.sp)
 		lr.done = true
+		lr.hop.endRequest(false)
 	}
 	return nil
 }
@@ -364,9 +425,18 @@ func (lr *lineReader) outcome() error {
 }
 
 // end closes the body, ends the request, releases its body and records err.
+// A full-duplex reply that was read as far as it had arrived is not closed
+// but let go of (hopBody.owe): the daemon is stopped in band, unless its
+// done line was read, and the connection kept.
 func (lr *lineReader) end(err error) {
 	lr.ended, lr.err = true, err
-	lr.body.Close()
+	owed := false
+	if errors.Is(lr.rerr, errWouldBlock) {
+		lr.stopped, owed = lr.hop.owe(lr.done)
+	}
+	if !owed {
+		lr.body.Close()
+	}
 	if lr.cancel != nil {
 		lr.cancel()
 	}
@@ -485,7 +555,12 @@ func (c *Client) OpenStream(ctx context.Context, req llm.ChunkRequest) (llm.Chun
 	ctx, sp := telemetry.StartSpan(ctx, "modeld.stream")
 	sp.SetAttr("model", req.Model)
 	start := time.Now()
-	lr, err := c.send(ctx, &wire, sp)
+	duplex := c.takesStop(ctx)
+	lr, err := c.sendAs(ctx, &wire, sp, duplex)
+	if errors.Is(err, errNoDuplex) {
+		c.stops.Store(stopsNo)
+		lr, err = c.send(ctx, &wire, sp)
+	}
 	if err != nil {
 		c.settle("generate_stream", req.Model, start, sp, err)
 		return nil, err
@@ -647,6 +722,9 @@ func (s *clientStream) fill(to reach, want int) {
 	}
 	if lr.ended && !s.final.Done && s.err == nil {
 		s.err = lr.err
+		if lr.stopped && s.c.tel != nil {
+			s.c.tel.ClientStops.Inc(s.model)
+		}
 		s.c.settle("generate_stream", s.model, s.start, lr.sp, s.err)
 	}
 }

@@ -13,7 +13,7 @@
 //	POST /api/embed     — embeddings for one input or a batch
 //	GET  /api/tags      — installed models
 //	POST /api/show      — model details
-//	GET  /api/version   — daemon version (reports the simulated 0.4.5)
+//	GET  /api/version   — daemon version (the simulated 0.4.5) and stop_line (LLM-MS extension)
 //	GET  /api/gpu       — hardware telemetry (LLM-MS extension)
 //	GET  /metrics       — Prometheus text-format daemon metrics (LLM-MS extension)
 //
@@ -289,16 +289,37 @@ func (rb *requestBuf) read(w http.ResponseWriter, r *http.Request) error {
 	return err
 }
 
+// handleGenerate answers one generation request. A request with a
+// Content-Length body is read whole. A chunked one is a client's
+// full-duplex request (see stopLine): its first line is the generate
+// object, and the rest of its body is handed to a watcher that stops the
+// generation on a stop line; the done line is flushed, and the handler
+// returns only once the watcher has read the body to its end, since no
+// handler may read its body after it returned. A connection that cannot
+// go full duplex is refused at once with 411, before the body is read, so
+// that the client resends the request with a Content-Length.
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	rb := requestBufPool.Get().(*requestBuf)
 	defer rb.release()
-	if err := rb.read(w, r); err != nil {
+	duplex := r.ContentLength < 0
+	var err error
+	if duplex {
+		if http.NewResponseController(w).EnableFullDuplex() != nil {
+			w.Header().Set("Connection", "close")
+			writeErr(w, http.StatusLengthRequired, "this connection cannot read a chunked request while it replies; send a Content-Length")
+			return
+		}
+		err = rb.readLine(r.Body)
+	} else {
+		err = rb.read(w, r)
+	}
+	if err != nil {
 		badBody(w, err)
 		return
 	}
-	var req GenerateRequest
-	if !rb.decode(&req) {
-		if err := json.NewDecoder(bytes.NewReader(rb.body)).Decode(&req); err != nil {
+	req := &rb.req
+	if !rb.decode(req) {
+		if err := json.NewDecoder(bytes.NewReader(rb.body)).Decode(req); err != nil {
 			badBody(w, err)
 			return
 		}
@@ -347,6 +368,10 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	}
+	if duplex {
+		rb.watching.Add(1)
+		go rb.watch(r.Body, generation)
+	}
 	// Occupancy the moment this request joined the model's batch
 	// (active plus queued, including this one).
 	if st, ok := s.engine.BatchStats(req.Model); ok {
@@ -377,9 +402,14 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if !stream {
 		text, last := llm.Collect(generation)
 		lw.reply(text, last, finish(last))
-		return
+	} else {
+		lw.stream(generation, finish)
 	}
-	lw.stream(generation, finish)
+	if duplex {
+		// The client ends its body once it has read the done line.
+		lw.flush()
+		rb.watching.Wait()
+	}
 }
 
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
@@ -445,8 +475,18 @@ func (s *Server) handleShow(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// versionBody is the /api/version reply. StopLine, an LLM-MS extension,
+// says the daemon reads a chunked /api/generate body in full duplex and
+// stops the generation on that line; a daemon without it (a stock Ollama)
+// gets requests with a Content-Length, and a session stops it by hanging
+// up.
+type versionBody struct {
+	Version  string `json:"version"`
+	StopLine string `json:"stop_line,omitempty"`
+}
+
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"version": Version})
+	writeJSON(w, http.StatusOK, versionBody{Version: Version, StopLine: stopLine})
 }
 
 func (s *Server) handleGPU(w http.ResponseWriter, _ *http.Request) {

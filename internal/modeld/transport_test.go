@@ -43,10 +43,13 @@ func referenceTransport() *http.Transport {
 }
 
 // hopClient is a client whose generation requests go through tr, over the
-// route New gives a client without WithHTTPClient.
+// route New gives a client without WithHTTPClient, and that takes its
+// daemon — a script, not modeld — to have no stop line: it asks no
+// /api/version, and its sessions' requests carry a Content-Length.
 func hopClient(base string, tr *hopTransport, opts ...Option) *Client {
 	c := New(base, opts...)
 	c.route.(*hopRoute).t = tr
+	c.stops.Store(stopsNo)
 	return c
 }
 
@@ -233,8 +236,12 @@ type rawDaemon struct {
 	url     string
 	ln      net.Listener
 	replies chan rawReply
-	hungUp  chan int      // connections the client closed
-	done    chan struct{} // closed at the test's end
+	// bodied answers a request with a chunked body, a full-duplex one: the
+	// first part before the body has ended, the second once it has and
+	// the request is recorded.
+	bodied chan [2]string
+	hungUp chan int      // connections the client closed
+	done   chan struct{} // closed at the test's end
 
 	mu    sync.Mutex
 	conns []net.Conn
@@ -256,6 +263,7 @@ func newRawDaemon(t *testing.T) *rawDaemon {
 		t.Fatal(err)
 	}
 	d := &rawDaemon{url: "http://" + ln.Addr().String(), ln: ln, replies: make(chan rawReply, 1),
+		bodied: make(chan [2]string, 1),
 		hungUp: make(chan int, 64), done: make(chan struct{})}
 	var served sync.WaitGroup
 	t.Cleanup(func() {
@@ -300,11 +308,25 @@ func (d *rawDaemon) serve(c *net.TCPConn, n int) {
 			d.hungUp <- n
 			return
 		}
-		io.Copy(io.Discard, req.Body)
-		raw := rec.Next(rec.Len() - br.Buffered())
-		d.mu.Lock()
-		d.seen = append(d.seen, rawRequest{n, string(raw)})
-		d.mu.Unlock()
+		record := func() {
+			io.Copy(io.Discard, req.Body)
+			raw := rec.Next(rec.Len() - br.Buffered())
+			d.mu.Lock()
+			d.seen = append(d.seen, rawRequest{n, string(raw)})
+			d.mu.Unlock()
+		}
+		if req.ContentLength < 0 {
+			select {
+			case reply := <-d.bodied:
+				io.WriteString(c, reply[0])
+				record()
+				io.WriteString(c, reply[1])
+			case <-d.done:
+				return
+			}
+			continue
+		}
+		record()
 		select {
 		case reply := <-d.replies:
 			if reply(c) {
@@ -526,7 +548,9 @@ func hopScript() []hopStep {
 // one, a stream:false reply, a 404 JSON error, a reply saying
 // Connection: close, a connection the daemon closes while it is idle, a
 // session canceled mid-stream, a chunked body cut short and a stream the
-// client gives up on at a bad line. The daemon must receive the same
+// client gives up on at a bad line; then a full-duplex session stopped
+// after its first token, held to net/http writing the same body from a
+// pipe. The daemon must receive the same
 // bytes on the same connections from both, so the hop's are held to what
 // net/http writes for the http.Request the other route builds, and the
 // client must come to the same results, errors and counts. A connection
@@ -575,6 +599,37 @@ func TestHopTransportMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		for _, op := range []string{"generate", "generate_stream"} {
+			for _, oc := range []string{"ok", "error", "canceled"} {
+				r.counts += fmt.Sprintf("%s/%s=%v ", op, oc, tel.ClientRequests.Value(op, oc))
+			}
+		}
+		r.counts += fmt.Sprintf("truncated=%v", tel.ClientTruncated.Value("m"))
+
+		// The full-duplex step, on the connection the last step left idle:
+		// a session closed after its first token stops the daemon in band.
+		// The reference is net/http sending the body from a pipe, the stop
+		// line and the body's end written to it at close, and reading the
+		// reply to its end.
+		d.bodied <- [2]string{ndjsonHead + chunk(lineHel), chunk(lineDone) + "0\r\n\r\n"}
+		var first string
+		if route == "reference" {
+			first = referenceDuplex(t, c)
+		} else {
+			c.stops.Store(stopsYes)
+			st, err := c.OpenStream(context.Background(), hopReq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first = chunkResult(st.Next(context.Background(), 1))
+			st.Close()
+			awaitTails(t, c.route.(*hopRoute).t)
+		}
+		r.results = append(r.results, "full duplex: "+first)
+		if conn := d.lastConn(); !used[conn] {
+			t.Fatalf("%s: full duplex: the request came on connection %d, want an idle one reused", route, conn)
+		}
+
 		d.mu.Lock()
 		// Connections numbered from the run's first.
 		for _, req := range d.seen {
@@ -582,12 +637,6 @@ func TestHopTransportMatchesReference(t *testing.T) {
 			r.seen = append(r.seen, req)
 		}
 		d.mu.Unlock()
-		for _, op := range []string{"generate", "generate_stream"} {
-			for _, oc := range []string{"ok", "error", "canceled"} {
-				r.counts += fmt.Sprintf("%s/%s=%v ", op, oc, tel.ClientRequests.Value(op, oc))
-			}
-		}
-		r.counts += fmt.Sprintf("truncated=%v", tel.ClientTruncated.Value("m"))
 		runs = append(runs, r)
 	}
 	ref, hop := runs[0], runs[1]
@@ -607,9 +656,47 @@ func TestHopTransportMatchesReference(t *testing.T) {
 	if strings.Contains(hop.seen[0].bytes, "Traceparent") || !strings.Contains(hop.seen[1].bytes, "\r\nTraceparent: 00-") {
 		t.Fatalf("the first two sessions' requests: %+q; want the second alone to carry a traceparent", hop.seen[:2])
 	}
+	if last := hop.seen[len(hop.seen)-1].bytes; !strings.Contains(last, "\r\nTransfer-Encoding: chunked\r\n") || !strings.HasSuffix(last, string(stopChunk)) {
+		t.Fatalf("the full-duplex request: %+q; want a chunked body ending in the stop line and the body's end", last)
+	}
 	if ref.counts != hop.counts {
 		t.Errorf("counts:\nreference %s\nhop       %s", ref.counts, hop.counts)
 	}
+}
+
+// referenceDuplex is the full-duplex step over net/http, c's transport: a
+// session's request whose chunked body comes from a pipe, its first token,
+// then the stop line and the body's end, and the reply read to its end.
+func referenceDuplex(t *testing.T, c *Client) string {
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, c.base+"/api/generate", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header = http.Header{"Content-Type": jsonContentType, "User-Agent": noUserAgent}
+	wire := GenerateRequest{Model: hopReq.Model, Prompt: hopReq.Prompt}
+	wire.Options.NumPredict, wire.Options.StreamTokens = hopReq.MaxTokens, true
+	msg := requestBufPool.Get().(*requestBuf)
+	msg.encode(&wire)
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		pw.Write(append(slices.Clone(msg.body), '\n'))
+	}()
+	resp, err := c.rt.RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.streamReply(hopReq, resp, msg, nil, func() {})
+	first := chunkResult(st.Next(context.Background(), 1))
+	<-wrote // the generate object has been sent, before the stop line
+	pw.Write([]byte(stopLine + "\n"))
+	pw.Close()
+	if ch, err := st.Next(context.Background(), 0); err != nil || !ch.Done {
+		t.Fatalf("reference: after the stop: %+v, %v; want the done line", ch, err)
+	}
+	st.Close()
+	return first
 }
 
 // TestStaleIdleConnectionIsRedialled: a generation request on an idle
@@ -724,17 +811,21 @@ const fuzzDeadline = 10 * time.Millisecond
 
 // FuzzHopResponse answers a generation request through the hop transport's
 // exchange with arbitrary bytes — a daemon that then hangs up, or one that holds the
-// connection open — seeded with a real daemon's replies. The transport
+// connection open — seeded with a real daemon's replies; the request has a
+// Content-Length, or is a full-duplex one whose chunked body the client
+// ends once it has the reply's head. The transport
 // must not panic, must return by the request's deadline, and may pool the
 // connection only after a reply whose body ended cleanly: one net/http
 // reads off the same bytes to its end without an error or a
 // Connection: close, and whose body it reads the same.
 func FuzzHopResponse(f *testing.F) {
 	for _, r := range daemonReplies(f) {
-		f.Add(r, false)
-		f.Add(r, true)
+		for _, duplex := range []bool{false, true} {
+			f.Add(r, false, duplex)
+			f.Add(r, true, duplex)
+		}
 	}
-	f.Fuzz(func(t *testing.T, reply []byte, hold bool) {
+	f.Fuzz(func(t *testing.T, reply []byte, hold, duplex bool) {
 		ctx, cancel := context.WithTimeout(context.Background(), fuzzDeadline)
 		defer cancel()
 		tr := newHopTransport()
@@ -750,7 +841,19 @@ func FuzzHopResponse(f *testing.F) {
 				if err != nil {
 					return
 				}
-				io.Copy(io.Discard, req.Body)
+				bodyRead := make(chan struct{})
+				if duplex {
+					// The body ends once the client has the reply's head.
+					daemons.Add(1)
+					go func() {
+						defer daemons.Done()
+						io.Copy(io.Discard, req.Body)
+						close(bodyRead)
+					}()
+				} else {
+					io.Copy(io.Discard, req.Body)
+					close(bodyRead)
+				}
 				if _, err := server.Write(reply); err != nil || !hold {
 					return
 				}
@@ -759,6 +862,7 @@ func FuzzHopResponse(f *testing.F) {
 				// to send, so the caller gives up now rather than at the
 				// deadline.
 				cancel()
+				<-bodyRead
 				io.Copy(io.Discard, br) // until the client closes
 			}()
 			return client, nil
@@ -777,11 +881,18 @@ func FuzzHopResponse(f *testing.F) {
 
 		const body = `{"model":"m","prompt":"q","options":{"num_predict":8,"stream_tokens":true}}`
 		msg := fmt.Sprintf("POST /api/generate HTTP/1.1\r\nHost: modeld\r\nContent-Length: %d\r\nContent-Type: application/json\r\n\r\n%s", len(body), body)
+		if duplex {
+			msg = fmt.Sprintf("POST /api/generate HTTP/1.1\r\nHost: modeld\r\nTransfer-Encoding: chunked\r\nContent-Type: application/json\r\n\r\n%x\r\n%s\n\r\n", len(body)+1, body)
+		}
 		start := time.Now()
 		var got []byte
 		b := new(hopBody)
 		err := tr.exchange(ctx, "modeld:80", []byte(msg), b)
 		if err == nil {
+			// A full-duplex request's body ends as the client reads the done
+			// line, here at once.
+			b.duplex, b.open = duplex, duplex
+			b.endRequest(false)
 			got, err = io.ReadAll(b)
 			b.Close()
 		}
@@ -871,13 +982,55 @@ func FuzzHopHead(f *testing.F) {
 				want.StatusCode, want.Status, want.ContentLength, want.TransferEncoding, want.Close)
 		}
 		hop.Discard(n)
+		saved := *b
 		b.pc = &hopConn{br: hop.Reader}
 		body, berr := io.ReadAll(readerFunc(b.read))
 		wantBody, wberr := io.ReadAll(want.Body)
 		if !bytes.Equal(body, wantBody) || (berr == nil) != (wberr == nil) || hop.left() != ref.left() {
 			t.Fatalf("body %q, %v, %d bytes left; net/http %q, %v, %d left", body, berr, hop.left(), wantBody, wberr, ref.left())
 		}
+		// The same body over a connection that reads without waiting, its
+		// bytes arriving a few at a time: a read that would wait gives
+		// back nothing it took, so the body reads the same.
+		b = &saved
+		b.pc = &hopConn{br: bufio.NewReader(&trickle{b: reply[n:], step: 1 + len(reply)%7}), noWait: true}
+		var trickled []byte
+		buf := make([]byte, 5)
+		for {
+			k, err := b.read(buf)
+			trickled = append(trickled, buf[:k]...)
+			if err == errWouldBlock {
+				continue
+			}
+			if err != nil {
+				if !bytes.Equal(trickled, wantBody) || (err == io.EOF) != (wberr == nil) {
+					t.Fatalf("trickled body %q, %v; net/http %q, %v", trickled, err, wantBody, wberr)
+				}
+				break
+			}
+		}
 	})
+}
+
+// trickle is a connection read without waiting whose bytes arrive step
+// at a time: each read that took some is followed by one that would wait,
+// until the end, which every read then reports.
+type trickle struct {
+	b       []byte
+	step    int
+	arrived bool
+}
+
+func (r *trickle) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	if r.arrived = !r.arrived; !r.arrived {
+		return 0, errWouldBlock
+	}
+	n := copy(p[:min(len(p), r.step)], r.b)
+	r.b = r.b[n:]
+	return n, nil
 }
 
 // readerFunc is a Read method as an io.Reader.

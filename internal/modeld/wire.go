@@ -1,9 +1,12 @@
 package modeld
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/hex"
+	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -114,9 +117,14 @@ func (lw *lineWriter) stream(g *llm.Generation, finish func(final llm.Chunk) *te
 			}
 			return
 		}
-		if lw.flusher != nil {
-			lw.flusher.Flush()
-		}
+		lw.flush()
+	}
+}
+
+// flush sends what has been written.
+func (lw *lineWriter) flush() {
+	if lw.flusher != nil {
+		lw.flusher.Flush()
 	}
 }
 
@@ -539,11 +547,20 @@ func spanRecord(s *jsonwire.Scanner, d *telemetry.SpanData, scratch *[]byte) boo
 // requestBuf is pooled storage for one /api/generate request body: the
 // client encodes the request into body (and over the hop's own transport
 // renders the whole request, head and body, into wire), the daemon reads it
-// into body and scans it with the rest as scratch.
+// into body and scans it with the rest as scratch. Of a full-duplex request
+// the daemon reads only the first line into body; rest is what arrived
+// after it, and watch reads the remainder of the body through wire.
 type requestBuf struct {
 	body, wire []byte
 	key, str   []byte
 	ints       []int
+	// duplex: the client sends body as a full-duplex request.
+	duplex bool
+	// req is what the daemon decodes body into.
+	req GenerateRequest
+
+	rest     []byte
+	watching sync.WaitGroup // watch, while it runs
 }
 
 var requestBufPool = sync.Pool{New: func() any { return new(requestBuf) }}
@@ -553,9 +570,95 @@ var requestBufPool = sync.Pool{New: func() any { return new(requestBuf) }}
 const maxPooledBody = 64 << 10
 
 func (rb *requestBuf) release() {
+	rb.rest, rb.duplex, rb.req = nil, false, GenerateRequest{}
 	if max(cap(rb.body), cap(rb.wire)) <= maxPooledBody {
 		requestBufPool.Put(rb)
 	}
+}
+
+// stopLine is the line a client writes into the body of a full-duplex
+// /api/generate request (a chunked one) to end the generation before its
+// done line: the daemon stops it at the model's next step, ends the reply
+// with the done line, and the connection stays open for the next request.
+// The daemon advertises it on /api/version (versionBody.StopLine).
+const stopLine = `{"stop":true}`
+
+// readLine reads body up to its first newline into rb.body, the line
+// without its newline, and keeps what arrived after it in rb.rest. A body
+// that ends first is one line. The line is held to maxScanLine, as a whole
+// body is.
+func (rb *requestBuf) readLine(body io.Reader) error {
+	buf := rb.body[:0]
+	for {
+		if len(buf) == cap(buf) {
+			if len(buf) >= maxScanLine {
+				return &http.MaxBytesError{Limit: maxScanLine}
+			}
+			buf = slices.Grow(buf, max(512, len(buf)))
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		i := bytes.IndexByte(buf[len(buf):len(buf)+n], '\n')
+		if i >= 0 {
+			i += len(buf)
+			buf = buf[:len(buf)+n]
+			rb.body, rb.rest = buf[:i], buf[i+1:]
+			return nil
+		}
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			rb.body, rb.rest = buf, nil
+			return nil
+		}
+		if err != nil {
+			rb.body = buf
+			return err
+		}
+	}
+}
+
+// watch reads the rest of a full-duplex request's body — rb.rest, then
+// body to its end — and stops g on every line that is exactly stopLine, and
+// when the body breaks: the client went away. rb.watching is done when it
+// returns.
+func (rb *requestBuf) watch(body io.Reader, g *llm.Generation) {
+	defer rb.watching.Done()
+	if rb.wire = rb.wire[:cap(rb.wire)]; len(rb.wire) < 512 {
+		rb.wire = make([]byte, 512)
+	}
+	at := 0
+	if scanStop(&at, rb.rest) {
+		g.Stop()
+	}
+	for {
+		n, err := body.Read(rb.wire)
+		if scanStop(&at, rb.wire[:n]) {
+			g.Stop()
+		}
+		if err != nil {
+			if err != io.EOF {
+				g.Stop()
+			}
+			return
+		}
+	}
+}
+
+// scanStop reads p, the next bytes of a body of lines, and reports whether
+// a line in it is exactly stopLine. at carries the line across calls: how
+// many of its bytes matched stopLine so far, or -1 once it cannot.
+func scanStop(at *int, p []byte) (stop bool) {
+	for _, c := range p {
+		switch k := *at; {
+		case c == '\n':
+			stop = stop || k == len(stopLine)
+			*at = 0
+		case k >= 0 && k < len(stopLine) && c == stopLine[k]:
+			*at = k + 1
+		default:
+			*at = -1
+		}
+	}
+	return stop
 }
 
 // encode renders req into rb.body byte for byte as json.Marshal renders a
@@ -578,6 +681,16 @@ func (rb *requestBuf) encode(req *GenerateRequest) {
 		dst = append(dst, `"stream_tokens":true`...)
 	}
 	rb.body = append(dst, "}}"...)
+}
+
+// modelName is b as a string, without allocating for the built-in models.
+func modelName(b []byte) string {
+	for _, m := range [...]string{llm.ModelLlama3, llm.ModelMistral, llm.ModelQwen2} {
+		if string(b) == m {
+			return m
+		}
+	}
+	return string(b)
 }
 
 // Members of a generate request, as bits of its decoder's seen-set.
@@ -605,7 +718,7 @@ func (rb *requestBuf) decode(req *GenerateRequest) bool {
 		switch string(key) {
 		case "model":
 			rb.str, ok = s.Str(rb.str[:0])
-			req.Model = string(rb.str)
+			req.Model = modelName(rb.str)
 			return ok && once(&seen, reqModel)
 		case "prompt":
 			rb.str, ok = s.Str(rb.str[:0])

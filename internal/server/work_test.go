@@ -44,13 +44,13 @@ type workStack struct {
 	daemons []*acceptCounter
 }
 
-func newWorkStack(t *testing.T, sv ServingOptions) *workStack {
+func newWorkStack(t *testing.T, sv ServingOptions, scale float64) *workStack {
 	t.Helper()
 	kb := llm.NewKnowledge(truthfulqa.Seed())
 	w := &workStack{tel: telemetry.New(telemetry.Options{})}
 	replicas := make(map[string][]fleet.Replica)
 	for d := 0; d < 2; d++ {
-		engine := llm.NewEngine(llm.Options{Knowledge: kb})
+		engine := llm.NewEngine(llm.Options{Knowledge: kb, LatencyScale: scale})
 		t.Cleanup(func() { engine.Close() })
 		srv := httptest.NewUnstartedServer(modeld.NewServer(engine))
 		ln := &acceptCounter{Listener: srv.Listener}
@@ -136,18 +136,24 @@ func (w *workStack) dials() int64 {
 // two loopback modeld daemons and their batch engines — and pins what it
 // costs after a warm-up: the modeld requests, the connections dialled, and
 // the bytes allocated at both ends of the hop with the collector off
-// (skipped under -race, which allocates on its own account). Dials are
-// counted to a tenth of one a query: a session the orchestrator prunes
-// before its daemon has written the whole answer hangs up its connection,
-// which the engines' timing lets happen about once in a thousand queries.
+// (skipped under -race, which allocates on its own account). A session the
+// orchestrator prunes before its daemon has written the whole answer stops
+// the daemon in band and keeps its connection, which the next query's
+// sessions skip while the rest of its reply is still in flight, and dial.
+// Run alone the unpaced rows dial nothing; under the gate's parallel load,
+// about once in 50 queries. Every MISS row is allowed a tenth of a dial a
+// query, the paced one too, which prunes mid-answer in nearly every query.
 func TestQueryWork(t *testing.T) {
-	const warm, runs = 20, 50
 	q := truthfulqa.Seed()[1].Question
+	oua := fmt.Sprintf(`{"query":%q,"strategy":"oua","max_tokens":128}`, q)
 	for _, row := range []struct {
-		name            string
-		body            string
-		serving         ServingOptions
-		requests, dials float64 // a query
+		name       string
+		body       string
+		serving    ServingOptions
+		scale      float64 // the engines' LatencyScale
+		warm, runs int
+		requests   float64 // a query
+		dials      float64 // at most, a query
 		// bytes bounds the bytes a query allocates: 5 % over what the row
 		// read when its bound was last set.
 		bytes float64
@@ -160,35 +166,44 @@ func TestQueryWork(t *testing.T) {
 		// waiting drain, a run allocated per query and plans keyed by
 		// joined strings; 35.1 KB with runs not pooled, 37.2 KB with
 		// those plans). (A recorder's body buffer added about 28 KB more.)
-		{name: "MISS oua", body: fmt.Sprintf(`{"query":%q,"strategy":"oua","max_tokens":128}`, q),
-			requests: 3, dials: 0, bytes: 34900},
+		{name: "MISS oua", body: oua, warm: 20, runs: 50,
+			requests: 3, dials: 0.1, bytes: 34900},
 		// The bandit and the hybrid over the same stack: 32.9 and 33.1 KB
 		// a query read (40.0 and 40.1 KB as above; 34.7 and 35.6 KB with
 		// runs not pooled, 36.6 and 37.0 KB with those plans).
-		{name: "MISS mab", body: fmt.Sprintf(`{"query":%q,"strategy":"mab","max_tokens":128}`, q),
-			requests: 3, dials: 0, bytes: 34500},
-		{name: "MISS hybrid", body: fmt.Sprintf(`{"query":%q,"strategy":"hybrid","max_tokens":128}`, q),
-			requests: 3, dials: 0, bytes: 34700},
+		{name: "MISS mab", body: fmt.Sprintf(`{"query":%q,"strategy":"mab","max_tokens":128}`, q), warm: 20, runs: 50,
+			requests: 3, dials: 0.1, bytes: 34500},
+		{name: "MISS hybrid", body: fmt.Sprintf(`{"query":%q,"strategy":"hybrid","max_tokens":128}`, q), warm: 20, runs: 50,
+			requests: 3, dials: 0.1, bytes: 34700},
+		// The oua query at fanout_paced's pace, which prunes a model before
+		// its done line in nearly every query: 33.0 KB a query read, with one
+		// dial in 20 queries (38.3 KB and 2.05 dials a query when a pruned
+		// session hung up its connection).
+		{name: "MISS oua paced", body: oua, scale: 0.13, warm: 5, runs: 20,
+			requests: 3, dials: 0.1, bytes: 34700},
 		// The same query answered from the cache after its MISS in the
 		// warm-up: 6.7 KB a query read, 8.2 KB decoded, headed and
 		// appended as above.
-		{name: "HIT oua", body: fmt.Sprintf(`{"query":%q,"strategy":"oua","max_tokens":128}`, q),
+		{name: "HIT oua", body: oua, warm: 20, runs: 50,
 			serving: ServingOptions{CacheTTL: time.Hour}, requests: 0, dials: 0, bytes: 7050},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			w := newWorkStack(t, row.serving)
-			for i := 0; i < warm; i++ {
+			w := newWorkStack(t, row.serving, row.scale)
+			for i := 0; i < row.warm; i++ {
 				w.query(t, row.body)
 			}
+			runs := float64(row.runs)
 			requests, dials := w.requests(), w.dials()
-			for i := 0; i < runs; i++ {
+			for i := 0; i < row.runs; i++ {
 				w.query(t, row.body)
 			}
 			if got := (w.requests() - requests) / runs; got != row.requests {
 				t.Errorf("%.2f modeld requests a query, want %v", got, row.requests)
 			}
-			if got := float64(w.dials()-dials) / runs; got > row.dials+0.1 {
-				t.Errorf("%.2f dials a query, want %v", got, row.dials)
+			got := float64(w.dials()-dials) / runs
+			t.Logf("%.2f dials a query", got)
+			if got > row.dials {
+				t.Errorf("%.2f dials a query, want at most %v", got, row.dials)
 			}
 			if raceEnabled {
 				return
@@ -196,7 +211,7 @@ func TestQueryWork(t *testing.T) {
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
+			for i := 0; i < row.runs; i++ {
 				w.query(t, row.body)
 			}
 			runtime.ReadMemStats(&after)

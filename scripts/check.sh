@@ -58,7 +58,7 @@ go test -race -shuffle=on ./...
 # The allocation guards skip themselves under -race, where sync.Pool drops
 # puts and counts are not exact, so the suite above never runs them: run
 # them once more without it, and require that every one of them ran.
-allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestSessionWaitCostsNothing|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestTrainAllocs|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestRecycledRunOpensFresh|TestTopKAllocatesNothing|TestRecordingAllocatesNothing|TestStoredTraceFootprint|TestStoredTraceTextFits|TestPolicyAllocatesNothing|TestQueryWork|TestReadQueryAllocates'
+allocs='TestSpanAllocatesNothing|TestGenerationSessionAllocs|TestSessionWaitCostsNothing|TestBorrowReleaseAllocatesNothing|TestMemoryGraphAddAtCapacityAllocatesNothing|TestCountAllocatesNothing|TestTrainAllocs|TestWarmScorerPassAllocatesNothing|TestWarmBufferedRoundAllocatesNothing|TestRecycledRunOpensFresh|TestTopKAllocatesNothing|TestRecordingAllocatesNothing|TestStoredTraceFootprint|TestStoredTraceTextFits|TestPolicyAllocatesNothing|TestQueryWork|TestReadQueryAllocates|TestClientCountersAllocateNothing'
 echo "== allocation guards: go test -count=1 -run '^($allocs)\$' ./internal/..."
 # A failing guard stops the script here, so print what it read first.
 out=$(go test -count=1 -v -run "^($allocs)\$" ./internal/...) || {
@@ -67,9 +67,9 @@ out=$(go test -count=1 -v -run "^($allocs)\$" ./internal/...) || {
 	exit 1
 }
 passed=$(printf '%s\n' "$out" | grep -c '^--- PASS' || true)
-if [ "$passed" -ne 17 ]; then
+if [ "$passed" -ne 18 ]; then
 	printf '%s\n' "$out" >&2
-	echo "allocation guards: $passed of 17 passed" >&2
+	echo "allocation guards: $passed of 18 passed" >&2
 	exit 1
 fi
 
@@ -161,6 +161,19 @@ hop='TestHopTransportMatchesReference|TestDefaultClientSharedOnce|TestDefaultCli
 stress 'hop transport' "$hop" ./internal/modeld
 fuzz FuzzHopResponse ./internal/modeld
 
+# The in-band stop: a daemon without stop_line hung up on, a connection
+# that cannot go full duplex refused and the request resent plain, a stop
+# the daemon ignores, a stop that crosses the done line, and a stopped
+# session held to the hang-up it replaces, each ending with the engine
+# idle and no goroutine left, over and over; then the paced row of the
+# work table, whose pruned sessions stop their daemons and redial at most
+# once in ten queries.
+stop='TestStockDaemonIsHungUpOn|TestDuplexRefusedFallsBackPlain|TestIgnoredStopEndsWithinWait|TestStopCrossingDoneLinePoolsOnce|TestStoppedSessionMatchesHangUp'
+stress 'in-band stop' "$stop" ./internal/modeld
+echo "== paced dials: go test -race -count=20 -run '^TestQueryWork\$/^MISS_oua_paced\$' ./internal/server"
+listed TestQueryWork ./internal/server
+go test -race -count=20 -run '^TestQueryWork$/^MISS_oua_paced$' ./internal/server
+
 # Closed sessions: sessions closed from another goroutine while their Next
 # is blocked reading the daemon, and closed before any line was read, and
 # the closed session's line reader goes back to the pool for the next one.
@@ -207,7 +220,9 @@ stress 'vector search' "$vdb" ./internal/vectordb
 # of internal/jsonwire, the formats built on it at both ends of the modeld
 # hop and in the SSE egress (events and the result), and the traceparent
 # header against the spec; the head of a daemon's reply, parsed in place,
-# against http.ReadResponse; then the cache key's normal form against its
+# against http.ReadResponse, and its chunked body read on through reads
+# that would wait; the daemon's stop-line watcher over any bytes a
+# full-duplex body carries after the generate object; then the cache key's normal form against its
 # three-pass reference, the cache's policy against its invariants and a
 # model of what may be served, the warm-start entry decoder, and the vector kernel
 # (embedding.Rows and its Selector) against a map model and a sort of every
@@ -223,7 +238,7 @@ stress 'vector search' "$vdb" ./internal/vectordb
 # decode against the capped json.Decoder it falls back to.
 for target in 'FuzzString ./internal/jsonwire' 'FuzzTraceparent ./internal/telemetry' \
 	'FuzzStreamLine ./internal/modeld' 'FuzzGenerateRequest ./internal/modeld' \
-	'FuzzHopHead ./internal/modeld' \
+	'FuzzHopHead ./internal/modeld' 'FuzzStopLines ./internal/modeld' \
 	'FuzzEventFrame ./internal/server' 'FuzzResultFrame ./internal/server' \
 	'FuzzNormalize ./internal/qcache' 'FuzzCachePolicy ./internal/qcache' \
 	'FuzzDecodeCachedAnswer ./internal/server' \
